@@ -89,6 +89,16 @@ _PR_NBYTES = payload_size(ProbeReply(0.0, 0.0))
 _MIN_BATCH = 8
 
 
+def _band_limits(mon) -> Tuple[float, float]:
+    """(inner, outer) band limits of a broadcast monitor — the float
+    expressions of ``BroadcastMobileNode.on_tick_start``, so a
+    comparison against them agrees with the scalar check to the bit."""
+    return (
+        (mon.threshold - mon.s) * (1.0 + REGION_EPS),
+        (mon.threshold + mon.s) * (1.0 - REGION_EPS),
+    )
+
+
 def _columnar_ok(sim) -> bool:
     """May this side of the plane emit columnar batches right now?
 
@@ -312,9 +322,9 @@ class BroadcastSilentPhase(ClientPhase):
     Every node self-monitors every query it has heard an install for,
     so the silence predicate is the per-query band check itself. The
     phase mirrors each node's **own** monitor view per query — anchor,
-    threshold, margin, membership, reported flag — in ``(q, n)`` arrays
+    band limit, membership, reported flag — in ``(q, n)`` arrays
     (views can diverge across nodes under faults or geocast coverage),
-    evaluates all three band predicates vectorized, and runs the scalar
+    evaluates the band predicates vectorized, and runs the scalar
     tick-start on the violators. Focal nodes are always candidates:
     there are at most ``q`` of them and their query-circle check is
     cheap to re-run scalar.
@@ -323,16 +333,17 @@ class BroadcastSilentPhase(ClientPhase):
 
     * install broadcasts are delivered **lazily**: :meth:`deliver_area`
       claims them, applies the monitor change to the mirror arrays in
-      one vectorized column update (epoch-gated per receiver for
-      geocast, the exact acceptance rule of
-      :class:`GeocastMobileNode.on_message`), and appends the message
-      to a replay log instead of invoking N handlers. A node's own
-      handler runs — in original delivery order — the next time that
-      node is touched at all (candidate tick-start, or any dispatched
-      message), via :meth:`_replay`. Each node still processes every
-      install it was reachable for exactly once, so total work is
-      bounded by the scalar path's — it is merely deferred off the
-      broadcast hot path;
+      one vectorized row update (epoch-gated per receiver for geocast,
+      the exact acceptance rule of
+      :class:`GeocastMobileNode.on_message`), and logs the message
+      instead of invoking N handlers. The same update records, per
+      (query, node), which logged install that node's handler would
+      end up holding and which it would have seen first; the next time
+      a node is touched at all (candidate tick-start, or any
+      dispatched message) :meth:`_replay` hands its own handler just
+      those — at most two per query, so a touch costs O(q) however
+      long the node was silent — and the log drops full broadcasts no
+      node can still be owed, so it does not grow with the run's age;
     * circle-scoped broadcasts (``COLLECT`` requests) are delivered
       through :meth:`deliver_area` too: the in-circle test every
       receiver would run scalar is evaluated once, vectorized, and only
@@ -359,10 +370,13 @@ class BroadcastSilentPhase(ClientPhase):
         self._focal = np.zeros(n, dtype=bool)
         self._ax = np.zeros((q, n))
         self._ay = np.zeros((q, n))
-        self._thr = np.full((q, n), np.inf)
-        self._s = np.zeros((q, n))
+        #: the band limit each cell is checked against (inner for answer
+        #: members, outer for everyone else) and whether it can fire at
+        #: all: a monitor is held, unreported, with a finite threshold.
+        #: Both change only on install/refresh, never per tick.
+        self._bound = np.zeros((q, n))
         self._member = np.zeros((q, n), dtype=bool)
-        self._has_mon = np.zeros((q, n), dtype=bool)
+        self._armed = np.zeros((q, n), dtype=bool)
         self._reported = np.zeros((q, n), dtype=bool)
         #: per-(query, node) install epoch held, geocast acceptance rule
         #: (-1 = never installed, matching ``_epochs.get(qid, -1)``).
@@ -376,15 +390,29 @@ class BroadcastSilentPhase(ClientPhase):
             self._active[oid] = True
             if node.my_qids:
                 self._focal[oid] = True
-        #: replay log of lazily-delivered install broadcasts, in
-        #: delivery order: (message, receiver mask or None for "every
-        #: active node"). ``_applied[oid]`` is how far into the log that
-        #: node's own handler has caught up.
-        self._log: List[Tuple[Message, Optional[np.ndarray]]] = []
+        #: index of "every active node": a plain slice when that is the
+        #: whole fleet, so full broadcasts write rows, not mask scatters.
+        self._everyone = slice(None) if self._active.all() else self._active
+        #: lazily-delivered install broadcasts by delivery number, and
+        #: per query the (number, epoch) of the full broadcasts among
+        #: them. ``_applied[oid]`` is the first delivery number that
+        #: node's own handler has not caught up with.
+        self._log: Dict[int, Message] = {}
+        self._full: List[List[Tuple[int, int]]] = [[] for _ in range(q)]
+        self._seq = 0
         self._applied = np.zeros(n, dtype=np.int64)
-        #: deferred install replays performed (reported per tick in the
-        #: ``fastpath.candidates`` trace event).
+        #: per (query, node), the logged install the node's handler
+        #: would be left holding after seeing every install it was
+        #: reachable for, and the one it would have seen first (-1 =
+        #: none); per node, installs it was reachable for since its
+        #: last replay.
+        self._final = np.full((q, n), -1, dtype=np.int32)
+        self._first = np.full((q, n), -1, dtype=np.int32)
+        self._pending = np.zeros(n, dtype=np.int32)
+        #: deferred installs handed to a handler / proven unobservable
+        #: and skipped (reported per tick in ``fastpath.candidates``).
         self._replayed = 0
+        self._superseded = 0
         #: oids whose whole view needs re-reading (ran as candidates).
         self._touched_nodes: Set[int] = set()
         #: membership-mask cache, keyed by the answer-id tuple itself —
@@ -405,26 +433,38 @@ class BroadcastSilentPhase(ClientPhase):
         return cached
 
     def _replay(self, node: "BroadcastMobileNode") -> None:
-        """Run the node's handler on every pending install, in order.
+        """Hand the node's handler its pending installs, coalesced.
 
         Lazily-delivered installs (see :meth:`deliver_area`) must reach
         the node's own ``on_message`` before anything else observes the
         node — a later message dispatch, a candidate tick-start, or a
-        mirror refresh — so interleavings match the scalar delivery
-        order exactly.
+        mirror refresh. Of the pending installs of one query only two
+        can be observed afterwards: the *final* one — the last carrying
+        the highest epoch, since the handler keeps the newest epoch and
+        within it the latest install; it is the node's monitor, known
+        answer and, through the handler's own epoch gate, ``_reported``
+        re-arm (without epochs it is simply the last) — and the *first*
+        the node was ever reachable for, which inserts the key into
+        ``node.monitors`` and so fixes the order of that node's
+        violation uplinks. Every install in between is overwritten or
+        refused before anything reads it and is skipped: at most 2q
+        handler calls per touch, in delivery order.
         """
         oid = node.oid
-        log = self._log
-        i = int(self._applied[oid])
-        if i >= len(log):
+        start = int(self._applied[oid])
+        if start == self._seq:
             return
-        while i < len(log):
-            msg, mask = log[i]
-            if mask is None or mask[oid]:
-                node.on_message(msg)
-                self._replayed += 1
-            i += 1
-        self._applied[oid] = i
+        self._applied[oid] = self._seq
+        final = self._final[:, oid]
+        first = self._first[:, oid]
+        picks = sorted(
+            {*final[final >= start].tolist(), *first[first >= start].tolist()}
+        )
+        for seq in picks:
+            node.on_message(self._log[seq])
+        self._replayed += len(picks)
+        self._superseded += int(self._pending[oid]) - len(picks)
+        self._pending[oid] = 0
 
     def _refresh_pair(self, oid: int, qid: int) -> None:
         node = self._node_of[oid]
@@ -432,44 +472,74 @@ class BroadcastSilentPhase(ClientPhase):
         if self._epoch_mode:
             self._epoch[qi, oid] = node._epochs.get(qid, -1)
         mon = node.monitors.get(qid)
-        if mon is None:
-            self._has_mon[qi, oid] = False
+        reported = qid in node._reported
+        self._reported[qi, oid] = reported
+        if mon is None or reported or math.isinf(mon.threshold):
+            self._armed[qi, oid] = False
             return
-        self._has_mon[qi, oid] = True
+        member = oid in mon.answer_ids
+        inner, outer = _band_limits(mon)
+        self._armed[qi, oid] = True
         self._ax[qi, oid] = mon.ax
         self._ay[qi, oid] = mon.ay
-        self._thr[qi, oid] = mon.threshold
-        self._s[qi, oid] = mon.s
-        self._member[qi, oid] = bool(self._members_of(mon)[oid])
-        self._reported[qi, oid] = qid in node._reported
+        self._member[qi, oid] = member
+        self._bound[qi, oid] = inner if member else outer
 
-    def _apply_install(self, payload, mask: Optional[np.ndarray]) -> None:
-        """Mirror one install broadcast onto its receivers' columns.
+    def _defer_install(self, msg: Message, mask: Optional[np.ndarray]) -> None:
+        """Mirror one install broadcast onto its receivers' rows and
+        log it for :meth:`_replay`; ``mask is None`` is a full
+        broadcast, heard by every active node.
 
         Receivers all execute ``monitors[qid] = payload`` (reference
         assignment of this very object), so the payload *is* their
         monitor state — no per-node re-reading needed. Geocast nodes
         additionally gate on the epoch: older installs are ignored,
         equal ones replace the monitor without re-arming ``_reported``.
+        The cells that accept the install are exactly the nodes whose
+        handler would be left holding it, which is what ``_final``
+        records.
         """
+        payload = msg.payload
         qi = self._qidx[payload.qid]
-        m = self._active if mask is None else mask
+        seq = self._seq
+        self._seq = seq + 1
+        self._log[seq] = msg
+        m = self._everyone if mask is None else mask
+        self._pending[m] += 1
+        unseen = self._first[qi] < 0
+        if mask is not None:
+            unseen &= mask
+        self._first[qi, unseen] = seq
+        e = 0
         if self._epoch_mode:
             e = getattr(payload, "epoch", 0)
             held = self._epoch[qi]
-            newer = m & (held < e)
-            keep = m & (held <= e)
-            self._reported[qi, newer] = False
-            self._epoch[qi, keep] = e
-            m = keep
+            if mask is None:
+                m = self._active
+            self._reported[qi, m & (held < e)] = False
+            m = m & (held <= e)
+            self._epoch[qi, m] = e
         else:
             self._reported[qi, m] = False
-        self._has_mon[qi, m] = True
+        members = self._members_of(payload)
+        inner, outer = _band_limits(payload)
+        self._final[qi, m] = seq
         self._ax[qi, m] = payload.ax
         self._ay[qi, m] = payload.ay
-        self._thr[qi, m] = payload.threshold
-        self._s[qi, m] = payload.s
-        self._member[qi, m] = self._members_of(payload)[m]
+        self._member[qi, m] = members[m]
+        self._bound[qi, m] = np.where(members, inner, outer)[m]
+        self._armed[qi, m] = (
+            False if math.isinf(payload.threshold) else ~self._reported[qi, m]
+        )
+        if mask is None:
+            # A full broadcast with an older one of its query behind it
+            # (every node's first is that one or earlier) and this one,
+            # of no lower epoch, ahead (every node left holding it now
+            # accepts this one instead) is owed to nobody: forget it.
+            full = self._full[qi]
+            if len(full) >= 2 and full[-1][1] <= e:
+                del self._log[full.pop()[0]]
+            full.append((seq, e))
 
     def tick_start(self, tick: int) -> None:
         if self._touched_nodes:
@@ -479,15 +549,17 @@ class BroadcastSilentPhase(ClientPhase):
                     self._refresh_pair(oid, qid)
             self._touched_nodes.clear()
         xs, ys = _fleet_xy(self.sim.fleet)
-        live = (
-            self._has_mon & ~self._reported & np.isfinite(self._thr)
+        # sqrt(dx*dx + dy*dy), accumulated in place: the same float ops
+        # as the shared recipe without three more (q, n) temporaries.
+        d = xs - self._ax
+        dy = ys - self._ay
+        d *= d
+        dy *= dy
+        d += dy
+        np.sqrt(d, out=d)
+        violated = self._armed & np.where(
+            self._member, d > self._bound, d < self._bound
         )
-        dx = xs[None, :] - self._ax
-        dy = ys[None, :] - self._ay
-        d = np.sqrt(dx * dx + dy * dy)
-        inner = d > (self._thr - self._s) * (1.0 + REGION_EPS)
-        outer = d < (self._thr + self._s) * (1.0 - REGION_EPS)
-        violated = live & np.where(self._member, inner, outer)
         cand = self._active & (violated.any(axis=0) | self._focal)
         is_down = self.sim._is_down if self.sim.faults is not None else None
         touched = self._touched_nodes
@@ -507,9 +579,10 @@ class BroadcastSilentPhase(ClientPhase):
                 candidates=len(candidates),
                 population=int(self._active.sum()),
                 replayed=self._replayed,
+                superseded=self._superseded,
                 log_len=len(self._log),
             )
-            self._replayed = 0
+            self._replayed = self._superseded = 0
 
     def before_dispatch(self, node: Node, msg: Message) -> None:
         # Pending lazily-delivered installs must land before the node
@@ -556,9 +629,7 @@ class BroadcastSilentPhase(ClientPhase):
         sim = self.sim
         if msg.dst == BROADCAST_ID:
             if msg.kind is MessageKind.BROADCAST_INSTALL:
-                mask = self._up_mask(self._active)
-                self._apply_install(payload, mask)
-                self._log.append((msg, mask))
+                self._defer_install(msg, self._up_mask(self._active))
                 return True
             if msg.kind is not MessageKind.COLLECT or ptype is not CollectRequest:
                 return False
@@ -592,8 +663,7 @@ class BroadcastSilentPhase(ClientPhase):
             if ptype is GeocastInstall:
                 mask = self._up_mask(hit)
                 reach = hit if mask is None else mask
-                self._apply_install(payload, reach)
-                self._log.append((msg, reach))
+                self._defer_install(msg, reach)
                 sim.channel.stats.record_delivery(
                     msg, receivers=int(reach.sum())
                 )

@@ -198,22 +198,19 @@ def _protocol_section(events: List[TraceEvent]) -> Optional[str]:
 
 
 def _fastpath_section(events: List[TraceEvent]) -> Optional[str]:
-    cands = [
-        e.fields.get("candidates", 0)
-        for e in events
-        if e.kind == "fastpath.candidates"
-    ]
-    if not cands:
+    decisions = [e.fields for e in events if e.kind == "fastpath.candidates"]
+    if not decisions:
         return None
-    replayed = sum(
-        e.fields.get("replayed", 0)
-        for e in events
-        if e.kind == "fastpath.candidates"
-    )
+    cands = [f.get("candidates", 0) for f in decisions]
+    # Every deferred install a touched node had pending is either
+    # handed to its handler or skipped as provably unobservable.
+    delivered = sum(f.get("replayed", 0) for f in decisions)
+    superseded = sum(f.get("superseded", 0) for f in decisions)
     return (
         f"Fastpath: {len(cands)} dispatch decisions, candidates/tick "
         f"mean {sum(cands) / len(cands):.1f} max {max(cands)}, "
-        f"deferred installs replayed: {replayed}"
+        f"deferred installs replayed: {delivered} delivered + "
+        f"{superseded} superseded"
     )
 
 

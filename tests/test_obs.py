@@ -120,6 +120,23 @@ class TestProtocolStreamBitIdentity:
         assert not [e for e in scalar_events if e.kind == "fastpath.candidates"]
         assert [e for e in fast_events if e.kind == "fastpath.candidates"]
 
+    def test_fastpath_replay_accounting(self):
+        """``replayed`` counts coalesced deliveries, ``superseded`` the
+        pending installs skipped as unobservable (scalar nodes handle
+        both), ``log_len`` the bounded log — and the summary says so."""
+        events, _ = _traced_run("DKNN-B", fast=True)
+        decisions = [
+            e.fields for e in events if e.kind == "fastpath.candidates"
+        ]
+        delivered = sum(f["replayed"] for f in decisions)
+        superseded = sum(f["superseded"] for f in decisions)
+        assert delivered > 0 and superseded > 0
+        assert max(f["log_len"] for f in decisions) <= 2 * SPEC.n_queries
+        assert (
+            f"deferred installs replayed: {delivered} delivered + "
+            f"{superseded} superseded"
+        ) in summarize_text(events)
+
 
 class TestNullSinkIsFree:
     def test_default_telemetry_is_null(self):
