@@ -37,7 +37,9 @@ brute force over ground truth at every tick.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
+
+import numpy as np
 
 from repro.core.params import DknnParams
 from repro.core.protocol import (
@@ -53,7 +55,7 @@ from repro.core.protocol import (
 from repro.core.regions import Installation, plan_installation
 from repro.errors import ProtocolError
 from repro.geometry import Rect, dist
-from repro.index.knn import knn_search, range_search
+from repro.index.knn import knn_search, range_search_arrays
 from repro.metrics.cost import CostMeter
 from repro.net.message import SERVER_ID, Message, MessageKind, payload_size
 from repro.net.plane import ColumnarBatch
@@ -68,6 +70,71 @@ _WAIT_FOCAL = "wait_focal"
 _WAIT_CANDS = "wait_cands"
 _WAIT_PLANNER = "wait_planner"
 _WAIT_LIGHT = "wait_light"
+
+_NO_IDS = np.empty(0, dtype=np.int64)
+
+
+class _InFlight:
+    """Ids with an unanswered probe: oid-indexed flags + a live count.
+
+    Set-like for the scalar callers (``add`` / ``discard`` / ``in`` /
+    truth / ``len`` / ascending iteration); :meth:`claim` and
+    :meth:`release` are the array forms the repair round uses. Array
+    arguments hold non-negative ids, unique within one call.
+    """
+
+    __slots__ = ("_flag", "_n")
+
+    def __init__(self) -> None:
+        self._flag = np.zeros(64, dtype=bool)
+        self._n = 0
+
+    def _reach(self, max_oid: int) -> None:
+        cap = self._flag.shape[0]
+        if max_oid >= cap:
+            grown = np.zeros(max(max_oid + 1, 2 * cap), dtype=bool)
+            grown[:cap] = self._flag
+            self._flag = grown
+
+    def __contains__(self, oid: int) -> bool:
+        return 0 <= oid < self._flag.shape[0] and bool(self._flag[oid])
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(np.flatnonzero(self._flag).tolist())
+
+    def add(self, oid: int) -> None:
+        if oid < 0:
+            raise ProtocolError(f"cannot probe negative object id {oid}")
+        if oid not in self:
+            self._reach(oid)
+            self._flag[oid] = True
+            self._n += 1
+
+    def discard(self, oid: int) -> None:
+        if oid in self:
+            self._flag[oid] = False
+            self._n -= 1
+
+    def claim(self, oids: np.ndarray) -> np.ndarray:
+        """Mark ``oids`` in flight; returns those that were not yet,
+        in input order."""
+        if oids.shape[0]:
+            self._reach(int(oids.max()))
+            oids = oids[~self._flag[oids]]
+            self._flag[oids] = True
+            self._n += oids.shape[0]
+        return oids
+
+    def release(self, oids: np.ndarray) -> None:
+        """Clear every id of ``oids`` that is in flight (one scatter)."""
+        if self._n:
+            oids = oids[oids < self._flag.shape[0]]
+            oids = oids[self._flag[oids]]
+            self._flag[oids] = False
+            self._n -= oids.shape[0]
 
 
 class _QueryState:
@@ -95,9 +162,11 @@ class _QueryState:
         self.informed: Set[int] = set()
         self.phase = _IDLE
         self.dirty = True  # forces the initial installation
-        self.pending: Set[int] = set()
-        self.cand_ids: List[int] = []
-        self.planner_new: List[int] = []
+        # int64 id arrays: what the repair in progress waits on, its
+        # candidate set, and the planner's uninformed hits.
+        self.pending = _NO_IDS
+        self.cand_ids = _NO_IDS
+        self.planner_new = _NO_IDS
         self.planner_tick = -1
         #: objects whose band violation marked this query dirty.
         self.violators: Set[int] = set()
@@ -127,7 +196,7 @@ class DknnServer(BaseServer):
         )
         self._states: Dict[int, _QueryState] = {}
         self._tick = 0
-        self._probes_in_flight: Set[int] = set()
+        self._probes_in_flight = _InFlight()
         #: repairs performed per query (light + full), and the light
         #: subset (the E13 ablation reports the ratio).
         self.repair_count: Dict[int, int] = {}
@@ -252,9 +321,11 @@ class DknnServer(BaseServer):
         Only positional report kinds are batchable — they touch the
         object table and probe bookkeeping, and their per-message
         handling commutes across sources, so one vectorized
-        ``report_batch`` in column order is indistinguishable from the
-        scalar per-message path. Everything that can mutate query state
-        (violations, query moves, acks) always arrives scalar.
+        ``report_batch`` in column order plus one in-flight scatter is
+        indistinguishable from the scalar per-message path (the per-id
+        loops run only for the fault-tolerant lease/retransmit dicts).
+        Everything that can mutate query state (violations, query
+        moves, acks) always arrives scalar.
         """
         if batch.kind not in (
             MessageKind.LOCATION_UPDATE, MessageKind.PROBE_REPLY
@@ -271,14 +342,11 @@ class DknnServer(BaseServer):
                 if src in self._suspected:
                     self._revive(src)
         self.table.report_batch(srcs, batch.xs, batch.ys, self._tick)
-        if self._probes_in_flight or self._probe_sent:
-            inflight = self._probes_in_flight
-            ps_pop = self._probe_sent.pop
-            pf_pop = self._probe_first.pop
+        self._probes_in_flight.release(srcs)
+        if self._probe_sent:
             for src in srcs.tolist():
-                inflight.discard(src)
-                ps_pop(src, None)
-                pf_pop(src, None)
+                self._probe_sent.pop(src, None)
+                self._probe_first.pop(src, None)
         return True
 
     def _columnar_ok(self) -> bool:
@@ -303,12 +371,13 @@ class DknnServer(BaseServer):
             self._ft_tick(tick)
 
     def on_tick_end(self, tick: int) -> None:
+        unacked_qids = {qid for _, qid in self._unacked}
         for qid, st in self._states.items():
             self.degraded[qid] = bool(
                 st.focal_down
                 or st.dirty
                 or st.phase != _IDLE
-                or any(key[1] == qid for key in self._unacked)
+                or qid in unacked_qids
                 or (
                     self._suspected
                     and self._suspected.intersection(self.answers.get(qid, ()))
@@ -458,9 +527,7 @@ class DknnServer(BaseServer):
             ):
                 # An in-flight repair is waiting on the dead: restart
                 # it from scratch (minus the suspect) next subround.
-                st.pending = set()
-                st.cand_ids = []
-                st.planner_new = []
+                st.pending = st.cand_ids = st.planner_new = _NO_IDS
                 st.phase = _IDLE
                 affected = True
             if affected and not st.focal_down:
@@ -565,7 +632,7 @@ class DknnServer(BaseServer):
                         return
                     if not table.is_fresh(focal, tick):
                         self._probe(focal)
-                        st.pending = {focal}
+                        st.pending = np.array([focal], dtype=np.int64)
                         st.phase = _WAIT_FOCAL
                         return
                     if not self._select_candidates(st, tick):
@@ -587,7 +654,7 @@ class DknnServer(BaseServer):
                     continue
                 return
             if st.phase == _WAIT_FOCAL:
-                if self._await_fresh((focal,), tick):
+                if self._await_fresh(st.pending, tick):
                     return
                 if not self._select_candidates(st, tick):
                     return
@@ -609,7 +676,7 @@ class DknnServer(BaseServer):
 
     # -- repair pipeline -------------------------------------------------------
 
-    def _await_fresh(self, oids, tick: int) -> bool:
+    def _await_fresh(self, oids: np.ndarray, tick: int) -> bool:
         """True while any of ``oids`` lacks a fresh position.
 
         In fault-tolerant mode stale stragglers are re-probed: a tick
@@ -617,11 +684,11 @@ class DknnServer(BaseServer):
         expires the per-tick freshness of members whose replies *did*
         arrive — without a new probe they would block the wait forever.
         """
-        stale = sorted(o for o in oids if not self.table.is_fresh(o, tick))
-        if not stale:
+        stale = self.table.stale(oids, tick)
+        if not stale.shape[0]:
             return False
         if self._ft:
-            for oid in stale:
+            for oid in sorted(stale.tolist()):
                 self._probe(oid)
         return True
 
@@ -642,44 +709,37 @@ class DknnServer(BaseServer):
             self._probe_first[oid] = self._tick
         self.send(oid, MessageKind.PROBE, ProbeRequest())
 
-    def _probe_all(self, oids) -> None:
-        """:meth:`_probe` each id, sending one PROBE batch when allowed.
+    def _probe_stale(self, oids: np.ndarray) -> np.ndarray:
+        """:meth:`_probe` every stale id of ``oids``, in order; returns
+        the stale subset (what the caller must wait on).
 
-        Same skip rules (fresh / already in flight) and the same
-        bookkeeping per id; the only difference is transport — a
-        contiguous run of probe sends collapses into one columnar
-        batch, accounted identically.
+        Two mask ops — not fresh this tick, not already in flight — and,
+        when the transport allows, one columnar PROBE batch accounted
+        like the scalar sends it replaces. Fewer than 8 ids, traced runs
+        and scalar channels probe one by one.
         """
-        if not self._columnar_ok() or len(oids) < 8:
-            for oid in oids:
-                self._probe(oid)
-            return
-        import numpy as np
-
         tick = self._tick
-        fresh = self.table.is_fresh
-        inflight = self._probes_in_flight
-        todo: List[int] = []
-        for oid in oids:
-            if fresh(oid, tick) or oid in inflight:
-                continue
-            inflight.add(oid)
-            todo.append(oid)
-        if not todo:
-            return
-        if self._ft:
-            for oid in todo:
-                self._probe_sent[oid] = tick
-                self._probe_first[oid] = tick
-        self.channel.send_batch(
-            ColumnarBatch(
-                MessageKind.PROBE,
-                src=SERVER_ID,
-                dsts=np.array(todo, dtype=np.int64),
-                payload_nbytes=0,
-                payload_ctor=ProbeRequest,
+        stale = self.table.stale(oids, tick)
+        if not self._columnar_ok() or stale.shape[0] < 8:
+            for oid in stale.tolist():
+                self._probe(oid)
+            return stale
+        todo = self._probes_in_flight.claim(stale)
+        if todo.shape[0]:
+            if self._ft:
+                for oid in todo.tolist():
+                    self._probe_sent[oid] = tick
+                    self._probe_first[oid] = tick
+            self.channel.send_batch(
+                ColumnarBatch(
+                    MessageKind.PROBE,
+                    src=SERVER_ID,
+                    dsts=todo,
+                    payload_nbytes=0,
+                    payload_ctor=ProbeRequest,
+                )
             )
-        )
+        return stale
 
     def _send_bands_batch(
         self,
@@ -701,8 +761,6 @@ class DknnServer(BaseServer):
             for oid in oids:
                 self._send_band(oid, qid, band, ax, ay, radius)
             return
-        import numpy as np
-
         payload = InstallBand(qid, band, ax, ay, radius)
         self.channel.send_batch(
             ColumnarBatch(
@@ -737,18 +795,12 @@ class DknnServer(BaseServer):
             # circle — the sharded tier borrows candidates from every
             # neighbor shard the circle overlaps.
             self.ownership_probe.repair_scope(spec.qid, qx, qy, radius)
-        cands = range_search(
+        _, st.cand_ids = range_search_arrays(
             table.grid, qx, qy, radius, exclude=exclude, meter=self.meter
         )
-        st.cand_ids = [oid for _, oid in cands]
-        stale = [o for o in st.cand_ids if not table.is_fresh(o, tick)]
-        if stale:
-            self._probe_all(stale)
-            st.pending = set(stale)
-            st.phase = _WAIT_CANDS
-            return False
-        st.phase = _WAIT_CANDS  # all fresh: fall straight through
-        return True
+        st.pending = self._probe_stale(st.cand_ids)
+        st.phase = _WAIT_CANDS  # nothing stale: fall straight through
+        return not st.pending.shape[0]
 
     def _finalize_trivial(
         self,
@@ -775,25 +827,16 @@ class DknnServer(BaseServer):
         spec = st.spec
         table = self.table
         qx, qy = table.last_position(spec.focal_oid)
-        if table._dense and len(st.cand_ids) >= 16:
-            # Same distances (one shared sqrt recipe), same charges,
-            # same ascending (d, oid) order — just over arrays.
-            import numpy as np
-
-            idx = np.array(st.cand_ids, dtype=np.int64)
-            ddx = table.grid._dx[idx] - qx
-            ddy = table.grid._dy[idx] - qy
-            d = np.sqrt(ddx * ddx + ddy * ddy)
-            self.meter.charge(CostMeter.DIST_CALC, idx.shape[0])
-            order = np.lexsort((idx, d))
-            exact = list(zip(d[order].tolist(), idx[order].tolist()))
-        else:
-            exact = []
-            for oid in st.cand_ids:
-                ox, oy = table.last_position(oid)
-                exact.append((dist(ox, oy, qx, qy), oid))
-                self.meter.charge(CostMeter.DIST_CALC)
-            exact.sort()
+        # The dist() recipe, DIST_CALC per candidate and ascending
+        # (d, oid) order, over arrays.
+        idx = st.cand_ids
+        xs, ys = table.grid.positions_of(idx)
+        ddx = xs - qx
+        ddy = ys - qy
+        d = np.sqrt(ddx * ddx + ddy * ddy)
+        self.meter.charge(CostMeter.DIST_CALC, idx.shape[0])
+        order = np.lexsort((idx, d))
+        exact = list(zip(d[order].tolist(), idx[order].tolist()))
         inst = plan_installation((qx, qy), exact, spec.k, self.params.s_cap)
         self._install(st, inst, tick)
         st.phase = _IDLE
@@ -816,12 +859,13 @@ class DknnServer(BaseServer):
             banded_outsiders = inst.outsiders_within(
                 inst.monitor_radius(self.params.uncertainty)
             )
+        answer_ids = inst.answer_ids
         new_informed = (
-            set() if trivial else set(inst.answer_ids) | set(banded_outsiders)
+            set() if trivial else set(answer_ids) | set(banded_outsiders)
         )
         if not trivial:
             self._send_bands_batch(
-                inst.answer_ids, qid, BAND_ANSWER, ax, ay,
+                answer_ids, qid, BAND_ANSWER, ax, ay,
                 inst.answer_band_radius,
             )
             self._send_bands_batch(
@@ -843,14 +887,14 @@ class DknnServer(BaseServer):
             self._unacked.pop((focal, qid), None)
             self.send(focal, MessageKind.REVOKE_REGION, RevokeBand(qid))
         st.informed = new_informed
-        old_answer = set(self.answers.get(qid, ()))
-        new_ids = list(inst.answer_ids)
-        if old_answer != set(new_ids):
-            self.send(focal, MessageKind.ANSWER_PUSH, AnswerPush(qid, tuple(new_ids)))
+        new_ids = list(answer_ids)
+        if set(self.answers.get(qid, ())) != set(answer_ids):
+            self.send(
+                focal, MessageKind.ANSWER_PUSH, AnswerPush(qid, answer_ids)
+            )
         self.publish(qid, new_ids)
         st.install = inst
-        st.pending = set()
-        st.cand_ids = []
+        st.pending = st.cand_ids = _NO_IDS
         self.repair_count[qid] += 1
         self.meter.charge(CostMeter.REPAIR)
         tel = self.telemetry
@@ -888,15 +932,11 @@ class DknnServer(BaseServer):
             pool -= self._suspected
             violators = violators - self._suspected
         st.light_violators = violators
-        st.cand_ids = sorted(pool)
-        stale = [
-            o
-            for o in st.cand_ids + [st.spec.focal_oid]
-            if not self.table.is_fresh(o, tick)
-        ]
-        if stale:
-            self._probe_all(stale)
-            st.pending = set(stale)
+        st.cand_ids = np.array(sorted(pool), dtype=np.int64)
+        st.pending = self._probe_stale(
+            np.append(st.cand_ids, st.spec.focal_oid)
+        )
+        if st.pending.shape[0]:
             st.phase = _WAIT_LIGHT
             return False
         return True
@@ -919,13 +959,12 @@ class DknnServer(BaseServer):
         ax, ay = inst.anchor
         t_old, s_old = inst.threshold, inst.s_eff
         exact: List[Tuple[float, int]] = []
-        for oid in st.cand_ids:
+        for oid in st.cand_ids.tolist():
             ox, oy = table.last_position(oid)
             exact.append((dist(ox, oy, ax, ay), oid))
             self.meter.charge(CostMeter.DIST_CALC)
         exact.sort()
-        st.pending = set()
-        st.cand_ids = []
+        st.pending = st.cand_ids = _NO_IDS
         st.phase = _IDLE
         if len(exact) < spec.k:
             return False  # population shrank below k: full repair
@@ -1008,21 +1047,19 @@ class DknnServer(BaseServer):
         inst = st.install
         if inst is None or math.isinf(inst.threshold):
             return True
-        table = self.table
         zone = inst.monitor_radius(self.params.uncertainty)
         ax, ay = inst.anchor
         exclude = self._search_exclude(st.spec.focal_oid)
-        hits = range_search(
-            table.grid, ax, ay, zone, exclude=exclude, meter=self.meter
+        _, hits = range_search_arrays(
+            self.table.grid, ax, ay, zone, exclude=exclude, meter=self.meter
         )
-        new = [oid for _, oid in hits if oid not in st.informed]
+        informed = st.informed
+        new = [oid for oid in hits.tolist() if oid not in informed]
         if not new:
             return True
-        st.planner_new = new
-        stale = [o for o in new if not table.is_fresh(o, tick)]
-        if stale:
-            self._probe_all(stale)
-            st.pending = set(stale)
+        st.planner_new = np.array(new, dtype=np.int64)
+        st.pending = self._probe_stale(st.planner_new)
+        if st.pending.shape[0]:
             st.phase = _WAIT_PLANNER
             return False
         self._resolve_planner(st, tick)
@@ -1039,7 +1076,7 @@ class DknnServer(BaseServer):
         boundary = inst.outsider_band_radius
         encroachers: List[int] = []
         harmless: List[int] = []
-        for oid in st.planner_new:
+        for oid in st.planner_new.tolist():
             ox, oy = table.last_position(oid)
             d = dist(ox, oy, ax, ay)
             self.meter.charge(CostMeter.DIST_CALC)
@@ -1047,8 +1084,7 @@ class DknnServer(BaseServer):
                 encroachers.append(oid)
             else:
                 harmless.append(oid)
-        st.pending = set()
-        st.planner_new = []
+        st.pending = st.planner_new = _NO_IDS
         st.phase = _IDLE
         if encroachers:
             # Encroachers are exactly-known entrants: they qualify for

@@ -14,18 +14,21 @@ The grid has two interchangeable storage backends:
 * an opt-in **dense backend** (:meth:`enable_dense`): positions and
   linear cell ids live in flat numpy arrays indexed by oid, which is
   what the columnar fast path needs — :meth:`update_batch` moves a
-  whole tick's reports in O(arrays) and the vectorized range search in
-  :mod:`repro.index.knn` masks the cell-id column directly. Cell
-  buckets (dict of sets) are maintained identically by both backends,
-  so the scalar kNN search runs unchanged on either. Every operation
-  charges the same :class:`CostMeter` units on both backends; the
-  bit-identity suite relies on that.
+  whole tick's reports in O(arrays) and the vectorized searches in
+  :mod:`repro.index.knn` gather positions by id. Cell buckets (sets
+  keyed by the linear cell id ``ci * cells + cj``, the value the dense
+  ``_dcell`` column stores) are maintained identically by both
+  backends. Every operation charges the same :class:`CostMeter` units
+  on both backends; the bit-identity suite relies on that.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Iterator, Optional, Set, Tuple
+from collections import defaultdict
+from typing import Dict, Iterator, List, Optional, Set, Tuple
+
+import numpy as np
 
 from repro.errors import IndexError_
 from repro.geometry import Rect
@@ -34,6 +37,19 @@ from repro.metrics.cost import CostMeter, charge
 __all__ = ["UniformGrid"]
 
 Cell = Tuple[int, int]
+
+
+def axis_gap(lo: float, side: float, q: float, c: int) -> float:
+    """Distance along one axis from coordinate ``q`` to grid column (or
+    row) ``c`` of width ``side`` starting at ``lo``; 0 inside it. The
+    one recipe every cell-distance computation shares, so pruning
+    bounds agree to the ulp wherever they are evaluated."""
+    cmin = lo + c * side
+    if q < cmin:
+        return cmin - q
+    if q > cmin + side:
+        return q - (cmin + side)
+    return 0.0
 
 
 class UniformGrid:
@@ -54,11 +70,13 @@ class UniformGrid:
         self.meter = meter
         self._cell_w = universe.width / cells
         self._cell_h = universe.height / cells
-        self._buckets: Dict[Cell, Set[int]] = {}
+        #: linear cell id -> member ids. A bucket that empties stays
+        #: (there are at most ``cells**2``); readers skip empty ones.
+        self._buckets: Dict[int, Set[int]] = defaultdict(set)
         self._positions: Dict[int, Tuple[float, float]] = {}
-        # Each object's current cell, so update() re-buckets without
-        # re-deriving (and re-validating) the old position's cell.
-        self._cells: Dict[int, Cell] = {}
+        # Each object's current linear cell id, so update() re-buckets
+        # without re-deriving (and re-validating) the old position's.
+        self._cells: Dict[int, int] = {}
         # Dense backend (enable_dense): oid-indexed flat arrays. While
         # dense, the two dicts above stay empty and _dcell[oid] >= 0
         # marks presence (value = linear cell id ci * cells + cj).
@@ -75,8 +93,6 @@ class UniformGrid:
         range (arrays grow on demand). Existing contents migrate.
         Idempotent.
         """
-        import numpy as np
-
         if self._dense:
             self._ensure_dense(capacity - 1)
             return
@@ -89,10 +105,9 @@ class UniformGrid:
                 raise IndexError_(
                     f"dense grid backend needs oids >= 0, got {oid}"
                 )
-            ci, cj = self._cells[oid]
             self._dx[oid] = x
             self._dy[oid] = y
-            self._dcell[oid] = ci * self.cells + cj
+            self._dcell[oid] = self._cells[oid]
         self._count = len(self._positions)
         self._positions = {}
         self._cells = {}
@@ -100,8 +115,6 @@ class UniformGrid:
 
     def _ensure_dense(self, max_oid: int) -> None:
         """Grow the dense arrays to cover ``max_oid``."""
-        import numpy as np
-
         cap = self._dcell.shape[0]
         if max_oid < cap:
             return
@@ -124,6 +137,10 @@ class UniformGrid:
         cj = min(int((y - u.ymin) / self._cell_h), self.cells - 1)
         return (ci, cj)
 
+    def _lin_of(self, x: float, y: float) -> int:
+        ci, cj = self.cell_of(x, y)
+        return ci * self.cells + cj
+
     def cell_rect(self, cell: Cell) -> Rect:
         """The closed rectangle covered by ``cell``."""
         ci, cj = cell
@@ -139,20 +156,9 @@ class UniformGrid:
 
     def cell_min_dist(self, cell: Cell, x: float, y: float) -> float:
         """Min distance from ``(x, y)`` to the cell rectangle (0 inside)."""
-        ci, cj = cell
         u = self.universe
-        xmin = u.xmin + ci * self._cell_w
-        ymin = u.ymin + cj * self._cell_h
-        dx = 0.0
-        if x < xmin:
-            dx = xmin - x
-        elif x > xmin + self._cell_w:
-            dx = x - (xmin + self._cell_w)
-        dy = 0.0
-        if y < ymin:
-            dy = ymin - y
-        elif y > ymin + self._cell_h:
-            dy = y - (ymin + self._cell_h)
+        dx = axis_gap(u.xmin, self._cell_w, x, cell[0])
+        dy = axis_gap(u.ymin, self._cell_h, y, cell[1])
         return math.sqrt(dx * dx + dy * dy)
 
     # -- maintenance ----------------------------------------------------------
@@ -171,21 +177,19 @@ class UniformGrid:
         """Add a new object; raises if the id is already present."""
         if oid in self:
             raise IndexError_(f"object {oid} already indexed")
-        cell = self.cell_of(x, y)
-        self._buckets.setdefault(cell, set()).add(oid)
+        if self._dense and oid < 0:
+            raise IndexError_(f"dense grid backend needs oids >= 0, got {oid}")
+        lin = self._lin_of(x, y)
+        self._buckets[lin].add(oid)
         if self._dense:
-            if oid < 0:
-                raise IndexError_(
-                    f"dense grid backend needs oids >= 0, got {oid}"
-                )
             self._ensure_dense(oid)
             self._dx[oid] = x
             self._dy[oid] = y
-            self._dcell[oid] = cell[0] * self.cells + cell[1]
+            self._dcell[oid] = lin
             self._count += 1
         else:
             self._positions[oid] = (x, y)
-            self._cells[oid] = cell
+            self._cells[oid] = lin
         charge(self.meter, CostMeter.INDEX_UPDATE)
 
     def remove(self, oid: int) -> None:
@@ -194,18 +198,14 @@ class UniformGrid:
             if oid not in self:
                 raise IndexError_(f"object {oid} not indexed")
             lin = int(self._dcell[oid])
-            cell = (lin // self.cells, lin % self.cells)
             self._dcell[oid] = -1
             self._count -= 1
         else:
             pos = self._positions.pop(oid, None)
             if pos is None:
                 raise IndexError_(f"object {oid} not indexed")
-            cell = self._cells.pop(oid)
-        bucket = self._buckets[cell]
-        bucket.discard(oid)
-        if not bucket:
-            del self._buckets[cell]
+            lin = self._cells.pop(oid)
+        self._buckets[lin].discard(oid)
         charge(self.meter, CostMeter.INDEX_UPDATE)
 
     def update(self, oid: int, x: float, y: float) -> None:
@@ -213,27 +213,22 @@ class UniformGrid:
         if self._dense:
             if oid not in self:
                 raise IndexError_(f"object {oid} not indexed")
-            lin = int(self._dcell[oid])
-            old_cell = (lin // self.cells, lin % self.cells)
+            old = int(self._dcell[oid])
         else:
-            old_cell = self._cells.get(oid)
-            if old_cell is None:
+            old = self._cells.get(oid)
+            if old is None:
                 raise IndexError_(f"object {oid} not indexed")
-        new_cell = self.cell_of(x, y)
-        if old_cell != new_cell:
-            bucket = self._buckets[old_cell]
-            bucket.discard(oid)
-            if not bucket:
-                del self._buckets[old_cell]
-            self._buckets.setdefault(new_cell, set()).add(oid)
-            if not self._dense:
-                self._cells[oid] = new_cell
+        new = self._lin_of(x, y)
+        if old != new:
+            self._buckets[old].discard(oid)
+            self._buckets[new].add(oid)
         if self._dense:
             self._dx[oid] = x
             self._dy[oid] = y
-            self._dcell[oid] = new_cell[0] * self.cells + new_cell[1]
+            self._dcell[oid] = new
         else:
             self._positions[oid] = (x, y)
+            self._cells[oid] = new
         charge(self.meter, CostMeter.INDEX_UPDATE)
 
     def upsert(self, oid: int, x: float, y: float) -> None:
@@ -249,14 +244,13 @@ class UniformGrid:
         Equivalent to ``upsert`` per object in column order — same
         bucketing, same total :data:`CostMeter.INDEX_UPDATE` charge,
         same out-of-universe errors — but touches the interpreter only
-        for objects that changed cell. Object ids must be unique within
+        for objects that changed cell (one ``discard`` + one ``add`` on
+        the linear-keyed buckets each). Object ids must be unique within
         one call. Returns ``(old_lin, new_lin)`` linear cell-id arrays
         (``old_lin`` is -1 where the object was new), which is exactly
         what cell-keyed monitoring servers (CPM) need to find dirtied
         cells without re-deriving them.
         """
-        import numpy as np
-
         if not self._dense:
             raise IndexError_("update_batch needs the dense grid backend")
         oid_arr = np.ascontiguousarray(oids, dtype=np.int64)
@@ -296,24 +290,17 @@ class UniformGrid:
         moved = old_lin != new_lin  # includes first-time inserts
         if moved.any():
             idx = np.nonzero(moved)[0]
-            C = self.cells
             buckets = self._buckets
-            inserts = 0
+            old_moved = old_lin[idx]
             for o, a, b in zip(
                 oid_arr[idx].tolist(),
-                old_lin[idx].tolist(),
+                old_moved.tolist(),
                 new_lin[idx].tolist(),
             ):
                 if a >= 0:
-                    old_cell = (a // C, a % C)
-                    bucket = buckets[old_cell]
-                    bucket.discard(o)
-                    if not bucket:
-                        del buckets[old_cell]
-                else:
-                    inserts += 1
-                buckets.setdefault((b // C, b % C), set()).add(o)
-            self._count += inserts
+                    buckets[a].discard(o)
+                buckets[b].add(o)
+            self._count += int(np.count_nonzero(old_moved < 0))
         self._dcell[oid_arr] = new_lin
         self._dx[oid_arr] = xs
         self._dy[oid_arr] = ys
@@ -330,8 +317,6 @@ class UniformGrid:
         interpreter work. Raises before mutating anything, so a failed
         load leaves the grid untouched.
         """
-        import numpy as np
-
         oid_arr = np.ascontiguousarray(oids, dtype=np.int64)
         xs = np.ascontiguousarray(xs, dtype=np.float64)
         ys = np.ascontiguousarray(ys, dtype=np.float64)
@@ -376,36 +361,27 @@ class UniformGrid:
         cj = np.minimum(
             ((ys - u.ymin) / self._cell_h).astype(np.int64), last
         )
-        order = np.lexsort((cj, ci))
-        ci_s, cj_s = ci[order], cj[order]
-        # group boundaries: first index of each distinct (ci, cj) run
-        new_run = np.empty(n, dtype=bool)
-        new_run[0] = True
-        np.not_equal(ci_s[1:], ci_s[:-1], out=new_run[1:])
-        new_run[1:] |= cj_s[1:] != cj_s[:-1]
-        starts = np.nonzero(new_run)[0]
+        lin = ci * self.cells + cj
+        order = np.argsort(lin, kind="stable")
+        lin_s = lin[order]
+        # group boundaries: first index of each distinct cell run
+        starts = np.flatnonzero(np.r_[True, lin_s[1:] != lin_s[:-1]])
         ends = np.append(starts[1:], n)
-        oid_sorted = oid_arr[order]
+        oid_sorted = oid_arr[order].tolist()
+        for a, b, cell in zip(
+            starts.tolist(), ends.tolist(), lin_s[starts].tolist()
+        ):
+            self._buckets[cell].update(oid_sorted[a:b])
         dense = self._dense
-        cells = self._cells
-        for a, b in zip(starts.tolist(), ends.tolist()):
-            cell = (int(ci_s[a]), int(cj_s[a]))
-            members = self._buckets.setdefault(cell, set())
-            if dense:
-                members.update(oid_sorted[a:b].tolist())
-            else:
-                for o in oid_sorted[a:b].tolist():
-                    members.add(o)
-                    cells[o] = cell
         if dense:
-            self._dcell[oid_arr] = ci * self.cells + cj
+            self._dcell[oid_arr] = lin
             self._dx[oid_arr] = xs
             self._dy[oid_arr] = ys
             self._count += n
         else:
-            pos = self._positions
-            for i, o in enumerate(oid_arr.tolist()):
-                pos[o] = (float(xs[i]), float(ys[i]))
+            ids = oid_arr.tolist()
+            self._positions.update(zip(ids, zip(xs.tolist(), ys.tolist())))
+            self._cells.update(zip(ids, lin.tolist()))
         charge(self.meter, CostMeter.INDEX_UPDATE, n)
 
     def rebuild(self, oids, xs, ys) -> None:
@@ -429,17 +405,34 @@ class UniformGrid:
             raise IndexError_(f"object {oid} not indexed")
         return pos
 
+    def positions_of(self, oids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`position_of` for an int64 id array: ``(xs, ys)``."""
+        if self._dense:
+            if oids.shape[0] and (
+                # one unsigned reduction rejects negatives and overflow
+                int(oids.view(np.uint64).max()) >= self._dcell.shape[0]
+                or (self._dcell[oids] < 0).any()
+            ):
+                raise IndexError_("positions_of: some object is not indexed")
+            return self._dx[oids], self._dy[oids]
+        pos = [self.position_of(o) for o in oids.tolist()]
+        return (
+            np.array([p[0] for p in pos], dtype=np.float64),
+            np.array([p[1] for p in pos], dtype=np.float64),
+        )
+
     def ids(self) -> Iterator[int]:
         """All indexed object ids (ascending on the dense backend)."""
         if self._dense:
-            import numpy as np
-
             return iter(np.nonzero(self._dcell >= 0)[0].tolist())
         return iter(self._positions)
 
     def objects_in_cell(self, cell: Cell) -> Set[int]:
         """Ids currently bucketed in ``cell`` (empty set if none)."""
-        return self._buckets.get(cell, set())
+        ci, cj = cell
+        if not (0 <= ci < self.cells and 0 <= cj < self.cells):
+            return set()
+        return self._buckets.get(ci * self.cells + cj, set())
 
     # -- search support -------------------------------------------------------
 
@@ -468,6 +461,7 @@ class UniformGrid:
                 if self.cell_min_dist(cell, cx, cy) <= r:
                     yield cell
 
-    def nonempty_cells(self) -> Iterable[Cell]:
+    def nonempty_cells(self) -> List[Cell]:
         """Cells currently holding at least one object."""
-        return self._buckets.keys()
+        C = self.cells
+        return [(lin // C, lin % C) for lin, b in self._buckets.items() if b]

@@ -11,13 +11,16 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import AbstractSet, FrozenSet, List, Optional, Tuple
+from itertools import chain
+from typing import AbstractSet, Dict, FrozenSet, List, Optional, Tuple
+
+import numpy as np
 
 from repro.errors import IndexError_
-from repro.index.grid import UniformGrid
+from repro.index.grid import UniformGrid, axis_gap
 from repro.metrics.cost import CostMeter, charge
 
-__all__ = ["knn_search", "range_search", "NeighborList"]
+__all__ = ["knn_search", "range_search", "range_search_arrays", "NeighborList"]
 
 #: A kNN result: ascending ``(distance, oid)`` pairs, ties broken by oid.
 NeighborList = List[Tuple[float, int]]
@@ -39,92 +42,134 @@ def knn_search(
     ``(distance, oid)`` order (fewer only if the index holds fewer than
     ``k`` eligible objects). ``exclude`` removes ids from consideration
     — typically the query's own focal object.
+
+    Charges, on both backends: one HEAP_OP per cell pushed and per cell
+    popped, one CELL_VISIT per pop, one DIST_CALC per non-excluded
+    member of every opened cell. The dense backend computes an opened
+    cell's distances in one array pass and offers the candidate heap
+    only that cell's best ``k`` not already beaten; same cells opened
+    in the same order, same result (pinned by
+    ``test_dense_backend_matches_dict_backend`` in
+    ``tests/test_index_vectorized.py``).
     """
     if k < 1:
         raise IndexError_(f"k must be >= 1, got {k}")
     if meter is None:
         meter = grid.meter
 
-    cx, cy = grid.universe.clamp_point(qx, qy)
-    q_cell = grid.cell_of(cx, cy)
-    min_side = min(
-        grid.universe.width / grid.cells, grid.universe.height / grid.cells
-    )
+    u = grid.universe
+    qi, qj = grid.cell_of(*u.clamp_point(qx, qy))
+    C = grid.cells
+    cw, ch = grid._cell_w, grid._cell_h
+    min_side = min(cw, ch)
+    buckets = grid._buckets
+    dense = grid._dense
 
     # Worst candidate sits at the heap top via lexicographic negation.
     best: List[Tuple[float, int]] = []  # (-distance, -oid) max-heap
     frontier: List[Tuple[float, int, int]] = []  # (cell_min_dist, ci, cj)
     next_ring = 0
-    max_ring = grid.cells  # rings beyond this are entirely off-grid
+    max_ring = C  # rings beyond this are entirely off-grid
+    pushed = popped = scored_n = 0  # charged once, on the way out
+    # Squared axis gaps of every column / row reached so far: a ring
+    # adds two of each, and its cells combine them with one add + sqrt
+    # (the recipe of cell_min_dist, term for term).
+    dx2: Dict[int, float] = {}
+    dy2: Dict[int, float] = {}
 
-    def push_ring(ring: int) -> None:
-        cells = (
-            [(q_cell[0], q_cell[1])]
-            if ring == 0
-            else _ring_cells(q_cell, ring, grid.cells)
-        )
+    def push_ring(ring: int) -> int:
+        """Push the in-grid cells at Chebyshev distance ``ring``;
+        returns how many."""
+        lo_i, hi_i, lo_j, hi_j = qi - ring, qi + ring, qj - ring, qj + ring
+        # gap * gap, never gap ** 2: pow() need not round like a multiply.
+        for c in {lo_i, hi_i}:
+            if 0 <= c < C:
+                gap = axis_gap(u.xmin, cw, qx, c)
+                dx2[c] = gap * gap
+        for c in {lo_j, hi_j}:
+            if 0 <= c < C:
+                gap = axis_gap(u.ymin, ch, qy, c)
+                dy2[c] = gap * gap
+        cols = range(max(lo_i, 0), min(hi_i, C - 1) + 1)
+        rows = range(max(lo_j + 1, 0), min(hi_j - 1, C - 1) + 1)
+        cells = [
+            (math.sqrt(dx2[ci] + dy2[cj]), ci, cj)
+            for cj in {lo_j, hi_j} if 0 <= cj < C for ci in cols
+        ] + [
+            (math.sqrt(dx2[ci] + dy2[cj]), ci, cj)
+            for ci in {lo_i, hi_i} if 0 <= ci < C for cj in rows
+        ]
         for cell in cells:
-            d = grid.cell_min_dist(cell, qx, qy)
-            heapq.heappush(frontier, (d, cell[0], cell[1]))
-            charge(meter, CostMeter.HEAP_OP)
+            heapq.heappush(frontier, cell)
+        return len(cells)
 
+    kth = math.inf  # distance of the current k-th candidate
+    # Any cell in an ungenerated ring R lies at least (R-1) cell sides
+    # away from the query (the query sits somewhere inside its own cell).
+    unpushed_bound = -min_side
     while True:
-        kth = -best[0][0] if len(best) >= k else math.inf
-        # Any cell in an ungenerated ring R lies at least (R-1) cell
-        # sides away from the query (the query sits somewhere inside
-        # its own cell).
-        unpushed_bound = (
-            (next_ring - 1) * min_side if next_ring <= max_ring else math.inf
-        )
-        frontier_bound = frontier[0][0] if frontier else math.inf
-        if not frontier and next_ring > max_ring:
+        if frontier:
+            frontier_bound = frontier[0][0]
+        elif next_ring > max_ring:
             break  # index exhausted
-        if min(frontier_bound, unpushed_bound) > kth:
-            break  # nothing unexamined can improve the answer
+        else:
+            frontier_bound = math.inf
         if unpushed_bound <= frontier_bound:
-            push_ring(next_ring)
+            if unpushed_bound > kth:
+                break  # nothing unexamined can improve the answer
+            pushed += push_ring(next_ring)
             next_ring += 1
+            unpushed_bound = (
+                (next_ring - 1) * min_side
+                if next_ring <= max_ring
+                else math.inf
+            )
             continue
-        d_cell, ci, cj = heapq.heappop(frontier)
-        charge(meter, CostMeter.HEAP_OP)
-        charge(meter, CostMeter.CELL_VISIT)
-        for oid in grid.objects_in_cell((ci, cj)):
-            if oid in exclude:
-                continue
-            ox, oy = grid.position_of(oid)
-            ddx = ox - qx
-            ddy = oy - qy
-            d = math.sqrt(ddx * ddx + ddy * ddy)
-            charge(meter, CostMeter.DIST_CALC)
+        if frontier_bound > kth:
+            break
+        _, ci, cj = heapq.heappop(frontier)
+        popped += 1
+        members = buckets.get(ci * C + cj)
+        if not members:
+            continue
+        if exclude and not exclude.isdisjoint(members):
+            members = members - exclude
+        n = len(members)
+        scored_n += n
+        if dense:
+            idx = np.fromiter(members, dtype=np.int64, count=n)
+            ddx = grid._dx[idx] - qx
+            ddy = grid._dy[idx] - qy
+            d = np.sqrt(ddx * ddx + ddy * ddy)
+            if len(best) >= k:
+                keep = d <= kth
+                d, idx = d[keep], idx[keep]
+            if d.shape[0] > k:
+                top = np.lexsort((idx, d))[:k]
+                d, idx = d[top], idx[top]
+            scored = zip(d.tolist(), idx.tolist())
+        else:
+            scored = []
+            for oid in members:
+                ox, oy = grid.position_of(oid)
+                ddx = ox - qx
+                ddy = oy - qy
+                scored.append((math.sqrt(ddx * ddx + ddy * ddy), oid))
+        for d_o, oid in scored:
             if len(best) < k:
-                heapq.heappush(best, (-d, -oid))
-            elif (d, oid) < (-best[0][0], -best[0][1]):
-                heapq.heapreplace(best, (-d, -oid))
+                heapq.heappush(best, (-d_o, -oid))
+            elif (d_o, oid) < (-best[0][0], -best[0][1]):
+                heapq.heapreplace(best, (-d_o, -oid))
+        if len(best) >= k:
+            kth = -best[0][0]
 
-    result = sorted((-nd, -noid) for nd, noid in best)
-    return result
-
-
-def _ring_cells(
-    center: Tuple[int, int], ring: int, cells: int
-) -> List[Tuple[int, int]]:
-    """In-grid cells at Chebyshev distance exactly ``ring`` from center."""
-    ci0, cj0 = center
-    out: List[Tuple[int, int]] = []
-
-    def maybe(ci: int, cj: int) -> None:
-        if 0 <= ci < cells and 0 <= cj < cells:
-            out.append((ci, cj))
-
-    lo_i, hi_i = ci0 - ring, ci0 + ring
-    lo_j, hi_j = cj0 - ring, cj0 + ring
-    for ci in range(lo_i, hi_i + 1):
-        maybe(ci, lo_j)
-        maybe(ci, hi_j)
-    for cj in range(lo_j + 1, hi_j):
-        maybe(lo_i, cj)
-        maybe(hi_i, cj)
-    return out
+    # The query's own cell is always pushed and popped; an empty index
+    # scores nothing and must not mint a zero DIST_CALC entry.
+    charge(meter, CostMeter.HEAP_OP, pushed + popped)
+    charge(meter, CostMeter.CELL_VISIT, popped)
+    if scored_n:
+        charge(meter, CostMeter.DIST_CALC, scored_n)
+    return sorted((-nd, -noid) for nd, noid in best)
 
 
 def range_search(
@@ -135,63 +180,58 @@ def range_search(
     exclude: AbstractSet[int] = _EMPTY,
     meter: Optional[CostMeter] = None,
 ) -> NeighborList:
+    """All objects within distance ``r`` of ``(cx, cy)`` as ascending
+    ``(distance, oid)`` pairs — :func:`range_search_arrays` as a list."""
+    d, ids = range_search_arrays(grid, cx, cy, r, exclude, meter)
+    return list(zip(d.tolist(), ids.tolist()))
+
+
+def range_search_arrays(
+    grid: UniformGrid,
+    cx: float,
+    cy: float,
+    r: float,
+    exclude: AbstractSet[int] = _EMPTY,
+    meter: Optional[CostMeter] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
     """All objects within distance ``r`` of ``(cx, cy)``.
 
-    Returns ``(distance, oid)`` pairs in ascending ``(distance, oid)``
-    order.
+    Returns ``(distances, oids)`` as float64 / int64 arrays in
+    ascending ``(distance, oid)`` order.
 
-    On the dense grid backend the whole search runs vectorized with
-    the exact same answer and the exact same meter charges (CELL_VISIT
-    per bounding-box cell, DIST_CALC per non-excluded member of every
-    intersecting cell); on the dict backend it runs the scalar loop
-    below. ``tests/test_index_vectorized.py`` pins the equivalence.
+    Both backends give the exact same answer and the exact same meter
+    charges: CELL_VISIT per bounding-box cell (on the grid's own meter,
+    where ``cells_intersecting_circle`` charges it), DIST_CALC per
+    non-excluded member of every intersecting cell whether or not it
+    lands within ``r``. Cell intersection and membership both use the
+    ``sqrt(dx*dx + dy*dy) <= r`` recipe of ``repro.geometry.dist``, so
+    boundary decisions agree to the ulp with the brute-force oracle and
+    the client bands. The dense backend does it in array passes, the
+    dict backend in the scalar loop; ``tests/test_index_vectorized.py``
+    (``test_dense_backend_matches_dict_backend``) pins the equivalence.
     """
     if r < 0:
         raise IndexError_(f"negative radius {r}")
     if meter is None:
         meter = grid.meter
-    if grid._dense:
-        return _range_search_dense(grid, cx, cy, r, exclude, meter)
-    hits: NeighborList = []
-    for cell in grid.cells_intersecting_circle(cx, cy, r):
-        for oid in grid.objects_in_cell(cell):
-            if oid in exclude:
-                continue
-            ox, oy = grid.position_of(oid)
-            # sqrt(dx*dx + dy*dy), not a squared compare: boundary
-            # decisions must agree to the ulp with the brute-force
-            # oracle and the client bands, which all use the recipe of
-            # repro.geometry.dist (see that docstring).
-            ddx = ox - cx
-            ddy = oy - cy
-            d = math.sqrt(ddx * ddx + ddy * ddy)
-            charge(meter, CostMeter.DIST_CALC)
-            if d <= r:
-                hits.append((d, oid))
-    hits.sort()
-    return hits
-
-
-def _range_search_dense(
-    grid: UniformGrid,
-    cx: float,
-    cy: float,
-    r: float,
-    exclude: AbstractSet[int],
-    meter: Optional[CostMeter],
-) -> NeighborList:
-    """Vectorized range search over the dense grid backend.
-
-    Replicates the scalar path charge for charge: the bounding box of
-    the disk contributes one CELL_VISIT per cell (that is what
-    ``cells_intersecting_circle`` charges while being consumed), cell
-    intersection uses the same ``sqrt(dx*dx + dy*dy) <= r`` decision
-    as ``cell_min_dist``, and every non-excluded member of an
-    intersecting cell costs one DIST_CALC whether or not it lands
-    within ``r`` — then the same distance recipe decides membership.
-    """
-    import numpy as np
-
+    if not grid._dense:
+        hits: NeighborList = []
+        for cell in grid.cells_intersecting_circle(cx, cy, r):
+            for oid in grid.objects_in_cell(cell):
+                if oid in exclude:
+                    continue
+                ox, oy = grid.position_of(oid)
+                ddx = ox - cx
+                ddy = oy - cy
+                d_o = math.sqrt(ddx * ddx + ddy * ddy)
+                charge(meter, CostMeter.DIST_CALC)
+                if d_o <= r:
+                    hits.append((d_o, oid))
+        hits.sort()
+        return (
+            np.array([d_o for d_o, _ in hits], dtype=np.float64),
+            np.array([oid for _, oid in hits], dtype=np.int64),
+        )
     u = grid.universe
     cw, ch = grid._cell_w, grid._cell_h
     last = grid.cells - 1
@@ -199,8 +239,6 @@ def _range_search_dense(
     hi_i = min(max(int((cx + r - u.xmin) / cw), 0), last)
     lo_j = min(max(int((cy - r - u.ymin) / ch), 0), last)
     hi_j = min(max(int((cy + r - u.ymin) / ch), 0), last)
-    # cells_intersecting_circle charges its CELL_VISITs to the grid's
-    # own meter (not the caller's), one per bounding-box cell.
     charge(
         grid.meter, CostMeter.CELL_VISIT, (hi_i - lo_i + 1) * (hi_j - lo_j + 1)
     )
@@ -208,27 +246,23 @@ def _range_search_dense(
     cj = np.arange(lo_j, hi_j + 1, dtype=np.int64)
     xmin = u.xmin + ci * cw
     ymin = u.ymin + cj * ch
-    dx = np.where(
-        cx < xmin, xmin - cx, np.where(cx > xmin + cw, cx - (xmin + cw), 0.0)
-    )
-    dy = np.where(
-        cy < ymin, ymin - cy, np.where(cy > ymin + ch, cy - (ymin + ch), 0.0)
-    )
+    # cell_min_dist's axis gaps: at most one of the two differences is
+    # positive, so the max picks the branch the scalar code takes.
+    dx = np.maximum(np.maximum(xmin - cx, cx - (xmin + cw)), 0.0)
+    dy = np.maximum(np.maximum(ymin - cy, cy - (ymin + ch)), 0.0)
     keep = np.sqrt(np.add.outer(dx * dx, dy * dy)) <= r
+    lin = np.add.outer(ci * grid.cells, cj)[keep]
     buckets = grid._buckets
-    members: List[int] = []
-    ki, kj = np.nonzero(keep)
-    for a, b in zip((ki + lo_i).tolist(), (kj + lo_j).tolist()):
-        bucket = buckets.get((a, b))
-        if bucket:
-            members.extend(bucket)
-    if exclude:
-        members = [o for o in members if o not in exclude]
-    n = len(members)
-    charge(meter, CostMeter.DIST_CALC, n)
-    if not n:
-        return []
-    idx = np.array(members, dtype=np.int64)
+    hit = [buckets[cell] for cell in lin.tolist() if cell in buckets]
+    idx = np.fromiter(
+        chain.from_iterable(hit), np.int64, sum(map(len, hit))
+    )
+    if len(exclude) == 1:
+        (only,) = exclude
+        idx = idx[idx != only]
+    elif exclude:
+        idx = idx[~np.isin(idx, np.fromiter(exclude, np.int64, len(exclude)))]
+    charge(meter, CostMeter.DIST_CALC, idx.shape[0])
     ddx = grid._dx[idx] - cx
     ddy = grid._dy[idx] - cy
     d = np.sqrt(ddx * ddx + ddy * ddy)
@@ -236,4 +270,4 @@ def _range_search_dense(
     d = d[within]
     idx = idx[within]
     order = np.lexsort((idx, d))
-    return list(zip(d[order].tolist(), idx[order].tolist()))
+    return d[order], idx[order]

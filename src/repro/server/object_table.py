@@ -12,11 +12,19 @@ arrive). The table keeps:
   move);
 * the tick of the last report, and per-tick *freshness* — whether an
   exact position for this tick is already known (saving probes).
+
+Two storage backends with one interface: dicts (the scalar reference
+build) and, after :meth:`ObjectTable.enable_dense`, oid-indexed numpy
+columns, which make :meth:`ObjectTable.report_batch` and
+:meth:`ObjectTable.stale` single array operations. The server's repair
+round talks to the table only through methods that work on both.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterator, Optional, Tuple
+
+import numpy as np
 
 from repro.errors import IndexError_
 from repro.geometry import Rect
@@ -27,7 +35,13 @@ __all__ = ["ObjectTable"]
 
 
 class ObjectTable:
-    """Last-reported object positions plus dead-reckoning bookkeeping."""
+    """Last-reported object positions plus dead-reckoning bookkeeping.
+
+    Scalar reads (``is_fresh``, ``last_position``, …) and their array
+    forms (:meth:`stale`, :meth:`report_batch`) behave the same on the
+    dict and the dense backend; only ``report_batch`` needs the dense
+    one.
+    """
 
     def __init__(
         self,
@@ -57,8 +71,6 @@ class ObjectTable:
         :meth:`report_batch` and the vectorized range search. Existing
         contents migrate; idempotent.
         """
-        import numpy as np
-
         self.grid.enable_dense(capacity)
         if self._dense:
             self._ensure_dense(capacity - 1)
@@ -81,8 +93,6 @@ class ObjectTable:
         self._dense = True
 
     def _ensure_dense(self, max_oid: int) -> None:
-        import numpy as np
-
         cap = self._rt.shape[0]
         if max_oid < cap:
             return
@@ -118,26 +128,20 @@ class ObjectTable:
         A report carries the object's exact position, so it also marks
         the object fresh for this tick.
         """
+        # The grid validates the point: nothing is written if it raises.
+        if oid in self:
+            prev = self.grid.position_of(oid)
+            self.grid.update(oid, x, y)
+        else:
+            prev = (x, y)
+            self.grid.insert(oid, x, y)
         if self._dense:
-            if oid in self.grid:
-                px, py = self.grid.position_of(oid)
-                self.grid.update(oid, x, y)
-            else:
-                px, py = x, y
-                self.grid.insert(oid, x, y)
             self._ensure_dense(oid)
-            self._px[oid] = px
-            self._py[oid] = py
+            self._px[oid], self._py[oid] = prev
             self._rt[oid] = tick
             self._ft[oid] = tick
-        elif oid in self._report_tick:
-            self._previous[oid] = self.grid.position_of(oid)
-            self.grid.update(oid, x, y)
-            self._report_tick[oid] = tick
-            self._fresh_tick[oid] = tick
         else:
-            self._previous[oid] = (x, y)
-            self.grid.insert(oid, x, y)
+            self._previous[oid] = prev
             self._report_tick[oid] = tick
             self._fresh_tick[oid] = tick
         charge(self.meter, CostMeter.BOOKKEEPING)
@@ -150,8 +154,6 @@ class ObjectTable:
         same total BOOKKEEPING + INDEX_UPDATE charges. Dense backend
         only — the columnar fast path enables it at build time.
         """
-        import numpy as np
-
         if not self._dense:
             raise IndexError_("report_batch needs the dense backend")
         oid_arr = np.ascontiguousarray(oids, dtype=np.int64)
@@ -220,6 +222,30 @@ class ObjectTable:
                 0 <= oid < self._ft.shape[0] and self._ft[oid] == tick
             )
         return self._fresh_tick.get(oid) == tick
+
+    def stale(self, oids, tick: int) -> np.ndarray:
+        """The ids of ``oids`` that are *not* :meth:`is_fresh` at
+        ``tick``, as an int64 array in input order (duplicates kept).
+
+        One array compare on the dense backend. Ids the freshness
+        column does not reach (negative, or beyond the table's capacity
+        — the grid can grow without the table) are stale, as for
+        :meth:`is_fresh`.
+        """
+        oids = np.asarray(oids, dtype=np.int64)
+        if not self._dense:
+            fresh = self._fresh_tick
+            return oids[[fresh.get(o) != tick for o in oids.tolist()]]
+        if not oids.shape[0]:
+            return oids
+        ft = self._ft
+        # one unsigned reduction catches negatives and overflow alike
+        if int(oids.view(np.uint64).max()) < ft.shape[0]:
+            return oids[ft[oids] != tick]
+        known = (oids >= 0) & (oids < ft.shape[0])
+        is_stale = ~known
+        is_stale[known] = ft[oids[known]] != tick
+        return oids[is_stale]
 
     def mark_fresh(self, oid: int, x: float, y: float, tick: int) -> None:
         """Record an exact position learned via a probe reply.

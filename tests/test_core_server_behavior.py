@@ -155,3 +155,63 @@ class TestLatencyModeSetup:
             latency=ONE_TICK_LATENCY,
         )
         assert sim.server.params.latency_slack == 77.0
+
+
+class TestRepairRoundStaysInArrays:
+    """Count-based (no timers): the fast build's repair round reads
+    freshness and positions per repair, not per candidate."""
+
+    @staticmethod
+    def _run(n, fast, monkeypatch=None, ticks=40):
+        from repro.experiments.algorithms import build_system
+        from repro.experiments.config import RunConfig
+        from repro.index.grid import UniformGrid
+        from repro.server.object_table import ObjectTable
+
+        calls = {"is_fresh": 0, "position_of": 0}
+        if monkeypatch is not None:
+            for cls, name in (
+                (ObjectTable, "is_fresh"), (UniformGrid, "position_of")
+            ):
+                def counted(self, *args, _orig=getattr(cls, name), _n=name):
+                    calls[_n] += 1
+                    return _orig(self, *args)
+
+                monkeypatch.setattr(cls, name, counted)
+        spec = WorkloadSpec(
+            n_objects=n, n_queries=8, k=8, seed=42, ticks=ticks,
+            warmup_ticks=0,
+        )
+        fleet, queries = build_workload(spec, fast=fast)
+        sim = build_system(RunConfig("DKNN-P", fast=fast), fleet, queries)
+        per_tick = []
+        sim.run(
+            ticks,
+            on_tick=lambda s: per_tick.append((
+                {q: tuple(a) for q, a in s.server.answers.items()},
+                dict(s.channel.stats.sent_by_kind),
+                dict(s.channel.stats.bytes_by_kind),
+                dict(s.server.meter.units),
+            )),
+        )
+        repairs = sum(sim.server.repair_count.values())
+        return per_tick, repairs, calls
+
+    @pytest.mark.parametrize("n", [2000, 6000])
+    def test_calls_per_repair_do_not_grow_with_candidates(
+        self, n, monkeypatch
+    ):
+        _, repairs, calls = self._run(n, fast=True, monkeypatch=monkeypatch)
+        assert repairs >= 250
+        # The list-walking round made ~90 / ~27 calls per repair at
+        # N=2000 and ~160 / ~37 at N=6000 (three freshness passes over
+        # every candidate, one position read per kNN cell member); the
+        # array round makes ~1.2 / ~6 at any density.
+        assert calls["is_fresh"] <= 4 * repairs
+        assert calls["position_of"] <= 12 * repairs
+
+    def test_fast_build_equals_scalar_tick_for_tick(self):
+        fast, fast_repairs, _ = self._run(2000, fast=True)
+        scalar, scalar_repairs, _ = self._run(2000, fast=False)
+        assert fast_repairs == scalar_repairs
+        assert fast == scalar

@@ -13,11 +13,13 @@ or an unstable partition shows up.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import IndexError_
 from repro.geometry import Rect
-from repro.index import UniformGrid
+from repro.index import UniformGrid, knn_search, range_search
 from repro.index.bruteforce import (
     brute_knn_np,
     brute_knn_scalar,
@@ -25,6 +27,8 @@ from repro.index.bruteforce import (
     brute_range_scalar,
 )
 from repro.metrics.accuracy import is_valid_knn
+from repro.metrics.cost import CostMeter
+from repro.server import ObjectTable
 
 UNIVERSE = Rect(0, 0, 1000, 1000)
 
@@ -121,8 +125,6 @@ def test_bulk_load_matches_incremental_inserts(ps, n_cells):
 @given(points, cells)
 @settings(max_examples=60, deadline=None)
 def test_bulk_load_charges_like_inserts(ps, n_cells):
-    from repro.metrics.cost import CostMeter
-
     m1, m2 = CostMeter(), CostMeter()
     incremental = UniformGrid(UNIVERSE, n_cells, meter=m1)
     for oid, (x, y) in enumerate(ps):
@@ -152,3 +154,181 @@ def test_bulk_load_rejects_bad_input_without_mutating():
         else:  # pragma: no cover
             raise AssertionError(f"bulk_load accepted {oids}/{xs}/{ys}")
         assert len(grid) == 1 and grid.position_of(5) == (10.0, 10.0)
+
+
+# -- dense backend vs dict backend -------------------------------------------
+#
+# One random operation sequence drives a dict-backed and a dense
+# UniformGrid (grid operations) and a dict-backed and a dense
+# ObjectTable (table operations). After every operation each pair must
+# hold the same buckets, positions and dead-reckoning columns, answer
+# every search identically and have charged the same units per
+# category; an operation that raises must raise on both backends and
+# change neither.
+
+GRID_OPS = ("insert", "update", "upsert", "remove", "update_batch")
+oid_st = st.integers(min_value=0, max_value=40)
+# Mostly inside the universe, sometimes just outside it.
+wild = st.one_of(coord, st.sampled_from([-0.5, 1000.5]))
+row = st.tuples(oid_st, wild, wild)
+op_st = st.one_of(
+    st.tuples(st.sampled_from(["insert", "update", "upsert", "report"]), row),
+    st.tuples(st.sampled_from(["remove", "forget"]), oid_st),
+    st.tuples(
+        st.sampled_from(["update_batch", "report_batch"]),
+        st.lists(row, max_size=12, unique_by=lambda r: r[0]),
+    ),
+    st.tuples(st.just("tick"), st.just(None)),
+)
+search_st = st.tuples(
+    query,
+    st.one_of(st.just(0.0), st.floats(min_value=0, max_value=1500)),
+    st.integers(min_value=1, max_value=60),  # k, often > population
+    st.one_of(st.just(frozenset()), st.frozensets(oid_st, max_size=4)),
+)
+
+
+def _grid_state(grid):
+    ids = sorted(grid.ids())
+    return {
+        "len": len(grid),
+        "cells": {
+            (ci, cj): frozenset(grid.objects_in_cell((ci, cj)))
+            for ci in range(grid.cells)
+            for cj in range(grid.cells)
+            if grid.objects_in_cell((ci, cj))
+        },
+        "nonempty": set(grid.nonempty_cells()),
+        "pos": {o: grid.position_of(o) for o in ids},
+        "pos_arrays": [
+            a.tolist() for a in grid.positions_of(np.array(ids, dtype=np.int64))
+        ],
+    }
+
+
+def _table_state(table, tick):
+    ids = sorted(table.ids())
+    return {
+        "grid": _grid_state(table.grid),
+        "len": len(table),
+        "prev": {o: table.previous_position(o) for o in ids},
+        "rtick": {o: table.report_tick_of(o) for o in ids},
+        "fresh": {
+            o: (table.is_fresh(o, tick), table.is_fresh(o, tick - 1))
+            for o in range(45)
+        },
+        "stale": table.stale(np.arange(45), tick).tolist(),
+    }
+
+
+def _apply(target, op, arg, tick):
+    """One operation on a grid (GRID_OPS) or a table (the rest); the
+    dict backend spells a batch call as one scalar call per row."""
+    if op in ("update_batch", "report_batch"):
+        ids, xs, ys = (
+            [np.array(c) for c in zip(*arg)] if arg else [np.zeros(0)] * 3
+        )
+        ids = ids.astype(np.int64)
+        if target._dense:
+            if op == "update_batch":
+                target.update_batch(ids, xs, ys)
+            else:
+                target.report_batch(ids, xs, ys, tick)
+        elif not all(UNIVERSE.contains_point(x, y) for _, x, y in arg):
+            # The batch calls validate every row before writing any.
+            raise IndexError_("batch row outside universe")
+        else:
+            for o, x, y in arg:
+                if op == "update_batch":
+                    target.upsert(o, x, y)
+                else:
+                    target.report(o, x, y, tick)
+    elif op == "report":
+        target.report(*arg, tick)
+    elif op in ("remove", "forget"):
+        getattr(target, op)(arg)
+    else:
+        getattr(target, op)(*arg)
+
+
+@given(
+    st.integers(min_value=1, max_value=9),
+    st.lists(op_st, min_size=1, max_size=30),
+    st.lists(search_st, min_size=1, max_size=3),
+)
+@settings(max_examples=120, deadline=None)
+def test_dense_backend_matches_dict_backend(n_cells, ops, searches):
+    meters = [CostMeter() for _ in range(4)]
+    grids = [UniformGrid(UNIVERSE, n_cells, meter=m) for m in meters[:2]]
+    tables = [
+        ObjectTable(UNIVERSE, n_cells, theta=10.0, meter=m) for m in meters[2:]
+    ]
+    # Capacity hints below the id range: the columns must grow.
+    grids[1].enable_dense(4)
+    tables[1].enable_dense(4)
+    tick = 1
+    for op, arg in ops:
+        if op == "tick":
+            tick += 1
+            continue
+        if op in GRID_OPS:
+            pair, pair_meters = grids, meters[:2]
+            state = _grid_state
+        else:
+            pair, pair_meters = tables, meters[2:]
+            state = lambda t: _table_state(t, tick)  # noqa: E731
+        before = [state(t) for t in pair]
+        units = [m.units.copy() for m in pair_meters]
+        raised = []
+        for target in pair:
+            try:
+                _apply(target, op, arg, tick)
+                raised.append(False)
+            except IndexError_:
+                raised.append(True)
+        assert raised[0] == raised[1], (op, arg)
+        after = [state(t) for t in pair]
+        assert after[0] == after[1], (op, arg)
+        if raised[0]:
+            assert after == before, (op, arg)
+            assert [m.units for m in pair_meters] == units
+        for plain, dense, m_plain, m_dense in (
+            (grids[0], grids[1], meters[0], meters[1]),
+            (tables[0].grid, tables[1].grid, meters[2], meters[3]),
+        ):
+            for (qx, qy), r, k, exclude in searches:
+                assert range_search(
+                    dense, qx, qy, r, exclude=exclude
+                ) == range_search(plain, qx, qy, r, exclude=exclude)
+                assert +m_plain.units == +m_dense.units
+                assert knn_search(
+                    dense, qx, qy, k, exclude=exclude
+                ) == knn_search(plain, qx, qy, k, exclude=exclude)
+                assert +m_plain.units == +m_dense.units
+
+
+def test_dense_backend_rejects_bad_input_without_mutating():
+    table = ObjectTable(UNIVERSE, 8, theta=10.0, meter=CostMeter())
+    table.enable_dense(4)
+    table.report(5, 10.0, 10.0, tick=1)
+    grid = table.grid
+    state, units = _table_state(table, 1), table.meter.units.copy()
+    one = np.array([1.0])
+    for call in (
+        lambda: grid.insert(-1, 1.0, 1.0),  # negative oid
+        lambda: grid.insert(5, 1.0, 1.0),  # duplicate id
+        lambda: table.report(-3, 1.0, 1.0, 1),
+        lambda: grid.update_batch(np.array([-2]), one, one),
+        lambda: grid.update_batch(np.array([1, 2]), one, one),  # lengths
+        lambda: table.report_batch(np.array([1, 2]), one, one, 1),
+        lambda: grid.update_batch(np.array([5]), one, np.array([1000.5])),
+        lambda: grid.positions_of(np.array([5, 6])),  # 6 absent
+        lambda: grid.positions_of(np.array([5, -1])),
+        lambda: grid.positions_of(np.array([5, 10**9])),
+        lambda: range_search(grid, 1.0, 1.0, -1.0),
+        lambda: knn_search(grid, 1.0, 1.0, 0),
+    ):
+        with pytest.raises(IndexError_):
+            call()
+        assert _table_state(table, 1) == state
+        assert table.meter.units == units
