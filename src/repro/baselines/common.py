@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.core.protocol import AnswerPush, LocationUpdate
 from repro.errors import ProtocolError
 from repro.geometry import Rect
@@ -66,8 +68,6 @@ class ReporterPhase(ClientPhase):
 
     def bind(self, sim) -> None:
         super().bind(sim)
-        import numpy as np
-
         for node in sim.mobiles:
             if not isinstance(node, ReporterNode):
                 raise ProtocolError(
@@ -199,18 +199,17 @@ class CentralizedServerBase(BaseServer):
         """
         if batch.kind is not MessageKind.TICK_REPORT or not self.grid._dense:
             return False
-        import numpy as np
-
         grid = self.grid
         oids = batch.srcs
+        if not oids.shape[0]:
+            return True  # an empty batch reports nothing
         grid._ensure_dense(int(oids.max()))
-        known = grid._dcell[oids] >= 0
         old_x = grid._dx[oids]  # fancy indexing copies pre-update state
         old_y = grid._dy[oids]
         old_cell, new_cell = grid.update_batch(oids, batch.xs, batch.ys)
         self._updates.append(
             BatchUpdates(
-                oids, known, old_x, old_y, batch.xs, batch.ys,
+                oids, old_cell >= 0, old_x, old_y, batch.xs, batch.ys,
                 old_cell, new_cell,
             )
         )

@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.baselines.common import (
     BatchUpdates,
     CentralizedServerBase,
@@ -35,6 +37,19 @@ from repro.net.simulator import RoundSimulator, ZERO_LATENCY
 from repro.server.query_table import QuerySpec
 
 __all__ = ["CpmServer", "build_cpm_system"]
+
+
+def _touched_cells(
+    batch: BatchUpdates, moved: np.ndarray, n_cells: int
+) -> np.ndarray:
+    """Ascending distinct linear ids of the cells that the ``moved``
+    rows of ``batch`` left or entered: one flag per cell, set by
+    scatter (a first-time insert has no old cell — ``old_cell`` is -1
+    there and must not flag the last cell)."""
+    mark = np.zeros(n_cells, dtype=bool)
+    mark[batch.old_cell[moved & batch.known]] = True
+    mark[batch.new_cell[moved]] = True
+    return np.flatnonzero(mark)
 
 
 class CpmServer(CentralizedServerBase):
@@ -150,8 +165,6 @@ class CpmServer(CentralizedServerBase):
         reduces to masks over the batch columns plus a lookup of the
         (few) distinct touched cells in ``_cell_map``.
         """
-        import numpy as np
-
         dirty = self._seed_dirty()
         cells = self.grid.cells
         cell_map = self._cell_map
@@ -189,15 +202,7 @@ class CpmServer(CentralizedServerBase):
                 continue
             self.meter.charge(CostMeter.BOOKKEEPING, n_moved)
             if cell_map:
-                touched = np.unique(
-                    np.concatenate(
-                        (
-                            e.old_cell[moved & e.known],
-                            e.new_cell[moved],
-                        )
-                    )
-                )
-                for lin in touched.tolist():
+                for lin in _touched_cells(e, moved, cells * cells).tolist():
                     qids = cell_map.get((lin // cells, lin % cells))
                     if qids:
                         dirty.update(qids)

@@ -9,17 +9,24 @@ distance from the query point.
 
 The grid has two interchangeable storage backends:
 
-* the default **dict backend** (``_positions`` / ``_cells`` maps),
-  used by the scalar reference path;
+* the default **dict backend** (``_positions`` / ``_cells`` maps and
+  ``_buckets``, one set of member ids per linear cell id
+  ``ci * cells + cj``), used by the scalar reference path;
 * an opt-in **dense backend** (:meth:`enable_dense`): positions and
-  linear cell ids live in flat numpy arrays indexed by oid, which is
-  what the columnar fast path needs — :meth:`update_batch` moves a
-  whole tick's reports in O(arrays) and the vectorized searches in
-  :mod:`repro.index.knn` gather positions by id. Cell buckets (sets
-  keyed by the linear cell id ``ci * cells + cj``, the value the dense
-  ``_dcell`` column stores) are maintained identically by both
-  backends. Every operation charges the same :class:`CostMeter` units
-  on both backends; the bit-identity suite relies on that.
+  linear cell ids live in flat numpy arrays indexed by oid and cell
+  membership in a :class:`_CellStore` — one flat id array with a region
+  per cell plus a per-oid slot column — so that neither the write side
+  (:meth:`update_batch` moves a whole tick's reports with a fixed
+  number of array operations) nor the read side (the vectorized
+  searches in :mod:`repro.index.knn` open a cell as an array slice)
+  touches a Python set.
+
+Both backends hold the same members per cell, answer every search
+identically and charge the same :class:`CostMeter` units per operation;
+the bit-identity suite relies on that. Member *order* inside a cell is
+unspecified on both (every reader ranks by ``(distance, oid)``), and
+:meth:`objects_in_cell` returns a fresh set on the dense backend, the
+live bucket on the dict one — treat it as read-only.
 """
 
 from __future__ import annotations
@@ -52,6 +59,121 @@ def axis_gap(lo: float, side: float, q: float, c: int) -> float:
     return 0.0
 
 
+class _CellStore:
+    """Cell membership of the dense backend, in flat arrays.
+
+    ``members`` holds one region per linear cell id, region ``c`` being
+    ``members[start[c]:start[c + 1]]`` with its first
+    ``fill[c] - start[c]`` entries written: member ids, or ``-1`` where
+    a member has since left (a *tombstone*). ``slot[oid]`` is where
+    ``oid`` sits, meaningful only while the grid's ``_dcell[oid] >= 0``.
+    Removal is a tombstone write, insertion appends at the fill mark,
+    and a region that would overflow triggers :meth:`_relayout` of the
+    whole table: tombstones dropped, every region resized to 1.5x its
+    members plus an equal share (``N / cells**2 + 8``) of spare room.
+
+    A re-layout costs O(N + cells**2) and the spare share keeps the
+    next one at least ``N / cells**2 + 8`` arrivals into one cell away,
+    so the amortised cost of an arrival is O(cells**2) at worst — all
+    traffic aimed at one sparse cell — whatever N is; a uniform
+    stream in which 15 % of the members change cell per tick re-lays
+    about every sixth tick. Memory is O(N + cells**2): 2.5 slots per
+    member plus 8 per cell, never ``cells**2 * max cell``. Member order
+    within a region is arbitrary.
+    """
+
+    __slots__ = ("members", "start", "fill", "slot")
+
+    def __init__(self, n_cells: int, capacity: int) -> None:
+        self.members = np.empty(0, dtype=np.int64)
+        self.start = np.zeros(n_cells + 1, dtype=np.int64)
+        self.fill = np.zeros(n_cells, dtype=np.int64)
+        self.slot = np.zeros(capacity, dtype=np.int64)
+
+    # -- reads --------------------------------------------------------------
+
+    def cell(self, lin: int) -> np.ndarray:
+        """Member ids of one cell (a fresh int64 array)."""
+        seg = self.members[self.start[lin]:self.fill[lin]]
+        return seg[seg >= 0]
+
+    def gather(self, lins: np.ndarray) -> np.ndarray:
+        """Member ids of every cell in ``lins``, concatenated."""
+        lo = self.start[lins]
+        n = self.fill[lins] - lo
+        # Output entry i, falling in cell c's run, reads
+        # members[lo[c] + i - (entries before the run)].
+        at = np.repeat(lo - np.cumsum(n) + n, n) + np.arange(int(n.sum()))
+        ids = self.members[at]
+        return ids[ids >= 0]
+
+    # -- writes -------------------------------------------------------------
+
+    def drop_one(self, oid: int) -> None:
+        self.members[self.slot[oid]] = -1
+
+    def add_one(self, oid: int, lin: int) -> None:
+        """Append ``oid`` (not currently stored) to cell ``lin``."""
+        at = self.fill[lin]
+        if at == self.start[lin + 1]:  # full: the array form re-lays
+            self.add(np.array([oid]), np.array([lin]))
+            return
+        self.members[at] = oid
+        self.slot[oid] = at
+        self.fill[lin] = at + 1
+
+    def add(self, oids: np.ndarray, lins: np.ndarray) -> None:
+        """Append each of ``oids`` (unique, none currently stored) to
+        its cell in ``lins``."""
+        incoming = np.bincount(lins, minlength=self.fill.shape[0])
+        if (self.fill + incoming > self.start[1:]).any():
+            self._relayout(incoming)
+        order = np.argsort(lins)
+        self._append(oids[order], lins[order], incoming)
+
+    def _append(self, oids, lins, counts) -> None:
+        """Write ``oids`` at the fill marks of their cells ``lins``;
+        rows come grouped by cell, ``counts`` of them per cell (so a
+        row's rank in its cell is its index minus its run's start)."""
+        run_start = np.cumsum(counts) - counts
+        at = (self.fill - run_start)[lins] + np.arange(oids.shape[0])
+        self.members[at] = oids
+        self.slot[oids] = at
+        self.fill += counts
+
+    def move(self, oids, stored, lins) -> None:
+        """Take ``oids`` out of their regions (where ``stored``) and
+        append them to cells ``lins``. Raises on a repeated id before
+        writing anything that outlives the call."""
+        slot = self.slot
+        old_at = slot[oids]
+        # Scatter each row's index by id and read it back: a repeated
+        # id keeps only one of its rows' indices. The scratch values
+        # land in slots that add() overwrites, or that are put back.
+        rows = np.arange(oids.shape[0])
+        slot[oids] = rows
+        if (slot[oids] != rows).any():
+            slot[oids] = old_at  # repeats share one old value
+            raise IndexError_("update_batch got duplicate object ids")
+        self.members[old_at[stored]] = -1
+        self.add(oids, lins)
+
+    def _relayout(self, incoming: np.ndarray) -> None:
+        """Rebuild every region without tombstones, sized for its
+        members plus ``incoming`` arrivals plus fresh slack."""
+        live_at = np.flatnonzero(self.members >= 0)
+        live = self.members[live_at]  # grouped by cell as they sit
+        n_cells = self.fill.shape[0]
+        counts = np.diff(np.searchsorted(live_at, self.start))
+        lins = np.repeat(np.arange(n_cells), counts)
+        need = counts + incoming
+        room = need + need // 2 + (int(need.sum()) // n_cells + 8)
+        np.cumsum(room, out=self.start[1:])
+        self.members = np.full(int(self.start[-1]), -1, dtype=np.int64)
+        self.fill = self.start[:-1].copy()
+        self._append(live, lins, counts)
+
+
 class UniformGrid:
     """A ``cells x cells`` uniform grid over a rectangular universe."""
 
@@ -70,18 +192,20 @@ class UniformGrid:
         self.meter = meter
         self._cell_w = universe.width / cells
         self._cell_h = universe.height / cells
-        #: linear cell id -> member ids. A bucket that empties stays
-        #: (there are at most ``cells**2``); readers skip empty ones.
+        #: linear cell id -> member ids (dict backend). A bucket that
+        #: empties stays (there are at most ``cells**2``); readers skip
+        #: empty ones.
         self._buckets: Dict[int, Set[int]] = defaultdict(set)
         self._positions: Dict[int, Tuple[float, float]] = {}
         # Each object's current linear cell id, so update() re-buckets
         # without re-deriving (and re-validating) the old position's.
         self._cells: Dict[int, int] = {}
-        # Dense backend (enable_dense): oid-indexed flat arrays. While
-        # dense, the two dicts above stay empty and _dcell[oid] >= 0
-        # marks presence (value = linear cell id ci * cells + cj).
+        # Dense backend (enable_dense): oid-indexed flat arrays plus the
+        # cell store. While dense, the three dicts above stay empty and
+        # _dcell[oid] >= 0 marks presence (value = linear cell id
+        # ci * cells + cj).
         self._dense = False
-        self._dx = self._dy = self._dcell = None
+        self._dx = self._dy = self._dcell = self._store = None
         self._count = 0
 
     # -- dense backend --------------------------------------------------------
@@ -108,9 +232,13 @@ class UniformGrid:
             self._dx[oid] = x
             self._dy[oid] = y
             self._dcell[oid] = self._cells[oid]
+        self._store = _CellStore(self.cells * self.cells, cap)
+        present = np.flatnonzero(self._dcell >= 0)
+        self._store.add(present, self._dcell[present])
         self._count = len(self._positions)
         self._positions = {}
         self._cells = {}
+        self._buckets.clear()
         self._dense = True
 
     def _ensure_dense(self, max_oid: int) -> None:
@@ -119,12 +247,15 @@ class UniformGrid:
         if max_oid < cap:
             return
         new_cap = max(max_oid + 1, 2 * cap)
-        for name in ("_dx", "_dy", "_dcell"):
-            old = getattr(self, name)
+        for owner, name in (
+            (self, "_dx"), (self, "_dy"), (self, "_dcell"),
+            (self._store, "slot"),
+        ):
+            old = getattr(owner, name)
             fill = -1 if name == "_dcell" else 0
             grown = np.full(new_cap, fill, dtype=old.dtype)
             grown[:cap] = old
-            setattr(self, name, grown)
+            setattr(owner, name, grown)
 
     # -- geometry -----------------------------------------------------------
 
@@ -180,14 +311,15 @@ class UniformGrid:
         if self._dense and oid < 0:
             raise IndexError_(f"dense grid backend needs oids >= 0, got {oid}")
         lin = self._lin_of(x, y)
-        self._buckets[lin].add(oid)
         if self._dense:
             self._ensure_dense(oid)
+            self._store.add_one(oid, lin)
             self._dx[oid] = x
             self._dy[oid] = y
             self._dcell[oid] = lin
             self._count += 1
         else:
+            self._buckets[lin].add(oid)
             self._positions[oid] = (x, y)
             self._cells[oid] = lin
         charge(self.meter, CostMeter.INDEX_UPDATE)
@@ -197,15 +329,14 @@ class UniformGrid:
         if self._dense:
             if oid not in self:
                 raise IndexError_(f"object {oid} not indexed")
-            lin = int(self._dcell[oid])
+            self._store.drop_one(oid)
             self._dcell[oid] = -1
             self._count -= 1
         else:
             pos = self._positions.pop(oid, None)
             if pos is None:
                 raise IndexError_(f"object {oid} not indexed")
-            lin = self._cells.pop(oid)
-        self._buckets[lin].discard(oid)
+            self._buckets[self._cells.pop(oid)].discard(oid)
         charge(self.meter, CostMeter.INDEX_UPDATE)
 
     def update(self, oid: int, x: float, y: float) -> None:
@@ -219,14 +350,17 @@ class UniformGrid:
             if old is None:
                 raise IndexError_(f"object {oid} not indexed")
         new = self._lin_of(x, y)
-        if old != new:
-            self._buckets[old].discard(oid)
-            self._buckets[new].add(oid)
         if self._dense:
+            if old != new:
+                self._store.drop_one(oid)
+                self._store.add_one(oid, new)
             self._dx[oid] = x
             self._dy[oid] = y
             self._dcell[oid] = new
         else:
+            if old != new:
+                self._buckets[old].discard(oid)
+                self._buckets[new].add(oid)
             self._positions[oid] = (x, y)
             self._cells[oid] = new
         charge(self.meter, CostMeter.INDEX_UPDATE)
@@ -242,14 +376,16 @@ class UniformGrid:
         """Vectorized upsert of many objects (dense backend only).
 
         Equivalent to ``upsert`` per object in column order — same
-        bucketing, same total :data:`CostMeter.INDEX_UPDATE` charge,
-        same out-of-universe errors — but touches the interpreter only
-        for objects that changed cell (one ``discard`` + one ``add`` on
-        the linear-keyed buckets each). Object ids must be unique within
-        one call. Returns ``(old_lin, new_lin)`` linear cell-id arrays
-        (``old_lin`` is -1 where the object was new), which is exactly
-        what cell-keyed monitoring servers (CPM) need to find dirtied
-        cells without re-deriving them.
+        cell membership, same total :data:`CostMeter.INDEX_UPDATE`
+        charge (one per row, moved or not), same out-of-universe errors
+        — in a fixed number of array operations however many rows
+        change cell. Object ids must be unique within one call: an id
+        repeated among the rows that change cell raises, like every
+        other rejection here, before the grid is touched. Returns
+        ``(old_lin, new_lin)`` linear cell-id arrays (``old_lin`` is -1
+        where the object was new), which is exactly what cell-keyed
+        monitoring servers (CPM) need to find dirtied cells without
+        re-deriving them.
         """
         if not self._dense:
             raise IndexError_("update_batch needs the dense grid backend")
@@ -286,22 +422,15 @@ class UniformGrid:
             ((ys - u.ymin) / self._cell_h).astype(np.int64), last
         )
         new_lin = ci * self.cells + cj
-        old_lin = self._dcell[oid_arr].copy()
-        moved = old_lin != new_lin  # includes first-time inserts
-        if moved.any():
-            idx = np.nonzero(moved)[0]
-            buckets = self._buckets
-            old_moved = old_lin[idx]
-            for o, a, b in zip(
-                oid_arr[idx].tolist(),
-                old_moved.tolist(),
-                new_lin[idx].tolist(),
-            ):
-                if a >= 0:
-                    buckets[a].discard(o)
-                buckets[b].add(o)
-            self._count += int(np.count_nonzero(old_moved < 0))
-        self._dcell[oid_arr] = new_lin
+        old_lin = self._dcell[oid_arr]  # fancy indexing copies
+        idx = np.flatnonzero(old_lin != new_lin)  # first-time inserts too
+        if idx.shape[0]:
+            movers = oid_arr[idx]
+            stored = old_lin[idx] >= 0
+            to = new_lin[idx]
+            self._store.move(movers, stored, to)
+            self._dcell[movers] = to
+            self._count += idx.shape[0] - int(np.count_nonzero(stored))
         self._dx[oid_arr] = xs
         self._dy[oid_arr] = ys
         charge(self.meter, CostMeter.INDEX_UPDATE, n)
@@ -362,23 +491,23 @@ class UniformGrid:
             ((ys - u.ymin) / self._cell_h).astype(np.int64), last
         )
         lin = ci * self.cells + cj
-        order = np.argsort(lin, kind="stable")
-        lin_s = lin[order]
-        # group boundaries: first index of each distinct cell run
-        starts = np.flatnonzero(np.r_[True, lin_s[1:] != lin_s[:-1]])
-        ends = np.append(starts[1:], n)
-        oid_sorted = oid_arr[order].tolist()
-        for a, b, cell in zip(
-            starts.tolist(), ends.tolist(), lin_s[starts].tolist()
-        ):
-            self._buckets[cell].update(oid_sorted[a:b])
-        dense = self._dense
-        if dense:
+        if self._dense:
+            self._store.add(oid_arr, lin)
             self._dcell[oid_arr] = lin
             self._dx[oid_arr] = xs
             self._dy[oid_arr] = ys
             self._count += n
         else:
+            order = np.argsort(lin, kind="stable")
+            lin_s = lin[order]
+            # group boundaries: first index of each distinct cell run
+            starts = np.flatnonzero(np.r_[True, lin_s[1:] != lin_s[:-1]])
+            ends = np.append(starts[1:], n)
+            oid_sorted = oid_arr[order].tolist()
+            for a, b, cell in zip(
+                starts.tolist(), ends.tolist(), lin_s[starts].tolist()
+            ):
+                self._buckets[cell].update(oid_sorted[a:b])
             ids = oid_arr.tolist()
             self._positions.update(zip(ids, zip(xs.tolist(), ys.tolist())))
             self._cells.update(zip(ids, lin.tolist()))
@@ -390,6 +519,9 @@ class UniformGrid:
         self._positions.clear()
         self._cells.clear()
         if self._dense:
+            self._store = _CellStore(
+                self.cells * self.cells, self._dcell.shape[0]
+            )
             self._dcell.fill(-1)
             self._count = 0
         self.bulk_load(oids, xs, ys)
@@ -428,11 +560,18 @@ class UniformGrid:
         return iter(self._positions)
 
     def objects_in_cell(self, cell: Cell) -> Set[int]:
-        """Ids currently bucketed in ``cell`` (empty set if none)."""
+        """Ids currently bucketed in ``cell`` (empty set if none).
+
+        Read-only: the dict backend hands out its live bucket, the
+        dense backend a fresh set built from the cell's region.
+        """
         ci, cj = cell
         if not (0 <= ci < self.cells and 0 <= cj < self.cells):
             return set()
-        return self._buckets.get(ci * self.cells + cj, set())
+        lin = ci * self.cells + cj
+        if self._dense:
+            return set(self._store.cell(lin).tolist())
+        return self._buckets.get(lin, set())
 
     # -- search support -------------------------------------------------------
 
@@ -464,4 +603,8 @@ class UniformGrid:
     def nonempty_cells(self) -> List[Cell]:
         """Cells currently holding at least one object."""
         C = self.cells
-        return [(lin // C, lin % C) for lin, b in self._buckets.items() if b]
+        if self._dense:
+            lins = np.unique(self._dcell[self._dcell >= 0]).tolist()
+        else:
+            lins = [lin for lin, b in self._buckets.items() if b]
+        return [(lin // C, lin % C) for lin in lins]

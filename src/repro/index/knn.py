@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from itertools import chain
 from typing import AbstractSet, Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
@@ -26,6 +25,16 @@ __all__ = ["knn_search", "range_search", "range_search_arrays", "NeighborList"]
 NeighborList = List[Tuple[float, int]]
 
 _EMPTY: FrozenSet[int] = frozenset()
+
+
+def _without(ids: np.ndarray, exclude: AbstractSet[int]) -> np.ndarray:
+    """``ids`` minus the excluded ones (usually one focal object)."""
+    if len(exclude) == 1:
+        (only,) = exclude
+        return ids[ids != only]
+    if exclude:
+        return ids[~np.isin(ids, np.fromiter(exclude, np.int64, len(exclude)))]
+    return ids
 
 
 def knn_search(
@@ -45,10 +54,11 @@ def knn_search(
 
     Charges, on both backends: one HEAP_OP per cell pushed and per cell
     popped, one CELL_VISIT per pop, one DIST_CALC per non-excluded
-    member of every opened cell. The dense backend computes an opened
-    cell's distances in one array pass and offers the candidate heap
-    only that cell's best ``k`` not already beaten; same cells opened
-    in the same order, same result (pinned by
+    member of every opened cell. The dense backend opens a cell as an
+    id array out of the grid's cell store, computes its distances in
+    one array pass and offers the candidate heap only that cell's best
+    ``k`` not already beaten; same cells opened in the same order, same
+    result (pinned by
     ``test_dense_backend_matches_dict_backend`` in
     ``tests/test_index_vectorized.py``).
     """
@@ -62,8 +72,10 @@ def knn_search(
     C = grid.cells
     cw, ch = grid._cell_w, grid._cell_h
     min_side = min(cw, ch)
-    buckets = grid._buckets
     dense = grid._dense
+    # How a cell is opened: an int64 id array from the dense backend's
+    # cell store, a set of ids from the dict backend's buckets.
+    members_of = grid._store.cell if dense else grid._buckets.get
 
     # Worst candidate sits at the heap top via lexicographic negation.
     best: List[Tuple[float, int]] = []  # (-distance, -oid) max-heap
@@ -129,15 +141,12 @@ def knn_search(
             break
         _, ci, cj = heapq.heappop(frontier)
         popped += 1
-        members = buckets.get(ci * C + cj)
-        if not members:
-            continue
-        if exclude and not exclude.isdisjoint(members):
-            members = members - exclude
-        n = len(members)
-        scored_n += n
+        members = members_of(ci * C + cj)
         if dense:
-            idx = np.fromiter(members, dtype=np.int64, count=n)
+            idx = _without(members, exclude)
+            if not idx.shape[0]:
+                continue
+            scored_n += idx.shape[0]
             ddx = grid._dx[idx] - qx
             ddy = grid._dy[idx] - qy
             d = np.sqrt(ddx * ddx + ddy * ddy)
@@ -149,6 +158,11 @@ def knn_search(
                 d, idx = d[top], idx[top]
             scored = zip(d.tolist(), idx.tolist())
         else:
+            if not members:
+                continue
+            if exclude and not exclude.isdisjoint(members):
+                members = members - exclude
+            scored_n += len(members)
             scored = []
             for oid in members:
                 ox, oy = grid.position_of(oid)
@@ -252,16 +266,7 @@ def range_search_arrays(
     dy = np.maximum(np.maximum(ymin - cy, cy - (ymin + ch)), 0.0)
     keep = np.sqrt(np.add.outer(dx * dx, dy * dy)) <= r
     lin = np.add.outer(ci * grid.cells, cj)[keep]
-    buckets = grid._buckets
-    hit = [buckets[cell] for cell in lin.tolist() if cell in buckets]
-    idx = np.fromiter(
-        chain.from_iterable(hit), np.int64, sum(map(len, hit))
-    )
-    if len(exclude) == 1:
-        (only,) = exclude
-        idx = idx[idx != only]
-    elif exclude:
-        idx = idx[~np.isin(idx, np.fromiter(exclude, np.int64, len(exclude)))]
+    idx = _without(grid._store.gather(lin), exclude)
     charge(meter, CostMeter.DIST_CALC, idx.shape[0])
     ddx = grid._dx[idx] - cx
     ddy = grid._dy[idx] - cy

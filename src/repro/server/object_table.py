@@ -149,10 +149,13 @@ class ObjectTable:
     def report_batch(self, oids, xs, ys, tick: int) -> None:
         """Vectorized :meth:`report` of one columnar uplink batch.
 
-        Equivalent to ``report`` per column entry (ids unique within a
-        batch): same grid effects, same previous-position bookkeeping,
-        same total BOOKKEEPING + INDEX_UPDATE charges. Dense backend
-        only — the columnar fast path enables it at build time.
+        Equivalent to ``report`` per column entry: same grid effects,
+        same previous-position bookkeeping, same total BOOKKEEPING +
+        INDEX_UPDATE charges. Ids must be unique within a batch;
+        :meth:`UniformGrid.update_batch` raises on an id repeated among
+        the rows that change cell, before the table or the grid is
+        written. Dense backend only — the columnar fast path enables it
+        at build time.
         """
         if not self._dense:
             raise IndexError_("report_batch needs the dense backend")

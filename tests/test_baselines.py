@@ -1,5 +1,6 @@
 """Behavioral tests for the centralized baselines (beyond exactness)."""
 
+import numpy as np
 import pytest
 
 from repro.baselines import (
@@ -140,3 +141,71 @@ class TestAnswerHistory:
         assert len(history) == 7
         assert history[0][0] == 1 and history[-1][0] == 7
         assert all(len(ids) == queries[0].k for _, ids in history)
+
+
+class TestColumnarIngest:
+    """The dense ``TICK_REPORT`` path of the centralized servers."""
+
+    @staticmethod
+    def _server(cells=6):
+        from repro.baselines.cpm import CpmServer
+
+        server = CpmServer(Rect(0, 0, 1000, 1000), cells)
+        server.grid.enable_dense(64)
+        return server
+
+    @staticmethod
+    def _batch(oids, xs, ys):
+        from repro.core.protocol import LocationUpdate
+        from repro.net.message import SERVER_ID
+        from repro.net.plane import ColumnarBatch
+
+        return ColumnarBatch(
+            MessageKind.TICK_REPORT,
+            srcs=np.asarray(oids, dtype=np.int64),
+            dst=SERVER_ID,
+            xs=np.asarray(xs, dtype=np.float64),
+            ys=np.asarray(ys, dtype=np.float64),
+            payload_nbytes=16,
+            payload_ctor=LocationUpdate,
+        )
+
+    def test_empty_batch_is_ingested_as_nothing(self):
+        server = self._server()
+        assert server.on_uplink_batch(self._batch([], [], [])) is True
+        assert server._updates == [] and len(server.grid) == 0
+
+    def test_touched_cells_equal_the_sorted_unique_of_old_and_new(self):
+        """The cells**2 flag scatter finds what ``np.unique`` over the
+        old and new cells of the moved rows found, first-time inserts
+        (``old_cell == -1``, which must not wrap to the last cell)
+        included."""
+        from repro.baselines.cpm import _touched_cells
+
+        rng = np.random.default_rng(3)
+        server = self._server()
+        n_cells = server.grid.cells ** 2
+        inserted_something = False
+        for _ in range(40):
+            oids = np.sort(
+                rng.choice(60, size=rng.integers(1, 30), replace=False)
+            )
+            # stay clear of the last cell so a wrapped -1 would show
+            xs = rng.uniform(0, 800, oids.shape[0])
+            ys = rng.uniform(0, 800, oids.shape[0])
+            known = server.grid._dcell[oids] >= 0
+            still = known & (rng.random(oids.shape[0]) < 0.3)
+            xs[still] = server.grid._dx[oids[still]]
+            ys[still] = server.grid._dy[oids[still]]
+            assert server.on_uplink_batch(self._batch(oids, xs, ys))
+            e = server._updates.pop()
+            assert (e.known == known).all()
+            inserted_something |= bool((~e.known).any())
+            moved = ~e.known | (e.old_x != e.new_x) | (e.old_y != e.new_y)
+            expected = np.unique(
+                np.concatenate((e.old_cell[moved & e.known], e.new_cell[moved]))
+            )
+            touched = _touched_cells(e, moved, n_cells)
+            assert touched.tolist() == expected.tolist()
+            assert n_cells - 1 not in touched.tolist()
+        assert inserted_something

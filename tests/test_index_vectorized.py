@@ -12,6 +12,8 @@ or an unstable partition shows up.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 from repro.errors import IndexError_
 from repro.geometry import Rect
 from repro.index import UniformGrid, knn_search, range_search
+from repro.index.knn import range_search_arrays
 from repro.index.bruteforce import (
     brute_knn_np,
     brute_knn_scalar,
@@ -206,6 +209,31 @@ def _grid_state(grid):
     }
 
 
+def _check_store(grid):
+    """The dense cell store's own invariant: every present oid sits
+    exactly once in ``members``, inside the written part of the region
+    of ``_dcell[oid]``, with ``slot[oid]`` pointing at it."""
+    store, dcell = grid._store, grid._dcell
+    n_cells = grid.cells * grid.cells
+    present = np.flatnonzero(dcell >= 0)
+    assert len(grid) == present.shape[0]
+    live_at = np.flatnonzero(store.members >= 0)
+    assert sorted(store.members[live_at].tolist()) == present.tolist()
+    slots = store.slot[present]
+    assert (store.members[slots] == present).all()
+    lins = dcell[present]
+    assert (store.start[lins] <= slots).all()
+    assert (slots < store.fill[lins]).all()
+    assert (store.start[:-1] <= store.fill).all()
+    assert (store.fill <= store.start[1:]).all()
+    assert store.start[-1] == store.members.shape[0]
+    region = np.searchsorted(store.start, live_at, side="right") - 1
+    assert (
+        np.bincount(region, minlength=n_cells).tolist()
+        == np.bincount(lins, minlength=n_cells).tolist()
+    )
+
+
 def _table_state(table, tick):
     ids = sorted(table.ids())
     return {
@@ -289,6 +317,8 @@ def test_dense_backend_matches_dict_backend(n_cells, ops, searches):
         assert raised[0] == raised[1], (op, arg)
         after = [state(t) for t in pair]
         assert after[0] == after[1], (op, arg)
+        _check_store(grids[1])
+        _check_store(tables[1].grid)
         if raised[0]:
             assert after == before, (op, arg)
             assert [m.units for m in pair_meters] == units
@@ -332,3 +362,216 @@ def test_dense_backend_rejects_bad_input_without_mutating():
             call()
         assert _table_state(table, 1) == state
         assert table.meter.units == units
+
+
+# -- the dense cell store under churn ----------------------------------------
+#
+# The sequences above rarely fill a region. These aim every row at one
+# of three cells and move many ids per step, so tombstones pile up,
+# regions overflow and the whole table is re-laid; the grid starts as a
+# populated dict grid (enable_dense migrates it, with a capacity hint
+# below the id range) and the steps include rebuild, remove followed by
+# re-insert, and batches mixing new and known ids.
+
+anchor = st.sampled_from(
+    [(10.0, 10.0), (990.0, 10.0), (500.0, 990.0), (10.0, 10.5)]
+)
+churn_oid = st.integers(min_value=0, max_value=70)
+churn_rows = st.lists(
+    st.tuples(churn_oid, anchor), max_size=40, unique_by=lambda r: r[0]
+)
+churn_op = st.one_of(
+    st.tuples(st.sampled_from(["update_batch", "rebuild"]), churn_rows),
+    st.tuples(st.just("upsert"), st.tuples(churn_oid, anchor)),
+    st.tuples(st.just("remove"), churn_oid),
+)
+
+
+def _columns(rows):
+    return (
+        np.array([o for o, _ in rows], dtype=np.int64),
+        np.array([x for _, (x, _) in rows], dtype=np.float64),
+        np.array([y for _, (_, y) in rows], dtype=np.float64),
+    )
+
+
+@given(
+    st.integers(min_value=2, max_value=6),
+    churn_rows,
+    st.lists(churn_op, min_size=1, max_size=40),
+)
+@settings(max_examples=80, deadline=None)
+def test_dense_store_matches_dict_backend_under_churn(n_cells, seed, ops):
+    meters = [CostMeter(), CostMeter()]
+    plain, dense = (UniformGrid(UNIVERSE, n_cells, meter=m) for m in meters)
+    for grid in (plain, dense):
+        for oid, (x, y) in seed:
+            grid.insert(oid, x, y)
+    dense.enable_dense(4)
+    _check_store(dense)
+    assert _grid_state(dense) == _grid_state(plain)
+    for op, arg in ops:
+        raised = []
+        for grid in (plain, dense):
+            try:
+                if op == "rebuild":
+                    grid.rebuild(*_columns(arg))
+                elif op == "update_batch" and grid is dense:
+                    grid.update_batch(*_columns(arg))
+                elif op == "update_batch":
+                    for oid, (x, y) in arg:
+                        grid.upsert(oid, x, y)
+                elif op == "upsert":
+                    grid.upsert(arg[0], *arg[1])
+                else:
+                    grid.remove(arg)
+                raised.append(False)
+            except IndexError_:
+                raised.append(True)
+        assert raised[0] == raised[1], (op, arg)
+        _check_store(dense)
+        assert _grid_state(dense) == _grid_state(plain), (op, arg)
+        assert meters[0].units == meters[1].units
+    for qx, qy in ((10.0, 10.0), (600.0, 400.0)):
+        assert range_search(dense, qx, qy, 700.0) == range_search(
+            plain, qx, qy, 700.0
+        )
+        assert knn_search(dense, qx, qy, 9) == knn_search(plain, qx, qy, 9)
+    assert +meters[0].units == +meters[1].units
+
+
+def test_dense_store_relays_when_a_region_overflows():
+    """200 ids shuttle between two cells of a 4x4 grid: every round
+    leaves 200 tombstones behind, so regions overflow and the table is
+    re-laid again and again — without ever growing past its bound."""
+    grid = UniformGrid(UNIVERSE, 4, meter=CostMeter())
+    grid.enable_dense(8)  # ids grow past the hint
+    oids = np.arange(200, dtype=np.int64)
+    here, there = np.full(200, 10.0), np.full(200, 990.0)
+    relays, layout = 0, grid._store.members
+    for round_ in range(30):
+        xs = here if round_ % 2 else there
+        old, new = grid.update_batch(oids, xs, xs)
+        assert (old == (-1 if round_ == 0 else 15 * (round_ % 2))).all()
+        assert (new == 15 * (1 - round_ % 2)).all()
+        _check_store(grid)
+        if grid._store.members is not layout:
+            relays, layout = relays + 1, grid._store.members
+        # 2.5 slots per member + the per-cell share and constant
+        assert grid._store.members.shape[0] <= 2.5 * 200 + 16 * (200 // 16 + 9)
+    assert relays > 3
+    assert grid.objects_in_cell((0, 0)) == set(range(200))
+    assert grid.nonempty_cells() == [(0, 0)]
+    # remove, then re-insert the same id somewhere else
+    grid.remove(7)
+    assert 7 not in grid.objects_in_cell((0, 0))
+    grid.insert(7, 990.0, 990.0)
+    assert grid.objects_in_cell((3, 3)) == {7}
+    _check_store(grid)
+
+
+def test_update_batch_rejects_duplicate_ids_without_mutating():
+    table = ObjectTable(UNIVERSE, 8, theta=10.0, meter=CostMeter())
+    table.enable_dense(4)
+    for oid in range(6):
+        table.report(oid, 10.0 + oid, 10.0, tick=1)
+    grid = table.grid
+    state, units = _table_state(table, 1), table.meter.units.copy()
+    members = grid._store.members.copy()
+    slots = grid._store.slot.copy()
+    far = np.array([900.0, 500.0, 900.0])
+    for call in (
+        # id 2 leaves its cell for two different cells
+        lambda: grid.update_batch(np.array([2, 3, 2]), far, far),
+        lambda: table.report_batch(np.array([2, 3, 2]), far, far, 2),
+        # a new id twice
+        lambda: grid.update_batch(np.array([9, 9]), far[:2], far[:2]),
+    ):
+        with pytest.raises(IndexError_, match="duplicate"):
+            call()
+        assert _table_state(table, 1) == state
+        assert table.meter.units == units
+        assert (grid._store.members == members).all()
+        assert (grid._store.slot[:6] == slots[:6]).all()
+        _check_store(grid)
+
+
+# -- count-based regressions (no timers) -------------------------------------
+
+
+def _count_calls(fn):
+    """Python + C calls made while ``fn()`` runs."""
+    n = 0
+
+    def prof(frame, event, arg):
+        nonlocal n
+        if event in ("call", "c_call"):
+            n += 1
+
+    sys.setprofile(prof)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return n
+
+
+def test_update_batch_call_count_is_independent_of_movers():
+    """One dense ``update_batch`` makes the same number of calls for
+    1 000 and for 20 000 cell-changing rows (the set buckets made two
+    per mover)."""
+    n = 50_000
+    rng = np.random.default_rng(5)
+    grid = UniformGrid(UNIVERSE, 32, meter=CostMeter())
+    grid.enable_dense(n)
+    xs, ys = rng.uniform(0, 1000, n), rng.uniform(0, 1000, n)
+    grid.bulk_load(np.arange(n), xs, ys)
+    side = 1000 / 32
+    counts = []
+    for movers in (1_000, 20_000):
+        # Push `movers` rows one cell to the right (wrapping inside the
+        # universe); the rest report where they are.
+        xs = xs.copy()
+        xs[:movers] = (xs[:movers] + side) % 1000
+        layout = grid._store.members
+        result = []
+        counts.append(
+            _count_calls(
+                lambda: result.extend(
+                    grid.update_batch(np.arange(n), xs, ys)
+                )
+            )
+        )
+        old, new = result
+        assert np.count_nonzero(old != new) >= movers * 0.95
+        assert grid._store.members is layout  # no re-layout hid in it
+    _check_store(grid)
+    assert counts[0] == counts[1]
+    assert counts[0] < 100
+
+
+def test_range_search_makes_no_per_cell_calls():
+    """A dense range search over a 5x5 cell box costs the same calls as
+    one over a single cell (the set buckets fed one ``fromiter`` input
+    per cell)."""
+    n = 20_000
+    rng = np.random.default_rng(6)
+    grid = UniformGrid(UNIVERSE, 32, meter=CostMeter())
+    grid.enable_dense(n)
+    grid.bulk_load(
+        np.arange(n), rng.uniform(0, 1000, n), rng.uniform(0, 1000, n)
+    )
+    side = 1000 / 32
+    cx = cy = 16.5 * side  # a cell centre
+    calls = {}
+    for name, r in (("one", side / 4), ("box", 2.4 * side)):
+        before = grid.meter.units[CostMeter.CELL_VISIT]
+        calls[name] = _count_calls(
+            lambda: range_search_arrays(grid, cx, cy, r)
+        )
+        visited = grid.meter.units[CostMeter.CELL_VISIT] - before
+        assert visited == (1 if name == "one" else 25)
+    # 24 more cells, not one call more per cell (numpy's own wrappers
+    # differ by a couple of calls between array sizes)
+    assert abs(calls["box"] - calls["one"]) <= 4
+    assert calls["box"] < 60
