@@ -37,16 +37,17 @@ from typing import Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.core.broadcast_variant import BroadcastMobileNode
-from repro.core.client import DknnMobileNode
+from repro.core.client import _BAND_CLASSES, DknnMobileNode
 from repro.core.geocast_variant import GeocastMobileNode
 from repro.core.protocol import (
+    BAND_OUTSIDER,
     CollectRequest,
     GeocastInstall,
     LocationUpdate,
     ProbeReply,
 )
 from repro.errors import ProtocolError
-from repro.geometry.region import REGION_EPS
+from repro.geometry.region import REGION_EPS, _SQ_SLACK_HI, _SQ_SLACK_LO
 from repro.net.message import (
     BROADCAST_ID,
     GEOCAST_ID,
@@ -84,6 +85,16 @@ def _base_tick_end(mobiles) -> bool:
 _LU_NBYTES = payload_size(LocationUpdate(0.0, 0.0))
 _PR_NBYTES = payload_size(ProbeReply(0.0, 0.0))
 
+#: region class -> (the table's row kind: the wire's band code, the
+#: squared slack the class's ``contains`` multiplies ``radius**2`` by).
+_ROW_KIND = {
+    cls: (band, _SQ_SLACK_LO if band == BAND_OUTSIDER else _SQ_SLACK_HI)
+    for band, cls in _BAND_CLASSES.items()
+}
+
+#: drift-origin mirror of a node that has never transmitted.
+_NEVER_SENT = (math.nan, math.nan)
+
 #: smallest run worth a columnar batch; below this the scalar path is
 #: cheaper than assembling the arrays.
 _MIN_BATCH = 8
@@ -116,23 +127,124 @@ def _columnar_ok(sim) -> bool:
     )
 
 
+class _RegionTable:
+    """The armed safe regions of a DKNN fleet, in columns.
+
+    One row per (node, installed region whose qid is not in the node's
+    ``_reported``): ``oid``, ``qid``, anchor ``(ax, ay)``, ``radius``,
+    ``kind`` (the wire's band code; -1 for a region class without one)
+    and ``limit``, the squared distance the region class compares
+    against — ``radius * radius * _SQ_SLACK_HI`` (``_LO`` for outsider
+    bands), computed in Python floats exactly as
+    ``SafeRegion.contains`` computes it, so ``dx*dx + dy*dy`` against
+    it decides like the scalar check to the bit. A region of unknown
+    class gets a limit every position violates: its holder is checked
+    by its own scalar code every tick.
+
+    Rows are rewritten a node at a time (:meth:`rewrite`): the node's
+    old rows die, its current regions go into dead rows, and the
+    columns double when there are none left — memory is O(peak rows).
+    Dead rows keep their last ``oid``, so gathering positions by it
+    never needs a mask.
+    """
+
+    __slots__ = (
+        "live", "oid", "qid", "ax", "ay", "radius", "kind", "limit", "_at"
+    )
+
+    def __init__(self, n: int) -> None:
+        self.live = np.zeros(0, dtype=bool)
+        self.oid = np.zeros(0, dtype=np.int64)
+        self.qid = np.zeros(0, dtype=np.int64)
+        self.ax = np.zeros(0)
+        self.ay = np.zeros(0)
+        self.radius = np.zeros(0)
+        self.kind = np.zeros(0, dtype=np.int8)
+        self.limit = np.zeros(0)
+        #: scratch, all -1 between calls: a node's position in the oid
+        #: set :meth:`rows_of` is looking up.
+        self._at = np.full(n, -1, dtype=np.int32)
+
+    @staticmethod
+    def row(oid: int, qid: int, region) -> Tuple:
+        """The column values of one armed region of node ``oid``."""
+        r = region.radius
+        kind, slack = _ROW_KIND.get(type(region), (-1, None))
+        limit = r * r * slack if kind >= 0 else -math.inf
+        return (oid, qid, region.ax, region.ay, r, kind, limit)
+
+    def rows_of(self, oids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Live rows of the nodes in ``oids`` (unique ids), and for each
+        row the position of its node within ``oids``."""
+        at = self._at
+        at[oids] = np.arange(oids.shape[0], dtype=np.int32)
+        pos = at[self.oid]
+        rows = np.nonzero(self.live & (pos >= 0))[0]
+        at[oids] = -1
+        return rows, pos[rows]
+
+    def rewrite(self, oids: np.ndarray, rows: List[Tuple]) -> None:
+        """Replace every row of the nodes in ``oids`` by ``rows``
+        (:meth:`row` tuples), one assignment per column."""
+        self.live[self.rows_of(oids)[0]] = False
+        if not rows:
+            return
+        free = np.nonzero(~self.live)[0]
+        if free.shape[0] < len(rows):
+            size = max(2 * (int(self.live.sum()) + len(rows)), 64)
+            for name in self.__slots__[:-1]:
+                old = getattr(self, name)
+                new = np.zeros(size, dtype=old.dtype)
+                new[: old.shape[0]] = old
+                setattr(self, name, new)
+            free = np.nonzero(~self.live)[0]
+        free = free[: len(rows)]
+        columns = (
+            self.oid, self.qid, self.ax, self.ay, self.radius, self.kind,
+            self.limit,
+        )
+        for column, values in zip(columns, zip(*rows)):
+            column[free] = values
+        self.live[free] = True
+
+    def violators(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Oids (possibly repeated) holding a region that the positions
+        ``(xs, ys)`` violate — ``SafeRegion.violated``, row by row."""
+        holder = self.oid
+        dx = xs[holder] - self.ax
+        dy = ys[holder] - self.ay
+        d2 = dx * dx + dy * dy
+        limit = self.limit
+        violated = self.live & np.where(
+            self.kind == BAND_OUTSIDER, d2 < limit, d2 > limit
+        )
+        return holder[violated]
+
+
 class DknnSilentPhase(ClientPhase):
     """Batched tick-start for the point-to-point protocol (DKNN/-P/-FT).
 
     A :class:`~repro.core.client.DknnMobileNode`'s tick-start is a pure
-    no-op (modulo its local clock) unless one of three things holds:
+    no-op (modulo its local clock) unless one of four things holds:
 
     * it has never transmitted (``_last_sent is None``);
     * it drifted more than ``theta`` from its last transmitted position;
-    * it holds at least one installed region (*attention*): then bands,
-      violation retries and lease heartbeats may all fire, and we do not
-      second-guess them — region holders are O(q·k), not O(N).
+    * one of its installed regions, not yet reported this episode, is
+      violated at its current position;
+    * it holds a region (*attention*) and runs protocol *timers* — a
+      lease heartbeat or the violation-retry sweep, the fault-tolerant
+      build — which may fire on any tick and are not second-guessed.
 
-    The phase keeps ``(sent_x, sent_y, attention)`` mirrors, refreshed
-    from the touched nodes (received a PROBE / install / revoke, or ran
-    as a candidate) before each mask evaluation, and syncs the node's
-    local clock at dispatch time — the only observable effect of the
-    scalar tick-start on a silent node.
+    The first three are evaluated exactly — the region predicate in
+    one pass over the :class:`_RegionTable` — so on a build without
+    timers the candidates are precisely the nodes that will send.
+
+    The phase keeps ``(sent_x, sent_y, attention, timers)`` mirrors and
+    the nodes' table rows current by re-reading the touched nodes
+    (received a PROBE / install / revoke, or ran as a candidate) before
+    each mask evaluation, and syncs the node's local clock at dispatch
+    time — the only observable effect of the scalar tick-start on a
+    silent node.
 
     On columnar builds (see :mod:`repro.net.plane`) the phase also
     splits the candidates: the *drift-only* ones — no installed region,
@@ -146,8 +258,8 @@ class DknnSilentPhase(ClientPhase):
     """
 
     #: message kinds whose handler can change the silence predicate
-    #: (drift origin via the probe reply's ``_mark_sent``, attention via
-    #: region installs/revokes). ANSWER_PUSH only updates known answers.
+    #: (drift origin via the probe reply's ``_mark_sent``, regions and
+    #: lease via installs/revokes). ANSWER_PUSH only updates known answers.
     _MUTATING = frozenset(
         (
             MessageKind.PROBE,
@@ -171,6 +283,7 @@ class DknnSilentPhase(ClientPhase):
         self._sent_x = np.full(n, np.nan)
         self._sent_y = np.full(n, np.nan)
         self._attention = np.zeros(n, dtype=bool)
+        self._timers = np.zeros(n, dtype=bool)
         for node in sim.mobiles:
             oid = node.oid
             self._node_of[oid] = node
@@ -181,6 +294,7 @@ class DknnSilentPhase(ClientPhase):
         #: whether the mirror is newer than the node (see _sync_node).
         self._uplink_tick = np.zeros(n, dtype=np.int64)
         self._desynced = np.zeros(n, dtype=bool)
+        self.regions = _RegionTable(n)
 
     def _sync_node(self, oid: int) -> None:
         """Flush mirror-authoritative uplink state back onto the node.
@@ -199,35 +313,66 @@ class DknnSilentPhase(ClientPhase):
         node._last_uplink_tick = int(self._uplink_tick[oid])
         self._desynced[oid] = False
 
-    def _refresh(self, oid: int) -> None:
-        node = self._node_of[oid]
-        if self._desynced[oid]:
-            # Mirror is newer than the node (columnar sends): keep the
-            # drift origin; only attention can have changed underneath.
-            self._attention[oid] = bool(node.regions)
+    def flush_touched(self) -> None:
+        """Re-read the touched nodes into the mirrors and the table.
+
+        Runs before anything reads either: the candidate mask of
+        :meth:`tick_start`, and the event engine's batched re-plan
+        (:meth:`repro.core.wakeups.DknnWakeupPlanner.wakeups`). Values
+        are gathered in lists and land in one assignment per column.
+        """
+        if not self._touched:
             return
-        ls = node._last_sent
-        if ls is None:
-            self._sent_x[oid] = math.nan
-            self._sent_y[oid] = math.nan
-        else:
-            self._sent_x[oid] = ls[0]
-            self._sent_y[oid] = ls[1]
-        self._attention[oid] = bool(node.regions)
+        ids = np.fromiter(self._touched, np.int64, len(self._touched))
+        self._touched.clear()
+        node_of = self._node_of
+        row = _RegionTable.row
+        attention: List[bool] = []
+        timers: List[bool] = []
+        synced: List[int] = []
+        sent_x: List[float] = []
+        sent_y: List[float] = []
+        rows: List[Tuple] = []
+        for oid, desynced in zip(ids.tolist(), self._desynced[ids].tolist()):
+            node = node_of[oid]
+            if not desynced:
+                # Else the mirror is newer than the node (columnar
+                # sends) and already holds the drift origin.
+                x, y = node._last_sent or _NEVER_SENT
+                synced.append(oid)
+                sent_x.append(x)
+                sent_y.append(y)
+            regions = node.regions
+            attention.append(bool(regions))
+            timers.append(bool(node.violation_retry or node._lease > 0))
+            if regions:
+                # A reported region is muted until repaired: no row.
+                muted = node._reported
+                rows += [
+                    row(oid, qid, region)
+                    for qid, region in regions.items()
+                    if qid not in muted
+                ]
+        self._attention[ids] = attention
+        self._timers[ids] = timers
+        self._sent_x[synced] = sent_x
+        self._sent_y[synced] = sent_y
+        self.regions.rewrite(ids, rows)
 
     def tick_start(self, tick: int) -> None:
-        if self._touched:
-            for oid in self._touched:
-                self._refresh(oid)
-            self._touched.clear()
+        self.flush_touched()
         sim = self.sim
         xs, ys = _fleet_xy(sim.fleet)
         dx = xs - self._sent_x
         dy = ys - self._sent_y
         drift = np.sqrt(dx * dx + dy * dy)
-        cand = self._active & (
-            np.isnan(self._sent_x) | (drift > self._theta) | self._attention
+        cand = (
+            np.isnan(self._sent_x)
+            | (drift > self._theta)
+            | (self._attention & self._timers)
         )
+        cand[self.regions.violators(xs, ys)] = True
+        cand &= self._active
         n_cand = int(cand.sum())
         if _columnar_ok(sim):
             # Drift-only candidates (no installed region) do exactly

@@ -24,21 +24,40 @@ Two float-safety measures keep "never later" honest:
   classes' squared-slack predicates (``REGION_EPS`` slack is ~1e-9,
   three orders larger, so boundary-installed objects stay solidly
   inside their biased radii and do not thrash).
+
+The event engine re-plans all the nodes due on a tick through one call
+of :meth:`DknnWakeupPlanner.wakeups`, which builds the same checks from
+the vectorized client phase's mirrors and region table, takes the
+motion state from the fast fleet's kernel columns and solves with the
+array twins of the crossing solvers — node for node the ``(act,
+resolve)`` of :meth:`DknnWakeupPlanner.wakeup`, which remains the
+specification and the path of every node the arrays cannot describe.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from repro.core.client import DknnMobileNode
 from repro.core.fastpath import DknnSilentPhase
+from repro.core.protocol import BAND_OUTSIDER
 from repro.geometry.region import (
     REGION_EPS,
     AnswerBand,
     OutsiderBand,
     QuerySafeCircle,
 )
-from repro.mobility.crossing import ENTER, EXIT, Check, plan_wakeup
+from repro.mobility.crossing import (
+    ENTER,
+    EXIT,
+    SCALAR,
+    Check,
+    CheckRows,
+    plan_wakeup,
+    solve_claims,
+)
 
 __all__ = ["DknnWakeupPlanner", "planner_for"]
 
@@ -61,6 +80,78 @@ class DknnWakeupPlanner:
         #: ``_last_uplink_tick`` in arrays; nodes it touched must be
         #: synced back before their protocol state is read.
         self._phase = phase if isinstance(phase, DknnSilentPhase) else None
+
+    def wakeups(
+        self, oids: np.ndarray, tick: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`wakeup` of every node in ``oids`` (unique ids) at once.
+
+        Returns ``(act, resolve)`` absolute ticks as int64 arrays, -1
+        for None. Nodes with protocol timers, a region of unknown class
+        or a mover without an array solver are answered by the scalar
+        :meth:`wakeup`, as is everyone when the fleet or the client
+        phase is scalar.
+        """
+        m = oids.shape[0]
+        act = np.full(m, -1, dtype=np.int64)
+        resolve = np.full(m, -1, dtype=np.int64)
+        phase = self._phase
+        if phase is None or not hasattr(self.sim.fleet, "motion_claims"):
+            scalar = np.ones(m, dtype=bool)
+        else:
+            phase.flush_touched()
+            never_sent = np.isnan(phase._sent_x[oids])
+            act[never_sent] = tick + 1  # first report is unconditional
+            scalar = phase._attention[oids] & phase._timers[oids] & ~never_sent
+            at = np.nonzero(~(never_sent | scalar))[0]
+            a, r, solved = self._solve(oids[at])
+            act[at] = np.where(a >= 0, tick + a, -1)
+            resolve[at] = np.where(r >= 0, tick + r, -1)
+            scalar[at[~solved]] = True
+        nodes = self.sim._nodes_by_id
+        for i in np.nonzero(scalar)[0].tolist():
+            a, r = self.wakeup(nodes[int(oids[i])], tick)
+            act[i] = -1 if a is None else a
+            resolve[i] = -1 if r is None else r
+        return act, resolve
+
+    def _solve(
+        self, oids: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Relative ``(act, resolve)`` delays of timer-free nodes that
+        have transmitted before, from the phase mirrors and the kernel
+        columns, plus a mask of the nodes this could answer for (the
+        rest need the scalar :meth:`wakeup`)."""
+        phase = self._phase
+        fleet = self.sim.fleet
+        m = oids.shape[0]
+        claims = fleet.motion_claims(oids)
+        table = phase.regions
+        rows, node = table.rows_of(oids)
+        kind = table.kind[rows]
+        claims.mode[node[kind < 0]] = SCALAR  # unknown class: stay awake
+        enter = kind == BAND_OUTSIDER
+        # One drift check per node, then the region rows, the radii
+        # biased as wakeup() biases them.
+        checks = CheckRows(
+            np.concatenate((np.arange(m), node)),
+            np.concatenate((phase._sent_x[oids], table.ax[rows])),
+            np.concatenate((phase._sent_y[oids], table.ay[rows])),
+            np.concatenate(
+                (
+                    phase._theta[oids] * _THETA_SCALE,
+                    table.radius[rows]
+                    * np.where(enter, _ENTER_SCALE, _EXIT_SCALE),
+                )
+            ),
+            np.concatenate((np.zeros(m, dtype=bool), enter)),
+        )
+        positions = fleet.positions
+        act, resolve = solve_claims(
+            claims, positions.xs[oids], positions.ys[oids], checks,
+            fleet.max_speeds[oids],
+        )
+        return act, resolve, claims.mode != SCALAR
 
     def wakeup(
         self, node: DknnMobileNode, tick: int
@@ -117,8 +208,10 @@ class DknnWakeupPlanner:
             tick + wake.resolve if wake.resolve is not None else None
         )
         act = self._merge_timers(node, tick, act)
-        if act is not None:
+        if act is not None and (resolve is None or act <= resolve):
             return act, None
+        # A timer past the motion claim's horizon waits for the
+        # re-solve: by then the node may have moved and crossed first.
         return None, resolve
 
     def _merge_timers(

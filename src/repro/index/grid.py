@@ -575,6 +575,32 @@ class UniformGrid:
 
     # -- search support -------------------------------------------------------
 
+    def box(self, cx: float, cy: float, r: float) -> Tuple[int, int, int, int]:
+        """Inclusive cell range ``(lo_i, hi_i, lo_j, hi_j)`` of the
+        disk's bounding box."""
+        if r < 0:
+            raise IndexError_(f"negative radius {r}")
+        u = self.universe
+        # Clamp both ends into the grid: a point on the max boundary
+        # indexes one past the last cell, which must fold back in.
+        last = self.cells - 1
+        return (
+            min(max(int((cx - r - u.xmin) / self._cell_w), 0), last),
+            min(max(int((cx + r - u.xmin) / self._cell_w), 0), last),
+            min(max(int((cy - r - u.ymin) / self._cell_h), 0), last),
+            min(max(int((cy + r - u.ymin) / self._cell_h), 0), last),
+        )
+
+    def box_members(self, cx: float, cy: float, r: float) -> np.ndarray:
+        """Dense backend: ids of every member of the cells under the
+        disk's bounding box — a superset of the objects inside the
+        disk. Charges nothing: for bookkeeping reads the cost model
+        does not bill (the shard tier sizing a borrow reply)."""
+        lo_i, hi_i, lo_j, hi_j = self.box(cx, cy, r)
+        ci = np.arange(lo_i, hi_i + 1, dtype=np.int64)
+        cj = np.arange(lo_j, hi_j + 1, dtype=np.int64)
+        return self._store.gather(np.add.outer(ci * self.cells, cj).ravel())
+
     def cells_intersecting_circle(
         self, cx: float, cy: float, r: float
     ) -> Iterator[Cell]:
@@ -583,16 +609,7 @@ class UniformGrid:
         Iterates only the bounding box of the disk, so cost is
         proportional to the disk area in cells, not the whole grid.
         """
-        if r < 0:
-            raise IndexError_(f"negative radius {r}")
-        u = self.universe
-        # Clamp both ends into the grid: a point on the max boundary
-        # indexes one past the last cell, which must fold back in.
-        last = self.cells - 1
-        lo_i = min(max(int((cx - r - u.xmin) / self._cell_w), 0), last)
-        hi_i = min(max(int((cx + r - u.xmin) / self._cell_w), 0), last)
-        lo_j = min(max(int((cy - r - u.ymin) / self._cell_h), 0), last)
-        hi_j = min(max(int((cy + r - u.ymin) / self._cell_h), 0), last)
+        lo_i, hi_i, lo_j, hi_j = self.box(cx, cy, r)
         for ci in range(lo_i, hi_i + 1):
             for cj in range(lo_j, hi_j + 1):
                 cell = (ci, cj)

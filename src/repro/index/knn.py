@@ -248,11 +248,7 @@ def range_search_arrays(
         )
     u = grid.universe
     cw, ch = grid._cell_w, grid._cell_h
-    last = grid.cells - 1
-    lo_i = min(max(int((cx - r - u.xmin) / cw), 0), last)
-    hi_i = min(max(int((cx + r - u.xmin) / cw), 0), last)
-    lo_j = min(max(int((cy - r - u.ymin) / ch), 0), last)
-    hi_j = min(max(int((cy + r - u.ymin) / ch), 0), last)
+    lo_i, hi_i, lo_j, hi_j = grid.box(cx, cy, r)
     charge(
         grid.meter, CostMeter.CELL_VISIT, (hi_i - lo_i + 1) * (hi_j - lo_j + 1)
     )

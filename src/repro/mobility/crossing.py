@@ -36,12 +36,29 @@ delays, of which at most one is set:
 Unknown mover types fall back to :func:`solve_generic`, which only uses
 the ``max_speed`` bound: sound for *any* mover, including across RNG
 renewals and reflections, just with shorter claim windows.
+
+**Array form.** The event engine re-plans every due node of a tick in
+one call, so each scalar solver has an array twin that answers for many
+objects at once and returns, object for object, the very numbers the
+scalar solver returns. The scalar solvers pick their branch from the
+motion state alone and only then look at the checks, and the twins are
+cut along that line: :func:`glide_claims` / :func:`velocity_claims`
+turn kernel columns into :class:`Claims` (which branch, with which
+parameters), and :func:`solve_claims` evaluates flat :class:`CheckRows`
+against them — ``_violated``, ``solve_generic``, ``_line_crossings``
+and the landing check, reduced per object with ``ufunc.at``. The float
+expressions are the scalar ones operation for operation (``np.sqrt``
+and ``math.sqrt`` are both correctly rounded, ``np.trunc`` is
+``int()``), so the scalar functions stay the specification and
+``tests/test_region_table.py`` compares the two element for element.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple, Type
+
+import numpy as np
 
 from repro.mobility.base import Mover
 from repro.mobility.gaussian_cluster import GaussianClusterMover
@@ -59,6 +76,11 @@ __all__ = [
     "plan_wakeup",
     "solve_generic",
     "solver_for",
+    "CheckRows",
+    "Claims",
+    "glide_claims",
+    "velocity_claims",
+    "solve_claims",
 ]
 
 EXIT = "exit"
@@ -374,3 +396,204 @@ def plan_wakeup(
     if solver is None:
         return solve_generic(x, y, checks, mover.max_speed)
     return solver(mover, x, y, checks)
+
+
+# -- array twins -----------------------------------------------------------
+
+
+class CheckRows(NamedTuple):
+    """Checks of many objects as flat columns, one row per check.
+
+    ``node[j]`` is the position, in the per-object arrays handed to
+    :func:`solve_claims`, of the object row ``j`` belongs to; rows may
+    come in any order. ``enter`` marks ``ENTER`` rows, the rest are
+    ``EXIT``.
+    """
+
+    node: np.ndarray
+    cx: np.ndarray
+    cy: np.ndarray
+    radius: np.ndarray
+    enter: np.ndarray
+
+
+#: Branches a scalar solver can end in (:attr:`Claims.mode`). ``SCALAR``
+#: is "no array form for this object": ask :func:`plan_wakeup`.
+SCALAR, STILL, HOLD, GENERIC, LINE, LAND = -1, 0, 1, 2, 3, 4
+
+#: Whole ticks are carried as floats (exact below this), so a horizon
+#: at or past it cannot be told from its neighbours.
+_EXACT_TICKS = 2.0**53
+
+
+class Claims:
+    """Per-object motion claims: the branch and its parameters.
+
+    ``mode`` selects what the other columns mean:
+
+    * ``STILL`` — never moves (``NEVER`` unless violated now);
+    * ``HOLD`` — provably static for ``h`` ticks, then unknown;
+    * ``GENERIC`` — only the speed bound holds (:func:`solve_generic`);
+    * ``LINE`` — ``h`` full steps of length ``s`` along the unit
+      direction ``(p, q)`` (:func:`_line_crossings`);
+    * ``LAND`` — the next step lands on ``(p, q)``; ``s`` is the
+      safety margin of :func:`_solve_glide`'s landing check.
+    """
+
+    __slots__ = ("mode", "h", "p", "q", "s")
+
+    def __init__(self, m: int, mode: int = STILL) -> None:
+        self.mode = np.full(m, mode, dtype=np.int8)
+        self.h = np.zeros(m)
+        self.p = np.zeros(m)
+        self.q = np.zeros(m)
+        self.s = np.zeros(m)
+
+    def hold(self, where: np.ndarray, ticks: np.ndarray) -> None:
+        """Override with ``HOLD(ticks)`` on the objects in ``where``."""
+        self.mode[where] = HOLD
+        self.h[where] = ticks[where]
+
+    def put(self, at: np.ndarray, part: "Claims") -> None:
+        """Write ``part`` (one entry per index in ``at``) into place."""
+        for name in self.__slots__:
+            getattr(self, name)[at] = getattr(part, name)
+
+
+def glide_claims(
+    x: np.ndarray, y: np.ndarray, tx: np.ndarray, ty: np.ndarray,
+    speed: np.ndarray,
+) -> Claims:
+    """Array twin of :func:`_solve_glide`'s branch selection."""
+    dx = tx - x
+    dy = ty - y
+    dist = np.sqrt(dx * dx + dy * dy)
+    claims = Claims(x.shape[0])
+    # np.select takes the first true condition: the scalar branch order.
+    mode = np.select(
+        [dist == 0.0, speed <= 0.0, dist <= speed * (1.0 + 1e-9)],
+        [HOLD, STILL, LAND],
+        LINE,
+    )
+    line = mode == LINE
+    with np.errstate(divide="ignore", invalid="ignore"):
+        horizon = np.maximum(np.trunc(dist / speed) - 1.0, 1.0)
+        claims.p[:] = np.where(line, dx / dist, tx)
+        claims.q[:] = np.where(line, dy / dist, ty)
+    claims.h[:] = np.where(line, horizon, 1.0)  # HOLD here: resolve next
+    claims.s[:] = np.where(line, speed, 1e-9 * (dist + speed + 1.0))
+    mode[line & ~(horizon < _EXACT_TICKS)] = SCALAR
+    claims.mode[:] = mode
+    return claims
+
+
+def velocity_claims(
+    x: np.ndarray, y: np.ndarray, vx: np.ndarray, vy: np.ndarray,
+    leg_horizon: np.ndarray, universe,
+) -> Claims:
+    """Array twin of :func:`_solve_velocity` (and ``_wall_horizon``)."""
+    speed = np.sqrt(vx * vx + vy * vy)
+    zero = speed == 0.0
+    claims = Claims(x.shape[0])
+    def wall(v, ahead, behind):  # _wall_horizon, one axis
+        return np.where(
+            v > 0.0,
+            np.trunc(ahead / v),
+            np.where(v < 0.0, np.trunc(behind / -v), _MAX_HORIZON),
+        )
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        walls = np.minimum(
+            wall(vx, universe.xmax - x, x - universe.xmin),
+            wall(vy, universe.ymax - y, y - universe.ymin),
+        )
+        claims.p[:] = vx / speed
+        claims.q[:] = vy / speed
+    horizon = np.minimum(leg_horizon, np.minimum(_MAX_HORIZON, walls))
+    claims.mode[:] = np.select(
+        [zero & (leg_horizon >= _MAX_HORIZON), zero, horizon < 1],
+        [STILL, HOLD, GENERIC],
+        LINE,
+    )
+    claims.h[:] = np.where(zero, np.maximum(leg_horizon, 1), horizon)
+    claims.s[:] = speed
+    return claims
+
+
+def solve_claims(
+    claims: Claims,
+    x: np.ndarray,
+    y: np.ndarray,
+    rows: CheckRows,
+    max_speed: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Array twin of :func:`plan_wakeup`: ``(act, resolve)`` relative
+    delays per object as int64 arrays, ``-1`` for None.
+
+    Every object must own at least one row. Objects in ``SCALAR`` mode
+    get ``(-1, -1)`` — the caller solves those with the scalar solver.
+    Each branch computes on the rows of its own objects only, so a
+    mostly-still fleet costs one distance pass.
+    """
+    m = x.shape[0]
+    node, r, enter = rows.node, rows.radius, rows.enter
+    mode = claims.mode
+    px = x[node] - rows.cx
+    py = y[node] - rows.cy
+    d2 = px * px + py * py
+    r2 = r * r
+    act_now = np.zeros(m, dtype=bool)  # _violated: _ACT_NOW
+    act_now[node[np.where(enter, d2 < r2, d2 > r2)]] = True
+    act = np.full(m, -1.0)
+    resolve = np.where(mode == HOLD, claims.h, -1.0)
+    row_mode = mode[node]
+
+    # solve_generic: the smallest slack over the speed bound.
+    at = np.nonzero(row_mode == GENERIC)[0]
+    mine = node[at]
+    d = np.sqrt(d2[at])
+    slack = np.full(m, np.inf)
+    np.minimum.at(slack, mine, np.where(enter[at], d - r[at], r[at] - d))
+    generic = np.nonzero(
+        (mode == GENERIC) & (max_speed > 0.0) & np.isfinite(slack)
+    )[0]
+    free = np.trunc(slack[generic] / (max_speed[generic] + _SPEED_TOL))
+    act_now[generic[free < 1]] = True
+    resolve[generic] = np.minimum(free, _MAX_HORIZON)
+
+    # _line_crossings: the earliest floored crossing of any row.
+    at = np.nonzero(row_mode == LINE)[0]
+    mine = node[at]
+    inward = enter[at]
+    b = 2.0 * (px[at] * claims.p[mine] + py[at] * claims.q[mine])
+    c = d2[at] - r2[at]
+    disc = b * b - 4.0 * c
+    with np.errstate(invalid="ignore"):  # masked below: disc < 0, c >= 0
+        root = np.sqrt(disc)
+        u_star = np.where(inward, -b - root, -b + root) / 2.0
+        k = np.maximum(np.trunc(u_star / claims.s[mine]), 1.0)
+    k[inward & ((disc <= 0.0) | (u_star <= 0.0))] = np.inf  # never reached
+    k[np.where(inward, c <= 0.0, c >= 0.0)] = 1.0  # on the boundary
+    first = np.full(m, np.inf)
+    np.minimum.at(first, mine, k)
+    line = mode == LINE
+    crossing = line & (first <= claims.h)
+    act[crossing] = first[crossing]
+    resolve[line] = claims.h[line]
+
+    # _solve_glide's landing check, at the known landing point.
+    at = np.nonzero(row_mode == LAND)[0]
+    mine = node[at]
+    ex = claims.p[mine] - rows.cx[at]
+    ey = claims.q[mine] - rows.cy[at]
+    d = np.sqrt(ex * ex + ey * ey)
+    margin = claims.s[mine]
+    act_now[
+        mine[np.where(enter[at], d < r[at] + margin, d > r[at] - margin)]
+    ] = True
+    resolve[mode == LAND] = 1.0
+
+    act[act_now] = 1.0
+    act[mode == SCALAR] = -1.0
+    resolve[act >= 0.0] = -1.0
+    return act.astype(np.int64), resolve.astype(np.int64)

@@ -31,13 +31,21 @@ backing arrays (``.xs`` / ``.ys``) to vectorized consumers for free.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple, Type
+from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
 from repro.errors import MobilityError
 from repro.geometry import Rect
 from repro.mobility.base import Mover
+from repro.mobility.crossing import (
+    _MAX_HORIZON,
+    GENERIC,
+    SCALAR,
+    Claims,
+    glide_claims,
+    velocity_claims,
+)
 from repro.mobility.fleet import Fleet, _SPEED_TOLERANCE
 from repro.mobility.gaussian_cluster import GaussianClusterMover
 from repro.mobility.hotspot_drift import HotspotDriftMover
@@ -97,7 +105,9 @@ class _Kernel:
     the new-position arrays for every *silent* object and returns the
     global ids that need a scalar (RNG-consuming) step this tick.
     ``pull``/``push`` sync per-object state between the arrays and one
-    mover around that scalar step.
+    mover around that scalar step. ``claims`` is the array form of the
+    class's crossing solver (:mod:`repro.mobility.crossing`): the branch
+    each object's scalar solver would take, read off the kernel columns.
     """
 
     def __init__(
@@ -131,6 +141,13 @@ class _Kernel:
         """
         self.pull(oid, mover)
 
+    def claims(
+        self, i: np.ndarray, x: np.ndarray, y: np.ndarray
+    ) -> Optional[Claims]:
+        """Motion claims of the objects at local indices ``i`` (now at
+        ``(x, y)``), or None when the class has no array solver."""
+        return None
+
 
 class _ScalarKernel(_Kernel):
     """Fallback: every object steps scalar every tick (always events)."""
@@ -147,6 +164,9 @@ class _StationaryKernel(_Kernel):
     def step(self, xs, ys, nxs, nys) -> np.ndarray:
         # nxs/nys start as copies of xs/ys: nothing to do.
         return self._EMPTY
+
+    def claims(self, i, x, y) -> Claims:
+        return Claims(i.shape[0])  # all STILL
 
 
 def _reflect_axis(
@@ -186,6 +206,11 @@ class _LinearKernel(_Kernel):
         nxs[o] = nx
         nys[o] = ny
         return self._EMPTY
+
+    def claims(self, i, x, y) -> Claims:
+        return velocity_claims(
+            x, y, self.vx[i], self.vy[i], _MAX_HORIZON, self.universe
+        )
 
     def pull(self, oid, mover) -> None:
         i = self._local[oid]
@@ -242,6 +267,12 @@ class _WaypointKernel(_Kernel):
         nys[o[glide]] = ny[glide]
         return o[arrive]
 
+    def claims(self, i, x, y) -> Claims:
+        claims = glide_claims(x, y, self.tx[i], self.ty[i], self.speed[i])
+        pause = self.pause[i]
+        claims.hold(pause > 0, pause)  # static through the pause
+        return claims
+
     def pull(self, oid, mover) -> None:
         i = self._local[oid]
         mover._target = (float(self.tx[i]), float(self.ty[i]))
@@ -282,6 +313,9 @@ class _GaussianKernel(_Kernel):
         nxs[o[glide]] = nx[glide]
         nys[o[glide]] = ny[glide]
         return o[arrive]
+
+    def claims(self, i, x, y) -> Claims:
+        return glide_claims(x, y, self.tx[i], self.ty[i], self.speed[i])
 
     def pull(self, oid, mover) -> None:
         i = self._local[oid]
@@ -348,6 +382,15 @@ class _DirectionKernel(_Kernel):
         nys[s] = ny
         return o[renew]
 
+    def claims(self, i, x, y) -> Claims:
+        leg = self.leg[i]
+        claims = velocity_claims(
+            x, y, self.dx[i], self.dy[i], leg, self.universe
+        )
+        # The very next step draws a fresh heading: speed bound only.
+        claims.mode[leg <= 0] = GENERIC
+        return claims
+
     def pull(self, oid, mover) -> None:
         i = self._local[oid]
         mover._dx = float(self.dx[i])
@@ -413,6 +456,19 @@ class _CommuteKernel(_Kernel):
         nys[o[glide]] = ny[glide]
         return o[arrive]
 
+    def claims(self, i, x, y) -> Claims:
+        tx = self.tx[i]
+        ty = self.ty[i]
+        speed = self.speed[i]
+        claims = glide_claims(x, y, tx, ty, speed)
+        phase = self.t % self.periods[i]
+        active = self.actives[i]
+        # A zero-speed trip short of its target sits out the window;
+        # everyone is parked once it closes (``_solve_commute``).
+        claims.hold((speed <= 0.0) & ((x != tx) | (y != ty)), active - phase)
+        claims.hold(phase >= active, self.periods[i] - phase)
+        return claims
+
     def pull(self, oid, mover) -> None:
         i = self._local[oid]
         mover._target = (float(self.tx[i]), float(self.ty[i]))
@@ -458,9 +514,9 @@ class FastFleet(Fleet):
         super().__init__(movers, seed=seed)
         self._xs = np.array([p[0] for p in self.positions], dtype=np.float64)
         self._ys = np.array([p[1] for p in self.positions], dtype=np.float64)
-        self._speed_limit = (
-            np.array(self._speeds, dtype=np.float64) + _SPEED_TOLERANCE
-        )
+        #: per-object displacement bounds: ``max_speed_of``, as an array.
+        self.max_speeds = np.array(self._speeds, dtype=np.float64)
+        self._speed_limit = self.max_speeds + _SPEED_TOLERANCE
         # Group movers by exact class; one kernel instance per class.
         by_cls: Dict[Type[Mover], Tuple[List[int], List[Mover]]] = {}
         for oid, m in enumerate(self._movers):
@@ -470,11 +526,14 @@ class FastFleet(Fleet):
             ms.append(m)
         self._kernels: List[_Kernel] = []
         self._kernel_of: List[_Kernel] = [None] * len(self._movers)  # type: ignore[list-item]
+        #: index into ``_kernels`` per object, for array-side grouping.
+        self._kernel_id = np.empty(len(self._movers), dtype=np.int16)
         for cls, (ids, ms) in by_cls.items():
             kern_cls = _KERNELS.get(cls, _ScalarKernel)
             kern = kern_cls(
                 self.universe, np.array(ids, dtype=np.int64), ms
             )
+            self._kernel_id[kern.oids] = len(self._kernels)
             self._kernels.append(kern)
             for oid in ids:
                 self._kernel_of[oid] = kern
@@ -492,6 +551,29 @@ class FastFleet(Fleet):
         mover = self._movers[mover_oid]
         self._kernel_of[mover_oid].sync(mover_oid, mover)
         return mover
+
+    def motion_claims(self, oids: np.ndarray) -> Claims:
+        """Array form of :meth:`motion_state` for many objects at once.
+
+        Per object, the branch its crossing solver would take and that
+        branch's parameters, read straight off the kernel columns — no
+        mover is synced. Objects of a class without an array solver
+        come back in ``SCALAR`` mode.
+        """
+        claims = Claims(oids.shape[0], SCALAR)
+        kernel_id = self._kernel_id[oids]
+        for k, kern in enumerate(self._kernels):
+            at = np.nonzero(kernel_id == k)[0]
+            if at.shape[0] == 0:
+                continue
+            mine = oids[at]
+            # kern.oids ascends (built in oid order): position = index.
+            part = kern.claims(
+                np.searchsorted(kern.oids, mine), self._xs[mine], self._ys[mine]
+            )
+            if part is not None:
+                claims.put(at, part)
+        return claims
 
     def advance(self) -> None:
         """Move every object one tick; vectorized where silent."""

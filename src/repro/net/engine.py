@@ -42,7 +42,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
+
+import numpy as np
 
 from repro.errors import ConfigError
 
@@ -181,7 +183,8 @@ class EventDriver:
     is authoritative; stale heap rows are dropped when popped). Acts
     are recomputed when they fire, when the node receives a message
     (the simulator reports receivers via :meth:`note_node` /
-    :meth:`note_ids`), and after every full tick a node was due on.
+    :meth:`note_ids`), and after every full tick a node was due on —
+    all the nodes due on a tick in one ``planner.wakeups`` call.
     """
 
     def __init__(self, sim, config: EngineConfig) -> None:
@@ -197,7 +200,6 @@ class EventDriver:
         self._acts: List[Tuple[int, int]] = []
         self._resolves: List[Tuple[int, int]] = []
         self._entry: Dict[int, Tuple[int, int]] = {}
-        self._node_of = {node.oid: node for node in sim.mobiles}
         self._touched: Set[int] = set()
         self._last_snapshot: Optional[int] = None
         self.planner = None
@@ -207,9 +209,14 @@ class EventDriver:
             self.planner = planner_for(sim)
             if self.planner is not None:
                 # Everyone must register with the server first: the
-                # initial tick is a full one for the whole fleet.
-                for node in sim.mobiles:
-                    self._schedule(node.oid, sim.tick + 1, _ACT)
+                # initial tick is a full one for the whole fleet. An
+                # ascending list is a heap as it stands.
+                first = sim.tick + 1
+                self._acts = sorted((first, node.oid) for node in sim.mobiles)
+                self._entry = dict.fromkeys(
+                    (oid for _, oid in self._acts), (first, _ACT)
+                )
+                self.scheduled = len(self._acts)
 
     # -- heap bookkeeping --------------------------------------------------
 
@@ -234,14 +241,23 @@ class EventDriver:
             heappop(acts)  # stale row, superseded
         return None
 
-    def _replan(self, oid: int, tick: int) -> None:
-        act, resolve = self.planner.wakeup(self._node_of[oid], tick)
-        if act is not None:
-            self._schedule(oid, act, _ACT)
-        elif resolve is not None:
-            self._schedule(oid, resolve, _RESOLVE)
-        elif self._entry.pop(oid, None) is not None:
-            self.cancelled += 1
+    def _replan(self, due: List[int], tick: int) -> None:
+        """Recompute the wakeups of ``due`` (repeats allowed), in
+        ascending oid order."""
+        if not due:
+            return
+        oids = np.unique(np.fromiter(due, np.int64, len(due)))
+        acts, resolves = self.planner.wakeups(oids, tick)
+        entry = self._entry
+        for oid, act, resolve in zip(
+            oids.tolist(), acts.tolist(), resolves.tolist()
+        ):
+            if act >= 0:
+                self._schedule(oid, act, _ACT)
+            elif resolve >= 0:
+                self._schedule(oid, resolve, _RESOLVE)
+            elif entry.pop(oid, None) is not None:
+                self.cancelled += 1
 
     # -- simulator hooks ---------------------------------------------------
 
@@ -250,10 +266,10 @@ class EventDriver:
         if self.planner is not None:
             self._touched.add(oid)
 
-    def note_ids(self, oids: Iterable[int]) -> None:
+    def note_ids(self, oids: np.ndarray) -> None:
         """Mobiles received a columnar downlink batch this tick."""
         if self.planner is not None:
-            self._touched.update(int(o) for o in oids)
+            self._touched.update(oids.tolist())
 
     def can_skip(self, next_tick: int) -> bool:
         """True if ``next_tick`` is provably a protocol no-op."""
@@ -276,13 +292,15 @@ class EventDriver:
         tick = sim.tick
         resolves = self._resolves
         entry = self._entry
+        due: List[int] = []
         while resolves and resolves[0][0] <= tick:
             t, oid = heappop(resolves)
             if entry.get(oid) != (t, _RESOLVE):
                 continue  # stale row, superseded
             del entry[oid]
             self.fired += 1
-            self._replan(oid, tick)
+            due.append(oid)
+        self._replan(due, tick)
         self.skipped_ticks += 1
         tel = sim.telemetry
         if tel.enabled and tel.metrics is not None:
@@ -297,7 +315,7 @@ class EventDriver:
         tick = sim.tick
         self.full_ticks += 1
         if self.planner is not None:
-            due: Set[int] = set()
+            due = list(self._touched)
             for heap, kind in (
                 (self._acts, _ACT),
                 (self._resolves, _RESOLVE),
@@ -308,13 +326,9 @@ class EventDriver:
                     if entry.get(oid) == (t, kind):
                         del entry[oid]
                         self.fired += 1
-                        due.add(oid)
-            due |= self._touched
-            self._touched.clear()
-            for oid in sorted(due):
-                self._replan(oid, tick)
-        else:
-            self._touched.clear()
+                        due.append(oid)
+            self._replan(due, tick)
+        self._touched.clear()
         self._maybe_snapshot(tick)
 
     # -- replay ------------------------------------------------------------

@@ -201,6 +201,8 @@ def _fastpath_section(events: List[TraceEvent]) -> Optional[str]:
     decisions = [e.fields for e in events if e.kind == "fastpath.candidates"]
     if not decisions:
         return None
+    # DKNN-P reports exact candidates (the nodes that go on to send,
+    # plus region holders with protocol timers), not all region holders.
     cands = [f.get("candidates", 0) for f in decisions]
     # Every deferred install a touched node had pending is either
     # handed to its handler or skipped as provably unobservable.

@@ -118,6 +118,8 @@ import random
 from collections import deque
 from typing import Any, Dict, List, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.errors import ConfigError, NetworkError
 from repro.geometry import Rect
 from repro.metrics.cost import CostMeter
@@ -540,8 +542,6 @@ class ShardedServer(ServerNodeBase):
 
     def _init_cells(self, policy: RebalancePolicy) -> None:
         """Build the fine-cell overlay grid in its static assignment."""
-        import numpy as np
-
         router = self.router
         cps = policy.cells_per_shard
         side = router.side
@@ -636,8 +636,6 @@ class ShardedServer(ServerNodeBase):
         handler = getattr(self.inner, "on_uplink_batch", None)
         if handler is None or not handler(batch):
             return False
-        import numpy as np
-
         router = self.router
         srcs = batch.srcs
         n = srcs.shape[0]
@@ -884,8 +882,6 @@ class ShardedServer(ServerNodeBase):
         down / failed / covering / recovering shards neither donate nor
         receive cells this cycle.
         """
-        import numpy as np
-
         policy = self._rebalance
         win = self._cell_window
         total = int(win.sum())
@@ -1014,8 +1010,6 @@ class ShardedServer(ServerNodeBase):
             and getattr(table, "_dense", False)
             and self._home
         ):
-            import numpy as np
-
             grid = table.grid
             arr = self._ensure_home_arr(0)
             n = min(arr.shape[0], grid._dcell.shape[0])
@@ -1558,8 +1552,6 @@ class ShardedServer(ServerNodeBase):
     def _ensure_home_arr(self, max_oid: int):
         """The dense home mirror, built from the dict on first use and
         grown (fill -1) to cover ``max_oid``."""
-        import numpy as np
-
         arr = self._home_arr
         if arr is None:
             top = max(self._home, default=0)
@@ -1726,8 +1718,6 @@ class ShardedServer(ServerNodeBase):
         attributed to the recipient's home shard (unknown homes ledger
         to shard 0, matching ``_home.get(dst, 0)``).
         """
-        import numpy as np
-
         dsts = batch.dsts
         if dsts is None or dsts.shape[0] == 0:
             return  # inner engines only batch downlinks
@@ -1891,18 +1881,17 @@ class ShardedServer(ServerNodeBase):
             # Fault-free dense runs: the home mirror is exact (homes
             # are only ever deleted by amnesia recovery, a plan-only
             # path) and the table's positions are columns, so one
-            # masked bincount replaces the O(N) dict walk. No lookup
-            # here charges the meter, so the bill is unchanged.
-            import numpy as np
-
+            # masked bincount over the members of the cells under the
+            # circle replaces the O(N) dict walk. No lookup here
+            # charges the meter, so the bill is unchanged.
             grid = table.grid
             arr = self._ensure_home_arr(0)
-            n = min(arr.shape[0], grid._dcell.shape[0])
-            homes = arr[:n]
-            dx = grid._dx[:n] - cx
-            dy = grid._dy[:n] - cy
-            mask = (homes >= 0) & (grid._dcell[:n] >= 0)
-            mask &= dx * dx + dy * dy <= r2
+            ids = grid.box_members(cx, cy, radius)
+            ids = ids[ids < arr.shape[0]]
+            homes = arr[ids]
+            dx = grid._dx[ids] - cx
+            dy = grid._dy[ids] - cy
+            mask = (homes >= 0) & (dx * dx + dy * dy <= r2)
             cnt = np.bincount(homes[mask], minlength=self.router.n_shards)
             counts = {sid: int(cnt[sid]) for sid in remote}
         else:

@@ -5,9 +5,20 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from repro.metrics.accuracy import is_valid_knn
+from repro.net.node import ServerNodeBase
 from repro.server.query_table import QuerySpec
 
-__all__ = ["ExactnessChecker"]
+__all__ = ["ExactnessChecker", "SinkServer"]
+
+
+class SinkServer(ServerNodeBase):
+    """Accepts every uplink and answers nothing: the test plays the
+    server's part by dispatching downlinks to the nodes itself."""
+
+    columnar = True
+
+    def on_uplink_batch(self, batch) -> bool:
+        return True
 
 
 class ExactnessChecker:

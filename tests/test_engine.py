@@ -11,8 +11,19 @@ the sharded tier, and with one-tick latency.
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import pytest
 
+from repro.core.client import DknnMobileNode
+from repro.core.protocol import (
+    BAND_ANSWER,
+    BAND_OUTSIDER,
+    BAND_QUERY_CIRCLE,
+    InstallBand,
+)
+from repro.core.wakeups import DknnWakeupPlanner
 from repro.errors import ConfigError
 from repro.experiments.algorithms import build_system
 from repro.experiments.config import RunConfig
@@ -24,8 +35,11 @@ from repro.net.engine import (
     engine_attach,
 )
 from repro.net.faults import FaultPlan
+from repro.net.message import SERVER_ID, Message, MessageKind
+from repro.net.simulator import RoundSimulator
 from repro.server.config import ShardConfig
 from repro.workloads import WorkloadSpec, build_workload
+from tests.helpers import SinkServer
 
 #: Mostly-silent workload: small enough for test time, still skippable.
 SPEC = WorkloadSpec(
@@ -236,3 +250,168 @@ class TestAttach:
     def test_attach_rejects_non_config(self):
         with pytest.raises(ConfigError, match="EngineConfig"):
             engine_attach(self._sim(), "event")
+
+
+# -- the planner, directly -----------------------------------------------------
+
+WAYPOINT_SPEC = dataclasses.replace(
+    SPEC, mobility="random_waypoint", mobility_options={}, query_speed=20.0
+)
+
+
+class TestPlannerNeverLate:
+    """``DknnWakeupPlanner.wakeup`` (crossings + ``_merge_timers``)
+    against the node's own ``on_tick_start``, scanned tick by tick.
+
+    Hardened nodes hold regions with a lease and a retry timer and talk
+    to a server that never answers, so every heartbeat, violation and
+    retry there is comes from the node's own clockwork. Each node keeps
+    one claim, renewed the way the driver renews it (when it falls due,
+    and after the node acted or was messaged); a node must never act
+    inside a window its claim called free.
+    """
+
+    @pytest.mark.parametrize("spec", [SPEC, WAYPOINT_SPEC], ids=["commute", "waypoint"])
+    def test_no_action_inside_a_claimed_window(self, spec):
+        # parked focal objects: holders that only their timers can wake
+        fleet, _ = build_workload(
+            dataclasses.replace(spec, n_objects=60, query_speed=0)
+        )
+        mobiles = [
+            DknnMobileNode(
+                oid, fleet, theta=60.0, ack_installs=True, violation_retry=3
+            )
+            for oid in range(fleet.n)
+        ]
+        sim = RoundSimulator(fleet, SinkServer(), mobiles)
+        planner = DknnWakeupPlanner(sim)
+        acted = set()
+
+        def watch(node):
+            def on_tick_start(tick):
+                before = self._state(node)
+                DknnMobileNode.on_tick_start(node, tick)
+                if self._state(node) != before:
+                    acted.add(node.oid)
+            return on_tick_start
+
+        for node in mobiles:
+            node.on_tick_start = watch(node)
+        sim.step()
+        claims = {}
+        skipped_ahead = timer_acts = 0
+        for round_ in range(90):
+            if round_ % 30 == 0:
+                self._install_everywhere(sim, epoch=1 + round_)
+                for node in mobiles:
+                    claims[node.oid] = planner.wakeup(node, sim.tick)
+            acted.clear()
+            sim.step()
+            tick = sim.tick
+            for node in mobiles:
+                act, resolve = claims[node.oid]
+                if node.oid in acted:
+                    assert act is not None and act <= tick, (
+                        f"node {node.oid} acted at {tick} inside its "
+                        f"claim (act={act}, resolve={resolve})"
+                    )
+                    timer_acts += fleet.max_speed_of(node.oid) == 0.0
+                elif tick not in (act, resolve):
+                    continue  # claim still running
+                claims[node.oid] = planner.wakeup(node, tick)
+                a, r = claims[node.oid]
+                assert a is None or r is None
+                skipped_ahead += a != tick + 1
+        assert skipped_ahead > 100  # the claims are not vacuous
+        assert timer_acts > 0  # stationary holders act on timers alone
+        assert sim.channel.stats.retransmits > 0  # the retry sweep ran
+
+    @staticmethod
+    def _state(node):
+        return (
+            node._last_sent,
+            node._last_uplink_tick,
+            frozenset(node._reported),
+            tuple(sorted(node._violation_sent.items())),
+        )
+
+    @staticmethod
+    def _install_everywhere(sim, epoch):
+        """Three leased regions per node, some satisfied with room to
+        spare, some about to be crossed, some violated from the start."""
+        for node in sim.mobiles:
+            x, y = sim.fleet.positions[node.oid]
+            for qid, band in enumerate(
+                (BAND_ANSWER, BAND_OUTSIDER, BAND_QUERY_CIRCLE)
+            ):
+                ax, ay = x + 60.0 + 5.0 * qid, y
+                d = math.hypot(x - ax, y - ay)
+                margin = (-10.0, 15.0, 120.0)[(node.oid + qid) % 3]
+                if band == BAND_OUTSIDER:
+                    margin = -margin
+                payload = InstallBand(
+                    qid, band, ax, ay, max(d + margin, 0.0),
+                    epoch=epoch, lease=6,
+                )
+                sim._dispatch(
+                    node,
+                    Message(
+                        MessageKind.INSTALL_REGION, SERVER_ID, node.oid, payload
+                    ),
+                )
+
+
+class TestBatchedCounts:
+    """What a full tick of the fast event engine no longer does."""
+
+    @pytest.mark.parametrize("spec", [SPEC, WAYPOINT_SPEC], ids=["commute", "waypoint"])
+    def test_every_scalar_tick_start_sends(self, spec, monkeypatch):
+        """Without protocol timers the candidate mask is exact: a node
+        runs its scalar ``on_tick_start`` only on a tick it transmits."""
+        fleet, queries = build_workload(spec, fast=True)
+        sim = build_system(RunConfig("DKNN-P", fast=True), fleet, queries)
+        stats = sim.channel.stats
+        real = DknnMobileNode.on_tick_start
+        calls = []
+
+        def counted(node, tick):
+            sent = stats.total_messages
+            real(node, tick)
+            calls.append(stats.total_messages > sent)
+
+        monkeypatch.setattr(DknnMobileNode, "on_tick_start", counted)
+        sim.run(TICKS)
+        assert any(r for n in sim.mobiles for r in n.regions)
+        assert calls and all(calls)
+
+    @pytest.mark.parametrize(
+        "spec, pinned",
+        [
+            (SPEC, dict(scheduled=455, fired=433, cancelled=0, pending=22,
+                        skipped_ticks=28, full_ticks=12)),
+            (WAYPOINT_SPEC, dict(scheduled=7988, fired=4473, cancelled=3261,
+                                 pending=254, skipped_ticks=0, full_ticks=40)),
+        ],
+        ids=["commute", "waypoint"],
+    )
+    def test_replan_is_batched_and_the_heap_is_unchanged(
+        self, spec, pinned, monkeypatch
+    ):
+        """No scalar ``wakeup`` on a fast run — every kernel here has
+        an array solver — and the heap counters are those of the
+        per-node re-plan this replaced (pinned from the parent commit)."""
+        scalar_calls = []
+        real = DknnWakeupPlanner.wakeup
+        monkeypatch.setattr(
+            DknnWakeupPlanner,
+            "wakeup",
+            lambda self, node, tick: scalar_calls.append(node.oid)
+            or real(self, node, tick),
+        )
+        run = _run(
+            RunConfig("DKNN-P", fast=True, engine=EngineConfig(mode="event")),
+            spec,
+        )
+        assert not scalar_calls
+        doc = run["driver"].stats()
+        assert {k: doc[k] for k in pinned} == pinned

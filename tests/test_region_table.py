@@ -1,0 +1,569 @@
+"""The DKNN-P region table and the batched re-plan, against their oracles.
+
+Both are array forms of code that stays in the tree as the
+specification, so both are tested differentially:
+
+* ``DknnSilentPhase``'s region table and candidate mask against the
+  nodes themselves — the table's live rows are the armed regions read
+  off the nodes, and the candidates are the nodes whose own
+  ``on_tick_start`` would send or change state (tried on a throw-away
+  copy of each node);
+* ``DknnWakeupPlanner.wakeups`` against ``[planner.wakeup(node)]``,
+  element for element, for every registered mobility kernel.
+
+The fleet is driven by hand: ``SinkServer`` swallows every uplink and the
+tests play the server's part (installs, revokes, probes) directly.
+"""
+
+from __future__ import annotations
+
+import copy
+import math
+import random
+from typing import Dict, List, Set
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.client import _BAND_CLASSES, DknnMobileNode
+from repro.core.fastpath import DknnSilentPhase
+from repro.core.protocol import (
+    BAND_ANSWER,
+    BAND_OUTSIDER,
+    BAND_QUERY_CIRCLE,
+    InstallBand,
+    ProbeRequest,
+    RevokeBand,
+)
+from repro.core.wakeups import DknnWakeupPlanner
+from repro.geometry import Rect
+from repro.geometry.region import REGION_EPS, AnswerBand
+from repro.mobility import (
+    FastFleet,
+    Fleet,
+    GaussianClusterModel,
+    HotspotDriftModel,
+    MostlyStationaryModel,
+    RandomDirectionModel,
+    RandomWaypointModel,
+)
+from repro.mobility.crossing import (
+    ENTER,
+    EXIT,
+    GENERIC,
+    HOLD,
+    LAND,
+    LINE,
+    STILL,
+    Check,
+    CheckRows,
+    plan_wakeup,
+    solve_claims,
+)
+from repro.mobility.stationary import LinearMover, StationaryMover
+from repro.net.message import SERVER_ID, Message, MessageKind, payload_size
+from repro.net.plane import ColumnarBatch
+from repro.net.simulator import RoundSimulator
+from tests.helpers import SinkServer
+
+U = Rect(0.0, 0.0, 600.0, 600.0)
+N = 20
+QIDS = (0, 1, 2, 3)
+THETA = 35.0
+BANDS = (BAND_ANSWER, BAND_OUTSIDER, BAND_QUERY_CIRCLE)
+
+
+class _Recorder:
+    """Channel stand-in for a throw-away node copy: remembers sends."""
+
+    def __init__(self) -> None:
+        self.sent: List = []
+        self.stats = self
+
+    def send(self, kind, src, dst, payload=None):
+        self.sent.append(kind)
+
+    def record_retransmit(self, kind) -> None:
+        pass
+
+
+def _build(fleet, ft: bool = False) -> RoundSimulator:
+    mobiles = [
+        DknnMobileNode(
+            oid, fleet, theta=THETA, ack_installs=ft,
+            violation_retry=3 if ft else 0,
+        )
+        for oid in range(fleet.n)
+    ]
+    return RoundSimulator(
+        fleet, SinkServer(), mobiles, client_phase=DknnSilentPhase()
+    )
+
+
+def _waypoint_fleet(seed: int = 3, n: int = N) -> FastFleet:
+    model = RandomWaypointModel(U, speed_min=8.0, speed_max=30.0, pause_max=3)
+    return FastFleet.from_model(model, n, seed=seed)
+
+
+def _deliver(sim, oid: int, kind: MessageKind, payload) -> None:
+    sim._dispatch(sim.mobiles[oid], Message(kind, SERVER_ID, oid, payload))
+
+
+def _install(sim, oid, qid, band, place, margin, epoch=-1, lease=0) -> None:
+    """Install a region anchored a fixed offset from the node's current
+    position: satisfied by ``margin``, violated by it, or with the node
+    exactly on the radius (``place`` = "in" / "out" / "edge")."""
+    x, y = sim.fleet.positions[oid]
+    ax = min(max(x + 37.0, U.xmin), U.xmax)
+    ay = min(max(y - 23.0, U.ymin), U.ymax)
+    d = math.hypot(x - ax, y - ay)
+    if place == "edge":
+        radius = d
+    elif (place == "in") == (band == BAND_OUTSIDER):
+        radius = max(d - margin, 0.0)
+    else:
+        radius = d + margin
+    _deliver(
+        sim, oid, MessageKind.INSTALL_REGION,
+        InstallBand(qid, band, ax, ay, radius, epoch=epoch, lease=lease),
+    )
+
+
+def _would_act(phase, node: DknnMobileNode, tick: int) -> bool:
+    """Brute force: run ``on_tick_start`` on a copy of ``node`` and see
+    whether it sent anything or changed protocol state."""
+    twin = copy.copy(node)
+    twin.regions = dict(node.regions)
+    twin._reported = set(node._reported)
+    twin._violation_sent = dict(node._violation_sent)
+    twin._channel = _Recorder()
+    oid = node.oid
+    if phase._desynced[oid]:  # what _sync_node would write back
+        twin._last_sent = (
+            float(phase._sent_x[oid]), float(phase._sent_y[oid])
+        )
+        twin._last_uplink_tick = int(phase._uplink_tick[oid])
+    before = (set(twin._reported), dict(twin._violation_sent))
+    DknnMobileNode.on_tick_start(twin, tick)
+    return bool(twin._channel.sent) or before != (
+        twin._reported, twin._violation_sent
+    )
+
+
+def _armed(sim) -> Dict:
+    """``{(oid, qid): (class, ax, ay, radius)}`` read off the nodes."""
+    return {
+        (node.oid, qid): (type(r), r.ax, r.ay, r.radius)
+        for node in sim.mobiles
+        for qid, r in node.regions.items()
+        if qid not in node._reported
+    }
+
+
+def _table_rows(phase) -> Dict:
+    t = phase.regions
+    live = np.nonzero(t.live)[0].tolist()
+    rows = {
+        (int(t.oid[i]), int(t.qid[i])): (
+            _BAND_CLASSES[int(t.kind[i])],
+            float(t.ax[i]), float(t.ay[i]), float(t.radius[i]),
+        )
+        for i in live
+    }
+    assert len(rows) == len(live), "two live rows for one (node, query)"
+    return rows
+
+
+def _checked_step(sim) -> None:
+    """One full tick; asserts the candidate mask and then the table."""
+    phase = sim.client_phase
+    nodes = sim.mobiles
+    ran: List[int] = []
+    real_tick_start = phase.tick_start
+    real_send_batch = sim.channel.send_batch
+
+    def send_batch(batch):
+        if batch.kind is MessageKind.LOCATION_UPDATE:
+            ran.extend(batch.srcs.tolist())
+        return real_send_batch(batch)
+
+    def tick_start(tick: int) -> None:
+        expected = {n.oid for n in nodes if _would_act(phase, n, tick)}
+        timed = {
+            n.oid for n in nodes
+            if n.regions and (n.violation_retry or n._lease > 0)
+        }
+        real_tick_start(tick)
+        got = set(ran)
+        assert len(got) == len(ran)
+        assert expected <= got <= expected | timed
+        if not timed:
+            assert got == expected
+
+    for node in nodes:
+        node.on_tick_start = (
+            lambda tick, node=node: (
+                ran.append(node.oid),
+                DknnMobileNode.on_tick_start(node, tick),
+            )
+        )
+    phase.tick_start = tick_start
+    sim.channel.send_batch = send_batch
+    try:
+        sim.step()
+    finally:
+        phase.tick_start = real_tick_start
+        sim.channel.send_batch = real_send_batch
+        for node in nodes:
+            del node.on_tick_start
+    phase.flush_touched()
+    assert _table_rows(phase) == _armed(sim)
+
+
+_oids = st.integers(0, N - 1)
+_ops = st.one_of(
+    st.tuples(
+        st.just("install"), _oids, st.sampled_from(QIDS),
+        st.sampled_from(BANDS), st.sampled_from(("in", "out", "edge")),
+        st.floats(2.0, 80.0),
+    ),
+    st.tuples(st.just("revoke"), _oids, st.sampled_from(QIDS)),
+    st.tuples(st.just("probe"), _oids),
+    st.tuples(
+        st.just("probe_batch"),
+        st.lists(_oids, min_size=1, max_size=N, unique=True),
+    ),
+    st.tuples(st.just("step")),
+)
+
+
+@pytest.mark.parametrize("ft", ["plain", "acks", "retry", "lease"])
+@given(ops=st.lists(_ops, max_size=40), seed=st.integers(0, 5))
+@settings(max_examples=120, deadline=None)
+def test_table_and_mask_match_the_nodes(ft, ops, seed):
+    sim = _build(_waypoint_fleet(seed), ft=ft in ("retry", "lease"))
+    if ft == "acks":
+        for node in sim.mobiles:
+            node.ack_installs = True
+    epoch = 0
+    _checked_step(sim)  # everyone registers: one columnar batch
+    for op in ops:
+        if op[0] == "install":
+            epoch += 1
+            _install(
+                sim, *op[1:],
+                epoch=-1 if ft == "plain" else epoch,
+                lease=6 if ft == "lease" else 0,
+            )
+        elif op[0] == "revoke":
+            _deliver(sim, op[1], MessageKind.REVOKE_REGION, RevokeBand(op[2]))
+        elif op[0] == "probe":
+            _deliver(sim, op[1], MessageKind.PROBE, ProbeRequest())
+        elif op[0] == "probe_batch":
+            sim._deliver_batch(
+                ColumnarBatch(
+                    MessageKind.PROBE,
+                    src=SERVER_ID,
+                    dsts=np.array(sorted(op[1]), dtype=np.int64),
+                    payload_nbytes=payload_size(ProbeRequest()),
+                    payload_ctor=ProbeRequest,
+                )
+            )
+        else:
+            _checked_step(sim)
+    _checked_step(sim)
+    _checked_step(sim)
+
+
+def test_rows_are_reused_and_the_table_stays_small():
+    sim = _build(_waypoint_fleet())
+    phase = sim.client_phase
+    sim.step()
+    for round_ in range(30):
+        for oid in range(N):
+            for qid in QIDS:
+                _install(sim, oid, qid, BANDS[qid % 3], "in", 500.0)
+        phase.flush_touched()
+        assert int(phase.regions.live.sum()) == N * len(QIDS)
+    assert phase.regions.live.shape[0] <= 2 * N * len(QIDS)
+    for oid in range(N):
+        for qid in QIDS:
+            _deliver(sim, oid, MessageKind.REVOKE_REGION, RevokeBand(qid))
+    phase.flush_touched()
+    assert not phase.regions.live.any()
+
+
+@pytest.mark.parametrize("band", BANDS)
+def test_row_predicate_is_the_region_class_predicate_at_the_boundary(band):
+    """Objects installed on, and a few ulps either side of, the radius
+    and the slack-widened radius: the table's squared-limit compare
+    must flip exactly where ``SafeRegion.violated`` flips."""
+    sim = _build(_waypoint_fleet(seed=9, n=60))
+    phase = sim.client_phase
+    sim.step()
+    xs, ys = sim.fleet.positions.xs, sim.fleet.positions.ys
+    flips = 0
+    for scale in (1.0, 1.0 + REGION_EPS, 1.0 - REGION_EPS):
+        for ulps in range(-3, 4):
+            for oid in range(60):
+                x, y = sim.fleet.positions[oid]
+                ax, ay = x + 3.0 * (oid + 1), y - 1.7 * (oid + 1)
+                radius = math.sqrt((x - ax) ** 2 + (y - ay) ** 2) / scale
+                for _ in range(abs(ulps)):
+                    radius = math.nextafter(radius, math.inf * ulps)
+                _deliver(
+                    sim, oid, MessageKind.INSTALL_REGION,
+                    InstallBand(0, band, ax, ay, radius),
+                )
+            phase.flush_touched()
+            want = {
+                n.oid for n in sim.mobiles
+                if n.regions[0].violated(*sim.fleet.positions[n.oid])
+            }
+            assert set(phase.regions.violators(xs, ys).tolist()) == want
+            flips += 0 < len(want) < 60
+    assert flips  # the sweep did straddle the predicate's edge
+
+
+class _OddBand(AnswerBand):
+    """A region class the table has no row kind for."""
+
+
+def test_unknown_region_class_is_left_to_the_node():
+    sim = _build(_waypoint_fleet())
+    phase = sim.client_phase
+    planner = DknnWakeupPlanner(sim)
+    sim.step()
+    _install(sim, 4, 0, BAND_ANSWER, "in", 400.0)
+    band = sim.mobiles[4].regions[0]
+    sim.mobiles[4].regions[0] = _OddBand(band.ax, band.ay, band.radius)
+    calls = []
+    sim.mobiles[4].on_tick_start = lambda tick: calls.append(tick)
+    for _ in range(3):
+        sim.step()
+    assert calls == [2, 3, 4]  # a candidate every tick, as before
+    act, resolve = planner.wakeups(np.arange(N), sim.tick)
+    assert (act[4], resolve[4]) == (sim.tick + 1, -1)
+
+
+# -- batched re-plan == scalar wakeup ----------------------------------------
+
+
+def _linear_fleet(seed: int) -> FastFleet:
+    rng = np.random.default_rng(seed)
+    return FastFleet(
+        [
+            LinearMover(
+                U, rng.uniform(50, 550), rng.uniform(50, 550),
+                rng.uniform(-60, 60), rng.uniform(-60, 60),
+            )
+            for _ in range(N - 1)
+        ]
+        + [LinearMover(U, 300.0, 300.0, 0.0, 0.0)],
+        seed=seed,
+    )
+
+
+def _stationary_fleet(seed: int) -> FastFleet:
+    rng = np.random.default_rng(seed)
+    return FastFleet(
+        [
+            StationaryMover(U, rng.uniform(0, 600), rng.uniform(0, 600))
+            for _ in range(N)
+        ],
+        seed=seed,
+    )
+
+
+def _from(model):
+    return lambda seed: FastFleet.from_model(model, N, seed=seed)
+
+
+#: kernel -> (fleet factory, claim modes the run must have exercised).
+KERNELS = {
+    "stationary": (_stationary_fleet, {STILL}),
+    # fast and boxed in: reflections within a tick (_wall_horizon < 1)
+    # fall back to the speed bound; one mover has zero velocity.
+    "linear": (_linear_fleet, {LINE, GENERIC, STILL}),
+    "waypoint": (
+        _from(RandomWaypointModel(U, speed_min=8.0, speed_max=30.0, pause_max=3)),
+        {LINE, LAND, HOLD},
+    ),
+    "gaussian": (_from(GaussianClusterModel(U, sigma=80.0)), {LINE, LAND}),
+    "hotspot-drift": (
+        _from(HotspotDriftModel(U, sigma=80.0, drift_radius=100.0)),
+        {LINE, LAND},
+    ),
+    # leg_left <= 0 at every renewal: GENERIC.
+    "direction": (_from(RandomDirectionModel(U)), {LINE, GENERIC}),
+    "commute": (
+        _from(
+            MostlyStationaryModel(
+                U, speed_min=8.0, speed_max=30.0, moving_fraction=1.0,
+                period=9, active_ticks=4,
+            )
+        ),
+        {LINE, LAND, HOLD},
+    ),
+}
+
+REGION_MIXES = {
+    "none": (),
+    "answer": (BAND_ANSWER,),
+    "outsider": (BAND_OUTSIDER,),
+    "circle": (BAND_QUERY_CIRCLE,),
+    "mixed": BANDS,
+    "muted": BANDS,
+}
+
+
+def _force_corner_cases(kernel: str, fleet: FastFleet) -> None:
+    """Put one object in a state the motion rarely produces by itself."""
+    kern = fleet._kernels[0]
+    if kernel in ("waypoint", "gaussian", "hotspot-drift"):
+        # sitting exactly on its target: dist == 0
+        kern.tx[0] = fleet._xs[kern.oids[0]]
+        kern.ty[0] = fleet._ys[kern.oids[0]]
+    elif kernel == "commute":
+        kern.speed[0] = 0.0  # zero-speed trip, parked short of its target
+
+
+@pytest.mark.parametrize("ft", [False, True], ids=["plain", "timers"])
+@pytest.mark.parametrize("mix", list(REGION_MIXES))
+@pytest.mark.parametrize("kernel", list(KERNELS))
+def test_batched_replan_equals_scalar_wakeup(kernel, mix, ft):
+    make, expected_modes = KERNELS[kernel]
+    fleet = make(seed=7)
+    sim = _build(fleet, ft=ft)
+    planner = DknnWakeupPlanner(sim)
+    oids = np.arange(fleet.n)
+    seen: Set[int] = set()
+    epoch = 0
+    for tick in range(1, 46):
+        sim.step()
+        if tick % 6 == 1:
+            # (re-)arm: reported regions would otherwise stay muted, the
+            # sink never repairs anything
+            epoch += 1
+            for oid in range(fleet.n):
+                for qid, band in enumerate(REGION_MIXES[mix]):
+                    place = ("in", "in", "edge", "out")[(oid + qid) % 4]
+                    _install(
+                        sim, oid, qid, band, place, 10.0 + 9.0 * oid,
+                        epoch=epoch if ft else -1, lease=6 if ft else 0,
+                    )
+                if mix == "muted":
+                    sim.mobiles[oid]._reported.update(range(len(BANDS)))
+        if tick == 3:
+            _force_corner_cases(kernel, fleet)
+        act, resolve = planner.wakeups(oids, sim.tick)
+        want = [planner.wakeup(node, sim.tick) for node in sim.mobiles]
+        got = [
+            (None if a < 0 else a, None if r < 0 else r)
+            for a, r in zip(act.tolist(), resolve.tolist())
+        ]
+        assert got == want, f"tick {tick}"
+        seen.update(fleet.motion_claims(oids).mode.tolist())
+    assert expected_modes <= seen
+
+
+def _solve_both(fleet, checks_of):
+    """``plan_wakeup`` per object vs one ``solve_claims`` call."""
+    oids = np.arange(fleet.n)
+    flat = [(i, c) for i in range(fleet.n) for c in checks_of[i]]
+    rows = CheckRows(
+        np.array([i for i, _ in flat]),
+        np.array([c.cx for _, c in flat]),
+        np.array([c.cy for _, c in flat]),
+        np.array([c.radius for _, c in flat]),
+        np.array([c.kind == ENTER for _, c in flat]),
+    )
+    xs, ys = fleet.positions.xs, fleet.positions.ys
+    act, resolve = solve_claims(
+        fleet.motion_claims(oids), xs, ys, rows, fleet.max_speeds
+    )
+    want = [
+        tuple(plan_wakeup(fleet.motion_state(i), *fleet.positions[i], checks_of[i]))
+        for i in range(fleet.n)
+    ]
+    got = [
+        (None if a < 0 else a, None if r < 0 else r)
+        for a, r in zip(act.tolist(), resolve.tolist())
+    ]
+    return got, want
+
+
+@pytest.mark.parametrize("kernel", list(KERNELS))
+def test_array_solvers_equal_scalar_solvers_on_random_checks(kernel):
+    """The crossing twins directly, without the planner's check
+    building: up to three random checks per object, satisfied, violated
+    or crossed soon, re-drawn every tick of a run."""
+    fleet = KERNELS[kernel][0](seed=11)
+    rng = random.Random(5)
+    for tick in range(40):
+        fleet.advance()
+        checks_of = []
+        for oid in range(fleet.n):
+            x, y = fleet.positions[oid]
+            checks = []
+            for _ in range(rng.randint(1, 3)):
+                cx, cy = rng.uniform(0, 600), rng.uniform(0, 600)
+                d = math.hypot(x - cx, y - cy)
+                r = max(d + rng.choice((-1, 1, 1)) * rng.uniform(0.5, 90.0), 0.0)
+                checks.append(Check(cx, cy, r, rng.choice((EXIT, ENTER))))
+            checks_of.append(checks)
+        got, want = _solve_both(fleet, checks_of)
+        assert got == want, f"tick {tick}"
+
+
+def test_a_check_met_exactly_on_its_boundary_acts_next_tick():
+    """``c == 0`` in ``_line_crossings``: not violated, but any motion
+    may violate — both forms answer act=1, for either kind."""
+    fleet = FastFleet(
+        [LinearMover(U, 100.0, 100.0, 3.0, 4.0) for _ in range(3)], seed=0
+    )
+    checks_of = [
+        [Check(103.0, 104.0, 5.0, EXIT)],
+        [Check(130.0, 140.0, 50.0, ENTER)],
+        [Check(103.0, 104.0, 6.0, EXIT)],  # control: strictly inside
+    ]
+    got, want = _solve_both(fleet, checks_of)
+    assert got == want
+    assert got[0] == got[1] == (1, None) and got[2] != (1, None)
+
+
+def test_subset_and_order_do_not_matter():
+    """Any id subset gets the answers the whole fleet gets."""
+    sim = _build(_waypoint_fleet(seed=5, n=60))
+    planner = DknnWakeupPlanner(sim)
+    for tick in range(1, 12):
+        sim.step()
+        if tick == 2:
+            for oid in range(60):
+                _install(sim, oid, oid % 3, BANDS[oid % 3], "in", 25.0)
+    act, resolve = planner.wakeups(np.arange(60), sim.tick)
+    some = np.array([3, 8, 9, 31, 58])
+    a, r = planner.wakeups(some, sim.tick)
+    assert a.tolist() == act[some].tolist()
+    assert r.tolist() == resolve[some].tolist()
+    a, r = planner.wakeups(np.empty(0, dtype=np.int64), sim.tick)
+    assert a.shape == r.shape == (0,)
+
+
+def test_scalar_fleet_or_scalar_clients_fall_back_whole():
+    """Without kernel columns (plain Fleet) or without the vectorized
+    phase there is no array form: same answers through ``wakeup``."""
+    model = RandomWaypointModel(U, speed_min=8.0, speed_max=30.0, pause_max=3)
+    fleet = Fleet.from_model(model, N, seed=3)
+    sim = _build(fleet)
+    planner = DknnWakeupPlanner(sim)
+    for _ in range(5):
+        sim.step()
+    act, resolve = planner.wakeups(np.arange(N), sim.tick)
+    want = [planner.wakeup(node, sim.tick) for node in sim.mobiles]
+    assert [
+        (None if a < 0 else a, None if r < 0 else r)
+        for a, r in zip(act.tolist(), resolve.tolist())
+    ] == want
