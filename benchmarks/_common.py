@@ -1,36 +1,16 @@
-"""Shared machinery for the experiment benchmarks.
+"""Shared switch for the benchmarks outside ``benchmarks/layered``.
 
-Each ``bench_e*.py`` regenerates one paper table/figure. Under plain
-``pytest benchmarks/ --benchmark-only`` the quick (smoke-sized)
-workloads run so the whole suite finishes in minutes; set
+Under plain ``pytest benchmarks/ --benchmark-only`` the quick
+(smoke-sized) workloads run so the whole suite finishes in minutes; set
 ``REPRO_BENCH_FULL=1`` to run the full DESIGN.md §4 sizes (identical to
 ``python -m repro.experiments --all``, which is how EXPERIMENTS.md was
-produced). The rendered table is printed (run pytest with ``-s`` or
-``-rA`` to see it) and headline numbers are attached to the benchmark's
-``extra_info``.
+produced). Rendered tables are printed (run pytest with ``-s`` or
+``-rA`` to see them) and headline numbers are attached to each
+benchmark's ``extra_info``.
 """
 
 from __future__ import annotations
 
 import os
 
-from repro.experiments.registry import run_experiment
-
 FULL = os.environ.get("REPRO_BENCH_FULL", "") not in ("", "0")
-
-
-def run_and_report(benchmark, name: str):
-    """Run experiment ``name`` once under the benchmark timer."""
-    holder = {}
-
-    def run():
-        holder["table"] = run_experiment(name, quick=not FULL)
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
-    table = holder["table"]
-    print()
-    print(table.render())
-    benchmark.extra_info["experiment"] = name
-    benchmark.extra_info["mode"] = "full" if FULL else "quick"
-    benchmark.extra_info["rows"] = len(table.rows)
-    return table

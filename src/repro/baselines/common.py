@@ -190,20 +190,20 @@ class CentralizedServerBase(BaseServer):
         self._updates.append((oid, old, (payload.x, payload.y)))
 
     def on_uplink_batch(self, batch: ColumnarBatch) -> bool:
-        """Ingest one columnar ``TICK_REPORT`` batch (dense grid only).
+        """Ingest one columnar ``TICK_REPORT`` batch.
 
         Vectorized twin of :meth:`on_message`: capture pre-update
         positions, one ``update_batch`` into the grid (same total
         INDEX_UPDATE charges), and log a :class:`BatchUpdates` record
         in arrival order for ``_process`` / ``_process_entries``.
         """
-        if batch.kind is not MessageKind.TICK_REPORT or not self.grid._dense:
+        if batch.kind is not MessageKind.TICK_REPORT:
             return False
         grid = self.grid
         oids = batch.srcs
         if not oids.shape[0]:
             return True  # an empty batch reports nothing
-        grid._ensure_dense(int(oids.max()))
+        grid.reserve(int(oids.max()) + 1)
         old_x = grid._dx[oids]  # fancy indexing copies pre-update state
         old_y = grid._dy[oids]
         old_cell, new_cell = grid.update_batch(oids, batch.xs, batch.ys)

@@ -224,7 +224,7 @@ def build_cpm_system(
 
     ``fast=True`` routes the per-tick report stream through the
     columnar message plane: one ``TICK_REPORT`` batch per tick
-    (:class:`~repro.baselines.common.ReporterPhase`), a dense grid
+    (:class:`~repro.baselines.common.ReporterPhase`), one batched grid
     ingest, and vectorized dirty detection — bit-identical answers and
     accounting, a fraction of the interpreter work.
     """
@@ -232,10 +232,10 @@ def build_cpm_system(
     for spec in specs:
         server.register_query(spec)
     mobiles = [ReporterNode(oid, fleet) for oid in range(fleet.n)]
+    server.grid.reserve(fleet.n)
     phase = None
     if fast:
         phase = ReporterPhase()
-        server.grid.enable_dense(fleet.n)
         server.columnar = True
     return RoundSimulator(
         fleet,

@@ -87,7 +87,7 @@ def build_periodic_system(
     """Build a ready-to-run PER system.
 
     ``fast=True`` ships the per-tick report stream as one columnar
-    ``TICK_REPORT`` batch with a dense grid ingest; the O(N·Q) scan
+    ``TICK_REPORT`` batch with one batched grid ingest; the O(N·Q) scan
     itself stays the scalar spec (PER is the strawman — its server
     cost *is* the result).
     """
@@ -97,10 +97,10 @@ def build_periodic_system(
     for spec in specs:
         server.register_query(spec)
     mobiles = [ReporterNode(oid, fleet) for oid in range(fleet.n)]
+    server.grid.reserve(fleet.n)
     phase = None
     if fast:
         phase = ReporterPhase()
-        server.grid.enable_dense(fleet.n)
         server.columnar = True
     return RoundSimulator(
         fleet,

@@ -114,7 +114,7 @@ def build_seacnn_system(
     """Build a ready-to-run SEA system.
 
     ``fast=True`` ships the per-tick report stream as one columnar
-    ``TICK_REPORT`` batch with a dense grid ingest; dirty detection
+    ``TICK_REPORT`` batch with one batched grid ingest; dirty detection
     and the per-query re-searches run the scalar spec over the
     expanded batch, preserving the exact update order.
     """
@@ -124,10 +124,10 @@ def build_seacnn_system(
     for spec in specs:
         server.register_query(spec)
     mobiles = [ReporterNode(oid, fleet) for oid in range(fleet.n)]
+    server.grid.reserve(fleet.n)
     phase = None
     if fast:
         phase = ReporterPhase()
-        server.grid.enable_dense(fleet.n)
         server.columnar = True
     return RoundSimulator(
         fleet,

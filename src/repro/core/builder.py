@@ -64,15 +64,15 @@ def build_dknn_system(
         )
         for oid in range(fleet.n)
     ]
+    server.table.reserve(fleet.n)
     phase = None
     if fast:
         from repro.core.fastpath import DknnSilentPhase
 
         phase = DknnSilentPhase()
-        # Fast builds also get the columnar message plane: dense
-        # oid-indexed server storage plus batched hot-path transport.
+        # Fast builds also get the columnar message plane: batched
+        # hot-path transport into the table's columns.
         # Channel/fault/tracer vetoes are checked per tick, not here.
-        server.table.enable_dense(fleet.n)
         server.columnar = True
     return RoundSimulator(
         fleet,

@@ -331,8 +331,6 @@ class DknnServer(BaseServer):
             MessageKind.LOCATION_UPDATE, MessageKind.PROBE_REPLY
         ):
             return False
-        if not self.table._dense:
-            return False
         srcs = batch.srcs
         if self._ft:
             tick = self._tick

@@ -29,14 +29,11 @@ from repro.experiments.catalog import CATALOG, suggest_name
 from repro.net.engine import EngineConfig
 from repro.net.faults import FaultPlan
 from repro.net.simulator import ONE_TICK_LATENCY, ZERO_LATENCY
-from repro.server.config import MAX_SHARDS_PER_SIDE, ShardConfig
+from repro.server.config import ShardConfig
 
 __all__ = ["RunConfig"]
 
 _LATENCIES = (ZERO_LATENCY, ONE_TICK_LATENCY)
-
-# Kept as an alias: the bound now lives with ShardConfig.
-_MAX_SHARDS_PER_SIDE = MAX_SHARDS_PER_SIDE
 
 _RETIRED_SHARD_KWARGS = ("shards", "shard_faults")
 

@@ -7,33 +7,25 @@ currently inside it, and a reverse map gives each object's position.
 Updates are O(1); range and kNN searches visit cells in order of
 distance from the query point.
 
-The grid has two interchangeable storage backends:
+Storage is columnar: positions and linear cell ids
+(``ci * cells + cj``) live in flat numpy arrays indexed by oid, and
+cell membership in a :class:`_CellStore` — one flat id array with a
+region per cell plus a per-oid slot column. Neither the write side
+(:meth:`UniformGrid.update_batch` moves a whole tick's reports with a
+fixed number of array operations) nor the read side (the searches in
+:mod:`repro.index.knn` open a cell as an array slice) touches a Python
+set; the scalar methods (``insert`` / ``update`` / ``remove``) write
+the same columns one row at a time.
 
-* the default **dict backend** (``_positions`` / ``_cells`` maps and
-  ``_buckets``, one set of member ids per linear cell id
-  ``ci * cells + cj``), used by the scalar reference path;
-* an opt-in **dense backend** (:meth:`enable_dense`): positions and
-  linear cell ids live in flat numpy arrays indexed by oid and cell
-  membership in a :class:`_CellStore` — one flat id array with a region
-  per cell plus a per-oid slot column — so that neither the write side
-  (:meth:`update_batch` moves a whole tick's reports with a fixed
-  number of array operations) nor the read side (the vectorized
-  searches in :mod:`repro.index.knn` open a cell as an array slice)
-  touches a Python set.
-
-Both backends hold the same members per cell, answer every search
-identically and charge the same :class:`CostMeter` units per operation;
-the bit-identity suite relies on that. Member *order* inside a cell is
-unspecified on both (every reader ranks by ``(distance, oid)``), and
-:meth:`objects_in_cell` returns a fresh set on the dense backend, the
-live bucket on the dict one — treat it as read-only.
+Member *order* inside a cell is unspecified (every reader ranks by
+``(distance, oid)``), and :meth:`UniformGrid.objects_in_cell` returns a
+fresh set.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -59,8 +51,15 @@ def axis_gap(lo: float, side: float, q: float, c: int) -> float:
     return 0.0
 
 
+def grown(column: np.ndarray, size: int, fill: int) -> np.ndarray:
+    """``column`` extended to ``size`` entries, the new ones ``fill``."""
+    out = np.full(size, fill, dtype=column.dtype)
+    out[: column.shape[0]] = column
+    return out
+
+
 class _CellStore:
-    """Cell membership of the dense backend, in flat arrays.
+    """Cell membership of a :class:`UniformGrid`, in flat arrays.
 
     ``members`` holds one region per linear cell id, region ``c`` being
     ``members[start[c]:start[c + 1]]`` with its first
@@ -175,7 +174,14 @@ class _CellStore:
 
 
 class UniformGrid:
-    """A ``cells x cells`` uniform grid over a rectangular universe."""
+    """A ``cells x cells`` uniform grid over a rectangular universe.
+
+    Object ids index the storage columns directly, so they must lie in
+    ``[0, capacity)``: negative ids are rejected, the columns grow on
+    demand (:meth:`reserve` sizes them up front) and memory is
+    O(max id), not O(members). Every builder numbers its objects
+    ``0..n-1``, so nothing sparser is supported.
+    """
 
     def __init__(
         self,
@@ -192,70 +198,25 @@ class UniformGrid:
         self.meter = meter
         self._cell_w = universe.width / cells
         self._cell_h = universe.height / cells
-        #: linear cell id -> member ids (dict backend). A bucket that
-        #: empties stays (there are at most ``cells**2``); readers skip
-        #: empty ones.
-        self._buckets: Dict[int, Set[int]] = defaultdict(set)
-        self._positions: Dict[int, Tuple[float, float]] = {}
-        # Each object's current linear cell id, so update() re-buckets
-        # without re-deriving (and re-validating) the old position's.
-        self._cells: Dict[int, int] = {}
-        # Dense backend (enable_dense): oid-indexed flat arrays plus the
-        # cell store. While dense, the three dicts above stay empty and
-        # _dcell[oid] >= 0 marks presence (value = linear cell id
-        # ci * cells + cj).
-        self._dense = False
-        self._dx = self._dy = self._dcell = self._store = None
+        # oid-indexed columns: _dcell[oid] >= 0 marks presence (value =
+        # linear cell id ci * cells + cj), _dx/_dy hold the position.
+        self._dx = np.zeros(0, dtype=np.float64)
+        self._dy = np.zeros(0, dtype=np.float64)
+        self._dcell = np.full(0, -1, dtype=np.int64)
+        self._store = _CellStore(cells * cells, 0)
         self._count = 0
 
-    # -- dense backend --------------------------------------------------------
-
-    def enable_dense(self, capacity: int) -> None:
-        """Switch to oid-indexed array storage (fast-path builds only).
-
-        Requires non-negative object ids; ``capacity`` hints the id
-        range (arrays grow on demand). Existing contents migrate.
-        Idempotent.
-        """
-        if self._dense:
-            self._ensure_dense(capacity - 1)
-            return
-        cap = max(int(capacity), 1, *(o + 1 for o in self._positions or [0]))
-        self._dx = np.zeros(cap, dtype=np.float64)
-        self._dy = np.zeros(cap, dtype=np.float64)
-        self._dcell = np.full(cap, -1, dtype=np.int64)
-        for oid, (x, y) in self._positions.items():
-            if oid < 0:
-                raise IndexError_(
-                    f"dense grid backend needs oids >= 0, got {oid}"
-                )
-            self._dx[oid] = x
-            self._dy[oid] = y
-            self._dcell[oid] = self._cells[oid]
-        self._store = _CellStore(self.cells * self.cells, cap)
-        present = np.flatnonzero(self._dcell >= 0)
-        self._store.add(present, self._dcell[present])
-        self._count = len(self._positions)
-        self._positions = {}
-        self._cells = {}
-        self._buckets.clear()
-        self._dense = True
-
-    def _ensure_dense(self, max_oid: int) -> None:
-        """Grow the dense arrays to cover ``max_oid``."""
+    def reserve(self, capacity: int) -> None:
+        """Grow the columns to cover every id below ``capacity`` (a
+        size hint for builders; writes call it as ids arrive)."""
         cap = self._dcell.shape[0]
-        if max_oid < cap:
+        if capacity <= cap:
             return
-        new_cap = max(max_oid + 1, 2 * cap)
-        for owner, name in (
-            (self, "_dx"), (self, "_dy"), (self, "_dcell"),
-            (self._store, "slot"),
-        ):
-            old = getattr(owner, name)
-            fill = -1 if name == "_dcell" else 0
-            grown = np.full(new_cap, fill, dtype=old.dtype)
-            grown[:cap] = old
-            setattr(owner, name, grown)
+        size = max(capacity, 2 * cap)
+        self._dx = grown(self._dx, size, 0)
+        self._dy = grown(self._dy, size, 0)
+        self._dcell = grown(self._dcell, size, -1)
+        self._store.slot = grown(self._store.slot, size, 0)
 
     # -- geometry -----------------------------------------------------------
 
@@ -295,74 +256,46 @@ class UniformGrid:
     # -- maintenance ----------------------------------------------------------
 
     def __len__(self) -> int:
-        if self._dense:
-            return self._count
-        return len(self._positions)
+        return self._count
 
     def __contains__(self, oid: int) -> bool:
-        if self._dense:
-            return 0 <= oid < self._dcell.shape[0] and self._dcell[oid] >= 0
-        return oid in self._positions
+        return 0 <= oid < self._dcell.shape[0] and self._dcell[oid] >= 0
 
     def insert(self, oid: int, x: float, y: float) -> None:
         """Add a new object; raises if the id is already present."""
         if oid in self:
             raise IndexError_(f"object {oid} already indexed")
-        if self._dense and oid < 0:
-            raise IndexError_(f"dense grid backend needs oids >= 0, got {oid}")
+        if oid < 0:
+            raise IndexError_(f"grid needs oids >= 0, got {oid}")
         lin = self._lin_of(x, y)
-        if self._dense:
-            self._ensure_dense(oid)
-            self._store.add_one(oid, lin)
-            self._dx[oid] = x
-            self._dy[oid] = y
-            self._dcell[oid] = lin
-            self._count += 1
-        else:
-            self._buckets[lin].add(oid)
-            self._positions[oid] = (x, y)
-            self._cells[oid] = lin
+        self.reserve(oid + 1)
+        self._store.add_one(oid, lin)
+        self._dx[oid] = x
+        self._dy[oid] = y
+        self._dcell[oid] = lin
+        self._count += 1
         charge(self.meter, CostMeter.INDEX_UPDATE)
 
     def remove(self, oid: int) -> None:
         """Remove an object; raises if absent."""
-        if self._dense:
-            if oid not in self:
-                raise IndexError_(f"object {oid} not indexed")
-            self._store.drop_one(oid)
-            self._dcell[oid] = -1
-            self._count -= 1
-        else:
-            pos = self._positions.pop(oid, None)
-            if pos is None:
-                raise IndexError_(f"object {oid} not indexed")
-            self._buckets[self._cells.pop(oid)].discard(oid)
+        if oid not in self:
+            raise IndexError_(f"object {oid} not indexed")
+        self._store.drop_one(oid)
+        self._dcell[oid] = -1
+        self._count -= 1
         charge(self.meter, CostMeter.INDEX_UPDATE)
 
     def update(self, oid: int, x: float, y: float) -> None:
         """Move an object to a new position; raises if absent."""
-        if self._dense:
-            if oid not in self:
-                raise IndexError_(f"object {oid} not indexed")
-            old = int(self._dcell[oid])
-        else:
-            old = self._cells.get(oid)
-            if old is None:
-                raise IndexError_(f"object {oid} not indexed")
+        if oid not in self:
+            raise IndexError_(f"object {oid} not indexed")
         new = self._lin_of(x, y)
-        if self._dense:
-            if old != new:
-                self._store.drop_one(oid)
-                self._store.add_one(oid, new)
-            self._dx[oid] = x
-            self._dy[oid] = y
+        if self._dcell[oid] != new:
+            self._store.drop_one(oid)
+            self._store.add_one(oid, new)
             self._dcell[oid] = new
-        else:
-            if old != new:
-                self._buckets[old].discard(oid)
-                self._buckets[new].add(oid)
-            self._positions[oid] = (x, y)
-            self._cells[oid] = new
+        self._dx[oid] = x
+        self._dy[oid] = y
         charge(self.meter, CostMeter.INDEX_UPDATE)
 
     def upsert(self, oid: int, x: float, y: float) -> None:
@@ -373,7 +306,7 @@ class UniformGrid:
             self.insert(oid, x, y)
 
     def update_batch(self, oids, xs, ys):
-        """Vectorized upsert of many objects (dense backend only).
+        """Vectorized upsert of many objects.
 
         Equivalent to ``upsert`` per object in column order — same
         cell membership, same total :data:`CostMeter.INDEX_UPDATE`
@@ -387,8 +320,6 @@ class UniformGrid:
         monitoring servers (CPM) need to find dirtied cells without
         re-deriving them.
         """
-        if not self._dense:
-            raise IndexError_("update_batch needs the dense grid backend")
         oid_arr = np.ascontiguousarray(oids, dtype=np.int64)
         xs = np.ascontiguousarray(xs, dtype=np.float64)
         ys = np.ascontiguousarray(ys, dtype=np.float64)
@@ -411,8 +342,8 @@ class UniformGrid:
                 f"point ({xs[bad]}, {ys[bad]}) outside universe {u}"
             )
         if int(oid_arr.min()) < 0:
-            raise IndexError_("dense grid backend needs oids >= 0")
-        self._ensure_dense(int(oid_arr.max()))
+            raise IndexError_("grid needs oids >= 0")
+        self.reserve(int(oid_arr.max()) + 1)
         # float division then int truncation — identical to cell_of.
         last = self.cells - 1
         ci = np.minimum(
@@ -442,9 +373,9 @@ class UniformGrid:
         Equivalent to ``insert`` called per object (same bucketing, same
         per-object :data:`CostMeter.INDEX_UPDATE` charges, same error
         conditions) but does the cell arithmetic with numpy and groups
-        ids into buckets via one lexsort — O(n log n) with no per-object
-        interpreter work. Raises before mutating anything, so a failed
-        load leaves the grid untouched.
+        ids into cell regions via one argsort — O(n log n) with no
+        per-object interpreter work. Raises before mutating anything, so
+        a failed load leaves the grid untouched.
         """
         oid_arr = np.ascontiguousarray(oids, dtype=np.int64)
         xs = np.ascontiguousarray(xs, dtype=np.float64)
@@ -468,18 +399,13 @@ class UniformGrid:
             )
         if len(np.unique(oid_arr)) != n:
             raise IndexError_("bulk_load got duplicate object ids")
-        if self._dense:
-            if int(oid_arr.min()) < 0:
-                raise IndexError_("dense grid backend needs oids >= 0")
-            self._ensure_dense(int(oid_arr.max()))
-            clash = self._dcell[oid_arr] >= 0
-            if clash.any():
-                bad = int(oid_arr[np.nonzero(clash)[0][0]])
-                raise IndexError_(f"object {bad} already indexed")
-        else:
-            for oid in oid_arr:
-                if int(oid) in self._positions:
-                    raise IndexError_(f"object {int(oid)} already indexed")
+        if int(oid_arr.min()) < 0:
+            raise IndexError_("grid needs oids >= 0")
+        self.reserve(int(oid_arr.max()) + 1)
+        clash = self._dcell[oid_arr] >= 0
+        if clash.any():
+            bad = int(oid_arr[np.nonzero(clash)[0][0]])
+            raise IndexError_(f"object {bad} already indexed")
         # float division then int truncation — identical to cell_of
         # (coordinates are >= the universe minimum, so truncation is
         # floor) — then clamp boundary points inward.
@@ -491,87 +417,47 @@ class UniformGrid:
             ((ys - u.ymin) / self._cell_h).astype(np.int64), last
         )
         lin = ci * self.cells + cj
-        if self._dense:
-            self._store.add(oid_arr, lin)
-            self._dcell[oid_arr] = lin
-            self._dx[oid_arr] = xs
-            self._dy[oid_arr] = ys
-            self._count += n
-        else:
-            order = np.argsort(lin, kind="stable")
-            lin_s = lin[order]
-            # group boundaries: first index of each distinct cell run
-            starts = np.flatnonzero(np.r_[True, lin_s[1:] != lin_s[:-1]])
-            ends = np.append(starts[1:], n)
-            oid_sorted = oid_arr[order].tolist()
-            for a, b, cell in zip(
-                starts.tolist(), ends.tolist(), lin_s[starts].tolist()
-            ):
-                self._buckets[cell].update(oid_sorted[a:b])
-            ids = oid_arr.tolist()
-            self._positions.update(zip(ids, zip(xs.tolist(), ys.tolist())))
-            self._cells.update(zip(ids, lin.tolist()))
+        self._store.add(oid_arr, lin)
+        self._dcell[oid_arr] = lin
+        self._dx[oid_arr] = xs
+        self._dy[oid_arr] = ys
+        self._count += n
         charge(self.meter, CostMeter.INDEX_UPDATE, n)
 
     def rebuild(self, oids, xs, ys) -> None:
         """Drop everything and :meth:`bulk_load` the given snapshot."""
-        self._buckets.clear()
-        self._positions.clear()
-        self._cells.clear()
-        if self._dense:
-            self._store = _CellStore(
-                self.cells * self.cells, self._dcell.shape[0]
-            )
-            self._dcell.fill(-1)
-            self._count = 0
+        self._store = _CellStore(self.cells * self.cells, self._dcell.shape[0])
+        self._dcell.fill(-1)
+        self._count = 0
         self.bulk_load(oids, xs, ys)
 
     def position_of(self, oid: int) -> Tuple[float, float]:
         """The indexed position of ``oid``; raises if absent."""
-        if self._dense:
-            if oid not in self:
-                raise IndexError_(f"object {oid} not indexed")
-            return (float(self._dx[oid]), float(self._dy[oid]))
-        pos = self._positions.get(oid)
-        if pos is None:
+        if oid not in self:
             raise IndexError_(f"object {oid} not indexed")
-        return pos
+        return (float(self._dx[oid]), float(self._dy[oid]))
 
     def positions_of(self, oids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """:meth:`position_of` for an int64 id array: ``(xs, ys)``."""
-        if self._dense:
-            if oids.shape[0] and (
-                # one unsigned reduction rejects negatives and overflow
-                int(oids.view(np.uint64).max()) >= self._dcell.shape[0]
-                or (self._dcell[oids] < 0).any()
-            ):
-                raise IndexError_("positions_of: some object is not indexed")
-            return self._dx[oids], self._dy[oids]
-        pos = [self.position_of(o) for o in oids.tolist()]
-        return (
-            np.array([p[0] for p in pos], dtype=np.float64),
-            np.array([p[1] for p in pos], dtype=np.float64),
-        )
+        if oids.shape[0] and (
+            # one unsigned reduction rejects negatives and overflow
+            int(oids.view(np.uint64).max()) >= self._dcell.shape[0]
+            or (self._dcell[oids] < 0).any()
+        ):
+            raise IndexError_("positions_of: some object is not indexed")
+        return self._dx[oids], self._dy[oids]
 
     def ids(self) -> Iterator[int]:
-        """All indexed object ids (ascending on the dense backend)."""
-        if self._dense:
-            return iter(np.nonzero(self._dcell >= 0)[0].tolist())
-        return iter(self._positions)
+        """All indexed object ids, ascending."""
+        return iter(np.nonzero(self._dcell >= 0)[0].tolist())
 
     def objects_in_cell(self, cell: Cell) -> Set[int]:
-        """Ids currently bucketed in ``cell`` (empty set if none).
-
-        Read-only: the dict backend hands out its live bucket, the
-        dense backend a fresh set built from the cell's region.
-        """
+        """Ids currently in ``cell`` (empty set if none), as a fresh
+        set built from the cell's region."""
         ci, cj = cell
         if not (0 <= ci < self.cells and 0 <= cj < self.cells):
             return set()
-        lin = ci * self.cells + cj
-        if self._dense:
-            return set(self._store.cell(lin).tolist())
-        return self._buckets.get(lin, set())
+        return set(self._store.cell(ci * self.cells + cj).tolist())
 
     # -- search support -------------------------------------------------------
 
@@ -592,9 +478,8 @@ class UniformGrid:
         )
 
     def box_members(self, cx: float, cy: float, r: float) -> np.ndarray:
-        """Dense backend: ids of every member of the cells under the
-        disk's bounding box — a superset of the objects inside the
-        disk. Charges nothing: for bookkeeping reads the cost model
+        """Ids of every member of the cells under the disk's bounding
+        box — a superset of the objects inside the disk. Charges nothing: for bookkeeping reads the cost model
         does not bill (the shard tier sizing a borrow reply)."""
         lo_i, hi_i, lo_j, hi_j = self.box(cx, cy, r)
         ci = np.arange(lo_i, hi_i + 1, dtype=np.int64)
@@ -620,8 +505,5 @@ class UniformGrid:
     def nonempty_cells(self) -> List[Cell]:
         """Cells currently holding at least one object."""
         C = self.cells
-        if self._dense:
-            lins = np.unique(self._dcell[self._dcell >= 0]).tolist()
-        else:
-            lins = [lin for lin, b in self._buckets.items() if b]
+        lins = np.unique(self._dcell[self._dcell >= 0]).tolist()
         return [(lin // C, lin % C) for lin in lins]

@@ -5,6 +5,11 @@ keyed by their minimum distance to the query point, generated lazily in
 square rings around the query cell; a cell is only opened while some
 unopened cell could still beat the current k-th candidate. The search
 is exact (verified against brute force by property tests).
+
+Both searches read the grid's columns directly: a cell opens as an id
+array out of the cell store and its distances are one array pass, so
+the per-member work is numpy's, and the :class:`CostMeter` charges are
+counts taken from array lengths.
 """
 
 from __future__ import annotations
@@ -52,15 +57,14 @@ def knn_search(
     ``k`` eligible objects). ``exclude`` removes ids from consideration
     — typically the query's own focal object.
 
-    Charges, on both backends: one HEAP_OP per cell pushed and per cell
-    popped, one CELL_VISIT per pop, one DIST_CALC per non-excluded
-    member of every opened cell. The dense backend opens a cell as an
-    id array out of the grid's cell store, computes its distances in
-    one array pass and offers the candidate heap only that cell's best
-    ``k`` not already beaten; same cells opened in the same order, same
-    result (pinned by
-    ``test_dense_backend_matches_dict_backend`` in
-    ``tests/test_index_vectorized.py``).
+    Charges: one HEAP_OP per cell pushed and per cell popped, one
+    CELL_VISIT per pop, one DIST_CALC per non-excluded member of every
+    opened cell (totals pinned per seed by
+    ``test_knn_search_charges_are_pinned`` in
+    ``tests/test_index_vectorized.py``). A cell opens as an id array
+    out of the grid's cell store; its distances are one array pass and
+    the candidate heap is offered only that cell's best ``k`` not
+    already beaten.
     """
     if k < 1:
         raise IndexError_(f"k must be >= 1, got {k}")
@@ -72,10 +76,7 @@ def knn_search(
     C = grid.cells
     cw, ch = grid._cell_w, grid._cell_h
     min_side = min(cw, ch)
-    dense = grid._dense
-    # How a cell is opened: an int64 id array from the dense backend's
-    # cell store, a set of ids from the dict backend's buckets.
-    members_of = grid._store.cell if dense else grid._buckets.get
+    members_of = grid._store.cell
 
     # Worst candidate sits at the heap top via lexicographic negation.
     best: List[Tuple[float, int]] = []  # (-distance, -oid) max-heap
@@ -141,35 +142,20 @@ def knn_search(
             break
         _, ci, cj = heapq.heappop(frontier)
         popped += 1
-        members = members_of(ci * C + cj)
-        if dense:
-            idx = _without(members, exclude)
-            if not idx.shape[0]:
-                continue
-            scored_n += idx.shape[0]
-            ddx = grid._dx[idx] - qx
-            ddy = grid._dy[idx] - qy
-            d = np.sqrt(ddx * ddx + ddy * ddy)
-            if len(best) >= k:
-                keep = d <= kth
-                d, idx = d[keep], idx[keep]
-            if d.shape[0] > k:
-                top = np.lexsort((idx, d))[:k]
-                d, idx = d[top], idx[top]
-            scored = zip(d.tolist(), idx.tolist())
-        else:
-            if not members:
-                continue
-            if exclude and not exclude.isdisjoint(members):
-                members = members - exclude
-            scored_n += len(members)
-            scored = []
-            for oid in members:
-                ox, oy = grid.position_of(oid)
-                ddx = ox - qx
-                ddy = oy - qy
-                scored.append((math.sqrt(ddx * ddx + ddy * ddy), oid))
-        for d_o, oid in scored:
+        idx = _without(members_of(ci * C + cj), exclude)
+        if not idx.shape[0]:
+            continue
+        scored_n += idx.shape[0]
+        ddx = grid._dx[idx] - qx
+        ddy = grid._dy[idx] - qy
+        d = np.sqrt(ddx * ddx + ddy * ddy)
+        if len(best) >= k:
+            keep = d <= kth
+            d, idx = d[keep], idx[keep]
+        if d.shape[0] > k:
+            top = np.lexsort((idx, d))[:k]
+            d, idx = d[top], idx[top]
+        for d_o, oid in zip(d.tolist(), idx.tolist()):
             if len(best) < k:
                 heapq.heappush(best, (-d_o, -oid))
             elif (d_o, oid) < (-best[0][0], -best[0][1]):
@@ -213,39 +199,18 @@ def range_search_arrays(
     Returns ``(distances, oids)`` as float64 / int64 arrays in
     ascending ``(distance, oid)`` order.
 
-    Both backends give the exact same answer and the exact same meter
-    charges: CELL_VISIT per bounding-box cell (on the grid's own meter,
-    where ``cells_intersecting_circle`` charges it), DIST_CALC per
+    Charges CELL_VISIT per bounding-box cell (on the grid's own meter,
+    as ``cells_intersecting_circle`` does) and DIST_CALC per
     non-excluded member of every intersecting cell whether or not it
     lands within ``r``. Cell intersection and membership both use the
     ``sqrt(dx*dx + dy*dy) <= r`` recipe of ``repro.geometry.dist``, so
     boundary decisions agree to the ulp with the brute-force oracle and
-    the client bands. The dense backend does it in array passes, the
-    dict backend in the scalar loop; ``tests/test_index_vectorized.py``
-    (``test_dense_backend_matches_dict_backend``) pins the equivalence.
+    the client bands.
     """
     if r < 0:
         raise IndexError_(f"negative radius {r}")
     if meter is None:
         meter = grid.meter
-    if not grid._dense:
-        hits: NeighborList = []
-        for cell in grid.cells_intersecting_circle(cx, cy, r):
-            for oid in grid.objects_in_cell(cell):
-                if oid in exclude:
-                    continue
-                ox, oy = grid.position_of(oid)
-                ddx = ox - cx
-                ddy = oy - cy
-                d_o = math.sqrt(ddx * ddx + ddy * ddy)
-                charge(meter, CostMeter.DIST_CALC)
-                if d_o <= r:
-                    hits.append((d_o, oid))
-        hits.sort()
-        return (
-            np.array([d_o for d_o, _ in hits], dtype=np.float64),
-            np.array([oid for _, oid in hits], dtype=np.int64),
-        )
     u = grid.universe
     cw, ch = grid._cell_w, grid._cell_h
     lo_i, hi_i, lo_j, hi_j = grid.box(cx, cy, r)

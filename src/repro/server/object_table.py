@@ -13,35 +13,30 @@ arrive). The table keeps:
 * the tick of the last report, and per-tick *freshness* — whether an
   exact position for this tick is already known (saving probes).
 
-Two storage backends with one interface: dicts (the scalar reference
-build) and, after :meth:`ObjectTable.enable_dense`, oid-indexed numpy
-columns, which make :meth:`ObjectTable.report_batch` and
-:meth:`ObjectTable.stale` single array operations. The server's repair
-round talks to the table only through methods that work on both.
+Presence and positions are the grid's; the table adds four oid-indexed
+numpy columns beside it (report tick, fresh tick, previous x / y), so
+:meth:`ObjectTable.report_batch` and :meth:`ObjectTable.stale` are
+single array operations and :meth:`ObjectTable.report` writes the same
+columns one row at a time. Ids follow the grid's rule: ``[0,
+capacity)``, columns grow on demand.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import IndexError_
 from repro.geometry import Rect
-from repro.index.grid import UniformGrid
+from repro.index.grid import UniformGrid, grown
 from repro.metrics.cost import CostMeter, charge
 
 __all__ = ["ObjectTable"]
 
 
 class ObjectTable:
-    """Last-reported object positions plus dead-reckoning bookkeeping.
-
-    Scalar reads (``is_fresh``, ``last_position``, …) and their array
-    forms (:meth:`stale`, :meth:`report_batch`) behave the same on the
-    dict and the dense backend; only ``report_batch`` needs the dense
-    one.
-    """
+    """Last-reported object positions plus dead-reckoning bookkeeping."""
 
     def __init__(
         self,
@@ -56,69 +51,33 @@ class ObjectTable:
         self.theta = float(theta)
         self.meter = meter
         self.grid = UniformGrid(universe, grid_cells, meter=meter)
-        self._report_tick: Dict[int, int] = {}
-        self._previous: Dict[int, Tuple[float, float]] = {}
-        self._fresh_tick: Dict[int, int] = {}
-        # Dense backend (enable_dense): oid-indexed arrays replacing
-        # the three dicts above; presence is tracked by the grid.
-        self._dense = False
-        self._rt = self._ft = self._px = self._py = None
+        # oid-indexed columns; presence is tracked by the grid.
+        self._rt = np.full(0, -1, dtype=np.int64)
+        self._ft = np.full(0, -1, dtype=np.int64)
+        self._px = np.zeros(0, dtype=np.float64)
+        self._py = np.zeros(0, dtype=np.float64)
 
-    def enable_dense(self, capacity: int) -> None:
-        """Switch to oid-indexed array storage (fast-path builds only).
-
-        Turns on the grid's dense backend too, which is what unlocks
-        :meth:`report_batch` and the vectorized range search. Existing
-        contents migrate; idempotent.
-        """
-        self.grid.enable_dense(capacity)
-        if self._dense:
-            self._ensure_dense(capacity - 1)
-            return
-        cap = self.grid._dcell.shape[0]
-        self._rt = np.full(cap, -1, dtype=np.int64)
-        self._ft = np.full(cap, -1, dtype=np.int64)
-        self._px = np.zeros(cap, dtype=np.float64)
-        self._py = np.zeros(cap, dtype=np.float64)
-        for oid, tick in self._report_tick.items():
-            self._rt[oid] = tick
-        for oid, tick in self._fresh_tick.items():
-            self._ft[oid] = tick
-        for oid, (x, y) in self._previous.items():
-            self._px[oid] = x
-            self._py[oid] = y
-        self._report_tick = {}
-        self._fresh_tick = {}
-        self._previous = {}
-        self._dense = True
-
-    def _ensure_dense(self, max_oid: int) -> None:
+    def reserve(self, capacity: int) -> None:
+        """Grow the table's and the grid's columns to cover every id
+        below ``capacity`` (a size hint for builders)."""
+        self.grid.reserve(capacity)
         cap = self._rt.shape[0]
-        if max_oid < cap:
+        if capacity <= cap:
             return
-        new_cap = max(max_oid + 1, 2 * cap)
-        for name, fill in (
-            ("_rt", -1), ("_ft", -1), ("_px", 0), ("_py", 0)
-        ):
-            old = getattr(self, name)
-            grown = np.full(new_cap, fill, dtype=old.dtype)
-            grown[:cap] = old
-            setattr(self, name, grown)
+        size = max(capacity, 2 * cap)
+        self._rt = grown(self._rt, size, -1)
+        self._ft = grown(self._ft, size, -1)
+        self._px = grown(self._px, size, 0)
+        self._py = grown(self._py, size, 0)
 
     def __len__(self) -> int:
-        if self._dense:
-            return len(self.grid)
-        return len(self._report_tick)
+        return len(self.grid)
 
     def __contains__(self, oid: int) -> bool:
-        if self._dense:
-            return oid in self.grid
-        return oid in self._report_tick
+        return oid in self.grid
 
     def ids(self) -> Iterator[int]:
-        if self._dense:
-            return self.grid.ids()
-        return iter(self._report_tick)
+        return self.grid.ids()
 
     # -- updates ----------------------------------------------------------
 
@@ -135,15 +94,10 @@ class ObjectTable:
         else:
             prev = (x, y)
             self.grid.insert(oid, x, y)
-        if self._dense:
-            self._ensure_dense(oid)
-            self._px[oid], self._py[oid] = prev
-            self._rt[oid] = tick
-            self._ft[oid] = tick
-        else:
-            self._previous[oid] = prev
-            self._report_tick[oid] = tick
-            self._fresh_tick[oid] = tick
+        self.reserve(oid + 1)
+        self._px[oid], self._py[oid] = prev
+        self._rt[oid] = tick
+        self._ft[oid] = tick
         charge(self.meter, CostMeter.BOOKKEEPING)
 
     def report_batch(self, oids, xs, ys, tick: int) -> None:
@@ -154,20 +108,16 @@ class ObjectTable:
         INDEX_UPDATE charges. Ids must be unique within a batch;
         :meth:`UniformGrid.update_batch` raises on an id repeated among
         the rows that change cell, before the table or the grid is
-        written. Dense backend only — the columnar fast path enables it
-        at build time.
+        written.
         """
-        if not self._dense:
-            raise IndexError_("report_batch needs the dense backend")
         oid_arr = np.ascontiguousarray(oids, dtype=np.int64)
         n = oid_arr.shape[0]
         if n == 0:
             return
-        self._ensure_dense(int(oid_arr.max()))
+        self.reserve(int(oid_arr.max()) + 1)
         xs = np.ascontiguousarray(xs, dtype=np.float64)
         ys = np.ascontiguousarray(ys, dtype=np.float64)
         grid = self.grid
-        grid._ensure_dense(int(oid_arr.max()))
         known = grid._dcell[oid_arr] >= 0
         px = np.where(known, grid._dx[oid_arr], xs)
         py = np.where(known, grid._dy[oid_arr], ys)
@@ -183,13 +133,8 @@ class ObjectTable:
         if oid not in self:
             raise IndexError_(f"object {oid} not known to server")
         self.grid.remove(oid)
-        if self._dense:
-            self._rt[oid] = -1
-            self._ft[oid] = -1
-        else:
-            del self._report_tick[oid]
-            del self._previous[oid]
-            self._fresh_tick.pop(oid, None)
+        self._rt[oid] = -1
+        self._ft[oid] = -1
 
     # -- views ------------------------------------------------------------
 
@@ -199,46 +144,29 @@ class ObjectTable:
 
     def previous_position(self, oid: int) -> Tuple[float, float]:
         """The reported position before the latest one."""
-        if self._dense:
-            if oid not in self:
-                raise IndexError_(f"object {oid} not known to server")
-            return (float(self._px[oid]), float(self._py[oid]))
-        pos = self._previous.get(oid)
-        if pos is None:
+        if oid not in self:
             raise IndexError_(f"object {oid} not known to server")
-        return pos
+        return (float(self._px[oid]), float(self._py[oid]))
 
     def report_tick_of(self, oid: int) -> int:
-        if self._dense:
-            if oid not in self:
-                raise IndexError_(f"object {oid} not known to server")
-            return int(self._rt[oid])
-        tick = self._report_tick.get(oid)
-        if tick is None:
+        if oid not in self:
             raise IndexError_(f"object {oid} not known to server")
-        return tick
+        return int(self._rt[oid])
 
     def is_fresh(self, oid: int, tick: int) -> bool:
         """True if an exact position for ``tick`` is already known."""
-        if self._dense:
-            return (
-                0 <= oid < self._ft.shape[0] and self._ft[oid] == tick
-            )
-        return self._fresh_tick.get(oid) == tick
+        return 0 <= oid < self._ft.shape[0] and self._ft[oid] == tick
 
     def stale(self, oids, tick: int) -> np.ndarray:
         """The ids of ``oids`` that are *not* :meth:`is_fresh` at
         ``tick``, as an int64 array in input order (duplicates kept).
 
-        One array compare on the dense backend. Ids the freshness
+        One array compare. Ids the freshness
         column does not reach (negative, or beyond the table's capacity
         — the grid can grow without the table) are stale, as for
         :meth:`is_fresh`.
         """
         oids = np.asarray(oids, dtype=np.int64)
-        if not self._dense:
-            fresh = self._fresh_tick
-            return oids[[fresh.get(o) != tick for o in oids.tolist()]]
         if not oids.shape[0]:
             return oids
         ft = self._ft

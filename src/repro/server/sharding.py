@@ -999,15 +999,15 @@ class ShardedServer(ServerNodeBase):
         """Objects homed at ``shard`` whose last reported position lies
         in the fine cell, ascending oid.
 
-        Dense fast path mirrors :meth:`_borrow`'s (fault-free dense
-        tables only); the scalar walk selects the identical row set, so
-        scalar and fast runs migrate the same rows in the same order.
+        The array path mirrors :meth:`_borrow`'s (fault-free runs
+        only); the scalar walk selects the identical row set, so runs
+        with and without a fault plan migrate the same rows in the same
+        order.
         """
         table = getattr(self.inner, "table", None)
         if (
             self._fault_plan is None
             and table is not None
-            and getattr(table, "_dense", False)
             and self._home
         ):
             grid = table.grid
@@ -1875,10 +1875,9 @@ class ShardedServer(ServerNodeBase):
         if (
             self._fault_plan is None
             and table is not None
-            and getattr(table, "_dense", False)
             and self._home
         ):
-            # Fault-free dense runs: the home mirror is exact (homes
+            # Fault-free runs: the home mirror is exact (homes
             # are only ever deleted by amnesia recovery, a plan-only
             # path) and the table's positions are columns, so one
             # masked bincount over the members of the cells under the

@@ -144,15 +144,13 @@ class TestAnswerHistory:
 
 
 class TestColumnarIngest:
-    """The dense ``TICK_REPORT`` path of the centralized servers."""
+    """The columnar ``TICK_REPORT`` path of the centralized servers."""
 
     @staticmethod
     def _server(cells=6):
         from repro.baselines.cpm import CpmServer
 
-        server = CpmServer(Rect(0, 0, 1000, 1000), cells)
-        server.grid.enable_dense(64)
-        return server
+        return CpmServer(Rect(0, 0, 1000, 1000), cells)
 
     @staticmethod
     def _batch(oids, xs, ys):
@@ -184,6 +182,7 @@ class TestColumnarIngest:
 
         rng = np.random.default_rng(3)
         server = self._server()
+        server.grid.reserve(60)  # the columns are read before any ingest
         n_cells = server.grid.cells ** 2
         inserted_something = False
         for _ in range(40):

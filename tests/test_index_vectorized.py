@@ -24,8 +24,10 @@ from repro.geometry import Rect
 from repro.index import UniformGrid, knn_search, range_search
 from repro.index.knn import range_search_arrays
 from repro.index.bruteforce import (
+    brute_knn,
     brute_knn_np,
     brute_knn_scalar,
+    brute_range,
     brute_range_np,
     brute_range_scalar,
 )
@@ -96,14 +98,6 @@ def test_is_valid_knn_engines_agree(ps, q, k):
 cells = st.integers(min_value=1, max_value=25)
 
 
-def _snapshot(grid):
-    return (
-        {cell: frozenset(ids) for cell, ids in grid._buckets.items() if ids},
-        dict(grid._positions),
-        dict(grid._cells),
-    )
-
-
 @given(points, cells)
 @settings(max_examples=120, deadline=None)
 def test_bulk_load_matches_incremental_inserts(ps, n_cells):
@@ -117,12 +111,12 @@ def test_bulk_load_matches_incremental_inserts(ps, n_cells):
 
     bulk = UniformGrid(UNIVERSE, n_cells)
     bulk.bulk_load(oids, xs, ys)
-    assert _snapshot(bulk) == _snapshot(incremental)
+    assert _grid_state(bulk) == _grid_state(incremental)
 
     rebuilt = UniformGrid(UNIVERSE, n_cells)
     rebuilt.insert(999, 1.0, 1.0)  # pre-existing content must vanish
     rebuilt.rebuild(oids, xs, ys)
-    assert _snapshot(rebuilt) == _snapshot(incremental)
+    assert _grid_state(rebuilt) == _grid_state(incremental)
 
 
 @given(points, cells)
@@ -159,15 +153,17 @@ def test_bulk_load_rejects_bad_input_without_mutating():
         assert len(grid) == 1 and grid.position_of(5) == (10.0, 10.0)
 
 
-# -- dense backend vs dict backend -------------------------------------------
+# -- grid and table vs a plain-Python model -----------------------------------
 #
-# One random operation sequence drives a dict-backed and a dense
-# UniformGrid (grid operations) and a dict-backed and a dense
-# ObjectTable (table operations). After every operation each pair must
-# hold the same buckets, positions and dead-reckoning columns, answer
-# every search identically and have charged the same units per
-# category; an operation that raises must raise on both backends and
-# change neither.
+# One random operation sequence drives a UniformGrid (grid operations)
+# and an ObjectTable (table operations), each next to a model made of
+# dicts: oid -> position (the cell comes from ``cell_of``) and, for the
+# table, oid -> previous position / report tick / fresh tick. After
+# every operation grid and table must hold what the model holds, the
+# cell store must satisfy its invariant, searches must answer like
+# ``repro.index.bruteforce`` over the model, and the meter must have
+# been charged exactly the units the model predicts; an operation the
+# model says is invalid must raise, change nothing and charge nothing.
 
 GRID_OPS = ("insert", "update", "upsert", "remove", "update_batch")
 oid_st = st.integers(min_value=0, max_value=40)
@@ -210,9 +206,9 @@ def _grid_state(grid):
 
 
 def _check_store(grid):
-    """The dense cell store's own invariant: every present oid sits
-    exactly once in ``members``, inside the written part of the region
-    of ``_dcell[oid]``, with ``slot[oid]`` pointing at it."""
+    """The cell store's own invariant: every present oid sits exactly
+    once in ``members``, inside the written part of the region of
+    ``_dcell[oid]``, with ``slot[oid]`` pointing at it."""
     store, dcell = grid._store, grid._dcell
     n_cells = grid.cells * grid.cells
     present = np.flatnonzero(dcell >= 0)
@@ -249,28 +245,119 @@ def _table_state(table, tick):
     }
 
 
+class _GridModel:
+    """oid -> position; everything else is derived from it."""
+
+    def __init__(self, grid):
+        self.grid = grid  # for the geometry only: cell_of, box, ...
+        self.pos = {}
+
+    def rows(self, op, arg):
+        """The rows ``op`` writes, or None if it must raise."""
+        if op in ("remove", "forget"):
+            return [(arg, None, None)] if arg in self.pos else None
+        rows = arg if op in ("update_batch", "report_batch") else [arg]
+        if not all(UNIVERSE.contains_point(x, y) for _, x, y in rows):
+            return None  # a batch validates every row before writing any
+        if op == "insert" and arg[0] in self.pos:
+            return None
+        if op == "update" and arg[0] not in self.pos:
+            return None
+        return rows
+
+    def write(self, rows):
+        for oid, x, y in rows:
+            if x is None:
+                del self.pos[oid]
+            else:
+                self.pos[oid] = (x, y)
+
+    def state(self):
+        ids = sorted(self.pos)
+        by_cell = {}
+        for oid in ids:
+            by_cell.setdefault(self.grid.cell_of(*self.pos[oid]), set()).add(oid)
+        return {
+            "len": len(ids),
+            "cells": {c: frozenset(m) for c, m in by_cell.items()},
+            "nonempty": set(by_cell),
+            "pos": {o: self.pos[o] for o in ids},
+            "pos_arrays": [
+                [self.pos[o][0] for o in ids], [self.pos[o][1] for o in ids]
+            ],
+        }
+
+    def _brute(self, fn, qx, qy, arg, exclude):
+        # The oracle wants positions indexed by id: rank the present
+        # ids (ascending, so index ties break like oid ties).
+        ids = sorted(self.pos)
+        hits = fn(
+            [self.pos[o] for o in ids], qx, qy, arg,
+            {i for i, o in enumerate(ids) if o in exclude},
+        )
+        return [(d, ids[i]) for d, i in hits]
+
+    def knn(self, qx, qy, k, exclude):
+        return self._brute(brute_knn, qx, qy, k, exclude)
+
+    def range(self, qx, qy, r, exclude):
+        return self._brute(brute_range, qx, qy, r, exclude)
+
+    def range_charges(self, qx, qy, r, exclude):
+        """CELL_VISIT per bounding-box cell, DIST_CALC per non-excluded
+        member of a cell the disk reaches."""
+        grid = self.grid
+        lo_i, hi_i, lo_j, hi_j = grid.box(qx, qy, r)
+        scored = sum(
+            oid not in exclude
+            and grid.cell_min_dist(grid.cell_of(x, y), qx, qy) <= r
+            for oid, (x, y) in self.pos.items()
+        )
+        return {
+            CostMeter.CELL_VISIT: (hi_i - lo_i + 1) * (hi_j - lo_j + 1),
+            CostMeter.DIST_CALC: scored,
+        }
+
+
+class _TableModel:
+    def __init__(self, table):
+        self.grid = _GridModel(table.grid)
+        self.prev, self.rtick = {}, {}
+
+    def write(self, rows, tick):
+        pos = self.grid.pos
+        for oid, x, y in rows:
+            if x is None:
+                del self.prev[oid], self.rtick[oid]
+            else:
+                self.prev[oid] = pos.get(oid, (x, y))
+                self.rtick[oid] = tick  # a report is also fresh
+        self.grid.write(rows)
+
+    def state(self, tick):
+        ids = sorted(self.grid.pos)
+        at = self.rtick.get
+        return {
+            "grid": self.grid.state(),
+            "len": len(ids),
+            "prev": {o: self.prev[o] for o in ids},
+            "rtick": {o: self.rtick[o] for o in ids},
+            "fresh": {o: (at(o) == tick, at(o) == tick - 1) for o in range(45)},
+            "stale": [o for o in range(45) if at(o) != tick],
+        }
+
+
 def _apply(target, op, arg, tick):
-    """One operation on a grid (GRID_OPS) or a table (the rest); the
-    dict backend spells a batch call as one scalar call per row."""
+    """One operation on a grid (GRID_OPS) or a table (the rest)."""
     if op in ("update_batch", "report_batch"):
         ids, xs, ys = (
             [np.array(c) for c in zip(*arg)] if arg else [np.zeros(0)] * 3
         )
         ids = ids.astype(np.int64)
-        if target._dense:
-            if op == "update_batch":
-                target.update_batch(ids, xs, ys)
-            else:
-                target.report_batch(ids, xs, ys, tick)
-        elif not all(UNIVERSE.contains_point(x, y) for _, x, y in arg):
-            # The batch calls validate every row before writing any.
-            raise IndexError_("batch row outside universe")
+        if op == "update_batch":
+            target.update_batch(ids, xs, ys)
         else:
-            for o, x, y in arg:
-                if op == "update_batch":
-                    target.upsert(o, x, y)
-                else:
-                    target.report(o, x, y, tick)
+            target.report_batch(ids, xs, ys, tick)
     elif op == "report":
         target.report(*arg, tick)
     elif op in ("remove", "forget"):
@@ -279,67 +366,70 @@ def _apply(target, op, arg, tick):
         getattr(target, op)(*arg)
 
 
+def _units(meter):
+    return +meter.units  # drops zero entries
+
+
 @given(
     st.integers(min_value=1, max_value=9),
     st.lists(op_st, min_size=1, max_size=30),
     st.lists(search_st, min_size=1, max_size=3),
 )
 @settings(max_examples=120, deadline=None)
-def test_dense_backend_matches_dict_backend(n_cells, ops, searches):
-    meters = [CostMeter() for _ in range(4)]
-    grids = [UniformGrid(UNIVERSE, n_cells, meter=m) for m in meters[:2]]
-    tables = [
-        ObjectTable(UNIVERSE, n_cells, theta=10.0, meter=m) for m in meters[2:]
-    ]
+def test_grid_and_table_match_python_model(n_cells, ops, searches):
+    grid = UniformGrid(UNIVERSE, n_cells, meter=CostMeter())
+    table = ObjectTable(UNIVERSE, n_cells, theta=10.0, meter=CostMeter())
     # Capacity hints below the id range: the columns must grow.
-    grids[1].enable_dense(4)
-    tables[1].enable_dense(4)
+    grid.reserve(4)
+    table.reserve(4)
+    grid_model, table_model = _GridModel(grid), _TableModel(table)
     tick = 1
     for op, arg in ops:
         if op == "tick":
             tick += 1
             continue
-        if op in GRID_OPS:
-            pair, pair_meters = grids, meters[:2]
-            state = _grid_state
-        else:
-            pair, pair_meters = tables, meters[2:]
-            state = lambda t: _table_state(t, tick)  # noqa: E731
-        before = [state(t) for t in pair]
-        units = [m.units.copy() for m in pair_meters]
-        raised = []
-        for target in pair:
-            try:
+        on_grid = op in GRID_OPS
+        target = grid if on_grid else table
+        model = grid_model if on_grid else table_model.grid
+        expected = _units(target.meter)
+        rows = model.rows(op, arg)
+        if rows is None:
+            # Neither model nor bill is touched, so the checks below
+            # are "nothing changed, nothing charged".
+            with pytest.raises(IndexError_):
                 _apply(target, op, arg, tick)
-                raised.append(False)
-            except IndexError_:
-                raised.append(True)
-        assert raised[0] == raised[1], (op, arg)
-        after = [state(t) for t in pair]
-        assert after[0] == after[1], (op, arg)
-        _check_store(grids[1])
-        _check_store(tables[1].grid)
-        if raised[0]:
-            assert after == before, (op, arg)
-            assert [m.units for m in pair_meters] == units
-        for plain, dense, m_plain, m_dense in (
-            (grids[0], grids[1], meters[0], meters[1]),
-            (tables[0].grid, tables[1].grid, meters[2], meters[3]),
-        ):
+        else:
+            _apply(target, op, arg, tick)
+            # one INDEX_UPDATE per row written, moved or not; a report
+            # (not a forget) also books one BOOKKEEPING per row
+            expected[CostMeter.INDEX_UPDATE] += len(rows)
+            if on_grid:
+                model.write(rows)
+            else:
+                table_model.write(rows, tick)
+                if op != "forget":
+                    expected[CostMeter.BOOKKEEPING] += len(rows)
+        assert _units(target.meter) == +expected, (op, arg)
+        assert _grid_state(grid) == grid_model.state(), (op, arg)
+        assert _table_state(table, tick) == table_model.state(tick), (op, arg)
+        _check_store(grid)
+        _check_store(table.grid)
+        for real, m in ((grid, grid_model), (table.grid, table_model.grid)):
             for (qx, qy), r, k, exclude in searches:
+                billed = _units(real.meter)
+                billed.update(m.range_charges(qx, qy, r, exclude))
                 assert range_search(
-                    dense, qx, qy, r, exclude=exclude
-                ) == range_search(plain, qx, qy, r, exclude=exclude)
-                assert +m_plain.units == +m_dense.units
+                    real, qx, qy, r, exclude=exclude
+                ) == m.range(qx, qy, r, exclude)
+                assert _units(real.meter) == +billed
                 assert knn_search(
-                    dense, qx, qy, k, exclude=exclude
-                ) == knn_search(plain, qx, qy, k, exclude=exclude)
-                assert +m_plain.units == +m_dense.units
+                    real, qx, qy, k, exclude=exclude
+                ) == m.knn(qx, qy, k, exclude)
 
 
 def test_dense_backend_rejects_bad_input_without_mutating():
     table = ObjectTable(UNIVERSE, 8, theta=10.0, meter=CostMeter())
-    table.enable_dense(4)
+    table.reserve(4)
     table.report(5, 10.0, 10.0, tick=1)
     grid = table.grid
     state, units = _table_state(table, 1), table.meter.units.copy()
@@ -364,14 +454,80 @@ def test_dense_backend_rejects_bad_input_without_mutating():
         assert table.meter.units == units
 
 
-# -- the dense cell store under churn ----------------------------------------
+# -- knn_search charges, pinned ------------------------------------------------
+#
+# Which cells a best-first search pushes and opens is not derivable
+# from the model, so its HEAP_OP / CELL_VISIT / DIST_CALC totals are
+# pinned per seed instead: the literals below were produced by the
+# set-bucket grid this layout replaced (parent of the commit that
+# removed it), four searches per seeded grid.
+
+
+def _seeded_knn_charges(seed):
+    rng = np.random.default_rng(seed)
+    n_cells = int(rng.integers(1, 13))
+    n = int(rng.integers(0, 140))
+    if seed % 2:  # clustered: rings must expand past empty cells
+        pts = np.clip(rng.normal(rng.uniform(0, 1000, 2), 60.0, (n, 2)), 0, 1000)
+    else:
+        pts = rng.uniform(0, 1000, (n, 2))
+    meter = CostMeter()
+    grid = UniformGrid(UNIVERSE, n_cells, meter=meter)
+    for oid, (x, y) in enumerate(pts.tolist()):
+        grid.insert(oid, x, y)
+    for _ in range(4):
+        qx, qy = rng.uniform(-200, 1200, 2).tolist()
+        k = int(rng.integers(1, 20))
+        exclude = frozenset(rng.integers(0, 140, int(rng.integers(0, 3))).tolist())
+        got = knn_search(grid, qx, qy, k, exclude=exclude)
+        assert got == brute_knn(pts.tolist(), qx, qy, k, exclude)
+    return tuple(
+        meter.units[c]
+        for c in (CostMeter.HEAP_OP, CostMeter.CELL_VISIT, CostMeter.DIST_CALC)
+    )
+
+
+KNN_CHARGES = {
+    0: (183, 67, 57),
+    1: (234, 111, 230),
+    2: (449, 178, 48),
+    3: (761, 371, 43),
+    4: (101, 35, 71),
+    5: (327, 125, 135),
+    6: (99, 36, 74),
+    7: (735, 322, 152),
+    8: (261, 101, 67),
+    9: (153, 55, 450),
+    10: (101, 33, 45),
+    11: (29, 13, 66),
+    12: (255, 102, 54),
+    13: (675, 317, 138),
+    14: (20, 4, 115),
+    15: (412, 167, 143),
+    16: (119, 40, 63),
+    17: (288, 119, 100),
+    18: (309, 119, 54),
+    19: (252, 112, 150),
+    20: (416, 180, 65),
+    21: (94, 37, 367),
+    22: (338, 129, 64),
+    23: (8, 4, 384),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(KNN_CHARGES))
+def test_knn_search_charges_are_pinned(seed):
+    assert _seeded_knn_charges(seed) == KNN_CHARGES[seed]
+
+
+# -- the cell store under churn ----------------------------------------------
 #
 # The sequences above rarely fill a region. These aim every row at one
 # of three cells and move many ids per step, so tombstones pile up,
-# regions overflow and the whole table is re-laid; the grid starts as a
-# populated dict grid (enable_dense migrates it, with a capacity hint
-# below the id range) and the steps include rebuild, remove followed by
-# re-insert, and batches mixing new and known ids.
+# regions overflow and the whole table is re-laid; the grid is seeded
+# by scalar inserts from a capacity hint below the id range, and the
+# steps include rebuild, remove followed by re-insert, and batches
+# mixing new and known ids.
 
 anchor = st.sampled_from(
     [(10.0, 10.0), (990.0, 10.0), (500.0, 990.0), (10.0, 10.5)]
@@ -401,43 +557,43 @@ def _columns(rows):
     st.lists(churn_op, min_size=1, max_size=40),
 )
 @settings(max_examples=80, deadline=None)
-def test_dense_store_matches_dict_backend_under_churn(n_cells, seed, ops):
-    meters = [CostMeter(), CostMeter()]
-    plain, dense = (UniformGrid(UNIVERSE, n_cells, meter=m) for m in meters)
-    for grid in (plain, dense):
-        for oid, (x, y) in seed:
-            grid.insert(oid, x, y)
-    dense.enable_dense(4)
-    _check_store(dense)
-    assert _grid_state(dense) == _grid_state(plain)
+def test_cell_store_matches_python_model_under_churn(n_cells, seed, ops):
+    grid = UniformGrid(UNIVERSE, n_cells, meter=CostMeter())
+    grid.reserve(4)
+    model = _GridModel(grid)
+    for oid, (x, y) in seed:
+        grid.insert(oid, x, y)
+        model.pos[oid] = (x, y)
+    _check_store(grid)
+    assert _grid_state(grid) == model.state()
+    written = len(seed)
     for op, arg in ops:
-        raised = []
-        for grid in (plain, dense):
-            try:
-                if op == "rebuild":
-                    grid.rebuild(*_columns(arg))
-                elif op == "update_batch" and grid is dense:
-                    grid.update_batch(*_columns(arg))
-                elif op == "update_batch":
-                    for oid, (x, y) in arg:
-                        grid.upsert(oid, x, y)
-                elif op == "upsert":
-                    grid.upsert(arg[0], *arg[1])
-                else:
-                    grid.remove(arg)
-                raised.append(False)
-            except IndexError_:
-                raised.append(True)
-        assert raised[0] == raised[1], (op, arg)
-        _check_store(dense)
-        assert _grid_state(dense) == _grid_state(plain), (op, arg)
-        assert meters[0].units == meters[1].units
+        if op == "remove" and arg not in model.pos:
+            with pytest.raises(IndexError_):
+                grid.remove(arg)
+        elif op == "remove":
+            grid.remove(arg)
+            del model.pos[arg]
+            written += 1
+        elif op == "upsert":
+            grid.upsert(arg[0], *arg[1])
+            model.pos[arg[0]] = arg[1]
+            written += 1
+        else:
+            getattr(grid, op)(*_columns(arg))
+            if op == "rebuild":
+                model.pos.clear()
+            model.pos.update(arg)
+            written += len(arg)
+        _check_store(grid)
+        assert _grid_state(grid) == model.state(), (op, arg)
+        # INDEX_UPDATE per row written, and nothing else
+        assert grid.meter.total == grid.meter.of(CostMeter.INDEX_UPDATE) == written
     for qx, qy in ((10.0, 10.0), (600.0, 400.0)):
-        assert range_search(dense, qx, qy, 700.0) == range_search(
-            plain, qx, qy, 700.0
+        assert range_search(grid, qx, qy, 700.0) == model.range(
+            qx, qy, 700.0, frozenset()
         )
-        assert knn_search(dense, qx, qy, 9) == knn_search(plain, qx, qy, 9)
-    assert +meters[0].units == +meters[1].units
+        assert knn_search(grid, qx, qy, 9) == model.knn(qx, qy, 9, frozenset())
 
 
 def test_dense_store_relays_when_a_region_overflows():
@@ -445,7 +601,7 @@ def test_dense_store_relays_when_a_region_overflows():
     leaves 200 tombstones behind, so regions overflow and the table is
     re-laid again and again — without ever growing past its bound."""
     grid = UniformGrid(UNIVERSE, 4, meter=CostMeter())
-    grid.enable_dense(8)  # ids grow past the hint
+    grid.reserve(8)  # ids grow past the hint
     oids = np.arange(200, dtype=np.int64)
     here, there = np.full(200, 10.0), np.full(200, 990.0)
     relays, layout = 0, grid._store.members
@@ -472,7 +628,7 @@ def test_dense_store_relays_when_a_region_overflows():
 
 def test_update_batch_rejects_duplicate_ids_without_mutating():
     table = ObjectTable(UNIVERSE, 8, theta=10.0, meter=CostMeter())
-    table.enable_dense(4)
+    table.reserve(4)
     for oid in range(6):
         table.report(oid, 10.0 + oid, 10.0, tick=1)
     grid = table.grid
@@ -523,7 +679,7 @@ def test_update_batch_call_count_is_independent_of_movers():
     n = 50_000
     rng = np.random.default_rng(5)
     grid = UniformGrid(UNIVERSE, 32, meter=CostMeter())
-    grid.enable_dense(n)
+    grid.reserve(n)
     xs, ys = rng.uniform(0, 1000, n), rng.uniform(0, 1000, n)
     grid.bulk_load(np.arange(n), xs, ys)
     side = 1000 / 32
@@ -557,7 +713,7 @@ def test_range_search_makes_no_per_cell_calls():
     n = 20_000
     rng = np.random.default_rng(6)
     grid = UniformGrid(UNIVERSE, 32, meter=CostMeter())
-    grid.enable_dense(n)
+    grid.reserve(n)
     grid.bulk_load(
         np.arange(n), rng.uniform(0, 1000, n), rng.uniform(0, 1000, n)
     )

@@ -76,59 +76,51 @@ class TestObjectTable:
         assert set(table.ids()) == {3, 5}
 
 
-@pytest.fixture(params=["dict", "dense"])
-def either_table(request, universe):
-    table = ObjectTable(universe, grid_cells=10, theta=100.0)
-    if request.param == "dense":
-        table.enable_dense(8)
-    return table
-
-
 class TestVectorFreshness:
-    """``stale()`` is ``is_fresh`` over an id array, on both backends."""
+    """``stale()`` is ``is_fresh`` over an id array."""
 
-    def test_empty_id_array(self, either_table):
-        out = either_table.stale(np.empty(0, dtype=np.int64), 3)
+    def test_empty_id_array(self, table):
+        out = table.stale(np.empty(0, dtype=np.int64), 3)
         assert out.dtype == np.int64 and out.tolist() == []
-        assert either_table.stale([], 3).tolist() == []
+        assert table.stale([], 3).tolist() == []
 
-    def test_never_reported_ids_are_stale(self, either_table):
-        either_table.report(2, 100, 100, tick=3)
-        assert either_table.stale([0, 1, 2, 3], 3).tolist() == [0, 1, 3]
+    def test_never_reported_ids_are_stale(self, table):
+        table.report(2, 100, 100, tick=3)
+        assert table.stale([0, 1, 2, 3], 3).tolist() == [0, 1, 3]
 
-    def test_ids_beyond_the_table_are_stale(self, either_table):
-        either_table.report(2, 100, 100, tick=3)
+    def test_ids_beyond_the_table_are_stale(self, table):
+        table.report(2, 100, 100, tick=3)
         # The grid can grow without the table: such an id has a
         # position and no freshness column entry.
-        either_table.grid.insert(5000, 50, 50)
+        table.grid.insert(5000, 50, 50)
         ids = [5000, 2, -1, 10**12]
-        assert either_table.stale(ids, 3).tolist() == [5000, -1, 10**12]
-        assert [either_table.is_fresh(o, 3) for o in ids] == [
+        assert table.stale(ids, 3).tolist() == [5000, -1, 10**12]
+        assert [table.is_fresh(o, 3) for o in ids] == [
             False, True, False, False,
         ]
 
-    def test_duplicates_and_input_order_kept(self, either_table):
+    def test_duplicates_and_input_order_kept(self, table):
         for oid in (1, 2, 3):
-            either_table.report(oid, 100, 100, tick=3)
-        either_table.report(2, 120, 100, tick=4)
-        assert either_table.stale([3, 2, 3, 1, 2, 9, 9], 4).tolist() == [
+            table.report(oid, 100, 100, tick=3)
+        table.report(2, 120, 100, tick=4)
+        assert table.stale([3, 2, 3, 1, 2, 9, 9], 4).tolist() == [
             3, 3, 1, 9, 9,
         ]
 
-    def test_tick_rollover_mid_wait(self, either_table):
+    def test_tick_rollover_mid_wait(self, table):
         """latency > 0: a reply that lands at ``t`` does not satisfy a
         wait that is still open at ``t + 1``."""
-        either_table.report(1, 100, 100, tick=7)
-        either_table.report(2, 100, 100, tick=8)
+        table.report(1, 100, 100, tick=7)
+        table.report(2, 100, 100, tick=8)
         pending = np.array([1, 2], dtype=np.int64)
-        assert either_table.stale(pending, 7).tolist() == [2]
-        assert either_table.stale(pending, 8).tolist() == [1]
-        assert either_table.stale(pending, 9).tolist() == [1, 2]
+        assert table.stale(pending, 7).tolist() == [2]
+        assert table.stale(pending, 8).tolist() == [1]
+        assert table.stale(pending, 9).tolist() == [1, 2]
 
-    def test_forgotten_object_is_stale(self, either_table):
-        either_table.report(1, 100, 100, tick=7)
-        either_table.forget(1)
-        assert either_table.stale([1], 7).tolist() == [1]
+    def test_forgotten_object_is_stale(self, table):
+        table.report(1, 100, 100, tick=7)
+        table.forget(1)
+        assert table.stale([1], 7).tolist() == [1]
 
 
 class TestInFlightRegistry:
