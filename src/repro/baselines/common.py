@@ -20,7 +20,7 @@ from repro.geometry import Rect
 from repro.index.grid import UniformGrid
 from repro.net.message import SERVER_ID, Message, MessageKind
 from repro.net.node import MobileNode
-from repro.net.plane import ColumnarBatch
+from repro.net.plane import MIN_BATCH, ColumnarBatch
 from repro.net.simulator import ClientPhase
 from repro.server.engine import BaseServer
 from repro.server.query_table import QuerySpec
@@ -83,13 +83,12 @@ class ReporterPhase(ClientPhase):
     def tick_start(self, tick: int) -> None:
         from repro.core.fastpath import (
             _LU_NBYTES,
-            _MIN_BATCH,
             _columnar_ok,
             _fleet_xy,
         )
 
         sim = self.sim
-        if _columnar_ok(sim) and self._oids.shape[0] >= _MIN_BATCH:
+        if _columnar_ok(sim) and self._oids.shape[0] >= MIN_BATCH:
             xs, ys = _fleet_xy(sim.fleet)
             idx = self._oids
             sim.channel.send_batch(

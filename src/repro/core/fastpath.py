@@ -22,8 +22,11 @@ Exactness is preserved by construction, not by approximation:
   message order on the channel — and therefore server processing order
   and every downstream statistic — is unchanged;
 * node state the phase mirrors in arrays (drift origins, installed
-  monitors) is re-read from the nodes themselves whenever a message
-  could have changed it (the *touched* set), never extrapolated.
+  monitors) is re-read from the nodes themselves whenever scalar code
+  could have changed it (the *touched* set), never extrapolated; where
+  the phase applies a whole batch itself it does to each node exactly
+  what the node's handler does and writes the same values to its
+  columns in the same call.
 
 ``tests/test_fastpath.py`` pins all of this against the scalar path,
 protocol by protocol, including under fault plans.
@@ -43,8 +46,10 @@ from repro.core.protocol import (
     BAND_OUTSIDER,
     CollectRequest,
     GeocastInstall,
+    InstallBand,
     LocationUpdate,
     ProbeReply,
+    RevokeBand,
 )
 from repro.errors import ProtocolError
 from repro.geometry.region import REGION_EPS, _SQ_SLACK_HI, _SQ_SLACK_LO
@@ -57,7 +62,7 @@ from repro.net.message import (
     payload_size,
 )
 from repro.net.node import MobileNode, Node
-from repro.net.plane import ColumnarBatch
+from repro.net.plane import MIN_BATCH, ColumnarBatch
 from repro.net.simulator import ClientPhase
 
 __all__ = ["DknnSilentPhase", "BroadcastSilentPhase"]
@@ -94,10 +99,6 @@ _ROW_KIND = {
 
 #: drift-origin mirror of a node that has never transmitted.
 _NEVER_SENT = (math.nan, math.nan)
-
-#: smallest run worth a columnar batch; below this the scalar path is
-#: cheaper than assembling the arrays.
-_MIN_BATCH = 8
 
 
 def _band_limits(mon) -> Tuple[float, float]:
@@ -141,8 +142,12 @@ class _RegionTable:
     class gets a limit every position violates: its holder is checked
     by its own scalar code every tick.
 
-    Rows are rewritten a node at a time (:meth:`rewrite`): the node's
-    old rows die, its current regions go into dead rows, and the
+    The table has two writers. :meth:`rewrite` re-reads whole nodes —
+    the touched refresh, after scalar code ran on them: the node's old
+    rows die and its current regions take their place. :meth:`install`
+    / :meth:`revoke` write one query's rows through for a whole batch
+    of receivers at delivery time, leaving those nodes' other rows
+    alone. Both put new rows into dead ones (:meth:`_claim`), and the
     columns double when there are none left — memory is O(peak rows).
     Dead rows keep their last ``oid``, so gathering positions by it
     never needs a mask.
@@ -183,29 +188,50 @@ class _RegionTable:
         at[oids] = -1
         return rows, pos[rows]
 
-    def rewrite(self, oids: np.ndarray, rows: List[Tuple]) -> None:
-        """Replace every row of the nodes in ``oids`` by ``rows``
-        (:meth:`row` tuples), one assignment per column."""
-        self.live[self.rows_of(oids)[0]] = False
-        if not rows:
-            return
+    def _claim(self, m: int) -> np.ndarray:
+        """``m`` dead rows to write into; every column doubles first
+        when fewer are left."""
         free = np.nonzero(~self.live)[0]
-        if free.shape[0] < len(rows):
-            size = max(2 * (int(self.live.sum()) + len(rows)), 64)
+        if free.shape[0] < m:
+            size = max(2 * (int(self.live.sum()) + m), 64)
             for name in self.__slots__[:-1]:
                 old = getattr(self, name)
                 new = np.zeros(size, dtype=old.dtype)
                 new[: old.shape[0]] = old
                 setattr(self, name, new)
             free = np.nonzero(~self.live)[0]
-        free = free[: len(rows)]
+        return free[:m]
+
+    def _write(self, m: int, *values) -> None:
+        """Arm ``m`` rows, one assignment per column: ``values`` are
+        the fields of :meth:`row`, each a scalar or ``m`` long."""
+        free = self._claim(m)
         columns = (
             self.oid, self.qid, self.ax, self.ay, self.radius, self.kind,
             self.limit,
         )
-        for column, values in zip(columns, zip(*rows)):
-            column[free] = values
+        for column, value in zip(columns, values):
+            column[free] = value
         self.live[free] = True
+
+    def rewrite(self, oids: np.ndarray, rows: List[Tuple]) -> None:
+        """Replace every row of the nodes in ``oids`` by ``rows``
+        (:meth:`row` tuples)."""
+        self.live[self.rows_of(oids)[0]] = False
+        if rows:
+            self._write(len(rows), *zip(*rows))
+
+    def install(self, oids: np.ndarray, qid: int, region) -> None:
+        """Arm ``region`` for query ``qid`` on every node in ``oids``
+        (unique ids), in place of the row each held for that query."""
+        self.revoke(oids, qid)
+        self._write(oids.shape[0], oids, *self.row(0, qid, region)[1:])
+
+    def revoke(self, oids: np.ndarray, qid: int) -> None:
+        """Kill the row of query ``qid`` on every node in ``oids``
+        (unique ids) that holds one."""
+        rows = self.rows_of(oids)[0]
+        self.live[rows[self.qid[rows] == qid]] = False
 
     def violators(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Oids (possibly repeated) holding a region that the positions
@@ -240,11 +266,15 @@ class DknnSilentPhase(ClientPhase):
     timers the candidates are precisely the nodes that will send.
 
     The phase keeps ``(sent_x, sent_y, attention, timers)`` mirrors and
-    the nodes' table rows current by re-reading the touched nodes
-    (received a PROBE / install / revoke, or ran as a candidate) before
-    each mask evaluation, and syncs the node's local clock at dispatch
-    time — the only observable effect of the scalar tick-start on a
-    silent node.
+    the nodes' table rows current in two ways. A node on which *scalar*
+    code ran — it was dispatched a PROBE / install / revoke message, or
+    ran as a candidate — is **touched**: whatever that code did is
+    re-read off the node before the next mask evaluation
+    (:meth:`flush_touched`). A node reached by a columnar batch is not:
+    :meth:`deliver_batch` applies the batch to the nodes and to the
+    columns in one call, so the table is current at delivery time. The
+    node's local clock is synced at dispatch time — the only observable
+    effect of the scalar tick-start on a silent node.
 
     On columnar builds (see :mod:`repro.net.plane`) the phase also
     splits the candidates: the *drift-only* ones — no installed region,
@@ -254,7 +284,9 @@ class DknnSilentPhase(ClientPhase):
     batch. Nodes handled this way are **desynced**: the phase's mirrors
     are newer than ``node._last_sent``, and :meth:`_sync_node` flushes
     the mirror back onto the node before any scalar code path (message
-    dispatch, scalar candidate run) can read it.
+    dispatch, scalar candidate run) can read it. Install and revoke
+    batches never desync anyone: they are written through to the
+    nodes, which stay the only source of truth for every scalar path.
     """
 
     #: message kinds whose handler can change the silence predicate
@@ -314,12 +346,15 @@ class DknnSilentPhase(ClientPhase):
         self._desynced[oid] = False
 
     def flush_touched(self) -> None:
-        """Re-read the touched nodes into the mirrors and the table.
+        """Re-read the touched nodes — those scalar code ran on since
+        the last flush — into the mirrors and the table.
 
         Runs before anything reads either: the candidate mask of
         :meth:`tick_start`, and the event engine's batched re-plan
         (:meth:`repro.core.wakeups.DknnWakeupPlanner.wakeups`). Values
-        are gathered in lists and land in one assignment per column.
+        are gathered in lists and land in one assignment per column. A
+        touched node that a batch reached as well is simply re-read
+        whole: the batch went through to the node too.
         """
         if not self._touched:
             return
@@ -380,7 +415,7 @@ class DknnSilentPhase(ClientPhase):
             # as one batch; region holders still run the scalar path.
             quiet = cand & ~self._attention
             idx = np.nonzero(quiet)[0]
-            if idx.shape[0] >= _MIN_BATCH:
+            if idx.shape[0] >= MIN_BATCH:
                 bx = xs[idx]  # fancy indexing copies: latency-safe
                 by = ys[idx]
                 sim.channel.send_batch(
@@ -419,16 +454,36 @@ class DknnSilentPhase(ClientPhase):
             )
 
     def deliver_batch(self, batch: ColumnarBatch) -> bool:
-        """Answer a columnar PROBE batch with one PROBE_REPLY batch.
+        """Consume a PROBE, INSTALL_REGION or REVOKE_REGION batch in
+        place; anything else (and any batch while the plane is vetoed)
+        is declined and reaches the nodes as scalar messages.
 
-        Replicates the scalar handler per receiver: read own position,
-        reply, reset the dead-reckoning origin (``_mark_sent``) — all
-        on the mirrors, leaving the nodes desynced.
+        Each arm does what the node's own handler does, receiver by
+        receiver, and keeps the phase's columns current in the same
+        call, so the receivers do not join the touched set. None of
+        the three handlers reads the node's drift origin or its local
+        clock, which is why no receiver needs :meth:`_sync_node` or a
+        fresh ``_cur_tick`` first.
         """
-        sim = self.sim
-        if batch.kind is not MessageKind.PROBE or not _columnar_ok(sim):
+        if not _columnar_ok(self.sim):
             return False
-        idx = batch.dsts
+        kind = batch.kind
+        if kind is MessageKind.PROBE:
+            self._answer_probes(batch.dsts)
+            return True
+        if batch.payload_ctor is None or batch.xs is not None:
+            return False
+        if kind is MessageKind.INSTALL_REGION:
+            return self._install_batch(batch.dsts, batch.payload_ctor())
+        if kind is MessageKind.REVOKE_REGION:
+            return self._revoke_batch(batch.dsts, batch.payload_ctor())
+        return False
+
+    def _answer_probes(self, idx: np.ndarray) -> None:
+        """One PROBE_REPLY batch for a PROBE batch: read own position,
+        reply, reset the dead-reckoning origin (``_mark_sent``) — all
+        on the mirrors, leaving the nodes desynced."""
+        sim = self.sim
         xs, ys = _fleet_xy(sim.fleet)
         px = xs[idx]
         py = ys[idx]
@@ -447,6 +502,47 @@ class DknnSilentPhase(ClientPhase):
         self._sent_y[idx] = py
         self._uplink_tick[idx] = sim.tick
         self._desynced[idx] = True
+
+    def _install_batch(self, dsts: np.ndarray, payload) -> bool:
+        """``DknnMobileNode._apply_install`` on every receiver, written
+        through to the table. All receivers share the one region object
+        (regions are immutable values). Declined: an epoch-stamped
+        install (the node acks, dedupes and learns its lease from it)
+        and a band code the node itself would refuse."""
+        if type(payload) is not InstallBand or payload.epoch >= 0:
+            return False
+        region_cls = _BAND_CLASSES.get(payload.band)
+        if region_cls is None:
+            return False
+        qid = payload.qid
+        region = region_cls(payload.ax, payload.ay, payload.radius)
+        node_of = self._node_of
+        for oid in dsts.tolist():
+            node = node_of[oid]
+            node.regions[qid] = region
+            node._reported.discard(qid)
+            node._violation_sent.pop(qid, None)
+        self.regions.install(dsts, qid, region)
+        self._attention[dsts] = True
+        return True
+
+    def _revoke_batch(self, dsts: np.ndarray, payload) -> bool:
+        """The REVOKE_REGION arm of ``DknnMobileNode.on_message`` on
+        every receiver, written through to the table."""
+        if type(payload) is not RevokeBand:
+            return False
+        qid = payload.qid
+        node_of = self._node_of
+        attention: List[bool] = []
+        for oid in dsts.tolist():
+            node = node_of[oid]
+            regions = node.regions
+            regions.pop(qid, None)
+            node._reported.discard(qid)
+            node._violation_sent.pop(qid, None)
+            attention.append(bool(regions))
+        self.regions.revoke(dsts, qid)
+        self._attention[dsts] = attention
         return True
 
     def before_dispatch(self, node: Node, msg: Message) -> None:

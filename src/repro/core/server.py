@@ -58,7 +58,7 @@ from repro.geometry import Rect, dist
 from repro.index.knn import knn_search, range_search_arrays
 from repro.metrics.cost import CostMeter
 from repro.net.message import SERVER_ID, Message, MessageKind, payload_size
-from repro.net.plane import ColumnarBatch
+from repro.net.plane import MIN_BATCH, ColumnarBatch
 from repro.server.engine import BaseServer
 from repro.server.object_table import ObjectTable
 from repro.server.query_table import QuerySpec
@@ -713,12 +713,12 @@ class DknnServer(BaseServer):
 
         Two mask ops — not fresh this tick, not already in flight — and,
         when the transport allows, one columnar PROBE batch accounted
-        like the scalar sends it replaces. Fewer than 8 ids, traced runs
-        and scalar channels probe one by one.
+        like the scalar sends it replaces. Fewer than ``MIN_BATCH`` ids,
+        traced runs and scalar channels probe one by one.
         """
         tick = self._tick
         stale = self.table.stale(oids, tick)
-        if not self._columnar_ok() or stale.shape[0] < 8:
+        if not self._columnar_ok() or stale.shape[0] < MIN_BATCH:
             for oid in stale.tolist():
                 self._probe(oid)
             return stale
@@ -739,6 +739,29 @@ class DknnServer(BaseServer):
             )
         return stale
 
+    def _fan_out(self, oids, kind: MessageKind, payload) -> None:
+        """Send the same ``payload`` to every object of ``oids``, in
+        iteration order.
+
+        One columnar batch carrying ``payload`` as its prototype when
+        the transport allows; short runs, traced runs, scalar channels
+        and the fault-tolerant build (whose client half acks and
+        leases message by message) send one by one.
+        """
+        if self._ft or not self._columnar_ok() or len(oids) < MIN_BATCH:
+            for oid in oids:
+                self.send(oid, kind, payload)
+            return
+        self.channel.send_batch(
+            ColumnarBatch(
+                kind,
+                src=SERVER_ID,
+                dsts=np.fromiter(oids, np.int64, len(oids)),
+                payload_nbytes=payload_size(payload),
+                payload_ctor=lambda: payload,
+            )
+        )
+
     def _send_bands_batch(
         self,
         oids,
@@ -748,26 +771,19 @@ class DknnServer(BaseServer):
         ay: float,
         radius: float,
     ) -> None:
-        """Install the same band on many objects, batched when allowed.
+        """Install the same band on many objects.
 
-        All recipients of one call share identical payload fields, so
-        the batch carries a single prototype payload. Fault-tolerant
-        installs always stay scalar: each carries a distinct epoch and
-        registers for retransmission.
+        Fault-tolerant installs go out one by one: each carries its own
+        epoch and registers for retransmission.
         """
-        if self._ft or not self._columnar_ok() or len(oids) < 8:
+        if self._ft:
             for oid in oids:
                 self._send_band(oid, qid, band, ax, ay, radius)
             return
-        payload = InstallBand(qid, band, ax, ay, radius)
-        self.channel.send_batch(
-            ColumnarBatch(
-                MessageKind.INSTALL_REGION,
-                src=SERVER_ID,
-                dsts=np.array(list(oids), dtype=np.int64),
-                payload_nbytes=payload_size(payload),
-                payload_ctor=lambda p=payload: p,
-            )
+        self._fan_out(
+            oids,
+            MessageKind.INSTALL_REGION,
+            InstallBand(qid, band, ax, ay, radius),
         )
 
     def _select_candidates(self, st: _QueryState, tick: int) -> bool:
@@ -873,9 +889,10 @@ class DknnServer(BaseServer):
             self._send_band(
                 focal, qid, BAND_QUERY_CIRCLE, ax, ay, inst.s_eff
             )
-        for oid in st.informed - new_informed:
+        revoked = st.informed - new_informed
+        for oid in revoked:
             self._unacked.pop((oid, qid), None)
-            self.send(oid, MessageKind.REVOKE_REGION, RevokeBand(qid))
+        self._fan_out(revoked, MessageKind.REVOKE_REGION, RevokeBand(qid))
         if trivial and st.install is not None and not math.isinf(
             st.install.threshold
         ):

@@ -23,7 +23,8 @@ Semantics contract (pinned by ``tests/test_plane.py``):
   reception counts (batches are never broadcast);
 * :meth:`ColumnarBatch.materialize` lazily expands the batch into the
   exact scalar ``Message`` objects it replaced — the fallback for any
-  receiver without a batch handler. Materialization is counted in
+  receiver without a batch handler, or whose handler declines this
+  batch. Materialization is counted in
   ``CommStats.materialized_by_kind`` (a transport diagnostic, not
   radio traffic).
 
@@ -45,7 +46,11 @@ import numpy as np
 from repro.errors import NetworkError
 from repro.net.message import HEADER_BYTES, Message, MessageKind, SERVER_ID
 
-__all__ = ["ColumnarBatch"]
+__all__ = ["ColumnarBatch", "MIN_BATCH"]
+
+#: shortest run a sender ships as a batch: below it the batch's constant
+#: (array assembly, one vectorized handler call) costs more than it saves.
+MIN_BATCH = 8
 
 
 class ColumnarBatch:
@@ -62,8 +67,10 @@ class ColumnarBatch:
     ``None`` for coordinate-free payloads like probe requests);
     ``payload_ctor`` rebuilds one scalar payload on materialization —
     called as ``ctor(x, y)`` when coordinates are present, ``ctor()``
-    otherwise. ``payload_nbytes`` is the uniform wire size of one
-    payload, so ``size_each`` matches ``Message.size`` exactly.
+    otherwise (a same-payload flight returns its one shared prototype,
+    which a batch handler reads the same way). ``payload_nbytes`` is
+    the uniform wire size of one payload, so ``size_each`` matches
+    ``Message.size`` exactly.
     """
 
     __slots__ = (

@@ -243,8 +243,9 @@ class RoundSimulator:
         elif batch.dsts is not None:
             if self._driver is not None:
                 # Batch receivers may change protocol state (PROBE moves
-                # `_last_sent`) without a scalar dispatch — their
-                # wakeups must be recomputed after this tick.
+                # `_last_sent`, installs and revokes change `regions`)
+                # without a scalar dispatch — their wakeups must be
+                # recomputed after this tick.
                 self._driver.note_ids(batch.dsts)
             if self.client_phase is not None and self.client_phase.deliver_batch(
                 batch

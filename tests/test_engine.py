@@ -62,20 +62,24 @@ def _run(cfg: RunConfig, spec: WorkloadSpec = SPEC, ticks: int = TICKS):
     fleet, queries = build_workload(spec, fast=cfg.fast)
     sim = build_system(cfg, fleet, queries)
     per_tick = []
+    skipped = []
+    driver = getattr(sim, "_driver", None)
 
     def observe(s) -> None:
         per_tick.append(
             {q.qid: frozenset(s.server.answers[q.qid]) for q in queries}
         )
+        if driver is not None and driver.skipped_ticks > len(skipped):
+            skipped.append(s.tick)
 
     sim.run(ticks, on_tick=observe)
-    driver = getattr(sim, "_driver", None)
     # CommStats is counters all the way down and has no __eq__; its
     # __dict__ (Counters + ints) compares by value.
     return {
         "answers": per_tick,
         "msgs": dict(sim.channel.stats.snapshot().__dict__),
         "driver": driver,
+        "skipped": skipped,
     }
 
 
@@ -161,6 +165,30 @@ class TestEquivalence:
         )
         _assert_equivalent(tick_run, event_run)
         assert event_run["driver"].skipped_ticks > 0
+
+    def test_fast_path_event_mode_with_batched_installs_and_revokes(self):
+        """Dense enough that repairs install and revoke in runs the
+        server batches: the client phase applies them in place on the
+        full ticks, and the driver still wakes the receivers on time —
+        same skipped ticks and heap counters as the scalar build's
+        event run, same answers and messages as the tick loop."""
+        spec = dataclasses.replace(SPEC, n_objects=1500, k=8)
+        event = EngineConfig(mode="event")
+        tick_run = _run(RunConfig("DKNN-P", fast=True), spec)
+        event_run = _run(RunConfig("DKNN-P", fast=True, engine=event), spec)
+        scalar_event_run = _run(RunConfig("DKNN-P", engine=event), spec)
+        _assert_equivalent(tick_run, event_run)
+        assert event_run["answers"] == scalar_event_run["answers"]
+        assert event_run["skipped"] == scalar_event_run["skipped"] != []
+        counters = ("scheduled", "fired", "cancelled", "skipped_ticks")
+        got, want = (
+            run["driver"].stats() for run in (event_run, scalar_event_run)
+        )
+        assert [got[c] for c in counters] == [want[c] for c in counters]
+        stats = event_run["msgs"]
+        assert stats["columnar_by_kind"][MessageKind.INSTALL_REGION] > 0
+        assert stats["columnar_by_kind"][MessageKind.REVOKE_REGION] > 0
+        assert not stats["materialized_by_kind"]
 
     def test_under_fault_plan(self):
         plan = FaultPlan(

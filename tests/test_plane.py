@@ -28,7 +28,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.protocol import LocationUpdate, ProbeRequest
+from repro.core.protocol import LocationUpdate, ProbeRequest, RevokeBand
 from repro.errors import NetworkError
 from repro.experiments.algorithms import ALGORITHMS, build_system
 from repro.experiments.config import RunConfig
@@ -187,6 +187,48 @@ class TestChannelIntegration:
         assert c.columnar_by_kind[MessageKind.LOCATION_UPDATE] == 4
         assert not s.columnar_by_kind
 
+    def test_revoke_batch_parity_and_queue_slot(self):
+        """A same-payload downlink flight (the server's revoke fan-out):
+        counts, bytes and direction of the scalar sends it replaces, and
+        one queue slot where that run stood."""
+        dsts = [5, 2, 7, 0]
+        payload = RevokeBand(3)
+        scalar = self._channel()
+        columnar = self._channel()
+        for ch in (scalar, columnar):
+            ch.begin_tick(4)
+        before = columnar.send(MessageKind.INSTALL_REGION, SERVER_ID, 1)
+        batch = columnar.send_batch(
+            ColumnarBatch(
+                MessageKind.REVOKE_REGION,
+                src=SERVER_ID,
+                dsts=np.array(dsts, dtype=np.int64),
+                payload_nbytes=payload_size(payload),
+                payload_ctor=lambda: payload,
+            )
+        )
+        after = columnar.send(MessageKind.ANSWER_PUSH, SERVER_ID, 1)
+        scalar.send(MessageKind.INSTALL_REGION, SERVER_ID, 1)
+        sent = [
+            scalar.send(MessageKind.REVOKE_REGION, SERVER_ID, dst, payload)
+            for dst in dsts
+        ]
+        scalar.send(MessageKind.ANSWER_PUSH, SERVER_ID, 1)
+        assert columnar.pending() == scalar.pending() == 6
+        assert columnar.collect() == [before, batch, after]
+        scalar.collect()
+        assert batch.direction() == sent[0].direction() == "downlink"
+        assert [
+            (m.dst, m.size, m.payload.qid) for m in batch.materialize()
+        ] == [(m.dst, m.size, 3) for m in sent]
+        s, c = scalar.stats, columnar.stats
+        assert dict(c.sent_by_kind) == dict(s.sent_by_kind)
+        assert dict(c.bytes_by_kind) == dict(s.bytes_by_kind)
+        assert dict(c.sent_by_direction) == dict(s.sent_by_direction)
+        assert dict(c.bytes_by_direction) == dict(s.bytes_by_direction)
+        assert c.delivered == s.delivered
+        assert dict(c.columnar_by_kind) == {MessageKind.REVOKE_REGION: 4}
+
     def test_one_tick_latency_holds_batch_whole(self):
         ch = self._channel()
         ch.begin_tick(2)
@@ -196,15 +238,21 @@ class TestChannelIntegration:
         assert len(released) == 1 and released[0].count == 3
 
 
-def _spec(n=300, ticks=22):
+def _spec(n=300, ticks=22, **fields):
     return WorkloadSpec(
-        ticks=ticks, warmup_ticks=0, seed=42, n_objects=n, n_queries=6, k=5
+        ticks=ticks, warmup_ticks=0, seed=42, n_objects=n, n_queries=6, k=5,
+        **fields,
     )
 
 
+#: dense enough that one repair installs and revokes runs of
+#: ``MIN_BATCH`` or more: the server's band and revoke fan-outs batch.
+DENSE = dict(n=1200, universe_size=2000.0)
+
+
 def _run(algorithm, fast, shards=None, shard_faults=None, telemetry=None,
-         n=300, ticks=22):
-    spec = _spec(n, ticks)
+         n=300, ticks=22, **fields):
+    spec = _spec(n, ticks, **fields)
     fleet, queries = build_workload(spec, fast=fast)
     shard = (
         None
@@ -237,6 +285,7 @@ def _run(algorithm, fast, shards=None, shard_faults=None, telemetry=None,
         "delivered": (stats.delivered, stats.broadcast_receptions),
         "meter": dict(sim.server.meter.units),
         "columnar": dict(stats.columnar_by_kind),
+        "materialized": stats.materialized_messages,
     }
     if isinstance(sim.server, ShardedServer):
         ss = sim.server.shard_stats
@@ -276,8 +325,10 @@ class TestBitIdentity:
         _assert_identical(fast, scalar)
         assert not scalar["columnar"]
         # the guard against a silently dead plane: the fast run must
-        # have moved real traffic through batch columns.
+        # have moved real traffic through batch columns, and every
+        # batch must have found a receiver that takes it whole.
         assert sum(fast["columnar"].values()) > 0
+        assert fast["materialized"] == 0
 
     @pytest.mark.parametrize("algorithm", ("DKNN-P", "CPM"))
     @pytest.mark.parametrize("shards", (1, 4))
@@ -286,6 +337,18 @@ class TestBitIdentity:
         fast = _run(algorithm, fast=True, shards=shards)
         _assert_identical(fast, scalar)
         assert sum(fast["columnar"].values()) > 0
+
+    @pytest.mark.parametrize("shards", (None, 2, 4))
+    def test_dknn_p_downlink_batches_are_consumed_in_place(self, shards):
+        """Installs and revokes cross the plane as batches and no batch
+        of any kind is expanded back into scalar messages: a receiver
+        that stops consuming one fails here, not only in a benchmark."""
+        scalar = _run("DKNN-P", fast=False, shards=shards, **DENSE)
+        fast = _run("DKNN-P", fast=True, shards=shards, **DENSE)
+        _assert_identical(fast, scalar)
+        assert fast["columnar"][MessageKind.INSTALL_REGION] > 0
+        assert fast["columnar"][MessageKind.REVOKE_REGION] > 0
+        assert fast["materialized"] == 0
 
     @pytest.mark.parametrize("algorithm", ("DKNN-P", "CPM"))
     def test_shard_fault_plan_vetoes_the_plane(self, algorithm):

@@ -12,7 +12,10 @@ specification, so both are tested differentially:
   element for element, for every registered mobility kernel.
 
 The fleet is driven by hand: ``SinkServer`` swallows every uplink and the
-tests play the server's part (installs, revokes, probes) directly.
+tests play the server's part (installs, revokes, probes) directly —
+one message at a time, or as the columnar batches the phase consumes
+in place (``deliver_batch``), whose oracle is the same flight delivered
+as scalar messages.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from repro.core.protocol import (
     RevokeBand,
 )
 from repro.core.wakeups import DknnWakeupPlanner
+from repro.errors import ProtocolError
 from repro.geometry import Rect
 from repro.geometry.region import REGION_EPS, AnswerBand
 from repro.mobility import (
@@ -89,7 +93,9 @@ class _Recorder:
         pass
 
 
-def _build(fleet, ft: bool = False) -> RoundSimulator:
+def _build(fleet, ft: bool = False, fast: bool = True) -> RoundSimulator:
+    """``fast=False`` is the reference program: no client phase, every
+    node runs its own ``on_tick_start`` every tick."""
     mobiles = [
         DknnMobileNode(
             oid, fleet, theta=THETA, ack_installs=ft,
@@ -98,7 +104,8 @@ def _build(fleet, ft: bool = False) -> RoundSimulator:
         for oid in range(fleet.n)
     ]
     return RoundSimulator(
-        fleet, SinkServer(), mobiles, client_phase=DknnSilentPhase()
+        fleet, SinkServer(), mobiles,
+        client_phase=DknnSilentPhase() if fast else None,
     )
 
 
@@ -111,8 +118,8 @@ def _deliver(sim, oid: int, kind: MessageKind, payload) -> None:
     sim._dispatch(sim.mobiles[oid], Message(kind, SERVER_ID, oid, payload))
 
 
-def _install(sim, oid, qid, band, place, margin, epoch=-1, lease=0) -> None:
-    """Install a region anchored a fixed offset from the node's current
+def _band(sim, oid, qid, band, place, margin, epoch=-1, lease=0) -> InstallBand:
+    """An install anchored a fixed offset from node ``oid``'s current
     position: satisfied by ``margin``, violated by it, or with the node
     exactly on the radius (``place`` = "in" / "out" / "edge")."""
     x, y = sim.fleet.positions[oid]
@@ -125,9 +132,46 @@ def _install(sim, oid, qid, band, place, margin, epoch=-1, lease=0) -> None:
         radius = max(d - margin, 0.0)
     else:
         radius = d + margin
+    return InstallBand(qid, band, ax, ay, radius, epoch=epoch, lease=lease)
+
+
+def _install(sim, oid, *args, **kwargs) -> None:
     _deliver(
-        sim, oid, MessageKind.INSTALL_REGION,
-        InstallBand(qid, band, ax, ay, radius, epoch=epoch, lease=lease),
+        sim, oid, MessageKind.INSTALL_REGION, _band(sim, oid, *args, **kwargs)
+    )
+
+
+def _deliver_batch(
+    sim, kind: MessageKind, dsts, payload, batched: bool = True
+) -> None:
+    """One same-payload downlink flight, as the server's fan-out sends
+    it — or, ``batched=False``, as the scalar messages it stands for."""
+    if not batched:
+        for oid in dsts:
+            _deliver(sim, oid, kind, payload)
+        return
+    sim._deliver_batch(
+        ColumnarBatch(
+            kind,
+            src=SERVER_ID,
+            dsts=np.array(dsts, dtype=np.int64),
+            payload_nbytes=payload_size(payload),
+            payload_ctor=lambda: payload,
+        )
+    )
+
+
+def _install_batch(sim, dsts, *args, batched: bool = True, **kwargs) -> None:
+    """Placed relative to the first receiver."""
+    _deliver_batch(
+        sim, MessageKind.INSTALL_REGION, dsts,
+        _band(sim, dsts[0], *args, **kwargs), batched,
+    )
+
+
+def _revoke_batch(sim, dsts, qid, batched: bool = True) -> None:
+    _deliver_batch(
+        sim, MessageKind.REVOKE_REGION, dsts, RevokeBand(qid), batched
     )
 
 
@@ -220,79 +264,252 @@ def _checked_step(sim) -> None:
             del node.on_tick_start
     phase.flush_touched()
     assert _table_rows(phase) == _armed(sim)
+    assert phase._attention.tolist() == [bool(n.regions) for n in nodes]
 
 
 _oids = st.integers(0, N - 1)
+_dsts = st.lists(_oids, min_size=1, max_size=N, unique=True)
+_places = st.sampled_from(("in", "out", "edge"))
 _ops = st.one_of(
     st.tuples(
         st.just("install"), _oids, st.sampled_from(QIDS),
-        st.sampled_from(BANDS), st.sampled_from(("in", "out", "edge")),
-        st.floats(2.0, 80.0),
+        st.sampled_from(BANDS), _places, st.floats(2.0, 80.0),
     ),
     st.tuples(st.just("revoke"), _oids, st.sampled_from(QIDS)),
     st.tuples(st.just("probe"), _oids),
+    st.tuples(st.just("probe_batch"), _dsts),
     st.tuples(
-        st.just("probe_batch"),
-        st.lists(_oids, min_size=1, max_size=N, unique=True),
+        st.just("install_batch"), _dsts, st.sampled_from(QIDS),
+        st.sampled_from(BANDS), _places, st.floats(2.0, 80.0),
     ),
+    st.tuples(st.just("revoke_batch"), _dsts, st.sampled_from(QIDS)),
     st.tuples(st.just("step")),
 )
 
 
-@pytest.mark.parametrize("ft", ["plain", "acks", "retry", "lease"])
-@given(ops=st.lists(_ops, max_size=40), seed=st.integers(0, 5))
-@settings(max_examples=120, deadline=None)
-def test_table_and_mask_match_the_nodes(ft, ops, seed):
-    sim = _build(_waypoint_fleet(seed), ft=ft in ("retry", "lease"))
+FT_MODES = ["plain", "acks", "retry", "lease"]
+
+
+def _build_mode(seed: int, ft: str, fast: bool = True) -> RoundSimulator:
+    sim = _build(_waypoint_fleet(seed), ft=ft in ("retry", "lease"), fast=fast)
     if ft == "acks":
         for node in sim.mobiles:
             node.ack_installs = True
-    epoch = 0
+    return sim
+
+
+def _play(sim, op, ft: str, epoch: int, batched: bool = True) -> None:
+    """Deliver one op of ``_ops`` other than a step; every install is
+    epoch-stamped outside ``plain`` mode."""
+    stamp = dict(
+        epoch=-1 if ft == "plain" else epoch, lease=6 if ft == "lease" else 0
+    )
+    if op[0] == "install":
+        _install(sim, *op[1:], **stamp)
+    elif op[0] == "revoke":
+        _deliver(sim, op[1], MessageKind.REVOKE_REGION, RevokeBand(op[2]))
+    elif op[0] == "probe":
+        _deliver(sim, op[1], MessageKind.PROBE, ProbeRequest())
+    elif op[0] == "probe_batch":
+        _deliver_batch(
+            sim, MessageKind.PROBE, op[1], ProbeRequest(), batched
+        )
+    elif op[0] == "install_batch":
+        _install_batch(sim, *op[1:], batched=batched, **stamp)
+    else:
+        _revoke_batch(sim, *op[1:], batched=batched)
+
+
+@pytest.mark.parametrize("ft", FT_MODES)
+@given(ops=st.lists(_ops, max_size=40), seed=st.integers(0, 5))
+@settings(max_examples=120, deadline=None)
+def test_table_and_mask_match_the_nodes(ft, ops, seed):
+    sim = _build_mode(seed, ft)
+    stats = sim.channel.stats
     _checked_step(sim)  # everyone registers: one columnar batch
-    for op in ops:
-        if op[0] == "install":
-            epoch += 1
-            _install(
-                sim, *op[1:],
-                epoch=-1 if ft == "plain" else epoch,
-                lease=6 if ft == "lease" else 0,
-            )
-        elif op[0] == "revoke":
-            _deliver(sim, op[1], MessageKind.REVOKE_REGION, RevokeBand(op[2]))
-        elif op[0] == "probe":
-            _deliver(sim, op[1], MessageKind.PROBE, ProbeRequest())
-        elif op[0] == "probe_batch":
-            sim._deliver_batch(
-                ColumnarBatch(
-                    MessageKind.PROBE,
-                    src=SERVER_ID,
-                    dsts=np.array(sorted(op[1]), dtype=np.int64),
-                    payload_nbytes=payload_size(ProbeRequest()),
-                    payload_ctor=ProbeRequest,
-                )
-            )
-        else:
+    for epoch, op in enumerate(ops):
+        if op[0] == "step":
             _checked_step(sim)
+            continue
+        expanded = stats.materialized_by_kind[MessageKind.INSTALL_REGION]
+        acks = stats.sent_by_kind[MessageKind.INSTALL_ACK]
+        _play(sim, op, ft, epoch)
+        if op[0] == "install_batch":
+            # An epoch-stamped batch is declined whole — the nodes ack
+            # and dedupe it themselves; any other is consumed in place.
+            declined = 0 if ft == "plain" else len(op[1])
+            assert (
+                stats.materialized_by_kind[MessageKind.INSTALL_REGION]
+                - expanded
+                == stats.sent_by_kind[MessageKind.INSTALL_ACK] - acks
+                == declined
+            )
+    assert not stats.materialized_by_kind[MessageKind.REVOKE_REGION]
     _checked_step(sim)
     _checked_step(sim)
+
+
+@pytest.mark.parametrize("ft", FT_MODES)
+@given(ops=st.lists(_ops, max_size=40), seed=st.integers(0, 5))
+@settings(max_examples=60, deadline=None)
+def test_batches_leave_the_nodes_as_scalar_messages_would(ft, ops, seed):
+    """Twin simulators: the phase fed batches against the reference
+    program (no phase) fed the same flights message by message."""
+    fast = _build_mode(seed, ft)
+    ref = _build_mode(seed, ft, fast=False)
+    for sim, batched in ((fast, True), (ref, False)):
+        sim.step()
+        for epoch, op in enumerate(ops):
+            if op[0] == "step":
+                sim.step()
+            else:
+                _play(sim, op, ft, epoch, batched)
+        sim.step()
+    for got, want in zip(fast.mobiles, ref.mobiles):
+        fast.client_phase._sync_node(got.oid)
+        assert list(got.regions.items()) == list(want.regions.items())
+        assert got._reported == want._reported
+        assert got._last_sent == want._last_sent
+    assert fast.channel.stats.sent_by_kind == ref.channel.stats.sent_by_kind
+    assert fast.channel.stats.bytes_by_kind == ref.channel.stats.bytes_by_kind
+
+
+def _flushed(n: int = N) -> RoundSimulator:
+    """A plain fleet after its registration tick, nothing touched."""
+    sim = _build(_waypoint_fleet(n=n))
+    sim.step()
+    sim.client_phase.flush_touched()
+    return sim
+
+
+def test_batch_receivers_are_current_without_a_flush():
+    sim = _flushed()
+    phase = sim.client_phase
+    _install_batch(sim, [5, 2, 9], 1, BAND_ANSWER, "in", 400.0)
+    _install_batch(sim, [2, 7], 0, BAND_OUTSIDER, "in", 5.0)
+    _revoke_batch(sim, [9, 3], 1)
+    assert not phase._touched
+    assert not sim.channel.stats.materialized_by_kind
+    assert _table_rows(phase) == _armed(sim)
+    assert set(_armed(sim)) == {(5, 1), (2, 1), (2, 0), (7, 0)}
+    assert np.nonzero(phase._attention)[0].tolist() == [2, 5, 7]
+    # one region object for the whole flight: regions are immutable
+    assert sim.mobiles[5].regions[1] is sim.mobiles[2].regions[1]
+
+
+def test_batch_rearms_a_muted_region():
+    sim = _flushed()
+    phase = sim.client_phase
+    _install(sim, 4, 2, BAND_ANSWER, "out", 30.0)
+    _checked_step(sim)  # violated: reports, and the region is muted
+    assert sim.mobiles[4]._reported == {2}
+    assert (4, 2) not in _table_rows(phase)  # muted: no row
+    _install_batch(sim, [4, 11], 2, BAND_ANSWER, "out", 30.0)
+    assert not sim.mobiles[4]._reported
+    assert _table_rows(phase) == _armed(sim) and (4, 2) in _armed(sim)
+    _checked_step(sim)  # armed again: a candidate again, reports again
+    assert sim.mobiles[4]._reported == {2}
+
+
+def test_batch_hits_a_node_already_touched():
+    sim = _flushed()
+    phase = sim.client_phase
+    _install_batch(sim, [6, 8], 0, BAND_ANSWER, "in", 400.0)
+    # Scalar traffic leaves node 6 touched, its rows stale until the
+    # flush: query 0 is gone from the node, query 3 not yet in the table.
+    _deliver(sim, 6, MessageKind.REVOKE_REGION, RevokeBand(0))
+    _install(sim, 6, 3, BAND_QUERY_CIRCLE, "in", 50.0)
+    assert phase._touched == {6}
+    _install_batch(sim, [8, 6], 1, BAND_OUTSIDER, "in", 5.0)
+    _revoke_batch(sim, [6], 3)
+    assert phase._touched == {6}  # neither added nor flushed by a batch
+    phase.flush_touched()
+    assert _table_rows(phase) == _armed(sim)
+    assert set(_armed(sim)) == {(8, 0), (8, 1), (6, 1)}
+
+
+def test_revoking_a_nodes_last_region_clears_attention():
+    sim = _flushed()
+    phase = sim.client_phase
+    _install_batch(sim, [1, 2], 0, BAND_ANSWER, "in", 400.0)
+    _install_batch(sim, [2], 3, BAND_ANSWER, "in", 400.0)
+    assert phase._attention[[1, 2]].all()
+    _revoke_batch(sim, [2, 1], 0)
+    assert phase._attention[[1, 2]].tolist() == [False, True]
+    assert not sim.mobiles[1].regions and list(sim.mobiles[2].regions) == [3]
+    assert _table_rows(phase) == _armed(sim)
+
+
+def test_revoking_a_query_the_node_does_not_hold():
+    sim = _flushed()
+    phase = sim.client_phase
+    _install_batch(sim, [1, 2], 0, BAND_ANSWER, "in", 400.0)
+    before = _table_rows(phase)
+    _revoke_batch(sim, [2, 1, 7], 3)
+    assert _table_rows(phase) == before == _armed(sim)
+    assert np.nonzero(phase._attention)[0].tolist() == [1, 2]
+    assert not phase._touched
+
+
+def test_table_grows_when_a_batch_is_larger_than_the_free_rows():
+    sim = _flushed(n=200)
+    phase = sim.client_phase
+    assert phase.regions.live.shape[0] == 0
+    everyone = list(range(200))
+    _install_batch(sim, everyone[:5], 0, BAND_ANSWER, "in", 400.0)
+    size = phase.regions.live.shape[0]
+    assert size >= 5
+    _install_batch(sim, everyone, 1, BAND_OUTSIDER, "in", 5.0)
+    assert phase.regions.live.shape[0] > size
+    assert int(phase.regions.live.sum()) == 205
+    assert _table_rows(phase) == _armed(sim)
+
+
+def test_batches_the_node_must_see_itself_are_declined(monkeypatch):
+    """Declined means expanded: the flight reaches the nodes' own
+    handlers as scalar messages, whatever they do with it."""
+    sim = _flushed()
+    phase = sim.client_phase
+    expanded = sim.channel.stats.materialized_by_kind
+    # epoch-stamped, on nodes that do not ack: applied, not acked
+    _install_batch(sim, [3, 4], 0, BAND_ANSWER, "in", 400.0, epoch=7)
+    assert expanded[MessageKind.INSTALL_REGION] == 2
+    assert phase._touched == {3, 4}
+    assert not sim.channel.stats.sent_by_kind[MessageKind.INSTALL_ACK]
+    # a band code the node has no region class for
+    monkeypatch.delitem(_BAND_CLASSES, BAND_QUERY_CIRCLE)
+    with pytest.raises(KeyError):
+        _install_batch(sim, [5], 0, BAND_QUERY_CIRCLE, "in", 400.0)
+    assert expanded[MessageKind.INSTALL_REGION] == 3
+    # a payload of the wrong type
+    with pytest.raises(ProtocolError):
+        _deliver_batch(sim, MessageKind.REVOKE_REGION, [5], ProbeRequest())
+    phase.flush_touched()
+    assert _table_rows(phase) == _armed(sim)
 
 
 def test_rows_are_reused_and_the_table_stays_small():
-    sim = _build(_waypoint_fleet())
-    phase = sim.client_phase
-    sim.step()
-    for round_ in range(30):
-        for oid in range(N):
+    """Whichever writer claims the rows: the touched refresh after
+    scalar installs (``rewrite``), or a batch written through
+    (``install``)."""
+    everyone = list(range(N))
+    for batched in (False, True):
+        sim = _build(_waypoint_fleet())
+        phase = sim.client_phase
+        sim.step()
+        for round_ in range(30):
             for qid in QIDS:
-                _install(sim, oid, qid, BANDS[qid % 3], "in", 500.0)
-        phase.flush_touched()
-        assert int(phase.regions.live.sum()) == N * len(QIDS)
-    assert phase.regions.live.shape[0] <= 2 * N * len(QIDS)
-    for oid in range(N):
+                _install_batch(
+                    sim, everyone, qid, BANDS[qid % 3], "in", 500.0,
+                    batched=batched,
+                )
+            phase.flush_touched()
+            assert int(phase.regions.live.sum()) == N * len(QIDS)
+        assert phase.regions.live.shape[0] <= 2 * N * len(QIDS)
         for qid in QIDS:
-            _deliver(sim, oid, MessageKind.REVOKE_REGION, RevokeBand(qid))
-    phase.flush_touched()
-    assert not phase.regions.live.any()
+            _revoke_batch(sim, everyone, qid, batched=batched)
+        phase.flush_touched()
+        assert not phase.regions.live.any()
 
 
 @pytest.mark.parametrize("band", BANDS)
