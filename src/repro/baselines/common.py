@@ -81,14 +81,10 @@ class ReporterPhase(ClientPhase):
         )
 
     def tick_start(self, tick: int) -> None:
-        from repro.core.fastpath import (
-            _LU_NBYTES,
-            _columnar_ok,
-            _fleet_xy,
-        )
+        from repro.core.fastpath import _LU_NBYTES, _fleet_xy
 
         sim = self.sim
-        if _columnar_ok(sim) and self._oids.shape[0] >= MIN_BATCH:
+        if sim.plane_open() and self._oids.shape[0] >= MIN_BATCH:
             xs, ys = _fleet_xy(sim.fleet)
             idx = self._oids
             sim.channel.send_batch(

@@ -217,32 +217,26 @@ def build_cpm_system(
     latency: str = ZERO_LATENCY,
     record_history: bool = False,
     faults: Optional[FaultPlan] = None,
-    fast: bool = False,
     telemetry=None,
 ) -> RoundSimulator:
     """Build a ready-to-run CPM system.
 
-    ``fast=True`` routes the per-tick report stream through the
-    columnar message plane: one ``TICK_REPORT`` batch per tick
+    The per-tick report stream goes through the columnar message
+    plane: one ``TICK_REPORT`` batch per tick
     (:class:`~repro.baselines.common.ReporterPhase`), one batched grid
-    ingest, and vectorized dirty detection — bit-identical answers and
-    accounting, a fraction of the interpreter work.
+    ingest, and vectorized dirty detection.
     """
     server = CpmServer(fleet.universe, grid_cells, record_history=record_history)
     for spec in specs:
         server.register_query(spec)
     mobiles = [ReporterNode(oid, fleet) for oid in range(fleet.n)]
     server.grid.reserve(fleet.n)
-    phase = None
-    if fast:
-        phase = ReporterPhase()
-        server.columnar = True
     return RoundSimulator(
         fleet,
         server,
         mobiles,
         latency=latency,
         faults=faults,
-        client_phase=phase,
+        client_phase=ReporterPhase(),
         telemetry=telemetry,
     )

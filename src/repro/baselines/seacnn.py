@@ -108,15 +108,14 @@ def build_seacnn_system(
     latency: str = ZERO_LATENCY,
     record_history: bool = False,
     faults: Optional[FaultPlan] = None,
-    fast: bool = False,
     telemetry=None,
 ) -> RoundSimulator:
     """Build a ready-to-run SEA system.
 
-    ``fast=True`` ships the per-tick report stream as one columnar
-    ``TICK_REPORT`` batch with one batched grid ingest; dirty detection
-    and the per-query re-searches run the scalar spec over the
-    expanded batch, preserving the exact update order.
+    The per-tick report stream ships as one columnar ``TICK_REPORT``
+    batch with one batched grid ingest; dirty detection and the
+    per-query re-searches run the scalar spec over the expanded batch,
+    preserving the exact update order.
     """
     server = SeaCnnServer(
         fleet.universe, grid_cells, record_history=record_history
@@ -125,16 +124,12 @@ def build_seacnn_system(
         server.register_query(spec)
     mobiles = [ReporterNode(oid, fleet) for oid in range(fleet.n)]
     server.grid.reserve(fleet.n)
-    phase = None
-    if fast:
-        phase = ReporterPhase()
-        server.columnar = True
     return RoundSimulator(
         fleet,
         server,
         mobiles,
         latency=latency,
         faults=faults,
-        client_phase=phase,
+        client_phase=ReporterPhase(),
         telemetry=telemetry,
     )

@@ -6,6 +6,7 @@ import dataclasses
 from typing import Optional, Sequence
 
 from repro.core.client import DknnMobileNode
+from repro.core.fastpath import DknnSilentPhase
 from repro.core.params import DknnParams
 from repro.core.server import DknnServer
 from repro.errors import ProtocolError
@@ -23,7 +24,6 @@ def build_dknn_system(
     latency: str = ZERO_LATENCY,
     record_history: bool = False,
     faults: Optional[FaultPlan] = None,
-    fast: bool = False,
     telemetry=None,
 ) -> RoundSimulator:
     """Build a ready-to-run simulator for the point-to-point protocol.
@@ -35,10 +35,12 @@ def build_dknn_system(
     When ``params.fault_tolerant`` is set, mobile nodes are built with
     the matching ack/heartbeat/re-report behavior; pass ``faults`` to
     actually perturb the network (a hardened system on a perfect
-    network stays exact). ``fast=True`` drives the client side through
-    the vectorized silent-object phase (``repro.core.fastpath``) —
-    bit-identical results, far less Python per tick; pair it with a
-    :class:`~repro.mobility.FastFleet` for the full speedup.
+    network stays exact). The client side is driven by the vectorized
+    silent-object phase (:class:`~repro.core.fastpath.DknnSilentPhase`):
+    a node's own ``on_tick_start`` runs only on the ticks it could send
+    or change state. Any fleet works; a
+    :class:`~repro.mobility.FastFleet` hands the phase its coordinate
+    arrays without a copy.
     """
     if params is None:
         params = DknnParams()
@@ -65,21 +67,12 @@ def build_dknn_system(
         for oid in range(fleet.n)
     ]
     server.table.reserve(fleet.n)
-    phase = None
-    if fast:
-        from repro.core.fastpath import DknnSilentPhase
-
-        phase = DknnSilentPhase()
-        # Fast builds also get the columnar message plane: batched
-        # hot-path transport into the table's columns.
-        # Channel/fault/tracer vetoes are checked per tick, not here.
-        server.columnar = True
     return RoundSimulator(
         fleet,
         server,
         mobiles,
         latency=latency,
         faults=faults,
-        client_phase=phase,
+        client_phase=DknnSilentPhase(),
         telemetry=telemetry,
     )

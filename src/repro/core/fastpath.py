@@ -111,23 +111,6 @@ def _band_limits(mon) -> Tuple[float, float]:
     )
 
 
-def _columnar_ok(sim) -> bool:
-    """May this side of the plane emit columnar batches right now?
-
-    Requires the fault veto to be clear (``sim.columnar_ok``), a
-    channel that accepts batches, a server built for them, and no
-    active protocol tracer — traced runs stay fully scalar so the
-    Jsonl event stream is bit-identical to the reference path.
-    """
-    tel = sim.telemetry
-    return (
-        sim.columnar_ok
-        and getattr(sim.channel, "supports_columnar", False)
-        and getattr(sim.server, "columnar", False)
-        and not (tel.enabled and tel.tracer.enabled)
-    )
-
-
 class _RegionTable:
     """The armed safe regions of a DKNN fleet, in columns.
 
@@ -409,7 +392,7 @@ class DknnSilentPhase(ClientPhase):
         cand[self.regions.violators(xs, ys)] = True
         cand &= self._active
         n_cand = int(cand.sum())
-        if _columnar_ok(sim):
+        if sim.plane_open():
             # Drift-only candidates (no installed region) do exactly
             # one thing scalar: send a LOCATION_UPDATE. Ship them all
             # as one batch; region holders still run the scalar path.
@@ -465,7 +448,7 @@ class DknnSilentPhase(ClientPhase):
         clock, which is why no receiver needs :meth:`_sync_node` or a
         fresh ``_cur_tick`` first.
         """
-        if not _columnar_ok(self.sim):
+        if not self.sim.plane_open():
             return False
         kind = batch.kind
         if kind is MessageKind.PROBE:

@@ -312,13 +312,13 @@ def build_geocast_system(
     latency: str = ZERO_LATENCY,
     record_history: bool = False,
     faults: Optional[FaultPlan] = None,
-    fast: bool = False,
     telemetry=None,
 ) -> RoundSimulator:
     """Build a ready-to-run simulator for the geocast protocol.
 
-    ``fast=True`` evaluates the per-tick band checks of all nodes in
-    one vectorized pass (``repro.core.fastpath``), bit-identically.
+    The per-tick band checks of all nodes run in one vectorized pass
+    (:class:`~repro.core.fastpath.BroadcastSilentPhase`); installs
+    reach a node's ``monitors`` when it is next touched.
     """
     if params is None:
         params = GeocastParams()
@@ -339,17 +339,15 @@ def build_geocast_system(
         GeocastMobileNode(oid, fleet, my_qids=qids_by_focal.get(oid, ()))
         for oid in range(fleet.n)
     ]
-    phase = None
-    if fast:
-        from repro.core.fastpath import BroadcastSilentPhase
+    # fastpath imports this module's node class.
+    from repro.core.fastpath import BroadcastSilentPhase
 
-        phase = BroadcastSilentPhase()
     return RoundSimulator(
         fleet,
         server,
         mobiles,
         latency=latency,
         faults=faults,
-        client_phase=phase,
+        client_phase=BroadcastSilentPhase(),
         telemetry=telemetry,
     )

@@ -395,15 +395,12 @@ def build_range_system(
     latency: str = ZERO_LATENCY,
     record_history: bool = False,
     faults: Optional[FaultPlan] = None,
-    fast: bool = False,
 ) -> RoundSimulator:
     """Build a ready-to-run continuous-range monitoring system.
 
-    ``fast`` is accepted for builder-interface parity: range mobiles
-    carry tri-state (gray) logic and a custom ``on_tick_end``, so the
-    client side stays scalar — the fast path's gains here come from the
-    SoA fleet and the vectorized oracle, which need no wiring in this
-    builder.
+    Range mobiles carry tri-state (gray) logic and a custom
+    ``on_tick_end``, so there is no client phase: every node runs its
+    own tick-start every tick.
     """
     for spec in specs:
         if not 0 <= spec.focal_oid < fleet.n:

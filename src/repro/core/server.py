@@ -349,16 +349,9 @@ class DknnServer(BaseServer):
 
     def _columnar_ok(self) -> bool:
         """May this server emit columnar downlink batches right now?
-
-        Traced runs stay scalar end to end so the protocol Jsonl
-        streams match the reference path event for event.
-        """
-        tel = self.telemetry
-        return (
-            self.columnar
-            and getattr(self.channel, "supports_columnar", False)
-            and not (tel.enabled and tel.tracer.enabled)
-        )
+        The simulator's answer (``RoundSimulator.plane_open``); a
+        server no simulator owns sends one by one."""
+        return self.sim is not None and self.sim.plane_open()
 
     # -- per-subround driving -----------------------------------------------
 

@@ -3,7 +3,7 @@
 The first-class entry point is a :class:`~repro.experiments.config.
 RunConfig`::
 
-    cfg = RunConfig("DKNN-G", fast=True, params={"lease_ticks": 12})
+    cfg = RunConfig("DKNN-G", params={"lease_ticks": 12})
     sim = build_system(cfg, fleet, specs)
 
 Parameter names and defaults come from the algorithm catalog
@@ -15,12 +15,12 @@ same data at import time:
 
 Every config additionally carries ``faults`` (a
 :class:`~repro.net.faults.FaultPlan`) to run over a lossy network
-(only fault-tolerant DKNN-P actively heals around it), ``fast``
-(bool): route the client side through the vectorized silent-object
-phase where one exists (DKNN-P/B/G) — results are bit-identical either
-way — and ``shards`` (``None`` or S >= 1): wrap the server in the
-S x S sharded tier (:mod:`repro.server.sharding`), again
-bit-identical, with per-shard load/handoff/backbone accounting on top.
+(only fault-tolerant DKNN-P actively heals around it), ``shard`` (a
+:class:`~repro.server.config.ShardConfig`): wrap the server in the
+S x S sharded tier (:mod:`repro.server.sharding`) — bit-identical
+answers, with per-shard load/handoff/backbone accounting on top — and
+``engine`` (an :class:`~repro.net.engine.EngineConfig`): skip the
+ticks the event engine proves silent.
 
 ``RunConfig`` is the only call form; the pre-1.0 string-algorithm
 kwarg soup was removed and now raises an
@@ -66,7 +66,6 @@ def _common(cfg: RunConfig, telemetry: Optional[Telemetry]) -> Dict:
         latency=cfg.latency,
         record_history=cfg.record_history,
         faults=cfg.faults,
-        fast=cfg.fast,
         telemetry=telemetry,
     )
 

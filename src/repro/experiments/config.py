@@ -1,7 +1,7 @@
 """The typed run configuration: one frozen object per run.
 
 :class:`RunConfig` replaces the loose ``(algorithm, latency,
-record_history, faults=..., fast=..., **params)`` kwarg soup that
+record_history, faults=..., **params)`` kwarg soup that
 ``build_system`` and ``run_once`` used to take. It validates eagerly —
 unknown algorithms and mistyped parameter names fail at construction,
 with a near-miss suggestion — and it is hashable/immutable, so a config
@@ -13,7 +13,10 @@ release; ``build_system`` / ``run_once`` raise an
 see one. The deprecated ``shards=``/``shard_faults=`` kwargs were
 retired in the engine release: passing either raises a
 :class:`~repro.errors.ConfigError` naming the ``shard=ShardConfig(...)``
-replacement. Import the supported surface from :mod:`repro.api`.
+replacement. ``fast=`` is retired too: there is one build, so
+``fast=True`` is accepted and dropped and any other value raises
+(:func:`~repro.workloads.generator.accepts_retired_fast`). Import the
+supported surface from :mod:`repro.api`.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from repro.net.engine import EngineConfig
 from repro.net.faults import FaultPlan
 from repro.net.simulator import ONE_TICK_LATENCY, ZERO_LATENCY
 from repro.server.config import ShardConfig
+from repro.workloads.generator import accepts_retired_fast
 
 __all__ = ["RunConfig"]
 
@@ -58,8 +62,6 @@ class RunConfig:
         Keep per-tick answer history on the server.
     faults:
         Optional :class:`~repro.net.faults.FaultPlan`.
-    fast:
-        Route through the vectorized client phase (bit-identical).
     warmup, ticks:
         Optional overrides of the workload spec's ``warmup_ticks`` /
         ``ticks`` — ``run_once`` applies them via ``spec.but(...)``.
@@ -88,7 +90,6 @@ class RunConfig:
     latency: str = ZERO_LATENCY
     record_history: bool = False
     faults: Optional[FaultPlan] = None
-    fast: bool = False
     warmup: Optional[int] = None
     ticks: Optional[int] = None
     shard: Optional[ShardConfig] = None
@@ -178,7 +179,6 @@ class RunConfig:
             "latency": self.latency,
             "record_history": self.record_history,
             "faults": repr(self.faults) if self.faults is not None else None,
-            "fast": self.fast,
             "warmup": self.warmup,
             "ticks": self.ticks,
             "shard": (
@@ -197,7 +197,6 @@ class RunConfig:
                 self.algorithm,
                 self.latency,
                 self.record_history,
-                self.fast,
                 self.warmup,
                 self.ticks,
                 self.shard,
@@ -232,4 +231,6 @@ def _reject_retired_kwargs(init):
     return wrapper
 
 
-RunConfig.__init__ = _reject_retired_kwargs(RunConfig.__init__)
+RunConfig.__init__ = _reject_retired_kwargs(
+    accepts_retired_fast(RunConfig.__init__)
+)

@@ -941,7 +941,7 @@ def e18_rebalancing(quick: bool = False) -> ResultTable:
     with exactness untouched (rebalancing is invisible to clients);
     admission trades a bounded degraded window for a load ceiling.
     The final row is the scale pin: N=1,000,000 objects through the
-    rebalancing tier on the vectorized path.
+    rebalancing tier.
     """
     # Tight hotspots (generator default sigma, ~3% of the universe)
     # that each complete one full orbit inside the measured window, so
@@ -1046,9 +1046,8 @@ def e18_rebalancing(quick: bool = False) -> ResultTable:
         row(spec, side, "rebalance+admission", m)
     if not quick:
         # The scale pin: one million objects through the rebalancing
-        # tier on the vectorized path. Few ticks, accuracy off — the
-        # row exists to prove the tier completes at this N, and to
-        # record its migration volume.
+        # tier. Few ticks, accuracy off — the row exists to prove the
+        # tier completes at this N, and to record its migration volume.
         big = base.but(
             n_objects=1_000_000,
             n_queries=16,
@@ -1060,9 +1059,7 @@ def e18_rebalancing(quick: bool = False) -> ResultTable:
         )
         m = run_once(
             RunConfig(
-                "DKNN-B",
-                fast=True,
-                shard=ShardConfig(shards=4, rebalance=policy),
+                "DKNN-B", shard=ShardConfig(shards=4, rebalance=policy)
             ),
             big,
             accuracy_every=0,
@@ -1077,15 +1074,15 @@ def e19_event_engine(quick: bool = False) -> ResultTable:
     The stressor is the engine's home turf: a ``mostly_stationary``
     fleet (1% of objects commuting on a 10% duty cycle) with static
     queries, so most ticks are provable protocol no-ops. For each N,
-    the same workload runs twice on the vectorized path — once under
-    the plain tick loop, once under ``EngineConfig(mode="event")`` —
-    and the table reports both walls, the skip ledger, and the
-    equivalence pin (``msgs_match``: per-tick message rates must agree
-    exactly; the answer-level pin is tests/test_engine.py).
+    the same workload runs twice — once under the plain tick loop,
+    once under ``EngineConfig(mode="event")`` — and the table reports
+    both walls, the skip ledger, and the equivalence pin
+    (``msgs_match``: per-tick message rates must agree exactly; the
+    answer-level pin is tests/test_engine.py).
 
     Expected: speedup grows with N (the skipped O(N) client phase is
-    what's saved) and clears 2x at N=100k; the headline wall-clock
-    number also lands in BENCH_tick.json via ``tickbench``.
+    what's saved) and clears 2x at N=100k; ``event_sparse`` in
+    ``BENCHMARK.json`` is the wall-clock guard at N=200k.
     """
     base = WorkloadSpec(
         n_objects=2000,
@@ -1138,9 +1135,7 @@ def e19_event_engine(quick: bool = False) -> ResultTable:
             )
             m = run_once(
                 RunConfig(
-                    "DKNN-P",
-                    fast=True,
-                    engine=EngineConfig(mode=mode, replay=replay),
+                    "DKNN-P", engine=EngineConfig(mode=mode, replay=replay)
                 ),
                 spec,
                 accuracy_every=accuracy_every,

@@ -3,7 +3,7 @@
 The first-class entry point takes a :class:`~repro.experiments.config.
 RunConfig`::
 
-    m = run_once(RunConfig("DKNN-P", fast=True), spec)
+    m = run_once(RunConfig("DKNN-P"), spec)
 
 Measurements exclude a configurable warmup window so the one-time
 registration burst (every algorithm pays an O(N) bootstrap) does not
@@ -19,7 +19,7 @@ record per run lands in it. With the default null telemetry all of this
 costs nothing.
 
 ``RunConfig`` is the only call form; the pre-1.0 string-algorithm
-form (``alg_params`` / ``faults`` / ``fast`` keyword soup) was removed
+form (``alg_params`` / ``faults`` keyword soup) was removed
 and raises an :class:`~repro.errors.ExperimentError` naming the
 migration. Import the supported surface from :mod:`repro.api`.
 """
@@ -181,7 +181,7 @@ def run_once(
         spec = spec.but(**overrides)
 
     tel = telemetry if telemetry is not None else active_telemetry()
-    fleet, queries = build_workload(spec, fast=cfg.fast)
+    fleet, queries = build_workload(spec)
     sim = build_system(cfg, fleet, queries, telemetry=tel)
     server = sim.server
 
@@ -191,7 +191,6 @@ def run_once(
             "run.start",
             algorithm=cfg.algorithm,
             latency=cfg.latency,
-            fast=cfg.fast,
             faults=repr(cfg.faults) if cfg.faults is not None else None,
             engine=(
                 cfg.engine.describe() if cfg.engine is not None else None

@@ -1,4 +1,4 @@
-"""Structure-of-arrays fast path for the fleet (the ``fast=True`` world).
+"""Structure-of-arrays storage and batched stepping for the fleet.
 
 :class:`FastFleet` is a drop-in :class:`~repro.mobility.fleet.Fleet`
 whose positions live in numpy arrays and whose :meth:`advance` steps
@@ -93,6 +93,18 @@ class SoAPositions:
         ys = self._fleet._ys
         for i in range(xs.shape[0]):
             yield (float(xs[i]), float(ys[i]))
+
+    def __eq__(self, other) -> bool:
+        """Element-wise, against any sequence of coordinate pairs — a
+        list of tuples (``Fleet.positions``) or another view."""
+        try:
+            return len(self) == len(other) and all(
+                p == tuple(q) for p, q in zip(self, other)
+            )
+        except TypeError:
+            return NotImplemented
+
+    __hash__ = None  # mutable view
 
     def __repr__(self) -> str:
         return f"SoAPositions(n={len(self)})"
@@ -506,8 +518,8 @@ class FastFleet(Fleet):
     Construction, the RNG stream, and every per-tick position are
     bit-identical to the scalar fleet (pinned by
     ``tests/test_fastpath.py``); only the amount of Python executed per
-    tick changes. Use :meth:`Fleet.from_model` on this class, or the
-    ``fast=True`` flag of :func:`repro.workloads.build_workload`.
+    tick changes. Use :meth:`Fleet.from_model` on this class;
+    :func:`repro.workloads.build_workload` does.
     """
 
     def __init__(self, movers: Sequence[Mover], seed: int = 0) -> None:

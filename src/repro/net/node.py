@@ -92,6 +92,15 @@ class MobileNode(Node):
 class ServerNodeBase(Node):
     """The central server endpoint (address ``SERVER_ID``)."""
 
+    #: the simulator that took ownership of this server (it installs
+    #: itself on construction); None while the server stands alone.
+    sim = None
+    #: True on a tier that decides the fate of traffic one message at
+    #: a time (``ShardedServer`` under a fault plan or an admission
+    #: policy): the simulator then tolerates dead-air subrounds and
+    #: keeps the columnar plane closed.
+    per_message = False
+
     def __init__(self) -> None:
         super().__init__(node_id=SERVER_ID)
 

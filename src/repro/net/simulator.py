@@ -143,6 +143,7 @@ class RoundSimulator:
         )
         self.channel.telemetry = self.telemetry
         server.telemetry = self.telemetry
+        server.sim = self
         self._nodes_by_id: Dict[int, Node] = {}
         if server._channel is None:
             server.attach(self.channel)
@@ -154,15 +155,11 @@ class RoundSimulator:
                 raise NetworkError(f"duplicate node id {node.node_id}")
             self._nodes_by_id[node.node_id] = node
         self.tick = 0
-        #: may senders use the columnar plane on this run? The channel
-        #: has its own veto (``supports_columnar``); this flag lets the
-        #: tiers above the radio (the sharded server under an active
-        #: ShardFaultPlan) turn batching off for the whole run. Senders
-        #: check both.
-        self.columnar_ok = self.faults is None
-        #: optional vectorized client phase (``repro.core.fastpath``):
-        #: replaces the per-mobile ``on_tick_start`` loop with a batched
-        #: predicate pass that only touches candidate nodes.
+        #: vectorized client phase (``repro.core.fastpath``): replaces
+        #: the per-mobile ``on_tick_start`` loop with a batched
+        #: predicate pass that only touches candidate nodes. None is
+        #: the per-object reference loop (range monitoring, hand-built
+        #: test systems); no builder of an ``ALGORITHMS`` entry omits it.
         self.client_phase = client_phase
         if client_phase is not None:
             client_phase.bind(self)
@@ -170,6 +167,29 @@ class RoundSimulator:
         #: attached and in event mode, ``step`` skips ticks the driver
         #: proves are protocol no-ops. None means pure tick mode.
         self._driver = None
+
+    # -- the columnar plane ---------------------------------------------------
+
+    def plane_open(self) -> bool:
+        """May senders put columnar batches on the channel right now?
+
+        The one definition of the plane's veto; both sides ask it each
+        time they are about to send a run of messages, and every term
+        is read off the run as it stands: a client phase is attached
+        (without one nothing consumes a downlink batch whole), the
+        channel queues batches (``FaultyChannel`` decides faults per
+        message), the server tier does not decide the fate of single
+        messages (``per_message``: the sharded tier under a fault plan
+        or an admission policy), and no protocol tracer is listening
+        (a traced run emits one event per message).
+        """
+        tel = self.telemetry
+        return (
+            self.client_phase is not None
+            and self.channel.supports_columnar
+            and not self.server.per_message
+            and not (tel.enabled and tel.tracer.enabled)
+        )
 
     # -- delivery -------------------------------------------------------------
 
@@ -357,10 +377,7 @@ class RoundSimulator:
                 if not self.channel.pending() and not self.server.busy():
                     break
                 if (
-                    (
-                        self.faults is not None
-                        or getattr(self.server, "stall_tolerant", False)
-                    )
+                    (self.faults is not None or self.server.per_message)
                     and not delivered
                     and not self.channel.pending()
                     and self.channel.stats.total_messages == sent_mark
@@ -369,7 +386,7 @@ class RoundSimulator:
                     # was delivered or sent this subround and nothing is
                     # queued, yet the server still owes work. Under a
                     # fault plan — radio, or a shard-fault plan on the
-                    # server tier (``stall_tolerant``) — this is
+                    # server tier (``per_message``) — this is
                     # expected: end the tick and let the hardened
                     # protocol's retransmit timers recover on a later
                     # tick instead of dying at the cap.

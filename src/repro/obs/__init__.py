@@ -6,7 +6,6 @@ imports) so the rest of the stack can depend on it without cycles;
 """
 
 from repro.obs.manifest import (
-    bench_reference,
     build_manifest,
     environment,
     git_revision,
@@ -64,5 +63,4 @@ __all__ = [
     "write_manifest",
     "environment",
     "git_revision",
-    "bench_reference",
 ]

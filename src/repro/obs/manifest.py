@@ -4,17 +4,16 @@ A manifest is one JSON document written next to a run's results (CSV,
 trace, metrics) recording *everything that went into the numbers*:
 
 * the exact workload spec and algorithm parameters of every run,
-  including the RNG seed, latency mode, ``fast`` flag and fault plan;
+  including the RNG seed, latency mode and fault plan;
 * the code revision (git rev + dirty bit, when a git checkout is
   available) and package versions (python / numpy / platform);
-* wall-clock timings, and the committed ``BENCH_tick.json`` reference
-  so perf numbers can be read against the recorded trajectory.
+* wall-clock timings.
 
 The runner does not know where results land, so collection is split:
 ``run_once`` distills one ``(config, spec, measurement)`` into a dict
 and hands it to :func:`record_run`, and whoever opened a
-:func:`recording` context (the CLI, tickbench) gets the accumulated
-list to pass to :func:`write_manifest`. With no recording active,
+:func:`recording` context (the CLI) gets the accumulated list to pass
+to :func:`write_manifest`. With no recording active,
 :func:`record_run` is a no-op — library callers pay nothing.
 """
 
@@ -33,7 +32,6 @@ __all__ = [
     "MANIFEST_SCHEMA",
     "environment",
     "git_revision",
-    "bench_reference",
     "recording",
     "record_run",
     "build_manifest",
@@ -99,31 +97,6 @@ def environment() -> Dict[str, Any]:
     return env
 
 
-def bench_reference(path: str = "BENCH_tick.json") -> Optional[Dict[str, Any]]:
-    """Summary of the committed perf trajectory, if present.
-
-    Keeps only the identifying header and per-config speedups — enough
-    to read a new run against the recorded baseline without inlining
-    the whole benchmark document into every manifest.
-    """
-    if not os.path.exists(path):
-        return None
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError):
-        return None
-    return {
-        "path": path,
-        "created_unix": doc.get("created_unix"),
-        "host": doc.get("host"),
-        "speedups": {
-            f"{row.get('config')}/{row.get('algorithm')}": row.get("speedup")
-            for row in doc.get("results", ())
-        },
-    }
-
-
 # -- run-record collection ----------------------------------------------------
 
 _recorders: List[List[Dict[str, Any]]] = []
@@ -161,7 +134,6 @@ def build_manifest(
         "command": list(command) if command is not None else sys.argv,
         "environment": environment(),
         "git": git_revision(),
-        "bench_reference": bench_reference(),
         "wall_seconds": wall_seconds,
         "runs": runs,
     }

@@ -120,8 +120,7 @@ def _runs_section(events: List[TraceEvent]) -> Optional[str]:
         desc = (
             f"  {f.get('algorithm', '?')} n={f.get('n_objects', '?')} "
             f"q={f.get('n_queries', '?')} k={f.get('k', '?')} "
-            f"seed={f.get('seed', '?')} fast={f.get('fast', '?')} "
-            f"faults={f.get('faults', 'none')}"
+            f"seed={f.get('seed', '?')} faults={f.get('faults', 'none')}"
         )
         if i < len(ends_list):
             e = ends_list[i].fields

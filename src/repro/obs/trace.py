@@ -20,12 +20,12 @@ Event kinds come in three scopes, and the split carries the repo's
 bit-identity contract into observability:
 
 * **protocol** scope (``server.*``, ``fault.*``): emitted only from
-  code shared by the scalar and vectorized paths, with deterministic
-  fields. A ``fast=True`` run must produce the *identical* protocol
-  event stream as its scalar twin — including under a FaultPlan.
-  ``tests/test_obs.py`` pins this.
+  code the build shares with the per-object reference loop
+  (``tests/helpers.py``), with deterministic fields. A built system
+  must produce the *identical* protocol event stream as its reference
+  twin — including under a FaultPlan. ``tests/test_obs.py`` pins this.
 * **perf** scope (``tick.phase``, ``fastpath.*``): timings and
-  dispatch decisions. Legitimately different between the two paths.
+  dispatch decisions. Legitimately different from the reference.
 * **meta** scope (``run.*``): run lifecycle markers.
 """
 
@@ -50,7 +50,8 @@ __all__ = [
     "read_jsonl",
 ]
 
-#: Deterministic protocol-level kinds: identical streams scalar vs fast.
+#: Deterministic protocol-level kinds: identical streams, build vs
+#: per-object reference.
 PROTOCOL_KINDS = frozenset(
     {
         "server.violation",
@@ -67,7 +68,7 @@ PROTOCOL_KINDS = frozenset(
         "fault.revive",
         # Sharded-tier events (repro.server.sharding): routing and
         # ownership are functions of reported positions, so these are
-        # deterministic scalar-vs-fast too.
+        # deterministic too.
         "shard.handoff",
         "shard.borrow",
         "shard.forward",
@@ -89,15 +90,15 @@ PROTOCOL_KINDS = frozenset(
         # Elastic rebalancing + admission control (DESIGN §14): cell
         # migrations are pure functions of the windowed load counters
         # and the policy seed, and defers of the admission queue are
-        # functions of the per-tick arrival order — deterministic
-        # scalar-vs-fast, and never emitted when the policies are off.
+        # functions of the per-tick arrival order — deterministic,
+        # and never emitted when the policies are off.
         "shard.rebalance",
         "shard.migrate",
         "shard.defer",
     }
 )
 
-#: Timing / dispatch kinds: may differ between scalar and fast runs.
+#: Timing / dispatch kinds: may differ from the reference loop's.
 PERF_KINDS = frozenset(
     {
         "tick.phase",
@@ -155,8 +156,9 @@ class TraceEvent:
 def protocol_events(events: Iterable[TraceEvent]) -> List[TraceEvent]:
     """The protocol-scope subsequence of an event stream.
 
-    This is the projection under which scalar and ``fast=True`` runs
-    must be identical; perf/meta events are legitimately divergent.
+    This is the projection under which a built system and its
+    per-object reference must be identical; perf/meta events are
+    legitimately divergent.
     """
     return [e for e in events if e.kind in PROTOCOL_KINDS]
 

@@ -48,11 +48,6 @@ __all__ = ["BaseServer"]
 class BaseServer(ServerNodeBase):
     """Common state and answer-publication plumbing for servers."""
 
-    #: builders set this True on fast builds to let the server send
-    #: and accept columnar batches (see repro.net.plane); the channel
-    #: and the sharded tier each hold their own veto on top.
-    columnar = False
-
     def __init__(self, record_history: bool = False) -> None:
         super().__init__()
         self.queries = QueryTable()

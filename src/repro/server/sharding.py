@@ -418,10 +418,12 @@ class ShardedServer(ServerNodeBase):
             seed=link_seed,
             fault_plan=plan,
         )
-        #: tells the simulator the tier tolerates dead-air subrounds
-        #: (shard-fault losses — and admission deferrals — can stall a
-        #: protocol exchange without a radio FaultPlan being installed).
-        self.stall_tolerant = plan is not None or admission is not None
+        #: serving shard, shedding, deferral and downlink loss are
+        #: per-message decisions (``ServerNodeBase.per_message``): such
+        #: a loss can stall an exchange without a radio FaultPlan
+        #: installed, and a batch cannot be adjudicated whole.
+        #: Rebalancing alone keeps the plane — cell lookups vectorize.
+        self.per_message = plan is not None or admission is not None
         self._telemetry = NULL_TELEMETRY
         self._tick = 0
         #: oid -> home shard (from the last routed positional uplink).
@@ -622,8 +624,8 @@ class ShardedServer(ServerNodeBase):
         nothing is ledgered here either.
 
         Only fault-free, admission-free runs ever see batches
-        (``shard_attach`` vetoes the plane under an active plan or an
-        AdmissionPolicy), and the plane only carries qid-free uplink
+        (``per_message`` keeps the plane closed under an active plan or
+        an AdmissionPolicy), and the plane only carries qid-free uplink
         kinds, so the per-message serving/shedding and forward branches
         of ``_route_uplink`` cannot apply — the whole ledger reduces to
         vectorized home assignment plus a sparse loop over boundary
@@ -631,7 +633,7 @@ class ShardedServer(ServerNodeBase):
         fine-cell assignment array instead of the static grid math,
         still fully vectorized.
         """
-        if self._fault_plan is not None or self._admission is not None:
+        if self.per_message:
             return False
         handler = getattr(self.inner, "on_uplink_batch", None)
         if handler is None or not handler(batch):
@@ -2000,12 +2002,4 @@ def shard_attach(
     tier.telemetry = sim.telemetry
     sim.server = tier
     sim._nodes_by_id[SERVER_ID] = tier
-    if tier._fault_plan is not None or tier._admission is not None:
-        # Shard faults and admission control are adjudicated one message
-        # at a time (serving shard, shedding, deferral, downlink loss):
-        # veto the columnar plane on both sides so every uplink/downlink
-        # routes scalar. Rebalancing alone keeps the plane — cell
-        # lookups vectorize.
-        inner.columnar = False
-        sim.columnar_ok = False
     return tier

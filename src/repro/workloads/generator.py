@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 import random
 from typing import List, Tuple
 
-from repro.errors import WorkloadError
+from repro.errors import ConfigError, WorkloadError
 from repro.geometry import Rect
 from repro.mobility import (
     FastFleet,
-    Fleet,
     GaussianClusterModel,
     HotspotDriftModel,
     MobilityModel,
@@ -23,7 +23,34 @@ from repro.mobility import (
 from repro.server.query_table import QuerySpec
 from repro.workloads.spec import WorkloadSpec
 
-__all__ = ["build_workload", "make_mobility_model"]
+__all__ = [
+    "accepts_retired_fast",
+    "build_workload",
+    "make_focal_movers",
+    "make_mobility_model",
+]
+
+
+def accepts_retired_fast(func):
+    """Keep ``func`` accepting the retired ``fast=`` keyword.
+
+    There is one build — the vectorized client phase over a
+    :class:`~repro.mobility.FastFleet` — so ``fast=True`` selects
+    nothing and is dropped; any other value asks for a build that no
+    longer exists and raises :class:`~repro.errors.ConfigError`.
+    ``functools.wraps`` keeps the wrapped signature for introspection.
+    """
+
+    @functools.wraps(func)
+    def wrapper(*args, **kwargs):
+        if "fast" in kwargs and kwargs.pop("fast") is not True:
+            raise ConfigError(
+                "fast= is retired: there is one build, the vectorized "
+                "client phase over a FastFleet — drop the keyword"
+            )
+        return func(*args, **kwargs)
+
+    return wrapper
 
 
 def make_mobility_model(spec: WorkloadSpec, universe: Rect) -> MobilityModel:
@@ -68,9 +95,7 @@ def make_mobility_model(spec: WorkloadSpec, universe: Rect) -> MobilityModel:
     raise WorkloadError(f"unknown mobility {spec.mobility!r}")
 
 
-def _make_focal_movers(
-    spec: WorkloadSpec, universe: Rect
-) -> List[Mover]:
+def make_focal_movers(spec: WorkloadSpec, universe: Rect) -> List[Mover]:
     """Movers for the dedicated focal objects.
 
     ``query_speed == 0`` yields stationary focal points scattered
@@ -99,22 +124,21 @@ def _make_focal_movers(
     return movers
 
 
-def build_workload(
-    spec: WorkloadSpec, fast: bool = False
-) -> Tuple[Fleet, List[QuerySpec]]:
+@accepts_retired_fast
+def build_workload(spec: WorkloadSpec) -> Tuple[FastFleet, List[QuerySpec]]:
     """Build the fleet and the query list for one run.
 
     Focal objects occupy ids ``n_objects .. population-1``; query ``i``
-    is anchored at focal object ``n_objects + i``. With ``fast=True``
-    the fleet is a :class:`~repro.mobility.FastFleet` — numpy-backed
-    positions and a batched ``advance()``, bit-identical motion.
+    is anchored at focal object ``n_objects + i``. The fleet is a
+    :class:`~repro.mobility.FastFleet` — numpy-backed positions and a
+    batched ``advance()``, its motion bit-identical to a scalar
+    :class:`~repro.mobility.Fleet` over the same movers.
     """
     size = spec.universe_size
     universe = Rect(0.0, 0.0, size, size)
     model = make_mobility_model(spec, universe)
-    focal_movers = _make_focal_movers(spec, universe)
-    fleet_cls = FastFleet if fast else Fleet
-    fleet = fleet_cls.from_model(
+    focal_movers = make_focal_movers(spec, universe)
+    fleet = FastFleet.from_model(
         model, spec.n_objects, seed=spec.seed, extra_movers=focal_movers
     )
     queries = [

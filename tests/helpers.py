@@ -2,20 +2,85 @@
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
+from repro.experiments.algorithms import build_system
+from repro.experiments.config import RunConfig
+from repro.geometry import Rect
 from repro.metrics.accuracy import is_valid_knn
+from repro.mobility import Fleet
+from repro.net.engine import engine_attach
 from repro.net.node import ServerNodeBase
+from repro.net.simulator import RoundSimulator
 from repro.server.query_table import QuerySpec
+from repro.server.sharding import shard_attach
+from repro.workloads.generator import (
+    build_workload,
+    make_focal_movers,
+    make_mobility_model,
+)
+from repro.workloads.spec import WorkloadSpec
 
-__all__ = ["ExactnessChecker", "SinkServer"]
+__all__ = [
+    "ExactnessChecker",
+    "SinkServer",
+    "built_system",
+    "reference_system",
+]
+
+
+def built_system(
+    cfg: RunConfig, spec: WorkloadSpec, telemetry=None
+) -> Tuple[RoundSimulator, List[QuerySpec]]:
+    """``build_workload`` + ``build_system``: the program that ships,
+    in the call shape of :func:`reference_system`."""
+    fleet, queries = build_workload(spec)
+    return build_system(cfg, fleet, queries, telemetry=telemetry), queries
+
+
+def reference_system(
+    cfg: RunConfig, spec: WorkloadSpec, telemetry=None
+) -> Tuple[RoundSimulator, List[QuerySpec]]:
+    """The per-object reference program for ``cfg`` over ``spec``.
+
+    What every differential test compares the build against: a scalar
+    :class:`Fleet` (one ``mover.step`` per object per tick) under a
+    :class:`RoundSimulator` with no client phase — every node runs its
+    own ``on_tick_start`` every tick, every message is dispatched to
+    its own handler, and with no phase attached the columnar plane
+    stays closed (``RoundSimulator.plane_open``), so the server sends
+    one by one. Same server, same nodes, same parameters as
+    ``build_system(cfg, ...)``: the system is built by it and its phase
+    taken away before the first tick (binding a phase reads the nodes,
+    it does not change them); the shard tier and the engine driver are
+    attached afterwards, as ``build_system`` orders them.
+    """
+    size = spec.universe_size
+    universe = Rect(0.0, 0.0, size, size)
+    fleet = Fleet.from_model(
+        make_mobility_model(spec, universe),
+        spec.n_objects,
+        seed=spec.seed,
+        extra_movers=make_focal_movers(spec, universe),
+    )
+    queries = [
+        QuerySpec(qid=i, focal_oid=spec.n_objects + i, k=spec.k)
+        for i in range(spec.n_queries)
+    ]
+    sim = build_system(
+        cfg.but(shard=None, engine=None), fleet, queries, telemetry=telemetry
+    )
+    sim.client_phase = None
+    if cfg.shard is not None:
+        shard_attach(sim, cfg.shard)
+    if cfg.engine is not None:
+        engine_attach(sim, cfg.engine)
+    return sim, queries
 
 
 class SinkServer(ServerNodeBase):
     """Accepts every uplink and answers nothing: the test plays the
     server's part by dispatching downlinks to the nodes itself."""
-
-    columnar = True
 
     def on_uplink_batch(self, batch) -> bool:
         return True

@@ -90,7 +90,7 @@ def _params(obj):
 class TestEntryPointSignatures:
     def test_run_config_fields(self):
         assert _params(api.RunConfig) == [
-            "algorithm", "latency", "record_history", "faults", "fast",
+            "algorithm", "latency", "record_history", "faults",
             "warmup", "ticks",
             "shard",
             "engine",
@@ -108,6 +108,17 @@ class TestEntryPointSignatures:
                 api.ConfigError, match=r"shard=ShardConfig"
             ):
                 api.RunConfig("DKNN-P", **kwargs)
+
+    def test_retired_fast_keyword(self):
+        # One build: neither entry point lists the keyword any more;
+        # ``fast=True`` (what benchmarks/layered still passes) is
+        # dropped, anything else refused (tests/test_run_config.py).
+        import pytest
+
+        assert _params(api.build_workload) == ["spec"]
+        assert api.RunConfig("DKNN-P", fast=True) == api.RunConfig("DKNN-P")
+        with pytest.raises(api.ConfigError, match="one build"):
+            api.RunConfig("DKNN-P", fast=False)
 
     def test_engine_config_fields(self):
         assert _params(api.EngineConfig) == ["mode", "replay"]

@@ -106,6 +106,35 @@ class TestPeriodic:
         sim.run(3)  # ticks 2-4: no re-evaluation
         assert sim.server.answers[queries[0].qid] == first
 
+    def test_tick_batch_is_never_expanded(self, monkeypatch):
+        """PER's scan reads the grid, not the update log: the tick's
+        ``TICK_REPORT`` batch arrives whole and stays whole — and the
+        answers are still the per-object loop's, report by report."""
+        from repro.baselines.common import BatchUpdates
+        from repro.experiments.config import RunConfig
+        from tests.helpers import built_system, reference_system
+
+        def expand(self):
+            raise AssertionError("PER expanded a batch it never reads")
+
+        monkeypatch.setattr(BatchUpdates, "expand", expand)
+        spec = WorkloadSpec(
+            n_objects=80, n_queries=2, k=5, seed=9, ticks=12, warmup_ticks=0
+        )
+        cfg = RunConfig("PER", params={"period": 2})
+        sim, _ = built_system(cfg, spec)
+        ref, _ = reference_system(cfg, spec)
+        for _ in range(spec.ticks):
+            sim.step()
+            ref.step()
+            assert sim.server.answers == ref.server.answers
+        batched = sim.channel.stats.columnar_by_kind[MessageKind.TICK_REPORT]
+        assert batched == sim.fleet.n * spec.ticks
+        assert sim.server.meter.units == ref.server.meter.units
+        assert (
+            sim.channel.stats.sent_by_kind == ref.channel.stats.sent_by_kind
+        )
+
     def test_unknown_message_kind_raises(self):
         fleet, queries = _fleet_and_queries()
         sim = build_periodic_system(fleet, queries)

@@ -12,7 +12,9 @@ from repro.core.broadcast_variant import (
 from repro.errors import ProtocolError
 from repro.net.message import MessageKind
 from repro.server import QuerySpec
+from repro.experiments.config import RunConfig
 from repro.workloads import WorkloadSpec, build_workload
+from tests.helpers import reference_system
 
 
 def _system(n=100, q=2, k=5, seed=13, **params):
@@ -93,13 +95,18 @@ class TestMobileNode:
         assert q.focal_oid not in sim.server.answers[q.qid]
 
     def test_monitors_installed_on_all_nodes(self):
-        sim, fleet, queries = _system(n=30, q=1)
+        # On the per-object reference: a built system's client phase
+        # hands a node its installs only when the node is next touched.
+        spec = WorkloadSpec(
+            n_objects=30, n_queries=1, k=5, seed=13, ticks=10, warmup_ticks=1
+        )
+        sim, queries = reference_system(RunConfig("DKNN-B"), spec)
         sim.run(3)
         qid = queries[0].qid
         with_monitor = sum(
             1 for node in sim.mobiles if qid in node.monitors
         )
-        assert with_monitor == fleet.n
+        assert with_monitor == sim.fleet.n
 
     def test_infinite_threshold_silences_monitoring(self):
         # Population below k: trivial install, nobody ever violates.

@@ -9,6 +9,7 @@ from repro.mobility import Fleet, StationaryMover
 from repro.net.message import MessageKind
 from repro.server import QuerySpec
 from repro.workloads import WorkloadSpec, build_workload
+from tests.helpers import built_system, reference_system
 
 
 def _system(n=100, q=2, k=5, seed=17, query_speed=50.0, **params):
@@ -158,12 +159,11 @@ class TestLatencyModeSetup:
 
 
 class TestRepairRoundStaysInArrays:
-    """Count-based (no timers): the fast build's repair round reads
+    """Count-based (no timers): the build's repair round reads
     freshness and positions per repair, not per candidate."""
 
     @staticmethod
-    def _run(n, fast, monkeypatch=None, ticks=40):
-        from repro.experiments.algorithms import build_system
+    def _run(n, build=built_system, monkeypatch=None, ticks=40):
         from repro.experiments.config import RunConfig
         from repro.index.grid import UniformGrid
         from repro.server.object_table import ObjectTable
@@ -182,8 +182,7 @@ class TestRepairRoundStaysInArrays:
             n_objects=n, n_queries=8, k=8, seed=42, ticks=ticks,
             warmup_ticks=0,
         )
-        fleet, queries = build_workload(spec, fast=fast)
-        sim = build_system(RunConfig("DKNN-P", fast=fast), fleet, queries)
+        sim, _ = build(RunConfig("DKNN-P"), spec)
         per_tick = []
         sim.run(
             ticks,
@@ -201,7 +200,7 @@ class TestRepairRoundStaysInArrays:
     def test_calls_per_repair_do_not_grow_with_candidates(
         self, n, monkeypatch
     ):
-        _, repairs, calls = self._run(n, fast=True, monkeypatch=monkeypatch)
+        _, repairs, calls = self._run(n, monkeypatch=monkeypatch)
         assert repairs >= 250
         # The list-walking round made ~90 / ~27 calls per repair at
         # N=2000 and ~160 / ~37 at N=6000 (three freshness passes over
@@ -211,7 +210,7 @@ class TestRepairRoundStaysInArrays:
         assert calls["position_of"] <= 12 * repairs
 
     def test_fast_build_equals_scalar_tick_for_tick(self):
-        fast, fast_repairs, _ = self._run(2000, fast=True)
-        scalar, scalar_repairs, _ = self._run(2000, fast=False)
+        fast, fast_repairs, _ = self._run(2000)
+        scalar, scalar_repairs, _ = self._run(2000, reference_system)
         assert fast_repairs == scalar_repairs
         assert fast == scalar

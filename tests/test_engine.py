@@ -39,7 +39,7 @@ from repro.net.message import SERVER_ID, Message, MessageKind
 from repro.net.simulator import RoundSimulator
 from repro.server.config import ShardConfig
 from repro.workloads import WorkloadSpec, build_workload
-from tests.helpers import SinkServer
+from tests.helpers import SinkServer, built_system, reference_system
 
 #: Mostly-silent workload: small enough for test time, still skippable.
 SPEC = WorkloadSpec(
@@ -57,10 +57,14 @@ SPEC = WorkloadSpec(
 TICKS = 40
 
 
-def _run(cfg: RunConfig, spec: WorkloadSpec = SPEC, ticks: int = TICKS):
+def _run(
+    cfg: RunConfig,
+    spec: WorkloadSpec = SPEC,
+    ticks: int = TICKS,
+    build=built_system,
+):
     """Run one config tick by tick; return per-tick answers + stats."""
-    fleet, queries = build_workload(spec, fast=cfg.fast)
-    sim = build_system(cfg, fleet, queries)
+    sim, queries = build(cfg, spec)
     per_tick = []
     skipped = []
     driver = getattr(sim, "_driver", None)
@@ -159,9 +163,9 @@ class TestEquivalence:
         assert tick["driver"].skipped_ticks == 0
 
     def test_fast_path_event_mode(self):
-        tick_run = _run(RunConfig("DKNN-P", fast=True))
+        tick_run = _run(RunConfig("DKNN-P"))
         event_run = _run(
-            RunConfig("DKNN-P", fast=True, engine=EngineConfig(mode="event"))
+            RunConfig("DKNN-P", engine=EngineConfig(mode="event"))
         )
         _assert_equivalent(tick_run, event_run)
         assert event_run["driver"].skipped_ticks > 0
@@ -170,13 +174,16 @@ class TestEquivalence:
         """Dense enough that repairs install and revoke in runs the
         server batches: the client phase applies them in place on the
         full ticks, and the driver still wakes the receivers on time —
-        same skipped ticks and heap counters as the scalar build's
-        event run, same answers and messages as the tick loop."""
+        same skipped ticks and heap counters as the per-object
+        reference's event run (every wakeup planned by the scalar
+        ``wakeup``), same answers and messages as the tick loop."""
         spec = dataclasses.replace(SPEC, n_objects=1500, k=8)
         event = EngineConfig(mode="event")
-        tick_run = _run(RunConfig("DKNN-P", fast=True), spec)
-        event_run = _run(RunConfig("DKNN-P", fast=True, engine=event), spec)
-        scalar_event_run = _run(RunConfig("DKNN-P", engine=event), spec)
+        tick_run = _run(RunConfig("DKNN-P"), spec)
+        event_run = _run(RunConfig("DKNN-P", engine=event), spec)
+        scalar_event_run = _run(
+            RunConfig("DKNN-P", engine=event), spec, build=reference_system
+        )
         _assert_equivalent(tick_run, event_run)
         assert event_run["answers"] == scalar_event_run["answers"]
         assert event_run["skipped"] == scalar_event_run["skipped"] != []
@@ -390,14 +397,14 @@ class TestPlannerNeverLate:
 
 
 class TestBatchedCounts:
-    """What a full tick of the fast event engine no longer does."""
+    """What a full tick of the event engine no longer does."""
 
     @pytest.mark.parametrize("spec", [SPEC, WAYPOINT_SPEC], ids=["commute", "waypoint"])
     def test_every_scalar_tick_start_sends(self, spec, monkeypatch):
         """Without protocol timers the candidate mask is exact: a node
         runs its scalar ``on_tick_start`` only on a tick it transmits."""
-        fleet, queries = build_workload(spec, fast=True)
-        sim = build_system(RunConfig("DKNN-P", fast=True), fleet, queries)
+        fleet, queries = build_workload(spec)
+        sim = build_system(RunConfig("DKNN-P"), fleet, queries)
         stats = sim.channel.stats
         real = DknnMobileNode.on_tick_start
         calls = []
@@ -425,7 +432,7 @@ class TestBatchedCounts:
     def test_replan_is_batched_and_the_heap_is_unchanged(
         self, spec, pinned, monkeypatch
     ):
-        """No scalar ``wakeup`` on a fast run — every kernel here has
+        """No scalar ``wakeup`` on a built run — every kernel here has
         an array solver — and the heap counters are those of the
         per-node re-plan this replaced (pinned from the parent commit)."""
         scalar_calls = []
@@ -437,8 +444,7 @@ class TestBatchedCounts:
             or real(self, node, tick),
         )
         run = _run(
-            RunConfig("DKNN-P", fast=True, engine=EngineConfig(mode="event")),
-            spec,
+            RunConfig("DKNN-P", engine=EngineConfig(mode="event")), spec
         )
         assert not scalar_calls
         doc = run["driver"].stats()

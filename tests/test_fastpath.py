@@ -1,11 +1,13 @@
-"""Bit-identity of the vectorized fast path against the scalar spec.
+"""Bit-identity of the build against the per-object reference loop.
 
-The ``fast=True`` builders must be *indistinguishable* from the scalar
-reference: same per-tick answers, same messages (count, kind, bytes,
-delivery accounting), same cost-meter units, same fleet trajectories,
-same RNG stream — for every protocol, and also under an active fault
-plan. These tests pin that contract end to end; the unit-level
-counterparts for the index/oracle live in ``test_index_vectorized.py``.
+What ``build_system`` builds — vectorized client phase, SoA fleet,
+columnar plane — must be *indistinguishable* from the per-object
+reference (``tests/helpers.py::reference_system``): same per-tick
+answers, same messages (count, kind, bytes, delivery accounting), same
+cost-meter units, same fleet trajectories, same RNG stream — for every
+protocol, and also under an active fault plan. These tests pin that
+contract end to end; the unit-level counterparts for the index/oracle
+live in ``test_index_vectorized.py``.
 """
 
 from __future__ import annotations
@@ -35,19 +37,18 @@ from repro.net.faults import FaultPlan
 from repro.net.message import BROADCAST_ID, SERVER_ID, Message, MessageKind
 from repro.workloads.generator import build_workload
 from repro.workloads.spec import WorkloadSpec
+from tests.helpers import built_system, reference_system
 
 TICKS = 25
 
 
-def _run(algorithm, fast, faults=None, n=250, ticks=TICKS):
+def _run(algorithm, build, faults=None, n=250, ticks=TICKS):
     spec = WorkloadSpec(
         ticks=ticks, warmup_ticks=0, seed=42, n_objects=n, n_queries=6, k=5
     )
-    fleet, queries = build_workload(spec, fast=fast)
-    cfg = RunConfig(
-        algorithm, record_history=True, fast=fast, faults=faults
-    )
-    sim = build_system(cfg, fleet, queries)
+    cfg = RunConfig(algorithm, record_history=True, faults=faults)
+    sim, _ = build(cfg, spec)
+    fleet = sim.fleet
     answers = []
 
     def snap(s):
@@ -72,8 +73,8 @@ def _run(algorithm, fast, faults=None, n=250, ticks=TICKS):
 
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
 def test_fast_path_bit_identical(algorithm):
-    scalar = _run(algorithm, fast=False)
-    fast = _run(algorithm, fast=True)
+    scalar = _run(algorithm, reference_system)
+    fast = _run(algorithm, built_system)
     assert fast["positions"] == scalar["positions"]
     assert fast["messages"] == scalar["messages"]
     assert fast["bytes"] == scalar["bytes"]
@@ -131,8 +132,8 @@ def test_fast_path_bit_identical_under_faults(algorithm, plan_kwargs):
     deviation (extra send, reordered dispatch) shows up as a diverged
     run, not a subtle statistic.
     """
-    scalar = _run(algorithm, fast=False, faults=FaultPlan(**plan_kwargs))
-    fast = _run(algorithm, fast=True, faults=FaultPlan(**plan_kwargs))
+    scalar = _run(algorithm, reference_system, FaultPlan(**plan_kwargs))
+    fast = _run(algorithm, built_system, FaultPlan(**plan_kwargs))
     assert fast["positions"] == scalar["positions"]
     assert fast["messages"] == scalar["messages"]
     assert fast["bytes"] == scalar["bytes"]
@@ -187,9 +188,9 @@ def test_coalesced_replay_matches_sequential_walk(algorithm, ops):
         ticks=1, warmup_ticks=0, seed=5, n_objects=REPLAY_N - 3, n_queries=3,
         k=2,
     )
-    fleet, queries = build_workload(spec, fast=True)
+    fleet, queries = build_workload(spec)
     assert fleet.n == REPLAY_N
-    sim = build_system(RunConfig(algorithm, fast=True), fleet, queries)
+    sim = build_system(RunConfig(algorithm), fleet, queries)
     phase = sim.client_phase
     qids = sorted(phase._qidx)
     nodes = phase._node_of
@@ -237,7 +238,8 @@ def test_coalesced_replay_matches_sequential_walk(algorithm, ops):
 def test_replay_cost_is_stationary():
     """Tick cost of the lazy-install machinery must not grow with run
     age: per touch at most two handler calls per query, a replay log
-    bounded by the query count — and still the scalar run, tick for tick.
+    bounded by the query count — and still the reference run, tick for
+    tick.
     """
     ticks, n_queries = 160, 8
     spec = WorkloadSpec(
@@ -245,11 +247,9 @@ def test_replay_cost_is_stationary():
         n_queries=n_queries, k=5,
     )
 
-    def build(fast):
-        fleet, queries = build_workload(spec, fast=fast)
-        return build_system(RunConfig("DKNN-B", fast=fast), fleet, queries)
-
-    scalar, fast = build(False), build(True)
+    cfg = RunConfig("DKNN-B")
+    scalar, _ = reference_system(cfg, spec)
+    fast, _ = built_system(cfg, spec)
     phase = fast.client_phase
     replay = phase._replay
     worst_touch = 0

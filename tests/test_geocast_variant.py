@@ -7,8 +7,9 @@ import pytest
 from repro.core.geocast_variant import GeocastParams, build_geocast_system
 from repro.errors import ProtocolError
 from repro.net.message import MessageKind
+from repro.experiments.config import RunConfig
 from repro.workloads import WorkloadSpec, build_workload
-from tests.helpers import ExactnessChecker
+from tests.helpers import ExactnessChecker, reference_system
 
 
 def _system(n=150, q=2, k=5, seed=29, query_speed=50.0, **params):
@@ -119,7 +120,13 @@ class TestEpochs:
         from repro.core.protocol import GeocastInstall
         from repro.net.message import Message, SERVER_ID
 
-        sim, fleet, _ = _system()
+        # On the per-object reference: a built system's client phase
+        # hands a node its installs only when the node is next touched.
+        spec = WorkloadSpec(
+            n_objects=150, n_queries=2, k=5, seed=29, ticks=10,
+            warmup_ticks=1, query_speed=50.0,
+        )
+        sim, _ = reference_system(RunConfig("DKNN-G"), spec)
         sim.run(5)
         node = sim.mobiles[0]
         monitored_qid = next(iter(node.monitors))

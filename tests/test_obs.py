@@ -1,6 +1,6 @@
 """Observability layer: trace events, metrics, manifests, and the
-protocol-scope bit-identity contract (scalar vs fast, with and without
-faults)."""
+protocol-scope bit-identity contract (the build vs the per-object
+reference of ``tests/helpers.py``, with and without faults)."""
 
 from __future__ import annotations
 
@@ -29,18 +29,19 @@ from repro.obs import (
 )
 from repro.obs.summarize import phase_table, summarize_text
 from repro.workloads import WorkloadSpec, build_workload
+from tests.helpers import built_system, reference_system
 
 SPEC = WorkloadSpec(
     n_objects=200, n_queries=4, k=4, ticks=20, warmup_ticks=0, seed=42
 )
 
 
-def _traced_run(algorithm, fast, faults=None, ticks=20):
+def _traced_run(algorithm, build=built_system, faults=None, ticks=20):
     ring = RingSink()
     tel = Telemetry(tracer=Tracer(ring))
-    fleet, queries = build_workload(SPEC, fast=fast)
-    cfg = RunConfig(algorithm, fast=fast, faults=faults)
-    sim = build_system(cfg, fleet, queries, telemetry=tel)
+    sim, queries = build(
+        RunConfig(algorithm, faults=faults), SPEC, telemetry=tel
+    )
     sim.run(ticks)
     answers = {q.qid: tuple(sim.server.answers[q.qid]) for q in queries}
     return ring.events(), answers
@@ -82,12 +83,15 @@ FAULT_PLANS = {
 
 
 class TestProtocolStreamBitIdentity:
-    """Scalar and fast runs must emit identical protocol event streams."""
+    """The build and the per-object reference must emit identical
+    protocol event streams."""
 
     @pytest.mark.parametrize("algorithm", ["DKNN-P", "DKNN-B", "DKNN-G"])
     def test_identical_without_faults(self, algorithm):
-        scalar_events, scalar_answers = _traced_run(algorithm, fast=False)
-        fast_events, fast_answers = _traced_run(algorithm, fast=True)
+        scalar_events, scalar_answers = _traced_run(
+            algorithm, reference_system
+        )
+        fast_events, fast_answers = _traced_run(algorithm)
         assert fast_answers == scalar_answers
         assert _key(protocol_events(fast_events)) == _key(
             protocol_events(scalar_events)
@@ -99,11 +103,9 @@ class TestProtocolStreamBitIdentity:
     def test_identical_under_active_fault_plan(self, algorithm):
         plan = FAULT_PLANS[algorithm]
         scalar_events, scalar_answers = _traced_run(
-            algorithm, fast=False, faults=plan
+            algorithm, reference_system, faults=plan
         )
-        fast_events, fast_answers = _traced_run(
-            algorithm, fast=True, faults=plan
-        )
+        fast_events, fast_answers = _traced_run(algorithm, faults=plan)
         assert fast_answers == scalar_answers
         assert _key(protocol_events(fast_events)) == _key(
             protocol_events(scalar_events)
@@ -115,8 +117,8 @@ class TestProtocolStreamBitIdentity:
         )
 
     def test_fastpath_perf_events_only_on_fast_runs(self):
-        scalar_events, _ = _traced_run("DKNN-B", fast=False)
-        fast_events, _ = _traced_run("DKNN-B", fast=True)
+        scalar_events, _ = _traced_run("DKNN-B", reference_system)
+        fast_events, _ = _traced_run("DKNN-B")
         assert not [e for e in scalar_events if e.kind == "fastpath.candidates"]
         assert [e for e in fast_events if e.kind == "fastpath.candidates"]
 
@@ -124,7 +126,7 @@ class TestProtocolStreamBitIdentity:
         """``replayed`` counts coalesced deliveries, ``superseded`` the
         pending installs skipped as unobservable (scalar nodes handle
         both), ``log_len`` the bounded log — and the summary says so."""
-        events, _ = _traced_run("DKNN-B", fast=True)
+        events, _ = _traced_run("DKNN-B")
         decisions = [
             e.fields for e in events if e.kind == "fastpath.candidates"
         ]
@@ -254,6 +256,10 @@ class TestRunIntegration:
         assert all(
             row["labels"]["algorithm"] == "DKNN-P" for row in series
         )
+        # instrumentation must not perturb the run it observes
+        bare = run_once(RunConfig("DKNN-P"), spec, accuracy_every=0)
+        assert bare.per_kind_msgs == m.per_kind_msgs
+        assert bare.units_per_tick == m.units_per_tick
 
     def test_phase_events_cover_every_tick(self):
         ring = RingSink()
@@ -268,7 +274,7 @@ class TestRunIntegration:
     def test_manifest_completeness(self, tmp_path):
         with recording() as runs:
             run_once(
-                RunConfig("DKNN-G", fast=True, params={"lease_ticks": 4}),
+                RunConfig("DKNN-G", params={"lease_ticks": 4}),
                 SPEC.but(warmup_ticks=2),
                 accuracy_every=0,
             )
@@ -282,7 +288,7 @@ class TestRunIntegration:
         assert doc["wall_seconds"] == 1.25
         run = doc["runs"][0]
         assert run["config"]["algorithm"] == "DKNN-G"
-        assert run["config"]["fast"] is True
+        assert "fast" not in run["config"]
         assert run["config"]["resolved_params"]["lease_ticks"] == 4
         assert run["spec"]["seed"] == SPEC.seed
         assert run["measurement"]["ticks_measured"] == SPEC.ticks - 2
@@ -293,7 +299,7 @@ class TestRunIntegration:
         sink = JsonlSink(path)
         tel = Telemetry(tracer=Tracer(sink))
         run_once(
-            RunConfig("DKNN-P", fast=True),
+            RunConfig("DKNN-P"),
             SPEC.but(warmup_ticks=2),
             accuracy_every=0,
             telemetry=tel,

@@ -6,19 +6,20 @@ Three layers of pinning:
   invariants, the one-queue-slot channel contract, accounting parity
   with the scalar sends the batch replaces, and exact lazy
   materialization;
-* whole-system bit-identity — scalar vs columnar fast runs for every
-  algorithm, under the sharded tier at S in {1, 4}, and with a
-  ShardFaultPlan active (which must veto the plane entirely): per-tick
-  answers, every legacy CommStats counter, and the shard ledger agree,
-  while ``columnar_by_kind`` proves the plane actually carried traffic
-  on the fault-free fast runs;
+* whole-system bit-identity — the build against the per-object
+  reference (``tests/helpers.py::reference_system``, which never
+  batches) for every algorithm, under the sharded tier at S in {1, 4},
+  and with a ShardFaultPlan active (which must veto the plane
+  entirely): per-tick answers, every legacy CommStats counter, and the
+  shard ledger agree, while ``columnar_by_kind`` proves the plane
+  actually carried traffic on the fault-free built runs;
 * trace streams — tracing vetoes the plane, and the resulting Jsonl
-  protocol event stream is byte-identical between scalar and fast
-  builds.
+  protocol event stream is byte-identical between the build and the
+  reference.
 
 The radio-FaultPlan identity matrix lives in ``tests/test_fastpath.py``
 (FaultyChannel advertises ``supports_columnar = False``, so those runs
-exercise the scalar fallback of every fast build).
+exercise the one-by-one fallback of every phase).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import pytest
 
 from repro.core.protocol import LocationUpdate, ProbeRequest, RevokeBand
 from repro.errors import NetworkError
-from repro.experiments.algorithms import ALGORITHMS, build_system
+from repro.experiments.algorithms import ALGORITHMS
 from repro.experiments.config import RunConfig
 from repro.net.channel import Channel
 from repro.net.faults import ShardFaultPlan
@@ -46,8 +47,8 @@ from repro.net.plane import ColumnarBatch
 from repro.obs.telemetry import Telemetry
 from repro.obs.trace import PERF_KINDS, PROTOCOL_KINDS, JsonlSink, Tracer
 from repro.server.sharding import ShardedServer
-from repro.workloads.generator import build_workload
 from repro.workloads.spec import WorkloadSpec
+from tests.helpers import built_system, reference_system
 
 LU_NBYTES = payload_size(LocationUpdate(0.0, 0.0))
 
@@ -250,22 +251,16 @@ def _spec(n=300, ticks=22, **fields):
 DENSE = dict(n=1200, universe_size=2000.0)
 
 
-def _run(algorithm, fast, shards=None, shard_faults=None, telemetry=None,
+def _run(algorithm, build, shards=None, shard_faults=None, telemetry=None,
          n=300, ticks=22, **fields):
     spec = _spec(n, ticks, **fields)
-    fleet, queries = build_workload(spec, fast=fast)
     shard = (
         None
         if shards is None and shard_faults is None
         else ShardConfig(shards=shards or 1, faults=shard_faults)
     )
-    cfg = RunConfig(
-        algorithm,
-        record_history=True,
-        fast=fast,
-        shard=shard,
-    )
-    sim = build_system(cfg, fleet, queries, telemetry=telemetry)
+    cfg = RunConfig(algorithm, record_history=True, shard=shard)
+    sim, _ = build(cfg, spec, telemetry=telemetry)
     answers = []
 
     def snap(s):
@@ -299,17 +294,17 @@ def _run(algorithm, fast, shards=None, shard_faults=None, telemetry=None,
     return out
 
 
-def _assert_identical(fast, scalar):
-    assert fast["answers"] == scalar["answers"]
-    assert fast["messages"] == scalar["messages"]
-    assert fast["bytes"] == scalar["bytes"]
-    assert fast["delivered"] == scalar["delivered"]
-    assert fast["meter"] == scalar["meter"]
-    if "shard_ledger" in scalar:
-        assert fast["shard_ledger"] == scalar["shard_ledger"]
+def _assert_identical(built, reference):
+    assert built["answers"] == reference["answers"]
+    assert built["messages"] == reference["messages"]
+    assert built["bytes"] == reference["bytes"]
+    assert built["delivered"] == reference["delivered"]
+    assert built["meter"] == reference["meter"]
+    if "shard_ledger" in reference:
+        assert built["shard_ledger"] == reference["shard_ledger"]
 
 
-#: algorithms whose fast build routes hot-path traffic through the
+#: algorithms whose build routes hot-path traffic through the
 #: plane (DKNN-B/DKNN-G use broadcast/geocast delivery, which never
 #: batches — their identity matrix lives in test_fastpath.py).
 COLUMNAR_ALGS = ("DKNN-P", "CPM", "PER", "SEA")
@@ -320,11 +315,13 @@ class TestBitIdentity:
     def test_columnar_fast_run_is_identical_and_actually_batches(
         self, algorithm
     ):
-        scalar = _run(algorithm, fast=False)
-        fast = _run(algorithm, fast=True)
+        scalar = _run(algorithm, reference_system)
+        fast = _run(algorithm, built_system)
         _assert_identical(fast, scalar)
+        # with no client phase to take a batch whole the plane stays
+        # closed: the reference sends every message on its own.
         assert not scalar["columnar"]
-        # the guard against a silently dead plane: the fast run must
+        # the guard against a silently dead plane: the built run must
         # have moved real traffic through batch columns, and every
         # batch must have found a receiver that takes it whole.
         assert sum(fast["columnar"].values()) > 0
@@ -333,8 +330,8 @@ class TestBitIdentity:
     @pytest.mark.parametrize("algorithm", ("DKNN-P", "CPM"))
     @pytest.mark.parametrize("shards", (1, 4))
     def test_sharded_tier_identity(self, algorithm, shards):
-        scalar = _run(algorithm, fast=False, shards=shards)
-        fast = _run(algorithm, fast=True, shards=shards)
+        scalar = _run(algorithm, reference_system, shards=shards)
+        fast = _run(algorithm, built_system, shards=shards)
         _assert_identical(fast, scalar)
         assert sum(fast["columnar"].values()) > 0
 
@@ -343,8 +340,8 @@ class TestBitIdentity:
         """Installs and revokes cross the plane as batches and no batch
         of any kind is expanded back into scalar messages: a receiver
         that stops consuming one fails here, not only in a benchmark."""
-        scalar = _run("DKNN-P", fast=False, shards=shards, **DENSE)
-        fast = _run("DKNN-P", fast=True, shards=shards, **DENSE)
+        scalar = _run("DKNN-P", reference_system, shards=shards, **DENSE)
+        fast = _run("DKNN-P", built_system, shards=shards, **DENSE)
         _assert_identical(fast, scalar)
         assert fast["columnar"][MessageKind.INSTALL_REGION] > 0
         assert fast["columnar"][MessageKind.REVOKE_REGION] > 0
@@ -355,8 +352,8 @@ class TestBitIdentity:
         plan = ShardFaultPlan(
             seed=3, link_drop=0.05, crashes=((2, 8, 14),)
         )
-        scalar = _run(algorithm, fast=False, shards=4, shard_faults=plan)
-        fast = _run(algorithm, fast=True, shards=4, shard_faults=plan)
+        scalar = _run(algorithm, reference_system, shards=4, shard_faults=plan)
+        fast = _run(algorithm, built_system, shards=4, shard_faults=plan)
         _assert_identical(fast, scalar)
         # an active plan adjudicates faults per message: no batches.
         assert not fast["columnar"]
@@ -375,27 +372,27 @@ class TestTraceStreams:
 
         The Jsonl files are compared on everything except ``PERF_KINDS``
         — timing (``tick.phase``) and dispatch (``fastpath.candidates``)
-        events are explicitly allowed to differ between the scalar and
-        fast builds; every other kind must be byte-for-byte identical.
+        events are explicitly allowed to differ between the build and
+        the reference; every other kind must be byte-for-byte identical.
         """
         streams = {}
-        for fast in (False, True):
-            path = tmp_path / f"trace_{fast}.jsonl"
+        for build in (reference_system, built_system):
+            path = tmp_path / f"trace_{build.__name__}.jsonl"
             tel = Telemetry(tracer=Tracer(JsonlSink(str(path))))
-            out = _run(algorithm, fast=fast, telemetry=tel, ticks=15)
+            out = _run(algorithm, build, telemetry=tel, ticks=15)
             tel.tracer.close()
             assert not out["columnar"]  # tracing vetoes the plane
             lines = path.read_text().strip().splitlines()
             assert lines
             events = [json.loads(line) for line in lines]
-            streams[fast] = [
+            streams[build] = [
                 e for e in events if e["kind"] not in PERF_KINDS
             ]
-        assert streams[True] == streams[False]
+        assert streams[built_system] == streams[reference_system]
         if algorithm == "DKNN-P":
             # The distributed protocol emits server.* events every run;
             # the centralized baselines legitimately emit none, so only
             # DKNN-P pins a non-empty comparison.
             assert any(
-                e["kind"] in PROTOCOL_KINDS for e in streams[True]
+                e["kind"] in PROTOCOL_KINDS for e in streams[built_system]
             )

@@ -41,6 +41,7 @@ from repro.api import (
 )
 from repro.errors import ConfigError
 from repro.obs import RingSink, Telemetry, Tracer, protocol_events
+from tests.helpers import built_system, reference_system
 
 #: Hotspot-drift workload small enough for CI but hot enough that the
 #: rebalancer has something to chase (three Zipf-weighted hotspots
@@ -332,12 +333,11 @@ class TestHotspotDriftParity:
     def test_fast_and_scalar_answers_identical(self):
         spec = DRIFT.but(ticks=30)
         results = {}
-        for fast in (False, True):
-            cfg = RunConfig("DKNN-B", fast=fast, record_history=True)
-            fleet, queries = build_workload(spec)
-            sim = build_system(cfg, fleet, queries)
+        cfg = RunConfig("DKNN-B", record_history=True)
+        for build in (reference_system, built_system):
+            sim, queries = build(cfg, spec)
             sim.run(spec.ticks)
-            results[fast] = {
+            results[build] = {
                 q.qid: sim.server.answer_history[q.qid] for q in queries
             }
-        assert results[True] == results[False]
+        assert results[built_system] == results[reference_system]

@@ -93,8 +93,8 @@ class _Recorder:
         pass
 
 
-def _build(fleet, ft: bool = False, fast: bool = True) -> RoundSimulator:
-    """``fast=False`` is the reference program: no client phase, every
+def _build(fleet, ft: bool = False, phase: bool = True) -> RoundSimulator:
+    """``phase=False`` is the reference program: no client phase, every
     node runs its own ``on_tick_start`` every tick."""
     mobiles = [
         DknnMobileNode(
@@ -105,7 +105,7 @@ def _build(fleet, ft: bool = False, fast: bool = True) -> RoundSimulator:
     ]
     return RoundSimulator(
         fleet, SinkServer(), mobiles,
-        client_phase=DknnSilentPhase() if fast else None,
+        client_phase=DknnSilentPhase() if phase else None,
     )
 
 
@@ -290,8 +290,8 @@ _ops = st.one_of(
 FT_MODES = ["plain", "acks", "retry", "lease"]
 
 
-def _build_mode(seed: int, ft: str, fast: bool = True) -> RoundSimulator:
-    sim = _build(_waypoint_fleet(seed), ft=ft in ("retry", "lease"), fast=fast)
+def _build_mode(seed: int, ft: str, phase: bool = True) -> RoundSimulator:
+    sim = _build(_waypoint_fleet(seed), ft=ft in ("retry", "lease"), phase=phase)
     if ft == "acks":
         for node in sim.mobiles:
             node.ack_installs = True
@@ -356,7 +356,7 @@ def test_batches_leave_the_nodes_as_scalar_messages_would(ft, ops, seed):
     """Twin simulators: the phase fed batches against the reference
     program (no phase) fed the same flights message by message."""
     fast = _build_mode(seed, ft)
-    ref = _build_mode(seed, ft, fast=False)
+    ref = _build_mode(seed, ft, phase=False)
     for sim, batched in ((fast, True), (ref, False)):
         sim.step()
         for epoch, op in enumerate(ops):

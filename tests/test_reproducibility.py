@@ -75,3 +75,26 @@ def test_different_seeds_change_traffic():
         != sim_b.channel.stats.total_messages
         or sim_a.server.answers != sim_b.server.answers
     )
+
+
+@pytest.mark.parametrize(
+    "n_objects, ticks, algorithm, msgs_total",
+    [
+        (2_000, 40, "DKNN-P", 64_740),
+        (2_000, 40, "DKNN-B", 18_991),
+        (20_000, 15, "DKNN-P", 180_386),
+        (20_000, 15, "CPM", 400_623),
+    ],
+)
+def test_seeded_message_totals_are_pinned(
+    n_objects, ticks, algorithm, msgs_total
+):
+    """Every message of a seeded run — registration burst, 5 warm-up
+    ticks and ``ticks`` more — as one literal: a protocol change that
+    alters the message stream shows up as an edit to this table in the
+    same PR."""
+    spec = WorkloadSpec(n_objects=n_objects, n_queries=16, k=8, seed=42)
+    fleet, queries = build_workload(spec)
+    sim = build_system(RunConfig(algorithm), fleet, queries)
+    sim.run(5 + ticks)
+    assert sim.channel.stats.total_messages == msgs_total

@@ -73,14 +73,14 @@ class TestImmutability:
 
     def test_but_revalidates(self):
         cfg = RunConfig("DKNN-P")
-        faster = cfg.but(fast=True)
-        assert faster.fast and not cfg.fast
+        longer = cfg.but(ticks=90)
+        assert longer.ticks == 90 and cfg.ticks is None
         with pytest.raises(ExperimentError):
             cfg.but(params={"warp_factor": 9})
 
     def test_describe_is_json_safe(self):
         cfg = RunConfig(
-            "DKNN-G", fast=True, faults=FaultPlan(seed=3, drop_uplink=0.1),
+            "DKNN-G", faults=FaultPlan(seed=3, drop_uplink=0.1),
             params={"lease_ticks": 4},
         )
         doc = json.loads(json.dumps(cfg.describe()))
@@ -149,7 +149,7 @@ class TestLegacyApiRemoved:
         with pytest.raises(TypeError):
             run_once(RunConfig("PER"), SPEC, alg_params={"period": 2})
         with pytest.raises(TypeError):
-            run_once(RunConfig("PER"), SPEC, faults=None, fast=True)
+            run_once(RunConfig("PER"), SPEC, faults=None)
 
     def test_config_from_legacy_is_gone(self):
         import repro.experiments.config as config_mod
@@ -203,7 +203,7 @@ class TestShardField:
 
     def test_but_roundtrips(self):
         cfg = RunConfig("DKNN-P", shard=ShardConfig(shards=2))
-        copy = cfg.but(fast=True)
+        copy = cfg.but(record_history=True)
         assert copy.shard == cfg.shard
         swapped = cfg.but(shard=ShardConfig(shards=4))
         assert swapped.shard.shards == 4
@@ -243,3 +243,33 @@ class TestRetiredShardKwargs:
     def test_truly_unknown_kwarg_is_still_a_typeerror(self):
         with pytest.raises(TypeError):
             RunConfig("DKNN-P", sharding=2)
+
+
+class TestRetiredFastKeyword:
+    """There is one build. ``fast=True`` is accepted and dropped (the
+    repo benchmark's two call sites still pass it); any other value
+    asked for the per-object build and raises."""
+
+    def test_true_is_dropped_everywhere(self):
+        cfg = RunConfig("DKNN-B", fast=True, ticks=40)
+        assert cfg == RunConfig("DKNN-B", ticks=40)
+        assert hash(cfg) == hash(RunConfig("DKNN-B", ticks=40))
+        assert not hasattr(cfg, "fast")
+        assert "fast" not in cfg.describe()
+        assert "fast" not in [f.name for f in dataclasses.fields(RunConfig)]
+        assert cfg.but(fast=True) == cfg
+
+    @pytest.mark.parametrize("value", [False, None, 0, "yes"])
+    def test_anything_else_raises(self, value):
+        with pytest.raises(ConfigError, match="one build"):
+            RunConfig("DKNN-B", fast=value)
+        with pytest.raises(ConfigError, match="one build"):
+            RunConfig("DKNN-B").but(fast=value)
+        with pytest.raises(ConfigError, match="one build"):
+            build_workload(SPEC, fast=value)
+
+    def test_build_workload_drops_true(self):
+        fleet, queries = build_workload(SPEC, fast=True)
+        plain, _ = build_workload(SPEC)
+        assert type(fleet) is type(plain)
+        assert fleet.positions == plain.positions

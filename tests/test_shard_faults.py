@@ -207,7 +207,7 @@ class TestDisabledPlanBitIdentity:
         assert link.sent_by_kind[SHARD_HEARTBEAT] == 0
         assert link.sent_by_kind[SHARD_REPLICATE] == 0
         assert sim.server.shard_stats.failovers == 0
-        assert not sim.server.stall_tolerant
+        assert not sim.server.per_message
 
 
 class TestLinkFaults:
