@@ -47,6 +47,7 @@ from repro.metrics.cost import CostMeter
 from repro.net.faults import FaultPlan
 from repro.net.message import Message, MessageKind
 from repro.net.node import MobileNode
+from repro.net.plane import ColumnarBatch
 from repro.net.simulator import RoundSimulator, ZERO_LATENCY
 from repro.server.engine import BaseServer
 from repro.server.query_table import QuerySpec
@@ -96,6 +97,9 @@ class _QueryState:
 class DknnBroadcastServer(BaseServer):
     """Coordinator of the broadcast protocol: tableless, collect-driven."""
 
+    #: the per-query record; the geocast server extends it.
+    _STATE = _QueryState
+
     def __init__(
         self,
         universe: Rect,
@@ -106,6 +110,9 @@ class DknnBroadcastServer(BaseServer):
         self.universe = universe
         self.params = params
         self._states: Dict[int, _QueryState] = {}
+        #: focal oid -> the states of its queries (probe replies carry
+        #: no qid: the sender identifies them).
+        self._by_focal: Dict[int, List[_QueryState]] = {}
         self._tick = 0
         self._max_radius = math.hypot(universe.width, universe.height)
         self.repair_count: Dict[int, int] = {}
@@ -113,7 +120,8 @@ class DknnBroadcastServer(BaseServer):
 
     def register_query(self, spec: QuerySpec) -> None:
         super().register_query(spec)
-        self._states[spec.qid] = _QueryState(spec)
+        st = self._states[spec.qid] = self._STATE(spec)
+        self._by_focal.setdefault(spec.focal_oid, []).append(st)
         self.repair_count[spec.qid] = 0
         self.collect_rounds[spec.qid] = 0
 
@@ -168,16 +176,33 @@ class DknnBroadcastServer(BaseServer):
                     ).labels(kind=event.split(".", 1)[1]).inc()
         elif msg.kind == MessageKind.PROBE_REPLY:
             # Only focal nodes are probed point-to-point in DKNN-B.
-            for st in self._states.values():
-                if st.spec.focal_oid == msg.src:
-                    st.focal_pos = (payload.x, payload.y)
-                    st.focal_tick = self._tick
+            for st in self._by_focal.get(msg.src, ()):
+                st.focal_pos = (payload.x, payload.y)
+                st.focal_tick = self._tick
         elif msg.kind == MessageKind.COLLECT_REPLY:
             st = self._require_state(payload.qid)
             if st.phase == _COLLECTING:
                 st.collected[msg.src] = (payload.x, payload.y)
         else:
             raise ProtocolError(f"broadcast server cannot handle {msg.kind}")
+
+    def on_uplink_batch(self, batch: ColumnarBatch) -> bool:
+        """Ingest the replies one collect drew, sent as one columnar
+        batch (``batch.qid`` names the query): the COLLECT_REPLY arm of
+        :meth:`on_message` for every source, under the same phase gate
+        — a round the server has moved on from is ignored whole. Any
+        other kind is declined and arrives as scalar messages."""
+        if batch.kind is not MessageKind.COLLECT_REPLY:
+            return False
+        st = self._require_state(batch.qid)
+        if st.phase == _COLLECTING:
+            st.collected.update(
+                zip(
+                    batch.srcs.tolist(),
+                    zip(batch.xs.tolist(), batch.ys.tolist()),
+                )
+            )
+        return True
 
     def _require_state(self, qid: int) -> _QueryState:
         st = self._states.get(qid)
@@ -285,8 +310,8 @@ class DknnBroadcastServer(BaseServer):
         scored = sorted(
             (dist(x, y, qx, qy), oid) for oid, (x, y) in st.collected.items()
         )
-        for _ in scored:
-            self.meter.charge(CostMeter.DIST_CALC)
+        if scored:
+            self.meter.charge(CostMeter.DIST_CALC, len(scored))
         inst = plan_installation((qx, qy), scored, k, self.params.s_cap)
         st.anchor = (qx, qy)
         st.threshold = inst.threshold
@@ -404,7 +429,8 @@ def build_broadcast_system(
 
     The per-tick band checks of all nodes run in one vectorized pass
     (:class:`~repro.core.fastpath.BroadcastSilentPhase`); installs
-    reach a node's ``monitors`` when it is next touched.
+    reach a node's ``monitors`` right before its own code next reads
+    them, and the replies a collect draws leave as one batch.
     """
     if params is None:
         params = BroadcastParams()

@@ -23,10 +23,17 @@ Exactness is preserved by construction, not by approximation:
   and every downstream statistic — is unchanged;
 * node state the phase mirrors in arrays (drift origins, installed
   monitors) is re-read from the nodes themselves whenever scalar code
-  could have changed it (the *touched* set), never extrapolated; where
-  the phase applies a whole batch itself it does to each node exactly
-  what the node's handler does and writes the same values to its
-  columns in the same call.
+  could have changed it (the *touched* set), never extrapolated —
+  unless all that code can change is one known thing, which is then
+  copied on the spot (a broadcast node's tick-start only adds to
+  ``_reported``); where the phase applies a whole batch itself it does
+  to each node exactly what the node's handler does and writes the
+  same values to its columns in the same call;
+* where the phase answers for the nodes — probe replies, drift
+  reports, the replies a DKNN-B/G collect round draws — the batch it
+  sends holds, in the nodes' own send order, exactly the messages
+  their handlers would have sent, and stands in the queue where that
+  run would have stood (:mod:`repro.net.plane`).
 
 ``tests/test_fastpath.py`` pins all of this against the scalar path,
 protocol by protocol, including under fault plans.
@@ -44,6 +51,7 @@ from repro.core.client import _BAND_CLASSES, DknnMobileNode
 from repro.core.geocast_variant import GeocastMobileNode
 from repro.core.protocol import (
     BAND_OUTSIDER,
+    CollectReply,
     CollectRequest,
     GeocastInstall,
     InstallBand,
@@ -89,6 +97,7 @@ def _base_tick_end(mobiles) -> bool:
 #: uniform wire sizes of the batched uplink payloads.
 _LU_NBYTES = payload_size(LocationUpdate(0.0, 0.0))
 _PR_NBYTES = payload_size(ProbeReply(0.0, 0.0))
+_CR_NBYTES = payload_size(CollectReply(0, 0.0, 0.0))
 
 #: region class -> (the table's row kind: the wire's band code, the
 #: squared slack the class's ``contains`` multiplies ``radius**2`` by).
@@ -548,12 +557,12 @@ class BroadcastSilentPhase(ClientPhase):
     phase mirrors each node's **own** monitor view per query — anchor,
     band limit, membership, reported flag — in ``(q, n)`` arrays
     (views can diverge across nodes under faults or geocast coverage),
-    evaluates the band predicates vectorized, and runs the scalar
-    tick-start on the violators. Focal nodes are always candidates:
-    there are at most ``q`` of them and their query-circle check is
-    cheap to re-run scalar.
+    evaluates the band predicates one query row at a time in n-sized
+    scratch, and runs the scalar tick-start on the violators. Focal
+    nodes are always candidates: there are at most ``q`` of them and
+    their query-circle check is cheap to re-run scalar.
 
-    Two delivery-side accelerations ride along:
+    Delivery is batched in both directions:
 
     * install broadcasts are delivered **lazily**: :meth:`deliver_area`
       claims them, applies the monitor change to the mirror arrays in
@@ -562,17 +571,29 @@ class BroadcastSilentPhase(ClientPhase):
       :class:`GeocastMobileNode.on_message`), and logs the message
       instead of invoking N handlers. The same update records, per
       (query, node), which logged install that node's handler would
-      end up holding and which it would have seen first; the next time
-      a node is touched at all (candidate tick-start, or any
-      dispatched message) :meth:`_replay` hands its own handler just
-      those — at most two per query, so a touch costs O(q) however
-      long the node was silent — and the log drops full broadcasts no
-      node can still be owed, so it does not grow with the run's age;
-    * circle-scoped broadcasts (``COLLECT`` requests) are delivered
-      through :meth:`deliver_area` too: the in-circle test every
-      receiver would run scalar is evaluated once, vectorized, and only
-      the nodes inside the circle are dispatched — for everyone else
-      delivery is a provable no-op.
+      end up holding and which it would have seen first, and
+      :meth:`_replay` hands a node's own handler just those — at most
+      two per query, however long the node was silent — right before
+      the two places scalar code reads what installs write
+      (``monitors`` / ``_reported`` / ``_epochs`` / ``known_answers``):
+      the node's tick-start as a candidate, and a scalar-dispatched
+      install. COLLECT and PROBE handlers read none of it, so they run
+      on a node that has not caught up. The log drops full broadcasts
+      no node can still be owed, so it does not grow with the run's
+      age;
+    * ``COLLECT`` requests are answered as a **round**
+      (:meth:`_collect_round`): the in-circle test every receiver
+      would run scalar is evaluated once, vectorized, and the replies
+      leave as one ``COLLECT_REPLY`` uplink batch — or, for a short
+      round or with the plane closed, from the handlers of the
+      in-circle nodes alone; for everyone else delivery is a provable
+      no-op.
+
+    A candidate's tick-start can change one thing the mirror holds —
+    it adds to ``_reported`` — and that is written to the cells on the
+    spot. Only a node a *scalar* install was dispatched to (no built
+    system sends one; a hand-fed unicast does) is re-read whole,
+    through the touched set, before the next band check.
     """
 
     def bind(self, sim) -> None:
@@ -584,10 +605,14 @@ class BroadcastSilentPhase(ClientPhase):
                 )
         self.skip_tick_end = _base_tick_end(sim.mobiles)
         n = sim.fleet.n
-        qids = sorted(
-            qid for node in sim.mobiles for qid in node.my_qids
-        )
-        self._qidx: Dict[int, int] = {qid: i for i, qid in enumerate(qids)}
+        #: qid -> its focal oid, the one node whose COLLECT handler
+        #: returns before the circle test.
+        self._focal_of: Dict[int, int] = {
+            qid: node.oid for node in sim.mobiles for qid in node.my_qids
+        }
+        self._qidx: Dict[int, int] = {
+            qid: i for i, qid in enumerate(sorted(self._focal_of))
+        }
         q = len(self._qidx)
         self._node_of: List[BroadcastMobileNode] = [None] * n  # type: ignore
         self._active = np.zeros(n, dtype=bool)
@@ -617,6 +642,10 @@ class BroadcastSilentPhase(ClientPhase):
         #: index of "every active node": a plain slice when that is the
         #: whole fleet, so full broadcasts write rows, not mask scatters.
         self._everyone = slice(None) if self._active.all() else self._active
+        #: n-sized scratch of the per-row passes (band check, collect
+        #: circle): |dx| and who lies in the strip it bounds.
+        self._d = np.empty(n)
+        self._near = np.empty(n, dtype=bool)
         #: lazily-delivered install broadcasts by delivery number, and
         #: per query the (number, epoch) of the full broadcasts among
         #: them. ``_applied[oid]`` is the first delivery number that
@@ -637,31 +666,16 @@ class BroadcastSilentPhase(ClientPhase):
         #: and skipped (reported per tick in ``fastpath.candidates``).
         self._replayed = 0
         self._superseded = 0
-        #: oids whose whole view needs re-reading (ran as candidates).
+        #: oids a scalar install was dispatched to: their whole view is
+        #: re-read before the next band check.
         self._touched_nodes: Set[int] = set()
-        #: membership-mask cache, keyed by the answer-id tuple itself —
-        #: equal keys give equal masks, so stale entries are impossible
-        #: (an ``id()`` key would alias recycled payload objects).
-        self._member_masks: Dict[Tuple[int, ...], np.ndarray] = {}
-
-    def _members_of(self, mon) -> np.ndarray:
-        """Boolean mask over oids: is the oid in ``mon.answer_ids``?"""
-        key = mon.answer_ids
-        cached = self._member_masks.get(key)
-        if cached is None:
-            if len(self._member_masks) > 256:
-                self._member_masks.clear()
-            cached = np.zeros(len(self._node_of), dtype=bool)
-            cached[list(key)] = True
-            self._member_masks[key] = cached
-        return cached
 
     def _replay(self, node: "BroadcastMobileNode") -> None:
         """Hand the node's handler its pending installs, coalesced.
 
         Lazily-delivered installs (see :meth:`deliver_area`) must reach
-        the node's own ``on_message`` before anything else observes the
-        node — a later message dispatch, a candidate tick-start, or a
+        the node's own ``on_message`` before scalar code reads what
+        they write — a candidate tick-start, a scalar install, or a
         mirror refresh. Of the pending installs of one query only two
         can be observed afterwards: the *final* one — the last carrying
         the highest epoch, since the handler keeps the newest epoch and
@@ -745,13 +759,21 @@ class BroadcastSilentPhase(ClientPhase):
             self._epoch[qi, m] = e
         else:
             self._reported[qi, m] = False
-        members = self._members_of(payload)
+        # Everyone accepting is an outsider of the new answer except
+        # its k members: fill the outsider values, scatter the members.
         inner, outer = _band_limits(payload)
+        members = np.fromiter(
+            payload.answer_ids, np.int64, len(payload.answer_ids)
+        )
+        if not isinstance(m, slice):
+            members = members[m[members]]
         self._final[qi, m] = seq
         self._ax[qi, m] = payload.ax
         self._ay[qi, m] = payload.ay
-        self._member[qi, m] = members[m]
-        self._bound[qi, m] = np.where(members, inner, outer)[m]
+        self._member[qi, m] = False
+        self._member[qi, members] = True
+        self._bound[qi, m] = outer
+        self._bound[qi, members] = inner
         self._armed[qi, m] = (
             False if math.isinf(payload.threshold) else ~self._reported[qi, m]
         )
@@ -765,6 +787,11 @@ class BroadcastSilentPhase(ClientPhase):
                 del self._log[full.pop()[0]]
             full.append((seq, e))
 
+    def _down(self):
+        """Ids of the nodes the fault plan has down this tick."""
+        sim = self.sim
+        return sim.faults.down_at(sim.tick) if sim.faults is not None else ()
+
     def tick_start(self, tick: int) -> None:
         if self._touched_nodes:
             for oid in self._touched_nodes:
@@ -773,28 +800,51 @@ class BroadcastSilentPhase(ClientPhase):
                     self._refresh_pair(oid, qid)
             self._touched_nodes.clear()
         xs, ys = _fleet_xy(self.sim.fleet)
-        # sqrt(dx*dx + dy*dy), accumulated in place: the same float ops
-        # as the shared recipe without three more (q, n) temporaries.
-        d = xs - self._ax
-        dy = ys - self._ay
-        d *= d
-        dy *= dy
-        d += dy
-        np.sqrt(d, out=d)
-        violated = self._armed & np.where(
-            self._member, d > self._bound, d < self._bound
-        )
-        cand = self._active & (violated.any(axis=0) | self._focal)
-        is_down = self.sim._is_down if self.sim.faults is not None else None
-        touched = self._touched_nodes
+        # One query row at a time, in scratch that stays in cache. The
+        # strip |dx| < limit holds every outsider that can be inside
+        # its outer limit (sqrt(dx*dx + dy*dy) >= |dx| in floats too);
+        # members are checked wherever they stand. Only those cells get
+        # the shared distance recipe and the member (beyond the inner
+        # limit) / outsider (inside the outer limit) compare.
+        d, near = self._d, self._near
+        cand = self._focal.copy()
+        for ax, ay, bound, member, armed in zip(
+            self._ax, self._ay, self._bound, self._member, self._armed
+        ):
+            np.subtract(xs, ax, out=d)
+            np.abs(d, out=d)
+            np.less(d, bound, out=near)
+            near |= member
+            near &= armed
+            idx = np.nonzero(near)[0]
+            dx = d[idx]
+            dy = ys[idx] - ay[idx]
+            dist = np.sqrt(dx * dx + dy * dy)
+            limit = bound[idx]
+            cand[idx] |= np.where(member[idx], dist > limit, dist < limit)
+        cand &= self._active
+        down = self._down()
+        qidx = self._qidx
+        told_q: List[int] = []
+        told_o: List[int] = []
         candidates = np.nonzero(cand)[0].tolist()
         for oid in candidates:
-            node = self._node_of[oid]
-            if is_down is not None and is_down(node.node_id):
+            if oid in down:
                 continue
+            node = self._node_of[oid]
             self._replay(node)
+            reported = node._reported
+            before = len(reported)
             node.on_tick_start(tick)
-            touched.add(oid)
+            if len(reported) != before:
+                # All a tick-start changes of what the mirror holds:
+                # the queries it just reported are muted until their
+                # next install. (Rewriting the older ones is a no-op.)
+                told_q += [qidx[qid] for qid in reported]
+                told_o += [oid] * len(reported)
+        if told_q:
+            self._reported[told_q, told_o] = True
+            self._armed[told_q, told_o] = False
         tel = self.sim.telemetry
         if tel.enabled and tel.tracer.enabled:
             tel.tracer.emit(
@@ -809,13 +859,12 @@ class BroadcastSilentPhase(ClientPhase):
             self._replayed = self._superseded = 0
 
     def before_dispatch(self, node: Node, msg: Message) -> None:
-        # Pending lazily-delivered installs must land before the node
-        # handles anything newer, preserving scalar delivery order.
-        self._replay(node)  # type: ignore[arg-type]
-        # Any message that reaches a node's handler may rewrite its
-        # monitor view (replayed installs just did; unicast installs
-        # would); mark the whole view for re-reading next tick.
-        if msg.kind == MessageKind.BROADCAST_INSTALL:
+        # A scalar install writes the node's monitor view: the deferred
+        # ones must land first, in delivery order, and the whole view
+        # is re-read next tick. COLLECT and PROBE handlers read and
+        # write none of it; they need no replay.
+        if msg.kind is MessageKind.BROADCAST_INSTALL:
+            self._replay(node)  # type: ignore[arg-type]
             self._touched_nodes.add(node.oid)
 
     def _up_mask(self, base: np.ndarray) -> Optional[np.ndarray]:
@@ -824,82 +873,105 @@ class BroadcastSilentPhase(ClientPhase):
         Only materialized under a fault plan — the common case returns
         None (for a full broadcast) or ``base`` untouched.
         """
-        sim = self.sim
-        if sim.faults is None:
+        if self.sim.faults is None:
             return None if base is self._active else base
-        is_down = sim._is_down
         mask = base.copy()
-        for oid in np.nonzero(base)[0].tolist():
-            if is_down(self._node_of[oid].node_id):
-                mask[oid] = False
+        n = mask.shape[0]
+        mask[[i for i in self._down() if 0 <= i < n]] = False
         return mask
 
-    def deliver_area(self, msg: Message) -> bool:
-        """Vectorized delivery of broadcasts and geocasts.
+    def _collect_round(self, msg: Message, geocast: bool) -> None:
+        """Deliver one COLLECT request and send what it draws.
 
-        Claims COLLECT broadcasts (each receiver's handler is a no-op
-        outside the collect circle, so only in-circle nodes are
-        dispatched) and install broadcasts/geocasts (mirrored into the
-        arrays vectorized, logged for lazy per-node replay). The in/out
-        decision replicates the scalar predicate bit-for-bit:
-        ``dist(...) <= radius`` with the shared sqrt recipe for COLLECT
-        handlers, the squared compare of ``covers()`` for geocast
-        coverage.
+        Who hears it and who answers replicate the scalar predicates
+        bit for bit: a broadcast is heard by everyone and answered
+        inside ``dist(...) <= radius`` (the shared sqrt recipe of the
+        COLLECT handler); a geocast is heard inside the squared compare
+        of ``covers()`` — its reception count is recorded here — and
+        answered by those of them that also pass the handler's test.
+        The query's own focal never answers (its position travels by
+        probe or violation). Every answer is one ``COLLECT_REPLY`` and
+        nothing else, sent in ascending oid: a contiguous run, shipped
+        as one batch when the plane is open and the run is long enough,
+        by the repliers' own handlers otherwise.
         """
-        if msg.src != SERVER_ID:
-            return False  # a mobile broadcasting: not a modeled case
-        payload = msg.payload
-        ptype = type(payload)
         sim = self.sim
-        if msg.dst == BROADCAST_ID:
-            if msg.kind is MessageKind.BROADCAST_INSTALL:
-                self._defer_install(msg, self._up_mask(self._active))
-                return True
-            if msg.kind is not MessageKind.COLLECT or ptype is not CollectRequest:
-                return False
-            xs, ys = _fleet_xy(sim.fleet)
-            dx = xs - payload.cx
-            dy = ys - payload.cy
-            hit = np.sqrt(dx * dx + dy * dy) <= payload.radius
-            # Focal nodes answer collects of their own queries via
-            # probes instead — their handler returns before the circle
-            # test, so dispatching them is a no-op either way.
-            is_down = sim._is_down if sim.faults is not None else None
-            for oid in np.nonzero(hit & self._active)[0].tolist():
-                node = self._node_of[oid]
-                if is_down is not None and is_down(node.node_id):
-                    continue
-                sim._dispatch(node, msg)
-            return True
-        if msg.dst == GEOCAST_ID:
-            if ptype is not CollectRequest and ptype is not GeocastInstall:
-                return False  # unknown coverage shape: scalar loop
-            xs, ys = _fleet_xy(sim.fleet)
-            if ptype is CollectRequest:
-                dx = xs - payload.cx
-                dy = ys - payload.cy
-                r = payload.radius
-            else:
-                dx = xs - payload.ax
-                dy = ys - payload.ay
-                r = payload.cover
-            hit = (dx * dx + dy * dy <= r * r) & self._active  # covers()
-            if ptype is GeocastInstall:
-                mask = self._up_mask(hit)
-                reach = hit if mask is None else mask
-                self._defer_install(msg, reach)
-                sim.channel.stats.record_delivery(
-                    msg, receivers=int(reach.sum())
+        req = msg.payload
+        radius = req.radius
+        xs, ys = _fleet_xy(sim.fleet)
+        # Everyone within the radius stands in the strip |dx| <= radius
+        # (dx*dx + dy*dy >= dx*dx, through the rounding too); only the
+        # strip gets the two-dimensional test.
+        d, near = self._d, self._near
+        np.subtract(xs, req.cx, out=d)
+        np.abs(d, out=d)
+        np.less_equal(d, radius, out=near)
+        near &= self._active
+        idx = np.nonzero(near)[0]
+        dx = d[idx]
+        dy = ys[idx] - req.cy
+        d2 = dx * dx + dy * dy
+        if geocast:
+            heard = d2 <= radius * radius  # covers()
+        else:
+            heard = np.sqrt(d2) <= radius
+        down = self._down()
+        if down:
+            heard &= ~np.isin(idx, list(down))
+        idx = idx[heard]
+        if geocast:
+            sim.channel.stats.record_delivery(msg, receivers=idx.shape[0])
+            idx = idx[np.sqrt(d2[heard]) <= radius]  # the handler's test
+        idx = idx[idx != self._focal_of[req.qid]]
+        if idx.shape[0] >= MIN_BATCH and sim.plane_open():
+            sim.channel.send_batch(
+                ColumnarBatch(
+                    MessageKind.COLLECT_REPLY,
+                    srcs=idx,
+                    dst=SERVER_ID,
+                    xs=xs[idx],  # fancy indexing copies: latency-safe
+                    ys=ys[idx],
+                    qid=req.qid,
+                    payload_nbytes=_CR_NBYTES,
+                    payload_ctor=CollectReply,
                 )
-                return True
-            is_down = sim._is_down if sim.faults is not None else None
-            receivers = 0
-            for oid in np.nonzero(hit)[0].tolist():
-                node = self._node_of[oid]
-                if is_down is not None and is_down(node.node_id):
-                    continue
-                receivers += 1
-                sim._dispatch(node, msg)
-            sim.channel.stats.record_delivery(msg, receivers=receivers)
+            )
+            return
+        for oid in idx.tolist():
+            sim._dispatch(self._node_of[oid], msg)
+
+    def deliver_area(self, msg: Message) -> bool:
+        """Vectorized delivery of the server's broadcasts and geocasts.
+
+        Claims COLLECT requests (:meth:`_collect_round`) and install
+        broadcasts/geocasts (mirrored into the arrays vectorized,
+        logged for lazy per-node replay; a geocast reaches the nodes
+        inside the squared compare of ``covers()``). Anything else —
+        a mobile broadcasting, an unknown coverage shape — is left to
+        the scalar loop.
+        """
+        if msg.src != SERVER_ID or msg.dst not in (BROADCAST_ID, GEOCAST_ID):
+            return False
+        geocast = msg.dst == GEOCAST_ID
+        ptype = type(msg.payload)
+        if msg.kind is MessageKind.COLLECT and ptype is CollectRequest:
+            self._collect_round(msg, geocast)
             return True
-        return False
+        if msg.kind is not MessageKind.BROADCAST_INSTALL:
+            return False
+        if not geocast:
+            self._defer_install(msg, self._up_mask(self._active))
+            return True
+        if ptype is not GeocastInstall:
+            return False
+        payload = msg.payload
+        xs, ys = _fleet_xy(self.sim.fleet)
+        dx = xs - payload.ax
+        dy = ys - payload.ay
+        hit = dx * dx + dy * dy <= payload.cover * payload.cover  # covers()
+        hit &= self._active
+        mask = self._up_mask(hit)
+        reach = hit if mask is None else mask
+        self._defer_install(msg, reach)
+        self.sim.channel.stats.record_delivery(msg, receivers=int(reach.sum()))
+        return True

@@ -106,6 +106,8 @@ class _GeoQueryState(_QueryState):
 class DknnGeocastServer(DknnBroadcastServer):
     """DKNN-B with geocast delivery, epochs, and lease renewals."""
 
+    _STATE = _GeoQueryState
+
     def __init__(
         self,
         universe: Rect,
@@ -124,16 +126,6 @@ class DknnGeocastServer(DknnBroadcastServer):
         self.stale_violations = 0
         #: renewal geocasts sent (the lease overhead).
         self.renewals = 0
-
-    def register_query(self, spec: QuerySpec) -> None:
-        # Bypass the broadcast server's registration to use the
-        # extended state record, re-implementing its bookkeeping.
-        from repro.server.engine import BaseServer
-
-        BaseServer.register_query(self, spec)
-        self._states[spec.qid] = _GeoQueryState(spec)
-        self.repair_count[spec.qid] = 0
-        self.collect_rounds[spec.qid] = 0
 
     # -- messages ---------------------------------------------------------
 
@@ -318,7 +310,8 @@ def build_geocast_system(
 
     The per-tick band checks of all nodes run in one vectorized pass
     (:class:`~repro.core.fastpath.BroadcastSilentPhase`); installs
-    reach a node's ``monitors`` when it is next touched.
+    reach a node's ``monitors`` right before its own code next reads
+    them, and the replies a collect draws leave as one batch.
     """
     if params is None:
         params = GeocastParams()

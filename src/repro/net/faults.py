@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import difflib
 import random
-from typing import Deque, List, Optional, Tuple
+from typing import Deque, List, Optional, Set, Tuple
 
 from repro.errors import FaultError
 from repro.net.channel import Channel
@@ -170,6 +170,14 @@ class FaultPlan:
             if node == node_id and tick >= t:
                 return True
         return False
+
+    def down_at(self, tick: int) -> Set[int]:
+        """Every node that is down at ``tick`` — ``{i : is_down(i,
+        tick)}`` in one walk of the plan, for callers that would
+        otherwise ask :meth:`is_down` once per node of a fleet."""
+        down = {node for node, t0, t1 in self.blackouts if t0 <= tick < t1}
+        down.update(node for node, t in self.crashes if tick >= t)
+        return down
 
     def drop_prob(self, msg: Message) -> float:
         return (
@@ -310,12 +318,9 @@ class FaultyChannel(Channel):
     # -- delivery accounting hooks -----------------------------------------
 
     def _broadcast_receivers(self, msg: Message) -> int:
-        alive = sum(
-            1
-            for node_id in self._registered
-            if node_id != msg.src and not self.plan.is_down(node_id, self._tick)
-        )
-        return alive
+        gone = self.plan.down_at(self._tick)
+        gone.add(msg.src)
+        return len(self._registered) - len(gone & self._registered)
 
     def _unicast_receivers(self, msg: Message) -> int:
         if self.plan.is_down(msg.dst, self._tick):

@@ -1,14 +1,15 @@
 """The columnar message plane: struct-of-arrays message batches.
 
 Per-message :class:`~repro.net.message.Message` objects dominate the
-fast path of the message-bound protocols (DKNN-P, CPM): every location
-update costs a payload object, a ``Message``, a ``payload_size`` walk
-and two ``Counter`` updates. A :class:`ColumnarBatch` carries one whole
-homogeneous flight of messages — same kind, same tick, same wire size —
-as numpy columns (source/destination ids, payload coordinates), so the
-channel, the stats layer, the sharded router and the server ingest it
-in O(columns) vectorized passes instead of O(messages) interpreter
-work.
+fast path of the message-bound protocols (DKNN-P, CPM) and the collect
+rounds of the tableless ones (DKNN-B/G): every location update or
+collect reply costs a payload object, a ``Message``, a
+``payload_size`` walk and two ``Counter`` updates. A
+:class:`ColumnarBatch` carries one whole homogeneous flight of
+messages — same kind, same tick, same wire size — as numpy columns
+(source/destination ids, payload coordinates), so the channel, the
+stats layer, the sharded router and the server ingest it in O(columns)
+vectorized passes instead of O(messages) interpreter work.
 
 Semantics contract (pinned by ``tests/test_plane.py``):
 
@@ -21,6 +22,11 @@ Semantics contract (pinned by ``tests/test_plane.py``):
   ``record_send_batch`` adds the same per-kind / per-direction counts
   and bytes the per-message path would, and delivery adds the same
   reception counts (batches are never broadcast);
+* a flight whose kind names a query carries that one query as
+  ``batch.qid`` — the ``COLLECT_REPLY`` uplinks one DKNN-B/G collect
+  round draws. The sharded tier declines such a batch and routes its
+  messages one by one: a reply that lands on a shard that does not
+  own the query is forwarded, which its batch ledger cannot see;
 * :meth:`ColumnarBatch.materialize` lazily expands the batch into the
   exact scalar ``Message`` objects it replaced — the fallback for any
   receiver without a batch handler, or whose handler declines this
@@ -65,12 +71,14 @@ class ColumnarBatch:
 
     ``xs`` / ``ys`` carry per-message payload coordinates (or are
     ``None`` for coordinate-free payloads like probe requests);
-    ``payload_ctor`` rebuilds one scalar payload on materialization —
-    called as ``ctor(x, y)`` when coordinates are present, ``ctor()``
-    otherwise (a same-payload flight returns its one shared prototype,
-    which a batch handler reads the same way). ``payload_nbytes`` is
-    the uniform wire size of one payload, so ``size_each`` matches
-    ``Message.size`` exactly.
+    ``qid`` is the query every message of the flight is about (``None``
+    for a kind that names no query); ``payload_ctor`` rebuilds one
+    scalar payload on materialization — called as ``ctor(x, y)`` when
+    coordinates are present (``ctor(qid, x, y)`` on a flight with a
+    qid), ``ctor()`` otherwise (a same-payload flight returns its one
+    shared prototype, which a batch handler reads the same way).
+    ``payload_nbytes`` is the uniform wire size of one payload, so
+    ``size_each`` matches ``Message.size`` exactly.
     """
 
     __slots__ = (
@@ -81,6 +89,7 @@ class ColumnarBatch:
         "dsts",
         "xs",
         "ys",
+        "qid",
         "payload_nbytes",
         "payload_ctor",
         "sent_tick",
@@ -97,6 +106,7 @@ class ColumnarBatch:
         dsts: Optional[np.ndarray] = None,
         xs: Optional[np.ndarray] = None,
         ys: Optional[np.ndarray] = None,
+        qid: Optional[int] = None,
         payload_nbytes: int = 0,
         payload_ctor: Optional[Callable[..., Any]] = None,
         sent_tick: int = 0,
@@ -118,6 +128,7 @@ class ColumnarBatch:
         self.dsts = dsts
         self.xs = xs
         self.ys = ys
+        self.qid = qid
         self.payload_nbytes = int(payload_nbytes)
         self.payload_ctor = payload_ctor
         self.sent_tick = sent_tick
@@ -156,40 +167,22 @@ class ColumnarBatch:
         stats object.
         """
         ctor = self.payload_ctor
-        xs, ys = self.xs, self.ys
-        out: List[Message] = []
         n = self.count
-        if self.srcs is not None:
-            srcs = self.srcs.tolist()
-            dst = self.dst
-            for i in range(n):
-                payload = (
-                    None
-                    if ctor is None
-                    else (ctor(xs[i], ys[i]) if xs is not None else ctor())
-                )
-                out.append(
-                    Message(
-                        self.kind, srcs[i], dst, payload,
-                        sent_tick=self.sent_tick,
-                    )
-                )
+        if ctor is None:
+            payloads = [None] * n
+        elif self.xs is None:
+            payloads = [ctor() for _ in range(n)]
         else:
-            dsts = self.dsts.tolist()
-            src = self.src
-            for i in range(n):
-                payload = (
-                    None
-                    if ctor is None
-                    else (ctor(xs[i], ys[i]) if xs is not None else ctor())
-                )
-                out.append(
-                    Message(
-                        self.kind, src, dsts[i], payload,
-                        sent_tick=self.sent_tick,
-                    )
-                )
-        return out
+            head = () if self.qid is None else (self.qid,)
+            payloads = [ctor(*head, x, y) for x, y in zip(self.xs, self.ys)]
+        if self.srcs is not None:
+            srcs, dsts = self.srcs.tolist(), [self.dst] * n
+        else:
+            srcs, dsts = [self.src] * n, self.dsts.tolist()
+        return [
+            Message(self.kind, src, dst, payload, sent_tick=self.sent_tick)
+            for src, dst, payload in zip(srcs, dsts, payloads)
+        ]
 
     def __repr__(self) -> str:
         return (

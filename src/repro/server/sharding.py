@@ -625,15 +625,19 @@ class ShardedServer(ServerNodeBase):
 
         Only fault-free, admission-free runs ever see batches
         (``per_message`` keeps the plane closed under an active plan or
-        an AdmissionPolicy), and the plane only carries qid-free uplink
-        kinds, so the per-message serving/shedding and forward branches
-        of ``_route_uplink`` cannot apply — the whole ledger reduces to
-        vectorized home assignment plus a sparse loop over boundary
+        an AdmissionPolicy), so the per-message serving/shedding
+        branches of ``_route_uplink`` cannot apply; and a batch that
+        names a query (``batch.qid``: DKNN-B/G collect replies) is
+        declined before the inner engine sees it, because each of its
+        messages may land on a shard that does not own the query and
+        owe a forward — it takes the scalar route, message by message.
+        For the qid-free kinds that are left the whole ledger reduces
+        to vectorized home assignment plus a sparse loop over boundary
         crossings. Rebalancing composes: homes map through the
         fine-cell assignment array instead of the static grid math,
         still fully vectorized.
         """
-        if self.per_message:
+        if self.per_message or batch.qid is not None:
             return False
         handler = getattr(self.inner, "on_uplink_batch", None)
         if handler is None or not handler(batch):

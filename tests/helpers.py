@@ -11,6 +11,7 @@ from repro.metrics.accuracy import is_valid_knn
 from repro.mobility import Fleet
 from repro.net.engine import engine_attach
 from repro.net.node import ServerNodeBase
+from repro.net.plane import ColumnarBatch
 from repro.net.simulator import RoundSimulator
 from repro.server.query_table import QuerySpec
 from repro.server.sharding import shard_attach
@@ -26,6 +27,7 @@ __all__ = [
     "SinkServer",
     "built_system",
     "reference_system",
+    "on_the_wire",
 ]
 
 
@@ -76,6 +78,19 @@ def reference_system(
     if cfg.engine is not None:
         engine_attach(sim, cfg.engine)
     return sim, queries
+
+
+def on_the_wire(items) -> List[Tuple]:
+    """Queue entries as the scalar messages they stand for, a columnar
+    batch expanded in place: one ``(kind, src, dst, size, sent_tick,
+    payload fields)`` tuple per message, in queue order."""
+    sent = []
+    for item in items:
+        flight = item.materialize() if isinstance(item, ColumnarBatch) else [item]
+        for m in flight:
+            fields = tuple(getattr(m.payload, f) for f in m.payload.__slots__)
+            sent.append((m.kind, m.src, m.dst, m.size, m.sent_tick, fields))
+    return sent
 
 
 class SinkServer(ServerNodeBase):

@@ -96,7 +96,7 @@ class TestMobileNode:
 
     def test_monitors_installed_on_all_nodes(self):
         # On the per-object reference: a built system's client phase
-        # hands a node its installs only when the node is next touched.
+        # hands a node its installs only before its own code reads them.
         spec = WorkloadSpec(
             n_objects=30, n_queries=1, k=5, seed=13, ticks=10, warmup_ticks=1
         )

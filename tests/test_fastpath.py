@@ -17,7 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.protocol import BroadcastInstall, GeocastInstall
+from repro.core.protocol import (
+    BroadcastInstall,
+    CollectRequest,
+    GeocastInstall,
+    ProbeRequest,
+)
 from repro.experiments.algorithms import ALGORITHMS, build_system
 from repro.experiments.config import RunConfig
 from repro.geometry import Rect
@@ -33,11 +38,18 @@ from repro.mobility import (
     StationaryMover,
     record_trace,
 )
+from repro.net.channel import Channel
 from repro.net.faults import FaultPlan
-from repro.net.message import BROADCAST_ID, SERVER_ID, Message, MessageKind
+from repro.net.message import (
+    BROADCAST_ID,
+    GEOCAST_ID,
+    SERVER_ID,
+    Message,
+    MessageKind,
+)
 from repro.workloads.generator import build_workload
 from repro.workloads.spec import WorkloadSpec
-from tests.helpers import built_system, reference_system
+from tests.helpers import built_system, on_the_wire, reference_system
 
 TICKS = 25
 
@@ -146,18 +158,41 @@ def test_fast_path_bit_identical_under_faults(algorithm, plan_kwargs):
 
 REPLAY_N = 12  # fleet of the replay property: 9 objects + 3 focal nodes
 
-#: one step of a random delivery history: a deferred install (query
-#: index, epoch, answer ids, infinite threshold?, receiver bits or None
-#: for a full broadcast) or a touch of one node.
-_install_ops = st.tuples(
-    st.just("install"),
-    st.integers(0, 2),
-    st.integers(0, 4),
-    st.lists(st.integers(0, REPLAY_N - 1), max_size=3, unique=True),
-    st.booleans(),
-    st.none() | st.lists(st.booleans(), min_size=REPLAY_N, max_size=REPLAY_N),
+_oids = st.integers(0, REPLAY_N - 1)
+_install = (
+    st.integers(0, 2),  # query index
+    st.integers(0, 4),  # epoch
+    _oids,  # the node the anchor sits on
+    st.sampled_from((50.0, 3000.0, float("inf"))),  # threshold
+    st.lists(_oids, max_size=3, unique=True),  # answer ids
 )
-_touch_ops = st.tuples(st.just("touch"), st.integers(0, REPLAY_N - 1))
+#: one step of a random delivery history. Installs are deferred (heard
+#: by the nodes whose receiver bit is set; None = a full broadcast) or
+#: dispatched to one node as a scalar message; a collect, a probe and a
+#: tick are the three things that reach a node in between.
+_ops = st.one_of(
+    st.tuples(
+        st.just("install"),
+        *_install,
+        st.none() | st.lists(st.booleans(), min_size=REPLAY_N, max_size=REPLAY_N),
+    ),
+    st.tuples(st.just("unicast"), *_install, _oids),
+    st.tuples(
+        st.just("collect"),
+        st.integers(0, 2),
+        _oids,
+        st.sampled_from((300.0, 4000.0, 20000.0)),
+    ),
+    st.tuples(st.just("probe"), _oids),
+    st.tuples(st.just("tick")),
+)
+
+#: the fault-plan variant: nodes that miss installs, collects, probes
+#: and tick-starts while down (ticks advance on the "tick" op).
+REPLAY_PLAN = dict(
+    blackouts=((2, 1, 4), (7, 3, 6), (10, 2, 9), (REPLAY_N - 1, 2, 5)),
+    crashes=((5, 6),),
+)
 
 
 def _node_state(node):
@@ -170,19 +205,26 @@ def _node_state(node):
 
 
 @pytest.mark.parametrize("algorithm", ["DKNN-B", "DKNN-G"])
-@given(ops=st.lists(_install_ops | _touch_ops, max_size=60))
+@given(ops=st.lists(_ops, max_size=60), faulty=st.booleans())
 @settings(max_examples=150, deadline=None)
-def test_coalesced_replay_matches_sequential_walk(algorithm, ops):
-    """The coalesced ``_replay`` against the linear one it replaced.
+def test_coalesced_replay_matches_sequential_walk(algorithm, ops, faulty):
+    """Deferred, coalesced install replay against eager delivery.
 
-    The oracle is the old machinery kept here: an append-only log and
-    twin nodes that run their handler on *every* pending install they
-    were reachable for, in delivery order. After each touch, from
-    whatever point that node had caught up to (and whatever the log has
-    dropped since), both nodes must hold the same monitors in the same
-    dict order, the same ``_reported`` (pre-seeded, so re-arming is
-    observable), known answers and epochs; and every handler call the
-    oracle made is accounted for as delivered or superseded.
+    The oracle is a twin of every node on a channel of its own that
+    gets what the per-object loop would give it, when it would: every
+    install it is reachable for on delivery, every collect that covers
+    it, every probe, and its tick-start every tick. The built nodes
+    get their installs through the phase — deferred, coalesced, and
+    replayed only before a candidate tick-start or a scalar install —
+    while collects, probes and ticks reach them in any order in
+    between. Both sides must send the same messages in the same order
+    after every step (a ``COLLECT_REPLY`` batch expanded in place), and
+    wherever scalar code reads what installs write — at each candidate
+    tick-start, after each scalar install, and at the end — the node
+    holds the twin's monitors in the same dict order, the same
+    ``_reported`` (pre-seeded, so re-arming is observable), known
+    answers and epochs. Every handler call the oracle made for a
+    deferred install is accounted for as delivered or superseded.
     """
     spec = WorkloadSpec(
         ticks=1, warmup_ticks=0, seed=5, n_objects=REPLAY_N - 3, n_queries=3,
@@ -190,49 +232,146 @@ def test_coalesced_replay_matches_sequential_walk(algorithm, ops):
     )
     fleet, queries = build_workload(spec)
     assert fleet.n == REPLAY_N
-    sim = build_system(RunConfig(algorithm), fleet, queries)
+    plan = FaultPlan(**REPLAY_PLAN) if faulty else None
+    sim = build_system(RunConfig(algorithm, faults=plan), fleet, queries)
     phase = sim.client_phase
     qids = sorted(phase._qidx)
     nodes = phase._node_of
     twins = [type(n)(n.oid, fleet, my_qids=n.my_qids) for n in nodes]
+    twin_channel = Channel()
+    twin_channel.register(SERVER_ID)
+    reads = []
+
+    def watch(node, twin):
+        run = node.on_tick_start
+
+        def on_tick_start(tick):
+            assert _node_state(node) == _node_state(twin)
+            reads.append(node.oid)
+            run(tick)
+
+        node.on_tick_start = on_tick_start
+
     for node, twin in zip(nodes, twins):
+        twin.attach(twin_channel)
         node._reported.update(qids)
         twin._reported.update(qids)
-    oracle_log = []
-    caught_up = [0] * REPLAY_N
+        watch(node, twin)
+    area = GEOCAST_ID if algorithm == "DKNN-G" else BROADCAST_ID
     oracle_calls = 0
+    ticks = 0
 
-    def touch(oid):
-        nonlocal oracle_calls
-        phase._replay(nodes[oid])
-        for msg, mask in oracle_log[caught_up[oid]:]:
-            if mask is None or mask[oid]:
-                twins[oid].on_message(msg)
-                oracle_calls += 1
-        caught_up[oid] = len(oracle_log)
-        assert _node_state(nodes[oid]) == _node_state(twins[oid])
+    def up(oid):
+        return plan is None or not plan.is_down(oid, sim.tick)
 
-    for op in ops:
-        if op[0] == "touch":
-            touch(op[1])
-            continue
-        _, qi, epoch, answer, trivial, bits = op
-        threshold = float("inf") if trivial else 100.0 + epoch
-        args = (qids[qi], 10.0 * qi, 5.0, threshold, 1.0, tuple(answer))
-        if algorithm == "DKNN-G" and not trivial:
+    def install_message(qi, epoch, anchor, threshold, answer, dst):
+        ax, ay = fleet.positions[anchor]
+        args = (qids[qi], ax, ay, threshold, 20.0, tuple(answer))
+        if algorithm == "DKNN-G" and threshold != float("inf"):
             payload = GeocastInstall(*args, cover=500.0, epoch=epoch)
         else:
             payload = BroadcastInstall(*args)  # epoch 0 to a geocast node
-        msg = Message(
-            MessageKind.BROADCAST_INSTALL, SERVER_ID, BROADCAST_ID, payload
+        return Message(MessageKind.BROADCAST_INSTALL, SERVER_ID, dst, payload)
+
+    for op in ops:
+        if op[0] == "install":
+            msg = install_message(*op[1:6], BROADCAST_ID)
+            heard = [up(oid) and (op[6] is None or op[6][oid])
+                     for oid in range(REPLAY_N)]
+            if op[6] is None:
+                assert phase.deliver_area(msg)
+            else:
+                phase._defer_install(msg, np.array(heard))
+            for oid in np.nonzero(heard)[0]:
+                twins[oid].on_message(msg)
+                oracle_calls += 1
+        elif op[0] == "unicast":
+            oid = op[6]
+            msg = install_message(*op[1:6], oid)
+            if up(oid):
+                sim._dispatch(nodes[oid], msg)
+                twins[oid].on_message(msg)
+                assert _node_state(nodes[oid]) == _node_state(twins[oid])
+        elif op[0] == "collect":
+            cx, cy = fleet.positions[op[2]]
+            request = CollectRequest(qids[op[1]], cx, cy, op[3])
+            msg = Message(MessageKind.COLLECT, SERVER_ID, area, request)
+            assert phase.deliver_area(msg)
+            for twin in twins:
+                if up(twin.oid) and (
+                    area == BROADCAST_ID or request.covers(*twin.position)
+                ):
+                    twin.on_message(msg)
+        elif op[0] == "probe":
+            oid = op[1]
+            msg = Message(MessageKind.PROBE, SERVER_ID, oid, ProbeRequest())
+            if up(oid):
+                sim._dispatch(nodes[oid], msg)
+                twins[oid].on_message(msg)
+        else:
+            ticks += 1
+            fleet.advance()
+            sim.tick = fleet.tick
+            sim.channel.begin_tick(sim.tick)
+            twin_channel.begin_tick(sim.tick)
+            ran = len(reads)
+            phase.tick_start(sim.tick)  # reads compare against the twins
+            for twin in twins:
+                if up(twin.oid):
+                    twin.on_tick_start(sim.tick)
+            for oid in reads[ran:]:
+                # what the tick-start reported is muted in the mirror
+                told = [qid in nodes[oid]._reported for qid in qids]
+                assert not (phase._armed[:, oid] & told).any()
+        assert on_the_wire(sim.channel.collect()) == on_the_wire(
+            twin_channel.collect()
         )
-        mask = None if bits is None else np.array(bits)
-        phase._defer_install(msg, mask)
-        oracle_log.append((msg, mask))
-    for oid in range(REPLAY_N):
-        touch(oid)
+    for node, twin in zip(nodes, twins):
+        phase._replay(node)
+        assert _node_state(node) == _node_state(twin)
     assert phase._replayed + phase._superseded == oracle_calls
     assert phase._replayed <= oracle_calls
+    if not faulty:
+        assert len(reads) >= ticks * len(queries)  # the focal nodes
+
+
+def test_reporting_candidate_is_rearmed_by_the_mirror_alone():
+    """A candidate's tick-start mutes the queries it reports in the
+    mirror on the spot, and the install that answers it in the same
+    tick arms them again — no re-read of the node. With
+    ``_refresh_pair`` unreachable the run still equals the reference
+    tick for tick, and it contains objects that violated the same
+    query's band in consecutive ticks, which takes a re-arm."""
+    ticks = 40
+    spec = WorkloadSpec(
+        ticks=ticks, warmup_ticks=0, seed=42, n_objects=2_000, n_queries=8,
+        k=5,
+    )
+    cfg = RunConfig("DKNN-B")
+    scalar, _ = reference_system(cfg, spec)
+    fast, _ = built_system(cfg, spec)
+
+    def unreachable(oid, qid):
+        raise AssertionError(f"mirror of node {oid} re-read for query {qid}")
+
+    fast.client_phase._refresh_pair = unreachable
+    reports = []  # (tick, oid, qid) of every VIOLATION the build sends
+    send = fast.channel.send
+
+    def logged(kind, src, dst, payload=None):
+        if kind is MessageKind.VIOLATION:
+            reports.append((fast.tick, src, payload.qid))
+        return send(kind, src, dst, payload)
+
+    fast.channel.send = logged
+    for _ in range(ticks):
+        scalar.step()
+        fast.step()
+        assert fast.server.answers == scalar.server.answers
+        assert fast.channel.stats.sent_by_kind == scalar.channel.stats.sent_by_kind
+        assert fast.channel.stats.bytes_by_kind == scalar.channel.stats.bytes_by_kind
+    seen = set(reports)
+    assert any((t + 1, oid, qid) in seen for t, oid, qid in reports)
 
 
 def test_replay_cost_is_stationary():

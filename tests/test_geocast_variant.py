@@ -121,7 +121,7 @@ class TestEpochs:
         from repro.net.message import Message, SERVER_ID
 
         # On the per-object reference: a built system's client phase
-        # hands a node its installs only when the node is next touched.
+        # hands a node its installs only before its own code reads them.
         spec = WorkloadSpec(
             n_objects=150, n_queries=2, k=5, seed=29, ticks=10,
             warmup_ticks=1, query_speed=50.0,

@@ -12,7 +12,10 @@ Three layers of pinning:
   and with a ShardFaultPlan active (which must veto the plane
   entirely): per-tick answers, every legacy CommStats counter, and the
   shard ledger agree, while ``columnar_by_kind`` proves the plane
-  actually carried traffic on the fault-free built runs;
+  actually carried traffic on the fault-free built runs — for DKNN-B
+  and DKNN-G the ``COLLECT_REPLY`` batch a collect round draws, the
+  one uplink kind that names a query (which the sharded tier must
+  send down the scalar route);
 * trace streams — tracing vetoes the plane, and the resulting Jsonl
   protocol event stream is byte-identical between the build and the
   reference.
@@ -29,7 +32,15 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.protocol import LocationUpdate, ProbeRequest, RevokeBand
+from repro.core.broadcast_variant import _IDLE
+from repro.core.protocol import (
+    CollectReply,
+    CollectRequest,
+    LocationUpdate,
+    ProbeRequest,
+    RevokeBand,
+    ViolationReport,
+)
 from repro.errors import NetworkError
 from repro.experiments.algorithms import ALGORITHMS
 from repro.experiments.config import RunConfig
@@ -37,18 +48,21 @@ from repro.net.channel import Channel
 from repro.net.faults import ShardFaultPlan
 from repro.server.config import ShardConfig
 from repro.net.message import (
+    BROADCAST_ID,
+    GEOCAST_ID,
     HEADER_BYTES,
     SERVER_ID,
     Message,
     MessageKind,
     payload_size,
 )
-from repro.net.plane import ColumnarBatch
+from repro.net.plane import MIN_BATCH, ColumnarBatch
+from repro.net.simulator import ONE_TICK_LATENCY, ZERO_LATENCY
 from repro.obs.telemetry import Telemetry
 from repro.obs.trace import PERF_KINDS, PROTOCOL_KINDS, JsonlSink, Tracer
 from repro.server.sharding import ShardedServer
 from repro.workloads.spec import WorkloadSpec
-from tests.helpers import built_system, reference_system
+from tests.helpers import built_system, on_the_wire, reference_system
 
 LU_NBYTES = payload_size(LocationUpdate(0.0, 0.0))
 
@@ -126,6 +140,24 @@ class TestColumnarBatch:
             assert msg.sent_tick == 6
             assert (msg.payload.x, msg.payload.y) == (float(i), 2.0 * i)
             assert msg.size == batch.size_each
+
+    def test_materialize_rebuilds_the_qid_of_the_flight(self):
+        batch = ColumnarBatch(
+            MessageKind.COLLECT_REPLY,
+            srcs=np.array([4, 9], dtype=np.int64),
+            dst=SERVER_ID,
+            xs=np.array([1.5, 2.5]),
+            ys=np.array([3.5, 4.5]),
+            qid=7,
+            payload_nbytes=payload_size(CollectReply(0, 0.0, 0.0)),
+            payload_ctor=CollectReply,
+        )
+        msgs = batch.materialize()
+        assert [
+            (m.src, m.payload.qid, m.payload.x, m.payload.y) for m in msgs
+        ] == [(4, 7, 1.5, 3.5), (9, 7, 2.5, 4.5)]
+        assert all(m.size == batch.size_each for m in msgs)
+        assert _uplink_batch(2).qid is None
 
     def test_materialize_coordinate_free_and_bare(self):
         down = ColumnarBatch(
@@ -252,14 +284,16 @@ DENSE = dict(n=1200, universe_size=2000.0)
 
 
 def _run(algorithm, build, shards=None, shard_faults=None, telemetry=None,
-         n=300, ticks=22, **fields):
+         n=300, ticks=22, latency=ZERO_LATENCY, **fields):
     spec = _spec(n, ticks, **fields)
     shard = (
         None
         if shards is None and shard_faults is None
         else ShardConfig(shards=shards or 1, faults=shard_faults)
     )
-    cfg = RunConfig(algorithm, record_history=True, shard=shard)
+    cfg = RunConfig(
+        algorithm, record_history=True, shard=shard, latency=latency
+    )
     sim, _ = build(cfg, spec, telemetry=telemetry)
     answers = []
 
@@ -290,6 +324,9 @@ def _run(algorithm, build, shards=None, shard_faults=None, telemetry=None,
             ss.migrations,
             ss.forwards,
             ss.area_sends,
+            ss.handoffs,
+            stats.server_to_server_messages,
+            stats.server_to_server_bytes,
         )
     return out
 
@@ -304,10 +341,13 @@ def _assert_identical(built, reference):
         assert built["shard_ledger"] == reference["shard_ledger"]
 
 
-#: algorithms whose build routes hot-path traffic through the
-#: plane (DKNN-B/DKNN-G use broadcast/geocast delivery, which never
-#: batches — their identity matrix lives in test_fastpath.py).
+#: algorithms whose build routes unicast hot-path traffic through the
+#: plane, in both directions.
 COLUMNAR_ALGS = ("DKNN-P", "CPM", "PER", "SEA")
+#: algorithms whose downlinks are broadcasts / geocasts (one message,
+#: never a batch) and whose collect rounds answer in one
+#: ``COLLECT_REPLY`` uplink batch.
+COLLECT_ALGS = ("DKNN-B", "DKNN-G")
 
 
 class TestBitIdentity:
@@ -358,9 +398,117 @@ class TestBitIdentity:
         # an active plan adjudicates faults per message: no batches.
         assert not fast["columnar"]
 
+    @pytest.mark.parametrize("latency", (ZERO_LATENCY, ONE_TICK_LATENCY))
+    @pytest.mark.parametrize("algorithm", COLLECT_ALGS)
+    def test_collect_rounds_answer_in_one_batch(self, algorithm, latency):
+        """A round of ``MIN_BATCH`` replies or more crosses the plane
+        as one batch the tableless server ingests whole; under one-tick
+        latency it is in flight while the fleet moves on, so it must
+        carry the positions of the tick it was sent in."""
+        scalar = _run(algorithm, reference_system, latency=latency)
+        fast = _run(algorithm, built_system, latency=latency)
+        _assert_identical(fast, scalar)
+        assert not scalar["columnar"]
+        assert set(fast["columnar"]) == {MessageKind.COLLECT_REPLY}
+        assert fast["columnar"][MessageKind.COLLECT_REPLY] > 0
+        assert fast["materialized"] == 0
+
+    @pytest.mark.parametrize("shards", (2, 4))
+    @pytest.mark.parametrize("algorithm", COLLECT_ALGS)
+    def test_sharded_tier_sends_collect_replies_down_the_scalar_route(
+        self, algorithm, shards
+    ):
+        """A collect reply names a query, so one that lands on a shard
+        that does not own it is forwarded over the backbone. The tier's
+        batch ledger knows positions only: it must decline the batch —
+        every reply then takes ``_route_uplink`` — or the forwards (and
+        the backbone traffic they are) go missing while answers and
+        radio totals still agree. Compared: the whole shard ledger."""
+        scalar = _run(algorithm, reference_system, shards=shards, **DENSE)
+        fast = _run(algorithm, built_system, shards=shards, **DENSE)
+        _assert_identical(fast, scalar)
+        forwards = fast["shard_ledger"][3]
+        assert forwards > 0
+        batched = fast["columnar"][MessageKind.COLLECT_REPLY]
+        assert batched >= MIN_BATCH
+        assert fast["materialized"] == batched
+
     def test_all_registered_algorithms_have_identity_coverage(self):
-        """Every algorithm is pinned either here or in test_fastpath."""
-        assert set(COLUMNAR_ALGS) <= set(ALGORITHMS)
+        assert set(COLUMNAR_ALGS + COLLECT_ALGS) == set(ALGORITHMS)
+
+
+class TestCollectReplyBatch:
+    """The one uplink batch that names a query, at its two ends."""
+
+    def _pair(self, algorithm, latency=ZERO_LATENCY):
+        cfg = RunConfig(algorithm, latency=latency)
+        fast, queries = built_system(cfg, _spec())
+        scalar, _ = reference_system(cfg, _spec())
+        return fast, scalar, queries
+
+    @pytest.mark.parametrize("algorithm", COLLECT_ALGS)
+    def test_batch_stands_where_its_scalar_run_would(self, algorithm):
+        fast, scalar, queries = self._pair(algorithm)
+        area = GEOCAST_ID if algorithm == "DKNN-G" else BROADCAST_ID
+        qid, focal = queries[0].qid, queries[0].focal_oid
+        queues = []
+        for sim in (fast, scalar):
+            sim.run(3)
+            cx, cy = sim.fleet.positions[focal]
+            request = CollectRequest(qid, cx, cy, 2500.0)
+            marker = (
+                MessageKind.VIOLATION, 0, SERVER_ID, ViolationReport(1, 2.0, 3.0)
+            )
+            sim.channel.send(*marker)
+            sim._deliver(
+                [Message(MessageKind.COLLECT, SERVER_ID, area, request)]
+            )
+            sim.channel.send(*marker)
+            queues.append(list(sim.channel._queue))
+        built, reference = queues
+        assert [type(item) for item in built] == [
+            Message, ColumnarBatch, Message
+        ]
+        batch = built[1]
+        assert batch.qid == qid and batch.count >= MIN_BATCH
+        assert focal not in batch.srcs  # its own handler returns early
+        assert list(batch.srcs) == sorted(batch.srcs)
+        assert on_the_wire(built) == on_the_wire(reference)
+        assert not any(isinstance(item, ColumnarBatch) for item in reference)
+
+    @pytest.mark.parametrize("algorithm", COLLECT_ALGS)
+    def test_round_the_server_has_left_is_ignored_whole(self, algorithm):
+        """One-tick latency, and the server leaves ``_COLLECTING``
+        while the replies are in flight (here: by hand, on both
+        sides): the batch is ingested under ``on_message``'s phase
+        gate — swallowed, nothing collected — and the runs stay
+        identical from there on."""
+        fast, scalar, _ = self._pair(algorithm, ONE_TICK_LATENCY)
+        for _ in range(40):
+            fast.step()
+            scalar.step()
+            inflight = [
+                item for item in fast.channel._queue
+                if isinstance(item, ColumnarBatch)
+            ]
+            if inflight:
+                break
+        qid = inflight[0].qid
+        for sim in (fast, scalar):
+            st = sim.server._states[qid]
+            st.phase, st.collected = _IDLE, {}
+        fast.step()
+        scalar.step()
+        assert fast.channel.stats.materialized_messages == 0
+        assert fast.server._states[qid].collected == {}
+        assert scalar.server._states[qid].collected == {}
+        for _ in range(15):
+            fast.step()
+            scalar.step()
+            assert fast.server.answers == scalar.server.answers
+        assert fast.channel.stats.sent_by_kind == scalar.channel.stats.sent_by_kind
+        assert fast.channel.stats.bytes_by_kind == scalar.channel.stats.bytes_by_kind
+        assert dict(fast.server.meter.units) == dict(scalar.server.meter.units)
 
 
 class TestTraceStreams:

@@ -1,4 +1,8 @@
-"""Property: the hardened protocol re-converges once faults cease.
+"""Properties of the radio fault model.
+
+``FaultPlan.down_at`` — the whole-fleet form the broadcast paths use —
+is the set its scalar definition ``is_down`` describes; and the
+hardened protocol re-converges once faults cease:
 
 Hypothesis draws a workload, a fault seed, and loss/duplication rates;
 the plan's ``until_tick`` makes the probabilistic faults stop partway
@@ -21,6 +25,24 @@ from repro.workloads import WorkloadSpec, build_workload
 
 FAULTY_TICKS = 25
 SETTLE_TICKS = 20  # >> lease (6) + ack timeout (2) + violation retry (2)
+
+_node_ids = st.integers(min_value=-1, max_value=10)  # -1: the server
+_windows = st.tuples(
+    _node_ids, st.integers(0, 30), st.integers(1, 10)
+).map(lambda w: (w[0], w[1], w[1] + w[2]))
+
+
+@given(
+    blackouts=st.lists(_windows, max_size=8),
+    crashes=st.lists(st.tuples(_node_ids, st.integers(0, 40)), max_size=4),
+    tick=st.integers(0, 45),
+)
+def test_down_at_is_the_set_is_down_defines(blackouts, crashes, tick):
+    plan = FaultPlan(blackouts=tuple(blackouts), crashes=tuple(crashes))
+    assert plan.down_at(tick) == {
+        node for node in range(-1, 11) if plan.is_down(node, tick)
+    }
+
 
 scenario = st.fixed_dictionaries(
     {
