@@ -103,9 +103,12 @@ class CpmServer(CentralizedServerBase):
                 if d > bound:
                     bound = d
             if usable:
-                # Inflate the bound by a few ulps: range_search compares
-                # squared distances, which can round the farthest old
-                # member just outside an exact hypot-derived radius.
+                # A few ulps of inflation. Not needed for exactness —
+                # range_search compares sqrt(dx*dx + dy*dy) <= r, the
+                # recipe the bound above was computed with, so the
+                # farthest old member lands inside — but it stays: a
+                # wider radius can open one more cell, and taking it
+                # out could move the DIST_CALC columns of the E-sweeps.
                 bound += 1e-9 * (bound + 1.0)
                 cands = range_search(
                     self.grid, qx, qy, bound, exclude=exclude, meter=self.meter

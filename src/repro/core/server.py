@@ -55,7 +55,12 @@ from repro.core.protocol import (
 from repro.core.regions import Installation, plan_installation
 from repro.errors import ProtocolError
 from repro.geometry import Rect, dist
-from repro.index.knn import knn_search, range_search_arrays
+from repro.index.knn import (
+    knn_search,
+    knn_search_many,
+    range_search_arrays,
+    range_search_many,
+)
 from repro.metrics.cost import CostMeter
 from repro.net.message import SERVER_ID, Message, MessageKind, payload_size
 from repro.net.plane import MIN_BATCH, ColumnarBatch
@@ -197,6 +202,10 @@ class DknnServer(BaseServer):
         self._states: Dict[int, _QueryState] = {}
         self._tick = 0
         self._probes_in_flight = _InFlight()
+        #: search results fetched ahead by this subround's pre-pass,
+        #: ``(kind, qid) -> row``; every row is taken by the query it
+        #: was fetched for before the subround ends.
+        self._rows: Dict[Tuple[str, int], object] = {}
         #: repairs performed per query (light + full), and the light
         #: subset (the E13 ablation reports the ratio).
         self.repair_count: Dict[int, int] = {}
@@ -377,11 +386,128 @@ class DknnServer(BaseServer):
         super().on_tick_end(tick)
 
     def on_subround(self, tick: int) -> None:
+        """Advance every query's state machine once, in registration
+        order.
+
+        Before that, :meth:`_prefetch` runs the index searches the
+        queries are about to ask for as one many-row pass per kind. It
+        may assume exactly two things. The grid is read-only inside a
+        subround: reports are ingested by ``on_message`` /
+        ``on_uplink_batch`` between subrounds, and nothing an
+        ``_advance`` does (probes, installs, revokes, borrows) writes
+        the table. And one query's ``_advance`` never writes another
+        query's state, so what a query does first is decided by its own
+        fields as they stand now. It may not assume anything about what
+        happens *after* a query's first step — a planner scan that
+        finds an encroacher, a light repair that escalates — and those
+        searches stay with the per-query functions.
+        """
         self._tick = tick
+        self._prefetch(tick)
         for state in self._states.values():
             if state.focal_down:
                 continue
             self._advance(state, tick)
+        if self._rows:
+            raise ProtocolError(
+                f"prefetched searches never asked for: {sorted(self._rows)}"
+            )
+
+    def _light_eligible(self, st: _QueryState) -> bool:
+        """Would an idle ``st`` take the light repair path right now?"""
+        return bool(
+            st.dirty
+            and st.light_ok
+            and self.params.incremental
+            and st.install is not None
+            and not math.isinf(st.install.threshold)
+        )
+
+    def _prefetch(self, tick: int) -> None:
+        """Run, as one many-row search per kind, what the queries'
+        first steps of this subround will search for.
+
+        Read-only over the query states; mirrors the entry conditions
+        of :meth:`_advance`: an idle query whose planner is due (not
+        dirty, or dirty on the light path, with bands installed) scans
+        its monitor zone; a query starting a full repair with its focal
+        position exact (idle and dirty off the light path, or done
+        waiting for the focal probe) searches its ``k+1`` nearest and
+        then scans the candidate circle that fixes. A kind with fewer
+        than ``MIN_BATCH`` rows due is left to the per-query functions
+        (the many-row kernels lose below that), as is everything under
+        the fault-tolerant build's suspect exclusion sets. The kernels
+        charge the meter what the per-query calls would have, so every
+        row must be consumed: :meth:`on_subround` raises otherwise.
+        """
+        self._rows = rows = {}
+        if self._ft and self._suspected:
+            return
+        table = self.table
+        grid = table.grid
+        planner: List[_QueryState] = []
+        search: List[_QueryState] = []
+        for st in self._states.values():
+            if st.focal_down:
+                continue
+            if st.phase == _WAIT_FOCAL or (
+                st.phase == _IDLE and st.dirty and not self._light_eligible(st)
+            ):
+                # _WAIT_FOCAL pends on the focal alone.
+                if table.is_fresh(st.spec.focal_oid, tick):
+                    search.append(st)
+            elif (
+                st.phase == _IDLE
+                and st.planner_tick != tick
+                and st.install is not None
+                and not math.isinf(st.install.threshold)
+            ):
+                planner.append(st)
+        if len(planner) >= MIN_BATCH:
+            unc = self.params.uncertainty
+            found = range_search_many(
+                grid,
+                np.array([st.install.anchor[0] for st in planner]),
+                np.array([st.install.anchor[1] for st in planner]),
+                np.array([st.install.monitor_radius(unc) for st in planner]),
+                np.array([st.spec.focal_oid for st in planner]),
+                meter=self.meter,
+            )
+            seg = found.seg.tolist()
+            for i, st in enumerate(planner):
+                rows["planner", st.spec.qid] = found.oid[seg[i]:seg[i + 1]]
+        if len(search) < MIN_BATCH:
+            return
+        focals = np.array([st.spec.focal_oid for st in search])
+        qx, qy = grid.positions_of(focals)
+        nearest = knn_search_many(
+            grid,
+            qx,
+            qy,
+            np.array([st.spec.k + 1 for st in search]),
+            focals,
+            meter=self.meter,
+        )
+        seg = nearest.seg.tolist()
+        dists = nearest.d.tolist()
+        oids = nearest.oid.tolist()
+        full = []  # rows that found k+1: their repair scans a circle
+        radii = []
+        for i, st in enumerate(search):
+            lo, hi = seg[i], seg[i + 1]
+            rows["knn", st.spec.qid] = list(zip(dists[lo:hi], oids[lo:hi]))
+            if hi - lo > st.spec.k:
+                full.append(i)
+                radii.append(self._candidate_radius(dists[hi - 1]))
+        if len(full) < MIN_BATCH:
+            return
+        found = range_search_many(
+            grid, qx[full], qy[full], np.array(radii), focals[full],
+            meter=self.meter,
+        )
+        seg = found.seg.tolist()
+        for n, i in enumerate(full):
+            rows["cands", search[i].spec.qid] = found.oid[seg[n]:seg[n + 1]]
 
     def busy(self) -> bool:
         # Unfinished repairs keep the zero-latency subround loop alive;
@@ -584,14 +710,7 @@ class DknnServer(BaseServer):
         # the tick's obligations.
         while True:
             if st.phase == _IDLE:
-                light = (
-                    st.dirty
-                    and st.light_ok
-                    and self.params.incremental
-                    and st.install is not None
-                    and not math.isinf(st.install.threshold)
-                )
-                if light:
+                if self._light_eligible(st):
                     # The light path needs this tick's silent-object
                     # guarantee re-established first: run the planner
                     # against the *old* installation before deciding
@@ -779,6 +898,11 @@ class DknnServer(BaseServer):
             InstallBand(qid, band, ax, ay, radius),
         )
 
+    def _candidate_radius(self, r_k1: float) -> float:
+        """The probe radius of a full repair whose ``k+1``-th nearest
+        reported position lies ``r_k1`` away (module docstring, step 2)."""
+        return r_k1 + 2.0 * self.params.uncertainty + self.params.s_cap
+
     def _select_candidates(self, st: _QueryState, tick: int) -> bool:
         """Choose the probe set; returns False when blocked or trivial.
 
@@ -789,22 +913,26 @@ class DknnServer(BaseServer):
         table = self.table
         qx, qy = table.last_position(spec.focal_oid)
         exclude = self._search_exclude(spec.focal_oid)
-        reported = knn_search(
-            table.grid, qx, qy, spec.k + 1, exclude=exclude, meter=self.meter
-        )
+        reported = self._rows.pop(("knn", spec.qid), None)
+        if reported is None:
+            reported = knn_search(
+                table.grid, qx, qy, spec.k + 1, exclude=exclude,
+                meter=self.meter,
+            )
         if len(reported) <= spec.k:
             self._finalize_trivial(st, reported, (qx, qy), tick)
             return False
-        r_k1 = reported[-1][0]
-        radius = r_k1 + 2.0 * self.params.uncertainty + self.params.s_cap
+        radius = self._candidate_radius(reported[-1][0])
         if self.ownership_probe is not None:
             # Ownership seam: a full repair reads the table over this
             # circle — the sharded tier borrows candidates from every
             # neighbor shard the circle overlaps.
             self.ownership_probe.repair_scope(spec.qid, qx, qy, radius)
-        _, st.cand_ids = range_search_arrays(
-            table.grid, qx, qy, radius, exclude=exclude, meter=self.meter
-        )
+        st.cand_ids = self._rows.pop(("cands", spec.qid), None)
+        if st.cand_ids is None:
+            _, st.cand_ids = range_search_arrays(
+                table.grid, qx, qy, radius, exclude=exclude, meter=self.meter
+            )
         st.pending = self._probe_stale(st.cand_ids)
         st.phase = _WAIT_CANDS  # nothing stale: fall straight through
         return not st.pending.shape[0]
@@ -970,7 +1098,7 @@ class DknnServer(BaseServer):
         for oid in st.cand_ids.tolist():
             ox, oy = table.last_position(oid)
             exact.append((dist(ox, oy, ax, ay), oid))
-            self.meter.charge(CostMeter.DIST_CALC)
+        self.meter.charge(CostMeter.DIST_CALC, len(exact))
         exact.sort()
         st.pending = st.cand_ids = _NO_IDS
         st.phase = _IDLE
@@ -1057,10 +1185,13 @@ class DknnServer(BaseServer):
             return True
         zone = inst.monitor_radius(self.params.uncertainty)
         ax, ay = inst.anchor
-        exclude = self._search_exclude(st.spec.focal_oid)
-        _, hits = range_search_arrays(
-            self.table.grid, ax, ay, zone, exclude=exclude, meter=self.meter
-        )
+        hits = self._rows.pop(("planner", st.spec.qid), None)
+        if hits is None:
+            _, hits = range_search_arrays(
+                self.table.grid, ax, ay, zone,
+                exclude=self._search_exclude(st.spec.focal_oid),
+                meter=self.meter,
+            )
         informed = st.informed
         new = [oid for oid in hits.tolist() if oid not in informed]
         if not new:
@@ -1086,12 +1217,11 @@ class DknnServer(BaseServer):
         harmless: List[int] = []
         for oid in st.planner_new.tolist():
             ox, oy = table.last_position(oid)
-            d = dist(ox, oy, ax, ay)
-            self.meter.charge(CostMeter.DIST_CALC)
-            if d < boundary:
+            if dist(ox, oy, ax, ay) < boundary:
                 encroachers.append(oid)
             else:
                 harmless.append(oid)
+        self.meter.charge(CostMeter.DIST_CALC, st.planner_new.shape[0])
         st.pending = st.planner_new = _NO_IDS
         st.phase = _IDLE
         if encroachers:
@@ -1107,4 +1237,4 @@ class DknnServer(BaseServer):
         for oid in harmless:
             self._send_band(oid, qid, BAND_OUTSIDER, ax, ay, boundary)
             st.informed.add(oid)
-            self.meter.charge(CostMeter.BOOKKEEPING)
+        self.meter.charge(CostMeter.BOOKKEEPING, len(harmless))

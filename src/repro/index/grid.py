@@ -96,15 +96,27 @@ class _CellStore:
         seg = self.members[self.start[lin]:self.fill[lin]]
         return seg[seg >= 0]
 
-    def gather(self, lins: np.ndarray) -> np.ndarray:
-        """Member ids of every cell in ``lins``, concatenated."""
+    def _runs(self, lins: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Where the written entries of the cells ``lins`` sit in
+        ``members``, run after run, and each run's length."""
         lo = self.start[lins]
         n = self.fill[lins] - lo
         # Output entry i, falling in cell c's run, reads
         # members[lo[c] + i - (entries before the run)].
-        at = np.repeat(lo - np.cumsum(n) + n, n) + np.arange(int(n.sum()))
-        ids = self.members[at]
+        return np.repeat(lo - np.cumsum(n) + n, n) + np.arange(int(n.sum())), n
+
+    def gather(self, lins: np.ndarray) -> np.ndarray:
+        """Member ids of every cell in ``lins``, concatenated."""
+        ids = self.members[self._runs(lins)[0]]
         return ids[ids >= 0]
+
+    def gather_sources(self, lins: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`gather`, plus for each member the index into ``lins``
+        of the cell it came out of (``lins`` may repeat a cell)."""
+        at, n = self._runs(lins)
+        ids = self.members[at]
+        live = ids >= 0
+        return ids[live], np.repeat(np.arange(lins.shape[0]), n)[live]
 
     # -- writes -------------------------------------------------------------
 
@@ -229,6 +241,20 @@ class UniformGrid:
         cj = min(int((y - u.ymin) / self._cell_h), self.cells - 1)
         return (ci, cj)
 
+    def cells_of(
+        self, xs: np.ndarray, ys: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`cell_of` for coordinate arrays inside the universe
+        (not checked here): float division then int truncation —
+        coordinates are >= the universe minimum, so truncation is
+        floor — then boundary points clamp inward."""
+        u = self.universe
+        last = self.cells - 1
+        return (
+            np.minimum(((xs - u.xmin) / self._cell_w).astype(np.int64), last),
+            np.minimum(((ys - u.ymin) / self._cell_h).astype(np.int64), last),
+        )
+
     def _lin_of(self, x: float, y: float) -> int:
         ci, cj = self.cell_of(x, y)
         return ci * self.cells + cj
@@ -344,14 +370,7 @@ class UniformGrid:
         if int(oid_arr.min()) < 0:
             raise IndexError_("grid needs oids >= 0")
         self.reserve(int(oid_arr.max()) + 1)
-        # float division then int truncation — identical to cell_of.
-        last = self.cells - 1
-        ci = np.minimum(
-            ((xs - u.xmin) / self._cell_w).astype(np.int64), last
-        )
-        cj = np.minimum(
-            ((ys - u.ymin) / self._cell_h).astype(np.int64), last
-        )
+        ci, cj = self.cells_of(xs, ys)
         new_lin = ci * self.cells + cj
         old_lin = self._dcell[oid_arr]  # fancy indexing copies
         idx = np.flatnonzero(old_lin != new_lin)  # first-time inserts too
@@ -406,16 +425,7 @@ class UniformGrid:
         if clash.any():
             bad = int(oid_arr[np.nonzero(clash)[0][0]])
             raise IndexError_(f"object {bad} already indexed")
-        # float division then int truncation — identical to cell_of
-        # (coordinates are >= the universe minimum, so truncation is
-        # floor) — then clamp boundary points inward.
-        last = self.cells - 1
-        ci = np.minimum(
-            ((xs - u.xmin) / self._cell_w).astype(np.int64), last
-        )
-        cj = np.minimum(
-            ((ys - u.ymin) / self._cell_h).astype(np.int64), last
-        )
+        ci, cj = self.cells_of(xs, ys)
         lin = ci * self.cells + cj
         self._store.add(oid_arr, lin)
         self._dcell[oid_arr] = lin
@@ -485,6 +495,44 @@ class UniformGrid:
         ci = np.arange(lo_i, hi_i + 1, dtype=np.int64)
         cj = np.arange(lo_j, hi_j + 1, dtype=np.int64)
         return self._store.gather(np.add.outer(ci * self.cells, cj).ravel())
+
+    def boxes(
+        self, cx: np.ndarray, cy: np.ndarray, r: np.ndarray, pad: int = 0
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`box` of many disks at once, as four int64 arrays;
+        ``pad`` widens every box by that many cells a side before it is
+        clamped into the grid. An infinite radius covers the grid."""
+        u = self.universe
+        last = self.cells - 1
+
+        def index(at: np.ndarray, lo: float, side: float, by: int) -> np.ndarray:
+            # box()'s float expression and truncation, term for term;
+            # the float clip only keeps infinities castable.
+            col = np.clip((at - lo) / side, -1.0, self.cells).astype(np.int64)
+            return np.clip(col + by, 0, last)
+
+        return (
+            index(cx - r, u.xmin, self._cell_w, -pad),
+            index(cx + r, u.xmin, self._cell_w, pad),
+            index(cy - r, u.ymin, self._cell_h, -pad),
+            index(cy + r, u.ymin, self._cell_h, pad),
+        )
+
+    def box_cells(
+        self,
+        lo_i: np.ndarray,
+        hi_i: np.ndarray,
+        lo_j: np.ndarray,
+        hi_j: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every cell of every box of :meth:`boxes`, flat: ``(row, ci,
+        cj)`` with ``row`` the box a cell belongs to, ascending."""
+        height = hi_j - lo_j + 1
+        n = (hi_i - lo_i + 1) * height
+        row = np.repeat(np.arange(n.shape[0]), n)
+        at = np.arange(int(n.sum())) - np.repeat(np.cumsum(n) - n, n)
+        h = height[row]
+        return row, lo_i[row] + at // h, lo_j[row] + at % h
 
     def cells_intersecting_circle(
         self, cx: float, cy: float, r: float

@@ -1,4 +1,4 @@
-"""Grid-based best-first kNN and range search.
+"""Grid-based best-first kNN and range search, one query or many.
 
 ``knn_search`` is the CPM-style expanding search: cells enter a min-heap
 keyed by their minimum distance to the query point, generated lazily in
@@ -10,13 +10,59 @@ Both searches read the grid's columns directly: a cell opens as an id
 array out of the cell store and its distances are one array pass, so
 the per-member work is numpy's, and the :class:`CostMeter` charges are
 counts taken from array lengths.
+
+**Two call shapes.** ``knn_search`` / ``range_search_arrays`` answer
+one query per call: the public single-query API, what CPM and SEA-CNN
+call once per dirty query, and the oracle the many-row kernels are
+tested against. ``knn_search_many`` / ``range_search_many`` answer many
+rows in one pass over the same columns — every row's cell box expanded
+into one flat (row, cell) list, one gather, one distance pass, one
+ranking — and return each row's result *and* each row's charges, equal
+to the per-query function's. A call of either shape costs a few dozen
+numpy calls whatever it is given, so the many-row shape wins once
+enough rows share that constant and loses below it. Measured per row
+(µs, many-row against per-query): one row, kNN 220-380 against 34-180
+and a range scan 100-130 against 39-50; eight rows, kNN 44 against 48
+on a uniform grid of 49 objects a cell and 86 against 198 on drifting
+hotspots, a range scan 20-64 against 41-60; sixty-one rows on the
+hotspots, kNN 49 against 192 and a range scan 13-30 against 44-54. The
+break-even is 2-8 rows, latest where cells are evenly full, which is
+:data:`repro.net.plane.MIN_BATCH`: the DKNN-P server batches a kind of
+search when at least that many rows of it are due in one subround
+(``DknnServer._prefetch``) and calls per query otherwise.
+
+**The charges of a best-first search, in closed form.** The many-row
+kNN never runs a heap: it finds an upper bound on each row's k-th
+distance, ranks everything inside the bounds, and then *derives* what
+``knn_search`` would have charged from the final k-th distance ``d_k``
+alone (``inf`` when fewer than ``k`` are eligible):
+
+* ``popped`` = in-grid cells with ``cell_min_dist <= d_k``;
+* ``pushed`` = in-grid cells of rings ``0..R``, ``R`` the largest ring
+  whose bound ``(R - 1) * min_side <= d_k`` — the scalar code's float
+  multiply — capped at ring ``cells``, which is every cell;
+* ``DIST_CALC`` = live, non-excluded members of the popped cells;
+* ``HEAP_OP = pushed + popped``, ``CELL_VISIT = popped``.
+
+Why: cells pop in ascending min-distance, and a ring is pushed before
+any cell at or beyond its bound pops, so when a cell of min-distance
+``m`` reaches the top every cell nearer than ``m`` has been opened.
+Every object nearer than ``m`` lies in such a cell (a cell's
+min-distance is at most the distance of anything inside it). If ``m >
+d_k`` the k nearest are therefore all scored, the running k-th is
+``d_k < m`` and the search stops: the cell is never opened. If ``m <=
+d_k`` the running k-th, which only shrinks towards ``d_k``, is still
+``>= m``: the cell is opened. Ties open (``<=``), as in the loop. The
+same argument with a ring's bound in place of ``m`` gives ``pushed``.
+``tests/test_index_vectorized.py`` pins the form on a case where the
+kernel's bound and ``d_k`` differ, and differentially row by row.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import AbstractSet, Dict, FrozenSet, List, Optional, Tuple
+from typing import AbstractSet, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -24,7 +70,15 @@ from repro.errors import IndexError_
 from repro.index.grid import UniformGrid, axis_gap
 from repro.metrics.cost import CostMeter, charge
 
-__all__ = ["knn_search", "range_search", "range_search_arrays", "NeighborList"]
+__all__ = [
+    "knn_search",
+    "knn_search_many",
+    "range_search",
+    "range_search_arrays",
+    "range_search_many",
+    "NeighborList",
+    "Rows",
+]
 
 #: A kNN result: ascending ``(distance, oid)`` pairs, ties broken by oid.
 NeighborList = List[Tuple[float, int]]
@@ -40,6 +94,15 @@ def _without(ids: np.ndarray, exclude: AbstractSet[int]) -> np.ndarray:
     if exclude:
         return ids[~np.isin(ids, np.fromiter(exclude, np.int64, len(exclude)))]
     return ids
+
+
+def _axis_gaps(lo: float, side: float, q, c: np.ndarray) -> np.ndarray:
+    """:func:`~repro.index.grid.axis_gap` over an array of columns (or
+    rows) ``c``, ``q`` one coordinate or one per entry: at most one of
+    the two differences is positive, so the max picks the branch the
+    scalar code takes."""
+    cmin = lo + c * side
+    return np.maximum(np.maximum(cmin - q, q - (cmin + side)), 0.0)
 
 
 def knn_search(
@@ -219,12 +282,8 @@ def range_search_arrays(
     )
     ci = np.arange(lo_i, hi_i + 1, dtype=np.int64)
     cj = np.arange(lo_j, hi_j + 1, dtype=np.int64)
-    xmin = u.xmin + ci * cw
-    ymin = u.ymin + cj * ch
-    # cell_min_dist's axis gaps: at most one of the two differences is
-    # positive, so the max picks the branch the scalar code takes.
-    dx = np.maximum(np.maximum(xmin - cx, cx - (xmin + cw)), 0.0)
-    dy = np.maximum(np.maximum(ymin - cy, cy - (ymin + ch)), 0.0)
+    dx = _axis_gaps(u.xmin, cw, cx, ci)
+    dy = _axis_gaps(u.ymin, ch, cy, cj)
     keep = np.sqrt(np.add.outer(dx * dx, dy * dy)) <= r
     lin = np.add.outer(ci * grid.cells, cj)[keep]
     idx = _without(grid._store.gather(lin), exclude)
@@ -237,3 +296,198 @@ def range_search_arrays(
     idx = idx[within]
     order = np.lexsort((idx, d))
     return d[order], idx[order]
+
+
+# -- many rows at once --------------------------------------------------------
+
+
+class Rows(NamedTuple):
+    """What a many-row search returns: row ``i``'s neighbours are
+    ``d[seg[i]:seg[i + 1]]`` / ``oid[seg[i]:seg[i + 1]]`` in ascending
+    ``(distance, oid)`` order, and ``charges[category][i]`` is what the
+    per-query function would have charged for it."""
+
+    seg: np.ndarray
+    d: np.ndarray
+    oid: np.ndarray
+    charges: Dict[str, np.ndarray]
+
+
+def _disk_cells(
+    grid: UniformGrid, cx: np.ndarray, cy: np.ndarray, r: np.ndarray, pad: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every cell of every disk's bounding box (``pad`` cells wider a
+    side) as flat ``(row, linear cell id, cell_min_dist)`` arrays."""
+    u = grid.universe
+    row, ci, cj = grid.box_cells(*grid.boxes(cx, cy, r, pad))
+    gx = _axis_gaps(u.xmin, grid._cell_w, cx[row], ci)
+    gy = _axis_gaps(u.ymin, grid._cell_h, cy[row], cj)
+    return row, ci * grid.cells + cj, np.sqrt(gx * gx + gy * gy)
+
+
+def _scored_members(
+    grid: UniformGrid,
+    row: np.ndarray,
+    lin: np.ndarray,
+    cx: np.ndarray,
+    cy: np.ndarray,
+    exclude_oid: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Open the cells ``lin`` (cell ``c`` on behalf of row ``row[c]``):
+    ``(oid, source cell, row, distance)`` per member that is not its
+    row's excluded id."""
+    ids, src = grid._store.gather_sources(lin)
+    mrow = row[src]
+    keep = ids != exclude_oid[mrow]
+    ids, src, mrow = ids[keep], src[keep], mrow[keep]
+    ddx = grid._dx[ids] - cx[mrow]
+    ddy = grid._dy[ids] - cy[mrow]
+    return ids, src, mrow, np.sqrt(ddx * ddx + ddy * ddy)
+
+
+def _ranked(
+    n_rows: int, mrow: np.ndarray, d: np.ndarray, ids: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Members sorted by ``(row, distance, oid)`` and the offsets of
+    each row's run: ``(seg, d, oid)``."""
+    order = np.lexsort((ids, d, mrow))
+    seg = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(mrow, minlength=n_rows), out=seg[1:])
+    return seg, d[order], ids[order]
+
+
+def range_search_many(
+    grid: UniformGrid,
+    cx: np.ndarray,
+    cy: np.ndarray,
+    r: np.ndarray,
+    exclude_oid: np.ndarray,
+    meter: Optional[CostMeter] = None,
+) -> Rows:
+    """:func:`range_search_arrays` for many disks in one pass.
+
+    Row ``i`` is the disk ``(cx[i], cy[i], r[i])`` searched without the
+    id ``exclude_oid[i]`` (``-1``: nobody). Results and charges equal
+    the per-query function's row by row; the meters are charged the
+    column sums.
+    """
+    if (r < 0).any():
+        raise IndexError_("negative radius in range_search_many")
+    if meter is None:
+        meter = grid.meter
+    n_rows = cx.shape[0]
+    row, lin, cmd = _disk_cells(grid, cx, cy, r, 0)
+    hit = cmd <= r[row]
+    ids, _, mrow, d = _scored_members(
+        grid, row[hit], lin[hit], cx, cy, exclude_oid
+    )
+    charges = {
+        CostMeter.CELL_VISIT: np.bincount(row, minlength=n_rows),
+        CostMeter.DIST_CALC: np.bincount(mrow, minlength=n_rows),
+    }
+    if n_rows:
+        charge(grid.meter, CostMeter.CELL_VISIT, row.shape[0])
+        charge(meter, CostMeter.DIST_CALC, mrow.shape[0])
+    within = d <= r[mrow]
+    return Rows(*_ranked(n_rows, mrow[within], d[within], ids[within]), charges)
+
+
+def knn_search_many(
+    grid: UniformGrid,
+    qx: np.ndarray,
+    qy: np.ndarray,
+    k,
+    exclude_oid: np.ndarray,
+    meter: Optional[CostMeter] = None,
+) -> Rows:
+    """:func:`knn_search` for many query points in one pass.
+
+    Row ``i`` is the ``k`` (one int, or one per row) nearest to
+    ``(qx[i], qy[i])`` without the id ``exclude_oid[i]`` (``-1``:
+    nobody). *Bound, then range*: a row's upper bound is the k-th
+    smallest distance inside the smallest square of cells around its
+    query cell that holds ``k`` eligible members (squares of 0, 1, 2,
+    4, ... rings; none does when the whole grid holds fewer); one
+    ranked range pass inside the bounds then yields every row's
+    answer. Charges are the best-first search's, from the closed form
+    in the module docstring.
+    """
+    n_rows = qx.shape[0]
+    k = np.broadcast_to(np.asarray(k, dtype=np.int64), (n_rows,))
+    if (k < 1).any():
+        raise IndexError_("k must be >= 1 in knn_search_many")
+    if meter is None:
+        meter = grid.meter
+    u = grid.universe
+    C = grid.cells
+    last = C - 1
+    # cell_of(clamp_point(q)), as knn_search places its query
+    qi, qj = grid.cells_of(
+        np.clip(qx, u.xmin, u.xmax), np.clip(qy, u.ymin, u.ymax)
+    )
+
+    def square(rows: np.ndarray, ring) -> Tuple[np.ndarray, ...]:
+        """The in-grid cells within ``ring`` rings of the query cells."""
+        return (
+            np.maximum(qi[rows] - ring, 0),
+            np.minimum(qi[rows] + ring, last),
+            np.maximum(qj[rows] - ring, 0),
+            np.minimum(qj[rows] + ring, last),
+        )
+
+    bound = np.full(n_rows, np.inf)
+    todo = np.arange(n_rows)
+    ring = 0
+    while todo.shape[0]:
+        row, ci, cj = grid.box_cells(*square(todo, ring))
+        _, _, mrow, d = _scored_members(
+            grid, todo[row], ci * C + cj, qx, qy, exclude_oid
+        )
+        d = d[np.lexsort((d, mrow))]  # row after row, each ascending
+        held = np.bincount(mrow, minlength=n_rows)[todo]
+        enough = held >= k[todo]
+        bound[todo[enough]] = d[(np.cumsum(held) - held + k[todo] - 1)[enough]]
+        if ring >= last:
+            break  # the whole grid holds fewer than k for the rest
+        todo = todo[~enough]
+        ring = max(1, 2 * ring)
+
+    # One cell of padding: a cell whose edge lies exactly d_k away ties
+    # with the k-th neighbour and is opened by the best-first search,
+    # but the float bounding box of the disk may stop short of it.
+    row, lin, cmd = _disk_cells(grid, qx, qy, bound, 1)
+    hit = cmd <= bound[row]
+    cmd_hit = cmd[hit]
+    ids, src, mrow, d = _scored_members(
+        grid, row[hit], lin[hit], qx, qy, exclude_oid
+    )
+    within = d <= bound[mrow]
+    seg, d_in, ids_in = _ranked(n_rows, mrow[within], d[within], ids[within])
+    found = seg[1:] - seg[:-1]
+    d_k = np.full(n_rows, np.inf)
+    full = np.flatnonzero(found >= k)
+    d_k[full] = d_in[seg[full] + k[full] - 1]
+    # Closed-form charges of the best-first search, all from d_k.
+    popped = np.bincount(row[cmd <= d_k[row]], minlength=n_rows)
+    scored = np.bincount(mrow[cmd_hit[src] <= d_k[mrow]], minlength=n_rows)
+    ring_bound = (np.arange(C + 1) - 1) * min(grid._cell_w, grid._cell_h)
+    lo_i, hi_i, lo_j, hi_j = square(
+        np.arange(n_rows), np.searchsorted(ring_bound, d_k, side="right") - 1
+    )
+    pushed = (hi_i - lo_i + 1) * (hi_j - lo_j + 1)
+    charges = {
+        CostMeter.HEAP_OP: pushed + popped,
+        CostMeter.CELL_VISIT: popped,
+        CostMeter.DIST_CALC: scored,
+    }
+    if n_rows:
+        charge(meter, CostMeter.HEAP_OP, int(charges[CostMeter.HEAP_OP].sum()))
+        charge(meter, CostMeter.CELL_VISIT, int(popped.sum()))
+        if scored.any():  # like knn_search: no zero DIST_CALC entry
+            charge(meter, CostMeter.DIST_CALC, int(scored.sum()))
+    # Keep each row's first k.
+    take = np.minimum(found, k)
+    out = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(take, out=out[1:])
+    at = np.repeat(seg[:-1] - out[:-1], take) + np.arange(int(out[-1]))
+    return Rows(out, d_in[at], ids_in[at], charges)

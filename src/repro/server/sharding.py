@@ -429,9 +429,8 @@ class ShardedServer(ServerNodeBase):
         #: oid -> home shard (from the last routed positional uplink).
         self._home: Dict[int, int] = {}
         #: dense int64 mirror of ``_home`` (-1 = absent), built lazily
-        #: by the columnar uplink path and kept in sync by every scalar
-        #: home update. Only ever consulted on fault-free runs (plans
-        #: veto the plane), so amnesia restarts need not touch it.
+        #: on first use and kept true by every writer of ``_home``
+        #: (:meth:`_set_home`, :meth:`_drop_home`).
         self._home_arr = None
         #: qid -> owning shard; a qid is absent until its focal object
         #: first reports a position. Single map = single owner, always.
@@ -1003,41 +1002,25 @@ class ShardedServer(ServerNodeBase):
 
     def _oids_in_cell(self, cell: int, shard: int) -> List[int]:
         """Objects homed at ``shard`` whose last reported position lies
-        in the fine cell, ascending oid.
-
-        The array path mirrors :meth:`_borrow`'s (fault-free runs
-        only); the scalar walk selects the identical row set, so runs
-        with and without a fault plan migrate the same rows in the same
-        order.
-        """
+        in the fine cell, ascending oid: one mask over the home mirror
+        and the table's position columns (:meth:`_cell_of`'s
+        arithmetic). A tableless inner server has no positions, so no
+        rows."""
         table = getattr(self.inner, "table", None)
-        if (
-            self._fault_plan is None
-            and table is not None
-            and self._home
-        ):
-            grid = table.grid
-            arr = self._ensure_home_arr(0)
-            n = min(arr.shape[0], grid._dcell.shape[0])
-            u = self.router.universe
-            cside = self._cell_side
-            col = ((grid._dx[:n] - u.xmin) / self._cell_w2).astype(np.int64)
-            row = ((grid._dy[:n] - u.ymin) / self._cell_h2).astype(np.int64)
-            np.clip(col, 0, cside - 1, out=col)
-            np.clip(row, 0, cside - 1, out=row)
-            mask = (arr[:n] == shard) & (grid._dcell[:n] >= 0)
-            mask &= (row * cside + col) == cell
-            return [int(i) for i in np.nonzero(mask)[0]]
-        out: List[int] = []
-        for oid, home in self._home.items():
-            if home != shard:
-                continue
-            if table is None or oid not in table:
-                continue
-            ox, oy = table.last_position(oid)
-            if self._cell_of(ox, oy) == cell:
-                out.append(oid)
-        return sorted(out)
+        if table is None:
+            return []
+        grid = table.grid
+        arr = self._ensure_home_arr(0)
+        n = min(arr.shape[0], grid._dcell.shape[0])
+        u = self.router.universe
+        cside = self._cell_side
+        col = ((grid._dx[:n] - u.xmin) / self._cell_w2).astype(np.int64)
+        row = ((grid._dy[:n] - u.ymin) / self._cell_h2).astype(np.int64)
+        np.clip(col, 0, cside - 1, out=col)
+        np.clip(row, 0, cside - 1, out=row)
+        mask = (arr[:n] == shard) & (grid._dcell[:n] >= 0)
+        mask &= (row * cside + col) == cell
+        return [int(i) for i in np.nonzero(mask)[0]]
 
     def _admit(self, msg: Message, serving: int, qid: Optional[int]) -> bool:
         """Admission control: True admits the uplink into the engine;
@@ -1371,7 +1354,7 @@ class ShardedServer(ServerNodeBase):
                 tuple(self.inner.answers.get(qid, ())),
             )
         for oid in homed:
-            del self._home[oid]
+            self._drop_home(oid)
         stats.amnesia_restarts += 1
         stats.amnesia_queries += len(owned)
         if tel.enabled and tel.tracer.enabled:
@@ -1581,6 +1564,12 @@ class ShardedServer(ServerNodeBase):
             if src >= arr.shape[0]:
                 arr = self._ensure_home_arr(src)
             arr[src] = home
+
+    def _drop_home(self, oid: int) -> None:
+        """Forget one home-table entry, in the dict and in the mirror."""
+        del self._home[oid]
+        if self._home_arr is not None and oid < self._home_arr.shape[0]:
+            self._home_arr[oid] = -1
 
     def _route_uplink(self, msg: Message) -> bool:
         """Route one client uplink to its home shard; ledger the load,
@@ -1864,6 +1853,26 @@ class ShardedServer(ServerNodeBase):
 
     # -- candidate borrowing --------------------------------------------------
 
+    def _circle_counts(self, cx: float, cy: float, radius: float):
+        """Per shard, the objects homed there that the table places
+        inside the circle: one masked bincount over the members of the
+        cells under it (the home mirror and the table's positions are
+        columns; no lookup here charges the meter). A tableless inner
+        server has no positions, so every count is zero."""
+        n_shards = self.router.n_shards
+        table = getattr(self.inner, "table", None)
+        if table is None:
+            return [0] * n_shards
+        grid = table.grid
+        arr = self._ensure_home_arr(0)
+        ids = grid.box_members(cx, cy, radius)
+        ids = ids[ids < arr.shape[0]]
+        homes = arr[ids]
+        dx = grid._dx[ids] - cx
+        dy = grid._dy[ids] - cy
+        mask = (homes >= 0) & (dx * dx + dy * dy <= radius * radius)
+        return np.bincount(homes[mask], minlength=n_shards)
+
     def _borrow(self, qid: int, cx: float, cy: float, radius: float) -> None:
         """A repair reads the table over a circle: borrow the members
         of every other shard the circle overlaps."""
@@ -1876,45 +1885,10 @@ class ShardedServer(ServerNodeBase):
             return
         # Count each remote shard's members actually inside the circle
         # (sizes the reply like a collect: 20 bytes per position).
-        r2 = radius * radius
-        table = getattr(self.inner, "table", None)
-        if (
-            self._fault_plan is None
-            and table is not None
-            and self._home
-        ):
-            # Fault-free runs: the home mirror is exact (homes
-            # are only ever deleted by amnesia recovery, a plan-only
-            # path) and the table's positions are columns, so one
-            # masked bincount over the members of the cells under the
-            # circle replaces the O(N) dict walk. No lookup here
-            # charges the meter, so the bill is unchanged.
-            grid = table.grid
-            arr = self._ensure_home_arr(0)
-            ids = grid.box_members(cx, cy, radius)
-            ids = ids[ids < arr.shape[0]]
-            homes = arr[ids]
-            dx = grid._dx[ids] - cx
-            dy = grid._dy[ids] - cy
-            mask = (homes >= 0) & (dx * dx + dy * dy <= r2)
-            cnt = np.bincount(homes[mask], minlength=self.router.n_shards)
-            counts = {sid: int(cnt[sid]) for sid in remote}
-        else:
-            counts = {sid: 0 for sid in remote}
-            for oid, home in self._home.items():
-                if home not in counts:
-                    continue
-                if table is not None and oid in table:
-                    ox, oy = table.last_position(oid)
-                else:
-                    continue
-                dx = ox - cx
-                dy = oy - cy
-                if dx * dx + dy * dy <= r2:
-                    counts[home] += 1
+        cnt = self._circle_counts(cx, cy, radius)
         tel = self._telemetry
         for sid in remote:
-            n = counts[sid]
+            n = int(cnt[sid])
             self.shard_stats.borrows += 1
             self.shard_stats.borrowed_candidates += n
             self.inner.meter.charge(CostMeter.BORROW)

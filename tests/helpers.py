@@ -10,6 +10,7 @@ from repro.geometry import Rect
 from repro.metrics.accuracy import is_valid_knn
 from repro.mobility import Fleet
 from repro.net.engine import engine_attach
+from repro.net.message import SERVER_ID
 from repro.net.node import ServerNodeBase
 from repro.net.plane import ColumnarBatch
 from repro.net.simulator import RoundSimulator
@@ -28,6 +29,7 @@ __all__ = [
     "built_system",
     "reference_system",
     "on_the_wire",
+    "recorded_run",
 ]
 
 
@@ -55,7 +57,10 @@ def reference_system(
     ``build_system(cfg, ...)``: the system is built by it and its phase
     taken away before the first tick (binding a phase reads the nodes,
     it does not change them); the shard tier and the engine driver are
-    attached afterwards, as ``build_system`` orders them.
+    attached afterwards, as ``build_system`` orders them. A DKNN-P
+    server also loses its subround pre-pass, so every index search of
+    the reference is a per-query ``knn_search`` /
+    ``range_search_arrays`` call.
     """
     size = spec.universe_size
     universe = Rect(0.0, 0.0, size, size)
@@ -73,6 +78,8 @@ def reference_system(
         cfg.but(shard=None, engine=None), fleet, queries, telemetry=telemetry
     )
     sim.client_phase = None
+    if hasattr(sim.server, "_prefetch"):
+        sim.server._prefetch = lambda tick: None
     if cfg.shard is not None:
         shard_attach(sim, cfg.shard)
     if cfg.engine is not None:
@@ -91,6 +98,63 @@ def on_the_wire(items) -> List[Tuple]:
             fields = tuple(getattr(m.payload, f) for f in m.payload.__slots__)
             sent.append((m.kind, m.src, m.dst, m.size, m.sent_tick, fields))
     return sent
+
+
+def recorded_run(cfg: RunConfig, spec: WorkloadSpec, build, ticks: int) -> dict:
+    """Run ``build(cfg, spec)`` for ``ticks`` and return everything two
+    builds of one configuration must agree on: what the server sent,
+    message by message in queue order (batches expanded), and what it
+    was sent, per subround (a client phase orders a subround's uplinks
+    by kind, per-object nodes by sender), the answers after every tick,
+    per-kind ``CommStats``, the per-category meter and — sharded — the
+    whole tier ledger."""
+    sim, _ = build(cfg, spec)
+    wire = []
+    collect = sim.channel.collect
+
+    def recording_collect():
+        items = collect()
+        flight = on_the_wire(items)
+        wire.append(
+            (sim.tick, sorted((m for m in flight if m[1] != SERVER_ID), key=repr))
+        )
+        wire.extend((sim.tick, m) for m in flight if m[1] == SERVER_ID)
+        return items
+
+    sim.channel.collect = recording_collect
+    answers = []
+    sim.run(
+        ticks,
+        on_tick=lambda s: answers.append(
+            {qid: tuple(a) for qid, a in s.server.answers.items()}
+        ),
+    )
+    stats = sim.channel.stats
+    out = {
+        "wire": wire,
+        "answers": answers,
+        "messages": dict(stats.sent_by_kind),
+        "bytes": dict(stats.bytes_by_kind),
+        "meter": dict(sim.server.meter.units),
+        "repairs": dict(sim.server.repair_count),
+    }
+    ss = getattr(sim.server, "shard_stats", None)
+    if ss is not None:
+        out["shard_ledger"] = (
+            list(ss.uplinks),
+            list(ss.downlinks),
+            ss.migrations,
+            ss.forwards,
+            ss.area_sends,
+            ss.handoffs,
+            ss.borrows,
+            ss.borrowed_candidates,
+            ss.cells_moved,
+            ss.rehomed_objects,
+            stats.server_to_server_messages,
+            stats.server_to_server_bytes,
+        )
+    return out
 
 
 class SinkServer(ServerNodeBase):

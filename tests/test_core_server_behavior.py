@@ -7,6 +7,7 @@ from repro.errors import ProtocolError
 from repro.geometry import Rect
 from repro.mobility import Fleet, StationaryMover
 from repro.net.message import MessageKind
+from repro.net.plane import MIN_BATCH
 from repro.server import QuerySpec
 from repro.workloads import WorkloadSpec, build_workload
 from tests.helpers import built_system, reference_system
@@ -214,3 +215,192 @@ class TestRepairRoundStaysInArrays:
         scalar, scalar_repairs, _ = self._run(2000, reference_system)
         assert fast_repairs == scalar_repairs
         assert fast == scalar
+
+
+class TestBatchedRepairSearches:
+    """``DknnServer.on_subround``'s pre-pass — the searches of a
+    subround as one many-row pass per kind — against the reference,
+    whose every search is a per-query call (``reference_system``)."""
+
+    QUERIES = 12  # >= MIN_BATCH, so every kind of row batches
+
+    @classmethod
+    def _spec(cls, ticks, **fields):
+        fields.setdefault("n_objects", 900)
+        fields.setdefault("universe_size", 3000.0)
+        return WorkloadSpec(
+            n_queries=cls.QUERIES, k=6, seed=23, ticks=ticks,
+            warmup_ticks=0, **fields,
+        )
+
+    @staticmethod
+    def _count_kernels(monkeypatch):
+        """Rows handed to each search function, by name."""
+        import repro.core.server as server_module
+
+        rows = {}
+        for name in (
+            "knn_search", "range_search_arrays",
+            "knn_search_many", "range_search_many",
+        ):
+            def counted(grid, a, *args, _f=getattr(server_module, name),
+                        _n=name, **kw):
+                rows[_n] = rows.get(_n, 0) + (
+                    a.shape[0] if _n.endswith("_many") else 1
+                )
+                return _f(grid, a, *args, **kw)
+
+            monkeypatch.setattr(server_module, name, counted)
+        return rows
+
+    @pytest.mark.parametrize(
+        "build_fields",
+        [
+            {},
+            {"engine": "event"},
+            {"params": {"fault_tolerant": True}},
+            {"params": {"fault_tolerant": True}, "faults": "crash"},
+        ],
+        ids=["plain", "event-engine", "fault-tolerant", "ft-with-suspects"],
+    )
+    def test_built_run_matches_the_per_query_reference_message_for_message(
+        self, build_fields, monkeypatch
+    ):
+        from repro.experiments.config import EngineConfig, RunConfig
+        from repro.net.faults import FaultPlan
+        from tests.helpers import recorded_run
+
+        ticks = 30
+        fields = dict(build_fields)
+        spec_fields = {}
+        if fields.get("engine"):
+            fields["engine"] = EngineConfig(mode="event")
+            # commuters only: most ticks are skipped
+            spec_fields = dict(
+                mobility="mostly_stationary",
+                mobility_options={
+                    "moving_fraction": 0.1, "period": 12, "active_ticks": 4,
+                },
+                query_speed=0.0,
+            )
+        if fields.get("faults"):
+            # object 5 dies at tick 8: suspected once its lease lapses,
+            # after which exclusion sets are per suspect (per-query path)
+            fields["faults"] = FaultPlan(seed=7, crashes=((5, 8),))
+            fields["params"] = dict(fields["params"], lease_ticks=4)
+        cfg = RunConfig("DKNN-P", **fields)
+        spec = self._spec(ticks, **spec_fields)
+        rows = self._count_kernels(monkeypatch)
+        built = recorded_run(cfg, spec, built_system, ticks)
+        batched = dict(rows)
+        rows.clear()
+        reference = recorded_run(cfg, spec, reference_system, ticks)
+        assert "knn_search_many" not in rows
+        assert "range_search_many" not in rows
+        # the pre-pass really ran, and took most of the searches
+        assert batched["knn_search_many"] >= self.QUERIES
+        assert batched["range_search_many"] >= 2 * self.QUERIES
+        assert batched["knn_search_many"] + batched.get("knn_search", 0) == (
+            rows["knn_search"]
+        )
+        assert batched["range_search_many"] + batched.get(
+            "range_search_arrays", 0
+        ) == rows["range_search_arrays"]
+        for key in reference:
+            assert built[key] == reference[key], key
+        assert len(built["wire"]) > 1000
+
+    def test_search_the_prepass_could_not_foresee_goes_per_query(self):
+        """A planner scan that finds an encroacher marks its query
+        dirty, and with light repairs off and the focal position exact
+        the same ``_advance`` goes on to a full search: the planner row
+        was fetched ahead, the search could not be. Staged identically
+        in both builds, in a subround where enough planners are due to
+        batch: an idle query's focal re-reports where it is, and a
+        stranger reports itself at the query's anchor."""
+        from repro.experiments.config import RunConfig
+        from tests.helpers import recorded_run
+
+        ticks = 12
+        cfg = RunConfig("DKNN-P", params={"incremental": False})
+        spec = self._spec(ticks, query_speed=0.0)
+        unforeseen = []
+        stagings = []
+
+        def staged(build):
+            def wrapped(cfg, spec, telemetry=None):
+                sim, queries = build(cfg, spec, telemetry=telemetry)
+                server = sim.server
+                table = server.table
+                on_subround = server.on_subround
+                select = server._select_candidates
+                staged_at = []
+                stagings.append(staged_at)
+
+                def stage_then_run(tick):
+                    quiet = [
+                        st for st in server._states.values()
+                        if st.phase == "idle" and not st.dirty
+                        and st.planner_tick != tick and st.install is not None
+                    ]
+                    if tick >= 5 and len(quiet) >= MIN_BATCH and not staged_at:
+                        st = quiet[0]
+                        staged_at.append((tick, st.spec.qid))
+                        focal = st.spec.focal_oid
+                        table.report(focal, *table.last_position(focal), tick)
+                        stranger = next(
+                            oid for oid in range(spec.n_objects)
+                            if oid not in st.informed
+                        )
+                        table.report(stranger, *st.install.anchor, tick)
+                    on_subround(tick)
+
+                def watching_select(st, tick):
+                    qid = st.spec.qid
+                    if ("planner", qid) in ahead and ("knn", qid) not in ahead:
+                        unforeseen.append((tick, qid))
+                    return select(st, tick)
+
+                ahead = set()
+                prefetch = server._prefetch
+
+                def noting_prefetch(tick):
+                    prefetch(tick)
+                    ahead.clear()
+                    ahead.update(server._rows)
+
+                server.on_subround = stage_then_run
+                server._prefetch = noting_prefetch
+                server._select_candidates = watching_select
+                return sim, queries
+
+            return wrapped
+
+        built = recorded_run(cfg, spec, staged(built_system), ticks)
+        seen, unforeseen[:] = list(unforeseen), []
+        reference = recorded_run(cfg, spec, staged(reference_system), ticks)
+        # the staged query: planner row fetched ahead in the subround
+        # that then ran its full search per query
+        assert len(stagings[0]) == 1 and stagings[0] == stagings[1]
+        assert stagings[0][0] in seen
+        for key in reference:
+            assert built[key] == reference[key], key
+
+    def test_row_fetched_ahead_and_never_asked_for_raises(self):
+        """The kernels charge the meter when they run, so a row nobody
+        consumes would be work billed and not done."""
+        import numpy as np
+        from repro.experiments.config import RunConfig
+
+        sim, _ = built_system(RunConfig("DKNN-P"), self._spec(10))
+        sim.run(3)
+        server = sim.server
+        prefetch = server._prefetch
+
+        def one_row_too_many(tick):
+            prefetch(tick)
+            server._rows["planner", -1] = np.empty(0, dtype=np.int64)
+
+        server._prefetch = one_row_too_many
+        with pytest.raises(ProtocolError, match="never asked for"):
+            sim.step()

@@ -292,3 +292,71 @@ class TestDurabilityKnobsBitIdentity:
             (e.tick, e.kind, e.fields) for e in protocol_events(evs)
         ]
         assert key(got_ev) == key(base_ev)
+
+
+class TestHomeMirrorThroughAmnesia:
+    """The dense mirror of the home table is what borrow sizing and
+    cell migration read, with or without a fault plan — so an amnesia
+    restart, the one place homes are *deleted*, has to clear it too."""
+
+    def test_mirror_and_its_readers_stay_true_to_the_home_table(self):
+        import numpy as np
+        from repro.api import RebalancePolicy
+
+        plan = _durable_plan(
+            checkpoint_interval=None, wal_replay_per_tick=None
+        )
+        cfg = RunConfig(
+            "DKNN-P",
+            shard=ShardConfig(
+                shards=2,
+                faults=plan,
+                rebalance=RebalancePolicy(
+                    check_interval=5, min_window_uplinks=8
+                ),
+            ),
+            params=dict(FT_PARAMS),
+        )
+        fleet, queries = build_workload(SPEC)
+        sim = build_system(cfg, fleet, queries)
+        tier = sim.server
+        table = tier.inner.table
+        tier._ensure_home_arr(0)  # the mirror exists before any crash
+        dropped = []
+        seen = {"homes": 0}
+
+        def check(sim):
+            homes = tier._home
+            if len(homes) < seen["homes"]:
+                dropped.append(seen["homes"] - len(homes))
+            seen["homes"] = len(homes)
+            mirror = tier._home_arr
+            want = np.full(mirror.shape[0], -1, dtype=np.int64)
+            for oid, home in homes.items():
+                want[oid] = home
+            assert np.array_equal(mirror, want)
+            # borrow sizing against the walk over the home table that
+            # defines it
+            circles = [(300.0, 700.0, 250.0), (500.0, 500.0, 90.0),
+                       (40.0, 40.0, 600.0)]
+            for cx, cy, r in circles:
+                counts = [0] * tier.router.n_shards
+                for oid, home in homes.items():
+                    if oid in table:
+                        ox, oy = table.last_position(oid)
+                        dx, dy = ox - cx, oy - cy
+                        if dx * dx + dy * dy <= r * r:
+                            counts[home] += 1
+                assert list(tier._circle_counts(cx, cy, r)) == counts
+            # rows a cell migration would move
+            for cell in range(tier._cell_side ** 2):
+                for shard in range(tier.router.n_shards):
+                    assert tier._oids_in_cell(cell, shard) == sorted(
+                        oid for oid, home in homes.items()
+                        if home == shard and oid in table
+                        and tier._cell_of(*table.last_position(oid)) == cell
+                    )
+
+        sim.run(SPEC.ticks, on_tick=check)
+        assert tier.shard_stats.amnesia_restarts > 0
+        assert dropped and max(dropped) > 10  # homes really were deleted

@@ -22,7 +22,11 @@ from hypothesis import strategies as st
 from repro.errors import IndexError_
 from repro.geometry import Rect
 from repro.index import UniformGrid, knn_search, range_search
-from repro.index.knn import range_search_arrays
+from repro.index.knn import (
+    knn_search_many,
+    range_search_arrays,
+    range_search_many,
+)
 from repro.index.bruteforce import (
     brute_knn,
     brute_knn_np,
@@ -475,16 +479,22 @@ def _seeded_knn_charges(seed):
     grid = UniformGrid(UNIVERSE, n_cells, meter=meter)
     for oid, (x, y) in enumerate(pts.tolist()):
         grid.insert(oid, x, y)
+    searches = []
     for _ in range(4):
         qx, qy = rng.uniform(-200, 1200, 2).tolist()
         k = int(rng.integers(1, 20))
         exclude = frozenset(rng.integers(0, 140, int(rng.integers(0, 3))).tolist())
         got = knn_search(grid, qx, qy, k, exclude=exclude)
         assert got == brute_knn(pts.tolist(), qx, qy, k, exclude)
-    return tuple(
-        meter.units[c]
-        for c in (CostMeter.HEAP_OP, CostMeter.CELL_VISIT, CostMeter.DIST_CALC)
-    )
+        searches.append((qx, qy, k, exclude))
+    return grid, searches, _knn_units(meter)
+
+
+_KNN_CATEGORIES = (CostMeter.HEAP_OP, CostMeter.CELL_VISIT, CostMeter.DIST_CALC)
+
+
+def _knn_units(meter):
+    return tuple(meter.units[c] for c in _KNN_CATEGORIES)
 
 
 KNN_CHARGES = {
@@ -517,7 +527,207 @@ KNN_CHARGES = {
 
 @pytest.mark.parametrize("seed", sorted(KNN_CHARGES))
 def test_knn_search_charges_are_pinned(seed):
-    assert _seeded_knn_charges(seed) == KNN_CHARGES[seed]
+    """The literals pin ``knn_search``; the same four searches as one
+    ``knn_search_many`` call must charge what they charged. A row
+    excludes at most one id, so an exclusion set keeps its smallest
+    member here — where that changes no set of the seed, the many-row
+    total is held to the literal itself."""
+    grid, searches, units = _seeded_knn_charges(seed)
+    assert units == KNN_CHARGES[seed]
+    one = [frozenset(sorted(ex)[:1]) for _, _, _, ex in searches]
+    per_query = CostMeter()
+    for (qx, qy, k, _), ex in zip(searches, one):
+        knn_search(grid, qx, qy, k, exclude=ex, meter=per_query)
+    many = CostMeter()
+    knn_search_many(
+        grid,
+        np.array([qx for qx, _, _, _ in searches]),
+        np.array([qy for _, qy, _, _ in searches]),
+        np.array([k for _, _, k, _ in searches]),
+        np.array([min(ex, default=-1) for ex in one]),
+        meter=many,
+    )
+    assert _knn_units(many) == _knn_units(per_query)
+    if all(ex == full for ex, (_, _, _, full) in zip(one, searches)):
+        assert _knn_units(many) == KNN_CHARGES[seed]
+
+
+def test_some_pinned_seed_holds_the_many_row_kernel_to_the_literals():
+    assert any(
+        all(len(ex) <= 1 for _, _, _, ex in _seeded_knn_charges(seed)[1])
+        for seed in KNN_CHARGES
+    )
+
+
+# -- many-row searches against the per-query functions ------------------------
+#
+# Lattice coordinates (multiples of 64 on a 1024 universe) put objects
+# and query points on cell borders, on the universe border and at
+# exactly equal distances; free floats cover the rest. Churn leaves
+# tombstones in the store before anything is searched.
+
+WIDE = Rect(0, 0, 1024, 1024)
+lattice = st.integers(0, 16).map(lambda i: 64.0 * i)
+wide_coord = st.one_of(
+    lattice, st.floats(min_value=0, max_value=1024, allow_nan=False)
+)
+wide_point = st.tuples(wide_coord, wide_coord)
+query_coord = st.one_of(
+    st.integers(-2, 18).map(lambda i: 64.0 * i),
+    st.floats(min_value=-150, max_value=1200, allow_nan=False),
+)
+radius = st.one_of(
+    st.sampled_from([0.0, 64.0, 128.0, 64.0 * 2**0.5, 320.0]),
+    st.floats(min_value=0, max_value=1500, allow_nan=False),
+)
+#: a search row: query point (or, with ``own`` set, the position of that
+#: object, which the row then excludes), k, excluded id, range radius.
+search_row = st.tuples(
+    st.tuples(query_coord, query_coord),
+    st.one_of(st.none(), st.integers(0, 79)),
+    st.integers(1, 20),
+    st.integers(-1, 79),
+    radius,
+)
+
+
+def _row_columns(grid, rows):
+    qx, qy, ks, ex, rs = [], [], [], [], []
+    for (x, y), own, k, excluded, r in rows:
+        if own is not None and own in grid:
+            (x, y), excluded = grid.position_of(own), own
+        qx.append(x), qy.append(y), ks.append(k), ex.append(excluded)
+        rs.append(r)
+    return (np.array(qx), np.array(qy), np.array(ks), np.array(ex),
+            np.array(rs))
+
+
+@given(
+    st.sampled_from([1, 2, 3, 8, 64]),
+    st.lists(wide_point, max_size=80),
+    st.lists(
+        st.tuples(st.integers(0, 79), st.one_of(st.none(), wide_point)),
+        max_size=40,
+    ),
+    st.lists(search_row, min_size=1, max_size=64),
+)
+@settings(max_examples=120, deadline=None)
+def test_many_row_searches_match_per_query_row_by_row(
+    n_cells, pts, churn, rows
+):
+    grid = UniformGrid(WIDE, n_cells, meter=CostMeter())
+    for oid, (x, y) in enumerate(pts):
+        grid.insert(oid, x, y)
+    for oid, to in churn:  # leave tombstones behind
+        if oid in grid and to is None:
+            grid.remove(oid)
+        elif oid in grid:
+            grid.update(oid, *to)
+    if n_cells == 64:
+        rows = rows[:6]  # a per-query search may open all 4096 cells
+    qx, qy, ks, ex, rs = _row_columns(grid, rows)
+    many = CostMeter()
+    near = knn_search_many(grid, qx, qy, ks, ex, meter=many)
+    visits = grid.meter.units[CostMeter.CELL_VISIT]
+    inside = range_search_many(grid, qx, qy, rs, ex, meter=many)
+    many.charge(
+        CostMeter.CELL_VISIT, grid.meter.units[CostMeter.CELL_VISIT] - visits
+    )
+    total = CostMeter()
+    for i in range(len(rows)):
+        exclude = frozenset(o for o in (int(ex[i]),) if o >= 0)
+        q = (float(qx[i]), float(qy[i]))
+        # kNN: the row, then every category it would have charged
+        one = CostMeter()
+        want = knn_search(grid, *q, int(ks[i]), exclude=exclude, meter=one)
+        lo, hi = near.seg[i], near.seg[i + 1]
+        assert list(zip(near.d[lo:hi].tolist(), near.oid[lo:hi].tolist())) == want
+        assert {c: int(col[i]) for c, col in near.charges.items()} == {
+            c: one.units[c] for c in _KNN_CATEGORIES
+        }
+        total.merge(one)
+        # range: CELL_VISIT lands on the grid's own meter
+        one = CostMeter()
+        visits = grid.meter.units[CostMeter.CELL_VISIT]
+        want_d, want_ids = range_search_arrays(
+            grid, *q, float(rs[i]), exclude=exclude, meter=one
+        )
+        one.charge(
+            CostMeter.CELL_VISIT,
+            grid.meter.units[CostMeter.CELL_VISIT] - visits,
+        )
+        lo, hi = inside.seg[i], inside.seg[i + 1]
+        assert inside.d[lo:hi].tolist() == want_d.tolist()
+        assert inside.oid[lo:hi].tolist() == want_ids.tolist()
+        assert {c: int(col[i]) for c, col in inside.charges.items()} == {
+            c: one.units[c] for c in (CostMeter.CELL_VISIT, CostMeter.DIST_CALC)
+        }
+        total.merge(one)
+    # and the meters got the column sums, minting the same entries
+    assert dict(many.units) == dict(total.units)
+
+
+def test_many_row_charges_follow_from_the_kth_distance_alone():
+    """The closed form, on a case where the bound the kernel ranges
+    inside is *not* the k-th distance: 10-unit cells, the query in the
+    middle of cell (4, 4), k = 2. Its own cell holds one object, the
+    3x3 square around it a second one 20.5 away — the bound — but an
+    object outside the square is 15.5 away, so d_k = 15.5. Eight cells
+    lie between the two (min-distance 15.81) and one of them is
+    occupied: a kernel that charged by its bound would open them and
+    score that member, and push ring 3 (bound 20 <= 20.5)."""
+    grid = UniformGrid(Rect(0, 0, 90, 90), 9, meter=CostMeter())
+    for oid, (x, y) in enumerate(
+        [(45.0, 46.0), (30.5, 30.5), (45.0, 60.5), (25.0, 38.0)]
+    ):
+        grid.insert(oid, x, y)
+    qx, qy, k = 45.0, 45.0, 2
+    d_k = 15.5
+    per_cell = {
+        (ci, cj): grid.cell_min_dist((ci, cj), qx, qy)
+        for ci in range(9) for cj in range(9)
+    }
+
+    def closed_form(radius):
+        opened = [c for c, m in per_cell.items() if m <= radius]
+        rings = max(r for r in range(10) if (r - 1) * 10.0 <= radius)
+        pushed = sum(
+            1 for ci, cj in per_cell if max(abs(ci - 4), abs(cj - 4)) <= rings
+        )
+        scored = sum(len(grid.objects_in_cell(c)) for c in opened)
+        return (pushed + len(opened), len(opened), scored)
+
+    assert closed_form(d_k) == (25 + 13, 13, 3)
+    assert closed_form(20.5) == (49 + 21, 21, 4)  # what the bound would give
+    one = CostMeter()
+    assert [o for _, o in knn_search(grid, qx, qy, k, meter=one)] == [0, 2]
+    assert _knn_units(one) == closed_form(d_k)
+    many = CostMeter()
+    rows = knn_search_many(
+        grid, np.array([qx]), np.array([qy]), k, np.array([-1]), meter=many
+    )
+    assert rows.oid.tolist() == [0, 2] and rows.d.tolist() == [1.0, d_k]
+    assert _knn_units(many) == closed_form(d_k)
+
+
+def test_many_row_search_opens_the_cell_whose_edge_ties_with_the_kth():
+    """An object on a cell border, exactly d_k from the query: the cell
+    on the far side of the border has min-distance d_k too and the
+    best-first search opens it (``<=``). The float bounding box of the
+    disk starts *at* the border — ``900 - d_k`` is 896 whether d_k is
+    4.0 or a few ulps more — so the kernel has to look one cell past
+    its box."""
+    grid = UniformGrid(Rect(0, 0, 1024, 1024), 8, meter=CostMeter())
+    grid.insert(0, 896.0, 4.0)  # on the border of cells 6 | 7
+    grid.insert(1, 890.0, 4.0)  # in cell 6, whose edge is 4.0 away too
+    assert grid.box(900.0, 4.0, 4.0)[0] == 7
+    one, many = CostMeter(), CostMeter()
+    knn_search(grid, 900.0, 4.0, 1, meter=one)
+    knn_search_many(
+        grid, np.array([900.0]), np.array([4.0]), 1, np.array([-1]), meter=many
+    )
+    assert _knn_units(one) == _knn_units(many)
+    assert many.units[CostMeter.DIST_CALC] == 2  # cell 6 was opened
 
 
 # -- the cell store under churn ----------------------------------------------

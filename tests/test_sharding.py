@@ -316,6 +316,41 @@ class TestHandoffUnderBlackout:
         )
 
 
+class TestBatchedRepairSearchesUnderSharding:
+    """The inner server's subround pre-pass searches its repairs as one
+    many-row pass; the tier is still told of every repair circle one by
+    one and borrows repair by repair. The reference searches per query
+    (``reference_system``)."""
+
+    @pytest.mark.parametrize("shards", (2, 4))
+    def test_rebalancing_tier_matches_the_per_query_reference(self, shards):
+        from repro.api import RebalancePolicy
+        from tests.helpers import built_system, recorded_run, reference_system
+
+        ticks = 30
+        spec = WorkloadSpec(
+            n_objects=1500, n_queries=12, k=6, ticks=ticks, warmup_ticks=0,
+            seed=4, mobility="hotspot_drift",
+            mobility_options={"n_hotspots": 4, "zipf_s": 0.5,
+                              "drift_period": 40, "sigma": 400.0},
+        )
+        cfg = RunConfig(
+            "DKNN-P",
+            shard=ShardConfig(
+                shards=shards,
+                rebalance=RebalancePolicy(
+                    check_interval=5, min_window_uplinks=8
+                ),
+            ),
+        )
+        built = recorded_run(cfg, spec, built_system, ticks)
+        reference = recorded_run(cfg, spec, reference_system, ticks)
+        for key in reference:
+            assert built[key] == reference[key], key
+        borrows, borrowed, cells_moved = built["shard_ledger"][6:9]
+        assert borrows > 0 and borrowed > 0 and cells_moved > 0
+
+
 class TestShardLink:
     def test_delivery_and_accounting(self):
         stats = CommStats()
