@@ -13,6 +13,10 @@ users should import from this module only::
     m = run_once(RunConfig("DKNN-B", shard=ShardConfig(shards=2)), spec)
     print(m.as_row())
 
+``EXPERIMENTS[id]`` is a ``Sweep`` record (``about``, ``columns``,
+``cases(quick)``, ``expect``; see :mod:`repro.experiments.registry`)
+and ``run_experiment(id)`` runs one into a ``ResultTable``.
+
 The groups below mirror the library's layers: the typed entry points
 (``RunConfig`` / ``build_system`` / ``run_once``), the algorithm
 catalog, workloads and mobility, direct system builders for scripted

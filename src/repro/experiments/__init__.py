@@ -1,4 +1,8 @@
-"""Experiment harness: algorithm registry, runner, tables, experiments."""
+"""Experiment harness: algorithm registry, runner, tables, experiments.
+
+``EXPERIMENTS`` maps an id (``"E1"``...) to its ``registry.Sweep``
+record; ``run_experiment`` is the one loop that executes any of them.
+"""
 
 from repro.experiments.algorithms import ALGORITHMS, build_system
 from repro.experiments.catalog import CENTRALIZED, DISTRIBUTED

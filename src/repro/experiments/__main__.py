@@ -148,8 +148,7 @@ def main(argv=None) -> int:
     t_start = time.perf_counter()
     with recording() as runs:
         for name in names:
-            _, description = EXPERIMENTS[name]
-            print(f"== {name}: {description} ==")
+            print(f"== {name}: {EXPERIMENTS[name].about} ==")
             sink = None
             if args.trace:
                 sink = JsonlSink(

@@ -94,20 +94,52 @@ class Measurement:
     extra: Dict[str, object] = field(default_factory=dict)
 
     def as_row(self) -> Dict[str, object]:
-        """Flat dict for result tables."""
-        return {
+        """Flat dict for result tables: every column a table can print.
+
+        The keys are the same for every run: ``extra`` is merged over
+        :data:`_IDLE`, so a subsystem the run never touched reads idle.
+        """
+        ticks = self.ticks_measured
+        row = {
             "algorithm": self.algorithm,
             "msgs/tick": self.msgs_per_tick,
             "uplink/tick": self.uplink_per_tick,
             "downlink/tick": self.downlink_per_tick,
             "bcast/tick": self.broadcast_per_tick,
+            "bcast+geo/tick": self.broadcast_per_tick + self.geocast_per_tick,
             "bytes/tick": self.bytes_per_tick,
             "recv/tick": self.receptions_per_tick,
             "units/tick": self.units_per_tick,
             "server_ms/tick": self.server_ms_per_tick,
+            "wall_s": round(self.wall_seconds, 3),
+            "ms/tick": round(1000.0 * self.wall_seconds / ticks, 3),
             "exactness": self.exactness,
             "overlap": self.mean_overlap,
+            **_IDLE,
+            "full_ticks": ticks,
         }
+        row.update(self.extra)
+        return row
+
+
+#: What each ``Measurement.extra`` key reads in a run that never set it
+#: (no fault plan, shard tier or engine; nothing degraded). Every key
+#: ``run_once`` writes is listed, bar ``full_ticks`` (see ``as_row``).
+_IDLE: Dict[str, object] = {
+    "dropped/tick": 0.0, "dup/tick": 0.0, "delayed/tick": 0.0,
+    "retransmits/tick": 0.0, "degraded_frac": 0.0, "s2s/tick": 0.0,
+    "s2s_share": 0.0, "handoffs/tick": 0.0, "forwards/tick": 0.0,
+    "borrows/tick": 0.0, "migrations/tick": 0.0, "deferred/tick": 0.0,
+    "shed/tick": 0.0, "lost_up/tick": 0.0, "recovery_ticks": 0.0,
+    "replica_lag": 0.0, "repl_share": 0.0, "wal_bytes/tick": 0.0,
+    "renewals": 0, "rebalances": 0, "cells_moved": 0, "rehomed": 0,
+    "failovers": 0, "taken_over": 0, "cold_restarts": 0, "recovered_q": 0,
+    "amnesia_q": 0, "checkpoints": 0, "replayed": 0, "skipped_ticks": 0,
+    # "": no number is meaningful (nothing to rate, no healthy sample)
+    "light_ratio": "", "healthy_exactness": "",
+    "imbalance_windowed": "", "imbalance_peak": "",
+    "shards": 1, "shard_imbalance": 1.0, "engine": "tick",
+}  # fmt: skip
 
 
 _REMOVED_MSG = (

@@ -1,13 +1,11 @@
-"""Workloads: declarative specs, generators, sweeps."""
+"""Workloads: declarative specs and generators."""
 
 from repro.workloads.generator import build_workload, make_mobility_model
 from repro.workloads.spec import MOBILITY_MODELS, WorkloadSpec
-from repro.workloads.sweeps import sweep
 
 __all__ = [
     "WorkloadSpec",
     "MOBILITY_MODELS",
     "build_workload",
     "make_mobility_model",
-    "sweep",
 ]

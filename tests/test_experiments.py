@@ -1,17 +1,26 @@
 """Tests of the experiment harness: tables, runner, registry."""
 
+import dataclasses
+import pathlib
+
 import pytest
 
 from repro.errors import ExperimentError
 from repro.experiments import (
     ALGORITHMS,
     EXPERIMENTS,
+    Measurement,
     ResultTable,
+    registry,
     run_experiment,
     run_once,
 )
 from repro.experiments.algorithms import build_system
 from repro.experiments.config import RunConfig
+from repro.experiments.runner import _IDLE
+from repro.net.engine import EngineConfig
+from repro.net.faults import FaultPlan, ShardFaultPlan
+from repro.server.config import AdmissionPolicy, RebalancePolicy, ShardConfig
 from repro.workloads import WorkloadSpec, build_workload
 
 SMALL = WorkloadSpec(
@@ -96,6 +105,78 @@ class TestRunner:
         assert m.uplink_per_tick == SMALL.population
 
 
+_FT = registry._FT  # hardened DKNN-P, as the fault sweeps run it
+
+
+class TestAsRow:
+    """``as_row()`` is the one source of table columns."""
+
+    CONFIGS = {
+        "plain": RunConfig("PER"),
+        "radio-faults": RunConfig(
+            "DKNN-P", faults=FaultPlan(seed=7, drop_uplink=0.1), params=_FT
+        ),
+        "engine": RunConfig("DKNN-P", engine=EngineConfig(mode="event")),
+        "elastic-tier": RunConfig(
+            "DKNN-P",
+            shard=ShardConfig(
+                shards=2,
+                rebalance=RebalancePolicy(check_interval=5, trigger=1.1),
+                admission=AdmissionPolicy(max_uplinks_per_tick=40, defer=True),
+            ),
+            params=_FT,
+        ),
+        "durable-tier": RunConfig(
+            "DKNN-P",
+            shard=ShardConfig(
+                shards=2,
+                faults=ShardFaultPlan(
+                    seed=3,
+                    crash_groups=(((0, 1), 10, 14),),
+                    heartbeat_timeout=3,
+                    checkpoint_interval=4,
+                    wal_replay_per_tick=25,
+                ),
+            ),
+            params=_FT,
+        ),
+    }
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        return {
+            label: run_once(config, SMALL, accuracy_every=2)
+            for label, config in self.CONFIGS.items()
+        }
+
+    def test_every_extra_key_has_an_idle_value(self, runs):
+        # A key run_once writes but _IDLE lacks would be a column that
+        # exists in some runs only.
+        for label, m in runs.items():
+            assert set(m.extra) <= set(_IDLE) | {"full_ticks"}, label
+            row = m.as_row()
+            assert {k: row[k] for k in m.extra} == m.extra, label
+        # ...and the five runs together reach the radio-fault, shard,
+        # rebalance, admission, failover, durability and engine ledgers.
+        seen = set().union(*(m.extra for m in runs.values()))
+        assert {
+            "retransmits/tick", "s2s/tick", "rebalances", "deferred/tick",
+            "failovers", "checkpoints", "skipped_ticks", "degraded_frac",
+        } <= seen
+
+    def test_same_columns_for_every_run(self, runs):
+        keys = [list(m.as_row()) for m in runs.values()]
+        assert all(k == keys[0] for k in keys)
+
+    def test_plain_run_reads_idle(self, runs):
+        m = runs["plain"]
+        assert m.extra == {}
+        row = m.as_row()
+        assert {k: row[k] for k in _IDLE} == _IDLE
+        assert row["full_ticks"] == m.ticks_measured == 20
+        assert row["bcast+geo/tick"] == 0.0 and row["msgs/tick"] > 0
+
+
 class TestAlgorithmsRegistry:
     def test_all_five_registered(self):
         assert set(ALGORITHMS) == {
@@ -145,6 +226,87 @@ class TestExperimentRegistry:
         table = run_experiment(name, quick=True)
         assert table.rows
         assert table.render()
+        if EXPERIMENTS[name].check is not None:
+            EXPERIMENTS[name].check(table)
+
+
+def _unrun(config, spec, accuracy_every=10):
+    """Stand-in for ``run_once``: a measurement of nothing, instantly."""
+    rates = dict.fromkeys(
+        (
+            "msgs_per_tick", "uplink_per_tick", "downlink_per_tick",
+            "broadcast_per_tick", "geocast_per_tick", "bytes_per_tick",
+            "receptions_per_tick", "units_per_tick", "server_ms_per_tick",
+        ),
+        0.0,
+    )
+    return Measurement(
+        algorithm=config.algorithm,
+        spec=spec,
+        ticks_measured=spec.ticks - spec.warmup_ticks,
+        wall_seconds=1.0,
+        exactness=1.0,
+        mean_overlap=1.0,
+        per_kind_msgs={"tick_report": 0.0},
+        per_kind_bytes={"tick_report": 0.0},
+        **rates,
+    )
+
+
+class TestPlan:
+    """Every configuration of every sweep, built but not run."""
+
+    @pytest.mark.parametrize("quick", [True, False], ids=["quick", "full"])
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    def test_cases_validate_and_every_column_resolves(
+        self, name, quick, monkeypatch
+    ):
+        sweep = EXPERIMENTS[name]
+        assert sweep.about and sweep.expect.strip()
+        # Constructing a case validates its RunConfig, WorkloadSpec,
+        # fault plans and ShardConfig; nothing below runs a simulation.
+        cases = list(sweep.cases(quick))
+        assert cases
+        for labels, config, spec, accuracy_every in cases:
+            assert isinstance(config, RunConfig)
+            assert isinstance(spec, WorkloadSpec)
+            assert set(labels) <= set(sweep.columns), labels
+            assert accuracy_every >= 0
+            faults = config.shard.faults if config.shard else None
+            if faults is not None:
+                n_shards = config.shard.shards**2
+                windows = list(faults.crashes)
+                windows += [(s, a, b) for g, a, b in faults.crash_groups for s in g]
+                assert all(s < n_shards and a < b < spec.ticks for s, a, b in windows)
+        # The real loop over stubbed runs: a column that is neither a
+        # label, an as_row() key (through rename) nor supplied by
+        # rows / across is a KeyError here, not a blank cell in a CSV.
+        monkeypatch.setattr(registry, "run_once", _unrun)
+        table = run_experiment(name, quick=quick)
+        assert table.columns == list(sweep.columns)
+        assert len(table.rows) >= len(cases)
+        assert all(set(row) == set(sweep.columns) for row in table.rows)
+
+    def test_a_mistyped_column_fails_loudly(self, monkeypatch):
+        typo = dataclasses.replace(
+            EXPERIMENTS["E1"], columns=("N", "algorithm", "msgs/tik")
+        )
+        monkeypatch.setitem(EXPERIMENTS, "E1", typo)
+        monkeypatch.setattr(registry, "run_once", _unrun)
+        with pytest.raises(KeyError, match="msgs/tik"):
+            run_experiment("E1", quick=True)
+
+    def test_full_plan_reaches_the_scale_pins(self):
+        def full(name):
+            return list(EXPERIMENTS[name].cases(False))
+
+        assert max(spec.n_objects for _, _, spec, _ in full("E18")) == 1_000_000
+        assert {c.shard.shards for _, c, _, _ in full("E16")} == {2, 4, 8}
+        assert max(spec.n_objects for _, _, spec, _ in full("E19")) == 100_000
+
+    def test_design_index_is_the_rendered_one(self):
+        design = pathlib.Path(__file__).parent.parent / "DESIGN.md"
+        assert registry.render_index() in design.read_text(encoding="utf-8")
 
 
 class TestExpectedShapes:

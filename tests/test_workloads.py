@@ -7,7 +7,6 @@ from repro.workloads import (
     MOBILITY_MODELS,
     WorkloadSpec,
     build_workload,
-    sweep,
 )
 
 
@@ -115,11 +114,3 @@ class TestBuildWorkload:
         fleet, _ = build_workload(spec)
         assert fleet.n == 21
 
-
-class TestSweep:
-    def test_sweep_yields_modified_specs(self):
-        base = WorkloadSpec(ticks=10, warmup_ticks=1)
-        points = list(sweep(base, "k", [1, 2, 4]))
-        assert [v for v, _ in points] == [1, 2, 4]
-        assert [s.k for _, s in points] == [1, 2, 4]
-        assert all(s.n_objects == base.n_objects for _, s in points)
