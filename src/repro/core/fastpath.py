@@ -863,6 +863,14 @@ class BroadcastSilentPhase(ClientPhase):
         # ones must land first, in delivery order, and the whole view
         # is re-read next tick. COLLECT and PROBE handlers read and
         # write none of it; they need no replay.
+        # No built system gets here: every server sends its installs
+        # through broadcast() / geocast(), which deliver_area claims
+        # (0 hits over tier-1 runs, the --smoke benchmark, chaos and
+        # the quick sweeps). What does: the `unicast` op of
+        # test_coalesced_replay_matches_sequential_walk, and any
+        # install deliver_area declines — a geocast whose payload is
+        # not a GeocastInstall. This arm, _touched_nodes and
+        # _refresh_pair are that fallback.
         if msg.kind is MessageKind.BROADCAST_INSTALL:
             self._replay(node)  # type: ignore[arg-type]
             self._touched_nodes.add(node.oid)

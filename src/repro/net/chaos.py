@@ -337,21 +337,18 @@ class HealthyExactnessChecker(InvariantChecker):
 
 
 class CellPartitionChecker(InvariantChecker):
-    """With rebalancing enabled, the fine cell→shard map stays a
-    partition: every cell has exactly one owner and it is a valid
-    shard id, every tick — including ticks a migration lands on and
-    ticks shards are down."""
+    """The router's fine cell→shard map stays a partition: every cell
+    has exactly one owner and it is a valid shard id, every tick —
+    including ticks a migration lands on and ticks shards are down. A
+    static tier is the one-cell-per-shard case and is checked too."""
 
     name = "cell-partition"
 
     def check(self, sim, tick: int) -> List[Dict[str, Any]]:
-        tier = sim.server
-        owner = getattr(tier, "_cell_owner", None)
-        if owner is None:
-            return []
-        n = tier.router.n_shards
+        router = sim.server.router
+        owner = router.owner
         out = []
-        bad = (owner < 0) | (owner >= n)
+        bad = (owner < 0) | (owner >= router.n_shards)
         if bad.any():
             cells = [int(c) for c in bad.nonzero()[0][:8]]
             out.append(
@@ -361,11 +358,11 @@ class CellPartitionChecker(InvariantChecker):
                     why="cell owned by invalid shard",
                 )
             )
-        if len(owner) != tier._cell_side * tier._cell_side:
+        if len(owner) != router.cell_side**2:
             out.append(
                 dict(
                     n_cells=len(owner),
-                    expected=tier._cell_side**2,
+                    expected=router.cell_side**2,
                     why="cell map lost entries",
                 )
             )

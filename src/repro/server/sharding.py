@@ -86,12 +86,12 @@ stay degraded until their focals' next reports re-bootstrap them.
 Either way the recovery lag flows through the same degraded-answer
 channel as every other fault.
 
-**Elastic rebalancing + backpressure** (DESIGN.md §14). With a
-:class:`~repro.server.config.RebalancePolicy` installed the static
-S x S grid becomes the *coarse* layer of a two-level partition: each
-shard's cell is subdivided into ``cells_per_shard ** 2`` fine cells,
-each owned by exactly one shard (initially its geometric parent).
-Routing goes through the fine-cell owner map; every
+**Elastic rebalancing + backpressure** (DESIGN.md §14). The
+partition lives in :class:`ShardRouter`: each shard's rectangle is
+subdivided into ``cells_per_shard ** 2`` fine cells, each owned by
+exactly one shard (initially its geometric parent), and routing goes
+through the fine-cell owner map. With a
+:class:`~repro.server.config.RebalancePolicy` installed, every
 ``check_interval`` ticks the rebalancer compares windowed per-shard
 uplink loads and migrates the best-fitting hot cells from the peak
 shard to the least-loaded one (``rebalance`` bulk transfers on the
@@ -102,9 +102,10 @@ handoff protocol). With an
 its accepted-uplink budget defers (bounded queue, drained next tick)
 or sheds further low-priority uplinks, flagged through the same
 degraded-answer channel the fault model uses. Both policies default
-to off, and off takes exactly the static code paths: no fine grid,
-no window counters beyond the always-on imbalance gauge, no extra
-traces — ``tests/test_rebalance.py`` pins that bit-identity.
+to off. Off is the same routing code over one cell per shard, which
+nothing reassigns — no rebalance checks, no RNG draws, no extra traces
+— and ``tests/test_rebalance.py`` pins its bit-identity with the
+static S x S grid.
 
 A disabled plan (or ``fault_plan=None``) takes exactly the code paths
 above this paragraph: no heartbeats, no replication, no journal, no
@@ -174,9 +175,17 @@ _RETRY_GAP_CAP = 8
 
 
 class ShardRouter:
-    """S x S spatial partition of the universe, with cell lookups."""
+    """The partition: S x S shards over a grid of fine cells.
 
-    def __init__(self, universe: Rect, shards_per_side: int) -> None:
+    Each shard's static rectangle is cut into ``cells_per_shard ** 2``
+    fine cells and ``owner[cell]`` names the shard serving the cell —
+    its geometric parent until a rebalancer reassigns it. A static tier
+    is the one-cell-per-shard case of the same arithmetic.
+    """
+
+    def __init__(
+        self, universe: Rect, shards_per_side: int, cells_per_shard: int = 1
+    ) -> None:
         if shards_per_side < 1:
             raise NetworkError(
                 f"shards_per_side must be >= 1, got {shards_per_side}"
@@ -184,53 +193,74 @@ class ShardRouter:
         self.universe = universe
         self.side = shards_per_side
         self.n_shards = shards_per_side * shards_per_side
-        self._cell_w = universe.width / shards_per_side
-        self._cell_h = universe.height / shards_per_side
+        #: fine cells per universe side, and one cell's extent.
+        self.cell_side = shards_per_side * cells_per_shard
+        self._cell_w = universe.width / self.cell_side
+        self._cell_h = universe.height / self.cell_side
+        parent = np.arange(self.cell_side, dtype=np.int64) // cells_per_shard
+        #: fine cell -> owning shard (int64, row-major).
+        self.owner = (
+            parent[:, None] * shards_per_side + parent[None, :]
+        ).reshape(-1)
 
-    def shard_of(self, x: float, y: float) -> int:
-        """The shard whose cell contains ``(x, y)`` (edges clamp in)."""
+    def cell_of(self, x: float, y: float) -> int:
+        """The fine cell containing ``(x, y)`` (edges clamp in)."""
+        last = self.cell_side - 1
         col = int((x - self.universe.xmin) / self._cell_w)
         row = int((y - self.universe.ymin) / self._cell_h)
-        col = min(max(col, 0), self.side - 1)
-        row = min(max(row, 0), self.side - 1)
-        return row * self.side + col
+        return min(max(row, 0), last) * self.cell_side + min(max(col, 0), last)
+
+    def cells_of(self, xs, ys):
+        """:meth:`cell_of` over coordinate columns."""
+        last = self.cell_side - 1
+        col = ((xs - self.universe.xmin) / self._cell_w).astype(np.int64)
+        row = ((ys - self.universe.ymin) / self._cell_h).astype(np.int64)
+        np.clip(col, 0, last, out=col)
+        np.clip(row, 0, last, out=row)
+        return row * self.cell_side + col
+
+    def shard_of(self, x: float, y: float) -> int:
+        """The shard serving the cell that contains ``(x, y)``."""
+        return int(self.owner[self.cell_of(x, y)])
 
     def rect_of(self, shard: int) -> Rect:
-        """The cell of one shard."""
+        """The static rectangle of one shard."""
         if not 0 <= shard < self.n_shards:
             raise NetworkError(f"unknown shard {shard}")
         row, col = divmod(shard, self.side)
-        x0 = self.universe.xmin + col * self._cell_w
-        y0 = self.universe.ymin + row * self._cell_h
-        return Rect(x0, y0, x0 + self._cell_w, y0 + self._cell_h)
+        w = self.universe.width / self.side
+        h = self.universe.height / self.side
+        x0 = self.universe.xmin + col * w
+        y0 = self.universe.ymin + row * h
+        return Rect(x0, y0, x0 + w, y0 + h)
 
     def shards_overlapping_circle(
         self, cx: float, cy: float, radius: float
     ) -> List[int]:
-        """Every shard whose cell intersects the circle, ascending."""
+        """Owners of every cell the circle intersects, ascending."""
         if radius < 0:
             return []
-        col0 = int((cx - radius - self.universe.xmin) / self._cell_w)
-        col1 = int((cx + radius - self.universe.xmin) / self._cell_w)
-        row0 = int((cy - radius - self.universe.ymin) / self._cell_h)
-        row1 = int((cy + radius - self.universe.ymin) / self._cell_h)
-        col0 = min(max(col0, 0), self.side - 1)
-        col1 = min(max(col1, 0), self.side - 1)
-        row0 = min(max(row0, 0), self.side - 1)
-        row1 = min(max(row1, 0), self.side - 1)
-        out: List[int] = []
+        u = self.universe
+        cside = self.cell_side
+        last = cside - 1
+        w, h = self._cell_w, self._cell_h
+        col0 = min(max(int((cx - radius - u.xmin) / w), 0), last)
+        col1 = min(max(int((cx + radius - u.xmin) / w), 0), last)
+        row0 = min(max(int((cy - radius - u.ymin) / h), 0), last)
+        row1 = min(max(int((cy + radius - u.ymin) / h), 0), last)
+        out: Set[int] = set()
         r2 = radius * radius
         for row in range(row0, row1 + 1):
-            y0 = self.universe.ymin + row * self._cell_h
-            ny = min(max(cy, y0), y0 + self._cell_h)
+            y0 = u.ymin + row * h
+            ny = min(max(cy, y0), y0 + h)
             for col in range(col0, col1 + 1):
-                x0 = self.universe.xmin + col * self._cell_w
-                nx = min(max(cx, x0), x0 + self._cell_w)
+                x0 = u.xmin + col * w
+                nx = min(max(cx, x0), x0 + w)
                 dx = nx - cx
                 dy = ny - cy
                 if dx * dx + dy * dy <= r2:
-                    out.append(row * self.side + col)
-        return out
+                    out.add(int(self.owner[row * cside + col]))
+        return sorted(out)
 
 
 class ShardStats:
@@ -359,18 +389,6 @@ class _InnerChannelProxy:
         return getattr(self._real, name)
 
 
-class _OwnershipProbe:
-    """Adapter handed to the inner server's ``ownership_probe`` seam."""
-
-    __slots__ = ("_tier",)
-
-    def __init__(self, tier: "ShardedServer") -> None:
-        self._tier = tier
-
-    def repair_scope(self, qid: int, cx: float, cy: float, radius: float) -> None:
-        self._tier._borrow(qid, cx, cy, radius)
-
-
 class ShardedServer(ServerNodeBase):
     """Coordinator over S x S shard servers wrapping one algorithm engine.
 
@@ -426,23 +444,18 @@ class ShardedServer(ServerNodeBase):
         self.per_message = plan is not None or admission is not None
         self._telemetry = NULL_TELEMETRY
         self._tick = 0
-        #: oid -> home shard (from the last routed positional uplink).
-        self._home: Dict[int, int] = {}
-        #: dense int64 mirror of ``_home`` (-1 = absent), built lazily
-        #: on first use and kept true by every writer of ``_home``
-        #: (:meth:`_set_home`, :meth:`_drop_home`).
-        self._home_arr = None
+        #: oid -> home shard of its last routed positional uplink, one
+        #: int64 row per oid (-1 = never reported), grown on demand by
+        #: :meth:`_home_table`.
+        self._home = np.full(1, -1, dtype=np.int64)
         #: qid -> owning shard; a qid is absent until its focal object
         #: first reports a position. Single map = single owner, always.
         self._owner: Dict[int, int] = {}
         #: qid -> destination shard of an uncommitted handoff.
         self._handoff_pending: Dict[int, int] = {}
-        #: qid -> tick the pending handoff was last (re)sent.
-        self._handoff_sent: Dict[int, int] = {}
-        #: qid -> earliest tick the next handoff retransmit may fire,
-        #: and the current backoff gap (doubles to _RETRY_GAP_CAP).
-        self._retry_at: Dict[int, int] = {}
-        self._retry_gap: Dict[int, int] = {}
+        #: qid -> (earliest tick the next handoff retransmit may fire,
+        #: current backoff gap — doubles to _RETRY_GAP_CAP).
+        self._retry: Dict[int, Tuple[int, int]] = {}
         #: jitter stream of the retry backoff — drawn only when a
         #: second retransmit of the same handoff fires, which a healthy
         #: backbone never reaches.
@@ -499,27 +512,22 @@ class ShardedServer(ServerNodeBase):
                 spec.qid
             )
             self._focal_of[spec.qid] = spec.focal_oid
-        inner.ownership_probe = _OwnershipProbe(self)
-        # -- elastic rebalancing (DESIGN §14; inert when policy=None) --
+        #: the tier is the inner engine's ``ownership_probe``
+        #: (:meth:`repair_scope`).
+        inner.ownership_probe = self
+        # -- elastic rebalancing (DESIGN §14) ---------------------------
         #: the :class:`~repro.server.config.RebalancePolicy`, or None.
-        #: Without one the tier never builds the fine-cell overlay and
-        #: every routing lookup is the static router math — the
-        #: bit-identity gate of the rebalancer.
+        #: The partition itself (``router.owner``) is the same structure
+        #: either way; without a policy nothing ever reassigns a cell.
         self._rebalance = rebalance
-        self._cell_side = 0
-        self._cell_w2 = 0.0
-        self._cell_h2 = 0.0
-        #: fine cell -> owning shard (int64 array), and the windowed
-        #: per-cell uplink counters the rebalancer decides from.
-        self._cell_owner = None
-        self._cell_window = None
+        #: per-cell uplinks since the last rebalance check — what the
+        #: rebalancer decides from (counted, never read, without one).
+        self._cell_window = np.zeros(router.owner.shape[0], dtype=np.int64)
         self._rebalance_rng = (
             random.Random(rebalance.seed ^ 0x5EBA)
             if rebalance is not None
             else None
         )
-        if rebalance is not None:
-            self._init_cells(rebalance)
         #: windowed peak/mean uplink imbalance samples ``(tick, value)``
         #: — pure arithmetic over the uplink counters, kept for every
         #: sharded run so static and rebalancing tiers report the same
@@ -539,22 +547,6 @@ class ShardedServer(ServerNodeBase):
             [deque() for _ in range(router.n_shards)]
             if admission is not None
             else None
-        )
-
-    def _init_cells(self, policy: RebalancePolicy) -> None:
-        """Build the fine-cell overlay grid in its static assignment."""
-        router = self.router
-        cps = policy.cells_per_shard
-        side = router.side
-        self._cell_side = side * cps
-        self._cell_w2 = router.universe.width / self._cell_side
-        self._cell_h2 = router.universe.height / self._cell_side
-        shard_row = np.arange(self._cell_side, dtype=np.int64) // cps
-        self._cell_owner = (
-            shard_row[:, None] * side + shard_row[None, :]
-        ).reshape(-1)
-        self._cell_window = np.zeros(
-            self._cell_side * self._cell_side, dtype=np.int64
         )
 
     # -- telemetry plumbing -------------------------------------------------
@@ -605,7 +597,7 @@ class ShardedServer(ServerNodeBase):
         self._retry_pending_handoffs()
         self.inner.on_tick_start(tick)
         if self._admission is not None:
-            self._drain_deferred(tick)
+            self._drain_deferred()
 
     def on_message(self, msg: Message) -> None:
         if self._route_uplink(msg):
@@ -631,10 +623,10 @@ class ShardedServer(ServerNodeBase):
         messages may land on a shard that does not own the query and
         owe a forward — it takes the scalar route, message by message.
         For the qid-free kinds that are left the whole ledger reduces
-        to vectorized home assignment plus a sparse loop over boundary
-        crossings. Rebalancing composes: homes map through the
-        fine-cell assignment array instead of the static grid math,
-        still fully vectorized.
+        to vectorized home assignment plus :meth:`_report` over the
+        rows whose home changed, in batch order. Without a plan an
+        unowned query's focal has never reported, so the rows that
+        bootstrap ownership are among them.
         """
         if self.per_message or batch.qid is not None:
             return False
@@ -644,65 +636,24 @@ class ShardedServer(ServerNodeBase):
         router = self.router
         srcs = batch.srcs
         n = srcs.shape[0]
+        arr = self._home_table(int(srcs.max()) if n else 0)
+        prev = arr[srcs]
         if batch.xs is None or n == 0:
-            # Position-free uplinks keep their last home (get(src, 0)).
-            arr = self._ensure_home_arr(int(srcs.max()) if n else 0)
-            homes = np.maximum(arr[srcs], 0)
+            # Position-free uplinks keep their last home (0 if none).
+            homes = np.maximum(prev, 0)
         else:
-            u = router.universe
-            if self._rebalance is not None:
-                cside = self._cell_side
-                col = ((batch.xs - u.xmin) / self._cell_w2).astype(np.int64)
-                row = ((batch.ys - u.ymin) / self._cell_h2).astype(np.int64)
-                np.clip(col, 0, cside - 1, out=col)
-                np.clip(row, 0, cside - 1, out=row)
-                cells = row * cside + col
-                self._cell_window += np.bincount(
-                    cells, minlength=self._cell_window.shape[0]
-                )
-                homes = self._cell_owner[cells]
-            else:
-                side = router.side
-                col = ((batch.xs - u.xmin) / router._cell_w).astype(np.int64)
-                row = ((batch.ys - u.ymin) / router._cell_h).astype(np.int64)
-                np.clip(col, 0, side - 1, out=col)
-                np.clip(row, 0, side - 1, out=row)
-                homes = row * side + col
-            arr = self._ensure_home_arr(int(srcs.max()))
-            prev = arr[srcs]
+            cells = router.cells_of(batch.xs, batch.ys)
+            self._cell_window += np.bincount(
+                cells, minlength=self._cell_window.shape[0]
+            )
+            homes = router.owner[cells]
             changed = np.nonzero(prev != homes)[0]
-            for i, p in zip(changed.tolist(), prev[changed].tolist()):
-                src = int(srcs[i])
-                home = int(homes[i])
-                self._set_home(src, home)
-                if p < 0:
-                    self._journal_home(home, src, True)
-                    continue
-                self._journal_home(p, src, False)
-                self._journal_home(home, src, True)
-                self.shard_stats.migrations += 1
-                self.link.send(SHARD_MIGRATE, p, home, _MIGRATE_BYTES)
-                for qid in self._qids_by_focal.get(src, ()):
-                    self._maybe_handoff(qid, home)
-            if any(
-                qid not in self._owner and qid not in self._handoff_pending
-                for qid in self._focal_of
+            for src, p, home in zip(
+                srcs[changed].tolist(),
+                prev[changed].tolist(),
+                homes[changed].tolist(),
             ):
-                # First focal reports: bootstrap ownership on the home
-                # shard, walking focals in batch (ascending-oid) order
-                # exactly as the scalar loop would.
-                for foid in sorted(self._qids_by_focal):
-                    i = int(np.searchsorted(srcs, foid))
-                    if i >= n or int(srcs[i]) != foid:
-                        continue
-                    serving = int(homes[i])
-                    for qid in self._qids_by_focal[foid]:
-                        if (
-                            qid not in self._owner
-                            and qid not in self._handoff_pending
-                        ):
-                            self._owner[qid] = serving
-                            self._journal_own(serving, qid, True)
+                self._report(src, p, home, home)
         up = self.shard_stats.uplinks
         counts = np.bincount(homes, minlength=router.n_shards)
         for s, c in enumerate(counts.tolist()):
@@ -758,9 +709,10 @@ class ShardedServer(ServerNodeBase):
             self._settle_degraded(tick)
         self._sample_imbalance(tick)
         stats = self.shard_stats
-        stats.homed = [0] * self.router.n_shards
-        for home in self._home.values():
-            stats.homed[home] += 1
+        home = self._home
+        stats.homed = np.bincount(
+            home[home >= 0], minlength=self.router.n_shards
+        ).tolist()
         stats.owned = [0] * self.router.n_shards
         for owner in self._owner.values():
             stats.owned[owner] += 1
@@ -831,53 +783,6 @@ class ShardedServer(ServerNodeBase):
                 "windowed peak/mean per-shard uplink load",
             ).set(value)
 
-    def _cell_of(self, x: float, y: float) -> int:
-        """The fine cell containing ``(x, y)`` (edges clamp in)."""
-        cside = self._cell_side
-        u = self.router.universe
-        col = int((x - u.xmin) / self._cell_w2)
-        row = int((y - u.ymin) / self._cell_h2)
-        col = min(max(col, 0), cside - 1)
-        row = min(max(row, 0), cside - 1)
-        return row * cside + col
-
-    def _shard_at(self, x: float, y: float) -> int:
-        """The shard whose region contains ``(x, y)``: static router
-        math, or the rebalancer's live cell assignment."""
-        if self._rebalance is None:
-            return self.router.shard_of(x, y)
-        return int(self._cell_owner[self._cell_of(x, y)])
-
-    def _shards_overlapping_circle(
-        self, cx: float, cy: float, radius: float
-    ) -> List[int]:
-        """Owners of every region the circle intersects, ascending —
-        the rebalancing-aware twin of the router's method."""
-        if self._rebalance is None:
-            return self.router.shards_overlapping_circle(cx, cy, radius)
-        if radius < 0:
-            return []
-        u = self.router.universe
-        cside = self._cell_side
-        w, h = self._cell_w2, self._cell_h2
-        col0 = min(max(int((cx - radius - u.xmin) / w), 0), cside - 1)
-        col1 = min(max(int((cx + radius - u.xmin) / w), 0), cside - 1)
-        row0 = min(max(int((cy - radius - u.ymin) / h), 0), cside - 1)
-        row1 = min(max(int((cy + radius - u.ymin) / h), 0), cside - 1)
-        out: Set[int] = set()
-        r2 = radius * radius
-        for row in range(row0, row1 + 1):
-            y0 = u.ymin + row * h
-            ny = min(max(cy, y0), y0 + h)
-            for col in range(col0, col1 + 1):
-                x0 = u.xmin + col * w
-                nx = min(max(cx, x0), x0 + w)
-                dx = nx - cx
-                dy = ny - cy
-                if dx * dx + dy * dy <= r2:
-                    out.add(int(self._cell_owner[row * cside + col]))
-        return sorted(out)
-
     def _run_rebalance(self, tick: int) -> None:
         """One rebalance cycle: migrate the best-fitting hot cells from
         the most-loaded shard to the least-loaded one.
@@ -895,7 +800,7 @@ class ShardedServer(ServerNodeBase):
             return
         n = self.router.n_shards
         loads = np.zeros(n, dtype=np.int64)
-        np.add.at(loads, self._cell_owner, win)
+        np.add.at(loads, self.router.owner, win)
         mean = total / n
         pre_imbalance = float(loads.max()) / mean
         plan = self._fault_plan
@@ -923,7 +828,7 @@ class ShardedServer(ServerNodeBase):
             gap = int(loads[hot] - loads[cold])
             if gap <= 0:
                 break
-            cells = np.nonzero(self._cell_owner == hot)[0]
+            cells = np.nonzero(self.router.owner == hot)[0]
             if cells.shape[0] <= 1:
                 # Never strip a shard of its last cell.
                 avail[hot] = False
@@ -966,10 +871,10 @@ class ShardedServer(ServerNodeBase):
         migration recovers through the WAL (§12 fencing) — and hand off
         the queries whose focal objects rode along through the normal
         ownership-transfer protocol. Returns the rows re-homed."""
-        self._cell_owner[cell] = dst
+        self.router.owner[cell] = dst
         moved = self._oids_in_cell(cell, src)
         for oid in moved:
-            self._set_home(oid, dst)
+            self._home[oid] = dst
             self._journal_home(src, oid, False)
             self._journal_home(dst, oid, True)
         handed = 0
@@ -1002,25 +907,17 @@ class ShardedServer(ServerNodeBase):
 
     def _oids_in_cell(self, cell: int, shard: int) -> List[int]:
         """Objects homed at ``shard`` whose last reported position lies
-        in the fine cell, ascending oid: one mask over the home mirror
-        and the table's position columns (:meth:`_cell_of`'s
-        arithmetic). A tableless inner server has no positions, so no
-        rows."""
+        in the fine cell, ascending oid: one mask over the home table
+        and the table's position columns. A tableless inner server has
+        no positions, so no rows."""
         table = getattr(self.inner, "table", None)
         if table is None:
             return []
         grid = table.grid
-        arr = self._ensure_home_arr(0)
-        n = min(arr.shape[0], grid._dcell.shape[0])
-        u = self.router.universe
-        cside = self._cell_side
-        col = ((grid._dx[:n] - u.xmin) / self._cell_w2).astype(np.int64)
-        row = ((grid._dy[:n] - u.ymin) / self._cell_h2).astype(np.int64)
-        np.clip(col, 0, cside - 1, out=col)
-        np.clip(row, 0, cside - 1, out=row)
-        mask = (arr[:n] == shard) & (grid._dcell[:n] >= 0)
-        mask &= (row * cside + col) == cell
-        return [int(i) for i in np.nonzero(mask)[0]]
+        n = min(self._home.shape[0], grid._dcell.shape[0])
+        mask = (self._home[:n] == shard) & (grid._dcell[:n] >= 0)
+        mask &= self.router.cells_of(grid._dx[:n], grid._dy[:n]) == cell
+        return np.nonzero(mask)[0].tolist()
 
     def _admit(self, msg: Message, serving: int, qid: Optional[int]) -> bool:
         """Admission control: True admits the uplink into the engine;
@@ -1068,12 +965,11 @@ class ShardedServer(ServerNodeBase):
             )
         return False
 
-    def _drain_deferred(self, tick: int) -> None:
+    def _drain_deferred(self) -> None:
         """Deliver uplinks deferred by admission control, oldest first,
         within (and counted against) the new tick's budget."""
         adm = self._admission
         stats = self.shard_stats
-        tel = self._telemetry
         for s in range(self.router.n_shards):
             q = self._deferred[s]
             while q and self._tick_uplinks[s] < adm.max_uplinks_per_tick:
@@ -1082,21 +978,7 @@ class ShardedServer(ServerNodeBase):
                 stats.uplinks[s] += 1
                 qid = getattr(msg.payload, "qid", None)
                 if qid is not None:
-                    owner = self._owner.get(qid)
-                    if owner is not None and owner != s:
-                        stats.forwards += 1
-                        self.link.send(
-                            SHARD_FORWARD, s, owner, msg.size - HEADER_BYTES
-                        )
-                        if tel.enabled and tel.tracer.enabled:
-                            tel.tracer.emit(
-                                tick,
-                                "shard.forward",
-                                qid=qid,
-                                kind=msg.kind.value,
-                                src_shard=s,
-                                dst_shard=owner,
-                            )
+                    self._forward(msg, qid, s)
                 self.inner.on_message(msg)
 
     # -- fault machinery (every entry point gated on the plan) ---------------
@@ -1259,7 +1141,7 @@ class ShardedServer(ServerNodeBase):
             focal = self._focal_of.get(qid)
             if focal is None:
                 continue
-            if self._home.get(focal) == shard and self._owner[qid] != shard:
+            if self._home_of(focal) == shard and self._owner[qid] != shard:
                 self._maybe_handoff(qid, shard)
         tel = self._telemetry
         if tel.enabled and tel.tracer.enabled:
@@ -1293,9 +1175,7 @@ class ShardedServer(ServerNodeBase):
         owned = sorted(
             qid for qid, owner in self._owner.items() if owner == shard
         )
-        homed = sorted(
-            oid for oid, home in self._home.items() if home == shard
-        )
+        homed = np.nonzero(self._home == shard)[0]
         dm = self._durability
         tel = self._telemetry
         if dm is not None:
@@ -1353,8 +1233,7 @@ class ShardedServer(ServerNodeBase):
                 flagged,
                 tuple(self.inner.answers.get(qid, ())),
             )
-        for oid in homed:
-            self._drop_home(oid)
+        self._home[homed] = -1
         stats.amnesia_restarts += 1
         stats.amnesia_queries += len(owned)
         if tel.enabled and tel.tracer.enabled:
@@ -1378,9 +1257,7 @@ class ShardedServer(ServerNodeBase):
             for qid in sorted(self._owner)
             if self._owner[qid] == shard
         }
-        homes = [
-            oid for oid in sorted(self._home) if self._home[oid] == shard
-        ]
+        homes = np.nonzero(self._home == shard)[0].tolist()
         nbytes = dm.checkpoint(shard, tick, queries, homes)
         tel = self._telemetry
         if tel.enabled and tel.tracer.enabled:
@@ -1477,9 +1354,6 @@ class ShardedServer(ServerNodeBase):
             return
         plan = self._fault_plan
         n = self.router.n_shards
-        homes_by: List[List[int]] = [[] for _ in range(n)]
-        for oid in sorted(self._home):
-            homes_by[self._home[oid]].append(oid)
         queries_by: List[Dict[int, Any]] = [{} for _ in range(n)]
         for qid in sorted(self._owner):
             queries_by[self._owner[qid]][qid] = (
@@ -1489,14 +1363,15 @@ class ShardedServer(ServerNodeBase):
         for s in range(n):
             if plan.is_down(s, tick) or self._is_recovering(s):
                 continue  # a dead disk writes nothing new
-            nbytes = dm.checkpoint(s, tick, queries_by[s], homes_by[s])
+            homes = np.nonzero(self._home == s)[0].tolist()
+            nbytes = dm.checkpoint(s, tick, queries_by[s], homes)
             if tel.enabled and tel.tracer.enabled:
                 tel.tracer.emit(
                     tick,
                     "shard.checkpoint",
                     shard=s,
                     queries=len(queries_by[s]),
-                    homes=len(homes_by[s]),
+                    homes=len(homes),
                     bytes=nbytes,
                 )
 
@@ -1538,38 +1413,67 @@ class ShardedServer(ServerNodeBase):
 
     # -- routing ------------------------------------------------------------
 
-    def _ensure_home_arr(self, max_oid: int):
-        """The dense home mirror, built from the dict on first use and
-        grown (fill -1) to cover ``max_oid``."""
-        arr = self._home_arr
-        if arr is None:
-            top = max(self._home, default=0)
-            arr = np.full(max(max_oid, top) + 1, -1, dtype=np.int64)
-            for oid, home in self._home.items():
-                arr[oid] = home
-            self._home_arr = arr
-        elif max_oid >= arr.shape[0]:
+    def _home_table(self, max_oid: int):
+        """The home table, grown (fill -1) to cover ``max_oid``."""
+        arr = self._home
+        if max_oid >= arr.shape[0]:
             grown = np.full(
                 max(max_oid + 1, arr.shape[0] * 2), -1, dtype=np.int64
             )
             grown[: arr.shape[0]] = arr
-            self._home_arr = arr = grown
+            self._home = arr = grown
         return arr
 
-    def _set_home(self, src: int, home: int) -> None:
-        """Update one home-table entry, keeping the dense mirror true."""
-        self._home[src] = home
-        arr = self._home_arr
-        if arr is not None:
-            if src >= arr.shape[0]:
-                arr = self._ensure_home_arr(src)
-            arr[src] = home
+    def _home_of(self, oid: int) -> int:
+        """One home row (-1 = never reported)."""
+        arr = self._home
+        return int(arr[oid]) if oid < arr.shape[0] else -1
 
-    def _drop_home(self, oid: int) -> None:
-        """Forget one home-table entry, in the dict and in the mirror."""
-        del self._home[oid]
-        if self._home_arr is not None and oid < self._home_arr.shape[0]:
-            self._home_arr[oid] = -1
+    def _report(self, src: int, prev: int, home: int, serving: int) -> None:
+        """Ledger one positional report of ``src``: the only place a
+        report changes a home row (``prev -> home``, journaled, the
+        dead-reckoning entry migrating over the backbone when the
+        object crossed a shard boundary, its queries handed to
+        ``serving``) or bootstraps ownership. The row must exist
+        (:meth:`_home_table`)."""
+        focal_of = self._qids_by_focal.get(src, ())
+        if prev < 0:
+            self._home[src] = home
+            self._journal_home(home, src, True)
+        elif prev != home:
+            self._home[src] = home
+            self._journal_home(prev, src, False)
+            self._journal_home(home, src, True)
+            self.shard_stats.migrations += 1
+            self.link.send(SHARD_MIGRATE, prev, home, _MIGRATE_BYTES)
+            for qid in focal_of:
+                self._maybe_handoff(qid, serving)
+        for qid in focal_of:
+            if qid not in self._owner and qid not in self._handoff_pending:
+                # First focal report: ownership bootstraps on the shard
+                # serving the focal's home cell, no transfer needed.
+                self._owner[qid] = serving
+                self._journal_own(serving, qid, True)
+
+    def _forward(self, msg: Message, qid: int, serving: int) -> None:
+        """An uplink naming ``qid`` landed on ``serving``: if another
+        shard owns the query, relay the whole client message to it over
+        the backbone."""
+        owner = self._owner.get(qid)
+        if owner is None or owner == serving:
+            return
+        self.shard_stats.forwards += 1
+        self.link.send(SHARD_FORWARD, serving, owner, msg.size - HEADER_BYTES)
+        tel = self._telemetry
+        if tel.enabled and tel.tracer.enabled:
+            tel.tracer.emit(
+                self._tick,
+                "shard.forward",
+                qid=qid,
+                kind=msg.kind.value,
+                src_shard=serving,
+                dst_shard=owner,
+            )
 
     def _route_uplink(self, msg: Message) -> bool:
         """Route one client uplink to its home shard; ledger the load,
@@ -1586,15 +1490,12 @@ class ShardedServer(ServerNodeBase):
         plan = self._fault_plan
         x = getattr(payload, "x", None)
         if x is not None:
-            if self._rebalance is not None:
-                cell = self._cell_of(x, payload.y)
-                self._cell_window[cell] += 1
-                home = int(self._cell_owner[cell])
-            else:
-                home = self.router.shard_of(x, payload.y)
+            cell = self.router.cell_of(x, payload.y)
+            self._cell_window[cell] += 1
+            home = int(self.router.owner[cell])
         else:
-            home = self._home.get(src, 0)
-        qid_attr = getattr(payload, "qid", None)
+            home = max(self._home_of(src), 0)
+        qid = getattr(payload, "qid", None)
         if plan is not None:
             serving = self._serving(home)
             if serving is None:
@@ -1606,20 +1507,20 @@ class ShardedServer(ServerNodeBase):
             if shed is not None:
                 accepted = self._tick_uplinks[serving]
                 overloaded = accepted >= 2 * shed
-                if overloaded or (accepted >= shed and qid_attr is not None):
+                if overloaded or (accepted >= shed and qid is not None):
                     # Past the threshold the shard sheds query-carrying
                     # (repair) uplinks first; past twice the threshold,
                     # everything.
                     self.shard_stats.shed_uplinks += 1
-                    if qid_attr is not None:
-                        self._flag_degraded(qid_attr)
+                    if qid is not None:
+                        self._flag_degraded(qid)
                     tel = self._telemetry
                     if tel.enabled and tel.tracer.enabled:
                         tel.tracer.emit(
                             self._tick,
                             "shard.shed",
                             shard=serving,
-                            qid=qid_attr,
+                            qid=qid,
                             kind=msg.kind.value,
                             overloaded=overloaded,
                         )
@@ -1628,53 +1529,14 @@ class ShardedServer(ServerNodeBase):
         else:
             serving = home
         if x is not None:
-            prev = self._home.get(src)
-            if prev is None:
-                self._set_home(src, home)
-                self._journal_home(home, src, True)
-            elif prev != home:
-                # The object crossed a shard boundary: its dead-
-                # reckoning entry migrates over the backbone.
-                self._set_home(src, home)
-                self._journal_home(prev, src, False)
-                self._journal_home(home, src, True)
-                self.shard_stats.migrations += 1
-                self.link.send(SHARD_MIGRATE, prev, home, _MIGRATE_BYTES)
-                for qid in self._qids_by_focal.get(src, ()):
-                    self._maybe_handoff(qid, serving)
-            for qid in self._qids_by_focal.get(src, ()):
-                if qid not in self._owner and qid not in self._handoff_pending:
-                    # First focal report: ownership bootstraps on the
-                    # shard serving the focal's home cell, no transfer
-                    # needed.
-                    self._owner[qid] = serving
-                    self._journal_own(serving, qid, True)
+            self._report(src, int(self._home_table(src)[src]), home, serving)
         if self._admission is not None and not self._admit(
-            msg, serving, qid_attr
+            msg, serving, qid
         ):
             return False
         self.shard_stats.uplinks[serving] += 1
-        qid = qid_attr
-        if qid is None:
-            return True
-        owner = self._owner.get(qid)
-        if owner is not None and owner != serving:
-            # Landed on a non-owning shard: relay the whole client
-            # message to the owner over the backbone.
-            self.shard_stats.forwards += 1
-            self.link.send(
-                SHARD_FORWARD, serving, owner, msg.size - HEADER_BYTES
-            )
-            tel = self._telemetry
-            if tel.enabled and tel.tracer.enabled:
-                tel.tracer.emit(
-                    self._tick,
-                    "shard.forward",
-                    qid=qid,
-                    kind=msg.kind.value,
-                    src_shard=serving,
-                    dst_shard=owner,
-                )
+        if qid is not None:
+            self._forward(msg, qid, serving)
         return True
 
     def _note_inner_send(self, dst: int, msg=None) -> None:
@@ -1688,7 +1550,7 @@ class ShardedServer(ServerNodeBase):
         and stay unaffected.
         """
         if dst >= 0:
-            home = self._home.get(dst, 0)
+            home = max(self._home_of(dst), 0)
             if self._fault_plan is not None:
                 serving = self._serving(home)
                 if serving is None:
@@ -1711,12 +1573,12 @@ class ShardedServer(ServerNodeBase):
         Batches exist only fault-free, so this is the plan-less arm of
         :meth:`_note_inner_send` vectorized: one downlink per recipient,
         attributed to the recipient's home shard (unknown homes ledger
-        to shard 0, matching ``_home.get(dst, 0)``).
+        to shard 0).
         """
         dsts = batch.dsts
         if dsts is None or dsts.shape[0] == 0:
             return  # inner engines only batch downlinks
-        arr = self._ensure_home_arr(int(dsts.max()))
+        arr = self._home_table(int(dsts.max()))
         homes = np.maximum(arr[dsts], 0)
         dl = self.shard_stats.downlinks
         counts = np.bincount(homes, minlength=self.router.n_shards)
@@ -1737,10 +1599,7 @@ class ShardedServer(ServerNodeBase):
         if owner == new_home:
             # The focal swung back before the transfer committed; any
             # in-flight copy is ignored on arrival (superseded check).
-            self._handoff_pending.pop(qid, None)
-            self._handoff_sent.pop(qid, None)
-            self._retry_at.pop(qid, None)
-            self._retry_gap.pop(qid, None)
+            self._clear_handoff(qid)
             return
         pending = self._handoff_pending.get(qid)
         if pending == new_home:
@@ -1748,16 +1607,19 @@ class ShardedServer(ServerNodeBase):
         self._handoff_pending[qid] = new_home
         self._send_handoff(qid, owner, new_home)
 
+    def _clear_handoff(self, qid: int) -> None:
+        """Forget a pending handoff: committed, superseded or moot."""
+        self._handoff_pending.pop(qid, None)
+        self._retry.pop(qid, None)
+
     def _send_handoff(self, qid: int, owner: int, dst: int) -> None:
         state = self.inner.export_query_state(qid)
         nbytes = payload_size(state)
         self.inner.meter.charge(CostMeter.HANDOFF)
-        self._handoff_sent[qid] = self._tick
         # Fresh-send schedule: a copy that may merely be delayed (not
         # dropped) gets the link's latency, then the first retransmit
         # is eligible — the same tick it fired before backoff existed.
-        self._retry_at[qid] = self._tick + self.link.delay_ticks + 1
-        self._retry_gap[qid] = 1
+        self._retry[qid] = (self._tick + self.link.delay_ticks + 1, 1)
         self.link.send(
             SHARD_HANDOFF, owner, dst, nbytes, payload=(qid, dst)
         )
@@ -1779,26 +1641,20 @@ class ShardedServer(ServerNodeBase):
             owner = self._owner.get(qid)
             dst = self._handoff_pending[qid]
             if owner is None or owner == dst:
-                self._handoff_pending.pop(qid, None)
-                self._handoff_sent.pop(qid, None)
-                self._retry_at.pop(qid, None)
-                self._retry_gap.pop(qid, None)
+                self._clear_handoff(qid)
                 continue
-            if self._tick < self._retry_at.get(qid, 0):
+            at, gap = self._retry[qid]
+            if self._tick < at:
                 continue  # in flight, or backing off
             self.shard_stats.handoff_retries += 1
-            gap = min(self._retry_gap.get(qid, 1) * 2, _RETRY_GAP_CAP)
+            gap = min(gap * 2, _RETRY_GAP_CAP)
             self._send_handoff(qid, owner, dst)
             # Override the fresh-send schedule with the widened gap
             # (the jitter draw happens only here, on an actual
             # retransmit — never on a healthy backbone).
-            self._retry_gap[qid] = gap
-            self._retry_at[qid] = (
-                self._tick
-                + self.link.delay_ticks
-                + gap
-                + self._backoff_rng.randrange(gap)
-            )
+            wait = self.link.delay_ticks + gap
+            wait += self._backoff_rng.randrange(gap)
+            self._retry[qid] = (self._tick + wait, gap)
 
     def _on_shard_message(self, msg: ShardMessage) -> None:
         """Backbone delivery handler (synchronous or via begin_tick)."""
@@ -1824,10 +1680,7 @@ class ShardedServer(ServerNodeBase):
             # Commit: the destination shard installed the state; the
             # single owner map flips in one assignment, so at no point
             # do two shards own the query.
-            del self._handoff_pending[qid]
-            self._handoff_sent.pop(qid, None)
-            self._retry_at.pop(qid, None)
-            self._retry_gap.pop(qid, None)
+            self._clear_handoff(qid)
             src = self._owner.get(qid)
             self._owner[qid] = dst
             if src is not None:
@@ -1856,7 +1709,7 @@ class ShardedServer(ServerNodeBase):
     def _circle_counts(self, cx: float, cy: float, radius: float):
         """Per shard, the objects homed there that the table places
         inside the circle: one masked bincount over the members of the
-        cells under it (the home mirror and the table's positions are
+        cells under it (the home table and the table's positions are
         columns; no lookup here charges the meter). A tableless inner
         server has no positions, so every count is zero."""
         n_shards = self.router.n_shards
@@ -1864,7 +1717,7 @@ class ShardedServer(ServerNodeBase):
         if table is None:
             return [0] * n_shards
         grid = table.grid
-        arr = self._ensure_home_arr(0)
+        arr = self._home
         ids = grid.box_members(cx, cy, radius)
         ids = ids[ids < arr.shape[0]]
         homes = arr[ids]
@@ -1873,13 +1726,16 @@ class ShardedServer(ServerNodeBase):
         mask = (homes >= 0) & (dx * dx + dy * dy <= radius * radius)
         return np.bincount(homes[mask], minlength=n_shards)
 
-    def _borrow(self, qid: int, cx: float, cy: float, radius: float) -> None:
-        """A repair reads the table over a circle: borrow the members
-        of every other shard the circle overlaps."""
+    def repair_scope(
+        self, qid: int, cx: float, cy: float, radius: float
+    ) -> None:
+        """The inner engine's ``ownership_probe`` seam: a repair reads
+        the table over a circle, so borrow the members of every other
+        shard the circle overlaps."""
         owner = self._owner.get(qid)
         if owner is None:
-            owner = self._shard_at(cx, cy)
-        overlapped = self._shards_overlapping_circle(cx, cy, radius)
+            owner = self.router.shard_of(cx, cy)
+        overlapped = self.router.shards_overlapping_circle(cx, cy, radius)
         remote = [sid for sid in overlapped if sid != owner]
         if not remote:
             return
@@ -1922,46 +1778,36 @@ class ShardedServer(ServerNodeBase):
 
 def shard_attach(
     sim,
-    config,
+    config: ShardConfig,
     link_delay: int = 0,
     link_drop: float = 0.0,
     link_seed: int = 0,
-    faults=None,
 ) -> ShardedServer:
     """Wrap a built simulator's server in a sharded tier, in place.
 
-    ``config`` is the canonical :class:`~repro.server.config.ShardConfig`
-    (shard count plus rebalance/admission policies, fault plan and
-    durability cadence); a bare int is still accepted as the shard-grid
-    side for the legacy ``shard_attach(sim, S, faults=plan)`` form.
+    ``config`` is the :class:`~repro.server.config.ShardConfig`: shard
+    count, rebalance / admission policies, fault plan and durability
+    cadence. An enabled fault plan supersedes the raw ``link_*`` knobs
+    (the backbone drop / delay / seed come from the plan).
 
     The inner server keeps its channel registration (same SERVER_ID
     address); the wrapper takes its place in the simulator's dispatch
     tables and interposes the downlink-ledger proxy on the inner
     engine's channel slot. Returns the installed :class:`ShardedServer`.
-
-    ``faults`` is an optional :class:`~repro.net.faults.ShardFaultPlan`
-    (legacy int form only); when enabled it supersedes the raw
-    ``link_*`` knobs (the backbone drop/delay/seed come from the plan).
     """
-    rebalance = None
-    admission = None
-    if isinstance(config, ShardConfig):
-        if faults is not None:
-            raise ConfigError(
-                "pass the fault plan inside ShardConfig(faults=...), not "
-                "as a separate faults= kwarg"
-            )
-        shards_per_side = config.shards
-        faults = config.resolved_faults()
-        rebalance = config.rebalance
-        admission = config.admission
-    else:
-        shards_per_side = config
+    if not isinstance(config, ShardConfig):
+        raise ConfigError(
+            f"shard_attach takes a ShardConfig, got {config!r}"
+        )
     inner = sim.server
     if isinstance(inner, ShardedServer):
         raise NetworkError("simulator already has a sharded server tier")
-    router = ShardRouter(sim.fleet.universe, shards_per_side)
+    rebalance = config.rebalance
+    router = ShardRouter(
+        sim.fleet.universe,
+        config.shards,
+        rebalance.cells_per_shard if rebalance is not None else 1,
+    )
     tier = ShardedServer(
         inner,
         router,
@@ -1969,9 +1815,9 @@ def shard_attach(
         link_delay=link_delay,
         link_drop=link_drop,
         link_seed=link_seed,
-        fault_plan=faults,
+        fault_plan=config.resolved_faults(),
         rebalance=rebalance,
-        admission=admission,
+        admission=config.admission,
     )
     # Share the already-registered SERVER_ID address: assign the channel
     # slot directly (attach() would re-register and raise).

@@ -20,6 +20,15 @@
   traffic — retries included — lands in the ``server_to_server``
   CommStats bucket exactly once per wire message, never in the radio
   buckets.
+* **The partition against its static-grid model** — ``ShardRouter(u,
+  S)`` holds the partition as a fine-cell ``owner`` array even when no
+  rebalancer will ever touch it; a static tier is its one-cell-per-
+  shard case. The oracle is the plain S x S grid arithmetic the router
+  used before it owned the cells: same shard for every point and the
+  same ascending shard list for every circle — on and across cell
+  borders, outside the universe, ``radius`` 0 and negative — and, with
+  ``cells_per_shard`` above 1 and the identity ``owner``, shard for
+  shard on a lattice where both cell widths are exact.
 """
 
 from collections import Counter
@@ -27,13 +36,17 @@ from collections import Counter
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
 from repro.experiments.algorithms import build_system
 from repro.experiments.config import RunConfig
 from repro.index.bruteforce import brute_knn_ids
 from repro.net.chaos import default_checkers
 from repro.net.faults import FaultPlan, ShardFaultPlan
 from repro.net.message import MessageKind
+from repro.geometry import Rect
 from repro.server.config import ShardConfig
+from repro.server.sharding import ShardRouter
 from repro.workloads import WorkloadSpec, build_workload
 
 CRASH_T0 = 20
@@ -275,3 +288,147 @@ def test_composed_faults_stay_honest_and_singly_counted(s):
     ):
         assert all(isinstance(kind, MessageKind) for kind in bucket)
     assert stats.total_messages == sum(stats.sent_by_kind.values())
+
+
+# -- the partition against its static-grid model ------------------------------
+
+
+def _static_shard_of(u, side, x, y):
+    """The plain S x S grid: the shard whose rectangle contains the
+    point (edges clamp in)."""
+    col = int((x - u.xmin) / (u.width / side))
+    row = int((y - u.ymin) / (u.height / side))
+    col = min(max(col, 0), side - 1)
+    row = min(max(row, 0), side - 1)
+    return row * side + col
+
+
+def _static_overlap(u, side, cx, cy, radius):
+    """The plain S x S grid: every shard whose rectangle intersects
+    the circle, ascending."""
+    if radius < 0:
+        return []
+    w, h = u.width / side, u.height / side
+    col0 = min(max(int((cx - radius - u.xmin) / w), 0), side - 1)
+    col1 = min(max(int((cx + radius - u.xmin) / w), 0), side - 1)
+    row0 = min(max(int((cy - radius - u.ymin) / h), 0), side - 1)
+    row1 = min(max(int((cy + radius - u.ymin) / h), 0), side - 1)
+    out = []
+    for row in range(row0, row1 + 1):
+        y0 = u.ymin + row * h
+        ny = min(max(cy, y0), y0 + h)
+        for col in range(col0, col1 + 1):
+            x0 = u.xmin + col * w
+            nx = min(max(cx, x0), x0 + w)
+            dx, dy = nx - cx, ny - cy
+            if dx * dx + dy * dy <= radius * radius:
+                out.append(row * side + col)
+    return out
+
+
+@st.composite
+def _grids(draw):
+    """A universe, S, and points drawn inside it, outside it and
+    exactly on the borders between cells."""
+    side = draw(st.integers(min_value=1, max_value=5))
+    xmin = draw(st.floats(min_value=-500.0, max_value=500.0))
+    ymin = draw(st.floats(min_value=-500.0, max_value=500.0))
+    width = draw(st.floats(min_value=1.0, max_value=5_000.0))
+    height = draw(st.floats(min_value=1.0, max_value=5_000.0))
+    u = Rect(xmin, ymin, xmin + width, ymin + height)
+
+    def coord(lo, extent):
+        border = st.integers(min_value=0, max_value=side).map(
+            lambda i: lo + i * (extent / side)
+        )
+        free = st.floats(min_value=lo - extent, max_value=lo + 2 * extent)
+        return st.one_of(border, free)
+
+    points = draw(
+        st.lists(
+            st.tuples(coord(u.xmin, u.width), coord(u.ymin, u.height)),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    return u, side, points
+
+
+_radii = st.one_of(
+    st.sampled_from([0.0, -1.0]),
+    st.floats(min_value=-10.0, max_value=4_000.0),
+)
+
+
+@given(grid=_grids(), radii=st.lists(_radii, min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_static_router_is_the_plain_grid(grid, radii):
+    u, side, points = grid
+    router = ShardRouter(u, side)
+    assert router.owner.tolist() == list(range(side * side))
+    xs = np.array([x for x, _ in points])
+    ys = np.array([y for _, y in points])
+    want = [_static_shard_of(u, side, x, y) for x, y in points]
+    assert [router.shard_of(x, y) for x, y in points] == want
+    assert [router.cell_of(x, y) for x, y in points] == want
+    assert router.cells_of(xs, ys).tolist() == want
+    for x, y in points:
+        for r in radii:
+            assert router.shards_overlapping_circle(
+                x, y, r
+            ) == _static_overlap(u, side, x, y, r)
+
+
+@given(
+    side=st.integers(min_value=1, max_value=4),
+    cps=st.integers(min_value=2, max_value=4),
+    log_cell=st.integers(min_value=0, max_value=6),
+    origin=st.tuples(
+        st.integers(min_value=-64, max_value=64),
+        st.integers(min_value=-64, max_value=64),
+    ),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_fine_cells_with_identity_owner_agree_with_the_plain_grid(
+    side, cps, log_cell, origin, data
+):
+    # Fine cells of 2 ** log_cell, coordinates on the quarter lattice:
+    # every quotient below is exact or far from an integer, so a point
+    # on a border falls the same side of it at both cell widths.
+    extent = side * cps * 2 ** log_cell
+    u = Rect(origin[0], origin[1], origin[0] + extent, origin[1] + extent)
+    router = ShardRouter(u, side, cps)
+    assert router.cell_side == side * cps
+    quarter = st.integers(
+        min_value=-2 * extent, max_value=8 * extent
+    ).map(lambda q: q / 4.0)
+    points = data.draw(
+        st.lists(
+            st.tuples(quarter.map(lambda v: origin[0] + v),
+                      quarter.map(lambda v: origin[1] + v)),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    radii = data.draw(
+        st.lists(
+            st.integers(min_value=-4, max_value=8 * extent).map(
+                lambda q: q / 4.0
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    xs = np.array([x for x, _ in points])
+    ys = np.array([y for _, y in points])
+    want = [_static_shard_of(u, side, x, y) for x, y in points]
+    assert [router.shard_of(x, y) for x, y in points] == want
+    cells = router.cells_of(xs, ys)
+    assert cells.tolist() == [router.cell_of(x, y) for x, y in points]
+    assert router.owner[cells].tolist() == want
+    for x, y in points:
+        for r in radii:
+            assert router.shards_overlapping_circle(
+                x, y, r
+            ) == _static_overlap(u, side, x, y, r)

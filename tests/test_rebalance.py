@@ -145,10 +145,10 @@ class TestPartitionInvariant:
         )
         tier = sim.server
         n = tier.router.n_shards
-        side = tier._cell_side
+        side = tier.router.cell_side
 
         def check(x):
-            owner = x.server._cell_owner
+            owner = x.server.router.owner
             assert owner is not None
             assert len(owner) == side * side
             assert not ((owner < 0) | (owner >= n)).any()
@@ -165,11 +165,11 @@ class TestPartitionInvariant:
         )
         tier = sim.server
         cps = POLICY.cells_per_shard
-        owner = np.asarray(tier._cell_owner).reshape(
-            tier._cell_side, tier._cell_side
+        owner = np.asarray(tier.router.owner).reshape(
+            tier.router.cell_side, tier.router.cell_side
         )
-        for row in range(tier._cell_side):
-            for col in range(tier._cell_side):
+        for row in range(tier.router.cell_side):
+            for col in range(tier.router.cell_side):
                 assert owner[row, col] == (row // cps) * 2 + (col // cps)
 
 
@@ -241,7 +241,7 @@ class TestDisabledBitIdentity:
             assert e.fields["imbalance"] >= POLICY.trigger
         for e in moves:
             assert e.fields["src_shard"] != e.fields["dst_shard"]
-            assert 0 <= e.fields["cell"] < sim.server._cell_side ** 2
+            assert 0 <= e.fields["cell"] < sim.server.router.cell_side ** 2
 
 
 class TestItActuallyBalances:

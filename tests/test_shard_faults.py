@@ -265,14 +265,13 @@ class TestHandoffBackoff:
         # over a delay-d link must become retryable at exactly T+d+1.
         fleet, queries = build_workload(SPEC)
         sim = build_system(RunConfig("DKNN-P"), fleet, queries)
-        tier = shard_attach(sim, 4, link_delay=2)
+        tier = shard_attach(sim, ShardConfig(shards=4), link_delay=2)
         sim.run(2)
         tier._tick = 10
         tier._owner[queries[0].qid] = 0
         tier._handoff_pending[queries[0].qid] = 3
         tier._send_handoff(queries[0].qid, 0, 3)
-        assert tier._retry_at[queries[0].qid] == 10 + 2 + 1
-        assert tier._retry_gap[queries[0].qid] == 1
+        assert tier._retry[queries[0].qid] == (10 + 2 + 1, 1)
 
     def test_backoff_widens_and_caps_under_partition(self):
         # Pin a handoff to a permanently-partitioned destination and
@@ -282,7 +281,7 @@ class TestHandoffBackoff:
         fleet, queries = build_workload(SPEC)
         sim = build_system(RunConfig("DKNN-P"), fleet, queries)
         plan = ShardFaultPlan(seed=3, partitions=((0, 1, 0, 10 ** 6),))
-        tier = shard_attach(sim, 2, faults=plan)
+        tier = shard_attach(sim, ShardConfig(shards=2, faults=plan))
         sim.run(2)
         qid = queries[0].qid
         tier._tick = 10
@@ -300,7 +299,7 @@ class TestHandoffBackoff:
         # First retransmit is on the legacy schedule (tick 11).
         assert retry_ticks[0] == 11
         # The gap saturates at the cap, never past it.
-        assert tier._retry_gap[qid] == 8
+        assert tier._retry[qid][1] == 8
         gaps = [b - a for a, b in zip(retry_ticks, retry_ticks[1:])]
         assert all(2 <= g <= 8 + 7 for g in gaps)
         # Every-tick retrying would fire ~80 times over this window;
@@ -312,7 +311,7 @@ class TestHandoffBackoff:
         fleet, queries = build_workload(SPEC)
         sim = build_system(RunConfig("DKNN-P"), fleet, queries)
         plan = ShardFaultPlan(seed=seed, partitions=((0, 1, 0, 10 ** 6),))
-        tier = shard_attach(sim, side, faults=plan)
+        tier = shard_attach(sim, ShardConfig(shards=side, faults=plan))
         sim.run(2)
         qid = queries[0].qid
         tier._tick = 10
@@ -362,7 +361,7 @@ class TestLossRaces:
         fleet, queries = build_workload(spec)
         sim = build_system(RunConfig("DKNN-P"), fleet, queries)
         plan = ShardFaultPlan(seed=11, link_drop=0.9)
-        tier = shard_attach(sim, 4, faults=plan)
+        tier = shard_attach(sim, ShardConfig(shards=4, faults=plan))
         sim.run(spec.ticks)  # terminates: structurally no reply wait
         if tier.shard_stats.lost_borrows:
             # At least one query carried the degraded annotation at
@@ -379,7 +378,7 @@ class TestLossRaces:
         # must leave exactly one owner at every step.
         fleet, queries = build_workload(SPEC)
         sim = build_system(RunConfig("DKNN-P"), fleet, queries)
-        tier = shard_attach(sim, 2, link_delay=3)
+        tier = shard_attach(sim, ShardConfig(shards=2), link_delay=3)
         sim.run(2)
         qid = queries[0].qid
         tier._owner[qid] = 0
@@ -401,7 +400,7 @@ class TestLossRaces:
             seed=2, link_delay=2, link_drop=0.3,
             crashes=((0, 18, 28), (3, 30, 40)),
         )
-        tier = shard_attach(sim, 2, faults=plan)
+        tier = shard_attach(sim, ShardConfig(shards=2, faults=plan))
         owners_seen = []
         sim.run(spec.ticks, on_tick=lambda s: owners_seen.append(
             dict(s.server._owner)
@@ -544,7 +543,11 @@ class TestLegacyKnobsStillWork:
         sim = build_system(RunConfig("DKNN-P"), fleet, queries)
         plan = ShardFaultPlan(seed=9, link_drop=0.25, link_delay=2)
         tier = shard_attach(
-            sim, 2, link_drop=0.9, link_delay=7, link_seed=1, faults=plan
+            sim,
+            ShardConfig(shards=2, faults=plan),
+            link_drop=0.9,
+            link_delay=7,
+            link_seed=1,
         )
         assert tier.link.drop_prob == 0.25
         assert tier.link.delay_ticks == 2
@@ -553,7 +556,10 @@ class TestLegacyKnobsStillWork:
         fleet, queries = build_workload(SPEC)
         sim = build_system(RunConfig("DKNN-P"), fleet, queries)
         tier = shard_attach(
-            sim, 2, link_drop=0.4, link_delay=3, faults=ShardFaultPlan()
+            sim,
+            ShardConfig(shards=2, faults=ShardFaultPlan()),
+            link_drop=0.4,
+            link_delay=3,
         )
         assert tier.link.drop_prob == 0.4
         assert tier.link.delay_ticks == 3

@@ -26,7 +26,7 @@ from repro.api import (
     build_workload,
     shard_attach,
 )
-from repro.errors import ExperimentError, NetworkError
+from repro.errors import ConfigError, ExperimentError, NetworkError
 from repro.geometry import Rect
 from repro.net.shardlink import SHARD_HANDOFF, ShardLink
 from repro.net.stats import CommStats
@@ -174,7 +174,7 @@ class TestOwnershipAndHandoff:
     def _tier(self, shards=2, ticks=SPEC.ticks, **link_kw):
         fleet, queries = build_workload(SPEC)
         sim = build_system(RunConfig("DKNN-P"), fleet, queries)
-        tier = shard_attach(sim, shards, **link_kw)
+        tier = shard_attach(sim, ShardConfig(shards=shards), **link_kw)
         sim.run(ticks)
         return tier, sim
 
@@ -225,6 +225,12 @@ class TestOwnershipAndHandoff:
             RunConfig("DKNN-P", shard=ShardConfig(shards=2)), fleet, queries
         )
         with pytest.raises(NetworkError):
+            shard_attach(sim, ShardConfig(shards=2))
+
+    def test_bare_shard_count_rejected(self):
+        fleet, queries = build_workload(SPEC)
+        sim = build_system(RunConfig("DKNN-P"), fleet, queries)
+        with pytest.raises(ConfigError, match="ShardConfig"):
             shard_attach(sim, 2)
 
 
