@@ -12,14 +12,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.core.protocol import AnswerPush, LocationUpdate
 from repro.errors import ProtocolError
 from repro.geometry import Rect
 from repro.index.grid import UniformGrid
 from repro.net.message import SERVER_ID, Message, MessageKind
-from repro.net.node import MobileNode
+from repro.net.node import MobileNode, Population
 from repro.net.plane import MIN_BATCH, ColumnarBatch
 from repro.net.simulator import ClientPhase
 from repro.server.engine import BaseServer
@@ -28,6 +26,7 @@ from repro.server.query_table import QuerySpec
 __all__ = [
     "ReporterNode",
     "ReporterPhase",
+    "reporters",
     "CentralizedServerBase",
     "BatchUpdates",
 ]
@@ -54,6 +53,13 @@ class ReporterNode(MobileNode):
             )
 
 
+def reporters(fleet) -> Population:
+    """One :class:`ReporterNode` per fleet object, built on first use."""
+    return Population(
+        fleet.n, ReporterNode, lambda oid: ReporterNode(oid, fleet)
+    )
+
+
 class ReporterPhase(ClientPhase):
     """Batched tick-start for the centralized baselines.
 
@@ -68,17 +74,15 @@ class ReporterPhase(ClientPhase):
 
     def bind(self, sim) -> None:
         super().bind(sim)
-        for node in sim.mobiles:
-            if not isinstance(node, ReporterNode):
+        for cls in sim.mobiles.classes:
+            if not issubclass(cls, ReporterNode):
                 raise ProtocolError(
-                    f"ReporterPhase cannot drive {type(node).__name__}"
+                    f"ReporterPhase cannot drive {cls.__name__}"
                 )
         from repro.core.fastpath import _base_tick_end
 
         self.skip_tick_end = _base_tick_end(sim.mobiles)
-        self._oids = np.array(
-            [node.oid for node in sim.mobiles], dtype=np.int64
-        )
+        self._oids = sim.mobiles.oids()
 
     def tick_start(self, tick: int) -> None:
         from repro.core.fastpath import _LU_NBYTES, _fleet_xy

@@ -26,8 +26,8 @@ import numpy as np
 from repro.baselines.common import (
     BatchUpdates,
     CentralizedServerBase,
-    ReporterNode,
     ReporterPhase,
+    reporters,
 )
 from repro.geometry import Rect
 from repro.index.knn import knn_search, range_search
@@ -232,12 +232,11 @@ def build_cpm_system(
     server = CpmServer(fleet.universe, grid_cells, record_history=record_history)
     for spec in specs:
         server.register_query(spec)
-    mobiles = [ReporterNode(oid, fleet) for oid in range(fleet.n)]
     server.grid.reserve(fleet.n)
     return RoundSimulator(
         fleet,
         server,
-        mobiles,
+        reporters(fleet),
         latency=latency,
         faults=faults,
         client_phase=ReporterPhase(),

@@ -19,8 +19,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.baselines.common import (
     CentralizedServerBase,
-    ReporterNode,
     ReporterPhase,
+    reporters,
 )
 from repro.errors import ProtocolError
 from repro.geometry import Rect
@@ -101,12 +101,11 @@ def build_periodic_system(
     )
     for spec in specs:
         server.register_query(spec)
-    mobiles = [ReporterNode(oid, fleet) for oid in range(fleet.n)]
     server.grid.reserve(fleet.n)
     return RoundSimulator(
         fleet,
         server,
-        mobiles,
+        reporters(fleet),
         latency=latency,
         faults=faults,
         client_phase=ReporterPhase(),

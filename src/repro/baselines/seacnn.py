@@ -17,8 +17,8 @@ from typing import Dict, Optional, Sequence, Set, Tuple
 
 from repro.baselines.common import (
     CentralizedServerBase,
-    ReporterNode,
     ReporterPhase,
+    reporters,
 )
 from repro.geometry import Rect
 from repro.index.knn import knn_search
@@ -122,12 +122,11 @@ def build_seacnn_system(
     )
     for spec in specs:
         server.register_query(spec)
-    mobiles = [ReporterNode(oid, fleet) for oid in range(fleet.n)]
     server.grid.reserve(fleet.n)
     return RoundSimulator(
         fleet,
         server,
-        mobiles,
+        reporters(fleet),
         latency=latency,
         faults=faults,
         client_phase=ReporterPhase(),

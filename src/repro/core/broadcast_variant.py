@@ -46,7 +46,7 @@ from repro.geometry.region import REGION_EPS
 from repro.metrics.cost import CostMeter
 from repro.net.faults import FaultPlan
 from repro.net.message import Message, MessageKind
-from repro.net.node import MobileNode
+from repro.net.node import MobileNode, Population
 from repro.net.plane import ColumnarBatch
 from repro.net.simulator import RoundSimulator, ZERO_LATENCY
 from repro.server.engine import BaseServer
@@ -447,17 +447,19 @@ def build_broadcast_system(
     for spec in specs:
         server.register_query(spec)
         qids_by_focal.setdefault(spec.focal_oid, []).append(spec.qid)
-    mobiles = [
-        BroadcastMobileNode(oid, fleet, my_qids=qids_by_focal.get(oid, ()))
-        for oid in range(fleet.n)
-    ]
     # fastpath imports this module's node class.
     from repro.core.fastpath import BroadcastSilentPhase
 
     return RoundSimulator(
         fleet,
         server,
-        mobiles,
+        Population(
+            fleet.n,
+            BroadcastMobileNode,
+            lambda oid: BroadcastMobileNode(
+                oid, fleet, my_qids=qids_by_focal.get(oid, ())
+            ),
+        ),
         latency=latency,
         faults=faults,
         client_phase=BroadcastSilentPhase(),

@@ -1,4 +1,5 @@
-"""Wire a complete DKNN system (server + one node per object) together."""
+"""Wire a complete DKNN system (server + a node per object, built on
+demand) together."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ from repro.core.params import DknnParams
 from repro.core.server import DknnServer
 from repro.errors import ProtocolError
 from repro.net.faults import FaultPlan
+from repro.net.node import Population
 from repro.net.simulator import ONE_TICK_LATENCY, ZERO_LATENCY, RoundSimulator
 from repro.server.query_table import QuerySpec
 
@@ -28,8 +30,10 @@ def build_dknn_system(
 ) -> RoundSimulator:
     """Build a ready-to-run simulator for the point-to-point protocol.
 
-    One :class:`DknnMobileNode` is created per fleet object; focal
-    objects are ordinary nodes that additionally receive query circles.
+    Every fleet object is a :class:`DknnMobileNode`, built the first
+    time scalar code needs it (:class:`~repro.net.node.Population`);
+    focal objects are ordinary nodes that additionally receive query
+    circles.
     In one-tick-latency mode the planner margin is widened by the
     fleet's max speed automatically (positions are one tick staler).
     When ``params.fault_tolerant`` is set, mobile nodes are built with
@@ -56,21 +60,22 @@ def build_dknn_system(
     for spec in specs:
         server.register_query(spec)
     ft = params.fault_tolerant
-    mobiles = [
-        DknnMobileNode(
-            oid,
-            fleet,
-            theta=params.theta,
-            ack_installs=ft,
-            violation_retry=params.violation_retry if ft else 0,
-        )
-        for oid in range(fleet.n)
-    ]
+    retry = params.violation_retry if ft else 0
     server.table.reserve(fleet.n)
     return RoundSimulator(
         fleet,
         server,
-        mobiles,
+        Population(
+            fleet.n,
+            DknnMobileNode,
+            lambda oid: DknnMobileNode(
+                oid,
+                fleet,
+                theta=params.theta,
+                ack_installs=ft,
+                violation_retry=retry,
+            ),
+        ),
         latency=latency,
         faults=faults,
         client_phase=DknnSilentPhase(),

@@ -32,7 +32,8 @@ say so) adds the client half of the self-healing protocol:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import ProtocolError
 from repro.geometry import dist
@@ -59,6 +60,12 @@ from repro.core.protocol import (
 
 __all__ = ["DknnMobileNode"]
 
+#: what a node holds in the maps most nodes never write — install
+#: epochs and retry clocks (the fault-tolerant build only), pushed
+#: answers (focal nodes only): one shared read-only empty map, until the
+#: node's first write gives it a dict of its own.
+_UNWRITTEN: Mapping = MappingProxyType({})
+
 _BAND_CLASSES = {
     BAND_ANSWER: AnswerBand,
     BAND_OUTSIDER: OutsiderBand,
@@ -68,6 +75,14 @@ _BAND_CLASSES = {
 
 class DknnMobileNode(MobileNode):
     """One mobile object (possibly also a query focal point)."""
+
+    #: answers known locally (pushed by the server), per query.
+    known_answers: Dict[int, List[int]] = _UNWRITTEN  # type: ignore
+    # -- fault-tolerant state (inert unless ack_installs) -----------------
+    #: newest install epoch applied per query (duplicate filter).
+    _install_epochs: Dict[int, int] = _UNWRITTEN  # type: ignore
+    #: tick each outstanding violation report was last sent.
+    _violation_sent: Dict[int, int] = _UNWRITTEN  # type: ignore
 
     def __init__(
         self,
@@ -91,13 +106,6 @@ class DknnMobileNode(MobileNode):
         self._reported: set = set()
         #: last position this node transmitted to the server.
         self._last_sent: Optional[Tuple[float, float]] = None
-        #: answers known locally (pushed by the server), per query.
-        self.known_answers: Dict[int, List[int]] = {}
-        # -- fault-tolerant state (inert unless ack_installs) -------------
-        #: newest install epoch applied per query (duplicate filter).
-        self._install_epochs: Dict[int, int] = {}
-        #: tick each outstanding violation report was last sent.
-        self._violation_sent: Dict[int, int] = {}
         #: heartbeat interval learned from installs (0 = no lease).
         self._lease = 0
         self._cur_tick = 0
@@ -124,6 +132,8 @@ class DknnMobileNode(MobileNode):
         self.send_server(kind, ViolationReport(qid, x, y))
         self._reported.add(qid)
         if self.violation_retry:
+            if self._violation_sent is _UNWRITTEN:
+                self._violation_sent = {}
             self._violation_sent[qid] = self._cur_tick
         self._mark_sent()
 
@@ -179,13 +189,19 @@ class DknnMobileNode(MobileNode):
 
     # -- message handling --------------------------------------------------
 
+    def _end_episode(self, qid: int) -> None:
+        """Query ``qid`` was repaired (re-installed or revoked): its
+        violation is neither reported any more nor due for a retry."""
+        self._reported.discard(qid)
+        if self._violation_sent:
+            self._violation_sent.pop(qid, None)
+
     def _apply_install(self, payload: InstallBand) -> None:
         region_cls = _BAND_CLASSES[payload.band]
         self.regions[payload.qid] = region_cls(
             payload.ax, payload.ay, payload.radius
         )
-        self._reported.discard(payload.qid)
-        self._violation_sent.pop(payload.qid, None)
+        self._end_episode(payload.qid)
 
     def on_message(self, msg: Message) -> None:
         if msg.kind == MessageKind.PROBE:
@@ -199,6 +215,8 @@ class DknnMobileNode(MobileNode):
             if self.ack_installs and payload.epoch >= 0:
                 held = self._install_epochs.get(payload.qid, -1)
                 if payload.epoch > held:
+                    if self._install_epochs is _UNWRITTEN:
+                        self._install_epochs = {}
                     self._install_epochs[payload.qid] = payload.epoch
                     if payload.lease > 0:
                         self._lease = payload.lease
@@ -218,12 +236,13 @@ class DknnMobileNode(MobileNode):
             if not isinstance(payload, RevokeBand):
                 raise ProtocolError(f"bad REVOKE_REGION payload {payload!r}")
             self.regions.pop(payload.qid, None)
-            self._reported.discard(payload.qid)
-            self._violation_sent.pop(payload.qid, None)
+            self._end_episode(payload.qid)
         elif msg.kind == MessageKind.ANSWER_PUSH:
             payload = msg.payload
             if not isinstance(payload, AnswerPush):
                 raise ProtocolError(f"bad ANSWER_PUSH payload {payload!r}")
+            if self.known_answers is _UNWRITTEN:
+                self.known_answers = {}
             self.known_answers[payload.qid] = list(payload.ids)
         else:
             raise ProtocolError(

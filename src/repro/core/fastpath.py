@@ -51,6 +51,7 @@ from repro.core.client import _BAND_CLASSES, DknnMobileNode
 from repro.core.geocast_variant import GeocastMobileNode
 from repro.core.protocol import (
     BAND_OUTSIDER,
+    BAND_QUERY_CIRCLE,
     CollectReply,
     CollectRequest,
     GeocastInstall,
@@ -58,6 +59,7 @@ from repro.core.protocol import (
     LocationUpdate,
     ProbeReply,
     RevokeBand,
+    ViolationReport,
 )
 from repro.errors import ProtocolError
 from repro.geometry.region import REGION_EPS, _SQ_SLACK_HI, _SQ_SLACK_LO
@@ -89,9 +91,7 @@ def _fleet_xy(fleet) -> Tuple[np.ndarray, np.ndarray]:
 
 def _base_tick_end(mobiles) -> bool:
     """True when every mobile inherits the base no-op ``on_tick_end``."""
-    return all(
-        type(node).on_tick_end is Node.on_tick_end for node in mobiles
-    )
+    return all(cls.on_tick_end is Node.on_tick_end for cls in mobiles.classes)
 
 
 #: uniform wire sizes of the batched uplink payloads.
@@ -110,6 +110,11 @@ _ROW_KIND = {
 _NEVER_SENT = (math.nan, math.nan)
 
 
+def _has_timers(node: DknnMobileNode) -> bool:
+    """Does ``node`` run a protocol timer (violation retry, lease)?"""
+    return bool(node.violation_retry or node._lease > 0)
+
+
 def _band_limits(mon) -> Tuple[float, float]:
     """(inner, outer) band limits of a broadcast monitor — the float
     expressions of ``BroadcastMobileNode.on_tick_start``, so a
@@ -121,33 +126,46 @@ def _band_limits(mon) -> Tuple[float, float]:
 
 
 class _RegionTable:
-    """The armed safe regions of a DKNN fleet, in columns.
+    """The installed safe regions of a DKNN fleet, in columns.
 
-    One row per (node, installed region whose qid is not in the node's
-    ``_reported``): ``oid``, ``qid``, anchor ``(ax, ay)``, ``radius``,
-    ``kind`` (the wire's band code; -1 for a region class without one)
-    and ``limit``, the squared distance the region class compares
-    against — ``radius * radius * _SQ_SLACK_HI`` (``_LO`` for outsider
-    bands), computed in Python floats exactly as
+    One row per (node, installed region): ``oid``, ``qid``, anchor
+    ``(ax, ay)``, ``radius``, ``kind`` (the wire's band code; -1 for a
+    region class without one), ``limit``, the region object itself,
+    ``order`` and ``muted``. ``limit`` is the squared distance the
+    region class compares against — ``radius * radius * _SQ_SLACK_HI``
+    (``_LO`` for outsider bands), computed in Python floats exactly as
     ``SafeRegion.contains`` computes it, so ``dx*dx + dy*dy`` against
     it decides like the scalar check to the bit. A region of unknown
     class gets a limit every position violates: its holder is checked
-    by its own scalar code every tick.
+    by its own scalar code every tick. A ``muted`` row is a region
+    whose violation its node reported (``qid in node._reported``): it
+    is never checked until a repair re-installs or revokes it.
 
-    The table has two writers. :meth:`rewrite` re-reads whole nodes —
-    the touched refresh, after scalar code ran on them: the node's old
-    rows die and its current regions take their place. :meth:`install`
-    / :meth:`revoke` write one query's rows through for a whole batch
-    of receivers at delivery time, leaving those nodes' other rows
-    alone. Both put new rows into dead ones (:meth:`_claim`), and the
-    columns double when there are none left — memory is O(peak rows).
-    Dead rows keep their last ``oid``, so gathering positions by it
-    never needs a mask.
+    The unmuted rows of a node are its armed regions. For a node that
+    is not built yet the rows are all there is of its regions: in
+    ``order`` they are its ``regions`` dict in insertion order (a
+    re-install keeps its row's place, a region revoked and installed
+    again goes last) and the muted ones its ``_reported``, which is
+    what :meth:`regions_of` hands the node when it is built.
+
+    The table has two writers. :meth:`rewrite` re-reads whole built
+    nodes — the touched refresh, after scalar code ran on them: the
+    node's old rows die and its armed regions take their place.
+    :meth:`install` / :meth:`revoke` write one query's rows through for
+    a whole batch of receivers at delivery time, leaving those nodes'
+    other rows alone. Both put new rows into dead ones (:meth:`_claim`),
+    and the columns double when there are none left — memory is O(peak
+    rows). Dead rows keep their last ``oid``, so gathering positions by
+    it never needs a mask.
     """
 
-    __slots__ = (
-        "live", "oid", "qid", "ax", "ay", "radius", "kind", "limit", "_at"
+    #: the columns :meth:`_write` fills, in the order of :meth:`row`'s
+    #: fields; ``muted`` is written False.
+    _COLUMNS = (
+        "oid", "qid", "ax", "ay", "radius", "kind", "limit", "region",
+        "order", "muted",
     )
+    __slots__ = ("live",) + _COLUMNS + ("_at", "_installs")
 
     def __init__(self, n: int) -> None:
         self.live = np.zeros(0, dtype=bool)
@@ -158,9 +176,14 @@ class _RegionTable:
         self.radius = np.zeros(0)
         self.kind = np.zeros(0, dtype=np.int8)
         self.limit = np.zeros(0)
+        self.region = np.zeros(0, dtype=object)
+        self.order = np.zeros(0, dtype=np.int64)
+        self.muted = np.zeros(0, dtype=bool)
         #: scratch, all -1 between calls: a node's position in the oid
         #: set :meth:`rows_of` is looking up.
         self._at = np.full(n, -1, dtype=np.int32)
+        #: batch installs so far: the ``order`` of the rows they add.
+        self._installs = 0
 
     @staticmethod
     def row(oid: int, qid: int, region) -> Tuple:
@@ -168,7 +191,7 @@ class _RegionTable:
         r = region.radius
         kind, slack = _ROW_KIND.get(type(region), (-1, None))
         limit = r * r * slack if kind >= 0 else -math.inf
-        return (oid, qid, region.ax, region.ay, r, kind, limit)
+        return (oid, qid, region.ax, region.ay, r, kind, limit, region)
 
     def rows_of(self, oids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Live rows of the nodes in ``oids`` (unique ids), and for each
@@ -180,13 +203,25 @@ class _RegionTable:
         at[oids] = -1
         return rows, pos[rows]
 
+    def regions_of(self, oid: int) -> Tuple[Dict[int, object], Set[int]]:
+        """The ``regions`` dict and the ``_reported`` set the rows of
+        node ``oid`` stand for."""
+        rows = self.rows_of(np.array([oid]))[0]
+        rows = rows[np.argsort(self.order[rows], kind="stable")]
+        qids = self.qid[rows].tolist()
+        muted = self.muted[rows].tolist()
+        return (
+            dict(zip(qids, self.region[rows].tolist())),
+            {qid for qid, m in zip(qids, muted) if m},
+        )
+
     def _claim(self, m: int) -> np.ndarray:
         """``m`` dead rows to write into; every column doubles first
         when fewer are left."""
         free = np.nonzero(~self.live)[0]
         if free.shape[0] < m:
             size = max(2 * (int(self.live.sum()) + m), 64)
-            for name in self.__slots__[:-1]:
+            for name in ("live",) + self._COLUMNS:
                 old = getattr(self, name)
                 new = np.zeros(size, dtype=old.dtype)
                 new[: old.shape[0]] = old
@@ -194,16 +229,13 @@ class _RegionTable:
             free = np.nonzero(~self.live)[0]
         return free[:m]
 
-    def _write(self, m: int, *values) -> None:
+    def _write(self, m: int, *values, order=0) -> None:
         """Arm ``m`` rows, one assignment per column: ``values`` are
-        the fields of :meth:`row`, each a scalar or ``m`` long."""
+        the fields of :meth:`row` and ``order``, each a scalar or ``m``
+        long."""
         free = self._claim(m)
-        columns = (
-            self.oid, self.qid, self.ax, self.ay, self.radius, self.kind,
-            self.limit,
-        )
-        for column, value in zip(columns, values):
-            column[free] = value
+        for name, value in zip(self._COLUMNS, values + (order, False)):
+            getattr(self, name)[free] = value
         self.live[free] = True
 
     def rewrite(self, oids: np.ndarray, rows: List[Tuple]) -> None:
@@ -216,27 +248,40 @@ class _RegionTable:
     def install(self, oids: np.ndarray, qid: int, region) -> None:
         """Arm ``region`` for query ``qid`` on every node in ``oids``
         (unique ids), in place of the row each held for that query."""
-        self.revoke(oids, qid)
-        self._write(oids.shape[0], oids, *self.row(0, qid, region)[1:])
+        rows, pos = self.rows_of(oids)
+        same = self.qid[rows] == qid
+        rows = rows[same]
+        order = np.full(oids.shape[0], self._installs, dtype=np.int64)
+        order[pos[same]] = self.order[rows]
+        self._installs += 1
+        self.live[rows] = False
+        self._write(
+            oids.shape[0], oids, *self.row(0, qid, region)[1:], order=order
+        )
 
-    def revoke(self, oids: np.ndarray, qid: int) -> None:
+    def revoke(self, oids: np.ndarray, qid: int) -> np.ndarray:
         """Kill the row of query ``qid`` on every node in ``oids``
-        (unique ids) that holds one."""
-        rows = self.rows_of(oids)[0]
-        self.live[rows[self.qid[rows] == qid]] = False
+        (unique ids) that holds one; returns, per node, whether it
+        still holds a row."""
+        rows, pos = self.rows_of(oids)
+        gone = self.qid[rows] == qid
+        self.live[rows[gone]] = False
+        held = np.zeros(oids.shape[0], dtype=bool)
+        held[pos[~gone]] = True
+        return held
 
-    def violators(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Oids (possibly repeated) holding a region that the positions
-        ``(xs, ys)`` violate — ``SafeRegion.violated``, row by row."""
+    def violated(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """The unmuted rows whose region the positions ``(xs, ys)``
+        violate — ``SafeRegion.violated``, row by row."""
         holder = self.oid
         dx = xs[holder] - self.ax
         dy = ys[holder] - self.ay
         d2 = dx * dx + dy * dy
         limit = self.limit
-        violated = self.live & np.where(
+        violated = (self.live & ~self.muted) & np.where(
             self.kind == BAND_OUTSIDER, d2 < limit, d2 > limit
         )
-        return holder[violated]
+        return np.nonzero(violated)[0]
 
 
 class DknnSilentPhase(ClientPhase):
@@ -257,16 +302,29 @@ class DknnSilentPhase(ClientPhase):
     one pass over the :class:`_RegionTable` — so on a build without
     timers the candidates are precisely the nodes that will send.
 
+    **Nodes on demand.** The phase drives a
+    :class:`~repro.net.node.Population`, where a node object exists only
+    once scalar code has needed it. For a node not built yet the
+    columns are the whole node: the drift mirrors are its
+    ``_last_sent`` / ``_last_uplink_tick``, its table rows its
+    ``regions`` and ``_reported``, the builder's theta and timers the
+    rest; :meth:`_adopt` writes them onto the node the moment it is
+    built. Batches reach an unbuilt node through the columns alone, and
+    so does its tick-start when it runs no timers
+    (:meth:`_tick_start_unbuilt`: the same sends, in the same order).
+    What builds a node is a scalar dispatch, the tick-start of a node
+    with timers, a scalar wakeup, or a loop over every node.
+
     The phase keeps ``(sent_x, sent_y, attention, timers)`` mirrors and
-    the nodes' table rows current in two ways. A node on which *scalar*
-    code ran — it was dispatched a PROBE / install / revoke message, or
-    ran as a candidate — is **touched**: whatever that code did is
-    re-read off the node before the next mask evaluation
+    the built nodes' table rows current in two ways. A node on which
+    *scalar* code ran — it was dispatched a PROBE / install / revoke
+    message, or ran as a candidate — is **touched**: whatever that code
+    did is re-read off the node before the next mask evaluation
     (:meth:`flush_touched`). A node reached by a columnar batch is not:
-    :meth:`deliver_batch` applies the batch to the nodes and to the
-    columns in one call, so the table is current at delivery time. The
-    node's local clock is synced at dispatch time — the only observable
-    effect of the scalar tick-start on a silent node.
+    :meth:`deliver_batch` applies the batch to the built nodes and to
+    the columns in one call, so the table is current at delivery time.
+    The node's local clock is synced at dispatch time — the only
+    observable effect of the scalar tick-start on a silent node.
 
     On columnar builds (see :mod:`repro.net.plane`) the phase also
     splits the candidates: the *drift-only* ones — no installed region,
@@ -277,7 +335,7 @@ class DknnSilentPhase(ClientPhase):
     are newer than ``node._last_sent``, and :meth:`_sync_node` flushes
     the mirror back onto the node before any scalar code path (message
     dispatch, scalar candidate run) can read it. Install and revoke
-    batches never desync anyone: they are written through to the
+    batches never desync anyone: they are written through to the built
     nodes, which stay the only source of truth for every scalar path.
     """
 
@@ -294,31 +352,54 @@ class DknnSilentPhase(ClientPhase):
 
     def bind(self, sim) -> None:
         super().bind(sim)
-        for node in sim.mobiles:
-            if not isinstance(node, DknnMobileNode):
+        pop = sim.mobiles
+        for cls in pop.classes:
+            if not issubclass(cls, DknnMobileNode):
                 raise ProtocolError(
-                    f"DknnSilentPhase cannot drive {type(node).__name__}"
+                    f"DknnSilentPhase cannot drive {cls.__name__}"
                 )
-        self.skip_tick_end = _base_tick_end(sim.mobiles)
+        self.skip_tick_end = _base_tick_end(pop)
         n = sim.fleet.n
-        self._node_of: List[DknnMobileNode] = [None] * n  # type: ignore
+        #: the population's node table (None: not built yet) and its
+        #: builder — hot loops read ``node_of[oid] or build(oid)``.
+        self._node_of: List[Optional[DknnMobileNode]] = pop.nodes
+        self._build = pop.build
+        pop.on_build = self._adopt
         self._active = np.zeros(n, dtype=bool)
+        self._active[pop.oids()] = True
         self._theta = np.zeros(n, dtype=np.float64)
         self._sent_x = np.full(n, np.nan)
         self._sent_y = np.full(n, np.nan)
         self._attention = np.zeros(n, dtype=bool)
         self._timers = np.zeros(n, dtype=bool)
-        for node in sim.mobiles:
-            oid = node.oid
-            self._node_of[oid] = node
-            self._active[oid] = True
-            self._theta[oid] = node.theta
-        self._touched: Set[int] = set(node.oid for node in sim.mobiles)
+        # A node nobody has needed yet holds what a fresh one holds: no
+        # region, nothing sent — the mirrors' defaults — and the
+        # builder's theta and timers, read once off a throw-away node.
+        fresh = pop.fresh()
+        if fresh is not None:
+            self._theta[:] = fresh.theta
+            self._timers[:] = _has_timers(fresh)
+        # Nodes built before the phase (a hand-built table) are read
+        # whole at the first flush, whatever state they were given.
+        built = pop.built()
+        for node in built:
+            self._theta[node.oid] = node.theta
+        self._touched: Set[int] = {node.oid for node in built}
         #: batched-uplink state: tick of the last (batched) uplink and
         #: whether the mirror is newer than the node (see _sync_node).
         self._uplink_tick = np.zeros(n, dtype=np.int64)
         self._desynced = np.zeros(n, dtype=bool)
         self.regions = _RegionTable(n)
+
+    def _adopt(self, node: DknnMobileNode) -> None:
+        """Write what the columns hold for a node built just now onto
+        it: its drift origin, and its regions if it holds any."""
+        oid = node.oid
+        self._sync_node(oid)
+        if self._attention[oid]:
+            node.regions, reported = self.regions.regions_of(oid)
+            if reported:
+                node._reported = reported
 
     def _sync_node(self, oid: int) -> None:
         """Flush mirror-authoritative uplink state back onto the node.
@@ -371,7 +452,7 @@ class DknnSilentPhase(ClientPhase):
                 sent_y.append(y)
             regions = node.regions
             attention.append(bool(regions))
-            timers.append(bool(node.violation_retry or node._lease > 0))
+            timers.append(_has_timers(node))
             if regions:
                 # A reported region is muted until repaired: no row.
                 muted = node._reported
@@ -393,12 +474,11 @@ class DknnSilentPhase(ClientPhase):
         dx = xs - self._sent_x
         dy = ys - self._sent_y
         drift = np.sqrt(dx * dx + dy * dy)
-        cand = (
-            np.isnan(self._sent_x)
-            | (drift > self._theta)
-            | (self._attention & self._timers)
-        )
-        cand[self.regions.violators(xs, ys)] = True
+        moved = np.isnan(self._sent_x) | (drift > self._theta)
+        cand = moved | (self._attention & self._timers)
+        table = self.regions
+        hit = table.violated(xs, ys)
+        cand[table.oid[hit]] = True
         cand &= self._active
         n_cand = int(cand.sum())
         if sim.plane_open():
@@ -426,13 +506,26 @@ class DknnSilentPhase(ClientPhase):
                 self._uplink_tick[idx] = tick
                 self._desynced[idx] = True
                 cand &= self._attention
+        # The violated rows by holder, each holder's in its dict order.
+        hit = hit[np.argsort(table.order[hit], kind="stable")]
+        violated: Dict[int, List[int]] = {}
+        for row, oid in zip(hit.tolist(), table.oid[hit].tolist()):
+            violated.setdefault(oid, []).append(row)
         is_down = sim._is_down if sim.faults is not None else None
         touched = self._touched
+        node_of, build, timers = self._node_of, self._build, self._timers
         candidates = np.nonzero(cand)[0].tolist()
         for oid in candidates:
-            node = self._node_of[oid]
-            if is_down is not None and is_down(node.node_id):
+            if is_down is not None and is_down(oid):
                 continue  # blacked out/crashed: no checks, no sends
+            node = node_of[oid]
+            if node is None:
+                if not timers[oid]:
+                    self._tick_start_unbuilt(
+                        oid, tick, bool(moved[oid]), violated.get(oid, [])
+                    )
+                    continue
+                node = build(oid)
             self._sync_node(oid)
             node.on_tick_start(tick)
             touched.add(oid)
@@ -444,6 +537,39 @@ class DknnSilentPhase(ClientPhase):
                 candidates=n_cand,
                 population=int(self._active.sum()),
             )
+
+    def _tick_start_unbuilt(
+        self, oid: int, tick: int, moved: bool, rows: List[int]
+    ) -> None:
+        """``DknnMobileNode.on_tick_start`` of an unbuilt candidate
+        without timers, on the columns: the drift report if it ``moved``,
+        then a violation per violated row in ``rows`` (in the node's
+        dict order), each row muted — and, as it sent something (that is
+        what made it a candidate), its position marked sent."""
+        x, y = self.sim.fleet.positions[oid]
+        send = self.sim.channel.send
+        if moved:
+            send(
+                MessageKind.LOCATION_UPDATE,
+                oid,
+                SERVER_ID,
+                LocationUpdate(x, y),
+            )
+        if rows:
+            table = self.regions
+            for row in rows:
+                kind = (
+                    MessageKind.QUERY_MOVE
+                    if table.kind[row] == BAND_QUERY_CIRCLE
+                    else MessageKind.VIOLATION
+                )
+                report = ViolationReport(int(table.qid[row]), x, y)
+                send(kind, oid, SERVER_ID, report)
+            table.muted[rows] = True
+        self._sent_x[oid] = x
+        self._sent_y[oid] = y
+        self._uplink_tick[oid] = tick
+        self._desynced[oid] = True
 
     def deliver_batch(self, batch: ColumnarBatch) -> bool:
         """Consume a PROBE, INSTALL_REGION or REVOKE_REGION batch in
@@ -496,11 +622,11 @@ class DknnSilentPhase(ClientPhase):
         self._desynced[idx] = True
 
     def _install_batch(self, dsts: np.ndarray, payload) -> bool:
-        """``DknnMobileNode._apply_install`` on every receiver, written
-        through to the table. All receivers share the one region object
-        (regions are immutable values). Declined: an epoch-stamped
-        install (the node acks, dedupes and learns its lease from it)
-        and a band code the node itself would refuse."""
+        """``DknnMobileNode._apply_install`` on every built receiver, and
+        on the table for all of them. All receivers share the one
+        region object (regions are immutable values). Declined: an
+        epoch-stamped install (the node acks, dedupes and learns its
+        lease from it) and a band code the node itself would refuse."""
         if type(payload) is not InstallBand or payload.epoch >= 0:
             return False
         region_cls = _BAND_CLASSES.get(payload.band)
@@ -511,29 +637,29 @@ class DknnSilentPhase(ClientPhase):
         node_of = self._node_of
         for oid in dsts.tolist():
             node = node_of[oid]
-            node.regions[qid] = region
-            node._reported.discard(qid)
-            node._violation_sent.pop(qid, None)
+            if node is not None:
+                node.regions[qid] = region
+                node._end_episode(qid)
         self.regions.install(dsts, qid, region)
         self._attention[dsts] = True
         return True
 
     def _revoke_batch(self, dsts: np.ndarray, payload) -> bool:
         """The REVOKE_REGION arm of ``DknnMobileNode.on_message`` on
-        every receiver, written through to the table."""
+        every built receiver, and on the table for all of them."""
         if type(payload) is not RevokeBand:
             return False
         qid = payload.qid
+        # An unbuilt receiver holds whatever rows it has left.
+        attention = self.regions.revoke(dsts, qid)
         node_of = self._node_of
-        attention: List[bool] = []
-        for oid in dsts.tolist():
+        for i, oid in enumerate(dsts.tolist()):
             node = node_of[oid]
-            regions = node.regions
-            regions.pop(qid, None)
-            node._reported.discard(qid)
-            node._violation_sent.pop(qid, None)
-            attention.append(bool(regions))
-        self.regions.revoke(dsts, qid)
+            if node is not None:
+                regions = node.regions
+                regions.pop(qid, None)
+                node._end_episode(qid)
+                attention[i] = bool(regions)
         self._attention[dsts] = attention
         return True
 
@@ -598,7 +724,10 @@ class BroadcastSilentPhase(ClientPhase):
 
     def bind(self, sim) -> None:
         super().bind(sim)
-        for node in sim.mobiles:
+        # Every node is built here, unlike under DknnSilentPhase: the
+        # focal map and the epoch rule below are read off the nodes.
+        mobiles = list(sim.mobiles)
+        for node in mobiles:
             if not isinstance(node, BroadcastMobileNode):
                 raise ProtocolError(
                     f"BroadcastSilentPhase cannot drive {type(node).__name__}"
@@ -608,7 +737,7 @@ class BroadcastSilentPhase(ClientPhase):
         #: qid -> its focal oid, the one node whose COLLECT handler
         #: returns before the circle test.
         self._focal_of: Dict[int, int] = {
-            qid: node.oid for node in sim.mobiles for qid in node.my_qids
+            qid: node.oid for node in mobiles for qid in node.my_qids
         }
         self._qidx: Dict[int, int] = {
             qid: i for i, qid in enumerate(sorted(self._focal_of))
@@ -629,11 +758,11 @@ class BroadcastSilentPhase(ClientPhase):
         self._reported = np.zeros((q, n), dtype=bool)
         #: per-(query, node) install epoch held, geocast acceptance rule
         #: (-1 = never installed, matching ``_epochs.get(qid, -1)``).
-        self._epoch_mode = bool(sim.mobiles) and isinstance(
-            sim.mobiles[0], GeocastMobileNode
+        self._epoch_mode = bool(mobiles) and isinstance(
+            mobiles[0], GeocastMobileNode
         )
         self._epoch = np.full((q, n), -1, dtype=np.int64)
-        for node in sim.mobiles:
+        for node in mobiles:
             oid = node.oid
             self._node_of[oid] = node
             self._active[oid] = True

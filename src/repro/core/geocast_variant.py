@@ -48,6 +48,7 @@ from repro.geometry.region import REGION_EPS
 from repro.metrics.cost import CostMeter
 from repro.net.faults import FaultPlan
 from repro.net.message import Message, MessageKind
+from repro.net.node import Population
 from repro.net.simulator import RoundSimulator, ZERO_LATENCY
 from repro.server.query_table import QuerySpec
 
@@ -328,17 +329,19 @@ def build_geocast_system(
     for spec in specs:
         server.register_query(spec)
         qids_by_focal.setdefault(spec.focal_oid, []).append(spec.qid)
-    mobiles = [
-        GeocastMobileNode(oid, fleet, my_qids=qids_by_focal.get(oid, ()))
-        for oid in range(fleet.n)
-    ]
     # fastpath imports this module's node class.
     from repro.core.fastpath import BroadcastSilentPhase
 
     return RoundSimulator(
         fleet,
         server,
-        mobiles,
+        Population(
+            fleet.n,
+            GeocastMobileNode,
+            lambda oid: GeocastMobileNode(
+                oid, fleet, my_qids=qids_by_focal.get(oid, ())
+            ),
+        ),
         latency=latency,
         faults=faults,
         client_phase=BroadcastSilentPhase(),

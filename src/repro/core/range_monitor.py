@@ -37,7 +37,7 @@ from repro.geometry.region import REGION_EPS
 from repro.metrics.cost import CostMeter
 from repro.net.faults import FaultPlan
 from repro.net.message import Message, MessageKind
-from repro.net.node import MobileNode
+from repro.net.node import MobileNode, Population
 from repro.net.simulator import RoundSimulator, ZERO_LATENCY
 from repro.server.engine import BaseServer
 
@@ -415,10 +415,13 @@ def build_range_system(
     for spec in specs:
         server.register_range_query(spec)
         qids_by_focal.setdefault(spec.focal_oid, []).append(spec.qid)
-    mobiles = [
-        RangeMobileNode(oid, fleet, my_qids=qids_by_focal.get(oid, ()))
-        for oid in range(fleet.n)
-    ]
+    mobiles = Population(
+        fleet.n,
+        RangeMobileNode,
+        lambda oid: RangeMobileNode(
+            oid, fleet, my_qids=qids_by_focal.get(oid, ())
+        ),
+    )
     return RoundSimulator(
         fleet, server, mobiles, latency=latency, faults=faults
     )

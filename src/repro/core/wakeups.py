@@ -108,7 +108,7 @@ class DknnWakeupPlanner:
             act[at] = np.where(a >= 0, tick + a, -1)
             resolve[at] = np.where(r >= 0, tick + r, -1)
             scalar[at[~solved]] = True
-        nodes = self.sim._nodes_by_id
+        nodes = self.sim.mobiles
         for i in np.nonzero(scalar)[0].tolist():
             a, r = self.wakeup(nodes[int(oids[i])], tick)
             act[i] = -1 if a is None else a
@@ -128,6 +128,8 @@ class DknnWakeupPlanner:
         claims = fleet.motion_claims(oids)
         table = phase.regions
         rows, node = table.rows_of(oids)
+        armed = ~table.muted[rows]
+        rows, node = rows[armed], node[armed]
         kind = table.kind[rows]
         claims.mode[node[kind < 0]] = SCALAR  # unknown class: stay awake
         enter = kind == BAND_OUTSIDER
@@ -250,9 +252,6 @@ def planner_for(sim) -> Optional[DknnWakeupPlanner]:
     planner, which makes the event engine run every tick in full:
     slower, never wrong.
     """
-    if not sim.mobiles:
+    if not sim.mobiles or sim.mobiles.classes != {DknnMobileNode}:
         return None
-    for node in sim.mobiles:
-        if type(node) is not DknnMobileNode:
-            return None
     return DknnWakeupPlanner(sim)

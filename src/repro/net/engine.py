@@ -180,7 +180,9 @@ class EventDriver:
 
     Every mobile has at most one live heap entry — its next act or
     re-solve tick. Entries are invalidated lazily (the ``_entry`` map
-    is authoritative; stale heap rows are dropped when popped). Acts
+    is authoritative; stale heap rows are dropped when popped). The
+    opening tick, on which every mobile acts, is one state instead of
+    a row per node, drained by the first :meth:`after_full_step`. Acts
     are recomputed when they fire, when the node receives a message
     (the simulator reports receivers via :meth:`note_node` /
     :meth:`note_ids`), and after every full tick a node was due on —
@@ -201,6 +203,10 @@ class EventDriver:
         self._resolves: List[Tuple[int, int]] = []
         self._entry: Dict[int, Tuple[int, int]] = {}
         self._touched: Set[int] = set()
+        #: the tick every mobile acts on, until it has run: everyone
+        #: must register with the server first, so it is a full one for
+        #: the whole fleet. None once drained.
+        self._opening: Optional[int] = None
         self._last_snapshot: Optional[int] = None
         self.planner = None
         if config.mode == "event":
@@ -208,15 +214,8 @@ class EventDriver:
 
             self.planner = planner_for(sim)
             if self.planner is not None:
-                # Everyone must register with the server first: the
-                # initial tick is a full one for the whole fleet. An
-                # ascending list is a heap as it stands.
-                first = sim.tick + 1
-                self._acts = sorted((first, node.oid) for node in sim.mobiles)
-                self._entry = dict.fromkeys(
-                    (oid for _, oid in self._acts), (first, _ACT)
-                )
-                self.scheduled = len(self._acts)
+                self._opening = sim.tick + 1
+                self.scheduled = len(sim.mobiles)
 
     # -- heap bookkeeping --------------------------------------------------
 
@@ -232,6 +231,8 @@ class EventDriver:
         self.scheduled += 1
 
     def _next_act(self) -> Optional[int]:
+        if self._opening is not None:
+            return self._opening  # nothing is scheduled before it
         acts = self._acts
         entry = self._entry
         while acts:
@@ -241,12 +242,12 @@ class EventDriver:
             heappop(acts)  # stale row, superseded
         return None
 
-    def _replan(self, due: List[int], tick: int) -> None:
+    def _replan(self, due: np.ndarray, tick: int) -> None:
         """Recompute the wakeups of ``due`` (repeats allowed), in
         ascending oid order."""
-        if not due:
+        if not due.shape[0]:
             return
-        oids = np.unique(np.fromiter(due, np.int64, len(due)))
+        oids = np.unique(due)
         acts, resolves = self.planner.wakeups(oids, tick)
         entry = self._entry
         for oid, act, resolve in zip(
@@ -300,7 +301,7 @@ class EventDriver:
             del entry[oid]
             self.fired += 1
             due.append(oid)
-        self._replan(due, tick)
+        self._replan(np.array(due, dtype=np.int64), tick)
         self.skipped_ticks += 1
         tel = sim.telemetry
         if tel.enabled and tel.metrics is not None:
@@ -327,7 +328,13 @@ class EventDriver:
                         del entry[oid]
                         self.fired += 1
                         due.append(oid)
-            self._replan(due, tick)
+            oids = np.array(due, dtype=np.int64)
+            if self._opening is not None:
+                everyone = sim.mobiles.oids()
+                self.fired += everyone.shape[0]
+                oids = np.concatenate((everyone, oids))
+                self._opening = None
+            self._replan(oids, tick)
         self._touched.clear()
         self._maybe_snapshot(tick)
 
@@ -377,7 +384,8 @@ class EventDriver:
             "scheduled": self.scheduled,
             "fired": self.fired,
             "cancelled": self.cancelled,
-            "pending": len(self._entry),
+            "pending": len(self._entry)
+            + (len(self.sim.mobiles) if self._opening is not None else 0),
             "skipped_ticks": self.skipped_ticks,
             "full_ticks": self.full_ticks,
         }

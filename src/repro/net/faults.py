@@ -320,7 +320,7 @@ class FaultyChannel(Channel):
     def _broadcast_receivers(self, msg: Message) -> int:
         gone = self.plan.down_at(self._tick)
         gone.add(msg.src)
-        return len(self._registered) - len(gone & self._registered)
+        return self.registered_count() - sum(map(self.is_registered, gone))
 
     def _unicast_receivers(self, msg: Message) -> int:
         if self.plan.is_down(msg.dst, self._tick):

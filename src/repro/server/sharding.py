@@ -124,7 +124,7 @@ import numpy as np
 from repro.errors import ConfigError, NetworkError
 from repro.geometry import Rect
 from repro.metrics.cost import CostMeter
-from repro.net.message import HEADER_BYTES, Message, SERVER_ID, payload_size
+from repro.net.message import HEADER_BYTES, Message, payload_size
 from repro.net.node import ServerNodeBase
 from repro.net.shardlink import (
     SHARD_BORROW,
@@ -1791,8 +1791,8 @@ def shard_attach(
     (the backbone drop / delay / seed come from the plan).
 
     The inner server keeps its channel registration (same SERVER_ID
-    address); the wrapper takes its place in the simulator's dispatch
-    tables and interposes the downlink-ledger proxy on the inner
+    address); the wrapper takes its place as the simulator's server and
+    interposes the downlink-ledger proxy on the inner
     engine's channel slot. Returns the installed :class:`ShardedServer`.
     """
     if not isinstance(config, ShardConfig):
@@ -1824,6 +1824,5 @@ def shard_attach(
     tier._channel = sim.channel
     inner._channel = _InnerChannelProxy(sim.channel, tier)
     tier.telemetry = sim.telemetry
-    sim.server = tier
-    sim._nodes_by_id[SERVER_ID] = tier
+    sim.server = tier  # the simulator's receiver lookup reads this slot
     return tier

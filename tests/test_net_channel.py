@@ -30,6 +30,27 @@ class TestRegistration:
         assert not channel.is_registered(99)
         assert channel.node_ids == {SERVER_ID, 0, 1}
 
+    def test_mobile_range_answers_as_one_registration_per_id(self):
+        ch = Channel()
+        ch.register(SERVER_ID)
+        ch.register_mobiles(3)
+        assert ch.node_ids == {SERVER_ID, 0, 1, 2}
+        assert ch.is_registered(2) and not ch.is_registered(3)
+        with pytest.raises(NetworkError):
+            ch.register(1)
+        with pytest.raises(NetworkError):
+            ch.register_mobiles(5)
+        with pytest.raises(NetworkError):
+            ch.send(MessageKind.LOCATION_UPDATE, 3, SERVER_ID)
+        ch.send(MessageKind.LOCATION_UPDATE, 2, SERVER_ID)
+        ch.send(MessageKind.COLLECT, SERVER_ID, BROADCAST_ID)
+        ch.collect()
+        assert ch.stats.broadcast_receptions == 3
+
+    def test_mobile_range_may_not_cover_a_registered_id(self, channel):
+        with pytest.raises(NetworkError):
+            channel.register_mobiles(4)
+
 
 class TestSend:
     def test_unknown_sender_raises(self, channel):

@@ -15,7 +15,7 @@ from repro.experiments.config import RunConfig
 from repro.mobility import Fleet, StationaryMover
 from repro.net.channel import Channel
 from repro.net.faults import FaultPlan, FaultyChannel
-from repro.net.message import SERVER_ID, MessageKind
+from repro.net.message import BROADCAST_ID, SERVER_ID, MessageKind
 from repro.net.simulator import RoundSimulator
 from repro.net.node import MobileNode, ServerNodeBase
 from repro.workloads import WorkloadSpec, build_workload
@@ -161,6 +161,20 @@ class TestFaultyChannel:
         ch.begin_tick(5)
         ch.send(MessageKind.LOCATION_UPDATE, 0, SERVER_ID)
         assert ch.pending() == 1  # faults ceased
+
+    @pytest.mark.parametrize("one_call", [False, True], ids=["each", "range"])
+    def test_broadcast_receivers_leave_out_down_nodes(self, one_call):
+        ch = FaultyChannel(FaultPlan(crashes=[(1, 0), (7, 0)]))
+        ch.register(SERVER_ID)
+        if one_call:
+            ch.register_mobiles(3)
+        else:
+            for oid in range(3):
+                ch.register(oid)
+        ch.send(MessageKind.COLLECT, SERVER_ID, BROADCAST_ID)
+        ch.collect()
+        # 0 and 2 hear it; not the sender, crashed 1 or unregistered 7
+        assert ch.stats.broadcast_receptions == 2
 
     def test_fault_decisions_are_deterministic(self):
         def trace(seed):
