@@ -5,17 +5,22 @@ pattern — every object streams its exact position to the server every
 tick — and differ only in server-side evaluation cost. This module
 provides the per-tick reporter node and the server base that ingests
 the stream, keeps an exact grid, tracks per-tick movements, and pushes
-answers to focal nodes; subclasses implement ``_process``.
+answers to focal nodes; subclasses implement ``_process``. SEA and CPM
+share one dirty rule, :class:`AnswerRegionServer`, and differ only in
+how a dirty query is repaired.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
+
+import numpy as np
 
 from repro.core.protocol import AnswerPush, LocationUpdate
 from repro.errors import ProtocolError
 from repro.geometry import Rect
 from repro.index.grid import UniformGrid
+from repro.metrics.cost import CostMeter
 from repro.net.message import SERVER_ID, Message, MessageKind
 from repro.net.node import MobileNode, Population
 from repro.net.plane import MIN_BATCH, ColumnarBatch
@@ -28,6 +33,7 @@ __all__ = [
     "ReporterPhase",
     "reporters",
     "CentralizedServerBase",
+    "AnswerRegionServer",
     "BatchUpdates",
 ]
 
@@ -118,8 +124,8 @@ class BatchUpdates:
     ``old_x``/``old_y`` are only meaningful where ``known``;
     ``old_cell``/``new_cell`` are the grid's linear cell ids from
     :meth:`UniformGrid.update_batch` (``old_cell == -1`` for new
-    objects), which is what lets CPM's dirty detection skip re-deriving
-    cells from coordinates.
+    objects), which is what lets the answer-region dirty check skip
+    re-deriving cells from coordinates.
     """
 
     __slots__ = (
@@ -138,19 +144,6 @@ class BatchUpdates:
         self.new_y = new_y
         self.old_cell = old_cell
         self.new_cell = new_cell
-
-    def expand(self) -> List[
-        Tuple[int, Optional[Tuple[float, float]], Tuple[float, float]]
-    ]:
-        """The scalar ``(oid, old, new)`` tuples this batch replaced."""
-        out = []
-        known = self.known.tolist()
-        ox, oy = self.old_x.tolist(), self.old_y.tolist()
-        nx, ny = self.new_x.tolist(), self.new_y.tolist()
-        for i, oid in enumerate(self.oids.tolist()):
-            old = (ox[i], oy[i]) if known[i] else None
-            out.append((oid, old, (nx[i], ny[i])))
-        return out
 
 
 class CentralizedServerBase(BaseServer):
@@ -194,7 +187,7 @@ class CentralizedServerBase(BaseServer):
         Vectorized twin of :meth:`on_message`: capture pre-update
         positions, one ``update_batch`` into the grid (same total
         INDEX_UPDATE charges), and log a :class:`BatchUpdates` record
-        in arrival order for ``_process`` / ``_process_entries``.
+        in arrival order for ``_process``.
         """
         if batch.kind is not MessageKind.TICK_REPORT:
             return False
@@ -228,36 +221,14 @@ class CentralizedServerBase(BaseServer):
         self._processed_tick = tick
         entries = self._updates
         self._updates = []
-        if any(type(e) is BatchUpdates for e in entries):
-            if self._process_entries(tick, entries):
-                return
-            expanded: List = []
-            for e in entries:
-                if type(e) is BatchUpdates:
-                    expanded.extend(e.expand())
-                else:
-                    expanded.append(e)
-            entries = expanded
         self._process(tick, entries)
 
-    def _process_entries(self, tick: int, entries: List) -> bool:
-        """Evaluate the tick directly from the mixed update log.
+    def _process(self, tick: int, entries: List) -> None:
+        """Evaluate all queries for this tick (subclass responsibility).
 
-        ``entries`` holds scalar ``(oid, old, new)`` tuples and
-        :class:`BatchUpdates` records in arrival order. Return True to
-        claim the tick; the default declines, and the caller expands
-        the batches into tuples for the scalar :meth:`_process`.
+        ``entries`` is the tick's update log: scalar ``(oid, old, new)``
+        tuples and :class:`BatchUpdates` records, in arrival order.
         """
-        return False
-
-    def _process(
-        self,
-        tick: int,
-        updates: List[
-            Tuple[int, Optional[Tuple[float, float]], Tuple[float, float]]
-        ],
-    ) -> None:
-        """Evaluate all queries for this tick (subclass responsibility)."""
         raise NotImplementedError
 
     # -- answer delivery --------------------------------------------------------
@@ -283,3 +254,121 @@ class CentralizedServerBase(BaseServer):
         if spec.focal_oid not in self.grid:
             return None
         return self.grid.position_of(spec.focal_oid)
+
+
+def _touched_cells(
+    batch: BatchUpdates, moved: np.ndarray, n_cells: int
+) -> np.ndarray:
+    """Ascending distinct linear ids of the cells that the ``moved``
+    rows of ``batch`` left or entered: one flag per cell, set by
+    scatter (a first-time insert has no old cell — ``old_cell`` is -1
+    there and must not flag the last cell)."""
+    mark = np.zeros(n_cells, dtype=bool)
+    mark[batch.old_cell[moved & batch.known]] = True
+    mark[batch.new_cell[moved]] = True
+    return np.flatnonzero(mark)
+
+
+class AnswerRegionServer(CentralizedServerBase):
+    """SEA-CNN's answer-region dirty tracking, shared by SEA and CPM.
+
+    Each query's *answer region* is the circle of radius ``d_k`` around
+    its focal position; a cell-to-queries index covers it. A query is
+    dirty when it was never evaluated, its focal object reported a new
+    position, or a moved object left or entered a cell of its answer
+    region. Only dirty queries are repaired, in ascending qid, by the
+    subclass's :meth:`_repair`; the rest cost nothing.
+    """
+
+    def __init__(
+        self,
+        universe: Rect,
+        grid_cells: int = 32,
+        record_history: bool = False,
+    ) -> None:
+        super().__init__(universe, grid_cells, record_history=record_history)
+        #: qid -> cells currently covered by the query's answer region.
+        self._region_cells: Dict[int, Set[Tuple[int, int]]] = {}
+        #: cell -> qids whose answer region covers it.
+        self._cell_map: Dict[Tuple[int, int], Set[int]] = {}
+
+    def _set_region(self, qid: int, qx: float, qy: float, d_k: float) -> None:
+        new_cells = set(self.grid.cells_intersecting_circle(qx, qy, d_k))
+        old_cells = self._region_cells.get(qid, set())
+        for cell in old_cells - new_cells:
+            members = self._cell_map[cell]
+            members.discard(qid)
+            if not members:
+                del self._cell_map[cell]
+        for cell in new_cells - old_cells:
+            self._cell_map.setdefault(cell, set()).add(qid)
+        self._region_cells[qid] = new_cells
+        self.meter.charge(CostMeter.BOOKKEEPING, len(new_cells ^ old_cells))
+
+    def _process(self, tick: int, entries: List) -> None:
+        """Find the dirty queries in the update log and repair them.
+
+        Per report: the focal object's queries are dirty if its
+        position changed (or it is new); a changed report charges one
+        BOOKKEEPING and dirties every query whose answer region holds
+        its old or its new cell. A :class:`BatchUpdates` record does
+        the same with masks over its columns plus a lookup of the (few)
+        distinct touched cells in ``_cell_map``.
+        """
+        dirty = {
+            spec.qid for spec in self.queries
+            if spec.qid not in self._region_cells
+        }
+        grid = self.grid
+        cells = grid.cells
+        cell_map = self._cell_map
+        focals = [(spec.focal_oid, spec.qid) for spec in self.queries]
+        for e in entries:
+            if type(e) is not BatchUpdates:
+                oid, old, new = e
+                if old == new:
+                    continue  # a parked object cannot affect any answer
+                dirty.update(self.queries.queries_of_focal(oid))
+                self.meter.charge(CostMeter.BOOKKEEPING)
+                if old is not None:
+                    dirty.update(cell_map.get(grid.cell_of(*old), ()))
+                dirty.update(cell_map.get(grid.cell_of(*new), ()))
+                continue
+            moved = ~e.known | (e.old_x != e.new_x) | (e.old_y != e.new_y)
+            if e.oids.shape[0] and focals:
+                # Focal objects are few; locate each in the (ascending
+                # oid) batch instead of scanning the batch for them.
+                oids = e.oids
+                n = oids.shape[0]
+                for foid, qid in focals:
+                    i = int(np.searchsorted(oids, foid))
+                    if i < n and oids[i] == foid and moved[i]:
+                        dirty.add(qid)
+            n_moved = int(np.count_nonzero(moved))
+            if not n_moved:
+                continue
+            self.meter.charge(CostMeter.BOOKKEEPING, n_moved)
+            if cell_map:
+                for lin in _touched_cells(e, moved, cells * cells).tolist():
+                    qids = cell_map.get((lin // cells, lin % cells))
+                    if qids:
+                        dirty.update(qids)
+        # Sorted so the repair (and answer-push) order is a function of
+        # the dirty *set*, not of how the update log happened to build it.
+        for qid in sorted(dirty):
+            spec = self.queries.get(qid)
+            focal = self.focal_position(spec)
+            if focal is None:
+                continue  # focal report lost so far; stale answer stands
+            qx, qy = focal
+            result = self._repair(spec, qx, qy)
+            self._set_region(qid, qx, qy, result[-1][0] if result else 0.0)
+            self.publish_and_push(spec, [oid for _, oid in result])
+
+    def _repair(
+        self, spec: QuerySpec, qx: float, qy: float
+    ) -> List[Tuple[float, int]]:
+        """The new answer of a dirty query at focal position ``(qx,
+        qy)``, as ascending ``(distance, oid)`` (subclass
+        responsibility)."""
+        raise NotImplementedError

@@ -47,13 +47,8 @@ class PeriodicServer(CentralizedServerBase):
             raise ProtocolError(f"period must be >= 1, got {period}")
         self.period = period
 
-    def _process_entries(self, tick: int, entries: List) -> bool:
-        # The scan reads the grid, never the update log: claim the tick
-        # so no batch is expanded into tuples nobody looks at.
-        self._process(tick, ())
-        return True
-
-    def _process(self, tick, updates) -> None:
+    def _process(self, tick: int, entries: List) -> None:
+        # The scan reads the grid, never the update log.
         if (tick - 1) % self.period != 0:
             return
         for spec in self.queries:

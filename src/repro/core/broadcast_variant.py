@@ -388,8 +388,15 @@ class BroadcastMobileNode(MobileNode):
                     if qid in self.my_qids
                     else MessageKind.VIOLATION
                 )
-                self.send_server(kind, ViolationReport(qid, x, y))
+                self.send_server(
+                    kind, ViolationReport(qid, x, y, epoch=self._epoch_of(qid))
+                )
                 self._reported.add(qid)
+
+    def _epoch_of(self, qid: int) -> int:
+        """The epoch a violation of ``qid`` is stamped with; -1 (none:
+        no bytes on the wire) under DKNN-B."""
+        return -1
 
     def on_message(self, msg: Message) -> None:
         payload = msg.payload
@@ -425,24 +432,34 @@ def build_broadcast_system(
     faults: Optional[FaultPlan] = None,
     telemetry=None,
 ) -> RoundSimulator:
-    """Build a ready-to-run simulator for the broadcast protocol.
+    """Build a ready-to-run simulator for the broadcast protocol."""
+    server = DknnBroadcastServer(
+        fleet.universe,
+        params if params is not None else BroadcastParams(),
+        record_history=record_history,
+    )
+    return _build_system(
+        fleet, specs, server, BroadcastMobileNode, latency, faults, telemetry
+    )
+
+
+def _build_system(
+    fleet, specs, server, node_cls, latency, faults, telemetry
+) -> RoundSimulator:
+    """The DKNN-B/G simulator: ``server`` with ``specs`` registered, one
+    ``node_cls`` node per fleet object.
 
     The per-tick band checks of all nodes run in one vectorized pass
     (:class:`~repro.core.fastpath.BroadcastSilentPhase`); installs
     reach a node's ``monitors`` right before its own code next reads
     them, and the replies a collect draws leave as one batch.
     """
-    if params is None:
-        params = BroadcastParams()
     for spec in specs:
         if not 0 <= spec.focal_oid < fleet.n:
             raise ProtocolError(
                 f"query {spec.qid}: focal object {spec.focal_oid} "
                 f"not in fleet of {fleet.n}"
             )
-    server = DknnBroadcastServer(
-        fleet.universe, params, record_history=record_history
-    )
     qids_by_focal: Dict[int, List[int]] = {}
     for spec in specs:
         server.register_query(spec)
@@ -455,8 +472,8 @@ def build_broadcast_system(
         server,
         Population(
             fleet.n,
-            BroadcastMobileNode,
-            lambda oid: BroadcastMobileNode(
+            node_cls,
+            lambda oid: node_cls(
                 oid, fleet, my_qids=qids_by_focal.get(oid, ())
             ),
         ),

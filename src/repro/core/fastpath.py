@@ -21,14 +21,15 @@ Exactness is preserved by construction, not by approximation:
 * candidates run in the simulator's mobile order (ascending oid), so
   message order on the channel — and therefore server processing order
   and every downstream statistic — is unchanged;
-* node state the phase mirrors in arrays (drift origins, installed
-  monitors) is re-read from the nodes themselves whenever scalar code
-  could have changed it (the *touched* set), never extrapolated —
-  unless all that code can change is one known thing, which is then
-  copied on the spot (a broadcast node's tick-start only adds to
-  ``_reported``); where the phase applies a whole batch itself it does
-  to each node exactly what the node's handler does and writes the
-  same values to its columns in the same call;
+* node state the phase mirrors in arrays is never extrapolated. A
+  DKNN-P node's drift origin and regions are re-read from the node
+  whenever scalar code could have changed them (the *touched* set). A
+  broadcast node's monitors are never re-read: every install reaches
+  the mirror through ``deliver_area`` (an install that does not is a
+  ``ProtocolError``), and all a tick-start can change — it adds to
+  ``_reported`` — is copied on the spot. Where the phase applies a whole batch itself it
+  does to each node exactly what the node's handler does and writes
+  the same values to its columns in the same call;
 * where the phase answers for the nodes — probe replies, drift
   reports, the replies a DKNN-B/G collect round draws — the batch it
   sends holds, in the nodes' own send order, exactly the messages
@@ -700,13 +701,12 @@ class BroadcastSilentPhase(ClientPhase):
       end up holding and which it would have seen first, and
       :meth:`_replay` hands a node's own handler just those — at most
       two per query, however long the node was silent — right before
-      the two places scalar code reads what installs write
+      the one place scalar code reads what installs write
       (``monitors`` / ``_reported`` / ``_epochs`` / ``known_answers``):
-      the node's tick-start as a candidate, and a scalar-dispatched
-      install. COLLECT and PROBE handlers read none of it, so they run
-      on a node that has not caught up. The log drops full broadcasts
-      no node can still be owed, so it does not grow with the run's
-      age;
+      the node's tick-start as a candidate. COLLECT and PROBE handlers
+      read none of it, so they run on a node that has not caught up.
+      The log drops full broadcasts no node can still be owed, so it
+      does not grow with the run's age;
     * ``COLLECT`` requests are answered as a **round**
       (:meth:`_collect_round`): the in-circle test every receiver
       would run scalar is evaluated once, vectorized, and the replies
@@ -715,11 +715,12 @@ class BroadcastSilentPhase(ClientPhase):
       in-circle nodes alone; for everyone else delivery is a provable
       no-op.
 
-    A candidate's tick-start can change one thing the mirror holds —
-    it adds to ``_reported`` — and that is written to the cells on the
-    spot. Only a node a *scalar* install was dispatched to (no built
-    system sends one; a hand-fed unicast does) is re-read whole,
-    through the touched set, before the next band check.
+    The mirror is never re-read off the nodes. A candidate's
+    tick-start can change one thing it holds — it adds to
+    ``_reported`` — and that is written to the cells on the spot.
+    Installs have one way in, :meth:`deliver_area`: an install
+    dispatched to one node, or geocast with a payload other than a
+    :class:`GeocastInstall`, raises :class:`ProtocolError`.
     """
 
     def bind(self, sim) -> None:
@@ -795,20 +796,17 @@ class BroadcastSilentPhase(ClientPhase):
         #: and skipped (reported per tick in ``fastpath.candidates``).
         self._replayed = 0
         self._superseded = 0
-        #: oids a scalar install was dispatched to: their whole view is
-        #: re-read before the next band check.
-        self._touched_nodes: Set[int] = set()
 
     def _replay(self, node: "BroadcastMobileNode") -> None:
         """Hand the node's handler its pending installs, coalesced.
 
         Lazily-delivered installs (see :meth:`deliver_area`) must reach
         the node's own ``on_message`` before scalar code reads what
-        they write — a candidate tick-start, a scalar install, or a
-        mirror refresh. Of the pending installs of one query only two
-        can be observed afterwards: the *final* one — the last carrying
-        the highest epoch, since the handler keeps the newest epoch and
-        within it the latest install; it is the node's monitor, known
+        they write: its tick-start as a candidate. Of the pending
+        installs of one query only two can be observed afterwards: the
+        *final* one — the last carrying the highest epoch, since the
+        handler keeps the newest epoch and within it the latest
+        install; it is the node's monitor, known
         answer and, through the handler's own epoch gate, ``_reported``
         re-arm (without epochs it is simply the last) — and the *first*
         the node was ever reachable for, which inserts the key into
@@ -832,25 +830,6 @@ class BroadcastSilentPhase(ClientPhase):
         self._replayed += len(picks)
         self._superseded += int(self._pending[oid]) - len(picks)
         self._pending[oid] = 0
-
-    def _refresh_pair(self, oid: int, qid: int) -> None:
-        node = self._node_of[oid]
-        qi = self._qidx[qid]
-        if self._epoch_mode:
-            self._epoch[qi, oid] = node._epochs.get(qid, -1)
-        mon = node.monitors.get(qid)
-        reported = qid in node._reported
-        self._reported[qi, oid] = reported
-        if mon is None or reported or math.isinf(mon.threshold):
-            self._armed[qi, oid] = False
-            return
-        member = oid in mon.answer_ids
-        inner, outer = _band_limits(mon)
-        self._armed[qi, oid] = True
-        self._ax[qi, oid] = mon.ax
-        self._ay[qi, oid] = mon.ay
-        self._member[qi, oid] = member
-        self._bound[qi, oid] = inner if member else outer
 
     def _defer_install(self, msg: Message, mask: Optional[np.ndarray]) -> None:
         """Mirror one install broadcast onto its receivers' rows and
@@ -922,12 +901,6 @@ class BroadcastSilentPhase(ClientPhase):
         return sim.faults.down_at(sim.tick) if sim.faults is not None else ()
 
     def tick_start(self, tick: int) -> None:
-        if self._touched_nodes:
-            for oid in self._touched_nodes:
-                self._replay(self._node_of[oid])
-                for qid in self._qidx:
-                    self._refresh_pair(oid, qid)
-            self._touched_nodes.clear()
         xs, ys = _fleet_xy(self.sim.fleet)
         # One query row at a time, in scratch that stays in cache. The
         # strip |dx| < limit holds every outsider that can be inside
@@ -988,21 +961,14 @@ class BroadcastSilentPhase(ClientPhase):
             self._replayed = self._superseded = 0
 
     def before_dispatch(self, node: Node, msg: Message) -> None:
-        # A scalar install writes the node's monitor view: the deferred
-        # ones must land first, in delivery order, and the whole view
-        # is re-read next tick. COLLECT and PROBE handlers read and
-        # write none of it; they need no replay.
-        # No built system gets here: every server sends its installs
-        # through broadcast() / geocast(), which deliver_area claims
-        # (0 hits over tier-1 runs, the --smoke benchmark, chaos and
-        # the quick sweeps). What does: the `unicast` op of
-        # test_coalesced_replay_matches_sequential_walk, and any
-        # install deliver_area declines — a geocast whose payload is
-        # not a GeocastInstall. This arm, _touched_nodes and
-        # _refresh_pair are that fallback.
+        # COLLECT and PROBE handlers read and write none of the monitor
+        # view; they need no replay. An install reaching a node here
+        # went around the mirror.
         if msg.kind is MessageKind.BROADCAST_INSTALL:
-            self._replay(node)  # type: ignore[arg-type]
-            self._touched_nodes.add(node.oid)
+            raise ProtocolError(
+                f"install {msg.payload!r} dispatched to node {node.oid} "
+                "bypasses the broadcast phase's mirror"
+            )
 
     def _up_mask(self, base: np.ndarray) -> Optional[np.ndarray]:
         """``base`` minus currently-down nodes; None means "all active".
@@ -1083,9 +1049,10 @@ class BroadcastSilentPhase(ClientPhase):
         Claims COLLECT requests (:meth:`_collect_round`) and install
         broadcasts/geocasts (mirrored into the arrays vectorized,
         logged for lazy per-node replay; a geocast reaches the nodes
-        inside the squared compare of ``covers()``). Anything else —
-        a mobile broadcasting, an unknown coverage shape — is left to
-        the scalar loop.
+        inside the squared compare of ``covers()``); an install
+        geocast whose payload is not a :class:`GeocastInstall` raises
+        :class:`ProtocolError`. Anything else — a mobile broadcasting,
+        an unknown collect shape — is left to the scalar loop.
         """
         if msg.src != SERVER_ID or msg.dst not in (BROADCAST_ID, GEOCAST_ID):
             return False
@@ -1100,7 +1067,9 @@ class BroadcastSilentPhase(ClientPhase):
             self._defer_install(msg, self._up_mask(self._active))
             return True
         if ptype is not GeocastInstall:
-            return False
+            raise ProtocolError(
+                f"geocast install {msg.payload!r} is not a GeocastInstall"
+            )
         payload = msg.payload
         xs, ys = _fleet_xy(self.sim.fleet)
         dx = xs - payload.ax

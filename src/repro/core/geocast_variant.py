@@ -33,22 +33,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.core.broadcast_variant import (
     BroadcastMobileNode,
     DknnBroadcastServer,
+    _build_system,
     _QueryState,
 )
 from repro.core.params import BroadcastParams
-from repro.core.protocol import GeocastInstall, ViolationReport
+from repro.core.protocol import BroadcastInstall, GeocastInstall
 from repro.errors import ProtocolError
-from repro.geometry import Rect, dist
-from repro.geometry.region import REGION_EPS
+from repro.geometry import Rect
 from repro.metrics.cost import CostMeter
 from repro.net.faults import FaultPlan
 from repro.net.message import Message, MessageKind
-from repro.net.node import Population
 from repro.net.simulator import RoundSimulator, ZERO_LATENCY
 from repro.server.query_table import QuerySpec
 
@@ -167,8 +166,6 @@ class DknnGeocastServer(DknnBroadcastServer):
         if math.isinf(inst.threshold):
             # Trivial: nothing monitors anything; one global broadcast
             # updates any stragglers (and the focal's known answer).
-            from repro.core.protocol import BroadcastInstall
-
             self.broadcast(
                 MessageKind.BROADCAST_INSTALL,
                 BroadcastInstall(
@@ -257,29 +254,8 @@ class GeocastMobileNode(BroadcastMobileNode):
         super().__init__(oid, fleet, my_qids=my_qids)
         self._epochs: Dict[int, int] = {}
 
-    def on_tick_start(self, tick: int) -> None:
-        x, y = self.position
-        for qid, mon in self.monitors.items():
-            if qid in self._reported or math.isinf(mon.threshold):
-                continue
-            d = dist(x, y, mon.ax, mon.ay)
-            if qid in self.my_qids:
-                violated = d > mon.s * (1.0 + REGION_EPS)
-            elif self.oid in mon.answer_ids:
-                violated = d > (mon.threshold - mon.s) * (1.0 + REGION_EPS)
-            else:
-                violated = d < (mon.threshold + mon.s) * (1.0 - REGION_EPS)
-            if violated:
-                kind = (
-                    MessageKind.QUERY_MOVE
-                    if qid in self.my_qids
-                    else MessageKind.VIOLATION
-                )
-                self.send_server(
-                    kind,
-                    ViolationReport(qid, x, y, epoch=self._epochs.get(qid, 0)),
-                )
-                self._reported.add(qid)
+    def _epoch_of(self, qid: int) -> int:
+        return self._epochs.get(qid, 0)
 
     def on_message(self, msg: Message) -> None:
         if msg.kind == MessageKind.BROADCAST_INSTALL:
@@ -307,43 +283,13 @@ def build_geocast_system(
     faults: Optional[FaultPlan] = None,
     telemetry=None,
 ) -> RoundSimulator:
-    """Build a ready-to-run simulator for the geocast protocol.
-
-    The per-tick band checks of all nodes run in one vectorized pass
-    (:class:`~repro.core.fastpath.BroadcastSilentPhase`); installs
-    reach a node's ``monitors`` right before its own code next reads
-    them, and the replies a collect draws leave as one batch.
-    """
-    if params is None:
-        params = GeocastParams()
-    for spec in specs:
-        if not 0 <= spec.focal_oid < fleet.n:
-            raise ProtocolError(
-                f"query {spec.qid}: focal object {spec.focal_oid} "
-                f"not in fleet of {fleet.n}"
-            )
+    """Build a ready-to-run simulator for the geocast protocol."""
     server = DknnGeocastServer(
-        fleet.universe, fleet.max_speed, params, record_history=record_history
+        fleet.universe,
+        fleet.max_speed,
+        params if params is not None else GeocastParams(),
+        record_history=record_history,
     )
-    qids_by_focal: Dict[int, List[int]] = {}
-    for spec in specs:
-        server.register_query(spec)
-        qids_by_focal.setdefault(spec.focal_oid, []).append(spec.qid)
-    # fastpath imports this module's node class.
-    from repro.core.fastpath import BroadcastSilentPhase
-
-    return RoundSimulator(
-        fleet,
-        server,
-        Population(
-            fleet.n,
-            GeocastMobileNode,
-            lambda oid: GeocastMobileNode(
-                oid, fleet, my_qids=qids_by_focal.get(oid, ())
-            ),
-        ),
-        latency=latency,
-        faults=faults,
-        client_phase=BroadcastSilentPhase(),
-        telemetry=telemetry,
+    return _build_system(
+        fleet, specs, server, GeocastMobileNode, latency, faults, telemetry
     )

@@ -113,7 +113,7 @@ class BroadcastParams:
 
     s_cap: float = 50.0
     initial_collect_radius: float = 1000.0
-    collect_slack: float = 2.0
+    collect_slack: float = 1.5
 
     def __post_init__(self) -> None:
         if self.s_cap < 0:

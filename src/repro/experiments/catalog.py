@@ -99,9 +99,6 @@ _S_CAP = ParamSpec("s_cap", 50.0, "cap on the band slack s")
 _COLLECT_RADIUS = ParamSpec(
     "initial_collect_radius", 1000.0, "first collect radius (no history)"
 )
-# NOTE: 1.5 is the historical builder default and the value every
-# experiment ran with; the BroadcastParams dataclass default (2.0) is
-# only reachable by constructing BroadcastParams directly.
 _COLLECT_SLACK = ParamSpec(
     "collect_slack", 1.5, "re-collect radius = (threshold + s) * slack"
 )

@@ -106,18 +106,13 @@ class TestPeriodic:
         sim.run(3)  # ticks 2-4: no re-evaluation
         assert sim.server.answers[queries[0].qid] == first
 
-    def test_tick_batch_is_never_expanded(self, monkeypatch):
+    def test_tick_batch_is_never_expanded(self):
         """PER's scan reads the grid, not the update log: the tick's
-        ``TICK_REPORT`` batch arrives whole and stays whole — and the
-        answers are still the per-object loop's, report by report."""
-        from repro.baselines.common import BatchUpdates
+        ``TICK_REPORT`` batch arrives whole — and the answers are still
+        the per-object loop's, report by report."""
         from repro.experiments.config import RunConfig
         from tests.helpers import built_system, reference_system
 
-        def expand(self):
-            raise AssertionError("PER expanded a batch it never reads")
-
-        monkeypatch.setattr(BatchUpdates, "expand", expand)
         spec = WorkloadSpec(
             n_objects=80, n_queries=2, k=5, seed=9, ticks=12, warmup_ticks=0
         )
@@ -207,7 +202,7 @@ class TestColumnarIngest:
         old and new cells of the moved rows found, first-time inserts
         (``old_cell == -1``, which must not wrap to the last cell)
         included."""
-        from repro.baselines.cpm import _touched_cells
+        from repro.baselines.common import _touched_cells
 
         rng = np.random.default_rng(3)
         server = self._server()
@@ -237,3 +232,97 @@ class TestColumnarIngest:
             assert touched.tolist() == expected.tolist()
             assert n_cells - 1 not in touched.tolist()
         assert inserted_something
+
+
+class TestOneDirtyRule:
+    """SEA and CPM read the update log through one rule, whatever shape
+    the reports arrived in: one columnar batch, scalar tuples, or a
+    tick split between both (scalar runs around a batch, focal objects
+    on both sides)."""
+
+    N, CELLS = 60, 10
+
+    @staticmethod
+    def _ticks():
+        """Positions of ``N`` objects over four ticks: everyone new at
+        tick 1, then about one in ten moves each tick and the rest
+        stay parked on the exact same coordinates."""
+        rng = np.random.default_rng(12)
+        xs = rng.uniform(0, 1000, TestOneDirtyRule.N)
+        ys = rng.uniform(0, 1000, TestOneDirtyRule.N)
+        out = [(xs.copy(), ys.copy())]
+        for _ in range(3):
+            move = rng.random(xs.shape[0]) < 0.1
+            xs[move] = np.clip(xs[move] + rng.normal(0, 60, move.sum()), 0, 999)
+            ys[move] = np.clip(ys[move] + rng.normal(0, 60, move.sum()), 0, 999)
+            out.append((xs.copy(), ys.copy()))
+        return out
+
+    def _run(self, server_cls, shape):
+        from repro.core.protocol import LocationUpdate
+        from repro.net.message import SERVER_ID, Message
+
+        server = server_cls(Rect(0, 0, 1000, 1000), self.CELLS)
+        # focal objects 3 and 31 fall in the batch, 7 and 52 in the
+        # scalar runs of the split shape
+        for qid, focal in enumerate((3, 31, 7, 52)):
+            server.register_query(QuerySpec(qid=qid, focal_oid=focal, k=3))
+        repaired, pushes, record = [], [], []
+        repair = server._repair
+
+        def logged_repair(spec, qx, qy):
+            repaired.append(spec.qid)
+            return repair(spec, qx, qy)
+
+        server._repair = logged_repair
+        server.send = lambda dst, kind, payload: pushes.append(
+            (dst, payload.qid, payload.ids)
+        )
+        batch = TestColumnarIngest._batch
+        lo, hi = self.N // 4, 3 * self.N // 4
+        for tick, (xs, ys) in enumerate(self._ticks(), start=1):
+            server.on_tick_start(tick)
+            oids = np.arange(self.N)
+            if shape == "batch":
+                runs = [("batch", oids)]
+            elif shape == "scalar":
+                runs = [("scalar", oids)]
+            else:
+                runs = [
+                    ("scalar", oids[:lo]),
+                    ("batch", oids[lo:hi]),
+                    ("scalar", oids[hi:]),
+                ]
+            for how, ids in runs:
+                if how == "batch":
+                    assert server.on_uplink_batch(batch(ids, xs[ids], ys[ids]))
+                    continue
+                for oid in ids.tolist():
+                    server.on_message(Message(
+                        MessageKind.TICK_REPORT, oid, SERVER_ID,
+                        LocationUpdate(xs[oid], ys[oid]),
+                    ))
+            del repaired[:], pushes[:]
+            server.on_subround(tick)
+            record.append((
+                list(repaired),
+                dict(server.answers),
+                dict(server.meter.units),
+                list(pushes),
+            ))
+        return record
+
+    @pytest.mark.parametrize("server", ["SEA", "CPM"])
+    def test_any_log_shape_gives_the_same_tick(self, server):
+        from repro.baselines import CpmServer, SeaCnnServer
+
+        cls = {"SEA": SeaCnnServer, "CPM": CpmServer}[server]
+        batch = self._run(cls, "batch")
+        assert self._run(cls, "scalar") == batch
+        assert self._run(cls, "split") == batch
+        # the ticks exercised the rule: every query repaired at tick 1,
+        # then a proper, non-empty subset at some later tick
+        assert batch[0][0] == [0, 1, 2, 3]
+        assert any(0 < len(rep) < 4 for rep, *_ in batch[1:])
+        assert all(rep == sorted(rep) for rep, *_ in batch)
+        assert any(pushes for *_, pushes in batch[1:])

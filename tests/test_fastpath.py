@@ -23,6 +23,7 @@ from repro.core.protocol import (
     GeocastInstall,
     ProbeRequest,
 )
+from repro.errors import ProtocolError
 from repro.experiments.algorithms import ALGORITHMS, build_system
 from repro.experiments.config import RunConfig
 from repro.geometry import Rect
@@ -167,9 +168,10 @@ _install = (
     st.lists(_oids, max_size=3, unique=True),  # answer ids
 )
 #: one step of a random delivery history. Installs are deferred (heard
-#: by the nodes whose receiver bit is set; None = a full broadcast) or
-#: dispatched to one node as a scalar message; a collect, a probe and a
-#: tick are the three things that reach a node in between.
+#: by the nodes whose receiver bit is set; None = a full broadcast); an
+#: install dispatched to one node as a scalar message, or geocast with a
+#: plain BroadcastInstall payload, must be refused; a collect, a probe
+#: and a tick are the three things that reach a node in between.
 _ops = st.one_of(
     st.tuples(
         st.just("install"),
@@ -177,6 +179,7 @@ _ops = st.one_of(
         st.none() | st.lists(st.booleans(), min_size=REPLAY_N, max_size=REPLAY_N),
     ),
     st.tuples(st.just("unicast"), *_install, _oids),
+    st.tuples(st.just("geocast"), *_install),
     st.tuples(
         st.just("collect"),
         st.integers(0, 2),
@@ -196,12 +199,23 @@ REPLAY_PLAN = dict(
 
 
 def _node_state(node):
+    epochs = getattr(node, "_epochs", None)
     return (
         list(node.monitors.items()),  # order is the uplink order
-        node._reported,
-        node.known_answers,
-        getattr(node, "_epochs", None),
+        set(node._reported),
+        dict(node.known_answers),
+        None if epochs is None else dict(epochs),
     )
+
+
+def _mirror_state(phase):
+    """Everything the broadcast phase mirrors or logs of the nodes."""
+    arrays = (
+        phase._ax, phase._ay, phase._bound, phase._member, phase._armed,
+        phase._reported, phase._epoch, phase._final, phase._first,
+        phase._pending, phase._applied,
+    )
+    return [a.tolist() for a in arrays] + [phase._seq, list(phase._log)]
 
 
 @pytest.mark.parametrize("algorithm", ["DKNN-B", "DKNN-G"])
@@ -215,16 +229,18 @@ def test_coalesced_replay_matches_sequential_walk(algorithm, ops, faulty):
     install it is reachable for on delivery, every collect that covers
     it, every probe, and its tick-start every tick. The built nodes
     get their installs through the phase — deferred, coalesced, and
-    replayed only before a candidate tick-start or a scalar install —
-    while collects, probes and ticks reach them in any order in
-    between. Both sides must send the same messages in the same order
-    after every step (a ``COLLECT_REPLY`` batch expanded in place), and
-    wherever scalar code reads what installs write — at each candidate
-    tick-start, after each scalar install, and at the end — the node
-    holds the twin's monitors in the same dict order, the same
-    ``_reported`` (pre-seeded, so re-arming is observable), known
-    answers and epochs. Every handler call the oracle made for a
+    replayed only before a candidate tick-start — while collects,
+    probes and ticks reach them in any order in between. Both sides
+    must send the same messages in the same order after every step (a
+    ``COLLECT_REPLY`` batch expanded in place), and wherever scalar code
+    reads what installs write — at each candidate tick-start and at the
+    end — the node holds the twin's monitors in the same dict order,
+    the same ``_reported`` (pre-seeded, so re-arming is observable),
+    known answers and epochs. Every handler call the oracle made for a
     deferred install is accounted for as delivered or superseded.
+    Installs have one way in: one dispatched to a single node, or
+    geocast with a payload the phase cannot mirror, raises
+    ``ProtocolError`` and leaves every node and the mirror as they were.
     """
     spec = WorkloadSpec(
         ticks=1, warmup_ticks=0, seed=5, n_objects=REPLAY_N - 3, n_queries=3,
@@ -264,14 +280,21 @@ def test_coalesced_replay_matches_sequential_walk(algorithm, ops, faulty):
     def up(oid):
         return plan is None or not plan.is_down(oid, sim.tick)
 
-    def install_message(qi, epoch, anchor, threshold, answer, dst):
+    def install_message(qi, epoch, anchor, threshold, answer, dst,
+                        plain=False):
         ax, ay = fleet.positions[anchor]
         args = (qids[qi], ax, ay, threshold, 20.0, tuple(answer))
-        if algorithm == "DKNN-G" and threshold != float("inf"):
+        if not plain and algorithm == "DKNN-G" and threshold != float("inf"):
             payload = GeocastInstall(*args, cover=500.0, epoch=epoch)
         else:
             payload = BroadcastInstall(*args)  # epoch 0 to a geocast node
         return Message(MessageKind.BROADCAST_INSTALL, SERVER_ID, dst, payload)
+
+    def refused(deliver, msg):
+        before = _mirror_state(phase), [_node_state(n) for n in nodes]
+        with pytest.raises(ProtocolError):
+            deliver(msg)
+        assert (_mirror_state(phase), [_node_state(n) for n in nodes]) == before
 
     for op in ops:
         if op[0] == "install":
@@ -288,10 +311,12 @@ def test_coalesced_replay_matches_sequential_walk(algorithm, ops, faulty):
         elif op[0] == "unicast":
             oid = op[6]
             msg = install_message(*op[1:6], oid)
-            if up(oid):
-                sim._dispatch(nodes[oid], msg)
-                twins[oid].on_message(msg)
-                assert _node_state(nodes[oid]) == _node_state(twins[oid])
+            refused(lambda m: sim._dispatch(nodes[oid], m), msg)
+        elif op[0] == "geocast":
+            refused(
+                phase.deliver_area,
+                install_message(*op[1:6], GEOCAST_ID, plain=True),
+            )
         elif op[0] == "collect":
             cx, cy = fleet.positions[op[2]]
             request = CollectRequest(qids[op[1]], cx, cy, op[3])
@@ -338,10 +363,10 @@ def test_coalesced_replay_matches_sequential_walk(algorithm, ops, faulty):
 def test_reporting_candidate_is_rearmed_by_the_mirror_alone():
     """A candidate's tick-start mutes the queries it reports in the
     mirror on the spot, and the install that answers it in the same
-    tick arms them again — no re-read of the node. With
-    ``_refresh_pair`` unreachable the run still equals the reference
-    tick for tick, and it contains objects that violated the same
-    query's band in consecutive ticks, which takes a re-arm."""
+    tick arms them again — the phase has no way to re-read a node. The
+    run equals the reference tick for tick, and it contains objects
+    that violated the same query's band in consecutive ticks, which
+    takes a re-arm."""
     ticks = 40
     spec = WorkloadSpec(
         ticks=ticks, warmup_ticks=0, seed=42, n_objects=2_000, n_queries=8,
@@ -351,10 +376,6 @@ def test_reporting_candidate_is_rearmed_by_the_mirror_alone():
     scalar, _ = reference_system(cfg, spec)
     fast, _ = built_system(cfg, spec)
 
-    def unreachable(oid, qid):
-        raise AssertionError(f"mirror of node {oid} re-read for query {qid}")
-
-    fast.client_phase._refresh_pair = unreachable
     reports = []  # (tick, oid, qid) of every VIOLATION the build sends
     send = fast.channel.send
 
