@@ -313,8 +313,8 @@ class DknnSilentPhase(ClientPhase):
     built. Batches reach an unbuilt node through the columns alone, and
     so does its tick-start when it runs no timers
     (:meth:`_tick_start_unbuilt`: the same sends, in the same order).
-    What builds a node is a scalar dispatch, the tick-start of a node
-    with timers, a scalar wakeup, or a loop over every node.
+    What builds a node is a scalar dispatch, the tick-start or the
+    re-plan of a node with timers, or a loop over every node.
 
     The phase keeps ``(sent_x, sent_y, attention, timers)`` mirrors and
     the built nodes' table rows current in two ways. A node on which

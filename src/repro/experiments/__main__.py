@@ -14,6 +14,8 @@ Usage::
 additionally writes one CSV per experiment; ``--profile DIR`` runs each
 experiment under cProfile, writes ``profile_<id>.pstats`` there and
 prints the top-20 functions by cumulative time (see EXPERIMENTS.md).
+Every table is held to its sweep's ``check`` at either size: a table
+that breaks it is printed (and written), then the command fails.
 
 Observability: ``--trace DIR`` streams one JSONL trace per experiment
 into DIR (``trace_<id>.jsonl``); ``--metrics-out FILE`` dumps the
@@ -175,6 +177,9 @@ def main(argv=None) -> int:
             print(f"({elapsed:.1f}s)\n")
             if args.csv:
                 table.to_csv(os.path.join(args.csv, f"{name.lower()}.csv"))
+            check = EXPERIMENTS[name].check
+            if check is not None:
+                check(table)  # raises: the table breaks what the sweep pins
 
     if registry is not None:
         registry.dump_json(args.metrics_out)

@@ -372,6 +372,17 @@ def _tick_vs_event(runs: Runs) -> List[Dict[str, object]]:
     return cells
 
 
+def _check_engine(table: ResultTable) -> None:
+    for row in table.rows:
+        # Event mode changes when work happens, never what is sent or
+        # answered (unmeasured exactness reads 1.0 too) ...
+        assert row["msgs_match"]
+        assert row["exactness"] == 1.0
+        # ... and on this workload it does skip.
+        if row["mode"] == "event":
+            assert row["skipped"] > 0
+
+
 EXPERIMENTS: Dict[str, Sweep] = {
     "E1": Sweep(
         title="E1: communication vs N",
@@ -692,6 +703,7 @@ EXPERIMENTS: Dict[str, Sweep] = {
         cases=_engine_cases,
         rename={"skipped": "skipped_ticks", "full": "full_ticks"},
         across=_tick_vs_event,
+        check=_check_engine,
         expect="""Event-scheduled engine vs the synchronous tick loop (E19).
         The stressor is the engine's home turf: a ``mostly_stationary`` fleet
         (1% of objects commuting on a 10% duty cycle) with static queries, so

@@ -94,17 +94,6 @@ class Fleet:
         """Ground-truth position of object ``oid`` at the current tick."""
         return self.positions[oid]
 
-    def motion_state(self, oid: int) -> Mover:
-        """The mover of ``oid`` with its live motion state.
-
-        The event engine's crossing solvers read kernel state (current
-        target, velocity, pause counter) off the mover. On the scalar
-        fleet the mover *is* the live state; :class:`FastFleet`
-        overrides this to flush its vectorized kernel state back first.
-        Callers must treat the result as read-only.
-        """
-        return self._movers[oid]
-
     def advance(self) -> None:
         """Move every object one tick, enforcing the safety properties."""
         rng = self._rng

@@ -20,18 +20,11 @@ object id, so the model is scalar/fast bit-identical like every other.
 from __future__ import annotations
 
 import random
-from typing import Sequence, Tuple
+from typing import Tuple
 
 from repro.errors import MobilityError
 from repro.geometry import Rect, translate_toward
 from repro.mobility.base import MobilityModel, Mover
-from repro.mobility.crossing import (
-    _RESOLVE_NEXT,
-    Check,
-    Wakeup,
-    _SOLVERS,
-    _solve_glide,
-)
 from repro.mobility.stationary import StationaryMover
 
 __all__ = ["CommuteMover", "MostlyStationaryModel"]
@@ -93,33 +86,6 @@ class CommuteMover(Mover):
         if (nx, ny) == self._target:
             self._new_trip(rng)
         return (nx, ny)
-
-
-def _solve_commute(
-    mover: CommuteMover, x: float, y: float, checks: Sequence[Check]
-) -> Wakeup:
-    """Closed-form crossings for the duty-cycled waypoint glide.
-
-    Parked phase: provably still until the window wraps — claim the
-    remainder as a re-solve. Active phase: delegate to the glide
-    solver. Its claims assume *continuous* full-speed motion along the
-    trip line; the actual motion is the same line with parked gaps
-    inserted, i.e. never farther along at any tick — so predicted
-    crossings can only be early (a harmless no-op wakeup), never late.
-    """
-    phase = mover._t % mover.period
-    if phase >= mover.active_ticks:
-        return Wakeup(None, mover.period - phase)
-    if mover._speed <= 0.0 and (x, y) != mover._target:
-        # Degenerate zero-speed trip parked short of its target: the
-        # window will wrap without motion; re-solve at window end.
-        return Wakeup(None, mover.active_ticks - phase)
-    return _solve_glide(
-        x, y, mover._target[0], mover._target[1], mover._speed, checks
-    )
-
-
-_SOLVERS[CommuteMover] = _solve_commute
 
 
 class MostlyStationaryModel(MobilityModel):

@@ -31,7 +31,7 @@ backing arrays (``.xs`` / ``.ys``) to vectorized consumers for free.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Type
+from typing import Dict, List, Sequence, Tuple, Type
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from repro.mobility.base import Mover
 from repro.mobility.crossing import (
     _MAX_HORIZON,
     GENERIC,
-    SCALAR,
     Claims,
     glide_claims,
     velocity_claims,
@@ -117,9 +116,8 @@ class _Kernel:
     the new-position arrays for every *silent* object and returns the
     global ids that need a scalar (RNG-consuming) step this tick.
     ``pull``/``push`` sync per-object state between the arrays and one
-    mover around that scalar step. ``claims`` is the array form of the
-    class's crossing solver (:mod:`repro.mobility.crossing`): the branch
-    each object's scalar solver would take, read off the kernel columns.
+    mover around that scalar step. ``claims`` reads the objects' motion
+    claims (:mod:`repro.mobility.crossing`) off the kernel columns.
     """
 
     def __init__(
@@ -142,27 +140,18 @@ class _Kernel:
     def push(self, oid: int, mover: Mover) -> None:
         """Mover attributes -> array state (after a scalar step)."""
 
-    def sync(self, oid: int, mover: Mover) -> None:
-        """Array state -> mover for out-of-band reads (crossing solvers).
-
-        Unlike :meth:`pull`, which prepares a mover for a scalar
-        ``step`` *inside* the current advance, ``sync`` runs between
-        ticks and must leave the mover exactly as the scalar fleet
-        would have it after the same number of advances. The two only
-        differ for kernels that mirror a per-step counter.
-        """
-        self.pull(oid, mover)
-
     def claims(
         self, i: np.ndarray, x: np.ndarray, y: np.ndarray
-    ) -> Optional[Claims]:
+    ) -> Claims:
         """Motion claims of the objects at local indices ``i`` (now at
-        ``(x, y)``), or None when the class has no array solver."""
-        return None
+        ``(x, y)``). Without a closed form for the class, only the speed
+        bound: it holds for any mover."""
+        return Claims(i.shape[0], GENERIC)
 
 
 class _ScalarKernel(_Kernel):
-    """Fallback: every object steps scalar every tick (always events)."""
+    """Fallback: every object steps scalar every tick (always events)
+    and claims only its speed bound."""
 
     def step(self, xs, ys, nxs, nys) -> np.ndarray:
         return self.oids
@@ -472,11 +461,15 @@ class _CommuteKernel(_Kernel):
         tx = self.tx[i]
         ty = self.ty[i]
         speed = self.speed[i]
+        # Inside the window: the glide claims. They assume continuous
+        # full-speed motion along the trip line; the actual motion is
+        # that line with parked gaps inserted, never farther along at
+        # any tick, so a predicted crossing can only be early.
         claims = glide_claims(x, y, tx, ty, speed)
         phase = self.t % self.periods[i]
         active = self.actives[i]
         # A zero-speed trip short of its target sits out the window;
-        # everyone is parked once it closes (``_solve_commute``).
+        # everyone is parked until the window wraps once it closes.
         claims.hold((speed <= 0.0) & ((x != tx) | (y != ty)), active - phase)
         claims.hold(phase >= active, self.periods[i] - phase)
         return claims
@@ -493,10 +486,6 @@ class _CommuteKernel(_Kernel):
         i = self._local[oid]
         self.tx[i], self.ty[i] = mover._target
         self.speed[i] = mover._speed
-
-    def sync(self, oid, mover) -> None:
-        self.pull(oid, mover)
-        mover._t = self.t  # between ticks: the count stands as-is
 
 
 #: Exact-type kernel registry. Subclasses fall back to scalar stepping
@@ -551,28 +540,13 @@ class FastFleet(Fleet):
                 self._kernel_of[oid] = kern
         self.positions = SoAPositions(self)  # type: ignore[assignment]
 
-    def motion_state(self, mover_oid: int) -> Mover:
-        """The mover of ``mover_oid``, synced from its kernel's state.
-
-        ``sync`` copies the kernel's per-object arrays back onto the
-        mover — the same state sync the scalar-event path performs
-        before stepping a mover — so the crossing solvers read exactly
-        the state the next :meth:`advance` will act on. Syncing is
-        idempotent and consumed-state-free (no RNG).
-        """
-        mover = self._movers[mover_oid]
-        self._kernel_of[mover_oid].sync(mover_oid, mover)
-        return mover
-
     def motion_claims(self, oids: np.ndarray) -> Claims:
-        """Array form of :meth:`motion_state` for many objects at once.
-
-        Per object, the branch its crossing solver would take and that
-        branch's parameters, read straight off the kernel columns — no
-        mover is synced. Objects of a class without an array solver
-        come back in ``SCALAR`` mode.
+        """The motion claims (:mod:`repro.mobility.crossing`) of the
+        objects ``oids``, read straight off the kernel columns: per
+        object, the branch its motion is in and that branch's
+        parameters as of the next :meth:`advance`. No mover is read.
         """
-        claims = Claims(oids.shape[0], SCALAR)
+        claims = Claims(oids.shape[0])
         kernel_id = self._kernel_id[oids]
         for k, kern in enumerate(self._kernels):
             at = np.nonzero(kernel_id == k)[0]
@@ -583,8 +557,7 @@ class FastFleet(Fleet):
             part = kern.claims(
                 np.searchsorted(kern.oids, mine), self._xs[mine], self._ys[mine]
             )
-            if part is not None:
-                claims.put(at, part)
+            claims.put(at, part)
         return claims
 
     def advance(self) -> None:

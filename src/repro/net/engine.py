@@ -13,7 +13,7 @@ machinery and the server hooks are elided.
 The decision combines three sources:
 
 * a **wakeup heap** over the mobile nodes, fed by the closed-form
-  crossing solvers (:mod:`repro.mobility.crossing`) plus the protocol
+  crossing claims (:mod:`repro.mobility.crossing`) plus the protocol
   timers (lease heartbeats, violation retries). Entries are *acts*
   (the tick must run in full) or *re-solves* (a claim horizon expired
   — waypoint arrival, pause end, leg renewal; recompute cheaply during
@@ -76,7 +76,9 @@ class ReplayConfig:
     positions plus the published answers); the stream can then be
     played back in wall time with
     :func:`repro.obs.replay.stream_replay`, which interpolates between
-    snapshots and reports the dead-reckoning error of the gaps.
+    snapshots and reports the dead-reckoning error of the gaps. Playback
+    pacing is the player's own setting (``stream_replay``'s arguments,
+    the ``replay`` command's flags), not the run's.
 
     Attributes
     ----------
@@ -84,42 +86,22 @@ class ReplayConfig:
         Minimum ticks between snapshots (full ticks only — in event
         mode, skipped ticks produce no snapshot, which is exactly the
         dead-reckoning gap the replayer interpolates over).
-    frames_per_tick:
-        Interpolated frames rendered per simulated tick on playback.
-    tick_seconds:
-        Wall seconds per simulated tick on playback; 0 plays back as
-        fast as possible (the test/CI setting).
     max_objects:
         Position-sample cap per snapshot, keeping traces bounded at
         fleet scale.
     """
 
     snapshot_every: int = 1
-    frames_per_tick: int = 2
-    tick_seconds: float = 0.0
     max_objects: int = 256
 
     def __post_init__(self) -> None:
         _require_int("snapshot_every", self.snapshot_every, 1)
-        _require_int("frames_per_tick", self.frames_per_tick, 1)
         _require_int("max_objects", self.max_objects, 1)
-        if not isinstance(self.tick_seconds, (int, float)) or isinstance(
-            self.tick_seconds, bool
-        ):
-            raise ConfigError(
-                f"tick_seconds must be a number, got {self.tick_seconds!r}"
-            )
-        if self.tick_seconds < 0:
-            raise ConfigError(
-                f"tick_seconds must be >= 0, got {self.tick_seconds}"
-            )
 
     def describe(self) -> Dict[str, Any]:
         """JSON-safe summary for manifests and run.start events."""
         return {
             "snapshot_every": self.snapshot_every,
-            "frames_per_tick": self.frames_per_tick,
-            "tick_seconds": self.tick_seconds,
             "max_objects": self.max_objects,
         }
 

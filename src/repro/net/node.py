@@ -99,7 +99,7 @@ class Population:
     (``Population(n, node_class, make)``) and nothing is built up
     front: node ``oid`` is ``make(oid)`` the first time a scalar code
     path needs that object — a message dispatch, a candidate's
-    tick-start, a scalar wakeup, a loop over every node. Until then
+    tick-start, a re-plan's timer fold, a loop over every node. Until then
     the client phase's columns are all there is of it, and
     :attr:`on_build` lets the phase write them onto the node as it is
     built. A hand-built system passes its nodes instead (:meth:`of`),

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.experiments.algorithms import build_system
 from repro.experiments.config import RunConfig
@@ -100,15 +100,35 @@ def on_the_wire(items) -> List[Tuple]:
     return sent
 
 
-def recorded_run(cfg: RunConfig, spec: WorkloadSpec, build, ticks: int) -> dict:
+def recorded_run(
+    cfg: RunConfig, spec: WorkloadSpec, build, ticks: int,
+    skip: Optional[Sequence[int]] = None,
+) -> dict:
     """Run ``build(cfg, spec)`` for ``ticks`` and return everything two
     builds of one configuration must agree on: what the server sent,
     message by message in queue order (batches expanded), and what it
     was sent, per subround (a client phase orders a subround's uplinks
     by kind, per-object nodes by sender), the answers after every tick,
-    per-kind ``CommStats``, the per-category meter and — sharded — the
-    whole tier ledger."""
+    per-kind ``CommStats``, the per-category meter, the ticks an event
+    driver skipped and — sharded — the whole tier ledger.
+
+    ``skip`` makes the event driver skip exactly those ticks. The
+    reference has no client phase, so no wakeup planner and nothing to
+    skip on its own; given the ticks the build's planner skipped, it
+    runs the same schedule, and each of those ticks must still be one
+    its channel and server call idle."""
     sim, _ = build(cfg, spec)
+    driver = sim._driver
+    if skip is not None:
+        skip = set(skip)
+
+        def can_skip(tick: int) -> bool:
+            if tick not in skip:
+                return False
+            assert sim.channel.idle() and sim.server.event_idle(tick), tick
+            return True
+
+        driver.can_skip = can_skip
     wire = []
     collect = sim.channel.collect
 
@@ -123,12 +143,14 @@ def recorded_run(cfg: RunConfig, spec: WorkloadSpec, build, ticks: int) -> dict:
 
     sim.channel.collect = recording_collect
     answers = []
-    sim.run(
-        ticks,
-        on_tick=lambda s: answers.append(
-            {qid: tuple(a) for qid, a in s.server.answers.items()}
-        ),
-    )
+    skipped = []
+
+    def observe(s) -> None:
+        answers.append({qid: tuple(a) for qid, a in s.server.answers.items()})
+        if driver is not None and driver.skipped_ticks > len(skipped):
+            skipped.append(s.tick)
+
+    sim.run(ticks, on_tick=observe)
     stats = sim.channel.stats
     out = {
         "wire": wire,
@@ -137,6 +159,7 @@ def recorded_run(cfg: RunConfig, spec: WorkloadSpec, build, ticks: int) -> dict:
         "bytes": dict(stats.bytes_by_kind),
         "meter": dict(sim.server.meter.units),
         "repairs": dict(sim.server.repair_count),
+        "skipped": skipped,
     }
     ss = getattr(sim.server, "shard_stats", None)
     if ss is not None:

@@ -124,10 +124,7 @@ class TestEntryPointSignatures:
         assert _params(api.EngineConfig) == ["mode", "replay"]
 
     def test_replay_config_fields(self):
-        assert _params(api.ReplayConfig) == [
-            "snapshot_every", "frames_per_tick", "tick_seconds",
-            "max_objects",
-        ]
+        assert _params(api.ReplayConfig) == ["snapshot_every", "max_objects"]
 
     def test_stream_replay_signature(self):
         assert _params(api.stream_replay) == [

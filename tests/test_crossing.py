@@ -1,49 +1,74 @@
-"""Closed-form band-crossing solvers vs. brute-force tick scanning.
+"""Closed-form band-crossing claims vs. brute-force tick scanning.
 
 The event engine's soundness rests on one property of
-:func:`repro.mobility.crossing.plan_wakeup`: a claim is **never late**.
-An ``act = a`` promises ticks ``+1 .. +a-1`` are violation-free; a
+:func:`repro.mobility.crossing.solve_claims` over the kernels' motion
+claims (``FastFleet.motion_claims``): a claim is **never late**. An
+``act = a`` promises ticks ``+1 .. +a-1`` are violation-free; a
 ``resolve = r`` promises ticks ``+1 .. +r`` are. The property tests
-here walk every kernel's real scalar motion through randomized check
-sets and fail the moment a violation lands inside a claimed window —
-the exact failure mode that would make event mode drop a protocol
-message. A second assertion per kernel checks the claims are not
-vacuous (the solver actually skips ahead, rather than acting every
-tick).
+here walk every kernel's real motion — a one-object ``FastFleet``
+stepped by ``advance`` — through randomized check sets and fail the
+moment a violation lands inside a claimed window, the exact failure
+mode that would make event mode drop a protocol message. A second
+assertion per kernel checks the claims are not vacuous (the solver
+actually skips ahead, rather than acting every tick).
 """
 
 from __future__ import annotations
 
-import copy
 import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.geometry import Rect
 from repro.mobility import (
+    FastFleet,
     GaussianClusterModel,
     HotspotDriftModel,
     MostlyStationaryModel,
     RandomDirectionModel,
     RandomWaypointModel,
+    RoadNetworkModel,
 )
-from repro.mobility.base import Mover
-from repro.mobility.crossing import (
-    ENTER,
-    EXIT,
-    NEVER,
-    Check,
-    Wakeup,
-    _violated,
-    plan_wakeup,
-    solver_for,
-)
+from repro.mobility.crossing import GENERIC, CheckRows, solve_claims
 from repro.mobility.stationary import LinearMover, StationaryMover
 
 U = Rect(0.0, 0.0, 1000.0, 1000.0)
 HORIZON = 120  # ticks walked per trial
 TRIALS = 25
+
+#: A check is ``(cx, cy, radius, enter)``: violated at a distance above
+#: ``radius`` from ``(cx, cy)``, or below it if ``enter``.
+EXIT, ENTER = False, True
+
+
+def _violated(x: float, y: float, checks) -> bool:
+    """The exact protocol predicate at one position (strict boundaries)."""
+    for cx, cy, r, enter in checks:
+        d2 = (x - cx) ** 2 + (y - cy) ** 2
+        if (d2 < r * r) if enter else (d2 > r * r):
+            return True
+    return False
+
+
+def _claim(fleet: FastFleet, checks):
+    """``(act, resolve)`` of the fleet's object 0, -1 for unset."""
+    rows = CheckRows(
+        np.zeros(len(checks), dtype=np.int64),
+        *(np.array(column) for column in zip(*checks)),
+    )
+    act, resolve = solve_claims(
+        fleet.motion_claims(np.zeros(1, dtype=np.int64)),
+        fleet.positions.xs[:1], fleet.positions.ys[:1], rows,
+        fleet.max_speeds[:1],
+    )
+    return int(act[0]), int(resolve[0])
+
+
+def _step(fleet: FastFleet):
+    fleet.advance()
+    return fleet.positions[0]
 
 
 def _random_checks(rng: random.Random, x: float, y: float):
@@ -54,62 +79,62 @@ def _random_checks(rng: random.Random, x: float, y: float):
         cy = rng.uniform(U.ymin, U.ymax)
         d = math.hypot(x - cx, y - cy)
         if rng.random() < 0.5:
-            checks.append(Check(cx, cy, d + rng.uniform(5.0, 150.0), EXIT))
+            checks.append((cx, cy, d + rng.uniform(5.0, 150.0), EXIT))
         else:
             r = d - rng.uniform(5.0, 150.0)
             if r > 1.0:
-                checks.append(Check(cx, cy, r, ENTER))
+                checks.append((cx, cy, r, ENTER))
     if not checks:
-        checks.append(Check(x, y, rng.uniform(20.0, 150.0), EXIT))
+        checks.append((x, y, rng.uniform(20.0, 150.0), EXIT))
     return checks
 
 
-def _walk(mover: Mover, x: float, y: float, rng: random.Random):
+def _walk(fleet: FastFleet, rng: random.Random):
     """Follow the act/resolve chain for HORIZON ticks.
 
     Returns (ticks_claimed_free, ticks_walked): the never-late check
     is the assertions inside; the ratio is the non-vacuousness signal.
     """
+    x, y = fleet.positions[0]
     checks = _random_checks(rng, x, y)
     assert not _violated(x, y, checks)
     t = 0
     claimed = 0
     while t < HORIZON:
-        w = plan_wakeup(mover, x, y, checks)
-        assert isinstance(w, Wakeup)
-        assert w.act is None or w.resolve is None, "both set"
-        if w == NEVER:
+        act, resolve = _claim(fleet, checks)
+        assert act < 0 or resolve < 0, "both set"
+        if act < 0 and resolve < 0:
             # The claim is forever: the whole remaining walk must be
             # violation-free.
             claimed += HORIZON - t
             for _ in range(t, HORIZON):
-                x, y = mover.step(x, y, rng)
+                x, y = _step(fleet)
                 t += 1
                 assert not _violated(x, y, checks), (
-                    f"violation at +{t} inside a NEVER claim"
+                    f"violation at +{t} inside a never-wake claim"
                 )
             break
-        if w.act is not None:
-            assert w.act >= 1
-            free = w.act - 1
+        if act >= 0:
+            assert act >= 1
+            free = act - 1
         else:
-            assert w.resolve >= 1
-            free = w.resolve
+            assert resolve >= 1
+            free = resolve
         for k in range(free):
             if t >= HORIZON:
                 break
-            x, y = mover.step(x, y, rng)
+            x, y = _step(fleet)
             t += 1
             claimed += 1
             assert not _violated(x, y, checks), (
                 f"violation at +{t}, tick {k + 1} of a "
-                f"{'act ' + str(w.act) if w.act else 'resolve ' + str(w.resolve)}"
+                f"{f'act {act}' if act >= 0 else f'resolve {resolve}'}"
                 f" claim — the solver was late"
             )
-        if w.act is not None and t < HORIZON:
+        if act >= 0 and t < HORIZON:
             # Step onto the act tick itself; a violation here is
             # exactly what the wakeup predicted. Either way, re-solve.
-            x, y = mover.step(x, y, rng)
+            x, y = _step(fleet)
             t += 1
             if _violated(x, y, checks):
                 # The engine would run a full tick; the protocol
@@ -127,11 +152,10 @@ def _walk(mover: Mover, x: float, y: float, rng: random.Random):
     return claimed, t
 
 
-def _trial_movers(make, seed):
+def _trial_fleet(make, seed):
+    """A one-object fleet of ``make``'s mover, and the checks' RNG."""
     rng = random.Random(seed)
-    mover = make(rng)
-    x, y = mover.start(rng)
-    return mover, x, y, rng
+    return FastFleet([make(rng)], seed=seed), rng
 
 
 MODEL_CASES = [
@@ -182,8 +206,7 @@ class TestNeverLate:
     @pytest.mark.parametrize("make", MODEL_CASES)
     def test_claims_never_contain_a_violation(self, make):
         for seed in range(TRIALS):
-            mover, x, y, rng = _trial_movers(make, seed)
-            _walk(mover, x, y, rng)
+            _walk(*_trial_fleet(make, seed))
 
     @pytest.mark.parametrize("make", MODEL_CASES)
     def test_claims_are_not_vacuous(self, make):
@@ -192,8 +215,7 @@ class TestNeverLate:
         # "act next tick" passes never-late but skips nothing.
         claimed = walked = 0
         for seed in range(TRIALS):
-            mover, x, y, rng = _trial_movers(make, seed)
-            c, t = _walk(mover, x, y, rng)
+            c, t = _walk(*_trial_fleet(make, seed))
             claimed += c
             walked += t
         assert walked > 0
@@ -208,46 +230,42 @@ class TestBruteForceAgreement:
     @pytest.mark.parametrize("make", MODEL_CASES)
     def test_act_at_most_first_violation(self, make):
         for seed in range(TRIALS):
-            mover, x, y, rng = _trial_movers(make, seed)
+            fleet, _ = _trial_fleet(make, seed)
+            x, y = fleet.positions[0]
             checks = _random_checks(random.Random(seed + 999), x, y)
             if _violated(x, y, checks):
                 continue
-            w = plan_wakeup(mover, x, y, checks)
-            # Brute-force the true first violation with an identical
-            # clone (same mover state, same RNG stream). Shallow copy:
-            # movers reassign attributes rather than mutating shared
-            # state, and the universe Rect is immutable anyway.
-            clone = copy.copy(mover)
-            crng = random.Random()
-            crng.setstate(rng.getstate())
+            act, resolve = _claim(fleet, checks)
+            # Brute-force the true first violation on an identical
+            # twin (same kernel state, same RNG stream).
+            clone, _ = _trial_fleet(make, seed)
             first = None
-            cx, cy = x, y
             for k in range(1, HORIZON + 1):
-                cx, cy = clone.step(cx, cy, crng)
-                if _violated(cx, cy, checks):
+                if _violated(*_step(clone), checks):
                     first = k
                     break
             if first is None:
                 continue  # nothing to compare within the horizon
-            if w.act is not None:
-                assert w.act <= first, (
-                    f"seed {seed}: act {w.act} after true first "
+            if act >= 0:
+                assert act <= first, (
+                    f"seed {seed}: act {act} after true first "
                     f"violation {first}"
                 )
-            elif w.resolve is not None:
-                assert w.resolve < first, (
-                    f"seed {seed}: resolve {w.resolve} claims the "
+            elif resolve >= 0:
+                assert resolve < first, (
+                    f"seed {seed}: resolve {resolve} claims the "
                     f"violation tick {first} as free"
                 )
             else:
                 pytest.fail(
-                    f"seed {seed}: NEVER claimed but violation at {first}"
+                    f"seed {seed}: never-wake claimed but violation at {first}"
                 )
 
 
 class TestSolverRegistry:
     def test_every_kernel_has_a_solver(self):
-        rng = random.Random(0)
+        """Every kernel claims more than the speed bound for some of
+        its objects: it answers with a closed form of its own."""
         for make in (
             lambda r: RandomWaypointModel(U).make_mover(r),
             lambda r: RandomDirectionModel(U).make_mover(r),
@@ -259,32 +277,28 @@ class TestSolverRegistry:
             lambda r: StationaryMover(U, 1.0, 1.0),
             lambda r: LinearMover(U, 1.0, 1.0, 2.0, 0.0),
         ):
-            assert solver_for(make(rng)) is not None
+            rng = random.Random(0)
+            fleet = FastFleet([make(rng) for _ in range(8)], seed=0)
+            modes = fleet.motion_claims(np.arange(8)).mode
+            assert (modes != GENERIC).any()
 
     def test_subclass_falls_back_to_generic(self):
         class Weird(StationaryMover):
             def step(self, x, y, rng):
-                return (x + 1.0, y)  # not stationary at all!
+                return (x, y)
 
-        mover = Weird(U, 10.0, 10.0)
-        assert solver_for(mover) is None
-        # The generic bound uses max_speed (0 for this subclass's
-        # declared base) — plan_wakeup must not claim NEVER for a
-        # positive-speed subclass; StationaryMover declares speed 0,
-        # so NEVER is the *declared-speed* contract (the fleet's
-        # validator would reject the lying subclass instead).
-        w = plan_wakeup(mover, 10.0, 10.0, [Check(10.0, 10.0, 5.0, EXIT)])
-        assert w == NEVER
-
-    def test_empty_checks_never_wake(self):
-        rng = random.Random(3)
-        mover = RandomWaypointModel(U).make_mover(rng)
-        mover.start(rng)
-        assert plan_wakeup(mover, 5.0, 5.0, []) == NEVER
+        rng = random.Random(1)
+        fleet = FastFleet(
+            [Weird(U, 10.0, 10.0), RoadNetworkModel(U).make_mover(rng)],
+            seed=1,
+        )
+        claims = fleet.motion_claims(np.arange(2))
+        assert claims.mode.tolist() == [GENERIC, GENERIC]
+        # The speed bound is the *declared* one: StationaryMover
+        # declares speed 0, so the subclass never wakes (the fleet's
+        # validator would reject a subclass that moved anyway).
+        assert _claim(fleet, [(10.0, 10.0, 5.0, EXIT)]) == (-1, -1)
 
     def test_violated_now_acts_immediately(self):
-        mover = StationaryMover(U, 50.0, 50.0)
-        out = plan_wakeup(
-            mover, 50.0, 50.0, [Check(0.0, 0.0, 5.0, EXIT)]
-        )
-        assert out.act == 1
+        fleet = FastFleet([StationaryMover(U, 50.0, 50.0)])
+        assert _claim(fleet, [(0.0, 0.0, 5.0, EXIT)]) == (1, -1)

@@ -14,9 +14,11 @@ from __future__ import annotations
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.client import DknnMobileNode
+from repro.core.fastpath import DknnSilentPhase
 from repro.core.protocol import (
     BAND_ANSWER,
     BAND_OUTSIDER,
@@ -27,6 +29,7 @@ from repro.core.wakeups import DknnWakeupPlanner
 from repro.errors import ConfigError
 from repro.experiments.algorithms import build_system
 from repro.experiments.config import RunConfig
+from repro.mobility import FastReplayFleet, ReplayFleet, record_trace
 from repro.net.engine import (
     ENGINE_MODES,
     EngineConfig,
@@ -39,7 +42,7 @@ from repro.net.message import SERVER_ID, Message, MessageKind
 from repro.net.simulator import RoundSimulator
 from repro.server.config import ShardConfig
 from repro.workloads import WorkloadSpec, build_workload
-from tests.helpers import SinkServer, built_system, reference_system
+from tests.helpers import SinkServer, built_system
 
 #: Mostly-silent workload: small enough for test time, still skippable.
 SPEC = WorkloadSpec(
@@ -55,6 +58,14 @@ SPEC = WorkloadSpec(
     seed=11,
 )
 TICKS = 40
+
+#: Road-network movers, slow and sparse: no kernel, so the planner
+#: claims only their speed bound, and ticks still go by on which no
+#: object is within a step of a boundary.
+ROAD_SPEC = dataclasses.replace(
+    SPEC, n_objects=40, n_queries=1, k=2, speed_min=1.0, speed_max=3.0,
+    mobility="road_network", mobility_options={},
+)
 
 
 def _run(
@@ -128,10 +139,10 @@ class TestEngineConfigValidation:
         [
             {"snapshot_every": 0},
             {"snapshot_every": True},
-            {"frames_per_tick": 0},
+            {"snapshot_every": 1.5},
             {"max_objects": 0},
-            {"tick_seconds": -1.0},
-            {"tick_seconds": "fast"},
+            {"max_objects": True},
+            {"max_objects": "many"},
         ],
     )
     def test_replay_config_rejects(self, kwargs):
@@ -174,24 +185,20 @@ class TestEquivalence:
         """Dense enough that repairs install and revoke in runs the
         server batches: the client phase applies them in place on the
         full ticks, and the driver still wakes the receivers on time —
-        same skipped ticks and heap counters as the per-object
-        reference's event run (every wakeup planned by the scalar
-        ``wakeup``), same answers and messages as the tick loop."""
+        same answers and messages as the tick loop, and the skipped
+        ticks and heap counters of the per-node re-plan the batched one
+        replaced (pinned)."""
         spec = dataclasses.replace(SPEC, n_objects=1500, k=8)
-        event = EngineConfig(mode="event")
         tick_run = _run(RunConfig("DKNN-P"), spec)
-        event_run = _run(RunConfig("DKNN-P", engine=event), spec)
-        scalar_event_run = _run(
-            RunConfig("DKNN-P", engine=event), spec, build=reference_system
+        event_run = _run(
+            RunConfig("DKNN-P", engine=EngineConfig(mode="event")), spec
         )
         _assert_equivalent(tick_run, event_run)
-        assert event_run["answers"] == scalar_event_run["answers"]
-        assert event_run["skipped"] == scalar_event_run["skipped"] != []
-        counters = ("scheduled", "fired", "cancelled", "skipped_ticks")
-        got, want = (
-            run["driver"].stats() for run in (event_run, scalar_event_run)
-        )
-        assert [got[c] for c in counters] == [want[c] for c in counters]
+        assert event_run["skipped"] == [2, 7, *range(9, 21), *range(28, 41)]
+        doc = event_run["driver"].stats()
+        assert {
+            c: doc[c] for c in ("scheduled", "fired", "cancelled", "skipped_ticks")
+        } == dict(scheduled=2730, fired=2578, cancelled=21, skipped_ticks=27)
         stats = event_run["msgs"]
         assert stats["columnar_by_kind"][MessageKind.INSTALL_REGION] > 0
         assert stats["columnar_by_kind"][MessageKind.REVOKE_REGION] > 0
@@ -222,6 +229,32 @@ class TestEquivalence:
             RunConfig("DKNN-P", latency="one_tick", engine=EngineConfig(mode="event"))
         )
         _assert_equivalent(tick_run, event_run)
+
+    def test_road_network(self):
+        """Movers without a kernel: speed-bound claims, still skipping."""
+        tick_run = _run(RunConfig("DKNN-P"), ROAD_SPEC)
+        event_run = _run(
+            RunConfig("DKNN-P", engine=EngineConfig(mode="event")), ROAD_SPEC
+        )
+        _assert_equivalent(tick_run, event_run)
+        assert event_run["driver"].skipped_ticks > 0
+
+    @pytest.mark.parametrize("replay", [ReplayFleet, FastReplayFleet])
+    def test_replayed_trace_runs_every_tick(self, replay):
+        """A replayed trace has no motion claims to plan from: event
+        mode runs every tick in full, as the tick loop does."""
+
+        def build(cfg, spec):
+            fleet, queries = build_workload(spec)
+            trace = record_trace(fleet, TICKS)
+            return build_system(cfg, replay(trace), queries), queries
+
+        tick_run = _run(RunConfig("DKNN-P"), build=build)
+        event_run = _run(
+            RunConfig("DKNN-P", engine=EngineConfig(mode="event")), build=build
+        )
+        _assert_equivalent(tick_run, event_run)
+        assert event_run["driver"].stats()["skipping"] is False
 
 
 class TestSkipping:
@@ -295,15 +328,15 @@ WAYPOINT_SPEC = dataclasses.replace(
 
 
 class TestPlannerNeverLate:
-    """``DknnWakeupPlanner.wakeup`` (crossings + ``_merge_timers``)
+    """``DknnWakeupPlanner.wakeups`` (crossing claims + ``_merge_timers``)
     against the node's own ``on_tick_start``, scanned tick by tick.
 
     Hardened nodes hold regions with a lease and a retry timer and talk
     to a server that never answers, so every heartbeat, violation and
     retry there is comes from the node's own clockwork. Each node keeps
     one claim, renewed the way the driver renews it (when it falls due,
-    and after the node acted or was messaged); a node must never act
-    inside a window its claim called free.
+    and after the node acted or was messaged, in one batch per tick); a
+    node must never act inside a window its claim called free.
     """
 
     @pytest.mark.parametrize("spec", [SPEC, WAYPOINT_SPEC], ids=["commute", "waypoint"])
@@ -318,9 +351,19 @@ class TestPlannerNeverLate:
             )
             for oid in range(fleet.n)
         ]
-        sim = RoundSimulator(fleet, SinkServer(), mobiles)
+        sim = RoundSimulator(
+            fleet, SinkServer(), mobiles, client_phase=DknnSilentPhase()
+        )
         planner = DknnWakeupPlanner(sim)
         acted = set()
+        claims = {}
+
+        def replan(oids, tick):
+            acts, resolves = planner.wakeups(np.array(oids, dtype=np.int64), tick)
+            for oid, a, r in zip(oids, acts.tolist(), resolves.tolist()):
+                assert a < 0 or r < 0
+                claims[oid] = (a, r)
+            return int((acts != tick + 1).sum())
 
         def watch(node):
             def on_tick_start(tick):
@@ -333,30 +376,27 @@ class TestPlannerNeverLate:
         for node in mobiles:
             node.on_tick_start = watch(node)
         sim.step()
-        claims = {}
         skipped_ahead = timer_acts = 0
         for round_ in range(90):
             if round_ % 30 == 0:
                 self._install_everywhere(sim, epoch=1 + round_)
-                for node in mobiles:
-                    claims[node.oid] = planner.wakeup(node, sim.tick)
+                replan([node.oid for node in mobiles], sim.tick)
             acted.clear()
             sim.step()
             tick = sim.tick
+            due = []
             for node in mobiles:
                 act, resolve = claims[node.oid]
                 if node.oid in acted:
-                    assert act is not None and act <= tick, (
+                    assert 0 <= act <= tick, (
                         f"node {node.oid} acted at {tick} inside its "
                         f"claim (act={act}, resolve={resolve})"
                     )
                     timer_acts += fleet.max_speed_of(node.oid) == 0.0
                 elif tick not in (act, resolve):
                     continue  # claim still running
-                claims[node.oid] = planner.wakeup(node, tick)
-                a, r = claims[node.oid]
-                assert a is None or r is None
-                skipped_ahead += a != tick + 1
+                due.append(node.oid)
+            skipped_ahead += replan(due, tick)
         assert skipped_ahead > 100  # the claims are not vacuous
         assert timer_acts > 0  # stationary holders act on timers alone
         assert sim.channel.stats.retransmits > 0  # the retry sweep ran
@@ -429,23 +469,11 @@ class TestBatchedCounts:
         ],
         ids=["commute", "waypoint"],
     )
-    def test_replan_is_batched_and_the_heap_is_unchanged(
-        self, spec, pinned, monkeypatch
-    ):
-        """No scalar ``wakeup`` on a built run — every kernel here has
-        an array solver — and the heap counters are those of the
-        per-node re-plan this replaced (pinned from the parent commit)."""
-        scalar_calls = []
-        real = DknnWakeupPlanner.wakeup
-        monkeypatch.setattr(
-            DknnWakeupPlanner,
-            "wakeup",
-            lambda self, node, tick: scalar_calls.append(node.oid)
-            or real(self, node, tick),
-        )
+    def test_replan_is_batched_and_the_heap_is_unchanged(self, spec, pinned):
+        """The heap counters are those of the per-node re-plan the
+        batched one replaced (pinned)."""
         run = _run(
             RunConfig("DKNN-P", engine=EngineConfig(mode="event")), spec
         )
-        assert not scalar_calls
         doc = run["driver"].stats()
         assert {k: doc[k] for k in pinned} == pinned

@@ -1,15 +1,16 @@
 """The DKNN-P region table and the batched re-plan, against their oracles.
 
-Both are array forms of code that stays in the tree as the
-specification, so both are tested differentially:
-
-* ``DknnSilentPhase``'s region table and candidate mask against the
-  nodes themselves — the table's live rows are the armed regions read
-  off the nodes, and the candidates are the nodes whose own
-  ``on_tick_start`` would send or change state (tried on a throw-away
-  copy of each node);
-* ``DknnWakeupPlanner.wakeups`` against ``[planner.wakeup(node)]``,
-  element for element, for every registered mobility kernel.
+* ``DknnSilentPhase``'s region table and candidate mask are tested
+  against the nodes themselves — the table's live rows are the armed
+  regions read off the nodes, and the candidates are the nodes whose
+  own ``on_tick_start`` would send or change state (tried on a
+  throw-away copy of each node);
+* ``DknnWakeupPlanner.wakeups`` is pinned, for every mobility kernel
+  and a mover class without one, to the wakeups of the per-node
+  scalar planner it replaced: one md5 per case of every tick's
+  ``(act, resolve)`` list, captured from that planner. Its soundness
+  against the nodes' own ``on_tick_start`` is ``tests/test_engine.py``'s
+  ``TestPlannerNeverLate``.
 
 The fleet is driven by hand: ``SinkServer`` swallows every uplink and the
 tests play the server's part (installs, revokes, probes) directly —
@@ -21,6 +22,7 @@ as scalar messages.
 from __future__ import annotations
 
 import copy
+import hashlib
 import math
 import random
 from typing import Dict, List, Set
@@ -40,7 +42,7 @@ from repro.core.protocol import (
     ProbeRequest,
     RevokeBand,
 )
-from repro.core.wakeups import DknnWakeupPlanner
+from repro.core.wakeups import DknnWakeupPlanner, planner_for
 from repro.errors import ProtocolError
 from repro.geometry import Rect
 from repro.geometry.region import REGION_EPS, AnswerBand
@@ -52,18 +54,15 @@ from repro.mobility import (
     MostlyStationaryModel,
     RandomDirectionModel,
     RandomWaypointModel,
+    RoadNetworkModel,
 )
 from repro.mobility.crossing import (
-    ENTER,
-    EXIT,
     GENERIC,
     HOLD,
     LAND,
     LINE,
     STILL,
-    Check,
     CheckRows,
-    plan_wakeup,
     solve_claims,
 )
 from repro.mobility.stationary import LinearMover, StationaryMover
@@ -657,7 +656,7 @@ def test_unknown_region_class_is_left_to_the_node():
     assert (act[4], resolve[4]) == (sim.tick + 1, -1)
 
 
-# -- batched re-plan == scalar wakeup ----------------------------------------
+# -- batched re-plan == the per-node planner it replaced ---------------------
 
 
 def _linear_fleet(seed: int) -> FastFleet:
@@ -716,6 +715,13 @@ KERNELS = {
         ),
         {LINE, LAND, HOLD},
     ),
+    # no kernel: the speed bound alone
+    "road": (
+        _from(
+            RoadNetworkModel(U, rows=6, cols=6, speed_min=8.0, speed_max=30.0)
+        ),
+        {GENERIC},
+    ),
 }
 
 REGION_MIXES = {
@@ -739,6 +745,129 @@ def _force_corner_cases(kernel: str, fleet: FastFleet) -> None:
         kern.speed[0] = 0.0  # zero-speed trip, parked short of its target
 
 
+REPLAN_MD5 = {
+    "stationary-none-plain": "be187c7623036c1872daa6a90a5c1c6e",
+    "stationary-none-timers": "be187c7623036c1872daa6a90a5c1c6e",
+    "stationary-answer-plain": "2b3fa5d01a03f4e01bc4214440681fa4",
+    "stationary-answer-timers": "ed9a2881ebd31fb91967a2dca4600340",
+    "stationary-outsider-plain": "2b3fa5d01a03f4e01bc4214440681fa4",
+    "stationary-outsider-timers": "ed9a2881ebd31fb91967a2dca4600340",
+    "stationary-circle-plain": "2b3fa5d01a03f4e01bc4214440681fa4",
+    "stationary-circle-timers": "ed9a2881ebd31fb91967a2dca4600340",
+    "stationary-mixed-plain": "981d63cd5a83cc3548686143fdddf20a",
+    "stationary-mixed-timers": "7477faa4e20d495f72932932a94419e7",
+    "stationary-muted-plain": "be187c7623036c1872daa6a90a5c1c6e",
+    "stationary-muted-timers": "cec05038b9b7b39c726cefb28e82c3b4",
+    "linear-none-plain": "fd721faac15c612cac891afc046bbd1d",
+    "linear-none-timers": "fd721faac15c612cac891afc046bbd1d",
+    "linear-answer-plain": "efd78812b04c1cb38da2eb9df700dda6",
+    "linear-answer-timers": "9850945a8cf04ef519e9005cdea58a49",
+    "linear-outsider-plain": "7b2c6eab891757123200492cbcb4ddb9",
+    "linear-outsider-timers": "6c9aaa504c7759051e5d3169e72833cf",
+    "linear-circle-plain": "efd78812b04c1cb38da2eb9df700dda6",
+    "linear-circle-timers": "9850945a8cf04ef519e9005cdea58a49",
+    "linear-mixed-plain": "20fbeb9d7b1e9fc85942b93527f7ea75",
+    "linear-mixed-timers": "f60272ca9c7d3ef04b147d0370cc363e",
+    "linear-muted-plain": "fd721faac15c612cac891afc046bbd1d",
+    "linear-muted-timers": "c81e02813c08965ebf4831e7bc3932ad",
+    "waypoint-none-plain": "d6d7ab7e0eb0f729facb1e2090ab8a7f",
+    "waypoint-none-timers": "d6d7ab7e0eb0f729facb1e2090ab8a7f",
+    "waypoint-answer-plain": "12d967b211fa89d0a47b6129e76f05c3",
+    "waypoint-answer-timers": "dba654939a5bb145522288aff3947e0b",
+    "waypoint-outsider-plain": "b6b32058b8fa2a484458d2bf5fb1f7cd",
+    "waypoint-outsider-timers": "eae1247b6656722b9eda4af20e2bdc81",
+    "waypoint-circle-plain": "12d967b211fa89d0a47b6129e76f05c3",
+    "waypoint-circle-timers": "dba654939a5bb145522288aff3947e0b",
+    "waypoint-mixed-plain": "7269bf07a78b8dbb1f70e694b26ec394",
+    "waypoint-mixed-timers": "c4f36e7ad6a50464abd6378b2531127e",
+    "waypoint-muted-plain": "d6d7ab7e0eb0f729facb1e2090ab8a7f",
+    "waypoint-muted-timers": "b851fc0d62c3baa4f2acbbc531647968",
+    "gaussian-none-plain": "965be66a8efe78610dbf53327c2d95bc",
+    "gaussian-none-timers": "965be66a8efe78610dbf53327c2d95bc",
+    "gaussian-answer-plain": "1eba232219ac652554e54534b3f176bc",
+    "gaussian-answer-timers": "e7dc5bee478c28505e70cf56a675baa2",
+    "gaussian-outsider-plain": "da5f5e6767880a734b8e7db8593737fd",
+    "gaussian-outsider-timers": "4407dd9d9a9165e9d432305dd9aa0ae6",
+    "gaussian-circle-plain": "1eba232219ac652554e54534b3f176bc",
+    "gaussian-circle-timers": "e7dc5bee478c28505e70cf56a675baa2",
+    "gaussian-mixed-plain": "74db8049e460f2b121b35dca25fc05bb",
+    "gaussian-mixed-timers": "ef50ab82cc599efb0258dcb6c54e570a",
+    "gaussian-muted-plain": "965be66a8efe78610dbf53327c2d95bc",
+    "gaussian-muted-timers": "85ca87aa61d5b91fa3f0acef256d744a",
+    "hotspot-drift-none-plain": "d4dc80d6b4709266cca15bf5c7594cf9",
+    "hotspot-drift-none-timers": "d4dc80d6b4709266cca15bf5c7594cf9",
+    "hotspot-drift-answer-plain": "3b891b14161f94434050ef232479407c",
+    "hotspot-drift-answer-timers": "9b321960b0e1182305cc2a86dd62f67d",
+    "hotspot-drift-outsider-plain": "afd954860f3df1a0f27c2f13edcdb9f3",
+    "hotspot-drift-outsider-timers": "cb337bd19a04520896d3fc48008bdd94",
+    "hotspot-drift-circle-plain": "3b891b14161f94434050ef232479407c",
+    "hotspot-drift-circle-timers": "9b321960b0e1182305cc2a86dd62f67d",
+    "hotspot-drift-mixed-plain": "70c4d29fb11fb8530b557e539d16463a",
+    "hotspot-drift-mixed-timers": "6b69b9a6a6fa523b7039895dc0b06749",
+    "hotspot-drift-muted-plain": "d4dc80d6b4709266cca15bf5c7594cf9",
+    "hotspot-drift-muted-timers": "c87e64c548985f25dfb71910f2d60508",
+    "direction-none-plain": "a3f4e622dcac7df650ec094a48f89869",
+    "direction-none-timers": "a3f4e622dcac7df650ec094a48f89869",
+    "direction-answer-plain": "a3f4e622dcac7df650ec094a48f89869",
+    "direction-answer-timers": "a3f4e622dcac7df650ec094a48f89869",
+    "direction-outsider-plain": "a3f4e622dcac7df650ec094a48f89869",
+    "direction-outsider-timers": "a3f4e622dcac7df650ec094a48f89869",
+    "direction-circle-plain": "a3f4e622dcac7df650ec094a48f89869",
+    "direction-circle-timers": "a3f4e622dcac7df650ec094a48f89869",
+    "direction-mixed-plain": "a3f4e622dcac7df650ec094a48f89869",
+    "direction-mixed-timers": "a3f4e622dcac7df650ec094a48f89869",
+    "direction-muted-plain": "a3f4e622dcac7df650ec094a48f89869",
+    "direction-muted-timers": "a3f4e622dcac7df650ec094a48f89869",
+    "commute-none-plain": "e31481010d52c7c288759db7f4cc0b3e",
+    "commute-none-timers": "e31481010d52c7c288759db7f4cc0b3e",
+    "commute-answer-plain": "bee5afbf0efe5091be28be79ca287c27",
+    "commute-answer-timers": "a9b827059a69ff0544d7cb03fb1574f5",
+    "commute-outsider-plain": "1d9769c945c0c21d40d29ecca762ad74",
+    "commute-outsider-timers": "040f76ddc8dc426a77b5abda14babb4b",
+    "commute-circle-plain": "bee5afbf0efe5091be28be79ca287c27",
+    "commute-circle-timers": "a9b827059a69ff0544d7cb03fb1574f5",
+    "commute-mixed-plain": "4076d2e19a257142595a002db459305c",
+    "commute-mixed-timers": "cf2ab91408fc4ed35efe834187a157f7",
+    "commute-muted-plain": "e31481010d52c7c288759db7f4cc0b3e",
+    "commute-muted-timers": "5b1aeb9999b6d3cc4deff49d4b3933c8",
+    "road-none-plain": "bdf917504aa4b7f28d7326c160bbd55f",
+    "road-none-timers": "bdf917504aa4b7f28d7326c160bbd55f",
+    "road-answer-plain": "f18744ac53e2ec89274ad5096d761f38",
+    "road-answer-timers": "5d922dca2f14b10bbd760c167a5d4bb0",
+    "road-outsider-plain": "016d7bddfbff7eda729e436b99849544",
+    "road-outsider-timers": "97ec399e534c53bf1a29a36ba2e84d6f",
+    "road-circle-plain": "f18744ac53e2ec89274ad5096d761f38",
+    "road-circle-timers": "5d922dca2f14b10bbd760c167a5d4bb0",
+    "road-mixed-plain": "d6622a72eadeff9acc1b01161676d6a5",
+    "road-mixed-timers": "39e802ac62d930b0db1e9f0aaf3cb368",
+    "road-muted-plain": "bdf917504aa4b7f28d7326c160bbd55f",
+    "road-muted-timers": "5b95b984aeb4d29f913be398945c60ca",
+}
+
+RANDOM_CHECKS_MD5 = {
+    "stationary": "228bd8820a468036e4d18ea63232ca1f",
+    "linear": "91a77e7123db0cee4716391606a8407d",
+    "waypoint": "9a1a6c3abada7989698adb2f430e5141",
+    "gaussian": "2e74bf9f224d389ea910ffa6fdfdce9f",
+    "hotspot-drift": "2620eedb8acb92e4559bc62a45013f03",
+    "direction": "0c4f2cd5c953b58e50150ddffb86fdce",
+    "commute": "79ceb872ed872fa25039062f7ba8aafb",
+    "road": "eeef32d841068acf3e2fc00d8373a599",
+}
+
+
+def _digest(per_tick: List[List]) -> str:
+    """md5 of every tick's ``[(act, resolve), ...]``, None for -1."""
+    return hashlib.md5(
+        repr(
+            [
+                [(None if a < 0 else a, None if r < 0 else r) for a, r in tick]
+                for tick in per_tick
+            ]
+        ).encode()
+    ).hexdigest()
+
+
 @pytest.mark.parametrize("ft", [False, True], ids=["plain", "timers"])
 @pytest.mark.parametrize("mix", list(REGION_MIXES))
 @pytest.mark.parametrize("kernel", list(KERNELS))
@@ -749,6 +878,7 @@ def test_batched_replan_equals_scalar_wakeup(kernel, mix, ft):
     planner = DknnWakeupPlanner(sim)
     oids = np.arange(fleet.n)
     seen: Set[int] = set()
+    per_tick: List[List] = []
     epoch = 0
     for tick in range(1, 46):
         sim.step()
@@ -768,49 +898,36 @@ def test_batched_replan_equals_scalar_wakeup(kernel, mix, ft):
         if tick == 3:
             _force_corner_cases(kernel, fleet)
         act, resolve = planner.wakeups(oids, sim.tick)
-        want = [planner.wakeup(node, sim.tick) for node in sim.mobiles]
-        got = [
-            (None if a < 0 else a, None if r < 0 else r)
-            for a, r in zip(act.tolist(), resolve.tolist())
-        ]
-        assert got == want, f"tick {tick}"
+        per_tick.append(list(zip(act.tolist(), resolve.tolist())))
         seen.update(fleet.motion_claims(oids).mode.tolist())
+    key = f"{kernel}-{mix}-{'timers' if ft else 'plain'}"
+    assert _digest(per_tick) == REPLAN_MD5[key]
     assert expected_modes <= seen
 
 
-def _solve_both(fleet, checks_of):
-    """``plan_wakeup`` per object vs one ``solve_claims`` call."""
-    oids = np.arange(fleet.n)
+def _solve(fleet, checks_of) -> List:
+    """One ``solve_claims`` call over the whole fleet; a check is
+    ``(cx, cy, radius, enter)``."""
     flat = [(i, c) for i in range(fleet.n) for c in checks_of[i]]
     rows = CheckRows(
         np.array([i for i, _ in flat]),
-        np.array([c.cx for _, c in flat]),
-        np.array([c.cy for _, c in flat]),
-        np.array([c.radius for _, c in flat]),
-        np.array([c.kind == ENTER for _, c in flat]),
+        *(np.array(column) for column in zip(*(c for _, c in flat))),
     )
-    xs, ys = fleet.positions.xs, fleet.positions.ys
     act, resolve = solve_claims(
-        fleet.motion_claims(oids), xs, ys, rows, fleet.max_speeds
+        fleet.motion_claims(np.arange(fleet.n)), fleet.positions.xs,
+        fleet.positions.ys, rows, fleet.max_speeds,
     )
-    want = [
-        tuple(plan_wakeup(fleet.motion_state(i), *fleet.positions[i], checks_of[i]))
-        for i in range(fleet.n)
-    ]
-    got = [
-        (None if a < 0 else a, None if r < 0 else r)
-        for a, r in zip(act.tolist(), resolve.tolist())
-    ]
-    return got, want
+    return list(zip(act.tolist(), resolve.tolist()))
 
 
 @pytest.mark.parametrize("kernel", list(KERNELS))
 def test_array_solvers_equal_scalar_solvers_on_random_checks(kernel):
-    """The crossing twins directly, without the planner's check
+    """The crossing claims directly, without the planner's check
     building: up to three random checks per object, satisfied, violated
     or crossed soon, re-drawn every tick of a run."""
     fleet = KERNELS[kernel][0](seed=11)
     rng = random.Random(5)
+    per_tick = []
     for tick in range(40):
         fleet.advance()
         checks_of = []
@@ -821,26 +938,24 @@ def test_array_solvers_equal_scalar_solvers_on_random_checks(kernel):
                 cx, cy = rng.uniform(0, 600), rng.uniform(0, 600)
                 d = math.hypot(x - cx, y - cy)
                 r = max(d + rng.choice((-1, 1, 1)) * rng.uniform(0.5, 90.0), 0.0)
-                checks.append(Check(cx, cy, r, rng.choice((EXIT, ENTER))))
+                checks.append((cx, cy, r, rng.choice((False, True))))
             checks_of.append(checks)
-        got, want = _solve_both(fleet, checks_of)
-        assert got == want, f"tick {tick}"
+        per_tick.append(_solve(fleet, checks_of))
+    assert _digest(per_tick) == RANDOM_CHECKS_MD5[kernel]
 
 
 def test_a_check_met_exactly_on_its_boundary_acts_next_tick():
-    """``c == 0`` in ``_line_crossings``: not violated, but any motion
-    may violate — both forms answer act=1, for either kind."""
+    """A line claim from exactly on a check's boundary: not violated,
+    but any motion may violate — act=1, for either kind."""
     fleet = FastFleet(
         [LinearMover(U, 100.0, 100.0, 3.0, 4.0) for _ in range(3)], seed=0
     )
     checks_of = [
-        [Check(103.0, 104.0, 5.0, EXIT)],
-        [Check(130.0, 140.0, 50.0, ENTER)],
-        [Check(103.0, 104.0, 6.0, EXIT)],  # control: strictly inside
+        [(103.0, 104.0, 5.0, False)],
+        [(130.0, 140.0, 50.0, True)],
+        [(103.0, 104.0, 6.0, False)],  # control: strictly inside
     ]
-    got, want = _solve_both(fleet, checks_of)
-    assert got == want
-    assert got[0] == got[1] == (1, None) and got[2] != (1, None)
+    assert _solve(fleet, checks_of) == [(1, -1), (1, -1), (2, -1)]
 
 
 def test_subset_and_order_do_not_matter():
@@ -863,16 +978,9 @@ def test_subset_and_order_do_not_matter():
 
 def test_scalar_fleet_or_scalar_clients_fall_back_whole():
     """Without kernel columns (plain Fleet) or without the vectorized
-    phase there is no array form: same answers through ``wakeup``."""
+    phase there is nothing to plan from: no planner, and the event
+    engine runs every tick in full."""
     model = RandomWaypointModel(U, speed_min=8.0, speed_max=30.0, pause_max=3)
-    fleet = Fleet.from_model(model, N, seed=3)
-    sim = _build(fleet)
-    planner = DknnWakeupPlanner(sim)
-    for _ in range(5):
-        sim.step()
-    act, resolve = planner.wakeups(np.arange(N), sim.tick)
-    want = [planner.wakeup(node, sim.tick) for node in sim.mobiles]
-    assert [
-        (None if a < 0 else a, None if r < 0 else r)
-        for a, r in zip(act.tolist(), resolve.tolist())
-    ] == want
+    assert planner_for(_build(Fleet.from_model(model, N, seed=3))) is None
+    assert planner_for(_build(_waypoint_fleet(), phase=False)) is None
+    assert planner_for(_build(_waypoint_fleet())) is not None
