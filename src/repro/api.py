@@ -76,7 +76,6 @@ from repro.net import (
     CommStats,
     EngineConfig,
     FaultPlan,
-    ReplayConfig,
     RoundSimulator,
     ShardFaultPlan,
     engine_attach,
@@ -87,14 +86,7 @@ from repro.net.chaos import (
     default_checkers,
     run_chaos,
 )
-from repro.obs import (
-    MetricsRegistry,
-    ReplayStats,
-    Telemetry,
-    Tracer,
-    stream_replay,
-    use_telemetry,
-)
+from repro.obs import MetricsRegistry, Telemetry, Tracer, use_telemetry
 from repro.server import (
     AdmissionPolicy,
     DurabilityManager,
@@ -165,12 +157,9 @@ __all__ = [
     "CommStats",
     "FaultPlan",
     "ShardFaultPlan",
-    # event engine & replay
+    # event engine
     "EngineConfig",
-    "ReplayConfig",
     "engine_attach",
-    "stream_replay",
-    "ReplayStats",
     # chaos harness
     "run_chaos",
     "chaos_plans",

@@ -7,7 +7,6 @@ Usage::
     python -m repro.experiments --all --quick --csv results/
     python -m repro.experiments E1 --trace traces/ --metrics-out m.json
     python -m repro.experiments summarize traces/trace_e1.jsonl
-    python -m repro.experiments replay traces/trace_e19.jsonl
     python -m repro.experiments chaos --seed 7 --ticks 200
 
 ``--quick`` shrinks workloads for a fast smoke pass; ``--csv DIR``
@@ -21,9 +20,7 @@ Observability: ``--trace DIR`` streams one JSONL trace per experiment
 into DIR (``trace_<id>.jsonl``); ``--metrics-out FILE`` dumps the
 metrics registry accumulated across all runs as one JSON document; the
 ``summarize`` subcommand renders a per-phase cost table from a trace
-file; the ``replay`` subcommand plays a trace's ``replay.snapshot``
-stream back in wall time (see :mod:`repro.obs.replay`); the ``chaos``
-subcommand runs the deterministic fault-injection
+file; the ``chaos`` subcommand runs the deterministic fault-injection
 harness (:mod:`repro.net.chaos`) with per-tick invariant checkers and
 exits non-zero on any violation. Whenever results are written (``--csv``/``--trace``/
 ``--metrics-out``), a run manifest with full provenance (specs, params,
@@ -92,10 +89,6 @@ def main(argv=None) -> int:
         from repro.net import chaos
 
         return chaos.main(argv[1:])
-    if argv and argv[0] == "replay":
-        from repro.obs import replay
-
-        return replay.main(argv[1:])
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
@@ -105,8 +98,7 @@ def main(argv=None) -> int:
         "experiments",
         nargs="*",
         help=f"experiment ids ({', '.join(sorted(EXPERIMENTS))}), "
-        "'summarize TRACE' to render a per-phase cost table, "
-        "'replay TRACE' to play back a replay.snapshot stream, or "
+        "'summarize TRACE' to render a per-phase cost table, or "
         "'chaos' to run the fault-injection harness",
     )
     parser.add_argument("--all", action="store_true", help="run everything")

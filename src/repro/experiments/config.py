@@ -79,9 +79,7 @@ class RunConfig:
         loop is driven. ``None`` (the default) is the plain
         synchronous tick loop; ``EngineConfig(mode="event")`` skips
         provably-empty ticks (answers stay identical at every tick
-        boundary, DESIGN §15); ``EngineConfig(replay=ReplayConfig())``
-        additionally records ``replay.snapshot`` trace events for
-        wall-clock playback.
+        boundary, DESIGN §15).
     params:
         Per-algorithm parameters; names validated against the catalog.
     """

@@ -16,7 +16,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 from repro.experiments.config import RunConfig
 from repro.experiments.runner import Measurement, run_once
 from repro.experiments.tables import ResultTable
-from repro.net.engine import EngineConfig, ReplayConfig
+from repro.net.engine import EngineConfig
 from repro.net.faults import FaultPlan, ShardFaultPlan
 from repro.net.simulator import ONE_TICK_LATENCY, ZERO_LATENCY
 from repro.server.config import AdmissionPolicy, RebalancePolicy, ShardConfig
@@ -270,6 +270,22 @@ def _shard_fault_cases(quick: bool) -> Iterable[Case]:
             yield {"S": side, "scenario": scenario}, config, base, 2
 
 
+def _healthy_is_exact(table: ResultTable) -> None:
+    # The degraded flag is honest: every tick it left unflagged was
+    # exact ("" where no tick was).
+    for row in table.rows:
+        assert row["healthy_exactness"] in ("", 1.0)
+
+
+def _check_shard_faults(table: ResultTable) -> None:
+    _healthy_is_exact(table)
+    for row in table.rows:
+        if row["scenario"] == "healthy":
+            assert row["failovers"] == 0
+            assert row["degraded_frac"] == 0
+            assert row["exactness"] == 1.0
+
+
 def _durability_cases(quick: bool) -> Iterable[Case]:
     base = _base(quick).but(
         mobility="hotspot", seed=103, n_objects=300 if quick else 1200
@@ -290,6 +306,17 @@ def _durability_cases(quick: bool) -> Iterable[Case]:
         config = RunConfig("DKNN-P", shard=shard, params=_FT)
         label = {"ckpt_interval": "none" if interval is None else interval}
         yield label, config, base, 2
+
+
+def _check_durability(table: ResultTable) -> None:
+    _healthy_is_exact(table)
+    for row in table.rows:
+        if row["ckpt_interval"] == "none":
+            assert row["amnesia_q"] > 0
+        else:
+            # With a store every query survives the correlated crash.
+            assert row["amnesia_q"] == 0
+            assert row["recovered_q"] > 0
 
 
 def _rebalancing_cases(quick: bool) -> Iterable[Case]:
@@ -333,6 +360,20 @@ def _rebalancing_cases(quick: bool) -> Iterable[Case]:
         yield labels, RunConfig("DKNN-B", shard=shard), big, 0
 
 
+def _check_rebalancing(table: ResultTable) -> None:
+    _healthy_is_exact(table)
+    by_case = {(row["S"], row["scenario"]): row for row in table.rows}
+    for (shards, scenario), row in by_case.items():
+        if scenario in ("static", "rebalancing"):
+            # Migration is invisible to clients ...
+            assert row["exactness"] == 1.0
+        if scenario == "rebalancing":
+            # ... and cuts the windowed imbalance of the static grid
+            # (the 1M row, "rebalancing-1M", has no static twin).
+            static = by_case[shards, "static"]["imbalance"]
+            assert row["imbalance"] * 1.3 <= static
+
+
 def _engine_cases(quick: bool) -> Iterable[Case]:
     commuters = {"moving_fraction": 0.01, "period": 200, "active_ticks": 20}
     base = WorkloadSpec(
@@ -347,15 +388,7 @@ def _engine_cases(quick: bool) -> Iterable[Case]:
         # sizes so the timing compares loop overheads, not the checker.
         accuracy_every = 10 if n <= 5_000 else 0
         for mode in ("tick", "event"):
-            # The first size's event run also carries a replay stream —
-            # it documents what the engine elided, and its emission is
-            # telemetry-gated, so an untraced run (the timing setting)
-            # pays nothing for it. Only one run may emit snapshots per
-            # trace (the replayer requires monotone ticks).
-            first_event = mode == "event" and n == sizes[0]
-            replay = ReplayConfig(max_objects=64) if first_event else None
-            engine = EngineConfig(mode=mode, replay=replay)
-            config = RunConfig("DKNN-P", engine=engine)
+            config = RunConfig("DKNN-P", engine=EngineConfig(mode=mode))
             spec = base.but(n_objects=n)
             yield {"N": n, "mode": mode}, config, spec, accuracy_every
 
@@ -597,6 +630,7 @@ EXPERIMENTS: Dict[str, Sweep] = {
             "repl_share", "shed/tick", "s2s/tick",
         ),  # fmt: skip
         cases=_shard_fault_cases,
+        check=_check_shard_faults,
         expect="""Robustness at scale: the sharded tier under server-side faults.
         For S in {2, 4, 8} under hotspot drift (the mobility that loads shards
         unevenly), runs hardened DKNN-P through three server-side fault
@@ -631,6 +665,7 @@ EXPERIMENTS: Dict[str, Sweep] = {
             "degraded_frac", "exactness", "healthy_exactness",
         ),  # fmt: skip
         cases=_durability_cases,
+        check=_check_durability,
         expect="""Durable shard state: recovery quality vs checkpoint cadence.
         The failure schedule is built to defeat buddy coverage, the only
         recovery path PR6 had: a *correlated* crash of shards 0 and 1 — shard
@@ -665,6 +700,7 @@ EXPERIMENTS: Dict[str, Sweep] = {
         ),  # fmt: skip
         cases=_rebalancing_cases,
         rename={"imbalance": "imbalance_windowed", "imb_peak": "imbalance_peak"},
+        check=_check_rebalancing,
         expect="""Elastic rebalancing vs a static grid under drifting hotspots.
         The stressor is ``hotspot_drift``: dense Gaussian hotspots whose
         centers orbit, dragging the crowd across shard boundaries, so the hot

@@ -11,7 +11,6 @@ from repro.net.engine import (
     ENGINE_MODES,
     EngineConfig,
     EventDriver,
-    ReplayConfig,
     engine_attach,
 )
 from repro.net.faults import FaultPlan, FaultyChannel, ShardFaultPlan
@@ -54,6 +53,5 @@ __all__ = [
     "ENGINE_MODES",
     "EngineConfig",
     "EventDriver",
-    "ReplayConfig",
     "engine_attach",
 ]

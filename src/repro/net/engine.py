@@ -51,59 +51,11 @@ from repro.errors import ConfigError
 __all__ = [
     "ENGINE_MODES",
     "EngineConfig",
-    "ReplayConfig",
     "EventDriver",
     "engine_attach",
 ]
 
 ENGINE_MODES = ("tick", "event")
-
-
-def _require_int(name: str, value: Any, minimum: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an int, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
-    return value
-
-
-@dataclass(frozen=True)
-class ReplayConfig:
-    """Wall-clock replay of a run through the ``repro.obs`` layer.
-
-    When set on an :class:`EngineConfig`, every full tick emits a
-    ``replay.snapshot`` trace event (a bounded sample of object
-    positions plus the published answers); the stream can then be
-    played back in wall time with
-    :func:`repro.obs.replay.stream_replay`, which interpolates between
-    snapshots and reports the dead-reckoning error of the gaps. Playback
-    pacing is the player's own setting (``stream_replay``'s arguments,
-    the ``replay`` command's flags), not the run's.
-
-    Attributes
-    ----------
-    snapshot_every:
-        Minimum ticks between snapshots (full ticks only — in event
-        mode, skipped ticks produce no snapshot, which is exactly the
-        dead-reckoning gap the replayer interpolates over).
-    max_objects:
-        Position-sample cap per snapshot, keeping traces bounded at
-        fleet scale.
-    """
-
-    snapshot_every: int = 1
-    max_objects: int = 256
-
-    def __post_init__(self) -> None:
-        _require_int("snapshot_every", self.snapshot_every, 1)
-        _require_int("max_objects", self.max_objects, 1)
-
-    def describe(self) -> Dict[str, Any]:
-        """JSON-safe summary for manifests and run.start events."""
-        return {
-            "snapshot_every": self.snapshot_every,
-            "max_objects": self.max_objects,
-        }
 
 
 @dataclass(frozen=True)
@@ -118,13 +70,9 @@ class EngineConfig:
         bit-identical to not passing an engine at all. Answers and
         message streams are identical between the two at every tick
         boundary (the pinned equivalence contract, DESIGN §15).
-    replay:
-        Optional :class:`ReplayConfig` — emit ``replay.snapshot``
-        trace events for wall-clock playback. Works in both modes.
     """
 
     mode: str = "event"
-    replay: Optional[ReplayConfig] = None
 
     def __post_init__(self) -> None:
         if self.mode not in ENGINE_MODES:
@@ -132,21 +80,10 @@ class EngineConfig:
                 f"unknown engine mode {self.mode!r}; "
                 f"expected one of {ENGINE_MODES}"
             )
-        if self.replay is not None and not isinstance(
-            self.replay, ReplayConfig
-        ):
-            raise ConfigError(
-                f"replay must be a ReplayConfig or None, got {self.replay!r}"
-            )
 
     def describe(self) -> Dict[str, Any]:
         """JSON-safe summary for manifests and run.start events."""
-        return {
-            "mode": self.mode,
-            "replay": (
-                self.replay.describe() if self.replay is not None else None
-            ),
-        }
+        return {"mode": self.mode}
 
 
 _ACT = 0
@@ -189,7 +126,6 @@ class EventDriver:
         #: must register with the server first, so it is a full one for
         #: the whole fleet. None once drained.
         self._opening: Optional[int] = None
-        self._last_snapshot: Optional[int] = None
         self.planner = None
         if config.mode == "event":
             from repro.core.wakeups import planner_for
@@ -318,43 +254,6 @@ class EventDriver:
                 self._opening = None
             self._replan(oids, tick)
         self._touched.clear()
-        self._maybe_snapshot(tick)
-
-    # -- replay ------------------------------------------------------------
-
-    def _maybe_snapshot(self, tick: int) -> None:
-        rp = self.config.replay
-        if rp is None:
-            return
-        tel = self.sim.telemetry
-        if not (tel.enabled and tel.tracer.enabled):
-            return
-        last = self._last_snapshot
-        if last is not None and tick - last < rp.snapshot_every:
-            return
-        self._last_snapshot = tick
-        fleet = self.sim.fleet
-        positions = fleet.positions
-        count = min(fleet.n, rp.max_objects)
-        xs = [0.0] * count
-        ys = [0.0] * count
-        for oid in range(count):
-            x, y = positions[oid]
-            xs[oid] = round(float(x), 3)
-            ys[oid] = round(float(y), 3)
-        answers = {
-            int(qid): [int(o) for o in ans]
-            for qid, ans in getattr(self.sim.server, "answers", {}).items()
-        }
-        tel.tracer.emit(
-            tick,
-            "replay.snapshot",
-            count=count,
-            population=fleet.n,
-            xs=xs,
-            ys=ys,
-            answers=answers,
-        )
 
     # -- reporting ---------------------------------------------------------
 

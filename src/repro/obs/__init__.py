@@ -14,7 +14,6 @@ from repro.obs.manifest import (
     write_manifest,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.replay import ReplayFrame, ReplayStats, stream_replay
 from repro.obs.telemetry import (
     NULL_TELEMETRY,
     Telemetry,
@@ -54,9 +53,6 @@ __all__ = [
     "protocol_events",
     "read_jsonl",
     "MetricsRegistry",
-    "ReplayFrame",
-    "ReplayStats",
-    "stream_replay",
     "recording",
     "record_run",
     "build_manifest",

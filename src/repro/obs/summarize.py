@@ -166,7 +166,9 @@ def _engine_section(events: List[TraceEvent]) -> Optional[str]:
             f"{f.get('cancelled', 0)} cancelled, "
             f"{f.get('pending', 0)} pending at end"
         )
-        if not f.get("skipping", True):
+        # Tick mode never builds a planner, so only an event-mode run
+        # without one was refused skipping.
+        if f.get("mode") == "event" and not f.get("skipping", True):
             lines.append(
                 "  (skipping disabled: no wakeup planner for this "
                 "client/server pair — every tick ran in full)"
@@ -174,9 +176,6 @@ def _engine_section(events: List[TraceEvent]) -> Optional[str]:
     if not stats:
         for cfg in configs:
             lines.append(f"  configured: {cfg} (no engine.stats in trace)")
-    snapshots = sum(1 for e in events if e.kind == "replay.snapshot")
-    if snapshots:
-        lines.append(f"  replay snapshots: {snapshots}")
     return "\n".join(lines)
 
 

@@ -106,7 +106,6 @@ PERF_KINDS = frozenset(
         "shard.load",
         "shard.health",
         "shard.wal",
-        "replay.snapshot",
     }
 )
 

@@ -43,9 +43,8 @@ EXPECTED = {
     "DurabilityManager",
     # network & faults
     "RoundSimulator", "CommStats", "FaultPlan", "ShardFaultPlan",
-    # event engine & replay
-    "EngineConfig", "ReplayConfig", "engine_attach",
-    "stream_replay", "ReplayStats",
+    # event engine
+    "EngineConfig", "engine_attach",
     # chaos harness
     "run_chaos", "chaos_plans", "default_checkers", "ChaosResult",
     # observability
@@ -121,15 +120,7 @@ class TestEntryPointSignatures:
             api.RunConfig("DKNN-P", fast=False)
 
     def test_engine_config_fields(self):
-        assert _params(api.EngineConfig) == ["mode", "replay"]
-
-    def test_replay_config_fields(self):
-        assert _params(api.ReplayConfig) == ["snapshot_every", "max_objects"]
-
-    def test_stream_replay_signature(self):
-        assert _params(api.stream_replay) == [
-            "events", "frames_per_tick", "tick_seconds", "emit",
-        ]
+        assert _params(api.EngineConfig) == ["mode"]
 
     def test_engine_attach_signature(self):
         assert _params(api.engine_attach) == ["sim", "config"]
@@ -164,7 +155,7 @@ class TestEntryPointSignatures:
     def test_typed_configs_are_frozen(self):
         for cls in (api.RunConfig, api.ShardConfig, api.RebalancePolicy,
                     api.AdmissionPolicy, api.WorkloadSpec,
-                    api.EngineConfig, api.ReplayConfig):
+                    api.EngineConfig):
             assert dataclasses.is_dataclass(cls), cls
             assert cls.__dataclass_params__.frozen, f"{cls} not frozen"
 

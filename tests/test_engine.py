@@ -34,7 +34,6 @@ from repro.net.engine import (
     ENGINE_MODES,
     EngineConfig,
     EventDriver,
-    ReplayConfig,
     engine_attach,
 )
 from repro.net.faults import FaultPlan
@@ -118,36 +117,14 @@ class TestEngineConfigValidation:
         with pytest.raises(ConfigError, match="unknown engine mode"):
             EngineConfig(mode="turbo")
 
-    def test_replay_must_be_replay_config(self):
-        with pytest.raises(ConfigError, match="ReplayConfig"):
-            EngineConfig(replay={"snapshot_every": 2})
-
     def test_frozen(self):
         cfg = EngineConfig()
         with pytest.raises(Exception):
             cfg.mode = "tick"
 
     def test_describe_round_trips_fields(self):
-        cfg = EngineConfig(mode="tick", replay=ReplayConfig(snapshot_every=3))
-        doc = cfg.describe()
-        assert doc["mode"] == "tick"
-        assert doc["replay"]["snapshot_every"] == 3
-        assert EngineConfig().describe()["replay"] is None
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"snapshot_every": 0},
-            {"snapshot_every": True},
-            {"snapshot_every": 1.5},
-            {"max_objects": 0},
-            {"max_objects": True},
-            {"max_objects": "many"},
-        ],
-    )
-    def test_replay_config_rejects(self, kwargs):
-        with pytest.raises(ConfigError):
-            ReplayConfig(**kwargs)
+        assert EngineConfig(mode="tick").describe() == {"mode": "tick"}
+        assert EngineConfig().describe() == {"mode": "event"}
 
     def test_run_config_rejects_non_engine(self):
         with pytest.raises(ConfigError, match="EngineConfig"):

@@ -10,6 +10,7 @@ import pytest
 
 from repro.errors import ExperimentError
 from repro.experiments import RunConfig, build_system, run_once
+from repro.net.engine import EngineConfig
 from repro.net.faults import FaultPlan
 from repro.obs import (
     NULL_TELEMETRY,
@@ -310,3 +311,22 @@ class TestRunIntegration:
         assert "Per-phase tick cost" in text
         assert "DKNN-P" in text
         assert "deliver" in text
+
+    @pytest.mark.parametrize(
+        "algorithm, mode, refused",
+        [("DKNN-P", "tick", False), ("CPM", "event", True)],
+    )
+    def test_summary_names_a_missing_planner_only_in_event_mode(
+        self, algorithm, mode, refused
+    ):
+        # A tick-mode run has no planner either; CPM has none at all.
+        ring = RingSink()
+        run_once(
+            RunConfig(algorithm, engine=EngineConfig(mode=mode)),
+            SPEC.but(warmup_ticks=2),
+            accuracy_every=0,
+            telemetry=Telemetry(tracer=Tracer(ring)),
+        )
+        text = summarize_text(ring.events())
+        assert f"mode={mode}" in text
+        assert ("skipping disabled: no wakeup planner" in text) == refused

@@ -11,7 +11,8 @@ nothing reaches ("unreached")::
 
 The product set is the layered benchmark's smoke run (all five
 workloads, bare and traced), ``python -m repro.experiments --all
---quick``, the two ``chaos --seed 3`` runs CI makes (plain and
+--quick``, the two ``chaos --seed 3`` runs CI makes (plain, traced
+and then read by ``summarize --strict`` as CI's chaos job does, and
 ``--rebalance``) and every ``examples/*.py``; the test set is tier-1
 (``python -m pytest -q``). Function level records every call with
 ``sys.setprofile`` (about 3x slower than a bare run); line level
@@ -44,13 +45,16 @@ SRC = os.path.join(ROOT, "src")
 PKG = os.path.join(SRC, "repro")
 
 
-def product_commands() -> List[List[str]]:
-    """The commands a user of the project runs, as argument vectors."""
+def product_commands(tmp: str) -> List[List[str]]:
+    """The commands a user of the project runs, as argument vectors, in
+    order; what one writes for a later one goes under ``tmp``."""
     exp = ["-m", "repro.experiments"]
+    trace = os.path.join(tmp, "chaos.jsonl")
     cmds = [
         ["benchmarks/layered/run.py", "--smoke"],
         exp + ["--all", "--quick"],
-        exp + ["chaos", "--seed", "3"],
+        exp + ["chaos", "--seed", "3", "--trace", trace],
+        exp + ["summarize", "--strict", trace],
         exp + ["chaos", "--seed", "3", "--ticks", "120", "--rebalance"],
     ]
     examples = os.path.join(ROOT, "examples")
@@ -262,7 +266,8 @@ def census(lines_of: List[str]) -> None:
         for f in files
         if f.endswith(".py")
     )
-    product = run_set(product_commands(), lines_of, "product")
+    with tempfile.TemporaryDirectory() as tmp:
+        product = run_set(product_commands(tmp), lines_of, "product")
     tests = run_set(TEST_COMMANDS, lines_of, "tests")
     row = "{:<36} {:>9} {:>8} {:>10} {:>9}".format
     print(row("module", "lines" if lines else "functions", "product",
