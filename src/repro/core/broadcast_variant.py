@@ -447,7 +447,7 @@ def _build_system(
     fleet, specs, server, node_cls, latency, faults, telemetry
 ) -> RoundSimulator:
     """The DKNN-B/G simulator: ``server`` with ``specs`` registered, one
-    ``node_cls`` node per fleet object.
+    ``node_cls`` node per fleet object, built when first needed.
 
     The per-tick band checks of all nodes run in one vectorized pass
     (:class:`~repro.core.fastpath.BroadcastSilentPhase`); installs
@@ -460,6 +460,7 @@ def _build_system(
                 f"query {spec.qid}: focal object {spec.focal_oid} "
                 f"not in fleet of {fleet.n}"
             )
+    focal_of = {spec.qid: spec.focal_oid for spec in specs}
     qids_by_focal: Dict[int, List[int]] = {}
     for spec in specs:
         server.register_query(spec)
@@ -479,6 +480,6 @@ def _build_system(
         ),
         latency=latency,
         faults=faults,
-        client_phase=BroadcastSilentPhase(),
+        client_phase=BroadcastSilentPhase(focal_of),
         telemetry=telemetry,
     )

@@ -721,32 +721,37 @@ class BroadcastSilentPhase(ClientPhase):
     Installs have one way in, :meth:`deliver_area`: an install
     dispatched to one node, or geocast with a payload other than a
     :class:`GeocastInstall`, raises :class:`ProtocolError`.
+
+    Nodes are built on demand: the focal map comes from the builder, the
+    epoch rule from the node classes. A node built late holds what an
+    untouched eager one holds, so :meth:`_replay` alone catches it up.
     """
+
+    def __init__(self, focal_of: Dict[int, int]) -> None:
+        #: qid -> focal oid, whose COLLECT handler skips the circle test.
+        self._focal_of = focal_of
 
     def bind(self, sim) -> None:
         super().bind(sim)
-        # Every node is built here, unlike under DknnSilentPhase: the
-        # focal map and the epoch rule below are read off the nodes.
-        mobiles = list(sim.mobiles)
-        for node in mobiles:
-            if not isinstance(node, BroadcastMobileNode):
+        pop = sim.mobiles
+        for cls in pop.classes:
+            if not issubclass(cls, BroadcastMobileNode):
                 raise ProtocolError(
-                    f"BroadcastSilentPhase cannot drive {type(node).__name__}"
+                    f"BroadcastSilentPhase cannot drive {cls.__name__}"
                 )
-        self.skip_tick_end = _base_tick_end(sim.mobiles)
+        self.skip_tick_end = _base_tick_end(pop)
         n = sim.fleet.n
-        #: qid -> its focal oid, the one node whose COLLECT handler
-        #: returns before the circle test.
-        self._focal_of: Dict[int, int] = {
-            qid: node.oid for node in mobiles for qid in node.my_qids
-        }
         self._qidx: Dict[int, int] = {
             qid: i for i, qid in enumerate(sorted(self._focal_of))
         }
         q = len(self._qidx)
-        self._node_of: List[BroadcastMobileNode] = [None] * n  # type: ignore
+        #: the population's node table (None: not built yet) and builder.
+        self._node_of: List[Optional[BroadcastMobileNode]] = pop.nodes
+        self._build = pop.build
         self._active = np.zeros(n, dtype=bool)
+        self._active[pop.oids()] = True
         self._focal = np.zeros(n, dtype=bool)
+        self._focal[list(self._focal_of.values())] = True
         self._ax = np.zeros((q, n))
         self._ay = np.zeros((q, n))
         #: the band limit each cell is checked against (inner for answer
@@ -757,18 +762,11 @@ class BroadcastSilentPhase(ClientPhase):
         self._member = np.zeros((q, n), dtype=bool)
         self._armed = np.zeros((q, n), dtype=bool)
         self._reported = np.zeros((q, n), dtype=bool)
-        #: per-(query, node) install epoch held, geocast acceptance rule
-        #: (-1 = never installed, matching ``_epochs.get(qid, -1)``).
-        self._epoch_mode = bool(mobiles) and isinstance(
-            mobiles[0], GeocastMobileNode
-        )
-        self._epoch = np.full((q, n), -1, dtype=np.int64)
-        for node in mobiles:
-            oid = node.oid
-            self._node_of[oid] = node
-            self._active[oid] = True
-            if node.my_qids:
-                self._focal[oid] = True
+        #: per-(query, node) install epoch held under the geocast rule
+        #: (-1 = never installed, as ``_epochs.get(qid, -1)``), or None.
+        self._epoch: Optional[np.ndarray] = None
+        if any(issubclass(cls, GeocastMobileNode) for cls in pop.classes):
+            self._epoch = np.full((q, n), -1, dtype=np.int64)
         #: index of "every active node": a plain slice when that is the
         #: whole fleet, so full broadcasts write rows, not mask scatters.
         self._everyone = slice(None) if self._active.all() else self._active
@@ -857,7 +855,7 @@ class BroadcastSilentPhase(ClientPhase):
             unseen &= mask
         self._first[qi, unseen] = seq
         e = 0
-        if self._epoch_mode:
+        if self._epoch is not None:
             e = getattr(payload, "epoch", 0)
             held = self._epoch[qi]
             if mask is None:
@@ -933,7 +931,7 @@ class BroadcastSilentPhase(ClientPhase):
         for oid in candidates:
             if oid in down:
                 continue
-            node = self._node_of[oid]
+            node = self._node_of[oid] or self._build(oid)
             self._replay(node)
             reported = node._reported
             before = len(reported)
@@ -1041,7 +1039,7 @@ class BroadcastSilentPhase(ClientPhase):
             )
             return
         for oid in idx.tolist():
-            sim._dispatch(self._node_of[oid], msg)
+            sim._dispatch(self._node_of[oid] or self._build(oid), msg)
 
     def deliver_area(self, msg: Message) -> bool:
         """Vectorized delivery of the server's broadcasts and geocasts.

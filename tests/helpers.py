@@ -55,8 +55,9 @@ def reference_system(
     stays closed (``RoundSimulator.plane_open``), so the server sends
     one by one. Same server, same nodes, same parameters as
     ``build_system(cfg, ...)``: the system is built by it and its phase
-    taken away before the first tick (binding a phase reads the nodes,
-    it does not change them); the shard tier and the engine driver are
+    taken away before the first tick (binding a phase builds no node
+    and changes none: the per-object loop builds every node fresh at
+    tick 1); the shard tier and the engine driver are
     attached afterwards, as ``build_system`` orders them. A DKNN-P
     server also loses its subround pre-pass, so every index search of
     the reference is a per-query ``knn_search`` /

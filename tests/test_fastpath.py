@@ -212,10 +212,39 @@ def _mirror_state(phase):
     """Everything the broadcast phase mirrors or logs of the nodes."""
     arrays = (
         phase._ax, phase._ay, phase._bound, phase._member, phase._armed,
-        phase._reported, phase._epoch, phase._final, phase._first,
-        phase._pending, phase._applied,
+        phase._reported, phase._final, phase._first, phase._pending,
+        phase._applied,
     )
-    return [a.tolist() for a in arrays] + [phase._seq, list(phase._log)]
+    epoch = None if phase._epoch is None else phase._epoch.tolist()
+    return [a.tolist() for a in arrays] + [epoch, phase._seq, list(phase._log)]
+
+
+def _replay_system(algorithm, faulty):
+    """The builder's system of the replay properties: REPLAY_N objects,
+    3 queries, under REPLAY_PLAN if ``faulty``; no node built yet."""
+    spec = WorkloadSpec(
+        ticks=1, warmup_ticks=0, seed=5, n_objects=REPLAY_N - 3, n_queries=3,
+        k=2,
+    )
+    fleet, queries = build_workload(spec)
+    assert fleet.n == REPLAY_N
+    plan = FaultPlan(**REPLAY_PLAN) if faulty else None
+    return build_system(RunConfig(algorithm, faults=plan), fleet, queries)
+
+
+def _install_message(sim, algorithm, qi, epoch, anchor, threshold, answer,
+                     dst, plain=False):
+    """The install an ``_ops`` step draws: a GeocastInstall for DKNN-G
+    unless ``plain`` or never-violated (infinite threshold), else a
+    BroadcastInstall (epoch 0 to a geocast node)."""
+    ax, ay = sim.fleet.positions[anchor]
+    qid = sorted(sim.client_phase._qidx)[qi]
+    args = (qid, ax, ay, threshold, 20.0, tuple(answer))
+    if not plain and algorithm == "DKNN-G" and threshold != float("inf"):
+        payload = GeocastInstall(*args, cover=500.0, epoch=epoch)
+    else:
+        payload = BroadcastInstall(*args)
+    return Message(MessageKind.BROADCAST_INSTALL, SERVER_ID, dst, payload)
 
 
 @pytest.mark.parametrize("algorithm", ["DKNN-B", "DKNN-G"])
@@ -242,17 +271,10 @@ def test_coalesced_replay_matches_sequential_walk(algorithm, ops, faulty):
     geocast with a payload the phase cannot mirror, raises
     ``ProtocolError`` and leaves every node and the mirror as they were.
     """
-    spec = WorkloadSpec(
-        ticks=1, warmup_ticks=0, seed=5, n_objects=REPLAY_N - 3, n_queries=3,
-        k=2,
-    )
-    fleet, queries = build_workload(spec)
-    assert fleet.n == REPLAY_N
-    plan = FaultPlan(**REPLAY_PLAN) if faulty else None
-    sim = build_system(RunConfig(algorithm, faults=plan), fleet, queries)
-    phase = sim.client_phase
+    sim = _replay_system(algorithm, faulty)
+    fleet, plan, phase = sim.fleet, sim.faults, sim.client_phase
     qids = sorted(phase._qidx)
-    nodes = phase._node_of
+    nodes = list(sim.mobiles)
     twins = [type(n)(n.oid, fleet, my_qids=n.my_qids) for n in nodes]
     twin_channel = Channel()
     twin_channel.register(SERVER_ID)
@@ -280,15 +302,8 @@ def test_coalesced_replay_matches_sequential_walk(algorithm, ops, faulty):
     def up(oid):
         return plan is None or not plan.is_down(oid, sim.tick)
 
-    def install_message(qi, epoch, anchor, threshold, answer, dst,
-                        plain=False):
-        ax, ay = fleet.positions[anchor]
-        args = (qids[qi], ax, ay, threshold, 20.0, tuple(answer))
-        if not plain and algorithm == "DKNN-G" and threshold != float("inf"):
-            payload = GeocastInstall(*args, cover=500.0, epoch=epoch)
-        else:
-            payload = BroadcastInstall(*args)  # epoch 0 to a geocast node
-        return Message(MessageKind.BROADCAST_INSTALL, SERVER_ID, dst, payload)
+    def install_message(*args, plain=False):
+        return _install_message(sim, algorithm, *args, plain=plain)
 
     def refused(deliver, msg):
         before = _mirror_state(phase), [_node_state(n) for n in nodes]
@@ -357,7 +372,118 @@ def test_coalesced_replay_matches_sequential_walk(algorithm, ops, faulty):
     assert phase._replayed + phase._superseded == oracle_calls
     assert phase._replayed <= oracle_calls
     if not faulty:
-        assert len(reads) >= ticks * len(queries)  # the focal nodes
+        assert len(reads) >= ticks * len(qids)  # the focal nodes
+
+
+@pytest.mark.parametrize("faulty", [False, True], ids=["plain", "faulty"])
+@pytest.mark.parametrize("algorithm", ["DKNN-B", "DKNN-G"])
+@given(
+    ops=st.lists(
+        st.one_of(_ops, st.tuples(st.just("build"), _oids)), max_size=60
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_a_late_built_broadcast_node_equals_its_eager_twin(
+    algorithm, faulty, ops
+):
+    """Twin builder's systems fed the same steps: nodes built on demand
+    against nodes built up front. The lazy side binds its phase without
+    a node and builds one only when scalar code needs it — a candidate
+    tick-start, a collect answered by handlers, a probe, a refused
+    unicast install — or on a drawn ``build`` op; the eager side builds
+    them all before the first op. A node built late gets no state
+    written onto it: it must hold what its eager twin holds when it is
+    built, at every candidate tick-start (after its replay) and at the
+    end, both phases must mirror the same cells and replay the same
+    installs, and both must put the same stream on the wire."""
+    lazy = _replay_system(algorithm, faulty)
+    assert lazy.mobiles.built() == []
+    eager = _replay_system(algorithm, faulty)
+    list(eager.mobiles)
+    sims = (lazy, eager)
+    #: per side, (oid, node state) at each candidate tick-start
+    reads = ([], [])
+    for sim, log in zip(sims, reads):
+        replay = sim.client_phase._replay
+
+        def recorded(node, replay=replay, log=log):
+            replay(node)
+            log.append((node.oid, _node_state(node)))
+
+        sim.client_phase._replay = recorded
+    area = GEOCAST_ID if algorithm == "DKNN-G" else BROADCAST_ID
+
+    def message(op):
+        """The op's message, one object for both sides (monitors hold
+        the install itself); the fleets stand on the same positions."""
+        if op[0] in ("install", "unicast", "geocast"):
+            dst = {"install": BROADCAST_ID, "geocast": GEOCAST_ID}
+            return _install_message(
+                lazy, algorithm, *op[1:6], dst.get(op[0], op[-1]),
+                plain=op[0] == "geocast",
+            )
+        if op[0] == "collect":
+            cx, cy = lazy.fleet.positions[op[2]]
+            qid = sorted(lazy.client_phase._qidx)[op[1]]
+            request = CollectRequest(qid, cx, cy, op[3])
+            return Message(MessageKind.COLLECT, SERVER_ID, area, request)
+        if op[0] == "probe":
+            return Message(MessageKind.PROBE, SERVER_ID, op[1], ProbeRequest())
+        return None
+
+    def play(sim, op, msg):
+        phase, plan = sim.client_phase, sim.faults
+
+        def up(oid):
+            return plan is None or not plan.is_down(oid, sim.tick)
+
+        if op[0] == "install":
+            if op[6] is None:
+                assert phase.deliver_area(msg)
+            else:
+                heard = [up(oid) and op[6][oid] for oid in range(REPLAY_N)]
+                phase._defer_install(msg, np.array(heard))
+        elif op[0] == "unicast":
+            with pytest.raises(ProtocolError):
+                sim._dispatch(sim.mobiles[msg.dst], msg)
+        elif op[0] == "geocast":
+            with pytest.raises(ProtocolError):
+                phase.deliver_area(msg)
+        elif op[0] == "collect":
+            assert phase.deliver_area(msg)
+        elif op[0] == "probe":
+            if up(msg.dst):
+                sim._dispatch(sim.mobiles[msg.dst], msg)
+        else:
+            sim.fleet.advance()
+            sim.tick = sim.fleet.tick
+            sim.channel.begin_tick(sim.tick)
+            phase.tick_start(sim.tick)
+
+    def same(oid):
+        assert _node_state(lazy.mobiles[oid]) == _node_state(eager.mobiles[oid])
+
+    for op in ops:
+        if op[0] == "build":
+            same(op[1])
+            continue
+        msg = message(op)
+        for sim in sims:
+            play(sim, op, msg)
+        assert reads[0] == reads[1]
+        assert on_the_wire(lazy.channel.collect()) == on_the_wire(
+            eager.channel.collect()
+        )
+    for oid in range(REPLAY_N):
+        same(oid)
+        for sim in sims:
+            sim.client_phase._replay(sim.mobiles[oid])
+        same(oid)
+    got, want = lazy.client_phase, eager.client_phase
+    assert _mirror_state(got) == _mirror_state(want)
+    assert (got._replayed, got._superseded) == (
+        want._replayed, want._superseded
+    )
 
 
 def test_reporting_candidate_is_rearmed_by_the_mirror_alone():

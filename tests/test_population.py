@@ -3,8 +3,9 @@ only when scalar code needs it, and what that costs before tick 1.
 
 The node classes stay the specification: everything here checks *who*
 gets built and *how much* a build leaves behind; that a node built late
-holds what an eagerly built twin holds is the Hypothesis property in
-``tests/test_region_table.py``.
+holds what an eagerly built twin holds are the Hypothesis properties in
+``tests/test_region_table.py`` (DKNN-P) and ``tests/test_fastpath.py``
+(DKNN-B/G).
 """
 
 from __future__ import annotations
@@ -15,8 +16,10 @@ import tracemalloc
 import pytest
 
 from repro.baselines.common import ReporterNode
+from repro.core.broadcast_variant import BroadcastMobileNode
 from repro.core.client import DknnMobileNode
-from repro.errors import NetworkError
+from repro.core.fastpath import BroadcastSilentPhase
+from repro.errors import NetworkError, ProtocolError
 from repro.experiments.algorithms import build_system
 from repro.experiments.config import RunConfig
 from repro.mobility import Fleet, StationaryMover
@@ -30,7 +33,9 @@ SPEC = WorkloadSpec(
 )
 
 
-@pytest.mark.parametrize("algorithm", ["DKNN-P", "PER", "SEA", "CPM"])
+@pytest.mark.parametrize(
+    "algorithm", ["DKNN-P", "DKNN-B", "DKNN-G", "PER", "SEA", "CPM"]
+)
 def test_only_what_a_scalar_path_reaches_is_built(algorithm, monkeypatch):
     fleet, queries = build_workload(SPEC)
     sim = build_system(RunConfig(algorithm), fleet, queries)
@@ -45,7 +50,7 @@ def test_only_what_a_scalar_path_reaches_is_built(algorithm, monkeypatch):
         dispatch(node, msg)
 
     sim._dispatch = recorded_dispatch
-    for cls in (DknnMobileNode, ReporterNode):
+    for cls in (DknnMobileNode, BroadcastMobileNode, ReporterNode):
         tick_start = cls.on_tick_start
 
         def recorded_tick_start(node, tick, tick_start=tick_start):
@@ -58,6 +63,21 @@ def test_only_what_a_scalar_path_reaches_is_built(algorithm, monkeypatch):
     assert built == reached
     # the focal objects get answers pushed; the crowd stays columns
     assert 0 < len(built) < fleet.n // 10
+
+
+def test_a_broadcast_phase_refuses_other_nodes_without_building_them():
+    """``BroadcastSilentPhase`` checks the population's node classes,
+    not its nodes: binding it to DKNN-P nodes fails before any is
+    built."""
+    fleet = TestPopulation._fleet()
+    pop = Population(
+        fleet.n, DknnMobileNode, lambda oid: DknnMobileNode(oid, fleet, 1.0)
+    )
+    with pytest.raises(ProtocolError, match="DknnMobileNode"):
+        RoundSimulator(
+            fleet, ServerNodeBase(), pop, client_phase=BroadcastSilentPhase({})
+        )
+    assert pop.built() == []
 
 
 def test_an_event_mode_system_costs_little_before_tick_one():
