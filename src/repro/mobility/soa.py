@@ -27,16 +27,20 @@ existing. Positions are exposed through :class:`SoAPositions`, a
 sequence view that yields plain float tuples (so protocol messages
 carry the same Python floats as the scalar path) while handing the
 backing arrays (``.xs`` / ``.ys``) to vectorized consumers for free.
+
+A steady :meth:`FastFleet.advance` allocates no array that grows with
+the fleet: kernels write into preallocated workspaces with ``out=``,
+and positions into back buffers swapped in at the end.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple, Type
+from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
 from repro.errors import MobilityError
-from repro.geometry import Rect
+from repro.geometry import Rect, dist
 from repro.mobility.base import Mover
 from repro.mobility.crossing import (
     _MAX_HORIZON,
@@ -73,12 +77,16 @@ class SoAPositions:
 
     @property
     def xs(self) -> np.ndarray:
-        """X coordinates, indexed by object id (read-only view)."""
+        """X coordinates, indexed by object id: the live buffer. It
+        holds this tick until the next ``advance`` (and the previous tick
+        after it); the one after overwrites it. Callers that keep
+        positions must copy them; nobody may write to it."""
         return self._fleet._xs
 
     @property
     def ys(self) -> np.ndarray:
-        """Y coordinates, indexed by object id (read-only view)."""
+        """Y coordinates, indexed by object id; same lifetime as
+        :attr:`xs`."""
         return self._fleet._ys
 
     def __len__(self) -> int:
@@ -109,36 +117,71 @@ class SoAPositions:
         return f"SoAPositions(n={len(self)})"
 
 
+_NO_ROWS = np.empty(0, dtype=np.intp)
+
+
+class _Workspace:
+    """One kernel's per-tick scratch, allocated once at its size.
+    ``x`` / ``y`` take gathered positions (a kernel over one contiguous
+    oid range reads views instead and has none)."""
+
+    def __init__(self, m: int, gather: bool) -> None:
+        self.x, self.y = np.empty((2, m)) if gather else (None, None)
+        # zeros: off the glide mask ``f`` is read, never stored, so it
+        # must stay finite (later: the passed check's bounded squares)
+        self.nx, self.ny, self.d, self.f = np.zeros((4, m))
+        self.moving, self.glide, self.t0, self.t1 = np.empty((4, m), bool)
+
+
 class _Kernel:
     """Vectorized stepper for one mover class.
 
-    ``oids`` are the fleet-global ids this kernel owns. ``step`` fills
-    the new-position arrays for every *silent* object and returns the
-    global ids that need a scalar (RNG-consuming) step this tick.
-    ``pull``/``push`` sync per-object state between the arrays and one
-    mover around that scalar step. ``claims`` reads the objects' motion
-    claims (:mod:`repro.mobility.crossing`) off the kernel columns.
+    ``oids`` are the fleet-global ids this kernel owns, ascending.
+    ``step`` writes the new positions of every *silent* object into the
+    fleet's back buffers and returns the local rows that need a scalar
+    (RNG-consuming) step this tick. ``pull_many``/``push_many`` sync
+    those rows' ``SYNC`` columns with their movers around the scalar
+    steps. ``offender`` is the fleet's safety check over the kernel.
+    ``claims`` reads the objects' motion claims
+    (:mod:`repro.mobility.crossing`) off the kernel columns.
     """
+
+    #: False for a kernel whose objects never move: no workspace.
+    MOVES = True
+    #: ``(column, mover attribute)`` pairs mirrored by the kernel.
+    SYNC: Tuple[Tuple[str, str], ...] = ()
 
     def __init__(
         self, universe: Rect, oids: np.ndarray, movers: List[Mover]
     ) -> None:
         self.universe = universe
         self.oids = oids
-        self._local: Dict[int, int] = {
-            int(oid): i for i, oid in enumerate(oids)
-        }
+        m = oids.shape[0]
+        lo = int(oids[0])
+        #: this kernel's rows of a fleet column: a slice (read and
+        #: written as views) when the oids are one range, else the oids
+        #: (gathered and scattered through the workspace).
+        self.at = slice(lo, lo + m) if int(oids[-1]) - lo == m - 1 else oids
+        if self.MOVES:
+            self.ws = _Workspace(m, gather=type(self.at) is not slice)
+            speeds = np.array([mv.max_speed for mv in movers])
+            self.limit = speeds + _SPEED_TOLERANCE
 
     def step(
-        self, xs: np.ndarray, ys: np.ndarray, nxs: np.ndarray, nys: np.ndarray
+        self, xs: np.ndarray, ys: np.ndarray, bx: np.ndarray, by: np.ndarray
     ) -> np.ndarray:
         raise NotImplementedError
 
-    def pull(self, oid: int, mover: Mover) -> None:
-        """Array state -> mover attributes (before a scalar step)."""
+    def pull_many(self, rows: np.ndarray, movers: List[Mover]) -> None:
+        """Array state of ``rows`` -> their movers (before the steps)."""
+        for col, attr in self.SYNC:
+            for m, value in zip(movers, getattr(self, col)[rows].tolist()):
+                setattr(m, attr, value)
 
-    def push(self, oid: int, mover: Mover) -> None:
-        """Mover attributes -> array state (after a scalar step)."""
+    def push_many(self, rows: np.ndarray, movers: List[Mover]) -> None:
+        """The movers -> array state of ``rows`` (after the steps)."""
+        for col, attr in self.SYNC:
+            getattr(self, col)[rows] = [getattr(m, attr) for m in movers]
 
     def claims(
         self, i: np.ndarray, x: np.ndarray, y: np.ndarray
@@ -148,84 +191,136 @@ class _Kernel:
         bound: it holds for any mover."""
         return Claims(i.shape[0], GENERIC)
 
+    def _rows(self, xs, ys, gx=None, gy=None) -> Tuple[np.ndarray, np.ndarray]:
+        """This kernel's entries of two fleet columns: views, or gathered
+        into ``gx, gy`` (default: the workspace's ``x, y``)."""
+        at = self.at
+        if type(at) is slice:
+            return xs[at], ys[at]
+        ws = self.ws
+        # mode="clip" writes ``out`` directly; "raise" buffers it.
+        return (
+            np.take(xs, at, out=ws.x if gx is None else gx, mode="clip"),
+            np.take(ys, at, out=ws.y if gy is None else gy, mode="clip"),
+        )
+
+    def _store(self, bx, by, nx, ny, where=True) -> None:
+        """Write ``nx, ny`` at ``where`` into the back buffers. Gathered,
+        they fill in the gathered positions and the lot scatters (the
+        back buffers start as copies of the positions)."""
+        at = self.at
+        if type(at) is slice:
+            np.copyto(bx[at], nx, where=where)
+            np.copyto(by[at], ny, where=where)
+            return
+        ws = self.ws
+        np.copyto(ws.x, nx, where=where)
+        np.copyto(ws.y, ny, where=where)
+        bx[at] = ws.x
+        by[at] = ws.y
+
+    def offender(self, xs, ys, bx, by) -> Optional[int]:
+        """The lowest oid of this kernel outside the universe or farther
+        than ``max_speed`` (plus tolerance) from its last position, or
+        None. An object that did not move passes trivially."""
+        ws = self.ws
+        u = self.universe
+        nx, ny = self._rows(bx, by, ws.nx, ws.ny)
+        x, y = self._rows(xs, ys)
+        ok, t = ws.t0, ws.t1
+        np.greater_equal(nx, u.xmin, out=ok)
+        np.less_equal(nx, u.xmax, out=t)
+        ok &= t
+        np.greater_equal(ny, u.ymin, out=t)
+        ok &= t
+        np.less_equal(ny, u.ymax, out=t)
+        ok &= t
+        d, f = ws.d, ws.f
+        np.subtract(nx, x, out=d)
+        d *= d
+        np.subtract(ny, y, out=f)
+        f *= f
+        d += f
+        np.sqrt(d, out=d)
+        np.less_equal(d, self.limit, out=t)
+        ok &= t
+        return None if ok.all() else int(self.oids[int(np.argmin(ok))])
+
 
 class _ScalarKernel(_Kernel):
     """Fallback: every object steps scalar every tick (always events)
     and claims only its speed bound."""
 
-    def step(self, xs, ys, nxs, nys) -> np.ndarray:
-        return self.oids
+    def step(self, xs, ys, bx, by) -> np.ndarray:
+        return np.arange(self.oids.shape[0])
 
 
 class _StationaryKernel(_Kernel):
     """Objects that never move and never draw randomness."""
 
-    _EMPTY = np.empty(0, dtype=np.int64)
+    MOVES = False
 
-    def step(self, xs, ys, nxs, nys) -> np.ndarray:
-        # nxs/nys start as copies of xs/ys: nothing to do.
-        return self._EMPTY
+    def step(self, xs, ys, bx, by) -> np.ndarray:
+        # The back buffers start as copies of the positions.
+        return _NO_ROWS
+
+    def offender(self, xs, ys, bx, by) -> Optional[int]:
+        return None  # never moved
 
     def claims(self, i, x, y) -> Claims:
         return Claims(i.shape[0])  # all STILL
 
 
-def _reflect_axis(
-    n: np.ndarray, v: np.ndarray, lo: float, hi: float
-) -> Tuple[np.ndarray, np.ndarray]:
-    """One wall reflection + clamp, replicating the scalar branch order.
+def _bounce(kern: _Kernel, xs, ys, bx, by, vx, vy, where=True) -> None:
+    """``(x + vx, y + vy)`` into the back buffers (at ``where``) with one
+    wall reflection + clamp per axis, velocities flipped in place.
 
     Mirrors ``LinearMover.step`` / ``RandomDirectionMover.step``:
     ``lo + (lo - n)`` below, ``hi - (n - hi)`` above, velocity flipped
     on either, then clamped into ``[lo, hi]``.
     """
-    below = n < lo
-    above = ~below & (n > hi)
-    out = np.where(below, lo + (lo - n), np.where(above, hi - (n - hi), n))
-    v = np.where(below | above, -v, v)
-    out = np.minimum(np.maximum(out, lo), hi)
-    return out, v
+    u, ws = kern.universe, kern.ws
+    below, above = ws.t0, ws.t1
+    x, y = kern._rows(xs, ys)
+    for p, v, n, lo, hi in (
+        (x, vx, ws.nx, u.xmin, u.xmax), (y, vy, ws.ny, u.ymin, u.ymax)
+    ):
+        np.add(p, v, out=n)
+        np.less(n, lo, out=below)
+        np.greater(n, hi, out=above)  # disjoint from below: lo <= hi
+        np.subtract(lo, n, out=n, where=below)
+        np.add(n, lo, out=n, where=below)
+        np.subtract(n, hi, out=n, where=above)
+        np.subtract(hi, n, out=n, where=above)
+        below |= above
+        np.negative(v, out=v, where=below)
+        np.maximum(n, lo, out=n)
+        np.minimum(n, hi, out=n)
+    kern._store(bx, by, ws.nx, ws.ny, where)
 
 
 class _LinearKernel(_Kernel):
     """Constant velocity with reflecting walls; never draws randomness."""
-
-    _EMPTY = np.empty(0, dtype=np.int64)
 
     def __init__(self, universe, oids, movers) -> None:
         super().__init__(universe, oids, movers)
         self.vx = np.array([m._vx for m in movers], dtype=np.float64)
         self.vy = np.array([m._vy for m in movers], dtype=np.float64)
 
-    def step(self, xs, ys, nxs, nys) -> np.ndarray:
-        u = self.universe
-        o = self.oids
-        nx = xs[o] + self.vx
-        ny = ys[o] + self.vy
-        nx, self.vx = _reflect_axis(nx, self.vx, u.xmin, u.xmax)
-        ny, self.vy = _reflect_axis(ny, self.vy, u.ymin, u.ymax)
-        nxs[o] = nx
-        nys[o] = ny
-        return self._EMPTY
+    def step(self, xs, ys, bx, by) -> np.ndarray:
+        _bounce(self, xs, ys, bx, by, self.vx, self.vy)
+        return _NO_ROWS
 
     def claims(self, i, x, y) -> Claims:
         return velocity_claims(
             x, y, self.vx[i], self.vy[i], _MAX_HORIZON, self.universe
         )
 
-    def pull(self, oid, mover) -> None:
-        i = self._local[oid]
-        mover._vx = float(self.vx[i])
-        mover._vy = float(self.vy[i])
 
-    def push(self, oid, mover) -> None:
-        i = self._local[oid]
-        self.vx[i] = mover._vx
-        self.vy[i] = mover._vy
-
-
-class _WaypointKernel(_Kernel):
-    """Random waypoint: silent unless paused-out or arriving.
+class _GlideKernel(_Kernel):
+    """Waypointing at a per-trip speed toward ``(tx, ty)``: silent
+    unless arriving. As is, the Gaussian-cluster kernel; the waypoint,
+    hotspot-drift and commute kernels add their own gates.
 
     The event mask replicates the scalar arrival test *on the result*:
     ``translate_toward`` lands on the target when ``d <= speed``, but a
@@ -233,110 +328,107 @@ class _WaypointKernel(_Kernel):
     the scalar new-trip path, so both are events here.
     """
 
+    SYNC = (("speed", "_speed"),)
+
     def __init__(self, universe, oids, movers) -> None:
         super().__init__(universe, oids, movers)
         self.tx = np.array([m._target[0] for m in movers], dtype=np.float64)
         self.ty = np.array([m._target[1] for m in movers], dtype=np.float64)
         self.speed = np.array([m._speed for m in movers], dtype=np.float64)
-        self.pause = np.array(
-            [m._pause_left for m in movers], dtype=np.int64
-        )
 
-    def step(self, xs, ys, nxs, nys) -> np.ndarray:
-        o = self.oids
-        x = xs[o]
-        y = ys[o]
-        paused = self.pause > 0
-        if paused.any():
-            self.pause[paused] -= 1
-        moving = ~paused
-        dx = x - self.tx
-        dy = y - self.ty
-        d = np.sqrt(dx * dx + dy * dy)
-        arrive = moving & (d <= self.speed)
-        glide = moving & ~arrive
+    def step(self, xs, ys, bx, by) -> np.ndarray:
+        return self._glide(xs, ys, bx, by)
+
+    def _glide(self, xs, ys, bx, by, moving=None) -> np.ndarray:
+        """One glide of every object (of those ``moving``) into the back
+        buffers; returns the local rows that arrive instead.
+
+        ``translate_toward``'s float ops in its order: ``d =
+        sqrt(dx*dx + dy*dy)``, ``f = speed / d`` on gliders,
+        ``x + (tx - x) * f``.
+        """
+        ws = self.ws
+        tx, ty, speed = self.tx, self.ty, self.speed
+        nx, ny, d, f = ws.nx, ws.ny, ws.d, ws.f
+        glide, t0, t1 = ws.glide, ws.t0, ws.t1
+        x, y = self._rows(xs, ys)
+        np.subtract(x, tx, out=nx)
+        nx *= nx
+        np.subtract(y, ty, out=ny)
+        ny *= ny
+        np.add(nx, ny, out=d)
+        np.sqrt(d, out=d)
+        np.less_equal(d, speed, out=glide)
+        np.logical_not(glide, out=glide)
+        if moving is not None:
+            glide &= moving
         # d > speed >= 0 on the glide set, so the division is safe.
-        f = np.where(glide, self.speed / np.where(glide, d, 1.0), 0.0)
-        nx = x + (self.tx - x) * f
-        ny = y + (self.ty - y) * f
+        np.divide(speed, d, out=f, where=glide)
+        np.subtract(tx, x, out=nx)
+        nx *= f
+        nx += x
+        np.subtract(ty, y, out=ny)
+        ny *= f
+        ny += y
         # Float-rounding arrivals: the glide formula landed exactly on
         # the target, which the scalar mover treats as an arrival.
-        landed = glide & (nx == self.tx) & (ny == self.ty)
-        arrive |= landed
-        glide &= ~landed
-        nxs[o[glide]] = nx[glide]
-        nys[o[glide]] = ny[glide]
-        return o[arrive]
-
-    def claims(self, i, x, y) -> Claims:
-        claims = glide_claims(x, y, self.tx[i], self.ty[i], self.speed[i])
-        pause = self.pause[i]
-        claims.hold(pause > 0, pause)  # static through the pause
-        return claims
-
-    def pull(self, oid, mover) -> None:
-        i = self._local[oid]
-        mover._target = (float(self.tx[i]), float(self.ty[i]))
-        mover._speed = float(self.speed[i])
-        mover._pause_left = int(self.pause[i])
-
-    def push(self, oid, mover) -> None:
-        i = self._local[oid]
-        self.tx[i], self.ty[i] = mover._target
-        self.speed[i] = mover._speed
-        self.pause[i] = mover._pause_left
-
-
-class _GaussianKernel(_Kernel):
-    """Gaussian-cluster waypointing: like waypoint, without pauses."""
-
-    def __init__(self, universe, oids, movers) -> None:
-        super().__init__(universe, oids, movers)
-        self.tx = np.array([m._target[0] for m in movers], dtype=np.float64)
-        self.ty = np.array([m._target[1] for m in movers], dtype=np.float64)
-        self.speed = np.array([m._speed for m in movers], dtype=np.float64)
-
-    def step(self, xs, ys, nxs, nys) -> np.ndarray:
-        o = self.oids
-        x = xs[o]
-        y = ys[o]
-        dx = x - self.tx
-        dy = y - self.ty
-        d = np.sqrt(dx * dx + dy * dy)
-        arrive = d <= self.speed
-        glide = ~arrive
-        f = np.where(glide, self.speed / np.where(glide, d, 1.0), 0.0)
-        nx = x + (self.tx - x) * f
-        ny = y + (self.ty - y) * f
-        landed = glide & (nx == self.tx) & (ny == self.ty)
-        arrive |= landed
-        glide &= ~landed
-        nxs[o[glide]] = nx[glide]
-        nys[o[glide]] = ny[glide]
-        return o[arrive]
+        np.not_equal(nx, tx, out=t0)
+        np.not_equal(ny, ty, out=t1)
+        t0 |= t1
+        glide &= t0
+        self._store(bx, by, nx, ny, glide)
+        np.logical_not(glide, out=t0)
+        if moving is not None:
+            t0 &= moving
+        return np.flatnonzero(t0)
 
     def claims(self, i, x, y) -> Claims:
         return glide_claims(x, y, self.tx[i], self.ty[i], self.speed[i])
 
-    def pull(self, oid, mover) -> None:
-        i = self._local[oid]
-        mover._target = (float(self.tx[i]), float(self.ty[i]))
-        mover._speed = float(self.speed[i])
+    def pull_many(self, rows, movers) -> None:
+        super().pull_many(rows, movers)
+        for m, tx, ty in zip(
+            movers, self.tx[rows].tolist(), self.ty[rows].tolist()
+        ):
+            m._target = (tx, ty)
 
-    def push(self, oid, mover) -> None:
-        i = self._local[oid]
-        self.tx[i], self.ty[i] = mover._target
-        self.speed[i] = mover._speed
+    def push_many(self, rows, movers) -> None:
+        super().push_many(rows, movers)
+        self.tx[rows] = [m._target[0] for m in movers]
+        self.ty[rows] = [m._target[1] for m in movers]
 
 
-class _DriftKernel(_GaussianKernel):
-    """Drifting-hotspot waypointing: the Gaussian kernel plus a tick
-    counter.
+class _WaypointKernel(_GlideKernel):
+    """Random waypoint: the glide, gated by the arrival pause."""
+
+    SYNC = _GlideKernel.SYNC + (("pause", "_pause_left"),)
+
+    def __init__(self, universe, oids, movers) -> None:
+        super().__init__(universe, oids, movers)
+        self.pause = np.array([m._pause_left for m in movers], dtype=np.int64)
+
+    def step(self, xs, ys, bx, by) -> np.ndarray:
+        paused = self.ws.moving
+        np.greater(self.pause, 0, out=paused)
+        if not paused.any():
+            return self._glide(xs, ys, bx, by)
+        np.subtract(self.pause, 1, out=self.pause, where=paused)
+        return self._glide(xs, ys, bx, by, np.logical_not(paused, out=paused))
+
+    def claims(self, i, x, y) -> Claims:
+        claims = super().claims(i, x, y)
+        pause = self.pause[i]
+        claims.hold(pause > 0, pause)  # static through the pause
+        return claims
+
+
+class _DriftKernel(_GlideKernel):
+    """Drifting-hotspot waypointing: the glide plus a tick counter.
 
     The orbit only matters when a *new trip* is drawn, which is always
     a scalar (RNG-consuming) event — so the vector step is exactly the
     Gaussian glide. The kernel advances one shared tick counter and
-    ``pull`` rewinds the mover's ``_t`` to ``t - 1`` so the scalar
+    ``pull_many`` rewinds the movers' ``_t`` to ``t - 1`` so the scalar
     ``step`` (which increments ``_t``) lands on the kernel's tick:
     silent ticks never touch the movers, yet every event sees the same
     ``_t`` the scalar fleet would have counted up to.
@@ -346,19 +438,22 @@ class _DriftKernel(_GaussianKernel):
         super().__init__(universe, oids, movers)
         # All movers of one fleet share the fleet's tick; kernels are
         # built at fleet construction, before any advance.
-        self.t = movers[0]._t if movers else 0
+        self.t = movers[0]._t
 
-    def step(self, xs, ys, nxs, nys) -> np.ndarray:
+    def step(self, xs, ys, bx, by) -> np.ndarray:
         self.t += 1
-        return super().step(xs, ys, nxs, nys)
+        return self._glide(xs, ys, bx, by)
 
-    def pull(self, oid, mover) -> None:
-        super().pull(oid, mover)
-        mover._t = self.t - 1
+    def pull_many(self, rows, movers) -> None:
+        super().pull_many(rows, movers)
+        for m in movers:
+            m._t = self.t - 1
 
 
 class _DirectionKernel(_Kernel):
     """Random direction: silent except at leg renewals."""
+
+    SYNC = (("dx", "_dx"), ("dy", "_dy"), ("leg", "_leg_left"))
 
     def __init__(self, universe, oids, movers) -> None:
         super().__init__(universe, oids, movers)
@@ -366,22 +461,14 @@ class _DirectionKernel(_Kernel):
         self.dy = np.array([m._dy for m in movers], dtype=np.float64)
         self.leg = np.array([m._leg_left for m in movers], dtype=np.int64)
 
-    def step(self, xs, ys, nxs, nys) -> np.ndarray:
-        u = self.universe
-        o = self.oids
-        renew = self.leg <= 0
-        silent = ~renew
-        self.leg[silent] -= 1
-        s = o[silent]
-        nx = xs[s] + self.dx[silent]
-        ny = ys[s] + self.dy[silent]
-        nx, ndx = _reflect_axis(nx, self.dx[silent], u.xmin, u.xmax)
-        ny, ndy = _reflect_axis(ny, self.dy[silent], u.ymin, u.ymax)
-        self.dx[silent] = ndx
-        self.dy[silent] = ndy
-        nxs[s] = nx
-        nys[s] = ny
-        return o[renew]
+    def step(self, xs, ys, bx, by) -> np.ndarray:
+        silent = self.ws.moving
+        np.greater(self.leg, 0, out=silent)
+        np.subtract(self.leg, 1, out=self.leg, where=silent)
+        # A renewing object's bounce is never stored, and its scalar
+        # step redraws the velocity this may flip.
+        _bounce(self, xs, ys, bx, by, self.dx, self.dy, silent)
+        return np.flatnonzero(np.logical_not(silent, out=self.ws.t0))
 
     def claims(self, i, x, y) -> Claims:
         leg = self.leg[i]
@@ -392,70 +479,43 @@ class _DirectionKernel(_Kernel):
         claims.mode[leg <= 0] = GENERIC
         return claims
 
-    def pull(self, oid, mover) -> None:
-        i = self._local[oid]
-        mover._dx = float(self.dx[i])
-        mover._dy = float(self.dy[i])
-        mover._leg_left = int(self.leg[i])
 
-    def push(self, oid, mover) -> None:
-        i = self._local[oid]
-        self.dx[i] = mover._dx
-        self.dy[i] = mover._dy
-        self.leg[i] = mover._leg_left
-
-
-class _CommuteKernel(_Kernel):
+class _CommuteKernel(_DriftKernel):
     """Duty-cycled waypointing: a no-op outside the active window.
 
-    The shared step counter advances every tick (mirroring each
-    mover's ``_t``); during the parked phase no object moves and no
-    randomness is drawn, so the whole kernel is one vectorized window
-    test. Inside the window this is the waypoint glide with arrivals
-    (RNG-drawing new trips) as scalar events. Period/active bounds are
-    kept per object so fleets mixing differently-parameterized models
-    stay correct (the fast path just degrades to per-object masks).
+    The drift kernel's shared step counter (mirroring each mover's
+    ``_t``) sets the window; during the parked phase no object moves
+    and no randomness is drawn, so the whole kernel is one vectorized
+    window test. Inside the window this is the glide, gated by the
+    window, with arrivals (RNG-drawing new trips) as scalar events.
+    Period/active bounds are kept per object so fleets mixing
+    differently-parameterized models stay correct (the fast path just
+    degrades to per-object masks).
     """
-
-    _EMPTY = np.empty(0, dtype=np.int64)
 
     def __init__(self, universe, oids, movers) -> None:
         super().__init__(universe, oids, movers)
-        self.tx = np.array([m._target[0] for m in movers], dtype=np.float64)
-        self.ty = np.array([m._target[1] for m in movers], dtype=np.float64)
-        self.speed = np.array([m._speed for m in movers], dtype=np.float64)
         self.periods = np.array([m.period for m in movers], dtype=np.int64)
         self.actives = np.array(
             [m.active_ticks for m in movers], dtype=np.int64
         )
-        # Kernels are built at fleet construction, before any advance.
-        self.t = movers[0]._t if movers else 0
+        self._phase = np.empty(oids.shape[0], dtype=np.int64)
+        self._moved = False
 
-    def step(self, xs, ys, nxs, nys) -> np.ndarray:
-        active = (self.t % self.periods) < self.actives
+    def step(self, xs, ys, bx, by) -> np.ndarray:
+        active = self.ws.moving
+        np.remainder(self.t, self.periods, out=self._phase)
+        np.less(self._phase, self.actives, out=active)
         self.t += 1
-        if not active.any():
-            return self._EMPTY
-        o = self.oids[active]
-        x = xs[o]
-        y = ys[o]
-        tx = self.tx[active]
-        ty = self.ty[active]
-        sp = self.speed[active]
-        dx = x - tx
-        dy = y - ty
-        d = np.sqrt(dx * dx + dy * dy)
-        arrive = d <= sp
-        glide = ~arrive
-        f = np.where(glide, sp / np.where(glide, d, 1.0), 0.0)
-        nx = x + (tx - x) * f
-        ny = y + (ty - y) * f
-        landed = glide & (nx == tx) & (ny == ty)
-        arrive |= landed
-        glide &= ~landed
-        nxs[o[glide]] = nx[glide]
-        nys[o[glide]] = ny[glide]
-        return o[arrive]
+        self._moved = bool(active.any())
+        if not self._moved:
+            return _NO_ROWS
+        return self._glide(xs, ys, bx, by, active)
+
+    def offender(self, xs, ys, bx, by) -> Optional[int]:
+        if not self._moved:
+            return None  # parked: nobody moved
+        return super().offender(xs, ys, bx, by)
 
     def claims(self, i, x, y) -> Claims:
         tx = self.tx[i]
@@ -474,19 +534,6 @@ class _CommuteKernel(_Kernel):
         claims.hold(phase >= active, self.periods[i] - phase)
         return claims
 
-    def pull(self, oid, mover) -> None:
-        i = self._local[oid]
-        mover._target = (float(self.tx[i]), float(self.ty[i]))
-        mover._speed = float(self.speed[i])
-        # The scalar ``step`` about to run re-increments onto the
-        # kernel's (already advanced) count.
-        mover._t = self.t - 1
-
-    def push(self, oid, mover) -> None:
-        i = self._local[oid]
-        self.tx[i], self.ty[i] = mover._target
-        self.speed[i] = mover._speed
-
 
 #: Exact-type kernel registry. Subclasses fall back to scalar stepping
 #: (their overridden ``step`` could do anything).
@@ -494,7 +541,7 @@ _KERNELS: Dict[Type[Mover], Type[_Kernel]] = {
     StationaryMover: _StationaryKernel,
     LinearMover: _LinearKernel,
     RandomWaypointMover: _WaypointKernel,
-    GaussianClusterMover: _GaussianKernel,
+    GaussianClusterMover: _GlideKernel,
     HotspotDriftMover: _DriftKernel,
     RandomDirectionMover: _DirectionKernel,
     CommuteMover: _CommuteKernel,
@@ -515,9 +562,12 @@ class FastFleet(Fleet):
         super().__init__(movers, seed=seed)
         self._xs = np.array([p[0] for p in self.positions], dtype=np.float64)
         self._ys = np.array([p[1] for p in self.positions], dtype=np.float64)
+        #: the other position buffers: ``advance`` writes the next tick
+        #: here, then swaps them with ``_xs`` / ``_ys``.
+        self._bx = np.empty_like(self._xs)
+        self._by = np.empty_like(self._ys)
         #: per-object displacement bounds: ``max_speed_of``, as an array.
         self.max_speeds = np.array(self._speeds, dtype=np.float64)
-        self._speed_limit = self.max_speeds + _SPEED_TOLERANCE
         # Group movers by exact class; one kernel instance per class.
         by_cls: Dict[Type[Mover], Tuple[List[int], List[Mover]]] = {}
         for oid, m in enumerate(self._movers):
@@ -526,7 +576,6 @@ class FastFleet(Fleet):
             ids.append(oid)
             ms.append(m)
         self._kernels: List[_Kernel] = []
-        self._kernel_of: List[_Kernel] = [None] * len(self._movers)  # type: ignore[list-item]
         #: index into ``_kernels`` per object, for array-side grouping.
         self._kernel_id = np.empty(len(self._movers), dtype=np.int16)
         for cls, (ids, ms) in by_cls.items():
@@ -536,8 +585,6 @@ class FastFleet(Fleet):
             )
             self._kernel_id[kern.oids] = len(self._kernels)
             self._kernels.append(kern)
-            for oid in ids:
-                self._kernel_of[oid] = kern
         self.positions = SoAPositions(self)  # type: ignore[assignment]
 
     def motion_claims(self, oids: np.ndarray) -> Claims:
@@ -561,65 +608,58 @@ class FastFleet(Fleet):
         return claims
 
     def advance(self) -> None:
-        """Move every object one tick; vectorized where silent."""
-        xs = self._xs
-        ys = self._ys
-        nxs = xs.copy()
-        nys = ys.copy()
-        event_lists = [k.step(xs, ys, nxs, nys) for k in self._kernels]
-        events = (
-            np.sort(np.concatenate(event_lists))
-            if len(event_lists) > 1
-            else np.sort(event_lists[0])
-        )
+        """Move every object one tick; vectorized where silent.
+
+        The kernels write the next tick into the back buffers, the event
+        objects step scalar in ascending oid (each kernel syncs its
+        movers in one batch around that loop: a mover's step touches
+        only its own state), the kernels check the result, and the
+        buffers swap.
+        """
+        xs, ys, bx, by = self._xs, self._ys, self._bx, self._by
+        np.copyto(bx, xs)
+        np.copyto(by, ys)
+        movers = self._movers
+        batches = []
+        events: List[int] = []
+        for kern in self._kernels:
+            rows = kern.step(xs, ys, bx, by)
+            if rows.shape[0]:
+                oids = kern.oids[rows].tolist()
+                stepped = [movers[oid] for oid in oids]
+                kern.pull_many(rows, stepped)
+                batches.append((kern, rows, stepped))
+                events += oids
         rng = self._rng
-        for oid in events.tolist():
-            kern = self._kernel_of[oid]
-            mover = self._movers[oid]
-            kern.pull(oid, mover)
-            nx, ny = mover.step(float(xs[oid]), float(ys[oid]), rng)
-            kern.push(oid, mover)
-            nxs[oid] = nx
-            nys[oid] = ny
-        self._validate(xs, ys, nxs, nys)
-        self._xs = nxs
-        self._ys = nys
+        for oid in sorted(events):
+            nx, ny = movers[oid].step(float(xs[oid]), float(ys[oid]), rng)
+            bx[oid] = nx
+            by[oid] = ny
+        for kern, rows, stepped in batches:
+            kern.push_many(rows, stepped)
+        self._validate(xs, ys, bx, by)
+        self._xs, self._bx = bx, xs
+        self._ys, self._by = by, ys
         self.tick += 1
 
-    def _validate(self, xs, ys, nxs, nys) -> None:
-        """Vectorized form of the scalar fleet's per-tick safety check.
-
-        Only objects whose position changed this tick are checked: an
-        unchanged position was inside the universe last tick and moved
-        a distance of exactly zero, so both predicates hold trivially.
-        On mostly-stationary fleets this turns the per-tick cost from
-        O(N) into O(moved).
-        """
-        changed = np.nonzero((nxs != xs) | (nys != ys))[0]
-        if changed.size == 0:
+    def _validate(self, xs, ys, bx, by) -> None:
+        """The scalar fleet's per-tick safety check, kernel by kernel in
+        their workspaces (a kernel that moved nothing this tick skips
+        it). Like the scalar fleet, the error names the lowest offending
+        oid, its universe check before its speed check."""
+        bad = [k.offender(xs, ys, bx, by) for k in self._kernels]
+        bad = [oid for oid in bad if oid is not None]
+        if not bad:
             return
-        cx = nxs[changed]
-        cy = nys[changed]
-        u = self.universe
-        inside = (
-            (cx >= u.xmin) & (cx <= u.xmax) & (cy >= u.ymin) & (cy <= u.ymax)
+        oid = min(bad)
+        nx, ny = float(bx[oid]), float(by[oid])
+        if not self.universe.contains_point(nx, ny):
+            raise MobilityError(f"object {oid} left universe: ({nx}, {ny})")
+        moved = dist(float(xs[oid]), float(ys[oid]), nx, ny)
+        raise MobilityError(
+            f"object {oid} moved {moved:.6f} > declared "
+            f"max_speed {self._speeds[oid]:.6f}"
         )
-        if not inside.all():
-            oid = int(changed[int(np.nonzero(~inside)[0][0])])
-            raise MobilityError(
-                f"object {oid} left universe: ({nxs[oid]}, {nys[oid]})"
-            )
-        ddx = cx - xs[changed]
-        ddy = cy - ys[changed]
-        moved = np.sqrt(ddx * ddx + ddy * ddy)
-        bad = moved > self._speed_limit[changed]
-        if bad.any():
-            k = int(np.nonzero(bad)[0][0])
-            oid = int(changed[k])
-            raise MobilityError(
-                f"object {oid} moved {float(moved[k]):.6f} > declared "
-                f"max_speed {self._speeds[oid]:.6f}"
-            )
 
 
 class FastReplayFleet(ReplayFleet):

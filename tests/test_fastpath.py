@@ -12,6 +12,8 @@ live in ``test_index_vectorized.py``.
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,13 +30,16 @@ from repro.experiments.algorithms import ALGORITHMS, build_system
 from repro.experiments.config import RunConfig
 from repro.geometry import Rect
 from repro.mobility import (
+    CommuteMover,
     FastFleet,
     FastReplayFleet,
     Fleet,
     GaussianClusterModel,
+    HotspotDriftModel,
     LinearMover,
     RandomDirectionModel,
     RandomWaypointModel,
+    RandomWaypointMover,
     ReplayFleet,
     StationaryMover,
     record_trace,
@@ -611,6 +616,75 @@ def test_fast_fleet_matches_scalar_fleet_mixed_movers():
     model2 = RandomWaypointModel(UNIVERSE, speed_min=20.0, speed_max=45.0)
     fast = FastFleet.from_model(model2, 40, seed=8, extra_movers=movers2)
     assert _trajectories(fast) == _trajectories(scalar)
+
+
+class _SubclassedWaypoint(RandomWaypointMover):
+    """Not an exact kernel class: steps scalar every tick."""
+
+
+SMALL = Rect(0.0, 0.0, 1_000.0, 1_000.0)
+#: one mover factory per kernel class, over a universe small enough for
+#: arrivals, pauses, leg renewals, wall bounces and commute windows to
+#: come round within a few dozen ticks.
+_MOVER_KINDS = {
+    "waypoint": RandomWaypointModel(SMALL, 20.0, 60.0, pause_max=3).make_mover,
+    "gaussian": GaussianClusterModel(
+        SMALL, n_hotspots=3, sigma=150.0, speed_min=10.0, speed_max=50.0
+    ).make_mover,
+    "drift": HotspotDriftModel(
+        SMALL, sigma=150.0, speed_min=10.0, speed_max=50.0,
+        drift_radius=300.0, drift_period=16,
+    ).make_mover,
+    "direction": RandomDirectionModel(SMALL, 15.0, 55.0, 1, 6).make_mover,
+    "linear": lambda rng: LinearMover(
+        SMALL, rng.uniform(0.0, 1e3), rng.uniform(0.0, 1e3),
+        rng.uniform(-60.0, 60.0), rng.uniform(-60.0, 60.0),
+    ),
+    "stationary": lambda rng: StationaryMover(
+        SMALL, rng.uniform(0.0, 1e3), rng.uniform(0.0, 1e3)
+    ),
+    "commute": lambda rng: CommuteMover(SMALL, 20.0, 60.0, 7, 4),
+    "scalar": lambda rng: _SubclassedWaypoint(SMALL, 20.0, 60.0, 2),
+}
+
+
+@given(
+    kinds=st.lists(st.sampled_from(sorted(_MOVER_KINDS)), max_size=30).flatmap(
+        lambda extra: st.permutations(sorted(_MOVER_KINDS) + extra)
+    ),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=100, deadline=None)
+def test_fast_fleet_matches_scalar_fleet_over_interleaved_kernels(kinds, seed):
+    """Every kernel class at shuffled oids, so most kernels gather and
+    scatter and their events interleave with other kernels' in the
+    ascending-oid scalar loop: 40 ticks equal the scalar fleet's, and
+    the shared RNG ends in the same state."""
+
+    def fleet(cls):
+        rng = random.Random(seed)
+        return cls([_MOVER_KINDS[k](rng) for k in kinds], seed=seed)
+
+    scalar, fast = fleet(Fleet), fleet(FastFleet)
+    assert _trajectories(fast, ticks=40) == _trajectories(scalar, ticks=40)
+    assert fast._rng.random() == scalar._rng.random()
+
+
+def test_positions_read_before_an_advance_keep_that_tick():
+    """``positions.xs`` / ``.ys`` are the live buffers: an array read
+    before an ``advance`` still holds that tick after it, and the view
+    holds the new tick."""
+    model = RandomWaypointModel(UNIVERSE, speed_min=20.0, speed_max=45.0)
+    scalar = Fleet.from_model(model, 60, seed=4)
+    fast = FastFleet.from_model(model, 60, seed=4)
+    for _ in range(3):
+        xs, ys = fast.positions.xs, fast.positions.ys
+        before = list(scalar.positions)
+        scalar.advance()
+        fast.advance()
+        assert list(zip(xs.tolist(), ys.tolist())) == before
+        now = list(zip(fast.positions.xs.tolist(), fast.positions.ys.tolist()))
+        assert now == scalar.positions != before
 
 
 def test_fast_replay_fleet_matches_scalar_replay():

@@ -1,18 +1,24 @@
 """Unit tests for the Fleet."""
 
+import os
 import random
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from repro.errors import MobilityError
 from repro.geometry import Rect, dist
 from repro.mobility import (
+    FastFleet,
     Fleet,
     RandomWaypointModel,
     StationaryMover,
 )
 from repro.mobility.base import Mover
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 class TestConstruction:
     def test_empty_fleet_raises(self):
@@ -83,36 +89,101 @@ class TestAdvance:
         assert a.positions != b.positions
 
 
+class Liar(Mover):
+    def __init__(self, universe):
+        super().__init__(universe, max_speed=1.0)
+
+    def start(self, rng):
+        return (0.0, 0.0)
+
+    def step(self, x, y, rng):
+        return (x + 100.0, y)  # far beyond declared max_speed
+
+
+class Escaper(Mover):
+    def __init__(self, universe):
+        super().__init__(universe, max_speed=1e9)
+
+    def start(self, rng):
+        return (0.0, 0.0)
+
+    def step(self, x, y, rng):
+        return (-5.0, 0.0)
+
+
+class Idler(StationaryMover):
+    """Not an exact kernel class: steps scalar every tick."""
+
+
+FLEETS = pytest.mark.parametrize(
+    "fleet_cls", [Fleet, FastFleet], ids=["Fleet", "FastFleet"]
+)
+
+
+def _raised(fleet) -> str:
+    with pytest.raises(MobilityError) as err:
+        fleet.advance()
+    return str(err.value)
+
+
 class TestSafetyEnforcement:
-    def test_lying_mover_is_caught(self, universe):
-        class Liar(Mover):
-            def __init__(self):
-                super().__init__(universe, max_speed=1.0)
+    @FLEETS
+    def test_lying_mover_is_caught(self, universe, fleet_cls):
+        fleet = fleet_cls([Liar(universe)])
+        assert _raised(fleet) == (
+            "object 0 moved 100.000000 > declared max_speed 1.000000"
+        )
 
-            def start(self, rng):
-                return (0.0, 0.0)
+    @FLEETS
+    def test_escaping_mover_is_caught(self, universe, fleet_cls):
+        fleet = fleet_cls([Escaper(universe)])
+        assert _raised(fleet) == "object 0 left universe: (-5.0, 0.0)"
 
-            def step(self, x, y, rng):
-                return (x + 100.0, y)  # far beyond declared max_speed
+    @pytest.mark.parametrize("first", [Liar, Escaper])
+    def test_both_fleets_name_the_lowest_offender(self, universe, first):
+        """A liar and an escaper at interleaved oids among waypoint and
+        stationary movers (so they share a gathered, non-contiguous
+        kernel): whichever sits lower is named, by both fleets alike."""
+        second = Escaper if first is Liar else Liar
 
-        fleet = Fleet([Liar()])
-        with pytest.raises(MobilityError):
-            fleet.advance()
+        def movers():
+            rng = random.Random(4)
+            model = RandomWaypointModel(universe, 20.0, 40.0)
+            out = []
+            for oid in range(12):
+                if oid == 5:
+                    out.append(first(universe))
+                elif oid == 9:
+                    out.append(second(universe))
+                elif oid % 2:
+                    out.append(StationaryMover(universe, 10.0 * oid, 7.0))
+                else:
+                    out.append(model.make_mover(rng))
+            return out
 
-    def test_escaping_mover_is_caught(self, universe):
-        class Escaper(Mover):
-            def __init__(self):
-                super().__init__(universe, max_speed=1e9)
+        scalar = _raised(Fleet(movers(), seed=2))
+        assert scalar.startswith("object 5 ")
+        assert _raised(FastFleet(movers(), seed=2)) == scalar
 
-            def start(self, rng):
-                return (0.0, 0.0)
-
-            def step(self, x, y, rng):
-                return (-5.0, 0.0)
-
-        fleet = Fleet([Escaper()])
-        with pytest.raises(MobilityError):
-            fleet.advance()
+    @pytest.mark.parametrize("scalar_first", [False, True])
+    def test_an_overstepping_glide_is_caught(self, universe, scalar_first):
+        """The vectorized glide itself, not a scalar event step, moves
+        one object past its bound. A liar stepped scalar sits at the top
+        oid; whichever kernel checks first, the glider is named."""
+        rng = random.Random(3)
+        model = RandomWaypointModel(universe, 20.0, 40.0)
+        head = Idler(universe, 1.0, 1.0) if scalar_first else None
+        movers = [head or model.make_mover(rng)]
+        movers += [model.make_mover(rng) for _ in range(48)]
+        fleet = FastFleet(movers + [Liar(universe)], seed=3)
+        kern = fleet._kernels[1 if scalar_first else 0]
+        x, y = fleet.positions.xs[kern.oids], fleet.positions.ys[kern.oids]
+        far = np.hypot(x - kern.tx, y - kern.ty) > 1_000.0
+        row = int(np.flatnonzero(far)[1])  # a glider, not an arrival
+        kern.speed[row] = 100.0  # declared max_speed is 40
+        assert _raised(fleet).startswith(
+            f"object {int(kern.oids[row])} moved 100.0"
+        )
 
     def test_start_outside_universe_is_caught(self, universe):
         class BadStart(Mover):
@@ -134,3 +205,43 @@ class TestSafetyEnforcement:
             RandomWaypointModel(universe, 10, 35).make_mover(random.Random(0)),
         ]
         assert Fleet(movers).max_speed == 35.0
+
+
+ADVANCE_FAULTS = """
+import resource
+from repro.geometry import Rect
+from repro.mobility import FastFleet, RandomWaypointModel
+
+universe = Rect(0.0, 0.0, 10_000.0, 10_000.0)
+fleet = FastFleet.from_model(RandomWaypointModel(universe), 100_000, seed=1)
+for _ in range(10):
+    fleet.advance()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(50):
+    fleet.advance()
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 50)
+"""
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="glibc malloc and ru_minflt"
+)
+@pytest.mark.parametrize(
+    "tunables",
+    [None, "glibc.malloc.mmap_threshold=33554432"],
+    ids=["default-malloc", "raised-mmap-threshold"],
+)
+def test_a_steady_advance_takes_no_page_faults(tunables):
+    """A 100k fleet's steady ``advance`` allocates nothing that grows
+    with N. N-sized temporaries per call cost ~3,000 minor faults per
+    call on this fleet under either malloc setting; the preallocated
+    workspaces and position buffers cost none."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    env.pop("GLIBC_TUNABLES", None)
+    if tunables is not None:
+        env["GLIBC_TUNABLES"] = tunables
+    out = subprocess.run(
+        [sys.executable, "-c", ADVANCE_FAULTS],
+        env=env, capture_output=True, text=True, check=True, timeout=300,
+    )
+    assert float(out.stdout) <= 5.0
