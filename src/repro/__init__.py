@@ -10,11 +10,11 @@ dead-reckoning position table (DKNN-P) and broadcast/collect-based
 (DKNN-B). Three centralized streaming baselines (PER, SEA, CPM) share
 one communication pattern and differ in server evaluation cost.
 
-Quickstart::
+The supported surface is :mod:`repro.api`; importing this package
+loads nothing else. Quickstart::
 
-    from repro import (
-        Rect, Fleet, RandomWaypointModel, QuerySpec,
-        build_broadcast_system,
+    from repro.api import (
+        Fleet, QuerySpec, RandomWaypointModel, Rect, build_broadcast_system,
     )
 
     universe = Rect(0, 0, 10_000, 10_000)
@@ -29,134 +29,4 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 reproduced evaluation.
 """
 
-from repro.baselines import (
-    CpmServer,
-    PeriodicServer,
-    SeaCnnServer,
-    build_cpm_system,
-    build_periodic_system,
-    build_seacnn_system,
-)
-from repro.core import (
-    BroadcastParams,
-    DknnParams,
-    DknnServer,
-    build_dknn_system,
-    plan_installation,
-)
-from repro.core.broadcast_variant import (
-    DknnBroadcastServer,
-    build_broadcast_system,
-)
-from repro.core.geocast_variant import (
-    DknnGeocastServer,
-    GeocastParams,
-    build_geocast_system,
-)
-from repro.core.range_monitor import (
-    RangeBroadcastServer,
-    RangeQuerySpec,
-    build_range_system,
-)
-from repro.errors import ReproError
-from repro.experiments import (
-    ALGORITHMS,
-    EXPERIMENTS,
-    Measurement,
-    ResultTable,
-    RunConfig,
-    build_system,
-    run_experiment,
-    run_once,
-)
-from repro.obs import (
-    MetricsRegistry,
-    Telemetry,
-    Tracer,
-    use_telemetry,
-)
-from repro.geometry import Circle, Point, Rect
-from repro.index import UniformGrid, brute_knn, knn_search, range_search
-from repro.metrics import AccuracyTracker, CostMeter, is_valid_knn
-from repro.mobility import (
-    Fleet,
-    GaussianClusterModel,
-    RandomDirectionModel,
-    RandomWaypointModel,
-    RoadNetworkModel,
-    Trace,
-    record_trace,
-)
-from repro.net import CommStats, RoundSimulator
-from repro.server import QuerySpec
-from repro.workloads import WorkloadSpec, build_workload
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "__version__",
-    "ReproError",
-    # geometry
-    "Point",
-    "Rect",
-    "Circle",
-    # mobility
-    "Fleet",
-    "RandomWaypointModel",
-    "RandomDirectionModel",
-    "GaussianClusterModel",
-    "RoadNetworkModel",
-    "Trace",
-    "record_trace",
-    # index
-    "UniformGrid",
-    "knn_search",
-    "range_search",
-    "brute_knn",
-    # net
-    "RoundSimulator",
-    "CommStats",
-    # queries
-    "QuerySpec",
-    # core protocol
-    "DknnParams",
-    "BroadcastParams",
-    "DknnServer",
-    "DknnBroadcastServer",
-    "DknnGeocastServer",
-    "GeocastParams",
-    "build_dknn_system",
-    "build_broadcast_system",
-    "build_geocast_system",
-    "RangeQuerySpec",
-    "RangeBroadcastServer",
-    "build_range_system",
-    "plan_installation",
-    # baselines
-    "PeriodicServer",
-    "SeaCnnServer",
-    "CpmServer",
-    "build_periodic_system",
-    "build_seacnn_system",
-    "build_cpm_system",
-    # metrics
-    "CostMeter",
-    "AccuracyTracker",
-    "is_valid_knn",
-    # workloads & experiments
-    "WorkloadSpec",
-    "build_workload",
-    "ALGORITHMS",
-    "RunConfig",
-    "build_system",
-    "run_once",
-    "Measurement",
-    "ResultTable",
-    "EXPERIMENTS",
-    "run_experiment",
-    # observability
-    "Telemetry",
-    "Tracer",
-    "MetricsRegistry",
-    "use_telemetry",
-]

@@ -57,6 +57,8 @@ def expected_rank_gap(k: int, density: float) -> float:
     return 1.0 / (2.0 * math.pi * d_k * density)
 
 
+# reach: EXPERIMENTS.md's E3 discussion cites it as the predicted update
+# rate; no example or sweep computes it
 def dead_reckoning_rate(mean_speed: float, theta: float) -> float:
     """Expected LOCATION_UPDATE rate per object per tick.
 

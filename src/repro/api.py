@@ -1,10 +1,12 @@
 """The stable, supported surface of the reproduction — import from here.
 
-``repro.api`` is the compatibility contract of this package: everything
-in its ``__all__`` is supported across releases, while internal module
-paths (``repro.core.server``, ``repro.experiments.algorithms``, ...)
-may move without notice. Examples, experiment scripts, and downstream
-users should import from this module only::
+``repro.api`` is the compatibility contract of this package and its
+only facade: everything in its ``__all__`` is supported across
+releases, while internal module paths (``repro.core.server``,
+``repro.experiments.algorithms``, ...) may move without notice, and
+the bare ``repro`` package exports nothing but ``__version__``.
+Examples, experiment scripts, and downstream users should import from
+this module only::
 
     from repro.api import RunConfig, ShardConfig, WorkloadSpec, run_once
 
@@ -60,7 +62,7 @@ from repro.experiments import (
     run_experiment,
     run_once,
 )
-from repro.geometry import Circle, Point, Rect
+from repro.geometry import Rect
 from repro.index import brute_knn, brute_knn_ids, brute_range
 from repro.metrics import AccuracyTracker, CostMeter, is_valid_knn
 from repro.mobility import (
@@ -127,9 +129,7 @@ __all__ = [
     "MostlyStationaryModel",
     "RoadNetworkModel",
     # geometry & queries
-    "Point",
     "Rect",
-    "Circle",
     "QuerySpec",
     "RangeQuerySpec",
     # direct system builders (scripted scenarios)

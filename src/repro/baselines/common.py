@@ -322,13 +322,15 @@ class AnswerRegionServer(CentralizedServerBase):
         grid = self.grid
         cells = grid.cells
         cell_map = self._cell_map
-        focals = [(spec.focal_oid, spec.qid) for spec in self.queries]
+        focals: Dict[int, List[int]] = {}  # focal oid -> its qids
+        for spec in self.queries:
+            focals.setdefault(spec.focal_oid, []).append(spec.qid)
         for e in entries:
             if type(e) is not BatchUpdates:
                 oid, old, new = e
                 if old == new:
                     continue  # a parked object cannot affect any answer
-                dirty.update(self.queries.queries_of_focal(oid))
+                dirty.update(focals.get(oid, ()))
                 self.meter.charge(CostMeter.BOOKKEEPING)
                 if old is not None:
                     dirty.update(cell_map.get(grid.cell_of(*old), ()))
@@ -340,10 +342,10 @@ class AnswerRegionServer(CentralizedServerBase):
                 # oid) batch instead of scanning the batch for them.
                 oids = e.oids
                 n = oids.shape[0]
-                for foid, qid in focals:
+                for foid, qids in focals.items():
                     i = int(np.searchsorted(oids, foid))
                     if i < n and oids[i] == foid and moved[i]:
-                        dirty.add(qid)
+                        dirty.update(qids)
             n_moved = int(np.count_nonzero(moved))
             if not n_moved:
                 continue

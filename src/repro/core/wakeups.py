@@ -145,6 +145,8 @@ class DknnWakeupPlanner:
         resolve[unknown] = -1
         return act, resolve
 
+    # reach: event mode over fault-tolerant DKNN-P (lease heartbeats,
+    # violation retries); no quick sweep runs that pair
     def _merge_timers(
         self, node: DknnMobileNode, tick: int, act: Optional[int]
     ) -> Optional[int]:
@@ -169,6 +171,7 @@ class DknnWakeupPlanner:
         return act
 
 
+# reach: only _merge_timers calls it
 def _min_tick(a: Optional[int], b: int) -> int:
     return b if a is None or b < a else a
 
@@ -179,9 +182,9 @@ def planner_for(sim) -> Optional[DknnWakeupPlanner]:
     The planner reads a :class:`DknnSilentPhase` and a fleet with motion
     claims, and only plain :class:`DknnMobileNode` clients are
     plannable. The baselines, any node subclass with a different
-    tick-start, a scalar ``Fleet``, a replayed trace and a hand-built
-    system with no client phase get no planner, which makes the event
-    engine run every tick in full: slower, never wrong.
+    tick-start, a scalar ``Fleet`` and a hand-built system with no
+    client phase get no planner, which makes the event engine run every
+    tick in full: slower, never wrong.
     """
     if (
         not sim.mobiles

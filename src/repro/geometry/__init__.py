@@ -1,15 +1,6 @@
-"""Geometry kernel: points, rectangles, circles, annuli, safe regions."""
+"""Geometry kernel: rectangles, distances, safe regions."""
 
-from repro.geometry.circle import Annulus, Circle
-from repro.geometry.point import (
-    Point,
-    clamp,
-    dist,
-    dist2,
-    dist_points,
-    midpoint,
-    translate_toward,
-)
+from repro.geometry.point import dist, translate_toward
 from repro.geometry.rect import Rect
 from repro.geometry.region import (
     AnswerBand,
@@ -19,18 +10,11 @@ from repro.geometry.region import (
 )
 
 __all__ = [
-    "Point",
     "Rect",
-    "Circle",
-    "Annulus",
     "SafeRegion",
     "AnswerBand",
     "OutsiderBand",
     "QuerySafeCircle",
     "dist",
-    "dist2",
-    "dist_points",
-    "midpoint",
-    "clamp",
     "translate_toward",
 ]

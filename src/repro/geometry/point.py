@@ -1,35 +1,18 @@
-"""2-D points and distance algebra.
+"""Distance algebra on bare ``(x, y)`` float pairs.
 
-The hot paths of the simulator work on bare ``(x, y)`` float pairs for
-speed; :class:`Point` is a thin immutable wrapper used at API boundaries
-where readability matters more than nanoseconds. The module-level
-functions (:func:`dist`, :func:`dist2`, ...) accept bare coordinates and
-are what the inner loops call.
+The simulator has no point class: every layer passes coordinates as
+plain floats (scalar paths) or numpy columns (vectorized paths), and
+the functions here are the scalar recipes the columns must reproduce.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator, Tuple
+from typing import Tuple
 
 from repro.errors import GeometryError
 
-__all__ = [
-    "Point",
-    "dist",
-    "dist2",
-    "dist_points",
-    "midpoint",
-    "clamp",
-    "translate_toward",
-]
-
-
-def dist2(x1: float, y1: float, x2: float, y2: float) -> float:
-    """Squared Euclidean distance between ``(x1, y1)`` and ``(x2, y2)``."""
-    dx = x1 - x2
-    dy = y1 - y2
-    return dx * dx + dy * dy
+__all__ = ["dist", "translate_toward"]
 
 
 def dist(x1: float, y1: float, x2: float, y2: float) -> float:
@@ -47,77 +30,6 @@ def dist(x1: float, y1: float, x2: float, y2: float) -> float:
     dx = x1 - x2
     dy = y1 - y2
     return math.sqrt(dx * dx + dy * dy)
-
-
-def clamp(value: float, lo: float, hi: float) -> float:
-    """Clamp ``value`` into the closed interval ``[lo, hi]``."""
-    if lo > hi:
-        raise GeometryError(f"empty clamp interval [{lo}, {hi}]")
-    if value < lo:
-        return lo
-    if value > hi:
-        return hi
-    return value
-
-
-class Point:
-    """An immutable 2-D point.
-
-    Supports tuple unpacking (``x, y = p``), equality, hashing, and the
-    small vector algebra the protocol layers need.
-    """
-
-    __slots__ = ("x", "y")
-
-    def __init__(self, x: float, y: float) -> None:
-        object.__setattr__(self, "x", float(x))
-        object.__setattr__(self, "y", float(y))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Point is immutable")
-
-    def __iter__(self) -> Iterator[float]:
-        yield self.x
-        yield self.y
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Point):
-            return self.x == other.x and self.y == other.y
-        if isinstance(other, tuple) and len(other) == 2:
-            return (self.x, self.y) == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.x, self.y))
-
-    def __repr__(self) -> str:
-        return f"Point({self.x:g}, {self.y:g})"
-
-    def as_tuple(self) -> Tuple[float, float]:
-        """Return the point as a plain ``(x, y)`` tuple."""
-        return (self.x, self.y)
-
-    def distance_to(self, other: "Point") -> float:
-        """Euclidean distance to ``other``."""
-        return dist(self.x, self.y, other.x, other.y)
-
-    def distance2_to(self, other: "Point") -> float:
-        """Squared Euclidean distance to ``other``."""
-        return dist2(self.x, self.y, other.x, other.y)
-
-    def translated(self, dx: float, dy: float) -> "Point":
-        """Return a new point shifted by ``(dx, dy)``."""
-        return Point(self.x + dx, self.y + dy)
-
-
-def dist_points(a: Point, b: Point) -> float:
-    """Euclidean distance between two :class:`Point` objects."""
-    return a.distance_to(b)
-
-
-def midpoint(x1: float, y1: float, x2: float, y2: float) -> Tuple[float, float]:
-    """Midpoint of the segment between the two coordinates."""
-    return ((x1 + x2) / 2.0, (y1 + y2) / 2.0)
 
 
 def translate_toward(

@@ -1,9 +1,8 @@
-"""Axis-aligned rectangles (MBRs) and rectangle/point/circle predicates."""
+"""Axis-aligned rectangles: the universe every layer is bounded by."""
 
 from __future__ import annotations
 
-import math
-from typing import Iterator, Tuple
+from typing import Tuple
 
 from repro.errors import GeometryError
 
@@ -28,6 +27,7 @@ class Rect:
         object.__setattr__(self, "xmax", float(xmax))
         object.__setattr__(self, "ymax", float(ymax))
 
+    # reach: guards immutability; nothing in the product assigns to a Rect
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Rect is immutable")
 
@@ -41,21 +41,15 @@ class Rect:
             other.ymax,
         )
 
+    # reach: pairs with __eq__ (defining __eq__ alone makes Rect unhashable)
     def __hash__(self) -> int:
         return hash((self.xmin, self.ymin, self.xmax, self.ymax))
 
+    # reach: formats the universe in out-of-universe error messages
     def __repr__(self) -> str:
         return (
             f"Rect({self.xmin:g}, {self.ymin:g}, {self.xmax:g}, {self.ymax:g})"
         )
-
-    def __iter__(self) -> Iterator[float]:
-        yield self.xmin
-        yield self.ymin
-        yield self.xmax
-        yield self.ymax
-
-    # -- basic measures -------------------------------------------------
 
     @property
     def width(self) -> float:
@@ -65,94 +59,9 @@ class Rect:
     def height(self) -> float:
         return self.ymax - self.ymin
 
-    @property
-    def area(self) -> float:
-        return self.width * self.height
-
-    @property
-    def center(self) -> Tuple[float, float]:
-        return ((self.xmin + self.xmax) / 2.0, (self.ymin + self.ymax) / 2.0)
-
-    # -- predicates ------------------------------------------------------
-
     def contains_point(self, x: float, y: float) -> bool:
         """True if ``(x, y)`` lies in the closed rectangle."""
         return self.xmin <= x <= self.xmax and self.ymin <= y <= self.ymax
-
-    def contains_rect(self, other: "Rect") -> bool:
-        """True if ``other`` lies entirely inside this rectangle."""
-        return (
-            self.xmin <= other.xmin
-            and self.ymin <= other.ymin
-            and other.xmax <= self.xmax
-            and other.ymax <= self.ymax
-        )
-
-    def intersects(self, other: "Rect") -> bool:
-        """True if the two closed rectangles share at least one point."""
-        return not (
-            other.xmin > self.xmax
-            or other.xmax < self.xmin
-            or other.ymin > self.ymax
-            or other.ymax < self.ymin
-        )
-
-    # -- distances -------------------------------------------------------
-
-    def min_dist(self, x: float, y: float) -> float:
-        """Minimum distance from ``(x, y)`` to the rectangle (0 if inside)."""
-        dx = 0.0
-        if x < self.xmin:
-            dx = self.xmin - x
-        elif x > self.xmax:
-            dx = x - self.xmax
-        dy = 0.0
-        if y < self.ymin:
-            dy = self.ymin - y
-        elif y > self.ymax:
-            dy = y - self.ymax
-        return math.sqrt(dx * dx + dy * dy)
-
-    def max_dist(self, x: float, y: float) -> float:
-        """Maximum distance from ``(x, y)`` to any point of the rectangle."""
-        dx = max(abs(x - self.xmin), abs(x - self.xmax))
-        dy = max(abs(y - self.ymin), abs(y - self.ymax))
-        return math.sqrt(dx * dx + dy * dy)
-
-    # -- constructive ops -------------------------------------------------
-
-    def expanded(self, margin: float) -> "Rect":
-        """Return this rectangle grown by ``margin`` on every side.
-
-        A negative margin shrinks the rectangle; shrinking past the
-        center raises :class:`GeometryError`.
-        """
-        return Rect(
-            self.xmin - margin,
-            self.ymin - margin,
-            self.xmax + margin,
-            self.ymax + margin,
-        )
-
-    def intersection(self, other: "Rect") -> "Rect":
-        """The intersection rectangle; raises if disjoint."""
-        if not self.intersects(other):
-            raise GeometryError(f"disjoint rects {self} and {other}")
-        return Rect(
-            max(self.xmin, other.xmin),
-            max(self.ymin, other.ymin),
-            min(self.xmax, other.xmax),
-            min(self.ymax, other.ymax),
-        )
-
-    def union(self, other: "Rect") -> "Rect":
-        """The minimum bounding rectangle of both rectangles."""
-        return Rect(
-            min(self.xmin, other.xmin),
-            min(self.ymin, other.ymin),
-            max(self.xmax, other.xmax),
-            max(self.ymax, other.ymax),
-        )
 
     def clamp_point(self, x: float, y: float) -> Tuple[float, float]:
         """The point of the rectangle nearest to ``(x, y)``."""

@@ -20,10 +20,7 @@ safe circle: the band radii already include the ``s`` drift margin (see
 
 from __future__ import annotations
 
-from typing import Tuple
-
 from repro.errors import GeometryError
-from repro.geometry.point import dist
 
 __all__ = ["SafeRegion", "AnswerBand", "OutsiderBand", "QuerySafeCircle"]
 
@@ -53,9 +50,12 @@ class SafeRegion:
         object.__setattr__(self, "ay", float(ay))
         object.__setattr__(self, "radius", float(radius))
 
+    # reach: guards immutability; nothing in the product assigns to a region
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    # reach: value equality, which node-equivalence checks compare
+    # regions by; the product never compares two regions
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
             return NotImplemented
@@ -65,23 +65,18 @@ class SafeRegion:
             other.radius,
         )
 
+    # reach: pairs with __eq__ (defining __eq__ alone makes it unhashable)
     def __hash__(self) -> int:
         return hash((type(self).__name__, self.ax, self.ay, self.radius))
 
+    # reach: for debugging output; no product report prints a region
     def __repr__(self) -> str:
         return (
             f"{type(self).__name__}(anchor=({self.ax:g}, {self.ay:g}), "
             f"radius={self.radius:g})"
         )
 
-    @property
-    def anchor(self) -> Tuple[float, float]:
-        return (self.ax, self.ay)
-
-    def anchor_distance(self, x: float, y: float) -> float:
-        """Distance from ``(x, y)`` to the region anchor."""
-        return dist(x, y, self.ax, self.ay)
-
+    # reach: abstract; every installed region is a subclass
     def contains(self, x: float, y: float) -> bool:
         """True while the object at ``(x, y)`` may stay silent."""
         raise NotImplementedError

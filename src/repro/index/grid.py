@@ -14,18 +14,18 @@ region per cell plus a per-oid slot column. Neither the write side
 (:meth:`UniformGrid.update_batch` moves a whole tick's reports with a
 fixed number of array operations) nor the read side (the searches in
 :mod:`repro.index.knn` open a cell as an array slice) touches a Python
-set; the scalar methods (``insert`` / ``update`` / ``remove``) write
-the same columns one row at a time.
+set; the scalar methods (``insert`` / ``update``) write the same
+columns one row at a time. Objects are never removed: a server learns
+of an object with its first report and keeps its last position.
 
 Member *order* inside a cell is unspecified (every reader ranks by
-``(distance, oid)``), and :meth:`UniformGrid.objects_in_cell` returns a
-fresh set.
+``(distance, oid)``).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -216,7 +216,6 @@ class UniformGrid:
         self._dy = np.zeros(0, dtype=np.float64)
         self._dcell = np.full(0, -1, dtype=np.int64)
         self._store = _CellStore(cells * cells, 0)
-        self._count = 0
 
     def reserve(self, capacity: int) -> None:
         """Grow the columns to cover every id below ``capacity`` (a
@@ -259,19 +258,6 @@ class UniformGrid:
         ci, cj = self.cell_of(x, y)
         return ci * self.cells + cj
 
-    def cell_rect(self, cell: Cell) -> Rect:
-        """The closed rectangle covered by ``cell``."""
-        ci, cj = cell
-        if not (0 <= ci < self.cells and 0 <= cj < self.cells):
-            raise IndexError_(f"cell {cell} out of range")
-        u = self.universe
-        return Rect(
-            u.xmin + ci * self._cell_w,
-            u.ymin + cj * self._cell_h,
-            u.xmin + (ci + 1) * self._cell_w,
-            u.ymin + (cj + 1) * self._cell_h,
-        )
-
     def cell_min_dist(self, cell: Cell, x: float, y: float) -> float:
         """Min distance from ``(x, y)`` to the cell rectangle (0 inside)."""
         u = self.universe
@@ -280,9 +266,6 @@ class UniformGrid:
         return math.sqrt(dx * dx + dy * dy)
 
     # -- maintenance ----------------------------------------------------------
-
-    def __len__(self) -> int:
-        return self._count
 
     def __contains__(self, oid: int) -> bool:
         return 0 <= oid < self._dcell.shape[0] and self._dcell[oid] >= 0
@@ -299,16 +282,6 @@ class UniformGrid:
         self._dx[oid] = x
         self._dy[oid] = y
         self._dcell[oid] = lin
-        self._count += 1
-        charge(self.meter, CostMeter.INDEX_UPDATE)
-
-    def remove(self, oid: int) -> None:
-        """Remove an object; raises if absent."""
-        if oid not in self:
-            raise IndexError_(f"object {oid} not indexed")
-        self._store.drop_one(oid)
-        self._dcell[oid] = -1
-        self._count -= 1
         charge(self.meter, CostMeter.INDEX_UPDATE)
 
     def update(self, oid: int, x: float, y: float) -> None:
@@ -324,19 +297,13 @@ class UniformGrid:
         self._dy[oid] = y
         charge(self.meter, CostMeter.INDEX_UPDATE)
 
-    def upsert(self, oid: int, x: float, y: float) -> None:
-        """Insert or update, whichever applies."""
-        if oid in self:
-            self.update(oid, x, y)
-        else:
-            self.insert(oid, x, y)
-
     def update_batch(self, oids, xs, ys):
-        """Vectorized upsert of many objects.
+        """Vectorized write of many objects, new or known.
 
-        Equivalent to ``upsert`` per object in column order — same
-        cell membership, same total :data:`CostMeter.INDEX_UPDATE`
-        charge (one per row, moved or not), same out-of-universe errors
+        Equivalent to :meth:`update` per known object and :meth:`insert`
+        per new one, in column order — same cell membership, same total
+        :data:`CostMeter.INDEX_UPDATE` charge (one per row, moved or
+        not), same out-of-universe errors
         — in a fixed number of array operations however many rows
         change cell. Object ids must be unique within one call: an id
         repeated among the rows that change cell raises, like every
@@ -380,66 +347,10 @@ class UniformGrid:
             to = new_lin[idx]
             self._store.move(movers, stored, to)
             self._dcell[movers] = to
-            self._count += idx.shape[0] - int(np.count_nonzero(stored))
         self._dx[oid_arr] = xs
         self._dy[oid_arr] = ys
         charge(self.meter, CostMeter.INDEX_UPDATE, n)
         return old_lin, new_lin
-
-    def bulk_load(self, oids, xs, ys) -> None:
-        """Insert many objects in one vectorized pass.
-
-        Equivalent to ``insert`` called per object (same bucketing, same
-        per-object :data:`CostMeter.INDEX_UPDATE` charges, same error
-        conditions) but does the cell arithmetic with numpy and groups
-        ids into cell regions via one argsort — O(n log n) with no
-        per-object interpreter work. Raises before mutating anything, so
-        a failed load leaves the grid untouched.
-        """
-        oid_arr = np.ascontiguousarray(oids, dtype=np.int64)
-        xs = np.ascontiguousarray(xs, dtype=np.float64)
-        ys = np.ascontiguousarray(ys, dtype=np.float64)
-        n = oid_arr.shape[0]
-        if xs.shape[0] != n or ys.shape[0] != n:
-            raise IndexError_(
-                f"bulk_load length mismatch: {n} ids, "
-                f"{xs.shape[0]} xs, {ys.shape[0]} ys"
-            )
-        if n == 0:
-            return
-        u = self.universe
-        inside = (
-            (xs >= u.xmin) & (xs <= u.xmax) & (ys >= u.ymin) & (ys <= u.ymax)
-        )
-        if not inside.all():
-            bad = int(np.nonzero(~inside)[0][0])
-            raise IndexError_(
-                f"point ({xs[bad]}, {ys[bad]}) outside universe {u}"
-            )
-        if len(np.unique(oid_arr)) != n:
-            raise IndexError_("bulk_load got duplicate object ids")
-        if int(oid_arr.min()) < 0:
-            raise IndexError_("grid needs oids >= 0")
-        self.reserve(int(oid_arr.max()) + 1)
-        clash = self._dcell[oid_arr] >= 0
-        if clash.any():
-            bad = int(oid_arr[np.nonzero(clash)[0][0]])
-            raise IndexError_(f"object {bad} already indexed")
-        ci, cj = self.cells_of(xs, ys)
-        lin = ci * self.cells + cj
-        self._store.add(oid_arr, lin)
-        self._dcell[oid_arr] = lin
-        self._dx[oid_arr] = xs
-        self._dy[oid_arr] = ys
-        self._count += n
-        charge(self.meter, CostMeter.INDEX_UPDATE, n)
-
-    def rebuild(self, oids, xs, ys) -> None:
-        """Drop everything and :meth:`bulk_load` the given snapshot."""
-        self._store = _CellStore(self.cells * self.cells, self._dcell.shape[0])
-        self._dcell.fill(-1)
-        self._count = 0
-        self.bulk_load(oids, xs, ys)
 
     def position_of(self, oid: int) -> Tuple[float, float]:
         """The indexed position of ``oid``; raises if absent."""
@@ -460,14 +371,6 @@ class UniformGrid:
     def ids(self) -> Iterator[int]:
         """All indexed object ids, ascending."""
         return iter(np.nonzero(self._dcell >= 0)[0].tolist())
-
-    def objects_in_cell(self, cell: Cell) -> Set[int]:
-        """Ids currently in ``cell`` (empty set if none), as a fresh
-        set built from the cell's region."""
-        ci, cj = cell
-        if not (0 <= ci < self.cells and 0 <= cj < self.cells):
-            return set()
-        return set(self._store.cell(ci * self.cells + cj).tolist())
 
     # -- search support -------------------------------------------------------
 
@@ -549,9 +452,3 @@ class UniformGrid:
                 charge(self.meter, CostMeter.CELL_VISIT)
                 if self.cell_min_dist(cell, cx, cy) <= r:
                     yield cell
-
-    def nonempty_cells(self) -> List[Cell]:
-        """Cells currently holding at least one object."""
-        C = self.cells
-        lins = np.unique(self._dcell[self._dcell >= 0]).tolist()
-        return [(lin // C, lin % C) for lin in lins]

@@ -1,8 +1,8 @@
-"""Mobility substrate: movement models, the fleet, trace record/replay."""
+"""Mobility substrate: movement models and the fleet."""
 
 from repro.mobility.base import MobilityModel, Mover
 from repro.mobility.fleet import Fleet
-from repro.mobility.soa import FastFleet, FastReplayFleet, SoAPositions
+from repro.mobility.soa import FastFleet, SoAPositions
 from repro.mobility.gaussian_cluster import GaussianClusterModel, GaussianClusterMover
 from repro.mobility.hotspot_drift import HotspotDriftModel, HotspotDriftMover
 from repro.mobility.mostly_stationary import CommuteMover, MostlyStationaryModel
@@ -14,14 +14,12 @@ from repro.mobility.road_network import (
     build_grid_network,
 )
 from repro.mobility.stationary import LinearMover, StationaryMover
-from repro.mobility.trace import ReplayFleet, Trace, record_trace
 
 __all__ = [
     "Mover",
     "MobilityModel",
     "Fleet",
     "FastFleet",
-    "FastReplayFleet",
     "SoAPositions",
     "RandomWaypointModel",
     "RandomWaypointMover",
@@ -38,7 +36,4 @@ __all__ = [
     "build_grid_network",
     "StationaryMover",
     "LinearMover",
-    "Trace",
-    "ReplayFleet",
-    "record_trace",
 ]

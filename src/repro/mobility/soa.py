@@ -56,9 +56,8 @@ from repro.mobility.mostly_stationary import CommuteMover
 from repro.mobility.random_direction import RandomDirectionMover
 from repro.mobility.random_waypoint import RandomWaypointMover
 from repro.mobility.stationary import LinearMover, StationaryMover
-from repro.mobility.trace import ReplayFleet, Trace
 
-__all__ = ["FastFleet", "FastReplayFleet", "SoAPositions"]
+__all__ = ["FastFleet", "SoAPositions"]
 
 
 class SoAPositions:
@@ -95,12 +94,16 @@ class SoAPositions:
     def __getitem__(self, oid: int) -> Tuple[float, float]:
         return (float(self._fleet._xs[oid]), float(self._fleet._ys[oid]))
 
+    # reach: the sequence protocol for scripts (``list(fleet.positions)``);
+    # the product reads ``.xs`` / ``.ys`` or indexes one object
     def __iter__(self):
         xs = self._fleet._xs
         ys = self._fleet._ys
         for i in range(xs.shape[0]):
             yield (float(xs[i]), float(ys[i]))
 
+    # reach: compares a FastFleet with its scalar Fleet twin; the product
+    # never holds both
     def __eq__(self, other) -> bool:
         """Element-wise, against any sequence of coordinate pairs — a
         list of tuples (``Fleet.positions``) or another view."""
@@ -113,6 +116,7 @@ class SoAPositions:
 
     __hash__ = None  # mutable view
 
+    # reach: debugging output
     def __repr__(self) -> str:
         return f"SoAPositions(n={len(self)})"
 
@@ -167,6 +171,7 @@ class _Kernel:
             speeds = np.array([mv.max_speed for mv in movers])
             self.limit = speeds + _SPEED_TOLERANCE
 
+    # reach: abstract; every kernel class overrides it
     def step(
         self, xs: np.ndarray, ys: np.ndarray, bx: np.ndarray, by: np.ndarray
     ) -> np.ndarray:
@@ -183,6 +188,8 @@ class _Kernel:
         for col, attr in self.SYNC:
             getattr(self, col)[rows] = [getattr(m, attr) for m in movers]
 
+    # reach: event mode over kernel-less movers (road network); no quick
+    # sweep runs that pair
     def claims(
         self, i: np.ndarray, x: np.ndarray, y: np.ndarray
     ) -> Claims:
@@ -271,6 +278,8 @@ class _StationaryKernel(_Kernel):
         return Claims(i.shape[0])  # all STILL
 
 
+# reach: random-direction mobility (full-size E10) and hand-built
+# LinearMover fleets; no quick run steps either
 def _bounce(kern: _Kernel, xs, ys, bx, by, vx, vy, where=True) -> None:
     """``(x + vx, y + vy)`` into the back buffers (at ``where``) with one
     wall reflection + clamp per axis, velocities flipped in place.
@@ -300,17 +309,24 @@ def _bounce(kern: _Kernel, xs, ys, bx, by, vx, vy, where=True) -> None:
 
 
 class _LinearKernel(_Kernel):
-    """Constant velocity with reflecting walls; never draws randomness."""
+    """Constant velocity with reflecting walls; never draws randomness.
 
+    No mobility model draws a ``LinearMover``: only hand-built fleets
+    (``Fleet([...])``, scripted scenarios) reach this kernel.
+    """
+
+    # reach: hand-built LinearMover fleets (see the class docstring)
     def __init__(self, universe, oids, movers) -> None:
         super().__init__(universe, oids, movers)
         self.vx = np.array([m._vx for m in movers], dtype=np.float64)
         self.vy = np.array([m._vy for m in movers], dtype=np.float64)
 
+    # reach: hand-built LinearMover fleets (see the class docstring)
     def step(self, xs, ys, bx, by) -> np.ndarray:
         _bounce(self, xs, ys, bx, by, self.vx, self.vy)
         return _NO_ROWS
 
+    # reach: hand-built LinearMover fleets (see the class docstring)
     def claims(self, i, x, y) -> Claims:
         return velocity_claims(
             x, y, self.vx[i], self.vy[i], _MAX_HORIZON, self.universe
@@ -382,6 +398,8 @@ class _GlideKernel(_Kernel):
             t0 &= moving
         return np.flatnonzero(t0)
 
+    # reach: event mode over gliding movers (waypoint, Gaussian, hotspot);
+    # the quick event sweeps run commuters, whose kernel overrides it
     def claims(self, i, x, y) -> Claims:
         return glide_claims(x, y, self.tx[i], self.ty[i], self.speed[i])
 
@@ -415,6 +433,7 @@ class _WaypointKernel(_GlideKernel):
         np.subtract(self.pause, 1, out=self.pause, where=paused)
         return self._glide(xs, ys, bx, by, np.logical_not(paused, out=paused))
 
+    # reach: event mode over random waypoint; no quick sweep runs that pair
     def claims(self, i, x, y) -> Claims:
         claims = super().claims(i, x, y)
         pause = self.pause[i]
@@ -451,16 +470,22 @@ class _DriftKernel(_GlideKernel):
 
 
 class _DirectionKernel(_Kernel):
-    """Random direction: silent except at leg renewals."""
+    """Random direction: silent except at leg renewals.
+
+    Only full-size E10 runs ``random_direction`` mobility; no quick run
+    builds this kernel.
+    """
 
     SYNC = (("dx", "_dx"), ("dy", "_dy"), ("leg", "_leg_left"))
 
+    # reach: full-size E10 (see the class docstring)
     def __init__(self, universe, oids, movers) -> None:
         super().__init__(universe, oids, movers)
         self.dx = np.array([m._dx for m in movers], dtype=np.float64)
         self.dy = np.array([m._dy for m in movers], dtype=np.float64)
         self.leg = np.array([m._leg_left for m in movers], dtype=np.int64)
 
+    # reach: full-size E10 (see the class docstring)
     def step(self, xs, ys, bx, by) -> np.ndarray:
         silent = self.ws.moving
         np.greater(self.leg, 0, out=silent)
@@ -470,6 +495,7 @@ class _DirectionKernel(_Kernel):
         _bounce(self, xs, ys, bx, by, self.dx, self.dy, silent)
         return np.flatnonzero(np.logical_not(silent, out=self.ws.t0))
 
+    # reach: event mode over random direction; no sweep runs that pair
     def claims(self, i, x, y) -> Claims:
         leg = self.leg[i]
         claims = velocity_claims(
@@ -660,26 +686,3 @@ class FastFleet(Fleet):
             f"object {oid} moved {moved:.6f} > declared "
             f"max_speed {self._speeds[oid]:.6f}"
         )
-
-
-class FastReplayFleet(ReplayFleet):
-    """A :class:`~repro.mobility.trace.ReplayFleet` with SoA positions.
-
-    Frames are bulk-converted to one ``(ticks, n, 2)`` array at
-    construction; every :meth:`advance` is then two array-row views.
-    Position reads yield the same Python floats as the scalar replay
-    (CSV floats round-trip through float64 exactly).
-    """
-
-    def __init__(self, trace: Trace) -> None:
-        super().__init__(trace)
-        self._frames = np.asarray(trace.frames, dtype=np.float64)
-        self._xs = self._frames[0, :, 0].copy()
-        self._ys = self._frames[0, :, 1].copy()
-        self.positions = SoAPositions(self)  # type: ignore[assignment]
-
-    def advance(self) -> None:
-        self.tick += 1
-        if self.tick < self._trace.ticks:
-            self._xs = self._frames[self.tick, :, 0]
-            self._ys = self._frames[self.tick, :, 1]

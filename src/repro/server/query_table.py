@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List
+from typing import Dict, Iterator
 
 from repro.errors import ProtocolError
 
@@ -40,26 +40,15 @@ class QuerySpec:
 
 
 class QueryTable:
-    """All registered queries, by id and by focal object."""
+    """All registered queries, by id, in registration order."""
 
     def __init__(self) -> None:
         self._by_qid: Dict[int, QuerySpec] = {}
-        self._by_focal: Dict[int, List[int]] = {}
 
     def register(self, spec: QuerySpec) -> None:
         if spec.qid in self._by_qid:
             raise ProtocolError(f"query {spec.qid} already registered")
         self._by_qid[spec.qid] = spec
-        self._by_focal.setdefault(spec.focal_oid, []).append(spec.qid)
-
-    def deregister(self, qid: int) -> QuerySpec:
-        spec = self._by_qid.pop(qid, None)
-        if spec is None:
-            raise ProtocolError(f"query {qid} not registered")
-        self._by_focal[spec.focal_oid].remove(qid)
-        if not self._by_focal[spec.focal_oid]:
-            del self._by_focal[spec.focal_oid]
-        return spec
 
     def get(self, qid: int) -> QuerySpec:
         spec = self._by_qid.get(qid)
@@ -67,15 +56,5 @@ class QueryTable:
             raise ProtocolError(f"query {qid} not registered")
         return spec
 
-    def __len__(self) -> int:
-        return len(self._by_qid)
-
-    def __contains__(self, qid: int) -> bool:
-        return qid in self._by_qid
-
     def __iter__(self) -> Iterator[QuerySpec]:
         return iter(self._by_qid.values())
-
-    def queries_of_focal(self, focal_oid: int) -> List[int]:
-        """Query ids anchored at ``focal_oid`` (possibly several)."""
-        return list(self._by_focal.get(focal_oid, ()))

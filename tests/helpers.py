@@ -27,6 +27,7 @@ __all__ = [
     "ExactnessChecker",
     "SinkServer",
     "built_system",
+    "scalar_workload",
     "reference_system",
     "on_the_wire",
     "recorded_run",
@@ -40,6 +41,24 @@ def built_system(
     in the call shape of :func:`reference_system`."""
     fleet, queries = build_workload(spec)
     return build_system(cfg, fleet, queries, telemetry=telemetry), queries
+
+
+def scalar_workload(spec: WorkloadSpec) -> Tuple[Fleet, List[QuerySpec]]:
+    """``build_workload(spec)`` over a scalar :class:`Fleet` of the same
+    movers: the same positions every tick, and no motion claims."""
+    size = spec.universe_size
+    universe = Rect(0.0, 0.0, size, size)
+    fleet = Fleet.from_model(
+        make_mobility_model(spec, universe),
+        spec.n_objects,
+        seed=spec.seed,
+        extra_movers=make_focal_movers(spec, universe),
+    )
+    queries = [
+        QuerySpec(qid=i, focal_oid=spec.n_objects + i, k=spec.k)
+        for i in range(spec.n_queries)
+    ]
+    return fleet, queries
 
 
 def reference_system(
@@ -63,18 +82,7 @@ def reference_system(
     the reference is a per-query ``knn_search`` /
     ``range_search_arrays`` call.
     """
-    size = spec.universe_size
-    universe = Rect(0.0, 0.0, size, size)
-    fleet = Fleet.from_model(
-        make_mobility_model(spec, universe),
-        spec.n_objects,
-        seed=spec.seed,
-        extra_movers=make_focal_movers(spec, universe),
-    )
-    queries = [
-        QuerySpec(qid=i, focal_oid=spec.n_objects + i, k=spec.k)
-        for i in range(spec.n_queries)
-    ]
+    fleet, queries = scalar_workload(spec)
     sim = build_system(
         cfg.but(shard=None, engine=None), fleet, queries, telemetry=telemetry
     )

@@ -31,7 +31,7 @@ EXPECTED = {
     "RandomWaypointModel", "RandomDirectionModel", "GaussianClusterModel",
     "HotspotDriftModel", "MostlyStationaryModel", "RoadNetworkModel",
     # geometry & queries
-    "Point", "Rect", "Circle", "QuerySpec", "RangeQuerySpec",
+    "Rect", "QuerySpec", "RangeQuerySpec",
     # direct system builders (scripted scenarios)
     "DknnParams", "BroadcastParams", "GeocastParams",
     "build_dknn_system", "build_broadcast_system", "build_geocast_system",

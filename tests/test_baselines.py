@@ -195,7 +195,7 @@ class TestColumnarIngest:
     def test_empty_batch_is_ingested_as_nothing(self):
         server = self._server()
         assert server.on_uplink_batch(self._batch([], [], [])) is True
-        assert server._updates == [] and len(server.grid) == 0
+        assert server._updates == [] and not list(server.grid.ids())
 
     def test_touched_cells_equal_the_sorted_unique_of_old_and_new(self):
         """The cells**2 flag scatter finds what ``np.unique`` over the

@@ -29,7 +29,6 @@ from repro.core.wakeups import DknnWakeupPlanner
 from repro.errors import ConfigError
 from repro.experiments.algorithms import build_system
 from repro.experiments.config import RunConfig
-from repro.mobility import FastReplayFleet, ReplayFleet, record_trace
 from repro.net.engine import (
     ENGINE_MODES,
     EngineConfig,
@@ -41,7 +40,7 @@ from repro.net.message import SERVER_ID, Message, MessageKind
 from repro.net.simulator import RoundSimulator
 from repro.server.config import ShardConfig
 from repro.workloads import WorkloadSpec, build_workload
-from tests.helpers import SinkServer, built_system
+from tests.helpers import SinkServer, built_system, scalar_workload
 
 #: Mostly-silent workload: small enough for test time, still skippable.
 SPEC = WorkloadSpec(
@@ -216,15 +215,13 @@ class TestEquivalence:
         _assert_equivalent(tick_run, event_run)
         assert event_run["driver"].skipped_ticks > 0
 
-    @pytest.mark.parametrize("replay", [ReplayFleet, FastReplayFleet])
-    def test_replayed_trace_runs_every_tick(self, replay):
-        """A replayed trace has no motion claims to plan from: event
-        mode runs every tick in full, as the tick loop does."""
+    def test_scalar_fleet_runs_every_tick(self):
+        """A scalar Fleet has no motion claims to plan from: event mode
+        runs every tick in full, as the tick loop does."""
 
         def build(cfg, spec):
-            fleet, queries = build_workload(spec)
-            trace = record_trace(fleet, TICKS)
-            return build_system(cfg, replay(trace), queries), queries
+            fleet, queries = scalar_workload(spec)
+            return build_system(cfg, fleet, queries), queries
 
         tick_run = _run(RunConfig("DKNN-P"), build=build)
         event_run = _run(

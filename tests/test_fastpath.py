@@ -32,7 +32,6 @@ from repro.geometry import Rect
 from repro.mobility import (
     CommuteMover,
     FastFleet,
-    FastReplayFleet,
     Fleet,
     GaussianClusterModel,
     HotspotDriftModel,
@@ -40,9 +39,7 @@ from repro.mobility import (
     RandomDirectionModel,
     RandomWaypointModel,
     RandomWaypointMover,
-    ReplayFleet,
     StationaryMover,
-    record_trace,
 )
 from repro.net.channel import Channel
 from repro.net.faults import FaultPlan
@@ -685,11 +682,3 @@ def test_positions_read_before_an_advance_keep_that_tick():
         assert list(zip(xs.tolist(), ys.tolist())) == before
         now = list(zip(fast.positions.xs.tolist(), fast.positions.ys.tolist()))
         assert now == scalar.positions != before
-
-
-def test_fast_replay_fleet_matches_scalar_replay():
-    model = RandomWaypointModel(UNIVERSE, speed_min=20.0, speed_max=45.0)
-    trace = record_trace(Fleet.from_model(model, 50, seed=3), 20)
-    scalar = ReplayFleet(trace)
-    fast = FastReplayFleet(trace)
-    assert _trajectories(fast, ticks=20) == _trajectories(scalar, ticks=20)

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.errors import GeometryError
-from repro.geometry import Point, clamp, dist, dist2, midpoint, translate_toward
+from repro.geometry import dist, translate_toward
 
 
 class TestDistances:
@@ -15,76 +15,11 @@ class TestDistances:
     def test_dist_zero(self):
         assert dist(7.5, -2.0, 7.5, -2.0) == 0.0
 
-    def test_dist2_matches_dist(self):
-        assert dist2(1, 2, 4, 6) == pytest.approx(dist(1, 2, 4, 6) ** 2)
-
     def test_dist_symmetry(self):
         assert dist(1, 2, 5, 9) == dist(5, 9, 1, 2)
 
     def test_dist_negative_coordinates(self):
         assert dist(-3, -4, 0, 0) == 5.0
-
-
-class TestClamp:
-    def test_inside(self):
-        assert clamp(5, 0, 10) == 5
-
-    def test_below(self):
-        assert clamp(-1, 0, 10) == 0
-
-    def test_above(self):
-        assert clamp(11, 0, 10) == 10
-
-    def test_degenerate_interval(self):
-        assert clamp(5, 3, 3) == 3
-
-    def test_empty_interval_raises(self):
-        with pytest.raises(GeometryError):
-            clamp(5, 10, 0)
-
-
-class TestPoint:
-    def test_unpacking(self):
-        x, y = Point(3, 4)
-        assert (x, y) == (3.0, 4.0)
-
-    def test_equality_with_point(self):
-        assert Point(1, 2) == Point(1, 2)
-        assert Point(1, 2) != Point(2, 1)
-
-    def test_equality_with_tuple(self):
-        assert Point(1, 2) == (1.0, 2.0)
-
-    def test_hashable(self):
-        assert len({Point(1, 2), Point(1, 2), Point(3, 4)}) == 2
-
-    def test_immutable(self):
-        p = Point(1, 2)
-        with pytest.raises(AttributeError):
-            p.x = 5
-
-    def test_distance_to(self):
-        assert Point(0, 0).distance_to(Point(3, 4)) == 5.0
-
-    def test_distance2_to(self):
-        assert Point(0, 0).distance2_to(Point(3, 4)) == 25.0
-
-    def test_translated(self):
-        assert Point(1, 1).translated(2, -1) == Point(3, 0)
-
-    def test_as_tuple(self):
-        assert Point(1.5, 2.5).as_tuple() == (1.5, 2.5)
-
-    def test_repr_roundtrippable_values(self):
-        assert "1" in repr(Point(1, 2)) and "2" in repr(Point(1, 2))
-
-
-class TestMidpoint:
-    def test_midpoint(self):
-        assert midpoint(0, 0, 4, 6) == (2.0, 3.0)
-
-    def test_midpoint_of_identical_points(self):
-        assert midpoint(3, 3, 3, 3) == (3.0, 3.0)
 
 
 class TestTranslateToward:

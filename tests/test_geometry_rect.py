@@ -1,7 +1,5 @@
 """Unit tests for repro.geometry.rect."""
 
-import math
-
 import pytest
 
 from repro.errors import GeometryError
@@ -19,7 +17,7 @@ class TestConstruction:
 
     def test_degenerate_allowed(self):
         r = Rect(3, 3, 3, 3)
-        assert r.area == 0.0
+        assert (r.width, r.height) == (0.0, 0.0)
 
     def test_immutable(self):
         r = Rect(0, 0, 1, 1)
@@ -30,18 +28,11 @@ class TestConstruction:
         assert Rect(0, 0, 1, 1) == Rect(0, 0, 1, 1)
         assert len({Rect(0, 0, 1, 1), Rect(0, 0, 1, 1)}) == 1
 
-    def test_iter_unpacks(self):
-        xmin, ymin, xmax, ymax = Rect(1, 2, 3, 4)
-        assert (xmin, ymin, xmax, ymax) == (1, 2, 3, 4)
-
 
 class TestMeasures:
-    def test_width_height_area(self):
+    def test_width_height(self):
         r = Rect(1, 2, 4, 8)
-        assert (r.width, r.height, r.area) == (3, 6, 18)
-
-    def test_center(self):
-        assert Rect(0, 0, 4, 8).center == (2, 4)
+        assert (r.width, r.height) == (3, 6)
 
 
 class TestPredicates:
@@ -54,61 +45,8 @@ class TestPredicates:
     def test_contains_point_outside(self):
         assert not Rect(0, 0, 10, 10).contains_point(10.001, 5)
 
-    def test_contains_rect(self):
-        assert Rect(0, 0, 10, 10).contains_rect(Rect(1, 1, 9, 9))
-        assert not Rect(0, 0, 10, 10).contains_rect(Rect(1, 1, 11, 9))
-
-    def test_intersects_overlap(self):
-        assert Rect(0, 0, 5, 5).intersects(Rect(4, 4, 9, 9))
-
-    def test_intersects_touching_edge(self):
-        assert Rect(0, 0, 5, 5).intersects(Rect(5, 0, 9, 5))
-
-    def test_intersects_disjoint(self):
-        assert not Rect(0, 0, 5, 5).intersects(Rect(6, 6, 9, 9))
-
-
-class TestDistances:
-    def test_min_dist_inside_is_zero(self):
-        assert Rect(0, 0, 10, 10).min_dist(3, 7) == 0.0
-
-    def test_min_dist_axis(self):
-        assert Rect(0, 0, 10, 10).min_dist(15, 5) == 5.0
-
-    def test_min_dist_corner(self):
-        assert Rect(0, 0, 10, 10).min_dist(13, 14) == 5.0
-
-    def test_max_dist_from_center(self):
-        r = Rect(0, 0, 10, 10)
-        assert r.max_dist(5, 5) == pytest.approx(math.hypot(5, 5))
-
-    def test_max_dist_ge_min_dist(self):
-        r = Rect(2, 3, 7, 9)
-        for p in [(0, 0), (5, 5), (100, -3)]:
-            assert r.max_dist(*p) >= r.min_dist(*p)
-
 
 class TestConstructive:
-    def test_expanded(self):
-        assert Rect(0, 0, 10, 10).expanded(2) == Rect(-2, -2, 12, 12)
-
-    def test_expanded_negative_shrinks(self):
-        assert Rect(0, 0, 10, 10).expanded(-1) == Rect(1, 1, 9, 9)
-
-    def test_expanded_past_center_raises(self):
-        with pytest.raises(GeometryError):
-            Rect(0, 0, 4, 4).expanded(-3)
-
-    def test_intersection(self):
-        assert Rect(0, 0, 5, 5).intersection(Rect(3, 3, 9, 9)) == Rect(3, 3, 5, 5)
-
-    def test_intersection_disjoint_raises(self):
-        with pytest.raises(GeometryError):
-            Rect(0, 0, 1, 1).intersection(Rect(5, 5, 6, 6))
-
-    def test_union(self):
-        assert Rect(0, 0, 1, 1).union(Rect(5, 5, 6, 6)) == Rect(0, 0, 6, 6)
-
     def test_clamp_point_inside(self):
         assert Rect(0, 0, 10, 10).clamp_point(3, 4) == (3, 4)
 

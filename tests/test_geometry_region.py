@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import GeometryError
-from repro.geometry import AnswerBand, OutsiderBand, QuerySafeCircle
+from repro.geometry import AnswerBand, OutsiderBand, QuerySafeCircle, dist
 
 
 class TestAnswerBand:
@@ -15,9 +15,6 @@ class TestAnswerBand:
     def test_violated_outside(self):
         band = AnswerBand(0, 0, 10)
         assert band.violated(6.01, 8)
-
-    def test_anchor_distance(self):
-        assert AnswerBand(0, 0, 10).anchor_distance(3, 4) == 5.0
 
 
 class TestOutsiderBand:
@@ -34,7 +31,7 @@ class TestOutsiderBand:
         a = AnswerBand(0, 0, 10)
         o = OutsiderBand(0, 0, 10)
         for p in [(1, 1), (20, 0), (0, -30)]:
-            if a.anchor_distance(*p) != 10:
+            if dist(0, 0, *p) != 10:
                 assert a.contains(*p) != o.contains(*p)
 
 
@@ -65,9 +62,6 @@ class TestCommon:
     def test_hash_distinguishes_types(self):
         regions = {AnswerBand(0, 0, 1), OutsiderBand(0, 0, 1)}
         assert len(regions) == 2
-
-    def test_anchor_property(self):
-        assert AnswerBand(3, 4, 1).anchor == (3.0, 4.0)
 
     def test_repr_contains_radius(self):
         assert "radius=7" in repr(AnswerBand(0, 0, 7))

@@ -1,5 +1,8 @@
 """Unit tests for the uniform grid index."""
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.errors import IndexError_
@@ -35,26 +38,24 @@ class TestCellGeometry:
         with pytest.raises(IndexError_):
             grid.cell_of(-1, 0)
 
-    def test_cell_rect_tiles_universe(self, grid):
-        r = grid.cell_rect((0, 0))
-        assert r == Rect(0, 0, 1000, 1000)
-        r = grid.cell_rect((9, 9))
-        assert r == Rect(9000, 9000, 10_000, 10_000)
-
-    def test_cell_rect_out_of_range_raises(self, grid):
-        with pytest.raises(IndexError_):
-            grid.cell_rect((10, 0))
-
     def test_cell_min_dist_zero_inside(self, grid):
         assert grid.cell_min_dist((0, 0), 500, 500) == 0.0
 
     def test_cell_min_dist_matches_rect(self, grid):
-        for cell in [(0, 0), (3, 7), (9, 9)]:
-            rect = grid.cell_rect(cell)
-            for p in [(0, 0), (5000, 5000), (9999, 1)]:
-                assert grid.cell_min_dist(cell, *p) == pytest.approx(
-                    rect.min_dist(*p)
+        """The distance to the cell's rectangle, 1000 units a side."""
+        for ci, cj in [(0, 0), (3, 7), (9, 9)]:
+            lo_x, lo_y = ci * 1000.0, cj * 1000.0
+            for x, y in [(0, 0), (5000, 5000), (9999, 1)]:
+                gx = max(lo_x - x, 0.0, x - (lo_x + 1000.0))
+                gy = max(lo_y - y, 0.0, y - (lo_y + 1000.0))
+                assert grid.cell_min_dist((ci, cj), x, y) == pytest.approx(
+                    math.hypot(gx, gy)
                 )
+
+
+def _cell(grid, x, y):
+    """The ids in the cell holding ``(x, y)``."""
+    return set(grid.box_members(x, y, 0.0).tolist())
 
 
 class TestMaintenance:
@@ -62,50 +63,32 @@ class TestMaintenance:
         grid.insert(1, 100, 200)
         assert 1 in grid
         assert grid.position_of(1) == (100, 200)
-        assert len(grid) == 1
 
     def test_duplicate_insert_raises(self, grid):
         grid.insert(1, 100, 200)
         with pytest.raises(IndexError_):
             grid.insert(1, 300, 300)
 
-    def test_remove(self, grid):
-        grid.insert(1, 100, 200)
-        grid.remove(1)
-        assert 1 not in grid
-        with pytest.raises(IndexError_):
-            grid.position_of(1)
-
-    def test_remove_absent_raises(self, grid):
-        with pytest.raises(IndexError_):
-            grid.remove(7)
-
     def test_update_within_cell(self, grid):
         grid.insert(1, 100, 100)
         grid.update(1, 150, 150)
         assert grid.position_of(1) == (150, 150)
-        assert grid.objects_in_cell((0, 0)) == {1}
+        assert _cell(grid, 500, 500) == {1}
 
     def test_update_across_cells(self, grid):
         grid.insert(1, 100, 100)
         grid.update(1, 5500, 100)
-        assert grid.objects_in_cell((0, 0)) == set()
-        assert grid.objects_in_cell((5, 0)) == {1}
+        assert _cell(grid, 500, 500) == set()
+        assert _cell(grid, 5500, 500) == {1}
 
     def test_update_absent_raises(self, grid):
         with pytest.raises(IndexError_):
             grid.update(1, 0, 0)
 
-    def test_upsert_inserts_then_updates(self, grid):
-        grid.upsert(1, 100, 100)
-        grid.upsert(1, 200, 200)
-        assert grid.position_of(1) == (200, 200)
-        assert len(grid) == 1
-
     def test_empty_buckets_are_pruned(self, grid):
         grid.insert(1, 100, 100)
         grid.update(1, 9500, 9500)
-        assert (0, 0) not in set(grid.nonempty_cells())
+        assert grid._store.gather(np.array([0])).tolist() == []
 
     def test_ids_iteration(self, grid):
         for i in range(5):
@@ -135,5 +118,6 @@ class TestMetering:
         grid = UniformGrid(universe, 10, meter=meter)
         grid.insert(1, 0, 0)
         grid.update(1, 50, 50)
-        grid.remove(1)
-        assert meter.of(CostMeter.INDEX_UPDATE) == 3
+        at = np.array([60.0, 70.0])
+        grid.update_batch(np.array([1, 2]), at, at)  # one known, one new
+        assert meter.of(CostMeter.INDEX_UPDATE) == 4

@@ -1,13 +1,13 @@
 """Property tests: the numpy engines equal the scalar ones to the ulp.
 
-Both the brute-force oracle (``repro.index.bruteforce``) and the grid
-(``bulk_load``/``rebuild``) auto-dispatch between a scalar loop and a
-vectorized engine. The two must agree *exactly* — same distances bit
-for bit, same ``(distance, oid)`` tie-breaks, same ``exclude``
-semantics — because answers from either engine are compared against
-client band decisions made with the shared sqrt recipe. Duplicate
-coordinates are generated on purpose: ties are where a wrong sort key
-or an unstable partition shows up.
+The brute-force oracle (``repro.index.bruteforce``) auto-dispatches
+between a scalar loop and a vectorized engine, and the grid's
+``update_batch`` stands for its scalar writes. Each pair must agree
+*exactly* — same distances bit for bit, same ``(distance, oid)``
+tie-breaks, same ``exclude`` semantics — because answers from either
+engine are compared against client band decisions made with the
+shared sqrt recipe. Duplicate coordinates are generated on purpose:
+ties are where a wrong sort key or an unstable partition shows up.
 """
 
 from __future__ import annotations
@@ -96,87 +96,25 @@ def test_is_valid_knn_engines_agree(ps, q, k):
     assert is_valid_knn(big_ps, q[0], q[1], k, answer)
 
 
-# -- grid bulk operations ----------------------------------------------------
-
-
-cells = st.integers(min_value=1, max_value=25)
-
-
-@given(points, cells)
-@settings(max_examples=120, deadline=None)
-def test_bulk_load_matches_incremental_inserts(ps, n_cells):
-    xs = np.array([p[0] for p in ps])
-    ys = np.array([p[1] for p in ps])
-    oids = np.arange(len(ps))
-
-    incremental = UniformGrid(UNIVERSE, n_cells)
-    for oid, (x, y) in enumerate(ps):
-        incremental.insert(oid, x, y)
-
-    bulk = UniformGrid(UNIVERSE, n_cells)
-    bulk.bulk_load(oids, xs, ys)
-    assert _grid_state(bulk) == _grid_state(incremental)
-
-    rebuilt = UniformGrid(UNIVERSE, n_cells)
-    rebuilt.insert(999, 1.0, 1.0)  # pre-existing content must vanish
-    rebuilt.rebuild(oids, xs, ys)
-    assert _grid_state(rebuilt) == _grid_state(incremental)
-
-
-@given(points, cells)
-@settings(max_examples=60, deadline=None)
-def test_bulk_load_charges_like_inserts(ps, n_cells):
-    m1, m2 = CostMeter(), CostMeter()
-    incremental = UniformGrid(UNIVERSE, n_cells, meter=m1)
-    for oid, (x, y) in enumerate(ps):
-        incremental.insert(oid, x, y)
-    bulk = UniformGrid(UNIVERSE, n_cells, meter=m2)
-    bulk.bulk_load(
-        np.arange(len(ps)),
-        np.array([p[0] for p in ps]),
-        np.array([p[1] for p in ps]),
-    )
-    assert m1.units == m2.units
-
-
-def test_bulk_load_rejects_bad_input_without_mutating():
-    grid = UniformGrid(UNIVERSE, 8)
-    grid.insert(5, 10.0, 10.0)
-    for oids, xs, ys in [
-        ([1, 2], [1.0], [1.0, 2.0]),  # length mismatch
-        ([1, 1], [1.0, 2.0], [1.0, 2.0]),  # duplicate ids
-        ([1, 5], [1.0, 2.0], [1.0, 2.0]),  # id already indexed
-        ([1, 2], [1.0, 5000.0], [1.0, 2.0]),  # outside universe
-    ]:
-        try:
-            grid.bulk_load(np.array(oids), np.array(xs), np.array(ys))
-        except Exception:
-            pass
-        else:  # pragma: no cover
-            raise AssertionError(f"bulk_load accepted {oids}/{xs}/{ys}")
-        assert len(grid) == 1 and grid.position_of(5) == (10.0, 10.0)
-
-
 # -- grid and table vs a plain-Python model -----------------------------------
 #
 # One random operation sequence drives a UniformGrid (grid operations)
 # and an ObjectTable (table operations), each next to a model made of
 # dicts: oid -> position (the cell comes from ``cell_of``) and, for the
-# table, oid -> previous position / report tick / fresh tick. After
-# every operation grid and table must hold what the model holds, the
+# table, oid -> fresh tick. After every operation grid and table must
+# hold what the model holds, the
 # cell store must satisfy its invariant, searches must answer like
 # ``repro.index.bruteforce`` over the model, and the meter must have
 # been charged exactly the units the model predicts; an operation the
 # model says is invalid must raise, change nothing and charge nothing.
 
-GRID_OPS = ("insert", "update", "upsert", "remove", "update_batch")
+GRID_OPS = ("insert", "update", "update_batch")
 oid_st = st.integers(min_value=0, max_value=40)
 # Mostly inside the universe, sometimes just outside it.
 wild = st.one_of(coord, st.sampled_from([-0.5, 1000.5]))
 row = st.tuples(oid_st, wild, wild)
 op_st = st.one_of(
-    st.tuples(st.sampled_from(["insert", "update", "upsert", "report"]), row),
-    st.tuples(st.sampled_from(["remove", "forget"]), oid_st),
+    st.tuples(st.sampled_from(["insert", "update", "report"]), row),
     st.tuples(
         st.sampled_from(["update_batch", "report_batch"]),
         st.lists(row, max_size=12, unique_by=lambda r: r[0]),
@@ -191,17 +129,21 @@ search_st = st.tuples(
 )
 
 
+def _cells(grid):
+    """``(ci, cj)`` -> member ids of every cell that has one, read off
+    the cell store."""
+    cells = {}
+    for lin in range(grid.cells * grid.cells):
+        members = grid._store.gather(np.array([lin])).tolist()
+        if members:
+            cells[divmod(lin, grid.cells)] = frozenset(members)
+    return cells
+
+
 def _grid_state(grid):
     ids = sorted(grid.ids())
     return {
-        "len": len(grid),
-        "cells": {
-            (ci, cj): frozenset(grid.objects_in_cell((ci, cj)))
-            for ci in range(grid.cells)
-            for cj in range(grid.cells)
-            if grid.objects_in_cell((ci, cj))
-        },
-        "nonempty": set(grid.nonempty_cells()),
+        "cells": _cells(grid),
         "pos": {o: grid.position_of(o) for o in ids},
         "pos_arrays": [
             a.tolist() for a in grid.positions_of(np.array(ids, dtype=np.int64))
@@ -216,7 +158,6 @@ def _check_store(grid):
     store, dcell = grid._store, grid._dcell
     n_cells = grid.cells * grid.cells
     present = np.flatnonzero(dcell >= 0)
-    assert len(grid) == present.shape[0]
     live_at = np.flatnonzero(store.members >= 0)
     assert sorted(store.members[live_at].tolist()) == present.tolist()
     slots = store.slot[present]
@@ -235,12 +176,8 @@ def _check_store(grid):
 
 
 def _table_state(table, tick):
-    ids = sorted(table.ids())
     return {
         "grid": _grid_state(table.grid),
-        "len": len(table),
-        "prev": {o: table.previous_position(o) for o in ids},
-        "rtick": {o: table.report_tick_of(o) for o in ids},
         "fresh": {
             o: (table.is_fresh(o, tick), table.is_fresh(o, tick - 1))
             for o in range(45)
@@ -258,8 +195,6 @@ class _GridModel:
 
     def rows(self, op, arg):
         """The rows ``op`` writes, or None if it must raise."""
-        if op in ("remove", "forget"):
-            return [(arg, None, None)] if arg in self.pos else None
         rows = arg if op in ("update_batch", "report_batch") else [arg]
         if not all(UNIVERSE.contains_point(x, y) for _, x, y in rows):
             return None  # a batch validates every row before writing any
@@ -271,10 +206,7 @@ class _GridModel:
 
     def write(self, rows):
         for oid, x, y in rows:
-            if x is None:
-                del self.pos[oid]
-            else:
-                self.pos[oid] = (x, y)
+            self.pos[oid] = (x, y)
 
     def state(self):
         ids = sorted(self.pos)
@@ -282,9 +214,7 @@ class _GridModel:
         for oid in ids:
             by_cell.setdefault(self.grid.cell_of(*self.pos[oid]), set()).add(oid)
         return {
-            "len": len(ids),
             "cells": {c: frozenset(m) for c, m in by_cell.items()},
-            "nonempty": set(by_cell),
             "pos": {o: self.pos[o] for o in ids},
             "pos_arrays": [
                 [self.pos[o][0] for o in ids], [self.pos[o][1] for o in ids]
@@ -326,26 +256,17 @@ class _GridModel:
 class _TableModel:
     def __init__(self, table):
         self.grid = _GridModel(table.grid)
-        self.prev, self.rtick = {}, {}
+        self.fresh = {}
 
     def write(self, rows, tick):
-        pos = self.grid.pos
-        for oid, x, y in rows:
-            if x is None:
-                del self.prev[oid], self.rtick[oid]
-            else:
-                self.prev[oid] = pos.get(oid, (x, y))
-                self.rtick[oid] = tick  # a report is also fresh
+        for oid, _, _ in rows:
+            self.fresh[oid] = tick  # a report is fresh at its tick
         self.grid.write(rows)
 
     def state(self, tick):
-        ids = sorted(self.grid.pos)
-        at = self.rtick.get
+        at = self.fresh.get
         return {
             "grid": self.grid.state(),
-            "len": len(ids),
-            "prev": {o: self.prev[o] for o in ids},
-            "rtick": {o: self.rtick[o] for o in ids},
             "fresh": {o: (at(o) == tick, at(o) == tick - 1) for o in range(45)},
             "stale": [o for o in range(45) if at(o) != tick],
         }
@@ -364,8 +285,6 @@ def _apply(target, op, arg, tick):
             target.report_batch(ids, xs, ys, tick)
     elif op == "report":
         target.report(*arg, tick)
-    elif op in ("remove", "forget"):
-        getattr(target, op)(arg)
     else:
         getattr(target, op)(*arg)
 
@@ -405,14 +324,13 @@ def test_grid_and_table_match_python_model(n_cells, ops, searches):
         else:
             _apply(target, op, arg, tick)
             # one INDEX_UPDATE per row written, moved or not; a report
-            # (not a forget) also books one BOOKKEEPING per row
+            # also books one BOOKKEEPING per row
             expected[CostMeter.INDEX_UPDATE] += len(rows)
             if on_grid:
                 model.write(rows)
             else:
                 table_model.write(rows, tick)
-                if op != "forget":
-                    expected[CostMeter.BOOKKEEPING] += len(rows)
+                expected[CostMeter.BOOKKEEPING] += len(rows)
         assert _units(target.meter) == +expected, (op, arg)
         assert _grid_state(grid) == grid_model.state(), (op, arg)
         assert _table_state(table, tick) == table_model.state(tick), (op, arg)
@@ -605,10 +523,7 @@ def _row_columns(grid, rows):
 @given(
     st.sampled_from([1, 2, 3, 8, 64]),
     st.lists(wide_point, max_size=80),
-    st.lists(
-        st.tuples(st.integers(0, 79), st.one_of(st.none(), wide_point)),
-        max_size=40,
-    ),
+    st.lists(st.tuples(st.integers(0, 79), wide_point), max_size=40),
     st.lists(search_row, min_size=1, max_size=64),
 )
 @settings(max_examples=120, deadline=None)
@@ -619,9 +534,7 @@ def test_many_row_searches_match_per_query_row_by_row(
     for oid, (x, y) in enumerate(pts):
         grid.insert(oid, x, y)
     for oid, to in churn:  # leave tombstones behind
-        if oid in grid and to is None:
-            grid.remove(oid)
-        elif oid in grid:
+        if oid in grid:
             grid.update(oid, *to)
     if n_cells == 64:
         rows = rows[:6]  # a per-query search may open all 4096 cells
@@ -687,6 +600,7 @@ def test_many_row_charges_follow_from_the_kth_distance_alone():
         (ci, cj): grid.cell_min_dist((ci, cj), qx, qy)
         for ci in range(9) for cj in range(9)
     }
+    members = _cells(grid)
 
     def closed_form(radius):
         opened = [c for c, m in per_cell.items() if m <= radius]
@@ -694,7 +608,7 @@ def test_many_row_charges_follow_from_the_kth_distance_alone():
         pushed = sum(
             1 for ci, cj in per_cell if max(abs(ci - 4), abs(cj - 4)) <= rings
         )
-        scored = sum(len(grid.objects_in_cell(c)) for c in opened)
+        scored = sum(len(members.get(c, ())) for c in opened)
         return (pushed + len(opened), len(opened), scored)
 
     assert closed_form(d_k) == (25 + 13, 13, 3)
@@ -736,8 +650,8 @@ def test_many_row_search_opens_the_cell_whose_edge_ties_with_the_kth():
 # of three cells and move many ids per step, so tombstones pile up,
 # regions overflow and the whole table is re-laid; the grid is seeded
 # by scalar inserts from a capacity hint below the id range, and the
-# steps include rebuild, remove followed by re-insert, and batches
-# mixing new and known ids.
+# steps mix scalar writes (insert or update, whichever applies) with
+# batches of new and known ids.
 
 anchor = st.sampled_from(
     [(10.0, 10.0), (990.0, 10.0), (500.0, 990.0), (10.0, 10.5)]
@@ -747,9 +661,8 @@ churn_rows = st.lists(
     st.tuples(churn_oid, anchor), max_size=40, unique_by=lambda r: r[0]
 )
 churn_op = st.one_of(
-    st.tuples(st.sampled_from(["update_batch", "rebuild"]), churn_rows),
-    st.tuples(st.just("upsert"), st.tuples(churn_oid, anchor)),
-    st.tuples(st.just("remove"), churn_oid),
+    st.tuples(st.just("update_batch"), churn_rows),
+    st.tuples(st.just("write"), st.tuples(churn_oid, anchor)),
 )
 
 
@@ -778,21 +691,13 @@ def test_cell_store_matches_python_model_under_churn(n_cells, seed, ops):
     assert _grid_state(grid) == model.state()
     written = len(seed)
     for op, arg in ops:
-        if op == "remove" and arg not in model.pos:
-            with pytest.raises(IndexError_):
-                grid.remove(arg)
-        elif op == "remove":
-            grid.remove(arg)
-            del model.pos[arg]
-            written += 1
-        elif op == "upsert":
-            grid.upsert(arg[0], *arg[1])
-            model.pos[arg[0]] = arg[1]
+        if op == "write":
+            oid, (x, y) = arg
+            (grid.update if oid in model.pos else grid.insert)(oid, x, y)
+            model.pos[oid] = (x, y)
             written += 1
         else:
-            getattr(grid, op)(*_columns(arg))
-            if op == "rebuild":
-                model.pos.clear()
+            grid.update_batch(*_columns(arg))
             model.pos.update(arg)
             written += len(arg)
         _check_store(grid)
@@ -826,13 +731,12 @@ def test_dense_store_relays_when_a_region_overflows():
         # 2.5 slots per member + the per-cell share and constant
         assert grid._store.members.shape[0] <= 2.5 * 200 + 16 * (200 // 16 + 9)
     assert relays > 3
-    assert grid.objects_in_cell((0, 0)) == set(range(200))
-    assert grid.nonempty_cells() == [(0, 0)]
-    # remove, then re-insert the same id somewhere else
-    grid.remove(7)
-    assert 7 not in grid.objects_in_cell((0, 0))
-    grid.insert(7, 990.0, 990.0)
-    assert grid.objects_in_cell((3, 3)) == {7}
+    assert _cells(grid) == {(0, 0): frozenset(range(200))}
+    # one scalar move across the grid
+    grid.update(7, 990.0, 990.0)
+    assert _cells(grid) == {
+        (0, 0): frozenset(range(200)) - {7}, (3, 3): frozenset({7}),
+    }
     _check_store(grid)
 
 
@@ -891,7 +795,7 @@ def test_update_batch_call_count_is_independent_of_movers():
     grid = UniformGrid(UNIVERSE, 32, meter=CostMeter())
     grid.reserve(n)
     xs, ys = rng.uniform(0, 1000, n), rng.uniform(0, 1000, n)
-    grid.bulk_load(np.arange(n), xs, ys)
+    grid.update_batch(np.arange(n), xs, ys)
     side = 1000 / 32
     counts = []
     for movers in (1_000, 20_000):
@@ -924,7 +828,7 @@ def test_range_search_makes_no_per_cell_calls():
     rng = np.random.default_rng(6)
     grid = UniformGrid(UNIVERSE, 32, meter=CostMeter())
     grid.reserve(n)
-    grid.bulk_load(
+    grid.update_batch(
         np.arange(n), rng.uniform(0, 1000, n), rng.uniform(0, 1000, n)
     )
     side = 1000 / 32

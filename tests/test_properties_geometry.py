@@ -2,17 +2,14 @@
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.geometry import (
-    Annulus,
     AnswerBand,
-    Circle,
     OutsiderBand,
     Rect,
     dist,
-    dist2,
     translate_toward,
 )
 
@@ -38,14 +35,6 @@ def test_triangle_inequality(x1, y1, x2, y2, x3, y3):
     assert d13 <= d12 + d23 + 1e-6 * (1 + d13)
 
 
-@given(coord, coord, coord, coord)
-def test_dist2_consistent_with_dist(x1, y1, x2, y2):
-    assert math.isclose(
-        dist2(x1, y1, x2, y2), dist(x1, y1, x2, y2) ** 2,
-        rel_tol=1e-9, abs_tol=1e-9,
-    )
-
-
 @given(coord, coord, coord, coord, step)
 def test_translate_toward_never_overshoots(x, y, tx, ty, s):
     nx, ny = translate_toward(x, y, tx, ty, s)
@@ -61,53 +50,15 @@ rect_strategy = st.tuples(coord, coord, radius, radius).map(
 
 
 @given(rect_strategy, coord, coord)
-def test_rect_min_le_max_dist(rect, x, y):
-    assert rect.min_dist(x, y) <= rect.max_dist(x, y) + 1e-9
-
-
-@given(rect_strategy, coord, coord)
 def test_rect_clamp_point_achieves_min_dist(rect, x, y):
     cx, cy = rect.clamp_point(x, y)
     assert rect.contains_point(cx, cy)
+    # the distance to the rectangle, one axis gap at a time
+    gx = max(rect.xmin - x, 0.0, x - rect.xmax)
+    gy = max(rect.ymin - y, 0.0, y - rect.ymax)
     assert math.isclose(
-        dist(x, y, cx, cy), rect.min_dist(x, y), rel_tol=1e-9, abs_tol=1e-9
+        dist(x, y, cx, cy), math.hypot(gx, gy), rel_tol=1e-9, abs_tol=1e-9
     )
-
-
-@given(rect_strategy, rect_strategy)
-def test_rect_intersection_symmetric(a, b):
-    assert a.intersects(b) == b.intersects(a)
-
-
-@given(rect_strategy, rect_strategy)
-def test_rect_union_contains_both(a, b):
-    u = a.union(b)
-    assert u.contains_rect(a) and u.contains_rect(b)
-
-
-@given(coord, coord, radius, coord, coord)
-def test_circle_contains_iff_distance_within(cx, cy, r, x, y):
-    c = Circle(cx, cy, r)
-    d = dist(cx, cy, x, y)
-    if d < r * (1 - 1e-12) - 1e-12:
-        assert c.contains_point(x, y)
-    if d > r * (1 + 1e-12) + 1e-12:
-        assert not c.contains_point(x, y)
-
-
-@given(coord, coord, radius, rect_strategy)
-def test_circle_rect_intersection_consistent_with_min_dist(cx, cy, r, rect):
-    c = Circle(cx, cy, r)
-    assert c.intersects_rect(rect) == (rect.min_dist(cx, cy) <= r)
-
-
-@given(coord, coord, radius, radius, coord, coord)
-def test_annulus_partition(cx, cy, inner, extra, x, y):
-    a = Annulus(cx, cy, inner, inner + extra)
-    d = dist(cx, cy, x, y)
-    inside = a.contains_point(x, y)
-    if inside:
-        assert inner * (1 - 1e-9) - 1e-9 <= d <= (inner + extra) * (1 + 1e-9) + 1e-9
 
 
 @given(coord, coord, radius, coord, coord)

@@ -1,5 +1,6 @@
 """Property-based tests: grid search equals brute force, always."""
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -86,8 +87,9 @@ def test_knn_correct_after_updates(ps, n_cells, moves):
 @settings(max_examples=60, deadline=None)
 def test_grid_length_tracks_population(ps, n_cells):
     grid = _grid(ps, n_cells)
-    assert len(grid) == len(ps)
-    for oid in range(len(ps)):
-        grid.remove(oid)
-    assert len(grid) == 0
-    assert list(grid.nonempty_cells()) == []
+    n = len(ps)
+    assert len(list(grid.ids())) == n
+    # everyone into the corner cell: still n members, all in that cell
+    grid.update_batch(np.arange(n), np.zeros(n), np.zeros(n))
+    assert len(list(grid.ids())) == n
+    assert sorted(grid.box_members(0.0, 0.0, 0.0).tolist()) == list(range(n))

@@ -13,7 +13,6 @@ from repro.mobility import (
     RandomDirectionModel,
     RandomWaypointModel,
     RoadNetworkModel,
-    record_trace,
 )
 
 UNIVERSE = Rect(0, 0, 5_000, 5_000)
@@ -52,34 +51,6 @@ def test_fleet_containment_and_speed_bound(name, vmax, n, seed):
         for (x1, y1), (x2, y2) in zip(before, fleet.positions):
             assert UNIVERSE.contains_point(x2, y2)
             assert dist(x1, y1, x2, y2) <= vmax + 1e-6
-
-
-@given(
-    model_choice,
-    st.integers(min_value=1, max_value=10),
-    st.integers(min_value=0, max_value=9999),
-)
-@settings(max_examples=20, deadline=None)
-def test_trace_roundtrip_replays_identically(name, n, seed):
-    import os
-    import tempfile
-
-    model = _model(name, 60.0)
-    fleet = Fleet.from_model(model, n, seed=seed)
-    trace = record_trace(fleet, 12)
-    fd, path = tempfile.mkstemp(suffix=".csv")
-    os.close(fd)
-    trace.save_csv(path)
-    from repro.mobility import Trace
-
-    try:
-        loaded = Trace.load_csv(path)
-    finally:
-        os.unlink(path)
-    replay = loaded.replay()
-    for tick in range(trace.ticks):
-        assert list(replay.positions) == trace.frames[tick]
-        replay.advance()
 
 
 @given(st.integers(min_value=0, max_value=9999))

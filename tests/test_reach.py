@@ -1,12 +1,16 @@
-"""``tools/reach.py``'s recorder keeps recording when the code it runs
-clears the profiler or the tracer, as a test that counts calls with
-``sys.setprofile`` does — else the census would silently stop there."""
+"""``tools/reach.py``: its recorder keeps recording when the code it
+runs clears the profiler or the tracer, as a test that counts calls
+with ``sys.setprofile`` does — else the census would silently stop
+there — and a ``# reach:`` marker moves a function the product does
+not reach to the "kept" column."""
 
 import dis
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+import textwrap
 
 from repro.geometry import dist
 
@@ -54,3 +58,51 @@ def test_a_line_after_settrace_none_is_recorded(tmp_path):
         tmp_path, "settrace", os.path.dirname(code.co_filename) + os.sep
     )
     assert body & set(hits)
+
+
+MARKED = textwrap.dedent('''\
+    def used():
+        pass
+
+    # reach: one-line reason
+    def marked_tested():
+        pass
+
+    # reach: a reason that runs on
+    # over two lines, above a decorator
+    @staticmethod
+    def marked_unreached():
+        pass
+
+    # a plain comment
+    def tested():
+        pass
+
+    # reach: a blank line between marker and def does not count
+
+    def unreached():
+        pass
+''')
+
+
+def test_reach_marker_moves_a_function_to_kept(tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "reach", os.path.join(ROOT, "tools", "reach.py")
+    )
+    reach = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reach)
+    path = tmp_path / "mod.py"
+    path.write_text(MARKED)
+    key = {name: (line, name) for line, name in reach.universe(str(path), False)}
+    every, prod, only, kept, none = reach.classify(
+        str(path),
+        False,
+        {key["used"]},
+        {key[name] for name in ("used", "marked_tested", "tested")},
+    )
+    assert len(every) == 5 and prod == {key["used"]}
+    assert only == {key["tested"]}
+    assert kept == {key["marked_tested"], key["marked_unreached"]}
+    assert none == {key["unreached"]}
+    # line level ignores the marker
+    assert not reach.classify(str(path), True, set(), set())[3]

@@ -9,7 +9,6 @@ import pytest
 
 from repro.experiments.algorithms import ALGORITHMS, build_system
 from repro.experiments.config import RunConfig
-from repro.mobility import record_trace
 from repro.workloads import WorkloadSpec, build_workload
 
 SPEC = WorkloadSpec(
@@ -43,24 +42,6 @@ def test_all_algorithms_see_identical_motion():
             fleet.advance()
         snapshots.append(list(fleet.positions))
     assert snapshots[0] == snapshots[1]
-
-
-def test_trace_replay_through_a_full_system():
-    """A recorded trace replayed as the fleet drives a protocol run."""
-    from repro.core.broadcast_variant import build_broadcast_system
-    from repro.server import QuerySpec
-    from tests.helpers import ExactnessChecker
-
-    fleet, queries = build_workload(SPEC)
-    trace = record_trace(fleet, 25)
-
-    replay = trace.replay()
-    sim = build_broadcast_system(replay, queries)
-    checker = ExactnessChecker(replay, queries)
-    sim.run(20, on_tick=checker)
-    checker.assert_clean()
-    # The replayed positions must match the recording tick for tick.
-    assert list(replay.positions) == trace.frames[20]
 
 
 def test_different_seeds_change_traffic():

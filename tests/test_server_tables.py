@@ -24,56 +24,20 @@ class TestObjectTable:
         assert table.last_position(1) == (100, 100)
         table.report(1, 200, 200, tick=2)
         assert table.last_position(1) == (200, 200)
-        assert table.previous_position(1) == (100, 100)
-        assert len(table) == 1
-
-    def test_first_report_has_self_as_previous(self, table):
-        table.report(1, 100, 100, tick=1)
-        assert table.previous_position(1) == (100, 100)
-
-    def test_report_tick_tracking(self, table):
-        table.report(1, 100, 100, tick=3)
-        assert table.report_tick_of(1) == 3
 
     def test_freshness_is_per_tick(self, table):
         table.report(1, 100, 100, tick=3)
         assert table.is_fresh(1, 3)
         assert not table.is_fresh(1, 4)
 
-    def test_mark_fresh_via_probe(self, table):
-        table.report(1, 100, 100, tick=1)
-        table.mark_fresh(1, 110, 110, tick=5)
-        assert table.is_fresh(1, 5)
-        assert table.last_position(1) == (110, 110)
-
     def test_unknown_object_raises(self, table):
         with pytest.raises(IndexError_):
             table.last_position(9)
-        with pytest.raises(IndexError_):
-            table.previous_position(9)
-        with pytest.raises(IndexError_):
-            table.report_tick_of(9)
-
-    def test_forget(self, table):
-        table.report(1, 100, 100, tick=1)
-        table.forget(1)
-        assert 1 not in table
-        with pytest.raises(IndexError_):
-            table.forget(1)
-
-    def test_uncertainty_bound(self, table):
-        assert table.uncertainty_bound() == 100.0
-        assert table.uncertainty_bound(extra=50.0) == 150.0
 
     def test_grid_reflects_reports(self, table):
         table.report(1, 100, 100, tick=1)
         table.report(2, 9900, 9900, tick=1)
         assert set(table.grid.ids()) == {1, 2}
-
-    def test_ids(self, table):
-        table.report(3, 1, 1, tick=0)
-        table.report(5, 2, 2, tick=0)
-        assert set(table.ids()) == {3, 5}
 
 
 class TestVectorFreshness:
@@ -116,11 +80,6 @@ class TestVectorFreshness:
         assert table.stale(pending, 7).tolist() == [2]
         assert table.stale(pending, 8).tolist() == [1]
         assert table.stale(pending, 9).tolist() == [1, 2]
-
-    def test_forgotten_object_is_stale(self, table):
-        table.report(1, 100, 100, tick=7)
-        table.forget(1)
-        assert table.stale([1], 7).tolist() == [1]
 
 
 class TestInFlightRegistry:
@@ -186,8 +145,6 @@ class TestQueryTable:
         spec = QuerySpec(qid=1, focal_oid=7, k=3)
         qt.register(spec)
         assert qt.get(1) is spec
-        assert 1 in qt
-        assert len(qt) == 1
 
     def test_duplicate_registration_raises(self):
         qt = QueryTable()
@@ -198,24 +155,6 @@ class TestQueryTable:
     def test_get_unknown_raises(self):
         with pytest.raises(ProtocolError):
             QueryTable().get(4)
-
-    def test_queries_of_focal(self):
-        qt = QueryTable()
-        qt.register(QuerySpec(qid=1, focal_oid=7, k=3))
-        qt.register(QuerySpec(qid=2, focal_oid=7, k=5))
-        qt.register(QuerySpec(qid=3, focal_oid=8, k=5))
-        assert sorted(qt.queries_of_focal(7)) == [1, 2]
-        assert qt.queries_of_focal(99) == []
-
-    def test_deregister(self):
-        qt = QueryTable()
-        qt.register(QuerySpec(qid=1, focal_oid=7, k=3))
-        spec = qt.deregister(1)
-        assert spec.qid == 1
-        assert 1 not in qt
-        assert qt.queries_of_focal(7) == []
-        with pytest.raises(ProtocolError):
-            qt.deregister(1)
 
     def test_iteration(self):
         qt = QueryTable()

@@ -76,7 +76,7 @@ class TestRouter:
         router = ShardRouter(self.UNIVERSE, 3)
         for sid in range(router.n_shards):
             rect = router.rect_of(sid)
-            cx, cy = rect.center
+            cx, cy = (rect.xmin + rect.xmax) / 2, (rect.ymin + rect.ymax) / 2
             assert router.shard_of(cx, cy) == sid
 
     def test_circle_overlap_exact(self):

@@ -23,6 +23,16 @@ The recorder stays installed when the code it watches resets the hook
 (a test that measures with ``sys.setprofile`` and then clears it):
 clearing puts the recorder back, and a profiler set meanwhile runs
 chained behind it.
+
+A function the product does not reach may say why it stays: a comment
+block directly above it (above its decorators, if any) holding a line
+that starts with ``# reach:`` and a reason::
+
+    # reach: full-size E10 runs random-direction mobility
+    def step(self, xs, ys, bx, by):
+
+Function level lists it under "kept", not under "tests only" or
+"unreached". Line level ignores the marker.
 """
 
 from __future__ import annotations
@@ -205,6 +215,39 @@ def universe(path: str, lines: bool) -> Set:
     return starts & code_lines
 
 
+MARKER = "# reach:"
+
+
+def marked(lines: List[str], first: int) -> bool:
+    """True if the comment block directly above line ``first`` (1-based;
+    a function's first line is its first decorator) holds a line that
+    starts with :data:`MARKER`."""
+    i = first - 2
+    while i >= 0 and lines[i].lstrip().startswith("#"):
+        if lines[i].lstrip().startswith(MARKER):
+            return True
+        i -= 1
+    return False
+
+
+def classify(
+    path: str, lines: bool, product: Set, tests: Set
+) -> Tuple[Set, Set, Set, Set, Set]:
+    """The module's ``(every, product, tests only, kept, unreached)``
+    functions or lines, given what each command set reached in it;
+    "kept" holds the functions marked ``# reach:`` that the product
+    does not reach."""
+    every = universe(path, lines)
+    prod = every & product
+    kept: Set = set()
+    if not lines:
+        with open(path) as f:
+            source = f.read().splitlines()
+        kept = {key for key in every - prod if marked(source, key[0])}
+    only = (every & tests) - prod - kept
+    return every, prod, only, kept, every - prod - only - kept
+
+
 def run_set(
     commands: List[List[str]], lines_of: List[str], label: str
 ) -> Dict[str, Set]:
@@ -257,7 +300,7 @@ def _show(items: Set, lines: bool) -> str:
 
 def census(lines_of: List[str]) -> None:
     """Run both sets; print the per-module table, then per module what
-    only tests reach and what nothing reaches."""
+    only tests reach, what is kept and what nothing reaches."""
     lines = bool(lines_of)
     modules = sorted(
         os.path.join(d, f)
@@ -269,31 +312,29 @@ def census(lines_of: List[str]) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         product = run_set(product_commands(tmp), lines_of, "product")
     tests = run_set(TEST_COMMANDS, lines_of, "tests")
-    row = "{:<36} {:>9} {:>8} {:>10} {:>9}".format
+    row = "{:<36} {:>9} {:>8} {:>10} {:>5} {:>9}".format
     print(row("module", "lines" if lines else "functions", "product",
-              "tests only", "unreached"))
-    total = [0, 0, 0, 0]
+              "tests only", "kept", "unreached"))
+    total = [0, 0, 0, 0, 0]
     details = []
     for path in modules:
-        every = universe(path, lines)
-        if not every:
+        sets = classify(
+            path, lines, product.get(path, set()), tests.get(path, set())
+        )
+        if not sets[0]:
             continue
-        prod = every & product.get(path, set())
-        only = (every & tests.get(path, set())) - prod
-        none = every - prod - only
-        counts = (len(every), len(prod), len(only), len(none))
+        counts = [len(s) for s in sets]
         total = [t + c for t, c in zip(total, counts)]
         name = os.path.relpath(path, SRC)
         print(row(name, *counts))
-        if only or none:
-            details.append((name, only, none))
+        if any(sets[2:]):
+            details.append((name, sets[2:]))
     print(row("total", *total))
-    for name, only, none in details:
+    for name, groups in details:
         print(f"\n{name}")
-        if only:
-            print(f"  tests only: {_show(only, lines)}")
-        if none:
-            print(f"  unreached:  {_show(none, lines)}")
+        for label, group in zip(("tests only", "kept", "unreached"), groups):
+            if group:
+                print(f"  {label + ':':<11} {_show(group, lines)}")
 
 
 def main(argv=None) -> int:
