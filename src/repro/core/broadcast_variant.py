@@ -367,6 +367,8 @@ class BroadcastMobileNode(MobileNode):
         #: answers known locally (from broadcast installs of own queries).
         self.known_answers: Dict[int, List[int]] = {}
 
+    # reach: reference_system oracle (the build's BroadcastSilentPhase
+    # sends these reports from its cells)
     def on_tick_start(self, tick: int) -> None:
         x, y = self.position
         for qid, mon in self.monitors.items():
@@ -393,6 +395,7 @@ class BroadcastMobileNode(MobileNode):
                 )
                 self._reported.add(qid)
 
+    # reach: reference_system oracle (on_tick_start's stamp)
     def _epoch_of(self, qid: int) -> int:
         """The epoch a violation of ``qid`` is stamped with; -1 (none:
         no bytes on the wire) under DKNN-B."""
@@ -412,6 +415,8 @@ class BroadcastMobileNode(MobileNode):
                     MessageKind.COLLECT_REPLY,
                     CollectReply(payload.qid, x, y),
                 )
+        # reach: reference_system oracle (the build's installs go to
+        # BroadcastSilentPhase.deliver_area)
         elif msg.kind == MessageKind.BROADCAST_INSTALL:
             self.monitors[payload.qid] = payload
             self._reported.discard(payload.qid)
@@ -449,10 +454,14 @@ def _build_system(
     """The DKNN-B/G simulator: ``server`` with ``specs`` registered, one
     ``node_cls`` node per fleet object, built when first needed.
 
-    The per-tick band checks of all nodes run in one vectorized pass
-    (:class:`~repro.core.fastpath.BroadcastSilentPhase`); installs
-    reach a node's ``monitors`` right before its own code next reads
-    them, and the replies a collect draws leave as one batch.
+    The client side runs on the columns of
+    :class:`~repro.core.fastpath.BroadcastSilentPhase`: installs are
+    written to its cells, the per-tick band checks of all nodes run in
+    one vectorized pass that sends the violation reports itself, and
+    the replies a collect draws leave as one batch. A node is built
+    only when a handler must answer — a probe, a short collect round —
+    and never holds an install: ``monitors`` / ``known_answers`` and
+    the tick-start are the per-object reference's.
     """
     for spec in specs:
         if not 0 <= spec.focal_oid < fleet.n:

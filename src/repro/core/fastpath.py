@@ -6,35 +6,39 @@ those calls are no-ops — the object is *silent*: it holds no region (or
 its regions are satisfied) and has not drifted past its dead-reckoning
 threshold. These :class:`~repro.net.simulator.ClientPhase`
 implementations evaluate that silence predicate for the whole fleet in
-a few numpy passes and invoke the scalar ``on_tick_start`` only on the
-**candidates** — nodes for which the call could possibly do something.
+a few numpy passes and act only for the objects it flags: DKNN-P runs
+the scalar ``on_tick_start`` on its **candidates** (or its column copy
+for an unbuilt one), DKNN-B/G send the violation reports from the
+mirrored cells themselves.
 
 Exactness is preserved by construction, not by approximation:
 
-* the candidate predicate is a *superset* test — every node whose
-  scalar ``on_tick_start`` would transmit (or mutate state) is a
+* the DKNN-P candidate predicate is a *superset* test — every node
+  whose scalar ``on_tick_start`` would transmit (or mutate state) is a
   candidate, and running the scalar method on a quiet candidate is a
   no-op, so sends, state, costs and answers are bit-identical;
 * vector distances use ``np.sqrt(dx*dx + dy*dy)``, the exact float
-  recipe of :func:`repro.geometry.dist`, so threshold comparisons
-  agree with the scalar path to the bit;
-* candidates run in the simulator's mobile order (ascending oid), so
-  message order on the channel — and therefore server processing order
-  and every downstream statistic — is unchanged;
+  recipe of :func:`repro.geometry.dist`, and limits are the scalar
+  code's own float expressions, so threshold comparisons agree with
+  the scalar path to the bit;
+* sends run in the simulator's mobile order (ascending oid), each
+  node's in its own order, so message order on the channel — and
+  therefore server processing order and every downstream statistic —
+  is unchanged;
 * node state the phase mirrors in arrays is never extrapolated. A
   DKNN-P node's drift origin and regions are re-read from the node
   whenever scalar code could have changed them (the *touched* set). A
-  broadcast node's monitors are never re-read: every install reaches
-  the mirror through ``deliver_area`` (an install that does not is a
-  ``ProtocolError``), and all a tick-start can change — it adds to
-  ``_reported`` — is copied on the spot. Where the phase applies a whole batch itself it
-  does to each node exactly what the node's handler does and writes
-  the same values to its columns in the same call;
-* where the phase answers for the nodes — probe replies, drift
-  reports, the replies a DKNN-B/G collect round draws — the batch it
-  sends holds, in the nodes' own send order, exactly the messages
-  their handlers would have sent, and stands in the queue where that
-  run would have stood (:mod:`repro.net.plane`).
+  broadcast node's monitor view lives only in the mirror: every
+  install reaches it through ``deliver_area`` (an install that does
+  not is a ``ProtocolError``) and every report is muted there as it is
+  sent. Where the phase applies a whole batch itself it does to each
+  node exactly what the node's handler does and writes the same values
+  to its columns in the same call;
+* where the phase answers for the nodes — probe replies, drift and
+  violation reports, the replies a DKNN-B/G collect round draws — it
+  sends, in the nodes' own send order, exactly the messages their
+  code would have sent, and a batch stands in the queue where that run
+  would have stood (:mod:`repro.net.plane`).
 
 ``tests/test_fastpath.py`` pins all of this against the scalar path,
 protocol by protocol, including under fault plans.
@@ -72,7 +76,7 @@ from repro.net.message import (
     MessageKind,
     payload_size,
 )
-from repro.net.node import MobileNode, Node
+from repro.net.node import Node
 from repro.net.plane import MIN_BATCH, ColumnarBatch
 from repro.net.simulator import ClientPhase
 
@@ -124,6 +128,23 @@ def _band_limits(mon) -> Tuple[float, float]:
         (mon.threshold - mon.s) * (1.0 + REGION_EPS),
         (mon.threshold + mon.s) * (1.0 - REGION_EPS),
     )
+
+
+def _cells(m, keep: np.ndarray) -> np.ndarray:
+    """The oids of ``m``'s cells — ``m`` a whole-row slice or ascending
+    oids — where ``keep``, a bool over ``row[m]``, holds."""
+    return np.flatnonzero(keep) if isinstance(m, slice) else m[keep]
+
+
+def _among(oids: np.ndarray, m) -> np.ndarray:
+    """The entries of ``oids`` that ``m`` — a whole-row slice or
+    ascending oids — holds, in their order."""
+    if isinstance(m, slice):
+        return oids
+    if not m.shape[0]:
+        return oids[:0]
+    at = np.minimum(np.searchsorted(m, oids), m.shape[0] - 1)
+    return oids[m[at] == oids]
 
 
 class _RegionTable:
@@ -681,32 +702,24 @@ class BroadcastSilentPhase(ClientPhase):
 
     Every node self-monitors every query it has heard an install for,
     so the silence predicate is the per-query band check itself. The
-    phase mirrors each node's **own** monitor view per query — anchor,
-    band limit, membership, reported flag — in ``(q, n)`` arrays
-    (views can diverge across nodes under faults or geocast coverage),
-    evaluates the band predicates one query row at a time in n-sized
-    scratch, and runs the scalar tick-start on the violators. Focal
-    nodes are always candidates: there are at most ``q`` of them and
-    their query-circle check is cheap to re-run scalar.
+    phase holds each node's **own** monitor view per query — anchor,
+    band limit, role, reported flag, epoch — in ``(q, n)`` cells (views
+    diverge across nodes under faults or geocast coverage), checks them
+    one query row at a time in n-sized scratch and sends the violation
+    reports from the cells (:meth:`_report`). Nothing in the build
+    reads a node's ``monitors`` / ``known_answers`` — the COLLECT and
+    PROBE handlers read only ``my_qids`` and the position — so no node
+    runs a tick-start or hears an install, and one is built only when
+    a handler must answer.
 
-    Delivery is batched in both directions:
-
-    * install broadcasts are delivered **lazily**: :meth:`deliver_area`
-      claims them, applies the monitor change to the mirror arrays in
-      one vectorized row update (epoch-gated per receiver for geocast,
-      the exact acceptance rule of
-      :class:`GeocastMobileNode.on_message`), and logs the message
-      instead of invoking N handlers. The same update records, per
-      (query, node), which logged install that node's handler would
-      end up holding and which it would have seen first, and
-      :meth:`_replay` hands a node's own handler just those — at most
-      two per query, however long the node was silent — right before
-      the one place scalar code reads what installs write
-      (``monitors`` / ``_reported`` / ``_epochs`` / ``known_answers``):
-      the node's tick-start as a candidate. COLLECT and PROBE handlers
-      read none of it, so they run on a node that has not caught up.
-      The log drops full broadcasts no node can still be owed, so it
-      does not grow with the run's age;
+    * installs are claimed by :meth:`deliver_area` and written to their
+      receivers' cells by :meth:`_install`: every receiver's handler
+      assignment ``monitors[qid] = payload`` with its ``_reported``
+      re-arm, epoch-gated per receiver for geocast (the acceptance rule
+      of :class:`GeocastMobileNode.on_message`). ``_first`` keeps the
+      number of the first install each node heard per query: that is
+      when its handler inserts the key into ``monitors``, whose dict
+      order is the order of the node's violation uplinks;
     * ``COLLECT`` requests are answered as a **round**
       (:meth:`_collect_round`): the in-circle test every receiver
       would run scalar is evaluated once, vectorized, and the replies
@@ -715,20 +728,16 @@ class BroadcastSilentPhase(ClientPhase):
       in-circle nodes alone; for everyone else delivery is a provable
       no-op.
 
-    The mirror is never re-read off the nodes. A candidate's
-    tick-start can change one thing it holds — it adds to
-    ``_reported`` — and that is written to the cells on the spot.
     Installs have one way in, :meth:`deliver_area`: an install
     dispatched to one node, or geocast with a payload other than a
-    :class:`GeocastInstall`, raises :class:`ProtocolError`.
-
-    Nodes are built on demand: the focal map comes from the builder, the
-    epoch rule from the node classes. A node built late holds what an
-    untouched eager one holds, so :meth:`_replay` alone catches it up.
+    :class:`GeocastInstall`, raises :class:`ProtocolError`. The scalar
+    node code is the per-object reference's, and the oracle
+    ``tests/test_fastpath.py`` holds the cells to.
     """
 
     def __init__(self, focal_of: Dict[int, int]) -> None:
-        #: qid -> focal oid, whose COLLECT handler skips the circle test.
+        #: qid -> focal oid, whose COLLECT handler skips the circle test
+        #: and whose own query's cell is checked against the circle.
         self._focal_of = focal_of
 
     def bind(self, sim) -> None:
@@ -741,23 +750,22 @@ class BroadcastSilentPhase(ClientPhase):
                 )
         self.skip_tick_end = _base_tick_end(pop)
         n = sim.fleet.n
-        self._qidx: Dict[int, int] = {
-            qid: i for i, qid in enumerate(sorted(self._focal_of))
-        }
-        q = len(self._qidx)
+        self._qids = sorted(self._focal_of)
+        self._qidx = {qid: i for i, qid in enumerate(self._qids)}
+        q = len(self._qids)
         #: the population's node table (None: not built yet) and builder.
         self._node_of: List[Optional[BroadcastMobileNode]] = pop.nodes
         self._build = pop.build
         self._active = np.zeros(n, dtype=bool)
         self._active[pop.oids()] = True
-        self._focal = np.zeros(n, dtype=bool)
-        self._focal[list(self._focal_of.values())] = True
         self._ax = np.zeros((q, n))
         self._ay = np.zeros((q, n))
-        #: the band limit each cell is checked against (inner for answer
-        #: members, outer for everyone else) and whether it can fire at
-        #: all: a monitor is held, unreported, with a finite threshold.
-        #: Both change only on install/refresh, never per tick.
+        #: the band limit each cell is checked against — inner for
+        #: answer members, the query circle for the focal's own query
+        #: (both fire beyond it), outer for everyone else (fires inside)
+        #: — and whether it can fire at all: a monitor is held,
+        #: unreported, with a finite threshold. Both change only on
+        #: install and report, never per tick.
         self._bound = np.zeros((q, n))
         self._member = np.zeros((q, n), dtype=bool)
         self._armed = np.zeros((q, n), dtype=bool)
@@ -767,149 +775,102 @@ class BroadcastSilentPhase(ClientPhase):
         self._epoch: Optional[np.ndarray] = None
         if any(issubclass(cls, GeocastMobileNode) for cls in pop.classes):
             self._epoch = np.full((q, n), -1, dtype=np.int64)
-        #: index of "every active node": a plain slice when that is the
-        #: whole fleet, so full broadcasts write rows, not mask scatters.
-        self._everyone = slice(None) if self._active.all() else self._active
+        #: the oids of every active node: a plain slice when that is the
+        #: whole fleet, so full broadcasts write rows, not scatters.
+        self._everyone = (
+            slice(None) if self._active.all() else np.flatnonzero(self._active)
+        )
         #: n-sized scratch of the per-row passes (band check, collect
-        #: circle): |dx| and who lies in the strip it bounds.
+        #: circle, geocast cover): |dx| and who lies in the strip it
+        #: bounds.
         self._d = np.empty(n)
         self._near = np.empty(n, dtype=bool)
-        #: lazily-delivered install broadcasts by delivery number, and
-        #: per query the (number, epoch) of the full broadcasts among
-        #: them. ``_applied[oid]`` is the first delivery number that
-        #: node's own handler has not caught up with.
-        self._log: Dict[int, Message] = {}
-        self._full: List[List[Tuple[int, int]]] = [[] for _ in range(q)]
-        self._seq = 0
-        self._applied = np.zeros(n, dtype=np.int64)
-        #: per (query, node), the logged install the node's handler
-        #: would be left holding after seeing every install it was
-        #: reachable for, and the one it would have seen first (-1 =
-        #: none); per node, installs it was reachable for since its
-        #: last replay.
-        self._final = np.full((q, n), -1, dtype=np.int32)
+        #: per (query, node), the number of the first install the node
+        #: heard (-1 = none yet), and per query how many cells are
+        #: still -1: a row with none left is never scanned again.
         self._first = np.full((q, n), -1, dtype=np.int32)
-        self._pending = np.zeros(n, dtype=np.int32)
-        #: deferred installs handed to a handler / proven unobservable
-        #: and skipped (reported per tick in ``fastpath.candidates``).
-        self._replayed = 0
-        self._superseded = 0
+        self._unseen = [n] * q
+        self._seq = 0
 
-    def _replay(self, node: "BroadcastMobileNode") -> None:
-        """Hand the node's handler its pending installs, coalesced.
-
-        Lazily-delivered installs (see :meth:`deliver_area`) must reach
-        the node's own ``on_message`` before scalar code reads what
-        they write: its tick-start as a candidate. Of the pending
-        installs of one query only two can be observed afterwards: the
-        *final* one — the last carrying the highest epoch, since the
-        handler keeps the newest epoch and within it the latest
-        install; it is the node's monitor, known
-        answer and, through the handler's own epoch gate, ``_reported``
-        re-arm (without epochs it is simply the last) — and the *first*
-        the node was ever reachable for, which inserts the key into
-        ``node.monitors`` and so fixes the order of that node's
-        violation uplinks. Every install in between is overwritten or
-        refused before anything reads it and is skipped: at most 2q
-        handler calls per touch, in delivery order.
-        """
-        oid = node.oid
-        start = int(self._applied[oid])
-        if start == self._seq:
-            return
-        self._applied[oid] = self._seq
-        final = self._final[:, oid]
-        first = self._first[:, oid]
-        picks = sorted(
-            {*final[final >= start].tolist(), *first[first >= start].tolist()}
-        )
-        for seq in picks:
-            node.on_message(self._log[seq])
-        self._replayed += len(picks)
-        self._superseded += int(self._pending[oid]) - len(picks)
-        self._pending[oid] = 0
-
-    def _defer_install(self, msg: Message, mask: Optional[np.ndarray]) -> None:
-        """Mirror one install broadcast onto its receivers' rows and
-        log it for :meth:`_replay`; ``mask is None`` is a full
-        broadcast, heard by every active node.
+    def _install(self, msg: Message, idx: Optional[np.ndarray]) -> None:
+        """Write one install onto the cells of the nodes that hear it:
+        ``idx`` holds their oids ascending, None is a full broadcast,
+        heard by every active node.
 
         Receivers all execute ``monitors[qid] = payload`` (reference
         assignment of this very object), so the payload *is* their
-        monitor state — no per-node re-reading needed. Geocast nodes
-        additionally gate on the epoch: older installs are ignored,
-        equal ones replace the monitor without re-arming ``_reported``.
-        The cells that accept the install are exactly the nodes whose
-        handler would be left holding it, which is what ``_final``
-        records.
+        monitor state. Geocast nodes additionally gate on the epoch:
+        older installs are ignored, equal ones replace the monitor
+        without re-arming ``_reported``.
         """
         payload = msg.payload
         qi = self._qidx[payload.qid]
+        m = self._everyone if idx is None else idx
         seq = self._seq
         self._seq = seq + 1
-        self._log[seq] = msg
-        m = self._everyone if mask is None else mask
-        self._pending[m] += 1
-        unseen = self._first[qi] < 0
-        if mask is not None:
-            unseen &= mask
-        self._first[qi, unseen] = seq
-        e = 0
+        if self._unseen[qi]:
+            first = self._first[qi]
+            new = _cells(m, first[m] < 0)
+            first[new] = seq
+            self._unseen[qi] -= new.shape[0]
         if self._epoch is not None:
             e = getattr(payload, "epoch", 0)
             held = self._epoch[qi]
-            if mask is None:
-                m = self._active
-            self._reported[qi, m & (held < e)] = False
-            m = m & (held <= e)
-            self._epoch[qi, m] = e
+            were = held[m]
+            self._reported[qi, _cells(m, were < e)] = False
+            m = _cells(m, were <= e)
+            held[m] = e
         else:
             self._reported[qi, m] = False
-        # Everyone accepting is an outsider of the new answer except
-        # its k members: fill the outsider values, scatter the members.
+        # Everyone accepting is an outsider of the new answer except its
+        # k members and the query's focal: fill the outsider values, then
+        # the members' inner limit and the focal's circle (its own query
+        # comes first in the handler's test, whatever the answer says).
         inner, outer = _band_limits(payload)
-        members = np.fromiter(
-            payload.answer_ids, np.int64, len(payload.answer_ids)
+        focal = self._focal_of[payload.qid]
+        special = np.fromiter(
+            (*payload.answer_ids, focal), np.int64, len(payload.answer_ids) + 1
         )
-        if not isinstance(m, slice):
-            members = members[m[members]]
-        self._final[qi, m] = seq
+        special = _among(special, m)
         self._ax[qi, m] = payload.ax
         self._ay[qi, m] = payload.ay
         self._member[qi, m] = False
-        self._member[qi, members] = True
+        self._member[qi, special] = True
         self._bound[qi, m] = outer
-        self._bound[qi, members] = inner
+        self._bound[qi, special] = inner
+        if special.shape[0] and special[-1] == focal:
+            self._bound[qi, focal] = payload.s * (1.0 + REGION_EPS)
         self._armed[qi, m] = (
             False if math.isinf(payload.threshold) else ~self._reported[qi, m]
         )
-        if mask is None:
-            # A full broadcast with an older one of its query behind it
-            # (every node's first is that one or earlier) and this one,
-            # of no lower epoch, ahead (every node left holding it now
-            # accepts this one instead) is owed to nobody: forget it.
-            full = self._full[qi]
-            if len(full) >= 2 and full[-1][1] <= e:
-                del self._log[full.pop()[0]]
-            full.append((seq, e))
 
     def _down(self):
         """Ids of the nodes the fault plan has down this tick."""
         sim = self.sim
         return sim.faults.down_at(sim.tick) if sim.faults is not None else ()
 
+    def _up(self, idx: Optional[np.ndarray]) -> Optional[np.ndarray]:
+        """``idx`` (None: every active node) minus the nodes down now."""
+        down = self._down()
+        if not down:
+            return idx
+        if idx is None:
+            idx = np.flatnonzero(self._active)
+        return idx[~np.isin(idx, list(down))]
+
     def tick_start(self, tick: int) -> None:
         xs, ys = _fleet_xy(self.sim.fleet)
         # One query row at a time, in scratch that stays in cache. The
         # strip |dx| < limit holds every outsider that can be inside
         # its outer limit (sqrt(dx*dx + dy*dy) >= |dx| in floats too);
-        # members are checked wherever they stand. Only those cells get
-        # the shared distance recipe and the member (beyond the inner
-        # limit) / outsider (inside the outer limit) compare.
+        # members and focals are checked wherever they stand. Only those
+        # cells get the shared distance recipe and the member / focal
+        # (beyond the limit) or outsider (inside it) compare.
         d, near = self._d, self._near
-        cand = self._focal.copy()
-        for ax, ay, bound, member, armed in zip(
-            self._ax, self._ay, self._bound, self._member, self._armed
+        hit_q: List[np.ndarray] = []
+        hit_o: List[np.ndarray] = []
+        for qi, (ax, ay, bound, member, armed) in enumerate(
+            zip(self._ax, self._ay, self._bound, self._member, self._armed)
         ):
             np.subtract(xs, ax, out=d)
             np.abs(d, out=d)
@@ -921,65 +882,74 @@ class BroadcastSilentPhase(ClientPhase):
             dy = ys[idx] - ay[idx]
             dist = np.sqrt(dx * dx + dy * dy)
             limit = bound[idx]
-            cand[idx] |= np.where(member[idx], dist > limit, dist < limit)
-        cand &= self._active
-        down = self._down()
-        qidx = self._qidx
-        told_q: List[int] = []
-        told_o: List[int] = []
-        candidates = np.nonzero(cand)[0].tolist()
-        for oid in candidates:
-            if oid in down:
-                continue
-            node = self._node_of[oid] or self._build(oid)
-            self._replay(node)
-            reported = node._reported
-            before = len(reported)
-            node.on_tick_start(tick)
-            if len(reported) != before:
-                # All a tick-start changes of what the mirror holds:
-                # the queries it just reported are muted until their
-                # next install. (Rewriting the older ones is a no-op.)
-                told_q += [qidx[qid] for qid in reported]
-                told_o += [oid] * len(reported)
-        if told_q:
-            self._reported[told_q, told_o] = True
-            self._armed[told_q, told_o] = False
+            idx = idx[np.where(member[idx], dist > limit, dist < limit)]
+            if idx.shape[0]:
+                hit_o.append(idx)
+                hit_q.append(np.full(idx.shape[0], qi))
+        sent = 0
+        if hit_o:
+            sent = self._report(
+                np.concatenate(hit_q), np.concatenate(hit_o), xs, ys
+            )
         tel = self.sim.telemetry
         if tel.enabled and tel.tracer.enabled:
             tel.tracer.emit(
                 tick,
                 "fastpath.candidates",
-                candidates=len(candidates),
+                candidates=sent,
                 population=int(self._active.sum()),
-                replayed=self._replayed,
-                superseded=self._superseded,
-                log_len=len(self._log),
+                built=len(self.sim.mobiles.built()),
             )
-            self._replayed = self._superseded = 0
+
+    def _report(self, qis, oids, xs, ys) -> int:
+        """Send the reports of the violated cells ``(qis, oids)`` that
+        are up and mute them; returns how many were sent.
+
+        The uplinks go out as the per-object loop sends them: node by
+        node in ascending oid, each node's in its ``monitors`` order —
+        the order of the first install it heard per query — one
+        ``ViolationReport`` at the node's position and held epoch,
+        ``QUERY_MOVE`` for the focal's own query. A report mutes its
+        cell until the next install re-arms it.
+        """
+        keep = self._active[oids]
+        down = self._down()
+        if down:
+            keep &= ~np.isin(oids, list(down))
+        qis, oids = qis[keep], oids[keep]
+        order = np.lexsort((self._first[qis, oids], oids))
+        qis, oids = qis[order], oids[order]
+        self._reported[qis, oids] = True
+        self._armed[qis, oids] = False
+        epochs = (
+            self._epoch[qis, oids].tolist()
+            if self._epoch is not None
+            else [-1] * oids.shape[0]
+        )
+        send = self.sim.channel.send
+        qids, focal_of = self._qids, self._focal_of
+        for qi, oid, x, y, epoch in zip(
+            qis.tolist(), oids.tolist(), xs[oids].tolist(), ys[oids].tolist(),
+            epochs,
+        ):
+            qid = qids[qi]
+            kind = (
+                MessageKind.QUERY_MOVE
+                if focal_of[qid] == oid
+                else MessageKind.VIOLATION
+            )
+            send(kind, oid, SERVER_ID, ViolationReport(qid, x, y, epoch))
+        return oids.shape[0]
 
     def before_dispatch(self, node: Node, msg: Message) -> None:
         # COLLECT and PROBE handlers read and write none of the monitor
-        # view; they need no replay. An install reaching a node here
-        # went around the mirror.
+        # view, which lives in the cells. An install reaching a node
+        # here went around the mirror.
         if msg.kind is MessageKind.BROADCAST_INSTALL:
             raise ProtocolError(
                 f"install {msg.payload!r} dispatched to node {node.oid} "
                 "bypasses the broadcast phase's mirror"
             )
-
-    def _up_mask(self, base: np.ndarray) -> Optional[np.ndarray]:
-        """``base`` minus currently-down nodes; None means "all active".
-
-        Only materialized under a fault plan — the common case returns
-        None (for a full broadcast) or ``base`` untouched.
-        """
-        if self.sim.faults is None:
-            return None if base is self._active else base
-        mask = base.copy()
-        n = mask.shape[0]
-        mask[[i for i in self._down() if 0 <= i < n]] = False
-        return mask
 
     def _collect_round(self, msg: Message, geocast: bool) -> None:
         """Deliver one COLLECT request and send what it draws.
@@ -1045,9 +1015,9 @@ class BroadcastSilentPhase(ClientPhase):
         """Vectorized delivery of the server's broadcasts and geocasts.
 
         Claims COLLECT requests (:meth:`_collect_round`) and install
-        broadcasts/geocasts (mirrored into the arrays vectorized,
-        logged for lazy per-node replay; a geocast reaches the nodes
-        inside the squared compare of ``covers()``); an install
+        broadcasts/geocasts (written to the receivers' cells by
+        :meth:`_install`; a geocast reaches the nodes inside the
+        squared compare of ``covers()``); an install
         geocast whose payload is not a :class:`GeocastInstall` raises
         :class:`ProtocolError`. Anything else — a mobile broadcasting,
         an unknown collect shape — is left to the scalar loop.
@@ -1062,20 +1032,27 @@ class BroadcastSilentPhase(ClientPhase):
         if msg.kind is not MessageKind.BROADCAST_INSTALL:
             return False
         if not geocast:
-            self._defer_install(msg, self._up_mask(self._active))
+            self._install(msg, self._up(None))
             return True
         if ptype is not GeocastInstall:
             raise ProtocolError(
                 f"geocast install {msg.payload!r} is not a GeocastInstall"
             )
         payload = msg.payload
+        cover = payload.cover
         xs, ys = _fleet_xy(self.sim.fleet)
-        dx = xs - payload.ax
-        dy = ys - payload.ay
-        hit = dx * dx + dy * dy <= payload.cover * payload.cover  # covers()
-        hit &= self._active
-        mask = self._up_mask(hit)
-        reach = hit if mask is None else mask
-        self._defer_install(msg, reach)
-        self.sim.channel.stats.record_delivery(msg, receivers=int(reach.sum()))
+        # The receivers inside covers()' squared compare all stand in the
+        # strip |dx| <= cover, as in a collect round; only the strip gets
+        # the two-dimensional test.
+        d, near = self._d, self._near
+        np.subtract(xs, payload.ax, out=d)
+        np.abs(d, out=d)
+        np.less_equal(d, cover, out=near)
+        near &= self._active
+        idx = np.nonzero(near)[0]
+        dx = d[idx]
+        dy = ys[idx] - payload.ay
+        idx = self._up(idx[dx * dx + dy * dy <= cover * cover])  # covers()
+        self._install(msg, idx)
+        self.sim.channel.stats.record_delivery(msg, receivers=idx.shape[0])
         return True

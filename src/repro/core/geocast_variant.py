@@ -254,9 +254,12 @@ class GeocastMobileNode(BroadcastMobileNode):
         super().__init__(oid, fleet, my_qids=my_qids)
         self._epochs: Dict[int, int] = {}
 
+    # reach: reference_system oracle (on_tick_start's stamp)
     def _epoch_of(self, qid: int) -> int:
         return self._epochs.get(qid, 0)
 
+    # reach: reference_system oracle for the install arm (the build's
+    # BroadcastSilentPhase applies the epoch rule on its cells)
     def on_message(self, msg: Message) -> None:
         if msg.kind == MessageKind.BROADCAST_INSTALL:
             payload = msg.payload

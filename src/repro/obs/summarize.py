@@ -200,18 +200,18 @@ def _fastpath_section(events: List[TraceEvent]) -> Optional[str]:
     if not decisions:
         return None
     # DKNN-P reports exact candidates (the nodes that go on to send,
-    # plus region holders with protocol timers), not all region holders.
+    # plus region holders with protocol timers), not all region holders;
+    # DKNN-B/G the violation reports sent from the mirror, and how many
+    # node objects exist so far.
     cands = [f.get("candidates", 0) for f in decisions]
-    # Every deferred install a touched node had pending is either
-    # handed to its handler or skipped as provably unobservable.
-    delivered = sum(f.get("replayed", 0) for f in decisions)
-    superseded = sum(f.get("superseded", 0) for f in decisions)
-    return (
+    line = (
         f"Fastpath: {len(cands)} dispatch decisions, candidates/tick "
-        f"mean {sum(cands) / len(cands):.1f} max {max(cands)}, "
-        f"deferred installs replayed: {delivered} delivered + "
-        f"{superseded} superseded"
+        f"mean {sum(cands) / len(cands):.1f} max {max(cands)}"
     )
+    built = [f["built"] for f in decisions if "built" in f]
+    if built:
+        line += f", nodes built: {max(built)}"
+    return line
 
 
 def _comm_section(events: List[TraceEvent]) -> Optional[str]:

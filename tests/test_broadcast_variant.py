@@ -95,8 +95,8 @@ class TestMobileNode:
         assert q.focal_oid not in sim.server.answers[q.qid]
 
     def test_monitors_installed_on_all_nodes(self):
-        # On the per-object reference: a built system's client phase
-        # hands a node its installs only before its own code reads them.
+        # On the per-object reference: in a built system the monitors
+        # live in the client phase's cells, and no node holds one.
         spec = WorkloadSpec(
             n_objects=30, n_queries=1, k=5, seed=13, ticks=10, warmup_ticks=1
         )

@@ -1,0 +1,59 @@
+"""Cost counters checked in tier-1: counts, not clocks.
+
+A wall-clock gain needs quiet hosts and alternating pairs; the counts
+behind it do not. Each test here runs a benchmark-shaped workload at a
+size tier-1 affords and pins an exact count of the work the build does
+— nodes built, scalar handler calls — so the gain cannot quietly go.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.core.broadcast_variant import BroadcastMobileNode
+from repro.core.geocast_variant import GeocastMobileNode
+from repro.experiments.config import RunConfig
+from repro.net.message import MessageKind
+from repro.workloads.spec import WorkloadSpec
+from tests.helpers import built_system
+
+#: ``b_dense``'s shape (Q = 16, k = 8, random waypoint, query speed 50)
+#: at 20k objects.
+B_DENSE_SHAPED = WorkloadSpec(
+    n_objects=20_000, n_queries=16, k=8, ticks=40, warmup_ticks=0, seed=1,
+    query_speed=50.0,
+)
+
+
+@pytest.mark.parametrize("algorithm", ["DKNN-B", "DKNN-G"])
+def test_broadcast_violations_leave_from_the_mirror(algorithm, monkeypatch):
+    """DKNN-B/G send every violation report from the client phase's
+    cells: over 40 ticks no node runs a tick-start, no node's handler
+    is handed an install, and at most 1 % of the fleet is ever built
+    (the focal nodes a probe reaches, the repliers of short collect
+    rounds)."""
+    calls = {"tick_start": 0, "install": 0}
+    run_tick_start = BroadcastMobileNode.on_tick_start
+
+    def tick_start(self, tick):
+        calls["tick_start"] += 1
+        run_tick_start(self, tick)
+
+    def counted(handler):
+        def on_message(self, msg):
+            if msg.kind is MessageKind.BROADCAST_INSTALL:
+                calls["install"] += 1
+            handler(self, msg)
+
+        return on_message
+
+    monkeypatch.setattr(BroadcastMobileNode, "on_tick_start", tick_start)
+    for cls in (BroadcastMobileNode, GeocastMobileNode):
+        monkeypatch.setattr(cls, "on_message", counted(cls.on_message))
+    sim, _ = built_system(RunConfig(algorithm), B_DENSE_SHAPED)
+    sim.run(B_DENSE_SHAPED.ticks)
+    stats = sim.channel.stats
+    assert stats.sent_by_kind[MessageKind.VIOLATION] > 0  # reports were sent
+    assert stats.sent_by_kind[MessageKind.BROADCAST_INSTALL] > 0
+    assert calls == {"tick_start": 0, "install": 0}
+    assert len(sim.mobiles.built()) <= 0.01 * sim.fleet.n

@@ -120,8 +120,8 @@ class TestEpochs:
         from repro.core.protocol import GeocastInstall
         from repro.net.message import Message, SERVER_ID
 
-        # On the per-object reference: a built system's client phase
-        # hands a node its installs only before its own code reads them.
+        # On the per-object reference: in a built system the monitors
+        # live in the client phase's cells, and no node holds one.
         spec = WorkloadSpec(
             n_objects=150, n_queries=2, k=5, seed=29, ticks=10,
             warmup_ticks=1, query_speed=50.0,

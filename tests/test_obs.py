@@ -12,6 +12,7 @@ from repro.errors import ExperimentError
 from repro.experiments import RunConfig, build_system, run_once
 from repro.net.engine import EngineConfig
 from repro.net.faults import FaultPlan
+from repro.net.message import MessageKind
 from repro.obs import (
     NULL_TELEMETRY,
     JsonlSink,
@@ -123,22 +124,28 @@ class TestProtocolStreamBitIdentity:
         assert not [e for e in scalar_events if e.kind == "fastpath.candidates"]
         assert [e for e in fast_events if e.kind == "fastpath.candidates"]
 
-    def test_fastpath_replay_accounting(self):
-        """``replayed`` counts coalesced deliveries, ``superseded`` the
-        pending installs skipped as unobservable (scalar nodes handle
-        both), ``log_len`` the bounded log — and the summary says so."""
-        events, _ = _traced_run("DKNN-B")
+    def test_fastpath_built_accounting(self):
+        """On DKNN-B ``candidates`` counts the violation reports the
+        phase sent, ``population`` the fleet and ``built`` the node
+        objects built so far — and the summary names the last."""
+        ring = RingSink()
+        sim, _ = built_system(
+            RunConfig("DKNN-B"), SPEC, telemetry=Telemetry(tracer=Tracer(ring))
+        )
+        sim.run(20)
+        events = ring.events()
         decisions = [
             e.fields for e in events if e.kind == "fastpath.candidates"
         ]
-        delivered = sum(f["replayed"] for f in decisions)
-        superseded = sum(f["superseded"] for f in decisions)
-        assert delivered > 0 and superseded > 0
-        assert max(f["log_len"] for f in decisions) <= 2 * SPEC.n_queries
-        assert (
-            f"deferred installs replayed: {delivered} delivered + "
-            f"{superseded} superseded"
-        ) in summarize_text(events)
+        assert len(decisions) == 20
+        sent = sim.channel.stats.sent_by_kind
+        reports = sent[MessageKind.VIOLATION] + sent[MessageKind.QUERY_MOVE]
+        assert sum(f["candidates"] for f in decisions) == reports > 0
+        assert {f["population"] for f in decisions} == {sim.fleet.n}
+        built = [f["built"] for f in decisions]
+        assert built == sorted(built)
+        assert built[-1] == len(sim.mobiles.built()) < sim.fleet.n
+        assert f"nodes built: {built[-1]}" in summarize_text(events)
 
 
 class TestNullSinkIsFree:
