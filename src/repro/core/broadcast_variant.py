@@ -30,6 +30,8 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.core.params import BroadcastParams
 from repro.core.protocol import (
     BroadcastInstall,
@@ -43,6 +45,7 @@ from repro.core.regions import plan_installation
 from repro.errors import ProtocolError
 from repro.geometry import Rect, dist
 from repro.geometry.region import REGION_EPS
+from repro.index.knn import _rank
 from repro.metrics.cost import CostMeter
 from repro.net.faults import FaultPlan
 from repro.net.message import Message, MessageKind
@@ -307,12 +310,16 @@ class DknnBroadcastServer(BaseServer):
             self._start_collect(st, fresh=False)
             return
         qx, qy = st.focal_pos  # type: ignore[misc]
-        scored = sorted(
-            (dist(x, y, qx, qy), oid) for oid, (x, y) in st.collected.items()
+        n = len(st.collected)
+        ids = np.fromiter(st.collected, np.int64, n)
+        pts = st.collected.values()
+        d = np.fromiter((dist(x, y, qx, qy) for x, y in pts), np.float64, n)
+        if n:
+            self.meter.charge(CostMeter.DIST_CALC, n)
+        order = _rank(d, ids)
+        inst = plan_installation(
+            (qx, qy), d[order], ids[order], k, self.params.s_cap
         )
-        if scored:
-            self.meter.charge(CostMeter.DIST_CALC, len(scored))
-        inst = plan_installation((qx, qy), scored, k, self.params.s_cap)
         st.anchor = (qx, qy)
         st.threshold = inst.threshold
         st.s_eff = inst.s_eff

@@ -31,13 +31,20 @@ circle but tighter object bands — the E9 ablation sweeps this).
 When fewer than ``k + 1`` candidates exist, every object is an answer
 and nothing can ever displace it: ``t = inf`` and all bands are
 unviolatable.
+
+Plans are made on candidates ranked by ``(distance, oid)`` as arrays;
+the DKNN-P server plans a subround's full repairs in one segmented pass
+with the same float expressions (``DknnServer._plan_full``).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
+
+import numpy as np
 
 from repro.errors import ProtocolError
 
@@ -53,10 +60,8 @@ class Installation:
     anchor:
         Exact query position at installation time.
     answer:
-        Ascending ``(distance, oid)`` pairs of the exact kNN.
-    outsiders:
-        Ascending ``(distance, oid)`` pairs of the non-answer
-        candidates (band targets, filtered to the monitor zone).
+        Ascending ``(distance, oid)`` pairs of the exact kNN (the
+        outsiders are the caller's ranked candidates past ``k``).
     threshold:
         Mid-threshold ``t`` (``inf`` for trivial all-answer cases).
     s_eff:
@@ -65,21 +70,12 @@ class Installation:
 
     anchor: Tuple[float, float]
     answer: Tuple[Tuple[float, int], ...]
-    outsiders: Tuple[Tuple[float, int], ...]
     threshold: float
     s_eff: float
 
     @property
     def answer_ids(self) -> Tuple[int, ...]:
         return tuple(oid for _, oid in self.answer)
-
-    @property
-    def outsider_ids(self) -> Tuple[int, ...]:
-        return tuple(oid for _, oid in self.outsiders)
-
-    def outsiders_within(self, radius: float) -> Tuple[int, ...]:
-        """Outsider ids at distance <= ``radius`` from the anchor."""
-        return tuple(oid for d, oid in self.outsiders if d <= radius)
 
     @property
     def answer_band_radius(self) -> float:
@@ -105,15 +101,17 @@ class Installation:
 
 def plan_installation(
     anchor: Tuple[float, float],
-    candidates: Sequence[Tuple[float, int]],
+    ds: np.ndarray,
+    ids: np.ndarray,
     k: int,
     s_cap: float,
 ) -> Installation:
     """Compute the bands for one query from exact candidate distances.
 
-    ``candidates`` must be ascending ``(distance, oid)`` pairs measured
-    from ``anchor`` — exact positions, not reported ones — and must
-    contain the true kNN (the caller's probe radius guarantees this).
+    ``ds`` / ``ids`` are the candidates ranked ascending by
+    ``(distance, oid)``: distances measured from ``anchor`` — exact
+    positions, not reported ones — and the candidates must contain the
+    true kNN (the caller's probe radius guarantees this).
 
     Raises :class:`ProtocolError` on unsorted input (a protocol bug, not
     a data condition).
@@ -122,32 +120,17 @@ def plan_installation(
         raise ProtocolError(f"k must be >= 1, got {k}")
     if s_cap < 0:
         raise ProtocolError(f"negative s_cap {s_cap}")
-    for (d1, _), (d2, _) in zip(candidates, candidates[1:]):
-        if d1 > d2:
-            raise ProtocolError("candidates must be ascending by distance")
-
-    if len(candidates) <= k:
-        # Trivial case: every known object is an answer forever (until
-        # a repair is triggered by the query moving is unnecessary too:
-        # no non-answer objects exist to swap in).
-        return Installation(
-            anchor=anchor,
-            answer=tuple(candidates),
-            outsiders=(),
-            threshold=math.inf,
-            s_eff=s_cap,
-        )
-
-    answer = tuple(candidates[:k])
-    outsiders = tuple(candidates[k:])
-    d_k = answer[-1][0]
-    d_k1 = candidates[k][0]
+    # one list pass: at the few dozen candidates of a collect or a light
+    # repair it is cheaper than numpy's compare-and-reduce
+    dl = ds.tolist()
+    if any(map(operator.gt, dl, dl[1:])):
+        raise ProtocolError("candidates must be ascending by distance")
+    answer = tuple(zip(dl, ids[:k].tolist()))
+    if len(dl) <= k:
+        # Trivial case: every known object is an answer forever (no
+        # non-answer object exists to swap in).
+        return Installation(anchor, answer, math.inf, s_cap)
+    d_k, d_k1 = dl[k - 1], dl[k]
     threshold = (d_k + d_k1) / 2.0
     s_eff = min(s_cap, (d_k1 - d_k) / 2.0)
-    return Installation(
-        anchor=anchor,
-        answer=answer,
-        outsiders=outsiders,
-        threshold=threshold,
-        s_eff=s_eff,
-    )
+    return Installation(anchor, answer, threshold, s_eff)

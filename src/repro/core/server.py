@@ -22,10 +22,10 @@ A repair re-derives everything from exact positions:
    radius ``R = r_{k+1} + 2*uncertainty + s_cap`` — a radius provably
    containing the true top ``k+1`` *and* the post-repair monitor zone;
 3. probe every candidate in ``R`` whose position is stale this tick;
-4. run :func:`~repro.core.regions.plan_installation` on exact
-   distances, install answer/outsider bands anchored at the exact query
-   position, the query safe circle, revoke bands of objects no longer
-   informed, and push the answer to the focal node if it changed.
+4. plan on exact distances (a subround's full repairs in one pass,
+   ``DknnServer._plan_full``), install answer/outsider bands anchored at
+   the exact query position, the query safe circle, revoke bands of
+   objects no longer informed, and push a changed answer to the focal.
 
 Exactness (zero-latency mode): by the band invariant in
 :mod:`repro.core.regions`, between repairs the published answer remains
@@ -54,8 +54,10 @@ from repro.core.protocol import (
 )
 from repro.core.regions import Installation, plan_installation
 from repro.errors import ProtocolError
-from repro.geometry import Rect, dist
+from repro.geometry import Rect
 from repro.index.knn import (
+    _rank,
+    _ranked,
     knn_search,
     knn_search_many,
     range_search_arrays,
@@ -395,12 +397,12 @@ class DknnServer(BaseServer):
         subround: reports are ingested by ``on_message`` /
         ``on_uplink_batch`` between subrounds, and nothing an
         ``_advance`` does (probes, installs, revokes, borrows) writes
-        the table. And one query's ``_advance`` never writes another
-        query's state, so what a query does first is decided by its own
-        fields as they stand now. It may not assume anything about what
-        happens *after* a query's first step — a planner scan that
-        finds an encroacher, a light repair that escalates — and those
-        searches stay with the per-query functions.
+        the table, positions or freshness. And one query's ``_advance``
+        never writes another query's state, so what a query does first
+        is decided by its own fields as they stand now. It may not
+        assume anything about what happens *after* a query's first step
+        — a planner scan that finds an encroacher, a light repair that
+        escalates — and those searches stay with the per-query functions.
         """
         self._tick = tick
         self._prefetch(tick)
@@ -433,7 +435,9 @@ class DknnServer(BaseServer):
         its monitor zone; a query starting a full repair with its focal
         position exact (idle and dirty off the light path, or done
         waiting for the focal probe) searches its ``k+1`` nearest and
-        then scans the candidate circle that fixes. A kind with fewer
+        then scans the candidate circle that fixes; a query whose
+        candidate probes are all answered finalizes (``"fin"``, any
+        number of rows: :meth:`_plan_full`). A search kind with fewer
         than ``MIN_BATCH`` rows due is left to the per-query functions
         (the many-row kernels lose below that), as is everything under
         the fault-tolerant build's suspect exclusion sets. The kernels
@@ -447,10 +451,14 @@ class DknnServer(BaseServer):
         grid = table.grid
         planner: List[_QueryState] = []
         search: List[_QueryState] = []
+        finals: List[_QueryState] = []
         for st in self._states.values():
             if st.focal_down:
                 continue
-            if st.phase == _WAIT_FOCAL or (
+            if st.phase == _WAIT_CANDS:
+                if not table.stale(st.pending, tick).shape[0]:
+                    finals.append(st)
+            elif st.phase == _WAIT_FOCAL or (
                 st.phase == _IDLE and st.dirty and not self._light_eligible(st)
             ):
                 # _WAIT_FOCAL pends on the focal alone.
@@ -463,6 +471,9 @@ class DknnServer(BaseServer):
                 and not math.isinf(st.install.threshold)
             ):
                 planner.append(st)
+        if finals:
+            for st, plan in zip(finals, self._plan_full(finals)):
+                rows["fin", st.spec.qid] = plan
         if len(planner) >= MIN_BATCH:
             unc = self.params.uncertainty
             found = range_search_many(
@@ -907,7 +918,8 @@ class DknnServer(BaseServer):
         """Choose the probe set; returns False when blocked or trivial.
 
         On the trivial path (fewer than ``k+1`` known objects) this
-        finalizes directly and returns False so the caller stops.
+        finalizes directly (everyone is the answer, nothing can displace
+        them: no bands) and returns False so the caller stops.
         """
         spec = st.spec
         table = self.table
@@ -920,7 +932,11 @@ class DknnServer(BaseServer):
                 meter=self.meter,
             )
         if len(reported) <= spec.k:
-            self._finalize_trivial(st, reported, (qx, qy), tick)
+            inst = Installation(
+                (qx, qy), tuple(reported), math.inf, self.params.s_cap
+            )
+            self._install(st, inst, _NO_IDS, tick)
+            st.phase = _IDLE
             return False
         radius = self._candidate_radius(reported[-1][0])
         if self.ownership_probe is not None:
@@ -937,63 +953,73 @@ class DknnServer(BaseServer):
         st.phase = _WAIT_CANDS  # nothing stale: fall straight through
         return not st.pending.shape[0]
 
-    def _finalize_trivial(
-        self,
-        st: _QueryState,
-        reported: List[Tuple[float, int]],
-        anchor: Tuple[float, float],
-        tick: int,
-    ) -> None:
-        """Fewer objects than ``k``: everyone is the answer, forever
-        (until the population changes, which this server doesn't
-        support mid-run). No bands are needed — there is nothing that
-        could displace an answer member."""
-        inst = Installation(
-            anchor=anchor,
-            answer=tuple(reported),
-            outsiders=(),
-            threshold=math.inf,
-            s_eff=self.params.s_cap,
-        )
-        self._install(st, inst, tick)
+    def _finalize(self, st: _QueryState, tick: int) -> None:
+        plan = self._rows.pop(("fin", st.spec.qid), None)
+        if plan is None:
+            (plan,) = self._plan_full([st])
+        self._install(st, *plan, tick)
         st.phase = _IDLE
 
-    def _finalize(self, st: _QueryState, tick: int) -> None:
-        spec = st.spec
-        table = self.table
-        qx, qy = table.last_position(spec.focal_oid)
-        # The dist() recipe, DIST_CALC per candidate and ascending
-        # (d, oid) order, over arrays.
-        idx = st.cand_ids
-        xs, ys = table.grid.positions_of(idx)
+    def _exact_dists(self, ids: np.ndarray, qx, qy) -> np.ndarray:
+        """The ``dist()`` recipe from ``(qx, qy)`` — one point, or one
+        per id — to each id's table position; DIST_CALC per id."""
+        xs, ys = self.table.grid.positions_of(ids)
         ddx = xs - qx
         ddy = ys - qy
-        d = np.sqrt(ddx * ddx + ddy * ddy)
-        self.meter.charge(CostMeter.DIST_CALC, idx.shape[0])
-        order = np.lexsort((idx, d))
-        exact = list(zip(d[order].tolist(), idx[order].tolist()))
-        inst = plan_installation((qx, qy), exact, spec.k, self.params.s_cap)
-        self._install(st, inst, tick)
-        st.phase = _IDLE
+        self.meter.charge(CostMeter.DIST_CALC, ids.shape[0])
+        return np.sqrt(ddx * ddx + ddy * ddy)
 
-    def _install(self, st: _QueryState, inst: Installation, tick: int) -> None:
-        """Send bands/revokes/answer for a fresh installation."""
+    def _plan_full(
+        self, states: List[_QueryState]
+    ) -> List[Tuple[Installation, np.ndarray]]:
+        """Rank, plan and band the full repairs of ``states`` in one
+        segmented pass: ``(installation, banded outsider ids)`` per row.
+
+        Row ``i`` ranks ``states[i].cand_ids`` by exact distance from
+        its focal, takes ``t``, ``s_eff`` and the monitor zone with
+        :func:`~repro.core.regions.plan_installation`'s expressions and
+        bands the ranked tail past ``k`` within the zone (farther ones
+        are the per-tick planner's)."""
+        grid = self.table.grid
+        n = len(states)
+        focals = np.array([st.spec.focal_oid for st in states], np.int64)
+        qx, qy = grid.positions_of(focals)
+        k = np.array([st.spec.k for st in states], np.int64)
+        row = np.repeat(np.arange(n), [st.cand_ids.shape[0] for st in states])
+        ids = np.concatenate([st.cand_ids for st in states])
+        d = self._exact_dists(ids, qx[row], qy[row])
+        seg, d, ids = _ranked(n, row, d, ids)
+        lo, hi = seg[:-1], seg[1:]
+        full = np.flatnonzero(hi - lo > k)  # the rest are trivial
+        d_k, d_k1 = d[lo[full] + k[full] - 1], d[lo[full] + k[full]]
+        t = np.full(n, math.inf)
+        s_eff = np.full(n, self.params.s_cap, dtype=np.float64)
+        t[full] = (d_k + d_k1) / 2.0
+        s_eff[full] = np.minimum(self.params.s_cap, (d_k1 - d_k) / 2.0)
+        zone = t + s_eff + self.params.uncertainty
+        tail = np.arange(ids.shape[0]) - lo[row] >= k[row]  # row is sorted
+        banded = np.bincount(row[tail & (d <= zone[row])], minlength=n)
+        plans = []
+        for i, a, b, x, y, t_i, s_i in zip(
+            lo.tolist(), np.minimum(lo + k, hi).tolist(), banded.tolist(),
+            qx.tolist(), qy.tolist(), t.tolist(), s_eff.tolist(),
+        ):
+            answer = tuple(zip(d[i:a].tolist(), ids[i:a].tolist()))
+            inst = Installation((x, y), answer, t_i, s_i)
+            plans.append((inst, ids[a:a + b]))
+        return plans
+
+    def _install(
+        self, st: _QueryState, inst: Installation, banded, tick: int
+    ) -> None:
+        """Send bands/revokes/answer for a fresh installation, outsider
+        bands to ``banded``. A trivial one (everyone is the answer) needs
+        no band; leftovers from earlier installations are revoked."""
         qid = st.spec.qid
         focal = st.spec.focal_oid
         ax, ay = inst.anchor
         trivial = math.isinf(inst.threshold)
-        # A trivial installation (everyone is the answer, nothing can
-        # displace them) needs no bands at all — any leftover bands
-        # from earlier installations are revoked below.
-        # Otherwise, outsider bands go only to candidates inside the
-        # monitor zone: anything farther is covered by the per-tick
-        # planner, so banding it would waste a downlink.
-        if trivial:
-            banded_outsiders: Tuple[int, ...] = ()
-        else:
-            banded_outsiders = inst.outsiders_within(
-                inst.monitor_radius(self.params.uncertainty)
-            )
+        banded_outsiders = banded.tolist()  # empty when trivial
         answer_ids = inst.answer_ids
         new_informed = (
             set() if trivial else set(answer_ids) | set(banded_outsiders)
@@ -1011,8 +1037,9 @@ class DknnServer(BaseServer):
                 focal, qid, BAND_QUERY_CIRCLE, ax, ay, inst.s_eff
             )
         revoked = st.informed - new_informed
-        for oid in revoked:
-            self._unacked.pop((oid, qid), None)
+        if self._ft:  # only the fault-tolerant build registers installs
+            for oid in revoked:
+                self._unacked.pop((oid, qid), None)
         self._fan_out(revoked, MessageKind.REVOKE_REGION, RevokeBand(qid))
         if trivial and st.install is not None and not math.isinf(
             st.install.threshold
@@ -1020,7 +1047,8 @@ class DknnServer(BaseServer):
             # The focal node still holds a query circle from the prior
             # non-trivial installation; nothing will ever replace it on
             # the trivial path, so take it down explicitly.
-            self._unacked.pop((focal, qid), None)
+            if self._ft:
+                self._unacked.pop((focal, qid), None)
             self.send(focal, MessageKind.REVOKE_REGION, RevokeBand(qid))
         st.informed = new_informed
         new_ids = list(answer_ids)
@@ -1091,35 +1119,31 @@ class DknnServer(BaseServer):
         inst = st.install
         assert inst is not None
         spec = st.spec
-        table = self.table
         ax, ay = inst.anchor
-        t_old, s_old = inst.threshold, inst.s_eff
-        exact: List[Tuple[float, int]] = []
-        for oid in st.cand_ids.tolist():
-            ox, oy = table.last_position(oid)
-            exact.append((dist(ox, oy, ax, ay), oid))
-        self.meter.charge(CostMeter.DIST_CALC, len(exact))
-        exact.sort()
+        t_old, s_old, s_cap = inst.threshold, inst.s_eff, self.params.s_cap
+        ids = st.cand_ids
+        d = self._exact_dists(ids, ax, ay)
         st.pending = st.cand_ids = _NO_IDS
         st.phase = _IDLE
-        if len(exact) < spec.k:
+        if ids.shape[0] < spec.k:
             return False  # population shrank below k: full repair
-        new_answer = exact[: spec.k]
-        dropped = exact[spec.k:]
+        order = _rank(d, ids)
+        ds, ids = d[order], ids[order]
+        plan = plan_installation(inst.anchor, ds, ids, spec.k, s_cap)
+        new_answer = plan.answer
+        dropped = ids[spec.k:].tolist()
         # The new bands must fit strictly inside the old ones so every
         # untouched band keeps implying the new invariant:
         #   answers <= t' - s_b, with t' - s_b >= t_old - s_old;
         #   dropped/outsiders >= t' + s_b, with t' + s_b <= t_old + s_old.
         lower = max(t_old - s_old, new_answer[-1][0])
-        upper = min(t_old + s_old, dropped[0][0] if dropped else math.inf)
+        upper = min(t_old + s_old, float(ds[spec.k]) if dropped else math.inf)
         if upper < lower:
             return False  # the swap does not fit inside the old bands
-        s_new = min(self.params.s_cap, (upper - lower) / 2.0)
+        s_new = min(s_cap, (upper - lower) / 2.0)
         # The query stays anchored at A; its current drift must fit the
         # new band slack (the focal was probed in _begin_light).
-        fx, fy = table.last_position(spec.focal_oid)
-        drift = dist(fx, fy, ax, ay)
-        self.meter.charge(CostMeter.DIST_CALC)
+        (drift,) = self._exact_dists(np.array([spec.focal_oid]), ax, ay)
         if drift > s_new:
             return False  # not enough slack to absorb the query drift
         t_new = (lower + upper) / 2.0
@@ -1127,13 +1151,13 @@ class DknnServer(BaseServer):
         old_answer = set(inst.answer_ids)
         new_ids = [oid for _, oid in new_answer]
         new_set = set(new_ids)
-        for d, oid in new_answer:
+        for _, oid in new_answer:
             if oid not in old_answer or oid in st.light_violators:
                 # Entrants need an answer band; violators staying in
                 # the answer need theirs re-armed (a violated band
                 # stays silent until re-installed).
                 self._send_band(oid, qid, BAND_ANSWER, ax, ay, t_new - s_new)
-        for d, oid in dropped:
+        for oid in dropped:
             # Everyone dropped from the pool either just left the
             # answer or violated inward without making the cut; both
             # need a (re-armed) outsider band at the new boundary.
@@ -1151,15 +1175,9 @@ class DknnServer(BaseServer):
         self.publish(qid, new_ids)
         # Encroacher-derived pool members were uninformed until now.
         st.informed.update(new_set)
-        st.informed.update(oid for _, oid in dropped)
+        st.informed.update(dropped)
         st.light_violators = set()
-        st.install = Installation(
-            anchor=inst.anchor,
-            answer=tuple(new_answer),
-            outsiders=tuple(dropped),
-            threshold=t_new,
-            s_eff=s_new,
-        )
+        st.install = Installation(inst.anchor, plan.answer, t_new, s_new)
         self.repair_count[qid] += 1
         self.light_repair_count[qid] += 1
         self.meter.charge(CostMeter.REPAIR)
@@ -1210,18 +1228,11 @@ class DknnServer(BaseServer):
         inst = st.install
         if inst is None:
             raise ProtocolError("planner resolution without installation")
-        table = self.table
         ax, ay = inst.anchor
         boundary = inst.outsider_band_radius
-        encroachers: List[int] = []
-        harmless: List[int] = []
-        for oid in st.planner_new.tolist():
-            ox, oy = table.last_position(oid)
-            if dist(ox, oy, ax, ay) < boundary:
-                encroachers.append(oid)
-            else:
-                harmless.append(oid)
-        self.meter.charge(CostMeter.DIST_CALC, st.planner_new.shape[0])
+        new = st.planner_new
+        inside = self._exact_dists(new, ax, ay) < boundary
+        encroachers, harmless = new[inside].tolist(), new[~inside].tolist()
         st.pending = st.planner_new = _NO_IDS
         st.phase = _IDLE
         if encroachers:

@@ -235,10 +235,29 @@ class TestBatchedRepairSearches:
 
     @staticmethod
     def _count_kernels(monkeypatch):
-        """Rows handed to each search function, by name."""
+        """Rows handed to each search function, by name; rows the
+        pre-pass fetched, by kind; and ``_finalize`` calls, split by
+        whether a ``"fin"`` row was waiting (``finalize-ahead``) or not
+        (``finalize-alone``, a one-row ``_plan_full``)."""
         import repro.core.server as server_module
 
         rows = {}
+        server_cls = server_module.DknnServer
+        prefetch, finalize = server_cls._prefetch, server_cls._finalize
+
+        def counted_prefetch(self, tick):
+            prefetch(self, tick)
+            for kind, _ in self._rows:
+                rows["row:" + kind] = rows.get("row:" + kind, 0) + 1
+
+        def counted_finalize(self, st, tick):
+            ahead = ("fin", st.spec.qid) in self._rows
+            key = "finalize-ahead" if ahead else "finalize-alone"
+            rows[key] = rows.get(key, 0) + 1
+            finalize(self, st, tick)
+
+        monkeypatch.setattr(server_cls, "_prefetch", counted_prefetch)
+        monkeypatch.setattr(server_cls, "_finalize", counted_finalize)
         for name in (
             "knn_search", "range_search_arrays",
             "knn_search_many", "range_search_many",
@@ -311,6 +330,13 @@ class TestBatchedRepairSearches:
         assert batched["range_search_many"] + batched.get(
             "range_search_arrays", 0
         ) == rows["range_search_arrays"]
+        # every full repair the pre-pass foresaw was planned there
+        assert "finalize-ahead" not in rows
+        assert batched["row:fin"] >= self.QUERIES
+        assert batched["row:fin"] == batched["finalize-ahead"]
+        assert batched["row:fin"] + batched.get("finalize-alone", 0) == (
+            rows["finalize-alone"]
+        )
         for key in reference:
             assert built[key] == reference[key], key
         assert len(built["wire"]) > 1000
@@ -391,7 +417,8 @@ class TestBatchedRepairSearches:
         for key in reference:
             assert built[key] == reference[key], key
 
-    def test_row_fetched_ahead_and_never_asked_for_raises(self):
+    @pytest.mark.parametrize("kind", ["planner", "knn", "cands", "fin"])
+    def test_row_fetched_ahead_and_never_asked_for_raises(self, kind):
         """The kernels charge the meter when they run, so a row nobody
         consumes would be work billed and not done."""
         import numpy as np
@@ -404,8 +431,45 @@ class TestBatchedRepairSearches:
 
         def one_row_too_many(tick):
             prefetch(tick)
-            server._rows["planner", -1] = np.empty(0, dtype=np.int64)
+            server._rows[kind, -1] = np.empty(0, dtype=np.int64)
 
         server._prefetch = one_row_too_many
         with pytest.raises(ProtocolError, match="never asked for"):
             sim.step()
+
+
+class TestRevokeRetransmission:
+    def test_revoke_clears_a_pending_retransmission(self):
+        """Fault-tolerant build: an install still waiting for its ack
+        leaves the retransmit set when a repair revokes that band, so
+        the next sweep does not resend a band the object no longer
+        holds."""
+        import numpy as np
+        from repro.core.protocol import BAND_OUTSIDER, InstallBand
+
+        sim, _, _ = _system(n=200, q=2, k=5, fault_tolerant=True)
+        sim.run(4)
+        server = sim.server
+        assert not server._unacked  # zero latency: every ack arrived
+        st = next(
+            s for s in server._states.values()
+            if set(s.informed) - set(s.install.answer_ids)
+        )
+        qid = st.spec.qid
+        oid = min(set(st.informed) - set(st.install.answer_ids))
+        # its ack was lost, and the band is overdue for a retransmission
+        lost = InstallBand(qid, BAND_OUTSIDER, 0.0, 0.0, 1.0, epoch=0, lease=8)
+        server._unacked[(oid, qid)] = (lost, sim.tick - 10)
+        # a repair whose candidates leave the object out revokes its band
+        st.cand_ids = np.array(sorted(st.informed - {oid}), dtype=np.int64)
+        ((inst, banded),) = server._plan_full([st])
+        server._install(st, inst, banded, sim.tick)
+        assert oid not in st.informed
+        assert (oid, qid) not in server._unacked
+        resent = sim.channel.stats.retransmits_by_kind[
+            MessageKind.INSTALL_REGION
+        ]
+        sim.step()
+        assert sim.channel.stats.retransmits_by_kind[
+            MessageKind.INSTALL_REGION
+        ] == resent

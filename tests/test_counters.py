@@ -8,8 +8,11 @@ size tier-1 affords and pins an exact count of the work the build does
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+import repro.core.server as server_module
+import repro.index.knn as knn_module
 from repro.core.broadcast_variant import BroadcastMobileNode
 from repro.core.geocast_variant import GeocastMobileNode
 from repro.experiments.config import RunConfig
@@ -18,7 +21,7 @@ from repro.workloads.spec import WorkloadSpec
 from tests.helpers import built_system
 
 #: ``b_dense``'s shape (Q = 16, k = 8, random waypoint, query speed 50)
-#: at 20k objects.
+#: at 20k objects; ``p_dense`` has the same shape.
 B_DENSE_SHAPED = WorkloadSpec(
     n_objects=20_000, n_queries=16, k=8, ticks=40, warmup_ticks=0, seed=1,
     query_speed=50.0,
@@ -57,3 +60,47 @@ def test_broadcast_violations_leave_from_the_mirror(algorithm, monkeypatch):
     assert stats.sent_by_kind[MessageKind.BROADCAST_INSTALL] > 0
     assert calls == {"tick_start": 0, "install": 0}
     assert len(sim.mobiles.built()) <= 0.01 * sim.fleet.n
+
+
+def test_dknn_p_full_repairs_finalize_in_the_batched_pass(monkeypatch):
+    """DKNN-P plans its full repairs in the subround pre-pass: over 40
+    ticks at least 90 % of them are ``"fin"`` rows of
+    ``DknnServer._prefetch`` (the rest finalize in the step that chose
+    their candidates, as one-row calls), and at most 1 % of the
+    rankings of ``_SMALL`` members or more — those that sort and check
+    instead of running ``np.lexsort`` outright — fall back to it (the
+    fallback runs on exact distance ties only)."""
+    calls = {"fin": 0, "rank": 0, "lexsort": 0}
+    prefetch = server_module.DknnServer._prefetch
+    rank, lexsort = knn_module._rank, np.lexsort
+
+    def counted_prefetch(self, tick):
+        prefetch(self, tick)
+        calls["fin"] += sum(kind == "fin" for kind, _ in self._rows)
+
+    def counted(name, f, n_of):
+        def call(*args, **kwargs):
+            calls[name] += n_of(*args, **kwargs) >= knn_module._SMALL
+            return f(*args, **kwargs)
+
+        return call
+
+    counted_rank = counted("rank", rank, lambda d, *_, **__: d.shape[0])
+    monkeypatch.setattr(
+        server_module.DknnServer, "_prefetch", counted_prefetch
+    )
+    monkeypatch.setattr(knn_module, "_rank", counted_rank)
+    monkeypatch.setattr(server_module, "_rank", counted_rank)
+    monkeypatch.setattr(
+        np, "lexsort", counted("lexsort", lexsort, lambda k: k[0].shape[0])
+    )
+    sim, _ = built_system(RunConfig("DKNN-P"), B_DENSE_SHAPED)
+    sim.run(B_DENSE_SHAPED.ticks)
+    server = sim.server
+    full = sum(server.repair_count.values()) - sum(
+        server.light_repair_count.values()
+    )
+    assert full >= B_DENSE_SHAPED.n_queries  # repairs were made
+    assert calls["fin"] >= 0.9 * full
+    assert calls["rank"] >= B_DENSE_SHAPED.ticks
+    assert calls["lexsort"] <= 0.01 * calls["rank"]

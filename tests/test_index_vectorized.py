@@ -23,6 +23,8 @@ from repro.errors import IndexError_
 from repro.geometry import Rect
 from repro.index import UniformGrid, knn_search, range_search
 from repro.index.knn import (
+    _SMALL,
+    _rank,
     knn_search_many,
     range_search_arrays,
     range_search_many,
@@ -578,6 +580,43 @@ def test_many_row_searches_match_per_query_row_by_row(
         total.merge(one)
     # and the meters got the column sums, minting the same entries
     assert dict(many.units) == dict(total.units)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 7),  # row: some rows empty, some single
+            st.sampled_from([0.0, 1.0, 2.5, 2.5000000000000004, 7.0]),
+            st.integers(0, 30),
+        ),
+        max_size=60,
+    ),
+    st.sampled_from([1, -1, 40_000]),  # rows reversed / past int16
+    st.booleans(),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_rank_is_the_three_key_lexsort(members, stride, tie_free, padded):
+    """``_rank`` equals ``np.lexsort((ids, d, row))`` exactly: ties in
+    distance inside a row fall back to the lexsort, equal distances in
+    different rows do not tie, and the values-only form sorts the same
+    values. Padded past ``_SMALL`` members, the argsort-and-check path
+    runs; the filler's quarter steps tie with the drawn distances."""
+    if padded:
+        members = members + [
+            (i % 9, i * 0.25, i) for i in range(_SMALL + 40)
+        ]
+    row = np.array([r for r, _, _ in members], dtype=np.int64)
+    row = row * stride if stride > 0 else row.max(initial=0) - row
+    d = np.array([x for _, x, _ in members], dtype=np.float64)
+    ids = np.array([o for _, _, o in members], dtype=np.int64)
+    if tie_free:
+        d = d + np.arange(d.shape[0]) * 1e-3
+    want = np.lexsort((ids, d, row))
+    assert _rank(d, ids, row).tolist() == want.tolist()
+    assert d[_rank(d, row=row)].tolist() == d[want].tolist()
+    one = np.lexsort((ids, d))
+    assert _rank(d, ids).tolist() == one.tolist()
 
 
 def test_many_row_charges_follow_from_the_kth_distance_alone():

@@ -7,6 +7,7 @@ repository has: they explore the corner where the k/k+1 gap collapses,
 populations hover around k, and queries outrun objects.
 """
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -105,14 +106,14 @@ distances = st.lists(
 @given(distances, st.integers(1, 10), st.floats(0, 1e3, allow_nan=False))
 @settings(max_examples=200, deadline=None)
 def test_plan_installation_invariants(dists, k, s_cap):
-    cands = [(d, i) for i, d in enumerate(sorted(dists))]
-    inst = plan_installation((0.0, 0.0), cands, k, s_cap)
+    ds = np.array(sorted(dists))
+    cands = [(d, i) for i, d in enumerate(ds.tolist())]
+    inst = plan_installation((0.0, 0.0), ds, np.arange(len(ds)), k, s_cap)
     # Answer is the k nearest (prefix of the sorted candidates).
     assert inst.answer == tuple(cands[: min(k, len(cands))])
     assert inst.s_eff <= s_cap + 1e-12
     if math.isinf(inst.threshold):
         assert len(cands) <= k
-        assert inst.outsiders == ()
     else:
         d_k = cands[k - 1][0]
         d_k1 = cands[k][0]
@@ -130,10 +131,79 @@ def test_plan_installation_invariants(dists, k, s_cap):
         assert inst.monitor_radius(10.0) >= inst.outsider_band_radius
 
 
+def _tuple_planner(cands, k, s_cap):
+    """The list-of-``(distance, oid)`` planner the array one replaced:
+    ``(answer, t, s_eff, outsiders)``."""
+    if len(cands) <= k:
+        return tuple(cands), math.inf, s_cap, ()
+    d_k, d_k1 = cands[k - 1][0], cands[k][0]
+    t = (d_k + d_k1) / 2.0
+    return tuple(cands[:k]), t, min(s_cap, (d_k1 - d_k) / 2.0), cands[k:]
+
+
+#: small lattice offsets: many candidates share an exact distance
+#: ((3, 4), (5, 0), (0, -5), (-4, 3) ... are all 5 away).
+offsets = st.lists(
+    st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=0, max_size=24
+)
+
+
+@given(
+    st.lists(st.tuples(offsets, st.integers(1, 6)), min_size=1, max_size=4),
+    st.sampled_from([0.0, 0.5, 1.0, 2.5, 50.0]),
+    st.sampled_from([0.0, 1.0, 3.0]),
+)
+@settings(max_examples=150, deadline=None)
+def test_array_planner_matches_the_tuple_planner_on_ties(rows, s_cap, theta):
+    """Full repairs planned as one segmented pass (``_plan_full``)
+    against the tuple planner row by row, on candidates with exact
+    distance ties: the same answer, ``t`` and ``s_eff``, and the banded
+    outsiders are the tuple filter ``d <= monitor radius``."""
+    from repro.core.params import DknnParams
+    from repro.core.server import DknnServer
+    from repro.geometry import Rect, dist
+    from repro.server.query_table import QuerySpec
+
+    server = DknnServer(
+        Rect(0.0, 0.0, 100.0, 100.0),
+        DknnParams(theta=theta, s_cap=s_cap, grid_cells=4),
+    )
+    states, oid = [], 0
+    for qid, (offs, k) in enumerate(rows):
+        focal = 1000 + qid
+        qx, qy = 20.0 + 15 * qid, 50.0
+        server.register_query(QuerySpec(qid=qid, focal_oid=focal, k=k))
+        server.table.report(focal, qx, qy, 1)
+        ids = []
+        for dx, dy in offs:
+            server.table.report(oid, qx + dx, qy + dy, 1)
+            ids.append(oid)
+            oid += 1
+        st_ = server._states[qid]
+        st_.cand_ids = np.array(ids[::-1], dtype=np.int64)  # unranked
+        states.append(st_)
+    plans = server._plan_full(states)
+    for st_, (inst, banded) in zip(states, plans):
+        qx, qy = server.table.last_position(st_.spec.focal_oid)
+        cands = sorted(
+            (dist(*server.table.last_position(o), qx, qy), o)
+            for o in st_.cand_ids.tolist()
+        )
+        answer, t, s_eff, outsiders = _tuple_planner(cands, st_.spec.k, s_cap)
+        assert (inst.answer, inst.threshold, inst.s_eff) == (answer, t, s_eff)
+        zone = inst.monitor_radius(server.params.uncertainty)
+        assert banded.tolist() == [o for d, o in outsiders if d <= zone]
+        ds = np.array([d for d, _ in cands])
+        alone = plan_installation(
+            (qx, qy), ds, np.array([o for _, o in cands]), st_.spec.k, s_cap
+        )
+        assert alone == inst
+
+
 @given(st.integers(0, 10))
 def test_plan_installation_rejects_bad_k(extra):
     with pytest_raises_protocol():
-        plan_installation((0, 0), [(1.0, 0)], 0, 1.0)
+        plan_installation((0, 0), np.array([1.0]), np.array([0]), 0, 1.0)
 
 
 def pytest_raises_protocol():
