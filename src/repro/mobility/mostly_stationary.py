@@ -73,6 +73,8 @@ class CommuteMover(Mover):
         self._new_trip(rng)
         return pos
 
+    # reach: a scalar Fleet's step, the per-object model FastFleet must
+    # equal; FastFleet draws commute arrivals in its kernel instead
     def step(
         self, x: float, y: float, rng: random.Random
     ) -> Tuple[float, float]:

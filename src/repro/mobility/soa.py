@@ -14,12 +14,17 @@ silent majority of a tick is pure float arithmetic:
   arrays and advances all event-free objects with numpy expressions
   that replicate the scalar float ops exactly (multiply/add/sqrt are
   IEEE correctly rounded, so numpy and CPython agree to the bit);
-* objects flagged as events fall back to their own scalar
+* the tick's event objects go back to their kernels in ascending
+  object id — exactly the order the scalar fleet draws randomness in,
+  so the RNG stream never diverges — cut into maximal runs that share
+  a kernel (:meth:`_Kernel.arrive`). Pause-free waypoint and commute
+  arrivals are batched: the run lands on its targets and draws its
+  next trips from ``3·m`` ``rng.random()`` calls in oid order, as
+  ``random.uniform``'s own ``lo + (hi - lo) * r``. Every other event
+  (Gaussian and hotspot redraws, pausing waypoint arrivals, leg
+  renewals) falls back to its own scalar
   :class:`~repro.mobility.base.Mover` — state is synced array→mover,
   ``mover.step`` runs (consuming the shared RNG), state syncs back.
-  Events are processed in ascending object id, which is exactly the
-  order the scalar fleet draws randomness in, so the RNG stream never
-  diverges.
 
 Mover classes without a kernel (road network, custom subclasses) are
 stepped scalar every tick — correctness never depends on a kernel
@@ -142,18 +147,21 @@ class _Kernel:
 
     ``oids`` are the fleet-global ids this kernel owns, ascending.
     ``step`` writes the new positions of every *silent* object into the
-    fleet's back buffers and returns the local rows that need a scalar
-    (RNG-consuming) step this tick. ``pull_many``/``push_many`` sync
-    those rows' ``SYNC`` columns with their movers around the scalar
-    steps. ``offender`` is the fleet's safety check over the kernel.
-    ``claims`` reads the objects' motion claims
-    (:mod:`repro.mobility.crossing`) off the kernel columns.
+    fleet's back buffers and returns the local rows that are events
+    (RNG-consuming) this tick; ``arrive`` steps a run of them.
+    ``pull_many``/``push_many`` sync those rows' ``SYNC`` columns with
+    their movers around the scalar steps. ``offender`` is the fleet's
+    safety check over the kernel. ``claims`` reads the objects' motion
+    claims (:mod:`repro.mobility.crossing`) off the kernel columns.
     """
 
     #: False for a kernel whose objects never move: no workspace.
     MOVES = True
     #: ``(column, mover attribute)`` pairs mirrored by the kernel.
     SYNC: Tuple[Tuple[str, str], ...] = ()
+    #: the fleet's movers by oid (shared, not copied; set by the fleet):
+    #: the scalar steps of :meth:`arrive`.
+    movers: List[Mover]
 
     def __init__(
         self, universe: Rect, oids: np.ndarray, movers: List[Mover]
@@ -187,6 +195,18 @@ class _Kernel:
         """The movers -> array state of ``rows`` (after the steps)."""
         for col, attr in self.SYNC:
             getattr(self, col)[rows] = [getattr(m, attr) for m in movers]
+
+    def arrive(self, rows, oids, xs, ys, bx, by, rng) -> None:
+        """Step the event objects ``rows`` (at ``oids``, ascending) into
+        the back buffers. As is, each one's own scalar Mover steps in
+        oid order against the shared ``rng``, synced in one batch around
+        the loop (a mover's step touches only its own state)."""
+        ids = oids.tolist()
+        stepped = [self.movers[oid] for oid in ids]
+        self.pull_many(rows, stepped)
+        for oid, m in zip(ids, stepped):
+            bx[oid], by[oid] = m.step(float(xs[oid]), float(ys[oid]), rng)
+        self.push_many(rows, stepped)
 
     # reach: event mode over kernel-less movers (road network); no quick
     # sweep runs that pair
@@ -415,17 +435,65 @@ class _GlideKernel(_Kernel):
         self.tx[rows] = [m._target[0] for m in movers]
         self.ty[rows] = [m._target[1] for m in movers]
 
+    def _speed_ranges(self, movers) -> None:
+        """Index each object's ``(speed_min, speed_max)`` into a table of
+        the distinct pairs (a population and its focal objects: two):
+        ``trip`` per object, and per pair ``lo`` and ``hi - lo``,
+        ``random.uniform``'s operands."""
+        pairs: Dict[Tuple[float, float], int] = {}
+        index = [
+            pairs.setdefault((m.speed_min, m.speed_max), len(pairs))
+            for m in movers
+        ]
+        self.trip = np.array(
+            index, dtype=np.uint8 if len(pairs) <= 256 else np.intp
+        )
+        self.lo = np.array([lo for lo, _ in pairs], dtype=np.float64)
+        self.span = np.array([hi - lo for lo, hi in pairs], dtype=np.float64)
+
+    def _redraw(self, rows, oids, bx, by, rng) -> None:
+        """Pause-free waypoint arrivals of ``rows`` (at ``oids``,
+        ascending), batched; no mover is read or written. Each lands on
+        its target (the ``d <= speed`` arrival and the rounding one both
+        end exactly there) and draws its next trip as the scalar
+        ``_new_trip``: target ``x``, ``y`` and speed, each
+        ``random.uniform``'s ``lo + (hi - lo) * rng.random()``, three
+        draws per object in oid order."""
+        tx, ty = self.tx, self.ty
+        bx[oids] = tx[rows]
+        by[oids] = ty[rows]
+        draw = rng.random
+        r = np.array([draw() for _ in range(3 * rows.shape[0])])
+        u = self.universe
+        tx[rows] = u.xmin + (u.xmax - u.xmin) * r[0::3]
+        ty[rows] = u.ymin + (u.ymax - u.ymin) * r[1::3]
+        trip = self.trip[rows]
+        self.speed[rows] = self.lo[trip] + self.span[trip] * r[2::3]
+
 
 class _WaypointKernel(_GlideKernel):
-    """Random waypoint: the glide, gated by the arrival pause."""
+    """Random waypoint: the glide, gated by the arrival pause.
 
-    SYNC = _GlideKernel.SYNC + (("pause", "_pause_left"),)
+    When none of its movers ever pauses (``pause_max == 0``: every
+    workload's population and focal objects), there is no pause column
+    and the arrivals are batched (:meth:`_GlideKernel._redraw`); a
+    pausing arrival draws ``randint`` first and steps scalar.
+    """
 
     def __init__(self, universe, oids, movers) -> None:
         super().__init__(universe, oids, movers)
-        self.pause = np.array([m._pause_left for m in movers], dtype=np.int64)
+        if any(m.pause_max > 0 for m in movers):
+            self.pause = np.array(
+                [m._pause_left for m in movers], dtype=np.int64
+            )
+            self.SYNC = self.SYNC + (("pause", "_pause_left"),)
+        else:
+            self.pause = None
+            self._speed_ranges(movers)
 
     def step(self, xs, ys, bx, by) -> np.ndarray:
+        if self.pause is None:
+            return self._glide(xs, ys, bx, by)
         paused = self.ws.moving
         np.greater(self.pause, 0, out=paused)
         if not paused.any():
@@ -433,11 +501,18 @@ class _WaypointKernel(_GlideKernel):
         np.subtract(self.pause, 1, out=self.pause, where=paused)
         return self._glide(xs, ys, bx, by, np.logical_not(paused, out=paused))
 
+    def arrive(self, rows, oids, xs, ys, bx, by, rng) -> None:
+        if self.pause is None:
+            self._redraw(rows, oids, bx, by, rng)
+        else:
+            super().arrive(rows, oids, xs, ys, bx, by, rng)
+
     # reach: event mode over random waypoint; no quick sweep runs that pair
     def claims(self, i, x, y) -> Claims:
         claims = super().claims(i, x, y)
-        pause = self.pause[i]
-        claims.hold(pause > 0, pause)  # static through the pause
+        if self.pause is not None:
+            pause = self.pause[i]
+            claims.hold(pause > 0, pause)  # static through the pause
         return claims
 
 
@@ -513,10 +588,11 @@ class _CommuteKernel(_DriftKernel):
     ``_t``) sets the window; during the parked phase no object moves
     and no randomness is drawn, so the whole kernel is one vectorized
     window test. Inside the window this is the glide, gated by the
-    window, with arrivals (RNG-drawing new trips) as scalar events.
-    Period/active bounds are kept per object so fleets mixing
-    differently-parameterized models stay correct (the fast path just
-    degrades to per-object masks).
+    window, with the arrivals (RNG-drawing new trips) batched
+    (:meth:`_GlideKernel._redraw`): no mover steps, so the movers'
+    ``_t`` is never rewound. Period/active bounds are kept per object
+    so fleets mixing differently-parameterized models stay correct
+    (the fast path just degrades to per-object masks).
     """
 
     def __init__(self, universe, oids, movers) -> None:
@@ -527,6 +603,7 @@ class _CommuteKernel(_DriftKernel):
         )
         self._phase = np.empty(oids.shape[0], dtype=np.int64)
         self._moved = False
+        self._speed_ranges(movers)
 
     def step(self, xs, ys, bx, by) -> np.ndarray:
         active = self.ws.moving
@@ -542,6 +619,9 @@ class _CommuteKernel(_DriftKernel):
         if not self._moved:
             return None  # parked: nobody moved
         return super().offender(xs, ys, bx, by)
+
+    def arrive(self, rows, oids, xs, ys, bx, by, rng) -> None:
+        self._redraw(rows, oids, bx, by, rng)
 
     def claims(self, i, x, y) -> Claims:
         tx = self.tx[i]
@@ -559,6 +639,26 @@ class _CommuteKernel(_DriftKernel):
         claims.hold((speed <= 0.0) & ((x != tx) | (y != ty)), active - phase)
         claims.hold(phase >= active, self.periods[i] - phase)
         return claims
+
+
+def _runs(events: List[Tuple[_Kernel, np.ndarray]]):
+    """``(kernel, rows, oids)`` per maximal run of one kernel in the
+    tick's events, ascending in oid, from ``(kernel, rows)`` per kernel
+    with events."""
+    if len(events) <= 1:
+        for kern, rows in events:
+            yield kern, rows, kern.oids[rows]
+        return
+    oids = np.concatenate([kern.oids[rows] for kern, rows in events])
+    rows = np.concatenate([rows for _, rows in events])
+    which = np.repeat(
+        np.arange(len(events)), [r.shape[0] for _, r in events]
+    )
+    order = np.argsort(oids)
+    oids, rows, which = oids[order], rows[order], which[order]
+    cuts = (np.flatnonzero(which[1:] != which[:-1]) + 1).tolist()
+    for a, b in zip([0] + cuts, cuts + [oids.shape[0]]):
+        yield events[which[a]][0], rows[a:b], oids[a:b]
 
 
 #: Exact-type kernel registry. Subclasses fall back to scalar stepping
@@ -609,6 +709,7 @@ class FastFleet(Fleet):
             kern = kern_cls(
                 self.universe, np.array(ids, dtype=np.int64), ms
             )
+            kern.movers = self._movers
             self._kernel_id[kern.oids] = len(self._kernels)
             self._kernels.append(kern)
         self.positions = SoAPositions(self)  # type: ignore[assignment]
@@ -636,33 +737,22 @@ class FastFleet(Fleet):
     def advance(self) -> None:
         """Move every object one tick; vectorized where silent.
 
-        The kernels write the next tick into the back buffers, the event
-        objects step scalar in ascending oid (each kernel syncs its
-        movers in one batch around that loop: a mover's step touches
-        only its own state), the kernels check the result, and the
-        buffers swap.
+        The kernels write the next tick into the back buffers and name
+        their event rows; the events, in ascending oid across kernels
+        (the scalar fleet's draw order), go back to their kernels'
+        :meth:`_Kernel.arrive` as maximal runs of one kernel; the
+        kernels check the result, and the buffers swap.
         """
         xs, ys, bx, by = self._xs, self._ys, self._bx, self._by
         np.copyto(bx, xs)
         np.copyto(by, ys)
-        movers = self._movers
-        batches = []
-        events: List[int] = []
+        events = []
         for kern in self._kernels:
             rows = kern.step(xs, ys, bx, by)
             if rows.shape[0]:
-                oids = kern.oids[rows].tolist()
-                stepped = [movers[oid] for oid in oids]
-                kern.pull_many(rows, stepped)
-                batches.append((kern, rows, stepped))
-                events += oids
-        rng = self._rng
-        for oid in sorted(events):
-            nx, ny = movers[oid].step(float(xs[oid]), float(ys[oid]), rng)
-            bx[oid] = nx
-            by[oid] = ny
-        for kern, rows, stepped in batches:
-            kern.push_many(rows, stepped)
+                events.append((kern, rows))
+        for kern, rows, oids in _runs(events):
+            kern.arrive(rows, oids, xs, ys, bx, by, self._rng)
         self._validate(xs, ys, bx, by)
         self._xs, self._bx = bx, xs
         self._ys, self._by = by, ys

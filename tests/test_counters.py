@@ -3,20 +3,26 @@
 A wall-clock gain needs quiet hosts and alternating pairs; the counts
 behind it do not. Each test here runs a benchmark-shaped workload at a
 size tier-1 affords and pins an exact count of the work the build does
-— nodes built, scalar handler calls — so the gain cannot quietly go.
+— nodes built, scalar handler and mover calls — so the gain cannot
+quietly go.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import repro.core.server as server_module
 import repro.index.knn as knn_module
+import repro.mobility.soa as soa
 from repro.core.broadcast_variant import BroadcastMobileNode
 from repro.core.geocast_variant import GeocastMobileNode
 from repro.experiments.config import RunConfig
+from repro.mobility import CommuteMover, HotspotDriftMover, RandomWaypointMover
 from repro.net.message import MessageKind
+from repro.workloads.generator import build_workload
 from repro.workloads.spec import WorkloadSpec
 from tests.helpers import built_system
 
@@ -104,3 +110,78 @@ def test_dknn_p_full_repairs_finalize_in_the_batched_pass(monkeypatch):
     assert calls["fin"] >= 0.9 * full
     assert calls["rank"] >= B_DENSE_SHAPED.ticks
     assert calls["lexsort"] <= 0.01 * calls["rank"]
+
+
+def _advance_counted(spec, monkeypatch):
+    """``spec``'s fleet advanced ``spec.ticks`` times, no protocol: the
+    scalar ``step`` calls per mover class, and the event rows handed to
+    each kernel class's ``arrive``."""
+    steps, arrivals = Counter(), Counter()
+
+    def counted_step(cls):
+        step = cls.step
+
+        def call(self, x, y, rng):
+            steps[cls] += 1
+            return step(self, x, y, rng)
+
+        return call
+
+    def counted_arrive(kern_cls):
+        arrive = kern_cls.arrive
+
+        def call(self, rows, *args):
+            arrivals[kern_cls] += rows.shape[0]
+            return arrive(self, rows, *args)
+
+        return call
+
+    for cls in (RandomWaypointMover, CommuteMover, HotspotDriftMover):
+        monkeypatch.setattr(cls, "step", counted_step(cls))
+    for kern_cls in (soa._WaypointKernel, soa._CommuteKernel, soa._DriftKernel):
+        monkeypatch.setattr(kern_cls, "arrive", counted_arrive(kern_cls))
+    fleet, _ = build_workload(spec)
+    for _ in range(spec.ticks):
+        fleet.advance()
+    return steps, arrivals
+
+
+def test_pause_free_waypoint_arrivals_step_no_scalar_mover(monkeypatch):
+    """On the ``b_dense`` / ``p_dense`` / ``cpm_stream`` shape (random
+    waypoint, never pausing) every arrival of 40 ticks is drawn in the
+    waypoint kernel's batched pass: no ``RandomWaypointMover.step``."""
+    steps, arrivals = _advance_counted(B_DENSE_SHAPED, monkeypatch)
+    assert arrivals[soa._WaypointKernel] > 0
+    assert steps[RandomWaypointMover] == 0
+
+
+def test_commute_arrivals_step_no_scalar_mover(monkeypatch):
+    """``event_sparse``'s shape (1 % commuters, 20 active ticks in 200,
+    still focal objects): the commuters' arrivals inside the duty window
+    are batched, no ``CommuteMover.step`` runs."""
+    spec = WorkloadSpec(
+        n_objects=20_000, n_queries=64, k=8, ticks=40, warmup_ticks=0,
+        seed=1, mobility="mostly_stationary", query_speed=0.0,
+        mobility_options={
+            "moving_fraction": 0.01, "period": 200, "active_ticks": 20,
+        },
+    )
+    steps, arrivals = _advance_counted(spec, monkeypatch)
+    assert arrivals[soa._CommuteKernel] > 0
+    assert steps[CommuteMover] == 0
+
+
+def test_hotspot_arrivals_stay_scalar_beside_batched_focal_ones(monkeypatch):
+    """``shard_drift``'s shape: hotspot redraws (``rng.gauss``) still
+    step their scalar mover, run by run between the focal objects'
+    batched waypoint arrivals, which step none."""
+    spec = WorkloadSpec(
+        n_objects=5_000, n_queries=64, k=8, ticks=40, warmup_ticks=0,
+        seed=1, mobility="hotspot_drift",
+        mobility_options={"drift_period": 120, "n_hotspots": 6,
+                          "zipf_s": 0.5, "sigma": 500.0},
+    )
+    steps, arrivals = _advance_counted(spec, monkeypatch)
+    assert steps[HotspotDriftMover] == arrivals[soa._DriftKernel] > 0
+    assert arrivals[soa._WaypointKernel] > 0
+    assert steps[RandomWaypointMover] == 0

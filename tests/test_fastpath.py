@@ -494,6 +494,9 @@ SMALL = Rect(0.0, 0.0, 1_000.0, 1_000.0)
 #: come round within a few dozen ticks.
 _MOVER_KINDS = {
     "waypoint": RandomWaypointModel(SMALL, 20.0, 60.0, pause_max=3).make_mover,
+    # never pausing, so batched: a population-like and a focal-like range
+    "waypoint-free": RandomWaypointModel(SMALL, 25.0, 50.0).make_mover,
+    "waypoint-focal": RandomWaypointModel(SMALL, 30.0, 60.0).make_mover,
     "gaussian": GaussianClusterModel(
         SMALL, n_hotspots=3, sigma=150.0, speed_min=10.0, speed_max=50.0
     ).make_mover,
@@ -514,18 +517,30 @@ _MOVER_KINDS = {
 }
 
 
+#: One pausing mover sends the whole waypoint kernel down the scalar
+#: path, so a fleet holds either the pausing kind or the pause-free ones.
+_WAYPOINT_FAMILIES = (("waypoint",), ("waypoint-focal", "waypoint-free"))
+_OTHER_KINDS = sorted(set(_MOVER_KINDS).difference(*_WAYPOINT_FAMILIES))
+
+
+def _fleet_kinds(family):
+    kinds = _OTHER_KINDS + list(family)
+    return st.lists(st.sampled_from(kinds), max_size=30).flatmap(
+        lambda extra: st.permutations(kinds + extra)
+    )
+
+
 @given(
-    kinds=st.lists(st.sampled_from(sorted(_MOVER_KINDS)), max_size=30).flatmap(
-        lambda extra: st.permutations(sorted(_MOVER_KINDS) + extra)
-    ),
+    kinds=st.sampled_from(_WAYPOINT_FAMILIES).flatmap(_fleet_kinds),
     seed=st.integers(0, 2**16),
 )
 @settings(max_examples=100, deadline=None)
 def test_fast_fleet_matches_scalar_fleet_over_interleaved_kernels(kinds, seed):
     """Every kernel class at shuffled oids, so most kernels gather and
-    scatter and their events interleave with other kernels' in the
-    ascending-oid scalar loop: 40 ticks equal the scalar fleet's, and
-    the shared RNG ends in the same state."""
+    scatter and their event runs interleave in ascending oid — batched
+    pause-free waypoint and commute arrivals between scalar steps: 40
+    ticks equal the scalar fleet's, and the shared RNG ends in the same
+    state."""
 
     def fleet(cls):
         rng = random.Random(seed)
@@ -533,7 +548,62 @@ def test_fast_fleet_matches_scalar_fleet_over_interleaved_kernels(kinds, seed):
 
     scalar, fast = fleet(Fleet), fleet(FastFleet)
     assert _trajectories(fast, ticks=40) == _trajectories(scalar, ticks=40)
-    assert fast._rng.random() == scalar._rng.random()
+    assert fast._rng.getstate() == scalar._rng.getstate()
+
+
+def test_one_pausing_mover_keeps_its_waypoint_kernel_scalar(monkeypatch):
+    """A pausing waypoint mover among pause-free ones, in one kernel:
+    the kernel keeps its pause column and its arrivals step their own
+    movers (the base ``arrive``), still equal to the scalar fleet."""
+
+    def movers():
+        rng = random.Random(12)
+        kinds = ["waypoint-free"] * 12 + ["waypoint"] + ["waypoint-focal"] * 6
+        return [_MOVER_KINDS[k](rng) for k in kinds]
+
+    scalar = Fleet(movers(), seed=12)
+    expected = _trajectories(scalar, ticks=40)
+    steps = []
+    step = RandomWaypointMover.step
+
+    def counted(self, x, y, rng):
+        steps.append(self)
+        return step(self, x, y, rng)
+
+    monkeypatch.setattr(RandomWaypointMover, "step", counted)
+    fast = FastFleet(movers(), seed=12)
+    (kern,) = fast._kernels
+    assert kern.pause is not None
+    assert _trajectories(fast, ticks=40) == expected
+    assert fast._rng.getstate() == scalar._rng.getstate()
+    assert any(m.pause_max == 0 for m in steps)  # pause-free, stepped
+
+
+@given(
+    ranges=st.lists(
+        st.tuples(st.floats(0.0, 1e3), st.floats(0.0, 1e3)).map(sorted),
+        min_size=1, max_size=8,
+    ),
+    seed=st.integers(0, 2**32),
+)
+@settings(max_examples=50, deadline=None)
+def test_batched_trip_draws_are_random_uniform(ranges, seed):
+    """The batched arrival draws ``lo + (hi - lo) * rng.random()``: that
+    is ``random.Random.uniform`` draw for draw, RNG state included, on
+    this interpreter (a CPython that changes ``uniform`` fails here)."""
+    universe = Rect(-250.5, 13.25, 749.5, 1013.25)  # no zero bound
+    movers = [RandomWaypointMover(universe, lo, hi, 0) for lo, hi in ranges]
+    fleet = FastFleet(movers, seed=1)
+    (kern,) = fleet._kernels
+    rows = np.arange(0, len(movers), 2)
+    batched, scalar = random.Random(seed), random.Random(seed)
+    kern._redraw(rows, kern.oids[rows], fleet._bx, fleet._by, batched)
+    for row in rows.tolist():
+        m = movers[row]
+        m._new_trip(scalar)
+        assert (kern.tx[row], kern.ty[row]) == m._target
+        assert kern.speed[row] == m._speed
+    assert batched.getstate() == scalar.getstate()
 
 
 def test_positions_read_before_an_advance_keep_that_tick():
