@@ -390,15 +390,6 @@ class UniformGrid:
             min(max(int((cy + r - u.ymin) / self._cell_h), 0), last),
         )
 
-    def box_members(self, cx: float, cy: float, r: float) -> np.ndarray:
-        """Ids of every member of the cells under the disk's bounding
-        box — a superset of the objects inside the disk. Charges nothing: for bookkeeping reads the cost model
-        does not bill (the shard tier sizing a borrow reply)."""
-        lo_i, hi_i, lo_j, hi_j = self.box(cx, cy, r)
-        ci = np.arange(lo_i, hi_i + 1, dtype=np.int64)
-        cj = np.arange(lo_j, hi_j + 1, dtype=np.int64)
-        return self._store.gather(np.add.outer(ci * self.cells, cj).ravel())
-
     def boxes(
         self, cx: np.ndarray, cy: np.ndarray, r: np.ndarray, pad: int = 0
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -59,7 +59,9 @@ from __future__ import annotations
 
 import random
 from collections import Counter, deque
-from typing import Callable, Deque, List, Optional, Tuple
+from typing import Callable, Deque, Optional, Tuple
+
+import numpy as np
 
 from repro.errors import NetworkError
 from repro.net.message import HEADER_BYTES
@@ -89,6 +91,9 @@ SHARD_MIGRATE = "migrate"
 SHARD_REBALANCE = "rebalance"
 SHARD_HEARTBEAT = "heartbeat"
 SHARD_REPLICATE = "replicate"
+
+#: kinds whose delivery does nothing: :meth:`ShardLink.send_many`'s.
+_INERT_KINDS = (SHARD_MIGRATE, SHARD_BORROW, SHARD_BORROW_REPLY)
 
 SHARD_KINDS = (
     SHARD_HANDOFF,
@@ -123,12 +128,6 @@ class ShardMessage:
         self.size = size
         self.payload = payload
         self.sent_tick = sent_tick
-
-    def __repr__(self) -> str:
-        return (
-            f"ShardMessage({self.kind}, shard{self.src_shard}->"
-            f"shard{self.dst_shard}, {self.size}B, t={self.sent_tick})"
-        )
 
 
 class ShardLink:
@@ -218,20 +217,7 @@ class ShardLink:
         self.bytes_by_kind[kind] += size
         self.sent_by_pair[(src_shard, dst_shard)] += 1
         self.stats.record_server_to_server(kind, size)
-        if self.fault_plan is not None:
-            plan = self.fault_plan
-            if plan.is_down(src_shard, self._tick) or plan.is_down(
-                dst_shard, self._tick
-            ):
-                self.dropped += 1
-                self.crash_dropped += 1
-                return None
-            if plan.is_partitioned(src_shard, dst_shard, self._tick):
-                self.dropped += 1
-                self.partition_dropped += 1
-                return None
-        if self._rng is not None and self._rng.random() < self.drop_prob:
-            self.dropped += 1
+        if self._lost(src_shard, dst_shard):
             return None
         if self.delay_ticks == 0:
             self._deliver(msg)
@@ -239,27 +225,61 @@ class ShardLink:
             self._queue.append((self._tick + self.delay_ticks, msg))
         return msg
 
+    def send_many(self, kind: str, srcs, dsts, payload_bytes) -> None:
+        """:meth:`send` over int64 rows ``srcs[i] -> dsts[i]``, in row
+        order, for a kind whose delivery does nothing beyond the
+        send-time accounting (``migrate``, ``borrow``,
+        ``borrow_reply``): the same counters, fault-plan drops, one
+        drop draw per row and one queued message per row on a delayed
+        link. ``payload_bytes`` is an int or one size per row; the rows
+        name shards of this link (the tier's own tables, unchecked)."""
+        if kind not in _INERT_KINDS:
+            raise NetworkError(f"send_many cannot deliver {kind!r}")
+        n, s = srcs.shape[0], self.n_shards
+        if n == 0:
+            return
+        size = HEADER_BYTES + payload_bytes
+        nbytes = int(size.sum()) if isinstance(size, np.ndarray) else n * size
+        self.sent_by_kind[kind] += n
+        self.bytes_by_kind[kind] += nbytes
+        pairs = np.bincount(srcs * s + dsts, minlength=s * s).tolist()
+        for pair, count in enumerate(pairs):
+            if count:
+                self.sent_by_pair[divmod(pair, s)] += count
+        self.stats.record_server_to_server(kind, nbytes, n)
+        if self.fault_plan is None and self._rng is None:
+            if not self.delay_ticks:
+                return  # nothing is lost; undelayed delivery is a no-op
+        at, tick = self._tick + self.delay_ticks, self._tick
+        sizes = np.broadcast_to(size, (n,)).tolist()
+        for src, dst, nb in zip(srcs.tolist(), dsts.tolist(), sizes):
+            if not self._lost(src, dst) and self.delay_ticks:
+                msg = ShardMessage(kind, src, dst, nb, sent_tick=tick)
+                self._queue.append((at, msg))
+
+    def _lost(self, src_shard: int, dst_shard: int) -> bool:
+        """Send-time drops, in order: crashed end, partition, RNG draw."""
+        plan = self.fault_plan
+        if plan is not None:
+            if plan.is_down(src_shard, self._tick) or plan.is_down(
+                dst_shard, self._tick
+            ):
+                self.dropped += 1
+                self.crash_dropped += 1
+                return True
+            if plan.is_partitioned(src_shard, dst_shard, self._tick):
+                self.dropped += 1
+                self.partition_dropped += 1
+                return True
+        if self._rng is not None and self._rng.random() < self.drop_prob:
+            self.dropped += 1
+            return True
+        return False
+
     def pending(self) -> int:
         """Delayed backbone messages still in flight."""
         return len(self._queue)
 
     @property
-    def total_messages(self) -> int:
-        return sum(self.sent_by_kind.values())
-
-    @property
     def total_bytes(self) -> int:
         return sum(self.bytes_by_kind.values())
-
-    def per_pair_table(self) -> List[Tuple[int, int, int]]:
-        """``(src_shard, dst_shard, messages)`` rows, busiest first."""
-        return sorted(
-            ((s, d, n) for (s, d), n in self.sent_by_pair.items()),
-            key=lambda row: (-row[2], row[0], row[1]),
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"ShardLink(shards={self.n_shards}, msgs={self.total_messages}, "
-            f"bytes={self.total_bytes}, dropped={self.dropped})"
-        )

@@ -111,13 +111,16 @@ class CommStats:
         """A protocol-level retransmission (the repair overhead)."""
         self.retransmits_by_kind[kind] += 1
 
-    def record_server_to_server(self, kind: str, nbytes: int) -> None:
-        """One backbone (shard-to-shard) message of ``nbytes``.
+    def record_server_to_server(
+        self, kind: str, nbytes: int, count: int = 1
+    ) -> None:
+        """``count`` backbone (shard-to-shard) messages of ``nbytes``
+        in all.
 
         Accounted only in the ``server_to_server`` bucket — never in
         ``total_messages`` / ``total_bytes`` or a direction counter.
         """
-        self.s2s_by_kind[kind] += 1
+        self.s2s_by_kind[kind] += count
         self.s2s_bytes_by_kind[kind] += nbytes
 
     # -- views -------------------------------------------------------------

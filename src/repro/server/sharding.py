@@ -215,52 +215,46 @@ class ShardRouter:
         last = self.cell_side - 1
         col = ((xs - self.universe.xmin) / self._cell_w).astype(np.int64)
         row = ((ys - self.universe.ymin) / self._cell_h).astype(np.int64)
-        np.clip(col, 0, last, out=col)
-        np.clip(row, 0, last, out=row)
+        # the clamp as two ufuncs: np.clip's integer path costs twice
+        np.minimum(np.maximum(col, 0, out=col), last, out=col)
+        np.minimum(np.maximum(row, 0, out=row), last, out=row)
         return row * self.cell_side + col
 
     def shard_of(self, x: float, y: float) -> int:
         """The shard serving the cell that contains ``(x, y)``."""
         return int(self.owner[self.cell_of(x, y)])
 
-    def rect_of(self, shard: int) -> Rect:
-        """The static rectangle of one shard."""
-        if not 0 <= shard < self.n_shards:
-            raise NetworkError(f"unknown shard {shard}")
-        row, col = divmod(shard, self.side)
-        w = self.universe.width / self.side
-        h = self.universe.height / self.side
-        x0 = self.universe.xmin + col * w
-        y0 = self.universe.ymin + row * h
-        return Rect(x0, y0, x0 + w, y0 + h)
+    def shards_overlapping(self, cx, cy, radius):
+        """Per circle of the float columns, a bool row over the owners
+        of the fine cells it intersects (none for a negative radius):
+        one circles x cells test inside each circle's clamped box."""
+        side = self.cell_side
+        cells = np.arange(side)
 
-    def shards_overlapping_circle(
-        self, cx: float, cy: float, radius: float
-    ) -> List[int]:
-        """Owners of every cell the circle intersects, ascending."""
-        if radius < 0:
-            return []
-        u = self.universe
-        cside = self.cell_side
-        last = cside - 1
-        w, h = self._cell_w, self._cell_h
-        col0 = min(max(int((cx - radius - u.xmin) / w), 0), last)
-        col1 = min(max(int((cx + radius - u.xmin) / w), 0), last)
-        row0 = min(max(int((cy - radius - u.ymin) / h), 0), last)
-        row1 = min(max(int((cy + radius - u.ymin) / h), 0), last)
-        out: Set[int] = set()
-        r2 = radius * radius
-        for row in range(row0, row1 + 1):
-            y0 = u.ymin + row * h
-            ny = min(max(cy, y0), y0 + h)
-            for col in range(col0, col1 + 1):
-                x0 = u.xmin + col * w
-                nx = min(max(cx, x0), x0 + w)
-                dx = nx - cx
-                dy = ny - cy
-                if dx * dx + dy * dy <= r2:
-                    out.add(int(self.owner[row * cside + col]))
-        return sorted(out)
+        def axis(c, lo, extent):
+            # Squared gap to each cell and the in-box mask. The scalar
+            # test truncates, then clamps into the grid; clamping the
+            # float first gives the same cell and keeps huge radii
+            # castable.
+            def index(at):
+                at = np.clip((at - lo) / extent, 0, side - 1)
+                return at.astype(np.int64)[:, None]
+
+            x0 = lo + cells * extent
+            gap = np.minimum(np.maximum(c[:, None], x0), x0 + extent)
+            gap -= c[:, None]
+            box = (cells >= index(c - radius)) & (cells <= index(c + radius))
+            return gap * gap, box
+
+        gx, inx = axis(cx, self.universe.xmin, self._cell_w)
+        gy, iny = axis(cy, self.universe.ymin, self._cell_h)
+        r2 = (radius * radius)[:, None, None]
+        hit = gy[:, :, None] + gx[:, None, :] <= r2
+        hit &= iny[:, :, None] & inx[:, None, :] & (radius >= 0)[:, None, None]
+        row, cell = np.nonzero(hit.reshape(cx.shape[0], -1))
+        out = np.zeros((cx.shape[0], self.n_shards), dtype=bool)
+        out[row, self.owner[cell]] = True
+        return out
 
 
 class ShardStats:
@@ -327,31 +321,6 @@ class ShardStats:
         self.amnesia_queries = 0
         #: ownership entries retained through checkpoint + WAL replay.
         self.recovered_queries = 0
-
-    @property
-    def total_uplinks(self) -> int:
-        return sum(self.uplinks)
-
-    def imbalance(self) -> float:
-        """Peak-to-mean uplink load (1.0 = perfectly balanced)."""
-        total = self.total_uplinks
-        if total == 0:
-            return 1.0
-        mean = total / self.n_shards
-        return max(self.uplinks) / mean
-
-    def load_table(self) -> List[Dict[str, Any]]:
-        """One row per shard: uplink/downlink handled, current gauges."""
-        return [
-            {
-                "shard": sid,
-                "uplinks": self.uplinks[sid],
-                "downlinks": self.downlinks[sid],
-                "homed": self.homed[sid],
-                "owned": self.owned[sid],
-            }
-            for sid in range(self.n_shards)
-        ]
 
 
 class _InnerChannelProxy:
@@ -507,14 +476,14 @@ class ShardedServer(ServerNodeBase):
         self._qids_by_focal: Dict[int, List[int]] = {}
         #: qid -> focal oid (reverse map, for restore hand-backs).
         self._focal_of: Dict[int, int] = {}
+        #: oid -> anchors a query (its batch rows take :meth:`_report`).
+        self._focal = np.zeros(1, dtype=bool)
         for spec in inner.queries:
-            self._qids_by_focal.setdefault(spec.focal_oid, []).append(
-                spec.qid
-            )
-            self._focal_of[spec.qid] = spec.focal_oid
-        #: the tier is the inner engine's ``ownership_probe``
-        #: (:meth:`repair_scope`).
+            self._note_query(spec)
+        #: the tier is the inner engine's ``ownership_probe``; the
+        #: subround's repair circles (:meth:`repair_scope`) wait here.
         inner.ownership_probe = self
+        self._scopes: List[Tuple[int, float, float, float, Any]] = []
         # -- elastic rebalancing (DESIGN §14) ---------------------------
         #: the :class:`~repro.server.config.RebalancePolicy`, or None.
         #: The partition itself (``router.owner``) is the same structure
@@ -570,10 +539,19 @@ class ShardedServer(ServerNodeBase):
 
     # -- simulator surface --------------------------------------------------
 
+    # reach: a late registration on a built tier must reach the focal
+    # maps, not slip past them into the inner server via __getattr__.
     def register_query(self, spec) -> None:
         self.inner.register_query(spec)
-        self._qids_by_focal.setdefault(spec.focal_oid, []).append(spec.qid)
-        self._focal_of[spec.qid] = spec.focal_oid
+        self._note_query(spec)
+
+    def _note_query(self, spec) -> None:
+        oid = spec.focal_oid
+        self._qids_by_focal.setdefault(oid, []).append(spec.qid)
+        self._focal_of[spec.qid] = oid
+        grow = max(oid + 1 - self._focal.shape[0], 0)
+        self._focal = np.pad(self._focal, (0, grow))
+        self._focal[oid] = True
 
     @property
     def degraded(self) -> Dict[int, bool]:
@@ -623,10 +601,10 @@ class ShardedServer(ServerNodeBase):
         messages may land on a shard that does not own the query and
         owe a forward — it takes the scalar route, message by message.
         For the qid-free kinds that are left the whole ledger reduces
-        to vectorized home assignment plus :meth:`_report` over the
-        rows whose home changed, in batch order. Without a plan an
-        unowned query's focal has never reported, so the rows that
-        bootstrap ownership are among them.
+        to vectorized home assignment plus :meth:`_ledger_moves` over
+        the rows whose home changed. Without a plan an unowned query's
+        focal has never reported, so the rows that bootstrap ownership
+        are among them.
         """
         if self.per_message or batch.qid is not None:
             return False
@@ -647,13 +625,8 @@ class ShardedServer(ServerNodeBase):
                 cells, minlength=self._cell_window.shape[0]
             )
             homes = router.owner[cells]
-            changed = np.nonzero(prev != homes)[0]
-            for src, p, home in zip(
-                srcs[changed].tolist(),
-                prev[changed].tolist(),
-                homes[changed].tolist(),
-            ):
-                self._report(src, p, home, home)
+            changed = np.flatnonzero(prev != homes)
+            self._ledger_moves(srcs[changed], prev[changed], homes[changed])
         up = self.shard_stats.uplinks
         counts = np.bincount(homes, minlength=router.n_shards)
         for s, c in enumerate(counts.tolist()):
@@ -661,8 +634,32 @@ class ShardedServer(ServerNodeBase):
                 up[s] += c
         return True
 
+    def _ledger_moves(self, srcs, prev, homes) -> None:
+        """:meth:`_report` over a plan-free batch's changed rows, in
+        batch order: a focal row (the only kind that hands off or
+        bootstraps ownership) takes it; each run between two focal rows
+        scatters its homes and sends its migrations as one batch."""
+        focal = self._focal
+        hit = srcs < focal.shape[0]
+        hit[hit] = focal[srcs[hit]]
+        start = 0
+        for cut in np.flatnonzero(hit).tolist() + [srcs.shape[0]]:
+            if start < cut:
+                self._home[srcs[start:cut]] = homes[start:cut]
+                moved = start + np.flatnonzero(prev[start:cut] >= 0)
+                self.shard_stats.migrations += moved.shape[0]
+                self.link.send_many(
+                    SHARD_MIGRATE, prev[moved], homes[moved], _MIGRATE_BYTES
+                )
+            if cut < srcs.shape[0]:
+                home = int(homes[cut])
+                self._report(int(srcs[cut]), int(prev[cut]), home, home)
+            start = cut + 1
+
     def on_subround(self, tick: int) -> None:
         self.inner.on_subround(tick)
+        if self._scopes:
+            self._flush_borrows()
 
     def busy(self) -> bool:
         return self.inner.busy()
@@ -1304,15 +1301,14 @@ class ShardedServer(ServerNodeBase):
             return
         dm.journal_home(shard, self._tick, oid, present)
 
-    def _flag_degraded(self, qid: int) -> None:
-        """Open a degraded window: the published answer may be stale
-        (failover replica, shed repair, lost borrow). Closed by
-        :meth:`_settle_degraded`."""
+    def _flag_degraded(self, qid: int, answer=None) -> None:
+        """Open a degraded window: the published answer (or ``answer``,
+        the one a repair started from) may be stale (failover replica,
+        shed repair, lost borrow). Closed by :meth:`_settle_degraded`."""
         if qid not in self._degraded_overlay:
-            self._degraded_overlay[qid] = (
-                self._tick,
-                tuple(self.inner.answers.get(qid, ())),
-            )
+            if answer is None:
+                answer = tuple(self.inner.answers.get(qid, ()))
+            self._degraded_overlay[qid] = (self._tick, answer)
 
     def _replicate(self, tick: int) -> None:
         """Stream changed query-state snapshots to each owner's buddy,
@@ -1706,71 +1702,101 @@ class ShardedServer(ServerNodeBase):
 
     # -- candidate borrowing --------------------------------------------------
 
-    def _circle_counts(self, cx: float, cy: float, radius: float):
-        """Per shard, the objects homed there that the table places
-        inside the circle: one masked bincount over the members of the
-        cells under it (the home table and the table's positions are
-        columns; no lookup here charges the meter). A tableless inner
-        server has no positions, so every count is zero."""
-        n_shards = self.router.n_shards
+    def _circle_counts(self, cx, cy, radius):
+        """Per circle of the float columns and per shard, the objects
+        homed there that the table places inside it: one pass over the
+        members of the cells under the circles' boxes, one bincount
+        over ``(circle, home)``, nothing charged. A negative radius
+        holds nothing; a tableless inner server has no positions."""
+        m, n_shards = cx.shape[0], self.router.n_shards
         table = getattr(self.inner, "table", None)
         if table is None:
-            return [0] * n_shards
+            return np.zeros((m, n_shards), dtype=np.int64)
         grid = table.grid
         arr = self._home
-        ids = grid.box_members(cx, cy, radius)
-        ids = ids[ids < arr.shape[0]]
+        row, ci, cj = grid.box_cells(
+            *grid.boxes(cx, cy, np.maximum(radius, 0.0))
+        )
+        ids, at = grid._store.gather_sources(ci * grid.cells + cj)
+        row = row[at]
+        keep = ids < arr.shape[0]
+        ids, row = ids[keep], row[keep]
         homes = arr[ids]
-        dx = grid._dx[ids] - cx
-        dy = grid._dy[ids] - cy
-        mask = (homes >= 0) & (dx * dx + dy * dy <= radius * radius)
-        return np.bincount(homes[mask], minlength=n_shards)
+        dx = grid._dx[ids] - cx[row]
+        dy = grid._dy[ids] - cy[row]
+        r = radius[row]
+        mask = (homes >= 0) & (r >= 0) & (dx * dx + dy * dy <= r * r)
+        return np.bincount(
+            row[mask] * n_shards + homes[mask], minlength=m * n_shards
+        ).reshape(m, n_shards)
 
     def repair_scope(
         self, qid: int, cx: float, cy: float, radius: float
     ) -> None:
         """The inner engine's ``ownership_probe`` seam: a repair reads
-        the table over a circle, so borrow the members of every other
-        shard the circle overlaps."""
-        owner = self._owner.get(qid)
-        if owner is None:
-            owner = self.router.shard_of(cx, cy)
-        overlapped = self.router.shards_overlapping_circle(cx, cy, radius)
-        remote = [sid for sid in overlapped if sid != owner]
-        if not remote:
+        the table over a circle, so it borrows the members of every
+        other shard the circle overlaps — sized and sent when the
+        subround ends (:meth:`_flush_borrows`). Under a fault plan a
+        lost leg flags the answer the repair started from."""
+        answer = self._fault_plan and tuple(self.inner.answers.get(qid, ()))
+        self._scopes.append((qid, cx, cy, radius, answer))
+
+    def _flush_borrows(self) -> None:
+        """Size, charge and send the borrows of the subround's repair
+        circles, in the order the repairs named them. Exact, because
+        inside a subround the owner map, the home table, ``router.owner``
+        and the table's positions are read-only (ingest and handoff
+        commits run between subrounds, rebalancing at tick end; the
+        inner ``on_subround`` never writes the grid)."""
+        scopes, self._scopes = self._scopes, []
+        qids, cx, cy, radius, answers = zip(*scopes)
+        router, owner = self.router, self._owner
+        # a query nobody owns yet borrows for the shard under the centre
+        owners = np.array([
+            owner[q] if q in owner else router.shard_of(x, y)
+            for q, x, y in zip(qids, cx, cy)
+        ])
+        cx, cy, radius = np.array(cx), np.array(cy), np.array(radius)
+        remote = router.shards_overlapping(cx, cy, radius)
+        remote[np.arange(owners.shape[0]), owners] = False
+        rows, sids = np.nonzero(remote)
+        if not rows.shape[0]:
             return
-        # Count each remote shard's members actually inside the circle
-        # (sizes the reply like a collect: 20 bytes per position).
-        cnt = self._circle_counts(cx, cy, radius)
-        tel = self._telemetry
-        for sid in remote:
-            n = int(cnt[sid])
-            self.shard_stats.borrows += 1
-            self.shard_stats.borrowed_candidates += n
-            self.inner.meter.charge(CostMeter.BORROW)
-            request = self.link.send(
-                SHARD_BORROW, owner, sid, _BORROW_REQ_BYTES
-            )
-            reply = None
-            if request is not None:
-                reply = self.link.send(
-                    SHARD_BORROW_REPLY, sid, owner, 8 + 20 * n
-                )
-            if (
-                request is None or reply is None
-            ) and self._fault_plan is not None:
-                # A leg of the borrow died on the backbone: the repair
-                # still terminates (the inner engine read its local
-                # replica), but the answer may miss the lender's
-                # candidates — flag it instead of staying silent.
-                self.shard_stats.lost_borrows += 1
-                self._flag_degraded(qid)
-            if tel.enabled and tel.tracer.enabled:
+        need = np.flatnonzero(remote.any(axis=1))
+        counts = self._circle_counts(cx[need], cy[need], radius[need])
+        srcs = owners[rows]
+        sizes = counts[np.searchsorted(need, rows), sids]
+        stats = self.shard_stats
+        stats.borrows += rows.shape[0]
+        stats.borrowed_candidates += int(sizes.sum())
+        self.inner.meter.charge(CostMeter.BORROW, rows.shape[0])
+        link, plan, tel = self.link, self._fault_plan, self._telemetry
+        batched = plan is None and not link.drop_prob and not link.delay_ticks
+        if batched:
+            link.send_many(SHARD_BORROW, srcs, sids, _BORROW_REQ_BYTES)
+            link.send_many(SHARD_BORROW_REPLY, sids, srcs, 8 + 20 * sizes)
+        traced = tel.enabled and tel.tracer.enabled
+        if batched and not traced:
+            return
+        for row, src, sid, n in zip(
+            rows.tolist(), srcs.tolist(), sids.tolist(), sizes.tolist()
+        ):
+            if not batched:
+                # leg by leg: the reply only if the request survived
+                reply = link.send(SHARD_BORROW, src, sid, _BORROW_REQ_BYTES)
+                if reply is not None:
+                    reply = link.send(SHARD_BORROW_REPLY, sid, src, 8 + 20 * n)
+                if reply is None and plan is not None:
+                    # A lost leg: the answer may miss the lender's
+                    # candidates — flag it instead of staying silent.
+                    stats.lost_borrows += 1
+                    self._flag_degraded(qids[row], answers[row])
+            if traced:
                 tel.tracer.emit(
                     self._tick,
                     "shard.borrow",
-                    qid=qid,
-                    owner=owner,
+                    qid=qids[row],
+                    owner=src,
                     lender=sid,
                     candidates=n,
                 )

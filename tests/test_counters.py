@@ -22,6 +22,13 @@ from repro.core.geocast_variant import GeocastMobileNode
 from repro.experiments.config import RunConfig
 from repro.mobility import CommuteMover, HotspotDriftMover, RandomWaypointMover
 from repro.net.message import MessageKind
+from repro.net.shardlink import (
+    SHARD_BORROW,
+    SHARD_BORROW_REPLY,
+    SHARD_MIGRATE,
+    ShardLink,
+)
+from repro.server.config import RebalancePolicy, ShardConfig
 from repro.workloads.generator import build_workload
 from repro.workloads.spec import WorkloadSpec
 from tests.helpers import built_system
@@ -31,6 +38,14 @@ from tests.helpers import built_system
 B_DENSE_SHAPED = WorkloadSpec(
     n_objects=20_000, n_queries=16, k=8, ticks=40, warmup_ticks=0, seed=1,
     query_speed=50.0,
+)
+
+#: ``shard_drift``'s shape (Q = 64, six loose drifting hotspots) at 5k.
+SHARD_DRIFT_SHAPED = WorkloadSpec(
+    n_objects=5_000, n_queries=64, k=8, ticks=40, warmup_ticks=0, seed=1,
+    mobility="hotspot_drift",
+    mobility_options={"drift_period": 120, "n_hotspots": 6,
+                      "zipf_s": 0.5, "sigma": 500.0},
 )
 
 
@@ -175,13 +190,38 @@ def test_hotspot_arrivals_stay_scalar_beside_batched_focal_ones(monkeypatch):
     """``shard_drift``'s shape: hotspot redraws (``rng.gauss``) still
     step their scalar mover, run by run between the focal objects'
     batched waypoint arrivals, which step none."""
-    spec = WorkloadSpec(
-        n_objects=5_000, n_queries=64, k=8, ticks=40, warmup_ticks=0,
-        seed=1, mobility="hotspot_drift",
-        mobility_options={"drift_period": 120, "n_hotspots": 6,
-                          "zipf_s": 0.5, "sigma": 500.0},
-    )
-    steps, arrivals = _advance_counted(spec, monkeypatch)
+    steps, arrivals = _advance_counted(SHARD_DRIFT_SHAPED, monkeypatch)
     assert steps[HotspotDriftMover] == arrivals[soa._DriftKernel] > 0
     assert arrivals[soa._WaypointKernel] > 0
     assert steps[RandomWaypointMover] == 0
+
+
+def test_shard_ledger_sends_migrations_and_borrows_in_batches(monkeypatch):
+    """``shard_drift``'s shape over 4 rebalancing shards: a plan-free
+    uplink batch sends the migrations of its non-focal rows as one
+    backbone batch, and a subround's borrow legs leave in two; at most
+    2 % of the ``migrate`` / ``borrow`` / ``borrow_reply`` messages of
+    40 ticks are single ``ShardLink.send`` calls (the focal rows'
+    :meth:`_report` and scalar-routed uplinks). Forwards stay one call
+    per message and are not counted."""
+    kinds = (SHARD_MIGRATE, SHARD_BORROW, SHARD_BORROW_REPLY)
+    single = Counter()
+    send = ShardLink.send
+
+    def counted(self, kind, *args, **kwargs):
+        single[kind] += 1
+        return send(self, kind, *args, **kwargs)
+
+    monkeypatch.setattr(ShardLink, "send", counted)
+    cfg = RunConfig(
+        "DKNN-P",
+        shard=ShardConfig(
+            shards=4,
+            rebalance=RebalancePolicy(check_interval=5, min_window_uplinks=8),
+        ),
+    )
+    sim, _ = built_system(cfg, SHARD_DRIFT_SHAPED)
+    sim.run(SHARD_DRIFT_SHAPED.ticks)
+    sent = sim.server.link.sent_by_kind
+    assert all(sent[kind] > 0 for kind in kinds)
+    assert sum(single[k] for k in kinds) <= 0.02 * sum(sent[k] for k in kinds)

@@ -336,18 +336,22 @@ class TestHomeMirrorThroughAmnesia:
                 dropped.append(seen["homes"] - len(homes))
             seen["homes"] = len(homes)
             # borrow sizing against the walk over the home table that
-            # defines it
+            # defines it, one circle per row: on the shard borders and
+            # the universe's corners too, radius 0 and negative
             circles = [(300.0, 700.0, 250.0), (500.0, 500.0, 90.0),
-                       (40.0, 40.0, 600.0)]
-            for cx, cy, r in circles:
+                       (40.0, 40.0, 600.0), (500.0, 250.0, 0.0),
+                       (0.0, 0.0, 75.0), (1000.0, 500.0, -3.0),
+                       (1000.0, 1000.0, 2000.0)]
+            sized = tier._circle_counts(*np.array(circles).T)
+            for row, (cx, cy, r) in zip(sized.tolist(), circles):
                 counts = [0] * tier.router.n_shards
                 for oid, home in homes.items():
-                    if oid in table:
+                    if oid in table and r >= 0:
                         ox, oy = table.last_position(oid)
                         dx, dy = ox - cx, oy - cy
                         if dx * dx + dy * dy <= r * r:
                             counts[home] += 1
-                assert list(tier._circle_counts(cx, cy, r)) == counts
+                assert row == counts
             # rows a cell migration would move
             cell_of = tier.router.cell_of
             for cell in range(tier.router.cell_side ** 2):

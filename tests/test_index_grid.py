@@ -55,7 +55,7 @@ class TestCellGeometry:
 
 def _cell(grid, x, y):
     """The ids in the cell holding ``(x, y)``."""
-    return set(grid.box_members(x, y, 0.0).tolist())
+    return set(grid._store.cell(grid._lin_of(x, y)).tolist())
 
 
 class TestMaintenance:

@@ -92,4 +92,5 @@ def test_grid_length_tracks_population(ps, n_cells):
     # everyone into the corner cell: still n members, all in that cell
     grid.update_batch(np.arange(n), np.zeros(n), np.zeros(n))
     assert len(list(grid.ids())) == n
-    assert sorted(grid.box_members(0.0, 0.0, 0.0).tolist()) == list(range(n))
+    corner = grid._store.cell(grid._lin_of(0.0, 0.0))
+    assert sorted(corner.tolist()) == list(range(n))

@@ -25,10 +25,16 @@
   rebalancer will ever touch it; a static tier is its one-cell-per-
   shard case. The oracle is the plain S x S grid arithmetic the router
   used before it owned the cells: same shard for every point and the
-  same ascending shard list for every circle — on and across cell
-  borders, outside the universe, ``radius`` 0 and negative — and, with
-  ``cells_per_shard`` above 1 and the identity ``owner``, shard for
-  shard on a lattice where both cell widths are exact.
+  same ascending shard list for every circle, row by row of the vector
+  overlap — on and across cell borders, outside the universe,
+  ``radius`` 0 and negative — and, with ``cells_per_shard`` above 1 and
+  the identity ``owner``, shard for shard on a lattice where both cell
+  widths are exact.
+* **The backbone's batch send** — ``ShardLink.send_many`` equals a loop
+  of ``send`` in row order on every link counter, the ``CommStats``
+  server-to-server bucket, the drop RNG's state, the delay queue and
+  ``pending()``: lossless and lossy, undelayed and delayed, with and
+  without a crash / partition plan, scalar and per-row sizes.
 """
 
 from collections import Counter
@@ -44,6 +50,8 @@ from repro.index.bruteforce import brute_knn_ids
 from repro.net.chaos import default_checkers
 from repro.net.faults import FaultPlan, ShardFaultPlan
 from repro.net.message import MessageKind
+from repro.net.shardlink import ShardLink
+from repro.net.stats import CommStats
 from repro.geometry import Rect
 from repro.server.config import ShardConfig
 from repro.server.sharding import ShardRouter
@@ -326,6 +334,17 @@ def _static_overlap(u, side, cx, cy, radius):
     return out
 
 
+def _assert_overlap_rows(router, u, side, points, radii):
+    """The vector overlap over every (point, radius) circle at once
+    equals the static-grid model row by row."""
+    circles = [(x, y, r) for x, y in points for r in radii]
+    hit = router.shards_overlapping(*np.array(circles).T)
+    for row, (x, y, r) in zip(hit, circles):
+        assert np.flatnonzero(row).tolist() == _static_overlap(
+            u, side, x, y, r
+        )
+
+
 @st.composite
 def _grids(draw):
     """A universe, S, and points drawn inside it, outside it and
@@ -372,11 +391,7 @@ def test_static_router_is_the_plain_grid(grid, radii):
     assert [router.shard_of(x, y) for x, y in points] == want
     assert [router.cell_of(x, y) for x, y in points] == want
     assert router.cells_of(xs, ys).tolist() == want
-    for x, y in points:
-        for r in radii:
-            assert router.shards_overlapping_circle(
-                x, y, r
-            ) == _static_overlap(u, side, x, y, r)
+    _assert_overlap_rows(router, u, side, points, radii)
 
 
 @given(
@@ -427,8 +442,88 @@ def test_fine_cells_with_identity_owner_agree_with_the_plain_grid(
     cells = router.cells_of(xs, ys)
     assert cells.tolist() == [router.cell_of(x, y) for x, y in points]
     assert router.owner[cells].tolist() == want
-    for x, y in points:
-        for r in radii:
-            assert router.shards_overlapping_circle(
-                x, y, r
-            ) == _static_overlap(u, side, x, y, r)
+    _assert_overlap_rows(router, u, side, points, radii)
+
+
+# -- ShardLink.send_many against a loop of send --------------------------------
+
+
+@st.composite
+def _link_batches(draw):
+    """A backbone, an optional crash / partition plan, and one or two
+    batches of rows of an inert kind, sized by a scalar or per row."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    shard = st.integers(min_value=0, max_value=n - 1)
+    plan = None
+    if n >= 2 and draw(st.booleans()):
+        plan = ShardFaultPlan(
+            seed=draw(st.integers(min_value=0, max_value=99)),
+            crashes=((draw(shard), 1, 3),),
+            partitions=((0, 1, 2, 4),),
+        )
+    batches = []
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        rows = draw(
+            st.lists(st.tuples(shard, shard), min_size=0, max_size=30)
+        )
+        sizes = st.integers(min_value=0, max_value=400)
+        nbytes = (
+            draw(sizes)
+            if draw(st.booleans())
+            else np.array(
+                draw(st.lists(sizes, min_size=len(rows), max_size=len(rows))),
+                dtype=np.int64,
+            )
+        )
+        batches.append((
+            draw(st.sampled_from(("migrate", "borrow", "borrow_reply"))),
+            np.array([s for s, _ in rows], dtype=np.int64),
+            np.array([d for _, d in rows], dtype=np.int64),
+            nbytes,
+            draw(st.integers(min_value=0, max_value=5)),
+        ))
+    return n, plan, batches
+
+
+@given(
+    case=_link_batches(),
+    drop_prob=st.sampled_from([0.0, 0.3]),
+    delay_ticks=st.sampled_from([0, 2]),
+    seed=st.integers(min_value=0, max_value=1_000),
+)
+@settings(max_examples=200, deadline=None)
+def test_send_many_is_a_loop_of_send(case, drop_prob, delay_ticks, seed):
+    n, plan, batches = case
+
+    def link():
+        stats = CommStats()
+        return stats, ShardLink(
+            n, stats, lambda msg: None, delay_ticks=delay_ticks,
+            drop_prob=drop_prob, seed=seed, fault_plan=plan,
+        )
+
+    (loop_stats, loop), (many_stats, many) = link(), link()
+    for kind, srcs, dsts, nbytes, tick in batches:
+        loop.begin_tick(tick)
+        many.begin_tick(tick)
+        sizes = np.broadcast_to(nbytes, srcs.shape).tolist()
+        for src, dst, size in zip(srcs.tolist(), dsts.tolist(), sizes):
+            loop.send(kind, src, dst, size)
+        many.send_many(kind, srcs, dsts, nbytes)
+    for attr in ("sent_by_kind", "bytes_by_kind", "sent_by_pair",
+                 "dropped", "crash_dropped", "partition_dropped"):
+        assert getattr(many, attr) == getattr(loop, attr), attr
+    assert many_stats.s2s_by_kind == loop_stats.s2s_by_kind
+    assert many_stats.s2s_bytes_by_kind == loop_stats.s2s_bytes_by_kind
+    if drop_prob:
+        assert many._rng.getstate() == loop._rng.getstate()
+
+    def queued(q):
+        return [
+            (at, m.kind, m.src_shard, m.dst_shard, m.size, m.payload,
+             m.sent_tick)
+            for at, m in q._queue
+        ]
+
+    assert queued(many) == queued(loop)
+    assert many.pending() == loop.pending()

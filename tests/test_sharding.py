@@ -13,6 +13,7 @@ The tier's contract has two halves and both are pinned here:
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.api import (
@@ -72,22 +73,20 @@ class TestRouter:
         assert router.shard_of(1000, 1000) == 3
         assert router.shard_of(-5, 2000) in range(4)
 
-    def test_rect_of_inverts_shard_of(self):
-        router = ShardRouter(self.UNIVERSE, 3)
-        for sid in range(router.n_shards):
-            rect = router.rect_of(sid)
-            cx, cy = (rect.xmin + rect.xmax) / 2, (rect.ymin + rect.ymax) / 2
-            assert router.shard_of(cx, cy) == sid
-
     def test_circle_overlap_exact(self):
         router = ShardRouter(self.UNIVERSE, 2)
-        assert router.shards_overlapping_circle(250, 250, 100) == [0]
-        assert router.shards_overlapping_circle(500, 250, 10) == [0, 1]
-        assert router.shards_overlapping_circle(500, 500, 10) == [0, 1, 2, 3]
-        # Near the cell corner but outside the circle: corner cells
-        # whose nearest point is farther than r are excluded.
-        assert router.shards_overlapping_circle(490, 250, 11) == [0, 1]
-        assert router.shards_overlapping_circle(490, 250, 9) == [0]
+        # Near the cell corner but outside the circle (rows 4 and 5):
+        # corner cells whose nearest point is farther than r are
+        # excluded. A negative radius overlaps nothing.
+        circles = np.array(
+            [(250, 250, 100), (500, 250, 10), (500, 500, 10),
+             (490, 250, 11), (490, 250, 9), (500, 500, -1)],
+            dtype=np.float64,
+        )
+        hit = router.shards_overlapping(*circles.T)
+        assert [np.flatnonzero(row).tolist() for row in hit] == [
+            [0], [0, 1], [0, 1, 2, 3], [0, 1], [0], []
+        ]
 
     def test_invalid_grid_rejected(self):
         with pytest.raises(NetworkError):
@@ -219,6 +218,41 @@ class TestOwnershipAndHandoff:
             spec.qid for spec in tier.inner.queries
         )
 
+    def test_query_registered_on_a_built_tier_hands_off(self):
+        """A query registered on the built tier (before the run) joins
+        its focal maps: ownership bootstraps on the focal's first
+        report and hands off on its first migration, as for a twin that
+        registered it at build. Registered on the inner server past the
+        tier, the query is never owned."""
+
+        def run(register):
+            fleet, queries = build_workload(SPEC)
+            late = queries[-1]
+            sim = build_system(
+                RunConfig("DKNN-P", shard=ShardConfig(shards=4)),
+                fleet,
+                queries[:-1] if register else queries,
+            )
+            tier = sim.server
+            if register:
+                register(tier, late)
+            handed, send = [], tier._send_handoff
+
+            def handoff(qid, owner, dst):
+                handed.append((tier._tick, qid, owner, dst))
+                send(qid, owner, dst)
+
+            tier._send_handoff = handoff
+            sim.run(60)
+            return late.qid, handed, dict(tier._owner), dict(tier.answers)
+
+        late = run(ShardedServer.register_query)
+        assert late == run(None)
+        qid, handed = late[:2]
+        assert any(q == qid for _, q, _, _ in handed)
+        bypass = run(lambda tier, spec: tier.inner.register_query(spec))
+        assert qid not in bypass[2]
+
     def test_double_wrap_rejected(self):
         fleet, queries = build_workload(SPEC)
         sim = build_system(
@@ -325,8 +359,8 @@ class TestHandoffUnderBlackout:
 class TestBatchedRepairSearchesUnderSharding:
     """The inner server's subround pre-pass searches its repairs as one
     many-row pass; the tier is still told of every repair circle one by
-    one and borrows repair by repair. The reference searches per query
-    (``reference_system``)."""
+    one and borrows for them once per subround. The reference searches
+    per query (``reference_system``)."""
 
     @pytest.mark.parametrize("shards", (2, 4))
     def test_rebalancing_tier_matches_the_per_query_reference(self, shards):
@@ -357,6 +391,71 @@ class TestBatchedRepairSearchesUnderSharding:
         assert borrows > 0 and borrowed > 0 and cells_moved > 0
 
 
+class TestBorrowsPerSubround:
+    """The tier notes every repair circle and sizes, charges and sends
+    its borrows once the subround ends. The oracle is the same tier
+    settling each circle the moment the repair names it: every tick,
+    borrows, candidates, lost borrows, backbone counts and the degraded
+    map agree — on a tick where a focal hands its query off and the
+    query's repair borrows too, on a healthy and on a lossy backbone."""
+
+    SPEC = WorkloadSpec(
+        n_objects=1500, n_queries=12, k=6, ticks=30, warmup_ticks=0,
+        seed=4, mobility="hotspot_drift",
+        mobility_options={"n_hotspots": 4, "zipf_s": 0.5,
+                          "drift_period": 40, "sigma": 400.0},
+    )
+
+    def _run(self, shard, per_repair):
+        fleet, queries = build_workload(self.SPEC)
+        sim = build_system(RunConfig("DKNN-P", shard=shard), fleet, queries)
+        tier, stats = sim.server, sim.server.shard_stats
+        events = {"handoff": set(), "borrow": set()}
+        note, send_handoff = tier.repair_scope, tier._send_handoff
+
+        def repair_scope(qid, cx, cy, radius):
+            before = stats.borrows
+            note(qid, cx, cy, radius)
+            if per_repair:
+                tier._flush_borrows()
+                if stats.borrows > before:
+                    events["borrow"].add((tier._tick, qid))
+
+        def handoff(qid, owner, dst):
+            events["handoff"].add((tier._tick, qid))
+            send_handoff(qid, owner, dst)
+
+        tier.repair_scope, tier._send_handoff = repair_scope, handoff
+        ledger = []
+        sim.run(self.SPEC.ticks, on_tick=lambda sim: ledger.append((
+            stats.borrows, stats.borrowed_candidates, stats.lost_borrows,
+            tier.meter.of("borrow"), dict(tier.link.sent_by_kind),
+            dict(tier.link.sent_by_pair), tier.link.dropped,
+            tier.degraded, dict(tier.answers),
+        )))
+        return ledger, events
+
+    @pytest.mark.parametrize("backbone", ("healthy", "lossy"))
+    def test_subround_flush_equals_per_repair_accounting(self, backbone):
+        from repro.api import RebalancePolicy, ShardFaultPlan
+
+        shard = ShardConfig(
+            shards=4,
+            rebalance=RebalancePolicy(check_interval=5, min_window_uplinks=8),
+        )
+        if backbone == "lossy":
+            shard = ShardConfig(
+                shards=4, faults=ShardFaultPlan(seed=2, link_drop=0.3)
+            )
+        deferred, _ = self._run(shard, per_repair=False)
+        oracle, events = self._run(shard, per_repair=True)
+        assert deferred == oracle
+        assert events["handoff"] & events["borrow"]
+        borrows, _, lost = oracle[-1][:3]
+        assert borrows > 0
+        assert (lost > 0) == (backbone == "lossy")
+
+
 class TestShardLink:
     def test_delivery_and_accounting(self):
         stats = CommStats()
@@ -365,7 +464,7 @@ class TestShardLink:
         link.send("forward", 0, 3, 16)
         assert len(seen) == 1 and seen[0].size == 24
         assert stats.server_to_server_bytes == 24
-        assert link.per_pair_table() == [(0, 3, 1)]
+        assert link.sent_by_pair == {(0, 3): 1}
 
     def test_delay_holds_until_tick(self):
         stats = CommStats()
