@@ -334,9 +334,7 @@ def _rebalancing_cases(quick: bool) -> Iterable[Case]:
     for side in (2,) if quick else (2, 4, 8):
         n_shards = side * side
         budget = max(40, (2 * base.population) // n_shards)
-        admission = AdmissionPolicy(
-            max_uplinks_per_tick=budget, defer=True, settle_ticks=8
-        )
+        admission = AdmissionPolicy(max_uplinks_per_tick=budget, defer=True)
         guarded = {"rebalance": policy, "admission": admission}
         for scenario, tier, params in (
             ("static", {}, {}),

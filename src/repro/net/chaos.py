@@ -231,7 +231,7 @@ class ReplicationLagChecker(InvariantChecker):
     def check(self, sim, tick: int) -> List[Dict[str, Any]]:
         tier = sim.server
         plan = tier._fault_plan
-        if plan is None or not plan.replicate or tier.router.n_shards < 2:
+        if plan is None:
             return []
         out = []
         for qid, owner in tier._owner.items():

@@ -171,6 +171,8 @@ class FaultPlan:
                 return True
         return False
 
+    # reach: the whole-fleet form the client phase and the broadcast
+    # receiver count use; no product row has a node down on those paths
     def down_at(self, tick: int) -> Set[int]:
         """Every node that is down at ``tick`` — ``{i : is_down(i,
         tick)}`` in one walk of the plan, for callers that would
@@ -307,16 +309,16 @@ class FaultyChannel(Channel):
                 self._note_fault("dup", msg)
         return msg
 
-    def in_flight(self) -> int:
-        """Queued plus held-back (delayed) messages."""
-        return len(self._queue) + len(self._held)
-
+    # reach: the event driver's channel veto; event mode under a radio
+    # FaultPlan has no product row (ROADMAP item 5)
     def idle(self) -> bool:
         """Held-back (delayed) flights keep the channel busy too."""
         return not self._queue and not self._held
 
     # -- delivery accounting hooks -----------------------------------------
 
+    # reach: a broadcast or geocast under a radio FaultPlan (DKNN-B/G
+    # with faults) has no product row; without it down nodes would count
     def _broadcast_receivers(self, msg: Message) -> int:
         gone = self.plan.down_at(self._tick)
         gone.add(msg.src)
@@ -340,7 +342,6 @@ _SHARD_PLAN_FIELDS = (
     "full_restarts",
     "partitions",
     "heartbeat_timeout",
-    "replicate",
     "shed_uplinks_per_tick",
     "recovery_settle_ticks",
     "checkpoint_interval",
@@ -353,7 +354,11 @@ class ShardFaultPlan:
 
     Everything the sharded server tier can suffer, in one frozen plan
     (the server-side sibling of :class:`FaultPlan`, which covers the
-    radio and the mobile objects):
+    radio and the mobile objects). It is the only place backbone loss,
+    delay and seed and the durability cadence are set: no plan (or a
+    disabled one) is a healthy backbone. Under an enabled plan every
+    shard heartbeats to its replication buddy and streams per-query
+    state deltas to it each tick, the replica a failover replays.
 
     Parameters
     ----------
@@ -397,10 +402,6 @@ class ShardFaultPlan:
         Consecutive missed buddy heartbeats before a shard is declared
         crashed and its buddy takes over (mirrors the lease machinery
         of the radio failure model, DESIGN.md §7).
-    replicate:
-        Stream per-query state deltas to the buddy shard each tick
-        (the replication the failover replays). On by default; turning
-        it off isolates the detection/ownership machinery in tests.
     shed_uplinks_per_tick:
         Admission-control threshold, or ``None`` (off). Once a shard
         has accepted this many uplinks in one tick, further
@@ -445,7 +446,6 @@ class ShardFaultPlan:
         full_restarts: Tuple[Tuple[int, int], ...] = (),
         partitions: Tuple[Tuple[int, int, int, int], ...] = (),
         heartbeat_timeout: int = 3,
-        replicate: bool = True,
         shed_uplinks_per_tick: Optional[int] = None,
         recovery_settle_ticks: int = 12,
         checkpoint_interval: Optional[int] = None,
@@ -488,7 +488,6 @@ class ShardFaultPlan:
             (int(a), int(b), int(t0), int(t1)) for a, b, t0, t1 in partitions
         )
         self.heartbeat_timeout = int(heartbeat_timeout)
-        self.replicate = bool(replicate)
         self.shed_uplinks_per_tick = (
             None
             if shed_uplinks_per_tick is None

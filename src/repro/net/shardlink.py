@@ -10,14 +10,16 @@ separate from :class:`~repro.net.channel.Channel`:
   ``server_to_server`` bucket (plus this link's own per-pair counters).
   It never touches the radio ``total_messages`` / uplink / downlink
   totals — see the double-counting note in :mod:`repro.net.stats`.
-* **Latency**: ``delay_ticks`` holds every backbone message for that
-  many ticks before :meth:`begin_tick` releases it (0 = same-subround
-  delivery, the default).
-* **Faults**: ``drop_prob`` drops each message independently with a
-  seeded RNG. The stream is private to this link, so enabling backbone
-  faults cannot perturb the radio-side
+* **Latency and loss** come from the
+  :class:`~repro.net.faults.ShardFaultPlan` the link is built with, and
+  only from it: ``link_delay`` holds every backbone message for that
+  many ticks before :meth:`begin_tick` releases it, and ``link_drop``
+  drops each message independently with an RNG seeded by the plan's
+  ``seed``. The stream is private to this link, so backbone faults
+  cannot perturb the radio-side
   :class:`~repro.net.faults.FaultyChannel` RNG — the bit-identity
-  contract of the sharded tier depends on that separation.
+  contract of the sharded tier depends on that separation. Without a
+  plan the backbone is healthy: same-subround delivery, nothing lost.
 
 Message kinds are plain strings (they never ride the radio
 :class:`~repro.net.message.MessageKind` vocabulary):
@@ -46,13 +48,15 @@ Message kinds are plain strings (they never ride the radio
     ever sent when the plan is disabled, so a fault-free run's backbone
     byte counts are unchanged.
 
-When a :class:`~repro.net.faults.ShardFaultPlan` is installed, the
-link additionally drops (deterministically, *before* the probabilistic
-drop) any message whose source or destination shard is crashed at the
-current tick, and any message crossing an active backbone partition.
-These checks apply at **send time only**: a message already in the
-delay queue when a partition opens is still delivered (it left the
-source before the cut).
+Under a plan the link also drops (deterministically, *before* the
+probabilistic drop) any message whose source or destination shard is
+crashed at the current tick, and any message crossing an active
+backbone partition. These checks apply at **send time only**: a
+message already in the delay queue when a partition opens is still
+delivered (it left the source before the cut). :meth:`ShardLink.
+send_many`, the batch form for kinds whose delivery does nothing, is
+for the healthy backbone only: it keeps the accounting and refuses a
+link built with a plan, whose sends go one by one.
 """
 
 from __future__ import annotations
@@ -143,30 +147,18 @@ class ShardLink:
         n_shards: int,
         stats: CommStats,
         deliver: Callable[[ShardMessage], None],
-        delay_ticks: int = 0,
-        drop_prob: float = 0.0,
-        seed: int = 0,
         fault_plan=None,
     ) -> None:
         if n_shards < 1:
             raise NetworkError(f"need at least one shard, got {n_shards}")
-        if delay_ticks < 0:
-            raise NetworkError(f"negative link delay {delay_ticks}")
-        if not 0.0 <= drop_prob < 1.0:
-            raise NetworkError(f"drop_prob must be in [0, 1), got {drop_prob}")
         self.n_shards = n_shards
         self.stats = stats
-        self.delay_ticks = delay_ticks
-        self.drop_prob = drop_prob
-        #: the :class:`~repro.net.faults.ShardFaultPlan` behind the
-        #: crash/partition drops, or None (= the healthy backbone).
-        self.fault_plan = (
-            fault_plan
-            if fault_plan is not None and fault_plan.enabled
-            else None
-        )
+        #: the enabled :class:`~repro.net.faults.ShardFaultPlan` behind
+        #: every delay and drop, or None (= the healthy backbone).
+        self.fault_plan = plan = fault_plan
+        self.delay_ticks = 0 if plan is None else plan.link_delay
         self._deliver = deliver
-        self._rng = random.Random(seed) if drop_prob > 0.0 else None
+        self._rng = random.Random(0 if plan is None else plan.seed)
         self._tick = 0
         #: (deliver_at_tick, message) FIFO of in-flight delayed traffic.
         self._queue: Deque[Tuple[int, ShardMessage]] = deque()
@@ -226,13 +218,14 @@ class ShardLink:
         return msg
 
     def send_many(self, kind: str, srcs, dsts, payload_bytes) -> None:
-        """:meth:`send` over int64 rows ``srcs[i] -> dsts[i]``, in row
-        order, for a kind whose delivery does nothing beyond the
-        send-time accounting (``migrate``, ``borrow``,
-        ``borrow_reply``): the same counters, fault-plan drops, one
-        drop draw per row and one queued message per row on a delayed
-        link. ``payload_bytes`` is an int or one size per row; the rows
-        name shards of this link (the tier's own tables, unchecked)."""
+        """:meth:`send` over int64 rows ``srcs[i] -> dsts[i]`` on the
+        healthy backbone, for a kind whose delivery does nothing beyond
+        the send-time accounting (``migrate``, ``borrow``,
+        ``borrow_reply``): the same counters, nothing lost or queued.
+        ``payload_bytes`` is an int or one size per row; the rows name
+        shards of this link (the tier's own tables, unchecked)."""
+        if self.fault_plan is not None:
+            raise NetworkError("send_many needs a link built without a plan")
         if kind not in _INERT_KINDS:
             raise NetworkError(f"send_many cannot deliver {kind!r}")
         n, s = srcs.shape[0], self.n_shards
@@ -247,38 +240,26 @@ class ShardLink:
             if count:
                 self.sent_by_pair[divmod(pair, s)] += count
         self.stats.record_server_to_server(kind, nbytes, n)
-        if self.fault_plan is None and self._rng is None:
-            if not self.delay_ticks:
-                return  # nothing is lost; undelayed delivery is a no-op
-        at, tick = self._tick + self.delay_ticks, self._tick
-        sizes = np.broadcast_to(size, (n,)).tolist()
-        for src, dst, nb in zip(srcs.tolist(), dsts.tolist(), sizes):
-            if not self._lost(src, dst) and self.delay_ticks:
-                msg = ShardMessage(kind, src, dst, nb, sent_tick=tick)
-                self._queue.append((at, msg))
 
     def _lost(self, src_shard: int, dst_shard: int) -> bool:
         """Send-time drops, in order: crashed end, partition, RNG draw."""
         plan = self.fault_plan
-        if plan is not None:
-            if plan.is_down(src_shard, self._tick) or plan.is_down(
-                dst_shard, self._tick
-            ):
-                self.dropped += 1
-                self.crash_dropped += 1
-                return True
-            if plan.is_partitioned(src_shard, dst_shard, self._tick):
-                self.dropped += 1
-                self.partition_dropped += 1
-                return True
-        if self._rng is not None and self._rng.random() < self.drop_prob:
+        if plan is None:
+            return False
+        if plan.is_down(src_shard, self._tick) or plan.is_down(
+            dst_shard, self._tick
+        ):
+            self.dropped += 1
+            self.crash_dropped += 1
+            return True
+        if plan.is_partitioned(src_shard, dst_shard, self._tick):
+            self.dropped += 1
+            self.partition_dropped += 1
+            return True
+        if plan.link_drop and self._rng.random() < plan.link_drop:
             self.dropped += 1
             return True
         return False
-
-    def pending(self) -> int:
-        """Delayed backbone messages still in flight."""
-        return len(self._queue)
 
     @property
     def total_bytes(self) -> int:

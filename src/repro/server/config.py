@@ -2,9 +2,12 @@
 
 :class:`ShardConfig` is the canonical way to configure the shard tier
 (DESIGN.md §10–§14): shard count, the elastic-rebalancing policy, the
-admission-control policy, the fault plan, and the durability cadence all
-live in one frozen, validated dataclass. ``RunConfig(shard=ShardConfig(...))``
-and ``shard_attach(sim, ShardConfig(...))`` both accept it; the loose
+admission-control policy and the fault plan live in one frozen,
+validated dataclass. Each behaviour has one switch: backbone loss,
+delay and seed and the durability cadence are set on the
+:class:`~repro.net.faults.ShardFaultPlan` only.
+``RunConfig(shard=ShardConfig(...))`` and ``shard_attach(sim,
+ShardConfig(...))`` both accept it; the loose
 ``shards=`` / ``shard_faults=`` keyword arguments are retired and raise
 :class:`~repro.errors.ConfigError` naming the replacement.
 
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from ..errors import ConfigError
-from ..net.faults import _SHARD_PLAN_FIELDS, ShardFaultPlan
+from ..net.faults import ShardFaultPlan
 
 __all__ = [
     "MAX_SHARDS_PER_SIDE",
@@ -126,50 +129,39 @@ class AdmissionPolicy:
     tick, further query-carrying uplinks (repair traffic — the
     lowest-priority class) are deferred to the next tick (``defer=True``)
     or shed outright; at twice the threshold every further uplink is
-    deferred/shed. Deferred and shed answers are flagged through the
-    E14/E16 degraded-answer channel, so ``healthy_exactness`` stays
-    honest under overload.
+    deferred/shed. The deferred queue holds at most
+    ``2 * max_uplinks_per_tick`` uplinks per shard; overflow beyond it
+    is shed. Deferred and shed answers are flagged through the E14/E16
+    degraded-answer channel, so ``healthy_exactness`` stays honest
+    under overload.
+
+    A degraded window opened by a defer/shed closes when the answer is
+    next republished, or after a settle bound, whichever comes first.
+    The bound is 8 ticks on a tier without a fault plan; with a
+    :class:`~repro.net.faults.ShardFaultPlan` installed it is the
+    plan's ``recovery_settle_ticks``, for these windows too.
 
     Fields
     ------
     max_uplinks_per_tick:
         Per-shard accepted-uplink budget per tick.
     defer:
-        Queue overflow uplinks for delivery at the next tick (bounded by
-        ``max_deferred``) instead of dropping them immediately.
-    max_deferred:
-        Per-shard deferred-queue bound; overflow beyond it is shed.
-        ``None`` means ``2 * max_uplinks_per_tick``.
-    settle_ticks:
-        Upper bound on the degraded window opened by a defer/shed: the
-        annotation clears when the answer is next republished, or after
-        this many ticks, whichever comes first.
+        Queue overflow uplinks for delivery at the next tick instead of
+        dropping them immediately.
     """
 
     max_uplinks_per_tick: int
     defer: bool = True
-    max_deferred: Optional[int] = None
-    settle_ticks: int = 8
 
     def __post_init__(self) -> None:
         _require_int(
             "admission.max_uplinks_per_tick", self.max_uplinks_per_tick, 1
         )
-        if self.max_deferred is not None:
-            _require_int("admission.max_deferred", self.max_deferred, 0)
-        _require_int("admission.settle_ticks", self.settle_ticks, 1)
         if not isinstance(self.defer, bool):
             raise ConfigError(
                 "admission.defer must be a bool, got "
                 f"{type(self.defer).__name__}"
             )
-
-    @property
-    def deferred_cap(self) -> int:
-        """Effective deferred-queue bound."""
-        if self.max_deferred is not None:
-            return self.max_deferred
-        return 2 * self.max_uplinks_per_tick
 
     def describe(self) -> Dict[str, Any]:
         """JSON-safe manifest form."""
@@ -191,22 +183,16 @@ class ShardConfig:
     admission:
         Admission-control policy, or ``None`` (accept everything).
     faults:
-        Shard-tier fault plan, or ``None`` (no backbone faults).
-    checkpoint_interval:
-        Durability cadence override, or ``None``. Overrides
-        ``faults.checkpoint_interval`` when both are set; like the plan
-        field, it only takes effect when the fault plan is enabled.
-    wal_replay_per_tick:
-        WAL replay-throughput override, or ``None``. Overrides
-        ``faults.wal_replay_per_tick`` when both are set.
+        Shard-tier fault plan, or ``None`` (a healthy backbone). Backbone
+        loss, delay and seed and the durability cadence
+        (``checkpoint_interval``, ``wal_replay_per_tick``) are its
+        fields; a disabled plan is the same as ``None``.
     """
 
     shards: int = 1
     rebalance: Optional[RebalancePolicy] = None
     admission: Optional[AdmissionPolicy] = None
     faults: Optional[ShardFaultPlan] = None
-    checkpoint_interval: Optional[int] = None
-    wal_replay_per_tick: Optional[int] = None
 
     def __post_init__(self) -> None:
         _require_int("shards", self.shards, 1)
@@ -256,33 +242,6 @@ class ShardConfig:
                     "set: pick one admission controller — the typed "
                     "AdmissionPolicy or the fault plan's shed threshold"
                 )
-        if self.checkpoint_interval is not None:
-            _require_int(
-                "checkpoint_interval", self.checkpoint_interval, 1
-            )
-        if self.wal_replay_per_tick is not None:
-            _require_int(
-                "wal_replay_per_tick", self.wal_replay_per_tick, 1
-            )
-
-    def resolved_faults(self) -> Optional[ShardFaultPlan]:
-        """The fault plan with the config's durability overrides applied.
-
-        Returns ``faults`` unchanged when no override is set. When
-        ``checkpoint_interval`` / ``wal_replay_per_tick`` are set they
-        replace the plan's values (building a disabled default plan if
-        ``faults`` is None — durability knobs alone never *enable* a
-        plan, so zero-fault bit-identity is preserved).
-        """
-        if self.checkpoint_interval is None and self.wal_replay_per_tick is None:
-            return self.faults
-        plan = self.faults if self.faults is not None else ShardFaultPlan()
-        kwargs = {f: getattr(plan, f) for f in _SHARD_PLAN_FIELDS}
-        if self.checkpoint_interval is not None:
-            kwargs["checkpoint_interval"] = self.checkpoint_interval
-        if self.wal_replay_per_tick is not None:
-            kwargs["wal_replay_per_tick"] = self.wal_replay_per_tick
-        return ShardFaultPlan(**kwargs)
 
     def describe(self) -> Dict[str, Any]:
         """JSON-safe manifest form (mirrors RunConfig.describe)."""
@@ -295,6 +254,4 @@ class ShardConfig:
                 None if self.admission is None else self.admission.describe()
             ),
             "faults": None if self.faults is None else repr(self.faults),
-            "checkpoint_interval": self.checkpoint_interval,
-            "wal_replay_per_tick": self.wal_replay_per_tick,
         }

@@ -37,9 +37,13 @@ adds on top is the distributed-execution ledger: per-shard load,
 ownership, handoffs, borrows, forwards, migrations — the quantities
 E15 sweeps. ``tests/test_sharding.py`` pins both halves.
 
-**Failure model** (DESIGN.md §11). With a
-:class:`~repro.net.faults.ShardFaultPlan` installed the tier stops
-being a pure ledger and perturbs the run honestly:
+**Failure model** (DESIGN.md §11). The
+:class:`~repro.net.faults.ShardFaultPlan` of the tier's
+:class:`~repro.server.config.ShardConfig` is the one switch for every
+backbone fault (loss, delay, their seed) and for the durability
+cadence; without an enabled plan the backbone is healthy. With one
+installed the tier stops being a pure ledger and perturbs the run
+honestly:
 
 * a **crashed shard** is a dead base station *and* a dead query
   engine: uplinks homed in its cell are lost, unicast downlinks to
@@ -99,18 +103,20 @@ backbone, home rows journaled as loss + gain so the §12 WAL fences
 migrations against crashes, queries re-owned through the normal
 handoff protocol). With an
 :class:`~repro.server.config.AdmissionPolicy` installed, a shard past
-its accepted-uplink budget defers (bounded queue, drained next tick)
-or sheds further low-priority uplinks, flagged through the same
-degraded-answer channel the fault model uses. Both policies default
-to off. Off is the same routing code over one cell per shard, which
+its accepted-uplink budget defers (a queue of at most twice the
+budget, drained next tick) or sheds further low-priority uplinks,
+flagged through the same degraded-answer channel the fault model
+uses. Both policies default to off. Off is the same routing code over one cell per shard, which
 nothing reassigns — no rebalance checks, no RNG draws, no extra traces
 — and ``tests/test_rebalance.py`` pins its bit-identity with the
 static S x S grid.
 
-A disabled plan (or ``fault_plan=None``) takes exactly the code paths
+A disabled plan (or ``faults=None``) takes exactly the code paths
 above this paragraph: no heartbeats, no replication, no journal, no
-RNG draws, no extra trace events — ``tests/test_shard_faults.py`` pins
-that bit-identity next to the sharded-vs-unsharded contract.
+RNG draws, no extra trace events, and the ledger's migrations and
+borrows leave as batches (:meth:`~repro.net.shardlink.ShardLink.
+send_many`) — ``tests/test_shard_faults.py`` pins that bit-identity
+next to the sharded-vs-unsharded contract.
 """
 
 from __future__ import annotations
@@ -172,6 +178,9 @@ _REBALANCE_ROW_BYTES = 20
 _IMBALANCE_WINDOW = 10
 #: Handoff-retry backoff doubles up to this many ticks between sends.
 _RETRY_GAP_CAP = 8
+#: Settle bound (ticks) of an admission-opened degraded window on a
+#: tier without a fault plan; under a plan its recovery_settle_ticks.
+_ADMISSION_SETTLE_TICKS = 8
 
 
 class ShardRouter:
@@ -327,9 +336,10 @@ class _InnerChannelProxy:
     """Snoops the inner server's sends for per-shard downlink ledgering.
 
     The inner engine sends through ``self.channel``; this proxy sits in
-    its ``_channel`` slot, forwards everything to the real channel
+    its ``_channel`` slot, forwards the sends to the real channel
     unchanged (same object, same RNG stream, same accounting), and
-    attributes each downlink to the receiver's home shard.
+    attributes each downlink to the receiver's home shard. The engine
+    reads nothing else off its channel but ``stats``.
     """
 
     __slots__ = ("_real", "_tier")
@@ -344,8 +354,8 @@ class _InnerChannelProxy:
         return msg
 
     def send_batch(self, batch):
-        # Explicit (not via __getattr__ passthrough) so columnar
-        # downlink flights hit the per-shard ledger like scalar sends.
+        # Columnar downlink flights hit the per-shard ledger like
+        # scalar sends.
         batch = self._real.send_batch(batch)
         self._tier._note_inner_send_batch(batch)
         return batch
@@ -353,9 +363,6 @@ class _InnerChannelProxy:
     @property
     def stats(self):
         return self._real.stats
-
-    def __getattr__(self, name):
-        return getattr(self._real, name)
 
 
 class ShardedServer(ServerNodeBase):
@@ -372,12 +379,7 @@ class ShardedServer(ServerNodeBase):
         inner,
         router: ShardRouter,
         stats,  # CommStats of the main channel (s2s bucket lives there)
-        link_delay: int = 0,
-        link_drop: float = 0.0,
-        link_seed: int = 0,
-        fault_plan=None,
-        rebalance: Optional[RebalancePolicy] = None,
-        admission: Optional[AdmissionPolicy] = None,
+        config: ShardConfig,
     ) -> None:
         super().__init__()
         self.inner = inner
@@ -386,24 +388,13 @@ class ShardedServer(ServerNodeBase):
         #: the :class:`~repro.net.faults.ShardFaultPlan`, or None. A
         #: disabled plan normalizes to None so every fault branch below
         #: is a plain ``is not None`` check — the bit-identity gate.
-        plan = (
-            fault_plan
-            if fault_plan is not None and fault_plan.enabled
-            else None
-        )
+        plan = config.faults
+        if plan is not None and not plan.enabled:
+            plan = None
         self._fault_plan = plan
-        if plan is not None:
-            link_delay = plan.link_delay
-            link_drop = plan.link_drop
-            link_seed = plan.seed
+        rebalance, admission = config.rebalance, config.admission
         self.link = ShardLink(
-            router.n_shards,
-            stats,
-            self._on_shard_message,
-            delay_ticks=link_delay,
-            drop_prob=link_drop,
-            seed=link_seed,
-            fault_plan=plan,
+            router.n_shards, stats, self._on_shard_message, fault_plan=plan
         )
         #: serving shard, shedding, deferral and downlink loss are
         #: per-message decisions (``ServerNodeBase.per_message``): such
@@ -428,7 +419,9 @@ class ShardedServer(ServerNodeBase):
         #: jitter stream of the retry backoff — drawn only when a
         #: second retransmit of the same handoff fires, which a healthy
         #: backbone never reaches.
-        self._backoff_rng = random.Random(link_seed ^ 0xB0FF)
+        self._backoff_rng = random.Random(
+            (0 if plan is None else plan.seed) ^ 0xB0FF
+        )
         # -- fault-tolerance state (inert without a plan) --------------
         #: shard -> last tick its buddy heard a heartbeat from it.
         self._last_heard: Dict[int, int] = {
@@ -520,16 +513,14 @@ class ShardedServer(ServerNodeBase):
 
     # -- telemetry plumbing -------------------------------------------------
 
-    @property
-    def telemetry(self):
-        return self._telemetry
-
-    @telemetry.setter
-    def telemetry(self, value) -> None:
+    def _set_telemetry(self, value) -> None:
         # The simulator assigns ``server.telemetry`` on construction;
-        # keep the inner engine on the same stream.
+        # keep the inner engine on the same stream (a read falls through
+        # to it in __getattr__).
         self._telemetry = value
         self.inner.telemetry = value
+
+    telemetry = property(None, _set_telemetry)
 
     def __getattr__(self, name: str):
         inner = self.__dict__.get("inner")
@@ -664,18 +655,20 @@ class ShardedServer(ServerNodeBase):
     def busy(self) -> bool:
         return self.inner.busy()
 
+    # reach: event mode on a sharded tier has no product row (ROADMAP
+    # item 5); tests pin its skip schedule against tick mode
     def event_idle(self, tick: int) -> bool:
         # Per-tick machinery on this tier vetoes skipping: a fault
-        # plan (heartbeats, replication, checkpoints) or admission
-        # policy runs every tick; pending handoff retries and delayed
-        # backbone flights need their tick-start; a rebalance check
+        # plan (heartbeats, replication, checkpoints, delayed backbone
+        # flights) or admission policy runs every tick; pending handoff
+        # retries need their tick-start; a rebalance check
         # tick may move cells (and draws RNG); an imbalance-sample
         # tick must run in full whenever the window would be nonzero
         # (uplinks landed since the last mark), or the sample series
         # would diverge from tick mode.
         if self._fault_plan is not None or self._admission is not None:
             return False
-        if self._handoff_pending or self.link.pending():
+        if self._handoff_pending:
             return False
         if (
             self._rebalance is not None
@@ -935,7 +928,7 @@ class ShardedServer(ServerNodeBase):
             self._tick_uplinks[serving] -= 1
         stats = self.shard_stats
         q = self._deferred[serving]
-        deferred = adm.defer and len(q) < adm.deferred_cap
+        deferred = adm.defer and len(q) < 2 * maxu
         if deferred:
             q.append(msg)
             stats.deferred_uplinks += 1
@@ -1316,9 +1309,6 @@ class ShardedServer(ServerNodeBase):
         (same delta detection, no extra export)."""
         plan = self._fault_plan
         dm = self._durability
-        streaming = plan.replicate and self.router.n_shards >= 2
-        if not streaming and dm is None:
-            return
         for qid in sorted(self._owner):
             owner = self._owner[qid]
             if plan.is_down(owner, tick) or self._is_recovering(owner):
@@ -1326,7 +1316,7 @@ class ShardedServer(ServerNodeBase):
             state = self.inner.export_query_state(qid)
             if dm is not None:
                 dm.journal_state(owner, tick, qid, state)
-            if not streaming or self._repl_sent.get(qid) == state:
+            if self._repl_sent.get(qid) == state:
                 continue  # unchanged since the last delivered delta
             self.shard_stats.replications += 1
             sent = self.link.send(
@@ -1382,9 +1372,9 @@ class ShardedServer(ServerNodeBase):
             return
         plan = self._fault_plan
         settle = (
-            plan.recovery_settle_ticks
-            if plan is not None
-            else self._admission.settle_ticks
+            _ADMISSION_SETTLE_TICKS
+            if plan is None
+            else plan.recovery_settle_ticks
         )
         stats = self.shard_stats
         tel = self._telemetry
@@ -1771,7 +1761,7 @@ class ShardedServer(ServerNodeBase):
         stats.borrowed_candidates += int(sizes.sum())
         self.inner.meter.charge(CostMeter.BORROW, rows.shape[0])
         link, plan, tel = self.link, self._fault_plan, self._telemetry
-        batched = plan is None and not link.drop_prob and not link.delay_ticks
+        batched = plan is None
         if batched:
             link.send_many(SHARD_BORROW, srcs, sids, _BORROW_REQ_BYTES)
             link.send_many(SHARD_BORROW_REPLY, sids, srcs, 8 + 20 * sizes)
@@ -1786,7 +1776,7 @@ class ShardedServer(ServerNodeBase):
                 reply = link.send(SHARD_BORROW, src, sid, _BORROW_REQ_BYTES)
                 if reply is not None:
                     reply = link.send(SHARD_BORROW_REPLY, sid, src, 8 + 20 * n)
-                if reply is None and plan is not None:
+                if reply is None:
                     # A lost leg: the answer may miss the lender's
                     # candidates — flag it instead of staying silent.
                     stats.lost_borrows += 1
@@ -1802,19 +1792,12 @@ class ShardedServer(ServerNodeBase):
                 )
 
 
-def shard_attach(
-    sim,
-    config: ShardConfig,
-    link_delay: int = 0,
-    link_drop: float = 0.0,
-    link_seed: int = 0,
-) -> ShardedServer:
+def shard_attach(sim, config: ShardConfig) -> ShardedServer:
     """Wrap a built simulator's server in a sharded tier, in place.
 
     ``config`` is the :class:`~repro.server.config.ShardConfig`: shard
-    count, rebalance / admission policies, fault plan and durability
-    cadence. An enabled fault plan supersedes the raw ``link_*`` knobs
-    (the backbone drop / delay / seed come from the plan).
+    count, rebalance / admission policies and the fault plan, which
+    carries the backbone faults and the durability cadence.
 
     The inner server keeps its channel registration (same SERVER_ID
     address); the wrapper takes its place as the simulator's server and
@@ -1834,17 +1817,7 @@ def shard_attach(
         config.shards,
         rebalance.cells_per_shard if rebalance is not None else 1,
     )
-    tier = ShardedServer(
-        inner,
-        router,
-        sim.channel.stats,
-        link_delay=link_delay,
-        link_drop=link_drop,
-        link_seed=link_seed,
-        fault_plan=config.resolved_faults(),
-        rebalance=rebalance,
-        admission=config.admission,
-    )
+    tier = ShardedServer(inner, router, sim.channel.stats, config)
     # Share the already-registered SERVER_ID address: assign the channel
     # slot directly (attach() would re-register and raise).
     tier._channel = sim.channel

@@ -128,8 +128,10 @@ class TestEntryPointSignatures:
     def test_shard_config_fields(self):
         assert _params(api.ShardConfig) == [
             "shards", "rebalance", "admission", "faults",
-            "checkpoint_interval", "wal_replay_per_tick",
         ]
+
+    def test_shard_attach_signature(self):
+        assert _params(api.shard_attach) == ["sim", "config"]
 
     def test_rebalance_policy_fields(self):
         assert _params(api.RebalancePolicy) == [
@@ -139,7 +141,7 @@ class TestEntryPointSignatures:
 
     def test_admission_policy_fields(self):
         assert _params(api.AdmissionPolicy) == [
-            "max_uplinks_per_tick", "defer", "max_deferred", "settle_ticks",
+            "max_uplinks_per_tick", "defer",
         ]
 
     def test_run_once_signature(self):

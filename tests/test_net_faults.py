@@ -129,7 +129,7 @@ class TestFaultyChannel:
         ch.begin_tick(1)
         ch.send(MessageKind.PROBE, SERVER_ID, 0)
         assert ch.pending() == 0
-        assert ch.in_flight() == 1
+        assert len(ch._held) == 1
         assert ch.stats.delayed == 1
         ch.begin_tick(2)
         assert ch.pending() == 0  # still held

@@ -40,6 +40,7 @@ from repro.api import (
     run_once,
 )
 from repro.errors import ConfigError
+from repro.net.message import Message, MessageKind
 from repro.obs import RingSink, Telemetry, Tracer, protocol_events
 from tests.helpers import built_system, reference_system
 
@@ -107,10 +108,6 @@ class TestPolicyValidation:
         "kwargs, field",
         [
             ({"max_uplinks_per_tick": 0}, "max_uplinks_per_tick"),
-            ({"max_uplinks_per_tick": 10, "max_deferred": -1},
-             "max_deferred"),
-            ({"max_uplinks_per_tick": 10, "settle_ticks": 0},
-             "settle_ticks"),
             ({"max_uplinks_per_tick": 10, "defer": 1}, "defer"),
         ],
     )
@@ -283,9 +280,7 @@ class TestBackpressureHonesty:
     def _overloaded(self, defer):
         shard = ShardConfig(
             shards=2,
-            admission=AdmissionPolicy(
-                max_uplinks_per_tick=8, defer=defer, settle_ticks=8
-            ),
+            admission=AdmissionPolicy(max_uplinks_per_tick=8, defer=defer),
         )
         sim, queries, ring = _build(DRIFT, shard, params=FT_PARAMS)
         sim.run(DRIFT.ticks)
@@ -323,6 +318,34 @@ class TestBackpressureHonesty:
         # vouched for was exact (the admission path flags, not hides).
         assert 0 < m.extra["degraded_frac"] < 1
         assert m.extra["healthy_exactness"] == 1.0
+
+    @pytest.mark.parametrize(
+        "plan, settle",
+        [(None, 8), (ShardFaultPlan(link_delay=1, recovery_settle_ticks=20), 20)],
+    )
+    def test_admission_window_settles_on_the_plan_bound(self, plan, settle):
+        # A shed that no republish follows stays degraded for the
+        # settle bound: 8 ticks without a fault plan, the plan's
+        # recovery_settle_ticks with one.
+        shard = ShardConfig(
+            shards=2,
+            admission=AdmissionPolicy(max_uplinks_per_tick=10**6, defer=False),
+            faults=plan,
+        )
+        sim, _, _ = _build(DRIFT, shard, params=FT_PARAMS)
+        sim.run(10)
+        tier = sim.server
+        qid, owner = sorted(tier._owner.items())[0]
+        assert qid not in tier._degraded_overlay
+        tier._tick_uplinks[owner] = 2 * 10**6 + 1
+        msg = Message(MessageKind.QUERY_MOVE, 0, 0)
+        assert not tier._admit(msg, owner, qid)
+        flagged = tier._tick
+        for tick in range(flagged, flagged + settle):
+            tier._settle_degraded(tick)
+            assert qid in tier._degraded_overlay, tick
+        tier._settle_degraded(flagged + settle)
+        assert qid not in tier._degraded_overlay
 
 
 class TestHotspotDriftParity:

@@ -107,6 +107,7 @@ class TestShardFaultPlan:
             {"crashes": ((-1, 0, 5),)},
             {"partitions": ((0, 0, 1, 2),)},
             {"partitions": ((0, 1, 5, 5),)},
+            {"replicate": False},
         ],
     )
     def test_invalid_plans_rejected(self, kwargs):
@@ -211,13 +212,10 @@ class TestDisabledPlanBitIdentity:
 
 
 class TestLinkFaults:
-    def _link(self, plan, n=4, delay=0):
+    def _link(self, plan, n=4):
         stats = CommStats()
         seen = []
-        link = ShardLink(
-            n, stats, seen.append, delay_ticks=delay, fault_plan=plan
-        )
-        return link, seen
+        return ShardLink(n, stats, seen.append, plan), seen
 
     def test_crash_drops_both_directions(self):
         plan = ShardFaultPlan(crashes=((1, 5, 10),))
@@ -248,8 +246,8 @@ class TestLinkFaults:
     def test_send_time_semantics_for_delayed_messages(self):
         # A message that left before the partition opened is delivered
         # even though it arrives during the cut: checks are send-time.
-        plan = ShardFaultPlan(partitions=((0, 1, 5, 9),))
-        link, seen = self._link(plan, delay=2)
+        plan = ShardFaultPlan(link_delay=2, partitions=((0, 1, 5, 9),))
+        link, seen = self._link(plan)
         link.begin_tick(4)
         assert link.send("migrate", 0, 1, 8) is not None
         link.begin_tick(6)
@@ -265,7 +263,8 @@ class TestHandoffBackoff:
         # over a delay-d link must become retryable at exactly T+d+1.
         fleet, queries = build_workload(SPEC)
         sim = build_system(RunConfig("DKNN-P"), fleet, queries)
-        tier = shard_attach(sim, ShardConfig(shards=4), link_delay=2)
+        plan = ShardFaultPlan(link_delay=2)
+        tier = shard_attach(sim, ShardConfig(shards=4, faults=plan))
         sim.run(2)
         tier._tick = 10
         tier._owner[queries[0].qid] = 0
@@ -378,7 +377,8 @@ class TestLossRaces:
         # must leave exactly one owner at every step.
         fleet, queries = build_workload(SPEC)
         sim = build_system(RunConfig("DKNN-P"), fleet, queries)
-        tier = shard_attach(sim, ShardConfig(shards=2), link_delay=3)
+        plan = ShardFaultPlan(link_delay=3)
+        tier = shard_attach(sim, ShardConfig(shards=2, faults=plan))
         sim.run(2)
         qid = queries[0].qid
         tier._owner[qid] = 0
@@ -466,11 +466,7 @@ class TestFailover:
         assert tier.shard_stats.replications == (
             link.sent_by_kind[SHARD_REPLICATE]
         )
-        # replicate=False isolates detection from replication.
-        plan2 = ShardFaultPlan(seed=7, crashes=((0, 12, 20),), replicate=False)
-        tier2, _, _ = self._faulty_run(plan2)
-        assert tier2.link.sent_by_kind[SHARD_REPLICATE] == 0
-        assert tier2.shard_stats.failovers >= 1
+        assert tier.shard_stats.failovers >= 1
 
     def test_partition_false_suspicion_heals(self):
         # Cut shard 0 from its watcher (buddy 1) long enough to trip
@@ -532,35 +528,3 @@ class TestAdmissionControl:
         sim = build_system(cfg, fleet, queries)
         sim.run(SPEC.ticks)
         assert sim.server.shard_stats.shed_uplinks == 0
-
-
-class TestLegacyKnobsStillWork:
-    """The raw link_* knobs of shard_attach keep working (and the plan
-    supersedes them when enabled)."""
-
-    def test_plan_supersedes_raw_knobs(self):
-        fleet, queries = build_workload(SPEC)
-        sim = build_system(RunConfig("DKNN-P"), fleet, queries)
-        plan = ShardFaultPlan(seed=9, link_drop=0.25, link_delay=2)
-        tier = shard_attach(
-            sim,
-            ShardConfig(shards=2, faults=plan),
-            link_drop=0.9,
-            link_delay=7,
-            link_seed=1,
-        )
-        assert tier.link.drop_prob == 0.25
-        assert tier.link.delay_ticks == 2
-
-    def test_disabled_plan_defers_to_raw_knobs(self):
-        fleet, queries = build_workload(SPEC)
-        sim = build_system(RunConfig("DKNN-P"), fleet, queries)
-        tier = shard_attach(
-            sim,
-            ShardConfig(shards=2, faults=ShardFaultPlan()),
-            link_drop=0.4,
-            link_delay=3,
-        )
-        assert tier.link.drop_prob == 0.4
-        assert tier.link.delay_ticks == 3
-        assert tier.link.fault_plan is None

@@ -21,6 +21,7 @@ from repro.api import (
     RunConfig,
     ShardConfig,
     ShardedServer,
+    ShardFaultPlan,
     ShardRouter,
     WorkloadSpec,
     build_system,
@@ -170,10 +171,10 @@ class TestServerToServerBucket:
 
 
 class TestOwnershipAndHandoff:
-    def _tier(self, shards=2, ticks=SPEC.ticks, **link_kw):
+    def _tier(self, shards=2, ticks=SPEC.ticks, faults=None):
         fleet, queries = build_workload(SPEC)
         sim = build_system(RunConfig("DKNN-P"), fleet, queries)
-        tier = shard_attach(sim, ShardConfig(shards=shards), **link_kw)
+        tier = shard_attach(sim, ShardConfig(shards=shards, faults=faults))
         sim.run(ticks)
         return tier, sim
 
@@ -203,7 +204,7 @@ class TestOwnershipAndHandoff:
 
     def test_lossy_backbone_retries_until_committed(self):
         tier, _ = self._tier(
-            shards=4, ticks=60, link_drop=0.5, link_seed=3
+            shards=4, ticks=60, faults=ShardFaultPlan(seed=3, link_drop=0.5)
         )
         # Drops force retransmits; ownership still converges (at most
         # the in-flight tail stays pending at cut-off).
@@ -213,7 +214,9 @@ class TestOwnershipAndHandoff:
             assert 0 <= owner < tier.router.n_shards
 
     def test_delayed_backbone_keeps_single_owner(self):
-        tier, _ = self._tier(shards=4, ticks=60, link_delay=2)
+        tier, _ = self._tier(
+            shards=4, ticks=60, faults=ShardFaultPlan(link_delay=2)
+        )
         assert sorted(tier._owner) == sorted(
             spec.qid for spec in tier.inner.queries
         )
@@ -469,10 +472,10 @@ class TestShardLink:
     def test_delay_holds_until_tick(self):
         stats = CommStats()
         seen = []
-        link = ShardLink(2, stats, seen.append, delay_ticks=2)
+        link = ShardLink(2, stats, seen.append, ShardFaultPlan(link_delay=2))
         link.begin_tick(1)
         link.send("migrate", 0, 1, 8)
-        assert not seen and link.pending() == 1
+        assert not seen and len(link._queue) == 1
         link.begin_tick(2)
         assert not seen
         link.begin_tick(3)
@@ -481,7 +484,8 @@ class TestShardLink:
     def test_drop_is_seeded_and_separate(self):
         stats = CommStats()
         seen = []
-        link = ShardLink(2, stats, seen.append, drop_prob=0.5, seed=1)
+        plan = ShardFaultPlan(seed=1, link_drop=0.5)
+        link = ShardLink(2, stats, seen.append, plan)
         for _ in range(50):
             link.send("borrow", 0, 1, 4)
         assert link.dropped > 0
@@ -493,8 +497,6 @@ class TestShardLink:
         stats = CommStats()
         with pytest.raises(NetworkError):
             ShardLink(0, stats, lambda m: None)
-        with pytest.raises(NetworkError):
-            ShardLink(2, stats, lambda m: None, drop_prob=1.0)
         link = ShardLink(2, stats, lambda m: None)
         with pytest.raises(NetworkError):
             link.send("forward", 0, 5, 4)
