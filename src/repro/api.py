@@ -88,7 +88,7 @@ from repro.net.chaos import (
     default_checkers,
     run_chaos,
 )
-from repro.obs import MetricsRegistry, Telemetry, Tracer, use_telemetry
+from repro.obs import Telemetry, use_telemetry
 from repro.server import (
     AdmissionPolicy,
     DurabilityManager,
@@ -167,8 +167,6 @@ __all__ = [
     "ChaosResult",
     # observability
     "Telemetry",
-    "Tracer",
-    "MetricsRegistry",
     "use_telemetry",
     # ground truth & accuracy
     "brute_knn",

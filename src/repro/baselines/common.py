@@ -73,7 +73,7 @@ class ReporterPhase(ClientPhase):
     predicate to evaluate — the whole phase is one columnar
     ``TICK_REPORT`` batch carrying the fleet's coordinates (copied at
     send time, so one-tick-latency delivery sees the positions of the
-    sending tick). When the plane is vetoed (faults, tracing, a scalar
+    sending tick). When the plane is vetoed (faults, a scalar
     channel) the phase falls back to the exact per-node loop the
     simulator would have run.
     """

@@ -169,14 +169,7 @@ class DknnBroadcastServer(BaseServer):
                     if msg.kind == MessageKind.VIOLATION
                     else "server.query_move"
                 )
-                if tel.tracer.enabled:
-                    tel.tracer.emit(
-                        self._tick, event, qid=payload.qid, oid=msg.src
-                    )
-                if tel.metrics is not None:
-                    tel.metrics.counter(
-                        "violations_total", "violation / query-move reports"
-                    ).labels(kind=event.split(".", 1)[1]).inc()
+                tel.emit(self._tick, event, qid=payload.qid, oid=msg.src)
         elif msg.kind == MessageKind.PROBE_REPLY:
             # Only focal nodes are probed point-to-point in DKNN-B.
             for st in self._by_focal.get(msg.src, ()):
@@ -284,18 +277,13 @@ class DknnBroadcastServer(BaseServer):
         self.meter.charge(CostMeter.BOOKKEEPING)
         tel = self.telemetry
         if tel.enabled:
-            if tel.tracer.enabled:
-                tel.tracer.emit(
-                    self._tick,
-                    "server.collect",
-                    qid=st.spec.qid,
-                    radius=st.collect_radius,
-                    fresh=fresh,
-                )
-            if tel.metrics is not None:
-                tel.metrics.counter(
-                    "collect_rounds_total", "collect rounds issued"
-                ).inc()
+            tel.emit(
+                self._tick,
+                "server.collect",
+                qid=st.spec.qid,
+                radius=st.collect_radius,
+                fresh=fresh,
+            )
 
     def _send_collect(self, request: CollectRequest) -> None:
         """Dispatch a collect; the geocast variant scopes it to an area."""
@@ -332,18 +320,13 @@ class DknnBroadcastServer(BaseServer):
         self.meter.charge(CostMeter.REPAIR)
         tel = self.telemetry
         if tel.enabled:
-            if tel.tracer.enabled:
-                tel.tracer.emit(
-                    self._tick,
-                    "server.repair",
-                    qid=spec.qid,
-                    mode="collect",
-                    answer=list(inst.answer_ids),
-                )
-            if tel.metrics is not None:
-                tel.metrics.counter(
-                    "repairs_total", "completed repairs"
-                ).labels(mode="collect").inc()
+            tel.emit(
+                self._tick,
+                "server.repair",
+                qid=spec.qid,
+                mode="collect",
+                answer=list(inst.answer_ids),
+            )
 
     def _send_install(self, st: "_QueryState", inst) -> None:
         """Dispatch a fresh installation; the geocast variant scopes it

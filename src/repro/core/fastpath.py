@@ -552,8 +552,8 @@ class DknnSilentPhase(ClientPhase):
             node.on_tick_start(tick)
             touched.add(oid)
         tel = sim.telemetry
-        if tel.enabled and tel.tracer.enabled:
-            tel.tracer.emit(
+        if tel.enabled:
+            tel.emit(
                 tick,
                 "fastpath.candidates",
                 candidates=n_cand,
@@ -892,8 +892,8 @@ class BroadcastSilentPhase(ClientPhase):
                 np.concatenate(hit_q), np.concatenate(hit_o), xs, ys
             )
         tel = self.sim.telemetry
-        if tel.enabled and tel.tracer.enabled:
-            tel.tracer.emit(
+        if tel.enabled:
+            tel.emit(
                 tick,
                 "fastpath.candidates",
                 candidates=sent,

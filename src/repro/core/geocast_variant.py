@@ -137,19 +137,13 @@ class DknnGeocastServer(DknnBroadcastServer):
                 self.stale_violations += 1
                 tel = self.telemetry
                 if tel.enabled:
-                    if tel.tracer.enabled:
-                        tel.tracer.emit(
-                            self._tick,
-                            "server.stale_violation",
-                            qid=payload.qid,
-                            oid=msg.src,
-                            epoch=payload.epoch,
-                        )
-                    if tel.metrics is not None:
-                        tel.metrics.counter(
-                            "violations_total",
-                            "violation / query-move reports",
-                        ).labels(kind="stale").inc()
+                    tel.emit(
+                        self._tick,
+                        "server.stale_violation",
+                        qid=payload.qid,
+                        oid=msg.src,
+                        epoch=payload.epoch,
+                    )
                 return
         super().on_message(msg)
 
@@ -220,17 +214,12 @@ class DknnGeocastServer(DknnBroadcastServer):
                 self.renewals += 1
                 tel = self.telemetry
                 if tel.enabled:
-                    if tel.tracer.enabled:
-                        tel.tracer.emit(
-                            tick,
-                            "server.renewal",
-                            qid=st.spec.qid,
-                            epoch=st.epoch,
-                        )
-                    if tel.metrics is not None:
-                        tel.metrics.counter(
-                            "renewals_total", "geocast lease renewals"
-                        ).inc()
+                    tel.emit(
+                        tick,
+                        "server.renewal",
+                        qid=st.spec.qid,
+                        epoch=st.epoch,
+                    )
                 self.geocast(
                     MessageKind.BROADCAST_INSTALL,
                     GeocastInstall(

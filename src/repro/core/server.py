@@ -312,14 +312,7 @@ class DknnServer(BaseServer):
                     if kind == MessageKind.VIOLATION
                     else "server.query_move"
                 )
-                if tel.tracer.enabled:
-                    tel.tracer.emit(
-                        self._tick, event, qid=payload.qid, oid=msg.src
-                    )
-                if tel.metrics is not None:
-                    tel.metrics.counter(
-                        "violations_total", "violation / query-move reports"
-                    ).labels(kind=event.split(".", 1)[1]).inc()
+                tel.emit(self._tick, event, qid=payload.qid, oid=msg.src)
         else:
             raise ProtocolError(f"server cannot handle {kind}")
 
@@ -589,13 +582,7 @@ class DknnServer(BaseServer):
                     self._note_retransmit(tick, MessageKind.PROBE, oid)
 
     def _note_retransmit(self, tick: int, kind: MessageKind, dst: int) -> None:
-        tel = self.telemetry
-        if tel.tracer.enabled:
-            tel.tracer.emit(tick, "fault.retransmit", kind=kind.name, dst=dst)
-        if tel.metrics is not None:
-            tel.metrics.counter(
-                "fault_events_total", "fault-plan interventions"
-            ).labels(event="retransmit").inc()
+        self.telemetry.emit(tick, "fault.retransmit", kind=kind.name, dst=dst)
 
     def _lease_sweep(self, tick: int) -> None:
         """Suspect every leased object silent for more than the lease.
@@ -624,12 +611,7 @@ class DknnServer(BaseServer):
         self._suspect_probe[oid] = tick
         tel = self.telemetry
         if tel.enabled:
-            if tel.tracer.enabled:
-                tel.tracer.emit(tick, "fault.suspect", oid=oid)
-            if tel.metrics is not None:
-                tel.metrics.counter(
-                    "fault_events_total", "fault-plan interventions"
-                ).labels(event="suspect").inc()
+            tel.emit(tick, "fault.suspect", oid=oid)
         self._probes_in_flight.discard(oid)
         self._probe_sent.pop(oid, None)
         self._probe_first.pop(oid, None)
@@ -676,12 +658,7 @@ class DknnServer(BaseServer):
         self._suspect_probe.pop(oid, None)
         tel = self.telemetry
         if tel.enabled:
-            if tel.tracer.enabled:
-                tel.tracer.emit(self._tick, "fault.revive", oid=oid)
-            if tel.metrics is not None:
-                tel.metrics.counter(
-                    "fault_events_total", "fault-plan interventions"
-                ).labels(event="revive").inc()
+            tel.emit(self._tick, "fault.revive", oid=oid)
         for st in self._states.values():
             if st.spec.focal_oid == oid:
                 st.focal_down = False
@@ -836,8 +813,8 @@ class DknnServer(BaseServer):
 
         Two mask ops — not fresh this tick, not already in flight — and,
         when the transport allows, one columnar PROBE batch accounted
-        like the scalar sends it replaces. Fewer than ``MIN_BATCH`` ids,
-        traced runs and scalar channels probe one by one.
+        like the scalar sends it replaces. Fewer than ``MIN_BATCH`` ids
+        and scalar channels probe one by one.
         """
         tick = self._tick
         stale = self.table.stale(oids, tick)
@@ -867,8 +844,8 @@ class DknnServer(BaseServer):
         iteration order.
 
         One columnar batch carrying ``payload`` as its prototype when
-        the transport allows; short runs, traced runs, scalar channels
-        and the fault-tolerant build (whose client half acks and
+        the transport allows; short runs, scalar channels and the
+        fault-tolerant build (whose client half acks and
         leases message by message) send one by one.
         """
         if self._ft or not self._columnar_ok() or len(oids) < MIN_BATCH:
@@ -1063,15 +1040,13 @@ class DknnServer(BaseServer):
         self.meter.charge(CostMeter.REPAIR)
         tel = self.telemetry
         if tel.enabled:
-            mode = "trivial" if trivial else "full"
-            if tel.tracer.enabled:
-                tel.tracer.emit(
-                    tick, "server.repair", qid=qid, mode=mode, answer=new_ids
-                )
-            if tel.metrics is not None:
-                tel.metrics.counter(
-                    "repairs_total", "completed repairs"
-                ).labels(mode=mode).inc()
+            tel.emit(
+                tick,
+                "server.repair",
+                qid=qid,
+                mode="trivial" if trivial else "full",
+                answer=new_ids,
+            )
 
     # -- light (incremental) repairs ------------------------------------------
 
@@ -1183,14 +1158,9 @@ class DknnServer(BaseServer):
         self.meter.charge(CostMeter.REPAIR)
         tel = self.telemetry
         if tel.enabled:
-            if tel.tracer.enabled:
-                tel.tracer.emit(
-                    tick, "server.repair", qid=qid, mode="light", answer=new_ids
-                )
-            if tel.metrics is not None:
-                tel.metrics.counter(
-                    "repairs_total", "completed repairs"
-                ).labels(mode="light").inc()
+            tel.emit(
+                tick, "server.repair", qid=qid, mode="light", answer=new_ids
+            )
         return True
 
     # -- planner (silent-object safety) ------------------------------------

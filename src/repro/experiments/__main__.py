@@ -5,7 +5,7 @@ Usage::
     python -m repro.experiments E1 E5        # selected experiments
     python -m repro.experiments --all        # everything
     python -m repro.experiments --all --quick --csv results/
-    python -m repro.experiments E1 --trace traces/ --metrics-out m.json
+    python -m repro.experiments E1 --trace traces/
     python -m repro.experiments summarize traces/trace_e1.jsonl
     python -m repro.experiments chaos --seed 7 --ticks 200
 
@@ -17,14 +17,13 @@ Every table is held to its sweep's ``check`` at either size: a table
 that breaks it is printed (and written), then the command fails.
 
 Observability: ``--trace DIR`` streams one JSONL trace per experiment
-into DIR (``trace_<id>.jsonl``); ``--metrics-out FILE`` dumps the
-metrics registry accumulated across all runs as one JSON document; the
+into DIR (``trace_<id>.jsonl``), the one observability channel; the
 ``summarize`` subcommand renders a per-phase cost table from a trace
 file; the ``chaos`` subcommand runs the deterministic fault-injection
 harness (:mod:`repro.net.chaos`) with per-tick invariant checkers and
-exits non-zero on any violation. Whenever results are written (``--csv``/``--trace``/
-``--metrics-out``), a run manifest with full provenance (specs, params,
-seeds, git rev, versions, wall clock) lands next to them as
+exits non-zero on any violation. Whenever results are written
+(``--csv`` / ``--trace``), a run manifest with full provenance (specs,
+params, seeds, git rev, versions, wall clock) lands next to them as
 ``manifest.json``.
 """
 
@@ -38,15 +37,15 @@ import time
 from repro.experiments.registry import EXPERIMENTS, run_experiment
 from repro.obs import (
     JsonlSink,
-    MetricsRegistry,
     Telemetry,
-    Tracer,
     recording,
     use_telemetry,
     write_manifest,
 )
 
 
+# reach: ``--profile DIR``, the one profiling entry point; no product
+# command or test passes it, and a profile is read by hand.
 def _profiled_experiment(name: str, quick: bool, out_dir: str):
     """Run one experiment under cProfile and report where time went."""
     import cProfile
@@ -65,17 +64,6 @@ def _profiled_experiment(name: str, quick: bool, out_dir: str):
     print(f"-- profile: {name} -> {path}")
     stats.print_stats(20)
     return table
-
-
-def _manifest_dir(args) -> str | None:
-    """Where the manifest lands: next to whichever results are written."""
-    if args.csv:
-        return args.csv
-    if args.trace:
-        return args.trace
-    if args.metrics_out:
-        return os.path.dirname(os.path.abspath(args.metrics_out))
-    return None
 
 
 def main(argv=None) -> int:
@@ -119,11 +107,6 @@ def main(argv=None) -> int:
         metavar="DIR",
         help="stream one JSONL trace per experiment into DIR",
     )
-    parser.add_argument(
-        "--metrics-out",
-        metavar="FILE",
-        help="dump the accumulated metrics registry as JSON",
-    )
     args = parser.parse_args(argv)
 
     names = sorted(EXPERIMENTS) if args.all else [n.upper() for n in args.experiments]
@@ -137,8 +120,6 @@ def main(argv=None) -> int:
         if directory:
             os.makedirs(directory, exist_ok=True)
 
-    registry = MetricsRegistry() if args.metrics_out else None
-
     t_start = time.perf_counter()
     with recording() as runs:
         for name in names:
@@ -148,10 +129,7 @@ def main(argv=None) -> int:
                 sink = JsonlSink(
                     os.path.join(args.trace, f"trace_{name.lower()}.jsonl")
                 )
-            telemetry = Telemetry(
-                tracer=Tracer(sink) if sink is not None else None,
-                metrics=registry,
-            )
+            telemetry = Telemetry(sink)
             t0 = time.perf_counter()
             try:
                 with use_telemetry(telemetry):
@@ -162,8 +140,7 @@ def main(argv=None) -> int:
                     else:
                         table = run_experiment(name, quick=args.quick)
             finally:
-                if sink is not None:
-                    sink.close()
+                telemetry.close()
             elapsed = time.perf_counter() - t0
             print(table.render())
             print(f"({elapsed:.1f}s)\n")
@@ -173,10 +150,8 @@ def main(argv=None) -> int:
             if check is not None:
                 check(table)  # raises: the table breaks what the sweep pins
 
-    if registry is not None:
-        registry.dump_json(args.metrics_out)
-        print(f"wrote {args.metrics_out}")
-    manifest_dir = _manifest_dir(args)
+    # The manifest lands next to whichever results are written.
+    manifest_dir = args.csv or args.trace
     if manifest_dir is not None:
         path = os.path.join(manifest_dir, "manifest.json")
         write_manifest(

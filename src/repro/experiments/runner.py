@@ -11,12 +11,11 @@ pollute steady-state rates — the quantity the paper-era figures plot.
 
 Observability: the run is executed under the ambient (or explicitly
 passed) :class:`~repro.obs.telemetry.Telemetry`. When tracing is on,
-``run.start`` / ``run.end`` meta events bracket the run; when a metrics
-registry is attached, the per-kind message/byte and cost-unit deltas of
-the measured window are copied into it after the run; and when a
-manifest :func:`~repro.obs.manifest.recording` is open, one provenance
-record per run lands in it. With the default null telemetry all of this
-costs nothing.
+``run.start`` / ``run.end`` meta events bracket the run and a
+``comm.rate`` event carries the measured window's message rates; and
+when a manifest :func:`~repro.obs.manifest.recording` is open, one
+provenance record per run lands in it. With the default null telemetry
+all of this costs nothing.
 
 ``RunConfig`` is the only call form; the pre-1.0 string-algorithm
 form (``alg_params`` / ``faults`` keyword soup) was removed
@@ -41,32 +40,6 @@ from repro.workloads.generator import build_workload
 from repro.workloads.spec import WorkloadSpec
 
 __all__ = ["Measurement", "run_once"]
-
-
-def _run_profiled(sim, ticks: int, on_tick, out_dir: str, tag: str) -> None:
-    """Run the measured window under cProfile.
-
-    Writes ``profile_<tag>.pstats`` (loadable with :mod:`pstats` or
-    snakeviz) into ``out_dir`` and prints the top-20 functions by
-    cumulative time — enough to see at a glance where a tick goes.
-    """
-    import cProfile
-    import os
-    import pstats
-
-    os.makedirs(out_dir, exist_ok=True)
-    prof = cProfile.Profile()
-    prof.enable()
-    try:
-        sim.run(ticks, on_tick=on_tick)
-    finally:
-        prof.disable()
-    path = os.path.join(out_dir, f"profile_{tag}.pstats")
-    prof.dump_stats(path)
-    stats = pstats.Stats(prof)
-    stats.sort_stats("cumulative")
-    print(f"-- profile: {tag} ({ticks} measured ticks) -> {path}")
-    stats.print_stats(20)
 
 
 @dataclass
@@ -149,37 +122,10 @@ _REMOVED_MSG = (
 )
 
 
-def _fill_metrics(reg, algorithm: str, comm, units) -> None:
-    """Copy the measured window's deltas into the metrics registry.
-
-    CommStats / CostMeter stay the source of truth; this projection is
-    what makes one ``--metrics-out`` artifact carry the per-algorithm
-    message-kind/byte and cost-unit breakdowns.
-    """
-    reg.counter("runs_total", "completed measured runs").labels(
-        algorithm=algorithm
-    ).inc()
-    msgs = reg.counter(
-        "messages_total", "messages sent in the measured window"
-    )
-    byts = reg.counter(
-        "message_bytes_total", "payload bytes sent in the measured window"
-    )
-    for kind, row in comm.per_kind_table().items():
-        msgs.labels(algorithm=algorithm, kind=kind).inc(row["messages"])
-        byts.labels(algorithm=algorithm, kind=kind).inc(row["bytes"])
-    cost = reg.counter(
-        "server_cost_units_total", "abstract server work units"
-    )
-    for category, n in units.units.items():
-        cost.labels(algorithm=algorithm, category=category).inc(n)
-
-
 def run_once(
     config: RunConfig,
     spec: WorkloadSpec,
     accuracy_every: int = 10,
-    profile: Optional[str] = None,
     telemetry: Optional[Telemetry] = None,
 ) -> Measurement:
     """Build, warm up, run, and measure one configuration.
@@ -190,10 +136,7 @@ def run_once(
     ``engine`` config selects the event-scheduled loop.
     ``accuracy_every`` controls how often (in ticks) the published
     answers are checked against brute force over ground truth; 0
-    disables checking (exactness/overlap report as 1.0). ``profile``,
-    if set, is a directory: the measured window runs under cProfile,
-    the stats dump lands there as ``profile_<algorithm>.pstats``, and
-    the top-20 cumulative report is printed to stdout. ``telemetry``
+    disables checking (exactness/overlap report as 1.0). ``telemetry``
     defaults to the ambient one (see ``repro.obs.use_telemetry``).
     """
     if isinstance(config, str):
@@ -217,8 +160,8 @@ def run_once(
     sim = build_system(cfg, fleet, queries, telemetry=tel)
     server = sim.server
 
-    if tel.enabled and tel.tracer.enabled:
-        tel.tracer.emit(
+    if tel.enabled:
+        tel.emit(
             0,
             "run.start",
             algorithm=cfg.algorithm,
@@ -293,10 +236,7 @@ def run_once(
 
     measured = spec.ticks - spec.warmup_ticks
     t0 = time.perf_counter()
-    if profile is not None:
-        _run_profiled(sim, measured, observe, profile, cfg.algorithm)
-    else:
-        sim.run(measured, on_tick=observe)
+    sim.run(measured, on_tick=observe)
     wall = time.perf_counter() - t0
 
     comm = sim.channel.stats.delta_since(comm_mark)
@@ -454,36 +394,31 @@ def run_once(
     )
 
     if tel.enabled:
-        if tel.tracer.enabled:
-            tel.tracer.emit(
-                sim.tick,
-                "comm.rate",
-                ticks=measured,
-                msgs_per_tick=round(m.msgs_per_tick, 6),
-                by_kind={
-                    kind: round(rate, 6)
-                    for kind, rate in sorted(m.per_kind_msgs.items())
-                },
-                # Traced runs route the plane scalar for bit-identical
-                # event streams, so these are normally zero here; they
-                # are the plane's own ledger when stats are merged from
-                # an untraced run.
-                columnar_msgs=comm.columnar_messages,
-                materialized_msgs=comm.materialized_messages,
-            )
-            if driver is not None:
-                tel.tracer.emit(sim.tick, "engine.stats", **driver.stats())
-            tel.tracer.emit(
-                sim.tick,
-                "run.end",
-                algorithm=cfg.algorithm,
-                ticks_measured=measured,
-                wall_seconds=round(wall, 6),
-                msgs_per_tick=round(m.msgs_per_tick, 6),
-                exactness=m.exactness,
-            )
-        if tel.metrics is not None:
-            _fill_metrics(tel.metrics, cfg.algorithm, comm, units)
+        tel.emit(
+            sim.tick,
+            "comm.rate",
+            ticks=measured,
+            msgs_per_tick=round(m.msgs_per_tick, 6),
+            by_kind={
+                kind: round(rate, 6)
+                for kind, rate in sorted(m.per_kind_msgs.items())
+            },
+            # The columnar plane's own ledger: messages sent inside
+            # batches, and how many of them a receiver expanded.
+            columnar_msgs=comm.columnar_messages,
+            materialized_msgs=comm.materialized_messages,
+        )
+        if driver is not None:
+            tel.emit(sim.tick, "engine.stats", **driver.stats())
+        tel.emit(
+            sim.tick,
+            "run.end",
+            algorithm=cfg.algorithm,
+            ticks_measured=measured,
+            wall_seconds=round(wall, 6),
+            msgs_per_tick=round(m.msgs_per_tick, 6),
+            exactness=m.exactness,
+        )
 
     record_run(
         {

@@ -445,7 +445,7 @@ def run_chaos(
     # module-level import would be cyclic through the package facade.
     from repro.experiments.algorithms import build_system
     from repro.experiments.config import RunConfig
-    from repro.obs.trace import JsonlSink, RingSink, Tracer
+    from repro.obs.trace import JsonlSink, RingSink
     from repro.obs.telemetry import Telemetry
     from repro.server.config import RebalancePolicy, ShardConfig
     from repro.workloads import WorkloadSpec, build_workload
@@ -480,7 +480,7 @@ def run_chaos(
         },
     )
     sink = JsonlSink(trace_path) if trace_path else RingSink(capacity=4)
-    tel = Telemetry(tracer=Tracer(sink))
+    tel = Telemetry(sink)
     sim = build_system(cfg, fleet, queries, telemetry=tel)
     active = checkers if checkers is not None else default_checkers()
     result = ChaosResult(seed, side, ticks)
@@ -491,13 +491,9 @@ def run_chaos(
             result.checks_run += 1
             for fields in checker.check(s, tick):
                 result.violations.append((tick, checker.name, fields))
-                if tel.tracer.enabled:
-                    tel.tracer.emit(
-                        tick,
-                        "chaos.violation",
-                        checker=checker.name,
-                        **fields,
-                    )
+                tel.emit(
+                    tick, "chaos.violation", checker=checker.name, **fields
+                )
 
     sim.run(ticks, on_tick=on_tick)
     st = sim.server.shard_stats

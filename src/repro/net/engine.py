@@ -221,12 +221,6 @@ class EventDriver:
             due.append(oid)
         self._replan(np.array(due, dtype=np.int64), tick)
         self.skipped_ticks += 1
-        tel = sim.telemetry
-        if tel.enabled and tel.metrics is not None:
-            tel.metrics.counter(
-                "engine_skipped_ticks_total",
-                "ticks skipped by the event engine",
-            ).inc()
 
     def after_full_step(self) -> None:
         """Refresh wakeups after a full round ran."""

@@ -236,20 +236,14 @@ class FaultyChannel(Channel):
         message stream, and the fast path is bit-identical to scalar —
         so these are *protocol-scope* events: the streams must match.
         """
-        tel = self.telemetry
-        if tel.tracer.enabled:
-            tel.tracer.emit(
-                self._tick,
-                "fault." + event,
-                kind=msg.kind.name,
-                src=msg.src,
-                dst=msg.dst,
-                **extra,
-            )
-        if tel.metrics is not None:
-            tel.metrics.counter(
-                "fault_events_total", "fault-plan interventions"
-            ).labels(event=event).inc()
+        self.telemetry.emit(
+            self._tick,
+            "fault." + event,
+            kind=msg.kind.name,
+            src=msg.src,
+            dst=msg.dst,
+            **extra,
+        )
 
     # -- time ----------------------------------------------------------------
 

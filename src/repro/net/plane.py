@@ -37,10 +37,11 @@ Semantics contract (pinned by ``tests/test_plane.py``):
 Batches only exist on fault-free runs: radio :class:`~repro.net.faults.
 FaultPlan` channels advertise ``supports_columnar = False`` (per-message
 drop/dup/delay decisions need per-message sends to keep the fault RNG
-stream identical), the sharded tier refuses batches while a
-``ShardFaultPlan`` is active, and an attached protocol tracer vetoes
-the plane too — traced runs stay scalar end to end so the Jsonl event
-streams match the reference path event for event.
+stream identical) and the sharded tier refuses batches while a
+``ShardFaultPlan`` is active. A trace does not close the plane: no
+batch path emits a protocol event, so a traced run carries the same
+batches as a bare one and its protocol stream still matches the
+reference path event for event.
 """
 
 from __future__ import annotations

@@ -184,17 +184,14 @@ class RoundSimulator:
         is read off the run as it stands: a client phase is attached
         (without one nothing consumes a downlink batch whole), the
         channel queues batches (``FaultyChannel`` decides faults per
-        message), the server tier does not decide the fate of single
-        messages (``per_message``: the sharded tier under a fault plan
-        or an admission policy), and no protocol tracer is listening
-        (a traced run emits one event per message).
+        message), and the server tier does not decide the fate of
+        single messages (``per_message``: the sharded tier under a
+        fault plan or an admission policy).
         """
-        tel = self.telemetry
         return (
             self.client_phase is not None
             and self.channel.supports_columnar
             and not self.server.per_message
-            and not (tel.enabled and tel.tracer.enabled)
         )
 
     # -- delivery -------------------------------------------------------------
@@ -438,27 +435,16 @@ class RoundSimulator:
         t_server += dt
 
         if traced:
-            if tel.tracer.enabled:
-                tel.tracer.emit(
-                    self.tick,
-                    "tick.phase",
-                    move=round(1000.0 * t_move, 6),
-                    client=round(1000.0 * t_client, 6),
-                    deliver=round(1000.0 * t_deliver, 6),
-                    server=round(1000.0 * t_server, 6),
-                    finish=round(1000.0 * t_finish, 6),
-                    subrounds=subrounds,
-                )
-            if tel.metrics is not None:
-                hist = tel.metrics.histogram(
-                    "tick_phase_ms", "wall ms per tick phase"
-                )
-                hist.labels(phase="move").observe(1000.0 * t_move)
-                hist.labels(phase="client").observe(1000.0 * t_client)
-                hist.labels(phase="deliver").observe(1000.0 * t_deliver)
-                hist.labels(phase="server").observe(1000.0 * t_server)
-                hist.labels(phase="finish").observe(1000.0 * t_finish)
-                tel.metrics.counter("ticks_total", "simulated ticks").inc()
+            tel.emit(
+                self.tick,
+                "tick.phase",
+                move=round(1000.0 * t_move, 6),
+                client=round(1000.0 * t_client, 6),
+                deliver=round(1000.0 * t_deliver, 6),
+                server=round(1000.0 * t_server, 6),
+                finish=round(1000.0 * t_finish, 6),
+                subrounds=subrounds,
+            )
 
     def run(
         self,

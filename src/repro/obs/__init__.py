@@ -1,4 +1,4 @@
-"""Observability: trace events, metrics registry, run manifests.
+"""Observability: the telemetry handle, trace events, run manifests.
 
 See DESIGN.md §9. The package is import-cheap (no numpy, no simulator
 imports) so the rest of the stack can depend on it without cycles;
@@ -13,7 +13,6 @@ from repro.obs.manifest import (
     recording,
     write_manifest,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import (
     NULL_TELEMETRY,
     Telemetry,
@@ -26,11 +25,9 @@ from repro.obs.trace import (
     PERF_KINDS,
     PROTOCOL_KINDS,
     JsonlSink,
-    NullSink,
     RingSink,
     TraceEvent,
     TraceSink,
-    Tracer,
     protocol_events,
     read_jsonl,
 )
@@ -41,10 +38,8 @@ __all__ = [
     "active_telemetry",
     "set_telemetry",
     "use_telemetry",
-    "Tracer",
     "TraceEvent",
     "TraceSink",
-    "NullSink",
     "RingSink",
     "JsonlSink",
     "PROTOCOL_KINDS",
@@ -52,7 +47,6 @@ __all__ = [
     "META_KINDS",
     "protocol_events",
     "read_jsonl",
-    "MetricsRegistry",
     "recording",
     "record_run",
     "build_manifest",

@@ -240,7 +240,10 @@ def _comm_section(events: List[TraceEvent]) -> Optional[str]:
                 f"{materialized} materialized"
             )
         else:
-            line += "; columnar plane: inactive (traced runs go scalar)"
+            line += (
+                "; columnar plane: inactive (no client phase, a fault "
+                "plan or an admission policy)"
+            )
         lines.append(line)
     return "\n".join(lines)
 

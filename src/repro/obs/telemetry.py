@@ -1,26 +1,24 @@
 """The telemetry handle threaded through the simulation stack.
 
-A :class:`Telemetry` bundles one :class:`~repro.obs.trace.Tracer` and
-(optionally) one :class:`~repro.obs.metrics.MetricsRegistry`. The
-simulator, channels and servers each hold a reference; hot call sites
-follow one pattern::
+A :class:`Telemetry` holds at most one :class:`~repro.obs.trace.TraceSink`
+and is the one observability channel: every seam emits trace events
+through it. The simulator, channels and servers each hold a reference;
+hot call sites follow one pattern::
 
     tel = self.telemetry
     if tel.enabled:
-        if tel.tracer.enabled:
-            tel.tracer.emit(tick, "server.repair", qid=qid, mode="full")
-        if tel.metrics is not None:
-            tel.metrics.counter("repairs_total").labels(mode="full").inc()
+        tel.emit(tick, "server.repair", qid=qid, mode="full")
 
-``enabled`` is a plain bool attribute fixed at construction, so the
-disabled path (:data:`NULL_TELEMETRY`, the default everywhere) costs
-one attribute load and one branch — no event, no dict, no call.
+``enabled`` is a plain bool attribute fixed at construction (True iff a
+sink is given), so the disabled path (:data:`NULL_TELEMETRY`, the
+default everywhere) costs one attribute load and one branch — no event,
+no dict, no call.
 
 There is also a process-wide *active* telemetry with a context-manager
 setter, so entry points (the experiments CLI) can turn instrumentation
 on without threading a handle through every constructor::
 
-    with use_telemetry(Telemetry(tracer=Tracer(JsonlSink(path)))):
+    with use_telemetry(Telemetry(JsonlSink(path))):
         run_once(cfg, spec)
 
 Components resolve ``telemetry=None`` to :func:`active_telemetry` at
@@ -30,10 +28,9 @@ construction time; an explicit handle always wins over the ambient one.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Any, Iterator, Optional
 
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Tracer
+from repro.obs.trace import TraceEvent, TraceSink
 
 __all__ = [
     "Telemetry",
@@ -45,28 +42,22 @@ __all__ = [
 
 
 class Telemetry:
-    """One tracer + optional metrics registry, with a cheap on/off bit."""
+    """One optional trace sink, with a cheap on/off bit."""
 
-    __slots__ = ("enabled", "tracer", "metrics")
+    __slots__ = ("enabled", "sink")
 
-    def __init__(
-        self,
-        tracer: Optional[Tracer] = None,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
-        self.tracer = tracer if tracer is not None else Tracer()
-        self.metrics = metrics
-        self.enabled = self.tracer.enabled or metrics is not None
+    def __init__(self, sink: Optional[TraceSink] = None) -> None:
+        self.sink = sink
+        self.enabled = sink is not None
+
+    def emit(self, tick: int, kind: str, /, **fields: Any) -> None:
+        # tick/kind are positional-only so a field may also be named
+        # "kind" (e.g. fault.drop carries the dropped message's kind).
+        self.sink.emit(TraceEvent(tick, kind, fields))
 
     def close(self) -> None:
-        self.tracer.close()
-
-    def __repr__(self) -> str:
-        return (
-            f"Telemetry(enabled={self.enabled}, "
-            f"sink={type(self.tracer.sink).__name__}, "
-            f"metrics={'yes' if self.metrics is not None else 'no'})"
-        )
+        if self.sink is not None:
+            self.sink.close()
 
 
 #: The shared disabled handle. Everything defaults to this.

@@ -3,13 +3,12 @@
 A :class:`TraceEvent` is one observation at one tick: a ``kind`` string
 (dotted, e.g. ``server.repair``), the tick it happened on, and a flat
 ``fields`` dict of JSON-serializable values. Events flow through a
-:class:`Tracer` into exactly one sink:
+:class:`~repro.obs.telemetry.Telemetry` into at most one sink; a
+handle without a sink is disabled, and instrumented call sites guard on
+``telemetry.enabled`` before *constructing* an event, so a disabled run
+allocates no event object — its overhead is one attribute load and one
+branch per seam.
 
-:class:`NullSink`
-    Discards everything. The default. Instrumented call sites guard on
-    ``telemetry.enabled`` before *constructing* an event, so with the
-    null sink active no event object is ever allocated — disabled-mode
-    overhead is one attribute load and one branch per seam.
 :class:`RingSink`
     Keeps the last ``capacity`` events in memory (tests, REPL).
 :class:`JsonlSink`
@@ -39,10 +38,8 @@ from repro.errors import ConfigError
 __all__ = [
     "TraceEvent",
     "TraceSink",
-    "NullSink",
     "RingSink",
     "JsonlSink",
-    "Tracer",
     "PROTOCOL_KINDS",
     "PERF_KINDS",
     "META_KINDS",
@@ -172,13 +169,6 @@ class TraceSink:
         """Flush and release resources (idempotent)."""
 
 
-class NullSink(TraceSink):
-    """Discards events. Guarded call sites never even construct them."""
-
-    def emit(self, event: TraceEvent) -> None:
-        pass
-
-
 class RingSink(TraceSink):
     """Keeps the most recent ``capacity`` events in memory."""
 
@@ -208,18 +198,21 @@ class RingSink(TraceSink):
         return len(self._events)
 
 
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
 class JsonlSink(TraceSink):
     """Appends one JSON object per event to ``path``."""
 
     def __init__(self, path: str) -> None:
         self.path = path
         self._fh = open(path, "w")
-        self.emitted = 0
 
     def emit(self, event: TraceEvent) -> None:
-        json.dump(event.to_dict(), self._fh, separators=(",", ":"))
-        self._fh.write("\n")
-        self.emitted += 1
+        # One C-encoded string and one write per event: ``json.dump``
+        # encodes in Python and writes token by token, which cost a
+        # traced run more than the protocol it records.
+        self._fh.write(_encode(event.to_dict()) + "\n")
 
     def close(self) -> None:
         if not self._fh.closed:
@@ -233,26 +226,3 @@ def read_jsonl(path: str) -> Iterator[TraceEvent]:
             line = line.strip()
             if line:
                 yield TraceEvent.from_dict(json.loads(line))
-
-
-class Tracer:
-    """Emission facade bound to one sink.
-
-    ``enabled`` is a plain bool attribute — the one-branch guard hot
-    call sites check before building an event. A tracer over the null
-    sink (or no sink) reports ``enabled == False``.
-    """
-
-    __slots__ = ("enabled", "sink")
-
-    def __init__(self, sink: Optional[TraceSink] = None) -> None:
-        self.sink = sink if sink is not None else NullSink()
-        self.enabled = not isinstance(self.sink, NullSink)
-
-    def emit(self, tick: int, kind: str, /, **fields: Any) -> None:
-        # tick/kind are positional-only so a field may also be named
-        # "kind" (e.g. fault.drop carries the dropped message's kind).
-        self.sink.emit(TraceEvent(tick, kind, fields))
-
-    def close(self) -> None:
-        self.sink.close()

@@ -707,8 +707,8 @@ class ShardedServer(ServerNodeBase):
         for owner in self._owner.values():
             stats.owned[owner] += 1
         tel = self._telemetry
-        if tel.enabled and tel.tracer.enabled:
-            tel.tracer.emit(
+        if tel.enabled:
+            tel.emit(
                 tick,
                 "shard.load",
                 uplinks=list(stats.uplinks),
@@ -717,7 +717,7 @@ class ShardedServer(ServerNodeBase):
                 owned=list(stats.owned),
             )
             if self._fault_plan is not None:
-                tel.tracer.emit(
+                tel.emit(
                     tick,
                     "shard.health",
                     failed=sorted(self._failed),
@@ -727,24 +727,12 @@ class ShardedServer(ServerNodeBase):
                     lost_downlinks=stats.lost_downlinks,
                 )
             if self._durability is not None:
-                tel.tracer.emit(
+                tel.emit(
                     tick,
                     "shard.wal",
                     records=self._durability.wal_records_by_shard(),
                     bytes=self._durability.wal_bytes_by_shard(),
                 )
-        if (
-            tel.enabled
-            and tel.metrics is not None
-            and self._durability is not None
-        ):
-            fam = tel.metrics.gauge(
-                "shard_wal_records", "per-shard journal tail length"
-            )
-            for sid, records in enumerate(
-                self._durability.wal_records_by_shard()
-            ):
-                fam.labels(shard=sid).set(records)
 
     # -- elastic rebalancing + admission control (DESIGN §14) ----------------
 
@@ -766,12 +754,6 @@ class ShardedServer(ServerNodeBase):
             return
         value = max(window) / (total / self.router.n_shards)
         self.imbalance_samples.append((tick, value))
-        tel = self._telemetry
-        if tel.enabled and tel.metrics is not None:
-            tel.metrics.gauge(
-                "shard_imbalance",
-                "windowed peak/mean per-shard uplink load",
-            ).set(value)
 
     def _run_rebalance(self, tick: int) -> None:
         """One rebalance cycle: migrate the best-fitting hot cells from
@@ -844,8 +826,8 @@ class ShardedServer(ServerNodeBase):
         if moves:
             self.shard_stats.rebalances += 1
             tel = self._telemetry
-            if tel.enabled and tel.tracer.enabled:
-                tel.tracer.emit(
+            if tel.enabled:
+                tel.emit(
                     tick,
                     "shard.rebalance",
                     moves=moves,
@@ -883,8 +865,8 @@ class ShardedServer(ServerNodeBase):
             _REBALANCE_BYTES + _REBALANCE_ROW_BYTES * len(moved),
         )
         tel = self._telemetry
-        if tel.enabled and tel.tracer.enabled:
-            tel.tracer.emit(
+        if tel.enabled:
+            tel.emit(
                 tick,
                 "shard.migrate",
                 cell=cell,
@@ -944,8 +926,8 @@ class ShardedServer(ServerNodeBase):
                 if self._owner[other] == serving:
                     self._flag_degraded(other)
         tel = self._telemetry
-        if tel.enabled and tel.tracer.enabled:
-            tel.tracer.emit(
+        if tel.enabled:
+            tel.emit(
                 self._tick,
                 "shard.defer" if deferred else "shard.shed",
                 shard=serving,
@@ -1009,15 +991,11 @@ class ShardedServer(ServerNodeBase):
         tel = self._telemetry
         active = set(plan.active_partitions(tick))
         if active != self._active_partitions:
-            if tel.enabled and tel.tracer.enabled:
+            if tel.enabled:
                 for a, b in sorted(active - self._active_partitions):
-                    tel.tracer.emit(
-                        tick, "shard.partition", a=a, b=b, up=True
-                    )
+                    tel.emit(tick, "shard.partition", a=a, b=b, up=True)
                 for a, b in sorted(self._active_partitions - active):
-                    tel.tracer.emit(
-                        tick, "shard.partition", a=a, b=b, up=False
-                    )
+                    tel.emit(tick, "shard.partition", a=a, b=b, up=False)
             self._active_partitions = active
         # Down/up transitions: a shard whose crash window just ended
         # restarted its process — cold, unless a live buddy covered it.
@@ -1108,8 +1086,8 @@ class ShardedServer(ServerNodeBase):
         stats.queries_taken_over += len(moved)
         stats.replication_lags.extend(lags)
         tel = self._telemetry
-        if tel.enabled and tel.tracer.enabled:
-            tel.tracer.emit(
+        if tel.enabled:
+            tel.emit(
                 tick,
                 "shard.failover",
                 shard=shard,
@@ -1134,8 +1112,8 @@ class ShardedServer(ServerNodeBase):
             if self._home_of(focal) == shard and self._owner[qid] != shard:
                 self._maybe_handoff(qid, shard)
         tel = self._telemetry
-        if tel.enabled and tel.tracer.enabled:
-            tel.tracer.emit(self._tick, "shard.restore", shard=shard)
+        if tel.enabled:
+            tel.emit(self._tick, "shard.restore", shard=shard)
 
     def _cold_restart(self, shard: int, tick: int) -> None:
         """The shard's process came back up after a crash window.
@@ -1197,8 +1175,8 @@ class ShardedServer(ServerNodeBase):
                         tuple(self.inner.answers.get(qid, ())),
                     )
                 stats.recovered_queries += len(owned)
-            if tel.enabled and tel.tracer.enabled:
-                tel.tracer.emit(
+            if tel.enabled:
+                tel.emit(
                     tick,
                     "shard.recover",
                     shard=shard,
@@ -1226,8 +1204,8 @@ class ShardedServer(ServerNodeBase):
         self._home[homed] = -1
         stats.amnesia_restarts += 1
         stats.amnesia_queries += len(owned)
-        if tel.enabled and tel.tracer.enabled:
-            tel.tracer.emit(
+        if tel.enabled:
+            tel.emit(
                 tick,
                 "shard.recover",
                 shard=shard,
@@ -1250,8 +1228,8 @@ class ShardedServer(ServerNodeBase):
         homes = np.nonzero(self._home == shard)[0].tolist()
         nbytes = dm.checkpoint(shard, tick, queries, homes)
         tel = self._telemetry
-        if tel.enabled and tel.tracer.enabled:
-            tel.tracer.emit(
+        if tel.enabled:
+            tel.emit(
                 tick,
                 "shard.checkpoint",
                 shard=shard,
@@ -1351,8 +1329,8 @@ class ShardedServer(ServerNodeBase):
                 continue  # a dead disk writes nothing new
             homes = np.nonzero(self._home == s)[0].tolist()
             nbytes = dm.checkpoint(s, tick, queries_by[s], homes)
-            if tel.enabled and tel.tracer.enabled:
-                tel.tracer.emit(
+            if tel.enabled:
+                tel.emit(
                     tick,
                     "shard.checkpoint",
                     shard=s,
@@ -1388,8 +1366,8 @@ class ShardedServer(ServerNodeBase):
             if republished or tick - flagged >= settle:
                 del self._degraded_overlay[qid]
                 stats.recovery_latencies.append(tick - flagged)
-                if tel.enabled and tel.tracer.enabled:
-                    tel.tracer.emit(
+                if tel.enabled:
+                    tel.emit(
                         tick,
                         "shard.recovered",
                         qid=qid,
@@ -1451,8 +1429,8 @@ class ShardedServer(ServerNodeBase):
         self.shard_stats.forwards += 1
         self.link.send(SHARD_FORWARD, serving, owner, msg.size - HEADER_BYTES)
         tel = self._telemetry
-        if tel.enabled and tel.tracer.enabled:
-            tel.tracer.emit(
+        if tel.enabled:
+            tel.emit(
                 self._tick,
                 "shard.forward",
                 qid=qid,
@@ -1501,8 +1479,8 @@ class ShardedServer(ServerNodeBase):
                     if qid is not None:
                         self._flag_degraded(qid)
                     tel = self._telemetry
-                    if tel.enabled and tel.tracer.enabled:
-                        tel.tracer.emit(
+                    if tel.enabled:
+                        tel.emit(
                             self._tick,
                             "shard.shed",
                             shard=serving,
@@ -1677,8 +1655,8 @@ class ShardedServer(ServerNodeBase):
                 SHARD_HANDOFF_ACK, dst, msg.src_shard, _ACK_BYTES
             )
             tel = self._telemetry
-            if tel.enabled and tel.tracer.enabled:
-                tel.tracer.emit(
+            if tel.enabled:
+                tel.emit(
                     self._tick,
                     "shard.handoff",
                     qid=qid,
@@ -1765,7 +1743,7 @@ class ShardedServer(ServerNodeBase):
         if batched:
             link.send_many(SHARD_BORROW, srcs, sids, _BORROW_REQ_BYTES)
             link.send_many(SHARD_BORROW_REPLY, sids, srcs, 8 + 20 * sizes)
-        traced = tel.enabled and tel.tracer.enabled
+        traced = tel.enabled
         if batched and not traced:
             return
         for row, src, sid, n in zip(
@@ -1782,7 +1760,7 @@ class ShardedServer(ServerNodeBase):
                     stats.lost_borrows += 1
                     self._flag_degraded(qids[row], answers[row])
             if traced:
-                tel.tracer.emit(
+                tel.emit(
                     self._tick,
                     "shard.borrow",
                     qid=qids[row],

@@ -48,7 +48,7 @@ EXPECTED = {
     # chaos harness
     "run_chaos", "chaos_plans", "default_checkers", "ChaosResult",
     # observability
-    "Telemetry", "Tracer", "MetricsRegistry", "use_telemetry",
+    "Telemetry", "use_telemetry",
     # ground truth & accuracy
     "brute_knn", "brute_knn_ids", "brute_range", "is_valid_knn",
     "AccuracyTracker", "CostMeter",
@@ -146,7 +146,7 @@ class TestEntryPointSignatures:
 
     def test_run_once_signature(self):
         assert _params(api.run_once) == [
-            "config", "spec", "accuracy_every", "profile", "telemetry",
+            "config", "spec", "accuracy_every", "telemetry",
         ]
 
     def test_build_system_signature(self):

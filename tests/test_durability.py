@@ -34,7 +34,7 @@ from repro.api import (
     run_once,
 )
 from repro.errors import FaultError
-from repro.obs import RingSink, Telemetry, Tracer, protocol_events
+from repro.obs import RingSink, Telemetry, protocol_events
 from repro.server.durability import DurabilityManager, ShardStore
 
 SPEC = WorkloadSpec(
@@ -228,7 +228,7 @@ class TestCorrelatedRecovery:
 
     def test_replay_rate_limit_costs_recovery_ticks(self):
         ring = RingSink()
-        tel = Telemetry(tracer=Tracer(ring))
+        tel = Telemetry(ring)
         fleet, queries = build_workload(SPEC)
         cfg = RunConfig(
             "DKNN-P",
@@ -266,7 +266,7 @@ class TestDurabilityKnobsBitIdentity:
 
     def _run(self, shard_faults=None):
         ring = RingSink()
-        tel = Telemetry(tracer=Tracer(ring))
+        tel = Telemetry(ring)
         fleet, queries = build_workload(SPEC)
         cfg = RunConfig(
             "DKNN-P",

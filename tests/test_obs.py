@@ -1,5 +1,5 @@
-"""Observability layer: trace events, metrics, manifests, and the
-protocol-scope bit-identity contract (the build vs the per-object
+"""Observability layer: the telemetry handle, trace events, manifests,
+and the protocol-scope bit-identity contract (the build vs the per-object
 reference of ``tests/helpers.py``, with and without faults)."""
 
 from __future__ import annotations
@@ -8,7 +8,6 @@ import json
 
 import pytest
 
-from repro.errors import ExperimentError
 from repro.experiments import RunConfig, build_system, run_once
 from repro.net.engine import EngineConfig
 from repro.net.faults import FaultPlan
@@ -16,11 +15,8 @@ from repro.net.message import MessageKind
 from repro.obs import (
     NULL_TELEMETRY,
     JsonlSink,
-    MetricsRegistry,
-    NullSink,
     RingSink,
     TraceEvent,
-    Tracer,
     Telemetry,
     active_telemetry,
     protocol_events,
@@ -40,7 +36,7 @@ SPEC = WorkloadSpec(
 
 def _traced_run(algorithm, build=built_system, faults=None, ticks=20):
     ring = RingSink()
-    tel = Telemetry(tracer=Tracer(ring))
+    tel = Telemetry(ring)
     sim, queries = build(
         RunConfig(algorithm, faults=faults), SPEC, telemetry=tel
     )
@@ -127,11 +123,20 @@ class TestProtocolStreamBitIdentity:
     def test_fastpath_built_accounting(self):
         """On DKNN-B ``candidates`` counts the violation reports the
         phase sent, ``population`` the fleet and ``built`` the node
-        objects built so far — and the summary names the last."""
+        objects built when that tick's client phase ends — and the
+        summary names the last."""
         ring = RingSink()
         sim, _ = built_system(
-            RunConfig("DKNN-B"), SPEC, telemetry=Telemetry(tracer=Tracer(ring))
+            RunConfig("DKNN-B"), SPEC, telemetry=Telemetry(ring)
         )
+        tick_start = sim.client_phase.tick_start
+        after_client = []
+
+        def counted(tick):
+            tick_start(tick)
+            after_client.append(len(sim.mobiles.built()))
+
+        sim.client_phase.tick_start = counted
         sim.run(20)
         events = ring.events()
         decisions = [
@@ -143,8 +148,9 @@ class TestProtocolStreamBitIdentity:
         assert sum(f["candidates"] for f in decisions) == reports > 0
         assert {f["population"] for f in decisions} == {sim.fleet.n}
         built = [f["built"] for f in decisions]
+        assert built == after_client
         assert built == sorted(built)
-        assert built[-1] == len(sim.mobiles.built()) < sim.fleet.n
+        assert 0 < built[-1] < sim.fleet.n
         assert f"nodes built: {built[-1]}" in summarize_text(events)
 
 
@@ -156,17 +162,21 @@ class TestNullSinkIsFree:
         assert not sim.telemetry.enabled
 
     def test_disabled_run_never_touches_the_sink(self, monkeypatch):
-        def boom(self, event):  # pragma: no cover - must not run
-            raise AssertionError("NullSink.emit called on a disabled run")
+        """A handle without a sink is guarded at every seam: the run
+        neither emits nor constructs a single event."""
 
-        monkeypatch.setattr(NullSink, "emit", boom)
+        def boom(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("trace event built on a disabled run")
+
+        monkeypatch.setattr(Telemetry, "emit", boom)
+        monkeypatch.setattr(TraceEvent, "__init__", boom)
         fleet, queries = build_workload(SPEC)
         sim = build_system(RunConfig("DKNN-P"), fleet, queries)
         sim.run(10)  # would raise if any seam emitted an event
 
     def test_ambient_telemetry_scoping(self):
         assert active_telemetry() is NULL_TELEMETRY
-        tel = Telemetry(tracer=Tracer(RingSink()))
+        tel = Telemetry(RingSink())
         with use_telemetry(tel):
             assert active_telemetry() is tel
             fleet, queries = build_workload(SPEC)
@@ -188,12 +198,11 @@ class TestSinks:
 
     def test_jsonl_round_trip(self, tmp_path):
         path = str(tmp_path / "trace.jsonl")
-        sink = JsonlSink(path)
-        tracer = Tracer(sink)
-        assert tracer.enabled
-        tracer.emit(3, "server.repair", qid=1, mode="full", answer=[4, 5])
-        tracer.emit(4, "fault.drop", kind="PROBE", reason="lossy")
-        sink.close()
+        tel = Telemetry(JsonlSink(path))
+        assert tel.enabled
+        tel.emit(3, "server.repair", qid=1, mode="full", answer=[4, 5])
+        tel.emit(4, "fault.drop", kind="PROBE", reason="lossy")
+        tel.close()
         events = list(read_jsonl(path))
         assert _key(events) == [
             (3, "server.repair", {"qid": 1, "mode": "full", "answer": [4, 5]}),
@@ -201,49 +210,13 @@ class TestSinks:
         ]
 
 
-class TestMetricsRegistry:
-    def test_counters_gauges_histograms(self):
-        reg = MetricsRegistry()
-        reg.counter("c").inc()
-        reg.counter("c").inc(2)
-        assert reg.value("c") == 3
-        reg.counter("c").labels(kind="x").inc(5)
-        assert reg.value("c", kind="x") == 5
-        reg.gauge("g").set(7)
-        reg.gauge("g").dec(2)
-        assert reg.value("g") == 5
-        h = reg.histogram("h")
-        h.observe(1.0)
-        h.observe(3.0)
-        stats = reg.value("h")
-        assert stats["count"] == 2 and stats["mean"] == 2.0
-        assert "c" in reg and len(reg) == 3
-
-    def test_type_mismatch_rejected(self):
-        reg = MetricsRegistry()
-        reg.counter("x")
-        with pytest.raises(ExperimentError):
-            reg.gauge("x")
-
-    def test_negative_counter_increment_rejected(self):
-        reg = MetricsRegistry()
-        with pytest.raises(ExperimentError):
-            reg.counter("c").inc(-1)
-
-    def test_dump_json(self, tmp_path):
-        reg = MetricsRegistry()
-        reg.counter("msgs", "help text").labels(kind="PROBE").inc(9)
-        path = str(tmp_path / "metrics.json")
-        reg.dump_json(path)
-        doc = json.loads(open(path).read())
-        assert "msgs" in doc
-
-
 class TestRunIntegration:
     def test_run_once_emits_meta_events_and_metrics(self):
+        """The trace carries the run's own metrics: ``comm.rate`` is the
+        measured window's message rates, by kind, and the columnar
+        plane's ledger of the traced run."""
         ring = RingSink()
-        reg = MetricsRegistry()
-        tel = Telemetry(tracer=Tracer(ring), metrics=reg)
+        tel = Telemetry(ring)
         spec = SPEC.but(warmup_ticks=2)
         m = run_once(
             RunConfig("DKNN-P"), spec, accuracy_every=0, telemetry=tel
@@ -253,17 +226,14 @@ class TestRunIntegration:
         assert len(starts) == 1 and len(ends) == 1
         assert starts[0].fields["seed"] == spec.seed
         assert ends[0].fields["ticks_measured"] == m.ticks_measured
-        assert reg.value("ticks_total") == spec.ticks
-        assert reg.value("runs_total", algorithm="DKNN-P") == 1
-        # per-kind message counters agree with the measurement
-        total = sum(
-            rate * m.ticks_measured for rate in m.per_kind_msgs.values()
-        )
-        series = reg.as_dict()["messages_total"]["series"]
-        assert sum(row["value"] for row in series) == pytest.approx(total)
-        assert all(
-            row["labels"]["algorithm"] == "DKNN-P" for row in series
-        )
+        (rate,) = ring.events(kind="comm.rate")
+        assert rate.fields["ticks"] == m.ticks_measured
+        assert rate.fields["by_kind"] == {
+            kind: round(r, 6) for kind, r in sorted(m.per_kind_msgs.items())
+        }
+        # a traced run rides the plane like a bare one
+        assert rate.fields["columnar_msgs"] > 0
+        assert rate.fields["materialized_msgs"] == 0
         # instrumentation must not perturb the run it observes
         bare = run_once(RunConfig("DKNN-P"), spec, accuracy_every=0)
         assert bare.per_kind_msgs == m.per_kind_msgs
@@ -271,7 +241,7 @@ class TestRunIntegration:
 
     def test_phase_events_cover_every_tick(self):
         ring = RingSink()
-        tel = Telemetry(tracer=Tracer(ring))
+        tel = Telemetry(ring)
         run_once(RunConfig("PER"), SPEC.but(warmup_ticks=2),
                  accuracy_every=0, telemetry=tel)
         phases = ring.events(kind="tick.phase")
@@ -305,7 +275,7 @@ class TestRunIntegration:
     def test_summarize_round_trip(self, tmp_path):
         path = str(tmp_path / "trace.jsonl")
         sink = JsonlSink(path)
-        tel = Telemetry(tracer=Tracer(sink))
+        tel = Telemetry(sink)
         run_once(
             RunConfig("DKNN-P"),
             SPEC.but(warmup_ticks=2),
@@ -332,7 +302,7 @@ class TestRunIntegration:
             RunConfig(algorithm, engine=EngineConfig(mode=mode)),
             SPEC.but(warmup_ticks=2),
             accuracy_every=0,
-            telemetry=Telemetry(tracer=Tracer(ring)),
+            telemetry=Telemetry(ring),
         )
         text = summarize_text(ring.events())
         assert f"mode={mode}" in text

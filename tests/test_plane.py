@@ -16,9 +16,9 @@ Three layers of pinning:
   and DKNN-G the ``COLLECT_REPLY`` batch a collect round draws, the
   one uplink kind that names a query (which the sharded tier must
   send down the scalar route);
-* trace streams — tracing vetoes the plane, and the resulting Jsonl
-  protocol event stream is byte-identical between the build and the
-  reference.
+* trace streams — a traced build carries the same batches as a bare
+  one, and its Jsonl event stream (timing kinds aside) is
+  byte-identical to the reference's.
 
 The radio-FaultPlan identity matrix lives in ``tests/test_fastpath.py``
 (FaultyChannel advertises ``supports_columnar = False``, so those runs
@@ -45,6 +45,7 @@ from repro.errors import NetworkError
 from repro.experiments.algorithms import ALGORITHMS
 from repro.experiments.config import RunConfig
 from repro.net.channel import Channel
+from repro.net.engine import EngineConfig
 from repro.net.faults import ShardFaultPlan
 from repro.server.config import ShardConfig
 from repro.net.message import (
@@ -59,7 +60,7 @@ from repro.net.message import (
 from repro.net.plane import MIN_BATCH, ColumnarBatch
 from repro.net.simulator import ONE_TICK_LATENCY, ZERO_LATENCY
 from repro.obs.telemetry import Telemetry
-from repro.obs.trace import PERF_KINDS, PROTOCOL_KINDS, JsonlSink, Tracer
+from repro.obs.trace import PERF_KINDS, PROTOCOL_KINDS, JsonlSink
 from repro.server.sharding import ShardedServer
 from repro.workloads.spec import WorkloadSpec
 from tests.helpers import built_system, on_the_wire, reference_system
@@ -284,7 +285,7 @@ DENSE = dict(n=1200, universe_size=2000.0)
 
 
 def _run(algorithm, build, shards=None, shard_faults=None, telemetry=None,
-         n=300, ticks=22, latency=ZERO_LATENCY, **fields):
+         n=300, ticks=22, latency=ZERO_LATENCY, engine=None, **fields):
     spec = _spec(n, ticks, **fields)
     shard = (
         None
@@ -292,7 +293,8 @@ def _run(algorithm, build, shards=None, shard_faults=None, telemetry=None,
         else ShardConfig(shards=shards or 1, faults=shard_faults)
     )
     cfg = RunConfig(
-        algorithm, record_history=True, shard=shard, latency=latency
+        algorithm, record_history=True, shard=shard, latency=latency,
+        engine=engine,
     )
     sim, _ = build(cfg, spec, telemetry=telemetry)
     answers = []
@@ -512,35 +514,53 @@ class TestCollectReplyBatch:
 
 
 class TestTraceStreams:
-    @pytest.mark.parametrize("algorithm", COLUMNAR_ALGS)
-    def test_traced_runs_go_scalar_with_identical_jsonl(
-        self, algorithm, tmp_path
+    @pytest.mark.parametrize(
+        "algorithm, shards, mode",
+        [pytest.param(a, None, None, id=a) for a in ALGORITHMS]
+        + [
+            pytest.param("DKNN-P", 2, None, id="DKNN-P-S2"),
+            pytest.param("DKNN-P", None, "event", id="DKNN-P-event"),
+        ],
+    )
+    def test_traced_runs_ride_the_plane_with_identical_jsonl(
+        self, algorithm, shards, mode, tmp_path
     ):
-        """Tracing vetoes the plane and the event streams agree.
+        """A trace leaves the plane open and the event streams agree.
 
-        The Jsonl files are compared on everything except ``PERF_KINDS``
-        — timing (``tick.phase``) and dispatch (``fastpath.candidates``)
-        events are explicitly allowed to differ between the build and
-        the reference; every other kind must be byte-for-byte identical.
+        The traced build sends exactly the batches the bare build sends,
+        none of them expanded, with the same answers and counters. Its
+        Jsonl file is compared with the reference's on everything
+        except ``PERF_KINDS`` — timing (``tick.phase``) and dispatch
+        (``fastpath.candidates``) events are explicitly allowed to
+        differ between the build and the reference; every other kind
+        must be byte-for-byte identical.
         """
-        streams = {}
+        engine = None if mode is None else EngineConfig(mode=mode)
+        bare = _run(algorithm, built_system, shards=shards, engine=engine,
+                    ticks=15)
+        streams, traced = {}, {}
         for build in (reference_system, built_system):
             path = tmp_path / f"trace_{build.__name__}.jsonl"
-            tel = Telemetry(tracer=Tracer(JsonlSink(str(path))))
-            out = _run(algorithm, build, telemetry=tel, ticks=15)
-            tel.tracer.close()
-            assert not out["columnar"]  # tracing vetoes the plane
+            tel = Telemetry(JsonlSink(str(path)))
+            traced[build] = _run(algorithm, build, shards=shards,
+                                 engine=engine, telemetry=tel, ticks=15)
+            tel.close()
             lines = path.read_text().strip().splitlines()
             assert lines
             events = [json.loads(line) for line in lines]
             streams[build] = [
                 e for e in events if e["kind"] not in PERF_KINDS
             ]
+        out = traced[built_system]
+        _assert_identical(out, bare)
+        assert out["columnar"] == bare["columnar"]
+        assert sum(out["columnar"].values()) > 0
+        assert out["materialized"] == 0
         assert streams[built_system] == streams[reference_system]
-        if algorithm == "DKNN-P":
-            # The distributed protocol emits server.* events every run;
+        if algorithm.startswith("DKNN"):
+            # The distributed protocols emit server.* events every run;
             # the centralized baselines legitimately emit none, so only
-            # DKNN-P pins a non-empty comparison.
+            # DKNN-P/B/G pin a non-empty comparison.
             assert any(
                 e["kind"] in PROTOCOL_KINDS for e in streams[built_system]
             )

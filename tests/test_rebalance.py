@@ -41,7 +41,7 @@ from repro.api import (
 )
 from repro.errors import ConfigError
 from repro.net.message import Message, MessageKind
-from repro.obs import RingSink, Telemetry, Tracer, protocol_events
+from repro.obs import RingSink, Telemetry, protocol_events
 from tests.helpers import built_system, reference_system
 
 #: Hotspot-drift workload small enough for CI but hot enough that the
@@ -68,7 +68,7 @@ FT_PARAMS = {
 
 def _build(spec, shard, params=None, record_history=True):
     ring = RingSink()
-    tel = Telemetry(tracer=Tracer(ring))
+    tel = Telemetry(ring)
     fleet, queries = build_workload(spec)
     cfg = RunConfig(
         "DKNN-P",

@@ -40,7 +40,7 @@ from repro.api import (
 from repro.errors import ConfigError, FaultError
 from repro.net.shardlink import SHARD_HEARTBEAT, SHARD_REPLICATE, ShardLink
 from repro.net.stats import CommStats
-from repro.obs import RingSink, Telemetry, Tracer, protocol_events
+from repro.obs import RingSink, Telemetry, protocol_events
 
 SPEC = WorkloadSpec(
     n_objects=250, n_queries=3, k=4, ticks=24, warmup_ticks=4, seed=13
@@ -142,7 +142,7 @@ class TestShardFaultPlan:
 
 def _run(algorithm, shards, shard_faults=None, faults=None, params=None):
     ring = RingSink()
-    tel = Telemetry(tracer=Tracer(ring))
+    tel = Telemetry(ring)
     fleet, queries = build_workload(SPEC)
     cfg = RunConfig(
         algorithm,
@@ -414,7 +414,7 @@ class TestFailover:
     def _faulty_run(self, plan, spec=None, shards=2, params=FT_PARAMS):
         spec = spec or SPEC.but(ticks=40)
         ring = RingSink()
-        tel = Telemetry(tracer=Tracer(ring))
+        tel = Telemetry(ring)
         fleet, queries = build_workload(spec)
         cfg = RunConfig(
             "DKNN-P",
