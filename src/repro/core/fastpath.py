@@ -52,11 +52,12 @@ from typing import Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.core.broadcast_variant import BroadcastMobileNode
-from repro.core.client import _BAND_CLASSES, DknnMobileNode
+from repro.core.client import _BAND_CLASSES, _UNWRITTEN, DknnMobileNode
 from repro.core.geocast_variant import GeocastMobileNode
 from repro.core.protocol import (
     BAND_OUTSIDER,
     BAND_QUERY_CIRCLE,
+    AnswerPush,
     CollectReply,
     CollectRequest,
     GeocastInstall,
@@ -225,6 +226,8 @@ class _RegionTable:
         at[oids] = -1
         return rows, pos[rows]
 
+    # reach: a node built after batches installed regions on it (a
+    # library caller indexing ``sim.mobiles``); no product command does
     def regions_of(self, oid: int) -> Tuple[Dict[int, object], Set[int]]:
         """The ``regions`` dict and the ``_reported`` set the rows of
         node ``oid`` stand for."""
@@ -267,30 +270,54 @@ class _RegionTable:
         if rows:
             self._write(len(rows), *zip(*rows))
 
-    def install(self, oids: np.ndarray, qid: int, region) -> None:
-        """Arm ``region`` for query ``qid`` on every node in ``oids``
-        (unique ids), in place of the row each held for that query."""
-        rows, pos = self.rows_of(oids)
-        same = self.qid[rows] == qid
-        rows = rows[same]
-        order = np.full(oids.shape[0], self._installs, dtype=np.int64)
-        order[pos[same]] = self.order[rows]
-        self._installs += 1
-        self.live[rows] = False
+    def install(
+        self, oids: np.ndarray, seg: np.ndarray, qids: List[int], regions
+    ) -> None:
+        """Arm ``regions[seg[i]]`` for query ``qids[seg[i]]`` on node
+        ``oids[i]``, row by row in send order, in one pass: a row the
+        node held for that query is replaced in its place (``order``),
+        a new one takes segment ``seg[i]``'s order number, and of two
+        installs of one (node, query) the later wins."""
+        rows, _ = self.rows_of(np.unique(oids))
+        qid = np.array(qids, dtype=np.int64)
+        span = int(max(qid.max(), self.qid[rows].max(initial=0))) + 1
+        key = oids * span + qid[seg]
+        # first and last occurrence of each (node, query) of the flight
+        keys, first = np.unique(key, return_index=True)
+        last = key.shape[0] - 1 - np.unique(key[::-1], return_index=True)[1]
+        order = self._installs + seg[first]
+        self._installs += len(qids)
+        held = self.oid[rows] * span + self.qid[rows]
+        if held.shape[0]:
+            rank = np.argsort(held)
+            at = np.searchsorted(held[rank], keys)
+            at = rank[np.minimum(at, rank.shape[0] - 1)]
+            hit = held[at] == keys
+            order[hit] = self.order[rows[at[hit]]]
+            self.live[rows[at[hit]]] = False
+        pick = seg[last]
+        fields = zip(*(self.row(0, q, r)[1:-1] for q, r in zip(qids, regions)))
+        region = np.empty(len(regions), dtype=object)
+        region[:] = regions
         self._write(
-            oids.shape[0], oids, *self.row(0, qid, region)[1:], order=order
+            keys.shape[0], oids[last],
+            *(np.array(values)[pick] for values in fields), region[pick],
+            order=order,
         )
 
-    def revoke(self, oids: np.ndarray, qid: int) -> np.ndarray:
-        """Kill the row of query ``qid`` on every node in ``oids``
-        (unique ids) that holds one; returns, per node, whether it
-        still holds a row."""
-        rows, pos = self.rows_of(oids)
-        gone = self.qid[rows] == qid
+    def revoke(self, oids: np.ndarray, qids: np.ndarray) -> Tuple:
+        """Kill the row of query ``qids[i]`` on node ``oids[i]``, for
+        every ``i`` whose node holds one, in one pass; returns the
+        distinct nodes and, per node, whether it still holds a row."""
+        nodes = np.unique(oids)
+        rows, pos = self.rows_of(nodes)
+        span = int(max(qids.max(), self.qid[rows].max(initial=0))) + 1
+        held = self.oid[rows] * span + self.qid[rows]
+        gone = np.isin(held, oids * span + qids)
         self.live[rows[gone]] = False
-        held = np.zeros(oids.shape[0], dtype=bool)
+        held = np.zeros(nodes.shape[0], dtype=bool)
         held[pos[~gone]] = True
-        return held
+        return nodes, held
 
     def violated(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """The unmuted rows whose region the positions ``(xs, ys)``
@@ -331,11 +358,16 @@ class DknnSilentPhase(ClientPhase):
     ``_last_sent`` / ``_last_uplink_tick``, its table rows its
     ``regions`` and ``_reported``, the builder's theta and timers the
     rest; :meth:`_adopt` writes them onto the node the moment it is
-    built. Batches reach an unbuilt node through the columns alone, and
-    so does its tick-start when it runs no timers
-    (:meth:`_tick_start_unbuilt`: the same sends, in the same order).
-    What builds a node is a scalar dispatch, the tick-start or the
-    re-plan of a node with timers, or a loop over every node.
+    built. Batches reach an unbuilt node through the columns alone —
+    answer pushes are held here until it is built — and so does its
+    tick-start when it runs no timers (:meth:`_tick_start_unbuilt`: the
+    same sends, in the same order). What builds a node is a scalar
+    dispatch, the tick-start or the re-plan of a node with timers, or a
+    loop over every node. A fault-free run has none of these: every
+    downlink of the server is a flight :meth:`deliver_batch` takes
+    whole, so no node is built. Scalar dispatches come from where the
+    transport decides per message or the fault-tolerant build acks
+    each install.
 
     The phase keeps ``(sent_x, sent_y, attention, timers)`` mirrors and
     the built nodes' table rows current in two ways. A node on which
@@ -356,9 +388,10 @@ class DknnSilentPhase(ClientPhase):
     batch. Nodes handled this way are **desynced**: the phase's mirrors
     are newer than ``node._last_sent``, and :meth:`_sync_node` flushes
     the mirror back onto the node before any scalar code path (message
-    dispatch, scalar candidate run) can read it. Install and revoke
-    batches never desync anyone: they are written through to the built
-    nodes, which stay the only source of truth for every scalar path.
+    dispatch, scalar candidate run) can read it. Install, revoke and
+    answer-push batches never desync anyone: they are written through
+    to the built nodes, which stay the only source of truth for every
+    scalar path.
     """
 
     #: message kinds whose handler can change the silence predicate
@@ -412,16 +445,21 @@ class DknnSilentPhase(ClientPhase):
         self._uplink_tick = np.zeros(n, dtype=np.int64)
         self._desynced = np.zeros(n, dtype=bool)
         self.regions = _RegionTable(n)
+        #: oid -> the ``known_answers`` of a focal not built yet.
+        self._answers: Dict[int, Dict[int, List[int]]] = {}
 
     def _adopt(self, node: DknnMobileNode) -> None:
         """Write what the columns hold for a node built just now onto
-        it: its drift origin, and its regions if it holds any."""
+        it: its drift origin, its regions if it holds any, and the
+        answers pushed to it."""
         oid = node.oid
         self._sync_node(oid)
         if self._attention[oid]:
             node.regions, reported = self.regions.regions_of(oid)
             if reported:
                 node._reported = reported
+        if oid in self._answers:
+            node.known_answers = self._answers.pop(oid)
 
     def _sync_node(self, oid: int) -> None:
         """Flush mirror-authoritative uplink state back onto the node.
@@ -594,14 +632,18 @@ class DknnSilentPhase(ClientPhase):
         self._desynced[oid] = True
 
     def deliver_batch(self, batch: ColumnarBatch) -> bool:
-        """Consume a PROBE, INSTALL_REGION or REVOKE_REGION batch in
-        place; anything else (and any batch while the plane is vetoed)
-        is declined and reaches the nodes as scalar messages.
+        """Consume a PROBE, INSTALL_REGION, REVOKE_REGION or
+        ANSWER_PUSH flight in place; anything else (and any batch while
+        the plane is vetoed) is declined and reaches the nodes as
+        scalar messages.
 
-        Each arm does what the node's own handler does, receiver by
-        receiver, and keeps the phase's columns current in the same
-        call, so the receivers do not join the touched set. None of
-        the three handlers reads the node's drift origin or its local
+        A flight is a server subround's whole output of its kind, many
+        queries' runs one after the other (:mod:`repro.net.plane`).
+        Each arm does what the nodes' own handler does, row by row in
+        send order, and keeps the phase's columns current in the same
+        call — an install or revoke flight in one pass over the region
+        table — so the receivers do not join the touched set. None of
+        the four handlers reads the node's drift origin or its local
         clock, which is why no receiver needs :meth:`_sync_node` or a
         fresh ``_cur_tick`` first.
         """
@@ -611,13 +653,16 @@ class DknnSilentPhase(ClientPhase):
         if kind is MessageKind.PROBE:
             self._answer_probes(batch.dsts)
             return True
-        if batch.payload_ctor is None or batch.xs is not None:
+        # kind -> (the payload type every row must carry, the arm)
+        want, arm = {
+            MessageKind.INSTALL_REGION: (InstallBand, self._install_batch),
+            MessageKind.REVOKE_REGION: (RevokeBand, self._revoke_batch),
+            MessageKind.ANSWER_PUSH: (AnswerPush, self._push_answers),
+        }.get(kind, (None, None))
+        payloads = batch.payloads
+        if arm is None or any(type(p) is not want for p in payloads):
             return False
-        if kind is MessageKind.INSTALL_REGION:
-            return self._install_batch(batch.dsts, batch.payload_ctor())
-        if kind is MessageKind.REVOKE_REGION:
-            return self._revoke_batch(batch.dsts, batch.payload_ctor())
-        return False
+        return arm(batch.dsts, batch.pidx, payloads)
 
     def _answer_probes(self, idx: np.ndarray) -> None:
         """One PROBE_REPLY batch for a PROBE batch: read own position,
@@ -643,46 +688,64 @@ class DknnSilentPhase(ClientPhase):
         self._uplink_tick[idx] = sim.tick
         self._desynced[idx] = True
 
-    def _install_batch(self, dsts: np.ndarray, payload) -> bool:
-        """``DknnMobileNode._apply_install`` on every built receiver, and
-        on the table for all of them. All receivers share the one
-        region object (regions are immutable values). Declined: an
-        epoch-stamped install (the node acks, dedupes and learns its
-        lease from it) and a band code the node itself would refuse."""
-        if type(payload) is not InstallBand or payload.epoch >= 0:
+    def _install_batch(self, dsts, pidx, payloads) -> bool:
+        """``DknnMobileNode._apply_install`` on every built receiver, row
+        by row, and on the table for all of them. A run's receivers
+        share its one region object (regions are immutable values).
+        Declined: an epoch-stamped install (the node acks, dedupes and
+        learns its lease from it) and a band code the node itself would
+        refuse."""
+        if any(
+            p.epoch >= 0 or p.band not in _BAND_CLASSES for p in payloads
+        ):
             return False
-        region_cls = _BAND_CLASSES.get(payload.band)
-        if region_cls is None:
-            return False
-        qid = payload.qid
-        region = region_cls(payload.ax, payload.ay, payload.radius)
+        qids = [p.qid for p in payloads]
+        regions = [
+            _BAND_CLASSES[p.band](p.ax, p.ay, p.radius) for p in payloads
+        ]
         node_of = self._node_of
-        for oid in dsts.tolist():
+        for oid, i in zip(dsts.tolist(), pidx.tolist()):
             node = node_of[oid]
             if node is not None:
-                node.regions[qid] = region
-                node._end_episode(qid)
-        self.regions.install(dsts, qid, region)
+                node.regions[qids[i]] = regions[i]
+                node._end_episode(qids[i])
+        self.regions.install(dsts, pidx, qids, regions)
         self._attention[dsts] = True
         return True
 
-    def _revoke_batch(self, dsts: np.ndarray, payload) -> bool:
+    def _revoke_batch(self, dsts, pidx, payloads) -> bool:
         """The REVOKE_REGION arm of ``DknnMobileNode.on_message`` on
-        every built receiver, and on the table for all of them."""
-        if type(payload) is not RevokeBand:
-            return False
-        qid = payload.qid
+        every built receiver, row by row, and on the table for all of
+        them."""
+        qids = np.array([p.qid for p in payloads], dtype=np.int64)[pidx]
         # An unbuilt receiver holds whatever rows it has left.
-        attention = self.regions.revoke(dsts, qid)
+        nodes, attention = self.regions.revoke(dsts, qids)
         node_of = self._node_of
-        for i, oid in enumerate(dsts.tolist()):
+        for oid, qid in zip(dsts.tolist(), qids.tolist()):
             node = node_of[oid]
             if node is not None:
-                regions = node.regions
-                regions.pop(qid, None)
+                node.regions.pop(qid, None)
                 node._end_episode(qid)
-                attention[i] = bool(regions)
-        self._attention[dsts] = attention
+        for i, oid in enumerate(nodes.tolist()):
+            if node_of[oid] is not None:
+                attention[i] = bool(node_of[oid].regions)
+        self._attention[nodes] = attention
+        return True
+
+    def _push_answers(self, dsts, pidx, payloads) -> bool:
+        """The ANSWER_PUSH arm of ``DknnMobileNode.on_message``: a built
+        focal's ``known_answers`` is written, an unbuilt one's held
+        here until :meth:`_adopt` hands it over."""
+        node_of = self._node_of
+        for oid, i in zip(dsts.tolist(), pidx.tolist()):
+            node = node_of[oid]
+            if node is None:
+                known = self._answers.setdefault(oid, {})
+            else:
+                if node.known_answers is _UNWRITTEN:
+                    node.known_answers = {}
+                known = node.known_answers
+            known[payloads[i].qid] = list(payloads[i].ids)
         return True
 
     def before_dispatch(self, node: Node, msg: Message) -> None:

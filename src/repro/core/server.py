@@ -37,6 +37,7 @@ brute force over ground truth at every tick.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
@@ -64,7 +65,7 @@ from repro.index.knn import (
     range_search_many,
 )
 from repro.metrics.cost import CostMeter
-from repro.net.message import SERVER_ID, Message, MessageKind, payload_size
+from repro.net.message import SERVER_ID, Message, MessageKind
 from repro.net.plane import MIN_BATCH, ColumnarBatch
 from repro.server.engine import BaseServer
 from repro.server.object_table import ObjectTable
@@ -79,6 +80,14 @@ _WAIT_PLANNER = "wait_planner"
 _WAIT_LIGHT = "wait_light"
 
 _NO_IDS = np.empty(0, dtype=np.int64)
+
+#: the downlink kinds a subround sends, in the order its outbox leaves.
+_FLUSH_ORDER = (
+    MessageKind.PROBE,
+    MessageKind.INSTALL_REGION,
+    MessageKind.REVOKE_REGION,
+    MessageKind.ANSWER_PUSH,
+)
 
 
 class _InFlight:
@@ -208,6 +217,9 @@ class DknnServer(BaseServer):
         #: ``(kind, qid) -> row``; every row is taken by the query it
         #: was fetched for before the subround ends.
         self._rows: Dict[Tuple[str, int], object] = {}
+        #: the downlinks :meth:`on_subround` holds back, ``kind ->
+        #: [(oids, payload), ...]`` in send order; None: send at once.
+        self._outbox: Optional[Dict[MessageKind, List[Tuple]]] = None
         #: repairs performed per query (light + full), and the light
         #: subset (the E13 ablation reports the ratio).
         self.repair_count: Dict[int, int] = {}
@@ -328,6 +340,9 @@ class DknnServer(BaseServer):
         ``report_batch`` in column order plus one in-flight scatter is
         indistinguishable from the scalar per-message path (the per-id
         loops run only for the fault-tolerant lease/retransmit dicts).
+        A subround's probes leave as one ``PROBE`` flight
+        (:meth:`on_subround`), so their replies come back as one
+        ``PROBE_REPLY`` batch, next to the tick's drift reports.
         Everything that can mutate query state (violations, query
         moves, acks) always arrives scalar.
         """
@@ -350,12 +365,6 @@ class DknnServer(BaseServer):
                 self._probe_sent.pop(src, None)
                 self._probe_first.pop(src, None)
         return True
-
-    def _columnar_ok(self) -> bool:
-        """May this server emit columnar downlink batches right now?
-        The simulator's answer (``RoundSimulator.plane_open``); a
-        server no simulator owns sends one by one."""
-        return self.sim is not None and self.sim.plane_open()
 
     # -- per-subround driving -----------------------------------------------
 
@@ -396,8 +405,19 @@ class DknnServer(BaseServer):
         assume anything about what happens *after* a query's first step
         — a planner scan that finds an encroacher, a light repair that
         escalates — and those searches stay with the per-query functions.
+
+        Every downlink the queries make waits in an outbox and leaves
+        at the end, by kind in ``_FLUSH_ORDER`` and in send order within
+        a kind (:mod:`repro.net.plane` says why that is safe): one batch
+        per kind with the plane open, else one by one, so the per-object
+        reference sends what the build sends. Sends leave at once where
+        the transport decides per message, and in the fault-tolerant
+        build (an epoch and an ack per install).
         """
         self._tick = tick
+        sim = self.sim
+        if sim is not None and not (self._ft or sim.transport_per_message()):
+            self._outbox = {kind: [] for kind in _FLUSH_ORDER}
         self._prefetch(tick)
         for state in self._states.values():
             if state.focal_down:
@@ -407,6 +427,32 @@ class DknnServer(BaseServer):
             raise ProtocolError(
                 f"prefetched searches never asked for: {sorted(self._rows)}"
             )
+        if self._outbox is not None:
+            self._flush(sim.plane_open())
+
+    def _flush(self, batched: bool) -> None:
+        """Send the outbox kind by kind: a kind's runs as one batch, or
+        (``batched`` False) message by message, in send order."""
+        outbox, self._outbox = self._outbox, None
+        for kind in _FLUSH_ORDER:
+            runs = outbox[kind]
+            if not batched:
+                for oids, payload in runs:
+                    for oid in oids:
+                        self.send(oid, kind, payload)
+            elif runs:
+                oids, payloads = zip(*runs)
+                self.channel.send_batch(
+                    ColumnarBatch(
+                        kind,
+                        src=SERVER_ID,
+                        dsts=np.fromiter(chain.from_iterable(oids), np.int64),
+                        payloads=payloads,
+                        pidx=np.repeat(
+                            np.arange(len(runs)), [len(ids) for ids in oids]
+                        ),
+                    )
+                )
 
     def _light_eligible(self, st: _QueryState) -> bool:
         """Would an idle ``st`` take the light repair path right now?"""
@@ -673,21 +719,24 @@ class DknnServer(BaseServer):
         return frozenset((focal,))
 
     def _send_band(
-        self, oid: int, qid: int, band: int, ax: float, ay: float,
+        self, oids, qid: int, band: int, ax: float, ay: float,
         radius: float,
     ) -> None:
-        """Send one install; in fault-tolerant mode stamp it with a
-        fresh epoch + the lease and register it for retransmission."""
-        if self._ft:
+        """Install the same band on every object of ``oids``, in order.
+        In fault-tolerant mode each install is stamped with a fresh
+        epoch + the lease and registered for retransmission."""
+        if not self._ft:
+            payload = InstallBand(qid, band, ax, ay, radius)
+            self._fan_out(oids, MessageKind.INSTALL_REGION, payload)
+            return
+        for oid in oids:
             payload = InstallBand(
                 qid, band, ax, ay, radius,
                 epoch=self._install_seq, lease=self.params.lease_ticks,
             )
             self._install_seq += 1
             self._unacked[(oid, qid)] = (payload, self._tick)
-        else:
-            payload = InstallBand(qid, band, ax, ay, radius)
-        self.send(oid, MessageKind.INSTALL_REGION, payload)
+            self.send(oid, MessageKind.INSTALL_REGION, payload)
 
     # -- state machine -----------------------------------------------------
 
@@ -805,86 +854,36 @@ class DknnServer(BaseServer):
         if self._ft:
             self._probe_sent[oid] = self._tick
             self._probe_first[oid] = self._tick
-        self.send(oid, MessageKind.PROBE, ProbeRequest())
+        self._fan_out((oid,), MessageKind.PROBE, ProbeRequest())
 
     def _probe_stale(self, oids: np.ndarray) -> np.ndarray:
         """:meth:`_probe` every stale id of ``oids``, in order; returns
         the stale subset (what the caller must wait on).
 
-        Two mask ops — not fresh this tick, not already in flight — and,
-        when the transport allows, one columnar PROBE batch accounted
-        like the scalar sends it replaces. Fewer than ``MIN_BATCH`` ids
-        and scalar channels probe one by one.
+        Two mask ops — not fresh this tick, not already in flight — and
+        one run of probes into the subround's ``PROBE`` flight
+        (:meth:`_fan_out`).
         """
         tick = self._tick
         stale = self.table.stale(oids, tick)
-        if not self._columnar_ok() or stale.shape[0] < MIN_BATCH:
-            for oid in stale.tolist():
-                self._probe(oid)
-            return stale
-        todo = self._probes_in_flight.claim(stale)
-        if todo.shape[0]:
+        todo = self._probes_in_flight.claim(stale).tolist()
+        if todo:
             if self._ft:
-                for oid in todo.tolist():
+                for oid in todo:
                     self._probe_sent[oid] = tick
                     self._probe_first[oid] = tick
-            self.channel.send_batch(
-                ColumnarBatch(
-                    MessageKind.PROBE,
-                    src=SERVER_ID,
-                    dsts=todo,
-                    payload_nbytes=0,
-                    payload_ctor=ProbeRequest,
-                )
-            )
+            self._fan_out(todo, MessageKind.PROBE, ProbeRequest())
         return stale
 
     def _fan_out(self, oids, kind: MessageKind, payload) -> None:
         """Send the same ``payload`` to every object of ``oids``, in
-        iteration order.
-
-        One columnar batch carrying ``payload`` as its prototype when
-        the transport allows; short runs, scalar channels and the
-        fault-tolerant build (whose client half acks and
-        leases message by message) send one by one.
-        """
-        if self._ft or not self._columnar_ok() or len(oids) < MIN_BATCH:
+        iteration order: one run of the subround's outbox while
+        :meth:`on_subround` holds one, else one message at a time."""
+        if self._outbox is None:
             for oid in oids:
                 self.send(oid, kind, payload)
-            return
-        self.channel.send_batch(
-            ColumnarBatch(
-                kind,
-                src=SERVER_ID,
-                dsts=np.fromiter(oids, np.int64, len(oids)),
-                payload_nbytes=payload_size(payload),
-                payload_ctor=lambda: payload,
-            )
-        )
-
-    def _send_bands_batch(
-        self,
-        oids,
-        qid: int,
-        band: int,
-        ax: float,
-        ay: float,
-        radius: float,
-    ) -> None:
-        """Install the same band on many objects.
-
-        Fault-tolerant installs go out one by one: each carries its own
-        epoch and registers for retransmission.
-        """
-        if self._ft:
-            for oid in oids:
-                self._send_band(oid, qid, band, ax, ay, radius)
-            return
-        self._fan_out(
-            oids,
-            MessageKind.INSTALL_REGION,
-            InstallBand(qid, band, ax, ay, radius),
-        )
+        elif oids:
+            self._outbox[kind].append((oids, payload))
 
     def _candidate_radius(self, r_k1: float) -> float:
         """The probe radius of a full repair whose ``k+1``-th nearest
@@ -1002,16 +1001,15 @@ class DknnServer(BaseServer):
             set() if trivial else set(answer_ids) | set(banded_outsiders)
         )
         if not trivial:
-            self._send_bands_batch(
-                answer_ids, qid, BAND_ANSWER, ax, ay,
-                inst.answer_band_radius,
+            self._send_band(
+                answer_ids, qid, BAND_ANSWER, ax, ay, inst.answer_band_radius
             )
-            self._send_bands_batch(
+            self._send_band(
                 banded_outsiders, qid, BAND_OUTSIDER, ax, ay,
                 inst.outsider_band_radius,
             )
             self._send_band(
-                focal, qid, BAND_QUERY_CIRCLE, ax, ay, inst.s_eff
+                (focal,), qid, BAND_QUERY_CIRCLE, ax, ay, inst.s_eff
             )
         revoked = st.informed - new_informed
         if self._ft:  # only the fault-tolerant build registers installs
@@ -1026,12 +1024,12 @@ class DknnServer(BaseServer):
             # the trivial path, so take it down explicitly.
             if self._ft:
                 self._unacked.pop((focal, qid), None)
-            self.send(focal, MessageKind.REVOKE_REGION, RevokeBand(qid))
+            self._fan_out((focal,), MessageKind.REVOKE_REGION, RevokeBand(qid))
         st.informed = new_informed
         new_ids = list(answer_ids)
         if set(self.answers.get(qid, ())) != set(answer_ids):
-            self.send(
-                focal, MessageKind.ANSWER_PUSH, AnswerPush(qid, answer_ids)
+            self._fan_out(
+                (focal,), MessageKind.ANSWER_PUSH, AnswerPush(qid, answer_ids)
             )
         self.publish(qid, new_ids)
         st.install = inst
@@ -1126,24 +1124,25 @@ class DknnServer(BaseServer):
         old_answer = set(inst.answer_ids)
         new_ids = [oid for _, oid in new_answer]
         new_set = set(new_ids)
-        for _, oid in new_answer:
-            if oid not in old_answer or oid in st.light_violators:
-                # Entrants need an answer band; violators staying in
-                # the answer need theirs re-armed (a violated band
-                # stays silent until re-installed).
-                self._send_band(oid, qid, BAND_ANSWER, ax, ay, t_new - s_new)
-        for oid in dropped:
-            # Everyone dropped from the pool either just left the
-            # answer or violated inward without making the cut; both
-            # need a (re-armed) outsider band at the new boundary.
-            self._send_band(oid, qid, BAND_OUTSIDER, ax, ay, t_new + s_new)
+        # Entrants need an answer band; violators staying in the answer
+        # need theirs re-armed (a violated band stays silent until
+        # re-installed).
+        light = st.light_violators
+        self._send_band(
+            [o for o in new_ids if o not in old_answer or o in light],
+            qid, BAND_ANSWER, ax, ay, t_new - s_new,
+        )
+        # Everyone dropped from the pool either just left the answer or
+        # violated inward without making the cut; both need a
+        # (re-armed) outsider band at the new boundary.
+        self._send_band(dropped, qid, BAND_OUTSIDER, ax, ay, t_new + s_new)
         # Refresh (and re-arm) the query circle at the new slack.
         self._send_band(
-            spec.focal_oid, qid, BAND_QUERY_CIRCLE, ax, ay, s_new
+            (spec.focal_oid,), qid, BAND_QUERY_CIRCLE, ax, ay, s_new
         )
         if old_answer != new_set:
-            self.send(
-                spec.focal_oid,
+            self._fan_out(
+                (spec.focal_oid,),
                 MessageKind.ANSWER_PUSH,
                 AnswerPush(qid, tuple(new_ids)),
             )
@@ -1214,8 +1213,8 @@ class DknnServer(BaseServer):
             st.violators.update(encroachers)
             st.dirty = True
             return
-        qid = st.spec.qid
-        for oid in harmless:
-            self._send_band(oid, qid, BAND_OUTSIDER, ax, ay, boundary)
-            st.informed.add(oid)
+        self._send_band(
+            harmless, st.spec.qid, BAND_OUTSIDER, ax, ay, boundary
+        )
+        st.informed.update(harmless)
         self.meter.charge(CostMeter.BOOKKEEPING, len(harmless))

@@ -114,10 +114,13 @@ class Channel:
     def send_batch(self, batch: ColumnarBatch) -> ColumnarBatch:
         """Queue one columnar batch (one queue slot) and account it.
 
-        The batch must replace a run of messages that would have been
-        *contiguous* in the scalar send order — the queue position of
-        the batch is the queue position of that run. Accounting matches
-        ``count`` scalar sends exactly.
+        An uplink batch must replace a run of messages that would have
+        been *contiguous* in the scalar send order — the queue position
+        of the batch is the queue position of that run. A downlink
+        batch is one kind of a server subround's flush, which the
+        per-object reference sends in the same order one message at a
+        time (:mod:`repro.net.plane`). Accounting matches ``count``
+        scalar sends exactly.
         """
         batch.sent_tick = self._tick
         self.stats.record_send_batch(

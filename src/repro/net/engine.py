@@ -180,6 +180,9 @@ class EventDriver:
 
     # -- simulator hooks ---------------------------------------------------
 
+    # reach: a scalar dispatch in event mode; fault-free DKNN-P makes
+    # none, and no quick sweep runs event mode with another algorithm,
+    # a fault plan or fault-tolerant DKNN-P
     def note_node(self, oid: int) -> None:
         """A mobile received a scalar message this tick."""
         if self.planner is not None:

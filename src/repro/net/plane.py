@@ -13,15 +13,29 @@ vectorized passes instead of O(messages) interpreter work.
 
 Semantics contract (pinned by ``tests/test_plane.py``):
 
-* a batch occupies exactly one queue slot in the channel, at the
-  position where the scalar path would have queued its **contiguous**
-  run of messages — senders may only batch runs that are contiguous in
-  the scalar send order, so delivery order around the batch is
-  unchanged;
+* a batch occupies exactly one queue slot in the channel. An uplink
+  batch stands where the scalar path would have queued its
+  **contiguous** run of messages. A downlink batch is one kind of a
+  server subround's flush (``DknnServer.on_subround``): the subround's
+  downlinks leave grouped by kind, ``PROBE``, ``INSTALL_REGION``,
+  ``REVOKE_REGION``, ``ANSWER_PUSH``, in send order within each kind,
+  and the reference program with the plane closed sends the very same
+  order one message at a time. Grouping is safe because, per
+  (receiver, query), a subround sends one install, or a planner band
+  followed by a repair's re-install or revoke — installs, then at most
+  one revoke, which the kind order keeps — while a probe or an answer
+  push touches no region and messages about different queries touch
+  disjoint state;
 * accounting is identical in every legacy :class:`CommStats` counter:
   ``record_send_batch`` adds the same per-kind / per-direction counts
-  and bytes the per-message path would, and delivery adds the same
-  reception counts (batches are never broadcast);
+  and bytes the per-message path would — ``total_bytes`` sums each
+  row's wire size, which differs from row to row in a flight of
+  answer pushes — and delivery adds the same reception counts
+  (batches are never broadcast);
+* a downlink batch carries its payloads as one table: ``payloads``,
+  each distinct payload once, and ``pidx``, the int column naming
+  each row's payload. An uplink batch carries coordinates instead
+  (``xs`` / ``ys``) and rebuilds its payloads with ``payload_ctor``;
 * a flight whose kind names a query carries that one query as
   ``batch.qid`` — the ``COLLECT_REPLY`` uplinks one DKNN-B/G collect
   round draws. The sharded tier declines such a batch and routes its
@@ -46,17 +60,26 @@ reference path event for event.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import NetworkError
-from repro.net.message import HEADER_BYTES, Message, MessageKind, SERVER_ID
+from repro.net.message import (
+    HEADER_BYTES,
+    SERVER_ID,
+    Message,
+    MessageKind,
+    payload_size,
+)
 
 __all__ = ["ColumnarBatch", "MIN_BATCH"]
 
-#: shortest run a sender ships as a batch: below it the batch's constant
-#: (array assembly, one vectorized handler call) costs more than it saves.
+#: shortest run a client phase ships as an uplink batch: below it the
+#: batch's constant (array assembly, one vectorized handler call) costs
+#: more than it saves. A server subround's flush ignores it (one batch
+#: per kind, whatever its size); ``DknnServer._prefetch`` reads it as
+#: the break-even of the many-row searches (:mod:`repro.index.knn`).
 MIN_BATCH = 8
 
 
@@ -66,20 +89,19 @@ class ColumnarBatch:
     Exactly one of ``srcs`` / ``dsts`` is an array:
 
     * **uplink batch** — ``srcs`` is an int array, ``dst`` is the
-      scalar receiver (``SERVER_ID``);
+      scalar receiver (``SERVER_ID``). ``xs`` / ``ys`` carry per-message
+      payload coordinates (or are ``None`` for coordinate-free
+      payloads); ``qid`` is the query every message of the flight is
+      about (``None`` for a kind that names no query);
+      ``payload_ctor`` rebuilds one scalar payload on materialization
+      — ``ctor(x, y)``, or ``ctor(qid, x, y)`` on a flight with a qid —
+      and ``payload_nbytes`` is the uniform wire size of one payload;
     * **downlink batch** — ``src`` is the scalar sender (``SERVER_ID``),
-      ``dsts`` is an int array of mobile receivers.
+      ``dsts`` is an int array of mobile receivers, and row ``i``
+      carries ``payloads[pidx[i]]``.
 
-    ``xs`` / ``ys`` carry per-message payload coordinates (or are
-    ``None`` for coordinate-free payloads like probe requests);
-    ``qid`` is the query every message of the flight is about (``None``
-    for a kind that names no query); ``payload_ctor`` rebuilds one
-    scalar payload on materialization — called as ``ctor(x, y)`` when
-    coordinates are present (``ctor(qid, x, y)`` on a flight with a
-    qid), ``ctor()`` otherwise (a same-payload flight returns its one
-    shared prototype, which a batch handler reads the same way).
-    ``payload_nbytes`` is the uniform wire size of one payload, so
-    ``size_each`` matches ``Message.size`` exactly.
+    ``total_bytes`` matches the summed ``Message.size`` of the flight
+    exactly.
     """
 
     __slots__ = (
@@ -93,8 +115,10 @@ class ColumnarBatch:
         "qid",
         "payload_nbytes",
         "payload_ctor",
+        "payloads",
+        "pidx",
         "sent_tick",
-        "size_each",
+        "total_bytes",
     )
 
     def __init__(
@@ -110,6 +134,8 @@ class ColumnarBatch:
         qid: Optional[int] = None,
         payload_nbytes: int = 0,
         payload_ctor: Optional[Callable[..., Any]] = None,
+        payloads: Optional[Sequence[Any]] = None,
+        pidx: Optional[np.ndarray] = None,
         sent_tick: int = 0,
     ) -> None:
         if (srcs is None) == (dsts is None):
@@ -122,6 +148,10 @@ class ColumnarBatch:
             raise NetworkError("downlink batch needs a scalar src")
         if (xs is None) != (ys is None):
             raise NetworkError("xs and ys must be given together")
+        if (dsts is not None) != (payloads is not None and pidx is not None):
+            raise NetworkError(
+                "a downlink batch, and only one, carries payloads and pidx"
+            )
         self.kind = kind
         self.src = src
         self.dst = dst
@@ -132,8 +162,15 @@ class ColumnarBatch:
         self.qid = qid
         self.payload_nbytes = int(payload_nbytes)
         self.payload_ctor = payload_ctor
+        self.payloads = payloads
+        self.pidx = pidx
         self.sent_tick = sent_tick
-        self.size_each = HEADER_BYTES + self.payload_nbytes
+        if dsts is None:
+            payload_bytes = srcs.shape[0] * self.payload_nbytes
+        else:
+            sizes = np.array([payload_size(p) for p in payloads], np.int64)
+            payload_bytes = int(sizes[pidx].sum())
+        self.total_bytes = HEADER_BYTES * self.count + payload_bytes
 
     # -- views ---------------------------------------------------------------
 
@@ -141,10 +178,6 @@ class ColumnarBatch:
     def count(self) -> int:
         arr = self.srcs if self.srcs is not None else self.dsts
         return int(arr.shape[0])
-
-    @property
-    def total_bytes(self) -> int:
-        return self.count * self.size_each
 
     def direction(self) -> str:
         """Same vocabulary as :meth:`Message.direction` (never area)."""
@@ -167,12 +200,12 @@ class ColumnarBatch:
         ``CommStats.materialized_by_kind`` — the batch cannot see the
         stats object.
         """
-        ctor = self.payload_ctor
         n = self.count
-        if ctor is None:
+        ctor = self.payload_ctor
+        if self.payloads is not None:
+            payloads = [self.payloads[i] for i in self.pidx.tolist()]
+        elif ctor is None:
             payloads = [None] * n
-        elif self.xs is None:
-            payloads = [ctor() for _ in range(n)]
         else:
             head = () if self.qid is None else (self.qid,)
             payloads = [ctor(*head, x, y) for x, y in zip(self.xs, self.ys)]
@@ -188,6 +221,6 @@ class ColumnarBatch:
     def __repr__(self) -> str:
         return (
             f"ColumnarBatch({self.kind.value} x{self.count}, "
-            f"{self.direction()}, {self.size_each}B each, "
+            f"{self.direction()}, {self.total_bytes}B, "
             f"t={self.sent_tick})"
         )

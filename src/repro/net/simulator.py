@@ -182,17 +182,21 @@ class RoundSimulator:
         The one definition of the plane's veto; both sides ask it each
         time they are about to send a run of messages, and every term
         is read off the run as it stands: a client phase is attached
-        (without one nothing consumes a downlink batch whole), the
-        channel queues batches (``FaultyChannel`` decides faults per
-        message), and the server tier does not decide the fate of
-        single messages (``per_message``: the sharded tier under a
-        fault plan or an admission policy).
+        (without one nothing consumes a downlink batch whole) and the
+        transport takes runs whole (:meth:`transport_per_message`).
         """
         return (
-            self.client_phase is not None
-            and self.channel.supports_columnar
-            and not self.server.per_message
+            self.client_phase is not None and not self.transport_per_message()
         )
+
+    def transport_per_message(self) -> bool:
+        """Does the transport decide the fate of single messages? The
+        channel does when it does not queue batches (``FaultyChannel``
+        draws drop/dup/delay per message), the server tier when it
+        says so (``per_message``: the sharded tier under a fault plan
+        or an admission policy). Then a sender sends message by message,
+        in its own order."""
+        return not self.channel.supports_columnar or self.server.per_message
 
     # -- delivery -------------------------------------------------------------
 

@@ -18,10 +18,14 @@ import repro.core.server as server_module
 import repro.index.knn as knn_module
 import repro.mobility.soa as soa
 from repro.core.broadcast_variant import BroadcastMobileNode
+from repro.core.fastpath import DknnSilentPhase, _RegionTable
 from repro.core.geocast_variant import GeocastMobileNode
 from repro.experiments.config import RunConfig
 from repro.mobility import CommuteMover, HotspotDriftMover, RandomWaypointMover
-from repro.net.message import MessageKind
+from repro.net.channel import Channel
+from repro.net.engine import EngineConfig
+from repro.net.message import SERVER_ID, MessageKind
+from repro.net.node import Population
 from repro.net.shardlink import (
     SHARD_BORROW,
     SHARD_BORROW_REPLY,
@@ -225,3 +229,105 @@ def test_shard_ledger_sends_migrations_and_borrows_in_batches(monkeypatch):
     sent = sim.server.link.sent_by_kind
     assert all(sent[kind] > 0 for kind in kinds)
     assert sum(single[k] for k in kinds) <= 0.02 * sum(sent[k] for k in kinds)
+
+
+#: ``event_sparse``'s shape (commuters, still focal objects) at 5k,
+#: with 5 % commuters on a 40-tick period so that 40 ticks revoke too;
+#: the event driver still skips about half of them.
+EVENT_SPARSE_SHAPED = WorkloadSpec(
+    n_objects=5_000, n_queries=16, k=8, ticks=40, warmup_ticks=0, seed=1,
+    mobility="mostly_stationary", query_speed=0.0,
+    mobility_options={
+        "moving_fraction": 0.05, "period": 40, "active_ticks": 20,
+    },
+)
+
+
+@pytest.mark.parametrize(
+    "cfg, spec",
+    [
+        (RunConfig("DKNN-P"), B_DENSE_SHAPED),
+        (
+            RunConfig(
+                "DKNN-P",
+                shard=ShardConfig(
+                    shards=4,
+                    rebalance=RebalancePolicy(
+                        check_interval=5, min_window_uplinks=8
+                    ),
+                ),
+            ),
+            SHARD_DRIFT_SHAPED,
+        ),
+        (RunConfig("DKNN-P", engine=EngineConfig(mode="event")),
+         EVENT_SPARSE_SHAPED),
+    ],
+    ids=["plain", "S4-rebalance", "event"],
+)
+def test_dknn_p_subround_downlinks_leave_one_batch_per_kind(
+    cfg, spec, monkeypatch
+):
+    """A DKNN-P subround's downlinks leave as at most one batch per
+    kind, and nothing the server sends a mobile is scalar; so no
+    mobile node is ever built, and the client phase applies each
+    install or revoke flight with one ``_RegionTable.rows_of`` pass."""
+    batches, scalar, built, passes = Counter(), [0], [0], []
+    subround, window = [0], [None]
+    on_subround = server_module.DknnServer.on_subround
+    send, send_batch = Channel.send, Channel.send_batch
+    build, rows_of = Population.build, _RegionTable.rows_of
+    deliver_batch = DknnSilentPhase.deliver_batch
+
+    def counted_subround(self, tick):
+        subround[0] += 1
+        on_subround(self, tick)
+
+    def counted_send(self, kind, src, dst, payload=None):
+        scalar[0] += src == SERVER_ID and dst >= 0
+        return send(self, kind, src, dst, payload)
+
+    def counted_send_batch(self, batch):
+        if batch.dsts is not None:
+            batches[subround[0], batch.kind] += 1
+        return send_batch(self, batch)
+
+    def counted_build(self, oid):
+        built[0] += 1
+        return build(self, oid)
+
+    def counted_rows_of(self, oids):
+        if window[0] is not None:
+            window[0] += 1
+        return rows_of(self, oids)
+
+    def counted_deliver(self, batch):
+        flight = batch.kind in (
+            MessageKind.INSTALL_REGION, MessageKind.REVOKE_REGION
+        )
+        window[0] = 0 if flight else None
+        taken = deliver_batch(self, batch)
+        if flight:
+            passes.append((taken, window[0]))
+        window[0] = None
+        return taken
+
+    monkeypatch.setattr(
+        server_module.DknnServer, "on_subround", counted_subround
+    )
+    monkeypatch.setattr(Channel, "send", counted_send)
+    monkeypatch.setattr(Channel, "send_batch", counted_send_batch)
+    monkeypatch.setattr(Population, "build", counted_build)
+    monkeypatch.setattr(_RegionTable, "rows_of", counted_rows_of)
+    monkeypatch.setattr(DknnSilentPhase, "deliver_batch", counted_deliver)
+    sim, _ = built_system(cfg, spec)
+    sim.run(spec.ticks)
+    assert {kind for _, kind in batches} == {
+        MessageKind.PROBE, MessageKind.INSTALL_REGION,
+        MessageKind.REVOKE_REGION, MessageKind.ANSWER_PUSH,
+    }
+    assert max(batches.values()) == 1
+    assert scalar[0] == 0
+    assert built[0] == 0 and sim.mobiles.built() == []
+    assert passes and set(passes) == {(True, 1)}
+    if cfg.engine is not None:
+        assert sim._driver.stats()["skipped_ticks"] > 0

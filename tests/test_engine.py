@@ -415,23 +415,31 @@ class TestBatchedCounts:
 
     @pytest.mark.parametrize("spec", [SPEC, WAYPOINT_SPEC], ids=["commute", "waypoint"])
     def test_every_scalar_tick_start_sends(self, spec, monkeypatch):
-        """Without protocol timers the candidate mask is exact: a node
-        runs its scalar ``on_tick_start`` only on a tick it transmits."""
+        """Without protocol timers the candidate mask is exact: a
+        candidate runs its tick-start — on the phase's columns, as no
+        node is built — only on a tick it transmits, and no node runs
+        its own ``on_tick_start``. Held regions are read off the
+        phase's table: iterating ``sim.mobiles`` would build nodes."""
         fleet, queries = build_workload(spec)
         sim = build_system(RunConfig("DKNN-P"), fleet, queries)
         stats = sim.channel.stats
-        real = DknnMobileNode.on_tick_start
-        calls = []
+        real = DknnSilentPhase._tick_start_unbuilt
+        calls, node_calls = [], []
 
-        def counted(node, tick):
+        def counted(phase, *args):
             sent = stats.total_messages
-            real(node, tick)
+            real(phase, *args)
             calls.append(stats.total_messages > sent)
 
-        monkeypatch.setattr(DknnMobileNode, "on_tick_start", counted)
+        monkeypatch.setattr(DknnSilentPhase, "_tick_start_unbuilt", counted)
+        monkeypatch.setattr(
+            DknnMobileNode, "on_tick_start",
+            lambda node, tick: node_calls.append(node.oid),
+        )
         sim.run(TICKS)
-        assert any(r for n in sim.mobiles for r in n.regions)
+        assert sim.client_phase.regions.live.any()
         assert calls and all(calls)
+        assert node_calls == []
 
     @pytest.mark.parametrize(
         "spec, pinned",

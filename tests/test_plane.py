@@ -34,6 +34,7 @@ import pytest
 
 from repro.core.broadcast_variant import _IDLE
 from repro.core.protocol import (
+    AnswerPush,
     CollectReply,
     CollectRequest,
     LocationUpdate,
@@ -81,6 +82,16 @@ def _uplink_batch(n=4, kind=MessageKind.LOCATION_UPDATE):
     )
 
 
+def _downlink_batch(kind, dsts, payloads, pidx=None):
+    return ColumnarBatch(
+        kind,
+        src=SERVER_ID,
+        dsts=np.array(dsts, dtype=np.int64),
+        payloads=payloads,
+        pidx=np.array(pidx or [0] * len(dsts), dtype=np.int64),
+    )
+
+
 class TestColumnarBatch:
     def test_needs_exactly_one_of_srcs_dsts(self):
         oids = np.arange(3, dtype=np.int64)
@@ -116,16 +127,10 @@ class TestColumnarBatch:
     def test_views(self):
         batch = _uplink_batch(5)
         assert batch.count == 5
-        assert batch.size_each == HEADER_BYTES + LU_NBYTES
-        assert batch.total_bytes == 5 * batch.size_each
+        assert batch.total_bytes == 5 * (HEADER_BYTES + LU_NBYTES)
         assert batch.direction() == "uplink"
         assert batch.endpoints_of(3) == (3, SERVER_ID)
-        down = ColumnarBatch(
-            MessageKind.PROBE,
-            src=SERVER_ID,
-            dsts=np.array([7, 9], dtype=np.int64),
-            payload_ctor=ProbeRequest,
-        )
+        down = _downlink_batch(MessageKind.PROBE, [7, 9], [ProbeRequest()])
         assert down.direction() == "downlink"
         assert down.endpoints_of(1) == (SERVER_ID, 9)
 
@@ -140,7 +145,8 @@ class TestColumnarBatch:
             assert (msg.src, msg.dst) == (i, SERVER_ID)
             assert msg.sent_tick == 6
             assert (msg.payload.x, msg.payload.y) == (float(i), 2.0 * i)
-            assert msg.size == batch.size_each
+            assert msg.size == HEADER_BYTES + LU_NBYTES
+        assert sum(m.size for m in msgs) == batch.total_bytes
 
     def test_materialize_rebuilds_the_qid_of_the_flight(self):
         batch = ColumnarBatch(
@@ -157,25 +163,41 @@ class TestColumnarBatch:
         assert [
             (m.src, m.payload.qid, m.payload.x, m.payload.y) for m in msgs
         ] == [(4, 7, 1.5, 3.5), (9, 7, 2.5, 4.5)]
-        assert all(m.size == batch.size_each for m in msgs)
+        assert sum(m.size for m in msgs) == batch.total_bytes
         assert _uplink_batch(2).qid is None
 
     def test_materialize_coordinate_free_and_bare(self):
-        down = ColumnarBatch(
-            MessageKind.PROBE,
-            src=SERVER_ID,
-            dsts=np.array([3, 1], dtype=np.int64),
-            payload_ctor=ProbeRequest,
-        )
+        down = _downlink_batch(MessageKind.PROBE, [3, 1], [ProbeRequest()])
         msgs = down.materialize()
         assert [m.dst for m in msgs] == [3, 1]
         assert all(isinstance(m.payload, ProbeRequest) for m in msgs)
-        bare = ColumnarBatch(
-            MessageKind.PROBE,
-            src=SERVER_ID,
-            dsts=np.array([2], dtype=np.int64),
-        )
+        bare = _downlink_batch(MessageKind.PROBE, [2], [None])
         assert bare.materialize()[0].payload is None
+
+    def test_a_downlink_carries_its_payloads_as_one_table(self):
+        """Row ``i`` carries ``payloads[pidx[i]]``, and the bytes are the
+        sum of the rows' own sizes: answer pushes of different lengths
+        in one flight are sized row by row."""
+        pushes = [AnswerPush(0, (4, 5, 6)), AnswerPush(3, (1,))]
+        flight = _downlink_batch(
+            MessageKind.ANSWER_PUSH, [8, 2, 8], pushes, pidx=[0, 1, 1]
+        )
+        msgs = flight.materialize()
+        assert [(m.dst, m.payload) for m in msgs] == [
+            (8, pushes[0]), (2, pushes[1]), (8, pushes[1])
+        ]
+        assert sum(m.size for m in msgs) == flight.total_bytes
+        assert flight.total_bytes == 3 * HEADER_BYTES + 16 + 2 * 8
+        with pytest.raises(NetworkError):
+            ColumnarBatch(
+                MessageKind.PROBE, src=SERVER_ID,
+                dsts=np.arange(2, dtype=np.int64),
+            )
+        with pytest.raises(NetworkError):
+            ColumnarBatch(
+                MessageKind.LOCATION_UPDATE, srcs=np.arange(2), dst=SERVER_ID,
+                payloads=[None], pidx=np.zeros(2, dtype=np.int64),
+            )
 
 
 class TestChannelIntegration:
@@ -222,30 +244,27 @@ class TestChannelIntegration:
         assert not s.columnar_by_kind
 
     def test_revoke_batch_parity_and_queue_slot(self):
-        """A same-payload downlink flight (the server's revoke fan-out):
-        counts, bytes and direction of the scalar sends it replaces, and
-        one queue slot where that run stood."""
+        """A subround's revoke flight (two queries' runs): counts, bytes
+        and direction of the scalar sends it replaces, and one queue
+        slot where that run stood."""
         dsts = [5, 2, 7, 0]
-        payload = RevokeBand(3)
+        pidx = [0, 0, 1, 1]
+        payloads = [RevokeBand(3), RevokeBand(1)]
         scalar = self._channel()
         columnar = self._channel()
         for ch in (scalar, columnar):
             ch.begin_tick(4)
         before = columnar.send(MessageKind.INSTALL_REGION, SERVER_ID, 1)
         batch = columnar.send_batch(
-            ColumnarBatch(
-                MessageKind.REVOKE_REGION,
-                src=SERVER_ID,
-                dsts=np.array(dsts, dtype=np.int64),
-                payload_nbytes=payload_size(payload),
-                payload_ctor=lambda: payload,
-            )
+            _downlink_batch(MessageKind.REVOKE_REGION, dsts, payloads, pidx)
         )
         after = columnar.send(MessageKind.ANSWER_PUSH, SERVER_ID, 1)
         scalar.send(MessageKind.INSTALL_REGION, SERVER_ID, 1)
         sent = [
-            scalar.send(MessageKind.REVOKE_REGION, SERVER_ID, dst, payload)
-            for dst in dsts
+            scalar.send(
+                MessageKind.REVOKE_REGION, SERVER_ID, dst, payloads[i]
+            )
+            for dst, i in zip(dsts, pidx)
         ]
         scalar.send(MessageKind.ANSWER_PUSH, SERVER_ID, 1)
         assert columnar.pending() == scalar.pending() == 6
@@ -254,7 +273,7 @@ class TestChannelIntegration:
         assert batch.direction() == sent[0].direction() == "downlink"
         assert [
             (m.dst, m.size, m.payload.qid) for m in batch.materialize()
-        ] == [(m.dst, m.size, 3) for m in sent]
+        ] == [(m.dst, m.size, m.payload.qid) for m in sent]
         s, c = scalar.stats, columnar.stats
         assert dict(c.sent_by_kind) == dict(s.sent_by_kind)
         assert dict(c.bytes_by_kind) == dict(s.bytes_by_kind)
@@ -279,8 +298,8 @@ def _spec(n=300, ticks=22, **fields):
     )
 
 
-#: dense enough that one repair installs and revokes runs of
-#: ``MIN_BATCH`` or more: the server's band and revoke fan-outs batch.
+#: dense enough that repairs revoke as well as install, so a run has
+#: every downlink kind of a subround's flush on the wire.
 DENSE = dict(n=1200, universe_size=2000.0)
 
 

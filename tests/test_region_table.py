@@ -38,10 +38,12 @@ from repro.core.protocol import (
     BAND_ANSWER,
     BAND_OUTSIDER,
     BAND_QUERY_CIRCLE,
+    AnswerPush,
     InstallBand,
     ProbeRequest,
     RevokeBand,
 )
+from repro.core.server import _FLUSH_ORDER
 from repro.core.wakeups import DknnWakeupPlanner, planner_for
 from repro.errors import ProtocolError
 from repro.geometry import Rect
@@ -66,7 +68,7 @@ from repro.mobility.crossing import (
     solve_claims,
 )
 from repro.mobility.stationary import LinearMover, StationaryMover
-from repro.net.message import SERVER_ID, Message, MessageKind, payload_size
+from repro.net.message import SERVER_ID, Message, MessageKind
 from repro.net.node import Population
 from repro.net.plane import ColumnarBatch
 from repro.net.simulator import RoundSimulator
@@ -150,8 +152,8 @@ def _install(sim, oid, *args, **kwargs) -> None:
 def _deliver_batch(
     sim, kind: MessageKind, dsts, payload, batched: bool = True
 ) -> None:
-    """One same-payload downlink flight, as the server's fan-out sends
-    it — or, ``batched=False``, as the scalar messages it stands for."""
+    """One run of one payload as a downlink flight of its own — or,
+    ``batched=False``, as the scalar messages it stands for."""
     if not batched:
         for oid in dsts:
             _deliver(sim, oid, kind, payload)
@@ -161,8 +163,8 @@ def _deliver_batch(
             kind,
             src=SERVER_ID,
             dsts=np.array(dsts, dtype=np.int64),
-            payload_nbytes=payload_size(payload),
-            payload_ctor=lambda: payload,
+            payloads=[payload],
+            pidx=np.zeros(len(dsts), dtype=np.int64),
         )
     )
 
@@ -431,6 +433,130 @@ def test_a_node_built_late_equals_its_eager_twin(ft, ops, seed):
     for oid in range(N):
         same(oid)
     assert wires[0] == wires[1]
+
+
+#: a subround's sends, drawn loosely over a few nodes (so runs meet on
+#: a node and a query often); ``_subround`` shapes them.
+_few = st.integers(0, 5)
+_runs = st.lists(_few, min_size=1, max_size=4, unique=True)
+_sends = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just(MessageKind.INSTALL_REGION), _runs, st.sampled_from(QIDS),
+            st.sampled_from(BANDS), _places, st.floats(2.0, 80.0),
+        ),
+        st.tuples(
+            st.just(MessageKind.REVOKE_REGION), _runs, st.sampled_from(QIDS)
+        ),
+        st.tuples(st.just(MessageKind.PROBE), _runs),
+        st.tuples(
+            st.just(MessageKind.ANSWER_PUSH), _few, st.sampled_from(QIDS),
+            st.lists(_oids, max_size=5),
+        ),
+    ),
+    max_size=25,
+)
+
+
+def _subround(sim, sends) -> List:
+    """``(kind, oids, payload)`` runs in send order, as a DKNN-P
+    subround makes them: per (node, query) installs — re-installs and
+    duplicates included — then at most one revoke (a planner band
+    followed by an escalation's revoke), each node probed once, answer
+    pushes to any node."""
+    runs, closed, probed = [], set(), set()
+    for send in sends:
+        kind = send[0]
+        if kind is MessageKind.PROBE:
+            oids = [oid for oid in send[1] if oid not in probed]
+            probed.update(oids)
+            payload = ProbeRequest()
+        elif kind is MessageKind.ANSWER_PUSH:
+            oids = [send[1]]
+            payload = AnswerPush(send[2], tuple(send[3]))
+        else:
+            qid = send[2]
+            oids = [oid for oid in send[1] if (oid, qid) not in closed]
+            if kind is MessageKind.REVOKE_REGION:
+                closed.update((oid, qid) for oid in oids)
+                payload = RevokeBand(qid)
+            else:
+                payload = _band(sim, send[1][0], *send[2:])
+        if oids:
+            runs.append((kind, oids, payload))
+    return runs
+
+
+def _flush(sim, runs) -> None:
+    """``runs`` as the server's outbox leaves: one batch per kind, in
+    ``_FLUSH_ORDER``, send order within a kind."""
+    for kind in _FLUSH_ORDER:
+        mine = [(oids, payload) for k, oids, payload in runs if k is kind]
+        if mine:
+            sim._deliver_batch(
+                ColumnarBatch(
+                    kind,
+                    src=SERVER_ID,
+                    dsts=np.array(
+                        [oid for oids, _ in mine for oid in oids],
+                        dtype=np.int64,
+                    ),
+                    payloads=[payload for _, payload in mine],
+                    pidx=np.repeat(
+                        np.arange(len(mine)), [len(oids) for oids, _ in mine]
+                    ),
+                )
+            )
+
+
+@given(
+    prelude=st.lists(_batches, max_size=3),
+    built=st.lists(_few, max_size=3),
+    sends=_sends,
+    seed=st.integers(0, 5),
+)
+@settings(max_examples=150, deadline=None)
+def test_a_grouped_subround_flush_equals_its_sends_one_by_one(
+    prelude, built, sends, seed
+):
+    """A subround's downlinks grouped by kind and applied through the
+    phase — to nodes built or not, over rows installed, muted or absent
+    — leave every node as the same messages dispatched one by one, in
+    send order, to eagerly built nodes: regions in dict order,
+    ``_reported``, ``known_answers``, and the stream both fleets send
+    from then on (probe replies, then a tick's reports, whose order
+    within a node is its dict order)."""
+    lazy = _build_mode(seed, "plain", lazy=True)
+    eager = _build_mode(seed, "plain")
+    for sim in (lazy, eager):
+        sim.step()
+    for op in prelude:
+        _play(lazy, op, "plain", 0)
+        _play(eager, op, "plain", 0, batched=False)
+    for sim in (lazy, eager):
+        sim.step()  # a violated band is muted now
+    for oid in built:
+        lazy.mobiles[oid]
+    runs = _subround(lazy, sends)
+    wires = [_recorded_wire(lazy), _recorded_wire(eager)]
+    _flush(lazy, runs)
+    for kind, oids, payload in runs:
+        for oid in oids:
+            _deliver(eager, oid, kind, payload)
+    assert not lazy.channel.stats.materialized_messages
+    for sim in (lazy, eager):
+        sim.step()
+    assert wires[0] == wires[1]
+    for oid in range(N):
+        got, want = lazy.mobiles[oid], eager.mobiles[oid]
+        for sim in (lazy, eager):
+            sim.client_phase._sync_node(oid)
+        assert list(got.regions.items()) == list(want.regions.items())
+        assert got._reported == want._reported
+        assert list(got.known_answers.items()) == list(
+            want.known_answers.items()
+        )
+        assert got._last_sent == want._last_sent
 
 
 def _recorded_wire(sim) -> List:
