@@ -76,10 +76,10 @@ class RunConfig:
         per-shard load, handoffs, and backbone traffic.
     engine:
         Optional :class:`~repro.net.engine.EngineConfig` — how the
-        loop is driven. ``None`` (the default) is the plain
-        synchronous tick loop; ``EngineConfig(mode="event")`` skips
+        loop is driven. ``None`` (the default) runs every tick in
+        full, as ``mode="tick"`` does; ``EngineConfig(mode="event")`` skips
         provably-empty ticks (answers stay identical at every tick
-        boundary, DESIGN §15).
+        boundary, DESIGN §8).
     params:
         Per-algorithm parameters; names validated against the catalog.
     """

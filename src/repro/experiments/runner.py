@@ -358,9 +358,8 @@ def run_once(
             extra["wal_bytes/tick"] = dm.wal_bytes_total / measured
             extra["replayed"] = dm.replayed_records
 
-    driver = getattr(sim, "_driver", None)
-    if driver is not None:
-        engine_stats = driver.stats()
+    if cfg.engine is not None:
+        engine_stats = sim.driver.stats()
         extra["engine"] = engine_stats["mode"]
         extra["skipped_ticks"] = engine_stats["skipped_ticks"]
         extra["full_ticks"] = engine_stats["full_ticks"]
@@ -408,8 +407,8 @@ def run_once(
             columnar_msgs=comm.columnar_messages,
             materialized_msgs=comm.materialized_messages,
         )
-        if driver is not None:
-            tel.emit(sim.tick, "engine.stats", **driver.stats())
+        if cfg.engine is not None:
+            tel.emit(sim.tick, "engine.stats", **sim.driver.stats())
         tel.emit(
             sim.tick,
             "run.end",

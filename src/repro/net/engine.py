@@ -1,23 +1,25 @@
-"""The event-scheduled engine: skip ticks that are provable no-ops.
+"""The engine driver: every tick goes through it, and it skips the
+ticks that are provable no-ops.
 
-The synchronous loop (:class:`~repro.net.simulator.RoundSimulator`)
-charges every component on every tick. At scale most ticks are silent:
-nobody's drift or band predicate trips, no message is in flight, the
-server owes no timer. This module adds an :class:`EventDriver` that
-sits next to the simulator and, before each tick, decides whether the
-tick can be *skipped* — ground truth still advances (``fleet.advance``
-runs every tick, keeping positions and the mobility RNG stream
-bit-identical to tick mode), but the O(N) client phase, the delivery
-machinery and the server hooks are elided.
+A full round (:meth:`~repro.net.simulator.RoundSimulator._full_step`)
+charges every component. At scale most ticks are silent: nobody's
+drift or band predicate trips, no message is in flight, the server
+owes no timer. Every simulator steps through an :class:`EventDriver`
+that, before each tick, decides whether the tick can be *skipped* —
+ground truth still advances (``fleet.advance`` runs every tick,
+keeping positions and the mobility RNG stream bit-identical to tick
+mode), but the O(N) client phase, the delivery machinery and the
+server hooks are elided. Tick mode is the driver that never skips.
 
 The decision combines three sources:
 
-* a **wakeup heap** over the mobile nodes, fed by the closed-form
-  crossing claims (:mod:`repro.mobility.crossing`) plus the protocol
-  timers (lease heartbeats, violation retries). Entries are *acts*
-  (the tick must run in full) or *re-solves* (a claim horizon expired
-  — waypoint arrival, pause end, leg renewal; recompute cheaply during
-  the skip, no full tick needed);
+* a **tick wheel** over the mobile nodes: oid columns hold each node's
+  one wakeup, fed by the closed-form crossing claims
+  (:mod:`repro.mobility.crossing`) plus the protocol timers (lease
+  heartbeats, violation retries). Wakeups are *acts* (the tick must run
+  in full) or *re-solves* (a claim horizon expired — waypoint arrival,
+  pause end, leg renewal; recompute cheaply during the skip, no full
+  tick needed);
 * the **channel**: any queued, delayed or held flight (including
   one-tick-latency deliveries and FaultyChannel delays) forces a full
   tick;
@@ -25,7 +27,7 @@ The decision combines three sources:
   the base class, overridden by engines that can prove their per-tick
   hooks are no-ops (see ``DknnServer`` and ``ShardedServer``).
 
-**Equivalence contract** (DESIGN §15): in ``event`` mode, answers,
+**Equivalence contract** (DESIGN §8): in ``event`` mode, answers,
 message streams and RNG draws are identical to ``tick`` mode at every
 tick boundary, because a tick is only skipped when the tick-mode run
 would provably send nothing and change no protocol state on it. What
@@ -41,8 +43,7 @@ and attached with :func:`engine_attach`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -66,10 +67,10 @@ class EngineConfig:
     ----------
     mode:
         ``"event"`` (the default) skips provably-empty ticks via the
-        wakeup heap; ``"tick"`` is the synchronous compatibility mode,
+        tick wheel; ``"tick"`` is the driver that never skips,
         bit-identical to not passing an engine at all. Answers and
         message streams are identical between the two at every tick
-        boundary (the pinned equivalence contract, DESIGN §15).
+        boundary (the pinned equivalence contract, DESIGN §8).
     """
 
     mode: str = "event"
@@ -86,171 +87,153 @@ class EngineConfig:
         return {"mode": self.mode}
 
 
-_ACT = 0
-_RESOLVE = 1
+_NO_OIDS = np.zeros(0, dtype=np.int64)
 
 
 class EventDriver:
-    """Wakeup bookkeeping for one simulator.
+    """The driver every tick of a :class:`RoundSimulator` goes through.
 
-    Installed by :func:`engine_attach`; the simulator consults
-    :meth:`can_skip` before each tick and calls either
-    :meth:`skip_tick` or (after a full round) :meth:`after_full_step`.
+    The simulator asks :meth:`can_skip` before each tick and calls
+    either :meth:`skip_tick` or, after a full round,
+    :meth:`after_full_step`. Without a planner (tick mode, or nothing
+    to plan from) it never skips.
 
-    Every mobile has at most one live heap entry — its next act or
-    re-solve tick. Entries are invalidated lazily (the ``_entry`` map
-    is authoritative; stale heap rows are dropped when popped). The
-    opening tick, on which every mobile acts, is one state instead of
-    a row per node, drained by the first :meth:`after_full_step`. Acts
-    are recomputed when they fire, when the node receives a message
-    (the simulator reports receivers via :meth:`note_node` /
-    :meth:`note_ids`), and after every full tick a node was due on —
-    all the nodes due on a tick in one ``planner.wakeups`` call.
+    Every mobile has at most one live wakeup, held in three oid columns:
+    its tick (-1 for none), whether it is an act, and a generation that
+    every rewrite bumps. The wheel maps a tick to the runs of ``(oids,
+    generations)`` written for it; taking a slot (:meth:`_take`) drops
+    the rows whose generation has moved on. A wakeup due at or before
+    the tick it was planned on goes into the next tick's slot. The
+    opening tick is a slot holding every mobile: each must register
+    with the server first. Wakeups are recomputed when they fire, when
+    the node receives a message (the simulator reports receivers via
+    :meth:`note_node` / :meth:`note_ids`), and after every full tick a
+    node was due on — all the nodes due on a tick in one
+    ``planner.wakeups`` call and one column write.
     """
 
     def __init__(self, sim, config: EngineConfig) -> None:
         self.sim = sim
         self.config = config
-        #: events pushed / entries that actually fired / entries
-        #: superseded before firing — the summarize gauge.
+        #: wakeups written / wakeups that fired / wakeups superseded
+        #: or dropped before firing — the summarize gauge.
         self.scheduled = 0
         self.fired = 0
         self.cancelled = 0
         self.skipped_ticks = 0
         self.full_ticks = 0
-        self._acts: List[Tuple[int, int]] = []
-        self._resolves: List[Tuple[int, int]] = []
-        self._entry: Dict[int, Tuple[int, int]] = {}
-        self._touched: Set[int] = set()
-        #: the tick every mobile acts on, until it has run: everyone
-        #: must register with the server first, so it is a full one for
-        #: the whole fleet. None once drained.
-        self._opening: Optional[int] = None
+        #: receivers since the last full tick: id columns of downlink
+        #: batches and one-oid tuples of scalar dispatches
+        self._touched: List[Sequence[int]] = []
+        #: tick -> runs of ``(oids, generations)`` written for it
+        self._wheel: Dict[int, List[Tuple[np.ndarray, np.ndarray]]] = {}
         self.planner = None
         if config.mode == "event":
             from repro.core.wakeups import planner_for
 
             self.planner = planner_for(sim)
-            if self.planner is not None:
-                self._opening = sim.tick + 1
-                self.scheduled = len(sim.mobiles)
+        if self.planner is None:
+            return
+        everyone = sim.mobiles.oids()
+        n = int(everyone[-1]) + 1
+        self._due = np.full(n, -1, dtype=np.int32)
+        self._act = np.zeros(n, dtype=bool)
+        self._gen = np.zeros(n, dtype=np.int32)
+        self._due[everyone] = sim.tick + 1
+        self._act[everyone] = True
+        self._wheel[sim.tick + 1] = [(everyone, self._gen[everyone])]
+        self.scheduled = everyone.shape[0]
 
-    # -- heap bookkeeping --------------------------------------------------
+    # -- the wheel ---------------------------------------------------------
 
-    def _schedule(self, oid: int, tick: int, kind: int) -> None:
-        cur = self._entry.get(oid)
-        if cur is not None:
-            if cur == (tick, kind):
-                return
-            self.cancelled += 1
-        self._entry[oid] = (tick, kind)
-        heap = self._acts if kind == _ACT else self._resolves
-        heappush(heap, (tick, oid))
-        self.scheduled += 1
-
-    def _next_act(self) -> Optional[int]:
-        if self._opening is not None:
-            return self._opening  # nothing is scheduled before it
-        acts = self._acts
-        entry = self._entry
-        while acts:
-            tick, oid = acts[0]
-            if entry.get(oid) == (tick, _ACT):
-                return tick
-            heappop(acts)  # stale row, superseded
-        return None
+    def _take(self, tick: int) -> np.ndarray:
+        """Pop ``tick``'s slot; return the oids whose wakeup fires."""
+        runs = self._wheel.pop(tick, None)
+        if runs is None:
+            return _NO_OIDS
+        if len(runs) == 1:
+            oids, gens = runs[0]
+        else:
+            oids, gens = map(np.concatenate, zip(*runs))
+        fired = oids[self._gen[oids] == gens]
+        self._due[fired] = -1
+        self.fired += fired.shape[0]
+        return fired
 
     def _replan(self, due: np.ndarray, tick: int) -> None:
-        """Recompute the wakeups of ``due`` (repeats allowed), in
-        ascending oid order."""
+        """Recompute the wakeups of ``due`` (repeats allowed) as of
+        ``tick`` in one pass. Counting follows the per-oid rule: an
+        identical (tick, kind) counts nothing, a replaced or dropped
+        live wakeup one ``cancelled``, a new one one ``scheduled``."""
         if not due.shape[0]:
             return
         oids = np.unique(due)
         acts, resolves = self.planner.wakeups(oids, tick)
-        entry = self._entry
-        for oid, act, resolve in zip(
-            oids.tolist(), acts.tolist(), resolves.tolist()
-        ):
-            if act >= 0:
-                self._schedule(oid, act, _ACT)
-            elif resolve >= 0:
-                self._schedule(oid, resolve, _RESOLVE)
-            elif entry.pop(oid, None) is not None:
-                self.cancelled += 1
+        act = acts >= 0
+        at = np.where(act, acts, resolves)
+        old = self._due[oids]
+        moved = (old != at) | (self._act[oids] != act)
+        ids = oids[moved]
+        self.cancelled += int((old[moved] >= 0).sum())
+        at = at[moved]
+        self._due[ids] = at
+        self._act[ids] = act[moved]
+        self._gen[ids] += 1
+        live = at >= 0
+        ids = ids[live]
+        if not ids.shape[0]:
+            return
+        self.scheduled += ids.shape[0]
+        slot = np.maximum(at[live], tick + 1)
+        order = slot.argsort(kind="stable")
+        slot, ids = slot[order], ids[order]
+        gens = self._gen[ids]
+        # one run per distinct slot
+        cuts = ((slot[1:] != slot[:-1]).nonzero()[0] + 1).tolist()
+        starts, ends = [0, *cuts], [*cuts, ids.shape[0]]
+        wheel = self._wheel
+        for t, a, b in zip(slot[starts].tolist(), starts, ends):
+            wheel.setdefault(t, []).append((ids[a:b], gens[a:b]))
 
     # -- simulator hooks ---------------------------------------------------
 
-    # reach: a scalar dispatch in event mode; fault-free DKNN-P makes
-    # none, and no quick sweep runs event mode with another algorithm,
-    # a fault plan or fault-tolerant DKNN-P
     def note_node(self, oid: int) -> None:
         """A mobile received a scalar message this tick."""
         if self.planner is not None:
-            self._touched.add(oid)
+            self._touched.append((oid,))
 
     def note_ids(self, oids: np.ndarray) -> None:
         """Mobiles received a columnar downlink batch this tick."""
         if self.planner is not None:
-            self._touched.update(oids.tolist())
+            self._touched.append(oids)
 
     def can_skip(self, next_tick: int) -> bool:
         """True if ``next_tick`` is provably a protocol no-op."""
         if self.planner is None:
             return False
-        next_act = self._next_act()
-        if next_act is not None and next_act <= next_tick:
-            return False
+        for oids, gens in self._wheel.get(next_tick, ()):
+            if (self._act[oids] & (self._gen[oids] == gens)).any():
+                return False  # a live act is due
         sim = self.sim
-        if not sim.channel.idle():
-            return False
-        return sim.server.event_idle(next_tick)
+        return sim.channel.idle() and sim.server.event_idle(next_tick)
 
     def skip_tick(self) -> None:
-        """Advance ground truth only; process due re-solves."""
+        """Advance ground truth only; re-plan the re-solves due now."""
         sim = self.sim
         sim.fleet.advance()
         sim.tick = sim.fleet.tick
         sim.channel.begin_tick(sim.tick)
-        tick = sim.tick
-        resolves = self._resolves
-        entry = self._entry
-        due: List[int] = []
-        while resolves and resolves[0][0] <= tick:
-            t, oid = heappop(resolves)
-            if entry.get(oid) != (t, _RESOLVE):
-                continue  # stale row, superseded
-            del entry[oid]
-            self.fired += 1
-            due.append(oid)
-        self._replan(np.array(due, dtype=np.int64), tick)
+        self._replan(self._take(sim.tick), sim.tick)
         self.skipped_ticks += 1
 
     def after_full_step(self) -> None:
-        """Refresh wakeups after a full round ran."""
-        sim = self.sim
-        tick = sim.tick
+        """Re-plan the nodes due on, or touched by, the full round."""
         self.full_ticks += 1
-        if self.planner is not None:
-            due = list(self._touched)
-            for heap, kind in (
-                (self._acts, _ACT),
-                (self._resolves, _RESOLVE),
-            ):
-                entry = self._entry
-                while heap and heap[0][0] <= tick:
-                    t, oid = heappop(heap)
-                    if entry.get(oid) == (t, kind):
-                        del entry[oid]
-                        self.fired += 1
-                        due.append(oid)
-            oids = np.array(due, dtype=np.int64)
-            if self._opening is not None:
-                everyone = sim.mobiles.oids()
-                self.fired += everyone.shape[0]
-                oids = np.concatenate((everyone, oids))
-                self._opening = None
-            self._replan(oids, tick)
-        self._touched.clear()
+        if self.planner is None:
+            return
+        tick = self.sim.tick
+        touched, self._touched = self._touched, []
+        self._replan(np.concatenate((self._take(tick), *touched)), tick)
 
     # -- reporting ---------------------------------------------------------
 
@@ -262,15 +245,14 @@ class EventDriver:
             "scheduled": self.scheduled,
             "fired": self.fired,
             "cancelled": self.cancelled,
-            "pending": len(self._entry)
-            + (len(self.sim.mobiles) if self._opening is not None else 0),
+            "pending": self.scheduled - self.fired - self.cancelled,
             "skipped_ticks": self.skipped_ticks,
             "full_ticks": self.full_ticks,
         }
 
 
 def engine_attach(sim, config: EngineConfig):
-    """Install an :class:`EventDriver` on ``sim`` per ``config``.
+    """Replace ``sim``'s tick-mode driver with one per ``config``.
 
     The canonical path is ``RunConfig(engine=EngineConfig(...))`` —
     ``build_system`` calls this; scripted scenarios may call it
@@ -281,12 +263,12 @@ def engine_attach(sim, config: EngineConfig):
         raise ConfigError(
             f"engine must be an EngineConfig, got {config!r}"
         )
-    if getattr(sim, "_driver", None) is not None:
+    if sim._driver is not None:
         raise ConfigError("simulator already has an engine driver attached")
     if sim.tick != 0:
         raise ConfigError(
             "engine_attach must run before the first tick "
             f"(simulator is at tick {sim.tick})"
         )
-    sim._driver = EventDriver(sim, config)
+    sim.driver = sim._driver = EventDriver(sim, config)
     return sim

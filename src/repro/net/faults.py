@@ -304,7 +304,8 @@ class FaultyChannel(Channel):
         return msg
 
     # reach: the event driver's channel veto; event mode under a radio
-    # FaultPlan has no product row (ROADMAP item 5)
+    # FaultPlan has no product row (DESIGN §8, "Event mode without a
+    # product row")
     def idle(self) -> bool:
         """Held-back (delayed) flights keep the channel busy too."""
         return not self._queue and not self._held

@@ -25,6 +25,7 @@ from typing import Callable, List, Optional, Sequence, Union
 
 from repro.errors import FaultError, NetworkError
 from repro.net.channel import Channel
+from repro.net.engine import EngineConfig, EventDriver
 from repro.net.faults import FaultPlan, FaultyChannel
 from repro.net.message import BROADCAST_ID, GEOCAST_ID, SERVER_ID, Message
 from repro.net.node import MobileNode, Node, Population, ServerNodeBase
@@ -169,9 +170,12 @@ class RoundSimulator:
         self.client_phase = client_phase
         if client_phase is not None:
             client_phase.bind(self)
-        #: optional event-engine driver (``repro.net.engine``): when
-        #: attached and in event mode, ``step`` skips ticks the driver
-        #: proves are protocol no-ops. None means pure tick mode.
+        #: the engine driver every tick goes through
+        #: (``repro.net.engine``): ``step`` skips the ticks it proves
+        #: are protocol no-ops. Tick mode is the driver that never skips.
+        self.driver = EventDriver(self, EngineConfig(mode="tick"))
+        #: the same driver once ``engine_attach`` installed one; None
+        #: means no engine was asked for (the layered benchmark reads it)
         self._driver = None
 
     # -- the columnar plane ---------------------------------------------------
@@ -278,12 +282,11 @@ class RoundSimulator:
                 if handled:
                     return
         elif batch.dsts is not None:
-            if self._driver is not None:
-                # Batch receivers may change protocol state (PROBE moves
-                # `_last_sent`, installs and revokes change `regions`)
-                # without a scalar dispatch — their wakeups must be
-                # recomputed after this tick.
-                self._driver.note_ids(batch.dsts)
+            # Batch receivers may change protocol state (PROBE moves
+            # `_last_sent`, installs and revokes change `regions`)
+            # without a scalar dispatch — their wakeups must be
+            # recomputed after this tick.
+            self.driver.note_ids(batch.dsts)
             if self.client_phase is not None and self.client_phase.deliver_batch(
                 batch
             ):
@@ -305,31 +308,27 @@ class RoundSimulator:
         else:
             if self.client_phase is not None:
                 self.client_phase.before_dispatch(node, msg)
-            if self._driver is not None:
-                self._driver.note_node(node.oid)
+            self.driver.note_node(node.oid)
             node.on_message(msg)
 
     # -- stepping ---------------------------------------------------------------
 
     def step(self) -> None:
-        """Advance one tick — a full protocol round, or a skip.
+        """Advance one tick — a skip, or a full protocol round.
 
-        Without an engine driver (or in tick mode) this is exactly
-        :meth:`_full_step`. With an event-mode driver attached
-        (:func:`repro.net.engine.engine_attach`), ticks the driver
-        proves are protocol no-ops advance ground truth only — the
-        client phase, delivery machinery and server hooks are elided;
-        answers and message streams stay bit-identical (DESIGN §15).
+        The driver decides: a tick it proves is a protocol no-op
+        advances ground truth only — the client phase, delivery
+        machinery and server hooks are elided; answers and message
+        streams stay bit-identical (DESIGN §8). Every other tick is
+        :meth:`_full_step`, after which the driver re-plans. In tick
+        mode every tick is full.
         """
-        driver = self._driver
-        if driver is None:
-            self._full_step()
-            return
+        driver = self.driver
         if driver.can_skip(self.tick + 1):
             driver.skip_tick()
-            return
-        self._full_step()
-        driver.after_full_step()
+        else:
+            self._full_step()
+            driver.after_full_step()
 
     def _full_step(self) -> None:
         """Advance ground truth and run one full protocol round.
@@ -370,58 +369,51 @@ class RoundSimulator:
         self.server_seconds += dt
         t_server += dt
 
-        if self.latency == ZERO_LATENCY:
-            subrounds = 0
-            while True:
-                subrounds += 1
-                if subrounds > _MAX_SUBROUNDS:
-                    raise NetworkError(
-                        "protocol did not quiesce within "
-                        f"{_MAX_SUBROUNDS} subrounds at tick {self.tick}"
-                    )
-                sent_mark = self.channel.stats.total_messages
-                if traced:
-                    t_mark = time.perf_counter()
-                delivered = self.channel.collect()
-                self._deliver(delivered)
-                if traced:
-                    t_deliver += time.perf_counter() - t_mark
-                t0 = time.perf_counter()
-                self.server.on_subround(self.tick)
-                dt = time.perf_counter() - t0
-                self.server_seconds += dt
-                t_server += dt
-                if not self.channel.pending() and not self.server.busy():
-                    break
-                if (
-                    (self.faults is not None or self.server.per_message)
-                    and not delivered
-                    and not self.channel.pending()
-                    and self.channel.stats.total_messages == sent_mark
-                ):
-                    # The exchange is stalled on a lost message: nothing
-                    # was delivered or sent this subround and nothing is
-                    # queued, yet the server still owes work. Under a
-                    # fault plan — radio, or a shard-fault plan on the
-                    # server tier (``per_message``) — this is
-                    # expected: end the tick and let the hardened
-                    # protocol's retransmit timers recover on a later
-                    # tick instead of dying at the cap.
-                    break
-        else:
-            subrounds = 1
+        zero_latency = self.latency == ZERO_LATENCY
+        subrounds = 0
+        while True:
+            subrounds += 1
+            if subrounds > _MAX_SUBROUNDS:
+                raise NetworkError(
+                    "protocol did not quiesce within "
+                    f"{_MAX_SUBROUNDS} subrounds at tick {self.tick}"
+                )
+            sent_mark = self.channel.stats.total_messages
             if traced:
                 t_mark = time.perf_counter()
-            self._deliver(self.channel.collect_sent_before(self.tick))
+            if zero_latency:
+                delivered = self.channel.collect()
+            else:
+                delivered = self.channel.collect_sent_before(self.tick)
+            self._deliver(delivered)
             if traced:
-                t_deliver = time.perf_counter() - t_mark
+                t_deliver += time.perf_counter() - t_mark
             t0 = time.perf_counter()
             self.server.on_subround(self.tick)
             dt = time.perf_counter() - t0
             self.server_seconds += dt
             t_server += dt
-            # Replies queued this subround stay in flight until the
-            # next tick — that is the point of latency mode.
+            if not zero_latency:
+                # Replies queued this subround stay in flight until the
+                # next tick — that is the point of latency mode.
+                break
+            if not self.channel.pending() and not self.server.busy():
+                break
+            if (
+                (self.faults is not None or self.server.per_message)
+                and not delivered
+                and not self.channel.pending()
+                and self.channel.stats.total_messages == sent_mark
+            ):
+                # The exchange is stalled on a lost message: nothing
+                # was delivered or sent this subround and nothing is
+                # queued, yet the server still owes work. Under a
+                # fault plan — radio, or a shard-fault plan on the
+                # server tier (``per_message``) — this is
+                # expected: end the tick and let the hardened
+                # protocol's retransmit timers recover on a later
+                # tick instead of dying at the cap.
+                break
 
         if traced:
             t_mark = time.perf_counter()

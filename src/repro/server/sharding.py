@@ -655,8 +655,8 @@ class ShardedServer(ServerNodeBase):
     def busy(self) -> bool:
         return self.inner.busy()
 
-    # reach: event mode on a sharded tier has no product row (ROADMAP
-    # item 5); tests pin its skip schedule against tick mode
+    # reach: event mode on a sharded tier has no product row (DESIGN
+    # §8, "Event mode without a product row")
     def event_idle(self, tick: int) -> bool:
         # Per-tick machinery on this tier vetoes skipping: a fault
         # plan (heartbeats, replication, checkpoints, delayed backbone

@@ -127,7 +127,7 @@ def recorded_run(
     runs the same schedule, and each of those ticks must still be one
     its channel and server call idle."""
     sim, _ = build(cfg, spec)
-    driver = sim._driver
+    driver = sim.driver
     if skip is not None:
         skip = set(skip)
 
@@ -156,7 +156,7 @@ def recorded_run(
 
     def observe(s) -> None:
         answers.append({qid: tuple(a) for qid, a in s.server.answers.items()})
-        if driver is not None and driver.skipped_ticks > len(skipped):
+        if driver.skipped_ticks > len(skipped):
             skipped.append(s.tick)
 
     sim.run(ticks, on_tick=observe)

@@ -9,6 +9,8 @@ quietly go.
 
 from __future__ import annotations
 
+import dataclasses
+import sys
 from collections import Counter
 
 import numpy as np
@@ -36,6 +38,7 @@ from repro.server.config import RebalancePolicy, ShardConfig
 from repro.workloads.generator import build_workload
 from repro.workloads.spec import WorkloadSpec
 from tests.helpers import built_system
+from tests.test_engine import SPEC as COMMUTE_SPEC
 
 #: ``b_dense``'s shape (Q = 16, k = 8, random waypoint, query speed 50)
 #: at 20k objects; ``p_dense`` has the same shape.
@@ -330,4 +333,61 @@ def test_dknn_p_subround_downlinks_leave_one_batch_per_kind(
     assert built[0] == 0 and sim.mobiles.built() == []
     assert passes and set(passes) == {(True, 1)}
     if cfg.engine is not None:
-        assert sim._driver.stats()["skipped_ticks"] > 0
+        assert sim.driver.stats()["skipped_ticks"] > 0
+
+
+#: Python calls the event driver may make on one tick outside the
+#: planner and the fleet, whatever the size of the tick's due set.
+DRIVER_CALLS_PER_TICK = 32
+
+
+def test_event_driver_bookkeeping_does_not_grow_with_the_due_set():
+    """The engine driver re-plans a tick's due set with a fixed number
+    of Python calls: ``sys.setprofile`` call events inside ``skip_tick``
+    and ``after_full_step``, less those inside ``planner.wakeups`` and
+    the fleet's ``advance``, stay under a constant on every tick, also
+    on the ticks that write more wakeups than that constant (a call
+    per written wakeup would break it)."""
+    spec = dataclasses.replace(COMMUTE_SPEC, n_objects=1500, k=8)
+    sim, _ = built_system(
+        RunConfig("DKNN-P", engine=EngineConfig(mode="event")), spec
+    )
+    driver = sim.driver
+    calls, written = [], []
+
+    def unprofiled(fn):
+        def run(*args):
+            profile = sys.getprofile()
+            sys.setprofile(None)
+            try:
+                return fn(*args)
+            finally:
+                sys.setprofile(profile)
+        return run
+
+    def counted(hook):
+        def run():
+            n = [0]
+
+            def profile(frame, event, arg):
+                n[0] += event == "call"
+
+            scheduled = driver.scheduled
+            sys.setprofile(profile)
+            try:
+                hook()
+            finally:
+                sys.setprofile(None)
+            calls.append(n[0])
+            written.append(driver.scheduled - scheduled)
+        return run
+
+    driver.planner.wakeups = unprofiled(driver.planner.wakeups)
+    sim.fleet.advance = unprofiled(sim.fleet.advance)
+    driver.skip_tick = counted(driver.skip_tick)
+    driver.after_full_step = counted(driver.after_full_step)
+    sim.run(spec.ticks)
+    assert len(calls) == spec.ticks
+    assert driver.skipped_ticks > 0
+    assert max(written) > DRIVER_CALLS_PER_TICK
+    assert max(calls) <= DRIVER_CALLS_PER_TICK, calls

@@ -1,6 +1,6 @@
 """The event-scheduled engine: config surface and the equivalence pin.
 
-DESIGN §15's contract is that ``EngineConfig(mode="event")`` changes
+DESIGN §8's contract is that ``EngineConfig(mode="event")`` changes
 *when work happens*, never *what the protocol computes*: at every tick
 boundary the published answers, the message counters and the mobility
 RNG stream are identical to the synchronous tick loop. The tests here
@@ -12,10 +12,14 @@ the sharded tier, and with one-tick latency.
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.client import DknnMobileNode
 from repro.core.fastpath import DknnSilentPhase
@@ -37,6 +41,7 @@ from repro.net.engine import (
 )
 from repro.net.faults import FaultPlan
 from repro.net.message import SERVER_ID, Message, MessageKind
+from repro.net.node import MobileNode, Population
 from repro.net.simulator import RoundSimulator
 from repro.server.config import ShardConfig
 from repro.workloads import WorkloadSpec, build_workload
@@ -76,13 +81,13 @@ def _run(
     sim, queries = build(cfg, spec)
     per_tick = []
     skipped = []
-    driver = getattr(sim, "_driver", None)
+    driver = sim.driver
 
     def observe(s) -> None:
         per_tick.append(
             {q.qid: frozenset(s.server.answers[q.qid]) for q in queries}
         )
-        if driver is not None and driver.skipped_ticks > len(skipped):
+        if driver.skipped_ticks > len(skipped):
             skipped.append(s.tick)
 
     sim.run(ticks, on_tick=observe)
@@ -162,8 +167,8 @@ class TestEquivalence:
         server batches: the client phase applies them in place on the
         full ticks, and the driver still wakes the receivers on time —
         same answers and messages as the tick loop, and the skipped
-        ticks and heap counters of the per-node re-plan the batched one
-        replaced (pinned)."""
+        ticks and wakeup counters of the per-node re-plan the batched
+        one replaced (pinned)."""
         spec = dataclasses.replace(SPEC, n_objects=1500, k=8)
         tick_run = _run(RunConfig("DKNN-P"), spec)
         event_run = _run(
@@ -273,9 +278,11 @@ class TestAttach:
 
     def test_attach_returns_sim_and_installs_driver(self):
         sim = self._sim()
+        assert sim.driver.stats()["mode"] == "tick" and sim._driver is None
         out = engine_attach(sim, EngineConfig(mode="event"))
         assert out is sim
         assert isinstance(sim._driver, EventDriver)
+        assert sim.driver is sim._driver
 
     def test_double_attach_raises(self):
         sim = self._sim()
@@ -452,10 +459,172 @@ class TestBatchedCounts:
         ids=["commute", "waypoint"],
     )
     def test_replan_is_batched_and_the_heap_is_unchanged(self, spec, pinned):
-        """The heap counters are those of the per-node re-plan the
-        batched one replaced (pinned)."""
+        """The wakeup counters of the batched column write are those of
+        the per-node heap re-plan it replaced (pinned)."""
         run = _run(
             RunConfig("DKNN-P", engine=EngineConfig(mode="event")), spec
         )
         doc = run["driver"].stats()
         assert {k: doc[k] for k in pinned} == pinned
+
+
+# -- the wheel against the heap it replaced -----------------------------------
+
+N_MODEL = 6
+
+
+class _HeapModel:
+    """The per-oid rule the tick wheel replaced, in plain Python: one
+    heap of ``(tick, oid, act)`` rows, an entry map that makes every
+    older row of an oid stale, and all rows due up to a tick popped."""
+
+    def __init__(self, n: int) -> None:
+        self.heap, self.entry = [], {}
+        self.scheduled = self.fired = self.cancelled = 0
+        for oid in range(n):  # the opening tick: every node acts
+            self._schedule(oid, 1, True)
+
+    def _schedule(self, oid, tick, act) -> None:
+        cur = self.entry.get(oid)
+        if cur == (tick, act):
+            return
+        self.cancelled += cur is not None
+        self.entry[oid] = (tick, act)
+        heapq.heappush(self.heap, (tick, oid, act))
+        self.scheduled += 1
+
+    def can_skip(self, next_tick: int) -> bool:
+        due = self.entry.values()
+        return not any(act and t <= next_tick for t, act in due)
+
+    def pop(self, tick: int) -> list:
+        fired = []
+        while self.heap and self.heap[0][0] <= tick:
+            t, oid, act = heapq.heappop(self.heap)
+            if self.entry.get(oid) == (t, act):
+                del self.entry[oid]
+                self.fired += 1
+                fired.append(oid)
+        return fired
+
+    def replan(self, due, answers) -> None:
+        for oid in sorted(set(due)):
+            act, resolve = answers[oid]
+            if act >= 0:
+                self._schedule(oid, act, True)
+            elif resolve >= 0:
+                self._schedule(oid, resolve, False)
+            elif self.entry.pop(oid, None) is not None:
+                self.cancelled += 1
+
+    def counters(self) -> dict:
+        return dict(scheduled=self.scheduled, fired=self.fired,
+                    cancelled=self.cancelled, pending=len(self.entry))
+
+
+class _DrawnPlanner:
+    """Answers each re-plan with drawn ``(act, resolve)`` columns: ticks
+    before, at and after the current one, -1s, and an oid's previous
+    answer again."""
+
+    def __init__(self, data) -> None:
+        self.data = data
+        self.last = {}
+        self.calls = []
+
+    def wakeups(self, oids, tick):
+        self.calls.append(oids.tolist())
+        near = st.integers(tick - 2, tick + 4)
+        pairs = []
+        for oid in oids.tolist():
+            pair = self.data.draw(st.one_of(
+                st.tuples(near, st.just(-1)),
+                st.tuples(st.just(-1), near),
+                st.tuples(near, near),
+                st.just((-1, -1)),
+                st.just(self.last.get(oid, (-1, -1))),
+            ))
+            self.last[oid] = pair
+            pairs.append(pair)
+        acts, resolves = zip(*pairs)
+        return (np.array(acts, dtype=np.int64),
+                np.array(resolves, dtype=np.int64))
+
+
+class _Ground:
+    """What the driver reads of a simulator: a fleet that counts ticks,
+    a channel whose idleness the test sets, a server always idle."""
+
+    def __init__(self) -> None:
+        self.tick = 0
+        self.quiet = True
+        self.fleet = self.channel = self.server = self
+        self.mobiles = Population(N_MODEL, MobileNode, lambda oid: None)
+
+    def advance(self) -> None:
+        self.tick += 1
+
+    def begin_tick(self, tick: int) -> None:
+        pass
+
+    def idle(self) -> bool:
+        return self.quiet
+
+    def event_idle(self, tick: int) -> bool:
+        return True
+
+
+_STEP = st.one_of(
+    st.tuples(st.just("tick"), st.booleans()),
+    st.tuples(st.just("ids"), st.lists(st.integers(0, N_MODEL - 1),
+                                       max_size=4)),
+    st.tuples(st.just("node"), st.integers(0, N_MODEL - 1)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), steps=st.lists(_STEP, max_size=40))
+def test_the_wheel_fires_and_counts_as_the_heap_did(data, steps):
+    """Touches and ticks in any order, the planner's answers drawn:
+    after every step the driver and the heap model agree on whether
+    the tick skips, which oids fire, which are re-planned, and on
+    ``scheduled/fired/cancelled/pending``."""
+    ground, planner = _Ground(), _DrawnPlanner(data)
+    model = _HeapModel(N_MODEL)
+    with mock.patch("repro.core.wakeups.planner_for", return_value=planner):
+        driver = EventDriver(ground, EngineConfig(mode="event"))
+    take, taken = driver._take, []
+
+    def recorded_take(tick):
+        taken.append(take(tick))
+        return taken[-1]
+
+    driver._take = recorded_take
+    touched = []
+    for kind, arg in steps:
+        if kind == "ids":
+            driver.note_ids(np.array(arg, dtype=np.int64))
+            touched += arg
+            continue
+        if kind == "node":
+            driver.note_node(arg)
+            touched.append(arg)
+            continue
+        ground.quiet = arg
+        skip = driver.can_skip(ground.tick + 1)
+        assert skip == (arg and model.can_skip(ground.tick + 1))
+        taken.clear()
+        planner.calls.clear()
+        if skip:
+            driver.skip_tick()
+        else:
+            ground.advance()
+            driver.after_full_step()
+        due = model.pop(ground.tick)
+        assert sorted(np.concatenate(taken).tolist()) == sorted(due)
+        if not skip:
+            due, touched = due + touched, []
+        assert planner.calls == ([sorted(set(due))] if due else [])
+        model.replan(due, planner.last)
+        stats = driver.stats()
+        assert {k: stats[k] for k in model.counters()} == model.counters()
