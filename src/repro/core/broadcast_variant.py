@@ -28,6 +28,7 @@ distributed approach (experiments E1/E5).
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -300,8 +301,12 @@ class DknnBroadcastServer(BaseServer):
         qx, qy = st.focal_pos  # type: ignore[misc]
         n = len(st.collected)
         ids = np.fromiter(st.collected, np.int64, n)
-        pts = st.collected.values()
-        d = np.fromiter((dist(x, y, qx, qy) for x, y in pts), np.float64, n)
+        # dist()'s recipe over the whole round at once (bit-identical).
+        pts = chain.from_iterable(st.collected.values())
+        xy = np.fromiter(pts, np.float64, 2 * n)
+        dx = xy[0::2] - qx
+        dy = xy[1::2] - qy
+        d = np.sqrt(dx * dx + dy * dy)
         if n:
             self.meter.charge(CostMeter.DIST_CALC, n)
         order = _rank(d, ids)

@@ -115,6 +115,9 @@ _ROW_KIND = {
 #: drift-origin mirror of a node that has never transmitted.
 _NEVER_SENT = (math.nan, math.nan)
 
+#: a broadcast query row before its first install: the zero cells.
+_EMPTY_ROW = (0.0, 0.0, 0.0, np.empty(0, np.int64), np.empty(0), False)
+
 
 def _has_timers(node: DknnMobileNode) -> bool:
     """Does ``node`` run a protocol timer (violation retry, lease)?"""
@@ -766,17 +769,22 @@ class BroadcastSilentPhase(ClientPhase):
     Every node self-monitors every query it has heard an install for,
     so the silence predicate is the per-query band check itself. The
     phase holds each node's **own** monitor view per query — anchor,
-    band limit, role, reported flag, epoch — in ``(q, n)`` cells (views
-    diverge across nodes under faults or geocast coverage), checks them
-    one query row at a time in n-sized scratch and sends the violation
-    reports from the cells (:meth:`_report`). Nothing in the build
+    band limit, role, armed and reported flags, epoch — checks it one
+    query row at a time in n-sized scratch and sends the violation
+    reports from the cells (:meth:`_report`). A row that every active
+    node heard whole is **shared**: one payload in ``_row``, read as
+    scalars, with only the armed / reported flags per cell. A row
+    whose receivers diverged — a geocast strip, an epoch gate, down
+    receivers — lives in ``(q, n)`` cells, allocated on the first such
+    row, until a full broadcast shares it again. Nothing in the build
     reads a node's ``monitors`` / ``known_answers`` — the COLLECT and
     PROBE handlers read only ``my_qids`` and the position — so no node
     runs a tick-start or hears an install, and one is built only when
     a handler must answer.
 
     * installs are claimed by :meth:`deliver_area` and written to their
-      receivers' cells by :meth:`_install`: every receiver's handler
+      query's row or their receivers' cells by :meth:`_install`: every
+      receiver's handler
       assignment ``monitors[qid] = payload`` with its ``_reported``
       re-arm, epoch-gated per receiver for geocast (the acceptance rule
       of :class:`GeocastMobileNode.on_message`). ``_first`` keeps the
@@ -821,16 +829,18 @@ class BroadcastSilentPhase(ClientPhase):
         self._build = pop.build
         self._active = np.zeros(n, dtype=bool)
         self._active[pop.oids()] = True
-        self._ax = np.zeros((q, n))
-        self._ay = np.zeros((q, n))
-        #: the band limit each cell is checked against — inner for
-        #: answer members, the query circle for the focal's own query
-        #: (both fire beyond it), outer for everyone else (fires inside)
-        #: — and whether it can fire at all: a monitor is held,
-        #: unreported, with a finite threshold. Both change only on
-        #: install and report, never per tick.
-        self._bound = np.zeros((q, n))
-        self._member = np.zeros((q, n), dtype=bool)
+        #: per query, the payload all active nodes hold while each of
+        #: its installs reached them all: anchor, outer limit (outsiders
+        #: fire inside it), the members' and focal's oids and limits
+        #: (inner; the focal's circle: they fire beyond it), finite
+        #: threshold. None once the receivers diverged: the row then
+        #: lives in ``_ax`` / ``_ay`` / ``_bound`` / ``_member`` cells,
+        #: allocated on the first such row.
+        self._row: List[Optional[tuple]] = [_EMPTY_ROW] * q
+        self._ax = self._ay = self._bound = self._member = None
+        #: whether a cell can fire — a monitor is held, unreported, with
+        #: a finite threshold — and whether it has reported; both change
+        #: only on install and report, never per tick.
         self._armed = np.zeros((q, n), dtype=bool)
         self._reported = np.zeros((q, n), dtype=bool)
         #: per-(query, node) install epoch held under the geocast rule
@@ -862,7 +872,11 @@ class BroadcastSilentPhase(ClientPhase):
 
         Receivers all execute ``monitors[qid] = payload`` (reference
         assignment of this very object), so the payload *is* their
-        monitor state. Geocast nodes additionally gate on the epoch:
+        monitor state. A full broadcast to nodes without an epoch gate
+        stores it once, as its query's shared row, and re-arms the row.
+        Any other install diverges the receivers: the row's shared
+        payload is written into the cells first, then this one into its
+        receivers' cells. Geocast nodes additionally gate on the epoch:
         older installs are ignored, equal ones replace the monitor
         without re-arming ``_reported``.
         """
@@ -886,25 +900,56 @@ class BroadcastSilentPhase(ClientPhase):
         else:
             self._reported[qi, m] = False
         # Everyone accepting is an outsider of the new answer except its
-        # k members and the query's focal: fill the outsider values, then
-        # the members' inner limit and the focal's circle (its own query
-        # comes first in the handler's test, whatever the answer says).
+        # k members and the query's focal, whose own query comes first
+        # in the handler's test, whatever the answer says.
         inner, outer = _band_limits(payload)
         focal = self._focal_of[payload.qid]
-        special = np.fromiter(
-            (*payload.answer_ids, focal), np.int64, len(payload.answer_ids) + 1
-        )
-        special = _among(special, m)
-        self._ax[qi, m] = payload.ax
-        self._ay[qi, m] = payload.ay
+        ids = [oid for oid in payload.answer_ids if oid != focal]
+        special = _among(np.array(ids + [focal], np.int64), m)
+        limits = np.full(special.shape[0], inner)
+        if special.shape[0] and special[-1] == focal:
+            limits[-1] = payload.s * (1.0 + REGION_EPS)
+        finite = not math.isinf(payload.threshold)
+        row = (payload.ax, payload.ay, outer, special, limits, finite)
+        if idx is None and self._epoch is None:
+            self._row[qi] = row
+            self._armed[qi, m] = finite
+            return
+        if self._row[qi] is not None:
+            if self._ax is None:
+                q, n = self._armed.shape
+                self._ax, self._ay, self._bound = np.zeros((3, q, n))
+                self._member = np.zeros((q, n), dtype=bool)
+            self._write(qi, self._everyone, self._row[qi])
+            self._row[qi] = None
+        self._write(qi, m, row)
+        self._armed[qi, m] = finite and ~self._reported[qi, m]
+
+    def _write(self, qi: int, m, row: tuple) -> None:
+        """Write ``row``'s payload into the cells ``m`` of query ``qi``."""
+        ax, ay, outer, special, limits, _ = row
+        self._ax[qi, m] = ax
+        self._ay[qi, m] = ay
         self._member[qi, m] = False
         self._member[qi, special] = True
         self._bound[qi, m] = outer
-        self._bound[qi, special] = inner
-        if special.shape[0] and special[-1] == focal:
-            self._bound[qi, focal] = payload.s * (1.0 + REGION_EPS)
-        self._armed[qi, m] = (
-            False if math.isinf(payload.threshold) else ~self._reported[qi, m]
+        self._bound[qi, special] = limits
+
+    # reach: the mirror property reads a cell through the row it lives in
+    def _cell(self, qi: int, oid: int) -> tuple:
+        """Cell ``(qi, oid)``: anchor, limit, beyond it?, armed, reported."""
+        row = self._row[qi]
+        if row is None:
+            cols = (self._ax, self._ay, self._bound, self._member)
+            ax, ay, bound, member = (col[qi, oid] for col in cols)
+        else:
+            ax, ay, bound, special, limits, _ = row
+            member = oid in special
+            bound = limits[special == oid][0] if member else bound
+        armed, reported = self._armed[qi, oid], self._reported[qi, oid]
+        return (
+            float(ax), float(ay), float(bound),
+            bool(member), bool(armed), bool(reported),
         )
 
     def _down(self):
@@ -927,25 +972,44 @@ class BroadcastSilentPhase(ClientPhase):
         # strip |dx| < limit holds every outsider that can be inside
         # its outer limit (sqrt(dx*dx + dy*dy) >= |dx| in floats too);
         # members and focals are checked wherever they stand. Only those
-        # cells get the shared distance recipe and the member / focal
-        # (beyond the limit) or outsider (inside it) compare.
+        # of them that are armed get the shared distance recipe and the
+        # member / focal (beyond the limit) or outsider (inside it)
+        # compare. A shared row is read as its scalars, a diverged one
+        # through its cells.
         d, near = self._d, self._near
         hit_q: List[np.ndarray] = []
         hit_o: List[np.ndarray] = []
-        for qi, (ax, ay, bound, member, armed) in enumerate(
-            zip(self._ax, self._ay, self._bound, self._member, self._armed)
-        ):
+        for qi, row in enumerate(self._row):
+            armed = self._armed[qi]
+            if row is None:
+                cols = (self._ax, self._ay, self._bound, self._member)
+                ax, ay, bound, member = (col[qi] for col in cols)
+            elif row[5]:
+                ax, ay, bound, special, limits, _ = row
+            else:
+                continue  # nothing in the row can fire
             np.subtract(xs, ax, out=d)
             np.abs(d, out=d)
             np.less(d, bound, out=near)
-            near |= member
-            near &= armed
-            idx = np.nonzero(near)[0]
+            if row is None:
+                near |= member
+                near &= armed
+                idx = np.nonzero(near)[0]
+                ay, limit, member = ay[idx], bound[idx], member[idx]
+            else:
+                near[special] = True
+                idx = np.nonzero(near)[0]
+                at = np.searchsorted(idx, special)
+                limit = np.full(idx.shape[0], bound)
+                limit[at] = limits
+                member = np.zeros(idx.shape[0], dtype=bool)
+                member[at] = True
+                keep = armed[idx]
+                idx, limit, member = idx[keep], limit[keep], member[keep]
             dx = d[idx]
-            dy = ys[idx] - ay[idx]
+            dy = ys[idx] - ay
             dist = np.sqrt(dx * dx + dy * dy)
-            limit = bound[idx]
-            idx = idx[np.where(member[idx], dist > limit, dist < limit)]
+            idx = idx[np.where(member, dist > limit, dist < limit)]
             if idx.shape[0]:
                 hit_o.append(idx)
                 hit_q.append(np.full(idx.shape[0], qi))
@@ -1014,6 +1078,23 @@ class BroadcastSilentPhase(ClientPhase):
                 "bypasses the broadcast phase's mirror"
             )
 
+    def _strip(self, cx: float, cy: float, half: float):
+        """The active oids in the strip ``|x - cx| <= half``, ascending,
+        and their ``dx*dx + dy*dy``. Everyone within ``half`` of the
+        centre stands in it (``dx*dx + dy*dy >= dx*dx`` in floats too),
+        so only the strip gets the two-dimensional test."""
+        xs, ys = _fleet_xy(self.sim.fleet)
+        d, near = self._d, self._near
+        np.subtract(xs, cx, out=d)
+        np.abs(d, out=d)
+        np.less_equal(d, half, out=near)
+        if not isinstance(self._everyone, slice):
+            near &= self._active
+        idx = np.nonzero(near)[0]
+        dx = d[idx]
+        dy = ys[idx] - cy
+        return idx, dx * dx + dy * dy
+
     def _collect_round(self, msg: Message, geocast: bool) -> None:
         """Deliver one COLLECT request and send what it draws.
 
@@ -1033,18 +1114,7 @@ class BroadcastSilentPhase(ClientPhase):
         req = msg.payload
         radius = req.radius
         xs, ys = _fleet_xy(sim.fleet)
-        # Everyone within the radius stands in the strip |dx| <= radius
-        # (dx*dx + dy*dy >= dx*dx, through the rounding too); only the
-        # strip gets the two-dimensional test.
-        d, near = self._d, self._near
-        np.subtract(xs, req.cx, out=d)
-        np.abs(d, out=d)
-        np.less_equal(d, radius, out=near)
-        near &= self._active
-        idx = np.nonzero(near)[0]
-        dx = d[idx]
-        dy = ys[idx] - req.cy
-        d2 = dx * dx + dy * dy
+        idx, d2 = self._strip(req.cx, req.cy, radius)
         if geocast:
             heard = d2 <= radius * radius  # covers()
         else:
@@ -1103,19 +1173,8 @@ class BroadcastSilentPhase(ClientPhase):
             )
         payload = msg.payload
         cover = payload.cover
-        xs, ys = _fleet_xy(self.sim.fleet)
-        # The receivers inside covers()' squared compare all stand in the
-        # strip |dx| <= cover, as in a collect round; only the strip gets
-        # the two-dimensional test.
-        d, near = self._d, self._near
-        np.subtract(xs, payload.ax, out=d)
-        np.abs(d, out=d)
-        np.less_equal(d, cover, out=near)
-        near &= self._active
-        idx = np.nonzero(near)[0]
-        dx = d[idx]
-        dy = ys[idx] - payload.ay
-        idx = self._up(idx[dx * dx + dy * dy <= cover * cover])  # covers()
+        idx, d2 = self._strip(payload.ax, payload.ay, cover)
+        idx = self._up(idx[d2 <= cover * cover])  # covers()
         self._install(msg, idx)
         self.sim.channel.stats.record_delivery(msg, receivers=idx.shape[0])
         return True

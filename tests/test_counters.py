@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -88,6 +89,41 @@ def test_broadcast_violations_leave_from_the_mirror(algorithm, monkeypatch):
     assert stats.sent_by_kind[MessageKind.BROADCAST_INSTALL] > 0
     assert calls == {"tick_start": 0, "install": 0}
     assert len(sim.mobiles.built()) <= 0.01 * sim.fleet.n
+
+
+@pytest.mark.parametrize("algorithm", ["DKNN-B", "DKNN-G"])
+def test_a_full_broadcast_install_writes_one_payload(algorithm, monkeypatch):
+    """A DKNN-B install every node hears whole is one payload in its
+    query's row: over 40 ticks every row stays shared, no per-cell
+    float column is ever allocated, and no install after a row's first
+    allocates n bytes or more. DKNN-G geocasts its installs to a strip,
+    so there every row ends per-cell: the switch follows the input."""
+    sim, _ = built_system(RunConfig(algorithm), B_DENSE_SHAPED)
+    phase = sim.client_phase
+    install = phase._install
+    heard, peaks = set(), []
+
+    def traced(msg, idx):
+        qi = phase._qidx[msg.payload.qid]
+        tracemalloc.start()
+        try:
+            install(msg, idx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if qi in heard:
+            peaks.append(peak)
+        heard.add(qi)
+
+    monkeypatch.setattr(phase, "_install", traced)
+    sim.run(B_DENSE_SHAPED.ticks)
+    assert len(peaks) >= B_DENSE_SHAPED.ticks  # rows were re-installed
+    if algorithm == "DKNN-B":
+        assert all(row is not None for row in phase._row)
+        assert phase._ax is phase._ay is phase._bound is phase._member is None
+        assert max(peaks) < sim.fleet.n
+    else:
+        assert all(row is None for row in phase._row)
 
 
 def test_dknn_p_full_repairs_finalize_in_the_batched_pass(monkeypatch):

@@ -17,7 +17,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.protocol import (
@@ -229,19 +229,15 @@ def _oracle_view(node):
 
 
 def _mirror_view(phase, oid):
-    """The same view read off the broadcast phase's cells of ``oid``:
-    the queries it has heard an install for, in ``_first`` order."""
+    """The same view read off the broadcast phase's cells of ``oid``
+    (through the shared row or the per-cell columns, whichever holds
+    it): the queries it has heard an install for, in ``_first`` order."""
     first = phase._first[:, oid]
     heard = sorted(np.flatnonzero(first >= 0), key=lambda qi: first[qi])
     return [
         (
             phase._qids[qi],
-            float(phase._ax[qi, oid]),
-            float(phase._ay[qi, oid]),
-            float(phase._bound[qi, oid]),
-            bool(phase._member[qi, oid]),
-            bool(phase._armed[qi, oid]),
-            bool(phase._reported[qi, oid]),
+            *phase._cell(qi, oid),
             None if phase._epoch is None else int(phase._epoch[qi, oid]),
         )
         for qi in heard
@@ -249,14 +245,19 @@ def _mirror_view(phase, oid):
 
 
 def _mirror_state(phase):
-    """Everything the broadcast phase holds of the nodes."""
+    """Everything the broadcast phase holds of the nodes: the shared
+    rows' payloads and every cell column."""
+    rows = [
+        None if row is None
+        else (*row[:3], row[3].tolist(), row[4].tolist(), row[5])
+        for row in phase._row
+    ]
     arrays = (
         phase._ax, phase._ay, phase._bound, phase._member, phase._armed,
-        phase._reported, phase._first,
+        phase._reported, phase._first, phase._epoch,
     )
-    epoch = None if phase._epoch is None else phase._epoch.tolist()
-    return [a.tolist() for a in arrays] + [
-        epoch, phase._seq, list(phase._unseen)
+    return [rows] + [None if a is None else a.tolist() for a in arrays] + [
+        phase._seq, list(phase._unseen)
     ]
 
 
@@ -288,9 +289,25 @@ def _install_message(sim, algorithm, qi, epoch, anchor, threshold, answer,
     return Message(MessageKind.BROADCAST_INSTALL, SERVER_ID, dst, payload)
 
 
+#: a history that takes query 0's row shared -> per-cell -> shared with
+#: reports muted in between; under MIRROR_PLAN node 2 is down from tick
+#: 1 on, so the later full broadcasts diverge the row instead.
+_SWITCH = [
+    ("install", 0, 0, 3, 50.0, [1, 4], None),
+    ("tick",),
+    ("install", 0, 1, 5, 50.0, [2, 3], [True] * 6 + [False] * 6),
+    ("tick",),
+    ("install", 0, 2, 7, 3000.0, [0, 8], None),
+    ("tick",),
+    ("install", 1, 1, 8, 50.0, [6], None),
+    ("tick",),
+]
+
+
 @pytest.mark.parametrize("faulty", [False, True], ids=["plain", "faulty"])
 @pytest.mark.parametrize("algorithm", ["DKNN-B", "DKNN-G"])
 @given(ops=st.lists(_ops, max_size=60))
+@example(ops=_SWITCH)
 @settings(max_examples=150, deadline=None)
 def test_the_mirror_is_the_eager_oracle(algorithm, faulty, ops):
     """The broadcast phase's cells against eagerly built scalar nodes.
