@@ -51,7 +51,7 @@ from repro.metrics.cost import CostMeter
 from repro.net.faults import FaultPlan
 from repro.net.message import Message, MessageKind
 from repro.net.node import MobileNode, Population
-from repro.net.plane import ColumnarBatch
+from repro.net.plane import REPORT_KINDS, ColumnarBatch
 from repro.net.simulator import RoundSimulator, ZERO_LATENCY
 from repro.server.engine import BaseServer
 from repro.server.query_table import QuerySpec
@@ -158,19 +158,10 @@ class DknnBroadcastServer(BaseServer):
     def on_message(self, msg: Message) -> None:
         payload = msg.payload
         if msg.kind in (MessageKind.VIOLATION, MessageKind.QUERY_MOVE):
-            st = self._require_state(payload.qid)
-            st.dirty = True
-            if msg.src == st.spec.focal_oid:
-                st.focal_pos = (payload.x, payload.y)
-                st.focal_tick = self._tick
-            tel = self.telemetry
-            if tel.enabled:
-                event = (
-                    "server.violation"
-                    if msg.kind == MessageKind.VIOLATION
-                    else "server.query_move"
-                )
-                tel.emit(self._tick, event, qid=payload.qid, oid=msg.src)
+            self._violation(
+                msg.kind, msg.src, payload.qid, payload.x, payload.y,
+                payload.epoch,
+            )
         elif msg.kind == MessageKind.PROBE_REPLY:
             # Only focal nodes are probed point-to-point in DKNN-B.
             for st in self._by_focal.get(msg.src, ()):
@@ -183,12 +174,35 @@ class DknnBroadcastServer(BaseServer):
         else:
             raise ProtocolError(f"broadcast server cannot handle {msg.kind}")
 
+    def _violation(self, kind, src, qid, x, y, epoch) -> None:
+        """A ``VIOLATION`` / ``QUERY_MOVE`` of ``src`` about ``qid`` at
+        ``(x, y)``: the query turns dirty, and a report from its focal
+        is its position."""
+        st = self._require_state(qid)
+        st.dirty = True
+        if src == st.spec.focal_oid:
+            st.focal_pos = (x, y)
+            st.focal_tick = self._tick
+        tel = self.telemetry
+        if tel.enabled:
+            tag = "query_move" if kind is MessageKind.QUERY_MOVE else "violation"
+            tel.emit(self._tick, "server." + tag, qid=qid, oid=src)
+
     def on_uplink_batch(self, batch: ColumnarBatch) -> bool:
-        """Ingest the replies one collect drew, sent as one columnar
-        batch (``batch.qid`` names the query): the COLLECT_REPLY arm of
+        """Ingest a report flight (:meth:`_violation` row by row), or
+        the replies one collect drew, sent as one columnar batch
+        (``batch.qid`` names the query): the COLLECT_REPLY arm of
         :meth:`on_message` for every source, under the same phase gate
         — a round the server has moved on from is ignored whole. Any
         other kind is declined and arrives as scalar messages."""
+        if batch.kind is None:
+            for row in zip(
+                [REPORT_KINDS[c] for c in batch.codes.tolist()],
+                batch.srcs.tolist(), batch.qids.tolist(),
+                batch.xs.tolist(), batch.ys.tolist(), batch.epochs.tolist(),
+            ):
+                self._violation(*row)
+            return True
         if batch.kind is not MessageKind.COLLECT_REPLY:
             return False
         st = self._require_state(batch.qid)

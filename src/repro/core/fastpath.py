@@ -104,6 +104,27 @@ def _base_tick_end(mobiles) -> bool:
 _LU_NBYTES = payload_size(LocationUpdate(0.0, 0.0))
 _PR_NBYTES = payload_size(ProbeReply(0.0, 0.0))
 _CR_NBYTES = payload_size(CollectReply(0, 0.0, 0.0))
+_VR_NBYTES = payload_size(ViolationReport(0, 0.0, 0.0))
+_VR_EPOCH_NBYTES = payload_size(ViolationReport(0, 0.0, 0.0, 0))
+
+
+def _report_payload(kind: MessageKind, qid: int, x, y, epoch: int):
+    """The payload of one report-flight row, as its node builds it."""
+    if kind is MessageKind.LOCATION_UPDATE:
+        return LocationUpdate(x, y)
+    return ViolationReport(qid, x, y, epoch)
+
+
+def _report_flight(srcs, codes, qids, epochs, xs, ys) -> ColumnarBatch:
+    """Row ``i``: a ``REPORT_KINDS[codes[i]]`` report of ``srcs[i]`` at
+    its position in ``(xs, ys)``, about ``qids[i]``, at ``epochs[i]``."""
+    nbytes = np.where(epochs >= 0, _VR_EPOCH_NBYTES, _VR_NBYTES)
+    return ColumnarBatch(  # fancy indexing copies xs / ys: latency-safe
+        None, srcs=srcs, dst=SERVER_ID, xs=xs[srcs], ys=ys[srcs],
+        payload_nbytes=np.where(codes == 0, _LU_NBYTES, nbytes),
+        payload_ctor=_report_payload, codes=codes, qids=qids, epochs=epochs,
+    )
+
 
 #: region class -> (the table's row kind: the wire's band code, the
 #: squared slack the class's ``contains`` multiplies ``radius**2`` by).
@@ -149,6 +170,23 @@ def _among(oids: np.ndarray, m) -> np.ndarray:
         return oids[:0]
     at = np.minimum(np.searchsorted(m, oids), m.shape[0] - 1)
     return oids[m[at] == oids]
+
+
+def _send_runs(sim, flight: ColumnarBatch, scalar=(), run=None) -> None:
+    """Send ``flight`` in the per-object order, ``run(oid)`` for each of
+    the ``scalar`` oids (ascending) where it stands among the senders:
+    each run of rows between them as one flight, or one by one with the
+    plane closed."""
+    batched = sim.plane_open()
+    cuts = np.searchsorted(flight.srcs, scalar).tolist() + [flight.count]
+    for start, stop, oid in zip([0] + cuts, cuts, list(scalar) + [None]):
+        if start < stop and batched:
+            sim.channel.send_batch(flight.rows(start, stop))
+        elif start < stop:
+            for msg in flight.rows(start, stop).materialize():
+                sim.channel.send(msg.kind, msg.src, msg.dst, msg.payload)
+        if oid is not None:
+            run(oid)
 
 
 class _RegionTable:
@@ -363,8 +401,8 @@ class DknnSilentPhase(ClientPhase):
     rest; :meth:`_adopt` writes them onto the node the moment it is
     built. Batches reach an unbuilt node through the columns alone —
     answer pushes are held here until it is built — and so does its
-    tick-start when it runs no timers (:meth:`_tick_start_unbuilt`: the
-    same sends, in the same order). What builds a node is a scalar
+    tick-start when it runs no timers (:meth:`_reports`: the same
+    reports, in the same order). What builds a node is a scalar
     dispatch, the tick-start or the re-plan of a node with timers, or a
     loop over every node. A fault-free run has none of these: every
     downlink of the server is a flight :meth:`deliver_batch` takes
@@ -386,9 +424,13 @@ class DknnSilentPhase(ClientPhase):
     On columnar builds (see :mod:`repro.net.plane`) the phase also
     splits the candidates: the *drift-only* ones — no installed region,
     so their whole tick-start is one ``LOCATION_UPDATE`` — are sent as
-    a single columnar batch without ever invoking the nodes, and probe
-    batches from the server are answered with one ``PROBE_REPLY``
-    batch. Nodes handled this way are **desynced**: the phase's mirrors
+    a single columnar batch without ever invoking the nodes, and the
+    reports of every other unbuilt, timer-free candidate as one
+    **report flight** (split where a built candidate runs its own
+    tick-start, one by one with the plane closed: :func:`_send_runs`).
+    Probe batches from the server are answered with one
+    ``PROBE_REPLY`` batch. Nodes handled this way are **desynced**:
+    the phase's mirrors
     are newer than ``node._last_sent``, and :meth:`_sync_node` flushes
     the mirror back onto the node before any scalar code path (message
     dispatch, scalar candidate run) can read it. Install, revoke and
@@ -547,9 +589,8 @@ class DknnSilentPhase(ClientPhase):
         if sim.plane_open():
             # Drift-only candidates (no installed region) do exactly
             # one thing scalar: send a LOCATION_UPDATE. Ship them all
-            # as one batch; region holders still run the scalar path.
-            quiet = cand & ~self._attention
-            idx = np.nonzero(quiet)[0]
+            # as one batch.
+            idx = np.flatnonzero(cand & ~self._attention)
             if idx.shape[0] >= MIN_BATCH:
                 bx = xs[idx]  # fancy indexing copies: latency-safe
                 by = ys[idx]
@@ -569,29 +610,19 @@ class DknnSilentPhase(ClientPhase):
                 self._uplink_tick[idx] = tick
                 self._desynced[idx] = True
                 cand &= self._attention
-        # The violated rows by holder, each holder's in its dict order.
-        hit = hit[np.argsort(table.order[hit], kind="stable")]
-        violated: Dict[int, List[int]] = {}
-        for row, oid in zip(hit.tolist(), table.oid[hit].tolist()):
-            violated.setdefault(oid, []).append(row)
-        is_down = sim._is_down if sim.faults is not None else None
-        touched = self._touched
-        node_of, build, timers = self._node_of, self._build, self._timers
-        candidates = np.nonzero(cand)[0].tolist()
-        for oid in candidates:
-            if is_down is not None and is_down(oid):
-                continue  # blacked out/crashed: no checks, no sends
-            node = node_of[oid]
-            if node is None:
-                if not timers[oid]:
-                    self._tick_start_unbuilt(
-                        oid, tick, bool(moved[oid]), violated.get(oid, [])
-                    )
-                    continue
-                node = build(oid)
-            self._sync_node(oid)
-            node.on_tick_start(tick)
-            touched.add(oid)
+        if sim.faults is not None:
+            down = sim.faults.down_at(tick)  # no checks, no sends
+            cand[[i for i in down if 0 <= i < cand.shape[0]]] = False
+        # A built candidate, or one with timers, runs its own tick-start;
+        # every other one is its columns.
+        oids = np.flatnonzero(cand)
+        scalar = [
+            oid for oid, timed in zip(oids.tolist(), self._timers[oids])
+            if timed or self._node_of[oid] is not None
+        ]
+        cand[scalar] = False
+        flight = self._reports(cand, moved, hit, xs, ys, tick)
+        _send_runs(sim, flight, scalar, self._tick_start)
         tel = sim.telemetry
         if tel.enabled:
             tel.emit(
@@ -601,38 +632,37 @@ class DknnSilentPhase(ClientPhase):
                 population=int(self._active.sum()),
             )
 
-    def _tick_start_unbuilt(
-        self, oid: int, tick: int, moved: bool, rows: List[int]
-    ) -> None:
-        """``DknnMobileNode.on_tick_start`` of an unbuilt candidate
-        without timers, on the columns: the drift report if it ``moved``,
-        then a violation per violated row in ``rows`` (in the node's
-        dict order), each row muted — and, as it sent something (that is
-        what made it a candidate), its position marked sent."""
-        x, y = self.sim.fleet.positions[oid]
-        send = self.sim.channel.send
-        if moved:
-            send(
-                MessageKind.LOCATION_UPDATE,
-                oid,
-                SERVER_ID,
-                LocationUpdate(x, y),
-            )
-        if rows:
-            table = self.regions
-            for row in rows:
-                kind = (
-                    MessageKind.QUERY_MOVE
-                    if table.kind[row] == BAND_QUERY_CIRCLE
-                    else MessageKind.VIOLATION
-                )
-                report = ViolationReport(int(table.qid[row]), x, y)
-                send(kind, oid, SERVER_ID, report)
-            table.muted[rows] = True
-        self._sent_x[oid] = x
-        self._sent_y[oid] = y
-        self._uplink_tick[oid] = tick
-        self._desynced[oid] = True
+    def _reports(self, plain, moved, hit, xs, ys, tick) -> ColumnarBatch:
+        """``DknnMobileNode.on_tick_start`` of the unbuilt, timer-free
+        candidates ``plain`` holds, on the columns, as a report flight:
+        per node its drift report if it ``moved``, then its violated
+        rows of ``hit`` in dict order, muted; each marked sent."""
+        table = self.regions
+        oids = np.flatnonzero(plain)
+        rows = hit[plain[table.oid[hit]]]
+        table.muted[rows] = True
+        self._sent_x[oids] = xs[oids]
+        self._sent_y[oids] = ys[oids]
+        self._uplink_tick[oids] = tick
+        self._desynced[oids] = True
+        # the violations go in after their sender's drift report
+        lu = oids[moved[oids]]
+        rows = rows[np.lexsort((table.order[rows], table.oid[rows]))]
+        at = np.searchsorted(lu, table.oid[rows], side="right")
+        codes = 1 + (table.kind[rows] == BAND_QUERY_CIRCLE)
+        return _report_flight(
+            np.insert(lu, at, table.oid[rows]),
+            np.insert(np.zeros(lu.shape[0], np.int8), at, codes),
+            np.insert(np.full(lu.shape[0], -1), at, table.qid[rows]),
+            np.full(lu.shape[0] + rows.shape[0], -1), xs, ys,
+        )
+
+    def _tick_start(self, oid: int) -> None:
+        """A candidate's own ``on_tick_start``, built if it is not."""
+        node = self._node_of[oid] or self._build(oid)
+        self._sync_node(oid)
+        node.on_tick_start(self.sim.tick)
+        self._touched.add(oid)
 
     def deliver_batch(self, batch: ColumnarBatch) -> bool:
         """Consume a PROBE, INSTALL_REGION, REVOKE_REGION or
@@ -1032,12 +1062,13 @@ class BroadcastSilentPhase(ClientPhase):
         """Send the reports of the violated cells ``(qis, oids)`` that
         are up and mute them; returns how many were sent.
 
-        The uplinks go out as the per-object loop sends them: node by
-        node in ascending oid, each node's in its ``monitors`` order —
-        the order of the first install it heard per query — one
+        The uplinks keep the per-object loop's order: node by node in
+        ascending oid, each node's in its ``monitors`` order — the
+        order of the first install it heard per query — one
         ``ViolationReport`` at the node's position and held epoch,
-        ``QUERY_MOVE`` for the focal's own query. A report mutes its
-        cell until the next install re-arms it.
+        ``QUERY_MOVE`` for the focal's own query. They leave as one
+        report flight, or one by one with the plane closed. A report
+        mutes its cell until the next install re-arms it.
         """
         keep = self._active[oids]
         down = self._down()
@@ -1048,25 +1079,16 @@ class BroadcastSilentPhase(ClientPhase):
         qis, oids = qis[order], oids[order]
         self._reported[qis, oids] = True
         self._armed[qis, oids] = False
-        epochs = (
-            self._epoch[qis, oids].tolist()
-            if self._epoch is not None
-            else [-1] * oids.shape[0]
+        qids = np.array(self._qids)[qis]
+        focal = np.array([self._focal_of[qid] for qid in self._qids])[qis]
+        epochs = np.full(oids.shape[0], -1)
+        if self._epoch is not None:
+            epochs = self._epoch[qis, oids]
+        flight = _report_flight(
+            oids, 1 + (focal == oids).astype(np.int8), qids, epochs, xs, ys
         )
-        send = self.sim.channel.send
-        qids, focal_of = self._qids, self._focal_of
-        for qi, oid, x, y, epoch in zip(
-            qis.tolist(), oids.tolist(), xs[oids].tolist(), ys[oids].tolist(),
-            epochs,
-        ):
-            qid = qids[qi]
-            kind = (
-                MessageKind.QUERY_MOVE
-                if focal_of[qid] == oid
-                else MessageKind.VIOLATION
-            )
-            send(kind, oid, SERVER_ID, ViolationReport(qid, x, y, epoch))
-        return oids.shape[0]
+        _send_runs(self.sim, flight)
+        return flight.count
 
     def before_dispatch(self, node: Node, msg: Message) -> None:
         # COLLECT and PROBE handlers read and write none of the monitor

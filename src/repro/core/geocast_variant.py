@@ -129,23 +129,16 @@ class DknnGeocastServer(DknnBroadcastServer):
 
     # -- messages ---------------------------------------------------------
 
-    def on_message(self, msg: Message) -> None:
-        payload = msg.payload
-        if msg.kind in (MessageKind.VIOLATION, MessageKind.QUERY_MOVE):
-            st = self._require_state(payload.qid)
-            if payload.epoch != st.epoch:
-                self.stale_violations += 1
-                tel = self.telemetry
-                if tel.enabled:
-                    tel.emit(
-                        self._tick,
-                        "server.stale_violation",
-                        qid=payload.qid,
-                        oid=msg.src,
-                        epoch=payload.epoch,
-                    )
-                return
-        super().on_message(msg)
+    def _violation(self, kind, src, qid, x, y, epoch) -> None:
+        """A report stamped with a superseded epoch is dropped."""
+        if epoch != self._require_state(qid).epoch:
+            self.stale_violations += 1
+            tel = self.telemetry
+            if tel.enabled:
+                tel.emit(self._tick, "server.stale_violation", qid=qid,
+                         oid=src, epoch=epoch)
+            return
+        super()._violation(kind, src, qid, x, y, epoch)
 
     # -- collect dispatch (area-scoped instead of global) --------------------
 

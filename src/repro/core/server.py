@@ -66,7 +66,7 @@ from repro.index.knn import (
 )
 from repro.metrics.cost import CostMeter
 from repro.net.message import SERVER_ID, Message, MessageKind
-from repro.net.plane import MIN_BATCH, ColumnarBatch
+from repro.net.plane import MIN_BATCH, REPORT_KINDS, ColumnarBatch
 from repro.server.engine import BaseServer
 from repro.server.object_table import ObjectTable
 from repro.server.query_table import QuerySpec
@@ -303,30 +303,30 @@ class DknnServer(BaseServer):
             self._probe_first.pop(msg.src, None)
         elif kind in (MessageKind.VIOLATION, MessageKind.QUERY_MOVE):
             self.table.report(msg.src, payload.x, payload.y, self._tick)
-            state = self._states.get(payload.qid)
-            if state is None:
-                raise ProtocolError(
-                    f"violation for unknown query {payload.qid}"
-                )
-            if not state.dirty:
-                # First trigger this round decides repairability;
-                # object violations start light, anything else doesn't.
-                state.light_ok = kind == MessageKind.VIOLATION
-            elif kind == MessageKind.QUERY_MOVE:
-                state.light_ok = False
-            state.dirty = True
-            if kind == MessageKind.VIOLATION:
-                state.violators.add(msg.src)
-            tel = self.telemetry
-            if tel.enabled:
-                event = (
-                    "server.violation"
-                    if kind == MessageKind.VIOLATION
-                    else "server.query_move"
-                )
-                tel.emit(self._tick, event, qid=payload.qid, oid=msg.src)
+            self._trigger(kind, payload.qid, msg.src)
         else:
             raise ProtocolError(f"server cannot handle {kind}")
+
+    def _trigger(self, kind: MessageKind, qid: int, src: int) -> None:
+        """A ``VIOLATION`` / ``QUERY_MOVE`` of ``src`` makes ``qid``
+        dirty."""
+        state = self._states.get(qid)
+        if state is None:
+            raise ProtocolError(f"violation for unknown query {qid}")
+        violation = kind == MessageKind.VIOLATION
+        if not state.dirty:
+            # First trigger this round decides repairability;
+            # object violations start light, anything else doesn't.
+            state.light_ok = violation
+        elif not violation:
+            state.light_ok = False
+        state.dirty = True
+        if violation:
+            state.violators.add(src)
+        tel = self.telemetry
+        if tel.enabled:
+            event = "server.violation" if violation else "server.query_move"
+            tel.emit(self._tick, event, qid=qid, oid=src)
 
     # -- columnar ingest ------------------------------------------------------
 
@@ -342,10 +342,13 @@ class DknnServer(BaseServer):
         loops run only for the fault-tolerant lease/retransmit dicts).
         A subround's probes leave as one ``PROBE`` flight
         (:meth:`on_subround`), so their replies come back as one
-        ``PROBE_REPLY`` batch, next to the tick's drift reports.
-        Everything that can mutate query state (violations, query
-        moves, acks) always arrives scalar.
+        ``PROBE_REPLY`` batch, next to the tick's drift reports and
+        report flight (:meth:`_ingest_reports`); acks, and the
+        fault-tolerant build's reports, arrive scalar.
         """
+        if batch.kind is None and not self._ft:
+            self._ingest_reports(batch)
+            return True
         if batch.kind not in (
             MessageKind.LOCATION_UPDATE, MessageKind.PROBE_REPLY
         ):
@@ -359,12 +362,41 @@ class DknnServer(BaseServer):
                 if src in self._suspected:
                     self._revive(src)
         self.table.report_batch(srcs, batch.xs, batch.ys, self._tick)
+        self._release_probes(srcs)
+        return True
+
+    def _release_probes(self, srcs: np.ndarray) -> None:
+        """A position from each of ``srcs`` answers its probe."""
         self._probes_in_flight.release(srcs)
         if self._probe_sent:
             for src in srcs.tolist():
                 self._probe_sent.pop(src, None)
                 self._probe_first.pop(src, None)
-        return True
+
+    def _ingest_reports(self, batch: ColumnarBatch) -> None:
+        """:meth:`on_message` over a report flight's rows: the grid
+        written once per sender, at its last row's position, the meter
+        charged once per row (the scalar path's units), the location
+        rows' probes answered, and :meth:`_trigger` for each other row
+        in row order."""
+        srcs, codes = batch.srcs, batch.codes
+        named = codes != 0
+        # a sender's rows are contiguous: its last one ends a run
+        ends = np.append(srcs[1:] != srcs[:-1], srcs.size > 0)
+        last = np.flatnonzero(ends)
+        self.table.report_batch(
+            srcs[last], batch.xs[last], batch.ys[last], self._tick
+        )
+        repeats = srcs.shape[0] - last.shape[0]
+        if repeats:
+            self.meter.charge(CostMeter.BOOKKEEPING, repeats)
+            self.meter.charge(CostMeter.INDEX_UPDATE, repeats)
+        self._release_probes(srcs[~named])
+        for code, qid, src in zip(
+            codes[named].tolist(), batch.qids[named].tolist(),
+            srcs[named].tolist(),
+        ):
+            self._trigger(REPORT_KINDS[code], qid, src)
 
     # -- per-subround driving -----------------------------------------------
 

@@ -120,12 +120,12 @@ class Channel:
         batch is one kind of a server subround's flush, which the
         per-object reference sends in the same order one message at a
         time (:mod:`repro.net.plane`). Accounting matches ``count``
-        scalar sends exactly.
+        scalar sends exactly, a report flight's kind by kind.
         """
         batch.sent_tick = self._tick
-        self.stats.record_send_batch(
-            batch.kind, batch.direction(), batch.count, batch.total_bytes
-        )
+        direction = batch.direction()
+        for kind, count, nbytes in batch.split():
+            self.stats.record_send_batch(kind, direction, count, nbytes)
         self._queue.append(batch)
         return batch
 

@@ -5,8 +5,8 @@ fast path of the message-bound protocols (DKNN-P, CPM) and the collect
 rounds of the tableless ones (DKNN-B/G): every location update or
 collect reply costs a payload object, a ``Message``, a
 ``payload_size`` walk and two ``Counter`` updates. A
-:class:`ColumnarBatch` carries one whole homogeneous flight of
-messages — same kind, same tick, same wire size — as numpy columns
+:class:`ColumnarBatch` carries one whole flight of messages — one
+kind, or one tick's reports, all of one tick — as numpy columns
 (source/destination ids, payload coordinates), so the channel, the
 stats layer, the sharded router and the server ingest it in O(columns)
 vectorized passes instead of O(messages) interpreter work.
@@ -26,25 +26,32 @@ Semantics contract (pinned by ``tests/test_plane.py``):
   one revoke, which the kind order keeps — while a probe or an answer
   push touches no region and messages about different queries touch
   disjoint state;
+* a flight has one kind, except a client phase's **report flight**:
+  a tick's ``REPORT_KINDS`` uplinks in the per-object order (ascending
+  oid, a sender's rows contiguous). Grouped by kind they would reorder
+  the server's events and, on the sharded tier, what a focal row's
+  handoff exports;
 * accounting is identical in every legacy :class:`CommStats` counter:
-  ``record_send_batch`` adds the same per-kind / per-direction counts
-  and bytes the per-message path would — ``total_bytes`` sums each
-  row's wire size, which differs from row to row in a flight of
-  answer pushes — and delivery adds the same reception counts
-  (batches are never broadcast);
+  ``record_send_batch`` adds, kind by kind (:meth:`~ColumnarBatch.
+  split`), the counts and bytes the per-message path would —
+  ``total_bytes`` sums each row's wire size, which differs from row to
+  row in a flight of answer pushes or reports — and delivery adds the
+  same reception counts (batches are never broadcast);
 * a downlink batch carries its payloads as one table: ``payloads``,
   each distinct payload once, and ``pidx``, the int column naming
   each row's payload. An uplink batch carries coordinates instead
   (``xs`` / ``ys``) and rebuilds its payloads with ``payload_ctor``;
-* a flight whose kind names a query carries that one query as
-  ``batch.qid`` — the ``COLLECT_REPLY`` uplinks one DKNN-B/G collect
-  round draws. The sharded tier declines such a batch and routes its
-  messages one by one: a reply that lands on a shard that does not
-  own the query is forwarded, which its batch ledger cannot see;
+* a one-kind flight whose kind names a query carries that one query
+  as ``batch.qid`` — the ``COLLECT_REPLY`` uplinks one DKNN-B/G
+  collect round draws. The sharded tier declines such a batch and
+  routes its messages one by one: a reply that lands on a shard that
+  does not own the query is forwarded, which its batch ledger cannot
+  see;
 * :meth:`ColumnarBatch.materialize` lazily expands the batch into the
   exact scalar ``Message`` objects it replaced — the fallback for any
   receiver without a batch handler, or whose handler declines this
-  batch. Materialization is counted in
+  batch (a handler without a report arm declines ``kind`` None).
+  Materialization is counted per kind in
   ``CommStats.materialized_by_kind`` (a transport diagnostic, not
   radio traffic).
 
@@ -52,15 +59,16 @@ Batches only exist on fault-free runs: radio :class:`~repro.net.faults.
 FaultPlan` channels advertise ``supports_columnar = False`` (per-message
 drop/dup/delay decisions need per-message sends to keep the fault RNG
 stream identical) and the sharded tier refuses batches while a
-``ShardFaultPlan`` is active. A trace does not close the plane: no
-batch path emits a protocol event, so a traced run carries the same
-batches as a bare one and its protocol stream still matches the
-reference path event for event.
+``ShardFaultPlan`` is active. A trace does not close the plane: a
+batch path emits its protocol events in the scalar order, so a traced
+run carries the same batches as a bare one and its protocol stream
+still matches the reference path event for event.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence
+import copy
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -73,18 +81,23 @@ from repro.net.message import (
     payload_size,
 )
 
-__all__ = ["ColumnarBatch", "MIN_BATCH"]
+__all__ = ["ColumnarBatch", "MIN_BATCH", "REPORT_KINDS"]
 
 #: shortest run a client phase ships as an uplink batch: below it the
 #: batch's constant (array assembly, one vectorized handler call) costs
-#: more than it saves. A server subround's flush ignores it (one batch
-#: per kind, whatever its size); ``DknnServer._prefetch`` reads it as
-#: the break-even of the many-row searches (:mod:`repro.index.knn`).
+#: more than it saves. A server subround's flush and a client phase's
+#: report flight ignore it (one batch per kind, one flight per tick,
+#: whatever its size); ``DknnServer._prefetch`` reads it as the
+#: break-even of the many-row searches (:mod:`repro.index.knn`).
 MIN_BATCH = 8
+
+#: the kinds of a report flight's rows, by their ``codes`` entry.
+REPORT_KINDS = (MessageKind.LOCATION_UPDATE, MessageKind.VIOLATION,
+                MessageKind.QUERY_MOVE)
 
 
 class ColumnarBatch:
-    """One homogeneous flight of messages as struct-of-arrays columns.
+    """One flight of messages as struct-of-arrays columns.
 
     Exactly one of ``srcs`` / ``dsts`` is an array:
 
@@ -96,6 +109,10 @@ class ColumnarBatch:
       ``payload_ctor`` rebuilds one scalar payload on materialization
       — ``ctor(x, y)``, or ``ctor(qid, x, y)`` on a flight with a qid —
       and ``payload_nbytes`` is the uniform wire size of one payload;
+    * **report flight** — an uplink batch with ``kind`` None whose row
+      ``i`` is a ``REPORT_KINDS[codes[i]]`` message about query
+      ``qids[i]`` (-1: none) stamped ``epochs[i]``, of wire size
+      ``payload_nbytes[i]``; ``payload_ctor(kind, qid, x, y, epoch)``;
     * **downlink batch** — ``src`` is the scalar sender (``SERVER_ID``),
       ``dsts`` is an int array of mobile receivers, and row ``i``
       carries ``payloads[pidx[i]]``.
@@ -117,13 +134,14 @@ class ColumnarBatch:
         "payload_ctor",
         "payloads",
         "pidx",
+        "codes", "qids", "epochs",
         "sent_tick",
         "total_bytes",
     )
 
     def __init__(
         self,
-        kind: MessageKind,
+        kind: Optional[MessageKind],
         *,
         src: Optional[int] = None,
         dst: Optional[int] = None,
@@ -132,10 +150,13 @@ class ColumnarBatch:
         xs: Optional[np.ndarray] = None,
         ys: Optional[np.ndarray] = None,
         qid: Optional[int] = None,
-        payload_nbytes: int = 0,
+        payload_nbytes=0,
         payload_ctor: Optional[Callable[..., Any]] = None,
         payloads: Optional[Sequence[Any]] = None,
         pidx: Optional[np.ndarray] = None,
+        codes: Optional[np.ndarray] = None,
+        qids: Optional[np.ndarray] = None,
+        epochs: Optional[np.ndarray] = None,
         sent_tick: int = 0,
     ) -> None:
         if (srcs is None) == (dsts is None):
@@ -152,6 +173,8 @@ class ColumnarBatch:
             raise NetworkError(
                 "a downlink batch, and only one, carries payloads and pidx"
             )
+        if (kind is None) != (codes is not None and srcs is not None):
+            raise NetworkError("only an uplink report flight has no kind")
         self.kind = kind
         self.src = src
         self.dst = dst
@@ -160,12 +183,17 @@ class ColumnarBatch:
         self.xs = xs
         self.ys = ys
         self.qid = qid
-        self.payload_nbytes = int(payload_nbytes)
+        self.payload_nbytes = (
+            payload_nbytes if codes is not None else int(payload_nbytes)
+        )
         self.payload_ctor = payload_ctor
         self.payloads = payloads
         self.pidx = pidx
+        self.codes, self.qids, self.epochs = codes, qids, epochs
         self.sent_tick = sent_tick
-        if dsts is None:
+        if codes is not None:
+            payload_bytes = int(payload_nbytes.sum())
+        elif dsts is None:
             payload_bytes = srcs.shape[0] * self.payload_nbytes
         else:
             sizes = np.array([payload_size(p) for p in payloads], np.int64)
@@ -190,6 +218,28 @@ class ColumnarBatch:
             return (int(self.srcs[i]), self.dst)
         return (self.src, int(self.dsts[i]))
 
+    def split(self) -> List[Tuple[MessageKind, int, int]]:
+        """``(kind, messages, bytes)`` of each kind the flight carries:
+        its one kind, or a report flight's kinds in
+        :data:`REPORT_KINDS` order."""
+        if self.codes is None:
+            return [(self.kind, self.count, self.total_bytes)]
+        n = len(REPORT_KINDS)
+        sizes = HEADER_BYTES + self.payload_nbytes
+        counts = np.bincount(self.codes, minlength=n).tolist()
+        sums = np.bincount(self.codes, weights=sizes, minlength=n).tolist()
+        rows = zip(REPORT_KINDS, counts, sums)
+        return [(kind, c, int(b)) for kind, c, b in rows if c]
+
+    def rows(self, lo: int, hi: int) -> "ColumnarBatch":
+        """Rows ``[lo, hi)`` of a report flight, a flight of their own."""
+        part = copy.copy(self)
+        for name in ("srcs", "xs", "ys", "codes", "qids", "epochs"):
+            setattr(part, name, getattr(self, name)[lo:hi])
+        part.payload_nbytes = nbytes = self.payload_nbytes[lo:hi]
+        part.total_bytes = HEADER_BYTES * (hi - lo) + int(nbytes.sum())
+        return part
+
     # -- lazy materialization -----------------------------------------------
 
     def materialize(self) -> List[Message]:
@@ -202,7 +252,14 @@ class ColumnarBatch:
         """
         n = self.count
         ctor = self.payload_ctor
-        if self.payloads is not None:
+        kinds = [self.kind] * n
+        if self.codes is not None:
+            kinds = [REPORT_KINDS[c] for c in self.codes.tolist()]
+            payloads = list(map(
+                ctor, kinds, self.qids.tolist(), self.xs.tolist(),
+                self.ys.tolist(), self.epochs.tolist(),
+            ))
+        elif self.payloads is not None:
             payloads = [self.payloads[i] for i in self.pidx.tolist()]
         elif ctor is None:
             payloads = [None] * n
@@ -214,13 +271,14 @@ class ColumnarBatch:
         else:
             srcs, dsts = [self.src] * n, self.dsts.tolist()
         return [
-            Message(self.kind, src, dst, payload, sent_tick=self.sent_tick)
-            for src, dst, payload in zip(srcs, dsts, payloads)
+            Message(kind, src, dst, payload, sent_tick=self.sent_tick)
+            for kind, src, dst, payload in zip(kinds, srcs, dsts, payloads)
         ]
 
     def __repr__(self) -> str:
+        label = "report" if self.kind is None else self.kind.value
         return (
-            f"ColumnarBatch({self.kind.value} x{self.count}, "
+            f"ColumnarBatch({label} x{self.count}, "
             f"{self.direction()}, {self.total_bytes}B, "
             f"t={self.sent_tick})"
         )

@@ -97,7 +97,9 @@ SHARD_HEARTBEAT = "heartbeat"
 SHARD_REPLICATE = "replicate"
 
 #: kinds whose delivery does nothing: :meth:`ShardLink.send_many`'s.
-_INERT_KINDS = (SHARD_MIGRATE, SHARD_BORROW, SHARD_BORROW_REPLY)
+_INERT_KINDS = (
+    SHARD_MIGRATE, SHARD_FORWARD, SHARD_BORROW, SHARD_BORROW_REPLY
+)
 
 SHARD_KINDS = (
     SHARD_HANDOFF,
@@ -220,7 +222,7 @@ class ShardLink:
     def send_many(self, kind: str, srcs, dsts, payload_bytes) -> None:
         """:meth:`send` over int64 rows ``srcs[i] -> dsts[i]`` on the
         healthy backbone, for a kind whose delivery does nothing beyond
-        the send-time accounting (``migrate``, ``borrow``,
+        the send-time accounting (``migrate``, ``forward``, ``borrow``,
         ``borrow_reply``): the same counters, nothing lost or queued.
         ``payload_bytes`` is an int or one size per row; the rows name
         shards of this link (the tier's own tables, unchecked)."""

@@ -291,7 +291,8 @@ class RoundSimulator:
                 batch
             ):
                 return
-        self.channel.stats.record_materialized(batch.kind, batch.count)
+        for kind, count, _ in batch.split():
+            self.channel.stats.record_materialized(kind, count)
         for msg in batch.materialize():
             node = self.node(msg.dst)
             if node is None:

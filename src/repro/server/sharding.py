@@ -576,76 +576,110 @@ class ShardedServer(ServerNodeBase):
         """Ingest one columnar uplink batch and ledger it per shard.
 
         Without this override, ``__getattr__`` would leak the batch
-        straight to the inner engine and the routing ledger (uplink
-        counts, home table, migrations, ownership bootstraps) would
-        silently miss the whole flight. The inner engine ingests
-        first; if it declines, the simulator materializes the batch
-        and every message takes the scalar ``on_message`` route, so
-        nothing is ledgered here either.
-
-        Only fault-free, admission-free runs ever see batches
-        (``per_message`` keeps the plane closed under an active plan or
-        an AdmissionPolicy), so the per-message serving/shedding
-        branches of ``_route_uplink`` cannot apply; and a batch that
-        names a query (``batch.qid``: DKNN-B/G collect replies) is
-        declined before the inner engine sees it, because each of its
-        messages may land on a shard that does not own the query and
-        owe a forward — it takes the scalar route, message by message.
-        For the qid-free kinds that are left the whole ledger reduces
-        to vectorized home assignment plus :meth:`_ledger_moves` over
-        the rows whose home changed. Without a plan an unowned query's
-        focal has never reported, so the rows that bootstrap ownership
-        are among them.
+        straight to the inner engine and the routing ledger would miss
+        the whole flight. If the inner engine declines, the simulator
+        materializes the batch and every message takes the scalar
+        ``on_message`` route, so nothing is ledgered here either. Only
+        fault-free, admission-free runs see batches (``per_message``),
+        so ``_route_uplink``'s serving/shedding branches cannot apply.
+        A one-kind batch that names a query (``batch.qid``: collect
+        replies) is declined: each reply may owe a forward, so it takes
+        the scalar route. Any other one-kind batch is ingested whole,
+        then ledgered; a report flight in runs (:meth:`_ledger_runs`).
         """
         if self.per_message or batch.qid is not None:
             return False
         handler = getattr(self.inner, "on_uplink_batch", None)
+        if batch.kind is None:
+            return handler is not None and self._ledger_runs(batch, handler)
         if handler is None or not handler(batch):
             return False
-        router = self.router
-        srcs = batch.srcs
-        n = srcs.shape[0]
+        return self._ledger_runs(batch, None)
+
+    def _ledger_runs(self, batch, ingest) -> bool:
+        """:meth:`_route_uplink` over a plan-free batch's rows in row
+        order, interleaved with the inner engine's ``ingest`` of them
+        (None: ingested already) as the scalar route interleaves it;
+        False when ``ingest`` declines, before anything is ledgered.
+
+        A focal row whose home changes (the only row that hands a query
+        off or bootstraps its owner) takes :meth:`_report`, or is routed
+        as its message (:meth:`_route_uplink`) and only then ingested,
+        with the run after it, so its handoff exports what the rows
+        before it wrote. Each run between two of them is ingested, then
+        ledgered as one: homes scattered, migrations and forwards (rows
+        naming a query another shard owns) sent as one batch each.
+        Traced, a forwarded row is routed alone too: its
+        ``shard.forward`` event precedes its row's server event.
+        """
+        srcs, n = batch.srcs, batch.count
         arr = self._home_table(int(srcs.max()) if n else 0)
         prev = arr[srcs]
+        cells = None
         if batch.xs is None or n == 0:
             # Position-free uplinks keep their last home (0 if none).
             homes = np.maximum(prev, 0)
         else:
-            cells = router.cells_of(batch.xs, batch.ys)
-            self._cell_window += np.bincount(
-                cells, minlength=self._cell_window.shape[0]
+            cells = self.router.cells_of(batch.xs, batch.ys)
+            homes = self.router.owner[cells]
+        # a sender's later rows (contiguous) find the home its first set
+        again = np.flatnonzero(srcs[1:] == srcs[:-1])
+        prev[again + 1] = homes[again]
+        changed = (prev != homes) if cells is not None else np.zeros(n, bool)
+        stop = srcs < self._focal.shape[0]
+        stop[stop] = self._focal[srcs[stop]]
+        stop &= changed
+        named = np.zeros(n, bool) if batch.qids is None else batch.qids >= 0
+        if named.any():
+            qids, at = np.unique(batch.qids, return_inverse=True)
+        rest = np.ones(n, dtype=bool)  # rows not routed alone
+        lo = start = 0  # the next row to ledger, and to ingest
+        while True:
+            fwd = named
+            if named.any():
+                owned = self._owner
+                owner = np.array([owned.get(q, -1) for q in qids.tolist()])
+                owner = owner[at]
+                fwd = named & (owner >= 0) & (owner != homes)
+            cuts = stop | fwd if self._telemetry.enabled else stop
+            cut = lo + int(cuts[lo:].argmax()) if cuts[lo:].any() else n
+            if ingest is not None and not ingest(batch.rows(start, cut)):
+                if lo:
+                    raise NetworkError("the inner engine declined a run")
+                return False
+            moved = lo + np.flatnonzero(changed[lo:cut])
+            self._home[srcs[moved]] = homes[moved]
+            moved = moved[prev[moved] >= 0]
+            self.shard_stats.migrations += moved.shape[0]
+            self.link.send_many(
+                SHARD_MIGRATE, prev[moved], homes[moved], _MIGRATE_BYTES
             )
-            homes = router.owner[cells]
-            changed = np.flatnonzero(prev != homes)
-            self._ledger_moves(srcs[changed], prev[changed], homes[changed])
+            sent = lo + np.flatnonzero(fwd[lo:cut])
+            self.shard_stats.forwards += sent.shape[0]
+            if sent.shape[0]:
+                self.link.send_many(
+                    SHARD_FORWARD, homes[sent], owner[sent],
+                    batch.payload_nbytes[sent],
+                )
+            if cut == n:
+                break
+            if ingest is None:
+                home = int(homes[cut])
+                self._report(int(srcs[cut]), int(prev[cut]), home, home)
+            else:
+                rest[cut] = False
+                self._route_uplink(batch.rows(cut, cut + 1).materialize()[0])
+            lo, start = cut + 1, cut
+        if cells is not None:
+            self._cell_window += np.bincount(
+                cells[rest], minlength=self._cell_window.shape[0]
+            )
         up = self.shard_stats.uplinks
-        counts = np.bincount(homes, minlength=router.n_shards)
+        counts = np.bincount(homes[rest], minlength=self.router.n_shards)
         for s, c in enumerate(counts.tolist()):
             if c:
                 up[s] += c
         return True
-
-    def _ledger_moves(self, srcs, prev, homes) -> None:
-        """:meth:`_report` over a plan-free batch's changed rows, in
-        batch order: a focal row (the only kind that hands off or
-        bootstraps ownership) takes it; each run between two focal rows
-        scatters its homes and sends its migrations as one batch."""
-        focal = self._focal
-        hit = srcs < focal.shape[0]
-        hit[hit] = focal[srcs[hit]]
-        start = 0
-        for cut in np.flatnonzero(hit).tolist() + [srcs.shape[0]]:
-            if start < cut:
-                self._home[srcs[start:cut]] = homes[start:cut]
-                moved = start + np.flatnonzero(prev[start:cut] >= 0)
-                self.shard_stats.migrations += moved.shape[0]
-                self.link.send_many(
-                    SHARD_MIGRATE, prev[moved], homes[moved], _MIGRATE_BYTES
-                )
-            if cut < srcs.shape[0]:
-                home = int(homes[cut])
-                self._report(int(srcs[cut]), int(prev[cut]), home, home)
-            start = cut + 1
 
     def on_subround(self, tick: int) -> None:
         self.inner.on_subround(tick)

@@ -9,6 +9,7 @@ from repro.experiments.config import RunConfig
 from repro.geometry import Rect
 from repro.metrics.accuracy import is_valid_knn
 from repro.mobility import Fleet
+from repro.net.channel import Channel
 from repro.net.engine import engine_attach
 from repro.net.message import SERVER_ID
 from repro.net.node import ServerNodeBase
@@ -27,6 +28,8 @@ __all__ = [
     "ExactnessChecker",
     "SinkServer",
     "built_system",
+    "logged_sends",
+    "messages_of",
     "scalar_workload",
     "reference_system",
     "on_the_wire",
@@ -96,14 +99,42 @@ def reference_system(
     return sim, queries
 
 
+def logged_sends(monkeypatch) -> List[Tuple]:
+    """Log every ``Channel.send`` and ``Channel.send_batch`` call from
+    here on, on every channel: ``(channel, item)`` in call order,
+    ``item`` the ``Message`` or the ``ColumnarBatch`` sent, its
+    ``sent_tick`` stamped. A test that needs other marks in the same
+    order (a subround starting) may append its own entries."""
+    log: List[Tuple] = []
+    send, send_batch = Channel.send, Channel.send_batch
+
+    def logged_send(self, kind, src, dst, payload=None):
+        msg = send(self, kind, src, dst, payload)
+        log.append((self, msg))
+        return msg
+
+    def logged_send_batch(self, batch):
+        batch = send_batch(self, batch)
+        log.append((self, batch))
+        return batch
+
+    monkeypatch.setattr(Channel, "send", logged_send)
+    monkeypatch.setattr(Channel, "send_batch", logged_send_batch)
+    return log
+
+
+def messages_of(item) -> List:
+    """A queue entry as the scalar messages it stands for."""
+    return item.materialize() if isinstance(item, ColumnarBatch) else [item]
+
+
 def on_the_wire(items) -> List[Tuple]:
     """Queue entries as the scalar messages they stand for, a columnar
     batch expanded in place: one ``(kind, src, dst, size, sent_tick,
     payload fields)`` tuple per message, in queue order."""
     sent = []
     for item in items:
-        flight = item.materialize() if isinstance(item, ColumnarBatch) else [item]
-        for m in flight:
+        for m in messages_of(item):
             fields = tuple(getattr(m.payload, f) for f in m.payload.__slots__)
             sent.append((m.kind, m.src, m.dst, m.size, m.sent_tick, fields))
     return sent
@@ -116,8 +147,11 @@ def recorded_run(
     """Run ``build(cfg, spec)`` for ``ticks`` and return everything two
     builds of one configuration must agree on: what the server sent,
     message by message in queue order (batches expanded), and what it
-    was sent, per subround (a client phase orders a subround's uplinks
-    by kind, per-object nodes by sender), the answers after every tick,
+    was sent, per subround and as a set: a client phase sends its
+    drift-only updates, its region holders' report flight (ascending
+    oid, each node's reports in its order) and its probe replies as
+    three runs, per-object nodes send by sender. Then the answers after
+    every tick,
     per-kind ``CommStats``, the per-category meter, the ticks an event
     driver skipped and — sharded — the whole tier ledger.
 

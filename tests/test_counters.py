@@ -25,20 +25,22 @@ from repro.core.fastpath import DknnSilentPhase, _RegionTable
 from repro.core.geocast_variant import GeocastMobileNode
 from repro.experiments.config import RunConfig
 from repro.mobility import CommuteMover, HotspotDriftMover, RandomWaypointMover
-from repro.net.channel import Channel
 from repro.net.engine import EngineConfig
-from repro.net.message import SERVER_ID, MessageKind
+from repro.index.grid import UniformGrid
+from repro.net.message import SERVER_ID, Message, MessageKind
 from repro.net.node import Population
+from repro.net.plane import REPORT_KINDS, ColumnarBatch
 from repro.net.shardlink import (
     SHARD_BORROW,
     SHARD_BORROW_REPLY,
+    SHARD_FORWARD,
     SHARD_MIGRATE,
     ShardLink,
 )
 from repro.server.config import RebalancePolicy, ShardConfig
 from repro.workloads.generator import build_workload
 from repro.workloads.spec import WorkloadSpec
-from tests.helpers import built_system
+from tests.helpers import built_system, logged_sends
 from tests.test_engine import SPEC as COMMUTE_SPEC
 
 #: ``b_dense``'s shape (Q = 16, k = 8, random waypoint, query speed 50)
@@ -241,13 +243,12 @@ def test_hotspot_arrivals_stay_scalar_beside_batched_focal_ones(monkeypatch):
 
 def test_shard_ledger_sends_migrations_and_borrows_in_batches(monkeypatch):
     """``shard_drift``'s shape over 4 rebalancing shards: a plan-free
-    uplink batch sends the migrations of its non-focal rows as one
-    backbone batch, and a subround's borrow legs leave in two; at most
-    2 % of the ``migrate`` / ``borrow`` / ``borrow_reply`` messages of
-    40 ticks are single ``ShardLink.send`` calls (the focal rows'
-    :meth:`_report` and scalar-routed uplinks). Forwards stay one call
-    per message and are not counted."""
-    kinds = (SHARD_MIGRATE, SHARD_BORROW, SHARD_BORROW_REPLY)
+    uplink batch sends the migrations and forwards of its non-focal
+    rows as one backbone batch each, and a subround's borrow legs leave
+    in two; at most 2 % of the ``migrate`` / ``forward`` / ``borrow`` /
+    ``borrow_reply`` messages of 40 ticks are single ``ShardLink.send``
+    calls (the focal rows' :meth:`_report` and forward)."""
+    kinds = (SHARD_MIGRATE, SHARD_FORWARD, SHARD_BORROW, SHARD_BORROW_REPLY)
     single = Counter()
     send = ShardLink.send
 
@@ -310,25 +311,15 @@ def test_dknn_p_subround_downlinks_leave_one_batch_per_kind(
     kind, and nothing the server sends a mobile is scalar; so no
     mobile node is ever built, and the client phase applies each
     install or revoke flight with one ``_RegionTable.rows_of`` pass."""
-    batches, scalar, built, passes = Counter(), [0], [0], []
-    subround, window = [0], [None]
+    built, passes, window = [0], [], [None]
     on_subround = server_module.DknnServer.on_subround
-    send, send_batch = Channel.send, Channel.send_batch
     build, rows_of = Population.build, _RegionTable.rows_of
     deliver_batch = DknnSilentPhase.deliver_batch
+    log = logged_sends(monkeypatch)
 
     def counted_subround(self, tick):
-        subround[0] += 1
+        log.append((None, None))  # a subround starts
         on_subround(self, tick)
-
-    def counted_send(self, kind, src, dst, payload=None):
-        scalar[0] += src == SERVER_ID and dst >= 0
-        return send(self, kind, src, dst, payload)
-
-    def counted_send_batch(self, batch):
-        if batch.dsts is not None:
-            batches[subround[0], batch.kind] += 1
-        return send_batch(self, batch)
 
     def counted_build(self, oid):
         built[0] += 1
@@ -353,23 +344,86 @@ def test_dknn_p_subround_downlinks_leave_one_batch_per_kind(
     monkeypatch.setattr(
         server_module.DknnServer, "on_subround", counted_subround
     )
-    monkeypatch.setattr(Channel, "send", counted_send)
-    monkeypatch.setattr(Channel, "send_batch", counted_send_batch)
     monkeypatch.setattr(Population, "build", counted_build)
     monkeypatch.setattr(_RegionTable, "rows_of", counted_rows_of)
     monkeypatch.setattr(DknnSilentPhase, "deliver_batch", counted_deliver)
     sim, _ = built_system(cfg, spec)
     sim.run(spec.ticks)
+    batches, subround, scalar = Counter(), 0, 0
+    for _, item in log:
+        if item is None:
+            subround += 1
+        elif isinstance(item, ColumnarBatch):
+            if item.dsts is not None:
+                batches[subround, item.kind] += 1
+        else:
+            scalar += item.src == SERVER_ID and item.dst >= 0
     assert {kind for _, kind in batches} == {
         MessageKind.PROBE, MessageKind.INSTALL_REGION,
         MessageKind.REVOKE_REGION, MessageKind.ANSWER_PUSH,
     }
     assert max(batches.values()) == 1
-    assert scalar[0] == 0
+    assert scalar == 0
     assert built[0] == 0 and sim.mobiles.built() == []
     assert passes and set(passes) == {(True, 1)}
     if cfg.engine is not None:
         assert sim.driver.stats()["skipped_ticks"] > 0
+
+
+@pytest.mark.parametrize(
+    "cfg, spec",
+    [
+        (RunConfig("DKNN-P"), B_DENSE_SHAPED),
+        (RunConfig("DKNN-B"), B_DENSE_SHAPED),
+        (
+            RunConfig(
+                "DKNN-P",
+                shard=ShardConfig(
+                    shards=4,
+                    rebalance=RebalancePolicy(
+                        check_interval=5, min_window_uplinks=8
+                    ),
+                ),
+            ),
+            SHARD_DRIFT_SHAPED,
+        ),
+        (RunConfig("DKNN-P", engine=EngineConfig(mode="event")),
+         EVENT_SPARSE_SHAPED),
+    ],
+    ids=["P", "B", "S4-rebalance", "event"],
+)
+def test_region_holders_report_in_one_flight_per_tick(cfg, spec, monkeypatch):
+    """A tick's location, violation and query-move reports leave as at
+    most one report flight: no such mobile-to-server send is scalar,
+    and the server writes its grid in bulk only — no
+    ``UniformGrid.update`` call."""
+    log = logged_sends(monkeypatch)
+    writes = [0]
+    update = UniformGrid.update
+
+    def counted_update(self, *args):
+        writes[0] += 1
+        return update(self, *args)
+
+    monkeypatch.setattr(UniformGrid, "update", counted_update)
+    sim, _ = built_system(cfg, spec)
+    sim.run(spec.ticks)
+    scalar = [
+        item for _, item in log
+        if isinstance(item, Message) and item.kind in REPORT_KINDS
+        and item.dst == SERVER_ID
+    ]
+    flights = Counter(
+        item.sent_tick for _, item in log
+        if isinstance(item, ColumnarBatch) and item.kind is None
+    )
+    assert scalar == []
+    assert writes[0] == 0
+    assert flights and max(flights.values()) == 1
+    stats = sim.channel.stats
+    for kind in REPORT_KINDS:
+        assert stats.columnar_by_kind[kind] == stats.sent_by_kind[kind]
+    assert stats.sent_by_kind[MessageKind.VIOLATION] > 0
 
 
 #: Python calls the event driver may make on one tick outside the

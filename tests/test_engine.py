@@ -45,7 +45,9 @@ from repro.net.node import MobileNode, Population
 from repro.net.simulator import RoundSimulator
 from repro.server.config import ShardConfig
 from repro.workloads import WorkloadSpec, build_workload
-from tests.helpers import SinkServer, built_system, scalar_workload
+from tests.helpers import (
+    SinkServer, built_system, logged_sends, messages_of, scalar_workload,
+)
 
 #: Mostly-silent workload: small enough for test time, still skippable.
 SPEC = WorkloadSpec(
@@ -424,28 +426,35 @@ class TestBatchedCounts:
     def test_every_scalar_tick_start_sends(self, spec, monkeypatch):
         """Without protocol timers the candidate mask is exact: a
         candidate runs its tick-start — on the phase's columns, as no
-        node is built — only on a tick it transmits, and no node runs
-        its own ``on_tick_start``. Held regions are read off the
-        phase's table: iterating ``sim.mobiles`` would build nodes."""
+        node is built — only on a tick it transmits, so every such
+        candidate of a tick is among that tick's uplink senders, and no
+        node runs its own ``on_tick_start``. Held regions are read off
+        the phase's table: iterating ``sim.mobiles`` would build nodes."""
         fleet, queries = build_workload(spec)
         sim = build_system(RunConfig("DKNN-P"), fleet, queries)
-        stats = sim.channel.stats
-        real = DknnSilentPhase._tick_start_unbuilt
-        calls, node_calls = [], []
+        real = DknnSilentPhase._reports
+        candidates, node_calls = [], []
 
-        def counted(phase, *args):
-            sent = stats.total_messages
-            real(phase, *args)
-            calls.append(stats.total_messages > sent)
+        def counted(phase, plain, *args):
+            candidates.append((phase.sim.tick, np.flatnonzero(plain).tolist()))
+            return real(phase, plain, *args)
 
-        monkeypatch.setattr(DknnSilentPhase, "_tick_start_unbuilt", counted)
+        monkeypatch.setattr(DknnSilentPhase, "_reports", counted)
         monkeypatch.setattr(
             DknnMobileNode, "on_tick_start",
             lambda node, tick: node_calls.append(node.oid),
         )
+        log = logged_sends(monkeypatch)
         sim.run(TICKS)
+        senders = {}
+        for _, item in log:
+            for msg in messages_of(item):
+                if msg.dst == SERVER_ID:
+                    senders.setdefault(msg.sent_tick, set()).add(msg.src)
         assert sim.client_phase.regions.live.any()
-        assert calls and all(calls)
+        assert sum(len(oids) for _, oids in candidates) > 0
+        for tick, oids in candidates:
+            assert set(oids) <= senders.get(tick, set()), tick
         assert node_calls == []
 
     @pytest.mark.parametrize(

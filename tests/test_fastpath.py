@@ -54,7 +54,9 @@ from repro.net.message import (
 )
 from repro.workloads.generator import build_workload
 from repro.workloads.spec import WorkloadSpec
-from tests.helpers import built_system, on_the_wire, reference_system
+from tests.helpers import (
+    built_system, logged_sends, messages_of, on_the_wire, reference_system,
+)
 
 TICKS = 25
 
@@ -412,7 +414,7 @@ def test_the_mirror_is_the_eager_oracle(algorithm, faulty, ops):
         assert node.monitors == {} and not node._reported
 
 
-def test_reporting_candidate_is_rearmed_by_the_mirror_alone():
+def test_reporting_candidate_is_rearmed_by_the_mirror_alone(monkeypatch):
     """A candidate's tick-start mutes the queries it reports in the
     mirror on the spot, and the install that answers it in the same
     tick arms them again — the phase has no way to re-read a node. The
@@ -427,22 +429,21 @@ def test_reporting_candidate_is_rearmed_by_the_mirror_alone():
     cfg = RunConfig("DKNN-B")
     scalar, _ = reference_system(cfg, spec)
     fast, _ = built_system(cfg, spec)
-
-    reports = []  # (tick, oid, qid) of every VIOLATION the build sends
-    send = fast.channel.send
-
-    def logged(kind, src, dst, payload=None):
-        if kind is MessageKind.VIOLATION:
-            reports.append((fast.tick, src, payload.qid))
-        return send(kind, src, dst, payload)
-
-    fast.channel.send = logged
+    log = logged_sends(monkeypatch)
     for _ in range(ticks):
         scalar.step()
         fast.step()
         assert fast.server.answers == scalar.server.answers
         assert fast.channel.stats.sent_by_kind == scalar.channel.stats.sent_by_kind
         assert fast.channel.stats.bytes_by_kind == scalar.channel.stats.bytes_by_kind
+    # (tick, oid, qid) of every VIOLATION the build sends
+    reports = [
+        (msg.sent_tick, msg.src, msg.payload.qid)
+        for channel, item in log
+        if channel is fast.channel
+        for msg in messages_of(item)
+        if msg.kind is MessageKind.VIOLATION
+    ]
     seen = set(reports)
     assert any((t + 1, oid, qid) in seen for t, oid, qid in reports)
 

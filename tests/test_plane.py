@@ -31,8 +31,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.broadcast_variant import _IDLE
+from repro.core.fastpath import _report_payload
 from repro.core.protocol import (
     AnswerPush,
     CollectReply,
@@ -58,10 +61,10 @@ from repro.net.message import (
     MessageKind,
     payload_size,
 )
-from repro.net.plane import MIN_BATCH, ColumnarBatch
+from repro.net.plane import MIN_BATCH, REPORT_KINDS, ColumnarBatch
 from repro.net.simulator import ONE_TICK_LATENCY, ZERO_LATENCY
 from repro.obs.telemetry import Telemetry
-from repro.obs.trace import PERF_KINDS, PROTOCOL_KINDS, JsonlSink
+from repro.obs.trace import PERF_KINDS, PROTOCOL_KINDS, JsonlSink, RingSink
 from repro.server.sharding import ShardedServer
 from repro.workloads.spec import WorkloadSpec
 from tests.helpers import built_system, on_the_wire, reference_system
@@ -218,30 +221,34 @@ class TestChannelIntegration:
         assert drained == [before, batch, after]
 
     def test_accounting_parity_with_scalar_sends(self):
-        scalar = self._channel()
-        scalar.begin_tick(3)
-        for i in range(4):
-            scalar.send(
-                MessageKind.LOCATION_UPDATE,
-                i,
-                SERVER_ID,
-                LocationUpdate(float(i), 2.0 * i),
-            )
-        scalar.collect()
-        columnar = self._channel()
-        columnar.begin_tick(3)
-        columnar.send_batch(_uplink_batch(4))
-        columnar.collect()
-        s, c = scalar.stats, columnar.stats
-        assert dict(c.sent_by_kind) == dict(s.sent_by_kind)
-        assert dict(c.bytes_by_kind) == dict(s.bytes_by_kind)
-        assert dict(c.sent_by_direction) == dict(s.sent_by_direction)
-        assert dict(c.bytes_by_direction) == dict(s.bytes_by_direction)
-        assert c.delivered == s.delivered
-        # The plane's own ledger is the only divergence — diagnostic,
-        # deliberately outside the legacy counters.
-        assert c.columnar_by_kind[MessageKind.LOCATION_UPDATE] == 4
-        assert not s.columnar_by_kind
+        """A flight of one kind, and a report flight of three (a repeated
+        sender, an epoch-stamped row), account as their messages sent
+        one by one."""
+        report = _report_flight(
+            [(0, 1, -1, 1.0, 2.0, -1), (1, 1, 0, 1.0, 2.0, -1),
+             (2, 5, 1, 3.0, 4.0, 2)], 3,
+        )
+        for batch in (_uplink_batch(4), report):
+            scalar = self._channel()
+            scalar.begin_tick(3)
+            for m in batch.materialize():
+                scalar.send(m.kind, m.src, m.dst, m.payload)
+            scalar.collect()
+            columnar = self._channel()
+            columnar.begin_tick(3)
+            columnar.send_batch(batch)
+            columnar.collect()
+            s, c = scalar.stats, columnar.stats
+            assert dict(c.sent_by_kind) == dict(s.sent_by_kind)
+            assert dict(c.bytes_by_kind) == dict(s.bytes_by_kind)
+            assert dict(c.sent_by_direction) == dict(s.sent_by_direction)
+            assert dict(c.bytes_by_direction) == dict(s.bytes_by_direction)
+            assert c.delivered == s.delivered
+            # The plane's own ledger is the only divergence — diagnostic,
+            # deliberately outside the legacy counters.
+            assert dict(c.columnar_by_kind) == dict(s.sent_by_kind)
+            assert not s.columnar_by_kind
+        assert len(s.sent_by_kind) == 3
 
     def test_revoke_batch_parity_and_queue_slot(self):
         """A subround's revoke flight (two queries' runs): counts, bytes
@@ -425,12 +432,16 @@ class TestBitIdentity:
         """A round of ``MIN_BATCH`` replies or more crosses the plane
         as one batch the tableless server ingests whole; under one-tick
         latency it is in flight while the fleet moves on, so it must
-        carry the positions of the tick it was sent in."""
+        carry the positions of the tick it was sent in. The violation
+        reports of a tick cross in one report flight beside it."""
         scalar = _run(algorithm, reference_system, latency=latency)
         fast = _run(algorithm, built_system, latency=latency)
         _assert_identical(fast, scalar)
         assert not scalar["columnar"]
-        assert set(fast["columnar"]) == {MessageKind.COLLECT_REPLY}
+        assert set(fast["columnar"]) == {
+            MessageKind.COLLECT_REPLY, MessageKind.VIOLATION,
+            MessageKind.QUERY_MOVE,
+        }
         assert fast["columnar"][MessageKind.COLLECT_REPLY] > 0
         assert fast["materialized"] == 0
 
@@ -583,3 +594,173 @@ class TestTraceStreams:
             assert any(
                 e["kind"] in PROTOCOL_KINDS for e in streams[built_system]
             )
+
+
+# -- report flights: whole against one by one ------------------------------
+
+#: the property's systems: 36 objects and 4 queries, whose focals are
+#: oids 36-39 — the last senders of a flight, after the violations
+#: they may have to export when they hand their query off.
+REPORT_SPEC = WorkloadSpec(
+    n_objects=36, n_queries=4, k=3, ticks=4, warmup_ticks=0, seed=3
+)
+REPORT_OIDS = REPORT_SPEC.n_objects + REPORT_SPEC.n_queries
+REPORT_FOCALS = tuple(range(REPORT_SPEC.n_objects, REPORT_OIDS))
+REPORT_SYSTEMS = {
+    "DKNN-P": RunConfig("DKNN-P"),
+    "DKNN-B": RunConfig("DKNN-B"),
+    "DKNN-G": RunConfig("DKNN-G"),
+    "DKNN-P-S4": RunConfig("DKNN-P", shard=ShardConfig(shards=4)),
+}
+
+
+@st.composite
+def _report_case(draw):
+    """A system, its server's state before the first flight, and two to
+    four ticks' report flights: each sender one position, a location
+    row (DKNN-P) and up to two violation / query-move rows about any
+    query, stamped — under DKNN-G — with an epoch that may be stale."""
+    system = draw(st.sampled_from(sorted(REPORT_SYSTEMS)))
+    q = REPORT_SPEC.n_queries
+    flag = st.lists(st.booleans(), min_size=q, max_size=q)
+    oid = st.integers(min_value=0, max_value=REPORT_OIDS - 1)
+    before = {
+        "dirty": draw(flag),
+        "light_ok": draw(flag),
+        "violators": draw(st.lists(st.sets(oid, max_size=3), min_size=q,
+                                   max_size=q)),
+        "probed": draw(st.sets(oid, max_size=6)),
+        "epochs": draw(st.lists(st.integers(0, 2), min_size=q, max_size=q)),
+    }
+    coord = st.floats(min_value=0.0, max_value=REPORT_SPEC.universe_size)
+    flights = []
+    for tick in range(1, draw(st.integers(2, 4)) + 1):
+        senders = draw(st.sets(st.integers(0, REPORT_FOCALS[0] - 1),
+                               max_size=8))
+        senders |= draw(st.sets(st.sampled_from(REPORT_FOCALS)))
+        rows = []
+        for src in sorted(senders):
+            x, y = draw(coord), draw(coord)
+            if system.startswith("DKNN-P") and draw(st.booleans()):
+                rows.append((0, src, -1, x, y, -1))
+            for qid in draw(st.lists(st.integers(0, q - 1), unique=True,
+                                     max_size=2)):
+                epoch = draw(st.integers(0, 2)) if system == "DKNN-G" else -1
+                rows.append((draw(st.sampled_from((1, 2))), src, qid, x, y,
+                             epoch))
+        flights.append((tick, rows))
+    return system, draw(st.booleans()), before, flights
+
+
+def _report_flight(rows, tick):
+    codes, srcs, qids, xs, ys, epochs = (np.array(c) for c in zip(*rows))
+    nbytes = [
+        payload_size(_report_payload(REPORT_KINDS[row[0]], *row[2:]))
+        for row in rows
+    ]
+    return ColumnarBatch(
+        None, srcs=srcs.astype(np.int64), dst=SERVER_ID,
+        xs=xs.astype(np.float64), ys=ys.astype(np.float64),
+        payload_nbytes=np.array(nbytes, dtype=np.int64),
+        payload_ctor=_report_payload, codes=codes.astype(np.int8),
+        qids=qids.astype(np.int64), epochs=epochs.astype(np.int64),
+        sent_tick=tick,
+    )
+
+
+def _report_view(sim, sink):
+    """Everything a report can change on ``sim``'s server."""
+    tier = sim.server if isinstance(sim.server, ShardedServer) else None
+    server = sim.server if tier is None else tier.inner
+    view = {
+        "events": [(e.tick, e.kind, e.fields) for e in sink.events()],
+        "meter": dict(server.meter.units),
+        "states": {
+            qid: tuple(
+                sorted(v) if isinstance(v, set) else v
+                for v in (
+                    getattr(st, f, None) for f in (
+                        "dirty", "light_ok", "violators", "focal_pos",
+                        "focal_tick",
+                    )
+                )
+            )
+            for qid, st in server._states.items()
+        },
+        "stale": getattr(server, "stale_violations", None),
+    }
+    table = getattr(server, "table", None)
+    if table is not None:
+        grid = table.grid
+        rows = [
+            (oid, grid.position_of(oid), int(grid._dcell[oid]),
+             int(table._ft[oid]))
+            for oid in range(REPORT_OIDS) if oid in table
+        ]
+        view["table"] = rows
+        view["cells"] = {
+            lin: sorted(grid._store.cell(lin).tolist())
+            for lin in {row[2] for row in rows}
+        }
+        view["probes"] = (
+            list(server._probes_in_flight), dict(server._probe_sent)
+        )
+    if tier is not None:
+        ss, link = tier.shard_stats, tier.link
+        view["tier"] = (
+            [tier._home_of(oid) for oid in range(REPORT_OIDS)],
+            dict(tier._owner), dict(tier._handoff_pending),
+            list(ss.uplinks), list(ss.downlinks), ss.migrations,
+            ss.forwards, ss.handoffs, tier._cell_window.tolist(),
+            dict(link.sent_by_kind), dict(link.bytes_by_kind),
+            dict(link.sent_by_pair),
+            dict(sim.channel.stats.s2s_by_kind),
+            dict(sim.channel.stats.s2s_bytes_by_kind),
+        )
+    return view
+
+
+@given(case=_report_case())
+@settings(max_examples=150, deadline=None)
+def test_a_report_flight_ingests_as_its_messages_one_by_one(case):
+    """Ingesting a report flight whole equals dispatching its
+    ``materialize()`` message by message, flight after flight: on
+    DKNN-P the table, grid cells, freshness, dirty / light_ok /
+    violators, probes in flight, meter and events; on DKNN-B/G the
+    dirty flags, focal positions and the epoch gate; on the S = 4 tier
+    besides the inner server's state the home table, owners, pending
+    handoffs, shard ledger and every backbone message and byte —
+    traced or not."""
+    system, traced, before, flights = case
+    views = []
+    for whole in (True, False):
+        sink = RingSink()
+        sim, _ = built_system(
+            REPORT_SYSTEMS[system], REPORT_SPEC,
+            telemetry=Telemetry(sink) if traced else None,
+        )
+        tier = sim.server if isinstance(sim.server, ShardedServer) else None
+        server = sim.server if tier is None else tier.inner
+        for qid, st in server._states.items():
+            if system == "DKNN-G":
+                st.epoch = before["epochs"][qid]
+            if hasattr(st, "light_ok"):
+                st.dirty = before["dirty"][qid]
+                st.light_ok = before["light_ok"][qid]
+                st.violators = set(before["violators"][qid])
+        if hasattr(server, "_probes_in_flight"):
+            for oid in sorted(before["probed"]):
+                server._probes_in_flight.add(oid)
+                server._probe_sent[oid] = 0
+        for tick, rows in flights:
+            sim.server.on_tick_start(tick)
+            if not rows:
+                continue
+            flight = _report_flight(rows, tick)
+            if whole:
+                assert sim.server.on_uplink_batch(flight)
+            else:
+                for msg in flight.materialize():
+                    sim.server.on_message(msg)
+        views.append(_report_view(sim, sink))
+    assert views[0] == views[1]

@@ -480,7 +480,9 @@ def _link_batches(draw):
             )
         )
         batches.append((
-            draw(st.sampled_from(("migrate", "borrow", "borrow_reply"))),
+            draw(st.sampled_from(
+                ("migrate", "forward", "borrow", "borrow_reply")
+            )),
             np.array([s for s, _ in rows], dtype=np.int64),
             np.array([d for _, d in rows], dtype=np.int64),
             nbytes,
