@@ -230,7 +230,7 @@ class DknnBroadcastServer(BaseServer):
     def on_subround(self, tick: int) -> None:
         self._tick = tick
         for st in self._states.values():
-            self._advance(st, tick)
+            self._step_query(st, tick)
 
     def busy(self) -> bool:
         # A collect that drew zero replies leaves the channel empty
@@ -240,7 +240,7 @@ class DknnBroadcastServer(BaseServer):
             st.dirty or st.phase != _IDLE for st in self._states.values()
         )
 
-    def _advance(self, st: _QueryState, tick: int) -> None:
+    def _step_query(self, st: _QueryState, tick: int) -> None:
         if st.phase == _IDLE:
             if not st.dirty:
                 return

@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 import numpy as np
@@ -73,7 +74,7 @@ class Installation:
     threshold: float
     s_eff: float
 
-    @property
+    @cached_property
     def answer_ids(self) -> Tuple[int, ...]:
         return tuple(oid for _, oid in self.answer)
 

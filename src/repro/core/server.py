@@ -11,7 +11,7 @@ to within ``theta``), and per query a small state machine:
     repair, otherwise the object gets an outsider band and joins the
     informed set.
 
-``WAIT_FOCAL`` / ``WAIT_CANDS`` / ``WAIT_PLANNER``
+``WAIT_FOCAL`` / ``WAIT_CANDS`` / ``WAIT_PLANNER`` / ``WAIT_LIGHT``
     Blocked on outstanding probes (answered within the tick in
     zero-latency mode).
 
@@ -27,6 +27,12 @@ A repair re-derives everything from exact positions:
    the exact query position, the query safe circle, revoke bands of
    objects no longer informed, and push a changed answer to the focal.
 
+Queries are rows (:mod:`repro.core.rows`): the per-tick fields are
+columns indexed by registration order, the pending and candidate ids
+one flat id array with offsets each, and
+:meth:`DknnServer.on_subround` advances every query step by step (its
+docstring gives the order rules).
+
 Exactness (zero-latency mode): by the band invariant in
 :mod:`repro.core.regions`, between repairs the published answer remains
 a valid kNN set; each repair re-establishes it from exact positions.
@@ -38,7 +44,8 @@ from __future__ import annotations
 
 import math
 from itertools import chain
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -54,6 +61,19 @@ from repro.core.protocol import (
     RevokeBand,
 )
 from repro.core.regions import Installation, plan_installation
+from repro.core.rows import (
+    IDLE,
+    NO_IDS,
+    WAIT_CANDS,
+    WAIT_FOCAL,
+    WAIT_LIGHT,
+    WAIT_PLANNER,
+    InFlight,
+    QueryRows,
+    QueryState,
+    lengths,
+    offsets,
+)
 from repro.errors import ProtocolError
 from repro.geometry import Rect
 from repro.index.knn import (
@@ -73,13 +93,21 @@ from repro.server.query_table import QuerySpec
 
 __all__ = ["DknnServer"]
 
-_IDLE = "idle"
-_WAIT_FOCAL = "wait_focal"
-_WAIT_CANDS = "wait_cands"
-_WAIT_PLANNER = "wait_planner"
-_WAIT_LIGHT = "wait_light"
-
-_NO_IDS = np.empty(0, dtype=np.int64)
+#: The steps one query can take in a subround, in the only order it can
+#: take them, each at most once: resolve an answered planner wait, scan
+#: the monitor zone (and resolve), begin a light repair, finalize it,
+#: start a full repair (focal probe, ``k+1`` search, candidate probes),
+#: finalize it. ``(row, step)`` orders a subround's side effects as
+#: the per-query walk in registration order would make them.
+_RESOLVE, _SCAN, _LIGHT, _LIGHT_FIN, _FULL, _FIN = range(6)
+_STEPS = 6
+#: the step a waiting phase resumes at.
+_RESUME = {
+    WAIT_PLANNER: _RESOLVE,
+    WAIT_LIGHT: _LIGHT_FIN,
+    WAIT_FOCAL: _FULL,
+    WAIT_CANDS: _FIN,
+}
 
 #: the downlink kinds a subround sends, in the order its outbox leaves.
 _FLUSH_ORDER = (
@@ -90,110 +118,10 @@ _FLUSH_ORDER = (
 )
 
 
-class _InFlight:
-    """Ids with an unanswered probe: oid-indexed flags + a live count.
-
-    Set-like for the scalar callers (``add`` / ``discard`` / ``in`` /
-    truth / ``len`` / ascending iteration); :meth:`claim` and
-    :meth:`release` are the array forms the repair round uses. Array
-    arguments hold non-negative ids, unique within one call.
-    """
-
-    __slots__ = ("_flag", "_n")
-
-    def __init__(self) -> None:
-        self._flag = np.zeros(64, dtype=bool)
-        self._n = 0
-
-    def _reach(self, max_oid: int) -> None:
-        cap = self._flag.shape[0]
-        if max_oid >= cap:
-            grown = np.zeros(max(max_oid + 1, 2 * cap), dtype=bool)
-            grown[:cap] = self._flag
-            self._flag = grown
-
-    def __contains__(self, oid: int) -> bool:
-        return 0 <= oid < self._flag.shape[0] and bool(self._flag[oid])
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(np.flatnonzero(self._flag).tolist())
-
-    def add(self, oid: int) -> None:
-        if oid < 0:
-            raise ProtocolError(f"cannot probe negative object id {oid}")
-        if oid not in self:
-            self._reach(oid)
-            self._flag[oid] = True
-            self._n += 1
-
-    def discard(self, oid: int) -> None:
-        if oid in self:
-            self._flag[oid] = False
-            self._n -= 1
-
-    def claim(self, oids: np.ndarray) -> np.ndarray:
-        """Mark ``oids`` in flight; returns those that were not yet,
-        in input order."""
-        if oids.shape[0]:
-            self._reach(int(oids.max()))
-            oids = oids[~self._flag[oids]]
-            self._flag[oids] = True
-            self._n += oids.shape[0]
-        return oids
-
-    def release(self, oids: np.ndarray) -> None:
-        """Clear every id of ``oids`` that is in flight (one scatter)."""
-        if self._n:
-            oids = oids[oids < self._flag.shape[0]]
-            oids = oids[self._flag[oids]]
-            self._flag[oids] = False
-            self._n -= oids.shape[0]
-
-
-class _QueryState:
-    """Mutable per-query protocol state."""
-
-    __slots__ = (
-        "spec",
-        "install",
-        "informed",
-        "phase",
-        "dirty",
-        "pending",
-        "cand_ids",
-        "planner_new",
-        "planner_tick",
-        "violators",
-        "light_ok",
-        "light_violators",
-        "focal_down",
-    )
-
-    def __init__(self, spec: QuerySpec) -> None:
-        self.spec = spec
-        self.install: Optional[Installation] = None
-        self.informed: Set[int] = set()
-        self.phase = _IDLE
-        self.dirty = True  # forces the initial installation
-        # int64 id arrays: what the repair in progress waits on, its
-        # candidate set, and the planner's uninformed hits.
-        self.pending = _NO_IDS
-        self.cand_ids = _NO_IDS
-        self.planner_new = _NO_IDS
-        self.planner_tick = -1
-        #: objects whose band violation marked this query dirty.
-        self.violators: Set[int] = set()
-        #: True while every dirty trigger this round is light-repairable.
-        self.light_ok = False
-        #: violators being handled by the in-flight light repair.
-        self.light_violators: Set[int] = set()
-        #: fault-tolerant mode: the focal node is suspected crashed;
-        #: the query is frozen (last answer stands, marked degraded)
-        #: until the focal is heard from again.
-        self.focal_down = False
+def _key(row: int, step: int) -> int:
+    """The release key of ``row``'s effects at ``step``; a probe run is
+    ``key + 1``: within one step a query's probes leave last."""
+    return 2 * (row * _STEPS + step)
 
 
 class DknnServer(BaseServer):
@@ -210,13 +138,18 @@ class DknnServer(BaseServer):
         self.table = ObjectTable(
             universe, params.grid_cells, params.theta, meter=self.meter
         )
-        self._states: Dict[int, _QueryState] = {}
+        #: the queries as rows; ``_states`` their views by query id.
+        self._q = QueryRows()
+        self._states: Dict[int, QueryState] = self._q.by_qid
         self._tick = 0
-        self._probes_in_flight = _InFlight()
-        #: search results fetched ahead by this subround's pre-pass,
-        #: ``(kind, qid) -> row``; every row is taken by the query it
-        #: was fetched for before the subround ends.
-        self._rows: Dict[Tuple[str, int], object] = {}
+        self._probes_in_flight = InFlight()
+        #: inside :meth:`on_subround`: the subround's side effects,
+        #: ``(key, fn, args)``, its probe claims, ``(keys, ids)``, and
+        #: its pending / candidate writes, ``(rows, seg, ids)``; None:
+        #: act at once.
+        self._ops: Optional[List[Tuple[int, Callable, tuple]]] = None
+        self._claims: List[Tuple[np.ndarray, np.ndarray]] = []
+        self._writes: Optional[Tuple[List, List]] = None
         #: the downlinks :meth:`on_subround` holds back, ``kind ->
         #: [(oids, payload), ...]`` in send order; None: send at once.
         self._outbox: Optional[Dict[MessageKind, List[Tuple]]] = None
@@ -249,16 +182,16 @@ class DknnServer(BaseServer):
 
     def register_query(self, spec: QuerySpec) -> None:
         super().register_query(spec)
-        self._states[spec.qid] = _QueryState(spec)
+        self._q.add(spec)
         self.repair_count[spec.qid] = 0
         self.light_repair_count[spec.qid] = 0
         self.degraded[spec.qid] = False
 
     def export_query_state(self, qid: int) -> Dict:
-        """Handoff snapshot: the full ``_QueryState`` in wire-sizable
-        form — installation (anchor, threshold, slack, answer), the
-        informed set (the band registry the new owner must serve
-        violations against), violators and phase flags."""
+        """Handoff snapshot: the query's row in wire-sizable form —
+        installation (anchor, threshold, slack, answer), the informed
+        set (the band registry the new owner must serve violations
+        against), violators and phase flags."""
         doc = super().export_query_state(qid)
         st = self._states.get(qid)
         if st is None:
@@ -313,14 +246,15 @@ class DknnServer(BaseServer):
         state = self._states.get(qid)
         if state is None:
             raise ProtocolError(f"violation for unknown query {qid}")
+        row = state.row
         violation = kind == MessageKind.VIOLATION
-        if not state.dirty:
+        if not self._q.dirty[row]:
             # First trigger this round decides repairability;
             # object violations start light, anything else doesn't.
-            state.light_ok = violation
+            self._q.light_ok[row] = violation
         elif not violation:
-            state.light_ok = False
-        state.dirty = True
+            self._q.light_ok[row] = False
+        self._q.dirty[row] = True
         if violation:
             state.violators.add(src)
         tel = self.telemetry
@@ -377,8 +311,8 @@ class DknnServer(BaseServer):
         """:meth:`on_message` over a report flight's rows: the grid
         written once per sender, at its last row's position, the meter
         charged once per row (the scalar path's units), the location
-        rows' probes answered, and :meth:`_trigger` for each other row
-        in row order."""
+        rows' probes answered, and the other rows' triggers, in row
+        order."""
         srcs, codes = batch.srcs, batch.codes
         named = codes != 0
         # a sender's rows are contiguous: its last one ends a run
@@ -408,57 +342,80 @@ class DknnServer(BaseServer):
 
     def on_tick_end(self, tick: int) -> None:
         unacked_qids = {qid for _, qid in self._unacked}
-        for qid, st in self._states.items():
+        flags = (
+            self._q.focal_down | self._q.dirty | (self._q.phase != IDLE)
+        ).tolist()
+        suspected = self._suspected
+        for st, flag in zip(self._q.views, flags):
+            qid = st.spec.qid
             self.degraded[qid] = bool(
-                st.focal_down
-                or st.dirty
-                or st.phase != _IDLE
+                flag
                 or qid in unacked_qids
                 or (
-                    self._suspected
-                    and self._suspected.intersection(self.answers.get(qid, ()))
+                    suspected
+                    and suspected.intersection(self.answers.get(qid, ()))
                 )
             )
         super().on_tick_end(tick)
 
     def on_subround(self, tick: int) -> None:
-        """Advance every query's state machine once, in registration
-        order.
+        """Advance every query through the steps it can take this
+        subround: each step once, over all the rows at it.
 
-        Before that, :meth:`_prefetch` runs the index searches the
-        queries are about to ask for as one many-row pass per kind. It
-        may assume exactly two things. The grid is read-only inside a
-        subround: reports are ingested by ``on_message`` /
-        ``on_uplink_batch`` between subrounds, and nothing an
-        ``_advance`` does (probes, installs, revokes, borrows) writes
-        the table, positions or freshness. And one query's ``_advance``
-        never writes another query's state, so what a query does first
-        is decided by its own fields as they stand now. It may not
-        assume anything about what happens *after* a query's first step
-        — a planner scan that finds an encroacher, a light repair that
-        escalates — and those searches stay with the per-query functions.
+        The steps, in the order one query takes them (:data:`_STEPS`):
+        resolve an answered planner wait; scan the monitor zone (one
+        many-row range search) and resolve the hits; begin a light
+        repair, then finalize it; start a full repair (focal probe,
+        one many-row ``k+1`` search, one many-row candidate scan,
+        candidate probes); finalize full repairs (one
+        :meth:`_plan_full` pass). A row moves on to its next step in
+        the same subround unless it blocks on probes; a step with no
+        rows costs nothing. A search with fewer than ``MIN_BATCH``
+        rows (the many-row kernels lose below that), or under the
+        fault-tolerant build's suspect exclusion sets, runs per row.
 
-        Every downlink the queries make waits in an outbox and leaves
-        at the end, by kind in ``_FLUSH_ORDER`` and in send order within
-        a kind (:mod:`repro.net.plane` says why that is safe): one batch
-        per kind with the plane open, else one by one, so the per-object
-        reference sends what the build sends. Sends leave at once where
-        the transport decides per message, and in the fault-tolerant
-        build (an epoch and an ack per install).
+        The steps run in step order, not query order, yet everything
+        that crosses queries leaves in the order a walk over the
+        queries in registration order would produce: each effect is
+        recorded under its ``(row, step)`` key (:func:`_key`) and
+        released, sorted by key, when the steps are done. That covers
+        probe claims (the first claimer in key order sends the probe;
+        a query waits on every stale id it asked for either way), sends
+        (into the outbox or, at once, to the channel), publications,
+        ``repair_scope`` calls on the ownership probe and
+        ``server.repair`` events. Two facts make the deferral exact:
+        the grid is read-only inside a subround (reports are ingested
+        between subrounds, and no step writes the table, positions or
+        freshness), and one query's steps never read another query's
+        row. The per-query walk this reproduces is the reference
+        server of the differential tests.
+
+        Every downlink waits in an outbox and leaves at the end, by
+        kind in ``_FLUSH_ORDER`` and in key order within a kind
+        (:mod:`repro.net.plane` says why that is safe): one batch per
+        kind with the plane open, else one by one, so the per-object
+        reference sends what the build sends. Sends leave one by one in
+        key order where the transport decides per message, and in the
+        fault-tolerant build (an epoch and an ack per install).
         """
         self._tick = tick
+        q = self._q
+        if not (
+            ~q.focal_down
+            & (q.dirty | (q.phase != IDLE) | (q.planner_tick != tick))
+        ).any():
+            return  # no row has a step to take
         sim = self.sim
         if sim is not None and not (self._ft or sim.transport_per_message()):
             self._outbox = {kind: [] for kind in _FLUSH_ORDER}
-        self._prefetch(tick)
-        for state in self._states.values():
-            if state.focal_down:
-                continue
-            self._advance(state, tick)
-        if self._rows:
-            raise ProtocolError(
-                f"prefetched searches never asked for: {sorted(self._rows)}"
-            )
+        self._ops, self._claims, self._writes = [], [], ([], [])
+        self._steps(tick)
+        (pend, cand), self._writes = self._writes, None
+        if pend:
+            self._q.pend.put(pend)
+        if cand:
+            self._q.cand.put(cand)
+        self._release()
         if self._outbox is not None:
             self._flush(sim.plane_open())
 
@@ -486,120 +443,15 @@ class DknnServer(BaseServer):
                     )
                 )
 
-    def _light_eligible(self, st: _QueryState) -> bool:
-        """Would an idle ``st`` take the light repair path right now?"""
-        return bool(
-            st.dirty
-            and st.light_ok
-            and self.params.incremental
-            and st.install is not None
-            and not math.isinf(st.install.threshold)
-        )
-
-    def _prefetch(self, tick: int) -> None:
-        """Run, as one many-row search per kind, what the queries'
-        first steps of this subround will search for.
-
-        Read-only over the query states; mirrors the entry conditions
-        of :meth:`_advance`: an idle query whose planner is due (not
-        dirty, or dirty on the light path, with bands installed) scans
-        its monitor zone; a query starting a full repair with its focal
-        position exact (idle and dirty off the light path, or done
-        waiting for the focal probe) searches its ``k+1`` nearest and
-        then scans the candidate circle that fixes; a query whose
-        candidate probes are all answered finalizes (``"fin"``, any
-        number of rows: :meth:`_plan_full`). A search kind with fewer
-        than ``MIN_BATCH`` rows due is left to the per-query functions
-        (the many-row kernels lose below that), as is everything under
-        the fault-tolerant build's suspect exclusion sets. The kernels
-        charge the meter what the per-query calls would have, so every
-        row must be consumed: :meth:`on_subround` raises otherwise.
-        """
-        self._rows = rows = {}
-        if self._ft and self._suspected:
-            return
-        table = self.table
-        grid = table.grid
-        planner: List[_QueryState] = []
-        search: List[_QueryState] = []
-        finals: List[_QueryState] = []
-        for st in self._states.values():
-            if st.focal_down:
-                continue
-            if st.phase == _WAIT_CANDS:
-                if not table.stale(st.pending, tick).shape[0]:
-                    finals.append(st)
-            elif st.phase == _WAIT_FOCAL or (
-                st.phase == _IDLE and st.dirty and not self._light_eligible(st)
-            ):
-                # _WAIT_FOCAL pends on the focal alone.
-                if table.is_fresh(st.spec.focal_oid, tick):
-                    search.append(st)
-            elif (
-                st.phase == _IDLE
-                and st.planner_tick != tick
-                and st.install is not None
-                and not math.isinf(st.install.threshold)
-            ):
-                planner.append(st)
-        if finals:
-            for st, plan in zip(finals, self._plan_full(finals)):
-                rows["fin", st.spec.qid] = plan
-        if len(planner) >= MIN_BATCH:
-            unc = self.params.uncertainty
-            found = range_search_many(
-                grid,
-                np.array([st.install.anchor[0] for st in planner]),
-                np.array([st.install.anchor[1] for st in planner]),
-                np.array([st.install.monitor_radius(unc) for st in planner]),
-                np.array([st.spec.focal_oid for st in planner]),
-                meter=self.meter,
-            )
-            seg = found.seg.tolist()
-            for i, st in enumerate(planner):
-                rows["planner", st.spec.qid] = found.oid[seg[i]:seg[i + 1]]
-        if len(search) < MIN_BATCH:
-            return
-        focals = np.array([st.spec.focal_oid for st in search])
-        qx, qy = grid.positions_of(focals)
-        nearest = knn_search_many(
-            grid,
-            qx,
-            qy,
-            np.array([st.spec.k + 1 for st in search]),
-            focals,
-            meter=self.meter,
-        )
-        seg = nearest.seg.tolist()
-        dists = nearest.d.tolist()
-        oids = nearest.oid.tolist()
-        full = []  # rows that found k+1: their repair scans a circle
-        radii = []
-        for i, st in enumerate(search):
-            lo, hi = seg[i], seg[i + 1]
-            rows["knn", st.spec.qid] = list(zip(dists[lo:hi], oids[lo:hi]))
-            if hi - lo > st.spec.k:
-                full.append(i)
-                radii.append(self._candidate_radius(dists[hi - 1]))
-        if len(full) < MIN_BATCH:
-            return
-        found = range_search_many(
-            grid, qx[full], qy[full], np.array(radii), focals[full],
-            meter=self.meter,
-        )
-        seg = found.seg.tolist()
-        for n, i in enumerate(full):
-            rows["cands", search[i].spec.qid] = found.oid[seg[n]:seg[n + 1]]
-
     def busy(self) -> bool:
         # Unfinished repairs keep the zero-latency subround loop alive;
         # a repair that cannot progress then fails loudly at the
         # engine's subround cap instead of silently going stale.
         # Frozen (focal-down) queries don't hold the loop: nothing can
         # progress them until the focal is heard from again.
-        return any(
-            (st.dirty or st.phase != _IDLE) and not st.focal_down
-            for st in self._states.values()
+        q = self._q
+        return bool(
+            ((q.dirty | (q.phase != IDLE)) & ~q.focal_down).any()
         )
 
     def event_idle(self, tick: int) -> bool:
@@ -611,12 +463,14 @@ class DknnServer(BaseServer):
         # both need every tick, so they veto skipping.
         if self._ft or self.record_history:
             return False
-        return not any(
-            st.dirty or st.phase != _IDLE
-            for st in self._states.values()
-        )
+        return not (self._q.dirty | (self._q.phase != IDLE)).any()
 
     # -- fault tolerance ---------------------------------------------------
+    # With ``params.fault_tolerant`` every band and probe is leased:
+    # each tick starts with a lease sweep over the objects holding
+    # regions, then retransmits unacked installs and unanswered probes
+    # and sends revival probes to the suspected. A suspected object is
+    # evicted from every query until it speaks again.
 
     def _ft_tick(self, tick: int) -> None:
         """Per-tick self-healing: lease sweep, then retransmissions."""
@@ -671,9 +525,9 @@ class DknnServer(BaseServer):
         """
         lease = self.params.lease_ticks
         tracked: Set[int] = set()
-        for st in self._states.values():
+        for st, banded in zip(self._q.views, self._q.banded.tolist()):
             tracked |= st.informed
-            if st.install is not None and not math.isinf(st.install.threshold):
+            if banded:
                 tracked.add(st.spec.focal_oid)
         for oid in sorted(tracked):
             if oid in self._suspected:
@@ -695,10 +549,11 @@ class DknnServer(BaseServer):
         self._probe_first.pop(oid, None)
         for key in [k for k in self._unacked if k[0] == oid]:
             del self._unacked[key]
-        for st in self._states.values():
+        for st in self._q.views:
+            row = st.row
             affected = False
             if st.spec.focal_oid == oid:
-                st.focal_down = True
+                self._q.focal_down[row] = True
             if oid in st.informed:
                 # Evict without a revoke: if the node is actually alive
                 # it keeps its region (still sound — the band predicate
@@ -709,18 +564,19 @@ class DknnServer(BaseServer):
             if oid in self.answers.get(st.spec.qid, ()):
                 affected = True
             if (
-                oid in st.pending
-                or oid in st.cand_ids
-                or oid in st.planner_new
+                (st.pending == oid).any()
+                or (st.cand_ids == oid).any()
+                or (st.planner_new == oid).any()
             ):
                 # An in-flight repair is waiting on the dead: restart
                 # it from scratch (minus the suspect) next subround.
-                st.pending = st.cand_ids = st.planner_new = _NO_IDS
-                st.phase = _IDLE
+                self._clear(np.array([row]))
+                st.planner_new = NO_IDS
+                self._q.phase[row] = IDLE
                 affected = True
-            if affected and not st.focal_down:
-                st.dirty = True
-                st.light_ok = False
+            if affected and not self._q.focal_down[row]:
+                self._q.dirty[row] = True
+                self._q.light_ok[row] = False
                 st.violators = set()
 
     def _revive(self, oid: int) -> None:
@@ -737,18 +593,108 @@ class DknnServer(BaseServer):
         tel = self.telemetry
         if tel.enabled:
             tel.emit(self._tick, "fault.revive", oid=oid)
-        for st in self._states.values():
+        for st in self._q.views:
             if st.spec.focal_oid == oid:
-                st.focal_down = False
-                st.dirty = True
-                st.light_ok = False
+                row = st.row
+                self._q.focal_down[row] = False
+                self._q.dirty[row] = True
+                self._q.light_ok[row] = False
                 st.violators = set()
+
+    # -- the subround's effects, in walk order ---------------------------
+
+    def _emit(self, key: int, fn: Callable, *args) -> None:
+        """Run ``fn(*args)`` at once, or — inside :meth:`on_subround` —
+        when the subround releases ``key``."""
+        if self._ops is None:
+            fn(*args)
+        else:
+            self._ops.append((key, fn, args))
+
+    def _write(self, rows: np.ndarray, pending=None, cand=None) -> None:
+        """Set the pending / candidate runs of ``rows`` — ``(seg, ids)``
+        each, None: keep them — at once, or, inside
+        :meth:`on_subround`, when the steps are done (no step reads a
+        run another step of the subround wrote)."""
+        if not rows.shape[0]:
+            return
+        for i, runs in enumerate((pending, cand)):
+            if runs is None:
+                continue
+            if self._writes is None:
+                (self._q.pend, self._q.cand)[i].put([(rows, *runs)])
+            else:
+                self._writes[i].append((rows, *runs))
+
+    def _clear(self, rows: np.ndarray, cand: bool = True) -> None:
+        """No pending (and candidate) ids for ``rows``."""
+        empty = (np.zeros(rows.shape[0] + 1, dtype=np.int64), NO_IDS)
+        self._write(rows, empty, empty if cand else None)
+
+    def _claim(self, keys, oids: np.ndarray) -> None:
+        """Probe each id of ``oids`` (stale, unique per query) unless a
+        probe is in flight: at once, as one run, or — inside
+        :meth:`on_subround` — by the first claim in key order, ``keys``
+        the key of each id (or one for all)."""
+        if self._ops is None:
+            self._send_probes(self._probes_in_flight.claim(oids).tolist())
+        elif oids.shape[0]:
+            if np.isscalar(keys):
+                keys = np.full(oids.shape[0], keys)
+            self._claims.append((keys, oids))
+
+    def _send_probes(self, oids: List[int]) -> None:
+        if oids:
+            if self._ft:
+                for oid in oids:
+                    self._probe_sent[oid] = self._tick
+                    self._probe_first[oid] = self._tick
+            self._fan_out(oids, MessageKind.PROBE, ProbeRequest())
+
+    def _release(self) -> None:
+        """Run the subround's effects in key order, its probe claims
+        settled first: a claim's winners are its ids no earlier claim
+        (in key order) holds and no probe from before the subround;
+        each key's winners leave as one run."""
+        ops, self._ops = self._ops, None
+        claims, self._claims = self._claims, []
+        if not (ops or claims):
+            return
+        if claims:
+            keys = np.concatenate([keys for keys, _ in claims])
+            flat = np.concatenate([ids for _, ids in claims])
+            if (keys[1:] < keys[:-1]).any():
+                order = np.argsort(keys, kind="stable")
+                keys, flat = keys[order], flat[order]
+            won = np.flatnonzero(self._probes_in_flight.first_free(flat))
+            probed = flat[won]
+            self._probes_in_flight.claim(probed)
+            keys = keys[won]
+            first = np.ones(keys.shape[0], dtype=bool)
+            np.not_equal(keys[1:], keys[:-1], out=first[1:])
+            starts = first.nonzero()[0].tolist()
+            probed = probed.tolist()
+            for a, b, key in zip(
+                starts, starts[1:] + [len(probed)], keys[starts].tolist()
+            ):
+                ops.append((key + 1, self._send_probes, (probed[a:b],)))
+        ops.sort(key=itemgetter(0))
+        for _, fn, args in ops:
+            fn(*args)
 
     def _search_exclude(self, focal: int) -> frozenset:
         """Index-search exclusion set: the focal plus any suspects."""
         if self._ft and self._suspected:
             return frozenset(self._suspected | {focal})
         return frozenset((focal,))
+
+    def _per_row(self, rows: np.ndarray) -> bool:
+        """Search ``rows`` one query at a time? Below ``MIN_BATCH`` rows
+        the many-row kernels lose; under suspects each row has its own
+        exclusion set."""
+        return rows.shape[0] < MIN_BATCH or bool(self._ft and self._suspected)
+
+    # -- sends -------------------------------------------------------------
 
     def _send_band(
         self, oids, qid: int, band: int, ax: float, ay: float,
@@ -770,142 +716,13 @@ class DknnServer(BaseServer):
             self._unacked[(oid, qid)] = (payload, self._tick)
             self.send(oid, MessageKind.INSTALL_REGION, payload)
 
-    # -- state machine -----------------------------------------------------
-
-    def _advance(self, st: _QueryState, tick: int) -> None:
-        table = self.table
-        focal = st.spec.focal_oid
-        # Loop until the state blocks on outstanding probes or finishes
-        # the tick's obligations.
-        while True:
-            if st.phase == _IDLE:
-                if self._light_eligible(st):
-                    # The light path needs this tick's silent-object
-                    # guarantee re-established first: run the planner
-                    # against the *old* installation before deciding
-                    # the swap from the violator + answer pool alone.
-                    if st.planner_tick != tick:
-                        st.planner_tick = tick
-                        if not self._planner(st, tick):
-                            return  # blocked; WAIT_PLANNER resumes us
-                        if not st.light_ok:
-                            continue  # encroacher: escalate to full
-                    st.dirty = False
-                    violators = set(st.violators)
-                    st.violators = set()
-                    st.light_ok = False
-                    if not self._begin_light(st, violators, tick):
-                        return  # blocked on answer probes
-                    if not self._finalize_light(st, tick):
-                        st.dirty = True  # infeasible: escalate to full
-                        continue
-                    return
-                if st.dirty:
-                    st.dirty = False
-                    st.light_ok = False
-                    st.violators = set()
-                    if focal not in table:
-                        # Focal has never reported (first tick ordering):
-                        # stay dirty until it appears.
-                        st.dirty = True
-                        return
-                    if not table.is_fresh(focal, tick):
-                        self._probe(focal)
-                        st.pending = np.array([focal], dtype=np.int64)
-                        st.phase = _WAIT_FOCAL
-                        return
-                    if not self._select_candidates(st, tick):
-                        return  # blocked on candidate probes (or trivial)
-                    self._finalize(st, tick)
-                    return
-                if st.planner_tick != tick:
-                    st.planner_tick = tick
-                    if not self._planner(st, tick):
-                        return  # blocked on planner probes
-                    continue  # planner may have marked the query dirty
-                return
-            if st.phase == _WAIT_LIGHT:
-                if self._await_fresh(st.pending, tick):
-                    return
-                if not self._finalize_light(st, tick):
-                    st.dirty = True
-                    st.phase = _IDLE
-                    continue
-                return
-            if st.phase == _WAIT_FOCAL:
-                if self._await_fresh(st.pending, tick):
-                    return
-                if not self._select_candidates(st, tick):
-                    return
-                self._finalize(st, tick)
-                return
-            if st.phase == _WAIT_CANDS:
-                if self._await_fresh(st.pending, tick):
-                    return
-                self._finalize(st, tick)
-                return
-            if st.phase == _WAIT_PLANNER:
-                if self._await_fresh(st.pending, tick):
-                    return
-                self._resolve_planner(st, tick)
-                if st.dirty:
-                    continue  # an encroacher forced a repair
-                return
-            raise ProtocolError(f"unknown phase {st.phase}")
-
-    # -- repair pipeline -------------------------------------------------------
-
-    def _await_fresh(self, oids: np.ndarray, tick: int) -> bool:
-        """True while any of ``oids`` lacks a fresh position.
-
-        In fault-tolerant mode stale stragglers are re-probed: a tick
-        may have ended mid-wait (stall-break on a lost message), which
-        expires the per-tick freshness of members whose replies *did*
-        arrive — without a new probe they would block the wait forever.
-        """
-        stale = self.table.stale(oids, tick)
-        if not stale.shape[0]:
-            return False
+    def _revoke(self, oids, qid: int) -> None:
+        """Take ``qid``'s band off every object of ``oids``; only the
+        fault-tolerant build registers installs to forget."""
         if self._ft:
-            for oid in sorted(stale.tolist()):
-                self._probe(oid)
-        return True
-
-    def _probe(self, oid: int) -> None:
-        """Ask ``oid`` for its exact position, once per outstanding need.
-
-        Two queries wanting the same object's position in the same
-        round share a single probe: both block on the object's
-        freshness, which the one reply establishes.
-        """
-        if self.table.is_fresh(oid, self._tick):
-            return
-        if oid in self._probes_in_flight:
-            return
-        self._probes_in_flight.add(oid)
-        if self._ft:
-            self._probe_sent[oid] = self._tick
-            self._probe_first[oid] = self._tick
-        self._fan_out((oid,), MessageKind.PROBE, ProbeRequest())
-
-    def _probe_stale(self, oids: np.ndarray) -> np.ndarray:
-        """:meth:`_probe` every stale id of ``oids``, in order; returns
-        the stale subset (what the caller must wait on).
-
-        Two mask ops — not fresh this tick, not already in flight — and
-        one run of probes into the subround's ``PROBE`` flight
-        (:meth:`_fan_out`).
-        """
-        tick = self._tick
-        stale = self.table.stale(oids, tick)
-        todo = self._probes_in_flight.claim(stale).tolist()
-        if todo:
-            if self._ft:
-                for oid in todo:
-                    self._probe_sent[oid] = tick
-                    self._probe_first[oid] = tick
-            self._fan_out(todo, MessageKind.PROBE, ProbeRequest())
-        return stale
+            for oid in oids:
+                self._unacked.pop((oid, qid), None)
+        self._fan_out(oids, MessageKind.REVOKE_REGION, RevokeBand(qid))
 
     def _fan_out(self, oids, kind: MessageKind, payload) -> None:
         """Send the same ``payload`` to every object of ``oids``, in
@@ -917,201 +734,270 @@ class DknnServer(BaseServer):
         elif oids:
             self._outbox[kind].append((oids, payload))
 
-    def _candidate_radius(self, r_k1: float) -> float:
-        """The probe radius of a full repair whose ``k+1``-th nearest
-        reported position lies ``r_k1`` away (module docstring, step 2)."""
-        return r_k1 + 2.0 * self.params.uncertainty + self.params.s_cap
+    # -- the steps -----------------------------------------------------------
 
-    def _select_candidates(self, st: _QueryState, tick: int) -> bool:
-        """Choose the probe set; returns False when blocked or trivial.
-
-        On the trivial path (fewer than ``k+1`` known objects) this
-        finalizes directly (everyone is the answer, nothing can displace
-        them: no bands) and returns False so the caller stops.
-        """
-        spec = st.spec
-        table = self.table
-        qx, qy = table.last_position(spec.focal_oid)
-        exclude = self._search_exclude(spec.focal_oid)
-        reported = self._rows.pop(("knn", spec.qid), None)
-        if reported is None:
-            reported = knn_search(
-                table.grid, qx, qy, spec.k + 1, exclude=exclude,
-                meter=self.meter,
+    def _steps(self, tick: int) -> None:
+        """Every live query's steps of this subround (:meth:`on_subround`)."""
+        live = ~self._q.focal_down
+        waits = live & (self._q.phase != IDLE)
+        idle = np.flatnonzero(live & ~waits)
+        resumed = self._resume(np.flatnonzero(waits), tick)
+        rows = resumed[WAIT_PLANNER]
+        if rows.shape[0]:
+            self._resolve(rows, _RESOLVE)
+            idle = np.append(idle, rows[self._q.dirty[rows]])
+        # A resumed light repair that fails goes back to idle dispatch:
+        # a trigger since it began may make the light path eligible
+        # again. It has had no effect yet this subround, so any step's
+        # key still orders it.
+        rows = resumed[WAIT_LIGHT]
+        if rows.shape[0]:
+            idle = np.append(
+                idle, self._light_fails(rows, *self._q.cand.gather(rows))
             )
-        if len(reported) <= spec.k:
-            inst = Installation(
-                (qx, qy), tuple(reported), math.inf, self.params.s_cap
-            )
-            self._install(st, inst, _NO_IDS, tick)
-            st.phase = _IDLE
-            return False
-        radius = self._candidate_radius(reported[-1][0])
-        if self.ownership_probe is not None:
-            # Ownership seam: a full repair reads the table over this
-            # circle — the sharded tier borrows candidates from every
-            # neighbor shard the circle overlaps.
-            self.ownership_probe.repair_scope(spec.qid, qx, qy, radius)
-        st.cand_ids = self._rows.pop(("cands", spec.qid), None)
-        if st.cand_ids is None:
-            _, st.cand_ids = range_search_arrays(
-                table.grid, qx, qy, radius, exclude=exclude, meter=self.meter
-            )
-        st.pending = self._probe_stale(st.cand_ids)
-        st.phase = _WAIT_CANDS  # nothing stale: fall straight through
-        return not st.pending.shape[0]
+        scan, light, full = self._dispatch(idle, tick)
+        if scan.shape[0]:
+            self._q.planner_tick[scan] = tick
+            _, more_light, more_full = self._dispatch(self._scan(scan), tick)
+            light = np.append(light, more_light)
+            full = np.append(full, more_full)
+        if light.shape[0]:
+            failed = self._light_fails(*self._begin_light(light))
+            full = np.append(full, failed)
+        ready = []
+        rows = resumed[WAIT_CANDS]
+        if rows.shape[0]:
+            ready.append((rows, *self._q.cand.gather(rows)))
+        select = np.append(resumed[WAIT_FOCAL], self._start_full(full, tick))
+        if select.shape[0]:
+            ready.append(self._select(select))
+        ready = [group for group in ready if group[0].shape[0]]
+        if ready:
+            self._finish(ready)
 
-    def _finalize(self, st: _QueryState, tick: int) -> None:
-        plan = self._rows.pop(("fin", st.spec.qid), None)
-        if plan is None:
-            (plan,) = self._plan_full([st])
-        self._install(st, *plan, tick)
-        st.phase = _IDLE
-
-    def _exact_dists(self, ids: np.ndarray, qx, qy) -> np.ndarray:
-        """The ``dist()`` recipe from ``(qx, qy)`` — one point, or one
-        per id — to each id's table position; DIST_CALC per id."""
-        xs, ys = self.table.grid.positions_of(ids)
-        ddx = xs - qx
-        ddy = ys - qy
-        self.meter.charge(CostMeter.DIST_CALC, ids.shape[0])
-        return np.sqrt(ddx * ddx + ddy * ddy)
-
-    def _plan_full(
-        self, states: List[_QueryState]
-    ) -> List[Tuple[Installation, np.ndarray]]:
-        """Rank, plan and band the full repairs of ``states`` in one
-        segmented pass: ``(installation, banded outsider ids)`` per row.
-
-        Row ``i`` ranks ``states[i].cand_ids`` by exact distance from
-        its focal, takes ``t``, ``s_eff`` and the monitor zone with
-        :func:`~repro.core.regions.plan_installation`'s expressions and
-        bands the ranked tail past ``k`` within the zone (farther ones
-        are the per-tick planner's)."""
-        grid = self.table.grid
-        n = len(states)
-        focals = np.array([st.spec.focal_oid for st in states], np.int64)
-        qx, qy = grid.positions_of(focals)
-        k = np.array([st.spec.k for st in states], np.int64)
-        row = np.repeat(np.arange(n), [st.cand_ids.shape[0] for st in states])
-        ids = np.concatenate([st.cand_ids for st in states])
-        d = self._exact_dists(ids, qx[row], qy[row])
-        seg, d, ids = _ranked(n, row, d, ids)
-        lo, hi = seg[:-1], seg[1:]
-        full = np.flatnonzero(hi - lo > k)  # the rest are trivial
-        d_k, d_k1 = d[lo[full] + k[full] - 1], d[lo[full] + k[full]]
-        t = np.full(n, math.inf)
-        s_eff = np.full(n, self.params.s_cap, dtype=np.float64)
-        t[full] = (d_k + d_k1) / 2.0
-        s_eff[full] = np.minimum(self.params.s_cap, (d_k1 - d_k) / 2.0)
-        zone = t + s_eff + self.params.uncertainty
-        tail = np.arange(ids.shape[0]) - lo[row] >= k[row]  # row is sorted
-        banded = np.bincount(row[tail & (d <= zone[row])], minlength=n)
-        plans = []
-        for i, a, b, x, y, t_i, s_i in zip(
-            lo.tolist(), np.minimum(lo + k, hi).tolist(), banded.tolist(),
-            qx.tolist(), qy.tolist(), t.tolist(), s_eff.tolist(),
-        ):
-            answer = tuple(zip(d[i:a].tolist(), ids[i:a].tolist()))
-            inst = Installation((x, y), answer, t_i, s_i)
-            plans.append((inst, ids[a:a + b]))
-        return plans
-
-    def _install(
-        self, st: _QueryState, inst: Installation, banded, tick: int
-    ) -> None:
-        """Send bands/revokes/answer for a fresh installation, outsider
-        bands to ``banded``. A trivial one (everyone is the answer) needs
-        no band; leftovers from earlier installations are revoked."""
-        qid = st.spec.qid
-        focal = st.spec.focal_oid
-        ax, ay = inst.anchor
-        trivial = math.isinf(inst.threshold)
-        banded_outsiders = banded.tolist()  # empty when trivial
-        answer_ids = inst.answer_ids
-        new_informed = (
-            set() if trivial else set(answer_ids) | set(banded_outsiders)
-        )
-        if not trivial:
-            self._send_band(
-                answer_ids, qid, BAND_ANSWER, ax, ay, inst.answer_band_radius
-            )
-            self._send_band(
-                banded_outsiders, qid, BAND_OUTSIDER, ax, ay,
-                inst.outsider_band_radius,
-            )
-            self._send_band(
-                (focal,), qid, BAND_QUERY_CIRCLE, ax, ay, inst.s_eff
-            )
-        revoked = st.informed - new_informed
-        if self._ft:  # only the fault-tolerant build registers installs
-            for oid in revoked:
-                self._unacked.pop((oid, qid), None)
-        self._fan_out(revoked, MessageKind.REVOKE_REGION, RevokeBand(qid))
-        if trivial and st.install is not None and not math.isinf(
-            st.install.threshold
-        ):
-            # The focal node still holds a query circle from the prior
-            # non-trivial installation; nothing will ever replace it on
-            # the trivial path, so take it down explicitly.
+    def _resume(self, waiting: np.ndarray, tick: int) -> Dict[int, np.ndarray]:
+        """The rows of ``waiting`` whose pending ids are all fresh, by
+        phase: one freshness pass over every pending id. In
+        fault-tolerant mode a blocked row re-probes its stale ids: a
+        tick may have ended mid-wait (stall-break on a lost message),
+        which expires the per-tick freshness of members whose replies
+        *did* arrive — without a new probe they would block the wait
+        forever."""
+        if not waiting.shape[0]:
+            return {p: waiting for p in _RESUME}
+        pend = self._q.pend
+        blocked = np.zeros(len(self._q.views), dtype=bool)
+        if pend.ids.shape[0]:
+            stale = self.table.stale_mask(pend.ids, tick)
+            blocked[pend.rows()[stale]] = True
             if self._ft:
-                self._unacked.pop((focal, qid), None)
-            self._fan_out((focal,), MessageKind.REVOKE_REGION, RevokeBand(qid))
-        st.informed = new_informed
-        new_ids = list(answer_ids)
-        if set(self.answers.get(qid, ())) != set(answer_ids):
-            self._fan_out(
-                (focal,), MessageKind.ANSWER_PUSH, AnswerPush(qid, answer_ids)
+                seg = pend.seg
+                for row in waiting[blocked[waiting]].tolist():
+                    a, b = seg[row], seg[row + 1]
+                    self._claim(
+                        _key(row, _RESUME[int(self._q.phase[row])]),
+                        np.sort(pend.ids[a:b][stale[a:b]]),
+                    )
+        ready = waiting[~blocked[waiting]]
+        phase = self._q.phase[ready]
+        return {p: ready[phase == p] for p in _RESUME}
+
+    def _light_eligible(self, rows: np.ndarray) -> np.ndarray:
+        """Would idle ``rows`` take the light repair path right now?"""
+        if not self.params.incremental:
+            return np.zeros(rows.shape[0], dtype=bool)
+        q = self._q
+        return q.dirty[rows] & q.light_ok[rows] & q.banded[rows]
+
+    def _dispatch(self, rows: np.ndarray, tick: int) -> Tuple[np.ndarray, ...]:
+        """Idle ``rows`` by their next step: ``(scan, light, full)``.
+        The planner runs once per tick — before a light repair, whose
+        swap is sound only once this tick's silent-object guarantee is
+        re-established, or on a query with nothing owed; a dirty query
+        off the light path repairs in full."""
+        dirty = self._q.dirty[rows]
+        light = self._light_eligible(rows)
+        due = self._q.planner_tick[rows] != tick
+        return (
+            rows[due & (light | ~dirty)],
+            rows[light & ~due],
+            rows[dirty & ~light],
+        )
+
+    def _probe_runs(
+        self, rows: np.ndarray, step: int, seg: np.ndarray, ids: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Claim the stale ids of each row's run (one freshness pass):
+        ``(seg, ids)`` of what each row now waits on."""
+        stale = self.table.stale_mask(ids, self._tick)
+        owner = np.repeat(np.arange(rows.shape[0]), lengths(seg))[stale]
+        pending = ids[stale]
+        self._claim(_key(rows, step)[owner], pending)
+        return offsets(np.bincount(owner, minlength=rows.shape[0])), pending
+
+    # -- planner (silent-object safety) ------------------------------------
+
+    def _scan(self, rows: np.ndarray) -> np.ndarray:
+        """The planner over ``rows``: scan each banded row's monitor zone
+        for uninformed objects and probe the stale ones. Returns the
+        rows not left waiting (no hit, or hits resolved at once)."""
+        qs = self._q.views
+        banded = rows[self._q.banded[rows]]
+        if not banded.shape[0]:
+            return rows
+        seg, hits = self._zone_hits(banded)
+        seg, hits = seg.tolist(), hits.tolist()
+        found, lens, new = [], [], []
+        for row, a, b in zip(banded.tolist(), seg, seg[1:]):
+            informed = qs[row].informed
+            mine = [oid for oid in hits[a:b] if oid not in informed]
+            if mine:
+                found.append(row)
+                lens.append(len(mine))
+                new += mine
+        if not found:
+            return rows
+        found = np.array(found, dtype=np.int64)
+        seg = offsets(lens)
+        new = np.array(new, dtype=np.int64)
+        for row, a, b in zip(found.tolist(), seg.tolist(), seg[1:].tolist()):
+            qs[row].planner_new = new[a:b]
+        pseg, pending = self._probe_runs(found, _SCAN, seg, new)
+        self._write(found, (pseg, pending))
+        waits = lengths(pseg) > 0
+        if not waits.all():
+            self._resolve(found[~waits], _SCAN)
+        if not waits.any():
+            return rows
+        waiting = found[waits]
+        self._q.phase[waiting] = WAIT_PLANNER
+        left = np.ones(len(qs), dtype=bool)
+        left[waiting] = False
+        return rows[left[rows]]
+
+    def _zone_hits(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Ids within the monitor zone of each row's installation:
+        :meth:`_ranges` around the anchors."""
+        insts = [self._q.views[row].install for row in rows.tolist()]
+        unc = self.params.uncertainty
+        return self._ranges(
+            rows,
+            np.array([inst.anchor[0] for inst in insts]),
+            np.array([inst.anchor[1] for inst in insts]),
+            np.array([inst.monitor_radius(unc) for inst in insts]),
+        )
+
+    def _resolve(self, rows: np.ndarray, step: int) -> None:
+        """All planner probes of ``rows`` answered: band the harmless,
+        repair on true encroachers (one exact-distance pass)."""
+        qs = self._q.views
+        states = [qs[row] for row in rows.tolist()]
+        news = [st.planner_new for st in states]
+        insts = [st.install for st in states]
+        lens = [new.shape[0] for new in news]
+        d = self._exact_dists(
+            np.concatenate(news),
+            np.repeat([inst.anchor[0] for inst in insts], lens),
+            np.repeat([inst.anchor[1] for inst in insts], lens),
+        )
+        inside = d < np.repeat(
+            [inst.outsider_band_radius for inst in insts], lens
+        )
+        self._clear(rows, cand=False)
+        self._q.phase[rows] = IDLE
+        at = 0
+        for st, inst, new, n in zip(states, insts, news, lens):
+            mine = inside[at:at + n]
+            at += n
+            row = st.row
+            encroachers, harmless = new[mine].tolist(), new[~mine].tolist()
+            st.planner_new = NO_IDS
+            if encroachers:
+                # Encroachers are exactly-known entrants: they qualify
+                # for the light path unless a heavier trigger (query
+                # move) is already pending this round.
+                if not self._q.dirty[row]:
+                    self._q.light_ok[row] = True
+                st.violators.update(encroachers)
+                self._q.dirty[row] = True
+                continue
+            ax, ay = inst.anchor
+            self._emit(
+                _key(row, step), self._send_band, harmless, st.spec.qid,
+                BAND_OUTSIDER, ax, ay, inst.outsider_band_radius,
             )
-        self.publish(qid, new_ids)
-        st.install = inst
-        st.pending = st.cand_ids = _NO_IDS
-        self.repair_count[qid] += 1
-        self.meter.charge(CostMeter.REPAIR)
-        tel = self.telemetry
-        if tel.enabled:
-            tel.emit(
-                tick,
-                "server.repair",
-                qid=qid,
-                mode="trivial" if trivial else "full",
-                answer=new_ids,
-            )
+            st.informed.update(harmless)
+            self.meter.charge(CostMeter.BOOKKEEPING, len(harmless))
 
     # -- light (incremental) repairs ------------------------------------------
 
-    def _begin_light(
-        self, st: _QueryState, violators: Set[int], tick: int
-    ) -> bool:
-        """Stage a light repair: pool = current answer + violators.
-
-        Violators carried their exact positions in their reports;
-        answer members may need probing. Returns False while blocked.
-        """
-        assert st.install is not None
-        if self.ownership_probe is not None:
-            # A light repair re-reads the answer pool, all of it inside
-            # the old band boundary around the anchor.
-            ax, ay = st.install.anchor
-            self.ownership_probe.repair_scope(
-                st.spec.qid, ax, ay, st.install.threshold + st.install.s_eff
-            )
-        pool = set(st.install.answer_ids) | violators
-        if self._ft and self._suspected:
-            pool -= self._suspected
-            violators = violators - self._suspected
-        st.light_violators = violators
-        st.cand_ids = np.array(sorted(pool), dtype=np.int64)
-        st.pending = self._probe_stale(
-            np.append(st.cand_ids, st.spec.focal_oid)
+    def _begin_light(self, rows: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """Stage the light repairs of ``rows``: pool = current answer +
+        violators. Violators carried their exact positions in their
+        reports; answer members (and the focal) may need probing.
+        Returns ``(rows, seg, pool ids)`` of the rows not left
+        waiting."""
+        pools, probed = [], []
+        for row in rows.tolist():
+            st = self._q.views[row]
+            self._q.dirty[row] = False
+            self._q.light_ok[row] = False
+            violators, st.violators = st.violators, set()
+            inst = st.install
+            if self.ownership_probe is not None:
+                # A light repair re-reads the answer pool, all of it
+                # inside the old band boundary around the anchor.
+                ax, ay = inst.anchor
+                self._emit(
+                    _key(row, _LIGHT), self.ownership_probe.repair_scope,
+                    st.spec.qid, ax, ay, inst.threshold + inst.s_eff,
+                )
+            pool = set(inst.answer_ids) | violators
+            if self._ft and self._suspected:
+                pool -= self._suspected
+                violators = violators - self._suspected
+            st.light_violators = violators
+            pools.append(sorted(pool))
+            probed += pools[-1]
+            probed.append(st.spec.focal_oid)
+        lens = [len(pool) for pool in pools]
+        seg = offsets(lens)
+        ids = np.array([oid for pool in pools for oid in pool], np.int64)
+        pseg, pending = self._probe_runs(
+            rows, _LIGHT, offsets([n + 1 for n in lens]),
+            np.array(probed, dtype=np.int64),
         )
-        if st.pending.shape[0]:
-            st.phase = _WAIT_LIGHT
-            return False
-        return True
+        self._write(rows, (pseg, pending), (seg, ids))
+        waits = lengths(pseg) > 0
+        self._q.phase[rows[waits]] = WAIT_LIGHT
+        ready = ~waits
+        return (
+            rows[ready],
+            offsets(np.array(lens)[ready]),
+            ids[np.repeat(ready, lens)],
+        )
 
-    def _finalize_light(self, st: _QueryState, tick: int) -> bool:
-        """Re-rank the pool and swap bands minimally.
+    def _light_fails(
+        self, rows: np.ndarray, seg: np.ndarray, ids: np.ndarray
+    ) -> np.ndarray:
+        """Finalize the light repairs of ``rows`` (pool ``ids[seg[i]:
+        seg[i + 1]]`` each); returns the rows that must repair in full
+        instead."""
+        if not rows.shape[0]:
+            return rows
+        self._clear(rows)
+        self._q.phase[rows] = IDLE
+        seg = seg.tolist()
+        return np.array(
+            [
+                row for row, a, b in zip(rows.tolist(), seg, seg[1:])
+                if not self._finalize_light(row, ids[a:b])
+            ],
+            dtype=np.int64,
+        )
+
+    def _finalize_light(self, row: int, ids: np.ndarray) -> bool:
+        """Re-rank ``row``'s pool ``ids`` and swap bands minimally.
 
         Soundness: after this tick's planner pass, every object outside
         the pool — intact outsiders, planner-banded entrants, and the
@@ -1119,19 +1005,16 @@ class DknnServer(BaseServer):
         anchor. The pool therefore contains the true kNN, and any new
         threshold t' with ``t' + s <= t_old + s_old`` keeps every
         untouched band sufficient. Returns False when no such t' exists
-        (the caller escalates to a full repair).
+        (the row is left dirty, for a full repair).
         """
+        st = self._q.views[row]
         inst = st.install
-        assert inst is not None
         spec = st.spec
         ax, ay = inst.anchor
         t_old, s_old, s_cap = inst.threshold, inst.s_eff, self.params.s_cap
-        ids = st.cand_ids
         d = self._exact_dists(ids, ax, ay)
-        st.pending = st.cand_ids = _NO_IDS
-        st.phase = _IDLE
         if ids.shape[0] < spec.k:
-            return False  # population shrank below k: full repair
+            return self._escalate(row)  # population shrank below k
         order = _rank(d, ids)
         ds, ids = d[order], ids[order]
         plan = plan_installation(inst.anchor, ds, ids, spec.k, s_cap)
@@ -1144,41 +1027,30 @@ class DknnServer(BaseServer):
         lower = max(t_old - s_old, new_answer[-1][0])
         upper = min(t_old + s_old, float(ds[spec.k]) if dropped else math.inf)
         if upper < lower:
-            return False  # the swap does not fit inside the old bands
+            return self._escalate(row)  # the swap does not fit
         s_new = min(s_cap, (upper - lower) / 2.0)
         # The query stays anchored at A; its current drift must fit the
         # new band slack (the focal was probed in _begin_light).
         (drift,) = self._exact_dists(np.array([spec.focal_oid]), ax, ay)
         if drift > s_new:
-            return False  # not enough slack to absorb the query drift
+            return self._escalate(row)  # too little slack for the drift
         t_new = (lower + upper) / 2.0
         qid = spec.qid
         old_answer = set(inst.answer_ids)
         new_ids = [oid for _, oid in new_answer]
         new_set = set(new_ids)
+        light = st.light_violators
         # Entrants need an answer band; violators staying in the answer
         # need theirs re-armed (a violated band stays silent until
-        # re-installed).
-        light = st.light_violators
-        self._send_band(
+        # re-installed). Everyone dropped from the pool either just
+        # left the answer or violated inward without making the cut;
+        # both need a (re-armed) outsider band at the new boundary.
+        self._emit(
+            _key(row, _LIGHT_FIN), self._send_light, qid, spec.focal_oid,
+            ax, ay, t_new, s_new,
             [o for o in new_ids if o not in old_answer or o in light],
-            qid, BAND_ANSWER, ax, ay, t_new - s_new,
+            dropped, old_answer != new_set, new_ids,
         )
-        # Everyone dropped from the pool either just left the answer or
-        # violated inward without making the cut; both need a
-        # (re-armed) outsider band at the new boundary.
-        self._send_band(dropped, qid, BAND_OUTSIDER, ax, ay, t_new + s_new)
-        # Refresh (and re-arm) the query circle at the new slack.
-        self._send_band(
-            (spec.focal_oid,), qid, BAND_QUERY_CIRCLE, ax, ay, s_new
-        )
-        if old_answer != new_set:
-            self._fan_out(
-                (spec.focal_oid,),
-                MessageKind.ANSWER_PUSH,
-                AnswerPush(qid, tuple(new_ids)),
-            )
-        self.publish(qid, new_ids)
         # Encroacher-derived pool members were uninformed until now.
         st.informed.update(new_set)
         st.informed.update(dropped)
@@ -1187,66 +1059,297 @@ class DknnServer(BaseServer):
         self.repair_count[qid] += 1
         self.light_repair_count[qid] += 1
         self.meter.charge(CostMeter.REPAIR)
+        return True
+
+    def _escalate(self, row: int) -> bool:
+        """A light repair that cannot be made: repair in full."""
+        self._q.dirty[row] = True
+        return False
+
+    def _send_light(
+        self, qid, focal, ax, ay, t_new, s_new, entrants, dropped, push,
+        new_ids,
+    ) -> None:
+        """The sends, publication and event of one light repair."""
+        self._send_band(entrants, qid, BAND_ANSWER, ax, ay, t_new - s_new)
+        self._send_band(dropped, qid, BAND_OUTSIDER, ax, ay, t_new + s_new)
+        # Refresh (and re-arm) the query circle at the new slack.
+        self._send_band((focal,), qid, BAND_QUERY_CIRCLE, ax, ay, s_new)
+        if push:
+            self._fan_out(
+                (focal,), MessageKind.ANSWER_PUSH,
+                AnswerPush(qid, tuple(new_ids)),
+            )
+        self.publish(qid, new_ids)
         tel = self.telemetry
         if tel.enabled:
             tel.emit(
-                tick, "server.repair", qid=qid, mode="light", answer=new_ids
+                self._tick, "server.repair", qid=qid, mode="light",
+                answer=new_ids,
             )
-        return True
 
-    # -- planner (silent-object safety) ------------------------------------
+    # -- full repairs --------------------------------------------------------
 
-    def _planner(self, st: _QueryState, tick: int) -> bool:
-        """Scan for uninformed objects near the boundary; returns False
-        when blocked on probes."""
-        inst = st.install
-        if inst is None or math.isinf(inst.threshold):
-            return True
-        zone = inst.monitor_radius(self.params.uncertainty)
-        ax, ay = inst.anchor
-        hits = self._rows.pop(("planner", st.spec.qid), None)
-        if hits is None:
-            _, hits = range_search_arrays(
-                self.table.grid, ax, ay, zone,
-                exclude=self._search_exclude(st.spec.focal_oid),
+    def _start_full(self, rows: np.ndarray, tick: int) -> np.ndarray:
+        """Begin the full repairs of idle dirty ``rows``; returns those
+        whose focal position is exact, ready to search. A focal that
+        has never reported (first tick ordering) leaves its row dirty
+        until it appears; a stale one is probed."""
+        if not rows.shape[0]:
+            return rows
+        self._q.dirty[rows] = False
+        self._q.light_ok[rows] = False
+        qs, table = self._q.views, self.table
+        for row in rows.tolist():
+            qs[row].violators = set()
+        focals = self._q.focal[rows]
+        known = np.array([oid in table for oid in focals.tolist()], dtype=bool)
+        self._q.dirty[rows[~known]] = True
+        stale = table.stale_mask(focals, tick) & known
+        if stale.any():
+            rows_, focals_ = rows[stale], focals[stale]
+            self._claim(_key(rows_, _FULL), focals_)
+            self._write(rows_, (np.arange(rows_.shape[0] + 1), focals_))
+            self._q.phase[rows_] = WAIT_FOCAL
+        return rows[known & ~stale]
+
+    def _candidate_radius(self, r_k1):
+        """The probe radius of a full repair whose ``k+1``-th nearest
+        reported position lies ``r_k1`` away (module docstring, step 2)."""
+        return r_k1 + 2.0 * self.params.uncertainty + self.params.s_cap
+
+    def _nearest(self, rows: np.ndarray, qx: np.ndarray, qy: np.ndarray):
+        """The ``k+1`` nearest reported positions to each row's focal,
+        at ``(qx, qy)``: ``(seg, d, ids)``, ascending ``(distance,
+        oid)`` within a row."""
+        grid = self.table.grid
+        focals = self._q.focal[rows]
+        if not self._per_row(rows):
+            found = knn_search_many(
+                grid, qx, qy, self._q.k[rows] + 1, focals, meter=self.meter
+            )
+            return found.seg, found.d, found.oid
+        found = [
+            knn_search(
+                grid, x, y, k + 1, exclude=self._search_exclude(focal),
                 meter=self.meter,
             )
-        informed = st.informed
-        new = [oid for oid in hits.tolist() if oid not in informed]
-        if not new:
-            return True
-        st.planner_new = np.array(new, dtype=np.int64)
-        st.pending = self._probe_stale(st.planner_new)
-        if st.pending.shape[0]:
-            st.phase = _WAIT_PLANNER
-            return False
-        self._resolve_planner(st, tick)
-        return True
-
-    def _resolve_planner(self, st: _QueryState, tick: int) -> None:
-        """All planner probes answered: band the harmless, repair on
-        true encroachers."""
-        inst = st.install
-        if inst is None:
-            raise ProtocolError("planner resolution without installation")
-        ax, ay = inst.anchor
-        boundary = inst.outsider_band_radius
-        new = st.planner_new
-        inside = self._exact_dists(new, ax, ay) < boundary
-        encroachers, harmless = new[inside].tolist(), new[~inside].tolist()
-        st.pending = st.planner_new = _NO_IDS
-        st.phase = _IDLE
-        if encroachers:
-            # Encroachers are exactly-known entrants: they qualify for
-            # the light path unless a heavier trigger (query move) is
-            # already pending this round.
-            if not st.dirty:
-                st.light_ok = True
-            st.violators.update(encroachers)
-            st.dirty = True
-            return
-        self._send_band(
-            harmless, st.spec.qid, BAND_OUTSIDER, ax, ay, boundary
+            for x, y, k, focal in zip(
+                qx.tolist(), qy.tolist(), self._q.k[rows].tolist(),
+                focals.tolist(),
+            )
+        ]
+        pairs = [pair for row in found for pair in row]
+        return (
+            offsets([len(row) for row in found]),
+            np.array([d for d, _ in pairs], dtype=np.float64),
+            np.array([oid for _, oid in pairs], dtype=np.int64),
         )
-        st.informed.update(harmless)
-        self.meter.charge(CostMeter.BOOKKEEPING, len(harmless))
+
+    def _select(self, rows: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """Choose the probe sets of ``rows`` (focal positions exact):
+        the ``k+1`` nearest fix each candidate circle; its stale members
+        are probed. A row with fewer than ``k+1`` known objects installs
+        at once (everyone is the answer, nothing can displace them: no
+        bands). Returns ``(rows, seg, candidate ids)`` of the rows not
+        left waiting."""
+        qx, qy = self.table.grid.positions_of(self._q.focal[rows])
+        seg, d, oid = self._nearest(rows, qx, qy)
+        full = lengths(seg) > self._q.k[rows]
+        if not full.all():
+            for i in np.flatnonzero(~full).tolist():
+                a, b = seg[i], seg[i + 1]
+                row = int(rows[i])
+                inst = Installation(
+                    (float(qx[i]), float(qy[i])),
+                    tuple(zip(d[a:b].tolist(), oid[a:b].tolist())),
+                    math.inf, self.params.s_cap,
+                )
+                self._install(row, inst, [], _key(row, _FULL))
+            self._clear(rows[~full])
+            self._q.phase[rows[~full]] = IDLE
+            rows, qx, qy = rows[full], qx[full], qy[full]
+        radii = self._candidate_radius(d[seg[1:][full] - 1])
+        probe = self.ownership_probe
+        if probe is not None:
+            # Ownership seam: a full repair reads the table over this
+            # circle — the sharded tier borrows candidates from every
+            # neighbor shard the circle overlaps.
+            for row, x, y, r in zip(
+                rows.tolist(), qx.tolist(), qy.tolist(), radii.tolist()
+            ):
+                self._emit(
+                    _key(row, _FULL), probe.repair_scope,
+                    self._q.views[row].spec.qid, x, y, r,
+                )
+        seg, cands = self._ranges(rows, qx, qy, radii)
+        pseg, pending = self._probe_runs(rows, _FULL, seg, cands)
+        self._write(rows, (pseg, pending), (seg, cands))
+        self._q.phase[rows] = WAIT_CANDS
+        ready = pseg[1:] == pseg[:-1]
+        lens = lengths(seg)
+        return (
+            rows[ready], offsets(lens[ready]), cands[np.repeat(ready, lens)]
+        )
+
+    def _ranges(self, rows, cx, cy, radii) -> Tuple[np.ndarray, np.ndarray]:
+        """The ids within ``radii`` of ``(cx, cy)`` per row, over
+        reported positions, each row's focal excluded, ascending
+        ``(distance, oid)``: ``(seg, ids)``."""
+        grid = self.table.grid
+        if self._per_row(rows):
+            found = [
+                range_search_arrays(
+                    grid, x, y, r, exclude=self._search_exclude(focal),
+                    meter=self.meter,
+                )[1]
+                for x, y, r, focal in zip(
+                    cx.tolist(), cy.tolist(), radii.tolist(),
+                    self._q.focal[rows].tolist(),
+                )
+            ]
+            return offsets([ids.shape[0] for ids in found]), (
+                np.concatenate(found) if found else NO_IDS
+            )
+        found = range_search_many(
+            grid, cx, cy, radii, self._q.focal[rows], meter=self.meter
+        )
+        return found.seg, found.oid
+
+    def _finish(self, groups: List[Tuple[np.ndarray, ...]]) -> None:
+        """Finalize the full repairs of ``groups`` — ``(rows, seg,
+        candidate ids)`` each — in one :meth:`_plan_full` pass, then
+        install."""
+        rows = np.concatenate([g[0] for g in groups])
+        seg = offsets(np.concatenate([lengths(g[1]) for g in groups]))
+        plans = self._plan_full(
+            rows, seg, np.concatenate([g[2] for g in groups])
+        )
+        for row, (inst, outsiders) in zip(rows.tolist(), plans):
+            self._install(row, inst, outsiders, _key(row, _FIN))
+        self._clear(rows)
+        self._q.phase[rows] = IDLE
+
+    def _exact_dists(self, ids: np.ndarray, qx, qy) -> np.ndarray:
+        """The ``dist()`` recipe from ``(qx, qy)`` — one point, or one
+        per id — to each id's table position; DIST_CALC per id."""
+        xs, ys = self.table.grid.positions_of(ids)
+        ddx = xs - qx
+        ddy = ys - qy
+        self.meter.charge(CostMeter.DIST_CALC, ids.shape[0])
+        return np.sqrt(ddx * ddx + ddy * ddy)
+
+    def _plan_full(
+        self, rows: np.ndarray, seg: np.ndarray, ids: np.ndarray
+    ) -> List[Tuple[Installation, List[int]]]:
+        """Rank, plan and band the full repairs of ``rows`` in one
+        segmented pass: ``(installation, banded outsider ids)`` per row.
+
+        Row ``i`` ranks its candidates ``ids[seg[i]:seg[i + 1]]`` by
+        exact distance from its focal, takes ``t``, ``s_eff`` and the
+        monitor zone with
+        :func:`~repro.core.regions.plan_installation`'s expressions and
+        bands the ranked tail past ``k`` within the zone (farther ones
+        are the per-tick planner's)."""
+        grid = self.table.grid
+        n = rows.shape[0]
+        qx, qy = grid.positions_of(self._q.focal[rows])
+        k = self._q.k[rows]
+        row = np.repeat(np.arange(n), lengths(seg))
+        d = self._exact_dists(ids, qx[row], qy[row])
+        seg, d, ids = _ranked(n, row, d, ids)
+        lo, hi = seg[:-1], seg[1:]
+        full = np.flatnonzero(hi - lo > k)  # the rest are trivial
+        d_k, d_k1 = d[lo[full] + k[full] - 1], d[lo[full] + k[full]]
+        t = np.full(n, math.inf)
+        s_eff = np.full(n, self.params.s_cap, dtype=np.float64)
+        t[full] = (d_k + d_k1) / 2.0
+        s_eff[full] = np.minimum(self.params.s_cap, (d_k1 - d_k) / 2.0)
+        zone = t + s_eff + self.params.uncertainty
+        rank = np.arange(ids.shape[0]) - lo[row]  # row is sorted
+        answer = rank < k[row]
+        banded = (rank >= k[row]) & (d <= zone[row])
+        # each row's answer, then its banded tail: runs in row order
+        dl, il = d[answer].tolist(), ids[answer].tolist()
+        ol = ids[banded].tolist()
+        n_ans = np.bincount(row[answer], minlength=n).tolist()
+        n_out = np.bincount(row[banded], minlength=n).tolist()
+        plans = []
+        a = o = 0
+        for x, y, t_i, s_i, na, no in zip(
+            qx.tolist(), qy.tolist(), t.tolist(), s_eff.tolist(), n_ans, n_out
+        ):
+            inst = Installation(
+                (x, y), tuple(zip(dl[a:a + na], il[a:a + na])), t_i, s_i
+            )
+            plans.append((inst, ol[o:o + no]))
+            a += na
+            o += no
+        return plans
+
+    def _install(
+        self, row: int, inst: Installation, outsiders: List[int], key: int
+    ) -> None:
+        """Install a fresh full (or trivial) repair of ``row``: outsider
+        bands to ``outsiders``. A trivial one (everyone is the answer)
+        needs no band; leftovers from earlier installations are
+        revoked. The row's sets change now; its sends, publication and
+        event at ``key``; the caller clears its runs and phase."""
+        st = self._q.views[row]
+        qid = st.spec.qid
+        trivial = math.isinf(inst.threshold)
+        answer_ids = inst.answer_ids
+        new_informed = (
+            set() if trivial else set(answer_ids) | set(outsiders)
+        )
+        # The focal node still holds a query circle from the prior
+        # non-trivial installation; nothing will ever replace it on the
+        # trivial path, so take it down explicitly.
+        drop_circle = trivial and bool(self._q.banded[row])
+        self._emit(
+            key, self._send_install, qid, st.spec.focal_oid, inst,
+            answer_ids, outsiders, st.informed - new_informed, drop_circle,
+            set(self.answers.get(qid, ())) != set(answer_ids),
+        )
+        st.informed = new_informed
+        st.install = inst
+        self._q.banded[row] = not trivial
+        self.repair_count[qid] += 1
+        self.meter.charge(CostMeter.REPAIR)
+
+    def _send_install(
+        self, qid, focal, inst, answer_ids, outsiders, revoked, drop_circle,
+        push,
+    ) -> None:
+        """The sends, publication and event of one full repair."""
+        ax, ay = inst.anchor
+        trivial = math.isinf(inst.threshold)
+        if not trivial:
+            self._send_band(
+                answer_ids, qid, BAND_ANSWER, ax, ay, inst.answer_band_radius
+            )
+            self._send_band(
+                outsiders, qid, BAND_OUTSIDER, ax, ay,
+                inst.outsider_band_radius,
+            )
+            self._send_band(
+                (focal,), qid, BAND_QUERY_CIRCLE, ax, ay, inst.s_eff
+            )
+        self._revoke(revoked, qid)
+        if drop_circle:
+            self._revoke((focal,), qid)
+        if push:
+            self._fan_out(
+                (focal,), MessageKind.ANSWER_PUSH, AnswerPush(qid, answer_ids)
+            )
+        new_ids = list(answer_ids)
+        self.publish(qid, new_ids)
+        tel = self.telemetry
+        if tel.enabled:
+            tel.emit(
+                self._tick,
+                "server.repair",
+                qid=qid,
+                mode="trivial" if trivial else "full",
+                answer=new_ids,
+            )

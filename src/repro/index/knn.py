@@ -28,8 +28,8 @@ hotspots, a range scan 20-64 against 41-60; sixty-one rows on the
 hotspots, kNN 49 against 192 and a range scan 13-30 against 44-54. The
 break-even is 2-8 rows, latest where cells are evenly full, which is
 :data:`repro.net.plane.MIN_BATCH`: the DKNN-P server batches a kind of
-search when at least that many rows of it are due in one subround
-(``DknnServer._prefetch``) and calls per query otherwise.
+search when at least that many rows of it are due at one step of a
+subround (``DknnServer.on_subround``) and calls per query otherwise.
 
 **The charges of a best-first search, in closed form.** The many-row
 kNN never runs a heap: it finds an upper bound on each row's k-th
@@ -85,6 +85,7 @@ NeighborList = List[Tuple[float, int]]
 
 _EMPTY: FrozenSet[int] = frozenset()
 _SMALL = 256  # below: ``_rank`` runs np.lexsort, the faster there
+_INT16_MAX = int(np.iinfo(np.int16).max)
 
 
 def _without(ids: np.ndarray, exclude: AbstractSet[int]) -> np.ndarray:
@@ -359,7 +360,7 @@ def _rank(d: np.ndarray, ids=None, row=None) -> np.ndarray:
     order = d.argsort()
     if row is not None:
         key = row[order]
-        if key.max(initial=0) <= np.iinfo(np.int16).max:
+        if key.max(initial=0) <= _INT16_MAX:
             key = key.astype(np.int16)
         order = order[key.argsort(kind="stable")]
     if ids is None:

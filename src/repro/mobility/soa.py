@@ -18,13 +18,17 @@ silent majority of a tick is pure float arithmetic:
   object id — exactly the order the scalar fleet draws randomness in,
   so the RNG stream never diverges — cut into maximal runs that share
   a kernel (:meth:`_Kernel.arrive`). Pause-free waypoint and commute
-  arrivals are batched: the run lands on its targets and draws its
-  next trips from ``3·m`` ``rng.random()`` calls in oid order, as
-  ``random.uniform``'s own ``lo + (hi - lo) * r``. Every other event
-  (Gaussian and hotspot redraws, pausing waypoint arrivals, leg
-  renewals) falls back to its own scalar
-  :class:`~repro.mobility.base.Mover` — state is synced array→mover,
-  ``mover.step`` runs (consuming the shared RNG), state syncs back.
+  arrivals, and Gaussian and hotspot-drift redraws, are batched: the
+  run lands on its targets and draws its next trips from ``3·m``
+  ``rng.random()`` calls in oid order, as ``random.uniform``'s own
+  ``lo + (hi - lo) * r`` and — for a Gaussian target — as
+  ``random.gauss``'s pair from two draws (its ``log`` / ``cos`` /
+  ``sin`` are ``math``'s, mapped over lists: numpy's may differ by an
+  ulp). Every other event (pausing waypoint arrivals, leg renewals, a
+  Gaussian run while ``rng.gauss_next`` holds a cached value) falls
+  back to its own scalar :class:`~repro.mobility.base.Mover` — state
+  is synced array→mover, ``mover.step`` runs (consuming the shared
+  RNG), state syncs back.
 
 Mover classes without a kernel (road network, custom subclasses) are
 stepped scalar every tick — correctness never depends on a kernel
@@ -40,6 +44,7 @@ and positions into back buffers swapped in at the end.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
@@ -218,7 +223,9 @@ class _Kernel:
         bound: it holds for any mover."""
         return Claims(i.shape[0], GENERIC)
 
-    def _rows(self, xs, ys, gx=None, gy=None) -> Tuple[np.ndarray, np.ndarray]:
+    def _entries(
+        self, xs, ys, gx=None, gy=None
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """This kernel's entries of two fleet columns: views, or gathered
         into ``gx, gy`` (default: the workspace's ``x, y``)."""
         at = self.at
@@ -252,8 +259,8 @@ class _Kernel:
         None. An object that did not move passes trivially."""
         ws = self.ws
         u = self.universe
-        nx, ny = self._rows(bx, by, ws.nx, ws.ny)
-        x, y = self._rows(xs, ys)
+        nx, ny = self._entries(bx, by, ws.nx, ws.ny)
+        x, y = self._entries(xs, ys)
         ok, t = ws.t0, ws.t1
         np.greater_equal(nx, u.xmin, out=ok)
         np.less_equal(nx, u.xmax, out=t)
@@ -310,7 +317,7 @@ def _bounce(kern: _Kernel, xs, ys, bx, by, vx, vy, where=True) -> None:
     """
     u, ws = kern.universe, kern.ws
     below, above = ws.t0, ws.t1
-    x, y = kern._rows(xs, ys)
+    x, y = kern._entries(xs, ys)
     for p, v, n, lo, hi in (
         (x, vx, ws.nx, u.xmin, u.xmax), (y, vy, ws.ny, u.ymin, u.ymax)
     ):
@@ -355,8 +362,8 @@ class _LinearKernel(_Kernel):
 
 class _GlideKernel(_Kernel):
     """Waypointing at a per-trip speed toward ``(tx, ty)``: silent
-    unless arriving. As is, the Gaussian-cluster kernel; the waypoint,
-    hotspot-drift and commute kernels add their own gates.
+    unless arriving. The waypoint, Gaussian, hotspot-drift and commute
+    kernels add their own gates and redraws.
 
     The event mask replicates the scalar arrival test *on the result*:
     ``translate_toward`` lands on the target when ``d <= speed``, but a
@@ -387,7 +394,7 @@ class _GlideKernel(_Kernel):
         tx, ty, speed = self.tx, self.ty, self.speed
         nx, ny, d, f = ws.nx, ws.ny, ws.d, ws.f
         glide, t0, t1 = ws.glide, ws.t0, ws.t1
-        x, y = self._rows(xs, ys)
+        x, y = self._entries(xs, ys)
         np.subtract(x, tx, out=nx)
         nx *= nx
         np.subtract(y, ty, out=ny)
@@ -452,23 +459,29 @@ class _GlideKernel(_Kernel):
         self.span = np.array([hi - lo for lo, hi in pairs], dtype=np.float64)
 
     def _redraw(self, rows, oids, bx, by, rng) -> None:
-        """Pause-free waypoint arrivals of ``rows`` (at ``oids``,
-        ascending), batched; no mover is read or written. Each lands on
-        its target (the ``d <= speed`` arrival and the rounding one both
-        end exactly there) and draws its next trip as the scalar
-        ``_new_trip``: target ``x``, ``y`` and speed, each
-        ``random.uniform``'s ``lo + (hi - lo) * rng.random()``, three
-        draws per object in oid order."""
+        """Arrivals of ``rows`` (at ``oids``, ascending), batched; no
+        mover is read or written. Each lands on its target (the ``d <=
+        speed`` arrival and the rounding one both end exactly there) and
+        draws its next trip as the scalar ``_new_trip``: a target from
+        two draws (:meth:`_targets`), then a speed, ``random.uniform``'s
+        ``lo + (hi - lo) * rng.random()`` — three draws per object in
+        oid order."""
         tx, ty = self.tx, self.ty
         bx[oids] = tx[rows]
         by[oids] = ty[rows]
         draw = rng.random
         r = np.array([draw() for _ in range(3 * rows.shape[0])])
-        u = self.universe
-        tx[rows] = u.xmin + (u.xmax - u.xmin) * r[0::3]
-        ty[rows] = u.ymin + (u.ymax - u.ymin) * r[1::3]
+        tx[rows], ty[rows] = self._targets(rows, r[0::3], r[1::3])
         trip = self.trip[rows]
         self.speed[rows] = self.lo[trip] + self.span[trip] * r[2::3]
+
+    def _targets(self, rows, r0, r1) -> Tuple[np.ndarray, np.ndarray]:
+        """The next targets of ``rows`` from two draws each: a
+        waypoint's, ``random.uniform`` over the universe per axis."""
+        u = self.universe
+        return (
+            u.xmin + (u.xmax - u.xmin) * r0, u.ymin + (u.ymax - u.ymin) * r1
+        )
 
 
 class _WaypointKernel(_GlideKernel):
@@ -516,16 +529,91 @@ class _WaypointKernel(_GlideKernel):
         return claims
 
 
-class _DriftKernel(_GlideKernel):
-    """Drifting-hotspot waypointing: the glide plus a tick counter.
+#: ``random.gauss``'s angle factor (``random.TWOPI``).
+_TWOPI = 2.0 * math.pi
 
-    The orbit only matters when a *new trip* is drawn, which is always
-    a scalar (RNG-consuming) event — so the vector step is exactly the
-    Gaussian glide. The kernel advances one shared tick counter and
-    ``pull_many`` rewinds the movers' ``_t`` to ``t - 1`` so the scalar
+
+def _clip(v: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """``min(max(v, lo), hi)`` per entry, the builtins' picks included
+    (a tie keeps ``v``)."""
+    v = np.where(lo > v, lo, v)
+    return np.where(hi < v, hi, v)
+
+
+class _GaussKernel(_GlideKernel):
+    """Gaussian-cluster waypointing: the glide, and arrivals redrawn in
+    one batch (:meth:`arrive`) around each object's hotspot.
+
+    ``spot`` indexes each object's ``(centre, sigma)`` in a table of the
+    distinct ones; :meth:`_centres` gives the table's centres at the
+    kernel's tick (fixed here, orbiting in :class:`_DriftKernel`).
+    """
+
+    def __init__(self, universe, oids, movers) -> None:
+        super().__init__(universe, oids, movers)
+        self._speed_ranges(movers)
+        spots: Dict[tuple, int] = {}
+        index = [spots.setdefault(self._spot(m), len(spots)) for m in movers]
+        self.spot = np.array(index, dtype=np.intp)
+        self.spots = list(spots)
+        self.sigma = np.array([key[-1] for key in self.spots])
+
+    @staticmethod
+    def _spot(m) -> tuple:
+        """What fixes a mover's target distribution; sigma last."""
+        return (m.hotspot[0], m.hotspot[1], m.sigma)
+
+    def _centres(self) -> Tuple[np.ndarray, np.ndarray]:
+        return (
+            np.array([key[0] for key in self.spots]),
+            np.array([key[1] for key in self.spots]),
+        )
+
+    def arrive(self, rows, oids, xs, ys, bx, by, rng) -> None:
+        """Arrivals of ``rows`` (at ``oids``, ascending), batched
+        (:meth:`_redraw`) unless the RNG holds a cached Gaussian
+        (``gauss_next``): then the first ``gauss`` of the run would not
+        draw, and the movers step."""
+        if rng.gauss_next is None:
+            self._redraw(rows, oids, bx, by, rng)
+        else:
+            super().arrive(rows, oids, xs, ys, bx, by, rng)
+
+    def _targets(self, rows, r0, r1) -> Tuple[np.ndarray, np.ndarray]:
+        """``_draw_target``'s targets: ``gauss`` for ``x`` draws ``r0,
+        r1`` and leaves ``sin`` for ``y``, which takes it (``gauss_next``
+        is None again after each object). The pair is rebuilt with
+        ``gauss``'s own expressions (``x2pi = r0 * TWOPI``, ``g2rad =
+        sqrt(-2.0 * log(1.0 - r1))``, ``mu + z * sigma``) and clipped
+        into the universe."""
+        x2pi = (r0 * _TWOPI).tolist()
+        log = np.array(list(map(math.log, (1.0 - r1).tolist())))
+        g2rad = np.sqrt(-2.0 * log)
+        z = np.array(list(map(math.cos, x2pi))) * g2rad
+        w = np.array(list(map(math.sin, x2pi))) * g2rad
+        spot = self.spot[rows]
+        sigma = self.sigma[spot]
+        cx, cy = self._centres()
+        u = self.universe
+        return (
+            _clip(cx[spot] + z * sigma, u.xmin, u.xmax),
+            _clip(cy[spot] + w * sigma, u.ymin, u.ymax),
+        )
+
+
+class _DriftKernel(_GaussKernel):
+    """Drifting-hotspot waypointing: the Gaussian kernel plus a tick
+    counter.
+
+    The orbit only matters when a *new trip* is drawn: the vector step
+    is exactly the Gaussian glide, and a batched redraw reads each
+    hotspot's centre at the kernel's tick (:meth:`_centres`, once per
+    distinct hotspot, with ``HotspotDriftMover._center``'s ``math``
+    expressions). The kernel advances one shared tick counter and
+    ``pull_many`` rewinds the movers' ``_t`` to ``t - 1`` so a scalar
     ``step`` (which increments ``_t``) lands on the kernel's tick:
-    silent ticks never touch the movers, yet every event sees the same
-    ``_t`` the scalar fleet would have counted up to.
+    silent ticks never touch the movers, yet every scalar event sees
+    the same ``_t`` the scalar fleet would have counted up to.
     """
 
     def __init__(self, universe, oids, movers) -> None:
@@ -533,6 +621,22 @@ class _DriftKernel(_GlideKernel):
         # All movers of one fleet share the fleet's tick; kernels are
         # built at fleet construction, before any advance.
         self.t = movers[0]._t
+
+    @staticmethod
+    def _spot(m) -> tuple:
+        return (
+            m.base[0], m.base[1], m.drift_radius, m.drift_period, m.phase,
+            m.sigma,
+        )
+
+    def _centres(self) -> Tuple[np.ndarray, np.ndarray]:
+        u = self.universe
+        cx, cy = [], []
+        for bx, by, radius, period, phase, _ in self.spots:
+            ang = phase + (2.0 * math.pi * self.t) / period
+            cx.append(min(max(bx + radius * math.cos(ang), u.xmin), u.xmax))
+            cy.append(min(max(by + radius * math.sin(ang), u.ymin), u.ymax))
+        return np.array(cx), np.array(cy)
 
     def step(self, xs, ys, bx, by) -> np.ndarray:
         self.t += 1
@@ -581,11 +685,11 @@ class _DirectionKernel(_Kernel):
         return claims
 
 
-class _CommuteKernel(_DriftKernel):
+class _CommuteKernel(_GlideKernel):
     """Duty-cycled waypointing: a no-op outside the active window.
 
-    The drift kernel's shared step counter (mirroring each mover's
-    ``_t``) sets the window; during the parked phase no object moves
+    A shared step counter ``t`` (mirroring each mover's ``_t``) sets
+    the window; during the parked phase no object moves
     and no randomness is drawn, so the whole kernel is one vectorized
     window test. Inside the window this is the glide, gated by the
     window, with the arrivals (RNG-drawing new trips) batched
@@ -597,6 +701,8 @@ class _CommuteKernel(_DriftKernel):
 
     def __init__(self, universe, oids, movers) -> None:
         super().__init__(universe, oids, movers)
+        # built at fleet construction, before any advance: one tick
+        self.t = movers[0]._t
         self.periods = np.array([m.period for m in movers], dtype=np.int64)
         self.actives = np.array(
             [m.active_ticks for m in movers], dtype=np.int64
@@ -667,7 +773,7 @@ _KERNELS: Dict[Type[Mover], Type[_Kernel]] = {
     StationaryMover: _StationaryKernel,
     LinearMover: _LinearKernel,
     RandomWaypointMover: _WaypointKernel,
-    GaussianClusterMover: _GlideKernel,
+    GaussianClusterMover: _GaussKernel,
     HotspotDriftMover: _DriftKernel,
     RandomDirectionMover: _DirectionKernel,
     CommuteMover: _CommuteKernel,

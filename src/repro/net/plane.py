@@ -87,7 +87,7 @@ __all__ = ["ColumnarBatch", "MIN_BATCH", "REPORT_KINDS"]
 #: batch's constant (array assembly, one vectorized handler call) costs
 #: more than it saves. A server subround's flush and a client phase's
 #: report flight ignore it (one batch per kind, one flight per tick,
-#: whatever its size); ``DknnServer._prefetch`` reads it as the
+#: whatever its size); ``DknnServer.on_subround`` reads it as the
 #: break-even of the many-row searches (:mod:`repro.index.knn`).
 MIN_BATCH = 8
 
@@ -212,11 +212,6 @@ class ColumnarBatch:
         if self.srcs is not None and self.dst == SERVER_ID:
             return "uplink"
         return "downlink"
-
-    def endpoints_of(self, i: int) -> tuple:
-        if self.srcs is not None:
-            return (int(self.srcs[i]), self.dst)
-        return (self.src, int(self.dsts[i]))
 
     def split(self) -> List[Tuple[MessageKind, int, int]]:
         """``(kind, messages, bytes)`` of each kind the flight carries:

@@ -13,8 +13,8 @@ arrive). The table keeps:
 
 Presence and positions are the grid's; the table adds one oid-indexed
 numpy column beside it (the tick an exact position is known for), so
-:meth:`ObjectTable.report_batch` and :meth:`ObjectTable.stale` are
-single array operations and :meth:`ObjectTable.report` writes the same
+:meth:`ObjectTable.report_batch` and :meth:`ObjectTable.stale_mask`
+are single array operations and :meth:`ObjectTable.report` writes the same
 column one row at a time. Ids follow the grid's rule: ``[0,
 capacity)``, columns grow on demand.
 """
@@ -102,31 +102,42 @@ class ObjectTable:
 
     # -- views ------------------------------------------------------------
 
+    # reach: the per-query walk that the DKNN-P row kernels are tested
+    # against (tests/walk.py); the product reads grid.positions_of
     def last_position(self, oid: int) -> Tuple[float, float]:
         """Most recent reported position (error <= theta at round end)."""
         return self.grid.position_of(oid)
 
+    # reach: the per-query walk that the DKNN-P row kernels are tested
+    # against (tests/walk.py); the product reads stale_mask
     def is_fresh(self, oid: int, tick: int) -> bool:
         """True if an exact position for ``tick`` is already known."""
         return 0 <= oid < self._ft.shape[0] and self._ft[oid] == tick
 
+    # reach: the per-query walk that the DKNN-P row kernels are tested
+    # against (tests/walk.py); the product reads stale_mask
     def stale(self, oids, tick: int) -> np.ndarray:
         """The ids of ``oids`` that are *not* :meth:`is_fresh` at
-        ``tick``, as an int64 array in input order (duplicates kept).
+        ``tick``, as an int64 array in input order (duplicates kept)."""
+        oids = np.asarray(oids, dtype=np.int64)
+        return oids[self.stale_mask(oids, tick)]
+
+    def stale_mask(self, oids: np.ndarray, tick: int) -> np.ndarray:
+        """Per entry of the int64 array ``oids``: not :meth:`is_fresh`
+        at ``tick``.
 
         One array compare. Ids the freshness
         column does not reach (negative, or beyond the table's capacity
         — the grid can grow without the table) are stale, as for
         :meth:`is_fresh`.
         """
-        oids = np.asarray(oids, dtype=np.int64)
-        if not oids.shape[0]:
-            return oids
         ft = self._ft
+        if not oids.shape[0]:
+            return np.zeros(0, dtype=bool)
         # one unsigned reduction catches negatives and overflow alike
         if int(oids.view(np.uint64).max()) < ft.shape[0]:
-            return oids[ft[oids] != tick]
+            return ft[oids] != tick
         known = (oids >= 0) & (oids < ft.shape[0])
         is_stale = ~known
         is_stale[known] = ft[oids[known]] != tick
-        return oids[is_stale]
+        return is_stale

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
+from repro.core.server import DknnServer
 from repro.experiments.algorithms import build_system
 from repro.experiments.config import RunConfig
 from repro.geometry import Rect
@@ -23,6 +24,7 @@ from repro.workloads.generator import (
     make_mobility_model,
 )
 from repro.workloads.spec import WorkloadSpec
+from tests.walk import WalkServer
 
 __all__ = [
     "ExactnessChecker",
@@ -81,17 +83,19 @@ def reference_system(
     and changes none: the per-object loop builds every node fresh at
     tick 1); the shard tier and the engine driver are
     attached afterwards, as ``build_system`` orders them. A DKNN-P
-    server also loses its subround pre-pass, so every index search of
-    the reference is a per-query ``knn_search`` /
-    ``range_search_arrays`` call.
+    server becomes the per-query walk (:class:`tests.walk.WalkServer`,
+    the same server advanced one query at a time, before any tick),
+    so every index search of the reference is a per-query
+    ``knn_search`` / ``range_search_arrays`` call and every effect
+    happens in walk order.
     """
     fleet, queries = scalar_workload(spec)
     sim = build_system(
         cfg.but(shard=None, engine=None), fleet, queries, telemetry=telemetry
     )
     sim.client_phase = None
-    if hasattr(sim.server, "_prefetch"):
-        sim.server._prefetch = lambda tick: None
+    if type(sim.server) is DknnServer:
+        sim.server.__class__ = WalkServer
     if cfg.shard is not None:
         shard_attach(sim, cfg.shard)
     if cfg.engine is not None:

@@ -89,12 +89,13 @@ class TestNormalCase:
         for oid, d in enumerate((10, 20, 30, 40, 65, 65.5, 200)):
             server.table.report(oid, float(d), 500.0, 1)
         server.table.report(7, 0.0, 565.0, 1)  # 65 away too
-        st = server._states[0]
-        st.cand_ids = np.array([5, 7, 3, 0, 6, 4, 1, 2], dtype=np.int64)
-        ((inst, banded),) = server._plan_full([st])
+        cands = np.array([5, 7, 3, 0, 6, 4, 1, 2], dtype=np.int64)
+        ((inst, banded),) = server._plan_full(
+            np.array([0]), np.array([0, cands.shape[0]]), cands
+        )
         assert inst.answer_ids == (0, 1, 2)
         assert inst.monitor_radius(server.params.uncertainty) == 65.0
-        assert banded.tolist() == [3, 4, 7]
+        assert banded == [3, 4, 7]
 
 
 class TestTrivialCase:

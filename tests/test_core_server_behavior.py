@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import DknnParams, build_dknn_system
+from repro.core.server import DknnServer
 from repro.errors import ProtocolError
 from repro.geometry import Rect
 from repro.mobility import Fleet, StationaryMover
@@ -11,6 +12,7 @@ from repro.net.plane import MIN_BATCH
 from repro.server import QuerySpec
 from repro.workloads import WorkloadSpec, build_workload
 from tests.helpers import built_system, reference_system
+from tests.walk import WalkServer
 
 
 def _system(n=100, q=2, k=5, seed=17, query_speed=50.0, **params):
@@ -218,9 +220,10 @@ class TestRepairRoundStaysInArrays:
 
 
 class TestBatchedRepairSearches:
-    """``DknnServer.on_subround``'s pre-pass — the searches of a
-    subround as one many-row pass per kind — against the reference,
-    whose every search is a per-query call (``reference_system``)."""
+    """``DknnServer.on_subround``'s row kernels — each step of a
+    subround once over all its rows, the searches as one many-row pass
+    per kind — against the per-query walk of the reference
+    (``reference_system``), whose every search is a per-query call."""
 
     QUERIES = 12  # >= MIN_BATCH, so every kind of row batches
 
@@ -235,41 +238,41 @@ class TestBatchedRepairSearches:
 
     @staticmethod
     def _count_kernels(monkeypatch):
-        """Rows handed to each search function, by name; rows the
-        pre-pass fetched, by kind; and ``_finalize`` calls, split by
-        whether a ``"fin"`` row was waiting (``finalize-ahead``) or not
-        (``finalize-alone``, a one-row ``_plan_full``)."""
+        """Rows handed to each search function, by name; ``_plan_full``
+        calls and the rows they planned (``plan:calls`` /
+        ``plan:rows``); and subrounds run."""
         import repro.core.server as server_module
 
         rows = {}
         server_cls = server_module.DknnServer
-        prefetch, finalize = server_cls._prefetch, server_cls._finalize
+        plan_full = server_cls._plan_full
+        on_subround = server_cls.on_subround
 
-        def counted_prefetch(self, tick):
-            prefetch(self, tick)
-            for kind, _ in self._rows:
-                rows["row:" + kind] = rows.get("row:" + kind, 0) + 1
+        def bump(key, n=1):
+            rows[key] = rows.get(key, 0) + n
 
-        def counted_finalize(self, st, tick):
-            ahead = ("fin", st.spec.qid) in self._rows
-            key = "finalize-ahead" if ahead else "finalize-alone"
-            rows[key] = rows.get(key, 0) + 1
-            finalize(self, st, tick)
+        def counted_plan(self, plan_rows, seg, ids):
+            bump("plan:calls")
+            bump("plan:rows", plan_rows.shape[0])
+            return plan_full(self, plan_rows, seg, ids)
 
-        monkeypatch.setattr(server_cls, "_prefetch", counted_prefetch)
-        monkeypatch.setattr(server_cls, "_finalize", counted_finalize)
+        def counted_subround(self, tick):
+            bump("subrounds")
+            on_subround(self, tick)
+
+        monkeypatch.setattr(server_cls, "_plan_full", counted_plan)
         for name in (
             "knn_search", "range_search_arrays",
             "knn_search_many", "range_search_many",
         ):
             def counted(grid, a, *args, _f=getattr(server_module, name),
                         _n=name, **kw):
-                rows[_n] = rows.get(_n, 0) + (
-                    a.shape[0] if _n.endswith("_many") else 1
-                )
+                bump(_n, a.shape[0] if _n.endswith("_many") else 1)
                 return _f(grid, a, *args, **kw)
 
             monkeypatch.setattr(server_module, name, counted)
+        # the walk overrides on_subround: only the build's are counted
+        monkeypatch.setattr(server_cls, "on_subround", counted_subround)
         return rows
 
     @pytest.mark.parametrize(
@@ -321,7 +324,7 @@ class TestBatchedRepairSearches:
         reference = recorded_run(cfg, spec, reference_system, ticks, skip)
         assert "knn_search_many" not in rows
         assert "range_search_many" not in rows
-        # the pre-pass really ran, and took most of the searches
+        # the many-row kernels really ran, and took most of the searches
         assert batched["knn_search_many"] >= self.QUERIES
         assert batched["range_search_many"] >= 2 * self.QUERIES
         assert batched["knn_search_many"] + batched.get("knn_search", 0) == (
@@ -330,22 +333,21 @@ class TestBatchedRepairSearches:
         assert batched["range_search_many"] + batched.get(
             "range_search_arrays", 0
         ) == rows["range_search_arrays"]
-        # every full repair the pre-pass foresaw was planned there
-        assert "finalize-ahead" not in rows
-        assert batched["row:fin"] >= self.QUERIES
-        assert batched["row:fin"] == batched["finalize-ahead"]
-        assert batched["row:fin"] + batched.get("finalize-alone", 0) == (
-            rows["finalize-alone"]
-        )
+        # the same full repairs, planned one at a time by the walk and
+        # in at most one pass per subround by the build
+        assert batched["plan:rows"] == rows["plan:rows"] >= self.QUERIES
+        assert rows["plan:calls"] == rows["plan:rows"]
+        assert batched["plan:calls"] <= batched["subrounds"]
+        assert batched["plan:calls"] < batched["plan:rows"]
         for key in reference:
             assert built[key] == reference[key], key
         assert len(built["wire"]) > 1000
 
-    def test_search_the_prepass_could_not_foresee_goes_per_query(self):
+    def test_a_planner_hit_searches_in_full_in_the_same_subround(self):
         """A planner scan that finds an encroacher marks its query
         dirty, and with light repairs off and the focal position exact
-        the same ``_advance`` goes on to a full search: the planner row
-        was fetched ahead, the search could not be. Staged identically
+        the query goes on to its full search in the same subround: the
+        scan step hands its row to the select step. Staged identically
         in both builds, in a subround where enough planners are due to
         batch: an idle query's focal re-reports where it is, and a
         stranger reports itself at the query's anchor."""
@@ -355,7 +357,7 @@ class TestBatchedRepairSearches:
         ticks = 12
         cfg = RunConfig("DKNN-P", params={"incremental": False})
         spec = self._spec(ticks, query_speed=0.0)
-        unforeseen = []
+        steps = []  # (subround, step, rows) of the build
         stagings = []
 
         def staged(build):
@@ -364,11 +366,12 @@ class TestBatchedRepairSearches:
                 server = sim.server
                 table = server.table
                 on_subround = server.on_subround
-                select = server._select_candidates
                 staged_at = []
                 stagings.append(staged_at)
+                subrounds = []
 
                 def stage_then_run(tick):
+                    subrounds.append(tick)
                     quiet = [
                         st for st in server._states.values()
                         if st.phase == "idle" and not st.dirty
@@ -376,7 +379,7 @@ class TestBatchedRepairSearches:
                     ]
                     if tick >= 5 and len(quiet) >= MIN_BATCH and not staged_at:
                         st = quiet[0]
-                        staged_at.append((tick, st.spec.qid))
+                        staged_at.append((len(subrounds), st.row))
                         focal = st.spec.focal_oid
                         table.report(focal, *table.last_position(focal), tick)
                         stranger = next(
@@ -386,56 +389,70 @@ class TestBatchedRepairSearches:
                         table.report(stranger, *st.install.anchor, tick)
                     on_subround(tick)
 
-                def watching_select(st, tick):
-                    qid = st.spec.qid
-                    if ("planner", qid) in ahead and ("knn", qid) not in ahead:
-                        unforeseen.append((tick, qid))
-                    return select(st, tick)
+                def watching(name, step):
+                    def call(rows, *args):
+                        steps.append((len(subrounds), name, rows.tolist()))
+                        return step(rows, *args)
 
-                ahead = set()
-                prefetch = server._prefetch
-
-                def noting_prefetch(tick):
-                    prefetch(tick)
-                    ahead.clear()
-                    ahead.update(server._rows)
+                    return call
 
                 server.on_subround = stage_then_run
-                server._prefetch = noting_prefetch
-                server._select_candidates = watching_select
+                if not isinstance(server, WalkServer):
+                    server._scan = watching("scan", server._scan)
+                    server._select = watching("select", server._select)
                 return sim, queries
 
             return wrapped
 
         built = recorded_run(cfg, spec, staged(built_system), ticks)
-        seen, unforeseen[:] = list(unforeseen), []
         reference = recorded_run(cfg, spec, staged(reference_system), ticks)
-        # the staged query: planner row fetched ahead in the subround
-        # that then ran its full search per query
         assert len(stagings[0]) == 1 and stagings[0] == stagings[1]
-        assert stagings[0][0] in seen
+        (subround, row), = stagings[0]
+        # the staged row: scanned among enough rows to batch, then
+        # searched in full in that same subround
+        ((scanned),) = [
+            rows for at, name, rows in steps
+            if at == subround and name == "scan"
+        ]
+        assert row in scanned and len(scanned) >= MIN_BATCH
+        assert any(
+            at == subround and name == "select" and row in rows
+            for at, name, rows in steps
+        )
         for key in reference:
             assert built[key] == reference[key], key
 
-    @pytest.mark.parametrize("kind", ["planner", "knn", "cands", "fin"])
-    def test_row_fetched_ahead_and_never_asked_for_raises(self, kind):
-        """The kernels charge the meter when they run, so a row nobody
-        consumes would be work billed and not done."""
+    def test_the_first_claim_in_walk_order_sends_each_probe(self):
+        """Steps run in step order, effects leave in walk order: claims
+        on one stale object from a later row's earlier step and an
+        earlier row's later step probe it once, in the earlier row's
+        run; an object already in flight is probed by nobody; and
+        within one query step its probe run leaves after its other
+        effects."""
         import numpy as np
-        from repro.experiments.config import RunConfig
 
-        sim, _ = built_system(RunConfig("DKNN-P"), self._spec(10))
-        sim.run(3)
-        server = sim.server
-        prefetch = server._prefetch
+        from repro.core.server import _FIN, _FULL, _SCAN, _key
 
-        def one_row_too_many(tick):
-            prefetch(tick)
-            server._rows[kind, -1] = np.empty(0, dtype=np.int64)
-
-        server._prefetch = one_row_too_many
-        with pytest.raises(ProtocolError, match="never asked for"):
-            sim.step()
+        server = DknnServer(Rect(0.0, 0.0, 100.0, 100.0))
+        for qid in range(3):
+            server.register_query(QuerySpec(qid=qid, focal_oid=50 + qid, k=2))
+        log = []
+        server._send_probes = lambda oids: log.append(("probe", oids))
+        server._probes_in_flight.add(9)
+        server._ops, server._claims = [], []
+        server._claim(_key(2, _SCAN), np.array([5, 7, 9]))
+        server._emit(_key(2, _FIN), log.append, "fin 2")
+        server._claim(_key(0, _FULL), np.array([7, 3]))
+        server._emit(_key(0, _FULL), log.append, "scope 0")
+        server._claim(_key(1, _SCAN), np.array([3]))
+        server._release()
+        assert log == [
+            "scope 0", ("probe", [7, 3]), ("probe", [5]), "fin 2",
+        ]
+        assert list(server._probes_in_flight) == [3, 5, 7, 9]
+        # outside a subround, everything happens at once
+        server._emit(0, log.append, "now")
+        assert log[-1] == "now"
 
 
 class TestRevokeRetransmission:
@@ -460,10 +477,13 @@ class TestRevokeRetransmission:
         # its ack was lost, and the band is overdue for a retransmission
         lost = InstallBand(qid, BAND_OUTSIDER, 0.0, 0.0, 1.0, epoch=0, lease=8)
         server._unacked[(oid, qid)] = (lost, sim.tick - 10)
-        # a repair whose candidates leave the object out revokes its band
-        st.cand_ids = np.array(sorted(st.informed - {oid}), dtype=np.int64)
-        ((inst, banded),) = server._plan_full([st])
-        server._install(st, inst, banded, sim.tick)
+        # a repair whose candidates leave the object out revokes its
+        # band (outside a subround the install's sends leave at once)
+        cands = np.array(sorted(st.informed - {oid}), dtype=np.int64)
+        ((inst, banded),) = server._plan_full(
+            np.array([st.row]), np.array([0, cands.shape[0]]), cands
+        )
+        server._install(st.row, inst, banded, 0)
         assert oid not in st.informed
         assert (oid, qid) not in server._unacked
         resent = sim.channel.stats.retransmits_by_kind[

@@ -129,20 +129,26 @@ def test_a_full_broadcast_install_writes_one_payload(algorithm, monkeypatch):
 
 
 def test_dknn_p_full_repairs_finalize_in_the_batched_pass(monkeypatch):
-    """DKNN-P plans its full repairs in the subround pre-pass: over 40
-    ticks at least 90 % of them are ``"fin"`` rows of
-    ``DknnServer._prefetch`` (the rest finalize in the step that chose
-    their candidates, as one-row calls), and at most 1 % of the
+    """DKNN-P plans its full repairs in one ``DknnServer._plan_full``
+    pass per subround: over 40 ticks every full repair is a row of such
+    a pass, at most one runs per subround, and at most 1 % of the
     rankings of ``_SMALL`` members or more — those that sort and check
     instead of running ``np.lexsort`` outright — fall back to it (the
     fallback runs on exact distance ties only)."""
-    calls = {"fin": 0, "rank": 0, "lexsort": 0}
-    prefetch = server_module.DknnServer._prefetch
+    calls = {"plan": 0, "planned": 0, "subrounds": 0, "rank": 0,
+             "lexsort": 0}
+    plan_full = server_module.DknnServer._plan_full
+    on_subround = server_module.DknnServer.on_subround
     rank, lexsort = knn_module._rank, np.lexsort
 
-    def counted_prefetch(self, tick):
-        prefetch(self, tick)
-        calls["fin"] += sum(kind == "fin" for kind, _ in self._rows)
+    def counted_plan(self, rows, *args):
+        calls["plan"] += 1
+        calls["planned"] += rows.shape[0]
+        return plan_full(self, rows, *args)
+
+    def counted_subround(self, tick):
+        calls["subrounds"] += 1
+        on_subround(self, tick)
 
     def counted(name, f, n_of):
         def call(*args, **kwargs):
@@ -152,8 +158,9 @@ def test_dknn_p_full_repairs_finalize_in_the_batched_pass(monkeypatch):
         return call
 
     counted_rank = counted("rank", rank, lambda d, *_, **__: d.shape[0])
+    monkeypatch.setattr(server_module.DknnServer, "_plan_full", counted_plan)
     monkeypatch.setattr(
-        server_module.DknnServer, "_prefetch", counted_prefetch
+        server_module.DknnServer, "on_subround", counted_subround
     )
     monkeypatch.setattr(knn_module, "_rank", counted_rank)
     monkeypatch.setattr(server_module, "_rank", counted_rank)
@@ -167,9 +174,65 @@ def test_dknn_p_full_repairs_finalize_in_the_batched_pass(monkeypatch):
         server.light_repair_count.values()
     )
     assert full >= B_DENSE_SHAPED.n_queries  # repairs were made
-    assert calls["fin"] >= 0.9 * full
+    assert calls["planned"] == full
+    assert calls["plan"] <= calls["subrounds"]
     assert calls["rank"] >= B_DENSE_SHAPED.ticks
     assert calls["lexsort"] <= 0.01 * calls["rank"]
+
+
+@pytest.mark.parametrize("n_queries", [16, 64])
+def test_dknn_p_subround_work_does_not_grow_with_the_queries(
+    n_queries, monkeypatch
+):
+    """``shard_drift``'s shape at Q = 16 and Q = 64: a DKNN-P subround
+    reads freshness and searches the index a bounded number of times
+    whatever the query count — each step one freshness pass and one
+    many-row search per kind, or per-row searches when fewer than
+    ``MIN_BATCH`` rows are at a step. Over 40 ticks no subround makes
+    more than 5 freshness reads (``ObjectTable.stale`` /
+    ``stale_mask``), ``MIN_BATCH - 1`` kNN searches or ``2 *
+    (MIN_BATCH - 1)`` range searches; a walk query by query makes one
+    freshness read per waiting query per subround."""
+    from repro.net.plane import MIN_BATCH
+    from repro.server.object_table import ObjectTable
+
+    counts = Counter()
+    worst = Counter()
+    on_subround = server_module.DknnServer.on_subround
+
+    def counted_subround(self, tick):
+        counts.clear()
+        on_subround(self, tick)
+        for name, n in counts.items():
+            worst[name] = max(worst[name], n)
+        worst["subrounds"] += 1
+
+    def counted(owner, name, kind):
+        f = getattr(owner, name)
+
+        def call(*args, **kwargs):
+            counts[kind] += 1
+            return f(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, call)
+
+    monkeypatch.setattr(
+        server_module.DknnServer, "on_subround", counted_subround
+    )
+    counted(ObjectTable, "stale", "fresh")
+    counted(ObjectTable, "stale_mask", "fresh")
+    for name in ("knn_search", "knn_search_many"):
+        counted(server_module, name, "knn")
+    for name in ("range_search_arrays", "range_search_many"):
+        counted(server_module, name, "range")
+    spec = dataclasses.replace(SHARD_DRIFT_SHAPED, n_queries=n_queries)
+    sim, _ = built_system(RunConfig("DKNN-P"), spec)
+    sim.run(spec.ticks)
+    assert worst["subrounds"] >= 2 * spec.ticks
+    assert sum(sim.server.repair_count.values()) >= spec.ticks * n_queries // 2
+    assert 1 <= worst["fresh"] <= 5
+    assert 1 <= worst["knn"] <= MIN_BATCH - 1
+    assert 1 <= worst["range"] <= 2 * (MIN_BATCH - 1)
 
 
 def _advance_counted(spec, monkeypatch):
@@ -231,13 +294,15 @@ def test_commute_arrivals_step_no_scalar_mover(monkeypatch):
     assert steps[CommuteMover] == 0
 
 
-def test_hotspot_arrivals_stay_scalar_beside_batched_focal_ones(monkeypatch):
-    """``shard_drift``'s shape: hotspot redraws (``rng.gauss``) still
-    step their scalar mover, run by run between the focal objects'
-    batched waypoint arrivals, which step none."""
+def test_hotspot_arrivals_step_no_scalar_mover(monkeypatch):
+    """``shard_drift``'s shape: the hotspot redraws (``rng.gauss``
+    pairs) of 40 ticks are batched in the drift kernel, between the
+    focal objects' batched waypoint arrivals: neither steps a scalar
+    mover."""
     steps, arrivals = _advance_counted(SHARD_DRIFT_SHAPED, monkeypatch)
-    assert steps[HotspotDriftMover] == arrivals[soa._DriftKernel] > 0
+    assert arrivals[soa._DriftKernel] > 0
     assert arrivals[soa._WaypointKernel] > 0
+    assert steps[HotspotDriftMover] == 0
     assert steps[RandomWaypointMover] == 0
 
 

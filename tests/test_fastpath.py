@@ -36,6 +36,7 @@ from repro.mobility import (
     FastFleet,
     Fleet,
     GaussianClusterModel,
+    GaussianClusterMover,
     HotspotDriftModel,
     LinearMover,
     RandomDirectionModel,
@@ -622,6 +623,37 @@ def test_batched_trip_draws_are_random_uniform(ranges, seed):
         assert (kern.tx[row], kern.ty[row]) == m._target
         assert kern.speed[row] == m._speed
     assert batched.getstate() == scalar.getstate()
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "drift"])
+def test_a_cached_gauss_keeps_the_redraws_scalar(kind, monkeypatch):
+    """With ``rng.gauss_next`` holding a value, the first ``gauss`` of a
+    run of Gaussian arrivals would not draw, and the batch's three
+    draws per object would not line up: the kernel steps its movers
+    instead (and the cached value then stays, so every later run does
+    too). 40 ticks still equal the scalar fleet's, RNG state
+    included."""
+
+    def fleet(cls):
+        rng = random.Random(5)
+        built = cls([_MOVER_KINDS[kind](rng) for _ in range(24)], seed=5)
+        built._rng.gauss_next = 0.25
+        return built
+
+    scalar = fleet(Fleet)
+    expected = _trajectories(scalar, ticks=40)
+    steps = []
+    step = GaussianClusterMover.step
+
+    def counted(self, x, y, rng):
+        steps.append(self)
+        return step(self, x, y, rng)
+
+    monkeypatch.setattr(GaussianClusterMover, "step", counted)
+    fast = fleet(FastFleet)
+    assert _trajectories(fast, ticks=40) == expected
+    assert fast._rng.getstate() == scalar._rng.getstate()
+    assert steps  # the fallback ran
 
 
 def test_positions_read_before_an_advance_keep_that_tick():

@@ -132,10 +132,8 @@ class TestColumnarBatch:
         assert batch.count == 5
         assert batch.total_bytes == 5 * (HEADER_BYTES + LU_NBYTES)
         assert batch.direction() == "uplink"
-        assert batch.endpoints_of(3) == (3, SERVER_ID)
         down = _downlink_batch(MessageKind.PROBE, [7, 9], [ProbeRequest()])
         assert down.direction() == "downlink"
-        assert down.endpoints_of(1) == (SERVER_ID, 9)
 
     def test_materialize_matches_scalar_messages(self):
         batch = _uplink_batch(4)

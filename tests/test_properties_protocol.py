@@ -168,34 +168,39 @@ def test_array_planner_matches_the_tuple_planner_on_ties(rows, s_cap, theta):
         Rect(0.0, 0.0, 100.0, 100.0),
         DknnParams(theta=theta, s_cap=s_cap, grid_cells=4),
     )
-    states, oid = [], 0
+    specs, runs, oid = [], [], 0
     for qid, (offs, k) in enumerate(rows):
         focal = 1000 + qid
         qx, qy = 20.0 + 15 * qid, 50.0
-        server.register_query(QuerySpec(qid=qid, focal_oid=focal, k=k))
+        specs.append(QuerySpec(qid=qid, focal_oid=focal, k=k))
+        server.register_query(specs[-1])
         server.table.report(focal, qx, qy, 1)
         ids = []
         for dx, dy in offs:
             server.table.report(oid, qx + dx, qy + dy, 1)
             ids.append(oid)
             oid += 1
-        st_ = server._states[qid]
-        st_.cand_ids = np.array(ids[::-1], dtype=np.int64)  # unranked
-        states.append(st_)
-    plans = server._plan_full(states)
-    for st_, (inst, banded) in zip(states, plans):
-        qx, qy = server.table.last_position(st_.spec.focal_oid)
+        runs.append(np.array(ids[::-1], dtype=np.int64))  # unranked
+    # the query rows in a shuffled order, each with its candidate run
+    order = np.arange(len(rows))[::-1]
+    seg = np.cumsum([0] + [runs[i].shape[0] for i in order])
+    plans = server._plan_full(
+        order, seg, np.concatenate([runs[i] for i in order])
+    )
+    for i, (inst, banded) in zip(order.tolist(), plans):
+        spec = specs[i]
+        qx, qy = server.table.last_position(spec.focal_oid)
         cands = sorted(
             (dist(*server.table.last_position(o), qx, qy), o)
-            for o in st_.cand_ids.tolist()
+            for o in runs[i].tolist()
         )
-        answer, t, s_eff, outsiders = _tuple_planner(cands, st_.spec.k, s_cap)
+        answer, t, s_eff, outsiders = _tuple_planner(cands, spec.k, s_cap)
         assert (inst.answer, inst.threshold, inst.s_eff) == (answer, t, s_eff)
         zone = inst.monitor_radius(server.params.uncertainty)
-        assert banded.tolist() == [o for d, o in outsiders if d <= zone]
+        assert banded == [o for d, o in outsiders if d <= zone]
         ds = np.array([d for d, _ in cands])
         alone = plan_installation(
-            (qx, qy), ds, np.array([o for _, o in cands]), st_.spec.k, s_cap
+            (qx, qy), ds, np.array([o for _, o in cands]), spec.k, s_cap
         )
         assert alone == inst
 

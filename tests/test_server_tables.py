@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.server import _InFlight
+from repro.core.rows import InFlight
 from repro.errors import IndexError_, ProtocolError
 from repro.server import ObjectTable, QuerySpec, QueryTable
 
@@ -86,7 +86,7 @@ class TestInFlightRegistry:
     """The array-backed probe registry keeps a set's surface exact."""
 
     def test_scalar_surface_matches_a_set(self):
-        reg, ref = _InFlight(), set()
+        reg, ref = InFlight(), set()
         assert not reg and len(reg) == 0 and sorted(reg) == []
         for op, oid in [
             ("add", 7), ("add", 7), ("add", 300), ("discard", 7),
@@ -104,7 +104,7 @@ class TestInFlightRegistry:
         assert sorted(reg) == sorted(ref)
 
     def test_claim_returns_new_ids_in_input_order(self):
-        reg = _InFlight()
+        reg = InFlight()
         reg.add(5)
         got = reg.claim(np.array([9, 5, 1000, 2], dtype=np.int64))
         assert got.tolist() == [9, 1000, 2]
@@ -114,7 +114,7 @@ class TestInFlightRegistry:
         assert len(reg) == 4
 
     def test_release_ignores_ids_not_in_flight(self):
-        reg = _InFlight()
+        reg = InFlight()
         reg.claim(np.array([3, 4, 70], dtype=np.int64))
         reg.release(np.array([4, 8, 10**6, 70], dtype=np.int64))
         assert sorted(reg) == [3] and len(reg) == 1 and reg

@@ -81,13 +81,15 @@ class TestRenderQuery:
         sim = build_broadcast_system(fleet, queries)
         sim.run(10)
         q = queries[0]
-        st = sim.server._states[q.qid]
+        # the query's installation, as its handoff snapshot ships it
+        doc = sim.server.export_query_state(q.qid)
+        assert doc["threshold"] > 0  # banded: a finite threshold
         out = render_query(
             fleet.universe,
             fleet.positions,
             focal_oid=q.focal_oid,
             answer_ids=sim.server.answers[q.qid],
-            threshold=st.threshold,
-            anchor=st.anchor,
+            threshold=doc["threshold"],
+            anchor=doc["anchor"],
         )
         assert "Q" in out and "*" in out
