@@ -20,6 +20,7 @@ from repro.core.protocol import AnswerPush, LocationUpdate
 from repro.errors import ProtocolError
 from repro.geometry import Rect
 from repro.index.grid import UniformGrid
+from repro.index.knn import NeighborList, knn_search, knn_search_many
 from repro.metrics.cost import CostMeter
 from repro.net.message import SERVER_ID, Message, MessageKind
 from repro.net.node import MobileNode, Population
@@ -88,7 +89,11 @@ class ReporterPhase(ClientPhase):
         from repro.core.fastpath import _base_tick_end
 
         self.skip_tick_end = _base_tick_end(sim.mobiles)
-        self._oids = sim.mobiles.oids()
+        oids = self._oids = sim.mobiles.oids()
+        #: every fleet object in oid order (as ``reporters`` builds):
+        #: the columns are read whole, by slice
+        whole = np.array_equal(oids, np.arange(sim.fleet.n))
+        self._take = slice(None) if whole else oids
 
     def tick_start(self, tick: int) -> None:
         from repro.core.fastpath import _LU_NBYTES, _fleet_xy
@@ -96,14 +101,14 @@ class ReporterPhase(ClientPhase):
         sim = self.sim
         if sim.plane_open() and self._oids.shape[0] >= MIN_BATCH:
             xs, ys = _fleet_xy(sim.fleet)
-            idx = self._oids
             sim.channel.send_batch(
                 ColumnarBatch(
                     MessageKind.TICK_REPORT,
-                    srcs=idx,
+                    srcs=self._oids,
                     dst=SERVER_ID,
-                    xs=xs[idx],  # fancy indexing copies: latency-safe
-                    ys=ys[idx],
+                    # copied: one-tick latency reads the sending tick
+                    xs=xs[self._take].copy(),
+                    ys=ys[self._take].copy(),
                     payload_nbytes=_LU_NBYTES,
                     payload_ctor=LocationUpdate,
                 )
@@ -195,10 +200,12 @@ class CentralizedServerBase(BaseServer):
         oids = batch.srcs
         if not oids.shape[0]:
             return True  # an empty batch reports nothing
-        grid.reserve(int(oids.max()) + 1)
-        old_x = grid._dx[oids]  # fancy indexing copies pre-update state
-        old_y = grid._dy[oids]
-        old_cell, new_cell = grid.update_batch(oids, batch.xs, batch.ys)
+        at = grid.span(oids)  # the id range, read once for both writes
+        old_x = grid._dx[at]
+        old_y = grid._dy[at]
+        if type(at) is slice:  # views: keep the pre-update state
+            old_x, old_y = old_x.copy(), old_y.copy()
+        old_cell, new_cell = grid.update_batch(at, batch.xs, batch.ys)
         self._updates.append(
             BatchUpdates(
                 oids, old_cell >= 0, old_x, old_y, batch.xs, batch.ys,
@@ -243,30 +250,17 @@ class CentralizedServerBase(BaseServer):
             )
         self.publish(spec.qid, answer_ids)
 
-    def focal_position(self, spec: QuerySpec) -> Optional[Tuple[float, float]]:
-        """Last reported focal position, or None if never heard from.
-
-        A None is only possible on a lossy network (reports stream
-        every tick, so the first one normally lands at tick 1); the
-        caller skips the query for the tick and the stale answer
-        stands.
-        """
-        if spec.focal_oid not in self.grid:
-            return None
-        return self.grid.position_of(spec.focal_oid)
-
 
 def _touched_cells(
     batch: BatchUpdates, moved: np.ndarray, n_cells: int
 ) -> np.ndarray:
-    """Ascending distinct linear ids of the cells that the ``moved``
-    rows of ``batch`` left or entered: one flag per cell, set by
-    scatter (a first-time insert has no old cell — ``old_cell`` is -1
-    there and must not flag the last cell)."""
+    """One flag per linear cell id: did a ``moved`` row of ``batch``
+    leave or enter it? Set by scatter (a first-time insert has no old
+    cell — ``old_cell`` is -1 there and must not flag the last cell)."""
     mark = np.zeros(n_cells, dtype=bool)
     mark[batch.old_cell[moved & batch.known]] = True
     mark[batch.new_cell[moved]] = True
-    return np.flatnonzero(mark)
+    return mark
 
 
 class AnswerRegionServer(CentralizedServerBase):
@@ -276,8 +270,9 @@ class AnswerRegionServer(CentralizedServerBase):
     its focal position; a cell-to-queries index covers it. A query is
     dirty when it was never evaluated, its focal object reported a new
     position, or a moved object left or entered a cell of its answer
-    region. Only dirty queries are repaired, in ascending qid, by the
-    subclass's :meth:`_repair`; the rest cost nothing.
+    region. Only dirty queries are repaired, a tick's all at once by
+    :meth:`_repair_rows` (SEA's best-first search, CPM's bounded one),
+    then published in ascending qid; the rest cost nothing.
     """
 
     def __init__(
@@ -312,8 +307,8 @@ class AnswerRegionServer(CentralizedServerBase):
         position changed (or it is new); a changed report charges one
         BOOKKEEPING and dirties every query whose answer region holds
         its old or its new cell. A :class:`BatchUpdates` record does
-        the same with masks over its columns plus a lookup of the (few)
-        distinct touched cells in ``_cell_map``.
+        the same with masks over its columns plus one flag per cell,
+        read for the (few) cells in ``_cell_map``.
         """
         dirty = {
             spec.qid for spec in self.queries
@@ -351,26 +346,42 @@ class AnswerRegionServer(CentralizedServerBase):
                 continue
             self.meter.charge(CostMeter.BOOKKEEPING, n_moved)
             if cell_map:
-                for lin in _touched_cells(e, moved, cells * cells).tolist():
-                    qids = cell_map.get((lin // cells, lin % cells))
-                    if qids:
+                # look the (few) covered cells up in the touched flags
+                touched = _touched_cells(e, moved, cells * cells)
+                hits = touched[[i * cells + j for i, j in cell_map]]
+                for qids, hit in zip(cell_map.values(), hits.tolist()):
+                    if hit:
                         dirty.update(qids)
         # Sorted so the repair (and answer-push) order is a function of
-        # the dirty *set*, not of how the update log happened to build it.
-        for qid in sorted(dirty):
-            spec = self.queries.get(qid)
-            focal = self.focal_position(spec)
-            if focal is None:
-                continue  # focal report lost so far; stale answer stands
-            qx, qy = focal
-            result = self._repair(spec, qx, qy)
-            self._set_region(qid, qx, qy, result[-1][0] if result else 0.0)
+        # the dirty *set*, not of how the update log happened to build
+        # it. A focal report lost so far: the stale answer stands.
+        specs = [
+            spec for spec in map(self.queries.get, sorted(dirty))
+            if spec.focal_oid in grid
+        ]
+        qx, qy = grid.positions_of(
+            np.array([spec.focal_oid for spec in specs], dtype=np.int64)
+        )
+        found = self._repair_rows(specs, qx, qy)
+        for spec, x, y, result in zip(specs, qx.tolist(), qy.tolist(), found):
+            self._set_region(spec.qid, x, y, result[-1][0] if result else 0.0)
             self.publish_and_push(spec, [oid for _, oid in result])
 
-    def _repair(
-        self, spec: QuerySpec, qx: float, qy: float
-    ) -> List[Tuple[float, int]]:
-        """The new answer of a dirty query at focal position ``(qx,
-        qy)``, as ascending ``(distance, oid)`` (subclass
-        responsibility)."""
-        raise NotImplementedError
+    def _repair_rows(self, specs, qx, qy) -> List[NeighborList]:
+        """The new answers of the dirty queries ``specs`` at their focal
+        positions ``(qx, qy)``, as ascending ``(distance, oid)``: each
+        one's ``k`` nearest by best-first search, its focal excluded —
+        one :func:`knn_search_many`, or per row below ``MIN_BATCH``."""
+        if len(specs) < MIN_BATCH:
+            return [
+                knn_search(
+                    self.grid, x, y, spec.k,
+                    exclude=frozenset((spec.focal_oid,)), meter=self.meter,
+                )
+                for spec, x, y in zip(specs, qx.tolist(), qy.tolist())
+            ]
+        return knn_search_many(
+            self.grid, qx, qy, [spec.k for spec in specs],
+            np.array([spec.focal_oid for spec in specs], dtype=np.int64),
+            meter=self.meter,
+        ).lists()

@@ -52,10 +52,9 @@ class PeriodicServer(CentralizedServerBase):
         if (tick - 1) % self.period != 0:
             return
         for spec in self.queries:
-            focal = self.focal_position(spec)
-            if focal is None:
+            if spec.focal_oid not in self.grid:
                 continue  # focal report lost so far; stale answer stands
-            qx, qy = focal
+            qx, qy = self.grid.position_of(spec.focal_oid)
             # Naive scan: distance to every object, keep the k best.
             best: List[Tuple[float, int]] = []
             for oid in self.grid.ids():

@@ -13,14 +13,13 @@ nothing).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from repro.baselines.common import (
     AnswerRegionServer,
     ReporterPhase,
     reporters,
 )
-from repro.index.knn import knn_search
 from repro.net.faults import FaultPlan
 from repro.net.simulator import RoundSimulator, ZERO_LATENCY
 from repro.server.query_table import QuerySpec
@@ -29,19 +28,8 @@ __all__ = ["SeaCnnServer", "build_seacnn_system"]
 
 
 class SeaCnnServer(AnswerRegionServer):
-    """Answer-region dirty tracking + full re-search of dirty queries."""
-
-    def _repair(
-        self, spec: QuerySpec, qx: float, qy: float
-    ) -> List[Tuple[float, int]]:
-        return knn_search(
-            self.grid,
-            qx,
-            qy,
-            spec.k,
-            exclude=frozenset((spec.focal_oid,)),
-            meter=self.meter,
-        )
+    """Answer-region dirty tracking + full re-search of dirty queries
+    (:meth:`AnswerRegionServer._repair_rows` as it stands)."""
 
 
 def build_seacnn_system(
@@ -57,8 +45,9 @@ def build_seacnn_system(
 
     The per-tick report stream ships as one columnar ``TICK_REPORT``
     batch with one batched grid ingest and vectorized dirty detection
-    (:class:`~repro.baselines.common.AnswerRegionServer`); each dirty
-    query is re-searched from scratch.
+    (:class:`~repro.baselines.common.AnswerRegionServer`); a tick's
+    dirty queries are re-searched from scratch, by one many-row kNN
+    search.
     """
     server = SeaCnnServer(
         fleet.universe, grid_cells, record_history=record_history

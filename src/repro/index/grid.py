@@ -38,17 +38,37 @@ __all__ = ["UniformGrid"]
 Cell = Tuple[int, int]
 
 
-def axis_gap(lo: float, side: float, q: float, c: int) -> float:
+def axis_gap(edges: Tuple[list, list], q: float, c: int) -> float:
     """Distance along one axis from coordinate ``q`` to grid column (or
-    row) ``c`` of width ``side`` starting at ``lo``; 0 inside it. The
+    row) ``c`` of the :func:`column_edges` ``edges``; 0 inside it. The
     one recipe every cell-distance computation shares, so pruning
     bounds agree to the ulp wherever they are evaluated."""
-    cmin = lo + c * side
-    if q < cmin:
-        return cmin - q
-    if q > cmin + side:
-        return q - (cmin + side)
+    lower, upper = edges
+    if q < lower[c]:
+        return lower[c] - q
+    if q > upper[c]:
+        return q - upper[c]
     return 0.0
+
+
+def column_edges(lo: float, hi: float, side: float, cells: int):
+    """Lower and upper edges of the columns (or rows) of a grid axis:
+    ``lo + c * side`` and that plus ``side``, moved out by an ulp where
+    :meth:`UniformGrid.cell_of`'s division puts a coordinate past them
+    (and to ``hi`` for the last column, which ``cell_of`` folds ``hi``
+    into), so a cell is never farther than anything inside it."""
+    starts = []
+    for c in range(cells):
+        x = lo + c * side
+        while c and int((x - lo) / side) >= c:
+            x = math.nextafter(x, -math.inf)
+        while int((x - lo) / side) < c:
+            x = math.nextafter(x, math.inf)
+        starts.append(x)  # the least coordinate cell_of puts in column c
+    starts.append(hi)
+    lower = [min(lo + c * side, starts[c]) for c in range(cells)]
+    upper = [max((lo + c * side) + side, starts[c + 1]) for c in range(cells)]
+    return lower, upper
 
 
 def grown(column: np.ndarray, size: int, fill: int) -> np.ndarray:
@@ -210,6 +230,11 @@ class UniformGrid:
         self.meter = meter
         self._cell_w = universe.width / cells
         self._cell_h = universe.height / cells
+        u = universe  # edges as lists (axis_gap) and (2, cells) arrays
+        self._xe = column_edges(u.xmin, u.xmax, self._cell_w, cells)
+        self._ye = column_edges(u.ymin, u.ymax, self._cell_h, cells)
+        self._xea = np.array(self._xe)
+        self._yea = np.array(self._ye)
         # oid-indexed columns: _dcell[oid] >= 0 marks presence (value =
         # linear cell id ci * cells + cj), _dx/_dy hold the position.
         self._dx = np.zeros(0, dtype=np.float64)
@@ -260,9 +285,8 @@ class UniformGrid:
 
     def cell_min_dist(self, cell: Cell, x: float, y: float) -> float:
         """Min distance from ``(x, y)`` to the cell rectangle (0 inside)."""
-        u = self.universe
-        dx = axis_gap(u.xmin, self._cell_w, x, cell[0])
-        dy = axis_gap(u.ymin, self._cell_h, y, cell[1])
+        dx = axis_gap(self._xe, x, cell[0])
+        dy = axis_gap(self._ye, y, cell[1])
         return math.sqrt(dx * dx + dy * dy)
 
     # -- maintenance ----------------------------------------------------------
@@ -297,6 +321,22 @@ class UniformGrid:
         self._dy[oid] = y
         charge(self.meter, CostMeter.INDEX_UPDATE)
 
+    def span(self, oids: np.ndarray):
+        """``slice(lo, hi + 1)`` if ``oids`` (not empty) is the run ``lo,
+        ..., hi``, else ``oids``: how the columns, grown to cover the
+        ids, read them. A slice reads views: copy what outlives a write.
+        Raises on a negative id."""
+        lo, hi = int(oids[0]), int(oids[-1])
+        # the ends first; then n ids rising strictly over n values
+        run = lo >= 0 and hi - lo == oids.shape[0] - 1
+        if run and (oids[1:] > oids[:-1]).all():
+            self.reserve(hi + 1)
+            return slice(lo, hi + 1)
+        if int(oids.min()) < 0:
+            raise IndexError_("grid needs oids >= 0")
+        self.reserve(int(oids.max()) + 1)
+        return oids
+
     def update_batch(self, oids, xs, ys):
         """Vectorized write of many objects, new or known.
 
@@ -307,16 +347,20 @@ class UniformGrid:
         — in a fixed number of array operations however many rows
         change cell. Object ids must be unique within one call: an id
         repeated among the rows that change cell raises, like every
-        other rejection here, before the grid is touched. Returns
-        ``(old_lin, new_lin)`` linear cell-id arrays (``old_lin`` is -1
-        where the object was new), which is exactly what cell-keyed
-        monitoring servers (CPM) need to find dirtied cells without
-        re-deriving them.
+        other rejection here, before the grid is touched. ``oids`` may
+        be what :meth:`span` returned for them: an id run (a
+        centralized server's every-object report) is read and written
+        by slice. Returns ``(old_lin, new_lin)`` linear cell-id arrays
+        (``old_lin`` is -1 where the object was new), which is exactly
+        what cell-keyed monitoring servers (CPM) need to find dirtied
+        cells without re-deriving them.
         """
-        oid_arr = np.ascontiguousarray(oids, dtype=np.int64)
+        at = oids if type(oids) is slice else None
+        if at is None:  # not yet spanned
+            oids = np.ascontiguousarray(oids, dtype=np.int64)
         xs = np.ascontiguousarray(xs, dtype=np.float64)
         ys = np.ascontiguousarray(ys, dtype=np.float64)
-        n = oid_arr.shape[0]
+        n = oids.shape[0] if at is None else at.stop - at.start
         if xs.shape[0] != n or ys.shape[0] != n:
             raise IndexError_(
                 f"update_batch length mismatch: {n} ids, "
@@ -334,21 +378,22 @@ class UniformGrid:
             raise IndexError_(
                 f"point ({xs[bad]}, {ys[bad]}) outside universe {u}"
             )
-        if int(oid_arr.min()) < 0:
-            raise IndexError_("grid needs oids >= 0")
-        self.reserve(int(oid_arr.max()) + 1)
+        if at is None:
+            at = self.span(oids)
         ci, cj = self.cells_of(xs, ys)
         new_lin = ci * self.cells + cj
-        old_lin = self._dcell[oid_arr]  # fancy indexing copies
+        old_lin = self._dcell[at]
+        if type(at) is slice:
+            old_lin = old_lin.copy()  # the moves below write _dcell
         idx = np.flatnonzero(old_lin != new_lin)  # first-time inserts too
         if idx.shape[0]:
-            movers = oid_arr[idx]
+            movers = idx + at.start if type(at) is slice else at[idx]
             stored = old_lin[idx] >= 0
             to = new_lin[idx]
             self._store.move(movers, stored, to)
             self._dcell[movers] = to
-        self._dx[oid_arr] = xs
-        self._dy[oid_arr] = ys
+        self._dx[at] = xs
+        self._dy[at] = ys
         charge(self.meter, CostMeter.INDEX_UPDATE, n)
         return old_lin, new_lin
 

@@ -12,9 +12,10 @@ the per-member work is numpy's, and the :class:`CostMeter` charges are
 counts taken from array lengths.
 
 **Two call shapes.** ``knn_search`` / ``range_search_arrays`` answer
-one query per call: the public single-query API, what CPM and SEA-CNN
-call once per dirty query, and the oracle the many-row kernels are
-tested against. ``knn_search_many`` / ``range_search_many`` answer many
+one query per call: the public single-query API, what every server
+calls when fewer than ``MIN_BATCH`` rows of a kind are due together,
+and the oracle the many-row kernels are tested against.
+``knn_search_many`` / ``range_search_many`` answer many
 rows in one pass over the same columns — every row's cell box expanded
 into one flat (row, cell) list, one gather, one distance pass, one
 ranking — and return each row's result *and* each row's charges, equal
@@ -27,9 +28,9 @@ on a uniform grid of 49 objects a cell and 86 against 198 on drifting
 hotspots, a range scan 20-64 against 41-60; sixty-one rows on the
 hotspots, kNN 49 against 192 and a range scan 13-30 against 44-54. The
 break-even is 2-8 rows, latest where cells are evenly full, which is
-:data:`repro.net.plane.MIN_BATCH`: the DKNN-P server batches a kind of
-search when at least that many rows of it are due at one step of a
-subround (``DknnServer.on_subround``) and calls per query otherwise.
+:data:`repro.net.plane.MIN_BATCH`: a server batches a kind of search
+when at least that many rows of it are due at one step of a DKNN-P
+subround or among a tick's dirty SEA / CPM queries, per query otherwise.
 
 **The charges of a best-first search, in closed form.** The many-row
 kNN never runs a heap: it finds an upper bound on each row's k-th
@@ -48,7 +49,8 @@ Why: cells pop in ascending min-distance, and a ring is pushed before
 any cell at or beyond its bound pops, so when a cell of min-distance
 ``m`` reaches the top every cell nearer than ``m`` has been opened.
 Every object nearer than ``m`` lies in such a cell (a cell's
-min-distance is at most the distance of anything inside it). If ``m >
+min-distance is at most the distance of anything inside it, to the
+ulp: see :func:`~repro.index.grid.column_edges`). If ``m >
 d_k`` the k nearest are therefore all scored, the running k-th is
 ``d_k < m`` and the search stops: the cell is never opened. If ``m <=
 d_k`` the running k-th, which only shrinks towards ``d_k``, is still
@@ -98,13 +100,12 @@ def _without(ids: np.ndarray, exclude: AbstractSet[int]) -> np.ndarray:
     return ids
 
 
-def _axis_gaps(lo: float, side: float, q, c: np.ndarray) -> np.ndarray:
+def _axis_gaps(edges: np.ndarray, q, c: np.ndarray) -> np.ndarray:
     """:func:`~repro.index.grid.axis_gap` over an array of columns (or
-    rows) ``c``, ``q`` one coordinate or one per entry: at most one of
-    the two differences is positive, so the max picks the branch the
-    scalar code takes."""
-    cmin = lo + c * side
-    return np.maximum(np.maximum(cmin - q, q - (cmin + side)), 0.0)
+    rows) ``c`` of the ``(2, cells)`` edge array ``edges``, ``q`` one
+    coordinate or one per entry: at most one of the two differences is
+    positive, so the max picks the branch the scalar code takes."""
+    return np.maximum(np.maximum(edges[0][c] - q, q - edges[1][c]), 0.0)
 
 
 def knn_search(
@@ -139,8 +140,7 @@ def knn_search(
     u = grid.universe
     qi, qj = grid.cell_of(*u.clamp_point(qx, qy))
     C = grid.cells
-    cw, ch = grid._cell_w, grid._cell_h
-    min_side = min(cw, ch)
+    min_side = min(grid._cell_w, grid._cell_h)
     members_of = grid._store.cell
 
     # Worst candidate sits at the heap top via lexicographic negation.
@@ -162,11 +162,11 @@ def knn_search(
         # gap * gap, never gap ** 2: pow() need not round like a multiply.
         for c in {lo_i, hi_i}:
             if 0 <= c < C:
-                gap = axis_gap(u.xmin, cw, qx, c)
+                gap = axis_gap(grid._xe, qx, c)
                 dx2[c] = gap * gap
         for c in {lo_j, hi_j}:
             if 0 <= c < C:
-                gap = axis_gap(u.ymin, ch, qy, c)
+                gap = axis_gap(grid._ye, qy, c)
                 dy2[c] = gap * gap
         cols = range(max(lo_i, 0), min(hi_i, C - 1) + 1)
         rows = range(max(lo_j + 1, 0), min(hi_j - 1, C - 1) + 1)
@@ -276,16 +276,14 @@ def range_search_arrays(
         raise IndexError_(f"negative radius {r}")
     if meter is None:
         meter = grid.meter
-    u = grid.universe
-    cw, ch = grid._cell_w, grid._cell_h
     lo_i, hi_i, lo_j, hi_j = grid.box(cx, cy, r)
     charge(
         grid.meter, CostMeter.CELL_VISIT, (hi_i - lo_i + 1) * (hi_j - lo_j + 1)
     )
     ci = np.arange(lo_i, hi_i + 1, dtype=np.int64)
     cj = np.arange(lo_j, hi_j + 1, dtype=np.int64)
-    dx = _axis_gaps(u.xmin, cw, cx, ci)
-    dy = _axis_gaps(u.ymin, ch, cy, cj)
+    dx = _axis_gaps(grid._xea, cx, ci)
+    dy = _axis_gaps(grid._yea, cy, cj)
     keep = np.sqrt(np.add.outer(dx * dx, dy * dy)) <= r
     lin = np.add.outer(ci * grid.cells, cj)[keep]
     idx = _without(grid._store.gather(lin), exclude)
@@ -314,16 +312,30 @@ class Rows(NamedTuple):
     oid: np.ndarray
     charges: Dict[str, np.ndarray]
 
+    def head(self, k) -> "Rows":
+        """Each row's first ``k`` (one, or one per row) neighbours."""
+        found = self.seg[1:] - self.seg[:-1]
+        take = np.minimum(found, k)
+        out = np.zeros(found.shape[0] + 1, dtype=np.int64)
+        np.cumsum(take, out=out[1:])
+        at = np.repeat(self.seg[:-1] - out[:-1], take)
+        at += np.arange(int(out[-1]))
+        return Rows(out, self.d[at], self.oid[at], self.charges)
+
+    def lists(self) -> List[NeighborList]:
+        """Each row as the per-query function's :data:`NeighborList`."""
+        seg, d, oid = self.seg.tolist(), self.d.tolist(), self.oid.tolist()
+        return [list(zip(d[a:b], oid[a:b])) for a, b in zip(seg, seg[1:])]
+
 
 def _disk_cells(
     grid: UniformGrid, cx: np.ndarray, cy: np.ndarray, r: np.ndarray, pad: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every cell of every disk's bounding box (``pad`` cells wider a
     side) as flat ``(row, linear cell id, cell_min_dist)`` arrays."""
-    u = grid.universe
     row, ci, cj = grid.box_cells(*grid.boxes(cx, cy, r, pad))
-    gx = _axis_gaps(u.xmin, grid._cell_w, cx[row], ci)
-    gy = _axis_gaps(u.ymin, grid._cell_h, cy[row], cj)
+    gx = _axis_gaps(grid._xea, cx[row], ci)
+    gy = _axis_gaps(grid._yea, cy[row], cj)
     return row, ci * grid.cells + cj, np.sqrt(gx * gx + gy * gy)
 
 
@@ -515,9 +527,4 @@ def knn_search_many(
         charge(meter, CostMeter.CELL_VISIT, int(popped.sum()))
         if scored.any():  # like knn_search: no zero DIST_CALC entry
             charge(meter, CostMeter.DIST_CALC, int(scored.sum()))
-    # Keep each row's first k.
-    take = np.minimum(found, k)
-    out = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(take, out=out[1:])
-    at = np.repeat(seg[:-1] - out[:-1], take) + np.arange(int(out[-1]))
-    return Rows(out, d_in[at], ids_in[at], charges)
+    return Rows(seg, d_in, ids_in, charges).head(k)

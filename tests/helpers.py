@@ -24,6 +24,7 @@ from repro.workloads.generator import (
     make_mobility_model,
 )
 from repro.workloads.spec import WorkloadSpec
+from tests.per_query import PER_QUERY
 from tests.walk import WalkServer
 
 __all__ = [
@@ -87,7 +88,8 @@ def reference_system(
     the same server advanced one query at a time, before any tick),
     so every index search of the reference is a per-query
     ``knn_search`` / ``range_search_arrays`` call and every effect
-    happens in walk order.
+    happens in walk order; a SEA or CPM server repairs one query at a
+    time (:mod:`tests.per_query`).
     """
     fleet, queries = scalar_workload(spec)
     sim = build_system(
@@ -96,6 +98,8 @@ def reference_system(
     sim.client_phase = None
     if type(sim.server) is DknnServer:
         sim.server.__class__ = WalkServer
+    elif type(sim.server) in PER_QUERY:
+        sim.server.__class__ = PER_QUERY[type(sim.server)]
     if cfg.shard is not None:
         shard_attach(sim, cfg.shard)
     if cfg.engine is not None:

@@ -228,7 +228,7 @@ class TestColumnarIngest:
             expected = np.unique(
                 np.concatenate((e.old_cell[moved & e.known], e.new_cell[moved]))
             )
-            touched = _touched_cells(e, moved, n_cells)
+            touched = np.flatnonzero(_touched_cells(e, moved, n_cells))
             assert touched.tolist() == expected.tolist()
             assert n_cells - 1 not in touched.tolist()
         assert inserted_something
@@ -268,13 +268,13 @@ class TestOneDirtyRule:
         for qid, focal in enumerate((3, 31, 7, 52)):
             server.register_query(QuerySpec(qid=qid, focal_oid=focal, k=3))
         repaired, pushes, record = [], [], []
-        repair = server._repair
+        repair = server._repair_rows
 
-        def logged_repair(spec, qx, qy):
-            repaired.append(spec.qid)
-            return repair(spec, qx, qy)
+        def logged_repair(specs, qx, qy):
+            repaired.extend(spec.qid for spec in specs)
+            return repair(specs, qx, qy)
 
-        server._repair = logged_repair
+        server._repair_rows = logged_repair
         server.send = lambda dst, kind, payload: pushes.append(
             (dst, payload.qid, payload.ids)
         )
@@ -326,3 +326,65 @@ class TestOneDirtyRule:
         assert any(0 < len(rep) < 4 for rep, *_ in batch[1:])
         assert all(rep == sorted(rep) for rep, *_ in batch)
         assert any(pushes for *_, pushes in batch[1:])
+
+
+class TestSlicePath:
+    """An every-object report batch is read and written by slice. A
+    slice is a view, so the phase and the server copy: nothing the
+    update log keeps shares memory with the grid's or the fleet's
+    columns, and one-tick-latency delivery still sees the sending
+    tick's positions."""
+
+    SPEC = WorkloadSpec(
+        n_objects=300, n_queries=10, k=5, seed=4, ticks=12, warmup_ticks=0
+    )
+
+    def test_logged_columns_share_no_memory(self):
+        from repro.core.fastpath import _fleet_xy
+        from repro.experiments.config import RunConfig
+        from tests.helpers import built_system
+
+        sim, _ = built_system(RunConfig("CPM"), self.SPEC)
+        server = sim.server
+        ingest = server.on_uplink_batch
+        logged = []
+
+        def logged_ingest(batch):
+            done = ingest(batch)
+            logged.append((batch, server._updates[-1]))
+            return done
+
+        server.on_uplink_batch = logged_ingest
+        assert sim.client_phase._take == slice(None)
+        sim.run(self.SPEC.ticks)
+        assert len(logged) == self.SPEC.ticks
+        grid = server.grid
+        columns = (grid._dx, grid._dy, grid._dcell, *_fleet_xy(sim.fleet))
+        for batch, e in logged:
+            assert e.oids.tolist() == list(range(sim.fleet.n))
+            kept = (e.old_x, e.old_y, e.old_cell, batch.xs, batch.ys)
+            for a in kept:
+                for b in columns:
+                    assert not np.shares_memory(a, b)
+
+    def test_one_tick_latency_equals_the_reference(self):
+        from repro.experiments.config import RunConfig
+        from repro.net.simulator import ONE_TICK_LATENCY
+        from tests.helpers import built_system, reference_system
+
+        cfg = RunConfig("CPM", latency=ONE_TICK_LATENCY)
+
+        def run(build):
+            sim, _ = build(cfg, self.SPEC)
+            answers = []
+            sim.run(self.SPEC.ticks, on_tick=lambda s: answers.append(
+                {qid: tuple(a) for qid, a in s.server.answers.items()}
+            ))
+            stats = sim.channel.stats
+            return answers, dict(sim.server.meter.units), (
+                dict(stats.sent_by_kind), dict(stats.bytes_by_kind)
+            )
+
+        built = run(built_system)
+        assert built == run(reference_system)
+        assert len({tuple(a.items()) for a in built[0]}) > 2

@@ -235,6 +235,66 @@ def test_dknn_p_subround_work_does_not_grow_with_the_queries(
     assert 1 <= worst["range"] <= 2 * (MIN_BATCH - 1)
 
 
+#: ``cpm_stream``'s shape (Q = 16, k = 8, every object reporting every
+#: tick) at 5k objects.
+CPM_STREAM_SHAPED = dataclasses.replace(
+    B_DENSE_SHAPED, n_objects=5_000, ticks=20
+)
+
+
+@pytest.mark.parametrize("algorithm", ["SEA", "CPM"])
+def test_centralized_repairs_are_one_pass_per_tick(algorithm, monkeypatch):
+    """``cpm_stream``'s shape: a tick's dirty SEA / CPM queries are
+    answered by at most one many-row search per kind — no per-query
+    ``knn_search`` / ``range_search`` — and the every-object report
+    batch is read and written by slice, not by fancy indexing."""
+    import repro.baselines.common as common
+    import repro.baselines.cpm as cpm
+    from repro.baselines.common import CentralizedServerBase
+
+    calls, worst = Counter(), Counter()
+    spans = []
+
+    def counted(owner, name, kind):
+        f = getattr(owner, name)
+
+        def call(*args, **kwargs):
+            calls[kind] += 1
+            return f(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, call)
+
+    on_subround = CentralizedServerBase.on_subround
+
+    def counted_subround(self, tick):
+        calls.clear()
+        on_subround(self, tick)
+        for kind, n in calls.items():
+            worst[kind] = max(worst[kind], n)
+
+    def logged_span(self, oids):
+        at = span(self, oids)
+        spans.append((oids.shape[0], type(at) is slice))
+        return at
+
+    span = UniformGrid.span
+    monkeypatch.setattr(UniformGrid, "span", logged_span)
+    monkeypatch.setattr(
+        CentralizedServerBase, "on_subround", counted_subround
+    )
+    counted(common, "knn_search", "knn")
+    counted(common, "knn_search_many", "knn_many")
+    counted(cpm, "range_search", "range")
+    counted(cpm, "range_search_many", "range_many")
+    spec = CPM_STREAM_SHAPED
+    sim, _ = built_system(RunConfig(algorithm), spec)
+    sim.run(spec.ticks)
+    assert worst["knn"] == worst["range"] == 0
+    assert worst["knn_many"] == 1
+    assert worst["range_many"] == (algorithm == "CPM")
+    assert spans == [(sim.fleet.n, True)] * spec.ticks
+
+
 def _advance_counted(spec, monkeypatch):
     """``spec``'s fleet advanced ``spec.ticks`` times, no protocol: the
     scalar ``step`` calls per mover class, and the event rows handed to

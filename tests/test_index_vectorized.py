@@ -12,6 +12,7 @@ ties are where a wrong sort key or an unstable partition shows up.
 
 from __future__ import annotations
 
+import math
 import sys
 
 import numpy as np
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 from repro.errors import IndexError_
 from repro.geometry import Rect
 from repro.index import UniformGrid, knn_search, range_search
+from repro.index.grid import axis_gap
 from repro.index.knn import (
     _SMALL,
     _rank,
@@ -681,6 +683,51 @@ def test_many_row_search_opens_the_cell_whose_edge_ties_with_the_kth():
     )
     assert _knn_units(one) == _knn_units(many)
     assert many.units[CostMeter.DIST_CALC] == 2  # cell 6 was opened
+
+
+def test_a_point_on_the_far_edge_lies_inside_its_cell():
+    """``1000 / 6 * 5 + 1000 / 6`` rounds below 1000, yet ``cell_of``
+    puts a point at 1000 in the last cell. The last column's edge is
+    the universe's, so that cell is 0 away from the point, and the
+    many-row kNN finds the object that coincides with its query there
+    (its bound is 0: a cell 1e-13 away was left out of the range pass,
+    and the row came back empty)."""
+    grid = UniformGrid(Rect(0, 0, 1000, 1000), 6, meter=CostMeter())
+    for oid, at in enumerate([(750.0, 1000.0), (750.0, 1000.0), (0.0, 500.0)]):
+        grid.insert(oid, *at)
+    assert 1000 / 6 * 5 + 1000 / 6 < 1000
+    assert grid.cell_min_dist(grid.cell_of(750.0, 1000.0), 750.0, 1000.0) == 0
+    one, many = CostMeter(), CostMeter()
+    want = knn_search(grid, 750.0, 1000.0, 1, exclude={0}, meter=one)
+    rows = knn_search_many(
+        grid, np.array([750.0]), np.array([1000.0]), 1, np.array([0]),
+        meter=many,
+    )
+    assert rows.lists() == [want] == [[(0.0, 1)]]
+    assert _knn_units(one) == _knn_units(many)
+
+
+@pytest.mark.parametrize("size", [1000.0, 800.0, 3.0, 20000.0])
+@pytest.mark.parametrize("cells", [1, 6, 7, 32, 129])
+def test_every_coordinate_lies_inside_its_column(size, cells):
+    """At a column edge ``lo + c * side`` and ``cell_of``'s division
+    can round apart by an ulp; the edges move out wherever they do, so
+    the gap from a coordinate to its own column is 0 (and nowhere else
+    do they move)."""
+    grid = UniformGrid(Rect(0, 0, size, size), cells)
+    side = size / cells
+    lower, upper = grid._xe
+    for c in range(cells + 1):
+        edge = c * side
+        for x in (math.nextafter(edge, -math.inf), edge,
+                  math.nextafter(edge, math.inf)):
+            if 0 <= x <= size:
+                col = grid.cell_of(x, 0.0)[0]
+                assert axis_gap(grid._xe, x, col) == 0.0, (c, x)
+    ulp = math.ulp(size)
+    for c in range(cells):
+        assert 0 <= c * side - lower[c] <= 2 * ulp
+        assert 0 <= upper[c] - (c * side + side) <= 2 * ulp
 
 
 # -- the cell store under churn ----------------------------------------------
