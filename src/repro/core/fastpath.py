@@ -54,6 +54,7 @@ import numpy as np
 from repro.core.broadcast_variant import BroadcastMobileNode
 from repro.core.client import _BAND_CLASSES, _UNWRITTEN, DknnMobileNode
 from repro.core.geocast_variant import GeocastMobileNode
+from repro.core.hardened import HardenedDknnNode
 from repro.core.protocol import (
     BAND_OUTSIDER,
     BAND_QUERY_CIRCLE,
@@ -138,11 +139,6 @@ _NEVER_SENT = (math.nan, math.nan)
 
 #: a broadcast query row before its first install: the zero cells.
 _EMPTY_ROW = (0.0, 0.0, 0.0, np.empty(0, np.int64), np.empty(0), False)
-
-
-def _has_timers(node: DknnMobileNode) -> bool:
-    """Does ``node`` run a protocol timer (violation retry, lease)?"""
-    return bool(node.violation_retry or node._lease > 0)
 
 
 def _band_limits(mon) -> Tuple[float, float]:
@@ -384,34 +380,34 @@ class DknnSilentPhase(ClientPhase):
     * it drifted more than ``theta`` from its last transmitted position;
     * one of its installed regions, not yet reported this episode, is
       violated at its current position;
-    * it holds a region (*attention*) and runs protocol *timers* — a
-      lease heartbeat or the violation-retry sweep, the fault-tolerant
-      build — which may fire on any tick and are not second-guessed.
+    * it holds a region (*attention*) and is *timed*: a
+      :class:`~repro.core.hardened.HardenedDknnNode`, whose lease
+      heartbeat and violation-retry sweep may fire on any tick and are
+      not second-guessed.
 
     The first three are evaluated exactly — the region predicate in
-    one pass over the :class:`_RegionTable` — so on a build without
-    timers the candidates are precisely the nodes that will send.
+    one pass over the :class:`_RegionTable` — so on a fault-free build
+    the candidates are precisely the nodes that will send.
 
     **Nodes on demand.** The phase drives a
     :class:`~repro.net.node.Population`, where a node object exists only
     once scalar code has needed it. For a node not built yet the
     columns are the whole node: the drift mirrors are its
     ``_last_sent`` / ``_last_uplink_tick``, its table rows its
-    ``regions`` and ``_reported``, the builder's theta and timers the
-    rest; :meth:`_adopt` writes them onto the node the moment it is
-    built. Batches reach an unbuilt node through the columns alone —
-    answer pushes are held here until it is built — and so does its
-    tick-start when it runs no timers (:meth:`_reports`: the same
-    reports, in the same order). What builds a node is a scalar
-    dispatch, the tick-start or the re-plan of a node with timers, or a
-    loop over every node. A fault-free run has none of these: every
-    downlink of the server is a flight :meth:`deliver_batch` takes
-    whole, so no node is built. Scalar dispatches come from where the
-    transport decides per message or the fault-tolerant build acks
-    each install.
+    ``regions`` and ``_reported``, the builder's theta the rest;
+    :meth:`_adopt` writes them onto the node the moment it is built.
+    Batches reach an unbuilt node through the columns alone — answer
+    pushes are held here until it is built — and so does its tick-start
+    when it is not timed (:meth:`_reports`: the same reports, in the
+    same order). What builds a node is a scalar dispatch, the
+    tick-start of a timed node, or a loop over every node. A fault-free
+    run has none of these: every downlink of the server is a flight
+    :meth:`deliver_batch` takes whole, so no node is built. Scalar
+    dispatches come from where the transport decides per message or the
+    hardened build acks each install.
 
-    The phase keeps ``(sent_x, sent_y, attention, timers)`` mirrors and
-    the built nodes' table rows current in two ways. A node on which
+    The phase keeps ``(sent_x, sent_y, attention)`` mirrors and the
+    built nodes' table rows current in two ways. A node on which
     *scalar* code ran — it was dispatched a PROBE / install / revoke
     message, or ran as a candidate — is **touched**: whatever that code
     did is re-read off the node before the next mask evaluation
@@ -425,7 +421,7 @@ class DknnSilentPhase(ClientPhase):
     splits the candidates: the *drift-only* ones — no installed region,
     so their whole tick-start is one ``LOCATION_UPDATE`` — are sent as
     a single columnar batch without ever invoking the nodes, and the
-    reports of every other unbuilt, timer-free candidate as one
+    reports of every other unbuilt, untimed candidate as one
     **report flight** (split where a built candidate runs its own
     tick-start, one by one with the plane closed: :func:`_send_runs`).
     Probe batches from the server are answered with one
@@ -471,14 +467,15 @@ class DknnSilentPhase(ClientPhase):
         self._sent_x = np.full(n, np.nan)
         self._sent_y = np.full(n, np.nan)
         self._attention = np.zeros(n, dtype=bool)
-        self._timers = np.zeros(n, dtype=bool)
+        #: hardened nodes: every candidate runs its own tick-start, and
+        #: every region holder is one.
+        self._timed = any(issubclass(c, HardenedDknnNode) for c in pop.classes)
         # A node nobody has needed yet holds what a fresh one holds: no
         # region, nothing sent — the mirrors' defaults — and the
-        # builder's theta and timers, read once off a throw-away node.
+        # builder's theta, read once off a throw-away node.
         fresh = pop.fresh()
         if fresh is not None:
             self._theta[:] = fresh.theta
-            self._timers[:] = _has_timers(fresh)
         # Nodes built before the phase (a hand-built table) are read
         # whole at the first flush, whatever state they were given.
         built = pop.built()
@@ -541,7 +538,6 @@ class DknnSilentPhase(ClientPhase):
         node_of = self._node_of
         row = _RegionTable.row
         attention: List[bool] = []
-        timers: List[bool] = []
         synced: List[int] = []
         sent_x: List[float] = []
         sent_y: List[float] = []
@@ -557,7 +553,6 @@ class DknnSilentPhase(ClientPhase):
                 sent_y.append(y)
             regions = node.regions
             attention.append(bool(regions))
-            timers.append(_has_timers(node))
             if regions:
                 # A reported region is muted until repaired: no row.
                 muted = node._reported
@@ -567,7 +562,6 @@ class DknnSilentPhase(ClientPhase):
                     if qid not in muted
                 ]
         self._attention[ids] = attention
-        self._timers[ids] = timers
         self._sent_x[synced] = sent_x
         self._sent_y[synced] = sent_y
         self.regions.rewrite(ids, rows)
@@ -580,7 +574,7 @@ class DknnSilentPhase(ClientPhase):
         dy = ys - self._sent_y
         drift = np.sqrt(dx * dx + dy * dy)
         moved = np.isnan(self._sent_x) | (drift > self._theta)
-        cand = moved | (self._attention & self._timers)
+        cand = (moved | self._attention) if self._timed else moved.copy()
         table = self.regions
         hit = table.violated(xs, ys)
         cand[table.oid[hit]] = True
@@ -613,12 +607,12 @@ class DknnSilentPhase(ClientPhase):
         if sim.faults is not None:
             down = sim.faults.down_at(tick)  # no checks, no sends
             cand[[i for i in down if 0 <= i < cand.shape[0]]] = False
-        # A built candidate, or one with timers, runs its own tick-start;
+        # A built candidate, or a timed one, runs its own tick-start;
         # every other one is its columns.
-        oids = np.flatnonzero(cand)
-        scalar = [
-            oid for oid, timed in zip(oids.tolist(), self._timers[oids])
-            if timed or self._node_of[oid] is not None
+        oids = np.flatnonzero(cand).tolist()
+        node_of = self._node_of
+        scalar = oids if self._timed else [
+            oid for oid in oids if node_of[oid] is not None
         ]
         cand[scalar] = False
         flight = self._reports(cand, moved, hit, xs, ys, tick)
@@ -633,7 +627,7 @@ class DknnSilentPhase(ClientPhase):
             )
 
     def _reports(self, plain, moved, hit, xs, ys, tick) -> ColumnarBatch:
-        """``DknnMobileNode.on_tick_start`` of the unbuilt, timer-free
+        """``DknnMobileNode.on_tick_start`` of the unbuilt, untimed
         candidates ``plain`` holds, on the columns, as a report flight:
         per node its drift report if it ``moved``, then its violated
         rows of ``hit`` in dict order, muted; each marked sent."""

@@ -1,8 +1,8 @@
 """Wakeup planning for DKNN mobiles under the event engine.
 
-Maps the protocol state of the DKNN-P nodes — dead-reckoning origin,
-installed safe regions, lease heartbeat and violation-retry timers —
-onto the closed-form crossing claims of :mod:`repro.mobility.crossing`,
+Maps the protocol state of the fault-free DKNN-P nodes —
+dead-reckoning origin and installed safe regions — onto the
+closed-form crossing claims of :mod:`repro.mobility.crossing`,
 producing each node's next *act* tick (the tick must run in full: the
 node would send, or mutate protocol state) or *re-solve* tick (a motion
 claim horizon expired; recompute cheaply, no full tick needed).
@@ -11,8 +11,8 @@ The event engine re-plans all the nodes due on a tick through one call
 of :meth:`DknnWakeupPlanner.wakeups`. The checks come from the
 vectorized client phase's mirrors and region table, the motion from the
 fast fleet's kernel columns, and one :func:`solve_claims` pass answers
-for every node; the few nodes that run protocol timers then have them
-folded in one by one.
+for every node. A hardened node (:mod:`repro.core.hardened`) runs
+clocks that may fire on any tick, so its build gets no planner.
 
 Soundness contract (what ``tests/test_engine.py`` pins against the
 node's own ``on_tick_start``, scanned tick by tick): the act tick is
@@ -87,27 +87,12 @@ class DknnWakeupPlanner:
         a, r = self._solve(sent)
         act[at] = np.where(a >= 0, tick + a, -1)
         resolve[at] = np.where(r >= 0, tick + r, -1)
-        nodes = self.sim.mobiles
-        timed = at[phase._attention[sent] & phase._timers[sent]]
-        for i in timed.tolist():
-            oid = int(oids[i])
-            node = nodes[oid]
-            phase._sync_node(oid)
-            due = self._merge_timers(
-                node, tick, int(act[i]) if act[i] >= 0 else None
-            )
-            # A timer past the motion claim's horizon waits for the
-            # re-solve: by then the node may have moved and crossed first.
-            if due is not None and (resolve[i] < 0 or due <= resolve[i]):
-                act[i], resolve[i] = due, -1
-            else:
-                act[i] = -1
         return act, resolve
 
     def _solve(self, oids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Relative ``(act, resolve)`` delays of nodes that have
         transmitted before, from the phase mirrors and the kernel
-        columns; protocol timers are left out."""
+        columns."""
         phase = self._phase
         fleet = self.sim.fleet
         m = oids.shape[0]
@@ -145,36 +130,6 @@ class DknnWakeupPlanner:
         resolve[unknown] = -1
         return act, resolve
 
-    # reach: event mode over fault-tolerant DKNN-P (lease heartbeats,
-    # violation retries); no quick sweep runs that pair
-    def _merge_timers(
-        self, node: DknnMobileNode, tick: int, act: Optional[int]
-    ) -> Optional[int]:
-        """Fold the protocol's countdown timers into the act tick.
-
-        Timer ticks must be *full* ticks even when nothing ends up on
-        the wire: the retry sweep's drifted-back-inside branch re-arms
-        an episode without sending, which is a protocol state change.
-        """
-        if node._lease > 0 and node.regions:
-            beat = node._last_uplink_tick + max(1, node._lease // 2)
-            act = _min_tick(act, max(beat, tick + 1))
-        if node.violation_retry:
-            for qid in node._reported:
-                if node.regions.get(qid) is None:
-                    continue
-                sent = node._violation_sent.get(qid)
-                if sent is None:
-                    continue
-                retry = sent + node.violation_retry
-                act = _min_tick(act, max(retry, tick + 1))
-        return act
-
-
-# reach: only _merge_timers calls it
-def _min_tick(a: Optional[int], b: int) -> int:
-    return b if a is None or b < a else a
-
 
 def planner_for(sim) -> Optional[DknnWakeupPlanner]:
     """A planner for ``sim``, or None when there is nothing to plan from.
@@ -182,9 +137,9 @@ def planner_for(sim) -> Optional[DknnWakeupPlanner]:
     The planner reads a :class:`DknnSilentPhase` and a fleet with motion
     claims, and only plain :class:`DknnMobileNode` clients are
     plannable. The baselines, any node subclass with a different
-    tick-start, a scalar ``Fleet`` and a hand-built system with no
-    client phase get no planner, which makes the event engine run every
-    tick in full: slower, never wrong.
+    tick-start (the hardened build's among them), a scalar ``Fleet``
+    and a hand-built system with no client phase get no planner, which
+    makes the event engine run every tick in full: slower, never wrong.
     """
     if (
         not sim.mobiles

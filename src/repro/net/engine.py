@@ -15,11 +15,11 @@ The decision combines three sources:
 
 * a **tick wheel** over the mobile nodes: oid columns hold each node's
   one wakeup, fed by the closed-form crossing claims
-  (:mod:`repro.mobility.crossing`) plus the protocol timers (lease
-  heartbeats, violation retries). Wakeups are *acts* (the tick must run
-  in full) or *re-solves* (a claim horizon expired — waypoint arrival,
-  pause end, leg renewal; recompute cheaply during the skip, no full
-  tick needed);
+  (:mod:`repro.mobility.crossing`) alone — a build whose nodes run
+  protocol clocks (the hardened DKNN-P) gets no planner and runs every
+  tick. Wakeups are *acts* (the tick must run in full) or *re-solves*
+  (a claim horizon expired — waypoint arrival, pause end, leg renewal;
+  recompute cheaply during the skip, no full tick needed);
 * the **channel**: any queued, delayed or held flight (including
   one-tick-latency deliveries and FaultyChannel delays) forces a full
   tick;

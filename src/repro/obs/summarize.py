@@ -200,9 +200,9 @@ def _fastpath_section(events: List[TraceEvent]) -> Optional[str]:
     if not decisions:
         return None
     # DKNN-P reports exact candidates (the nodes that go on to send,
-    # plus region holders with protocol timers), not all region holders;
-    # DKNN-B/G the violation reports sent from the mirror, and how many
-    # node objects exist so far.
+    # plus every region holder of a hardened build), not all region
+    # holders; DKNN-B/G the violation reports sent from the mirror, and
+    # how many node objects exist so far.
     cands = [f.get("candidates", 0) for f in decisions]
     line = (
         f"Fastpath: {len(cands)} dispatch decisions, candidates/tick "

@@ -129,6 +129,7 @@ import numpy as np
 
 from repro.errors import ConfigError, NetworkError
 from repro.geometry import Rect
+from repro.index.grid import column_edges
 from repro.metrics.cost import CostMeter
 from repro.net.message import HEADER_BYTES, Message, payload_size
 from repro.net.node import ServerNodeBase
@@ -206,6 +207,15 @@ class ShardRouter:
         self.cell_side = shards_per_side * cells_per_shard
         self._cell_w = universe.width / self.cell_side
         self._cell_h = universe.height / self.cell_side
+        #: (lower, upper) edges of the cell columns, then of the rows:
+        #: each cell holds every coordinate :meth:`cell_of` puts in it.
+        self._edges = [
+            tuple(map(np.array, column_edges(lo, hi, extent, self.cell_side)))
+            for lo, hi, extent in (
+                (universe.xmin, universe.xmax, self._cell_w),
+                (universe.ymin, universe.ymax, self._cell_h),
+            )
+        ]
         parent = np.arange(self.cell_side, dtype=np.int64) // cells_per_shard
         #: fine cell -> owning shard (int64, row-major).
         self.owner = (
@@ -240,7 +250,7 @@ class ShardRouter:
         side = self.cell_side
         cells = np.arange(side)
 
-        def axis(c, lo, extent):
+        def axis(c, lo, extent, edges):
             # Squared gap to each cell and the in-box mask. The scalar
             # test truncates, then clamps into the grid; clamping the
             # float first gives the same cell and keeps huge radii
@@ -249,14 +259,14 @@ class ShardRouter:
                 at = np.clip((at - lo) / extent, 0, side - 1)
                 return at.astype(np.int64)[:, None]
 
-            x0 = lo + cells * extent
-            gap = np.minimum(np.maximum(c[:, None], x0), x0 + extent)
+            lower, upper = edges
+            gap = np.minimum(np.maximum(c[:, None], lower), upper)
             gap -= c[:, None]
             box = (cells >= index(c - radius)) & (cells <= index(c + radius))
             return gap * gap, box
 
-        gx, inx = axis(cx, self.universe.xmin, self._cell_w)
-        gy, iny = axis(cy, self.universe.ymin, self._cell_h)
+        gx, inx = axis(cx, self.universe.xmin, self._cell_w, self._edges[0])
+        gy, iny = axis(cy, self.universe.ymin, self._cell_h, self._edges[1])
         r2 = (radius * radius)[:, None, None]
         hit = gy[:, :, None] + gx[:, None, :] <= r2
         hit &= iny[:, :, None] & inx[:, None, :] & (radius >= 0)[:, None, None]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
+from repro.core.hardened import HardenedDknnServer
 from repro.core.server import DknnServer
 from repro.experiments.algorithms import build_system
 from repro.experiments.config import RunConfig
@@ -25,7 +26,7 @@ from repro.workloads.generator import (
 )
 from repro.workloads.spec import WorkloadSpec
 from tests.per_query import PER_QUERY
-from tests.walk import WalkServer
+from tests.walk import HardenedWalk, WalkServer
 
 __all__ = [
     "ExactnessChecker",
@@ -85,6 +86,7 @@ def reference_system(
     tick 1); the shard tier and the engine driver are
     attached afterwards, as ``build_system`` orders them. A DKNN-P
     server becomes the per-query walk (:class:`tests.walk.WalkServer`,
+    or :class:`~tests.walk.HardenedWalk` over the self-healing server,
     the same server advanced one query at a time, before any tick),
     so every index search of the reference is a per-query
     ``knn_search`` / ``range_search_arrays`` call and every effect
@@ -98,6 +100,8 @@ def reference_system(
     sim.client_phase = None
     if type(sim.server) is DknnServer:
         sim.server.__class__ = WalkServer
+    elif type(sim.server) is HardenedDknnServer:
+        sim.server.__class__ = HardenedWalk
     elif type(sim.server) in PER_QUERY:
         sim.server.__class__ = PER_QUERY[type(sim.server)]
     if cfg.shard is not None:

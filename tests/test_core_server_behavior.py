@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.core import DknnParams, build_dknn_system
+from repro.core import DknnMobileNode, DknnParams, build_dknn_system
+from repro.core.hardened import HardenedDknnNode, HardenedDknnServer
 from repro.core.server import DknnServer
-from repro.errors import ProtocolError
+from repro.errors import ConfigError, ProtocolError
 from repro.geometry import Rect
 from repro.mobility import Fleet, StationaryMover
 from repro.net.message import MessageKind
@@ -25,6 +26,39 @@ def _system(n=100, q=2, k=5, seed=17, query_speed=50.0, **params):
         fleet, queries, DknnParams(**params) if params else None
     )
     return sim, fleet, queries
+
+
+class TestFaultToleranceSplit:
+    """The self-healing half lives in :mod:`repro.core.hardened`; the
+    builder composes it in only when ``params.fault_tolerant`` is set."""
+
+    FT_STATE = (
+        "_unacked", "_suspected", "_last_heard", "_probe_sent",
+        "_probe_first", "_suspect_probe", "_install_seq",
+    )
+
+    def test_a_fault_free_build_holds_no_self_healing_state(self):
+        sim, _, _ = _system(n=60)
+        sim.run(3)
+        assert type(sim.server) is DknnServer
+        for name in self.FT_STATE:
+            assert not hasattr(sim.server, name), name
+        assert sim.mobiles.classes == {DknnMobileNode}
+        assert {type(sim.mobiles[oid]) for oid in range(60)} == {
+            DknnMobileNode
+        }
+
+    def test_a_hardened_build_is_the_hardened_pair(self):
+        sim, _, _ = _system(n=60, fault_tolerant=True)
+        sim.run(3)
+        assert type(sim.server) is HardenedDknnServer
+        for name in self.FT_STATE:
+            assert hasattr(sim.server, name), name
+        assert sim.mobiles.classes == {HardenedDknnNode}
+
+    def test_a_direct_server_refuses_the_fault_tolerant_params(self):
+        with pytest.raises(ConfigError, match="HardenedDknnServer"):
+            DknnServer(Rect(0, 0, 100, 100), DknnParams(fault_tolerant=True))
 
 
 class TestSilenceProperty:

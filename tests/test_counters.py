@@ -38,6 +38,7 @@ from repro.net.shardlink import (
     ShardLink,
 )
 from repro.server.config import RebalancePolicy, ShardConfig
+from repro.server.object_table import ObjectTable
 from repro.workloads.generator import build_workload
 from repro.workloads.spec import WorkloadSpec
 from tests.helpers import built_system, logged_sends
@@ -549,6 +550,35 @@ def test_region_holders_report_in_one_flight_per_tick(cfg, spec, monkeypatch):
     for kind in REPORT_KINDS:
         assert stats.columnar_by_kind[kind] == stats.sent_by_kind[kind]
     assert stats.sent_by_kind[MessageKind.VIOLATION] > 0
+
+
+def test_an_uplink_batch_spans_its_ids_once(monkeypatch):
+    """``ObjectTable.report_batch`` reads a DKNN-P uplink batch's id
+    range once: one ``UniformGrid.reserve`` call per batch, for the
+    grid and the freshness column alike."""
+    per_batch, inside = [], [False]
+    reserve, report_batch = UniformGrid.reserve, ObjectTable.report_batch
+
+    def counted_batch(self, *args):
+        per_batch.append(0)
+        inside[0] = True
+        try:
+            return report_batch(self, *args)
+        finally:
+            inside[0] = False
+
+    def counted_reserve(self, capacity):
+        if inside[0]:
+            per_batch[-1] += 1
+        return reserve(self, capacity)
+
+    monkeypatch.setattr(ObjectTable, "report_batch", counted_batch)
+    monkeypatch.setattr(UniformGrid, "reserve", counted_reserve)
+    spec = dataclasses.replace(B_DENSE_SHAPED, n_objects=2_000, ticks=10)
+    sim, _ = built_system(RunConfig("DKNN-P"), spec)
+    sim.run(spec.ticks)
+    assert len(per_batch) >= spec.ticks
+    assert set(per_batch) == {1}
 
 
 #: Python calls the event driver may make on one tick outside the

@@ -730,6 +730,17 @@ def test_every_coordinate_lies_inside_its_column(size, cells):
         assert 0 <= upper[c] - (c * side + side) <= 2 * ulp
 
 
+def test_a_column_edge_at_zero_is_found():
+    """A universe from -1000 to 1000 in two columns has its middle edge
+    at 0, where the ulps are subnormal: the edges are still found (a
+    walk one ulp at a time never gets there), and every coordinate
+    around it lies inside its column."""
+    grid = UniformGrid(Rect(-1000, -1000, 1000, 1000), 2)
+    for x in (-1e-13, math.nextafter(0.0, -math.inf), 0.0, 1e-300, 1e-13):
+        col = grid.cell_of(x, 0.0)[0]
+        assert axis_gap(grid._xe, x, col) == 0.0, x
+
+
 # -- the cell store under churn ----------------------------------------------
 #
 # The sequences above rarely fill a region. These aim every row at one

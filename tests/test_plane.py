@@ -700,9 +700,7 @@ def _report_view(sim, sink):
             lin: sorted(grid._store.cell(lin).tolist())
             for lin in {row[2] for row in rows}
         }
-        view["probes"] = (
-            list(server._probes_in_flight), dict(server._probe_sent)
-        )
+        view["probes"] = list(server._probes_in_flight)
     if tier is not None:
         ss, link = tier.shard_stats, tier.link
         view["tier"] = (
@@ -749,7 +747,6 @@ def test_a_report_flight_ingests_as_its_messages_one_by_one(case):
         if hasattr(server, "_probes_in_flight"):
             for oid in sorted(before["probed"]):
                 server._probes_in_flight.add(oid)
-                server._probe_sent[oid] = 0
         for tick, rows in flights:
             sim.server.on_tick_start(tick)
             if not rows:

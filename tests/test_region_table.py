@@ -34,6 +34,7 @@ from hypothesis import strategies as st
 
 from repro.core.client import _BAND_CLASSES, DknnMobileNode
 from repro.core.fastpath import DknnSilentPhase
+from repro.core.hardened import HardenedDknnNode
 from repro.core.protocol import (
     BAND_ANSWER,
     BAND_OUTSIDER,
@@ -96,23 +97,22 @@ class _Recorder:
 
 
 def _build(
-    fleet, ft: bool = False, phase: bool = True, acks: bool = False,
-    lazy: bool = False,
+    fleet, ft: bool = False, phase: bool = True, lazy: bool = False,
 ) -> RoundSimulator:
     """``phase=False`` is the reference program: no client phase, every
-    node runs its own ``on_tick_start`` every tick. The nodes are built
-    up front, or — ``lazy`` — on demand, as a builder's are."""
+    node runs its own ``on_tick_start`` every tick. The nodes are
+    hardened (``ft``) or plain, built up front, or — ``lazy`` — on
+    demand, as a builder's are."""
 
     def make(oid: int) -> DknnMobileNode:
-        return DknnMobileNode(
-            oid, fleet, theta=THETA, ack_installs=ft or acks,
-            violation_retry=3 if ft else 0,
-        )
+        if ft:
+            return HardenedDknnNode(oid, fleet, theta=THETA, violation_retry=3)
+        return DknnMobileNode(oid, fleet, theta=THETA)
 
     return RoundSimulator(
         fleet, SinkServer(),
-        Population(fleet.n, DknnMobileNode, make) if lazy
-        else [make(oid) for oid in range(fleet.n)],
+        Population(fleet.n, HardenedDknnNode if ft else DknnMobileNode, make)
+        if lazy else [make(oid) for oid in range(fleet.n)],
         client_phase=DknnSilentPhase() if phase else None,
     )
 
@@ -189,7 +189,7 @@ def _would_act(phase, node: DknnMobileNode, tick: int) -> bool:
     twin = copy.copy(node)
     twin.regions = dict(node.regions)
     twin._reported = set(node._reported)
-    twin._violation_sent = dict(node._violation_sent)
+    twin._violation_sent = dict(getattr(node, "_violation_sent", {}))
     twin._channel = _Recorder()
     oid = node.oid
     if phase._desynced[oid]:  # what _sync_node would write back
@@ -198,7 +198,7 @@ def _would_act(phase, node: DknnMobileNode, tick: int) -> bool:
         )
         twin._last_uplink_tick = int(phase._uplink_tick[oid])
     before = (set(twin._reported), dict(twin._violation_sent))
-    DknnMobileNode.on_tick_start(twin, tick)
+    type(node).on_tick_start(twin, tick)
     return bool(twin._channel.sent) or before != (
         twin._reported, twin._violation_sent
     )
@@ -245,7 +245,7 @@ def _checked_step(sim) -> None:
         expected = {n.oid for n in nodes if _would_act(phase, n, tick)}
         timed = {
             n.oid for n in nodes
-            if n.regions and (n.violation_retry or n._lease > 0)
+            if n.regions and isinstance(n, HardenedDknnNode)
         }
         real_tick_start(tick)
         got = set(ran)
@@ -258,7 +258,7 @@ def _checked_step(sim) -> None:
         node.on_tick_start = (
             lambda tick, node=node: (
                 ran.append(node.oid),
-                DknnMobileNode.on_tick_start(node, tick),
+                type(node).on_tick_start(node, tick),
             )
         )
     phase.tick_start = tick_start
@@ -298,15 +298,14 @@ _ops = st.one_of(
 )
 
 
-FT_MODES = ["plain", "acks", "retry", "lease"]
+FT_MODES = ["plain", "retry", "lease"]
 
 
 def _build_mode(
     seed: int, ft: str, phase: bool = True, lazy: bool = False
 ) -> RoundSimulator:
     return _build(
-        _waypoint_fleet(seed), ft=ft in ("retry", "lease"), phase=phase,
-        acks=ft == "acks", lazy=lazy,
+        _waypoint_fleet(seed), ft=ft != "plain", phase=phase, lazy=lazy
     )
 
 
@@ -873,101 +872,53 @@ def _force_corner_cases(kernel: str, fleet: FastFleet) -> None:
 
 REPLAN_MD5 = {
     "stationary-none-plain": "be187c7623036c1872daa6a90a5c1c6e",
-    "stationary-none-timers": "be187c7623036c1872daa6a90a5c1c6e",
     "stationary-answer-plain": "2b3fa5d01a03f4e01bc4214440681fa4",
-    "stationary-answer-timers": "ed9a2881ebd31fb91967a2dca4600340",
     "stationary-outsider-plain": "2b3fa5d01a03f4e01bc4214440681fa4",
-    "stationary-outsider-timers": "ed9a2881ebd31fb91967a2dca4600340",
     "stationary-circle-plain": "2b3fa5d01a03f4e01bc4214440681fa4",
-    "stationary-circle-timers": "ed9a2881ebd31fb91967a2dca4600340",
     "stationary-mixed-plain": "981d63cd5a83cc3548686143fdddf20a",
-    "stationary-mixed-timers": "7477faa4e20d495f72932932a94419e7",
     "stationary-muted-plain": "be187c7623036c1872daa6a90a5c1c6e",
-    "stationary-muted-timers": "cec05038b9b7b39c726cefb28e82c3b4",
     "linear-none-plain": "fd721faac15c612cac891afc046bbd1d",
-    "linear-none-timers": "fd721faac15c612cac891afc046bbd1d",
     "linear-answer-plain": "efd78812b04c1cb38da2eb9df700dda6",
-    "linear-answer-timers": "9850945a8cf04ef519e9005cdea58a49",
     "linear-outsider-plain": "7b2c6eab891757123200492cbcb4ddb9",
-    "linear-outsider-timers": "6c9aaa504c7759051e5d3169e72833cf",
     "linear-circle-plain": "efd78812b04c1cb38da2eb9df700dda6",
-    "linear-circle-timers": "9850945a8cf04ef519e9005cdea58a49",
     "linear-mixed-plain": "20fbeb9d7b1e9fc85942b93527f7ea75",
-    "linear-mixed-timers": "f60272ca9c7d3ef04b147d0370cc363e",
     "linear-muted-plain": "fd721faac15c612cac891afc046bbd1d",
-    "linear-muted-timers": "c81e02813c08965ebf4831e7bc3932ad",
     "waypoint-none-plain": "d6d7ab7e0eb0f729facb1e2090ab8a7f",
-    "waypoint-none-timers": "d6d7ab7e0eb0f729facb1e2090ab8a7f",
     "waypoint-answer-plain": "12d967b211fa89d0a47b6129e76f05c3",
-    "waypoint-answer-timers": "dba654939a5bb145522288aff3947e0b",
     "waypoint-outsider-plain": "b6b32058b8fa2a484458d2bf5fb1f7cd",
-    "waypoint-outsider-timers": "eae1247b6656722b9eda4af20e2bdc81",
     "waypoint-circle-plain": "12d967b211fa89d0a47b6129e76f05c3",
-    "waypoint-circle-timers": "dba654939a5bb145522288aff3947e0b",
     "waypoint-mixed-plain": "7269bf07a78b8dbb1f70e694b26ec394",
-    "waypoint-mixed-timers": "c4f36e7ad6a50464abd6378b2531127e",
     "waypoint-muted-plain": "d6d7ab7e0eb0f729facb1e2090ab8a7f",
-    "waypoint-muted-timers": "b851fc0d62c3baa4f2acbbc531647968",
     "gaussian-none-plain": "965be66a8efe78610dbf53327c2d95bc",
-    "gaussian-none-timers": "965be66a8efe78610dbf53327c2d95bc",
     "gaussian-answer-plain": "1eba232219ac652554e54534b3f176bc",
-    "gaussian-answer-timers": "e7dc5bee478c28505e70cf56a675baa2",
     "gaussian-outsider-plain": "da5f5e6767880a734b8e7db8593737fd",
-    "gaussian-outsider-timers": "4407dd9d9a9165e9d432305dd9aa0ae6",
     "gaussian-circle-plain": "1eba232219ac652554e54534b3f176bc",
-    "gaussian-circle-timers": "e7dc5bee478c28505e70cf56a675baa2",
     "gaussian-mixed-plain": "74db8049e460f2b121b35dca25fc05bb",
-    "gaussian-mixed-timers": "ef50ab82cc599efb0258dcb6c54e570a",
     "gaussian-muted-plain": "965be66a8efe78610dbf53327c2d95bc",
-    "gaussian-muted-timers": "85ca87aa61d5b91fa3f0acef256d744a",
     "hotspot-drift-none-plain": "d4dc80d6b4709266cca15bf5c7594cf9",
-    "hotspot-drift-none-timers": "d4dc80d6b4709266cca15bf5c7594cf9",
     "hotspot-drift-answer-plain": "3b891b14161f94434050ef232479407c",
-    "hotspot-drift-answer-timers": "9b321960b0e1182305cc2a86dd62f67d",
     "hotspot-drift-outsider-plain": "afd954860f3df1a0f27c2f13edcdb9f3",
-    "hotspot-drift-outsider-timers": "cb337bd19a04520896d3fc48008bdd94",
     "hotspot-drift-circle-plain": "3b891b14161f94434050ef232479407c",
-    "hotspot-drift-circle-timers": "9b321960b0e1182305cc2a86dd62f67d",
     "hotspot-drift-mixed-plain": "70c4d29fb11fb8530b557e539d16463a",
-    "hotspot-drift-mixed-timers": "6b69b9a6a6fa523b7039895dc0b06749",
     "hotspot-drift-muted-plain": "d4dc80d6b4709266cca15bf5c7594cf9",
-    "hotspot-drift-muted-timers": "c87e64c548985f25dfb71910f2d60508",
     "direction-none-plain": "a3f4e622dcac7df650ec094a48f89869",
-    "direction-none-timers": "a3f4e622dcac7df650ec094a48f89869",
     "direction-answer-plain": "a3f4e622dcac7df650ec094a48f89869",
-    "direction-answer-timers": "a3f4e622dcac7df650ec094a48f89869",
     "direction-outsider-plain": "a3f4e622dcac7df650ec094a48f89869",
-    "direction-outsider-timers": "a3f4e622dcac7df650ec094a48f89869",
     "direction-circle-plain": "a3f4e622dcac7df650ec094a48f89869",
-    "direction-circle-timers": "a3f4e622dcac7df650ec094a48f89869",
     "direction-mixed-plain": "a3f4e622dcac7df650ec094a48f89869",
-    "direction-mixed-timers": "a3f4e622dcac7df650ec094a48f89869",
     "direction-muted-plain": "a3f4e622dcac7df650ec094a48f89869",
-    "direction-muted-timers": "a3f4e622dcac7df650ec094a48f89869",
     "commute-none-plain": "e31481010d52c7c288759db7f4cc0b3e",
-    "commute-none-timers": "e31481010d52c7c288759db7f4cc0b3e",
     "commute-answer-plain": "bee5afbf0efe5091be28be79ca287c27",
-    "commute-answer-timers": "a9b827059a69ff0544d7cb03fb1574f5",
     "commute-outsider-plain": "1d9769c945c0c21d40d29ecca762ad74",
-    "commute-outsider-timers": "040f76ddc8dc426a77b5abda14babb4b",
     "commute-circle-plain": "bee5afbf0efe5091be28be79ca287c27",
-    "commute-circle-timers": "a9b827059a69ff0544d7cb03fb1574f5",
     "commute-mixed-plain": "4076d2e19a257142595a002db459305c",
-    "commute-mixed-timers": "cf2ab91408fc4ed35efe834187a157f7",
     "commute-muted-plain": "e31481010d52c7c288759db7f4cc0b3e",
-    "commute-muted-timers": "5b1aeb9999b6d3cc4deff49d4b3933c8",
     "road-none-plain": "bdf917504aa4b7f28d7326c160bbd55f",
-    "road-none-timers": "bdf917504aa4b7f28d7326c160bbd55f",
     "road-answer-plain": "f18744ac53e2ec89274ad5096d761f38",
-    "road-answer-timers": "5d922dca2f14b10bbd760c167a5d4bb0",
     "road-outsider-plain": "016d7bddfbff7eda729e436b99849544",
-    "road-outsider-timers": "97ec399e534c53bf1a29a36ba2e84d6f",
     "road-circle-plain": "f18744ac53e2ec89274ad5096d761f38",
-    "road-circle-timers": "5d922dca2f14b10bbd760c167a5d4bb0",
     "road-mixed-plain": "d6622a72eadeff9acc1b01161676d6a5",
-    "road-mixed-timers": "39e802ac62d930b0db1e9f0aaf3cb368",
     "road-muted-plain": "bdf917504aa4b7f28d7326c160bbd55f",
-    "road-muted-timers": "5b95b984aeb4d29f913be398945c60ca",
 }
 
 RANDOM_CHECKS_MD5 = {
@@ -994,31 +945,27 @@ def _digest(per_tick: List[List]) -> str:
     ).hexdigest()
 
 
-@pytest.mark.parametrize("ft", [False, True], ids=["plain", "timers"])
+# plain nodes only: a hardened build gets no planner (``planner_for``)
+@pytest.mark.parametrize("nodes", ["plain"])
 @pytest.mark.parametrize("mix", list(REGION_MIXES))
 @pytest.mark.parametrize("kernel", list(KERNELS))
-def test_batched_replan_equals_scalar_wakeup(kernel, mix, ft):
+def test_batched_replan_equals_scalar_wakeup(kernel, mix, nodes):
     make, expected_modes = KERNELS[kernel]
     fleet = make(seed=7)
-    sim = _build(fleet, ft=ft)
+    sim = _build(fleet)
     planner = DknnWakeupPlanner(sim)
     oids = np.arange(fleet.n)
     seen: Set[int] = set()
     per_tick: List[List] = []
-    epoch = 0
     for tick in range(1, 46):
         sim.step()
         if tick % 6 == 1:
             # (re-)arm: reported regions would otherwise stay muted, the
             # sink never repairs anything
-            epoch += 1
             for oid in range(fleet.n):
                 for qid, band in enumerate(REGION_MIXES[mix]):
                     place = ("in", "in", "edge", "out")[(oid + qid) % 4]
-                    _install(
-                        sim, oid, qid, band, place, 10.0 + 9.0 * oid,
-                        epoch=epoch if ft else -1, lease=6 if ft else 0,
-                    )
+                    _install(sim, oid, qid, band, place, 10.0 + 9.0 * oid)
                 if mix == "muted":
                     sim.mobiles[oid]._reported.update(range(len(BANDS)))
         if tick == 3:
@@ -1026,7 +973,7 @@ def test_batched_replan_equals_scalar_wakeup(kernel, mix, ft):
         act, resolve = planner.wakeups(oids, sim.tick)
         per_tick.append(list(zip(act.tolist(), resolve.tolist())))
         seen.update(fleet.motion_claims(oids).mode.tolist())
-    key = f"{kernel}-{mix}-{'timers' if ft else 'plain'}"
+    key = f"{kernel}-{mix}-{nodes}"
     assert _digest(per_tick) == REPLAN_MD5[key]
     assert expected_modes <= seen
 

@@ -17,6 +17,9 @@ It shares the build's per-row arithmetic (resolving planner hits,
 light repairs, full-repair planning on one row, installs) and owns
 what the row kernels replace: the walk order, the per-query searches
 and freshness checks, and probes claimed at once.
+:class:`HardenedWalk` is the walk over the self-healing server: the
+method resolution order puts the walk's stepping over
+:class:`~repro.core.hardened.HardenedDknnServer`'s hooks.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import math
 import numpy as np
 
 import repro.core.server as server_module
+from repro.core.hardened import HardenedDknnServer
 from repro.core.regions import Installation
 from repro.core.rows import (
     IDLE,
@@ -36,7 +40,7 @@ from repro.core.rows import (
 )
 from repro.core.server import _FLUSH_ORDER, DknnServer
 
-__all__ = ["WalkServer"]
+__all__ = ["HardenedWalk", "WalkServer"]
 
 
 class WalkServer(DknnServer):
@@ -45,7 +49,7 @@ class WalkServer(DknnServer):
     def on_subround(self, tick: int) -> None:
         self._tick = tick
         sim = self.sim
-        if sim is not None and not (self._ft or sim.transport_per_message()):
+        if sim is not None and not self._sends_per_message(sim):
             self._outbox = {kind: [] for kind in _FLUSH_ORDER}
         for st in self._q.views:
             if not st.focal_down:
@@ -131,15 +135,8 @@ class WalkServer(DknnServer):
             raise AssertionError(f"unknown phase {phase[row]}")
 
     def _await_fresh(self, oids: np.ndarray, tick: int) -> bool:
-        """True while any of ``oids`` lacks a fresh position; in
-        fault-tolerant mode the stale stragglers are re-probed."""
-        stale = self.table.stale(oids, tick)
-        if not stale.shape[0]:
-            return False
-        if self._ft:
-            for oid in sorted(stale.tolist()):
-                self._claim(0, np.array([oid], dtype=np.int64))
-        return True
+        """True while any of ``oids`` lacks a fresh position."""
+        return bool(self.table.stale(oids, tick).shape[0])
 
     def _probe_stale(self, oids: np.ndarray) -> np.ndarray:
         stale = self.table.stale(oids, self._tick)
@@ -221,3 +218,15 @@ class WalkServer(DknnServer):
         """An installed row waits on nothing."""
         self._clear(np.array([row]))
         self._q.phase[row] = IDLE
+
+
+class HardenedWalk(WalkServer, HardenedDknnServer):
+    """The walk over the self-healing server."""
+
+    def _await_fresh(self, oids: np.ndarray, tick: int) -> bool:
+        """The stale stragglers of a wait are re-probed
+        (:meth:`HardenedDknnServer._reprobe`)."""
+        stale = self.table.stale(oids, tick)
+        for oid in sorted(stale.tolist()):
+            self._claim(0, np.array([oid], dtype=np.int64))
+        return bool(stale.shape[0])
