@@ -356,18 +356,20 @@ class _RegionTable:
         held[pos[~gone]] = True
         return nodes, held
 
-    def violated(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    def violated(self, xs, ys, rows=None) -> np.ndarray:
         """The unmuted rows whose region the positions ``(xs, ys)``
-        violate — ``SafeRegion.violated``, row by row."""
-        holder = self.oid
-        dx = xs[holder] - self.ax
-        dy = ys[holder] - self.ay
+        violate — ``SafeRegion.violated``, row by row — among ``rows``
+        (ascending; default: all)."""
+        at = slice(None) if rows is None else rows
+        dx = xs[self.oid[at]] - self.ax[at]
+        dy = ys[self.oid[at]] - self.ay[at]
         d2 = dx * dx + dy * dy
-        limit = self.limit
-        violated = (self.live & ~self.muted) & np.where(
-            self.kind == BAND_OUTSIDER, d2 < limit, d2 > limit
+        limit = self.limit[at]
+        violated = (self.live[at] & ~self.muted[at]) & np.where(
+            self.kind[at] == BAND_OUTSIDER, d2 < limit, d2 > limit
         )
-        return np.nonzero(violated)[0]
+        found = np.nonzero(violated)[0]
+        return found if rows is None else rows[found]
 
 
 class DknnSilentPhase(ClientPhase):
@@ -470,6 +472,15 @@ class DknnSilentPhase(ClientPhase):
         #: hardened nodes: every candidate runs its own tick-start, and
         #: every region holder is one.
         self._timed = any(issubclass(c, HardenedDknnNode) for c in pop.classes)
+        #: the oids the fleet can move; None: evaluate whole columns
+        #: every tick (a timed build, or a fleet that can move them all).
+        self._moving = None if self._timed else getattr(
+            sim.fleet, "moving_rows", None
+        )
+        #: what the next evaluation re-checks (:meth:`_candidates`);
+        #: None: whole columns (the first evaluation, and any after one
+        #: whose candidates nearly fill them).
+        self._recheck: Optional[List[np.ndarray]] = None
         # A node nobody has needed yet holds what a fresh one holds: no
         # region, nothing sent — the mirrors' defaults — and the
         # builder's theta, read once off a throw-away node.
@@ -565,26 +576,68 @@ class DknnSilentPhase(ClientPhase):
         self._sent_x[synced] = sent_x
         self._sent_y[synced] = sent_y
         self.regions.rewrite(ids, rows)
+        self._changed(ids)
+
+    def _changed(self, oids: np.ndarray) -> None:
+        """``oids`` may have gained a table row or an unmuted one, or
+        a drift origin from scalar code: the next evaluation re-checks
+        them (:meth:`_candidates`). A revoke or a probe reply can only
+        turn a node's predicate off."""
+        if self._recheck is not None:
+            self._recheck.append(oids)
+
+    def _candidates(self, xs, ys) -> Tuple[np.ndarray, ...]:
+        """The candidates at positions ``(xs, ys)``, ascending, whether
+        each drifted past theta (or never sent), and the violated table
+        rows, ascending.
+
+        Whole columns the first time, every time on a timed build or a
+        fleet that can move every object, and whenever the rows to
+        re-check are as many as the columns. Otherwise only the rows
+        whose predicate can have turned since the last evaluation: the
+        fleet's moving rows, the nodes written since in a way that can
+        turn it on (:meth:`_changed`) and the last evaluation's
+        candidates, which covers a candidate that did not act (down
+        under a fault plan). No other node was a candidate then, and
+        nothing it is evaluated on has changed."""
+        table = self.regions
+        n = self._active.shape[0]
+        recheck, self._recheck = self._recheck, None
+        if recheck is None or sum(ids.shape[0] for ids in recheck) >= n:
+            at, rows = slice(None), None
+        else:
+            at = np.unique(np.concatenate(recheck))
+            rows = table.rows_of(at)[0]
+        del recheck
+        sent_x = self._sent_x[at]
+        dx = xs[at] - sent_x
+        dy = ys[at] - self._sent_y[at]
+        drift = np.sqrt(dx * dx + dy * dy)
+        moved = np.isnan(sent_x) | (drift > self._theta[at])
+        cand = (moved | self._attention) if self._timed else moved.copy()
+        hit = table.violated(xs, ys, rows)
+        holders = table.oid[hit]
+        cand[holders if rows is None else np.searchsorted(at, holders)] = True
+        cand &= self._active[at]
+        pos = np.flatnonzero(cand)
+        oids = pos if rows is None else at[pos]
+        moving = self._moving
+        if moving is not None and moving.shape[0] + oids.shape[0] < n:
+            self._recheck = [moving, oids]
+        return oids, moved[pos], hit
 
     def tick_start(self, tick: int) -> None:
         self.flush_touched()
         sim = self.sim
         xs, ys = _fleet_xy(sim.fleet)
-        dx = xs - self._sent_x
-        dy = ys - self._sent_y
-        drift = np.sqrt(dx * dx + dy * dy)
-        moved = np.isnan(self._sent_x) | (drift > self._theta)
-        cand = (moved | self._attention) if self._timed else moved.copy()
-        table = self.regions
-        hit = table.violated(xs, ys)
-        cand[table.oid[hit]] = True
-        cand &= self._active
-        n_cand = int(cand.sum())
+        oids, moved, hit = self._candidates(xs, ys)
+        n_cand = oids.shape[0]
         if sim.plane_open():
             # Drift-only candidates (no installed region) do exactly
             # one thing scalar: send a LOCATION_UPDATE. Ship them all
             # as one batch.
-            idx = np.flatnonzero(cand & ~self._attention)
+            held = self._attention[oids]
+            idx = oids[~held]
             if idx.shape[0] >= MIN_BATCH:
                 bx = xs[idx]  # fancy indexing copies: latency-safe
                 by = ys[idx]
@@ -603,19 +656,21 @@ class DknnSilentPhase(ClientPhase):
                 self._sent_y[idx] = by
                 self._uplink_tick[idx] = tick
                 self._desynced[idx] = True
-                cand &= self._attention
+                oids, moved = oids[held], moved[held]
         if sim.faults is not None:
             down = sim.faults.down_at(tick)  # no checks, no sends
-            cand[[i for i in down if 0 <= i < cand.shape[0]]] = False
+            up = ~np.isin(oids, np.fromiter(down, np.int64, len(down)))
+            oids, moved = oids[up], moved[up]
         # A built candidate, or a timed one, runs its own tick-start;
         # every other one is its columns.
-        oids = np.flatnonzero(cand).tolist()
         node_of = self._node_of
-        scalar = oids if self._timed else [
-            oid for oid in oids if node_of[oid] is not None
-        ]
-        cand[scalar] = False
-        flight = self._reports(cand, moved, hit, xs, ys, tick)
+        scalar = oids.tolist()
+        if not self._timed:
+            scalar = [oid for oid in scalar if node_of[oid] is not None]
+        if scalar:
+            plain = ~np.isin(oids, scalar)
+            oids, moved = oids[plain], moved[plain]
+        flight = self._reports(oids, moved, hit, xs, ys, tick)
         _send_runs(sim, flight, scalar, self._tick_start)
         tel = sim.telemetry
         if tel.enabled:
@@ -626,21 +681,23 @@ class DknnSilentPhase(ClientPhase):
                 population=int(self._active.sum()),
             )
 
-    def _reports(self, plain, moved, hit, xs, ys, tick) -> ColumnarBatch:
+    def _reports(self, oids, moved, hit, xs, ys, tick) -> ColumnarBatch:
         """``DknnMobileNode.on_tick_start`` of the unbuilt, untimed
-        candidates ``plain`` holds, on the columns, as a report flight:
-        per node its drift report if it ``moved``, then its violated
-        rows of ``hit`` in dict order, muted; each marked sent."""
+        candidates ``oids`` (ascending), on the columns, as a report
+        flight: per node its drift report if it ``moved``, then its
+        violated rows of ``hit`` in dict order, muted; each marked
+        sent."""
         table = self.regions
-        oids = np.flatnonzero(plain)
-        rows = hit[plain[table.oid[hit]]]
+        holder = table.oid[hit]
+        at = np.minimum(np.searchsorted(oids, holder), oids.shape[0] - 1)
+        rows = hit[oids[at] == holder] if oids.shape[0] else hit[:0]
         table.muted[rows] = True
         self._sent_x[oids] = xs[oids]
         self._sent_y[oids] = ys[oids]
         self._uplink_tick[oids] = tick
         self._desynced[oids] = True
         # the violations go in after their sender's drift report
-        lu = oids[moved[oids]]
+        lu = oids[moved]
         rows = rows[np.lexsort((table.order[rows], table.oid[rows]))]
         at = np.searchsorted(lu, table.oid[rows], side="right")
         codes = 1 + (table.kind[rows] == BAND_QUERY_CIRCLE)
@@ -738,6 +795,7 @@ class DknnSilentPhase(ClientPhase):
                 node._end_episode(qids[i])
         self.regions.install(dsts, pidx, qids, regions)
         self._attention[dsts] = True
+        self._changed(dsts)
         return True
 
     def _revoke_batch(self, dsts, pidx, payloads) -> bool:

@@ -281,6 +281,11 @@ class HardenedDknnServer(DknnServer):
     def _live(self, oids: Set[int]) -> Set[int]:
         return oids - self._suspected if self._suspected else oids
 
+    def _zone_mark(self) -> None:
+        """Every zone scan in full: suspect eviction shrinks ``informed``
+        and widens the exclusion set under a standing installation."""
+        return None
+
     def _search_exclude(self, focal: int) -> frozenset:
         if self._suspected:
             return frozenset(self._suspected | {focal})

@@ -161,7 +161,10 @@ class QueryRows:
     #: trigger this round is light-repairable; focal_down — the focal
     #: node is suspected crashed (fault-tolerant mode), the query
     #: frozen with its last answer until the focal is heard from again;
-    #: banded — the installation holds bands (finite threshold).
+    #: banded — the installation holds bands (finite threshold);
+    #: scan_mark — the object table's log mark at the row's last zone
+    #: scan, if that scan searched this installation and found no
+    #: uninformed object (else -1; ``DknnServer._zone_hits``).
     COLUMNS = (
         ("focal", np.int64, 0),
         ("k", np.int64, 0),
@@ -171,6 +174,7 @@ class QueryRows:
         ("focal_down", bool, False),
         ("banded", bool, False),
         ("planner_tick", np.int64, -1),
+        ("scan_mark", np.int64, -1),
     )
 
     def __init__(self) -> None:

@@ -82,6 +82,7 @@ from repro.index.knn import (
     knn_search_many,
     range_search_arrays,
     range_search_many,
+    range_search_written,
 )
 from repro.metrics.cost import CostMeter
 from repro.net.message import SERVER_ID, Message, MessageKind
@@ -629,10 +630,12 @@ class DknnServer(BaseServer):
         """The planner over ``rows``: scan each banded row's monitor zone
         for uninformed objects and probe the stale ones. Returns the
         rows not left waiting (no hit, or hits resolved at once)."""
-        qs = self._q.views
-        banded = rows[self._q.banded[rows]]
+        q = self._q
+        qs = q.views
+        banded = rows[q.banded[rows]]
         if not banded.shape[0]:
             return rows
+        mark = self._zone_mark()
         seg, hits = self._zone_hits(banded)
         seg, hits = seg.tolist(), hits.tolist()
         found, lens, new = [], [], []
@@ -643,9 +646,14 @@ class DknnServer(BaseServer):
                 found.append(row)
                 lens.append(len(mine))
                 new += mine
-        if not found:
-            return rows
         found = np.array(found, dtype=np.int64)
+        if mark is not None:
+            q.scan_mark[banded] = mark
+            q.scan_mark[found] = -1
+            held = q.scan_mark[q.scan_mark >= 0]
+            self.table.forget(int(held.min()) if held.shape[0] else mark)
+        if not found.shape[0]:
+            return rows
         seg = offsets(lens)
         new = np.array(new, dtype=np.int64)
         for row, a, b in zip(found.tolist(), seg.tolist(), seg[1:].tolist()):
@@ -663,16 +671,54 @@ class DknnServer(BaseServer):
         left[waiting] = False
         return rows[left[rows]]
 
+    def _zone_mark(self) -> Optional[int]:
+        """Hook: the object table's log mark a zone scan starts at, None:
+        every scan searches in full."""
+        return self.table.mark()
+
     def _zone_hits(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Ids within the monitor zone of each row's installation:
-        :meth:`_ranges` around the anchors."""
-        insts = [self._q.views[row].install for row in rows.tolist()]
+        """Ids within the monitor zone of each row's installation,
+        ascending ``(distance, oid)`` per row, every uninformed one
+        among them: ``(seg, ids)``, by :meth:`_ranges` around the
+        anchors.
+
+        A row whose last scan searched this installation and found no
+        uninformed object (``scan_mark``, still in the write log)
+        re-checks only the objects written since
+        (:func:`range_search_written`): every other object is where that
+        scan saw it, so it is outside the zone or informed (a row's
+        informed set only grows while its installation stands). The
+        re-checking rows share one pass over the writes, unless those
+        outnumber what their full searches would score."""
+        q = self._q
+        insts = [q.views[row].install for row in rows.tolist()]
         unc = self.params.uncertainty
-        return self._ranges(
-            rows,
-            np.array([inst.anchor[0] for inst in insts]),
-            np.array([inst.anchor[1] for inst in insts]),
-            np.array([inst.monitor_radius(unc) for inst in insts]),
+        cx = np.array([inst.anchor[0] for inst in insts])
+        cy = np.array([inst.anchor[1] for inst in insts])
+        radii = np.array([inst.monitor_radius(unc) for inst in insts])
+        since = q.scan_mark[rows]
+        short = since >= self.table.logged_from  # never for -1
+        if not short.any():
+            return self._ranges(rows, cx, cy, radii)
+        at = np.flatnonzero(short)
+        first = int(since[at].min())
+        found = range_search_written(
+            self.table.grid, cx[at], cy[at], radii[at], q.focal[rows[at]],
+            self.table.written_since(first), since[at] - first,
+            meter=self.meter,
+        )
+        if found is None:
+            return self._ranges(rows, cx, cy, radii)
+        if at.shape[0] == rows.shape[0]:
+            return found.seg, found.oid
+        full = np.flatnonzero(~short)
+        seg, ids = self._ranges(rows[full], cx[full], cy[full], radii[full])
+        key = np.concatenate((
+            np.repeat(at, lengths(found.seg)), np.repeat(full, lengths(seg))
+        ))
+        return (
+            offsets(np.bincount(key, minlength=rows.shape[0])),
+            np.concatenate((found.oid, ids))[np.argsort(key, kind="stable")],
         )
 
     def _resolve(self, rows: np.ndarray, step: int) -> None:
@@ -841,6 +887,7 @@ class DknnServer(BaseServer):
         st.informed.update(dropped)
         st.light_violators = set()
         st.install = Installation(inst.anchor, plan.answer, t_new, s_new)
+        self._q.scan_mark[row] = -1
         self.repair_count[qid] += 1
         self.light_repair_count[qid] += 1
         self.meter.charge(CostMeter.REPAIR)
@@ -1098,6 +1145,7 @@ class DknnServer(BaseServer):
         )
         st.informed = new_informed
         st.install = inst
+        self._q.scan_mark[row] = -1
         self._q.banded[row] = not trivial
         self.repair_count[qid] += 1
         self.meter.charge(CostMeter.REPAIR)

@@ -107,6 +107,8 @@ class _CellStore:
     and a region that would overflow triggers :meth:`_relayout` of the
     whole table: tombstones dropped, every region resized to 1.5x its
     members plus an equal share (``N / cells**2 + 8``) of spare room.
+    ``live[c]`` counts cell ``c``'s members (its entries less its
+    tombstones).
 
     A re-layout costs O(N + cells**2) and the spare share keeps the
     next one at least ``N / cells**2 + 8`` arrivals into one cell away,
@@ -118,13 +120,14 @@ class _CellStore:
     within a region is arbitrary.
     """
 
-    __slots__ = ("members", "start", "fill", "slot")
+    __slots__ = ("members", "start", "fill", "slot", "live")
 
     def __init__(self, n_cells: int, capacity: int) -> None:
         self.members = np.empty(0, dtype=np.int64)
         self.start = np.zeros(n_cells + 1, dtype=np.int64)
         self.fill = np.zeros(n_cells, dtype=np.int64)
         self.slot = np.zeros(capacity, dtype=np.int64)
+        self.live = np.zeros(n_cells, dtype=np.int64)
 
     # -- reads --------------------------------------------------------------
 
@@ -157,8 +160,10 @@ class _CellStore:
 
     # -- writes -------------------------------------------------------------
 
-    def drop_one(self, oid: int) -> None:
+    def drop_one(self, oid: int, lin: int) -> None:
+        """Take ``oid`` out of its cell ``lin``."""
         self.members[self.slot[oid]] = -1
+        self.live[lin] -= 1
 
     def add_one(self, oid: int, lin: int) -> None:
         """Append ``oid`` (not currently stored) to cell ``lin``."""
@@ -169,6 +174,7 @@ class _CellStore:
         self.members[at] = oid
         self.slot[oid] = at
         self.fill[lin] = at + 1
+        self.live[lin] += 1
 
     def add(self, oids: np.ndarray, lins: np.ndarray) -> None:
         """Append each of ``oids`` (unique, none currently stored) to
@@ -178,6 +184,7 @@ class _CellStore:
             self._relayout(incoming)
         order = np.argsort(lins)
         self._append(oids[order], lins[order], incoming)
+        self.live += incoming
 
     def _append(self, oids, lins, counts) -> None:
         """Write ``oids`` at the fill marks of their cells ``lins``;
@@ -189,10 +196,10 @@ class _CellStore:
         self.slot[oids] = at
         self.fill += counts
 
-    def move(self, oids, stored, lins) -> None:
-        """Take ``oids`` out of their regions (where ``stored``) and
-        append them to cells ``lins``. Raises on a repeated id before
-        writing anything that outlives the call."""
+    def move(self, oids, stored, lins, left) -> None:
+        """Take ``oids`` out of their regions (where ``stored``; ``left``
+        holds those cells) and append them to cells ``lins``. Raises on
+        a repeated id before writing anything that outlives the call."""
         slot = self.slot
         old_at = slot[oids]
         # Scatter each row's index by id and read it back: a repeated
@@ -204,6 +211,7 @@ class _CellStore:
             slot[oids] = old_at  # repeats share one old value
             raise IndexError_("update_batch got duplicate object ids")
         self.members[old_at[stored]] = -1
+        self.live -= np.bincount(left, minlength=self.live.shape[0])
         self.add(oids, lins)
 
     def _relayout(self, incoming: np.ndarray) -> None:
@@ -336,7 +344,7 @@ class UniformGrid:
             raise IndexError_(f"object {oid} not indexed")
         new = self._lin_of(x, y)
         if self._dcell[oid] != new:
-            self._store.drop_one(oid)
+            self._store.drop_one(oid, self._dcell[oid])
             self._store.add_one(oid, new)
             self._dcell[oid] = new
         self._dx[oid] = x
@@ -412,7 +420,7 @@ class UniformGrid:
             movers = idx + at.start if type(at) is slice else at[idx]
             stored = old_lin[idx] >= 0
             to = new_lin[idx]
-            self._store.move(movers, stored, to)
+            self._store.move(movers, stored, to, old_lin[idx[stored]])
             self._dcell[movers] = to
         self._dx[at] = xs
         self._dy[at] = ys

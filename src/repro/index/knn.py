@@ -78,6 +78,7 @@ __all__ = [
     "range_search",
     "range_search_arrays",
     "range_search_many",
+    "range_search_written",
     "NeighborList",
     "Rows",
 ]
@@ -432,6 +433,69 @@ def range_search_many(
         charge(meter, CostMeter.DIST_CALC, mrow.shape[0])
     within = d <= r[mrow]
     return Rows(*_ranked(n_rows, mrow[within], d[within], ids[within]), charges)
+
+
+def range_search_written(
+    grid: UniformGrid,
+    cx: np.ndarray,
+    cy: np.ndarray,
+    r: np.ndarray,
+    exclude_oid: np.ndarray,
+    writes: List[np.ndarray],
+    since: np.ndarray,
+    meter: Optional[CostMeter] = None,
+) -> Optional[Rows]:
+    """:func:`range_search_many`, looking only at the objects written
+    since each row's last search of the same disk.
+
+    ``writes[j]`` holds the ids of the ``j``-th grid write since some
+    mark (``ObjectTable.written_since``), and row ``i`` takes the writes
+    from ``since[i]`` on. Its members are those of its written objects
+    the full search would return now: in a cell the search opens (its
+    bounding box, and ``cell_min_dist <= r``), not ``exclude_oid[i]``,
+    within ``r`` by the same distance recipe, ranked ``(distance,
+    oid)``. Its charges are the full search's, in closed form: the
+    box's cells, and the opened cells' members less the excluded id.
+    None, charging nothing, where the writes outnumber those members:
+    the full search is then the cheaper pass.
+    """
+    if meter is None:
+        meter = grid.meter
+    n_rows = cx.shape[0]
+    row, lin, cmd = _disk_cells(grid, cx, cy, r, 0)
+    hit = cmd <= r[row]
+    orow, olin = row[hit], lin[hit]
+    # the excluded id's cell, -1 where it is not indexed
+    xcell = np.full(n_rows, -1, dtype=np.int64)
+    known = (exclude_oid >= 0) & (exclude_oid < grid.capacity)
+    xcell[known] = grid._dcell[exclude_oid[known]]
+    dist_calc = np.bincount(orow, grid._store.live[olin], n_rows).astype(
+        np.int64
+    ) - np.bincount(orow[olin == xcell[orow]], minlength=n_rows)
+    sizes = [ids.shape[0] for ids in writes]
+    if sum(sizes) > dist_calc.sum():
+        return None
+    oid = np.concatenate(writes) if writes else np.empty(0, dtype=np.int64)
+    # an object was written since a row's search iff its last write was
+    ids, last = np.unique(oid[::-1], return_index=True)
+    at = np.repeat(np.arange(len(sizes)), sizes)[oid.shape[0] - 1 - last]
+    opened = np.zeros((grid.cells * grid.cells, n_rows), dtype=bool)
+    opened[olin, orow] = True
+    e, i = np.nonzero(opened[grid._dcell[ids]])
+    keep = (at[e] >= since[i]) & (ids[e] != exclude_oid[i])
+    ids, i = ids[e[keep]], i[keep]
+    ddx = grid._dx[ids] - cx[i]
+    ddy = grid._dy[ids] - cy[i]
+    d = np.sqrt(ddx * ddx + ddy * ddy)
+    within = d <= r[i]
+    charges = {
+        CostMeter.CELL_VISIT: np.bincount(row, minlength=n_rows),
+        CostMeter.DIST_CALC: dist_calc,
+    }
+    if n_rows:
+        charge(grid.meter, CostMeter.CELL_VISIT, row.shape[0])
+        charge(meter, CostMeter.DIST_CALC, int(dist_calc.sum()))
+    return Rows(*_ranked(n_rows, i[within], d[within], ids[within]), charges)
 
 
 def knn_search_many(

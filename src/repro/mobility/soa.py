@@ -39,7 +39,10 @@ backing arrays (``.xs`` / ``.ys``) to vectorized consumers for free.
 
 A steady :meth:`FastFleet.advance` allocates no array that grows with
 the fleet: kernels write into preallocated workspaces with ``out=``,
-and positions into back buffers swapped in at the end.
+and positions into back buffers swapped in at the end. The back
+buffers hold the tick before, which differs from this one only on the
+rows of moving kernels (:attr:`FastFleet.moving_rows`): only those
+rows are copied forward before the kernels step.
 """
 
 from __future__ import annotations
@@ -132,6 +135,7 @@ class SoAPositions:
 
 
 _NO_ROWS = np.empty(0, dtype=np.intp)
+_NO_OIDS = np.empty(0, dtype=np.int64)
 
 
 class _Workspace:
@@ -795,9 +799,10 @@ class FastFleet(Fleet):
         self._xs = np.array([p[0] for p in self.positions], dtype=np.float64)
         self._ys = np.array([p[1] for p in self.positions], dtype=np.float64)
         #: the other position buffers: ``advance`` writes the next tick
-        #: here, then swaps them with ``_xs`` / ``_ys``.
-        self._bx = np.empty_like(self._xs)
-        self._by = np.empty_like(self._ys)
+        #: here, then swaps them with ``_xs`` / ``_ys``; they start as
+        #: the first tick, like every tick after they hold the one before.
+        self._bx = self._xs.copy()
+        self._by = self._ys.copy()
         #: per-object displacement bounds: ``max_speed_of``, as an array.
         self.max_speeds = np.array(self._speeds, dtype=np.float64)
         # Group movers by exact class; one kernel instance per class.
@@ -818,6 +823,13 @@ class FastFleet(Fleet):
             kern.movers = self._movers
             self._kernel_id[kern.oids] = len(self._kernels)
             self._kernels.append(kern)
+        moving = [kern.oids for kern in self._kernels if kern.MOVES]
+        #: the oids an advance can move, ascending; None when the moving
+        #: kernels hold every object.
+        self.moving_rows: Optional[np.ndarray] = (
+            None if sum(ids.shape[0] for ids in moving) == self.n
+            else np.sort(np.concatenate([_NO_OIDS] + moving))
+        )
         self.positions = SoAPositions(self)  # type: ignore[assignment]
 
     def motion_claims(self, oids: np.ndarray) -> Claims:
@@ -843,15 +855,19 @@ class FastFleet(Fleet):
     def advance(self) -> None:
         """Move every object one tick; vectorized where silent.
 
-        The kernels write the next tick into the back buffers and name
-        their event rows; the events, in ascending oid across kernels
-        (the scalar fleet's draw order), go back to their kernels'
-        :meth:`_Kernel.arrive` as maximal runs of one kernel; the
-        kernels check the result, and the buffers swap.
+        The back buffers take this tick on the moving kernels' rows (they
+        hold the tick before, so a still row already has it); the
+        kernels write the next tick into them and name their event rows;
+        the events, in ascending oid across kernels (the scalar fleet's
+        draw order), go back to their kernels' :meth:`_Kernel.arrive` as
+        maximal runs of one kernel; the kernels check the result, and
+        the buffers swap.
         """
         xs, ys, bx, by = self._xs, self._ys, self._bx, self._by
-        np.copyto(bx, xs)
-        np.copyto(by, ys)
+        for kern in self._kernels:
+            if kern.MOVES:
+                bx[kern.at] = xs[kern.at]
+                by[kern.at] = ys[kern.at]
         events = []
         for kern in self._kernels:
             rows = kern.step(xs, ys, bx, by)

@@ -17,11 +17,18 @@ numpy column beside it (the tick an exact position is known for), so
 are single array operations and :meth:`ObjectTable.report` writes the same
 column one row at a time. Ids follow the grid's rule: ``[0,
 capacity)``, columns grow on demand.
+
+Once a reader asks for a :meth:`ObjectTable.mark`, the table also keeps
+a *write log*: the ids of each write, so a reader can re-check what
+changed since its mark instead of the whole grid. The reader drops what
+it no longer needs (:meth:`ObjectTable.forget`); a log longer than the
+grid's capacity is dropped whole, and a mark from before that reads as
+lost.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -51,6 +58,12 @@ class ObjectTable:
         self.grid = UniformGrid(universe, grid_cells, meter=meter)
         # oid-indexed fresh tick; presence is tracked by the grid.
         self._ft = np.full(0, -1, dtype=np.int64)
+        #: the write log: the ids of each write call, oldest first;
+        #: None: not kept. ``_log_start`` is the mark of its first
+        #: entry, ``_log_held`` the objects it holds.
+        self._log: Optional[List[np.ndarray]] = None
+        self._log_start = 0
+        self._log_held = 0
 
     def reserve(self, capacity: int) -> None:
         """Grow the table's and the grid's columns to cover every id
@@ -80,6 +93,8 @@ class ObjectTable:
         self.reserve(oid + 1)
         self._ft[oid] = tick
         charge(self.meter, CostMeter.BOOKKEEPING)
+        if self._log is not None:
+            self._logged(np.array([oid]))
 
     def report_batch(self, oids, xs, ys, tick: int) -> None:
         """Vectorized :meth:`report` of one columnar uplink batch.
@@ -100,6 +115,42 @@ class ObjectTable:
             self._ft = grown(self._ft, self.grid.capacity, -1)
         self._ft[oid_arr] = tick
         charge(self.meter, CostMeter.BOOKKEEPING, n)
+        if self._log is not None:
+            self._logged(oid_arr.copy())
+
+    # -- the write log ----------------------------------------------------
+
+    def _logged(self, oids: np.ndarray) -> None:
+        self._log.append(oids)
+        self._log_held += oids.shape[0]
+        if self._log_held > self.grid.capacity:  # a full search is cheaper
+            self.forget(self.mark())
+
+    def mark(self) -> int:
+        """The write log's position now; the log is kept from the
+        first call on."""
+        if self._log is None:
+            self._log = []
+        return self._log_start + len(self._log)
+
+    @property
+    def logged_from(self) -> int:
+        """The oldest mark the write log still reaches back to."""
+        return self._log_start
+
+    def written_since(self, mark: int) -> List[np.ndarray]:
+        """The ids of every write since ``mark`` (not before
+        :attr:`logged_from`), one array per write, oldest first: entry
+        ``j`` came after mark ``mark + j``."""
+        return self._log[mark - self._log_start:]
+
+    def forget(self, mark: int) -> None:
+        """Drop the write log before ``mark``."""
+        drop = self._log[: max(mark - self._log_start, 0)]
+        if drop:
+            del self._log[: len(drop)]
+            self._log_start += len(drop)
+            self._log_held -= sum(oids.shape[0] for oids in drop)
 
     # -- views ------------------------------------------------------------
 

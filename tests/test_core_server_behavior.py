@@ -297,12 +297,15 @@ class TestBatchedRepairSearches:
         monkeypatch.setattr(server_cls, "_plan_full", counted_plan)
         for name in (
             "knn_search", "range_search_arrays",
-            "knn_search_many", "range_search_many",
+            "knn_search_many", "range_search_many", "range_search_written",
         ):
             def counted(grid, a, *args, _f=getattr(server_module, name),
                         _n=name, **kw):
-                bump(_n, a.shape[0] if _n.endswith("_many") else 1)
-                return _f(grid, a, *args, **kw)
+                found = _f(grid, a, *args, **kw)
+                if found is not None:  # None: a re-check left to a search
+                    bump(_n, 1 if _n in ("knn_search", "range_search_arrays")
+                         else a.shape[0])
+                return found
 
             monkeypatch.setattr(server_module, name, counted)
         # the walk overrides on_subround: only the build's are counted
@@ -364,9 +367,12 @@ class TestBatchedRepairSearches:
         assert batched["knn_search_many"] + batched.get("knn_search", 0) == (
             rows["knn_search"]
         )
+        # a zone scan re-checked from the write log stands for a search
         assert batched["range_search_many"] + batched.get(
             "range_search_arrays", 0
-        ) == rows["range_search_arrays"]
+        ) + batched.get("range_search_written", 0) == (
+            rows["range_search_arrays"]
+        )
         # the same full repairs, planned one at a time by the walk and
         # in at most one pass per subround by the build
         assert batched["plan:rows"] == rows["plan:rows"] >= self.QUERIES

@@ -636,3 +636,51 @@ def test_event_driver_bookkeeping_does_not_grow_with_the_due_set():
     assert driver.skipped_ticks > 0
     assert max(written) > DRIVER_CALLS_PER_TICK
     assert max(calls) <= DRIVER_CALLS_PER_TICK, calls
+
+
+#: ``event_sparse``'s shape at 20k objects: 1 % commuters, so a tick
+#: moves a few hundred of them at most.
+EVENT_SPARSE_20K = dataclasses.replace(
+    EVENT_SPARSE_SHAPED, n_objects=20_000, n_queries=64,
+    mobility_options={
+        "moving_fraction": 0.01, "period": 40, "active_ticks": 10,
+    },
+)
+
+
+def test_an_event_sparse_tick_allocates_in_proportion_to_what_moved():
+    """On ``event_sparse``'s shape at N = 20k, traced by tracemalloc,
+    neither a skipped tick (the mobility step and the driver's re-plan)
+    nor a full tick's client-phase tick-start allocates as much as one
+    N-long float column: the tick-start evaluates the candidate
+    predicate on the moving rows and what changed. The whole-column
+    pass peaked at about 40 N bytes here (five N-long temporaries);
+    this one at about N. A skipped tick's back-buffer copy allocates
+    nothing either way: ``tests/test_mobility_fleet.py`` pins what it
+    copies."""
+    spec = EVENT_SPARSE_20K
+    cfg = RunConfig("DKNN-P", engine=EngineConfig(mode="event"))
+    sim, _ = built_system(cfg, spec)
+    for _ in range(5):  # the first evaluation reads every column
+        sim.step()
+    driver, phase = sim.driver, sim.client_phase
+    peaks = {"skip": [], "tick_start": []}
+
+    def traced(kind, fn):
+        def run(*args):
+            tracemalloc.start()
+            try:
+                return fn(*args)
+            finally:
+                peaks[kind].append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+        return run
+
+    driver.skip_tick = traced("skip", driver.skip_tick)
+    phase.tick_start = traced("tick_start", phase.tick_start)
+    sim.run(spec.ticks)
+    assert phase._recheck is not None  # the incremental evaluation ran
+    assert len(peaks["skip"]) >= 5 and len(peaks["tick_start"]) >= 5
+    column = 8 * sim.fleet.n
+    assert max(peaks["skip"]) < column, peaks["skip"]
+    assert max(peaks["tick_start"]) < column, peaks["tick_start"]

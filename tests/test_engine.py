@@ -448,9 +448,9 @@ class TestBatchedCounts:
         real = DknnSilentPhase._reports
         candidates, node_calls = [], []
 
-        def counted(phase, plain, *args):
-            candidates.append((phase.sim.tick, np.flatnonzero(plain).tolist()))
-            return real(phase, plain, *args)
+        def counted(phase, oids, *args):
+            candidates.append((phase.sim.tick, oids.tolist()))
+            return real(phase, oids, *args)
 
         monkeypatch.setattr(DknnSilentPhase, "_reports", counted)
         monkeypatch.setattr(

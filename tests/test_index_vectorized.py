@@ -158,7 +158,8 @@ def _grid_state(grid):
 def _check_store(grid):
     """The cell store's own invariant: every present oid sits exactly
     once in ``members``, inside the written part of the region of
-    ``_dcell[oid]``, with ``slot[oid]`` pointing at it."""
+    ``_dcell[oid]``, with ``slot[oid]`` pointing at it, and ``live``
+    counts each region's members."""
     store, dcell = grid._store, grid._dcell
     n_cells = grid.cells * grid.cells
     present = np.flatnonzero(dcell >= 0)
@@ -176,6 +177,7 @@ def _check_store(grid):
     assert (
         np.bincount(region, minlength=n_cells).tolist()
         == np.bincount(lins, minlength=n_cells).tolist()
+        == store.live.tolist()
     )
 
 

@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import MobilityError
 from repro.geometry import Rect, dist
@@ -17,6 +19,7 @@ from repro.mobility import (
     StationaryMover,
 )
 from repro.mobility.base import Mover
+from tests.test_fastpath import _MOVER_KINDS, _WAYPOINT_FAMILIES, _fleet_kinds
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -87,6 +90,49 @@ class TestAdvance:
         a = Fleet.from_model(RandomWaypointModel(universe), 20, seed=1)
         b = Fleet.from_model(RandomWaypointModel(universe), 20, seed=2)
         assert a.positions != b.positions
+
+
+class _WholeCopyFleet(FastFleet):
+    """The reference advance: the back buffers copied whole every
+    tick."""
+
+    def advance(self) -> None:
+        np.copyto(self._bx, self._xs)
+        np.copyto(self._by, self._ys)
+        super().advance()
+
+
+@given(
+    kinds=st.sampled_from(_WAYPOINT_FAMILIES).flatmap(_fleet_kinds),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=100, deadline=None)
+def test_the_partial_back_buffer_copy_equals_the_whole_copy(kinds, seed):
+    """The interleaved-kernel fleets of ``tests/test_fastpath.py``
+    (every mover class at shuffled oids, so moving kernels gather and
+    scatter among still ones): before every advance, the first
+    included, the back buffers already hold every position off the
+    moving rows, and over 40 ticks every position equals a twin that
+    copies the buffers whole every tick."""
+
+    def fleet(cls):
+        rng = random.Random(seed)
+        return cls([_MOVER_KINDS[k](rng) for k in kinds], seed=seed)
+
+    fast, whole = fleet(FastFleet), fleet(_WholeCopyFleet)
+    still = np.ones(fast.n, dtype=bool)
+    if fast.moving_rows is not None:
+        still[fast.moving_rows] = False
+    else:
+        assert all(kern.MOVES for kern in fast._kernels)
+    for _ in range(40):
+        assert fast._bx[still].tobytes() == fast._xs[still].tobytes()
+        assert fast._by[still].tobytes() == fast._ys[still].tobytes()
+        fast.advance()
+        whole.advance()
+        assert fast._xs.tobytes() == whole._xs.tobytes()
+        assert fast._ys.tobytes() == whole._ys.tobytes()
+    assert fast._rng.getstate() == whole._rng.getstate()
 
 
 class Liar(Mover):
