@@ -80,7 +80,6 @@ from repro.net import (
     FaultPlan,
     RoundSimulator,
     ShardFaultPlan,
-    engine_attach,
 )
 from repro.net.chaos import (
     ChaosResult,
@@ -159,7 +158,6 @@ __all__ = [
     "ShardFaultPlan",
     # event engine
     "EngineConfig",
-    "engine_attach",
     # chaos harness
     "run_chaos",
     "chaos_plans",

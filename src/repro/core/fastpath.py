@@ -136,6 +136,12 @@ _ROW_KIND = {
 
 #: drift-origin mirror of a node that has never transmitted.
 _NEVER_SENT = (math.nan, math.nan)
+#: what an evaluation with nothing to re-check finds: no candidate,
+#: no drift, no violated row
+_NO_CANDIDATES = (
+    np.empty(0, dtype=np.int64), np.empty(0, dtype=bool),
+    np.empty(0, dtype=np.intp),
+)
 
 #: a broadcast query row before its first install: the zero cells.
 _EMPTY_ROW = (0.0, 0.0, 0.0, np.empty(0, np.int64), np.empty(0), False)
@@ -477,10 +483,21 @@ class DknnSilentPhase(ClientPhase):
         self._moving = None if self._timed else getattr(
             sim.fleet, "moving_rows", None
         )
-        #: what the next evaluation re-checks (:meth:`_candidates`);
-        #: None: whole columns (the first evaluation, and any after one
-        #: whose candidates nearly fill them).
+        #: what the next evaluation re-checks besides the moving rows
+        #: (:meth:`_candidates`); None: whole columns (the first
+        #: evaluation, every one where ``_moving`` is None, and any
+        #: after one whose candidates nearly fill them).
         self._recheck: Optional[List[np.ndarray]] = None
+        #: candidates :meth:`idle` found, for the tick-start that follows
+        self._ready: Optional[Tuple[np.ndarray, ...]] = None
+        #: can :meth:`idle` observe a still tick? Not on a timed build,
+        #: a fleet that cannot say whether it moved (a scalar one), nor
+        #: where a mobile's tick end does work
+        self.observes_stillness = (
+            not self._timed
+            and hasattr(sim.fleet, "moved")
+            and self.skip_tick_end
+        )
         # A node nobody has needed yet holds what a fresh one holds: no
         # region, nothing sent — the mirrors' defaults — and the
         # builder's theta, read once off a throw-away node.
@@ -535,12 +552,11 @@ class DknnSilentPhase(ClientPhase):
         """Re-read the touched nodes — those scalar code ran on since
         the last flush — into the mirrors and the table.
 
-        Runs before anything reads either: the candidate mask of
-        :meth:`tick_start`, and the event engine's batched re-plan
-        (:meth:`repro.core.wakeups.DknnWakeupPlanner.wakeups`). Values
-        are gathered in lists and land in one assignment per column. A
-        touched node that a batch reached as well is simply re-read
-        whole: the batch went through to the node too.
+        Runs before the candidate mask reads either (:meth:`tick_start`,
+        :meth:`idle`). Values are gathered in lists and land in one
+        assignment per column. A touched node that a batch reached as
+        well is simply re-read whole: the batch went through to the
+        node too.
         """
         if not self._touched:
             return
@@ -595,15 +611,24 @@ class DknnSilentPhase(ClientPhase):
         fleet that can move every object, and whenever the rows to
         re-check are as many as the columns. Otherwise only the rows
         whose predicate can have turned since the last evaluation: the
-        fleet's moving rows, the nodes written since in a way that can
-        turn it on (:meth:`_changed`) and the last evaluation's
-        candidates, which covers a candidate that did not act (down
-        under a fault plan). No other node was a candidate then, and
-        nothing it is evaluated on has changed."""
+        nodes written since in a way that can turn it on
+        (:meth:`_changed`), the last evaluation's candidates, which
+        covers a candidate that did not act (down under a fault plan),
+        and the fleet's moving rows if the fleet moved. No other node
+        was a candidate then, and nothing it is evaluated on has
+        changed: every advance since the last evaluation is this
+        tick's, as a tick on which the fleet moved is never skipped.
+        Nothing to re-check finds nothing, without a numpy call."""
         table = self.regions
         n = self._active.shape[0]
         recheck, self._recheck = self._recheck, None
-        if recheck is None or sum(ids.shape[0] for ids in recheck) >= n:
+        if recheck is not None and self.sim.fleet.moved():
+            recheck = [self._moving, *recheck]
+        m = n if recheck is None else sum(map(len, recheck))
+        if not m:
+            self._recheck = recheck
+            return _NO_CANDIDATES
+        if m >= n:
             at, rows = slice(None), None
         else:
             at = np.unique(np.concatenate(recheck))
@@ -623,14 +648,27 @@ class DknnSilentPhase(ClientPhase):
         oids = pos if rows is None else at[pos]
         moving = self._moving
         if moving is not None and moving.shape[0] + oids.shape[0] < n:
-            self._recheck = [moving, oids]
+            self._recheck = [oids]
         return oids, moved[pos], hit
+
+    def idle(self) -> bool:
+        """Is no node a candidate at the current positions? Evaluates
+        what :meth:`_candidates` would re-check; candidates it finds
+        feed the tick-start that follows, which then does not evaluate
+        again."""
+        self.flush_touched()
+        found = self._candidates(*_fleet_xy(self.sim.fleet))
+        if found[0].shape[0]:
+            self._ready = found
+            return False
+        return True
 
     def tick_start(self, tick: int) -> None:
         self.flush_touched()
         sim = self.sim
         xs, ys = _fleet_xy(sim.fleet)
-        oids, moved, hit = self._candidates(xs, ys)
+        found, self._ready = self._ready, None
+        oids, moved, hit = found or self._candidates(xs, ys)
         n_cand = oids.shape[0]
         if sim.plane_open():
             # Drift-only candidates (no installed region) do exactly

@@ -24,9 +24,10 @@ epoch and an ack per install), and report flights are declined.
   lost uplink cannot strand a query.
 
 A hardened node's clocks may fire on any tick it holds a region, so
-the event engine has no planner for it (:func:`~repro.core.wakeups.
-planner_for`), and :meth:`HardenedDknnServer.event_idle` vetoes every
-skip besides: a hardened build runs every tick.
+the client phase cannot observe a still tick over hardened nodes
+(``DknnSilentPhase.observes_stillness``), and
+:meth:`HardenedDknnServer.event_idle` vetoes every skip besides: a
+hardened build runs every tick.
 """
 
 from __future__ import annotations
@@ -131,8 +132,9 @@ class HardenedDknnServer(DknnServer):
             ):
                 self.degraded[qid] = True
 
-    # reach: the builder's hardened nodes get no planner, so no driver
-    # asks; the veto holds for a hand-built system that plans its nodes
+    # reach: the builder's hardened nodes make the client phase blind to
+    # stillness, so no driver asks; the veto holds for a hand-built
+    # system whose phase observes it
     def event_idle(self, tick: int) -> bool:
         # lease sweeps and retransmit timers need every tick
         return False

@@ -167,6 +167,9 @@ class DknnServer(BaseServer):
         #: subset (the E13 ablation reports the ratio).
         self.repair_count: Dict[int, int] = {}
         self.light_repair_count: Dict[int, int] = {}
+        #: the object table's mark at which :meth:`event_idle` found the
+        #: rows settled; None: look again
+        self._idle_at: Optional[int] = None
 
     # -- registration -----------------------------------------------------
 
@@ -297,6 +300,7 @@ class DknnServer(BaseServer):
     def on_tick_start(self, tick: int) -> None:
         super().on_tick_start(tick)
         self._tick = tick
+        self._idle_at = None  # the tick's hooks may change the rows
 
     def on_tick_end(self, tick: int) -> None:
         # a query is degraded while its focal is down or a repair is
@@ -409,13 +413,27 @@ class DknnServer(BaseServer):
         )
 
     def event_idle(self, tick: int) -> bool:
-        # With all repairs settled, a delivery-free tick only touches
-        # ``degraded`` (which stays all-False) and ``answers``
-        # (unchanged) — a provable no-op. ``record_history`` appends
-        # per tick, so it vetoes skipping.
+        # With all repairs settled and no zone scan owed, a
+        # delivery-free tick only touches ``degraded`` (which stays
+        # all-False) and ``answers`` (unchanged) — a provable no-op.
+        # ``record_history`` appends per tick, so it vetoes skipping.
         if self.record_history:
             return False
-        return not (self._q.dirty | (self._q.phase != IDLE)).any()
+        # A banded row owes its zone a scan when it has not scanned
+        # this installation (-1) or objects were written since: the
+        # tick's scan may find an uninformed one there and probe it.
+        # The rows change only in a full tick's hooks, all after its
+        # ``on_tick_start``, and a write moves the table's mark: a
+        # settled answer holds across the skipped ticks that follow.
+        mark = self.table.mark()
+        if self._idle_at != mark:
+            q = self._q
+            owed = (
+                q.dirty | (q.phase != IDLE)
+                | (q.banded & (q.scan_mark != mark))
+            )
+            self._idle_at = None if owed.any() else mark
+        return self._idle_at == mark
 
     # -- the subround's effects, in walk order ---------------------------
 

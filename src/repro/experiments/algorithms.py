@@ -20,7 +20,7 @@ Every config additionally carries ``faults`` (a
 S x S sharded tier (:mod:`repro.server.sharding`) — bit-identical
 answers, with per-shard load/handoff/backbone accounting on top — and
 ``engine`` (an :class:`~repro.net.engine.EngineConfig`): skip the
-ticks the event engine proves silent.
+ticks the event engine observes to be still.
 
 ``RunConfig`` is the only call form; the pre-1.0 string-algorithm
 kwarg soup was removed and now raises an
@@ -48,7 +48,7 @@ from repro.experiments.catalog import (
     render_param_table,
 )
 from repro.experiments.config import RunConfig
-from repro.net.engine import engine_attach
+from repro.net.engine import EventDriver
 from repro.net.simulator import RoundSimulator
 from repro.obs.telemetry import Telemetry
 from repro.server.query_table import QuerySpec
@@ -159,8 +159,9 @@ def build_system(
 
     When ``config.shard`` is set, the built simulator's server is
     wrapped in the sharded tier before the simulator is returned; when
-    ``config.engine`` is set, the event-engine driver is attached last
-    (it inspects the final server/channel stack).
+    ``config.engine`` is set, the event-engine driver is installed last
+    (it reads the final client phase), as ``sim.driver`` and
+    ``sim._driver``.
     """
     if isinstance(config, str):
         raise ExperimentError(
@@ -174,7 +175,7 @@ def build_system(
     if config.shard is not None:
         shard_attach(sim, config.shard)
     if config.engine is not None:
-        engine_attach(sim, config.engine)
+        sim.driver = sim._driver = EventDriver(sim, config.engine)
     return sim
 
 

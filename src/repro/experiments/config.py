@@ -78,8 +78,8 @@ class RunConfig:
         Optional :class:`~repro.net.engine.EngineConfig` — how the
         loop is driven. ``None`` (the default) runs every tick in
         full, as ``mode="tick"`` does; ``EngineConfig(mode="event")`` skips
-        provably-empty ticks (answers stay identical at every tick
-        boundary, DESIGN §8).
+        the ticks it observes to be still (answers stay identical at
+        every tick boundary, DESIGN §8).
     params:
         Per-algorithm parameters; names validated against the catalog.
     """

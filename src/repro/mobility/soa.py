@@ -55,13 +55,6 @@ import numpy as np
 from repro.errors import MobilityError
 from repro.geometry import Rect, dist
 from repro.mobility.base import Mover
-from repro.mobility.crossing import (
-    _MAX_HORIZON,
-    GENERIC,
-    Claims,
-    glide_claims,
-    velocity_claims,
-)
 from repro.mobility.fleet import Fleet, _SPEED_TOLERANCE
 from repro.mobility.gaussian_cluster import GaussianClusterMover
 from repro.mobility.hotspot_drift import HotspotDriftMover
@@ -160,12 +153,15 @@ class _Kernel:
     (RNG-consuming) this tick; ``arrive`` steps a run of them.
     ``pull_many``/``push_many`` sync those rows' ``SYNC`` columns with
     their movers around the scalar steps. ``offender`` is the fleet's
-    safety check over the kernel. ``claims`` reads the objects' motion
-    claims (:mod:`repro.mobility.crossing`) off the kernel columns.
+    safety check over the kernel. ``moved`` says whether the last
+    ``step`` can have moved an object of the kernel.
     """
 
     #: False for a kernel whose objects never move: no workspace.
     MOVES = True
+    #: did the last ``step`` move an object? A kernel that cannot tell
+    #: says yes.
+    moved = True
     #: ``(column, mover attribute)`` pairs mirrored by the kernel.
     SYNC: Tuple[Tuple[str, str], ...] = ()
     #: the fleet's movers by oid (shared, not copied; set by the fleet):
@@ -216,16 +212,6 @@ class _Kernel:
         for oid, m in zip(ids, stepped):
             bx[oid], by[oid] = m.step(float(xs[oid]), float(ys[oid]), rng)
         self.push_many(rows, stepped)
-
-    # reach: event mode over kernel-less movers (road network); no quick
-    # sweep runs that pair
-    def claims(
-        self, i: np.ndarray, x: np.ndarray, y: np.ndarray
-    ) -> Claims:
-        """Motion claims of the objects at local indices ``i`` (now at
-        ``(x, y)``). Without a closed form for the class, only the speed
-        bound: it holds for any mover."""
-        return Claims(i.shape[0], GENERIC)
 
     def _entries(
         self, xs, ys, gx=None, gy=None
@@ -286,8 +272,7 @@ class _Kernel:
 
 
 class _ScalarKernel(_Kernel):
-    """Fallback: every object steps scalar every tick (always events)
-    and claims only its speed bound."""
+    """Fallback: every object steps scalar every tick (always events)."""
 
     def step(self, xs, ys, bx, by) -> np.ndarray:
         return np.arange(self.oids.shape[0])
@@ -297,6 +282,7 @@ class _StationaryKernel(_Kernel):
     """Objects that never move and never draw randomness."""
 
     MOVES = False
+    moved = False
 
     def step(self, xs, ys, bx, by) -> np.ndarray:
         # The back buffers start as copies of the positions.
@@ -304,9 +290,6 @@ class _StationaryKernel(_Kernel):
 
     def offender(self, xs, ys, bx, by) -> Optional[int]:
         return None  # never moved
-
-    def claims(self, i, x, y) -> Claims:
-        return Claims(i.shape[0])  # all STILL
 
 
 # reach: random-direction mobility (full-size E10) and hand-built
@@ -356,12 +339,6 @@ class _LinearKernel(_Kernel):
     def step(self, xs, ys, bx, by) -> np.ndarray:
         _bounce(self, xs, ys, bx, by, self.vx, self.vy)
         return _NO_ROWS
-
-    # reach: hand-built LinearMover fleets (see the class docstring)
-    def claims(self, i, x, y) -> Claims:
-        return velocity_claims(
-            x, y, self.vx[i], self.vy[i], _MAX_HORIZON, self.universe
-        )
 
 
 class _GlideKernel(_Kernel):
@@ -428,11 +405,6 @@ class _GlideKernel(_Kernel):
         if moving is not None:
             t0 &= moving
         return np.flatnonzero(t0)
-
-    # reach: event mode over gliding movers (waypoint, Gaussian, hotspot);
-    # the quick event sweeps run commuters, whose kernel overrides it
-    def claims(self, i, x, y) -> Claims:
-        return glide_claims(x, y, self.tx[i], self.ty[i], self.speed[i])
 
     def pull_many(self, rows, movers) -> None:
         super().pull_many(rows, movers)
@@ -523,14 +495,6 @@ class _WaypointKernel(_GlideKernel):
             self._redraw(rows, oids, bx, by, rng)
         else:
             super().arrive(rows, oids, xs, ys, bx, by, rng)
-
-    # reach: event mode over random waypoint; no quick sweep runs that pair
-    def claims(self, i, x, y) -> Claims:
-        claims = super().claims(i, x, y)
-        if self.pause is not None:
-            pause = self.pause[i]
-            claims.hold(pause > 0, pause)  # static through the pause
-        return claims
 
 
 #: ``random.gauss``'s angle factor (``random.TWOPI``).
@@ -678,16 +642,6 @@ class _DirectionKernel(_Kernel):
         _bounce(self, xs, ys, bx, by, self.dx, self.dy, silent)
         return np.flatnonzero(np.logical_not(silent, out=self.ws.t0))
 
-    # reach: event mode over random direction; no sweep runs that pair
-    def claims(self, i, x, y) -> Claims:
-        leg = self.leg[i]
-        claims = velocity_claims(
-            x, y, self.dx[i], self.dy[i], leg, self.universe
-        )
-        # The very next step draws a fresh heading: speed bound only.
-        claims.mode[leg <= 0] = GENERIC
-        return claims
-
 
 class _CommuteKernel(_GlideKernel):
     """Duty-cycled waypointing: a no-op outside the active window.
@@ -712,7 +666,7 @@ class _CommuteKernel(_GlideKernel):
             [m.active_ticks for m in movers], dtype=np.int64
         )
         self._phase = np.empty(oids.shape[0], dtype=np.int64)
-        self._moved = False
+        self.moved = False
         self._speed_ranges(movers)
 
     def step(self, xs, ys, bx, by) -> np.ndarray:
@@ -720,35 +674,18 @@ class _CommuteKernel(_GlideKernel):
         np.remainder(self.t, self.periods, out=self._phase)
         np.less(self._phase, self.actives, out=active)
         self.t += 1
-        self._moved = bool(active.any())
-        if not self._moved:
+        self.moved = bool(active.any())
+        if not self.moved:
             return _NO_ROWS
         return self._glide(xs, ys, bx, by, active)
 
     def offender(self, xs, ys, bx, by) -> Optional[int]:
-        if not self._moved:
+        if not self.moved:
             return None  # parked: nobody moved
         return super().offender(xs, ys, bx, by)
 
     def arrive(self, rows, oids, xs, ys, bx, by, rng) -> None:
         self._redraw(rows, oids, bx, by, rng)
-
-    def claims(self, i, x, y) -> Claims:
-        tx = self.tx[i]
-        ty = self.ty[i]
-        speed = self.speed[i]
-        # Inside the window: the glide claims. They assume continuous
-        # full-speed motion along the trip line; the actual motion is
-        # that line with parked gaps inserted, never farther along at
-        # any tick, so a predicted crossing can only be early.
-        claims = glide_claims(x, y, tx, ty, speed)
-        phase = self.t % self.periods[i]
-        active = self.actives[i]
-        # A zero-speed trip short of its target sits out the window;
-        # everyone is parked until the window wraps once it closes.
-        claims.hold((speed <= 0.0) & ((x != tx) | (y != ty)), active - phase)
-        claims.hold(phase >= active, self.periods[i] - phase)
-        return claims
 
 
 def _runs(events: List[Tuple[_Kernel, np.ndarray]]):
@@ -832,26 +769,6 @@ class FastFleet(Fleet):
         )
         self.positions = SoAPositions(self)  # type: ignore[assignment]
 
-    def motion_claims(self, oids: np.ndarray) -> Claims:
-        """The motion claims (:mod:`repro.mobility.crossing`) of the
-        objects ``oids``, read straight off the kernel columns: per
-        object, the branch its motion is in and that branch's
-        parameters as of the next :meth:`advance`. No mover is read.
-        """
-        claims = Claims(oids.shape[0])
-        kernel_id = self._kernel_id[oids]
-        for k, kern in enumerate(self._kernels):
-            at = np.nonzero(kernel_id == k)[0]
-            if at.shape[0] == 0:
-                continue
-            mine = oids[at]
-            # kern.oids ascends (built in oid order): position = index.
-            part = kern.claims(
-                np.searchsorted(kern.oids, mine), self._xs[mine], self._ys[mine]
-            )
-            claims.put(at, part)
-        return claims
-
     def advance(self) -> None:
         """Move every object one tick; vectorized where silent.
 
@@ -879,6 +796,15 @@ class FastFleet(Fleet):
         self._xs, self._bx = bx, xs
         self._ys, self._by = by, ys
         self.tick += 1
+
+    def moved(self) -> bool:
+        """Can the last :meth:`advance` have moved an object? False only
+        when every kernel says it moved none: a parked commute window,
+        stationary objects. One question per kernel, no row read."""
+        for kern in self._kernels:
+            if kern.moved:
+                return True
+        return False
 
     def _validate(self, xs, ys, bx, by) -> None:
         """The scalar fleet's per-tick safety check, kernel by kernel in

@@ -11,7 +11,6 @@ from repro.net.engine import (
     ENGINE_MODES,
     EngineConfig,
     EventDriver,
-    engine_attach,
 )
 from repro.net.faults import FaultPlan, FaultyChannel, ShardFaultPlan
 from repro.net.message import (
@@ -53,5 +52,4 @@ __all__ = [
     "ENGINE_MODES",
     "EngineConfig",
     "EventDriver",
-    "engine_attach",
 ]

@@ -59,6 +59,9 @@ class ClientPhase:
     #: True when every mobile's ``on_tick_end`` is known to be the base
     #: no-op, letting the simulator skip that loop entirely.
     skip_tick_end: bool = False
+    #: True when :meth:`idle` can answer True: the event engine may
+    #: then skip a tick this phase observes to be still.
+    observes_stillness: bool = False
 
     def bind(self, sim: "RoundSimulator") -> None:
         """Called once when the simulator takes ownership of the phase."""
@@ -67,6 +70,11 @@ class ClientPhase:
     def tick_start(self, tick: int) -> None:
         """Run the batched tick-start phase (must honor node downtime)."""
         raise NotImplementedError
+
+    def idle(self) -> bool:
+        """Would this tick's :meth:`tick_start`, at the positions the
+        fleet just took, find no candidate? False: cannot tell."""
+        return False
 
     def before_dispatch(self, node: Node, msg: Message) -> None:
         """Hook before a mobile handles ``msg``.
@@ -171,11 +179,12 @@ class RoundSimulator:
         if client_phase is not None:
             client_phase.bind(self)
         #: the engine driver every tick goes through
-        #: (``repro.net.engine``): ``step`` skips the ticks it proves
-        #: are protocol no-ops. Tick mode is the driver that never skips.
+        #: (``repro.net.engine``): ``step`` skips the ticks it observes
+        #: to be still. Tick mode is the driver that never skips.
         self.driver = EventDriver(self, EngineConfig(mode="tick"))
-        #: the same driver once ``engine_attach`` installed one; None
-        #: means no engine was asked for (the layered benchmark reads it)
+        #: the same driver once ``build_system`` installed one for a
+        #: ``RunConfig(engine=...)``; None means no engine was asked for
+        #: (the layered benchmark reads it)
         self._driver = None
 
     # -- the columnar plane ---------------------------------------------------
@@ -282,11 +291,6 @@ class RoundSimulator:
                 if handled:
                     return
         elif batch.dsts is not None:
-            # Batch receivers may change protocol state (PROBE moves
-            # `_last_sent`, installs and revokes change `regions`)
-            # without a scalar dispatch — their wakeups must be
-            # recomputed after this tick.
-            self.driver.note_ids(batch.dsts)
             if self.client_phase is not None and self.client_phase.deliver_batch(
                 batch
             ):
@@ -309,52 +313,50 @@ class RoundSimulator:
         else:
             if self.client_phase is not None:
                 self.client_phase.before_dispatch(node, msg)
-            self.driver.note_node(node.oid)
             node.on_message(msg)
 
     # -- stepping ---------------------------------------------------------------
 
     def step(self) -> None:
-        """Advance one tick — a skip, or a full protocol round.
+        """Advance one tick — ground truth, then a skip or a full
+        protocol round.
 
-        The driver decides: a tick it proves is a protocol no-op
-        advances ground truth only — the client phase, delivery
-        machinery and server hooks are elided; answers and message
-        streams stay bit-identical (DESIGN §8). Every other tick is
-        :meth:`_full_step`, after which the driver re-plans. In tick
-        mode every tick is full.
+        The fleet advances every tick. Then the driver decides: a tick
+        it observes to be still skips the client phase, delivery
+        machinery and server hooks; answers and message streams stay
+        bit-identical (DESIGN §8). Every other tick is :meth:`_round`.
+        In tick mode every tick is full.
         """
-        driver = self.driver
-        if driver.can_skip(self.tick + 1):
-            driver.skip_tick()
-        else:
-            self._full_step()
-            driver.after_full_step()
-
-    def _full_step(self) -> None:
-        """Advance ground truth and run one full protocol round.
-
-        When telemetry is enabled, the tick is split into wall-clock
-        phases — move / client / deliver / server / finish — and one
-        ``tick.phase`` event is emitted per tick. ``deliver`` covers
-        message dispatch *including* the handlers it invokes on both
-        sides; ``server`` covers only the planning hooks (tick start /
-        subrounds / tick end), matching ``server_seconds`` minus the
-        on-message share.
-        """
-        tel = self.telemetry
-        traced = tel.enabled
-        t_move = t_client = t_deliver = t_server = t_finish = 0.0
-        if traced:
-            t_mark = time.perf_counter()
+        traced = self.telemetry.enabled
+        t_move = time.perf_counter() if traced else 0.0
         self.fleet.advance()
         self.tick = self.fleet.tick
         self.channel.begin_tick(self.tick)
         if traced:
-            now = time.perf_counter()
-            t_move = now - t_mark
-            t_mark = now
+            t_move = time.perf_counter() - t_move
+        driver = self.driver
+        if driver.can_skip(self.tick):
+            driver.skip_tick()
+            return
+        self._round(t_move)
+        driver.after_full_step()
 
+    def _round(self, t_move: float) -> None:
+        """Run one full protocol round on the tick the fleet just took.
+
+        When telemetry is enabled, the tick is split into wall-clock
+        phases — move (``t_move``, timed by :meth:`step`) / client /
+        deliver / server / finish — and one ``tick.phase`` event is
+        emitted per tick. ``deliver`` covers message dispatch
+        *including* the handlers it invokes on both sides; ``server``
+        covers only the planning hooks (tick start / subrounds / tick
+        end), matching ``server_seconds`` minus the on-message share.
+        """
+        tel = self.telemetry
+        traced = tel.enabled
+        t_client = t_deliver = t_server = t_finish = 0.0
+        if traced:
+            t_mark = time.perf_counter()
         if self.client_phase is not None:
             self.client_phase.tick_start(self.tick)
         else:

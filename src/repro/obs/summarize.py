@@ -5,9 +5,8 @@
 ``--trace`` run emitted and prints:
 
 * one row per run (``run.start`` / ``run.end`` markers);
-* the event engine's mode and event-queue gauge (``engine.stats``:
-  ticks skipped vs. run in full, events scheduled/fired/cancelled),
-  when a run carried an ``EngineConfig``;
+* the event engine's mode and gauge (``engine.stats``: ticks skipped
+  vs. run in full), when a run carried an ``EngineConfig``;
 * per-tick message rates (``comm.rate``): total and by-kind msgs/tick,
   plus the columnar plane's batched-vs-materialized ledger;
 * the per-phase tick cost table aggregated from ``tick.phase`` events
@@ -133,7 +132,7 @@ def _runs_section(events: List[TraceEvent]) -> Optional[str]:
 
 
 def _engine_section(events: List[TraceEvent]) -> Optional[str]:
-    """Event-engine view: mode plus the event-queue gauge.
+    """Event-engine view: mode plus the skip gauge.
 
     ``engine.stats`` is emitted once per run at ``run.end`` time;
     ``run.start`` carries the engine config. A tick-mode run with an
@@ -160,18 +159,12 @@ def _engine_section(events: List[TraceEvent]) -> Optional[str]:
             f"skipped {f.get('skipped_ticks', 0)}/{total} ticks "
             f"({share:.1f}%)"
         )
-        lines.append(
-            f"  events: {f.get('scheduled', 0)} scheduled, "
-            f"{f.get('fired', 0)} fired, "
-            f"{f.get('cancelled', 0)} cancelled, "
-            f"{f.get('pending', 0)} pending at end"
-        )
-        # Tick mode never builds a planner, so only an event-mode run
-        # without one was refused skipping.
+        # Tick mode never skips, so only an event-mode run that could
+        # not was refused skipping.
         if f.get("mode") == "event" and not f.get("skipping", True):
             lines.append(
-                "  (skipping disabled: no wakeup planner for this "
-                "client/server pair — every tick ran in full)"
+                "  (skipping disabled: the client phase cannot observe "
+                "stillness — every tick ran in full)"
             )
     if not stats:
         for cfg in configs:

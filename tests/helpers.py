@@ -12,7 +12,7 @@ from repro.geometry import Rect
 from repro.metrics.accuracy import is_valid_knn
 from repro.mobility import Fleet
 from repro.net.channel import Channel
-from repro.net.engine import engine_attach
+from repro.net.engine import EventDriver
 from repro.net.message import SERVER_ID
 from repro.net.node import ServerNodeBase
 from repro.net.plane import ColumnarBatch
@@ -52,7 +52,8 @@ def built_system(
 
 def scalar_workload(spec: WorkloadSpec) -> Tuple[Fleet, List[QuerySpec]]:
     """``build_workload(spec)`` over a scalar :class:`Fleet` of the same
-    movers: the same positions every tick, and no motion claims."""
+    movers: the same positions every tick, and no kernel to say whether
+    they moved."""
     size = spec.universe_size
     universe = Rect(0.0, 0.0, size, size)
     fleet = Fleet.from_model(
@@ -84,7 +85,7 @@ def reference_system(
     taken away before the first tick (binding a phase builds no node
     and changes none: the per-object loop builds every node fresh at
     tick 1); the shard tier and the engine driver are
-    attached afterwards, as ``build_system`` orders them. A DKNN-P
+    installed afterwards, as ``build_system`` orders them. A DKNN-P
     server becomes the per-query walk (:class:`tests.walk.WalkServer`,
     or :class:`~tests.walk.HardenedWalk` over the self-healing server,
     the same server advanced one query at a time, before any tick),
@@ -107,7 +108,7 @@ def reference_system(
     if cfg.shard is not None:
         shard_attach(sim, cfg.shard)
     if cfg.engine is not None:
-        engine_attach(sim, cfg.engine)
+        sim.driver = sim._driver = EventDriver(sim, cfg.engine)
     return sim, queries
 
 
@@ -168,8 +169,8 @@ def recorded_run(
     driver skipped and — sharded — the whole tier ledger.
 
     ``skip`` makes the event driver skip exactly those ticks. The
-    reference has no client phase, so no wakeup planner and nothing to
-    skip on its own; given the ticks the build's planner skipped, it
+    reference has no client phase, so it cannot observe stillness and
+    skips nothing on its own; given the ticks the build skipped, it
     runs the same schedule, and each of those ticks must still be one
     its channel and server call idle."""
     sim, _ = build(cfg, spec)

@@ -44,7 +44,7 @@ EXPECTED = {
     # network & faults
     "RoundSimulator", "CommStats", "FaultPlan", "ShardFaultPlan",
     # event engine
-    "EngineConfig", "engine_attach",
+    "EngineConfig",
     # chaos harness
     "run_chaos", "chaos_plans", "default_checkers", "ChaosResult",
     # observability
@@ -121,9 +121,6 @@ class TestEntryPointSignatures:
 
     def test_engine_config_fields(self):
         assert _params(api.EngineConfig) == ["mode"]
-
-    def test_engine_attach_signature(self):
-        assert _params(api.engine_attach) == ["sim", "config"]
 
     def test_shard_config_fields(self):
         assert _params(api.ShardConfig) == [

@@ -581,61 +581,50 @@ def test_an_uplink_batch_spans_its_ids_once(monkeypatch):
     assert set(per_batch) == {1}
 
 
-#: Python calls the event driver may make on one tick outside the
-#: planner and the fleet, whatever the size of the tick's due set.
-DRIVER_CALLS_PER_TICK = 32
+def test_a_skipped_tick_makes_the_same_python_calls_at_any_size():
+    """A skipped tick observes stillness from what the kernels, the
+    client phase, the channel and the server already know: the Python
+    calls of a skipped tick (``sys.setprofile`` call events inside
+    ``sim.step``, less those inside the fleet's ``advance``) take the
+    same one or two counts at N = 1,500 and at N = 20,000 (the server
+    looks at its rows on the first skip after a full tick, and reuses
+    that answer after). A per-row compare or a call per moving row
+    would break it."""
+    calls = {}
+    for n in (1_500, 20_000):
+        spec = dataclasses.replace(COMMUTE_SPEC, n_objects=n, k=8)
+        sim, _ = built_system(
+            RunConfig("DKNN-P", engine=EngineConfig(mode="event")), spec
+        )
+        advance = sim.fleet.advance
 
-
-def test_event_driver_bookkeeping_does_not_grow_with_the_due_set():
-    """The engine driver re-plans a tick's due set with a fixed number
-    of Python calls: ``sys.setprofile`` call events inside ``skip_tick``
-    and ``after_full_step``, less those inside ``planner.wakeups`` and
-    the fleet's ``advance``, stay under a constant on every tick, also
-    on the ticks that write more wakeups than that constant (a call
-    per written wakeup would break it)."""
-    spec = dataclasses.replace(COMMUTE_SPEC, n_objects=1500, k=8)
-    sim, _ = built_system(
-        RunConfig("DKNN-P", engine=EngineConfig(mode="event")), spec
-    )
-    driver = sim.driver
-    calls, written = [], []
-
-    def unprofiled(fn):
-        def run(*args):
+        def unprofiled():
             profile = sys.getprofile()
             sys.setprofile(None)
             try:
-                return fn(*args)
+                advance()
             finally:
                 sys.setprofile(profile)
-        return run
 
-    def counted(hook):
-        def run():
-            n = [0]
+        sim.fleet.advance = unprofiled
+        driver = sim.driver
+        calls[n] = set()
+        for _ in range(spec.ticks):
+            count = [0]
 
             def profile(frame, event, arg):
-                n[0] += event == "call"
+                count[0] += event == "call"
 
-            scheduled = driver.scheduled
+            skipped = driver.skipped_ticks
             sys.setprofile(profile)
             try:
-                hook()
+                sim.step()
             finally:
                 sys.setprofile(None)
-            calls.append(n[0])
-            written.append(driver.scheduled - scheduled)
-        return run
-
-    driver.planner.wakeups = unprofiled(driver.planner.wakeups)
-    sim.fleet.advance = unprofiled(sim.fleet.advance)
-    driver.skip_tick = counted(driver.skip_tick)
-    driver.after_full_step = counted(driver.after_full_step)
-    sim.run(spec.ticks)
-    assert len(calls) == spec.ticks
-    assert driver.skipped_ticks > 0
-    assert max(written) > DRIVER_CALLS_PER_TICK
-    assert max(calls) <= DRIVER_CALLS_PER_TICK, calls
+            if driver.skipped_ticks > skipped:
+                calls[n].add(count[0])
+    assert 1 <= len(calls[1_500]) <= 2, calls
+    assert calls[1_500] == calls[20_000], calls
 
 
 #: ``event_sparse``'s shape at 20k objects: 1 % commuters, so a tick
@@ -650,7 +639,7 @@ EVENT_SPARSE_20K = dataclasses.replace(
 
 def test_an_event_sparse_tick_allocates_in_proportion_to_what_moved():
     """On ``event_sparse``'s shape at N = 20k, traced by tracemalloc,
-    neither a skipped tick (the mobility step and the driver's re-plan)
+    neither a skipped tick (the mobility step and the stillness checks)
     nor a full tick's client-phase tick-start allocates as much as one
     N-long float column: the tick-start evaluates the candidate
     predicate on the moving rows and what changed. The whole-column
@@ -664,7 +653,7 @@ def test_an_event_sparse_tick_allocates_in_proportion_to_what_moved():
     for _ in range(5):  # the first evaluation reads every column
         sim.step()
     driver, phase = sim.driver, sim.client_phase
-    peaks = {"skip": [], "tick_start": []}
+    peaks = {"advance": [], "can_skip": [], "tick_start": [], "skip": []}
 
     def traced(kind, fn):
         def run(*args):
@@ -676,7 +665,16 @@ def test_an_event_sparse_tick_allocates_in_proportion_to_what_moved():
                 tracemalloc.stop()
         return run
 
-    driver.skip_tick = traced("skip", driver.skip_tick)
+    sim.fleet.advance = traced("advance", sim.fleet.advance)
+    driver.can_skip = traced("can_skip", driver.can_skip)
+    skip_tick = driver.skip_tick
+
+    def skipped():
+        # a skipped tick: the fleet's advance, then the stillness checks
+        peaks["skip"].append(max(peaks["advance"][-1], peaks["can_skip"][-1]))
+        skip_tick()
+
+    driver.skip_tick = skipped
     phase.tick_start = traced("tick_start", phase.tick_start)
     sim.run(spec.ticks)
     assert phase._recheck is not None  # the incremental evaluation ran

@@ -218,7 +218,18 @@ def test_incremental_passes_equal_the_references(shape, variant, monkeypatch):
     twin, _ = built_system(cfg, spec)
     # the twin runs both references: whole columns, every zone in full
     twin.client_phase._moving = None
-    _server(twin)._zone_mark = lambda: None
+    twin_server = _server(twin)
+
+    def in_full(rows):
+        # the rows' scan marks hidden, every zone is searched in full
+        marks = twin_server._q.scan_mark[rows]
+        twin_server._q.scan_mark[rows] = -1
+        try:
+            return DknnServer._zone_hits(twin_server, rows)
+        finally:
+            twin_server._q.scan_mark[rows] = marks
+
+    twin_server._zone_hits = in_full
     for _ in range(TICKS):
         sim.step()
         twin.step()
@@ -244,31 +255,12 @@ def test_a_written_band_makes_a_still_node_a_candidate(monkeypatch):
     write that can arm a region: an install flight, or scalar code the
     touched-refresh re-reads. A band such a node already violates,
     written either way between two ticks, is reported on the next
-    tick, as the whole-column pass would have it."""
+    tick, as the whole-column pass would have it, in tick mode and in
+    event mode, where that tick, parked as it is, runs in full."""
     fields = dict(SHAPES["event_sparse"][0], n_objects=2_000)
     spec = WorkloadSpec(k=8, ticks=TICKS, warmup_ticks=0, seed=3, **fields)
-    sim, _ = built_system(RunConfig("DKNN-P"), spec)
-    for _ in range(3):
-        sim.step()
-    phase = sim.client_phase
-    a, b = np.setdiff1d(np.arange(spec.n_objects), sim.fleet.moving_rows)[
-        :2
-    ].tolist()
-
-    def band(oid, qid):
-        x, y = sim.fleet.positions[oid]  # an answer band it lies outside
-        return InstallBand(qid, BAND_ANSWER, x + 50.0, y, 1.0)
-
-    assert phase.deliver_batch(ColumnarBatch(
-        MessageKind.INSTALL_REGION, src=SERVER_ID, dsts=np.array([a]),
-        payloads=[band(a, 0)], pidx=np.array([0]),
-    ))
-    sim._dispatch(
-        sim.mobiles[b],
-        Message(MessageKind.INSTALL_REGION, SERVER_ID, b, band(b, 1)),
-    )
-    seen = []
     candidates = DknnSilentPhase._candidates
+    seen = []
 
     def checked(phase, xs, ys):
         cand = reference_candidates(phase, xs, ys)[0]
@@ -277,10 +269,36 @@ def test_a_written_band_makes_a_still_node_a_candidate(monkeypatch):
         seen.append(oids.tolist())
         return oids, moved, hit
 
-    monkeypatch.setattr(DknnSilentPhase, "_candidates", checked)
-    sim.step()
-    assert phase._recheck is not None
-    assert {a, b} <= set(seen[0])
+    for engine in (None, EngineConfig(mode="event")):
+        sim, _ = built_system(RunConfig("DKNN-P", engine=engine), spec)
+        for _ in range(15):  # past the commute window: nothing moves
+            sim.step()
+        assert not sim.fleet.moved()
+        phase = sim.client_phase
+        a, b = np.setdiff1d(np.arange(spec.n_objects), sim.fleet.moving_rows)[
+            :2
+        ].tolist()
+
+        def band(oid, qid):
+            x, y = sim.fleet.positions[oid]  # an answer band it lies outside
+            return InstallBand(qid, BAND_ANSWER, x + 50.0, y, 1.0)
+
+        assert phase.deliver_batch(ColumnarBatch(
+            MessageKind.INSTALL_REGION, src=SERVER_ID, dsts=np.array([a]),
+            payloads=[band(a, 0)], pidx=np.array([0]),
+        ))
+        sim._dispatch(
+            sim.mobiles[b],
+            Message(MessageKind.INSTALL_REGION, SERVER_ID, b, band(b, 1)),
+        )
+        seen.clear()
+        monkeypatch.setattr(DknnSilentPhase, "_candidates", checked)
+        skipped = sim.driver.skipped_ticks
+        sim.step()
+        monkeypatch.undo()
+        assert sim.driver.skipped_ticks == skipped
+        assert phase._recheck is not None
+        assert {a, b} <= set(seen[0])
 
 
 # -- range_search_written against range_search_many -----------------------

@@ -296,7 +296,8 @@ class TestRunIntegration:
     def test_summary_names_a_missing_planner_only_in_event_mode(
         self, algorithm, mode, refused
     ):
-        # A tick-mode run has no planner either; CPM has none at all.
+        # A tick-mode run never skips; CPM's client phase cannot
+        # observe stillness at all.
         ring = RingSink()
         run_once(
             RunConfig(algorithm, engine=EngineConfig(mode=mode)),
@@ -306,4 +307,5 @@ class TestRunIntegration:
         )
         text = summarize_text(ring.events())
         assert f"mode={mode}" in text
-        assert ("skipping disabled: no wakeup planner" in text) == refused
+        refusal = "skipping disabled: the client phase cannot observe stillness"
+        assert (refusal in text) == refused

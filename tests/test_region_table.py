@@ -1,16 +1,10 @@
-"""The DKNN-P region table and the batched re-plan, against their oracles.
+"""The DKNN-P region table and candidate mask, against their oracle.
 
-* ``DknnSilentPhase``'s region table and candidate mask are tested
-  against the nodes themselves — the table's live rows are the armed
-  regions read off the nodes, and the candidates are the nodes whose
-  own ``on_tick_start`` would send or change state (tried on a
-  throw-away copy of each node);
-* ``DknnWakeupPlanner.wakeups`` is pinned, for every mobility kernel
-  and a mover class without one, to the wakeups of the per-node
-  scalar planner it replaced: one md5 per case of every tick's
-  ``(act, resolve)`` list, captured from that planner. Its soundness
-  against the nodes' own ``on_tick_start`` is ``tests/test_engine.py``'s
-  ``TestPlannerNeverLate``.
+``DknnSilentPhase``'s region table and candidate mask are tested
+against the nodes themselves — the table's live rows are the armed
+regions read off the nodes, and the candidates are the nodes whose own
+``on_tick_start`` would send or change state (tried on a throw-away
+copy of each node).
 
 The fleet is driven by hand: ``SinkServer`` swallows every uplink and the
 tests play the server's part (installs, revokes, probes) directly —
@@ -22,10 +16,8 @@ as scalar messages.
 from __future__ import annotations
 
 import copy
-import hashlib
 import math
-import random
-from typing import Dict, List, Set
+from typing import Dict, List
 
 import numpy as np
 import pytest
@@ -45,30 +37,11 @@ from repro.core.protocol import (
     RevokeBand,
 )
 from repro.core.server import _FLUSH_ORDER
-from repro.core.wakeups import DknnWakeupPlanner, planner_for
 from repro.errors import ProtocolError
 from repro.geometry import Rect
 from repro.geometry.region import REGION_EPS, AnswerBand
-from repro.mobility import (
-    FastFleet,
-    Fleet,
-    GaussianClusterModel,
-    HotspotDriftModel,
-    MostlyStationaryModel,
-    RandomDirectionModel,
-    RandomWaypointModel,
-    RoadNetworkModel,
-)
-from repro.mobility.crossing import (
-    GENERIC,
-    HOLD,
-    LAND,
-    LINE,
-    STILL,
-    CheckRows,
-    solve_claims,
-)
-from repro.mobility.stationary import LinearMover, StationaryMover
+from repro.mobility import FastFleet, Fleet, RandomWaypointModel
+from repro.net.engine import EngineConfig, EventDriver
 from repro.net.message import SERVER_ID, Message, MessageKind
 from repro.net.node import Population
 from repro.net.plane import ColumnarBatch
@@ -766,8 +739,6 @@ class _OddBand(AnswerBand):
 
 def test_unknown_region_class_is_left_to_the_node():
     sim = _build(_waypoint_fleet())
-    phase = sim.client_phase
-    planner = DknnWakeupPlanner(sim)
     sim.step()
     _install(sim, 4, 0, BAND_ANSWER, "in", 400.0)
     band = sim.mobiles[4].regions[0]
@@ -777,283 +748,18 @@ def test_unknown_region_class_is_left_to_the_node():
     for _ in range(3):
         sim.step()
     assert calls == [2, 3, 4]  # a candidate every tick, as before
-    act, resolve = planner.wakeups(np.arange(N), sim.tick)
-    assert (act[4], resolve[4]) == (sim.tick + 1, -1)
-
-
-# -- batched re-plan == the per-node planner it replaced ---------------------
-
-
-def _linear_fleet(seed: int) -> FastFleet:
-    rng = np.random.default_rng(seed)
-    return FastFleet(
-        [
-            LinearMover(
-                U, rng.uniform(50, 550), rng.uniform(50, 550),
-                rng.uniform(-60, 60), rng.uniform(-60, 60),
-            )
-            for _ in range(N - 1)
-        ]
-        + [LinearMover(U, 300.0, 300.0, 0.0, 0.0)],
-        seed=seed,
-    )
-
-
-def _stationary_fleet(seed: int) -> FastFleet:
-    rng = np.random.default_rng(seed)
-    return FastFleet(
-        [
-            StationaryMover(U, rng.uniform(0, 600), rng.uniform(0, 600))
-            for _ in range(N)
-        ],
-        seed=seed,
-    )
-
-
-def _from(model):
-    return lambda seed: FastFleet.from_model(model, N, seed=seed)
-
-
-#: kernel -> (fleet factory, claim modes the run must have exercised).
-KERNELS = {
-    "stationary": (_stationary_fleet, {STILL}),
-    # fast and boxed in: reflections within a tick (_wall_horizon < 1)
-    # fall back to the speed bound; one mover has zero velocity.
-    "linear": (_linear_fleet, {LINE, GENERIC, STILL}),
-    "waypoint": (
-        _from(RandomWaypointModel(U, speed_min=8.0, speed_max=30.0, pause_max=3)),
-        {LINE, LAND, HOLD},
-    ),
-    "gaussian": (_from(GaussianClusterModel(U, sigma=80.0)), {LINE, LAND}),
-    "hotspot-drift": (
-        _from(HotspotDriftModel(U, sigma=80.0, drift_radius=100.0)),
-        {LINE, LAND},
-    ),
-    # leg_left <= 0 at every renewal: GENERIC.
-    "direction": (_from(RandomDirectionModel(U)), {LINE, GENERIC}),
-    "commute": (
-        _from(
-            MostlyStationaryModel(
-                U, speed_min=8.0, speed_max=30.0, moving_fraction=1.0,
-                period=9, active_ticks=4,
-            )
-        ),
-        {LINE, LAND, HOLD},
-    ),
-    # no kernel: the speed bound alone
-    "road": (
-        _from(
-            RoadNetworkModel(U, rows=6, cols=6, speed_min=8.0, speed_max=30.0)
-        ),
-        {GENERIC},
-    ),
-}
-
-REGION_MIXES = {
-    "none": (),
-    "answer": (BAND_ANSWER,),
-    "outsider": (BAND_OUTSIDER,),
-    "circle": (BAND_QUERY_CIRCLE,),
-    "mixed": BANDS,
-    "muted": BANDS,
-}
-
-
-def _force_corner_cases(kernel: str, fleet: FastFleet) -> None:
-    """Put one object in a state the motion rarely produces by itself."""
-    kern = fleet._kernels[0]
-    if kernel in ("waypoint", "gaussian", "hotspot-drift"):
-        # sitting exactly on its target: dist == 0
-        kern.tx[0] = fleet._xs[kern.oids[0]]
-        kern.ty[0] = fleet._ys[kern.oids[0]]
-    elif kernel == "commute":
-        kern.speed[0] = 0.0  # zero-speed trip, parked short of its target
-
-
-REPLAN_MD5 = {
-    "stationary-none-plain": "be187c7623036c1872daa6a90a5c1c6e",
-    "stationary-answer-plain": "2b3fa5d01a03f4e01bc4214440681fa4",
-    "stationary-outsider-plain": "2b3fa5d01a03f4e01bc4214440681fa4",
-    "stationary-circle-plain": "2b3fa5d01a03f4e01bc4214440681fa4",
-    "stationary-mixed-plain": "981d63cd5a83cc3548686143fdddf20a",
-    "stationary-muted-plain": "be187c7623036c1872daa6a90a5c1c6e",
-    "linear-none-plain": "fd721faac15c612cac891afc046bbd1d",
-    "linear-answer-plain": "efd78812b04c1cb38da2eb9df700dda6",
-    "linear-outsider-plain": "7b2c6eab891757123200492cbcb4ddb9",
-    "linear-circle-plain": "efd78812b04c1cb38da2eb9df700dda6",
-    "linear-mixed-plain": "20fbeb9d7b1e9fc85942b93527f7ea75",
-    "linear-muted-plain": "fd721faac15c612cac891afc046bbd1d",
-    "waypoint-none-plain": "d6d7ab7e0eb0f729facb1e2090ab8a7f",
-    "waypoint-answer-plain": "12d967b211fa89d0a47b6129e76f05c3",
-    "waypoint-outsider-plain": "b6b32058b8fa2a484458d2bf5fb1f7cd",
-    "waypoint-circle-plain": "12d967b211fa89d0a47b6129e76f05c3",
-    "waypoint-mixed-plain": "7269bf07a78b8dbb1f70e694b26ec394",
-    "waypoint-muted-plain": "d6d7ab7e0eb0f729facb1e2090ab8a7f",
-    "gaussian-none-plain": "965be66a8efe78610dbf53327c2d95bc",
-    "gaussian-answer-plain": "1eba232219ac652554e54534b3f176bc",
-    "gaussian-outsider-plain": "da5f5e6767880a734b8e7db8593737fd",
-    "gaussian-circle-plain": "1eba232219ac652554e54534b3f176bc",
-    "gaussian-mixed-plain": "74db8049e460f2b121b35dca25fc05bb",
-    "gaussian-muted-plain": "965be66a8efe78610dbf53327c2d95bc",
-    "hotspot-drift-none-plain": "d4dc80d6b4709266cca15bf5c7594cf9",
-    "hotspot-drift-answer-plain": "3b891b14161f94434050ef232479407c",
-    "hotspot-drift-outsider-plain": "afd954860f3df1a0f27c2f13edcdb9f3",
-    "hotspot-drift-circle-plain": "3b891b14161f94434050ef232479407c",
-    "hotspot-drift-mixed-plain": "70c4d29fb11fb8530b557e539d16463a",
-    "hotspot-drift-muted-plain": "d4dc80d6b4709266cca15bf5c7594cf9",
-    "direction-none-plain": "a3f4e622dcac7df650ec094a48f89869",
-    "direction-answer-plain": "a3f4e622dcac7df650ec094a48f89869",
-    "direction-outsider-plain": "a3f4e622dcac7df650ec094a48f89869",
-    "direction-circle-plain": "a3f4e622dcac7df650ec094a48f89869",
-    "direction-mixed-plain": "a3f4e622dcac7df650ec094a48f89869",
-    "direction-muted-plain": "a3f4e622dcac7df650ec094a48f89869",
-    "commute-none-plain": "e31481010d52c7c288759db7f4cc0b3e",
-    "commute-answer-plain": "bee5afbf0efe5091be28be79ca287c27",
-    "commute-outsider-plain": "1d9769c945c0c21d40d29ecca762ad74",
-    "commute-circle-plain": "bee5afbf0efe5091be28be79ca287c27",
-    "commute-mixed-plain": "4076d2e19a257142595a002db459305c",
-    "commute-muted-plain": "e31481010d52c7c288759db7f4cc0b3e",
-    "road-none-plain": "bdf917504aa4b7f28d7326c160bbd55f",
-    "road-answer-plain": "f18744ac53e2ec89274ad5096d761f38",
-    "road-outsider-plain": "016d7bddfbff7eda729e436b99849544",
-    "road-circle-plain": "f18744ac53e2ec89274ad5096d761f38",
-    "road-mixed-plain": "d6622a72eadeff9acc1b01161676d6a5",
-    "road-muted-plain": "bdf917504aa4b7f28d7326c160bbd55f",
-}
-
-RANDOM_CHECKS_MD5 = {
-    "stationary": "228bd8820a468036e4d18ea63232ca1f",
-    "linear": "91a77e7123db0cee4716391606a8407d",
-    "waypoint": "9a1a6c3abada7989698adb2f430e5141",
-    "gaussian": "2e74bf9f224d389ea910ffa6fdfdce9f",
-    "hotspot-drift": "2620eedb8acb92e4559bc62a45013f03",
-    "direction": "0c4f2cd5c953b58e50150ddffb86fdce",
-    "commute": "79ceb872ed872fa25039062f7ba8aafb",
-    "road": "eeef32d841068acf3e2fc00d8373a599",
-}
-
-
-def _digest(per_tick: List[List]) -> str:
-    """md5 of every tick's ``[(act, resolve), ...]``, None for -1."""
-    return hashlib.md5(
-        repr(
-            [
-                [(None if a < 0 else a, None if r < 0 else r) for a, r in tick]
-                for tick in per_tick
-            ]
-        ).encode()
-    ).hexdigest()
-
-
-# plain nodes only: a hardened build gets no planner (``planner_for``)
-@pytest.mark.parametrize("nodes", ["plain"])
-@pytest.mark.parametrize("mix", list(REGION_MIXES))
-@pytest.mark.parametrize("kernel", list(KERNELS))
-def test_batched_replan_equals_scalar_wakeup(kernel, mix, nodes):
-    make, expected_modes = KERNELS[kernel]
-    fleet = make(seed=7)
-    sim = _build(fleet)
-    planner = DknnWakeupPlanner(sim)
-    oids = np.arange(fleet.n)
-    seen: Set[int] = set()
-    per_tick: List[List] = []
-    for tick in range(1, 46):
-        sim.step()
-        if tick % 6 == 1:
-            # (re-)arm: reported regions would otherwise stay muted, the
-            # sink never repairs anything
-            for oid in range(fleet.n):
-                for qid, band in enumerate(REGION_MIXES[mix]):
-                    place = ("in", "in", "edge", "out")[(oid + qid) % 4]
-                    _install(sim, oid, qid, band, place, 10.0 + 9.0 * oid)
-                if mix == "muted":
-                    sim.mobiles[oid]._reported.update(range(len(BANDS)))
-        if tick == 3:
-            _force_corner_cases(kernel, fleet)
-        act, resolve = planner.wakeups(oids, sim.tick)
-        per_tick.append(list(zip(act.tolist(), resolve.tolist())))
-        seen.update(fleet.motion_claims(oids).mode.tolist())
-    key = f"{kernel}-{mix}-{nodes}"
-    assert _digest(per_tick) == REPLAN_MD5[key]
-    assert expected_modes <= seen
-
-
-def _solve(fleet, checks_of) -> List:
-    """One ``solve_claims`` call over the whole fleet; a check is
-    ``(cx, cy, radius, enter)``."""
-    flat = [(i, c) for i in range(fleet.n) for c in checks_of[i]]
-    rows = CheckRows(
-        np.array([i for i, _ in flat]),
-        *(np.array(column) for column in zip(*(c for _, c in flat))),
-    )
-    act, resolve = solve_claims(
-        fleet.motion_claims(np.arange(fleet.n)), fleet.positions.xs,
-        fleet.positions.ys, rows, fleet.max_speeds,
-    )
-    return list(zip(act.tolist(), resolve.tolist()))
-
-
-@pytest.mark.parametrize("kernel", list(KERNELS))
-def test_array_solvers_equal_scalar_solvers_on_random_checks(kernel):
-    """The crossing claims directly, without the planner's check
-    building: up to three random checks per object, satisfied, violated
-    or crossed soon, re-drawn every tick of a run."""
-    fleet = KERNELS[kernel][0](seed=11)
-    rng = random.Random(5)
-    per_tick = []
-    for tick in range(40):
-        fleet.advance()
-        checks_of = []
-        for oid in range(fleet.n):
-            x, y = fleet.positions[oid]
-            checks = []
-            for _ in range(rng.randint(1, 3)):
-                cx, cy = rng.uniform(0, 600), rng.uniform(0, 600)
-                d = math.hypot(x - cx, y - cy)
-                r = max(d + rng.choice((-1, 1, 1)) * rng.uniform(0.5, 90.0), 0.0)
-                checks.append((cx, cy, r, rng.choice((False, True))))
-            checks_of.append(checks)
-        per_tick.append(_solve(fleet, checks_of))
-    assert _digest(per_tick) == RANDOM_CHECKS_MD5[kernel]
-
-
-def test_a_check_met_exactly_on_its_boundary_acts_next_tick():
-    """A line claim from exactly on a check's boundary: not violated,
-    but any motion may violate — act=1, for either kind."""
-    fleet = FastFleet(
-        [LinearMover(U, 100.0, 100.0, 3.0, 4.0) for _ in range(3)], seed=0
-    )
-    checks_of = [
-        [(103.0, 104.0, 5.0, False)],
-        [(130.0, 140.0, 50.0, True)],
-        [(103.0, 104.0, 6.0, False)],  # control: strictly inside
-    ]
-    assert _solve(fleet, checks_of) == [(1, -1), (1, -1), (2, -1)]
-
-
-def test_subset_and_order_do_not_matter():
-    """Any id subset gets the answers the whole fleet gets."""
-    sim = _build(_waypoint_fleet(seed=5, n=60))
-    planner = DknnWakeupPlanner(sim)
-    for tick in range(1, 12):
-        sim.step()
-        if tick == 2:
-            for oid in range(60):
-                _install(sim, oid, oid % 3, BANDS[oid % 3], "in", 25.0)
-    act, resolve = planner.wakeups(np.arange(60), sim.tick)
-    some = np.array([3, 8, 9, 31, 58])
-    a, r = planner.wakeups(some, sim.tick)
-    assert a.tolist() == act[some].tolist()
-    assert r.tolist() == resolve[some].tolist()
-    a, r = planner.wakeups(np.empty(0, dtype=np.int64), sim.tick)
-    assert a.shape == r.shape == (0,)
 
 
 def test_scalar_fleet_or_scalar_clients_fall_back_whole():
-    """Without kernel columns (plain Fleet) or without the vectorized
-    phase there is nothing to plan from: no planner, and the event
-    engine runs every tick in full."""
+    """Without kernels to say whether the fleet moved (plain Fleet),
+    over hardened nodes, or without the vectorized phase, stillness
+    cannot be observed: the event engine runs every tick in full."""
     model = RandomWaypointModel(U, speed_min=8.0, speed_max=30.0, pause_max=3)
-    assert planner_for(_build(Fleet.from_model(model, N, seed=3))) is None
-    assert planner_for(_build(_waypoint_fleet(), phase=False)) is None
-    assert planner_for(_build(_waypoint_fleet())) is not None
+
+    def skipping(sim) -> bool:
+        return EventDriver(sim, EngineConfig(mode="event")).skipping
+
+    assert not skipping(_build(Fleet.from_model(model, N, seed=3)))
+    assert not skipping(_build(_waypoint_fleet(), phase=False))
+    assert not skipping(_build(_waypoint_fleet(), ft=True))
+    assert skipping(_build(_waypoint_fleet()))

@@ -157,6 +157,10 @@ class WalkServer(DknnServer):
             meter=self.meter,
         )
         new = [oid for oid in hits.tolist() if oid not in st.informed]
+        # what ``event_idle`` reads, recorded as the build's scan does
+        mark = self._zone_mark()
+        if mark is not None:
+            self._q.scan_mark[row] = -1 if new else mark
         if not new:
             return True
         st.planner_new = np.array(new, dtype=np.int64)
