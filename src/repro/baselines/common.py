@@ -74,9 +74,8 @@ class ReporterPhase(ClientPhase):
     predicate to evaluate — the whole phase is one columnar
     ``TICK_REPORT`` batch carrying the fleet's coordinates (copied at
     send time, so one-tick-latency delivery sees the positions of the
-    sending tick). When the plane is vetoed (faults, a scalar
-    channel) the phase falls back to the exact per-node loop the
-    simulator would have run.
+    sending tick). A population shorter than ``MIN_BATCH`` runs the
+    per-node loop the simulator would have run.
     """
 
     def bind(self, sim) -> None:
@@ -99,7 +98,7 @@ class ReporterPhase(ClientPhase):
         from repro.core.fastpath import _LU_NBYTES, _fleet_xy
 
         sim = self.sim
-        if sim.plane_open() and self._oids.shape[0] >= MIN_BATCH:
+        if self._oids.shape[0] >= MIN_BATCH:
             xs, ys = _fleet_xy(sim.fleet)
             sim.channel.send_batch(
                 ColumnarBatch(
@@ -114,10 +113,7 @@ class ReporterPhase(ClientPhase):
                 )
             )
             return
-        is_down = sim._is_down if sim.faults is not None else None
         for node in sim.mobiles:
-            if is_down is not None and is_down(node.node_id):
-                continue
             node.on_tick_start(tick)
 
 

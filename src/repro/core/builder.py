@@ -32,18 +32,20 @@ def build_dknn_system(
     """Build a ready-to-run simulator for the point-to-point protocol.
 
     Every fleet object is a :class:`DknnMobileNode`, built the first
-    time scalar code needs it (:class:`~repro.net.node.Population`);
-    focal objects are ordinary nodes that additionally receive query
-    circles.
+    time scalar code needs it (:class:`~repro.net.node.Population`) —
+    under the phase, never; focal objects are ordinary nodes that
+    additionally receive query circles.
     In one-tick-latency mode the planner margin is widened by the
     fleet's max speed automatically (positions are one tick staler).
     When ``params.fault_tolerant`` is set, the server and nodes are the
     self-healing build's (:mod:`repro.core.hardened`); pass ``faults``
     to actually perturb the network (a hardened system on a perfect
-    network stays exact). The client side is driven by the vectorized
-    silent-object phase (:class:`~repro.core.fastpath.DknnSilentPhase`):
-    a node's own ``on_tick_start`` runs only on the ticks it could send
-    or change state. Any fleet works; a
+    network stays exact). The client side is the vectorized
+    silent-object phase (:class:`~repro.core.fastpath.DknnSilentPhase`),
+    which holds every node as columns and builds none — except over
+    hardened nodes, whose clocks may fire on any tick, and over a
+    ``faults`` channel, which decides per message: those builds run
+    the per-object loop. Any fleet works; a
     :class:`~repro.mobility.FastFleet` hands the phase its coordinate
     arrays without a copy.
     """
@@ -61,9 +63,11 @@ def build_dknn_system(
     if params.fault_tolerant:
         server_cls, node_cls = HardenedDknnServer, HardenedDknnNode
         make = lambda oid: HardenedDknnNode(oid, fleet, theta, retry)
+        phase = None
     else:
         server_cls, node_cls = DknnServer, DknnMobileNode
         make = lambda oid: DknnMobileNode(oid, fleet, theta)
+        phase = DknnSilentPhase(theta)
     server = server_cls(fleet.universe, params, record_history=record_history)
     for spec in specs:
         server.register_query(spec)
@@ -74,6 +78,6 @@ def build_dknn_system(
         Population(fleet.n, node_cls, make),
         latency=latency,
         faults=faults,
-        client_phase=DknnSilentPhase(),
+        client_phase=phase,
         telemetry=telemetry,
     )

@@ -1,22 +1,22 @@
 """Vectorized client phases: the batched silent-object pass.
 
-The scalar simulator runs ``on_tick_start`` on every mobile node every
+The per-object loop runs ``on_tick_start`` on every mobile node every
 tick, although in band-based protocols the overwhelming majority of
 those calls are no-ops — the object is *silent*: it holds no region (or
 its regions are satisfied) and has not drifted past its dead-reckoning
 threshold. These :class:`~repro.net.simulator.ClientPhase`
-implementations evaluate that silence predicate for the whole fleet in
-a few numpy passes and act only for the objects it flags: DKNN-P runs
-the scalar ``on_tick_start`` on its **candidates** (or its column copy
-for an unbuilt one), DKNN-B/G send the violation reports from the
-mirrored cells themselves.
+implementations hold the nodes' protocol state as columns, evaluate
+that silence predicate for the whole fleet in a few numpy passes and
+send, from the columns, what the nodes it flags would send: DKNN-P's
+**candidates**, DKNN-B/G's violated cells. A phase runs only where it
+can be the whole node: on a transport that takes flights whole and
+over nodes that keep no clocks (DESIGN §8).
 
 Exactness is preserved by construction, not by approximation:
 
-* the DKNN-P candidate predicate is a *superset* test — every node
-  whose scalar ``on_tick_start`` would transmit (or mutate state) is a
-  candidate, and running the scalar method on a quiet candidate is a
-  no-op, so sends, state, costs and answers are bit-identical;
+* the DKNN-P candidate predicate is exact — the candidates are the
+  nodes whose ``on_tick_start`` would transmit — so sends, state,
+  costs and answers are bit-identical;
 * vector distances use ``np.sqrt(dx*dx + dy*dy)``, the exact float
   recipe of :func:`repro.geometry.dist`, and limits are the scalar
   code's own float expressions, so threshold comparisons agree with
@@ -25,36 +25,33 @@ Exactness is preserved by construction, not by approximation:
   node's in its own order, so message order on the channel — and
   therefore server processing order and every downstream statistic —
   is unchanged;
-* node state the phase mirrors in arrays is never extrapolated. A
-  DKNN-P node's drift origin and regions are re-read from the node
-  whenever scalar code could have changed them (the *touched* set). A
-  broadcast node's monitor view lives only in the mirror: every
-  install reaches it through ``deliver_area`` (an install that does
-  not is a ``ProtocolError``) and every report is muted there as it is
-  sent. Where the phase applies a whole batch itself it does to each
-  node exactly what the node's handler does and writes the same values
-  to its columns in the same call;
+* the node state a phase holds in arrays is never extrapolated, and
+  it lives nowhere else. Every downlink reaches it whole: a DKNN-P
+  flight through ``deliver_batch``, a broadcast or geocast install
+  through ``deliver_area`` (an install dispatched to one broadcast
+  node is a ``ProtocolError``), and the phase does to the columns
+  exactly what each receiver's handler does; every report is muted
+  there as it is sent;
 * where the phase answers for the nodes — probe replies, drift and
   violation reports, the replies a DKNN-B/G collect round draws — it
   sends, in the nodes' own send order, exactly the messages their
   code would have sent, and a batch stands in the queue where that run
   would have stood (:mod:`repro.net.plane`).
 
-``tests/test_fastpath.py`` pins all of this against the scalar path,
-protocol by protocol, including under fault plans.
+``tests/test_fastpath.py`` and ``tests/test_region_table.py`` pin all
+of this against the per-object loop, protocol by protocol.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.broadcast_variant import BroadcastMobileNode
-from repro.core.client import _BAND_CLASSES, _UNWRITTEN, DknnMobileNode
+from repro.core.client import _BAND_CLASSES, DknnMobileNode
 from repro.core.geocast_variant import GeocastMobileNode
-from repro.core.hardened import HardenedDknnNode
 from repro.core.protocol import (
     BAND_OUTSIDER,
     BAND_QUERY_CIRCLE,
@@ -134,8 +131,6 @@ _ROW_KIND = {
     for band, cls in _BAND_CLASSES.items()
 }
 
-#: drift-origin mirror of a node that has never transmitted.
-_NEVER_SENT = (math.nan, math.nan)
 #: what an evaluation with nothing to re-check finds: no candidate,
 #: no drift, no violated row
 _NO_CANDIDATES = (
@@ -174,59 +169,45 @@ def _among(oids: np.ndarray, m) -> np.ndarray:
     return oids[m[at] == oids]
 
 
-def _send_runs(sim, flight: ColumnarBatch, scalar=(), run=None) -> None:
-    """Send ``flight`` in the per-object order, ``run(oid)`` for each of
-    the ``scalar`` oids (ascending) where it stands among the senders:
-    each run of rows between them as one flight, or one by one with the
-    plane closed."""
-    batched = sim.plane_open()
-    cuts = np.searchsorted(flight.srcs, scalar).tolist() + [flight.count]
-    for start, stop, oid in zip([0] + cuts, cuts, list(scalar) + [None]):
-        if start < stop and batched:
-            sim.channel.send_batch(flight.rows(start, stop))
-        elif start < stop:
-            for msg in flight.rows(start, stop).materialize():
-                sim.channel.send(msg.kind, msg.src, msg.dst, msg.payload)
-        if oid is not None:
-            run(oid)
+def _refuse_built(sim, name: str) -> None:
+    """Refuse a population the phase cannot hold as columns: one with a
+    node built already, or one that is not the whole fleet."""
+    pop = sim.mobiles
+    if pop.built() or len(pop) != sim.fleet.n:
+        raise ProtocolError(
+            f"{name} holds every object of the fleet as columns: bind it "
+            "to a builder's population before any node is built"
+        )
 
 
 class _RegionTable:
     """The installed safe regions of a DKNN fleet, in columns.
 
     One row per (node, installed region): ``oid``, ``qid``, anchor
-    ``(ax, ay)``, ``radius``, ``kind`` (the wire's band code; -1 for a
-    region class without one), ``limit``, the region object itself,
-    ``order`` and ``muted``. ``limit`` is the squared distance the
-    region class compares against — ``radius * radius * _SQ_SLACK_HI``
-    (``_LO`` for outsider bands), computed in Python floats exactly as
-    ``SafeRegion.contains`` computes it, so ``dx*dx + dy*dy`` against
-    it decides like the scalar check to the bit. A region of unknown
-    class gets a limit every position violates: its holder is checked
-    by its own scalar code every tick. A ``muted`` row is a region
-    whose violation its node reported (``qid in node._reported``): it
-    is never checked until a repair re-installs or revokes it.
+    ``(ax, ay)``, ``radius``, ``kind`` (the wire's band code),
+    ``limit``, the region object itself, ``order`` and ``muted``.
+    ``limit`` is the squared distance the region class compares
+    against — ``radius * radius * _SQ_SLACK_HI`` (``_LO`` for outsider
+    bands), computed in Python floats exactly as ``SafeRegion.contains``
+    computes it, so ``dx*dx + dy*dy`` against it decides like the
+    scalar check to the bit. A ``muted`` row is a region whose
+    violation its node reported (``qid in node._reported``): it is
+    never checked until a repair re-installs or revokes it.
 
-    The unmuted rows of a node are its armed regions. For a node that
-    is not built yet the rows are all there is of its regions: in
-    ``order`` they are its ``regions`` dict in insertion order (a
-    re-install keeps its row's place, a region revoked and installed
-    again goes last) and the muted ones its ``_reported``, which is
-    what :meth:`regions_of` hands the node when it is built.
-
-    The table has two writers. :meth:`rewrite` re-reads whole built
-    nodes — the touched refresh, after scalar code ran on them: the
-    node's old rows die and its armed regions take their place.
-    :meth:`install` / :meth:`revoke` write one query's rows through for
-    a whole batch of receivers at delivery time, leaving those nodes'
-    other rows alone. Both put new rows into dead ones (:meth:`_claim`),
-    and the columns double when there are none left — memory is O(peak
-    rows). Dead rows keep their last ``oid``, so gathering positions by
-    it never needs a mask.
+    A node's rows are all there is of its regions: in ``order`` they
+    are its ``regions`` dict in insertion order (a re-install keeps its
+    row's place, a region revoked and installed again goes last), the
+    muted ones its ``_reported`` and the unmuted ones its armed
+    regions. :meth:`install` / :meth:`revoke` write one flight's rows
+    for all its receivers at delivery time, leaving those nodes' other
+    rows alone. New rows go into dead ones (:meth:`_claim`), and the
+    columns double when there are none left — memory is O(peak rows).
+    Dead rows keep their last ``oid``, so gathering positions by it
+    never needs a mask.
     """
 
-    #: the columns :meth:`_write` fills, in the order of :meth:`row`'s
-    #: fields; ``muted`` is written False.
+    #: the columns :meth:`_write` fills: ``oid``, :meth:`row`'s fields,
+    #: the region, ``order``; ``muted`` is written False.
     _COLUMNS = (
         "oid", "qid", "ax", "ay", "radius", "kind", "limit", "region",
         "order", "muted",
@@ -252,12 +233,11 @@ class _RegionTable:
         self._installs = 0
 
     @staticmethod
-    def row(oid: int, qid: int, region) -> Tuple:
-        """The column values of one armed region of node ``oid``."""
+    def row(qid: int, region) -> Tuple:
+        """The ``qid`` to ``limit`` column values of ``region``."""
         r = region.radius
-        kind, slack = _ROW_KIND.get(type(region), (-1, None))
-        limit = r * r * slack if kind >= 0 else -math.inf
-        return (oid, qid, region.ax, region.ay, r, kind, limit, region)
+        kind, slack = _ROW_KIND[type(region)]
+        return (qid, region.ax, region.ay, r, kind, r * r * slack)
 
     def rows_of(self, oids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Live rows of the nodes in ``oids`` (unique ids), and for each
@@ -268,20 +248,6 @@ class _RegionTable:
         rows = np.nonzero(self.live & (pos >= 0))[0]
         at[oids] = -1
         return rows, pos[rows]
-
-    # reach: a node built after batches installed regions on it (a
-    # library caller indexing ``sim.mobiles``); no product command does
-    def regions_of(self, oid: int) -> Tuple[Dict[int, object], Set[int]]:
-        """The ``regions`` dict and the ``_reported`` set the rows of
-        node ``oid`` stand for."""
-        rows = self.rows_of(np.array([oid]))[0]
-        rows = rows[np.argsort(self.order[rows], kind="stable")]
-        qids = self.qid[rows].tolist()
-        muted = self.muted[rows].tolist()
-        return (
-            dict(zip(qids, self.region[rows].tolist())),
-            {qid for qid, m in zip(qids, muted) if m},
-        )
 
     def _claim(self, m: int) -> np.ndarray:
         """``m`` dead rows to write into; every column doubles first
@@ -298,20 +264,13 @@ class _RegionTable:
         return free[:m]
 
     def _write(self, m: int, *values, order=0) -> None:
-        """Arm ``m`` rows, one assignment per column: ``values`` are
-        the fields of :meth:`row` and ``order``, each a scalar or ``m``
-        long."""
+        """Arm ``m`` rows, one assignment per column: ``values`` and
+        ``order`` are the columns of :data:`_COLUMNS` but ``muted``,
+        each a scalar or ``m`` long."""
         free = self._claim(m)
         for name, value in zip(self._COLUMNS, values + (order, False)):
             getattr(self, name)[free] = value
         self.live[free] = True
-
-    def rewrite(self, oids: np.ndarray, rows: List[Tuple]) -> None:
-        """Replace every row of the nodes in ``oids`` by ``rows``
-        (:meth:`row` tuples)."""
-        self.live[self.rows_of(oids)[0]] = False
-        if rows:
-            self._write(len(rows), *zip(*rows))
 
     def install(
         self, oids: np.ndarray, seg: np.ndarray, qids: List[int], regions
@@ -339,7 +298,7 @@ class _RegionTable:
             order[hit] = self.order[rows[at[hit]]]
             self.live[rows[at[hit]]] = False
         pick = seg[last]
-        fields = zip(*(self.row(0, q, r)[1:-1] for q, r in zip(qids, regions)))
+        fields = zip(*(self.row(q, r) for q, r in zip(qids, regions)))
         region = np.empty(len(regions), dtype=object)
         region[:] = regions
         self._write(
@@ -379,226 +338,80 @@ class _RegionTable:
 
 
 class DknnSilentPhase(ClientPhase):
-    """Batched tick-start for the point-to-point protocol (DKNN/-P/-FT).
+    """Batched tick-start for the point-to-point protocol (DKNN-P).
 
-    A :class:`~repro.core.client.DknnMobileNode`'s tick-start is a pure
-    no-op (modulo its local clock) unless one of four things holds:
+    The phase is the whole client side of the build: no node object
+    exists under it. Each :class:`~repro.core.client.DknnMobileNode` is
+    a row of columns: its drift origin (``_sent_x`` / ``_sent_y``, NaN
+    before its first send), whether it holds a region
+    (``_attention``), its ``regions`` and ``_reported`` as rows of the
+    :class:`_RegionTable` (the muted rows are the reported ones; an
+    ``order`` column keeps dict insertion order), and its pushed
+    ``known_answers`` in ``_answers``; ``theta`` is the builder's, one
+    for all. A node's tick-start sends only when one of three things
+    holds:
 
-    * it has never transmitted (``_last_sent is None``);
+    * it has never transmitted;
     * it drifted more than ``theta`` from its last transmitted position;
     * one of its installed regions, not yet reported this episode, is
-      violated at its current position;
-    * it holds a region (*attention*) and is *timed*: a
-      :class:`~repro.core.hardened.HardenedDknnNode`, whose lease
-      heartbeat and violation-retry sweep may fire on any tick and are
-      not second-guessed.
+      violated at its current position.
 
-    The first three are evaluated exactly — the region predicate in
-    one pass over the :class:`_RegionTable` — so on a fault-free build
-    the candidates are precisely the nodes that will send.
+    All three are evaluated exactly — the region predicate in one pass
+    over the table — so the candidates are precisely the nodes that
+    send, and the phase sends what their tick-starts would send, in
+    their order: the drift-only candidates (no region held) as one
+    ``LOCATION_UPDATE`` batch, every other candidate's drift report and
+    violations as one **report flight** (:meth:`_reports`). Every
+    downlink of the server is a flight :meth:`deliver_batch` applies to
+    the columns as each receiver's handler would.
 
-    **Nodes on demand.** The phase drives a
-    :class:`~repro.net.node.Population`, where a node object exists only
-    once scalar code has needed it. For a node not built yet the
-    columns are the whole node: the drift mirrors are its
-    ``_last_sent`` / ``_last_uplink_tick``, its table rows its
-    ``regions`` and ``_reported``, the builder's theta the rest;
-    :meth:`_adopt` writes them onto the node the moment it is built.
-    Batches reach an unbuilt node through the columns alone — answer
-    pushes are held here until it is built — and so does its tick-start
-    when it is not timed (:meth:`_reports`: the same reports, in the
-    same order). What builds a node is a scalar dispatch, the
-    tick-start of a timed node, or a loop over every node. A fault-free
-    run has none of these: every downlink of the server is a flight
-    :meth:`deliver_batch` takes whole, so no node is built. Scalar
-    dispatches come from where the transport decides per message or the
-    hardened build acks each install.
-
-    The phase keeps ``(sent_x, sent_y, attention)`` mirrors and the
-    built nodes' table rows current in two ways. A node on which
-    *scalar* code ran — it was dispatched a PROBE / install / revoke
-    message, or ran as a candidate — is **touched**: whatever that code
-    did is re-read off the node before the next mask evaluation
-    (:meth:`flush_touched`). A node reached by a columnar batch is not:
-    :meth:`deliver_batch` applies the batch to the built nodes and to
-    the columns in one call, so the table is current at delivery time.
-    The node's local clock is synced at dispatch time — the only
-    observable effect of the scalar tick-start on a silent node.
-
-    On columnar builds (see :mod:`repro.net.plane`) the phase also
-    splits the candidates: the *drift-only* ones — no installed region,
-    so their whole tick-start is one ``LOCATION_UPDATE`` — are sent as
-    a single columnar batch without ever invoking the nodes, and the
-    reports of every other unbuilt, untimed candidate as one
-    **report flight** (split where a built candidate runs its own
-    tick-start, one by one with the plane closed: :func:`_send_runs`).
-    Probe batches from the server are answered with one
-    ``PROBE_REPLY`` batch. Nodes handled this way are **desynced**:
-    the phase's mirrors
-    are newer than ``node._last_sent``, and :meth:`_sync_node` flushes
-    the mirror back onto the node before any scalar code path (message
-    dispatch, scalar candidate run) can read it. Install, revoke and
-    answer-push batches never desync anyone: they are written through
-    to the built nodes, which stay the only source of truth for every
-    scalar path.
+    :meth:`bind` refuses what it cannot hold as columns: a node class
+    other than ``DknnMobileNode`` (a hardened node's lease and retry
+    clocks) and a population with a node built. A build whose transport
+    decides per message, or whose nodes keep clocks, gets no phase and
+    runs the per-object loop (DESIGN §8).
     """
 
-    #: message kinds whose handler can change the silence predicate
-    #: (drift origin via the probe reply's ``_mark_sent``, regions and
-    #: lease via installs/revokes). ANSWER_PUSH only updates known answers.
-    _MUTATING = frozenset(
-        (
-            MessageKind.PROBE,
-            MessageKind.INSTALL_REGION,
-            MessageKind.REVOKE_REGION,
-        )
-    )
+    def __init__(self, theta: float) -> None:
+        #: the drift threshold of every node (``DknnMobileNode.theta``)
+        self._theta = float(theta)
 
     def bind(self, sim) -> None:
         super().bind(sim)
-        pop = sim.mobiles
-        for cls in pop.classes:
-            if not issubclass(cls, DknnMobileNode):
+        _refuse_built(sim, type(self).__name__)
+        for cls in sim.mobiles.classes:
+            if cls is not DknnMobileNode:
                 raise ProtocolError(
                     f"DknnSilentPhase cannot drive {cls.__name__}"
                 )
-        self.skip_tick_end = _base_tick_end(pop)
+        self.skip_tick_end = _base_tick_end(sim.mobiles)
         n = sim.fleet.n
-        #: the population's node table (None: not built yet) and its
-        #: builder — hot loops read ``node_of[oid] or build(oid)``.
-        self._node_of: List[Optional[DknnMobileNode]] = pop.nodes
-        self._build = pop.build
-        pop.on_build = self._adopt
-        self._active = np.zeros(n, dtype=bool)
-        self._active[pop.oids()] = True
-        self._theta = np.zeros(n, dtype=np.float64)
         self._sent_x = np.full(n, np.nan)
         self._sent_y = np.full(n, np.nan)
         self._attention = np.zeros(n, dtype=bool)
-        #: hardened nodes: every candidate runs its own tick-start, and
-        #: every region holder is one.
-        self._timed = any(issubclass(c, HardenedDknnNode) for c in pop.classes)
         #: the oids the fleet can move; None: evaluate whole columns
-        #: every tick (a timed build, or a fleet that can move them all).
-        self._moving = None if self._timed else getattr(
-            sim.fleet, "moving_rows", None
-        )
+        #: every tick (a fleet that can move them all).
+        self._moving = getattr(sim.fleet, "moving_rows", None)
         #: what the next evaluation re-checks besides the moving rows
         #: (:meth:`_candidates`); None: whole columns (the first
-        #: evaluation, every one where ``_moving`` is None, and any
-        #: after one whose candidates nearly fill them).
+        #: evaluation, and every one where ``_moving`` is None).
         self._recheck: Optional[List[np.ndarray]] = None
         #: candidates :meth:`idle` found, for the tick-start that follows
         self._ready: Optional[Tuple[np.ndarray, ...]] = None
-        #: can :meth:`idle` observe a still tick? Not on a timed build,
-        #: a fleet that cannot say whether it moved (a scalar one), nor
-        #: where a mobile's tick end does work
+        #: can :meth:`idle` observe a still tick? Not over a fleet that
+        #: cannot say whether it moved (a scalar one), nor where a
+        #: mobile's tick end does work
         self.observes_stillness = (
-            not self._timed
-            and hasattr(sim.fleet, "moved")
-            and self.skip_tick_end
+            hasattr(sim.fleet, "moved") and self.skip_tick_end
         )
-        # A node nobody has needed yet holds what a fresh one holds: no
-        # region, nothing sent — the mirrors' defaults — and the
-        # builder's theta, read once off a throw-away node.
-        fresh = pop.fresh()
-        if fresh is not None:
-            self._theta[:] = fresh.theta
-        # Nodes built before the phase (a hand-built table) are read
-        # whole at the first flush, whatever state they were given.
-        built = pop.built()
-        for node in built:
-            self._theta[node.oid] = node.theta
-        self._touched: Set[int] = {node.oid for node in built}
-        #: batched-uplink state: tick of the last (batched) uplink and
-        #: whether the mirror is newer than the node (see _sync_node).
-        self._uplink_tick = np.zeros(n, dtype=np.int64)
-        self._desynced = np.zeros(n, dtype=bool)
         self.regions = _RegionTable(n)
-        #: oid -> the ``known_answers`` of a focal not built yet.
+        #: oid -> the node's ``known_answers`` (focal objects only).
         self._answers: Dict[int, Dict[int, List[int]]] = {}
 
-    def _adopt(self, node: DknnMobileNode) -> None:
-        """Write what the columns hold for a node built just now onto
-        it: its drift origin, its regions if it holds any, and the
-        answers pushed to it."""
-        oid = node.oid
-        self._sync_node(oid)
-        if self._attention[oid]:
-            node.regions, reported = self.regions.regions_of(oid)
-            if reported:
-                node._reported = reported
-        if oid in self._answers:
-            node.known_answers = self._answers.pop(oid)
-
-    def _sync_node(self, oid: int) -> None:
-        """Flush mirror-authoritative uplink state back onto the node.
-
-        Columnar sends update the mirrors in place without invoking the
-        node; until synced, ``node._last_sent`` is stale. Called before
-        every scalar read of that state (message dispatch, scalar
-        candidate run), so no scalar code ever observes the staleness.
-        """
-        if not self._desynced[oid]:
-            return
-        node = self._node_of[oid]
-        node._last_sent = (
-            float(self._sent_x[oid]), float(self._sent_y[oid])
-        )
-        node._last_uplink_tick = int(self._uplink_tick[oid])
-        self._desynced[oid] = False
-
-    def flush_touched(self) -> None:
-        """Re-read the touched nodes — those scalar code ran on since
-        the last flush — into the mirrors and the table.
-
-        Runs before the candidate mask reads either (:meth:`tick_start`,
-        :meth:`idle`). Values are gathered in lists and land in one
-        assignment per column. A touched node that a batch reached as
-        well is simply re-read whole: the batch went through to the
-        node too.
-        """
-        if not self._touched:
-            return
-        ids = np.fromiter(self._touched, np.int64, len(self._touched))
-        self._touched.clear()
-        node_of = self._node_of
-        row = _RegionTable.row
-        attention: List[bool] = []
-        synced: List[int] = []
-        sent_x: List[float] = []
-        sent_y: List[float] = []
-        rows: List[Tuple] = []
-        for oid, desynced in zip(ids.tolist(), self._desynced[ids].tolist()):
-            node = node_of[oid]
-            if not desynced:
-                # Else the mirror is newer than the node (columnar
-                # sends) and already holds the drift origin.
-                x, y = node._last_sent or _NEVER_SENT
-                synced.append(oid)
-                sent_x.append(x)
-                sent_y.append(y)
-            regions = node.regions
-            attention.append(bool(regions))
-            if regions:
-                # A reported region is muted until repaired: no row.
-                muted = node._reported
-                rows += [
-                    row(oid, qid, region)
-                    for qid, region in regions.items()
-                    if qid not in muted
-                ]
-        self._attention[ids] = attention
-        self._sent_x[synced] = sent_x
-        self._sent_y[synced] = sent_y
-        self.regions.rewrite(ids, rows)
-        self._changed(ids)
-
     def _changed(self, oids: np.ndarray) -> None:
-        """``oids`` may have gained a table row or an unmuted one, or
-        a drift origin from scalar code: the next evaluation re-checks
-        them (:meth:`_candidates`). A revoke or a probe reply can only
-        turn a node's predicate off."""
+        """``oids`` may have gained a table row or an unmuted one: the
+        next evaluation re-checks them (:meth:`_candidates`). A revoke,
+        a probe reply and a mute can only turn a node's predicate off."""
         if self._recheck is not None:
             self._recheck.append(oids)
 
@@ -607,20 +420,20 @@ class DknnSilentPhase(ClientPhase):
         each drifted past theta (or never sent), and the violated table
         rows, ascending.
 
-        Whole columns the first time, every time on a timed build or a
-        fleet that can move every object, and whenever the rows to
-        re-check are as many as the columns. Otherwise only the rows
-        whose predicate can have turned since the last evaluation: the
-        nodes written since in a way that can turn it on
-        (:meth:`_changed`), the last evaluation's candidates, which
-        covers a candidate that did not act (down under a fault plan),
-        and the fleet's moving rows if the fleet moved. No other node
-        was a candidate then, and nothing it is evaluated on has
-        changed: every advance since the last evaluation is this
-        tick's, as a tick on which the fleet moved is never skipped.
-        Nothing to re-check finds nothing, without a numpy call."""
+        Whole columns the first time, every time over a fleet that can
+        move every object, and whenever the rows to re-check are as
+        many as the columns. Otherwise only the rows whose predicate
+        can have turned since the last evaluation: the nodes written
+        since in a way that can turn it on (:meth:`_changed`) and the
+        fleet's moving rows if the fleet moved. No other node is a
+        candidate: every candidate of the last evaluation acted, which
+        turned its predicate off, and nothing the others are evaluated
+        on has changed — every advance since the last evaluation is
+        this tick's, as a tick on which the fleet moved is never
+        skipped. Nothing to re-check finds nothing, without a numpy
+        call."""
         table = self.regions
-        n = self._active.shape[0]
+        n = self._sent_x.shape[0]
         recheck, self._recheck = self._recheck, None
         if recheck is not None and self.sim.fleet.moved():
             recheck = [self._moving, *recheck]
@@ -638,25 +451,21 @@ class DknnSilentPhase(ClientPhase):
         dx = xs[at] - sent_x
         dy = ys[at] - self._sent_y[at]
         drift = np.sqrt(dx * dx + dy * dy)
-        moved = np.isnan(sent_x) | (drift > self._theta[at])
-        cand = (moved | self._attention) if self._timed else moved.copy()
+        moved = np.isnan(sent_x) | (drift > self._theta)
+        cand = moved.copy()
         hit = table.violated(xs, ys, rows)
         holders = table.oid[hit]
         cand[holders if rows is None else np.searchsorted(at, holders)] = True
-        cand &= self._active[at]
         pos = np.flatnonzero(cand)
-        oids = pos if rows is None else at[pos]
-        moving = self._moving
-        if moving is not None and moving.shape[0] + oids.shape[0] < n:
-            self._recheck = [oids]
-        return oids, moved[pos], hit
+        if self._moving is not None:
+            self._recheck = []
+        return pos if rows is None else at[pos], moved[pos], hit
 
     def idle(self) -> bool:
         """Is no node a candidate at the current positions? Evaluates
         what :meth:`_candidates` would re-check; candidates it finds
         feed the tick-start that follows, which then does not evaluate
         again."""
-        self.flush_touched()
         found = self._candidates(*_fleet_xy(self.sim.fleet))
         if found[0].shape[0]:
             self._ready = found
@@ -664,67 +473,49 @@ class DknnSilentPhase(ClientPhase):
         return True
 
     def tick_start(self, tick: int) -> None:
-        self.flush_touched()
         sim = self.sim
         xs, ys = _fleet_xy(sim.fleet)
         found, self._ready = self._ready, None
         oids, moved, hit = found or self._candidates(xs, ys)
         n_cand = oids.shape[0]
-        if sim.plane_open():
-            # Drift-only candidates (no installed region) do exactly
-            # one thing scalar: send a LOCATION_UPDATE. Ship them all
-            # as one batch.
-            held = self._attention[oids]
-            idx = oids[~held]
-            if idx.shape[0] >= MIN_BATCH:
-                bx = xs[idx]  # fancy indexing copies: latency-safe
-                by = ys[idx]
-                sim.channel.send_batch(
-                    ColumnarBatch(
-                        MessageKind.LOCATION_UPDATE,
-                        srcs=idx,
-                        dst=SERVER_ID,
-                        xs=bx,
-                        ys=by,
-                        payload_nbytes=_LU_NBYTES,
-                        payload_ctor=LocationUpdate,
-                    )
+        # Drift-only candidates (no installed region) do exactly one
+        # thing: send a LOCATION_UPDATE. Ship them all as one batch.
+        held = self._attention[oids]
+        idx = oids[~held]
+        if idx.shape[0] >= MIN_BATCH:
+            bx = xs[idx]  # fancy indexing copies: latency-safe
+            by = ys[idx]
+            sim.channel.send_batch(
+                ColumnarBatch(
+                    MessageKind.LOCATION_UPDATE,
+                    srcs=idx,
+                    dst=SERVER_ID,
+                    xs=bx,
+                    ys=by,
+                    payload_nbytes=_LU_NBYTES,
+                    payload_ctor=LocationUpdate,
                 )
-                self._sent_x[idx] = bx
-                self._sent_y[idx] = by
-                self._uplink_tick[idx] = tick
-                self._desynced[idx] = True
-                oids, moved = oids[held], moved[held]
-        if sim.faults is not None:
-            down = sim.faults.down_at(tick)  # no checks, no sends
-            up = ~np.isin(oids, np.fromiter(down, np.int64, len(down)))
-            oids, moved = oids[up], moved[up]
-        # A built candidate, or a timed one, runs its own tick-start;
-        # every other one is its columns.
-        node_of = self._node_of
-        scalar = oids.tolist()
-        if not self._timed:
-            scalar = [oid for oid in scalar if node_of[oid] is not None]
-        if scalar:
-            plain = ~np.isin(oids, scalar)
-            oids, moved = oids[plain], moved[plain]
-        flight = self._reports(oids, moved, hit, xs, ys, tick)
-        _send_runs(sim, flight, scalar, self._tick_start)
+            )
+            self._sent_x[idx] = bx
+            self._sent_y[idx] = by
+            oids, moved = oids[held], moved[held]
+        flight = self._reports(oids, moved, hit, xs, ys)
+        if flight.count:
+            sim.channel.send_batch(flight)
         tel = sim.telemetry
         if tel.enabled:
             tel.emit(
                 tick,
                 "fastpath.candidates",
                 candidates=n_cand,
-                population=int(self._active.sum()),
+                population=self._sent_x.shape[0],
             )
 
-    def _reports(self, oids, moved, hit, xs, ys, tick) -> ColumnarBatch:
-        """``DknnMobileNode.on_tick_start`` of the unbuilt, untimed
-        candidates ``oids`` (ascending), on the columns, as a report
-        flight: per node its drift report if it ``moved``, then its
-        violated rows of ``hit`` in dict order, muted; each marked
-        sent."""
+    def _reports(self, oids, moved, hit, xs, ys) -> ColumnarBatch:
+        """``DknnMobileNode.on_tick_start`` of the candidates ``oids``
+        (ascending), on the columns, as a report flight: per node its
+        drift report if it ``moved``, then its violated rows of ``hit``
+        in dict order, muted; each marked sent."""
         table = self.regions
         holder = table.oid[hit]
         at = np.minimum(np.searchsorted(oids, holder), oids.shape[0] - 1)
@@ -732,8 +523,6 @@ class DknnSilentPhase(ClientPhase):
         table.muted[rows] = True
         self._sent_x[oids] = xs[oids]
         self._sent_y[oids] = ys[oids]
-        self._uplink_tick[oids] = tick
-        self._desynced[oids] = True
         # the violations go in after their sender's drift report
         lu = oids[moved]
         rows = rows[np.lexsort((table.order[rows], table.oid[rows]))]
@@ -746,31 +535,19 @@ class DknnSilentPhase(ClientPhase):
             np.full(lu.shape[0] + rows.shape[0], -1), xs, ys,
         )
 
-    def _tick_start(self, oid: int) -> None:
-        """A candidate's own ``on_tick_start``, built if it is not."""
-        node = self._node_of[oid] or self._build(oid)
-        self._sync_node(oid)
-        node.on_tick_start(self.sim.tick)
-        self._touched.add(oid)
-
     def deliver_batch(self, batch: ColumnarBatch) -> bool:
         """Consume a PROBE, INSTALL_REGION, REVOKE_REGION or
-        ANSWER_PUSH flight in place; anything else (and any batch while
-        the plane is vetoed) is declined and reaches the nodes as
-        scalar messages.
+        ANSWER_PUSH flight in place. Anything else is declined: it
+        reaches the nodes as scalar messages, whose handler refuses it
+        (a kind, a payload type or a band code ``DknnMobileNode`` does
+        not take).
 
         A flight is a server subround's whole output of its kind, many
         queries' runs one after the other (:mod:`repro.net.plane`).
-        Each arm does what the nodes' own handler does, row by row in
-        send order, and keeps the phase's columns current in the same
-        call — an install or revoke flight in one pass over the region
-        table — so the receivers do not join the touched set. None of
-        the four handlers reads the node's drift origin or its local
-        clock, which is why no receiver needs :meth:`_sync_node` or a
-        fresh ``_cur_tick`` first.
+        Each arm does to the columns what the receivers' own handler
+        does, row by row in send order — an install or revoke flight in
+        one pass over the region table.
         """
-        if not self.sim.plane_open():
-            return False
         kind = batch.kind
         if kind is MessageKind.PROBE:
             self._answer_probes(batch.dsts)
@@ -788,8 +565,7 @@ class DknnSilentPhase(ClientPhase):
 
     def _answer_probes(self, idx: np.ndarray) -> None:
         """One PROBE_REPLY batch for a PROBE batch: read own position,
-        reply, reset the dead-reckoning origin (``_mark_sent``) — all
-        on the mirrors, leaving the nodes desynced."""
+        reply, reset the dead-reckoning origin (``_mark_sent``)."""
         sim = self.sim
         xs, ys = _fleet_xy(sim.fleet)
         px = xs[idx]
@@ -807,80 +583,40 @@ class DknnSilentPhase(ClientPhase):
         )
         self._sent_x[idx] = px
         self._sent_y[idx] = py
-        self._uplink_tick[idx] = sim.tick
-        self._desynced[idx] = True
 
     def _install_batch(self, dsts, pidx, payloads) -> bool:
-        """``DknnMobileNode._apply_install`` on every built receiver, row
-        by row, and on the table for all of them. A run's receivers
-        share its one region object (regions are immutable values).
-        Declined: an epoch-stamped install (the node acks, dedupes and
-        learns its lease from it) and a band code the node itself would
-        refuse."""
-        if any(
-            p.epoch >= 0 or p.band not in _BAND_CLASSES for p in payloads
-        ):
+        """``DknnMobileNode._apply_install``, row by row, on the table.
+        A run's receivers share its one region object (regions are
+        immutable values); an install's epoch and lease are the
+        hardened node's, which a plain one ignores."""
+        if any(p.band not in _BAND_CLASSES for p in payloads):
             return False
         qids = [p.qid for p in payloads]
         regions = [
             _BAND_CLASSES[p.band](p.ax, p.ay, p.radius) for p in payloads
         ]
-        node_of = self._node_of
-        for oid, i in zip(dsts.tolist(), pidx.tolist()):
-            node = node_of[oid]
-            if node is not None:
-                node.regions[qids[i]] = regions[i]
-                node._end_episode(qids[i])
         self.regions.install(dsts, pidx, qids, regions)
         self._attention[dsts] = True
         self._changed(dsts)
         return True
 
     def _revoke_batch(self, dsts, pidx, payloads) -> bool:
-        """The REVOKE_REGION arm of ``DknnMobileNode.on_message`` on
-        every built receiver, row by row, and on the table for all of
-        them."""
+        """The REVOKE_REGION arm of ``DknnMobileNode.on_message``, row
+        by row, on the table."""
         qids = np.array([p.qid for p in payloads], dtype=np.int64)[pidx]
-        # An unbuilt receiver holds whatever rows it has left.
         nodes, attention = self.regions.revoke(dsts, qids)
-        node_of = self._node_of
-        for oid, qid in zip(dsts.tolist(), qids.tolist()):
-            node = node_of[oid]
-            if node is not None:
-                node.regions.pop(qid, None)
-                node._end_episode(qid)
-        for i, oid in enumerate(nodes.tolist()):
-            if node_of[oid] is not None:
-                attention[i] = bool(node_of[oid].regions)
         self._attention[nodes] = attention
         return True
 
     def _push_answers(self, dsts, pidx, payloads) -> bool:
-        """The ANSWER_PUSH arm of ``DknnMobileNode.on_message``: a built
-        focal's ``known_answers`` is written, an unbuilt one's held
-        here until :meth:`_adopt` hands it over."""
-        node_of = self._node_of
+        """The ANSWER_PUSH arm of ``DknnMobileNode.on_message``, on
+        ``_answers``."""
+        answers = self._answers
         for oid, i in zip(dsts.tolist(), pidx.tolist()):
-            node = node_of[oid]
-            if node is None:
-                known = self._answers.setdefault(oid, {})
-            else:
-                if node.known_answers is _UNWRITTEN:
-                    node.known_answers = {}
-                known = node.known_answers
-            known[payloads[i].qid] = list(payloads[i].ids)
+            answers.setdefault(oid, {})[payloads[i].qid] = list(
+                payloads[i].ids
+            )
         return True
-
-    def before_dispatch(self, node: Node, msg: Message) -> None:
-        # Scalar invariant: on_tick_start ran before any delivery, so
-        # handlers always see a fresh local clock. Skipped nodes never
-        # ran it this tick — restore the clock here. Desynced nodes get
-        # their drift origin flushed back first: the handler may update
-        # it (_mark_sent) and the touched-refresh will re-read it.
-        node._cur_tick = self.sim.tick
-        self._sync_node(node.oid)
-        if msg.kind in self._MUTATING:
-            self._touched.add(node.oid)
 
 
 class BroadcastSilentPhase(ClientPhase):
@@ -891,12 +627,12 @@ class BroadcastSilentPhase(ClientPhase):
     phase holds each node's **own** monitor view per query — anchor,
     band limit, role, armed and reported flags, epoch — checks it one
     query row at a time in n-sized scratch and sends the violation
-    reports from the cells (:meth:`_report`). A row that every active
-    node heard whole is **shared**: one payload in ``_row``, read as
+    reports from the cells (:meth:`_report`). A row that every node
+    heard whole is **shared**: one payload in ``_row``, read as
     scalars, with only the armed / reported flags per cell. A row
-    whose receivers diverged — a geocast strip, an epoch gate, down
-    receivers — lives in ``(q, n)`` cells, allocated on the first such
-    row, until a full broadcast shares it again. Nothing in the build
+    whose receivers diverged — a geocast strip, an epoch gate — lives
+    in ``(q, n)`` cells, allocated on the first such row, until a full
+    broadcast shares it again. Nothing in the build
     reads a node's ``monitors`` / ``known_answers`` — the COLLECT and
     PROBE handlers read only ``my_qids`` and the position — so no node
     runs a tick-start or hears an install, and one is built only when
@@ -915,9 +651,8 @@ class BroadcastSilentPhase(ClientPhase):
       (:meth:`_collect_round`): the in-circle test every receiver
       would run scalar is evaluated once, vectorized, and the replies
       leave as one ``COLLECT_REPLY`` uplink batch — or, for a short
-      round or with the plane closed, from the handlers of the
-      in-circle nodes alone; for everyone else delivery is a provable
-      no-op.
+      round, from the handlers of the in-circle nodes alone; for
+      everyone else delivery is a provable no-op.
 
     Installs have one way in, :meth:`deliver_area`: an install
     dispatched to one node, or geocast with a payload other than a
@@ -939,6 +674,7 @@ class BroadcastSilentPhase(ClientPhase):
                 raise ProtocolError(
                     f"BroadcastSilentPhase cannot drive {cls.__name__}"
                 )
+        _refuse_built(sim, type(self).__name__)
         self.skip_tick_end = _base_tick_end(pop)
         n = sim.fleet.n
         self._qids = sorted(self._focal_of)
@@ -947,9 +683,7 @@ class BroadcastSilentPhase(ClientPhase):
         #: the population's node table (None: not built yet) and builder.
         self._node_of: List[Optional[BroadcastMobileNode]] = pop.nodes
         self._build = pop.build
-        self._active = np.zeros(n, dtype=bool)
-        self._active[pop.oids()] = True
-        #: per query, the payload all active nodes hold while each of
+        #: per query, the payload all nodes hold while each of
         #: its installs reached them all: anchor, outer limit (outsiders
         #: fire inside it), the members' and focal's oids and limits
         #: (inner; the focal's circle: they fire beyond it), finite
@@ -968,11 +702,6 @@ class BroadcastSilentPhase(ClientPhase):
         self._epoch: Optional[np.ndarray] = None
         if any(issubclass(cls, GeocastMobileNode) for cls in pop.classes):
             self._epoch = np.full((q, n), -1, dtype=np.int64)
-        #: the oids of every active node: a plain slice when that is the
-        #: whole fleet, so full broadcasts write rows, not scatters.
-        self._everyone = (
-            slice(None) if self._active.all() else np.flatnonzero(self._active)
-        )
         #: n-sized scratch of the per-row passes (band check, collect
         #: circle, geocast cover): |dx| and who lies in the strip it
         #: bounds.
@@ -988,7 +717,7 @@ class BroadcastSilentPhase(ClientPhase):
     def _install(self, msg: Message, idx: Optional[np.ndarray]) -> None:
         """Write one install onto the cells of the nodes that hear it:
         ``idx`` holds their oids ascending, None is a full broadcast,
-        heard by every active node.
+        heard by every node.
 
         Receivers all execute ``monitors[qid] = payload`` (reference
         assignment of this very object), so the payload *is* their
@@ -1002,7 +731,7 @@ class BroadcastSilentPhase(ClientPhase):
         """
         payload = msg.payload
         qi = self._qidx[payload.qid]
-        m = self._everyone if idx is None else idx
+        m = slice(None) if idx is None else idx
         seq = self._seq
         self._seq = seq + 1
         if self._unseen[qi]:
@@ -1040,7 +769,7 @@ class BroadcastSilentPhase(ClientPhase):
                 q, n = self._armed.shape
                 self._ax, self._ay, self._bound = np.zeros((3, q, n))
                 self._member = np.zeros((q, n), dtype=bool)
-            self._write(qi, self._everyone, self._row[qi])
+            self._write(qi, slice(None), self._row[qi])
             self._row[qi] = None
         self._write(qi, m, row)
         self._armed[qi, m] = finite and ~self._reported[qi, m]
@@ -1071,20 +800,6 @@ class BroadcastSilentPhase(ClientPhase):
             float(ax), float(ay), float(bound),
             bool(member), bool(armed), bool(reported),
         )
-
-    def _down(self):
-        """Ids of the nodes the fault plan has down this tick."""
-        sim = self.sim
-        return sim.faults.down_at(sim.tick) if sim.faults is not None else ()
-
-    def _up(self, idx: Optional[np.ndarray]) -> Optional[np.ndarray]:
-        """``idx`` (None: every active node) minus the nodes down now."""
-        down = self._down()
-        if not down:
-            return idx
-        if idx is None:
-            idx = np.flatnonzero(self._active)
-        return idx[~np.isin(idx, list(down))]
 
     def tick_start(self, tick: int) -> None:
         xs, ys = _fleet_xy(self.sim.fleet)
@@ -1144,27 +859,22 @@ class BroadcastSilentPhase(ClientPhase):
                 tick,
                 "fastpath.candidates",
                 candidates=sent,
-                population=int(self._active.sum()),
+                population=self._armed.shape[1],
                 built=len(self.sim.mobiles.built()),
             )
 
     def _report(self, qis, oids, xs, ys) -> int:
-        """Send the reports of the violated cells ``(qis, oids)`` that
-        are up and mute them; returns how many were sent.
+        """Send the reports of the violated cells ``(qis, oids)`` and
+        mute them; returns how many were sent.
 
         The uplinks keep the per-object loop's order: node by node in
         ascending oid, each node's in its ``monitors`` order — the
         order of the first install it heard per query — one
         ``ViolationReport`` at the node's position and held epoch,
         ``QUERY_MOVE`` for the focal's own query. They leave as one
-        report flight, or one by one with the plane closed. A report
-        mutes its cell until the next install re-arms it.
+        report flight. A report mutes its cell until the next install
+        re-arms it.
         """
-        keep = self._active[oids]
-        down = self._down()
-        if down:
-            keep &= ~np.isin(oids, list(down))
-        qis, oids = qis[keep], oids[keep]
         order = np.lexsort((self._first[qis, oids], oids))
         qis, oids = qis[order], oids[order]
         self._reported[qis, oids] = True
@@ -1177,7 +887,7 @@ class BroadcastSilentPhase(ClientPhase):
         flight = _report_flight(
             oids, 1 + (focal == oids).astype(np.int8), qids, epochs, xs, ys
         )
-        _send_runs(self.sim, flight)
+        self.sim.channel.send_batch(flight)
         return flight.count
 
     def before_dispatch(self, node: Node, msg: Message) -> None:
@@ -1191,7 +901,7 @@ class BroadcastSilentPhase(ClientPhase):
             )
 
     def _strip(self, cx: float, cy: float, half: float):
-        """The active oids in the strip ``|x - cx| <= half``, ascending,
+        """The oids in the strip ``|x - cx| <= half``, ascending,
         and their ``dx*dx + dy*dy``. Everyone within ``half`` of the
         centre stands in it (``dx*dx + dy*dy >= dx*dx`` in floats too),
         so only the strip gets the two-dimensional test."""
@@ -1200,8 +910,6 @@ class BroadcastSilentPhase(ClientPhase):
         np.subtract(xs, cx, out=d)
         np.abs(d, out=d)
         np.less_equal(d, half, out=near)
-        if not isinstance(self._everyone, slice):
-            near &= self._active
         idx = np.nonzero(near)[0]
         dx = d[idx]
         dy = ys[idx] - cy
@@ -1219,8 +927,8 @@ class BroadcastSilentPhase(ClientPhase):
         The query's own focal never answers (its position travels by
         probe or violation). Every answer is one ``COLLECT_REPLY`` and
         nothing else, sent in ascending oid: a contiguous run, shipped
-        as one batch when the plane is open and the run is long enough,
-        by the repliers' own handlers otherwise.
+        as one batch when it is long enough, by the repliers' own
+        handlers otherwise.
         """
         sim = self.sim
         req = msg.payload
@@ -1231,15 +939,12 @@ class BroadcastSilentPhase(ClientPhase):
             heard = d2 <= radius * radius  # covers()
         else:
             heard = np.sqrt(d2) <= radius
-        down = self._down()
-        if down:
-            heard &= ~np.isin(idx, list(down))
         idx = idx[heard]
         if geocast:
             sim.channel.stats.record_delivery(msg, receivers=idx.shape[0])
             idx = idx[np.sqrt(d2[heard]) <= radius]  # the handler's test
         idx = idx[idx != self._focal_of[req.qid]]
-        if idx.shape[0] >= MIN_BATCH and sim.plane_open():
+        if idx.shape[0] >= MIN_BATCH:
             sim.channel.send_batch(
                 ColumnarBatch(
                     MessageKind.COLLECT_REPLY,
@@ -1277,7 +982,7 @@ class BroadcastSilentPhase(ClientPhase):
         if msg.kind is not MessageKind.BROADCAST_INSTALL:
             return False
         if not geocast:
-            self._install(msg, self._up(None))
+            self._install(msg, None)
             return True
         if ptype is not GeocastInstall:
             raise ProtocolError(
@@ -1286,7 +991,7 @@ class BroadcastSilentPhase(ClientPhase):
         payload = msg.payload
         cover = payload.cover
         idx, d2 = self._strip(payload.ax, payload.ay, cover)
-        idx = self._up(idx[d2 <= cover * cover])  # covers()
+        idx = idx[d2 <= cover * cover]  # covers()
         self._install(msg, idx)
         self.sim.channel.stats.record_delivery(msg, receivers=idx.shape[0])
         return True

@@ -8,7 +8,7 @@ leased. Each tick starts with a lease sweep over the objects holding
 regions, then retransmits unacked installs and unanswered probes and
 sends revival probes to the suspected; a suspected object is evicted
 from every query until it speaks again. Sends leave one by one (an
-epoch and an ack per install), and report flights are declined.
+epoch and an ack per install).
 
 **Client** (:class:`HardenedDknnNode`):
 
@@ -23,11 +23,10 @@ epoch and an ack per install), and report flights are declined.
   arrive within ``violation_retry`` ticks is re-reported — a single
   lost uplink cannot strand a query.
 
-A hardened node's clocks may fire on any tick it holds a region, so
-the client phase cannot observe a still tick over hardened nodes
-(``DknnSilentPhase.observes_stillness``), and
-:meth:`HardenedDknnServer.event_idle` vetoes every skip besides: a
-hardened build runs every tick.
+A hardened node's clocks may fire on any tick it holds a region, so no
+client phase can hold it as columns: a hardened build runs the
+per-object loop, every node on every tick, and with no phase to
+observe stillness the event driver never skips one of its ticks.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from repro.core.server import _RESUME, DknnServer, _key
 from repro.errors import ProtocolError
 from repro.geometry.region import QuerySafeCircle
 from repro.net.message import Message, MessageKind
-from repro.net.plane import ColumnarBatch
 
 __all__ = ["HardenedDknnNode", "HardenedDknnServer"]
 
@@ -97,23 +95,6 @@ class HardenedDknnServer(DknnServer):
             self._probe_sent.pop(msg.src, None)
             self._probe_first.pop(msg.src, None)
 
-    def on_uplink_batch(self, batch: ColumnarBatch) -> bool:
-        """Report flights are declined (their rows arrive as messages);
-        a location / probe-reply batch is heard row by row first."""
-        if batch.kind is None:
-            return False
-        if batch.kind in _POSITIONS:
-            for src in batch.srcs.tolist():
-                self._heard(src)
-        return super().on_uplink_batch(batch)
-
-    def _release_probes(self, srcs: np.ndarray) -> None:
-        super()._release_probes(srcs)
-        if self._probe_sent:
-            for src in srcs.tolist():
-                self._probe_sent.pop(src, None)
-                self._probe_first.pop(src, None)
-
     # -- per tick --------------------------------------------------------
 
     def on_tick_start(self, tick: int) -> None:
@@ -131,13 +112,6 @@ class HardenedDknnServer(DknnServer):
                 self.answers.get(qid, ())
             ):
                 self.degraded[qid] = True
-
-    # reach: the builder's hardened nodes make the client phase blind to
-    # stillness, so no driver asks; the veto holds for a hand-built
-    # system whose phase observes it
-    def event_idle(self, tick: int) -> bool:
-        # lease sweeps and retransmit timers need every tick
-        return False
 
     def _ft_tick(self, tick: int) -> None:
         """Per-tick self-healing: lease sweep, then retransmissions."""

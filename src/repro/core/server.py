@@ -263,12 +263,8 @@ class DknnServer(BaseServer):
         ):
             return False
         self.table.report_batch(batch.srcs, batch.xs, batch.ys, self._tick)
-        self._release_probes(batch.srcs)
+        self._probes_in_flight.release(batch.srcs)
         return True
-
-    def _release_probes(self, srcs: np.ndarray) -> None:
-        """A position from each of ``srcs`` answers its probe."""
-        self._probes_in_flight.release(srcs)
 
     def _ingest_reports(self, batch: ColumnarBatch) -> None:
         """:meth:`on_message` over a report flight's rows: the grid
@@ -288,7 +284,7 @@ class DknnServer(BaseServer):
         if repeats:
             self.meter.charge(CostMeter.BOOKKEEPING, repeats)
             self.meter.charge(CostMeter.INDEX_UPDATE, repeats)
-        self._release_probes(srcs[~named])
+        self._probes_in_flight.release(srcs[~named])
         for code, qid, src in zip(
             codes[named].tolist(), batch.qids[named].tolist(),
             srcs[named].tolist(),

@@ -772,8 +772,10 @@ class FastFleet(Fleet):
     def advance(self) -> None:
         """Move every object one tick; vectorized where silent.
 
-        The back buffers take this tick on the moving kernels' rows (they
-        hold the tick before, so a still row already has it); the
+        The back buffers take this tick on the rows of the kernels that
+        moved on the last advance (they hold the tick before, which
+        differs from this one only there: a kernel that did not move
+        left its back rows equal to its front ones); the
         kernels write the next tick into them and name their event rows;
         the events, in ascending oid across kernels (the scalar fleet's
         draw order), go back to their kernels' :meth:`_Kernel.arrive` as
@@ -782,7 +784,7 @@ class FastFleet(Fleet):
         """
         xs, ys, bx, by = self._xs, self._ys, self._bx, self._by
         for kern in self._kernels:
-            if kern.MOVES:
+            if kern.moved:  # still the last advance's answer
                 bx[kern.at] = xs[kern.at]
                 by[kern.at] = ys[kern.at]
         events = []

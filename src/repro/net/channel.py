@@ -141,7 +141,10 @@ class Channel:
 
         The event engine only skips a tick when the channel is idle —
         a queued item means the next tick must run its delivery phase.
-        Subclasses holding extra flights (delays) must account for them.
+        It asks only a channel that takes columnar flights: a build
+        over one that decides per message (``FaultyChannel``, whose
+        delayed flights this does not see) has no client phase, so its
+        driver never skips.
         """
         return not self._queue
 

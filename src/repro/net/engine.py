@@ -15,9 +15,8 @@ server hooks — is skipped only when all of these hold:
 * the **fleet** says no kernel moved an object this tick
   (:meth:`~repro.mobility.soa.FastFleet.moved`, one question per
   kernel);
-* the **channel** is idle: any queued, delayed or held flight
-  (including one-tick-latency deliveries and FaultyChannel delays)
-  forces a full tick;
+* the **channel** is idle: any queued or held flight (including
+  one-tick-latency deliveries) forces a full tick;
 * the **client phase** has no candidate (``client_phase.idle()``): it
   evaluates what changed since its last evaluation, and the candidates
   it finds feed the full tick;
@@ -26,10 +25,10 @@ server hooks — is skipped only when all of these hold:
   per-tick hooks are no-ops (see ``DknnServer`` and ``ShardedServer``).
 
 Only a client phase that ``observes_stillness`` lets the driver skip:
-DKNN-P's over a fast fleet. A hardened build, whose nodes run clocks
-that may fire on any tick, a scalar fleet, the baselines and a build
-without a client phase run every tick in full. Tick mode is the driver
-that never skips.
+DKNN-P's over a fast fleet. A scalar fleet, the baselines and every
+build without a client phase — hardened nodes, whose clocks may fire
+on any tick, a radio FaultPlan, a per-message shard tier — run every
+tick in full. Tick mode is the driver that never skips.
 
 **Equivalence contract** (DESIGN §8): in ``event`` mode, answers,
 message streams and RNG draws are identical to ``tick`` mode at every

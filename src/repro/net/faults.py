@@ -171,8 +171,8 @@ class FaultPlan:
                 return True
         return False
 
-    # reach: the whole-fleet form the client phase and the broadcast
-    # receiver count use; no product row has a node down on those paths
+    # reach: the whole-fleet form the broadcast receiver count uses; no
+    # product row broadcasts under a radio FaultPlan
     def down_at(self, tick: int) -> Set[int]:
         """Every node that is down at ``tick`` — ``{i : is_down(i,
         tick)}`` in one walk of the plan, for callers that would
@@ -302,13 +302,6 @@ class FaultyChannel(Channel):
             if self.telemetry.enabled:
                 self._note_fault("dup", msg)
         return msg
-
-    # reach: the event driver's channel veto; event mode under a radio
-    # FaultPlan has no product row (DESIGN §8, "Event mode without a
-    # product row")
-    def idle(self) -> bool:
-        """Held-back (delayed) flights keep the channel busy too."""
-        return not self._queue and not self._held
 
     # -- delivery accounting hooks -----------------------------------------
 

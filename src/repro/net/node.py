@@ -98,12 +98,11 @@ class Population:
     A builder hands over a constructor for oids ``0..n-1``
     (``Population(n, node_class, make)``) and nothing is built up
     front: node ``oid`` is ``make(oid)`` the first time a scalar code
-    path needs that object — a message dispatch, a candidate's
-    tick-start, a re-plan's timer fold, a loop over every node. Until then
-    the client phase's columns are all there is of it, and
-    :attr:`on_build` lets the phase write them onto the node as it is
-    built. A hand-built system passes its nodes instead (:meth:`of`),
-    in ascending oid, which fills the table up front.
+    path needs that object — a message dispatch, a loop over every
+    node. A client phase that holds the nodes as columns binds to a
+    population with none built (``repro.core.fastpath``). A hand-built
+    system passes its nodes instead (:meth:`of`), in ascending oid,
+    which fills the table up front.
 
     ``nodes[oid]`` is the node, or None while it is not built (or, in a
     hand-built table, for an oid that is no member); hot loops read it
@@ -121,9 +120,6 @@ class Population:
         self._make: Optional[Callable[[int], MobileNode]] = make
         self._members = n
         self._channel: Optional[Channel] = None
-        #: called on every node right after it is built — set by a
-        #: client phase whose columns hold what an unbuilt node holds.
-        self.on_build: Optional[Callable[[MobileNode], None]] = None
 
     @classmethod
     def of(cls, nodes: Sequence[MobileNode], n: int = 0) -> "Population":
@@ -165,15 +161,7 @@ class Population:
         node = self._make(oid)  # type: ignore[misc]
         node._channel = self._channel
         self.nodes[oid] = node
-        if self.on_build is not None:
-            self.on_build(node)
         return node
-
-    def fresh(self) -> Optional[MobileNode]:
-        """What every member starts out as: a node as :meth:`build`
-        would make it, kept and registered nowhere (None for a
-        hand-built table, where every member is built)."""
-        return None if self._make is None else self._make(0)
 
     def get(self, oid: int) -> Optional[MobileNode]:
         """Member ``oid``, built if it was not; None for no member."""
@@ -220,8 +208,9 @@ class ServerNodeBase(Node):
     sim = None
     #: True on a tier that decides the fate of traffic one message at
     #: a time (``ShardedServer`` under a fault plan or an admission
-    #: policy): the simulator then tolerates dead-air subrounds and
-    #: keeps the columnar plane closed.
+    #: policy): the simulator then tolerates dead-air subrounds, and
+    #: ``shard_attach`` takes the client phase away, which keeps the
+    #: columnar plane closed.
     per_message = False
 
     def __init__(self) -> None:

@@ -55,11 +55,13 @@ Semantics contract (pinned by ``tests/test_plane.py``):
   ``CommStats.materialized_by_kind`` (a transport diagnostic, not
   radio traffic).
 
-Batches only exist on fault-free runs: radio :class:`~repro.net.faults.
-FaultPlan` channels advertise ``supports_columnar = False`` (per-message
-drop/dup/delay decisions need per-message sends to keep the fault RNG
-stream identical) and the sharded tier refuses batches while a
-``ShardFaultPlan`` is active. A trace does not close the plane: a
+Batches only exist where a client phase is attached, and a build gets
+one only where the transport takes flights whole: radio
+:class:`~repro.net.faults.FaultPlan` channels advertise
+``supports_columnar = False`` (per-message drop/dup/delay decisions
+need per-message sends to keep the fault RNG stream identical), and a
+sharded tier under a ``ShardFaultPlan`` or an admission policy decides
+per message (``per_message``); those builds run the per-object loop. A trace does not close the plane: a
 batch path emits its protocol events in the scalar order, so a traced
 run carries the same batches as a bare one and its protocol stream
 still matches the reference path event for event.

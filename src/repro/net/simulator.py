@@ -47,13 +47,20 @@ _MAX_SUBROUNDS = 64
 class ClientPhase:
     """Pluggable replacement for the per-mobile ``on_tick_start`` loop.
 
-    Implementations (``repro.core.fastpath``) evaluate the protocol's
-    silent-object predicate over the whole fleet in one vectorized pass
-    and invoke ``on_tick_start`` only on the candidate nodes — any node
-    whose tick-start could possibly be more than a no-op. Correctness
-    contract: skipping a non-candidate must be indistinguishable from
-    running its ``on_tick_start`` (same sends, same state, same
-    answers), which is what ``tests/test_fastpath.py`` pins.
+    Implementations (``repro.core.fastpath``) hold the nodes' protocol
+    state as columns, evaluate the silent-object predicate over the
+    whole fleet in one vectorized pass and send what the nodes it flags
+    would send. Correctness contract: a tick of the phase is
+    indistinguishable from every node running its ``on_tick_start``
+    (same sends, same state, same answers), which is what
+    ``tests/test_fastpath.py`` pins.
+
+    A phase runs only where it can be the whole node: the simulator
+    binds none over a channel that decides per message (a radio
+    ``FaultPlan``), ``shard_attach`` drops it under a tier that does,
+    and the DKNN-P builder passes none over hardened nodes, whose
+    clocks may fire on any tick. So a phase never sees a fault plan,
+    and every flight it sends or takes stays whole.
     """
 
     #: True when every mobile's ``on_tick_end`` is known to be the base
@@ -68,7 +75,7 @@ class ClientPhase:
         self.sim = sim
 
     def tick_start(self, tick: int) -> None:
-        """Run the batched tick-start phase (must honor node downtime)."""
+        """Run the batched tick-start phase."""
         raise NotImplementedError
 
     def idle(self) -> bool:
@@ -77,20 +84,16 @@ class ClientPhase:
         return False
 
     def before_dispatch(self, node: Node, msg: Message) -> None:
-        """Hook before a mobile handles ``msg``.
-
-        Skipped nodes never ran ``on_tick_start`` this tick, so state
-        the scalar path refreshes there (the local clock) must be
-        restored here before the handler sees the message.
-        """
+        """Hook before a built mobile handles ``msg``: a phase may
+        refuse a message that would go around its columns."""
 
     def deliver_area(self, msg: Message) -> bool:
         """Optionally take over delivering one broadcast/geocast message.
 
         Return True to claim the delivery: the phase must then dispatch
         ``msg`` (via ``sim._dispatch``) to exactly the nodes the default
-        loop would have reached, in the same order, honoring downtime —
-        and, for geocast, record the reception count. Returning False
+        loop would have reached, in the same order — and, for geocast,
+        record the reception count. Returning False
         falls back to the scalar per-node loop. The point: a phase that
         can evaluate the coverage predicate vectorized skips dispatching
         to the (many) nodes for which delivery is a provable no-op.
@@ -172,9 +175,13 @@ class RoundSimulator:
         self.tick = 0
         #: vectorized client phase (``repro.core.fastpath``): replaces
         #: the per-mobile ``on_tick_start`` loop with a batched
-        #: predicate pass that only touches candidate nodes. None is
-        #: the per-object reference loop (range monitoring, hand-built
-        #: test systems); no builder of an ``ALGORITHMS`` entry omits it.
+        #: predicate pass over the nodes' columns. None is the
+        #: per-object loop: range monitoring, hand-built test systems,
+        #: and every build whose transport decides per message or whose
+        #: nodes keep clocks (:class:`ClientPhase`). A channel that
+        #: takes no columnar flights gets none.
+        if client_phase is not None and not self.channel.supports_columnar:
+            client_phase = None
         self.client_phase = client_phase
         if client_phase is not None:
             client_phase.bind(self)
@@ -190,17 +197,12 @@ class RoundSimulator:
     # -- the columnar plane ---------------------------------------------------
 
     def plane_open(self) -> bool:
-        """May senders put columnar batches on the channel right now?
-
-        The one definition of the plane's veto; both sides ask it each
-        time they are about to send a run of messages, and every term
-        is read off the run as it stands: a client phase is attached
-        (without one nothing consumes a downlink batch whole) and the
-        transport takes runs whole (:meth:`transport_per_message`).
-        """
-        return (
-            self.client_phase is not None and not self.transport_per_message()
-        )
+        """May senders put columnar batches on the channel? Exactly when
+        a client phase is attached: without one nothing consumes a
+        downlink batch whole, and a build gets one only where the
+        transport takes runs whole (:meth:`transport_per_message` is
+        False; :class:`ClientPhase`)."""
+        return self.client_phase is not None
 
     def transport_per_message(self) -> bool:
         """Does the transport decide the fate of single messages? The

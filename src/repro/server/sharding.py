@@ -1824,7 +1824,11 @@ def shard_attach(sim, config: ShardConfig) -> ShardedServer:
     The inner server keeps its channel registration (same SERVER_ID
     address); the wrapper takes its place as the simulator's server and
     interposes the downlink-ledger proxy on the inner
-    engine's channel slot. Returns the installed :class:`ShardedServer`.
+    engine's channel slot. A tier that decides per message (a fault
+    plan or an admission policy) takes the client phase away: the
+    simulator runs the per-object loop, as it does over a radio fault
+    plan (``repro.net.simulator.ClientPhase``). Returns the installed
+    :class:`ShardedServer`.
     """
     if not isinstance(config, ShardConfig):
         raise ConfigError(
@@ -1846,4 +1850,12 @@ def shard_attach(sim, config: ShardConfig) -> ShardedServer:
     inner._channel = _InnerChannelProxy(sim.channel, tier)
     tier.telemetry = sim.telemetry
     sim.server = tier  # the simulator's receiver lookup reads this slot
+    if tier.per_message and sim.client_phase is not None:
+        if sim.tick:
+            # the phase's columns are the only copy of the nodes' state
+            raise NetworkError(
+                "a per-message tier runs the per-object loop: attach it "
+                "before the first tick"
+            )
+        sim.client_phase = None
     return tier

@@ -175,15 +175,19 @@ class TestEquivalence:
             RunConfig("DKNN-P", faults=plan, engine=EngineConfig(mode="event"))
         )
         _assert_equivalent(tick_run, event_run)
+        # the faulty channel decides per message: no client phase, so
+        # nothing observes stillness and every tick runs
+        assert event_run["driver"].skipped_ticks == 0
 
     @pytest.mark.parametrize(
         "faults", [None, FaultPlan(seed=5, drop_uplink=0.05)],
         ids=["clean", "faulty"],
     )
     def test_hardened_build_has_no_planner_and_runs_every_tick(self, faults):
-        """A hardened node's clocks may fire on any tick: its client
-        phase cannot observe stillness, so event mode skips nothing and
-        its answers, per-kind CommStats and meter are the tick loop's."""
+        """A hardened node's clocks may fire on any tick: the build has
+        no client phase to observe stillness, so event mode skips
+        nothing and its answers, per-kind CommStats and meter are the
+        tick loop's."""
         cfg = RunConfig(
             "DKNN-P", params={"fault_tolerant": True}, faults=faults
         )

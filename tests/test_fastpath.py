@@ -197,13 +197,6 @@ _ops = st.one_of(
     st.tuples(st.just("tick")),
 )
 
-#: the fault-plan variant: nodes that miss installs, collects, probes
-#: and tick-starts while down (ticks advance on the "tick" op).
-MIRROR_PLAN = dict(
-    blackouts=((2, 1, 4), (7, 3, 6), (10, 2, 9), (MIRROR_N - 1, 2, 5)),
-    crashes=((5, 6),),
-)
-
 
 def _oracle_view(node):
     """A scalar node's monitor view, per query in ``monitors`` order
@@ -264,17 +257,16 @@ def _mirror_state(phase):
     ]
 
 
-def _mirror_system(algorithm, faulty):
+def _mirror_system(algorithm):
     """The builder's system of the mirror property: MIRROR_N objects,
-    3 queries, under MIRROR_PLAN if ``faulty``; no node built yet."""
+    3 queries; no node built yet."""
     spec = WorkloadSpec(
         ticks=1, warmup_ticks=0, seed=5, n_objects=MIRROR_N - 3, n_queries=3,
         k=2,
     )
     fleet, queries = build_workload(spec)
     assert fleet.n == MIRROR_N
-    plan = FaultPlan(**MIRROR_PLAN) if faulty else None
-    return build_system(RunConfig(algorithm, faults=plan), fleet, queries)
+    return build_system(RunConfig(algorithm), fleet, queries)
 
 
 def _install_message(sim, algorithm, qi, epoch, anchor, threshold, answer,
@@ -293,8 +285,7 @@ def _install_message(sim, algorithm, qi, epoch, anchor, threshold, answer,
 
 
 #: a history that takes query 0's row shared -> per-cell -> shared with
-#: reports muted in between; under MIRROR_PLAN node 2 is down from tick
-#: 1 on, so the later full broadcasts diverge the row instead.
+#: reports muted in between.
 _SWITCH = [
     ("install", 0, 0, 3, 50.0, [1, 4], None),
     ("tick",),
@@ -307,12 +298,11 @@ _SWITCH = [
 ]
 
 
-@pytest.mark.parametrize("faulty", [False, True], ids=["plain", "faulty"])
 @pytest.mark.parametrize("algorithm", ["DKNN-B", "DKNN-G"])
 @given(ops=st.lists(_ops, max_size=60))
 @example(ops=_SWITCH)
 @settings(max_examples=150, deadline=None)
-def test_the_mirror_is_the_eager_oracle(algorithm, faulty, ops):
+def test_the_mirror_is_the_eager_oracle(algorithm, ops):
     """The broadcast phase's cells against eagerly built scalar nodes.
 
     The oracle is a twin of every node on a channel of its own that
@@ -332,8 +322,8 @@ def test_the_mirror_is_the_eager_oracle(algorithm, faulty, ops):
     or geocast with a payload the phase cannot mirror, raises
     ``ProtocolError`` and leaves the mirror as it was.
     """
-    sim = _mirror_system(algorithm, faulty)
-    fleet, plan, phase = sim.fleet, sim.faults, sim.client_phase
+    sim = _mirror_system(algorithm)
+    fleet, phase = sim.fleet, sim.client_phase
     assert sim.mobiles.built() == []
     (node_cls,) = sim.mobiles.classes
     twins = [
@@ -349,9 +339,6 @@ def test_the_mirror_is_the_eager_oracle(algorithm, faulty, ops):
         twin.attach(twin_channel)
     area = GEOCAST_ID if algorithm == "DKNN-G" else BROADCAST_ID
 
-    def up(oid):
-        return plan is None or not plan.is_down(oid, sim.tick)
-
     def install_message(*args, plain=False):
         return _install_message(sim, algorithm, *args, plain=plain)
 
@@ -364,8 +351,7 @@ def test_the_mirror_is_the_eager_oracle(algorithm, faulty, ops):
     for op in ops:
         if op[0] == "install":
             msg = install_message(*op[1:6], BROADCAST_ID)
-            heard = [up(oid) and (op[6] is None or op[6][oid])
-                     for oid in range(MIRROR_N)]
+            heard = [op[6] is None or op[6][oid] for oid in range(MIRROR_N)]
             if op[6] is None:
                 assert phase.deliver_area(msg)
             else:
@@ -387,16 +373,13 @@ def test_the_mirror_is_the_eager_oracle(algorithm, faulty, ops):
             msg = Message(MessageKind.COLLECT, SERVER_ID, area, request)
             assert phase.deliver_area(msg)
             for twin in twins:
-                if up(twin.oid) and (
-                    area == BROADCAST_ID or request.covers(*twin.position)
-                ):
+                if area == BROADCAST_ID or request.covers(*twin.position):
                     twin.on_message(msg)
         elif op[0] == "probe":
             oid = op[1]
             msg = Message(MessageKind.PROBE, SERVER_ID, oid, ProbeRequest())
-            if up(oid):
-                sim._dispatch(sim.mobiles[oid], msg)
-                twins[oid].on_message(msg)
+            sim._dispatch(sim.mobiles[oid], msg)
+            twins[oid].on_message(msg)
         else:
             fleet.advance()
             sim.tick = fleet.tick
@@ -404,8 +387,7 @@ def test_the_mirror_is_the_eager_oracle(algorithm, faulty, ops):
             twin_channel.begin_tick(sim.tick)
             phase.tick_start(sim.tick)
             for twin in twins:
-                if up(twin.oid):
-                    twin.on_tick_start(sim.tick)
+                twin.on_tick_start(sim.tick)
         assert on_the_wire(sim.channel.collect()) == on_the_wire(
             twin_channel.collect()
         )

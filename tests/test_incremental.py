@@ -4,8 +4,8 @@ replace.
 Two passes of a DKNN-P tick look only at what changed:
 
 * ``DknnSilentPhase._candidates`` evaluates the candidate predicate on
-  the fleet's moving rows, the nodes whose mirrors or table rows were
-  written since the last evaluation, and that evaluation's candidates;
+  the fleet's moving rows and the nodes whose table rows were written
+  since the last evaluation in a way that can arm a predicate;
 * ``DknnServer._zone_hits`` re-checks a planner zone whose installation
   stands, and whose last scan found no uninformed object, over the
   objects the object table logged as written since
@@ -15,10 +15,10 @@ The references are the passes as they were before, kept here:
 :func:`reference_candidates` is the whole-column predicate and
 :func:`reference_zone` one full range search per row. Every tick of
 five benchmark-shaped DKNN-P runs (plain, over four shards, and some
-with one-tick latency, under a fault plan, or hardened under one) checks the candidates and every scanned
-row's hits against them, and a twin build switched to the references
-runs in lockstep with the same meter, category by category, answers and
-traffic. A drawn property pins ``range_search_written`` against
+with one-tick latency) checks the candidates and every scanned row's
+hits against them, and a twin build switched to the references runs in
+lockstep with the same meter, category by category, answers and
+traffic; none of them builds a node object. A drawn property pins ``range_search_written`` against
 ``range_search_many`` after drawn writes: members and charges.
 """
 
@@ -41,8 +41,7 @@ from repro.index.knn import (
 )
 from repro.metrics.cost import CostMeter
 from repro.net.engine import EngineConfig
-from repro.net.faults import FaultPlan
-from repro.net.message import SERVER_ID, Message, MessageKind
+from repro.net.message import SERVER_ID, MessageKind
 from repro.net.plane import ColumnarBatch
 from repro.server.config import ShardConfig
 from repro.server.object_table import ObjectTable
@@ -57,7 +56,7 @@ def reference_candidates(phase, xs, ys):
     dy = ys - phase._sent_y
     drift = np.sqrt(dx * dx + dy * dy)
     moved = np.isnan(phase._sent_x) | (drift > phase._theta)
-    cand = (moved | phase._attention) if phase._timed else moved.copy()
+    cand = moved.copy()
     t = phase.regions
     hx = xs[t.oid] - t.ax
     hy = ys[t.oid] - t.ay
@@ -67,7 +66,6 @@ def reference_candidates(phase, xs, ys):
         & np.where(t.kind == BAND_OUTSIDER, d2 < t.limit, d2 > t.limit)
     )
     cand[t.oid[hit]] = True
-    cand &= phase._active
     return cand, moved, hit
 
 
@@ -122,27 +120,12 @@ SHAPES = {
 TICKS = 30
 
 
-#: nodes blacked out from the first tick: candidates (never sent) that
-#: cannot act until their window ends.
-BLACKOUTS = tuple((oid, 0, 9) for oid in range(0, 400, 37))
-
-
 def _config(variant, engine):
     if variant == "plain":
         return RunConfig("DKNN-P", engine=engine)
     if variant == "S4":
         return RunConfig("DKNN-P", engine=engine, shard=ShardConfig(shards=4))
-    if variant == "latency":
-        return RunConfig("DKNN-P", engine=engine, latency="one_tick")
-    if variant == "faulty":
-        return RunConfig(
-            "DKNN-P", engine=engine,
-            faults=FaultPlan(seed=5, drop_uplink=0.05, blackouts=BLACKOUTS),
-        )
-    return RunConfig(
-        "DKNN-P", engine=engine, params={"fault_tolerant": True},
-        faults=FaultPlan(seed=5, drop_uplink=0.05, crashes=((3, 12),)),
-    )
+    return RunConfig("DKNN-P", engine=engine, latency="one_tick")
 
 
 def _server(sim) -> DknnServer:
@@ -152,11 +135,7 @@ def _server(sim) -> DknnServer:
 CASES = [
     (shape, variant)
     for shape in SHAPES for variant in ("plain", "S4")
-] + [
-    ("p_dense", "hardened"), ("event_sparse", "hardened"),
-    ("event_sparse", "faulty"), ("event_sparse", "latency"),
-    ("shard_drift", "latency"),
-]
+] + [("event_sparse", "latency"), ("shard_drift", "latency")]
 
 
 @pytest.mark.parametrize(
@@ -169,7 +148,8 @@ def test_incremental_passes_equal_the_references(shape, variant, monkeypatch):
     references keeps the same meter (each category, the sharded tier's
     and its inner server's), answers, traffic and skipped ticks. Only
     the commuter shape has still rows, so only it evaluates
-    incrementally, and there the planner re-checks from the log."""
+    incrementally, and there the planner re-checks from the log. The
+    phase is the whole client side: no node object is ever built."""
     fields, engine = SHAPES[shape]
     spec = WorkloadSpec(k=8, ticks=TICKS, warmup_ticks=0, seed=3, **fields)
     cfg = _config(variant, engine)
@@ -183,10 +163,7 @@ def test_incremental_passes_equal_the_references(shape, variant, monkeypatch):
         oids, moved_, hit_ = candidates(phase, xs, ys)
         assert oids.tolist() == np.flatnonzero(cand).tolist()
         assert moved_.tolist() == moved[oids].tolist()
-        # the violated rows, but for those of nodes never evaluated
-        assert np.isin(hit_, hit).all()
-        missed = np.setdiff1d(hit, hit_)
-        assert not phase._active[phase.regions.oid[missed]].any()
+        assert hit_.tolist() == hit.tolist()
         checked["cand"] += 1
         return oids, moved_, hit_
 
@@ -243,8 +220,9 @@ def test_incremental_passes_equal_the_references(shape, variant, monkeypatch):
     if driver is not None:
         assert driver.skipped_ticks == twin._driver.skipped_ticks
     assert checked["cand"] > 0 and checked["zone"] > 0
+    assert not sim.mobiles.built() and not twin.mobiles.built()
     incremental = sim.client_phase._recheck is not None
-    assert incremental == (shape == "event_sparse" and variant != "hardened")
+    assert incremental == (shape == "event_sparse")
     if incremental:
         # the planner re-checked zones from the log, not only in full
         assert checked["short"] > 0
@@ -252,11 +230,11 @@ def test_incremental_passes_equal_the_references(shape, variant, monkeypatch):
 
 def test_a_written_band_makes_a_still_node_a_candidate(monkeypatch):
     """A node the fleet cannot move turns candidate only through a
-    write that can arm a region: an install flight, or scalar code the
-    touched-refresh re-reads. A band such a node already violates,
-    written either way between two ticks, is reported on the next
-    tick, as the whole-column pass would have it, in tick mode and in
-    event mode, where that tick, parked as it is, runs in full."""
+    write that can arm a region: an install flight. A band such a node
+    already violates, written between two ticks — to the phase, or
+    through the simulator's delivery — is reported on the next tick, as
+    the whole-column pass would have it, in tick mode and in event
+    mode, where that tick, parked as it is, runs in full."""
     fields = dict(SHAPES["event_sparse"][0], n_objects=2_000)
     spec = WorkloadSpec(k=8, ticks=TICKS, warmup_ticks=0, seed=3, **fields)
     candidates = DknnSilentPhase._candidates
@@ -287,10 +265,10 @@ def test_a_written_band_makes_a_still_node_a_candidate(monkeypatch):
             MessageKind.INSTALL_REGION, src=SERVER_ID, dsts=np.array([a]),
             payloads=[band(a, 0)], pidx=np.array([0]),
         ))
-        sim._dispatch(
-            sim.mobiles[b],
-            Message(MessageKind.INSTALL_REGION, SERVER_ID, b, band(b, 1)),
-        )
+        sim._deliver_batch(ColumnarBatch(
+            MessageKind.INSTALL_REGION, src=SERVER_ID, dsts=np.array([b]),
+            payloads=[band(b, 1)], pidx=np.array([0]),
+        ))
         seen.clear()
         monkeypatch.setattr(DknnSilentPhase, "_candidates", checked)
         skipped = sim.driver.skipped_ticks

@@ -19,6 +19,7 @@ from repro.mobility import (
     StationaryMover,
 )
 from repro.mobility.base import Mover
+from repro.mobility.soa import _CommuteKernel
 from tests.test_fastpath import _MOVER_KINDS, _WAYPOINT_FAMILIES, _fleet_kinds
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -110,29 +111,34 @@ class _WholeCopyFleet(FastFleet):
 def test_the_partial_back_buffer_copy_equals_the_whole_copy(kinds, seed):
     """The interleaved-kernel fleets of ``tests/test_fastpath.py``
     (every mover class at shuffled oids, so moving kernels gather and
-    scatter among still ones): before every advance, the first
-    included, the back buffers already hold every position off the
-    moving rows, and over 40 ticks every position equals a twin that
-    copies the buffers whole every tick."""
+    scatter among still ones, and a commute kernel that parks and
+    resumes): before every advance, the first included, the back
+    buffers already hold every position of the kernels that did not
+    move on the last one, and over 40 ticks every position equals a
+    twin that copies the buffers whole every tick."""
 
     def fleet(cls):
         rng = random.Random(seed)
         return cls([_MOVER_KINDS[k](rng) for k in kinds], seed=seed)
 
     fast, whole = fleet(FastFleet), fleet(_WholeCopyFleet)
-    still = np.ones(fast.n, dtype=bool)
-    if fast.moving_rows is not None:
-        still[fast.moving_rows] = False
-    else:
-        assert all(kern.MOVES for kern in fast._kernels)
+    (commute,) = [k for k in fast._kernels if isinstance(k, _CommuteKernel)]
+    windows = []
     for _ in range(40):
-        assert fast._bx[still].tobytes() == fast._xs[still].tobytes()
-        assert fast._by[still].tobytes() == fast._ys[still].tobytes()
+        for kern in fast._kernels:
+            if not kern.moved:
+                at = kern.at
+                assert fast._bx[at].tobytes() == fast._xs[at].tobytes()
+                assert fast._by[at].tobytes() == fast._ys[at].tobytes()
         fast.advance()
         whole.advance()
+        windows.append(commute.moved)
         assert fast._xs.tobytes() == whole._xs.tobytes()
         assert fast._ys.tobytes() == whole._ys.tobytes()
     assert fast._rng.getstate() == whole._rng.getstate()
+    # the commuters parked after moving and moved again after parking
+    steps = list(zip(windows, windows[1:]))
+    assert (True, False) in steps and (False, True) in steps
 
 
 class Liar(Mover):

@@ -24,8 +24,10 @@ from repro.experiments.algorithms import build_system
 from repro.experiments.config import RunConfig
 from repro.mobility import Fleet, StationaryMover
 from repro.net.engine import EngineConfig
+from repro.net.faults import FaultPlan
 from repro.net.node import MobileNode, Population, ServerNodeBase
 from repro.net.simulator import RoundSimulator
+from repro.server.config import AdmissionPolicy, ShardConfig
 from repro.workloads import WorkloadSpec, build_workload
 
 SPEC = WorkloadSpec(
@@ -68,6 +70,48 @@ def test_only_what_a_scalar_path_reaches_is_built(algorithm, monkeypatch):
     else:
         # the focal objects get answers pushed; the crowd stays columns
         assert 0 < len(built) < fleet.n // 10
+
+
+ALGORITHMS = ["DKNN-P", "DKNN-B", "DKNN-G", "PER", "SEA", "CPM"]
+#: the transports: a radio fault plan decides per message; a sharded
+#: tier with an admission policy does too, a plain one does not.
+FAULTS = {"clean": None, "faulty": FaultPlan(seed=3, drop_uplink=0.05)}
+TIERS = {
+    "single": None,
+    "S2": ShardConfig(shards=2),
+    "S2-admission": ShardConfig(
+        shards=2, admission=AdmissionPolicy(max_uplinks_per_tick=40)
+    ),
+}
+
+
+@pytest.mark.parametrize("tier", sorted(TIERS))
+@pytest.mark.parametrize("faults", sorted(FAULTS))
+@pytest.mark.parametrize("algorithm", ALGORITHMS + ["DKNN-P-hardened"])
+def test_a_build_has_a_client_phase_exactly_where_it_is_the_whole_node(
+    algorithm, faults, tier
+):
+    """No client phase — the per-object loop, plane closed — exactly
+    where the transport decides per message (a radio ``FaultPlan``, a
+    tier with admission) or the nodes keep clocks (hardened DKNN-P);
+    every other build has its phase. A DKNN-P phase builds no node."""
+    fleet, queries = build_workload(
+        WorkloadSpec(
+            n_objects=300, n_queries=2, k=4, ticks=5, warmup_ticks=1, seed=5
+        )
+    )
+    hardened = algorithm == "DKNN-P-hardened"
+    cfg = RunConfig(
+        "DKNN-P" if hardened else algorithm, faults=FAULTS[faults],
+        shard=TIERS[tier], params={"fault_tolerant": True} if hardened else {},
+    )
+    sim = build_system(cfg, fleet, queries)
+    per_object = hardened or faults == "faulty" or tier == "S2-admission"
+    assert (sim.client_phase is None) == per_object
+    assert sim.plane_open() == (not per_object)
+    sim.run(5)
+    if algorithm == "DKNN-P":
+        assert (sim.mobiles.built() == []) == (not per_object)
 
 
 def test_a_broadcast_phase_refuses_other_nodes_without_building_them():
@@ -145,7 +189,7 @@ class TestPopulation:
         pop = Population.of(nodes, fleet.n)
         assert len(pop) == 2 and pop.oids().tolist() == [1, 3]
         assert list(pop) == nodes and pop[3] is nodes[1]
-        assert pop.get(0) is None and pop.fresh() is None
+        assert pop.get(0) is None
         with pytest.raises(NetworkError):
             Population.of([MobileNode(1, fleet), MobileNode(1, fleet)])
 

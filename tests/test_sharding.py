@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.api import (
+    AdmissionPolicy,
     FaultPlan,
     RunConfig,
     ShardConfig,
@@ -269,6 +270,17 @@ class TestOwnershipAndHandoff:
         sim = build_system(RunConfig("DKNN-P"), fleet, queries)
         with pytest.raises(ConfigError, match="ShardConfig"):
             shard_attach(sim, 2)
+
+    def test_a_per_message_tier_after_the_first_tick_is_refused(self):
+        """The client phase's columns are the only copy of the nodes'
+        state: a tier that needs the per-object loop cannot take the
+        phase away once a tick has run."""
+        fleet, queries = build_workload(SPEC)
+        sim = build_system(RunConfig("DKNN-P"), fleet, queries)
+        sim.run(1)
+        admission = AdmissionPolicy(max_uplinks_per_tick=40)
+        with pytest.raises(NetworkError, match="before the first tick"):
+            shard_attach(sim, ShardConfig(shards=2, admission=admission))
 
 
 class TestHandoffUnderBlackout:
