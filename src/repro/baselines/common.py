@@ -61,38 +61,31 @@ class ReporterNode(MobileNode):
 
 
 def reporters(fleet) -> Population:
-    """One :class:`ReporterNode` per fleet object, built on first use."""
+    """One :class:`ReporterNode` per fleet object, none built yet."""
     return Population(
         fleet.n, ReporterNode, lambda oid: ReporterNode(oid, fleet)
     )
 
 
 class ReporterPhase(ClientPhase):
-    """Batched tick-start for the centralized baselines.
+    """The centralized baselines' client side, no node object under it.
 
     Every reporter transmits every tick, so there is no silence
     predicate to evaluate — the whole phase is one columnar
     ``TICK_REPORT`` batch carrying the fleet's coordinates (copied at
     send time, so one-tick-latency delivery sees the positions of the
-    sending tick). A population shorter than ``MIN_BATCH`` runs the
-    per-node loop the simulator would have run.
+    sending tick), or for a population shorter than ``MIN_BATCH`` the
+    reporters' scalar reports in ascending oid. An ``ANSWER_PUSH`` to
+    a focal lands in ``_answers``, as the node's ``known_answers``.
     """
+
+    drives = (ReporterNode,)
 
     def bind(self, sim) -> None:
         super().bind(sim)
-        for cls in sim.mobiles.classes:
-            if not issubclass(cls, ReporterNode):
-                raise ProtocolError(
-                    f"ReporterPhase cannot drive {cls.__name__}"
-                )
-        from repro.core.fastpath import _base_tick_end
-
-        self.skip_tick_end = _base_tick_end(sim.mobiles)
-        oids = self._oids = sim.mobiles.oids()
-        #: every fleet object in oid order (as ``reporters`` builds):
-        #: the columns are read whole, by slice
-        whole = np.array_equal(oids, np.arange(sim.fleet.n))
-        self._take = slice(None) if whole else oids
+        self._oids = np.arange(sim.fleet.n)
+        #: oid -> the node's ``known_answers`` (focal objects only).
+        self._answers: Dict[int, Dict[int, List[int]]] = {}
 
     def tick_start(self, tick: int) -> None:
         from repro.core.fastpath import _LU_NBYTES, _fleet_xy
@@ -106,15 +99,27 @@ class ReporterPhase(ClientPhase):
                     srcs=self._oids,
                     dst=SERVER_ID,
                     # copied: one-tick latency reads the sending tick
-                    xs=xs[self._take].copy(),
-                    ys=ys[self._take].copy(),
+                    xs=xs.copy(),
+                    ys=ys.copy(),
                     payload_nbytes=_LU_NBYTES,
                     payload_ctor=LocationUpdate,
                 )
             )
             return
-        for node in sim.mobiles:
-            node.on_tick_start(tick)
+        positions = sim.fleet.positions
+        for oid in self._oids.tolist():
+            x, y = positions[oid]
+            sim.channel.send(
+                MessageKind.TICK_REPORT, oid, SERVER_ID, LocationUpdate(x, y)
+            )
+
+    def deliver_area(self, msg: Message) -> None:
+        """The ``ANSWER_PUSH`` arm of ``ReporterNode.on_message``, for
+        the server's push to one focal; anything else raises."""
+        if msg.kind is not MessageKind.ANSWER_PUSH or msg.dst < 0:
+            self._refuse(msg)
+        payload = msg.payload
+        self._answers.setdefault(msg.dst, {})[payload.qid] = list(payload.ids)
 
 
 class BatchUpdates:

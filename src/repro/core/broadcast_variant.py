@@ -461,16 +461,16 @@ def _build_system(
     fleet, specs, server, node_cls, latency, faults, telemetry
 ) -> RoundSimulator:
     """The DKNN-B/G simulator: ``server`` with ``specs`` registered, one
-    ``node_cls`` node per fleet object, built when first needed.
+    ``node_cls`` node per fleet object.
 
-    The client side runs on the columns of
-    :class:`~repro.core.fastpath.BroadcastSilentPhase`: installs are
-    written to its cells, the per-tick band checks of all nodes run in
-    one vectorized pass that sends the violation reports itself, and
-    the replies a collect draws leave as one batch. A node is built
-    only when a handler must answer — a probe, a short collect round —
-    and never holds an install: ``monitors`` / ``known_answers`` and
-    the tick-start are the per-object reference's.
+    The client side is the columns of
+    :class:`~repro.core.fastpath.BroadcastSilentPhase`, and no node is
+    ever built under it: installs are written to its cells, the
+    per-tick band checks of all nodes run in one vectorized pass that
+    sends the violation reports itself, and the phase answers probes
+    and collects for the nodes. Without a phase (a radio fault plan, a
+    per-message shard tier) the nodes are built for the per-object
+    loop, which is also the reference the phase is held to.
     """
     for spec in specs:
         if not 0 <= spec.focal_oid < fleet.n:

@@ -1,5 +1,5 @@
-"""Wire a complete DKNN system (server + a node per object, built on
-demand) together."""
+"""Wire a complete DKNN system (server + a node per object, or the
+client phase that holds them all as columns) together."""
 
 from __future__ import annotations
 
@@ -31,9 +31,9 @@ def build_dknn_system(
 ) -> RoundSimulator:
     """Build a ready-to-run simulator for the point-to-point protocol.
 
-    Every fleet object is a :class:`DknnMobileNode`, built the first
-    time scalar code needs it (:class:`~repro.net.node.Population`) —
-    under the phase, never; focal objects are ordinary nodes that
+    Every fleet object is a :class:`DknnMobileNode`, built when the
+    per-object loop first needs them (:class:`~repro.net.node.Population`)
+    — under the phase, never; focal objects are ordinary nodes that
     additionally receive query circles.
     In one-tick-latency mode the planner margin is widened by the
     fleet's max speed automatically (positions are one tick staler).

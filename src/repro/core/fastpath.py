@@ -8,9 +8,10 @@ threshold. These :class:`~repro.net.simulator.ClientPhase`
 implementations hold the nodes' protocol state as columns, evaluate
 that silence predicate for the whole fleet in a few numpy passes and
 send, from the columns, what the nodes it flags would send: DKNN-P's
-**candidates**, DKNN-B/G's violated cells. A phase runs only where it
-can be the whole node: on a transport that takes flights whole and
-over nodes that keep no clocks (DESIGN §8).
+**candidates**, DKNN-B/G's violated cells. A phase is the whole client
+side of its build: no node object exists under it, and it runs only
+where it can be — on a transport that takes flights whole and over
+nodes that keep no clocks (DESIGN §8).
 
 Exactness is preserved by construction, not by approximation:
 
@@ -26,11 +27,11 @@ Exactness is preserved by construction, not by approximation:
   therefore server processing order and every downstream statistic —
   is unchanged;
 * the node state a phase holds in arrays is never extrapolated, and
-  it lives nowhere else. Every downlink reaches it whole: a DKNN-P
-  flight through ``deliver_batch``, a broadcast or geocast install
-  through ``deliver_area`` (an install dispatched to one broadcast
-  node is a ``ProtocolError``), and the phase does to the columns
-  exactly what each receiver's handler does; every report is muted
+  it lives nowhere else. Every downlink reaches it whole: a flight
+  through ``deliver_batch``, a scalar message — broadcast, geocast or
+  unicast — through ``deliver_area``, and the phase does to the
+  columns exactly what each receiver's handler does, or raises a
+  ``ProtocolError`` for what no handler takes; every report is muted
   there as it is sent;
 * where the phase answers for the nodes — probe replies, drift and
   violation reports, the replies a DKNN-B/G collect round draws — it
@@ -75,7 +76,6 @@ from repro.net.message import (
     MessageKind,
     payload_size,
 )
-from repro.net.node import Node
 from repro.net.plane import MIN_BATCH, ColumnarBatch
 from repro.net.simulator import ClientPhase
 
@@ -91,11 +91,6 @@ def _fleet_xy(fleet) -> Tuple[np.ndarray, np.ndarray]:
         return xs, ys
     arr = np.asarray(pos, dtype=np.float64)
     return arr[:, 0], arr[:, 1]
-
-
-def _base_tick_end(mobiles) -> bool:
-    """True when every mobile inherits the base no-op ``on_tick_end``."""
-    return all(cls.on_tick_end is Node.on_tick_end for cls in mobiles.classes)
 
 
 #: uniform wire sizes of the batched uplink payloads.
@@ -167,17 +162,6 @@ def _among(oids: np.ndarray, m) -> np.ndarray:
         return oids[:0]
     at = np.minimum(np.searchsorted(m, oids), m.shape[0] - 1)
     return oids[m[at] == oids]
-
-
-def _refuse_built(sim, name: str) -> None:
-    """Refuse a population the phase cannot hold as columns: one with a
-    node built already, or one that is not the whole fleet."""
-    pop = sim.mobiles
-    if pop.built() or len(pop) != sim.fleet.n:
-        raise ProtocolError(
-            f"{name} holds every object of the fleet as columns: bind it "
-            "to a builder's population before any node is built"
-        )
 
 
 class _RegionTable:
@@ -372,19 +356,14 @@ class DknnSilentPhase(ClientPhase):
     runs the per-object loop (DESIGN §8).
     """
 
+    drives = (DknnMobileNode,)
+
     def __init__(self, theta: float) -> None:
         #: the drift threshold of every node (``DknnMobileNode.theta``)
         self._theta = float(theta)
 
     def bind(self, sim) -> None:
         super().bind(sim)
-        _refuse_built(sim, type(self).__name__)
-        for cls in sim.mobiles.classes:
-            if cls is not DknnMobileNode:
-                raise ProtocolError(
-                    f"DknnSilentPhase cannot drive {cls.__name__}"
-                )
-        self.skip_tick_end = _base_tick_end(sim.mobiles)
         n = sim.fleet.n
         self._sent_x = np.full(n, np.nan)
         self._sent_y = np.full(n, np.nan)
@@ -399,11 +378,8 @@ class DknnSilentPhase(ClientPhase):
         #: candidates :meth:`idle` found, for the tick-start that follows
         self._ready: Optional[Tuple[np.ndarray, ...]] = None
         #: can :meth:`idle` observe a still tick? Not over a fleet that
-        #: cannot say whether it moved (a scalar one), nor where a
-        #: mobile's tick end does work
-        self.observes_stillness = (
-            hasattr(sim.fleet, "moved") and self.skip_tick_end
-        )
+        #: cannot say whether it moved (a scalar one)
+        self.observes_stillness = hasattr(sim.fleet, "moved")
         self.regions = _RegionTable(n)
         #: oid -> the node's ``known_answers`` (focal objects only).
         self._answers: Dict[int, Dict[int, List[int]]] = {}
@@ -535,12 +511,11 @@ class DknnSilentPhase(ClientPhase):
             np.full(lu.shape[0] + rows.shape[0], -1), xs, ys,
         )
 
-    def deliver_batch(self, batch: ColumnarBatch) -> bool:
+    def deliver_batch(self, batch: ColumnarBatch) -> None:
         """Consume a PROBE, INSTALL_REGION, REVOKE_REGION or
-        ANSWER_PUSH flight in place. Anything else is declined: it
-        reaches the nodes as scalar messages, whose handler refuses it
-        (a kind, a payload type or a band code ``DknnMobileNode`` does
-        not take).
+        ANSWER_PUSH flight in place. Anything else — a kind, a payload
+        type or a band code ``DknnMobileNode``'s handler does not take —
+        raises :class:`~repro.errors.ProtocolError`.
 
         A flight is a server subround's whole output of its kind, many
         queries' runs one after the other (:mod:`repro.net.plane`).
@@ -551,7 +526,7 @@ class DknnSilentPhase(ClientPhase):
         kind = batch.kind
         if kind is MessageKind.PROBE:
             self._answer_probes(batch.dsts)
-            return True
+            return
         # kind -> (the payload type every row must carry, the arm)
         want, arm = {
             MessageKind.INSTALL_REGION: (InstallBand, self._install_batch),
@@ -560,8 +535,8 @@ class DknnSilentPhase(ClientPhase):
         }.get(kind, (None, None))
         payloads = batch.payloads
         if arm is None or any(type(p) is not want for p in payloads):
-            return False
-        return arm(batch.dsts, batch.pidx, payloads)
+            self._refuse(batch)
+        arm(batch.dsts, batch.pidx, payloads)
 
     def _answer_probes(self, idx: np.ndarray) -> None:
         """One PROBE_REPLY batch for a PROBE batch: read own position,
@@ -584,13 +559,13 @@ class DknnSilentPhase(ClientPhase):
         self._sent_x[idx] = px
         self._sent_y[idx] = py
 
-    def _install_batch(self, dsts, pidx, payloads) -> bool:
+    def _install_batch(self, dsts, pidx, payloads) -> None:
         """``DknnMobileNode._apply_install``, row by row, on the table.
         A run's receivers share its one region object (regions are
         immutable values); an install's epoch and lease are the
         hardened node's, which a plain one ignores."""
         if any(p.band not in _BAND_CLASSES for p in payloads):
-            return False
+            self._refuse(payloads)
         qids = [p.qid for p in payloads]
         regions = [
             _BAND_CLASSES[p.band](p.ax, p.ay, p.radius) for p in payloads
@@ -598,17 +573,15 @@ class DknnSilentPhase(ClientPhase):
         self.regions.install(dsts, pidx, qids, regions)
         self._attention[dsts] = True
         self._changed(dsts)
-        return True
 
-    def _revoke_batch(self, dsts, pidx, payloads) -> bool:
+    def _revoke_batch(self, dsts, pidx, payloads) -> None:
         """The REVOKE_REGION arm of ``DknnMobileNode.on_message``, row
         by row, on the table."""
         qids = np.array([p.qid for p in payloads], dtype=np.int64)[pidx]
         nodes, attention = self.regions.revoke(dsts, qids)
         self._attention[nodes] = attention
-        return True
 
-    def _push_answers(self, dsts, pidx, payloads) -> bool:
+    def _push_answers(self, dsts, pidx, payloads) -> None:
         """The ANSWER_PUSH arm of ``DknnMobileNode.on_message``, on
         ``_answers``."""
         answers = self._answers
@@ -616,7 +589,6 @@ class DknnSilentPhase(ClientPhase):
             answers.setdefault(oid, {})[payloads[i].qid] = list(
                 payloads[i].ids
             )
-        return True
 
 
 class BroadcastSilentPhase(ClientPhase):
@@ -632,11 +604,10 @@ class BroadcastSilentPhase(ClientPhase):
     scalars, with only the armed / reported flags per cell. A row
     whose receivers diverged — a geocast strip, an epoch gate — lives
     in ``(q, n)`` cells, allocated on the first such row, until a full
-    broadcast shares it again. Nothing in the build
-    reads a node's ``monitors`` / ``known_answers`` — the COLLECT and
-    PROBE handlers read only ``my_qids`` and the position — so no node
-    runs a tick-start or hears an install, and one is built only when
-    a handler must answer.
+    broadcast shares it again. Nothing in the build reads a node's
+    ``monitors`` / ``known_answers`` — the COLLECT and PROBE handlers
+    read only whether the node is the query's focal, and its position —
+    so the phase answers for every node from its cells and the fleet:
 
     * installs are claimed by :meth:`deliver_area` and written to their
       query's row or their receivers' cells by :meth:`_install`: every
@@ -651,15 +622,19 @@ class BroadcastSilentPhase(ClientPhase):
       (:meth:`_collect_round`): the in-circle test every receiver
       would run scalar is evaluated once, vectorized, and the replies
       leave as one ``COLLECT_REPLY`` uplink batch — or, for a short
-      round, from the handlers of the in-circle nodes alone; for
-      everyone else delivery is a provable no-op.
+      round, as the in-circle nodes' scalar replies; for everyone else
+      delivery is a provable no-op;
+    * a ``PROBE`` to one focal is answered with its scalar
+      ``PROBE_REPLY`` at its position.
 
-    Installs have one way in, :meth:`deliver_area`: an install
-    dispatched to one node, or geocast with a payload other than a
-    :class:`GeocastInstall`, raises :class:`ProtocolError`. The scalar
-    node code is the per-object reference's, and the oracle
-    ``tests/test_fastpath.py`` holds the cells to.
+    Anything else — an install to one node, a geocast install whose
+    payload is not a :class:`GeocastInstall` — raises
+    :class:`ProtocolError`. The scalar node code is the per-object
+    reference's, and the oracle ``tests/test_fastpath.py`` holds the
+    cells to.
     """
+
+    drives = (BroadcastMobileNode, GeocastMobileNode)
 
     def __init__(self, focal_of: Dict[int, int]) -> None:
         #: qid -> focal oid, whose COLLECT handler skips the circle test
@@ -668,21 +643,10 @@ class BroadcastSilentPhase(ClientPhase):
 
     def bind(self, sim) -> None:
         super().bind(sim)
-        pop = sim.mobiles
-        for cls in pop.classes:
-            if not issubclass(cls, BroadcastMobileNode):
-                raise ProtocolError(
-                    f"BroadcastSilentPhase cannot drive {cls.__name__}"
-                )
-        _refuse_built(sim, type(self).__name__)
-        self.skip_tick_end = _base_tick_end(pop)
         n = sim.fleet.n
         self._qids = sorted(self._focal_of)
         self._qidx = {qid: i for i, qid in enumerate(self._qids)}
         q = len(self._qids)
-        #: the population's node table (None: not built yet) and builder.
-        self._node_of: List[Optional[BroadcastMobileNode]] = pop.nodes
-        self._build = pop.build
         #: per query, the payload all nodes hold while each of
         #: its installs reached them all: anchor, outer limit (outsiders
         #: fire inside it), the members' and focal's oids and limits
@@ -700,7 +664,7 @@ class BroadcastSilentPhase(ClientPhase):
         #: per-(query, node) install epoch held under the geocast rule
         #: (-1 = never installed, as ``_epochs.get(qid, -1)``), or None.
         self._epoch: Optional[np.ndarray] = None
-        if any(issubclass(cls, GeocastMobileNode) for cls in pop.classes):
+        if GeocastMobileNode in sim.mobiles.classes:
             self._epoch = np.full((q, n), -1, dtype=np.int64)
         #: n-sized scratch of the per-row passes (band check, collect
         #: circle, geocast cover): |dx| and who lies in the strip it
@@ -860,7 +824,6 @@ class BroadcastSilentPhase(ClientPhase):
                 "fastpath.candidates",
                 candidates=sent,
                 population=self._armed.shape[1],
-                built=len(self.sim.mobiles.built()),
             )
 
     def _report(self, qis, oids, xs, ys) -> int:
@@ -890,16 +853,6 @@ class BroadcastSilentPhase(ClientPhase):
         self.sim.channel.send_batch(flight)
         return flight.count
 
-    def before_dispatch(self, node: Node, msg: Message) -> None:
-        # COLLECT and PROBE handlers read and write none of the monitor
-        # view, which lives in the cells. An install reaching a node
-        # here went around the mirror.
-        if msg.kind is MessageKind.BROADCAST_INSTALL:
-            raise ProtocolError(
-                f"install {msg.payload!r} dispatched to node {node.oid} "
-                "bypasses the broadcast phase's mirror"
-            )
-
     def _strip(self, cx: float, cy: float, half: float):
         """The oids in the strip ``|x - cx| <= half``, ascending,
         and their ``dx*dx + dy*dy``. Everyone within ``half`` of the
@@ -927,8 +880,8 @@ class BroadcastSilentPhase(ClientPhase):
         The query's own focal never answers (its position travels by
         probe or violation). Every answer is one ``COLLECT_REPLY`` and
         nothing else, sent in ascending oid: a contiguous run, shipped
-        as one batch when it is long enough, by the repliers' own
-        handlers otherwise.
+        as one batch when it is long enough, as the scalar replies the
+        handlers send otherwise.
         """
         sim = self.sim
         req = msg.payload
@@ -958,40 +911,44 @@ class BroadcastSilentPhase(ClientPhase):
                 )
             )
             return
+        positions = sim.fleet.positions
         for oid in idx.tolist():
-            sim._dispatch(self._node_of[oid] or self._build(oid), msg)
+            x, y = positions[oid]
+            sim.channel.send(
+                MessageKind.COLLECT_REPLY, oid, SERVER_ID,
+                CollectReply(req.qid, x, y),
+            )
 
-    def deliver_area(self, msg: Message) -> bool:
-        """Vectorized delivery of the server's broadcasts and geocasts.
-
-        Claims COLLECT requests (:meth:`_collect_round`) and install
-        broadcasts/geocasts (written to the receivers' cells by
+    def deliver_area(self, msg: Message) -> None:
+        """Take a COLLECT request (:meth:`_collect_round`), an install
+        broadcast or geocast (written to the receivers' cells by
         :meth:`_install`; a geocast reaches the nodes inside the
-        squared compare of ``covers()``); an install
-        geocast whose payload is not a :class:`GeocastInstall` raises
-        :class:`ProtocolError`. Anything else — a mobile broadcasting,
-        an unknown collect shape — is left to the scalar loop.
-        """
-        if msg.src != SERVER_ID or msg.dst not in (BROADCAST_ID, GEOCAST_ID):
-            return False
-        geocast = msg.dst == GEOCAST_ID
-        ptype = type(msg.payload)
-        if msg.kind is MessageKind.COLLECT and ptype is CollectRequest:
+        squared compare of ``covers()``) or a PROBE to one node (its
+        ``PROBE_REPLY``, at its position); refuse anything else."""
+        kind, dst, ptype = msg.kind, msg.dst, type(msg.payload)
+        geocast = dst == GEOCAST_ID
+        area = geocast or dst == BROADCAST_ID
+        if kind is MessageKind.PROBE and not area:
+            x, y = self.sim.fleet.positions[dst]
+            self.sim.channel.send(
+                MessageKind.PROBE_REPLY, dst, SERVER_ID, ProbeReply(x, y)
+            )
+        elif kind is MessageKind.COLLECT and area and ptype is CollectRequest:
             self._collect_round(msg, geocast)
-            return True
-        if msg.kind is not MessageKind.BROADCAST_INSTALL:
-            return False
-        if not geocast:
+        elif kind is not MessageKind.BROADCAST_INSTALL or not area:
+            self._refuse(msg)
+        elif not geocast:
             self._install(msg, None)
-            return True
-        if ptype is not GeocastInstall:
+        elif ptype is not GeocastInstall:
             raise ProtocolError(
                 f"geocast install {msg.payload!r} is not a GeocastInstall"
             )
-        payload = msg.payload
-        cover = payload.cover
-        idx, d2 = self._strip(payload.ax, payload.ay, cover)
-        idx = idx[d2 <= cover * cover]  # covers()
-        self._install(msg, idx)
-        self.sim.channel.stats.record_delivery(msg, receivers=idx.shape[0])
-        return True
+        else:
+            payload = msg.payload
+            cover = payload.cover
+            idx, d2 = self._strip(payload.ax, payload.ay, cover)
+            idx = idx[d2 <= cover * cover]  # covers()
+            self._install(msg, idx)
+            self.sim.channel.stats.record_delivery(
+                msg, receivers=idx.shape[0]
+            )

@@ -398,9 +398,9 @@ def build_range_system(
 ) -> RoundSimulator:
     """Build a ready-to-run continuous-range monitoring system.
 
-    Range mobiles carry tri-state (gray) logic and a custom
-    ``on_tick_end``, so there is no client phase: every node runs its
-    own tick-start every tick.
+    Range mobiles carry tri-state (gray) logic that no client phase
+    holds as columns, so there is none: every node runs its own
+    tick-start every tick.
     """
     for spec in specs:
         if not 0 <= spec.focal_oid < fleet.n:

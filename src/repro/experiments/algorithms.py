@@ -22,9 +22,9 @@ answers, with per-shard load/handoff/backbone accounting on top — and
 ``engine`` (an :class:`~repro.net.engine.EngineConfig`): skip the
 ticks the event engine observes to be still.
 
-``RunConfig`` is the only call form; the pre-1.0 string-algorithm
-kwarg soup was removed and now raises an
-:class:`~repro.errors.ExperimentError` pointing at the migration.
+``RunConfig`` is the only call form: anything else, the pre-1.0
+algorithm string included, raises an
+:class:`~repro.errors.ExperimentError`.
 """
 
 from __future__ import annotations
@@ -142,13 +142,6 @@ _BUILDERS: Dict[str, Callable[..., RoundSimulator]] = {
 
 assert set(_BUILDERS) == set(CATALOG), "catalog out of sync with builders"
 
-_REMOVED_MSG = (
-    "the string-algorithm form of {func}() was removed; pass a RunConfig "
-    "(from repro.api import RunConfig, {func}): "
-    "{func}(RunConfig({name!r}, params={{...}}), ...)"
-)
-
-
 def build_system(
     config: RunConfig,
     fleet,
@@ -163,10 +156,6 @@ def build_system(
     (it reads the final client phase), as ``sim.driver`` and
     ``sim._driver``.
     """
-    if isinstance(config, str):
-        raise ExperimentError(
-            _REMOVED_MSG.format(func="build_system", name=config)
-        )
     if not isinstance(config, RunConfig):
         raise ExperimentError(
             f"expected a RunConfig, got {config!r}"

@@ -7,22 +7,17 @@ unknown algorithms and mistyped parameter names fail at construction,
 with a near-miss suggestion — and it is hashable/immutable, so a config
 can be reused across runs, stored in a manifest, or keyed in a dict.
 
-The legacy string-algorithm call forms were removed in the sharding
-release; ``build_system`` / ``run_once`` raise an
-:class:`~repro.errors.ExperimentError` naming the migration when they
-see one. The deprecated ``shards=``/``shard_faults=`` kwargs were
-retired in the engine release: passing either raises a
-:class:`~repro.errors.ConfigError` naming the ``shard=ShardConfig(...)``
-replacement. ``fast=`` is retired too: there is one build, so
-``fast=True`` is accepted and dropped and any other value raises
-(:func:`~repro.workloads.generator.accepts_retired_fast`). Import the
-supported surface from :mod:`repro.api`.
+``build_system`` / ``run_once`` take nothing else: any other first
+argument is an :class:`~repro.errors.ExperimentError`. The sharded
+tier is ``shard=ShardConfig(...)``. ``fast=`` is retired: there is one
+build, so ``fast=True`` is accepted and dropped and any other value
+raises (:func:`~repro.workloads.generator.accepts_retired_fast`).
+Import the supported surface from :mod:`repro.api`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Dict, Mapping, Optional
@@ -38,14 +33,6 @@ from repro.workloads.generator import accepts_retired_fast
 __all__ = ["RunConfig"]
 
 _LATENCIES = (ZERO_LATENCY, ONE_TICK_LATENCY)
-
-_RETIRED_SHARD_KWARGS = ("shards", "shard_faults")
-
-_RETIRED_SHARD_KWARGS_MSG = (
-    "RunConfig no longer accepts {names}; pass "
-    "shard=ShardConfig(shards=..., faults=...) instead (see README, "
-    '"Configuring the shard tier")'
-)
 
 
 @dataclass(frozen=True)
@@ -157,13 +144,6 @@ class RunConfig:
 
     def but(self, **changes: Any) -> "RunConfig":
         """A copy with ``changes`` applied (validated afresh)."""
-        retired = [k for k in _RETIRED_SHARD_KWARGS if k in changes]
-        if retired:
-            raise ConfigError(
-                _RETIRED_SHARD_KWARGS_MSG.format(
-                    names=", ".join(f"{k}=" for k in retired)
-                )
-            )
         if "params" in changes and changes["params"] is not None:
             changes["params"] = dict(changes["params"])
         else:
@@ -205,30 +185,4 @@ class RunConfig:
         )
 
 
-def _reject_retired_kwargs(init):
-    """Make the retired ``shards=``/``shard_faults=`` kwargs fail loudly.
-
-    The deprecation shim is gone; a stale caller now gets a
-    :class:`ConfigError` naming the exact replacement instead of a
-    ``TypeError`` about an unexpected keyword. ``functools.wraps``
-    preserves the dataclass ``__init__`` signature for introspection
-    (``tests/test_api_surface.py`` pins it).
-    """
-
-    @functools.wraps(init)
-    def wrapper(self, *args, **kwargs):
-        retired = [k for k in _RETIRED_SHARD_KWARGS if k in kwargs]
-        if retired:
-            raise ConfigError(
-                _RETIRED_SHARD_KWARGS_MSG.format(
-                    names=", ".join(f"{k}=" for k in retired)
-                )
-            )
-        init(self, *args, **kwargs)
-
-    return wrapper
-
-
-RunConfig.__init__ = _reject_retired_kwargs(
-    accepts_retired_fast(RunConfig.__init__)
-)
+RunConfig.__init__ = accepts_retired_fast(RunConfig.__init__)

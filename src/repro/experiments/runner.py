@@ -17,10 +17,10 @@ when a manifest :func:`~repro.obs.manifest.recording` is open, one
 provenance record per run lands in it. With the default null telemetry
 all of this costs nothing.
 
-``RunConfig`` is the only call form; the pre-1.0 string-algorithm
-form (``alg_params`` / ``faults`` keyword soup) was removed
-and raises an :class:`~repro.errors.ExperimentError` naming the
-migration. Import the supported surface from :mod:`repro.api`.
+``RunConfig`` is the only call form: anything else, the pre-1.0
+algorithm string included, raises an
+:class:`~repro.errors.ExperimentError`. Import the supported surface
+from :mod:`repro.api`.
 """
 
 from __future__ import annotations
@@ -115,13 +115,6 @@ _IDLE: Dict[str, object] = {
 }  # fmt: skip
 
 
-_REMOVED_MSG = (
-    "the string-algorithm form of run_once() was removed; pass a "
-    "RunConfig (from repro.api import RunConfig, run_once): "
-    "run_once(RunConfig({name!r}, params={{...}}), spec)"
-)
-
-
 def run_once(
     config: RunConfig,
     spec: WorkloadSpec,
@@ -139,8 +132,6 @@ def run_once(
     disables checking (exactness/overlap report as 1.0). ``telemetry``
     defaults to the ambient one (see ``repro.obs.use_telemetry``).
     """
-    if isinstance(config, str):
-        raise ExperimentError(_REMOVED_MSG.format(name=config))
     if not isinstance(config, RunConfig):
         raise ExperimentError(f"expected a RunConfig, got {config!r}")
     cfg = config

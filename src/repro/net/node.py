@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.errors import NetworkError
+from repro.errors import NetworkError, ProtocolError
 from repro.net.channel import Channel
 from repro.net.message import BROADCAST_ID, GEOCAST_ID, SERVER_ID, Message, MessageKind
 
@@ -68,9 +66,6 @@ class Node:
         """
         return False
 
-    def on_tick_end(self, tick: int) -> None:
-        """Called once per tick after the exchange quiesces."""
-
 
 class MobileNode(Node):
     """A node riding on fleet object ``oid``; knows its own position."""
@@ -92,32 +87,28 @@ class MobileNode(Node):
 
 
 class Population:
-    """The mobile nodes of one simulator by oid, each built when first
-    needed.
+    """The mobile nodes of one simulator by oid.
 
     A builder hands over a constructor for oids ``0..n-1``
     (``Population(n, node_class, make)``) and nothing is built up
-    front: node ``oid`` is ``make(oid)`` the first time a scalar code
-    path needs that object — a message dispatch, a loop over every
-    node. A client phase that holds the nodes as columns binds to a
-    population with none built (``repro.core.fastpath``). A hand-built
-    system passes its nodes instead (:meth:`of`), in ascending oid,
-    which fills the table up front.
-
-    ``nodes[oid]`` is the node, or None while it is not built (or, in a
-    hand-built table, for an oid that is no member); hot loops read it
-    as ``nodes[oid] or build(oid)``. Indexing and iterating build on a
-    miss, and ``len`` counts members: :meth:`built` lists the nodes
-    that exist.
+    front. Under a client phase nothing ever is: the phase holds every
+    member as columns (:meth:`hold`), and indexing or iterating raises.
+    Without one, every node is built at once the first time the
+    per-object loop needs them. A hand-built system passes its nodes
+    (:meth:`of`), in ascending oid, which fills the table up front.
+    ``nodes`` is the table by oid (None before the build, and at an
+    oid a hand-built table has no member for); ``len`` counts members.
     """
 
     def __init__(
         self, n: int, node_class: type, make: Callable[[int], MobileNode]
     ) -> None:
-        self.nodes: List[Optional[MobileNode]] = [None] * n
+        self.nodes: Optional[List[Optional[MobileNode]]] = None
         #: the classes of the members, built or not.
         self.classes = frozenset((node_class,))
-        self._make: Optional[Callable[[int], MobileNode]] = make
+        #: the name of the client phase holding the members, or None.
+        self.held_by: Optional[str] = None
+        self._make = make
         self._members = n
         self._channel: Optional[Channel] = None
 
@@ -128,10 +119,13 @@ class Population:
         The list must be in ascending oid: the table runs and delivers
         to its members in that order, so a list in any other order is
         refused rather than silently reordered."""
-        pop = cls(max([n] + [node.oid + 1 for node in nodes]), MobileNode, None)
+        table: List[Optional[MobileNode]] = [None] * max(
+            [n] + [node.oid + 1 for node in nodes]
+        )
+        pop = cls(len(nodes), MobileNode, None)
         last = -1
         for node in nodes:
-            if pop.nodes[node.oid] is not None:
+            if table[node.oid] is not None:
                 raise NetworkError(f"duplicate node id {node.node_id}")
             if node.oid < last:
                 raise NetworkError(
@@ -139,38 +133,49 @@ class Population:
                     "mobile nodes in ascending oid"
                 )
             last = node.oid
-            pop.nodes[node.oid] = node
+            table[node.oid] = node
+        pop.nodes = table
         pop.classes = frozenset(type(node) for node in nodes)
-        pop._members = len(nodes)
         return pop
 
     def attach(self, channel: Channel) -> None:
         """Register the members on ``channel``: the whole id range in one
         call, or each prebuilt node not attached yet."""
         self._channel = channel
-        if self._make is not None:
-            channel.register_mobiles(len(self.nodes))
+        if self.nodes is None:
+            channel.register_mobiles(self._members)
             return
-        for node in self.built():
+        for node in self:
             if node._channel is None:
                 node.attach(channel)
 
-    def build(self, oid: int) -> MobileNode:
-        """Build member ``oid``, which is not built yet. Its id is
-        already registered with the channel's mobile range."""
-        node = self._make(oid)  # type: ignore[misc]
-        node._channel = self._channel
-        self.nodes[oid] = node
-        return node
+    def hold(self, phase: str, n: int) -> None:
+        """Hand all ``n`` members, none built, to the client phase named
+        ``phase``, which holds them as columns."""
+        if self.nodes is not None or self._members != n:
+            raise ProtocolError(
+                f"{phase} holds every object of the fleet as columns: bind "
+                "it to a builder's population before any node is built"
+            )
+        self.held_by = phase
+
+    def _table(self) -> List[Optional[MobileNode]]:
+        """The node table, every node built on the first call."""
+        if self.held_by is not None:
+            raise NetworkError(
+                f"no mobile node exists under a client phase: the "
+                f"members are {self.held_by}'s columns"
+            )
+        if self.nodes is None:
+            self.nodes = [self._make(oid) for oid in range(self._members)]
+            for node in self.nodes:
+                node._channel = self._channel
+        return self.nodes
 
     def get(self, oid: int) -> Optional[MobileNode]:
-        """Member ``oid``, built if it was not; None for no member."""
-        if not 0 <= oid < len(self.nodes):
-            return None
-        node = self.nodes[oid]
-        if node is None and self._make is not None:
-            node = self.build(oid)
-        return node
+        """Member ``oid``; None for no member."""
+        nodes = self._table()
+        return nodes[oid] if 0 <= oid < len(nodes) else None
 
     def __getitem__(self, oid: int) -> MobileNode:
         node = self.get(oid)
@@ -182,22 +187,8 @@ class Population:
         return self._members
 
     def __iter__(self) -> Iterator[MobileNode]:
-        """Every member in ascending oid, building the unbuilt ones."""
-        nodes = self.nodes
-        for oid in self.oids().tolist():
-            yield nodes[oid] or self.build(oid)
-
-    def oids(self) -> np.ndarray:
-        """The member oids, ascending."""
-        if self._make is not None:
-            return np.arange(len(self.nodes))
-        return np.array(
-            [node.oid for node in self.built()], dtype=np.int64
-        )
-
-    def built(self) -> List[MobileNode]:
-        """The nodes built so far, in ascending oid."""
-        return [node for node in self.nodes if node is not None]
+        """Every member in ascending oid."""
+        return (node for node in self._table() if node is not None)
 
 
 class ServerNodeBase(Node):
@@ -215,6 +206,9 @@ class ServerNodeBase(Node):
 
     def __init__(self) -> None:
         super().__init__(node_id=SERVER_ID)
+
+    def on_tick_end(self, tick: int) -> None:
+        """Called once per tick after the exchange quiesces."""
 
     def broadcast(self, kind: MessageKind, payload: Any = None) -> Message:
         """One radio broadcast heard by every mobile node."""

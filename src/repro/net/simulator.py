@@ -3,15 +3,15 @@
 Each tick proceeds in phases:
 
 1. the fleet moves (ground truth advances);
-2. every node's ``on_tick_start`` runs (mobile nodes inspect their own
-   position and may transmit; the server runs per-tick planning);
+2. the client phase, or every mobile node's ``on_tick_start``, runs
+   (mobiles inspect their own position and may transmit; the server
+   runs per-tick planning);
 3. queued messages are delivered and handlers may respond, repeating
    until the exchange quiesces (**zero-latency mode**: messages cross
    the network within the tick, the mode in which answers are provably
    exact) or exactly one delivery pass runs (**latency mode**: every
    message takes one tick, exposing answer staleness, measured by E8);
-4. every node's ``on_tick_end`` runs (the server finalizes and publishes
-   per-query answers).
+4. the server's ``on_tick_end`` runs (it publishes per-query answers).
 
 The engine also meters server wall-clock time: every server handler
 invocation is timed, giving the "server CPU" axis of E6 without
@@ -21,13 +21,13 @@ instrumenting the algorithms themselves.
 from __future__ import annotations
 
 import time
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, NoReturn, Optional, Sequence, Union
 
-from repro.errors import FaultError, NetworkError
+from repro.errors import FaultError, NetworkError, ProtocolError
 from repro.net.channel import Channel
 from repro.net.engine import EngineConfig, EventDriver
 from repro.net.faults import FaultPlan, FaultyChannel
-from repro.net.message import BROADCAST_ID, GEOCAST_ID, SERVER_ID, Message
+from repro.net.message import GEOCAST_ID, SERVER_ID, Message
 from repro.net.node import MobileNode, Node, Population, ServerNodeBase
 from repro.net.plane import ColumnarBatch
 from repro.obs.telemetry import Telemetry, active_telemetry
@@ -45,15 +45,18 @@ _MAX_SUBROUNDS = 64
 
 
 class ClientPhase:
-    """Pluggable replacement for the per-mobile ``on_tick_start`` loop.
+    """The whole client side of a build: the mobiles as columns.
 
-    Implementations (``repro.core.fastpath``) hold the nodes' protocol
-    state as columns, evaluate the silent-object predicate over the
-    whole fleet in one vectorized pass and send what the nodes it flags
-    would send. Correctness contract: a tick of the phase is
-    indistinguishable from every node running its ``on_tick_start``
-    (same sends, same state, same answers), which is what
-    ``tests/test_fastpath.py`` pins.
+    Implementations (``repro.core.fastpath``, ``ReporterPhase``) hold
+    the nodes' protocol state as columns, evaluate the silent-object
+    predicate over the whole fleet in one vectorized pass and send what
+    the nodes it flags would send. No node object exists under a phase
+    (:meth:`~repro.net.node.Population.hold`): every scalar message for
+    the mobiles goes to :meth:`deliver_area`, every downlink flight to
+    :meth:`deliver_batch`. Correctness contract: a tick of the phase is
+    indistinguishable from every node running its own code (same sends,
+    same state, same answers), which is what ``tests/test_fastpath.py``
+    pins.
 
     A phase runs only where it can be the whole node: the simulator
     binds none over a channel that decides per message (a radio
@@ -63,16 +66,22 @@ class ClientPhase:
     and every flight it sends or takes stays whole.
     """
 
-    #: True when every mobile's ``on_tick_end`` is known to be the base
-    #: no-op, letting the simulator skip that loop entirely.
-    skip_tick_end: bool = False
     #: True when :meth:`idle` can answer True: the event engine may
     #: then skip a tick this phase observes to be still.
     observes_stillness: bool = False
+    #: the node classes the phase holds as columns (exact classes).
+    drives: tuple = ()
 
     def bind(self, sim: "RoundSimulator") -> None:
-        """Called once when the simulator takes ownership of the phase."""
+        """Called once when the simulator takes ownership of the phase:
+        the phase takes every member of its population, which must be
+        of the classes it :attr:`drives`."""
         self.sim = sim
+        name = type(self).__name__
+        stray = sorted(c.__name__ for c in sim.mobiles.classes - set(self.drives))
+        if stray:
+            raise ProtocolError(f"{name} cannot drive {', '.join(stray)}")
+        sim.mobiles.hold(name, sim.fleet.n)
 
     def tick_start(self, tick: int) -> None:
         """Run the batched tick-start phase."""
@@ -83,33 +92,22 @@ class ClientPhase:
         fleet just took, find no candidate? False: cannot tell."""
         return False
 
-    def before_dispatch(self, node: Node, msg: Message) -> None:
-        """Hook before a built mobile handles ``msg``: a phase may
-        refuse a message that would go around its columns."""
+    def _refuse(self, what) -> NoReturn:
+        raise ProtocolError(f"{type(self).__name__} cannot take {what!r}")
 
-    def deliver_area(self, msg: Message) -> bool:
-        """Optionally take over delivering one broadcast/geocast message.
+    def deliver_area(self, msg: Message) -> None:
+        """Deliver one scalar message for the mobiles — a broadcast, a
+        geocast (recording its reception count) or a unicast to one
+        node: do to the columns, and send, what every receiver's
+        handler would, in their order. What no handler takes raises
+        :class:`~repro.errors.ProtocolError`."""
+        self._refuse(msg)
 
-        Return True to claim the delivery: the phase must then dispatch
-        ``msg`` (via ``sim._dispatch``) to exactly the nodes the default
-        loop would have reached, in the same order — and, for geocast,
-        record the reception count. Returning False
-        falls back to the scalar per-node loop. The point: a phase that
-        can evaluate the coverage predicate vectorized skips dispatching
-        to the (many) nodes for which delivery is a provable no-op.
-        """
-        return False
-
-    def deliver_batch(self, batch: ColumnarBatch) -> bool:
-        """Optionally take over delivering one downlink columnar batch.
-
-        Return True to claim it: the phase must then produce exactly
-        the observable effects the scalar per-message dispatch would
-        (same reply sends in the same relative order, same node state
-        at the next scalar touch). Returning False makes the simulator
-        materialize the batch and dispatch scalar messages.
-        """
-        return False
+    def deliver_batch(self, batch: ColumnarBatch) -> None:
+        """Deliver one downlink flight: the effects of its scalar
+        messages dispatched one by one (same replies in the same order,
+        same node state after), or :class:`~repro.errors.ProtocolError`."""
+        self._refuse(batch)
 
 
 class RoundSimulator:
@@ -117,9 +115,9 @@ class RoundSimulator:
 
     ``mobiles`` is a builder's :class:`~repro.net.node.Population` or a
     list of prebuilt nodes in ascending oid (any other order is a
-    :class:`NetworkError`). Either way the mobiles run their tick-start
-    and hear broadcasts in ascending oid, and ``sim.mobiles[oid]`` looks
-    a node up by oid, not by list position.
+    :class:`NetworkError`). Without a client phase the mobiles run
+    their tick-start and hear broadcasts in ascending oid, and
+    ``sim.mobiles[oid]`` looks a node up by oid, not by list position.
     """
 
     def __init__(
@@ -151,8 +149,8 @@ class RoundSimulator:
         else:
             self.channel = Channel()
         self.server = server
-        #: the mobile nodes by oid: a builder's :class:`Population` builds
-        #: each on first use; a node list is a table filled up front.
+        #: the mobile nodes by oid: a builder's :class:`Population`, or
+        #: a node list as a table filled up front.
         self.mobiles = (
             mobiles
             if isinstance(mobiles, Population)
@@ -222,67 +220,64 @@ class RoundSimulator:
         )
 
     def node(self, node_id: int) -> Optional[Node]:
-        """The receiver at ``node_id`` — the server, or a mobile built
-        on first use; None for an unknown address."""
+        """The receiver at ``node_id`` — the server or a mobile; None
+        for an unknown address."""
         if node_id == SERVER_ID:
             return self.server
         return self.mobiles.get(node_id)
 
     def _deliver(self, messages: List[Message]) -> None:
+        phase = self.client_phase
         for msg in messages:
             if isinstance(msg, ColumnarBatch):
                 self._deliver_batch(msg)
-            elif msg.dst == BROADCAST_ID:
-                if self.client_phase is not None and self.client_phase.deliver_area(
-                    msg
-                ):
-                    continue
-                if msg.src != SERVER_ID and not self._is_down(SERVER_ID):
-                    self._dispatch(self.server, msg)
-                for node in self.mobiles:
-                    if node.node_id == msg.src or self._is_down(node.node_id):
-                        continue
-                    self._dispatch(node, msg)
-            elif msg.dst == GEOCAST_ID:
-                if self.client_phase is not None and self.client_phase.deliver_area(
-                    msg
-                ):
-                    continue
-                # Physical-layer delivery: radio coverage of an area.
-                # Reaches every mobile node whose *true* position lies
-                # inside the payload's coverage region right now.
-                covers = getattr(msg.payload, "covers", None)
-                if covers is None:
-                    raise NetworkError(
-                        f"geocast payload {msg.payload!r} has no covers()"
-                    )
-                receivers = 0
-                positions = self.fleet.positions
-                for oid in self.mobiles.oids().tolist():
-                    if self._is_down(oid):
-                        continue
-                    x, y = positions[oid]
-                    if covers(x, y):
-                        receivers += 1
-                        self._dispatch(self.mobiles[oid], msg)
-                self.channel.stats.record_delivery(msg, receivers=receivers)
+            elif msg.dst == SERVER_ID or phase is None:
+                self._deliver_scalar(msg)
             else:
-                node = self.node(msg.dst)
-                if node is None:
-                    raise NetworkError(f"message to unknown node {msg.dst}")
-                if self._is_down(msg.dst):
-                    continue  # receiver down; the channel counted the drop
+                phase.deliver_area(msg)
+
+    def _deliver_scalar(self, msg: Message) -> None:
+        """Deliver one message to the server, or to the mobile nodes of a
+        build without a phase: a geocast reaches those whose *true*
+        position its payload ``covers`` right now (radio coverage)."""
+        dst = msg.dst
+        if dst >= SERVER_ID:
+            node = self.node(dst)
+            if node is None:
+                raise NetworkError(f"message to unknown node {dst}")
+            if not self._is_down(dst):
                 self._dispatch(node, msg)
+            return
+        covers = None
+        if dst == GEOCAST_ID:
+            covers = getattr(msg.payload, "covers", None)
+            if covers is None:
+                raise NetworkError(
+                    f"geocast payload {msg.payload!r} has no covers()"
+                )
+        elif msg.src != SERVER_ID and not self._is_down(SERVER_ID):
+            self._dispatch(self.server, msg)
+        receivers = 0
+        positions = self.fleet.positions
+        for node in self.mobiles:
+            oid = node.oid
+            if oid == msg.src or self._is_down(oid):
+                continue
+            if covers is None or covers(*positions[oid]):
+                receivers += 1
+                self._dispatch(node, msg)
+        if covers is not None:
+            self.channel.stats.record_delivery(msg, receivers=receivers)
 
     def _deliver_batch(self, batch: ColumnarBatch) -> None:
-        """Deliver one columnar batch, materializing only on fallback.
+        """Deliver one columnar batch.
 
         An uplink batch goes to the server's ``on_uplink_batch`` (timed
         as server work like ``on_message``); a downlink batch goes to
-        the client phase's ``deliver_batch``. Either handler may
-        decline (return False) — then the batch is expanded into the
-        scalar messages it replaced and dispatched one by one, counted
-        in ``CommStats.materialized_by_kind``.
+        the client phase's ``deliver_batch``. A server that declines
+        (returns False), or a downlink without a phase, gets the batch
+        expanded into the scalar messages it replaced and dispatched
+        one by one, counted in ``CommStats.materialized_by_kind``.
         """
         if batch.srcs is not None and batch.dst == SERVER_ID:
             handler = getattr(self.server, "on_uplink_batch", None)
@@ -292,20 +287,13 @@ class RoundSimulator:
                 self.server_seconds += time.perf_counter() - t0
                 if handled:
                     return
-        elif batch.dsts is not None:
-            if self.client_phase is not None and self.client_phase.deliver_batch(
-                batch
-            ):
-                return
+        elif batch.dsts is not None and self.client_phase is not None:
+            self.client_phase.deliver_batch(batch)
+            return
         for kind, count, _ in batch.split():
             self.channel.stats.record_materialized(kind, count)
         for msg in batch.materialize():
-            node = self.node(msg.dst)
-            if node is None:
-                raise NetworkError(f"message to unknown node {msg.dst}")
-            if self._is_down(msg.dst):
-                continue
-            self._dispatch(node, msg)
+            self._deliver_scalar(msg)
 
     def _dispatch(self, node: Node, msg: Message) -> None:
         if node.node_id == SERVER_ID:
@@ -313,8 +301,6 @@ class RoundSimulator:
             node.on_message(msg)
             self.server_seconds += time.perf_counter() - t0
         else:
-            if self.client_phase is not None:
-                self.client_phase.before_dispatch(node, msg)
             node.on_message(msg)
 
     # -- stepping ---------------------------------------------------------------
@@ -348,7 +334,7 @@ class RoundSimulator:
 
         When telemetry is enabled, the tick is split into wall-clock
         phases — move (``t_move``, timed by :meth:`step`) / client /
-        deliver / server / finish — and one ``tick.phase`` event is
+        deliver / server — and one ``tick.phase`` event is
         emitted per tick. ``deliver`` covers message dispatch
         *including* the handlers it invokes on both sides; ``server``
         covers only the planning hooks (tick start / subrounds / tick
@@ -356,7 +342,7 @@ class RoundSimulator:
         """
         tel = self.telemetry
         traced = tel.enabled
-        t_client = t_deliver = t_server = t_finish = 0.0
+        t_client = t_deliver = t_server = 0.0
         if traced:
             t_mark = time.perf_counter()
         if self.client_phase is not None:
@@ -420,15 +406,6 @@ class RoundSimulator:
                 # tick instead of dying at the cap.
                 break
 
-        if traced:
-            t_mark = time.perf_counter()
-        if self.client_phase is None or not self.client_phase.skip_tick_end:
-            for node in self.mobiles:
-                if self._is_down(node.node_id):
-                    continue
-                node.on_tick_end(self.tick)
-        if traced:
-            t_finish = time.perf_counter() - t_mark
         t0 = time.perf_counter()
         self.server.on_tick_end(self.tick)
         dt = time.perf_counter() - t0
@@ -443,7 +420,6 @@ class RoundSimulator:
                 client=round(1000.0 * t_client, 6),
                 deliver=round(1000.0 * t_deliver, 6),
                 server=round(1000.0 * t_server, 6),
-                finish=round(1000.0 * t_finish, 6),
                 subrounds=subrounds,
             )
 

@@ -32,7 +32,7 @@ from repro.obs.trace import PROTOCOL_KINDS, TraceEvent, read_jsonl
 
 __all__ = ["phase_table", "summarize_text", "has_violations", "main"]
 
-_PHASES = ("move", "client", "deliver", "server", "finish")
+_PHASES = ("move", "client", "deliver", "server")
 
 
 def _fmt_table(headers: Sequence[str], rows: List[Sequence[str]]) -> str:
@@ -192,19 +192,14 @@ def _fastpath_section(events: List[TraceEvent]) -> Optional[str]:
     decisions = [e.fields for e in events if e.kind == "fastpath.candidates"]
     if not decisions:
         return None
-    # DKNN-P reports exact candidates (the nodes that go on to send,
-    # plus every region holder of a hardened build), not all region
-    # holders; DKNN-B/G the violation reports sent from the mirror, and
-    # how many node objects exist so far.
+    # DKNN-P reports exact candidates (the nodes that go on to send),
+    # not all region holders; DKNN-B/G the violation reports sent from
+    # the cells.
     cands = [f.get("candidates", 0) for f in decisions]
-    line = (
+    return (
         f"Fastpath: {len(cands)} dispatch decisions, candidates/tick "
         f"mean {sum(cands) / len(cands):.1f} max {max(cands)}"
     )
-    built = [f["built"] for f in decisions if "built" in f]
-    if built:
-        line += f", nodes built: {max(built)}"
-    return line
 
 
 def _comm_section(events: List[TraceEvent]) -> Optional[str]:

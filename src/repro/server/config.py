@@ -7,9 +7,7 @@ validated dataclass. Each behaviour has one switch: backbone loss,
 delay and seed and the durability cadence are set on the
 :class:`~repro.net.faults.ShardFaultPlan` only.
 ``RunConfig(shard=ShardConfig(...))`` and ``shard_attach(sim,
-ShardConfig(...))`` both accept it; the loose
-``shards=`` / ``shard_faults=`` keyword arguments are retired and raise
-:class:`~repro.errors.ConfigError` naming the replacement.
+ShardConfig(...))`` both take it, and nothing else configures the tier.
 
 Every validation failure raises :class:`~repro.errors.ConfigError` with a
 message naming the offending field, so misconfiguration fails loudly at

@@ -1827,8 +1827,8 @@ def shard_attach(sim, config: ShardConfig) -> ShardedServer:
     engine's channel slot. A tier that decides per message (a fault
     plan or an admission policy) takes the client phase away: the
     simulator runs the per-object loop, as it does over a radio fault
-    plan (``repro.net.simulator.ClientPhase``). Returns the installed
-    :class:`ShardedServer`.
+    plan (``repro.net.simulator.ClientPhase``), over nodes built when
+    it first needs them. Returns the installed :class:`ShardedServer`.
     """
     if not isinstance(config, ShardConfig):
         raise ConfigError(
@@ -1858,4 +1858,5 @@ def shard_attach(sim, config: ShardConfig) -> ShardedServer:
                 "before the first tick"
             )
         sim.client_phase = None
+        sim.mobiles.held_by = None
     return tier

@@ -82,9 +82,9 @@ def reference_system(
     stays closed (``RoundSimulator.plane_open``), so the server sends
     one by one. Same server, same nodes, same parameters as
     ``build_system(cfg, ...)``: the system is built by it and its phase
-    taken away before the first tick (binding a phase builds no node
-    and changes none: the per-object loop builds every node fresh at
-    tick 1); the shard tier and the engine driver are
+    taken away before the first tick, the population released with it
+    (a phase builds no node: the per-object loop builds every node
+    fresh at tick 1); the shard tier and the engine driver are
     installed afterwards, as ``build_system`` orders them. A DKNN-P
     server becomes the per-query walk (:class:`tests.walk.WalkServer`,
     or :class:`~tests.walk.HardenedWalk` over the self-healing server,
@@ -99,6 +99,7 @@ def reference_system(
         cfg.but(shard=None, engine=None), fleet, queries, telemetry=telemetry
     )
     sim.client_phase = None
+    sim.mobiles.held_by = None
     if type(sim.server) is DknnServer:
         sim.server.__class__ = WalkServer
     elif type(sim.server) is HardenedDknnServer:

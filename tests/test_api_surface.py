@@ -96,18 +96,6 @@ class TestEntryPointSignatures:
             "params",
         ]
 
-    def test_retired_shard_kwargs_raise_config_error(self):
-        # The pre-ShardConfig kwargs are gone for good; the failure
-        # mode is a ConfigError naming the replacement, not a bare
-        # TypeError, so stale scripts get a migration pointer.
-        import pytest
-
-        for kwargs in ({"shards": 2}, {"shard_faults": None}):
-            with pytest.raises(
-                api.ConfigError, match=r"shard=ShardConfig"
-            ):
-                api.RunConfig("DKNN-P", **kwargs)
-
     def test_retired_fast_keyword(self):
         # One build: neither entry point lists the keyword any more;
         # ``fast=True`` (what benchmarks/layered still passes) is

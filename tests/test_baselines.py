@@ -355,7 +355,6 @@ class TestSlicePath:
             return done
 
         server.on_uplink_batch = logged_ingest
-        assert sim.client_phase._take == slice(None)
         sim.run(self.SPEC.ticks)
         assert len(logged) == self.SPEC.ticks
         grid = server.grid

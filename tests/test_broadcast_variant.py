@@ -119,13 +119,13 @@ class TestMobileNode:
 
     def test_unknown_kind_raises(self):
         sim, fleet, _ = _system(n=10, q=1)
-        node = sim.mobiles[0]
         from repro.net.message import Message, SERVER_ID
 
+        msg = Message(MessageKind.INSTALL_REGION, SERVER_ID, 0, None)
         with pytest.raises(ProtocolError):
-            node.on_message(
-                Message(MessageKind.INSTALL_REGION, SERVER_ID, node.oid, None)
-            )
+            BroadcastMobileNode(0, fleet).on_message(msg)
+        with pytest.raises(ProtocolError):  # nor does the phase
+            sim._deliver([msg])
 
 
 class TestServerStateMachine:

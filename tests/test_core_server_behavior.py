@@ -44,9 +44,7 @@ class TestFaultToleranceSplit:
         for name in self.FT_STATE:
             assert not hasattr(sim.server, name), name
         assert sim.mobiles.classes == {DknnMobileNode}
-        assert {type(sim.mobiles[oid]) for oid in range(60)} == {
-            DknnMobileNode
-        }
+        assert sim.mobiles.nodes is None  # the phase's columns
 
     def test_a_hardened_build_is_the_hardened_pair(self):
         sim, _, _ = _system(n=60, fault_tolerant=True)

@@ -28,7 +28,6 @@ from repro.mobility import CommuteMover, HotspotDriftMover, RandomWaypointMover
 from repro.net.engine import EngineConfig
 from repro.index.grid import UniformGrid
 from repro.net.message import SERVER_ID, Message, MessageKind
-from repro.net.node import Population
 from repro.net.plane import REPORT_KINDS, ColumnarBatch
 from repro.net.shardlink import (
     SHARD_BORROW,
@@ -64,9 +63,8 @@ SHARD_DRIFT_SHAPED = WorkloadSpec(
 def test_broadcast_violations_leave_from_the_mirror(algorithm, monkeypatch):
     """DKNN-B/G send every violation report from the client phase's
     cells: over 40 ticks no node runs a tick-start, no node's handler
-    is handed an install, and at most 1 % of the fleet is ever built
-    (the focal nodes a probe reaches, the repliers of short collect
-    rounds)."""
+    is handed an install, and no node is ever built (the phase answers
+    probes and short collect rounds too)."""
     calls = {"tick_start": 0, "install": 0}
     run_tick_start = BroadcastMobileNode.on_tick_start
 
@@ -91,7 +89,7 @@ def test_broadcast_violations_leave_from_the_mirror(algorithm, monkeypatch):
     assert stats.sent_by_kind[MessageKind.VIOLATION] > 0  # reports were sent
     assert stats.sent_by_kind[MessageKind.BROADCAST_INSTALL] > 0
     assert calls == {"tick_start": 0, "install": 0}
-    assert len(sim.mobiles.built()) <= 0.01 * sim.fleet.n
+    assert sim.mobiles.nodes is None
 
 
 @pytest.mark.parametrize("algorithm", ["DKNN-B", "DKNN-G"])
@@ -434,22 +432,18 @@ def test_dknn_p_subround_downlinks_leave_one_batch_per_kind(
     cfg, spec, monkeypatch
 ):
     """A DKNN-P subround's downlinks leave as at most one batch per
-    kind, and nothing the server sends a mobile is scalar; so no
-    mobile node is ever built, and the client phase applies each
-    install or revoke flight with one ``_RegionTable.rows_of`` pass."""
-    built, passes, window = [0], [], [None]
+    kind, and nothing the server sends a mobile is scalar; no mobile
+    node is ever built, and the client phase applies each install or
+    revoke flight with one ``_RegionTable.rows_of`` pass."""
+    passes, window = [], [None]
     on_subround = server_module.DknnServer.on_subround
-    build, rows_of = Population.build, _RegionTable.rows_of
+    rows_of = _RegionTable.rows_of
     deliver_batch = DknnSilentPhase.deliver_batch
     log = logged_sends(monkeypatch)
 
     def counted_subround(self, tick):
         log.append((None, None))  # a subround starts
         on_subround(self, tick)
-
-    def counted_build(self, oid):
-        built[0] += 1
-        return build(self, oid)
 
     def counted_rows_of(self, oids):
         if window[0] is not None:
@@ -461,16 +455,14 @@ def test_dknn_p_subround_downlinks_leave_one_batch_per_kind(
             MessageKind.INSTALL_REGION, MessageKind.REVOKE_REGION
         )
         window[0] = 0 if flight else None
-        taken = deliver_batch(self, batch)
+        deliver_batch(self, batch)
         if flight:
-            passes.append((taken, window[0]))
+            passes.append(window[0])
         window[0] = None
-        return taken
 
     monkeypatch.setattr(
         server_module.DknnServer, "on_subround", counted_subround
     )
-    monkeypatch.setattr(Population, "build", counted_build)
     monkeypatch.setattr(_RegionTable, "rows_of", counted_rows_of)
     monkeypatch.setattr(DknnSilentPhase, "deliver_batch", counted_deliver)
     sim, _ = built_system(cfg, spec)
@@ -490,8 +482,8 @@ def test_dknn_p_subround_downlinks_leave_one_batch_per_kind(
     }
     assert max(batches.values()) == 1
     assert scalar == 0
-    assert built[0] == 0 and sim.mobiles.built() == []
-    assert passes and set(passes) == {(True, 1)}
+    assert sim.mobiles.nodes is None
+    assert passes and set(passes) == {1}
     if cfg.engine is not None:
         assert sim.driver.stats()["skipped_ticks"] > 0
 

@@ -309,7 +309,7 @@ class TestBatchedCounts:
         node is built — only on a tick it transmits, so every such
         candidate of a tick is among that tick's uplink senders, and no
         node runs its own ``on_tick_start``. Held regions are read off
-        the phase's table: iterating ``sim.mobiles`` would build nodes."""
+        the phase's table: under the phase there are no nodes to read."""
         fleet, queries = build_workload(spec)
         sim = build_system(RunConfig("DKNN-P"), fleet, queries)
         real = DknnSilentPhase._reports

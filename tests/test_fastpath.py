@@ -316,15 +316,15 @@ def test_the_mirror_is_the_eager_oracle(algorithm, ops):
     ``monitors`` / ``_reported`` / ``_epochs``, and both sides have put
     the same stream on the wire (a ``COLLECT_REPLY`` batch expanded in
     place): the violation reports the phase sends from the cells are
-    the twins' own, in their order. A node the build needed — a probe,
-    a collect answered by handlers, a refused unicast — holds no
-    monitor. Installs have one way in: one dispatched to a single node,
-    or geocast with a payload the phase cannot mirror, raises
+    the twins' own, in their order. The build never builds a node: a
+    probe goes through the simulator into the phase, which replies for
+    its focal. Installs have one way in: one sent to a single node, or
+    geocast with a payload the phase cannot mirror, raises
     ``ProtocolError`` and leaves the mirror as it was.
     """
     sim = _mirror_system(algorithm)
     fleet, phase = sim.fleet, sim.client_phase
-    assert sim.mobiles.built() == []
+    assert sim.mobiles.nodes is None
     (node_cls,) = sim.mobiles.classes
     twins = [
         node_cls(
@@ -353,7 +353,7 @@ def test_the_mirror_is_the_eager_oracle(algorithm, ops):
             msg = install_message(*op[1:6], BROADCAST_ID)
             heard = [op[6] is None or op[6][oid] for oid in range(MIRROR_N)]
             if op[6] is None:
-                assert phase.deliver_area(msg)
+                phase.deliver_area(msg)
             else:
                 phase._install(msg, np.flatnonzero(heard))
             for oid in np.flatnonzero(heard):
@@ -361,7 +361,7 @@ def test_the_mirror_is_the_eager_oracle(algorithm, ops):
         elif op[0] == "unicast":
             oid = op[6]
             msg = install_message(*op[1:6], oid)
-            refused(lambda m: sim._dispatch(sim.mobiles[oid], m), msg)
+            refused(lambda m: sim._deliver([m]), msg)
         elif op[0] == "geocast":
             refused(
                 phase.deliver_area,
@@ -371,14 +371,14 @@ def test_the_mirror_is_the_eager_oracle(algorithm, ops):
             cx, cy = fleet.positions[op[2]]
             request = CollectRequest(phase._qids[op[1]], cx, cy, op[3])
             msg = Message(MessageKind.COLLECT, SERVER_ID, area, request)
-            assert phase.deliver_area(msg)
+            phase.deliver_area(msg)
             for twin in twins:
                 if area == BROADCAST_ID or request.covers(*twin.position):
                     twin.on_message(msg)
         elif op[0] == "probe":
             oid = op[1]
             msg = Message(MessageKind.PROBE, SERVER_ID, oid, ProbeRequest())
-            sim._dispatch(sim.mobiles[oid], msg)
+            sim._deliver([msg])
             twins[oid].on_message(msg)
         else:
             fleet.advance()
@@ -393,8 +393,7 @@ def test_the_mirror_is_the_eager_oracle(algorithm, ops):
         )
         for twin in twins:
             assert _mirror_view(phase, twin.oid) == _oracle_view(twin)
-    for node in sim.mobiles.built():
-        assert node.monitors == {} and not node._reported
+    assert sim.mobiles.nodes is None
 
 
 def test_reporting_candidate_is_rearmed_by_the_mirror_alone(monkeypatch):

@@ -220,7 +220,7 @@ def test_incremental_passes_equal_the_references(shape, variant, monkeypatch):
     if driver is not None:
         assert driver.skipped_ticks == twin._driver.skipped_ticks
     assert checked["cand"] > 0 and checked["zone"] > 0
-    assert not sim.mobiles.built() and not twin.mobiles.built()
+    assert sim.mobiles.nodes is None and twin.mobiles.nodes is None
     incremental = sim.client_phase._recheck is not None
     assert incremental == (shape == "event_sparse")
     if incremental:
@@ -261,7 +261,7 @@ def test_a_written_band_makes_a_still_node_a_candidate(monkeypatch):
             x, y = sim.fleet.positions[oid]  # an answer band it lies outside
             return InstallBand(qid, BAND_ANSWER, x + 50.0, y, 1.0)
 
-        assert phase.deliver_batch(ColumnarBatch(
+        phase.deliver_batch(ColumnarBatch(
             MessageKind.INSTALL_REGION, src=SERVER_ID, dsts=np.array([a]),
             payloads=[band(a, 0)], pidx=np.array([0]),
         ))

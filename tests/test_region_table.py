@@ -168,7 +168,7 @@ def _same(phased, twin) -> None:
     for node in twin.mobiles:
         assert _held(phase, node.oid) == _node(node), node.oid
         assert phase._attention[node.oid] == bool(node.regions)
-    assert phased.mobiles.built() == []
+    assert phased.mobiles.nodes is None
 
 
 def _recorded_wire(sim) -> List:
@@ -356,7 +356,7 @@ def test_an_unbuilt_candidate_reports_without_being_built():
     _install_batch(sim, [4], 2, BAND_ANSWER, "out", 30.0)
     before = sim.channel.stats.sent_by_kind[MessageKind.VIOLATION]
     sim.step()
-    assert sim.mobiles.built() == []
+    assert sim.mobiles.nodes is None
     assert sim.channel.stats.sent_by_kind[MessageKind.VIOLATION] == before + 1
     assert phase.regions.muted[phase.regions.rows_of(np.array([4]))[0]].all()
 
@@ -402,11 +402,11 @@ def test_table_grows_when_a_batch_is_larger_than_the_free_rows():
     ] * 195
 
 
-def test_a_flight_no_node_takes_is_declined(monkeypatch):
+def test_a_flight_no_node_takes_is_refused(monkeypatch):
     """An install stamped with an epoch and a lease is taken: a plain
     node ignores both. A flight its handler refuses — a band code with
-    no region class, a payload of the wrong type — is declined, so it
-    reaches the nodes as scalar messages and their handler raises."""
+    no region class, a payload of the wrong type — raises in the phase:
+    nothing is expanded into scalar messages and no node is built."""
     sim = _phased(_waypoint_fleet())
     phase = sim.client_phase
     sim.step()
@@ -415,12 +415,12 @@ def test_a_flight_no_node_takes_is_declined(monkeypatch):
     assert not expanded and phase._attention[[3, 4]].all()
     assert not sim.channel.stats.sent_by_kind[MessageKind.INSTALL_ACK]
     monkeypatch.delitem(_BAND_CLASSES, BAND_QUERY_CIRCLE)
-    with pytest.raises(KeyError):
+    with pytest.raises(ProtocolError):
         _install_batch(sim, [5], 0, BAND_QUERY_CIRCLE, "in", 400.0)
-    assert expanded[MessageKind.INSTALL_REGION] == 1
     with pytest.raises(ProtocolError):
         _deliver_batch(sim, MessageKind.REVOKE_REGION, [5], ProbeRequest())
-    assert not phase._attention[5]
+    assert not expanded and not phase._attention[5]
+    assert sim.mobiles.nodes is None
 
 
 def test_rows_are_reused_and_the_table_stays_small():

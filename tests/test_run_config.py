@@ -129,12 +129,9 @@ class TestCatalog:
 
 
 class TestLegacyApiRemoved:
-    """The pre-1.0 string-algorithm forms are gone, not deprecated.
-
-    Both entry points raise an ``ExperimentError`` whose message names
-    the migration (``RunConfig``), so old call sites fail with
-    directions instead of an ``AttributeError`` three frames deep.
-    """
+    """The pre-1.0 string-algorithm forms are gone, not deprecated:
+    both entry points take a ``RunConfig`` only and raise an
+    ``ExperimentError`` naming it for anything else, a string too."""
 
     def test_build_system_string_form_raises_with_migration(self):
         fleet, queries = build_workload(SPEC)
@@ -210,30 +207,18 @@ class TestShardField:
 
 
 class TestRetiredShardKwargs:
-    """``shards=`` / ``shard_faults=`` were removed after one release
-    as a deprecation shim; passing either now raises a
-    :class:`ConfigError` that names the replacement instead of the
-    generic ``TypeError`` an unknown kwarg would produce."""
+    """``shards=`` / ``shard_faults=`` are gone: the tier is
+    ``shard=ShardConfig(...)``, and either old keyword is as unknown as
+    any other."""
 
-    def test_shards_raises_and_names_replacement(self):
-        with pytest.raises(ConfigError, match=r"shard=ShardConfig"):
-            RunConfig("DKNN-P", shards=2)
-
-    def test_shard_faults_raises_and_names_replacement(self):
+    def test_the_old_keywords_are_unknown(self):
         plan = ShardFaultPlan(crashes=((0, 5, 9),))
-        with pytest.raises(ConfigError, match=r"shard=ShardConfig"):
+        with pytest.raises(TypeError):
+            RunConfig("DKNN-P", shards=2)
+        with pytest.raises(TypeError):
             RunConfig("DKNN-P", shard_faults=plan)
-
-    def test_both_retired_kwargs_named_in_message(self):
-        with pytest.raises(ConfigError, match=r"shards=, shard_faults="):
-            RunConfig(
-                "DKNN-P", shards=2, shard_faults=ShardFaultPlan()
-            )
-
-    def test_but_rejects_retired_kwargs_with_same_error(self):
-        cfg = RunConfig("DKNN-P")
-        with pytest.raises(ConfigError, match=r"shard=ShardConfig"):
-            cfg.but(shards=2)
+        with pytest.raises(TypeError):
+            RunConfig("DKNN-P").but(shards=2)
 
     def test_fields_are_gone(self):
         cfg = RunConfig("DKNN-P", shard=ShardConfig(shards=2))
