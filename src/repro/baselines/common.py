@@ -74,9 +74,9 @@ class ReporterPhase(ClientPhase):
     predicate to evaluate — the whole phase is one columnar
     ``TICK_REPORT`` batch carrying the fleet's coordinates (copied at
     send time, so one-tick-latency delivery sees the positions of the
-    sending tick), or for a population shorter than ``MIN_BATCH`` the
-    reporters' scalar reports in ascending oid. An ``ANSWER_PUSH`` to
-    a focal lands in ``_answers``, as the node's ``known_answers``.
+    sending tick), whatever the population's size (none for an empty
+    one). An ``ANSWER_PUSH`` to a focal lands in ``_answers``, as the
+    node's ``known_answers``.
     """
 
     drives = (ReporterNode,)
@@ -90,28 +90,21 @@ class ReporterPhase(ClientPhase):
     def tick_start(self, tick: int) -> None:
         from repro.core.fastpath import _LU_NBYTES, _fleet_xy
 
-        sim = self.sim
-        if self._oids.shape[0] >= MIN_BATCH:
-            xs, ys = _fleet_xy(sim.fleet)
-            sim.channel.send_batch(
-                ColumnarBatch(
-                    MessageKind.TICK_REPORT,
-                    srcs=self._oids,
-                    dst=SERVER_ID,
-                    # copied: one-tick latency reads the sending tick
-                    xs=xs.copy(),
-                    ys=ys.copy(),
-                    payload_nbytes=_LU_NBYTES,
-                    payload_ctor=LocationUpdate,
-                )
-            )
+        if not self._oids.shape[0]:
             return
-        positions = sim.fleet.positions
-        for oid in self._oids.tolist():
-            x, y = positions[oid]
-            sim.channel.send(
-                MessageKind.TICK_REPORT, oid, SERVER_ID, LocationUpdate(x, y)
+        xs, ys = _fleet_xy(self.sim.fleet)
+        self.sim.channel.send_batch(
+            ColumnarBatch(
+                MessageKind.TICK_REPORT,
+                srcs=self._oids,
+                dst=SERVER_ID,
+                # copied: one-tick latency reads the sending tick
+                xs=xs.copy(),
+                ys=ys.copy(),
+                payload_nbytes=_LU_NBYTES,
+                payload_ctor=LocationUpdate,
             )
+        )
 
     def deliver_area(self, msg: Message) -> None:
         """The ``ANSWER_PUSH`` arm of ``ReporterNode.on_message``, for
@@ -187,8 +180,9 @@ class CentralizedServerBase(BaseServer):
             self.grid.insert(oid, payload.x, payload.y)
         self._updates.append((oid, old, (payload.x, payload.y)))
 
-    def on_uplink_batch(self, batch: ColumnarBatch) -> bool:
-        """Ingest one columnar ``TICK_REPORT`` batch.
+    def on_uplink_batch(self, batch: ColumnarBatch) -> None:
+        """Ingest one columnar ``TICK_REPORT`` batch; any other kind
+        raises.
 
         Vectorized twin of :meth:`on_message`: capture pre-update
         positions, one ``update_batch`` into the grid (same total
@@ -196,11 +190,11 @@ class CentralizedServerBase(BaseServer):
         in arrival order for ``_process``.
         """
         if batch.kind is not MessageKind.TICK_REPORT:
-            return False
+            super().on_uplink_batch(batch)
         grid = self.grid
         oids = batch.srcs
         if not oids.shape[0]:
-            return True  # an empty batch reports nothing
+            return  # an empty batch reports nothing
         at = grid.span(oids)  # the id range, read once for both writes
         old_x = grid._dx[at]
         old_y = grid._dy[at]
@@ -213,7 +207,6 @@ class CentralizedServerBase(BaseServer):
                 old_cell, new_cell,
             )
         )
-        return True
 
     # -- per-tick evaluation -------------------------------------------------
 

@@ -188,13 +188,13 @@ class DknnBroadcastServer(BaseServer):
             tag = "query_move" if kind is MessageKind.QUERY_MOVE else "violation"
             tel.emit(self._tick, "server." + tag, qid=qid, oid=src)
 
-    def on_uplink_batch(self, batch: ColumnarBatch) -> bool:
+    def on_uplink_batch(self, batch: ColumnarBatch) -> None:
         """Ingest a report flight (:meth:`_violation` row by row), or
-        the replies one collect drew, sent as one columnar batch
-        (``batch.qid`` names the query): the COLLECT_REPLY arm of
-        :meth:`on_message` for every source, under the same phase gate
-        — a round the server has moved on from is ignored whole. Any
-        other kind is declined and arrives as scalar messages."""
+        the replies one collect drew, sent as one ``COLLECT_REPLY``
+        flight whose rows all name that round's query: the
+        COLLECT_REPLY arm of :meth:`on_message` for every source, under
+        the same phase gate — a round the server has moved on from is
+        ignored whole. Any other kind raises."""
         if batch.kind is None:
             for row in zip(
                 [REPORT_KINDS[c] for c in batch.codes.tolist()],
@@ -202,18 +202,17 @@ class DknnBroadcastServer(BaseServer):
                 batch.xs.tolist(), batch.ys.tolist(), batch.epochs.tolist(),
             ):
                 self._violation(*row)
-            return True
-        if batch.kind is not MessageKind.COLLECT_REPLY:
-            return False
-        st = self._require_state(batch.qid)
-        if st.phase == _COLLECTING:
-            st.collected.update(
-                zip(
-                    batch.srcs.tolist(),
-                    zip(batch.xs.tolist(), batch.ys.tolist()),
+        elif batch.kind is not MessageKind.COLLECT_REPLY:
+            super().on_uplink_batch(batch)
+        elif batch.count:
+            st = self._require_state(int(batch.qids[0]))
+            if st.phase == _COLLECTING:
+                st.collected.update(
+                    zip(
+                        batch.srcs.tolist(),
+                        zip(batch.xs.tolist(), batch.ys.tolist()),
+                    )
                 )
-            )
-        return True
 
     def _require_state(self, qid: int) -> _QueryState:
         st = self._states.get(qid)

@@ -905,7 +905,7 @@ class BroadcastSilentPhase(ClientPhase):
                     dst=SERVER_ID,
                     xs=xs[idx],  # fancy indexing copies: latency-safe
                     ys=ys[idx],
-                    qid=req.qid,
+                    qids=np.full(idx.shape[0], req.qid, np.int64),
                     payload_nbytes=_CR_NBYTES,
                     payload_ctor=CollectReply,
                 )

@@ -241,30 +241,26 @@ class DknnServer(BaseServer):
 
     # -- columnar ingest ------------------------------------------------------
 
-    def on_uplink_batch(self, batch: ColumnarBatch) -> bool:
-        """Ingest one columnar uplink batch; False declines (the caller
-        materializes scalar messages instead).
+    def on_uplink_batch(self, batch: ColumnarBatch) -> None:
+        """Ingest one columnar uplink batch: a report flight
+        (:meth:`_ingest_reports`), or a ``LOCATION_UPDATE`` /
+        ``PROBE_REPLY`` flight; any other kind raises.
 
-        Only positional report kinds are batchable — they touch the
-        object table and probe bookkeeping, and their per-message
-        handling commutes across sources, so one vectorized
-        ``report_batch`` in column order plus one in-flight scatter is
-        indistinguishable from the scalar per-message path. A
-        subround's probes leave as one ``PROBE`` flight
-        (:meth:`on_subround`), so their replies come back as one
-        ``PROBE_REPLY`` batch, next to the tick's drift reports and
-        report flight (:meth:`_ingest_reports`).
+        Positional reports touch the object table and probe
+        bookkeeping, and their per-message handling commutes across
+        sources, so one vectorized ``report_batch`` in column order
+        plus one in-flight scatter is indistinguishable from the scalar
+        per-message path. A subround's probes leave as one ``PROBE``
+        flight (:meth:`on_subround`), so their replies come back as one
+        ``PROBE_REPLY`` batch.
         """
         if batch.kind is None:
             self._ingest_reports(batch)
-            return True
-        if batch.kind not in (
-            MessageKind.LOCATION_UPDATE, MessageKind.PROBE_REPLY
-        ):
-            return False
-        self.table.report_batch(batch.srcs, batch.xs, batch.ys, self._tick)
-        self._probes_in_flight.release(batch.srcs)
-        return True
+        elif batch.kind in (MessageKind.LOCATION_UPDATE, MessageKind.PROBE_REPLY):
+            self.table.report_batch(batch.srcs, batch.xs, batch.ys, self._tick)
+            self._probes_in_flight.release(batch.srcs)
+        else:
+            super().on_uplink_batch(batch)
 
     def _ingest_reports(self, batch: ColumnarBatch) -> None:
         """:meth:`on_message` over a report flight's rows: the grid

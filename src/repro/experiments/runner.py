@@ -393,10 +393,8 @@ def run_once(
                 kind: round(rate, 6)
                 for kind, rate in sorted(m.per_kind_msgs.items())
             },
-            # The columnar plane's own ledger: messages sent inside
-            # batches, and how many of them a receiver expanded.
+            # The columnar plane's own ledger: messages sent inside batches.
             columnar_msgs=comm.columnar_messages,
-            materialized_msgs=comm.materialized_messages,
         )
         if cfg.engine is not None:
             tel.emit(sim.tick, "engine.stats", **sim.driver.stats())

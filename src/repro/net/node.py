@@ -210,6 +210,13 @@ class ServerNodeBase(Node):
     def on_tick_end(self, tick: int) -> None:
         """Called once per tick after the exchange quiesces."""
 
+    def on_uplink_batch(self, batch) -> None:
+        """Take one uplink flight whole: the effects of its scalar
+        messages handled one by one, or
+        :class:`~repro.errors.ProtocolError` for a flight this server
+        has no arm for (:mod:`repro.net.plane`)."""
+        raise ProtocolError(f"{type(self).__name__} cannot take {batch!r}")
+
     def broadcast(self, kind: MessageKind, payload: Any = None) -> Message:
         """One radio broadcast heard by every mobile node."""
         return self.send(BROADCAST_ID, kind, payload)

@@ -41,19 +41,17 @@ Semantics contract (pinned by ``tests/test_plane.py``):
   each distinct payload once, and ``pidx``, the int column naming
   each row's payload. An uplink batch carries coordinates instead
   (``xs`` / ``ys``) and rebuilds its payloads with ``payload_ctor``;
-* a one-kind flight whose kind names a query carries that one query
-  as ``batch.qid`` — the ``COLLECT_REPLY`` uplinks one DKNN-B/G
-  collect round draws. The sharded tier declines such a batch and
-  routes its messages one by one: a reply that lands on a shard that
-  does not own the query is forwarded, which its batch ledger cannot
-  see;
-* :meth:`ColumnarBatch.materialize` lazily expands the batch into the
-  exact scalar ``Message`` objects it replaced — the fallback for any
-  receiver without a batch handler, or whose handler declines this
-  batch (a handler without a report arm declines ``kind`` None).
-  Materialization is counted per kind in
-  ``CommStats.materialized_by_kind`` (a transport diagnostic, not
-  radio traffic).
+* a flight names its queries one way: a per-row ``qids`` column (-1:
+  none) — a report flight's rows, or the ``COLLECT_REPLY`` uplinks one
+  DKNN-B/G collect round draws, every row naming that round's query.
+  The sharded tier ledgers such a flight row by row as the inner engine
+  ingests it, so a reply that lands off its query's owner is forwarded;
+* a receiver takes a flight whole or raises
+  :class:`~repro.errors.ProtocolError`: nothing declines a flight and
+  nothing expands one on its way. :meth:`ColumnarBatch.materialize`
+  rebuilds the exact scalar ``Message`` objects a batch stands for —
+  the sharded tier routes a single row through it, and the tests use it
+  as the per-message reference.
 
 Batches only exist where a client phase is attached, and a build gets
 one only where the transport takes flights whole: radio
@@ -106,11 +104,11 @@ class ColumnarBatch:
     * **uplink batch** — ``srcs`` is an int array, ``dst`` is the
       scalar receiver (``SERVER_ID``). ``xs`` / ``ys`` carry per-message
       payload coordinates (or are ``None`` for coordinate-free
-      payloads); ``qid`` is the query every message of the flight is
-      about (``None`` for a kind that names no query);
+      payloads); ``qids``, when given, names each row's query;
       ``payload_ctor`` rebuilds one scalar payload on materialization
-      — ``ctor(x, y)``, or ``ctor(qid, x, y)`` on a flight with a qid —
-      and ``payload_nbytes`` is the uniform wire size of one payload;
+      — ``ctor(x, y)``, or ``ctor(qid, x, y)`` on a flight with
+      ``qids`` — and ``payload_nbytes`` is the uniform wire size of one
+      payload;
     * **report flight** — an uplink batch with ``kind`` None whose row
       ``i`` is a ``REPORT_KINDS[codes[i]]`` message about query
       ``qids[i]`` (-1: none) stamped ``epochs[i]``, of wire size
@@ -131,7 +129,6 @@ class ColumnarBatch:
         "dsts",
         "xs",
         "ys",
-        "qid",
         "payload_nbytes",
         "payload_ctor",
         "payloads",
@@ -151,7 +148,6 @@ class ColumnarBatch:
         dsts: Optional[np.ndarray] = None,
         xs: Optional[np.ndarray] = None,
         ys: Optional[np.ndarray] = None,
-        qid: Optional[int] = None,
         payload_nbytes=0,
         payload_ctor: Optional[Callable[..., Any]] = None,
         payloads: Optional[Sequence[Any]] = None,
@@ -184,7 +180,6 @@ class ColumnarBatch:
         self.dsts = dsts
         self.xs = xs
         self.ys = ys
-        self.qid = qid
         self.payload_nbytes = (
             payload_nbytes if codes is not None else int(payload_nbytes)
         )
@@ -229,23 +224,25 @@ class ColumnarBatch:
         return [(kind, c, int(b)) for kind, c, b in rows if c]
 
     def rows(self, lo: int, hi: int) -> "ColumnarBatch":
-        """Rows ``[lo, hi)`` of a report flight, a flight of their own."""
+        """Rows ``[lo, hi)`` of an uplink flight, a flight of their own."""
         part = copy.copy(self)
         for name in ("srcs", "xs", "ys", "codes", "qids", "epochs"):
-            setattr(part, name, getattr(self, name)[lo:hi])
+            col = getattr(self, name)
+            if col is not None:
+                setattr(part, name, col[lo:hi])
+        if self.codes is None:
+            part.total_bytes = (HEADER_BYTES + self.payload_nbytes) * (hi - lo)
+            return part
         part.payload_nbytes = nbytes = self.payload_nbytes[lo:hi]
         part.total_bytes = HEADER_BYTES * (hi - lo) + int(nbytes.sum())
         return part
 
-    # -- lazy materialization -----------------------------------------------
+    # -- the scalar messages ------------------------------------------------
 
     def materialize(self) -> List[Message]:
         """Expand into the scalar messages this batch replaced.
 
-        Order matches the scalar send order (the column order). The
-        caller is responsible for counting the expansion in
-        ``CommStats.materialized_by_kind`` — the batch cannot see the
-        stats object.
+        Order matches the scalar send order (the column order).
         """
         n = self.count
         ctor = self.payload_ctor
@@ -261,8 +258,10 @@ class ColumnarBatch:
         elif ctor is None:
             payloads = [None] * n
         else:
-            head = () if self.qid is None else (self.qid,)
-            payloads = [ctor(*head, x, y) for x, y in zip(self.xs, self.ys)]
+            cols = [self.xs.tolist(), self.ys.tolist()]
+            if self.qids is not None:
+                cols.insert(0, self.qids.tolist())
+            payloads = list(map(ctor, *cols))
         if self.srcs is not None:
             srcs, dsts = self.srcs.tolist(), [self.dst] * n
         else:

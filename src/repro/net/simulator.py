@@ -270,30 +270,16 @@ class RoundSimulator:
             self.channel.stats.record_delivery(msg, receivers=receivers)
 
     def _deliver_batch(self, batch: ColumnarBatch) -> None:
-        """Deliver one columnar batch.
-
-        An uplink batch goes to the server's ``on_uplink_batch`` (timed
-        as server work like ``on_message``); a downlink batch goes to
-        the client phase's ``deliver_batch``. A server that declines
-        (returns False), or a downlink without a phase, gets the batch
-        expanded into the scalar messages it replaced and dispatched
-        one by one, counted in ``CommStats.materialized_by_kind``.
-        """
-        if batch.srcs is not None and batch.dst == SERVER_ID:
-            handler = getattr(self.server, "on_uplink_batch", None)
-            if handler is not None:
-                t0 = time.perf_counter()
-                handled = handler(batch)
-                self.server_seconds += time.perf_counter() - t0
-                if handled:
-                    return
-        elif batch.dsts is not None and self.client_phase is not None:
+        """Deliver one columnar batch whole: an uplink to the server's
+        ``on_uplink_batch`` (timed as server work like ``on_message``),
+        a downlink to the client phase's ``deliver_batch``. Either
+        raises for a flight it has no arm for."""
+        if batch.srcs is not None:
+            t0 = time.perf_counter()
+            self.server.on_uplink_batch(batch)
+            self.server_seconds += time.perf_counter() - t0
+        else:
             self.client_phase.deliver_batch(batch)
-            return
-        for kind, count, _ in batch.split():
-            self.channel.stats.record_materialized(kind, count)
-        for msg in batch.materialize():
-            self._deliver_scalar(msg)
 
     def _dispatch(self, node: Node, msg: Message) -> None:
         if node.node_id == SERVER_ID:

@@ -47,14 +47,14 @@ class CommStats:
         # total above by construction.
         self.s2s_by_kind: Counter = Counter()
         self.s2s_bytes_by_kind: Counter = Counter()
-        # Columnar-plane transport diagnostics (see repro.net.plane).
-        # ``columnar_by_kind`` counts messages that travelled as batch
-        # columns (each already counted normally in ``sent_by_kind``);
-        # ``materialized_by_kind`` counts the subset expanded back into
-        # scalar Messages at a handler boundary. Both describe *how*
+        # Columnar-plane transport diagnostic (see repro.net.plane):
+        # messages that travelled as batch columns (each already
+        # counted normally in ``sent_by_kind``). It describes *how*
         # traffic moved through the transport, not how much moved, so
         # the bit-identity suite compares every counter above but
-        # exempts these two.
+        # exempts it. ``materialized_by_kind`` stays empty: a receiver
+        # takes every batch whole. The layered benchmark still reads
+        # ``materialized_messages``.
         self.columnar_by_kind: Counter = Counter()
         self.materialized_by_kind: Counter = Counter()
 
@@ -90,10 +90,6 @@ class CommStats:
     def record_delivery_batch(self, count: int) -> None:
         """Batch deliveries are always unicast: one reception each."""
         self.delivered += count
-
-    def record_materialized(self, kind: MessageKind, count: int) -> None:
-        """``count`` batched messages were expanded back to scalars."""
-        self.materialized_by_kind[kind] += count
 
     def record_drop(self, msg: Message) -> None:
         """A message the network lost (or a receiver that was down)."""
@@ -175,7 +171,7 @@ class CommStats:
 
     @property
     def materialized_messages(self) -> int:
-        """Batched messages expanded back to scalars (diagnostic)."""
+        """Batched messages expanded back to scalars: always 0."""
         return sum(self.materialized_by_kind.values())
 
     @property
@@ -232,7 +228,6 @@ class CommStats:
         self.s2s_by_kind.update(other.s2s_by_kind)
         self.s2s_bytes_by_kind.update(other.s2s_bytes_by_kind)
         self.columnar_by_kind.update(other.columnar_by_kind)
-        self.materialized_by_kind.update(other.materialized_by_kind)
 
     def snapshot(self) -> "CommStats":
         """An independent copy (for per-window deltas)."""
@@ -266,9 +261,6 @@ class CommStats:
             self.s2s_bytes_by_kind - earlier.s2s_bytes_by_kind
         )
         d.columnar_by_kind = self.columnar_by_kind - earlier.columnar_by_kind
-        d.materialized_by_kind = (
-            self.materialized_by_kind - earlier.materialized_by_kind
-        )
         return d
 
     def __repr__(self) -> str:

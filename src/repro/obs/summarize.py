@@ -8,7 +8,7 @@
 * the event engine's mode and gauge (``engine.stats``: ticks skipped
   vs. run in full), when a run carried an ``EngineConfig``;
 * per-tick message rates (``comm.rate``): total and by-kind msgs/tick,
-  plus the columnar plane's batched-vs-materialized ledger;
+  plus how many messages the columnar plane batched;
 * the per-phase tick cost table aggregated from ``tick.phase`` events
   (mean / max milliseconds per phase, share of the tick);
 * protocol event counts by kind (repairs by mode, fault events, ...);
@@ -221,12 +221,8 @@ def _comm_section(events: List[TraceEvent]) -> Optional[str]:
         if kinds:
             line += f" ({kinds})"
         columnar = f.get("columnar_msgs", 0)
-        materialized = f.get("materialized_msgs", 0)
         if columnar:
-            line += (
-                f"; columnar plane: {columnar} msgs batched, "
-                f"{materialized} materialized"
-            )
+            line += f"; columnar plane: {columnar} msgs batched"
         else:
             line += (
                 "; columnar plane: inactive (no client phase, a fault "

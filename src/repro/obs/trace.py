@@ -108,7 +108,7 @@ PERF_KINDS = frozenset(
 
 #: Run lifecycle markers emitted by the harness, not the protocols.
 #: ``comm.rate`` is the end-of-run message-rate roll-up (msgs/tick by
-#: kind plus the columnar plane's batched/materialized ledger);
+#: kind plus how many messages the columnar plane batched);
 #: ``engine.stats`` is the event engine's end-of-run skip gauge.
 META_KINDS = frozenset({"run.start", "run.end", "comm.rate", "engine.stats"})
 

@@ -582,35 +582,30 @@ class ShardedServer(ServerNodeBase):
         if self._route_uplink(msg):
             self.inner.on_message(msg)
 
-    def on_uplink_batch(self, batch) -> bool:
+    def on_uplink_batch(self, batch) -> None:
         """Ingest one columnar uplink batch and ledger it per shard.
 
         Without this override, ``__getattr__`` would leak the batch
         straight to the inner engine and the routing ledger would miss
-        the whole flight. If the inner engine declines, the simulator
-        materializes the batch and every message takes the scalar
-        ``on_message`` route, so nothing is ledgered here either. Only
-        fault-free, admission-free runs see batches (``per_message``),
-        so ``_route_uplink``'s serving/shedding branches cannot apply.
-        A one-kind batch that names a query (``batch.qid``: collect
-        replies) is declined: each reply may owe a forward, so it takes
-        the scalar route. Any other one-kind batch is ingested whole,
-        then ledgered; a report flight in runs (:meth:`_ledger_runs`).
+        the whole flight. Only fault-free, admission-free runs see
+        batches (``per_message``), so ``_route_uplink``'s
+        serving/shedding branches cannot apply. A flight whose rows
+        name queries (``qids``: a report flight, a collect round's
+        replies) is ledgered in runs interleaved with the inner
+        engine's ingest, each row that lands off its query's owner
+        forwarded (:meth:`_ledger_runs`); any other flight is ingested
+        whole, then ledgered.
         """
-        if self.per_message or batch.qid is not None:
-            return False
-        handler = getattr(self.inner, "on_uplink_batch", None)
-        if batch.kind is None:
-            return handler is not None and self._ledger_runs(batch, handler)
-        if handler is None or not handler(batch):
-            return False
-        return self._ledger_runs(batch, None)
+        if batch.qids is None:
+            self.inner.on_uplink_batch(batch)
+            self._ledger_runs(batch, None)
+        else:
+            self._ledger_runs(batch, self.inner.on_uplink_batch)
 
-    def _ledger_runs(self, batch, ingest) -> bool:
+    def _ledger_runs(self, batch, ingest) -> None:
         """:meth:`_route_uplink` over a plan-free batch's rows in row
         order, interleaved with the inner engine's ``ingest`` of them
-        (None: ingested already) as the scalar route interleaves it;
-        False when ``ingest`` declines, before anything is ledgered.
+        (None: ingested already) as the scalar route interleaves it.
 
         A focal row whose home changes (the only row that hands a query
         off or bootstraps its owner) takes :meth:`_report`, or is routed
@@ -653,10 +648,8 @@ class ShardedServer(ServerNodeBase):
                 fwd = named & (owner >= 0) & (owner != homes)
             cuts = stop | fwd if self._telemetry.enabled else stop
             cut = lo + int(cuts[lo:].argmax()) if cuts[lo:].any() else n
-            if ingest is not None and not ingest(batch.rows(start, cut)):
-                if lo:
-                    raise NetworkError("the inner engine declined a run")
-                return False
+            if ingest is not None:
+                ingest(batch.rows(start, cut))
             moved = lo + np.flatnonzero(changed[lo:cut])
             self._home[srcs[moved]] = homes[moved]
             moved = moved[prev[moved] >= 0]
@@ -667,9 +660,10 @@ class ShardedServer(ServerNodeBase):
             sent = lo + np.flatnonzero(fwd[lo:cut])
             self.shard_stats.forwards += sent.shape[0]
             if sent.shape[0]:
+                nbytes = batch.payload_nbytes  # per row in a report flight
                 self.link.send_many(
                     SHARD_FORWARD, homes[sent], owner[sent],
-                    batch.payload_nbytes[sent],
+                    nbytes if batch.codes is None else nbytes[sent],
                 )
             if cut == n:
                 break
@@ -689,7 +683,6 @@ class ShardedServer(ServerNodeBase):
         for s, c in enumerate(counts.tolist()):
             if c:
                 up[s] += c
-        return True
 
     def on_subround(self, tick: int) -> None:
         self.inner.on_subround(tick)

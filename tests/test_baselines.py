@@ -63,6 +63,34 @@ class TestCommunicationPattern:
         assert pushes == 1
 
 
+    @pytest.mark.parametrize("algorithm", ("PER", "SEA", "CPM"))
+    def test_a_short_population_reports_in_one_flight(self, algorithm):
+        """Fewer objects than ``MIN_BATCH``: the phase still sends one
+        ``TICK_REPORT`` flight a tick, and the run equals the per-object
+        loop's report by report."""
+        from repro.experiments.config import RunConfig
+        from repro.net.plane import MIN_BATCH
+        from tests.helpers import built_system, reference_system
+
+        spec = WorkloadSpec(
+            n_objects=3, n_queries=2, k=2, seed=5, ticks=8, warmup_ticks=0
+        )
+        sim, _ = built_system(RunConfig(algorithm), spec)
+        ref, _ = reference_system(RunConfig(algorithm), spec)
+        assert sim.fleet.n < MIN_BATCH
+        for _ in range(spec.ticks):
+            sim.step()
+            ref.step()
+            assert sim.server.answers == ref.server.answers
+        stats, ref_stats = sim.channel.stats, ref.channel.stats
+        assert stats.columnar_by_kind == {
+            MessageKind.TICK_REPORT: sim.fleet.n * spec.ticks
+        }
+        assert stats.sent_by_kind == ref_stats.sent_by_kind
+        assert stats.bytes_by_kind == ref_stats.bytes_by_kind
+        assert sim.server.meter.units == ref.server.meter.units
+
+
 class TestServerCostOrdering:
     def test_dirty_tracking_beats_naive_rescan(self):
         """With static queries and mostly-pausing objects, SEA and CPM
@@ -194,7 +222,7 @@ class TestColumnarIngest:
 
     def test_empty_batch_is_ingested_as_nothing(self):
         server = self._server()
-        assert server.on_uplink_batch(self._batch([], [], [])) is True
+        server.on_uplink_batch(self._batch([], [], []))
         assert server._updates == [] and not list(server.grid.ids())
 
     def test_touched_cells_equal_the_sorted_unique_of_old_and_new(self):
@@ -220,7 +248,7 @@ class TestColumnarIngest:
             still = known & (rng.random(oids.shape[0]) < 0.3)
             xs[still] = server.grid._dx[oids[still]]
             ys[still] = server.grid._dy[oids[still]]
-            assert server.on_uplink_batch(self._batch(oids, xs, ys))
+            server.on_uplink_batch(self._batch(oids, xs, ys))
             e = server._updates.pop()
             assert (e.known == known).all()
             inserted_something |= bool((~e.known).any())
@@ -295,7 +323,7 @@ class TestOneDirtyRule:
                 ]
             for how, ids in runs:
                 if how == "batch":
-                    assert server.on_uplink_batch(batch(ids, xs[ids], ys[ids]))
+                    server.on_uplink_batch(batch(ids, xs[ids], ys[ids]))
                     continue
                 for oid in ids.tolist():
                     server.on_message(Message(
@@ -350,9 +378,8 @@ class TestSlicePath:
         logged = []
 
         def logged_ingest(batch):
-            done = ingest(batch)
+            ingest(batch)
             logged.append((batch, server._updates[-1]))
-            return done
 
         server.on_uplink_batch = logged_ingest
         sim.run(self.SPEC.ticks)

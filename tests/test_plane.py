@@ -13,9 +13,9 @@ Three layers of pinning:
   entirely): per-tick answers, every legacy CommStats counter, and the
   shard ledger agree, while ``columnar_by_kind`` proves the plane
   actually carried traffic on the fault-free built runs — for DKNN-B
-  and DKNN-G the ``COLLECT_REPLY`` batch a collect round draws, the
-  one uplink kind that names a query (which the sharded tier must
-  send down the scalar route);
+  and DKNN-G the ``COLLECT_REPLY`` flight a collect round draws, whose
+  rows name their query (the sharded tier takes it whole and forwards
+  each reply that lands off its query's owner);
 * trace streams — a traced build carries the same batches as a bare
   one, and its Jsonl event stream (timing kinds aside) is
   byte-identical to the reference's.
@@ -34,7 +34,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.broadcast_variant import _IDLE
+from repro.core.broadcast_variant import _COLLECTING, _IDLE
 from repro.core.fastpath import _report_payload
 from repro.core.protocol import (
     AnswerPush,
@@ -45,7 +45,7 @@ from repro.core.protocol import (
     RevokeBand,
     ViolationReport,
 )
-from repro.errors import NetworkError
+from repro.errors import NetworkError, ProtocolError
 from repro.experiments.algorithms import ALGORITHMS
 from repro.experiments.config import RunConfig
 from repro.net.channel import Channel
@@ -156,7 +156,7 @@ class TestColumnarBatch:
             dst=SERVER_ID,
             xs=np.array([1.5, 2.5]),
             ys=np.array([3.5, 4.5]),
-            qid=7,
+            qids=np.array([7, 7], dtype=np.int64),
             payload_nbytes=payload_size(CollectReply(0, 0.0, 0.0)),
             payload_ctor=CollectReply,
         )
@@ -165,7 +165,13 @@ class TestColumnarBatch:
             (m.src, m.payload.qid, m.payload.x, m.payload.y) for m in msgs
         ] == [(4, 7, 1.5, 3.5), (9, 7, 2.5, 4.5)]
         assert sum(m.size for m in msgs) == batch.total_bytes
-        assert _uplink_batch(2).qid is None
+        assert _uplink_batch(2).qids is None
+        # a one-kind flight slices like a report flight
+        tail = batch.rows(1, 2)
+        assert tail.count == 1 and tail.total_bytes == msgs[1].size
+        [msg] = tail.materialize()
+        assert (msg.src, msg.payload.qid, msg.payload.x) == (9, 7, 2.5)
+        assert batch.rows(0, 0).total_bytes == 0
 
     def test_materialize_coordinate_free_and_bare(self):
         down = _downlink_batch(MessageKind.PROBE, [3, 1], [ProbeRequest()])
@@ -445,23 +451,22 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("shards", (2, 4))
     @pytest.mark.parametrize("algorithm", COLLECT_ALGS)
-    def test_sharded_tier_sends_collect_replies_down_the_scalar_route(
+    def test_sharded_tier_takes_collect_flights_whole(
         self, algorithm, shards
     ):
         """A collect reply names a query, so one that lands on a shard
-        that does not own it is forwarded over the backbone. The tier's
-        batch ledger knows positions only: it must decline the batch —
-        every reply then takes ``_route_uplink`` — or the forwards (and
-        the backbone traffic they are) go missing while answers and
-        radio totals still agree. Compared: the whole shard ledger."""
+        that does not own it is forwarded over the backbone. The tier
+        ledgers the flight row by row from its ``qids`` column as the
+        inner server ingests it, or the forwards (and the backbone
+        traffic they are) go missing while answers and radio totals
+        still agree. Compared: the whole shard ledger."""
         scalar = _run(algorithm, reference_system, shards=shards, **DENSE)
         fast = _run(algorithm, built_system, shards=shards, **DENSE)
         _assert_identical(fast, scalar)
         forwards = fast["shard_ledger"][3]
         assert forwards > 0
-        batched = fast["columnar"][MessageKind.COLLECT_REPLY]
-        assert batched >= MIN_BATCH
-        assert fast["materialized"] == batched
+        assert fast["columnar"][MessageKind.COLLECT_REPLY] >= MIN_BATCH
+        assert fast["materialized"] == 0
 
     def test_all_registered_algorithms_have_identity_coverage(self):
         assert set(COLUMNAR_ALGS + COLLECT_ALGS) == set(ALGORITHMS)
@@ -500,7 +505,8 @@ class TestCollectReplyBatch:
             Message, ColumnarBatch, Message
         ]
         batch = built[1]
-        assert batch.qid == qid and batch.count >= MIN_BATCH
+        assert batch.qids.tolist() == [qid] * batch.count
+        assert batch.count >= MIN_BATCH
         assert focal not in batch.srcs  # its own handler returns early
         assert list(batch.srcs) == sorted(batch.srcs)
         assert on_the_wire(built) == on_the_wire(reference)
@@ -523,7 +529,7 @@ class TestCollectReplyBatch:
             ]
             if inflight:
                 break
-        qid = inflight[0].qid
+        qid = int(inflight[0].qids[0])
         for sim in (fast, scalar):
             st = sim.server._states[qid]
             st.phase, st.collected = _IDLE, {}
@@ -541,12 +547,38 @@ class TestCollectReplyBatch:
         assert dict(fast.server.meter.units) == dict(scalar.server.meter.units)
 
 
+@pytest.mark.parametrize(
+    "algorithm, shards, kind",
+    [
+        pytest.param("DKNN-P", None, MessageKind.COLLECT_REPLY, id="DKNN-P"),
+        pytest.param("DKNN-B", None, MessageKind.LOCATION_UPDATE, id="DKNN-B"),
+        pytest.param("PER", None, MessageKind.LOCATION_UPDATE, id="PER"),
+        pytest.param("DKNN-P", 2, MessageKind.TICK_REPORT, id="DKNN-P-S2"),
+    ],
+)
+def test_a_flight_no_arm_takes_is_refused(algorithm, shards, kind):
+    """Every server takes a flight whole or raises: a kind it has no
+    arm for is a :class:`ProtocolError` at delivery, never a fallback
+    to scalar messages, and the tier ledgers nothing of it."""
+    shard = None if shards is None else ShardConfig(shards=shards)
+    sim, _ = built_system(RunConfig(algorithm, shard=shard), _spec())
+    sim.run(2)
+    ledger = getattr(sim.server, "shard_stats", None)
+    uplinks = None if ledger is None else list(ledger.uplinks)
+    with pytest.raises(ProtocolError):
+        sim._deliver([_uplink_batch(MIN_BATCH, kind)])
+    if ledger is not None:
+        assert list(ledger.uplinks) == uplinks
+
+
 class TestTraceStreams:
     @pytest.mark.parametrize(
         "algorithm, shards, mode",
         [pytest.param(a, None, None, id=a) for a in ALGORITHMS]
         + [
             pytest.param("DKNN-P", 2, None, id="DKNN-P-S2"),
+            pytest.param("DKNN-B", 2, None, id="DKNN-B-S2"),
+            pytest.param("DKNN-G", 4, None, id="DKNN-G-S4"),
             pytest.param("DKNN-P", None, "event", id="DKNN-P-event"),
         ],
     )
@@ -609,6 +641,7 @@ REPORT_SYSTEMS = {
     "DKNN-B": RunConfig("DKNN-B"),
     "DKNN-G": RunConfig("DKNN-G"),
     "DKNN-P-S4": RunConfig("DKNN-P", shard=ShardConfig(shards=4)),
+    "DKNN-B-S4": RunConfig("DKNN-B", shard=ShardConfig(shards=4)),
 }
 
 
@@ -617,7 +650,9 @@ def _report_case(draw):
     """A system, its server's state before the first flight, and two to
     four ticks' report flights: each sender one position, a location
     row (DKNN-P) and up to two violation / query-move rows about any
-    query, stamped — under DKNN-G — with an epoch that may be stale."""
+    query, stamped — under DKNN-G — with an epoch that may be stale.
+    Under DKNN-B/G each tick may add one collect round's replies: any
+    objects but the query's focal, each at a position of its own."""
     system = draw(st.sampled_from(sorted(REPORT_SYSTEMS)))
     q = REPORT_SPEC.n_queries
     flag = st.lists(st.booleans(), min_size=q, max_size=q)
@@ -629,6 +664,7 @@ def _report_case(draw):
                                    max_size=q)),
         "probed": draw(st.sets(oid, max_size=6)),
         "epochs": draw(st.lists(st.integers(0, 2), min_size=q, max_size=q)),
+        "collecting": draw(flag),
     }
     coord = st.floats(min_value=0.0, max_value=REPORT_SPEC.universe_size)
     flights = []
@@ -646,7 +682,14 @@ def _report_case(draw):
                 epoch = draw(st.integers(0, 2)) if system == "DKNN-G" else -1
                 rows.append((draw(st.sampled_from((1, 2))), src, qid, x, y,
                              epoch))
-        flights.append((tick, rows))
+        collect = None
+        if not system.startswith("DKNN-P") and draw(st.booleans()):
+            qid = draw(st.integers(0, q - 1))
+            repliers = draw(st.sets(oid, min_size=1, max_size=10))
+            repliers.discard(REPORT_FOCALS[qid])
+            collect = (qid, [(o, draw(coord), draw(coord))
+                             for o in sorted(repliers)])
+        flights.append((tick, rows, collect))
     return system, draw(st.booleans()), before, flights
 
 
@@ -666,6 +709,17 @@ def _report_flight(rows, tick):
     )
 
 
+def _collect_flight(qid, replies, tick):
+    srcs, xs, ys = (np.array(c) for c in zip(*replies))
+    return ColumnarBatch(
+        MessageKind.COLLECT_REPLY, srcs=srcs.astype(np.int64), dst=SERVER_ID,
+        xs=xs.astype(np.float64), ys=ys.astype(np.float64),
+        qids=np.full(srcs.shape[0], qid, dtype=np.int64),
+        payload_nbytes=payload_size(CollectReply(qid, 0.0, 0.0)),
+        payload_ctor=CollectReply, sent_tick=tick,
+    )
+
+
 def _report_view(sim, sink):
     """Everything a report can change on ``sim``'s server."""
     tier = sim.server if isinstance(sim.server, ShardedServer) else None
@@ -679,7 +733,7 @@ def _report_view(sim, sink):
                 for v in (
                     getattr(st, f, None) for f in (
                         "dirty", "light_ok", "violators", "focal_pos",
-                        "focal_tick",
+                        "focal_tick", "phase", "collected",
                     )
                 )
             )
@@ -719,13 +773,14 @@ def _report_view(sim, sink):
 @given(case=_report_case())
 @settings(max_examples=150, deadline=None)
 def test_a_report_flight_ingests_as_its_messages_one_by_one(case):
-    """Ingesting a report flight whole equals dispatching its
-    ``materialize()`` message by message, flight after flight: on
+    """Ingesting a report or collect flight whole equals dispatching
+    its ``materialize()`` message by message, flight after flight: on
     DKNN-P the table, grid cells, freshness, dirty / light_ok /
     violators, probes in flight, meter and events; on DKNN-B/G the
-    dirty flags, focal positions and the epoch gate; on the S = 4 tier
-    besides the inner server's state the home table, owners, pending
-    handoffs, shard ledger and every backbone message and byte —
+    dirty flags, focal positions, the epoch gate and each round's
+    collected replies under the phase gate; on the S = 4 tiers besides
+    the inner server's state the home table, owners, pending handoffs,
+    shard ledger, forwards and every backbone message and byte —
     traced or not."""
     system, traced, before, flights = case
     views = []
@@ -740,6 +795,8 @@ def test_a_report_flight_ingests_as_its_messages_one_by_one(case):
         for qid, st in server._states.items():
             if system == "DKNN-G":
                 st.epoch = before["epochs"][qid]
+            if before["collecting"][qid] and not hasattr(st, "light_ok"):
+                st.phase = _COLLECTING
             if hasattr(st, "light_ok"):
                 st.dirty = before["dirty"][qid]
                 st.light_ok = before["light_ok"][qid]
@@ -747,15 +804,16 @@ def test_a_report_flight_ingests_as_its_messages_one_by_one(case):
         if hasattr(server, "_probes_in_flight"):
             for oid in sorted(before["probed"]):
                 server._probes_in_flight.add(oid)
-        for tick, rows in flights:
+        for tick, rows, collect in flights:
             sim.server.on_tick_start(tick)
-            if not rows:
-                continue
-            flight = _report_flight(rows, tick)
-            if whole:
-                assert sim.server.on_uplink_batch(flight)
-            else:
-                for msg in flight.materialize():
-                    sim.server.on_message(msg)
+            batches = [_report_flight(rows, tick)] if rows else []
+            if collect is not None:
+                batches.append(_collect_flight(*collect, tick))
+            for flight in batches:
+                if whole:
+                    sim.server.on_uplink_batch(flight)
+                else:
+                    for msg in flight.materialize():
+                        sim.server.on_message(msg)
         views.append(_report_view(sim, sink))
     assert views[0] == views[1]

@@ -105,7 +105,7 @@ def _ingest(server, runs):
     for how, ids, xs, ys in runs:
         if how == "batch":
             if ids.shape[0]:
-                assert server.on_uplink_batch(ColumnarBatch(
+                server.on_uplink_batch(ColumnarBatch(
                     MessageKind.TICK_REPORT, srcs=ids.astype(np.int64),
                     dst=SERVER_ID, xs=xs.copy(), ys=ys.copy(),
                     payload_nbytes=16, payload_ctor=LocationUpdate,
