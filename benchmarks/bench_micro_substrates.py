@@ -20,7 +20,8 @@ from repro.api import (
     build_system,
     build_workload,
 )
-from repro.index import UniformGrid, knn_search, range_search
+from repro.index import UniformGrid
+from repro.index.knn import knn_search, range_search_arrays
 
 UNIVERSE = Rect(0, 0, 10_000, 10_000)
 
@@ -67,7 +68,7 @@ def test_grid_range_search(benchmark):
 
     def run():
         for qx, qy in queries:
-            range_search(grid, qx, qy, 600.0)
+            range_search_arrays(grid, qx, qy, 600.0)
 
     benchmark(run)
 

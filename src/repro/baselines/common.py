@@ -20,11 +20,11 @@ from repro.core.protocol import AnswerPush, LocationUpdate
 from repro.errors import ProtocolError
 from repro.geometry import Rect
 from repro.index.grid import UniformGrid
-from repro.index.knn import NeighborList, knn_search, knn_search_many
+from repro.index.knn import NeighborList, knn_search_many
 from repro.metrics.cost import CostMeter
 from repro.net.message import SERVER_ID, Message, MessageKind
 from repro.net.node import MobileNode, Population
-from repro.net.plane import MIN_BATCH, ColumnarBatch
+from repro.net.plane import ColumnarBatch
 from repro.net.simulator import ClientPhase
 from repro.server.engine import BaseServer
 from repro.server.query_table import QuerySpec
@@ -365,15 +365,7 @@ class AnswerRegionServer(CentralizedServerBase):
         """The new answers of the dirty queries ``specs`` at their focal
         positions ``(qx, qy)``, as ascending ``(distance, oid)``: each
         one's ``k`` nearest by best-first search, its focal excluded —
-        one :func:`knn_search_many`, or per row below ``MIN_BATCH``."""
-        if len(specs) < MIN_BATCH:
-            return [
-                knn_search(
-                    self.grid, x, y, spec.k,
-                    exclude=frozenset((spec.focal_oid,)), meter=self.meter,
-                )
-                for spec, x, y in zip(specs, qx.tolist(), qy.tolist())
-            ]
+        one :func:`knn_search_many`."""
         return knn_search_many(
             self.grid, qx, qy, [spec.k for spec in specs],
             np.array([spec.focal_oid for spec in specs], dtype=np.int64),

@@ -30,10 +30,9 @@ from repro.baselines.common import (
     ReporterPhase,
     reporters,
 )
-from repro.index.knn import NeighborList, range_search, range_search_many
+from repro.index.knn import NeighborList, range_search_many
 from repro.metrics.cost import CostMeter
 from repro.net.faults import FaultPlan
-from repro.net.plane import MIN_BATCH
 from repro.net.simulator import RoundSimulator, ZERO_LATENCY
 from repro.server.query_table import QuerySpec
 
@@ -80,16 +79,6 @@ class CpmServer(AnswerRegionServer):
         # and taking it out could move the DIST_CALC columns of the
         # E-sweeps.
         bound += 1e-9 * (bound + 1.0)
-        if len(specs) < MIN_BATCH:
-            return [
-                range_search(
-                    self.grid, x, y, r, exclude=frozenset((spec.focal_oid,)),
-                    meter=self.meter,
-                )[: spec.k]
-                for spec, x, y, r in zip(
-                    specs, qx.tolist(), qy.tolist(), bound.tolist()
-                )
-            ]
         return range_search_many(
             self.grid, qx, qy, bound,
             np.array([spec.focal_oid for spec in specs], dtype=np.int64),

@@ -262,14 +262,8 @@ class HardenedDknnServer(DknnServer):
         and widens the exclusion set under a standing installation."""
         return None
 
-    def _search_exclude(self, focal: int) -> frozenset:
-        if self._suspected:
-            return frozenset(self._suspected | {focal})
-        return super()._search_exclude(focal)
-
-    def _per_row(self, rows: np.ndarray) -> bool:
-        # under suspects each row has its own exclusion set
-        return bool(self._suspected) or super()._per_row(rows)
+    def _search_exclude(self) -> np.ndarray:
+        return np.array(sorted(self._suspected), dtype=np.int64)
 
     def _send_probes(self, oids: List[int]) -> None:
         for oid in oids:

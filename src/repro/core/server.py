@@ -78,15 +78,13 @@ from repro.geometry import Rect
 from repro.index.knn import (
     _rank,
     _ranked,
-    knn_search,
     knn_search_many,
-    range_search_arrays,
     range_search_many,
     range_search_written,
 )
 from repro.metrics.cost import CostMeter
 from repro.net.message import SERVER_ID, Message, MessageKind
-from repro.net.plane import MIN_BATCH, REPORT_KINDS, ColumnarBatch
+from repro.net.plane import REPORT_KINDS, ColumnarBatch
 from repro.server.engine import BaseServer
 from repro.server.object_table import ObjectTable
 from repro.server.query_table import QuerySpec
@@ -316,9 +314,8 @@ class DknnServer(BaseServer):
         candidate probes); finalize full repairs (one
         :meth:`_plan_full` pass). A row moves on to its next step in
         the same subround unless it blocks on probes; a step with no
-        rows costs nothing. A search with fewer than ``MIN_BATCH``
-        rows (the many-row kernels lose below that), or under the
-        fault-tolerant build's suspect exclusion sets, runs per row.
+        rows costs nothing. How a search answers its rows (row by row
+        or in one pass) is the index's choice (:mod:`repro.index.knn`).
 
         The steps run in step order, not query order, yet everything
         that crosses queries leaves in the order a walk over the
@@ -504,14 +501,10 @@ class DknnServer(BaseServer):
         for _, fn, args in ops:
             fn(*args)
 
-    def _search_exclude(self, focal: int) -> frozenset:
-        """Hook: the ids a per-row index search skips."""
-        return frozenset((focal,))
-
-    def _per_row(self, rows: np.ndarray) -> bool:
-        """Hook: search ``rows`` one query at a time? Below
-        ``MIN_BATCH`` rows the many-row kernels lose."""
-        return rows.shape[0] < MIN_BATCH
+    def _search_exclude(self) -> np.ndarray:
+        """Hook: the ids every index search skips besides each row's
+        focal, sorted."""
+        return NO_IDS
 
     def _live(self, oids: Set[int]) -> Set[int]:
         """Hook: the ids of ``oids`` a light repair may pool."""
@@ -689,17 +682,15 @@ class DknnServer(BaseServer):
     def _zone_hits(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Ids within the monitor zone of each row's installation,
         ascending ``(distance, oid)`` per row, every uninformed one
-        among them: ``(seg, ids)``, by :meth:`_ranges` around the
+        among them: ``(seg, ids)``, by one range search around the
         anchors.
 
         A row whose last scan searched this installation and found no
-        uninformed object (``scan_mark``, still in the write log)
-        re-checks only the objects written since
+        uninformed object (``scan_mark``, still in the write log) may
+        be re-checked from the objects written since
         (:func:`range_search_written`): every other object is where that
         scan saw it, so it is outside the zone or informed (a row's
-        informed set only grows while its installation stands). The
-        re-checking rows share one pass over the writes, unless those
-        outnumber what their full searches would score."""
+        informed set only grows while its installation stands)."""
         q = self._q
         insts = [q.views[row].install for row in rows.tolist()]
         unc = self.params.uncertainty
@@ -708,28 +699,14 @@ class DknnServer(BaseServer):
         radii = np.array([inst.monitor_radius(unc) for inst in insts])
         since = q.scan_mark[rows]
         short = since >= self.table.logged_from  # never for -1
-        if not short.any():
-            return self._ranges(rows, cx, cy, radii)
-        at = np.flatnonzero(short)
-        first = int(since[at].min())
+        first = int(since[short].min()) if short.any() else 0
         found = range_search_written(
-            self.table.grid, cx[at], cy[at], radii[at], q.focal[rows[at]],
-            self.table.written_since(first), since[at] - first,
+            self.table.grid, cx, cy, radii, q.focal[rows],
+            self.table.written_since(first) if short.any() else [],
+            np.where(short, since - first, -1), self._search_exclude(),
             meter=self.meter,
         )
-        if found is None:
-            return self._ranges(rows, cx, cy, radii)
-        if at.shape[0] == rows.shape[0]:
-            return found.seg, found.oid
-        full = np.flatnonzero(~short)
-        seg, ids = self._ranges(rows[full], cx[full], cy[full], radii[full])
-        key = np.concatenate((
-            np.repeat(at, lengths(found.seg)), np.repeat(full, lengths(seg))
-        ))
-        return (
-            offsets(np.bincount(key, minlength=rows.shape[0])),
-            np.concatenate((found.oid, ids))[np.argsort(key, kind="stable")],
-        )
+        return found.seg, found.oid
 
     def _resolve(self, rows: np.ndarray, step: int) -> None:
         """All planner probes of ``rows`` answered: band the harmless,
@@ -960,34 +937,6 @@ class DknnServer(BaseServer):
         reported position lies ``r_k1`` away (module docstring, step 2)."""
         return r_k1 + 2.0 * self.params.uncertainty + self.params.s_cap
 
-    def _nearest(self, rows: np.ndarray, qx: np.ndarray, qy: np.ndarray):
-        """The ``k+1`` nearest reported positions to each row's focal,
-        at ``(qx, qy)``: ``(seg, d, ids)``, ascending ``(distance,
-        oid)`` within a row."""
-        grid = self.table.grid
-        focals = self._q.focal[rows]
-        if not self._per_row(rows):
-            found = knn_search_many(
-                grid, qx, qy, self._q.k[rows] + 1, focals, meter=self.meter
-            )
-            return found.seg, found.d, found.oid
-        found = [
-            knn_search(
-                grid, x, y, k + 1, exclude=self._search_exclude(focal),
-                meter=self.meter,
-            )
-            for x, y, k, focal in zip(
-                qx.tolist(), qy.tolist(), self._q.k[rows].tolist(),
-                focals.tolist(),
-            )
-        ]
-        pairs = [pair for row in found for pair in row]
-        return (
-            offsets([len(row) for row in found]),
-            np.array([d for d, _ in pairs], dtype=np.float64),
-            np.array([oid for _, oid in pairs], dtype=np.int64),
-        )
-
     def _select(self, rows: np.ndarray) -> Tuple[np.ndarray, ...]:
         """Choose the probe sets of ``rows`` (focal positions exact):
         the ``k+1`` nearest fix each candidate circle; its stale members
@@ -995,8 +944,12 @@ class DknnServer(BaseServer):
         at once (everyone is the answer, nothing can displace them: no
         bands). Returns ``(rows, seg, candidate ids)`` of the rows not
         left waiting."""
-        qx, qy = self.table.grid.positions_of(self._q.focal[rows])
-        seg, d, oid = self._nearest(rows, qx, qy)
+        grid, exclude = self.table.grid, self._search_exclude()
+        qx, qy = grid.positions_of(self._q.focal[rows])
+        seg, d, oid, _ = knn_search_many(
+            grid, qx, qy, self._q.k[rows] + 1, self._q.focal[rows], exclude,
+            meter=self.meter,
+        )
         full = lengths(seg) > self._q.k[rows]
         if not full.all():
             for i in np.flatnonzero(~full).tolist():
@@ -1024,7 +977,10 @@ class DknnServer(BaseServer):
                     _key(row, _FULL), probe.repair_scope,
                     self._q.views[row].spec.qid, x, y, r,
                 )
-        seg, cands = self._ranges(rows, qx, qy, radii)
+        seg, _, cands, _ = range_search_many(
+            grid, qx, qy, radii, self._q.focal[rows], exclude,
+            meter=self.meter,
+        )
         pseg, pending = self._probe_runs(rows, _FULL, seg, cands)
         self._write(rows, (pseg, pending), (seg, cands))
         self._q.phase[rows] = WAIT_CANDS
@@ -1033,30 +989,6 @@ class DknnServer(BaseServer):
         return (
             rows[ready], offsets(lens[ready]), cands[np.repeat(ready, lens)]
         )
-
-    def _ranges(self, rows, cx, cy, radii) -> Tuple[np.ndarray, np.ndarray]:
-        """The ids within ``radii`` of ``(cx, cy)`` per row, over
-        reported positions, each row's focal excluded, ascending
-        ``(distance, oid)``: ``(seg, ids)``."""
-        grid = self.table.grid
-        if self._per_row(rows):
-            found = [
-                range_search_arrays(
-                    grid, x, y, r, exclude=self._search_exclude(focal),
-                    meter=self.meter,
-                )[1]
-                for x, y, r, focal in zip(
-                    cx.tolist(), cy.tolist(), radii.tolist(),
-                    self._q.focal[rows].tolist(),
-                )
-            ]
-            return offsets([ids.shape[0] for ids in found]), (
-                np.concatenate(found) if found else NO_IDS
-            )
-        found = range_search_many(
-            grid, cx, cy, radii, self._q.focal[rows], meter=self.meter
-        )
-        return found.seg, found.oid
 
     def _finish(self, groups: List[Tuple[np.ndarray, ...]]) -> None:
         """Finalize the full repairs of ``groups`` — ``(rows, seg,

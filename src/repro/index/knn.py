@@ -11,28 +11,29 @@ array out of the cell store and its distances are one array pass, so
 the per-member work is numpy's, and the :class:`CostMeter` charges are
 counts taken from array lengths.
 
-**Two call shapes.** ``knn_search`` / ``range_search_arrays`` answer
-one query per call: the public single-query API, what every server
-calls when fewer than ``MIN_BATCH`` rows of a kind are due together,
-and the oracle the many-row kernels are tested against.
-``knn_search_many`` / ``range_search_many`` answer many
-rows in one pass over the same columns — every row's cell box expanded
-into one flat (row, cell) list, one gather, one distance pass, one
-ranking — and return each row's result *and* each row's charges, equal
-to the per-query function's. A call of either shape costs a few dozen
-numpy calls whatever it is given, so the many-row shape wins once
-enough rows share that constant and loses below it. Measured per row
-(µs, many-row against per-query): one row, kNN 220-380 against 34-180
-and a range scan 100-130 against 39-50; eight rows, kNN 44 against 48
-on a uniform grid of 49 objects a cell and 86 against 198 on drifting
-hotspots, a range scan 20-64 against 41-60; sixty-one rows on the
-hotspots, kNN 49 against 192 and a range scan 13-30 against 44-54. The
-break-even is 2-8 rows, latest where cells are evenly full, which is
-:data:`repro.net.plane.MIN_BATCH`: a server batches a kind of search
-when at least that many rows of it are due at one step of a DKNN-P
-subround or among a tick's dirty SEA / CPM queries, per query otherwise.
+**One entry per question.** ``knn_search_many`` (the ``k`` nearest),
+``range_search_many`` (everything within a radius) and
+``range_search_written`` (the same, looking only at what was written
+since a mark) each take any number of rows — a query point or disk,
+the row's own excluded id, and optionally ids every row skips — and
+return :class:`Rows`: each row's result *and* each row's charges. How
+to answer is the entry's choice, from the row count. Below
+:data:`BREAK_EVEN` rows it searches row by row (``knn_search`` /
+``range_search_arrays``, which are also the oracle the one-pass
+kernels are tested against); at or above it, one pass over the
+columns — every row's cell box expanded into one flat (row, cell)
+list, one gather, one distance pass, one ranking — whose results and
+charges equal the per-row search's. A pass costs a few dozen numpy
+calls whatever it is given, so it wins once enough rows share that
+constant and loses below it. Measured per row (µs, one pass against
+row by row): one row, kNN 220-380 against 34-180 and a range scan
+100-130 against 39-50; eight rows, kNN 44 against 48 on a uniform grid
+of 49 objects a cell and 86 against 198 on drifting hotspots, a range
+scan 20-64 against 41-60; sixty-one rows on the hotspots, kNN 49
+against 192 and a range scan 13-30 against 44-54. The break-even is
+2-8 rows, latest where cells are evenly full.
 
-**The charges of a best-first search, in closed form.** The many-row
+**The charges of a best-first search, in closed form.** The one-pass
 kNN never runs a heap: it finds an upper bound on each row's k-th
 distance, ranks everything inside the bounds, and then *derives* what
 ``knn_search`` would have charged from the final k-th distance ``d_k``
@@ -64,6 +65,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from functools import partial
 from typing import AbstractSet, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -73,10 +75,7 @@ from repro.index.grid import UniformGrid, axis_gap
 from repro.metrics.cost import CostMeter, charge
 
 __all__ = [
-    "knn_search",
     "knn_search_many",
-    "range_search",
-    "range_search_arrays",
     "range_search_many",
     "range_search_written",
     "NeighborList",
@@ -87,6 +86,12 @@ __all__ = [
 NeighborList = List[Tuple[float, int]]
 
 _EMPTY: FrozenSet[int] = frozenset()
+_NO_IDS = np.empty(0, dtype=np.int64)
+#: rows: an entry with fewer searches row by row, else in one pass
+BREAK_EVEN = 8
+#: the charge categories of a kNN row and of a range row, in order
+_KNN_CHARGES = (CostMeter.HEAP_OP, CostMeter.CELL_VISIT, CostMeter.DIST_CALC)
+_RANGE_CHARGES = (CostMeter.CELL_VISIT, CostMeter.DIST_CALC)
 _SMALL = 256  # below: ``_rank`` runs np.lexsort, the faster there
 _INT16_MAX = int(np.iinfo(np.int16).max)
 
@@ -96,7 +101,7 @@ def _without(ids: np.ndarray, exclude: AbstractSet[int]) -> np.ndarray:
     if len(exclude) == 1:
         (only,) = exclude
         return ids[ids != only]
-    if exclude:
+    if exclude and ids.shape[0]:
         return ids[~np.isin(ids, np.fromiter(exclude, np.int64, len(exclude)))]
     return ids
 
@@ -133,6 +138,14 @@ def knn_search(
     the candidate heap is offered only that cell's best ``k`` not
     already beaten.
     """
+    d, ids = _knn_arrays(grid, qx, qy, k, exclude, meter)
+    return list(zip(d.tolist(), ids.tolist()))
+
+
+def _knn_arrays(
+    grid: UniformGrid, qx: float, qy: float, k: int, exclude, meter
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`knn_search` as ``(distances, oids)`` arrays."""
     if k < 1:
         raise IndexError_(f"k must be >= 1, got {k}")
     if meter is None:
@@ -235,21 +248,11 @@ def knn_search(
     charge(meter, CostMeter.CELL_VISIT, popped)
     if scored_n:
         charge(meter, CostMeter.DIST_CALC, scored_n)
-    return sorted((-nd, -noid) for nd, noid in best)
-
-
-def range_search(
-    grid: UniformGrid,
-    cx: float,
-    cy: float,
-    r: float,
-    exclude: AbstractSet[int] = _EMPTY,
-    meter: Optional[CostMeter] = None,
-) -> NeighborList:
-    """All objects within distance ``r`` of ``(cx, cy)`` as ascending
-    ``(distance, oid)`` pairs — :func:`range_search_arrays` as a list."""
-    d, ids = range_search_arrays(grid, cx, cy, r, exclude, meter)
-    return list(zip(d.tolist(), ids.tolist()))
+    best.sort(reverse=True)  # ascending (distance, oid)
+    return (
+        np.array([-nd for nd, _ in best], dtype=np.float64),
+        np.array([-noid for _, noid in best], dtype=np.int64),
+    )
 
 
 def range_search_arrays(
@@ -265,8 +268,7 @@ def range_search_arrays(
     Returns ``(distances, oids)`` as float64 / int64 arrays in
     ascending ``(distance, oid)`` order.
 
-    Charges CELL_VISIT per bounding-box cell (on the grid's own meter,
-    as ``cells_intersecting_circle`` does) and DIST_CALC per
+    Charges CELL_VISIT per bounding-box cell and DIST_CALC per
     non-excluded member of every intersecting cell whether or not it
     lands within ``r``. Cell intersection and membership both use the
     ``sqrt(dx*dx + dy*dy) <= r`` recipe of ``repro.geometry.dist``, so
@@ -278,9 +280,7 @@ def range_search_arrays(
     if meter is None:
         meter = grid.meter
     lo_i, hi_i, lo_j, hi_j = grid.box(cx, cy, r)
-    charge(
-        grid.meter, CostMeter.CELL_VISIT, (hi_i - lo_i + 1) * (hi_j - lo_j + 1)
-    )
+    charge(meter, CostMeter.CELL_VISIT, (hi_i - lo_i + 1) * (hi_j - lo_j + 1))
     ci = np.arange(lo_i, hi_i + 1, dtype=np.int64)
     cj = np.arange(lo_j, hi_j + 1, dtype=np.int64)
     dx = _axis_gaps(grid._xea, cx, ci)
@@ -347,13 +347,16 @@ def _scored_members(
     cx: np.ndarray,
     cy: np.ndarray,
     exclude_oid: np.ndarray,
+    exclude: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Open the cells ``lin`` (cell ``c`` on behalf of row ``row[c]``):
-    ``(oid, source cell, row, distance)`` per member that is not its
-    row's excluded id."""
+    ``(oid, source cell, row, distance)`` per member that is neither
+    its row's excluded id nor one of the shared ``exclude``."""
     ids, src = grid._store.gather_sources(lin)
     mrow = row[src]
     keep = ids != exclude_oid[mrow]
+    if exclude.shape[0]:
+        keep &= ~np.isin(ids, exclude)
     ids, src, mrow = ids[keep], src[keep], mrow[keep]
     ddx = grid._dx[ids] - cx[mrow]
     ddy = grid._dy[ids] - cy[mrow]
@@ -399,38 +402,67 @@ def _ranked(
     return seg, d[order], ids[order]
 
 
+def _row_by_row(
+    search, categories, meter, exclude_oid, exclude, *columns
+) -> Rows:
+    """The small-row strategy: ``search(*row, exclusion set, meter)``
+    per row of ``columns``, the set holding the row's own id (``-1``:
+    nobody) and the shared ``exclude``. A row's charges are what its
+    search added to the meter's ``categories``."""
+    shared = frozenset(exclude.tolist())
+    tally = CostMeter() if meter is None else meter
+    found, seen = [], [[tally.units[c] for c in categories]]
+    for oid, *row in zip(
+        exclude_oid.tolist(), *(col.tolist() for col in columns)
+    ):
+        skip = shared | {oid} if oid >= 0 else shared
+        found.append(search(*row, skip, tally))
+        seen.append([tally.units[c] for c in categories])
+    totals = np.array(seen, dtype=np.int64)
+    return Rows(
+        np.cumsum([0, *(ids.shape[0] for _, ids in found)], dtype=np.int64),
+        np.concatenate([np.empty(0), *(d for d, _ in found)]),
+        np.concatenate([_NO_IDS, *(ids for _, ids in found)]),
+        dict(zip(categories, (totals[1:] - totals[:-1]).T)),
+    )
+
+
 def range_search_many(
     grid: UniformGrid,
     cx: np.ndarray,
     cy: np.ndarray,
     r: np.ndarray,
     exclude_oid: np.ndarray,
+    exclude: np.ndarray = _NO_IDS,
     meter: Optional[CostMeter] = None,
 ) -> Rows:
-    """:func:`range_search_arrays` for many disks in one pass.
-
-    Row ``i`` is the disk ``(cx[i], cy[i], r[i])`` searched without the
-    id ``exclude_oid[i]`` (``-1``: nobody). Results and charges equal
-    the per-query function's row by row; the meters are charged the
-    column sums.
+    """Everything within ``r[i]`` of ``(cx[i], cy[i])``, without the id
+    ``exclude_oid[i]`` (``-1``: nobody) and without any id of
+    ``exclude``: :func:`range_search_arrays`'s answers and charges, row
+    by row; the meter is charged the column sums. Fewer than
+    :data:`BREAK_EVEN` rows search one by one, more in one pass.
     """
     if (r < 0).any():
         raise IndexError_("negative radius in range_search_many")
     if meter is None:
         meter = grid.meter
     n_rows = cx.shape[0]
+    if n_rows < BREAK_EVEN:
+        return _row_by_row(
+            partial(range_search_arrays, grid), _RANGE_CHARGES, meter,
+            exclude_oid, exclude, cx, cy, r,
+        )
     row, lin, cmd = _disk_cells(grid, cx, cy, r, 0)
     hit = cmd <= r[row]
     ids, _, mrow, d = _scored_members(
-        grid, row[hit], lin[hit], cx, cy, exclude_oid
+        grid, row[hit], lin[hit], cx, cy, exclude_oid, exclude
     )
+    charge(meter, CostMeter.CELL_VISIT, row.shape[0])
+    charge(meter, CostMeter.DIST_CALC, mrow.shape[0])
     charges = {
         CostMeter.CELL_VISIT: np.bincount(row, minlength=n_rows),
         CostMeter.DIST_CALC: np.bincount(mrow, minlength=n_rows),
     }
-    if n_rows:
-        charge(grid.meter, CostMeter.CELL_VISIT, row.shape[0])
-        charge(meter, CostMeter.DIST_CALC, mrow.shape[0])
     within = d <= r[mrow]
     return Rows(*_ranked(n_rows, mrow[within], d[within], ids[within]), charges)
 
@@ -443,24 +475,30 @@ def range_search_written(
     exclude_oid: np.ndarray,
     writes: List[np.ndarray],
     since: np.ndarray,
+    exclude: np.ndarray = _NO_IDS,
     meter: Optional[CostMeter] = None,
-) -> Optional[Rows]:
-    """:func:`range_search_many`, looking only at the objects written
-    since each row's last search of the same disk.
+) -> Rows:
+    """:func:`range_search_many`'s question, for disks searched before:
+    a row with a mark may be answered from the objects written since.
 
     ``writes[j]`` holds the ids of the ``j``-th grid write since some
     mark (``ObjectTable.written_since``), and row ``i`` takes the writes
-    from ``since[i]`` on. Its members are those of its written objects
-    the full search would return now: in a cell the search opens (its
-    bounding box, and ``cell_min_dist <= r``), not ``exclude_oid[i]``,
-    within ``r`` by the same distance recipe, ranked ``(distance,
-    oid)``. Its charges are the full search's, in closed form: the
-    box's cells, and the opened cells' members less the excluded id.
-    None, charging nothing, where the writes outnumber those members:
-    the full search is then the cheaper pass.
+    from ``since[i]`` on (``since[i] < 0``: no usable mark, the row is
+    searched in full). A marked row's members are those of its written
+    objects the full search would return now: in a cell the search
+    opens (its bounding box, and ``cell_min_dist <= r``), not
+    ``exclude_oid[i]``, within ``r`` by the same distance recipe,
+    ranked ``(distance, oid)``. Charges are the full search's, in
+    closed form: the box's cells, and the opened cells' members less
+    the excluded id. Every row is searched in full where the writes
+    outnumber the members the marked rows' full searches score (the
+    cheaper pass), or under a shared ``exclude`` (not in the closed
+    form).
     """
-    if meter is None:
-        meter = grid.meter
+    marked = since >= 0
+    meter = grid.meter if meter is None else meter
+    if not marked.any() or exclude.shape[0] or (r < 0).any():
+        return range_search_many(grid, cx, cy, r, exclude_oid, exclude, meter)
     n_rows = cx.shape[0]
     row, lin, cmd = _disk_cells(grid, cx, cy, r, 0)
     hit = cmd <= r[row]
@@ -473,29 +511,36 @@ def range_search_written(
         np.int64
     ) - np.bincount(orow[olin == xcell[orow]], minlength=n_rows)
     sizes = [ids.shape[0] for ids in writes]
-    if sum(sizes) > dist_calc.sum():
-        return None
-    oid = np.concatenate(writes) if writes else np.empty(0, dtype=np.int64)
-    # an object was written since a row's search iff its last write was
-    ids, last = np.unique(oid[::-1], return_index=True)
+    if sum(sizes) > dist_calc[marked].sum():
+        return range_search_many(grid, cx, cy, r, exclude_oid, meter=meter)
+    # the unmarked rows: every member of the cells they open
+    full = ~marked[orow]
+    ids, _, mrow, d = _scored_members(
+        grid, orow[full], olin[full], cx, cy, exclude_oid, exclude
+    )
+    # the marked rows: an object was written since a row's mark iff its
+    # last write was
+    oid = np.concatenate([_NO_IDS, *writes])
+    wids, last = np.unique(oid[::-1], return_index=True)
     at = np.repeat(np.arange(len(sizes)), sizes)[oid.shape[0] - 1 - last]
     opened = np.zeros((grid.cells * grid.cells, n_rows), dtype=bool)
-    opened[olin, orow] = True
-    e, i = np.nonzero(opened[grid._dcell[ids]])
-    keep = (at[e] >= since[i]) & (ids[e] != exclude_oid[i])
-    ids, i = ids[e[keep]], i[keep]
-    ddx = grid._dx[ids] - cx[i]
-    ddy = grid._dy[ids] - cy[i]
-    d = np.sqrt(ddx * ddx + ddy * ddy)
-    within = d <= r[i]
+    opened[olin[~full], orow[~full]] = True
+    e, i = np.nonzero(opened[grid._dcell[wids]])
+    keep = (at[e] >= since[i]) & (wids[e] != exclude_oid[i])
+    wids, i = wids[e[keep]], i[keep]
+    ddx = grid._dx[wids] - cx[i]
+    ddy = grid._dy[wids] - cy[i]
+    ids = np.concatenate((ids, wids))
+    mrow = np.concatenate((mrow, i))
+    d = np.concatenate((d, np.sqrt(ddx * ddx + ddy * ddy)))
+    within = d <= r[mrow]
+    charge(meter, CostMeter.CELL_VISIT, row.shape[0])
+    charge(meter, CostMeter.DIST_CALC, int(dist_calc.sum()))
     charges = {
         CostMeter.CELL_VISIT: np.bincount(row, minlength=n_rows),
         CostMeter.DIST_CALC: dist_calc,
     }
-    if n_rows:
-        charge(grid.meter, CostMeter.CELL_VISIT, row.shape[0])
-        charge(meter, CostMeter.DIST_CALC, int(dist_calc.sum()))
-    return Rows(*_ranked(n_rows, i[within], d[within], ids[within]), charges)
+    return Rows(*_ranked(n_rows, mrow[within], d[within], ids[within]), charges)
 
 
 def knn_search_many(
@@ -504,13 +549,16 @@ def knn_search_many(
     qy: np.ndarray,
     k,
     exclude_oid: np.ndarray,
+    exclude: np.ndarray = _NO_IDS,
     meter: Optional[CostMeter] = None,
 ) -> Rows:
-    """:func:`knn_search` for many query points in one pass.
+    """The ``k`` (one int, or one per row) nearest to each ``(qx[i],
+    qy[i])``, without the id ``exclude_oid[i]`` (``-1``: nobody) and
+    without any id of ``exclude``: :func:`knn_search`'s answers and
+    charges, row by row; the meter is charged the column sums. Fewer
+    than :data:`BREAK_EVEN` rows search one by one, more in one pass.
 
-    Row ``i`` is the ``k`` (one int, or one per row) nearest to
-    ``(qx[i], qy[i])`` without the id ``exclude_oid[i]`` (``-1``:
-    nobody). *Bound, then range*: a row's upper bound is the k-th
+    The pass is *bound, then range*: a row's upper bound is the k-th
     smallest distance inside the smallest square of cells around its
     query cell that holds ``k`` eligible members (squares of 0, 1, 2,
     4, ... rings; none does when the whole grid holds fewer); one
@@ -524,6 +572,11 @@ def knn_search_many(
         raise IndexError_("k must be >= 1 in knn_search_many")
     if meter is None:
         meter = grid.meter
+    if n_rows < BREAK_EVEN:
+        return _row_by_row(
+            partial(_knn_arrays, grid), _KNN_CHARGES, meter, exclude_oid,
+            exclude, qx, qy, k,
+        )
     u = grid.universe
     C = grid.cells
     last = C - 1
@@ -547,7 +600,7 @@ def knn_search_many(
     while todo.shape[0]:
         row, ci, cj = grid.box_cells(*square(todo, ring))
         _, _, mrow, d = _scored_members(
-            grid, todo[row], ci * C + cj, qx, qy, exclude_oid
+            grid, todo[row], ci * C + cj, qx, qy, exclude_oid, exclude
         )
         d = d[_rank(d, row=mrow)]  # row after row, each ascending
         held = np.bincount(mrow, minlength=n_rows)[todo]
@@ -565,7 +618,7 @@ def knn_search_many(
     hit = cmd <= bound[row]
     cmd_hit = cmd[hit]
     ids, src, mrow, d = _scored_members(
-        grid, row[hit], lin[hit], qx, qy, exclude_oid
+        grid, row[hit], lin[hit], qx, qy, exclude_oid, exclude
     )
     within = d <= bound[mrow]
     seg, d_in, ids_in = _ranked(n_rows, mrow[within], d[within], ids[within])
@@ -581,14 +634,13 @@ def knn_search_many(
         np.arange(n_rows), np.searchsorted(ring_bound, d_k, side="right") - 1
     )
     pushed = (hi_i - lo_i + 1) * (hi_j - lo_j + 1)
+    charge(meter, CostMeter.HEAP_OP, int((pushed + popped).sum()))
+    charge(meter, CostMeter.CELL_VISIT, int(popped.sum()))
+    if scored.any():  # like knn_search: no zero DIST_CALC entry
+        charge(meter, CostMeter.DIST_CALC, int(scored.sum()))
     charges = {
         CostMeter.HEAP_OP: pushed + popped,
         CostMeter.CELL_VISIT: popped,
         CostMeter.DIST_CALC: scored,
     }
-    if n_rows:
-        charge(meter, CostMeter.HEAP_OP, int(charges[CostMeter.HEAP_OP].sum()))
-        charge(meter, CostMeter.CELL_VISIT, int(popped.sum()))
-        if scored.any():  # like knn_search: no zero DIST_CALC entry
-            charge(meter, CostMeter.DIST_CALC, int(scored.sum()))
     return Rows(seg, d_in, ids_in, charges).head(k)

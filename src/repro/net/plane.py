@@ -87,8 +87,7 @@ __all__ = ["ColumnarBatch", "MIN_BATCH", "REPORT_KINDS"]
 #: batch's constant (array assembly, one vectorized handler call) costs
 #: more than it saves. A server subround's flush and a client phase's
 #: report flight ignore it (one batch per kind, one flight per tick,
-#: whatever its size); ``DknnServer.on_subround`` reads it as the
-#: break-even of the many-row searches (:mod:`repro.index.knn`).
+#: whatever its size); the index's search break-even is its own.
 MIN_BATCH = 8
 
 #: the kinds of a report flight's rows, by their ``codes`` entry.

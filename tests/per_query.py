@@ -1,15 +1,14 @@
 """Per-query repairs: the SEA and CPM servers of the differential tests.
 
 The build's :meth:`AnswerRegionServer._repair_rows` answers a tick's
-dirty queries together — one many-row search per kind (at least
-``MIN_BATCH`` rows), CPM's bounds out of one gather of the old answer
-members. The servers here answer the same rows one query at a time,
-the way the algorithms are written down: SEA with one best-first
-``knn_search`` per query, CPM with its old members' distances taken one
-``position_of`` at a time and one ``range_search`` (or, short of ``k``
-old members, one ``knn_search``) per query. Dirty rule, publication
-order and pushes are the build's; ``tests.helpers.reference_system``
-swaps these classes in.
+dirty queries together — one many-row search per kind, CPM's bounds
+out of one gather of the old answer members. The servers here answer
+the same rows one query at a time, the way the algorithms are written
+down: SEA with one best-first ``knn_search`` per query, CPM with its
+old members' distances taken one ``position_of`` at a time and one
+``range_search`` (or, short of ``k`` old members, one ``knn_search``)
+per query. Dirty rule, publication order and pushes are the build's;
+``tests.helpers.reference_system`` swaps these classes in.
 """
 
 from __future__ import annotations
@@ -18,11 +17,20 @@ import math
 from typing import List, Tuple
 
 from repro.baselines import CpmServer, SeaCnnServer
-from repro.index.knn import knn_search, range_search
+from repro.index.knn import NeighborList, knn_search, range_search_arrays
 from repro.metrics.cost import CostMeter
 from repro.server.query_table import QuerySpec
 
-__all__ = ["PER_QUERY", "PerQueryCpm", "PerQuerySea"]
+__all__ = ["PER_QUERY", "PerQueryCpm", "PerQuerySea", "range_search"]
+
+
+def range_search(
+    grid, cx, cy, r, exclude=frozenset(), meter=None
+) -> NeighborList:
+    """All objects within distance ``r`` of ``(cx, cy)`` as ascending
+    ``(distance, oid)`` pairs: ``range_search_arrays`` as a list."""
+    d, ids = range_search_arrays(grid, cx, cy, r, exclude, meter)
+    return list(zip(d.tolist(), ids.tolist()))
 
 
 class _PerQuery:

@@ -1,5 +1,6 @@
 """Behavioral tests for the point-to-point DKNN server (beyond exactness)."""
 
+import numpy as np
 import pytest
 
 from repro.core import DknnMobileNode, DknnParams, build_dknn_system
@@ -7,9 +8,9 @@ from repro.core.hardened import HardenedDknnNode, HardenedDknnServer
 from repro.core.server import DknnServer
 from repro.errors import ConfigError, ProtocolError
 from repro.geometry import Rect
+from repro.index.knn import BREAK_EVEN
 from repro.mobility import Fleet, StationaryMover
 from repro.net.message import MessageKind
-from repro.net.plane import MIN_BATCH
 from repro.server import QuerySpec
 from repro.workloads import WorkloadSpec, build_workload
 from tests.helpers import built_system, reference_system
@@ -253,11 +254,11 @@ class TestRepairRoundStaysInArrays:
 
 class TestBatchedRepairSearches:
     """``DknnServer.on_subround``'s row kernels — each step of a
-    subround once over all its rows, the searches as one many-row pass
-    per kind — against the per-query walk of the reference
+    subround once over all its rows, the searches as one call of an
+    index entry per kind — against the per-query walk of the reference
     (``reference_system``), whose every search is a per-query call."""
 
-    QUERIES = 12  # >= MIN_BATCH, so every kind of row batches
+    QUERIES = 12  # >= BREAK_EVEN, so every kind of search can take one pass
 
     @classmethod
     def _spec(cls, ticks, **fields):
@@ -270,10 +271,13 @@ class TestBatchedRepairSearches:
 
     @staticmethod
     def _count_kernels(monkeypatch):
-        """Rows handed to each search function, by name; ``_plan_full``
-        calls and the rows they planned (``plan:calls`` /
-        ``plan:rows``); and subrounds run."""
+        """Rows handed to each search function, by name: the build's
+        entries, the per-row searches (``_knn_arrays``, which
+        ``knn_search`` runs, and ``range_search_arrays``) and
+        ``knn_search``; ``_plan_full`` calls and the rows they planned
+        (``plan:calls`` / ``plan:rows``); and subrounds run."""
         import repro.core.server as server_module
+        import repro.index.knn as knn
 
         rows = {}
         server_cls = server_module.DknnServer
@@ -293,19 +297,19 @@ class TestBatchedRepairSearches:
             on_subround(self, tick)
 
         monkeypatch.setattr(server_cls, "_plan_full", counted_plan)
-        for name in (
-            "knn_search", "range_search_arrays",
-            "knn_search_many", "range_search_many", "range_search_written",
+        for owner, name in (
+            (knn, "knn_search"), (knn, "_knn_arrays"),
+            (knn, "range_search_arrays"),
+            (server_module, "knn_search_many"),
+            (server_module, "range_search_many"),
+            (server_module, "range_search_written"),
         ):
-            def counted(grid, a, *args, _f=getattr(server_module, name),
-                        _n=name, **kw):
-                found = _f(grid, a, *args, **kw)
-                if found is not None:  # None: a re-check left to a search
-                    bump(_n, 1 if _n in ("knn_search", "range_search_arrays")
-                         else a.shape[0])
-                return found
+            def counted(grid, a, *args, _f=getattr(owner, name), _n=name,
+                        **kw):
+                bump(_n, a.shape[0] if isinstance(a, np.ndarray) else 1)
+                return _f(grid, a, *args, **kw)
 
-            monkeypatch.setattr(server_module, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         # the walk overrides on_subround: only the build's are counted
         monkeypatch.setattr(server_cls, "on_subround", counted_subround)
         return rows
@@ -342,7 +346,7 @@ class TestBatchedRepairSearches:
             )
         if fields.get("faults"):
             # object 5 dies at tick 8: suspected once its lease lapses,
-            # after which exclusion sets are per suspect (per-query path)
+            # after which every search skips it
             fields["faults"] = FaultPlan(seed=7, crashes=((5, 8),))
             fields["params"] = dict(fields["params"], lease_ticks=4)
         cfg = RunConfig("DKNN-P", **fields)
@@ -357,20 +361,22 @@ class TestBatchedRepairSearches:
             skip = built["skipped"]
             assert skip
         reference = recorded_run(cfg, spec, reference_system, ticks, skip)
-        assert "knn_search_many" not in rows
-        assert "range_search_many" not in rows
-        # the many-row kernels really ran, and took most of the searches
-        assert batched["knn_search_many"] >= self.QUERIES
-        assert batched["range_search_many"] >= 2 * self.QUERIES
-        assert batched["knn_search_many"] + batched.get("knn_search", 0) == (
-            rows["knn_search"]
+        assert "knn_search" not in batched
+        assert {
+            "knn_search_many", "range_search_many", "range_search_written",
+        }.isdisjoint(rows)
+        # the one-pass kernels really ran, and took most of the searches
+        assert batched["knn_search_many"] - batched.get("_knn_arrays", 0) >= (
+            self.QUERIES
         )
+        assert batched["range_search_many"] + batched.get(
+            "range_search_written", 0
+        ) - batched.get("range_search_arrays", 0) >= 2 * self.QUERIES
+        assert batched["knn_search_many"] == rows["knn_search"]
         # a zone scan re-checked from the write log stands for a search
         assert batched["range_search_many"] + batched.get(
-            "range_search_arrays", 0
-        ) + batched.get("range_search_written", 0) == (
-            rows["range_search_arrays"]
-        )
+            "range_search_written", 0
+        ) == rows["range_search_arrays"]
         # the same full repairs, planned one at a time by the walk and
         # in at most one pass per subround by the build
         assert batched["plan:rows"] == rows["plan:rows"] >= self.QUERIES
@@ -415,7 +421,7 @@ class TestBatchedRepairSearches:
                         if st.phase == "idle" and not st.dirty
                         and st.planner_tick != tick and st.install is not None
                     ]
-                    if tick >= 5 and len(quiet) >= MIN_BATCH and not staged_at:
+                    if tick >= 5 and len(quiet) >= BREAK_EVEN and not staged_at:
                         st = quiet[0]
                         staged_at.append((len(subrounds), st.row))
                         focal = st.spec.focal_oid
@@ -452,7 +458,7 @@ class TestBatchedRepairSearches:
             rows for at, name, rows in steps
             if at == subround and name == "scan"
         ]
-        assert row in scanned and len(scanned) >= MIN_BATCH
+        assert row in scanned and len(scanned) >= BREAK_EVEN
         assert any(
             at == subround and name == "select" and row in rows
             for at, name, rows in steps

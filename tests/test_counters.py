@@ -186,13 +186,12 @@ def test_dknn_p_subround_work_does_not_grow_with_the_queries(
     """``shard_drift``'s shape at Q = 16 and Q = 64: a DKNN-P subround
     reads freshness and searches the index a bounded number of times
     whatever the query count — each step one freshness pass and one
-    many-row search per kind, or per-row searches when fewer than
-    ``MIN_BATCH`` rows are at a step. Over 40 ticks no subround makes
-    more than 5 freshness reads (``ObjectTable.stale`` /
-    ``stale_mask``), ``MIN_BATCH - 1`` kNN searches or ``2 *
-    (MIN_BATCH - 1)`` range searches; a walk query by query makes one
+    call of an index entry per kind, however many rows are at it. Over
+    40 ticks no subround makes more than 5 freshness reads
+    (``ObjectTable.stale`` / ``stale_mask``), one kNN search (a full
+    repair's ``k+1`` nearest) or two range searches (the zone scan and
+    a full repair's candidates); a walk query by query makes one
     freshness read per waiting query per subround."""
-    from repro.net.plane import MIN_BATCH
     from repro.server.object_table import ObjectTable
 
     counts = Counter()
@@ -220,9 +219,8 @@ def test_dknn_p_subround_work_does_not_grow_with_the_queries(
     )
     counted(ObjectTable, "stale", "fresh")
     counted(ObjectTable, "stale_mask", "fresh")
-    for name in ("knn_search", "knn_search_many"):
-        counted(server_module, name, "knn")
-    for name in ("range_search_arrays", "range_search_many"):
+    counted(server_module, "knn_search_many", "knn")
+    for name in ("range_search_many", "range_search_written"):
         counted(server_module, name, "range")
     spec = dataclasses.replace(SHARD_DRIFT_SHAPED, n_queries=n_queries)
     sim, _ = built_system(RunConfig("DKNN-P"), spec)
@@ -230,8 +228,8 @@ def test_dknn_p_subround_work_does_not_grow_with_the_queries(
     assert worst["subrounds"] >= 2 * spec.ticks
     assert sum(sim.server.repair_count.values()) >= spec.ticks * n_queries // 2
     assert 1 <= worst["fresh"] <= 5
-    assert 1 <= worst["knn"] <= MIN_BATCH - 1
-    assert 1 <= worst["range"] <= 2 * (MIN_BATCH - 1)
+    assert worst["knn"] == 1
+    assert 1 <= worst["range"] <= 2
 
 
 #: ``cpm_stream``'s shape (Q = 16, k = 8, every object reporting every
@@ -244,11 +242,12 @@ CPM_STREAM_SHAPED = dataclasses.replace(
 @pytest.mark.parametrize("algorithm", ["SEA", "CPM"])
 def test_centralized_repairs_are_one_pass_per_tick(algorithm, monkeypatch):
     """``cpm_stream``'s shape: a tick's dirty SEA / CPM queries are
-    answered by at most one many-row search per kind — no per-query
-    ``knn_search`` / ``range_search`` — and the every-object report
-    batch is read and written by slice, not by fancy indexing."""
+    answered by at most one many-row search per kind, each in one pass
+    (no row searched on its own), and the every-object report batch is
+    read and written by slice, not by fancy indexing."""
     import repro.baselines.common as common
     import repro.baselines.cpm as cpm
+    import repro.index.knn as knn
     from repro.baselines.common import CentralizedServerBase
 
     calls, worst = Counter(), Counter()
@@ -281,9 +280,9 @@ def test_centralized_repairs_are_one_pass_per_tick(algorithm, monkeypatch):
     monkeypatch.setattr(
         CentralizedServerBase, "on_subround", counted_subround
     )
-    counted(common, "knn_search", "knn")
+    counted(knn, "_knn_arrays", "knn")
     counted(common, "knn_search_many", "knn_many")
-    counted(cpm, "range_search", "range")
+    counted(knn, "range_search_arrays", "range")
     counted(cpm, "range_search_many", "range_many")
     spec = CPM_STREAM_SHAPED
     sim, _ = built_system(RunConfig(algorithm), spec)

@@ -1,8 +1,10 @@
 """The benchmark's simulated statistics, pinned: every workload of
 ``benchmarks/layered`` at smoke size, seeds 1 and 7, must reproduce the
 committed ``fingerprint.json`` to the last message, byte, cost unit,
-skipped tick and published answer, and every sweep of
-``python -m repro.experiments --all --quick`` its table's count columns.
+skipped tick and published answer, every sweep of
+``python -m repro.experiments --all --quick`` its table's count columns,
+and the two ``python -m repro.experiments chaos --seed 3`` runs (200
+ticks, and 120 with ``--rebalance``) their reports, line for line.
 
 The workload numbers come from the benchmark runner's own ``set_up``
 and measured window (``run.Drive``), so a change that moves what the
@@ -75,6 +77,21 @@ def sweep_digest(name: str) -> str:
     return hashlib.md5("\n".join(lines).encode()).hexdigest()
 
 
+#: The chaos runs pinned, by key: ``run_chaos`` keyword arguments.
+CHAOS = {
+    "chaos/3": dict(seed=3, ticks=200),
+    "chaos/3/rebalance": dict(seed=3, ticks=120, rebalance=True),
+}
+
+
+def chaos_report(key: str) -> str:
+    """One chaos run's report, as ``python -m repro.experiments chaos``
+    prints it."""
+    from repro.net.chaos import run_chaos
+
+    return run_chaos(**CHAOS[key]).report()
+
+
 def compute_workloads() -> dict:
     run = _runner()
     return {
@@ -88,8 +105,12 @@ def compute_sweeps() -> dict:
     return {f"quick/{name}": sweep_digest(name) for name in sorted(EXPERIMENTS)}
 
 
+def compute_chaos() -> dict:
+    return {key: chaos_report(key) for key in CHAOS}
+
+
 def compute() -> dict:
-    return {**compute_workloads(), **compute_sweeps()}
+    return {**compute_workloads(), **compute_sweeps(), **compute_chaos()}
 
 
 @pytest.fixture(scope="module")
@@ -109,7 +130,7 @@ def sweeps():
 
 
 def test_every_workload_and_seed_is_pinned(computed, pinned):
-    workloads = [k for k in pinned if not k.startswith("quick/")]
+    workloads = [k for k in pinned if not k.startswith(("quick/", "chaos/"))]
     assert sorted(computed) == sorted(workloads)
 
 
@@ -130,6 +151,15 @@ def test_the_benchmark_reproduces_its_fingerprint(computed, pinned, key):
 @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
 def test_the_quick_sweep_reproduces_its_digest(sweeps, pinned, name):
     assert sweeps[f"quick/{name}"] == pinned[f"quick/{name}"]
+
+
+def test_every_chaos_run_is_pinned(pinned):
+    assert sorted(CHAOS) == sorted(k for k in pinned if k.startswith("chaos/"))
+
+
+@pytest.mark.parametrize("key", sorted(CHAOS))
+def test_the_chaos_run_reproduces_its_report(pinned, key):
+    assert chaos_report(key) == pinned[key]
 
 
 if __name__ == "__main__":

@@ -18,8 +18,9 @@ five benchmark-shaped DKNN-P runs (plain, over four shards, and some
 with one-tick latency) checks the candidates and every scanned row's
 hits against them, and a twin build switched to the references runs in
 lockstep with the same meter, category by category, answers and
-traffic; none of them builds a node object. A drawn property pins ``range_search_written`` against
-``range_search_many`` after drawn writes: members and charges.
+traffic; none of them builds a node object. A drawn property pins
+``range_search_written`` against ``range_search_many`` after drawn
+writes: members and charges.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from repro.core.protocol import BAND_ANSWER, BAND_OUTSIDER, InstallBand
 from repro.core.server import DknnServer
 from repro.experiments.config import RunConfig
 from repro.geometry import Rect
+import repro.index.knn as knn
 from repro.index.knn import (
     range_search_arrays,
     range_search_many,
@@ -180,17 +182,25 @@ def test_incremental_passes_equal_the_references(shape, variant, monkeypatch):
         checked["zone"] += rows.shape[0]
         return seg, ids
 
-    def counted_written(grid, cx, *args, **kwargs):
-        found = written(grid, cx, *args, **kwargs)
-        if found is not None:
-            checked["short"] += cx.shape[0]
+    searched_in_full = []
+
+    def counted_written(grid, cx, cy, r, focal, writes, since, *args, **kw):
+        searched_in_full.clear()
+        found = written(grid, cx, cy, r, focal, writes, since, *args, **kw)
+        if not searched_in_full:  # re-checked from the log
+            checked["short"] += int((since >= 0).sum())
         return found
+
+    def full_search(*args, _f=knn.range_search_many, **kwargs):
+        searched_in_full.append(True)
+        return _f(*args, **kwargs)
 
     monkeypatch.setattr(DknnSilentPhase, "_candidates", checked_candidates)
     monkeypatch.setattr(DknnServer, "_zone_hits", checked_zone)
     monkeypatch.setattr(
         "repro.core.server.range_search_written", counted_written
     )
+    monkeypatch.setattr(knn, "range_search_many", full_search)
     sim, _ = built_system(cfg, spec)
     twin, _ = built_system(cfg, spec)
     # the twin runs both references: whole columns, every zone in full
@@ -301,21 +311,27 @@ _coord = st.floats(0.0, 1_000.0)
         ),
         max_size=6,
     ),
-    marks=st.lists(st.integers(0, 6), min_size=6, max_size=6),
+    marks=st.lists(st.integers(0, 7), min_size=6, max_size=6),
     cells=st.sampled_from([1, 3, 7]),
+    shared=st.one_of(
+        st.just(frozenset()), st.frozensets(st.integers(0, 79), max_size=3)
+    ),
 )
 @settings(max_examples=100, deadline=None)
 def test_a_written_search_equals_the_full_search(
-    start, disks, batches, marks, cells
+    start, disks, batches, marks, cells, shared
 ):
-    """Disks searched in full at drawn marks, then the table written
-    in drawn batches — moves within and across cells, first-time
-    inserts, one object several times, scalar and batch writes: each
-    disk's re-check over the writes since its mark returns the full
-    search's members among the written objects, ranked the same, and
-    charges exactly what the full search charges now; or None, charging
-    nothing, where the writes outnumber the members the full search
-    scores."""
+    """Disks searched in full at drawn marks (or never: a mark past the
+    last write batch), then the table written in drawn batches — moves
+    within and across cells, first-time inserts, one object several
+    times, scalar and batch writes. Every disk is then searched since
+    its mark, ``-1`` where it has none the log still reaches: the call
+    charges exactly what the full search charges now, row by row. Each
+    disk with a mark gets the full search's members among the objects
+    written since, ranked the same, and each without one the full
+    search's members — unless the writes outnumber the members the
+    marked disks' full searches score, or ids are skipped by every row:
+    then every disk gets the full search's members."""
     table = ObjectTable(UNIVERSE, cells, theta=1.0, meter=CostMeter())
     table.report_batch(
         np.arange(len(start)), *np.array(start).T.copy(), tick=0
@@ -323,6 +339,7 @@ def test_a_written_search_equals_the_full_search(
     n = len(disks)
     cx, cy, r = (np.array(col) for col in zip(*disks))
     focal = np.array([i % 3 - 1 for i in range(n)], dtype=np.int64)
+    skipped = np.array(sorted(shared), dtype=np.int64)
     since = np.full(n, -1, dtype=np.int64)
     written = [set() for _ in range(n)]
     for step in range(len(batches) + 1):
@@ -349,32 +366,32 @@ def test_a_written_search_equals_the_full_search(
         for i in range(n):
             if since[i] >= 0:
                 written[i].update(oid for oid, _, _ in writes)
-    rows = np.flatnonzero(since >= table.logged_from)  # not -1, not lost
-    if not rows.shape[0]:
-        return
+    marked = since >= table.logged_from  # not -1, not lost
+    first = int(since[marked].min()) if marked.any() else 0
+    log = table.written_since(first) if marked.any() else []
     meter = CostMeter()
     table.grid.meter = meter
-    first = int(since[rows].min())
     got = range_search_written(
-        table.grid, cx[rows], cy[rows], r[rows], focal[rows],
-        table.written_since(first), since[rows] - first, meter=meter,
+        table.grid, cx, cy, r, focal, log,
+        np.where(marked, since - first, -1), skipped, meter=meter,
     )
     full_meter = CostMeter()
     table.grid.meter = full_meter
     full = range_search_many(
-        table.grid, cx[rows], cy[rows], r[rows], focal[rows],
-        meter=full_meter,
+        table.grid, cx, cy, r, focal, skipped, meter=full_meter
     )
-    n_writes = sum(ids.shape[0] for ids in table.written_since(first))
-    if n_writes > full.charges[CostMeter.DIST_CALC].sum():
-        assert got is None and not meter.units
-        return
     assert dict(meter.units) == dict(full_meter.units)
     for category, per_row in full.charges.items():
         assert got.charges[category].tolist() == per_row.tolist()
-    for i, row in enumerate(rows.tolist()):
+    n_writes = sum(ids.shape[0] for ids in log)
+    in_full = shared or n_writes > (
+        full.charges[CostMeter.DIST_CALC][marked].sum()
+    )
+    for i in range(n):
         a, b = full.seg[i], full.seg[i + 1]
-        keep = np.isin(full.oid[a:b], list(written[row]))
+        keep = np.ones(b - a, dtype=bool)
+        if marked[i] and not in_full:
+            keep = np.isin(full.oid[a:b], list(written[i]))
         ga, gb = got.seg[i], got.seg[i + 1]
         assert got.oid[ga:gb].tolist() == full.oid[a:b][keep].tolist()
         assert got.d[ga:gb].tolist() == full.d[a:b][keep].tolist()

@@ -6,14 +6,9 @@ import pytest
 
 from repro.errors import IndexError_
 from repro.geometry import Rect
-from repro.index import (
-    UniformGrid,
-    brute_knn,
-    brute_knn_ids,
-    brute_range,
-    knn_search,
-    range_search,
-)
+from repro.index import UniformGrid, brute_knn, brute_knn_ids, brute_range
+from repro.index.knn import knn_search
+from tests.per_query import range_search
 from repro.metrics.cost import CostMeter
 
 

@@ -22,11 +22,14 @@ from hypothesis import strategies as st
 
 from repro.errors import IndexError_
 from repro.geometry import Rect
-from repro.index import UniformGrid, knn_search, range_search
+from repro.index import UniformGrid
 from repro.index.grid import axis_gap
+import repro.index.knn as knn
 from repro.index.knn import (
     _SMALL,
+    BREAK_EVEN,
     _rank,
+    knn_search,
     knn_search_many,
     range_search_arrays,
     range_search_many,
@@ -42,6 +45,7 @@ from repro.index.bruteforce import (
 from repro.metrics.accuracy import is_valid_knn
 from repro.metrics.cost import CostMeter
 from repro.server import ObjectTable
+from tests.per_query import range_search
 
 UNIVERSE = Rect(0, 0, 1000, 1000)
 
@@ -450,12 +454,13 @@ KNN_CHARGES = {
 
 
 @pytest.mark.parametrize("seed", sorted(KNN_CHARGES))
-def test_knn_search_charges_are_pinned(seed):
+def test_knn_search_charges_are_pinned(seed, monkeypatch):
     """The literals pin ``knn_search``; the same four searches as one
-    ``knn_search_many`` call must charge what they charged. A row
-    excludes at most one id, so an exclusion set keeps its smallest
-    member here — where that changes no set of the seed, the many-row
-    total is held to the literal itself."""
+    pass (which ``knn_search_many`` runs from ``BREAK_EVEN`` rows on:
+    forced here) must charge what they charged. The sets differ by row,
+    so each keeps its smallest member as the row's own excluded id here
+    — where that changes no set of the seed, the one-pass total is held
+    to the literal itself."""
     grid, searches, units = _seeded_knn_charges(seed)
     assert units == KNN_CHARGES[seed]
     one = [frozenset(sorted(ex)[:1]) for _, _, _, ex in searches]
@@ -463,6 +468,7 @@ def test_knn_search_charges_are_pinned(seed):
     for (qx, qy, k, _), ex in zip(searches, one):
         knn_search(grid, qx, qy, k, exclude=ex, meter=per_query)
     many = CostMeter()
+    monkeypatch.setattr(knn, "BREAK_EVEN", 1)
     knn_search_many(
         grid,
         np.array([qx for qx, _, _, _ in searches]),
@@ -530,12 +536,19 @@ def _row_columns(grid, rows):
     st.sampled_from([1, 2, 3, 8, 64]),
     st.lists(wide_point, max_size=80),
     st.lists(st.tuples(st.integers(0, 79), wide_point), max_size=40),
-    st.lists(search_row, min_size=1, max_size=64),
+    # row counts either side of the break-even
+    st.sampled_from([1, 2, BREAK_EVEN - 1, BREAK_EVEN, 3 * BREAK_EVEN]).flatmap(
+        lambda n: st.lists(search_row, min_size=n, max_size=n)
+    ),
+    st.one_of(st.just(frozenset()), st.frozensets(st.integers(0, 79))),
 )
 @settings(max_examples=120, deadline=None)
 def test_many_row_searches_match_per_query_row_by_row(
-    n_cells, pts, churn, rows
+    n_cells, pts, churn, rows, shared
 ):
+    """The entries, on row counts either side of ``BREAK_EVEN`` and
+    with and without ids every row skips, answer and charge each row
+    as the per-query search does."""
     grid = UniformGrid(WIDE, n_cells, meter=CostMeter())
     for oid, (x, y) in enumerate(pts):
         grid.insert(oid, x, y)
@@ -543,18 +556,16 @@ def test_many_row_searches_match_per_query_row_by_row(
         if oid in grid:
             grid.update(oid, *to)
     if n_cells == 64:
-        rows = rows[:6]  # a per-query search may open all 4096 cells
+        # a per-query search may open all 4096 cells
+        rows = rows[:BREAK_EVEN]
     qx, qy, ks, ex, rs = _row_columns(grid, rows)
+    skipped = np.array(sorted(shared), dtype=np.int64)
     many = CostMeter()
-    near = knn_search_many(grid, qx, qy, ks, ex, meter=many)
-    visits = grid.meter.units[CostMeter.CELL_VISIT]
-    inside = range_search_many(grid, qx, qy, rs, ex, meter=many)
-    many.charge(
-        CostMeter.CELL_VISIT, grid.meter.units[CostMeter.CELL_VISIT] - visits
-    )
+    near = knn_search_many(grid, qx, qy, ks, ex, skipped, meter=many)
+    inside = range_search_many(grid, qx, qy, rs, ex, skipped, meter=many)
     total = CostMeter()
     for i in range(len(rows)):
-        exclude = frozenset(o for o in (int(ex[i]),) if o >= 0)
+        exclude = shared | {o for o in (int(ex[i]),) if o >= 0}
         q = (float(qx[i]), float(qy[i]))
         # kNN: the row, then every category it would have charged
         one = CostMeter()
@@ -565,15 +576,9 @@ def test_many_row_searches_match_per_query_row_by_row(
             c: one.units[c] for c in _KNN_CATEGORIES
         }
         total.merge(one)
-        # range: CELL_VISIT lands on the grid's own meter
         one = CostMeter()
-        visits = grid.meter.units[CostMeter.CELL_VISIT]
         want_d, want_ids = range_search_arrays(
             grid, *q, float(rs[i]), exclude=exclude, meter=one
-        )
-        one.charge(
-            CostMeter.CELL_VISIT,
-            grid.meter.units[CostMeter.CELL_VISIT] - visits,
         )
         lo, hi = inside.seg[i], inside.seg[i + 1]
         assert inside.d[lo:hi].tolist() == want_d.tolist()
@@ -623,7 +628,7 @@ def test_rank_is_the_three_key_lexsort(members, stride, tie_free, padded):
     assert _rank(d, ids).tolist() == one.tolist()
 
 
-def test_many_row_charges_follow_from_the_kth_distance_alone():
+def test_many_row_charges_follow_from_the_kth_distance_alone(monkeypatch):
     """The closed form, on a case where the bound the kernel ranges
     inside is *not* the k-th distance: 10-unit cells, the query in the
     middle of cell (4, 4), k = 2. Its own cell holds one object, the
@@ -660,6 +665,7 @@ def test_many_row_charges_follow_from_the_kth_distance_alone():
     assert [o for _, o in knn_search(grid, qx, qy, k, meter=one)] == [0, 2]
     assert _knn_units(one) == closed_form(d_k)
     many = CostMeter()
+    monkeypatch.setattr(knn, "BREAK_EVEN", 1)  # one row, one pass
     rows = knn_search_many(
         grid, np.array([qx]), np.array([qy]), k, np.array([-1]), meter=many
     )
@@ -667,7 +673,7 @@ def test_many_row_charges_follow_from_the_kth_distance_alone():
     assert _knn_units(many) == closed_form(d_k)
 
 
-def test_many_row_search_opens_the_cell_whose_edge_ties_with_the_kth():
+def test_many_row_search_opens_the_cell_whose_edge_ties_with_the_kth(monkeypatch):
     """An object on a cell border, exactly d_k from the query: the cell
     on the far side of the border has min-distance d_k too and the
     best-first search opens it (``<=``). The float bounding box of the
@@ -680,6 +686,7 @@ def test_many_row_search_opens_the_cell_whose_edge_ties_with_the_kth():
     assert grid.box(900.0, 4.0, 4.0)[0] == 7
     one, many = CostMeter(), CostMeter()
     knn_search(grid, 900.0, 4.0, 1, meter=one)
+    monkeypatch.setattr(knn, "BREAK_EVEN", 1)  # one row, one pass
     knn_search_many(
         grid, np.array([900.0]), np.array([4.0]), 1, np.array([-1]), meter=many
     )
@@ -687,7 +694,7 @@ def test_many_row_search_opens_the_cell_whose_edge_ties_with_the_kth():
     assert many.units[CostMeter.DIST_CALC] == 2  # cell 6 was opened
 
 
-def test_a_point_on_the_far_edge_lies_inside_its_cell():
+def test_a_point_on_the_far_edge_lies_inside_its_cell(monkeypatch):
     """``1000 / 6 * 5 + 1000 / 6`` rounds below 1000, yet ``cell_of``
     puts a point at 1000 in the last cell. The last column's edge is
     the universe's, so that cell is 0 away from the point, and the
@@ -701,6 +708,7 @@ def test_a_point_on_the_far_edge_lies_inside_its_cell():
     assert grid.cell_min_dist(grid.cell_of(750.0, 1000.0), 750.0, 1000.0) == 0
     one, many = CostMeter(), CostMeter()
     want = knn_search(grid, 750.0, 1000.0, 1, exclude={0}, meter=one)
+    monkeypatch.setattr(knn, "BREAK_EVEN", 1)  # one row, one pass
     rows = knn_search_many(
         grid, np.array([750.0]), np.array([1000.0]), 1, np.array([0]),
         meter=many,

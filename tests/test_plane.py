@@ -31,7 +31,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.broadcast_variant import _COLLECTING, _IDLE
@@ -651,8 +651,8 @@ def _report_case(draw):
     four ticks' report flights: each sender one position, a location
     row (DKNN-P) and up to two violation / query-move rows about any
     query, stamped — under DKNN-G — with an epoch that may be stale.
-    Under DKNN-B/G each tick may add one collect round's replies: any
-    objects but the query's focal, each at a position of its own."""
+    Under DKNN-B/G each tick may add one collect round
+    (:func:`_collect_round`)."""
     system = draw(st.sampled_from(sorted(REPORT_SYSTEMS)))
     q = REPORT_SPEC.n_queries
     flag = st.lists(st.booleans(), min_size=q, max_size=q)
@@ -686,11 +686,41 @@ def _report_case(draw):
         if not system.startswith("DKNN-P") and draw(st.booleans()):
             qid = draw(st.integers(0, q - 1))
             repliers = draw(st.sets(oid, min_size=1, max_size=10))
-            repliers.discard(REPORT_FOCALS[qid])
-            collect = (qid, [(o, draw(coord), draw(coord))
-                             for o in sorted(repliers)])
+            collect = _collect_round(qid, [
+                (o, draw(coord), draw(coord)) for o in sorted(repliers)
+            ])
         flights.append((tick, rows, collect))
     return system, draw(st.booleans()), before, flights
+
+
+def _collect_round(qid, replies):
+    """A collect round of query ``qid`` from drawn ``(oid, x, y)``
+    replies: every one but the query's focal's, which does not answer
+    its own round. None, no round, where the focal was the only one
+    drawn: a flight cannot be built from no replies."""
+    replies = [reply for reply in replies if reply[0] != REPORT_FOCALS[qid]]
+    return (qid, replies) if replies else None
+
+
+#: a draw whose only collect replier is the query's focal (seen failing
+#: to build its flight when such a draw made an empty round)
+_FOCAL_ONLY = (
+    "DKNN-B",
+    False,
+    {
+        "dirty": [False] * REPORT_SPEC.n_queries,
+        "light_ok": [False] * REPORT_SPEC.n_queries,
+        "violators": [set()] * REPORT_SPEC.n_queries,
+        "probed": set(),
+        "epochs": [0] * REPORT_SPEC.n_queries,
+        "collecting": [True] * REPORT_SPEC.n_queries,
+    },
+    [
+        (1, [(1, 0, 0, 10.0, 10.0, -1)],
+         _collect_round(0, [(REPORT_FOCALS[0], 20.0, 20.0)])),
+        (2, [], _collect_round(1, [(3, 30.0, 30.0)])),
+    ],
+)
 
 
 def _report_flight(rows, tick):
@@ -771,6 +801,7 @@ def _report_view(sim, sink):
 
 
 @given(case=_report_case())
+@example(case=_FOCAL_ONLY)
 @settings(max_examples=150, deadline=None)
 def test_a_report_flight_ingests_as_its_messages_one_by_one(case):
     """Ingesting a report or collect flight whole equals dispatching

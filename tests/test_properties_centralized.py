@@ -1,8 +1,8 @@
 """Property: SEA's and CPM's many-row repair equals the per-query one.
 
 The build answers a tick's dirty queries together
-(``AnswerRegionServer._repair_rows``: one many-row search per kind from
-``MIN_BATCH`` rows, CPM's bounds out of one gather) and reads an
+(``AnswerRegionServer._repair_rows``: one call of an index entry per
+kind, CPM's bounds out of one gather) and reads an
 every-object report batch by slice. The reference
 (:mod:`tests.per_query`) repairs one query at a time. Both servers
 ingest the same drawn reports — one columnar batch, scalar messages, or

@@ -5,13 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import Rect
-from repro.index import (
-    UniformGrid,
-    brute_knn_ids,
-    brute_range,
-    knn_search,
-    range_search,
-)
+from repro.index import UniformGrid, brute_knn_ids, brute_range
+from repro.index.knn import knn_search
+from tests.per_query import range_search
 
 UNIVERSE = Rect(0, 0, 1000, 1000)
 

@@ -28,7 +28,6 @@ import math
 
 import numpy as np
 
-import repro.core.server as server_module
 from repro.core.hardened import HardenedDknnServer
 from repro.core.regions import Installation
 from repro.core.rows import (
@@ -39,6 +38,7 @@ from repro.core.rows import (
     WAIT_PLANNER,
 )
 from repro.core.server import _FLUSH_ORDER, DknnServer
+from repro.index import knn
 
 __all__ = ["HardenedWalk", "WalkServer"]
 
@@ -138,6 +138,11 @@ class WalkServer(DknnServer):
         """True while any of ``oids`` lacks a fresh position."""
         return bool(self.table.stale(oids, tick).shape[0])
 
+    def _exclusions(self, focal: int) -> frozenset:
+        """What one query's searches skip: its focal, and every id the
+        build's searches skip."""
+        return frozenset(self._search_exclude().tolist()) | {focal}
+
     def _probe_stale(self, oids: np.ndarray) -> np.ndarray:
         stale = self.table.stale(oids, self._tick)
         self._claim(0, stale)
@@ -150,11 +155,10 @@ class WalkServer(DknnServer):
         inst = st.install
         if inst is None or math.isinf(inst.threshold):
             return True
-        _, hits = server_module.range_search_arrays(
+        _, hits = knn.range_search_arrays(
             self.table.grid, *inst.anchor,
             inst.monitor_radius(self.params.uncertainty),
-            exclude=self._search_exclude(st.spec.focal_oid),
-            meter=self.meter,
+            exclude=self._exclusions(st.spec.focal_oid), meter=self.meter,
         )
         new = [oid for oid in hits.tolist() if oid not in st.informed]
         # what ``event_idle`` reads, recorded as the build's scan does
@@ -180,8 +184,8 @@ class WalkServer(DknnServer):
         spec = st.spec
         grid = self.table.grid
         qx, qy = self.table.last_position(spec.focal_oid)
-        exclude = self._search_exclude(spec.focal_oid)
-        reported = server_module.knn_search(
+        exclude = self._exclusions(spec.focal_oid)
+        reported = knn.knn_search(
             grid, qx, qy, spec.k + 1, exclude=exclude, meter=self.meter
         )
         if len(reported) <= spec.k:
@@ -194,7 +198,7 @@ class WalkServer(DknnServer):
         radius = self._candidate_radius(reported[-1][0])
         if self.ownership_probe is not None:
             self.ownership_probe.repair_scope(spec.qid, qx, qy, radius)
-        _, cands = server_module.range_search_arrays(
+        _, cands = knn.range_search_arrays(
             grid, qx, qy, radius, exclude=exclude, meter=self.meter
         )
         pending = self._probe_stale(cands)
